@@ -10,7 +10,24 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
+# The suite must leave benchmarks/results alone (tests/conftest.py points
+# report() at tmp_path).  Judged against the state before the run, not a
+# clean tree: the guards below rewrite perf_smoke.txt, and a second
+# `make check` starts from that.
+results_state() {
+    git status --porcelain -- benchmarks/results
+    git diff -- benchmarks/results | cksum
+}
+results_before=$(results_state)
 python -m pytest -x -q
+if [ "$results_before" != "$(results_state)" ]; then
+    echo "FAIL: the tier-1 tests wrote into benchmarks/results"
+    git status --short -- benchmarks/results
+    exit 1
+fi
+
+echo "== ledger smoke (the benchmark harness itself) =="
+python -m pytest benchmarks/ledger -q
 
 echo "== perf smoke (regression gate) =="
 # --repeat 3: the median run becomes the perf_smoke.txt baseline the

@@ -8,13 +8,14 @@ OX-ELEOS, whatever number of sectors that touches.
 
 Cleaning: flushing relocates pages, so old segments lose live pages over
 time; :meth:`clean_once` picks the segment with the lowest live ratio,
-re-appends its remaining live pages, and frees it.
+re-appends its remaining live pages, and frees it.  Segment liveness is
+OX-ELEOS's to keep (it survives a crash there); the engine only asks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FTLError, ReproError
 from repro.llama.pages import DeltaPage
@@ -50,10 +51,6 @@ class LlamaEngine:
         self.sim = ftl.sim
         self.config = config or LlamaConfig()
         self._cache: Dict[int, DeltaPage] = {}
-        # segment id -> pids written there by the flush that created it.
-        self._segment_pids: Dict[int, Set[int]] = {}
-        # pid -> segment currently holding its persistent image.
-        self._page_segment: Dict[int, int] = {}
         self.stats = LlamaStats()
 
     @property
@@ -91,11 +88,6 @@ class LlamaEngine:
         batch: List[Tuple[int, bytes]] = []
         batch_bytes = 0
         limit = self.ftl.config.buffer_bytes
-        flushed_pids: List[int] = []
-
-        def batched_pids():
-            return [pid for pid, __ in batch]
-
         for page in sorted(dirty, key=lambda p: p.pid):
             blob = page.serialize()
             if len(blob) > limit:
@@ -103,27 +95,17 @@ class LlamaEngine:
                     f"page {page.pid} serializes to {len(blob)} bytes, "
                     f"larger than the LSS buffer ({limit})")
             if batch_bytes + len(blob) > limit:
-                segment_id = yield from self._emit_batch_proc(batch)
-                flushed_pids.extend(batched_pids())
+                segment_id = yield from self.ftl.append_buffer_proc(batch)
                 batch, batch_bytes = [], 0
             batch.append((page.pid, blob))
             batch_bytes += len(blob)
         if batch:
-            segment_id = yield from self._emit_batch_proc(batch)
-            flushed_pids.extend(batched_pids())
-        for pid in flushed_pids:
-            self._cache[pid].dirty = False
+            segment_id = yield from self.ftl.append_buffer_proc(batch)
+        for page in dirty:
+            page.dirty = False
         self.stats.flushes += 1
-        self.stats.pages_flushed += len(flushed_pids)
+        self.stats.pages_flushed += len(dirty)
         self._evict_clean_pages()
-        return segment_id
-
-    def _emit_batch_proc(self, batch: List[Tuple[int, bytes]]):
-        segment_id = yield from self.ftl.append_buffer_proc(batch)
-        pids = {pid for pid, __ in batch}
-        self._segment_pids[segment_id] = pids
-        for pid in pids:
-            self._page_segment[pid] = segment_id
         return segment_id
 
     # -- read path ----------------------------------------------------------------
@@ -149,13 +131,7 @@ class LlamaEngine:
 
     def segment_live_ratio(self, segment_id: int) -> float:
         """Live pages of the segment / pages originally written to it."""
-        pids = self._segment_pids.get(segment_id)
-        if not pids:
-            return 0.0
-        total = max(1, len(pids))
-        live = sum(1 for pid in pids
-                   if self._page_segment.get(pid) == segment_id)
-        return live / total
+        return self.ftl.segment_live_ratio(segment_id)
 
     def clean_once(self) -> Optional[int]:
         """Clean the coldest segment below the live-ratio threshold;
@@ -163,34 +139,31 @@ class LlamaEngine:
         return self.sim.run_until(self.sim.spawn(self.clean_once_proc()))
 
     def clean_once_proc(self):
-        candidates = [(self.segment_live_ratio(seg), seg)
-                      for seg in self.ftl.segments
-                      if seg in self._segment_pids]
-        candidates = [(ratio, seg) for ratio, seg in candidates
-                      if ratio <= self.config.clean_live_ratio]
+        ftl = self.ftl
+        threshold = self.config.clean_live_ratio
+        candidates = [(ratio, seg) for seg in ftl.segments
+                      if (ratio := ftl.segment_live_ratio(seg)) <= threshold]
         if not candidates:
             return None
         __, segment_id = min(candidates)
-        live_pids = [pid for pid in self._segment_pids.get(segment_id, ())
-                     if self._page_segment.get(pid) == segment_id]
+        live_pids = ftl.segment_live_pages(segment_id)
         if live_pids:
             batch: List[Tuple[int, bytes]] = []
-            for pid in sorted(live_pids):
+            for pid in live_pids:
                 cached = self._cache.get(pid)
                 if cached is not None:
                     blob = cached.serialize()
                 else:
-                    blob = yield from self.ftl.read_page_proc(pid)
+                    blob = yield from ftl.read_page_proc(pid)
                 batch.append((pid, blob))
                 self.stats.pages_relocated += 1
-            yield from self._emit_batch_proc(batch)
+            yield from ftl.append_buffer_proc(batch)
         try:
-            yield from self.ftl.free_segment_proc(segment_id)
+            yield from ftl.free_segment_proc(segment_id)
         except FTLError:
             # A page moved into the segment between selection and free
             # (possible with concurrent flushes): skip this round.
             return None
-        self._segment_pids.pop(segment_id, None)
         self.stats.segments_cleaned += 1
         return segment_id
 

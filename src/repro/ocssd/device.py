@@ -18,6 +18,8 @@ barrier that bounds what a crash can lose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import GeometryError, MediaError, ReproError
@@ -265,10 +267,19 @@ class OpenChannelSSD:
     def _split_runs(self, ppas: List[Ppa]) -> List[_Run]:
         """Group addresses into maximal chunk-contiguous runs, remembering
         each run's offset into the original vector."""
-        runs: List[_Run] = []
         check = self.geometry.check
         chunks = self.chunks
         total = len(ppas)
+        if total:
+            first, last = ppas[0], ppas[-1]
+            if (last[:3] == first[:3] and last[3] - first[3] == total - 1
+                    and all(map(lt, ppas, islice(ppas, 1, None)))):
+                # One run (every staged unit write, GC scan and page read
+                # is): strictly increasing addresses whose ends sit
+                # total - 1 sectors apart in one chunk are consecutive.
+                check(first)
+                return [(chunks[first[:3]], first[3], total, 0)]
+        runs: List[_Run] = []
         start = 0
         while start < total:
             first = ppas[start]
@@ -287,19 +298,8 @@ class OpenChannelSSD:
         return runs
 
     def _do_write(self, command: VectorWrite, span=None):
-        ppas = command.ppas
-        whole = command.whole
-        first = ppas[0]
-        last = ppas[-1]
-        if (whole is not None and first[:3] == last[:3]
-                and last[3] - first[3] == len(ppas) - 1):
-            # A staged whole-unit write is one chunk-contiguous run by
-            # construction; skip the splitter's per-address scan.
-            self.geometry.check(first)
-            runs = [(self.chunks[first[:3]], first[3], len(ppas), 0)]
-        else:
-            runs = self._split_runs(ppas)
-            whole = whole if len(runs) == 1 else None
+        runs = self._split_runs(command.ppas)
+        whole = command.whole if len(runs) == 1 else None
         # Admission is synchronous and in vector order: write pointers
         # advance and payloads become readable before the timed transfer —
         # the semantics of a controller that buffers on arrival.  A
@@ -353,23 +353,21 @@ class OpenChannelSSD:
             return None
 
     def _do_read(self, command: VectorRead, span=None):
-        ppas = command.ppas
-        if len(ppas) == 1:
-            # Point reads dominate random workloads: skip the run
-            # splitter and the result-scatter lists entirely.
-            ppa = ppas[0]
-            self.geometry.check(ppa)
-            chunk = self.chunks[ppa[:3]]
-            sector = ppa[3]
+        runs = self._split_runs(command.ppas)
+        if len(runs) == 1:
+            # Single-run vectors dominate (point reads, page reads, GC
+            # scans): no result-scatter lists, and no process spawn + join
+            # for parallelism that is not there.
+            chunk, first_sector, count, __ = runs[0]
             try:
                 payloads = yield from self.controller.read_run(
-                    chunk, sector, 1, span=span, tenant=command.tenant)
+                    chunk, first_sector, count, span=span,
+                    tenant=command.tenant)
             except MediaError as exc:
-                return Completion(status=_READ_FAILED, data=[None],
-                                  oob=[None], error=str(exc))
+                return Completion(status=_READ_FAILED, data=[None] * count,
+                                  oob=[None] * count, error=str(exc))
             return Completion(status=_OK, data=payloads,
-                              oob=chunk.read_oob(sector, 1))
-        runs = self._split_runs(ppas)
+                              oob=chunk.read_oob(first_sector, count))
         data: List[Optional[bytes]] = [None] * len(command.ppas)
         oob: List[Optional[object]] = [None] * len(command.ppas)
         failures: List[str] = []
@@ -385,14 +383,8 @@ class OpenChannelSSD:
             data[offset:offset + count] = payloads
             oob[offset:offset + count] = chunk.read_oob(first_sector, count)
 
-        if len(runs) == 1:
-            # Single-run vectors dominate; no parallelism to gain from a
-            # process spawn + join, so run the timing inline.
-            yield from one_run(*runs[0])
-        else:
-            procs = [self.sim.spawn(one_run(*run), name="read-run")
-                     for run in runs]
-            yield self.sim.all_of(procs)
+        yield self.sim.all_of([self.sim.spawn(one_run(*run), name="read-run")
+                               for run in runs])
         if failures:
             return Completion(status=_READ_FAILED, data=data,
                               oob=oob, error="; ".join(failures))

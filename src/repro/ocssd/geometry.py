@@ -41,6 +41,8 @@ class DeviceGeometry:
         object.__setattr__(self, "_dims",
                            (self.pus_per_group, self.flash.chunks_per_chip,
                             self.flash.sectors_per_chunk, self.num_groups))
+        # Read on every allocation and GC fit check; three property hops.
+        object.__setattr__(self, "_ws_min", self.flash.write_unit_sectors)
 
     # -- derived dimensions ---------------------------------------------------
 
@@ -63,7 +65,7 @@ class DeviceGeometry:
     @property
     def ws_min(self) -> int:
         """Minimum write size in sectors (the §2.1 unit-of-write)."""
-        return self.flash.write_unit_sectors
+        return self._ws_min
 
     @property
     def ws_opt(self) -> int:

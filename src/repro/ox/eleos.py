@@ -21,7 +21,8 @@ Design:
 * Space reclamation is host-driven, as in log-structured storage: the
   LLAMA-side cleaner re-appends live pages and then calls
   :meth:`free_segment`; the FTL resets the segment's chunks.  There is no
-  FTL-internal GC.
+  FTL-internal GC, but the FTL owns segment liveness: every map update
+  moves the page between the per-segment live sets the cleaner reads.
 * WAL + checkpoints give the same transactional guarantees as OX-Block:
   an ``append_buffer`` is atomic — after a crash either every page of the
   buffer is readable or none is mapped.
@@ -29,8 +30,9 @@ Design:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.ocssd.address import Ppa
@@ -95,7 +97,17 @@ class OXEleos:
             raise FTLError("LSS buffer must hold at least one sector")
         self.vmap: Dict[int, VPageEntry] = {}
         self.segments: Dict[int, List[ChunkKey]] = {}
-        self._free_chunks: List[ChunkKey] = list(layout.data_chunk_keys())
+        # Liveness, kept in step with vmap by _map_page: segment -> ids of
+        # the pages it currently holds, segment -> pages it was written
+        # with, chunk (linear index) -> owning segment.
+        self._live: Dict[int, Set[int]] = {}
+        self._written: Dict[int, int] = {}
+        self._chunk_segment: Dict[int, int] = {}
+        # Free chunks as one FIFO per PU, PUs in address order.
+        self._free: Dict[Tuple[int, int], Deque[ChunkKey]] = {
+            pu: deque() for pu in self.geometry.iter_pus()}
+        for key in layout.data_chunk_keys():
+            self._free[key[:2]].append(key)
         self._next_segment_id = 1
         self._next_txn_id = 1
         self._epoch = 0
@@ -172,11 +184,23 @@ class OXEleos:
         entry = self.vmap.get(page_id)
         if entry is None:
             return None
-        key = self.geometry.delinearize(entry.first_sector).chunk_key()
-        for segment_id, chunks in self.segments.items():
-            if key in chunks:
-                return segment_id
-        return None
+        return self._segment_at(entry.first_sector)
+
+    def free_chunk_count(self) -> int:
+        """Chunks available to new segments."""
+        return sum(map(len, self._free.values()))
+
+    def segment_live_pages(self, segment_id: int) -> List[int]:
+        """Ids of the pages *segment_id* still holds, ascending."""
+        return sorted(self._live.get(segment_id, ()))
+
+    def segment_live_ratio(self, segment_id: int) -> float:
+        """Live pages of the segment / pages originally written to it (for
+        a recovered segment: the pages it held at recovery)."""
+        written = self._written.get(segment_id)
+        if not written:
+            return 0.0
+        return len(self._live[segment_id]) / written
 
     # -- process API --------------------------------------------------------------------
 
@@ -204,8 +228,9 @@ class OXEleos:
                 self.wal.append(record)
             self.wal.append_commit(txn_id)
             yield from self.wal.flush_proc()
-            for (page_id, linear, offset, length) in entries:
-                self.vmap[page_id] = VPageEntry(linear, offset, length)
+            for entry in entries:
+                self._map_page(*entry)
+            self._written[segment_id] = len(self._live[segment_id])
             yield from self._checkpoint_on_pressure_proc()
         finally:
             self._lock.release()
@@ -223,8 +248,8 @@ class OXEleos:
             raise FTLError(f"page {page_id} is not mapped")
         sector_size = self.geometry.sector_size
         covering = max(1, -(-(entry.offset + entry.length) // sector_size))
-        first = self.geometry.delinearize(entry.first_sector)
-        ppas = [first.with_sector(first.sector + i) for i in range(covering)]
+        group, pu, chunk, sector = self.geometry.delinearize(entry.first_sector)
+        ppas = [Ppa(group, pu, chunk, sector + i) for i in range(covering)]
         completion = yield from self.media.read_proc(ppas)
         self.media.require_ok(completion, f"page {page_id} read")
         blob = b"".join(pad_sector(payload, sector_size)
@@ -242,9 +267,7 @@ class OXEleos:
             chunks = self.segments.get(segment_id)
             if chunks is None:
                 raise FTLError(f"unknown segment {segment_id}")
-            stale = [page_id for page_id, entry in self.vmap.items()
-                     if self.geometry.delinearize(entry.first_sector)
-                     .chunk_key() in set(chunks)]
+            stale = self.segment_live_pages(segment_id)
             if stale:
                 raise FTLError(
                     f"segment {segment_id} still holds live pages "
@@ -255,8 +278,8 @@ class OXEleos:
             for key in chunks:
                 completion = yield from self.media.reset_proc(Ppa(*key, 0))
                 if completion.ok:
-                    self._free_chunks.append(key)
-            del self.segments[segment_id]
+                    self._free[key[:2]].append(key)
+            self._drop_segment(segment_id)
         finally:
             self._lock.release()
         self.stats.segments_freed += 1
@@ -277,6 +300,40 @@ class OXEleos:
         pu_linear, chunk = divmod(linear, per_pu)
         group, pu = divmod(pu_linear, self.geometry.pus_per_group)
         return (group, pu, chunk)
+
+    def _segment_at(self, linear: int) -> Optional[int]:
+        """The segment owning the chunk that holds sector *linear*."""
+        return self._chunk_segment.get(
+            linear // self.geometry.sectors_per_chunk)
+
+    def _add_segment(self, segment_id: int, chunks: List[ChunkKey]) -> None:
+        self.segments[segment_id] = chunks
+        self._live[segment_id] = set()
+        for key in chunks:
+            self._chunk_segment[self._chunk_linear(key)] = segment_id
+        self._next_segment_id = max(self._next_segment_id, segment_id + 1)
+
+    def _drop_segment(self, segment_id: int) -> None:
+        for key in self.segments.pop(segment_id, ()):
+            del self._chunk_segment[self._chunk_linear(key)]
+        self._live.pop(segment_id, None)
+        self._written.pop(segment_id, None)
+
+    def _map_page(self, page_id: int, linear: int, offset: int,
+                  length: int) -> None:
+        """The one place vmap changes (append, checkpoint load, WAL
+        replay): the page leaves its old segment's live set and joins the
+        new one's.  A location no segment owns — possible only in a map
+        recovered around a torn free — is mapped but counted nowhere."""
+        old = self.vmap.get(page_id)
+        if old is not None:
+            left = self._live.get(self._segment_at(old.first_sector))
+            if left is not None:
+                left.discard(page_id)
+        self.vmap[page_id] = VPageEntry(linear, offset, length)
+        joined = self._live.get(self._segment_at(linear))
+        if joined is not None:
+            joined.add(page_id)
 
     def _write_segment_proc(self, pages: Sequence[Tuple[int, bytes]]):
         """Pack pages into sectors, allocate whole chunks, write them.
@@ -313,8 +370,7 @@ class OXEleos:
 
         chunk_keys = self._allocate_chunks(chunks_needed)
         segment_id = self._next_segment_id
-        self._next_segment_id += 1
-        self.segments[segment_id] = chunk_keys
+        self._add_segment(segment_id, chunk_keys)
 
         # One vector write per chunk; the device stripes across PUs.
         procs = []
@@ -346,27 +402,18 @@ class OXEleos:
         return segment_id, entries
 
     def _allocate_chunks(self, count: int) -> List[ChunkKey]:
-        """Take *count* free chunks, spread over distinct PUs when
-        possible so the segment write parallelizes."""
-        if count > len(self._free_chunks):
+        """Take *count* free chunks round-robin over the PUs (address
+        order, oldest-freed first within a PU) so the segment write
+        parallelizes."""
+        free = self.free_chunk_count()
+        if count > free:
             raise OutOfSpaceError(
-                f"segment needs {count} chunks, {len(self._free_chunks)} free")
+                f"segment needs {count} chunks, {free} free")
         chosen: List[ChunkKey] = []
-        by_pu: Dict[Tuple[int, int], List[ChunkKey]] = {}
-        for key in self._free_chunks:
-            by_pu.setdefault((key[0], key[1]), []).append(key)
-        pus = sorted(by_pu)
-        pu_index = 0
         while len(chosen) < count:
-            pu = pus[pu_index % len(pus)]
-            if by_pu[pu]:
-                chosen.append(by_pu[pu].pop(0))
-            pu_index += 1
-            if all(not chunks for chunks in by_pu.values()):
-                break
-        chosen_set = set(chosen)
-        self._free_chunks = [key for key in self._free_chunks
-                             if key not in chosen_set]
+            for queue in self._free.values():
+                if queue and len(chosen) < count:
+                    chosen.append(queue.popleft())
         return chosen
 
     # -- checkpoint / recovery ------------------------------------------------------------
@@ -411,14 +458,12 @@ class OXEleos:
             self._epoch = snapshot.seq
             self._next_txn_id = snapshot.next_txn_id
             report.checkpoint_seq = snapshot.seq
-            for page_id, linear, offset, length in snapshot.vmap_entries:
-                self.vmap[page_id] = VPageEntry(linear, offset, length)
             for segment_id, chunk_linears in snapshot.segments:
-                self.segments[segment_id] = [
+                self._add_segment(segment_id, [
                     self._chunk_from_linear(linear)
-                    for linear in chunk_linears]
-                self._next_segment_id = max(self._next_segment_id,
-                                            segment_id + 1)
+                    for linear in chunk_linears])
+            for entry in snapshot.vmap_entries:
+                self._map_page(*entry)
         self.wal.epoch = self._epoch
 
         reader = WalReader(self.media, self.layout.wal_chunks, self._epoch)
@@ -427,7 +472,6 @@ class OXEleos:
         report.records_decoded = len(records)
 
         pending: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        pending_segments: Dict[int, List[Tuple[int, List[int]]]] = {}
         current_segments: List[Tuple[int, List[int]]] = []
         for record in records:
             if self.config.replay_cpu_per_record:
@@ -439,7 +483,7 @@ class OXEleos:
                 current_segments.append(serial.decode_segment(record.body))
             elif record.rtype == serial.REC_SEGMENT_FREE:
                 segment_id, __ = serial.decode_segment(record.body)
-                self.segments.pop(segment_id, None)
+                self._drop_segment(segment_id)
             elif record.rtype == serial.REC_COMMIT:
                 txn_id = serial.decode_commit(record.body)
                 entries = pending.pop(txn_id, [])
@@ -449,22 +493,25 @@ class OXEleos:
                     report.txns_dropped += 1
                     continue
                 for segment_id, chunk_linears in segments:
-                    self.segments[segment_id] = [
+                    self._add_segment(segment_id, [
                         self._chunk_from_linear(linear)
-                        for linear in chunk_linears]
-                    self._next_segment_id = max(self._next_segment_id,
-                                                segment_id + 1)
-                for page_id, linear, offset, length in entries:
-                    self.vmap[page_id] = VPageEntry(linear, offset, length)
+                        for linear in chunk_linears])
+                for entry in entries:
+                    self._map_page(*entry)
                 self._next_txn_id = max(self._next_txn_id, txn_id + 1)
                 report.txns_applied += 1
 
+        # What a recovered segment holds now is all the cleaner can ever
+        # know it was written with.
+        self._written = {segment_id: len(live)
+                         for segment_id, live in self._live.items()}
+
         # Rebuild the free pool: anything not owned by a live segment and
         # not reserved for metadata is free (resetting lazily on reuse).
-        owned = {key for chunks in self.segments.values() for key in chunks}
-        self._free_chunks = []
+        for queue in self._free.values():
+            queue.clear()
         for key in self.layout.data_chunk_keys():
-            if key in owned:
+            if self._chunk_linear(key) in self._chunk_segment:
                 continue
             info = self.media.chunk_info(Ppa(*key, 0))
             if info.state is ChunkState.OFFLINE:
@@ -473,7 +520,7 @@ class OXEleos:
                 completion = yield from self.media.reset_proc(Ppa(*key, 0))
                 if not completion.ok:
                     continue
-            self._free_chunks.append(key)
+            self._free[key[:2]].append(key)
         return report
 
     def _txn_durable(self, entries: List[Tuple[int, int, int, int]]) -> bool:

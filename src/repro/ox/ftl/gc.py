@@ -30,7 +30,7 @@ Two more rules keep crashes survivable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import OutOfSpaceError
 from repro.ocssd.address import Ppa
@@ -117,18 +117,6 @@ class GarbageCollector:
         """The group's GC candidates, in the victim policy's order."""
         return self.victim_policy.select(
             self.chunk_table.gc_candidates(group), self.chunk_table)
-
-    def pick_victim(self) -> Optional[FtlChunkInfo]:
-        """The victim policy's first choice in the marked group; rotates
-        the marked group when the current one has nothing to collect."""
-        for __ in range(self.geometry.num_groups):
-            victims = self.victims(self.marked_group)
-            if victims:
-                return victims[0]
-            self.marked_group = (self.marked_group + 1) \
-                % self.geometry.num_groups
-            self.stats.group_rotations += 1
-        return None
 
     # -- accounting (GcStats mirrored into the obs registry) ---------------------
 
@@ -336,21 +324,30 @@ class GarbageCollector:
         self.media.require_ok(completion, "GC victim scan")
         live: List[Tuple[int, int]] = []   # (sector, lba)
         unsafe = 0
-        delinearize = self.geometry.delinearize
+        # In linear addresses: a sector is live iff the map still points at
+        # base + sector; any other mapping is a superseding copy, durable iff
+        # below its chunk's flushed pointer (read once per chunk per scan).
+        per_chunk = self.geometry.sectors_per_chunk
+        base = self.chunk_table.get(key).linear * per_chunk
+        lookup = self.page_map.lookup
+        flushed: Dict[int, int] = {}
         for sector, lba in enumerate(completion.oob):
             if not isinstance(lba, int) or lba == NO_PPA:
                 continue
-            current = self.page_map.lookup(lba)
+            current = lookup(lba)
             if current is None:
                 # Trimmed.  Trims are WAL-committed (FUA) before they are
                 # acknowledged, so the old copy is safely dead.
                 continue
-            ppa = delinearize(current)
-            if ppa.chunk_key() == key and ppa.sector == sector:
+            if current - base == sector:
                 live.append((sector, lba))
                 continue
-            descriptor = self.media.chunk_info(ppa)
-            if ppa.sector >= descriptor.flushed_pointer:
+            chunk_linear, at = divmod(current, per_chunk)
+            pointer = flushed.get(chunk_linear)
+            if pointer is None:
+                pointer = flushed[chunk_linear] = self.media.chunk_info(
+                    self.geometry.delinearize(current)).flushed_pointer
+            if at >= pointer:
                 unsafe += 1
         return live, unsafe
 
@@ -359,24 +356,26 @@ class GarbageCollector:
         """Copy *live* out of the victim and commit the moves; returns True
         on success, False when allocation ran dry mid-relocation."""
         ws_min = self.geometry.ws_min
-        group = key[0]
-        src: List[Ppa] = []
+        per_chunk = self.geometry.sectors_per_chunk
+        table = self.chunk_table
+        base = table.get(key).linear * per_chunk
+        sectors = [sector for sector, __ in live]
+        lbas = [lba for __, lba in live]
+        # Pad the relocation to whole write units by recopying an arbitrary
+        # sector; pads carry NO_PPA in their destination OOB so a later GC
+        # scan of the destination chunk sees them as unowned.
+        pad = (-len(live)) % ws_min
+        sectors += sectors[-1:] * pad
+        lbas += [NO_PPA] * pad
+        src = [Ppa(*key, sector) for sector in sectors]
         dst: List[Ppa] = []
-        lbas: List[int] = []
-        for sector, lba in live:
-            src.append(Ppa(*key, sector))
-            lbas.append(lba)
-        # Pad the relocation to whole write units with dead-sector copies;
-        # their destination OOB is written as NO_PPA so a later GC scan of
-        # the destination chunk sees them as unowned.
-        pad = (-len(src)) % ws_min
-        for __ in range(pad):
-            src.append(src[-1])   # recopy an arbitrary sector as filler
-            lbas.append(NO_PPA)
+        units: List[Tuple[ChunkKey, int]] = []   # (chunk, first linear)
         try:
             for __ in range(0, len(src), ws_min):
                 unit_key, first = self.provisioner.allocate_unit(
-                    "gc", group=group)
+                    "gc", group=key[0])
+                units.append((unit_key,
+                              table.get(unit_key).linear * per_chunk + first))
                 dst.extend(Ppa(*unit_key, first + i) for i in range(ws_min))
         except OutOfSpaceError:
             # _fits() said this would fit, so accounting drifted; don't
@@ -390,27 +389,30 @@ class GarbageCollector:
                 self.media.require_ok(completion, "GC relocation abort pad")
             self._count_skip_no_space()
             return False
-        completion = yield from self.media.copy_proc(src, dst,
-                                                     dst_oob=list(lbas),
+        completion = yield from self.media.copy_proc(src, dst, dst_oob=lbas,
                                                      parent=parent)
         self.media.require_ok(completion, "GC relocation copy")
         yield from self.media.flush_proc()
 
         # Re-validate under the (held) dispatch lock and commit the moves.
+        # One add_valid per sector: the chunk-table clock ticks per moved
+        # sector, and age-aware victim policies order by those ticks.
         txn = self.next_txn_id()
         entries: List[Tuple[int, int, int]] = []
-        for src_ppa, dst_ppa, lba in zip(src, dst, lbas):
+        lookup = self.page_map.lookup
+        for index, (sector, lba) in enumerate(zip(sectors, lbas)):
             if lba == NO_PPA:
                 continue
-            old_linear = self.geometry.linearize(src_ppa)
-            if self.page_map.lookup(lba) != old_linear:
+            old_linear = base + sector
+            if lookup(lba) != old_linear:
                 continue   # overwritten while we copied; copy is garbage
-            new_linear = self.geometry.linearize(dst_ppa)
+            unit_key, unit_base = units[index // ws_min]
+            new_linear = unit_base + index % ws_min
             self.page_map.update(lba, new_linear)
-            self.chunk_table.add_valid(dst_ppa.chunk_key())
-            self.chunk_table.invalidate(key)
+            table.add_valid(unit_key)
+            table.invalidate(key)
             entries.append((lba, new_linear, old_linear))
-            self.stats.sectors_relocated += 1
+        self.stats.sectors_relocated += len(entries)
         if self.obs is not None and entries:
             self.obs.metrics.counter(
                 "ftl.gc.sectors_relocated").increment(len(entries))

@@ -96,10 +96,6 @@ class ChunkTable:
         """The current logical time (monotone, advances on writes)."""
         return self._seq
 
-    def tick(self) -> int:
-        self._seq += 1
-        return self._seq
-
     # -- validity accounting ------------------------------------------------------
 
     def add_valid(self, key: ChunkKey, count: int = 1) -> None:
@@ -129,18 +125,6 @@ class ChunkTable:
                 if key[0] == group
                 and info.state is FtlChunkState.FULL
                 and info.valid_count < capacity]
-
-    def victims_in_group(self, group: int) -> List[FtlChunkInfo]:
-        """GC candidates of *group*, most invalid first — the greedy
-        (default) victim-selection order.  The tie-break on the linear
-        index is explicit so victim order — and therefore replay — is
-        stable no matter how the candidate list was produced."""
-        return sorted(self.gc_candidates(group),
-                      key=lambda info: (info.valid_count, info.linear))
-
-    def free_count(self) -> int:
-        return sum(1 for info in self._chunks.values()
-                   if info.state is FtlChunkState.FREE)
 
     # -- checkpoint support -------------------------------------------------------------
 

@@ -12,7 +12,7 @@ reclamation:
 * **cost_benefit** — the LFS/Lomet–Luo benefit/cost ratio
   ``(1 - u) * age / (1 + u)`` with ``u = valid/capacity`` and *age*
   the logical time since the chunk was last written (see
-  :meth:`repro.ox.ftl.metadata.ChunkTable.tick`).  Prefers old, cold
+  :meth:`repro.ox.ftl.metadata.ChunkTable.clock`).  Prefers old, cold
   chunks even when a younger chunk is slightly emptier: cold data
   relocated once stays put, while a hot chunk collected too early is
   immediately dirtied again.

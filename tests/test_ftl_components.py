@@ -12,6 +12,7 @@ from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkState
 from repro.ox.ftl.provisioning import MetadataLayout, Provisioner
 from repro.ox.ftl.writebuffer import PAD_LBA, WriteBuffer
+from repro.policies import GreedyVictimPolicy
 
 
 def tiny_geometry(groups=2, pus=2, chunks=8, pages=6) -> DeviceGeometry:
@@ -88,10 +89,10 @@ class TestChunkTable:
             info = table.get((0, 0, chunk))
             info.state = FtlChunkState.FULL
             info.valid_count = valid
-        victims = table.victims_in_group(0)
+        victims = GreedyVictimPolicy().select(table.gc_candidates(0), table)
         # Fully-valid chunk excluded; order: most invalid first.
         assert [v.key[2] for v in victims] == [3, 1, 2]
-        assert table.victims_in_group(1) == []
+        assert table.gc_candidates(1) == []
 
     def test_snapshot_load_roundtrip(self):
         geometry, table = self.make()

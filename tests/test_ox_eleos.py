@@ -96,11 +96,11 @@ class TestSegments:
     def test_free_segment_reclaims_chunks(self):
         __, __m, ftl, __c = make_stack()
         seg1 = ftl.append_buffer([(1, b"v1" * 100)])
-        free_before = len(ftl._free_chunks)
+        free_before = ftl.free_chunk_count()
         ftl.append_buffer([(1, b"v2" * 100)])   # page 1 moves to seg2
         ftl.free_segment(seg1)
         assert seg1 not in ftl.segments
-        assert len(ftl._free_chunks) > free_before - len(ftl.segments[2])
+        assert ftl.free_chunk_count() > free_before - len(ftl.segments[2])
         assert ftl.read_page(1) == b"v2" * 100
 
     def test_unknown_segment_rejected(self):

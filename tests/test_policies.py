@@ -119,9 +119,9 @@ class TestVictimOrdering:
         assert len(timed.samples) == 1
         assert timed.percentile(99) >= 0.0
 
-    def test_victims_in_group_tie_break_is_linear(self):
+    def test_greedy_tie_break_is_linear(self):
         table = make_table([6, 6, 6, 6])
-        order = table.victims_in_group(0)
+        order = GreedyVictimPolicy().select(table.gc_candidates(0), table)
         assert [info.key[2] for info in order] == [0, 1, 2, 3]
 
     def test_registry_rejects_unknown_names(self):
