@@ -31,6 +31,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
 
 from bench_perf_trajectory import SMOKE, run_macro, stack_spec   # noqa: E402
+from repro.benchhelpers import read_baseline_ops      # noqa: E402
 from repro.obs import (                               # noqa: E402
     Obs,
     attribute,
@@ -47,17 +48,6 @@ BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks", "results",
                              "perf_smoke.txt")
 TRACE_PATH = os.path.join(REPO_ROOT, "benchmarks", "results",
                           "obs_smoke_trace.json")
-
-
-def read_baseline_ops(path: str) -> float:
-    """Extract ``ops_per_sec`` from the perf-smoke report lines
-    (``  {key:>18s} = {value}``)."""
-    with open(path) as handle:
-        for line in handle:
-            key, _, value = line.partition("=")
-            if key.strip() == "ops_per_sec":
-                return float(value)
-    raise ValueError(f"no ops_per_sec line in {path}")
 
 
 def check_overhead() -> str:

@@ -10,7 +10,7 @@ Three checks:
    simulated event.  If a PR changes the timeline on purpose, re-pin
    ``PINNED`` here in the same commit and say why.
 2. **Default == legacy victim order** — ``resolve_victim_policy
-   ("default")`` must order a synthetic candidate pool exactly as the
+   ("greedy")`` must order a synthetic candidate pool exactly as the
    historical collector's stable ``sorted(key=valid_count)`` over
    table order did, tie-breaks included.
 3. **Ablation smoke** — one cell per GC policy plus a write-less-cache
@@ -82,7 +82,7 @@ def check_legacy_victim_order() -> str:
     for group in (0, 1):
         candidates = table.gc_candidates(group)
         legacy = sorted(candidates, key=lambda info: info.valid_count)
-        chosen = resolve_victim_policy("default").select(candidates, table)
+        chosen = resolve_victim_policy("greedy").select(candidates, table)
         if [info.key for info in chosen] != [info.key for info in legacy]:
             raise SystemExit(
                 f"FAIL: default victim order diverged from the legacy "

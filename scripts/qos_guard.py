@@ -31,21 +31,11 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
 from bench_isolation import SMOKE as ISOLATION_SMOKE   # noqa: E402
 from bench_isolation import run_all, verdicts           # noqa: E402
 from bench_perf_trajectory import SMOKE, run_macro      # noqa: E402
+from repro.benchhelpers import read_baseline_ops        # noqa: E402
 
 OVERHEAD_TOLERANCE = 0.02
 BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks", "results",
                              "perf_smoke.txt")
-
-
-def read_baseline_ops(path: str) -> float:
-    """Extract ``ops_per_sec`` from the perf-smoke report lines
-    (``  {key:>18s} = {value}``)."""
-    with open(path) as handle:
-        for line in handle:
-            key, _, value = line.partition("=")
-            if key.strip() == "ops_per_sec":
-                return float(value)
-    raise ValueError(f"no ops_per_sec line in {path}")
 
 
 def check_fast_path() -> str:

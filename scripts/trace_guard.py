@@ -44,7 +44,11 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
 
 from bench_perf_trajectory import SMOKE, run_macro    # noqa: E402
-from repro.benchhelpers import append_trajectory, git_sha   # noqa: E402
+from repro.benchhelpers import (                      # noqa: E402
+    append_trajectory,
+    git_sha,
+    read_baseline_ops,
+)
 from repro.nand import CellType, timing_for           # noqa: E402
 from repro.stack import StackSpec                     # noqa: E402
 from repro.stack.runner import run_spec               # noqa: E402
@@ -212,15 +216,6 @@ def check_calibration() -> str:
             f">= {CALIBRATION_TOLERANCE} (per-op: {errors})")
     return (f"calibration: held-out max relative error "
             f"{errors['max']:.4f} < {CALIBRATION_TOLERANCE}")
-
-
-def read_baseline_ops(path: str) -> float:
-    with open(path) as handle:
-        for line in handle:
-            key, _, value = line.partition("=")
-            if key.strip() == "ops_per_sec":
-                return float(value)
-    raise ValueError(f"no ops_per_sec line in {path}")
 
 
 def check_overhead() -> tuple:

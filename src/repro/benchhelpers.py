@@ -66,6 +66,18 @@ def report(name: str, lines: Iterable[str],
     return path
 
 
+def read_baseline_ops(path: str) -> float:
+    """``ops_per_sec`` from the ``  {key:>18s} = {value}`` lines of a
+    :func:`report` file — the perf-smoke baseline the overhead guards
+    in ``scripts/`` compare against."""
+    with open(path) as handle:
+        for line in handle:
+            key, _, value = line.partition("=")
+            if key.strip() == "ops_per_sec":
+                return float(value)
+    raise ValueError(f"no ops_per_sec line in {path}")
+
+
 def bench_entry(name: str, metrics: Mapping[str, object],
                 sha: Optional[str] = None) -> dict:
     """One trajectory/result entry: ``{"name", "date", "metrics"}``,

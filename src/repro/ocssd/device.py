@@ -114,6 +114,9 @@ class OpenChannelSSD:
                 if chunk_index in (factory_bad.get((group, pu)) or []):
                     chunk.retire()
                 self.chunks[(group, pu, chunk_index)] = chunk
+        # Built in address order, so position == linear chunk index.
+        self._chunk_list: List[Chunk] = list(self.chunks.values())
+        self._sectors_per_chunk = self.geometry.sectors_per_chunk
 
         self.notifications: List[ChunkNotification] = []
         # Sidecars (repro.sidecar): every slot is None unless the matching
@@ -200,20 +203,24 @@ class OpenChannelSSD:
             if obs is not None:
                 obs.error("ocssd", "invalid-command", str(exc))
         if obs is not None:
-            obs.end(span, status=completion.status.name)
-            latency = self.sim.now - submitted
-            obs.metrics.histogram(f"ocssd.{kind}.latency_s").record(latency)
-            tenant = getattr(command, "tenant", None)
-            if tenant is not None:
-                # Per-tenant end-to-end latency, recorded whether or not a
-                # scheduler is attached — the shared-FIFO baseline in the
-                # isolation bench reads its p99 from this histogram too.
-                obs.metrics.histogram(
-                    f"qos.tenant.{tenant.name}.{kind}.latency_s").record(
-                    latency)
+            self._end_command(obs, span, kind, completion.status, submitted,
+                              getattr(command, "tenant", None))
         completion.submitted_at = submitted
         completion.completed_at = self.sim.now
         return completion
+
+    def _end_command(self, obs, span, kind: str, status: CommandStatus,
+                     submitted: float, tenant) -> None:
+        """Close a command's root span and record its latency."""
+        obs.end(span, status=status.name)
+        latency = self.sim.now - submitted
+        obs.metrics.histogram(f"ocssd.{kind}.latency_s").record(latency)
+        if tenant is not None:
+            # Per-tenant end-to-end latency, recorded whether or not a
+            # scheduler is attached — the shared-FIFO baseline in the
+            # isolation bench reads its p99 from this histogram too.
+            obs.metrics.histogram(
+                f"qos.tenant.{tenant.name}.{kind}.latency_s").record(latency)
 
     # -- synchronous convenience API ---------------------------------------------------
 
@@ -331,63 +338,112 @@ class OpenChannelSSD:
         return Completion(status=_WRITE_FAILED,
                           error="program failure (see notifications)")
 
-    def read_single_proc(self, ppa: Ppa, tenant=None):
-        """Process generator: the one-sector read fast lane.
+    def _split_linears(self, linears: List[int]) -> List[_Run]:
+        """:meth:`_split_runs` for linear sector addresses."""
+        per_chunk = self._sectors_per_chunk
+        chunks = self._chunk_list
+        limit = len(chunks) * per_chunk
+        total = len(linears)
+        runs: List[_Run] = []
+        start = 0
+        while start < total:
+            first = linears[start]
+            if not 0 <= first < limit:
+                raise GeometryError(f"linear index {first} out of range")
+            chunk_index, sector = divmod(first, per_chunk)
+            # A run ends with its chunk, whatever address follows.
+            stop = min(total, start + per_chunk - sector)
+            end = start + 1
+            while end < stop and linears[end] == first + (end - start):
+                end += 1
+            runs.append((chunks[chunk_index], sector, end - start, start))
+            start = end
+        return runs
 
-        Semantically ``submit(VectorRead(ppas=[ppa], tenant=...))`` for a
-        powered device, minus the command/Completion objects and the
-        dispatch frames — random point reads dominate every read-heavy
-        workload, so the FTL drives this lane when no tracing is
-        attached.  Returns the one-element payload list, or ``None`` on
-        any failure (power loss, uncorrectable read) — callers retry or
-        surface the error exactly as they would a failed Completion.
+    def read_sectors_proc(self, linears: List[int], tenant=None,
+                          parent=None):
+        """Process generator: the payload-only read lane of an FTL's
+        foreground reads.
+
+        Reads the sectors at the linear addresses *linears* (see
+        :meth:`DeviceGeometry.linearize`) with the timing, root span and
+        histograms of ``submit(VectorRead(...))``, minus the per-sector
+        ``Ppa``, command and Completion objects and the OOB copy.
+        Returns the payload list in vector order, or ``None`` on any
+        failure (power loss, uncorrectable read, an address a racing
+        reset made unreadable) — callers retry or surface the error
+        exactly as they would a failed Completion.
         """
         faults = self.faults
         if faults is not None and not faults.powered:
             return None
-        self.geometry.check(ppa)
+        obs = self.obs
+        span = None
+        if obs is not None:
+            submitted = self.sim.now
+            span = obs.begin("ocssd", "read", parent)
+        status = _OK
         try:
-            return (yield from self.controller.read_run(
-                self.chunks[ppa[:3]], ppa[3], 1, tenant=tenant))
+            payloads, __ = yield from self._read_runs_proc(
+                self._split_linears(linears), len(linears), False, span,
+                tenant)
         except MediaError:
-            return None
+            payloads = None
+            status = _READ_FAILED
+        except ReproError as exc:
+            payloads = None
+            status = _INVALID
+            if obs is not None:
+                obs.error("ocssd", "invalid-command", str(exc))
+        if obs is not None:
+            self._end_command(obs, span, "read", status, submitted, tenant)
+        return payloads
 
-    def _do_read(self, command: VectorRead, span=None):
-        runs = self._split_runs(command.ppas)
+    def _read_runs_proc(self, runs: List[_Run], total: int, want_oob: bool,
+                        span, tenant):
+        """Timed read of *runs* (*total* sectors in all): one run inline —
+        no process spawn + join for parallelism that is not there —,
+        several as one spawned process each.  Returns ``(payloads, oob)``
+        in vector order (*oob* is None unless *want_oob*); raises
+        :class:`MediaError` if any run was uncorrectable."""
+        read_run = self.controller.read_run
         if len(runs) == 1:
-            # Single-run vectors dominate (point reads, page reads, GC
-            # scans): no result-scatter lists, and no process spawn + join
-            # for parallelism that is not there.
             chunk, first_sector, count, __ = runs[0]
-            try:
-                payloads = yield from self.controller.read_run(
-                    chunk, first_sector, count, span=span,
-                    tenant=command.tenant)
-            except MediaError as exc:
-                return Completion(status=_READ_FAILED, data=[None] * count,
-                                  oob=[None] * count, error=str(exc))
-            return Completion(status=_OK, data=payloads,
-                              oob=chunk.read_oob(first_sector, count))
-        data: List[Optional[bytes]] = [None] * len(command.ppas)
-        oob: List[Optional[object]] = [None] * len(command.ppas)
+            data = yield from read_run(chunk, first_sector, count,
+                                       span=span, tenant=tenant)
+            return data, (chunk.read_oob(first_sector, count)
+                          if want_oob else None)
+        data: List[Optional[bytes]] = [None] * total
+        oob: Optional[List[object]] = [None] * total if want_oob else None
         failures: List[str] = []
 
         def one_run(chunk: Chunk, first_sector: int, count: int, offset: int):
             try:
-                payloads = yield from self.controller.read_run(
-                    chunk, first_sector, count, span=span,
-                    tenant=command.tenant)
+                payloads = yield from read_run(chunk, first_sector, count,
+                                               span=span, tenant=tenant)
             except MediaError as exc:
                 failures.append(str(exc))
                 return
             data[offset:offset + count] = payloads
-            oob[offset:offset + count] = chunk.read_oob(first_sector, count)
+            if want_oob:
+                oob[offset:offset + count] = chunk.read_oob(first_sector,
+                                                            count)
 
         yield self.sim.all_of([self.sim.spawn(one_run(*run), name="read-run")
                                for run in runs])
         if failures:
-            return Completion(status=_READ_FAILED, data=data,
-                              oob=oob, error="; ".join(failures))
+            raise MediaError("; ".join(failures))
+        return data, oob
+
+    def _do_read(self, command: VectorRead, span=None):
+        total = len(command.ppas)
+        try:
+            data, oob = yield from self._read_runs_proc(
+                self._split_runs(command.ppas), total, True, span,
+                command.tenant)
+        except MediaError as exc:
+            return Completion(status=_READ_FAILED, data=[None] * total,
+                              oob=[None] * total, error=str(exc))
         return Completion(status=_OK, data=data, oob=oob)
 
     def _do_reset(self, command: ChunkReset, span=None):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError, ReproError
-from repro.ocssd.address import Ppa
 from repro.ocssd.chunk import pad_sector
 from repro.ox.ftl.checkpoint import CheckpointManager
 from repro.ox.ftl.gc import GarbageCollector
@@ -58,16 +57,12 @@ class BlockConfig:
     gc_headroom_chunks: int = 1
     replay_cpu_per_record: float = 2e-6
     wal_pressure_threshold: float = 0.6   # force a checkpoint beyond this
-    #: Vector backend for the page map's bulk snapshot paths:
-    #: "array" (stdlib, default) or "numpy" (errors if not installed).
-    map_backend: str = "array"
-    #: GC victim-selection policy (repro.policies): default | greedy |
-    #: cost_benefit | age_partitioned.  "default" is greedy, bit-identical
-    #: to the historical collector.
-    gc_policy: str = "default"
-    #: Allocation placement policy (repro.policies): default | striped |
-    #: stream_partitioned | hotcold.  "default" is striped.
-    placement_policy: str = "default"
+    #: GC victim-selection policy (repro.policies): greedy |
+    #: cost_benefit | age_partitioned.
+    gc_policy: str = "greedy"
+    #: Allocation placement policy (repro.policies): striped |
+    #: stream_partitioned | hotcold.
+    placement_policy: str = "striped"
 
 
 @dataclass
@@ -155,7 +150,7 @@ class OXBlock:
         layout = MetadataLayout.build(
             media.geometry, wal_chunk_count=config.wal_chunk_count,
             ckpt_chunks_per_slot=config.ckpt_chunks_per_slot)
-        page_map = PageMap(backend=config.map_backend)
+        page_map = PageMap()
         chunk_table = ChunkTable(media.geometry,
                                  iter(layout.data_chunk_keys()))
         provisioner = Provisioner(
@@ -183,7 +178,6 @@ class OXBlock:
         state = sim.run_until(sim.spawn(recover_proc(
             media, layout,
             replay_cpu_per_record=config.replay_cpu_per_record,
-            map_backend=config.map_backend,
             placement=resolve_placement_policy(config.placement_policy))))
         ftl = cls(media, config, layout, state.page_map, state.chunk_table,
                   state.provisioner, next_txn_id=state.next_txn_id,
@@ -283,77 +277,57 @@ class OXBlock:
             txn_id = self._take_txn_id()
             entries: List[Tuple[int, int, int]] = []
             completed_units: List[PendingUnit] = []
-            # Stage memoryview slices: the chunk store makes the single
-            # copy of each sector, when the unit write reaches the device.
+            # One lane for every transaction shape: the provisioner cuts
+            # it into chunk-contiguous runs (the rest of the filling unit,
+            # then fresh units) and each run is staged, mapped and counted
+            # in one call per layer.
             view = memoryview(data)
-            ws_min = self.geometry.ws_min
-            if (count == ws_min
-                    and self.provisioner.current_unit_remaining("user")
-                    == 0):
-                # A whole-unit transaction landing on a fresh unit (the
-                # fill-heavy common shape): one allocation, one buffer
-                # call, one mapping-run update instead of ws_min scalar
-                # rounds.  Identical staged state to the loop below.
-                key, first = self.provisioner.allocate_unit("user")
-                group, pu, chunk_no = key
-                ppas = [Ppa(group, pu, chunk_no, first + index)
-                        for index in range(count)]
-                completed_units.append(
-                    self.buffer.stage_unit(lba, ppas, view,
-                                           immutable=type(data) is bytes))
-                linear0 = self.geometry.linearize(ppas[0])
-                previous_run = self.page_map.update_run(lba, linear0, count)
-                self.chunk_table.add_valid(key, count)
-                for index in range(count):
-                    previous = previous_run[index]
+            immutable = type(data) is bytes
+            per_chunk = self.geometry.sectors_per_chunk
+            table = self.chunk_table
+            invalidate = table.invalidate_linear
+            offset = 0
+            while offset < count:
+                try:
+                    # Space was ensured above and the lock is held with no
+                    # yields since, so this cannot run dry; the handler is
+                    # insurance against accounting drift.
+                    key, first, taken = self.provisioner.allocate_run(
+                        "user", count - offset)
+                except OutOfSpaceError:
+                    # The txn dies before its WAL append: unwind the
+                    # map/table mutations of the sectors already staged,
+                    # or a later checkpoint would persist a torn
+                    # transaction that was never acknowledged.
+                    self._unwind_partial_txn(entries)
+                    # Units the loop already completed left the buffer;
+                    # they must still reach the device (as dead data) or
+                    # the chunk write pointer falls behind the
+                    # allocation cursor for good.
+                    if completed_units:
+                        yield self.sim.all_of(
+                            [self.sim.spawn(self._write_unit_proc(u, span))
+                             for u in completed_units])
+                    raise
+                cur = lba + offset
+                unit = self.buffer.stage_run(
+                    cur, key, first, taken,
+                    view[offset * sector_size:
+                         (offset + taken) * sector_size], immutable)
+                if unit is not None:
+                    completed_units.append(unit)
+                linear = table.get(key).linear * per_chunk + first
+                overwritten = self.page_map.update_run(cur, linear, taken)
+                table.add_valid(key, taken)
+                for previous in overwritten:
                     if previous < 0:      # was unmapped
-                        entries.append((lba + index, linear0 + index,
-                                        NO_PPA))
+                        entries.append((cur, linear, NO_PPA))
                     else:
-                        self.chunk_table.invalidate(
-                            self.geometry.delinearize(previous).chunk_key())
-                        entries.append((lba + index, linear0 + index,
-                                        previous))
-            else:
-                allocate = self.provisioner.allocate_sector
-                stage = self.buffer.stage
-                linearize = self.geometry.linearize
-                update = self.page_map.update
-                add_valid = self.chunk_table.add_valid
-                for index in range(count):
-                    try:
-                        # Space was ensured above and the lock is held with no
-                        # yields since, so this cannot run dry; the handler is
-                        # insurance against accounting drift.
-                        ppa = allocate("user")
-                    except OutOfSpaceError:
-                        # The txn dies before its WAL append: unwind the
-                        # map/table mutations of the sectors already staged,
-                        # or a later checkpoint would persist a torn
-                        # transaction that was never acknowledged.
-                        self._unwind_partial_txn(entries)
-                        # Units the loop already completed left the buffer;
-                        # they must still reach the device (as dead data) or
-                        # the chunk write pointer falls behind the
-                        # allocation cursor for good.
-                        if completed_units:
-                            yield self.sim.all_of(
-                                [self.sim.spawn(self._write_unit_proc(u, span))
-                                 for u in completed_units])
-                        raise
-                    cur = lba + index
-                    payload = view[index * sector_size:(index + 1) * sector_size]
-                    unit = stage(cur, ppa, payload)
-                    linear = linearize(ppa)
-                    previous = update(cur, linear)
-                    add_valid(ppa.chunk_key())
-                    if previous is not None:
-                        self.chunk_table.invalidate(
-                            self.geometry.delinearize(previous).chunk_key())
-                    entries.append((cur, linear,
-                                    previous if previous is not None else NO_PPA))
-                    if unit is not None:
-                        completed_units.append(unit)
+                        invalidate(previous // per_chunk)
+                        entries.append((cur, linear, previous))
+                    cur += 1
+                    linear += 1
+                offset += taken
             unit_procs = [self.sim.spawn(self._write_unit_proc(unit, span))
                           for unit in completed_units]
             self.wal.append_map_update(txn_id, entries)
@@ -407,76 +381,40 @@ class OXBlock:
         if obs is not None:
             span = obs.begin("ftl", "read")
             op_started = self.sim.now
-        if sectors == 1:
-            # The dominant shape (random point reads): same lookup order
-            # and retry policy as the vector loop below, minus the
-            # per-attempt list building.  With no tracing attached the
-            # media round-trip takes the device's fused single-sector
-            # lane (no command/Completion objects).
-            piece = None
-            for attempt in range(3):
-                buffered = self.buffer.lookup(lba)
-                if buffered is not None:
-                    piece = pad_sector(buffered, sector_size)
-                    break
-                linear = self.page_map.lookup(lba)
-                if linear is None:
-                    piece = b"\x00" * sector_size
-                    break
-                if obs is None:
-                    payloads = yield from self.media.read_single_proc(
-                        self.geometry.delinearize(linear))
-                    if payloads is not None:
-                        piece = pad_sector(payloads[0], sector_size)
-                        break
-                else:
-                    completion = yield from self.media.read_proc(
-                        [self.geometry.delinearize(linear)], parent=span)
-                    if completion.ok:
-                        piece = pad_sector(completion.data[0], sector_size)
-                        break
-                # Racing relocation/reset: retry against the fresh mapping.
-            else:
-                raise FTLError(f"read at lba {lba} kept racing relocation")
-            self.stats.reads += 1
-            self.stats.sectors_read += 1
-            if obs is not None:
-                obs.end(span, sectors=1)
-                obs.metrics.histogram("ftl.read.latency_s").record(
-                    self.sim.now - op_started)
-            return piece if type(piece) is bytes else bytes(piece)
+        # One resolve loop for any sector count: buffer, then map, then
+        # the device for whatever is left — by linear address, in one
+        # payload-only command, traced or not.
+        lookup_buffer = self.buffer.lookup
+        lookup_map = self.page_map.lookup
         pieces: List[Optional[bytes]] = [None] * sectors
         for attempt in range(3):
-            missing: List[Tuple[int, Ppa]] = []
+            missing: List[int] = []
+            linears: List[int] = []
             for index in range(sectors):
                 if pieces[index] is not None:
                     continue
-                buffered = self.buffer.lookup(lba + index)
+                buffered = lookup_buffer(lba + index)
                 if buffered is not None:
                     pieces[index] = pad_sector(buffered, sector_size)
                     continue
-                linear = self.page_map.lookup(lba + index)
+                linear = lookup_map(lba + index)
                 if linear is None:
                     pieces[index] = b"\x00" * sector_size
                     continue
-                missing.append((index, self.geometry.delinearize(linear)))
+                missing.append(index)
+                linears.append(linear)
             if not missing:
                 break
-            completion = yield from self.media.read_proc(
-                [ppa for __, ppa in missing], parent=span)
-            if completion.ok:
-                for (index, __), payload in zip(missing, completion.data):
+            payloads = yield from self.media.read_sectors_proc(
+                linears, parent=span)
+            if payloads is not None:
+                for index, payload in zip(missing, payloads):
                     pieces[index] = pad_sector(payload, sector_size)
                 break
             # A concurrent relocation/reset invalidated an address between
             # lookup and read: retry against the fresh mapping.
         else:
             raise FTLError(f"read at lba {lba} kept racing relocation")
-        for index in range(sectors):
-            if pieces[index] is None:
-                # Retried loop exited via break with holes filled; this is
-                # unreachable, but fail loudly rather than return garbage.
-                raise FTLError(f"read hole at lba {lba + index}")
         self.stats.reads += 1
         self.stats.sectors_read += sectors
         if obs is not None:
@@ -493,13 +431,13 @@ class OXBlock:
             yield from self._checkpoint_on_pressure_proc()
             txn_id = self._take_txn_id()
             entries: List[Tuple[int, int, int]] = []
+            per_chunk = self.geometry.sectors_per_chunk
             for index in range(sectors):
                 self.buffer.discard(lba + index)
                 previous = self.page_map.remove(lba + index)
                 if previous is None:
                     continue
-                self.chunk_table.invalidate(
-                    self.geometry.delinearize(previous).chunk_key())
+                self.chunk_table.invalidate_linear(previous // per_chunk)
                 entries.append((lba + index, NO_PPA, previous))
             if entries:
                 self.wal.append_map_update(txn_id, entries)
@@ -656,14 +594,12 @@ class OXBlock:
         remaining = self.provisioner.current_unit_remaining("user")
         if not self.buffer.partial_units() and remaining == 0:
             return
-        pad_payload = b""
         units: List[PendingUnit] = []
-        while remaining > 0:
-            ppa = self.provisioner.allocate_sector("user")
-            unit = self.buffer.stage(PAD_LBA, ppa, pad_payload)
+        if remaining:
+            unit = self.buffer.stage_run(
+                PAD_LBA, *self.provisioner.allocate_run("user", remaining))
             if unit is not None:
                 units.append(unit)
-            remaining -= 1
         leftovers = self.buffer.take_partial_units()
         if leftovers:
             # Padding fills exactly the provisioner's unit remainder, so

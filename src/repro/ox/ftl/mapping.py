@@ -38,34 +38,12 @@ def _iota(count: int) -> array:
     return _IOTA_CACHE[:count]
 
 
-#: Vector backends for the bulk snapshot paths.  Scalar lookups/updates
-#: always use the plain ``array('q')`` table (numpy scalar indexing is
-#: slower, not faster); the backend only changes how snapshots are
-#: interleaved and serialized.
-VECTOR_BACKENDS = ("array", "numpy")
-
-
 class PageMap:
     """LBA -> linear PPA map with segment-level dirty tracking."""
 
-    def __init__(self, segment_size: int = 1024, backend: str = "array"):
+    def __init__(self, segment_size: int = 1024):
         if segment_size < 1:
             raise ValueError(f"segment_size must be >= 1, got {segment_size}")
-        if backend not in VECTOR_BACKENDS:
-            from repro.errors import ReproError
-            raise ReproError(f"unknown vector backend {backend!r}; "
-                             f"expected one of {VECTOR_BACKENDS}")
-        self._np = None
-        if backend == "numpy":
-            try:
-                import numpy
-            except ImportError:
-                from repro.errors import ReproError
-                raise ReproError(
-                    "vector_backend 'numpy' requires numpy, which is not "
-                    "installed; use the default 'array' backend") from None
-            self._np = numpy
-        self.backend = backend
         self.segment_size = segment_size
         self._table = array("q")
         self._dirty = bytearray()       # one flag per dense segment
@@ -120,7 +98,7 @@ class PageMap:
 
     def update_run(self, lba: int, ppa0: int, count: int) -> array:
         """Bulk :meth:`update` of *count* LBAs mapped to the contiguous
-        linear run starting at *ppa0* (a whole write unit, typically).
+        linear run starting at *ppa0* (one staged run of the write path).
 
         Returns the previous linear PPAs as an ``array('q')`` with
         :data:`_UNMAPPED` (-1) for previously-unmapped slots — callers
@@ -256,25 +234,15 @@ class PageMap:
         — LBAs and PPAs are non-negative and below 2**63, so the signed
         ``array('q')`` buffer reads back the same bytes as unsigned ``Q``.
         The prefix-dense case interleaves with two C-level slice assignments
-        (or two numpy column stores under the ``numpy`` backend) and
-        serializes with one ``tobytes``; the checkpoint encoder then slices
+        and serializes with one ``tobytes``; the checkpoint encoder then slices
         records out of the blob without ever touching per-entry ints.
         """
-        np = self._np
-        dense = not self._sparse and self._count == self._max_lba + 1
-        if np is not None and dense:
-            count = self._count
-            out = np.empty((count, 2), dtype="<i8")
-            out[:, 0] = np.arange(count)
-            out[:, 1] = np.frombuffer(self._table, dtype=np.int64,
-                                      count=count)
-            return out.tobytes()
         import sys
         if sys.byteorder != "little":  # pragma: no cover - x86/arm are LE
             flat = self.snapshot_flat()
             from repro.ox.ftl.serial import _batch
             return _batch("QQ", len(flat) // 2).pack(*flat)
-        if dense:
+        if not self._sparse and self._count == self._max_lba + 1:
             count = self._count
             packed = array("q", bytes(16 * count))
             packed[0::2] = _iota(count)

@@ -63,6 +63,11 @@ class ChunkTable:
             key: FtlChunkInfo(key=key,
                               linear=(key[0] * pus + key[1]) * per_pu + key[2])
             for key in data_chunks}
+        # The same rows by linear chunk index (``linear_sector //
+        # sectors_per_chunk``): the write path invalidates what the map
+        # returned without rebuilding a chunk key per sector.
+        self._by_linear: Dict[int, FtlChunkInfo] = {
+            info.linear: info for info in self._chunks.values()}
         # The logical clock behind chunk age: ticks once per validity
         # gain, so "age" means "writes ago", independent of timing model.
         self._seq = 0
@@ -93,7 +98,14 @@ class ChunkTable:
         return self._capacity
 
     def clock(self) -> int:
-        """The current logical time (monotone, advances on writes)."""
+        """The current logical time (monotone, advances on writes).
+
+        One tick per :meth:`add_valid` call, and the callers' rule is:
+        the foreground write path calls it once per staged run (a
+        chunk-contiguous piece of a transaction, at most one write
+        unit — however the host chopped its data into transactions, N
+        units tick N times), GC relocation once per moved sector.
+        """
         return self._seq
 
     # -- validity accounting ------------------------------------------------------
@@ -114,6 +126,17 @@ class ChunkTable:
         info.valid_count -= count
         if info.valid_count < 0:
             raise FTLError(f"chunk {key} valid count went negative")
+
+    def invalidate_linear(self, chunk_linear: int) -> None:
+        """:meth:`invalidate` one sector of the chunk with linear index
+        *chunk_linear* (a linear sector address ``// capacity``)."""
+        info = self._by_linear.get(chunk_linear)
+        if info is None:
+            raise FTLError(
+                f"linear chunk {chunk_linear} is not in the data region")
+        info.valid_count -= 1
+        if info.valid_count < 0:
+            raise FTLError(f"chunk {info.key} valid count went negative")
 
     # -- GC support -------------------------------------------------------------------
 

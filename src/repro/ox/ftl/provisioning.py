@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError
-from repro.ocssd.address import Ppa
 from repro.ocssd.geometry import DeviceGeometry
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
 from repro.policies.placement import PlacementPolicy, StripedPlacement
@@ -88,7 +87,7 @@ class _StreamState:
 
     open_chunks: Dict[PuKey, ChunkKey] = field(default_factory=dict)
     pu_index: int = 0
-    # Sector-granular allocation: the unit currently being filled.
+    # Run-granular allocation: the unit currently being filled.
     fill_key: Optional[ChunkKey] = None
     fill_next: int = 0
     fill_end: int = 0
@@ -175,20 +174,26 @@ class Provisioner:
             f"no free chunks available for stream {stream!r}"
             + (f" in group {group}" if group is not None else ""))
 
-    def allocate_sector(self, stream: str = "user",
-                        group: Optional[int] = None) -> Ppa:
-        """Reserve a single sector; units fill sequentially, then the
-        cursor moves to the next PU's unit."""
+    def allocate_run(self, stream: str = "user",
+                     want: int = 1) -> Tuple[ChunkKey, int, int]:
+        """Reserve up to *want* consecutive sectors for foreground I/O;
+        returns ``(chunk_key, first_sector, count)``.
+
+        The run is the rest of the stream's filling unit, or the head of
+        a fresh one when that is exhausted — never more than one unit,
+        so the caller loops until its transaction is placed and every
+        run it gets stages into exactly one write unit.
+        """
         state = self._stream(stream)
         if state.fill_key is None or state.fill_next >= state.fill_end:
-            key, first = self.allocate_unit(stream, group)
+            key, first = self.allocate_unit(stream)
             state.fill_key = key
             state.fill_next = first
             state.fill_end = first + self.geometry.ws_min
-        group_, pu, chunk = state.fill_key
-        ppa = Ppa(group_, pu, chunk, state.fill_next)
-        state.fill_next += 1
-        return ppa
+        first = state.fill_next
+        count = min(want, state.fill_end - first)
+        state.fill_next = first + count
+        return state.fill_key, first, count
 
     def current_unit_remaining(self, stream: str = "user") -> int:
         """Sectors left in the stream's currently-filling unit (0 if none).

@@ -63,7 +63,6 @@ class RecoveredState:
 
 def recover_proc(media: MediaManager, layout: MetadataLayout,
                  replay_cpu_per_record: float = 2e-6,
-                 map_backend: str = "array",
                  placement=None):
     """Process generator: rebuild FTL state from media; returns
     :class:`RecoveredState`.  *placement* (a
@@ -77,7 +76,7 @@ def recover_proc(media: MediaManager, layout: MetadataLayout,
     # 1. Checkpoint.
     ckpt = CheckpointManager(media, layout.ckpt_slots)
     snapshot = yield from ckpt.read_latest_proc()
-    page_map = PageMap(backend=map_backend)
+    page_map = PageMap()
     chunk_table = ChunkTable(geometry, iter(layout.data_chunk_keys()))
     epoch = 0
     next_txn_id = 1

@@ -54,66 +54,75 @@ class WriteBuffer:
 
     # -- staging --------------------------------------------------------------
 
-    def stage(self, lba: int, ppa: Ppa, data: bytes) -> Optional[PendingUnit]:
-        """Add one sector; returns the completed unit if this filled one."""
-        if len(data) > self.sector_size:
+    def stage_run(self, lba0: int, key: ChunkKey, first_sector: int,
+                  count: int, view: Optional[memoryview] = None,
+                  immutable: bool = False) -> Optional[PendingUnit]:
+        """Stage *count* consecutive sectors of chunk *key* starting at
+        *first_sector*; returns the write unit this completed, if any.
+
+        A run lies within one ``ws_min`` unit and continues exactly where
+        that unit's staged sectors end (the provisioner hands out runs
+        with both properties).  Sector ``i`` backs LBA ``lba0 + i`` with
+        the ``i``-th ``sector_size`` slice of *view* — slices, not
+        copies: the chunk store makes the single copy when the unit
+        reaches the device.  ``lba0 == PAD_LBA`` stages padding instead:
+        no payload, no owning LBA, nothing readable.  A run that is a
+        whole unit over an *immutable* buffer keeps *view* as the unit's
+        zero-copy admission hint.
+        """
+        ws_min = self.ws_min
+        unit_start = first_sector - first_sector % ws_min
+        if count < 1 or first_sector + count > unit_start + ws_min:
             raise FTLError(
-                f"payload of {len(data)} bytes exceeds sector size "
-                f"{self.sector_size}")
-        sector = ppa[3]
-        unit_start = sector - sector % self.ws_min
-        key = ppa[:3]
+                f"staged run of {count} sectors at {first_sector} does "
+                f"not fit one {ws_min}-sector write unit")
         slot = (key, unit_start)
         unit = self._units.get(slot)
-        if unit is None:
-            unit = PendingUnit(key=key, first_sector=unit_start)
-            self._units[slot] = unit
-        expected = unit.first_sector + len(unit.ppas)
-        if sector != expected:
+        expected = unit_start if unit is None \
+            else unit_start + len(unit.ppas)
+        if first_sector != expected:
             raise FTLError(
-                f"staged sector {sector} out of order in unit "
+                f"staged sector {first_sector} out of order in unit "
                 f"{slot} (expected {expected})")
-        unit.ppas.append(ppa)
-        unit.data.append(data)
-        unit.lbas.append(lba)
-        self._sequence += 1
-        if lba != PAD_LBA:
-            self._readable[lba] = (self._sequence, data)
-        if len(unit.ppas) == self.ws_min:
+        sector_size = self.sector_size
+        if lba0 != PAD_LBA and len(view) != count * sector_size:
+            raise FTLError(
+                f"payload of {len(view)} bytes for a run of {count} "
+                f"{sector_size}-byte sectors")
+        group, pu, chunk = key
+        ppas = [Ppa(group, pu, chunk, sector)
+                for sector in range(first_sector, first_sector + count)]
+        sequence = self._sequence
+        self._sequence = sequence + count
+        if lba0 == PAD_LBA:
+            lbas = [PAD_LBA] * count
+            data: List[bytes] = [b""] * count
+        else:
+            lbas = list(range(lba0, lba0 + count))
+            data = [view[offset:offset + sector_size]
+                    for offset in range(0, count * sector_size,
+                                        sector_size)]
+            readable = self._readable
+            for lba, payload in zip(lbas, data):
+                sequence += 1
+                readable[lba] = (sequence, payload)
+        if unit is None:
+            unit = PendingUnit(key=key, first_sector=unit_start, ppas=ppas,
+                               data=data, lbas=lbas)
+            if count == ws_min:
+                # Never passes through the partial table.
+                if immutable:
+                    unit.whole = view
+                return unit
+            self._units[slot] = unit
+            return None
+        unit.ppas += ppas
+        unit.data += data
+        unit.lbas += lbas
+        if len(unit.ppas) == ws_min:
             del self._units[slot]
             return unit
         return None
-
-    def stage_unit(self, lba0: int, ppas: List[Ppa], view: memoryview,
-                   immutable: bool = False) -> PendingUnit:
-        """Stage one whole, freshly-allocated write unit in a single call.
-
-        The fused twin of ``ws_min`` successive :meth:`stage` calls for a
-        unit-aligned PPA run backed by contiguous LBAs: *view* holds
-        ``ws_min`` sectors of payload, ``ppas[i]`` receives sector ``i``.
-        Returns the completed unit (it never passes through the partial
-        table).
-        """
-        count = len(ppas)
-        first = ppas[0][3]
-        if count != self.ws_min or first % self.ws_min:
-            raise FTLError(
-                f"stage_unit needs a whole aligned unit, got {count} "
-                f"sectors at {first}")
-        sector_size = self.sector_size
-        data = [view[index * sector_size:(index + 1) * sector_size]
-                for index in range(count)]
-        unit = PendingUnit(key=ppas[0][:3], first_sector=first, ppas=ppas,
-                           data=data,
-                           lbas=list(range(lba0, lba0 + count)),
-                           whole=view if immutable else None)
-        sequence = self._sequence
-        readable = self._readable
-        for index, payload in enumerate(data):
-            sequence += 1
-            readable[lba0 + index] = (sequence, payload)
-        self._sequence = sequence
-        return unit
 
     def partial_units(self) -> List[PendingUnit]:
         """The units still being assembled (for forced flush padding)."""

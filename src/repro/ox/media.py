@@ -69,10 +69,11 @@ class MediaManager:
         return self.device.submit(VectorRead(ppas=ppas, tenant=self.tenant),
                                   parent=parent)
 
-    def read_single_proc(self, ppa: Ppa):
-        """One-sector read fast lane; see
-        :meth:`repro.ocssd.OpenChannelSSD.read_single_proc`."""
-        return self.device.read_single_proc(ppa, tenant=self.tenant)
+    def read_sectors_proc(self, linears: List[int], parent=None):
+        """Payload-only read by linear address; see
+        :meth:`repro.ocssd.OpenChannelSSD.read_sectors_proc`."""
+        return self.device.read_sectors_proc(linears, tenant=self.tenant,
+                                             parent=parent)
 
     def reset_proc(self, ppa: Ppa, parent=None):
         return self.device.submit(ChunkReset(ppa=ppa, tenant=self.tenant),

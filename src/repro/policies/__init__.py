@@ -17,9 +17,8 @@ Policies are declared on a :class:`~repro.stack.StackSpec`
 ``ftl_config``; :func:`resolve_victim_policy` /
 :func:`resolve_placement_policy` turn names into fresh instances (every
 stack gets its own — some policies carry per-stream state).  The
-``"default"`` alias pins today's behavior: greedy victim order and
-striped placement, bit-identical to the pre-policy collector
-(``scripts/policy_guard.py`` enforces this).
+defaults, greedy victim order and striped placement, are bit-identical
+to the pre-policy collector (``scripts/policy_guard.py`` enforces this).
 """
 
 from __future__ import annotations
@@ -40,16 +39,14 @@ from repro.policies.victim import (
 )
 from repro.policies.wlfc import WlfcConfig, WlfcStats, WriteLessCache
 
-#: name -> factory.  "default" is an alias for the historical behavior.
+#: name -> factory.
 VICTIM_POLICIES = {
-    "default": GreedyVictimPolicy,
     "greedy": GreedyVictimPolicy,
     "cost_benefit": CostBenefitVictimPolicy,
     "age_partitioned": AgePartitionedVictimPolicy,
 }
 
 PLACEMENT_POLICIES = {
-    "default": StripedPlacement,
     "striped": StripedPlacement,
     "stream_partitioned": StreamPartitionedPlacement,
     "hotcold": HotColdPlacement,

@@ -194,7 +194,6 @@ def build_stack(spec: StackSpec) -> Stack:
 
     if spec.ftl == "oxblock":
         ftl_config = dict(spec.ftl_config)
-        ftl_config.setdefault("map_backend", spec.vector_backend)
         ftl_config.setdefault("gc_policy", spec.gc_policy)
         ftl_config.setdefault("placement_policy", spec.placement_policy)
         config = _config_from(BlockConfig, ftl_config, "ftl_config")

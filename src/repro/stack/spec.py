@@ -28,13 +28,11 @@ FTL_FLAVORS = ("oxblock", "eleos", "zns", "lightlsm", "none")
 HOSTS = ("auto", "db", "llama", "wlfc", "none")
 PLACEMENTS = ("horizontal", "vertical")
 QOS_POLICIES = ("partitioned", "shared")
-#: Mirrors repro.ox.ftl.mapping.VECTOR_BACKENDS (kept literal so spec
-#: validation does not import FTL modules).
-VECTOR_BACKENDS = ("array", "numpy")
-#: Mirror of the repro.policies registries (kept literal for the same
-#: reason; tests assert the two stay in sync).
-GC_POLICIES = ("default", "greedy", "cost_benefit", "age_partitioned")
-PLACEMENT_POLICIES = ("default", "striped", "stream_partitioned", "hotcold")
+#: Mirror of the repro.policies registries (kept literal so spec
+#: validation does not import FTL modules; tests assert the two stay in
+#: sync).  The first entry of each is the field's default.
+GC_POLICIES = ("greedy", "cost_benefit", "age_partitioned")
+PLACEMENT_POLICIES = ("striped", "stream_partitioned", "hotcold")
 WORKLOADS = ("fill_sequential", "fill_then_read_random",
              "fill_then_read_sequential", "raw_fill_read", "trace", "none")
 PACINGS = ("afap", "recorded")
@@ -212,11 +210,11 @@ class StackSpec:
     #: LightLSM data placement (Figures 5/6): horizontal | vertical.
     placement: str = "horizontal"
     #: GC victim selection for ftl="oxblock" (repro.policies):
-    #: default | greedy | cost_benefit | age_partitioned.
-    gc_policy: str = "default"
+    #: greedy | cost_benefit | age_partitioned.
+    gc_policy: str = "greedy"
     #: PU allocation order for ftl="oxblock" (repro.policies):
-    #: default | striped | stream_partitioned | hotcold.
-    placement_policy: str = "default"
+    #: striped | stream_partitioned | hotcold.
+    placement_policy: str = "striped"
     #: Host above the FTL: auto | db | llama | wlfc | none.  "wlfc"
     #: layers the write-less cache over a bare oxblock LBA API.
     host: str = "auto"
@@ -251,10 +249,6 @@ class StackSpec:
     obs: bool = False
     #: Device write-back cache (bench_ablations turns it off).
     write_back: bool = True
-    #: Bulk-op backend for the FTL page map's snapshot paths: "array"
-    #: (stdlib, default) or "numpy" (build fails with a ReproError when
-    #: numpy is not installed).  Scalar map lookups are unaffected.
-    vector_backend: str = "array"
 
     def __post_init__(self) -> None:
         self.geometry = _sub_spec(GeometrySpec, self.geometry)
@@ -282,20 +276,17 @@ class StackSpec:
         _check(self.qos_policy in QOS_POLICIES,
                f"unknown qos policy {self.qos_policy!r}; "
                f"expected one of {QOS_POLICIES}")
-        _check(self.vector_backend in VECTOR_BACKENDS,
-               f"unknown vector backend {self.vector_backend!r}; "
-               f"expected one of {VECTOR_BACKENDS}")
         _check(self.gc_policy in GC_POLICIES,
                f"unknown gc_policy {self.gc_policy!r}; "
                f"expected one of {GC_POLICIES}")
         _check(self.placement_policy in PLACEMENT_POLICIES,
                f"unknown placement_policy {self.placement_policy!r}; "
                f"expected one of {PLACEMENT_POLICIES}")
-        if self.gc_policy != "default":
+        if self.gc_policy != GC_POLICIES[0]:
             _check(self.ftl == "oxblock",
                    f"gc_policy {self.gc_policy!r} needs ftl 'oxblock', "
                    f"not {self.ftl!r}")
-        if self.placement_policy != "default":
+        if self.placement_policy != PLACEMENT_POLICIES[0]:
             _check(self.ftl == "oxblock",
                    f"placement_policy {self.placement_policy!r} needs "
                    f"ftl 'oxblock', not {self.ftl!r}")

@@ -162,19 +162,32 @@ class TestProvisioner:
             key, __ = provisioner.allocate_unit("gc", group=1)
             assert key[0] == 1
 
-    def test_sector_allocation_fills_units(self):
+    def test_run_allocation_fills_units(self):
         geometry, provisioner, __ = self.make()
         ws = geometry.ws_min
-        first_unit = [provisioner.allocate_sector() for __ in range(ws)]
-        assert len({p.chunk_key() for p in first_unit}) == 1
-        assert [p.sector for p in first_unit] == list(range(ws))
-        next_sector = provisioner.allocate_sector()
-        assert next_sector.chunk_key() != first_unit[0].chunk_key()
+        first_unit = [provisioner.allocate_run() for __ in range(ws)]
+        assert len({key for key, __, __n in first_unit}) == 1
+        assert [(first, count) for __, first, count in first_unit] \
+            == [(sector, 1) for sector in range(ws)]
+        next_key, next_first, __ = provisioner.allocate_run()
+        assert next_key != first_unit[0][0]
+        assert next_first % ws == 0
+
+    def test_run_is_clipped_to_the_filling_unit(self):
+        geometry, provisioner, __ = self.make()
+        ws = geometry.ws_min
+        key, first, count = provisioner.allocate_run("user", 5)
+        assert (first, count) == (0, 5)
+        # The rest of that unit, however much more was wanted ...
+        assert provisioner.allocate_run("user", 10 * ws) == (key, 5, ws - 5)
+        # ... then one fresh unit at a time, on the next PU.
+        fresh, first, count = provisioner.allocate_run("user", 10 * ws)
+        assert fresh != key and (first, count) == (0, ws)
 
     def test_current_unit_remaining(self):
         geometry, provisioner, __ = self.make()
         assert provisioner.current_unit_remaining() == 0
-        provisioner.allocate_sector()
+        provisioner.allocate_run()
         assert provisioner.current_unit_remaining() == geometry.ws_min - 1
 
     def test_out_of_space(self):
@@ -216,54 +229,84 @@ class TestProvisioner:
 
 
 class TestWriteBuffer:
+    KEY = (0, 0, 0)
+
     def make(self, ws=4):
         return WriteBuffer(ws_min=ws, sector_size=64)
+
+    @staticmethod
+    def sector(fill: bytes) -> memoryview:
+        return memoryview(fill * 64)
 
     def test_unit_completes_at_ws_min(self):
         buffer = self.make()
         for i in range(3):
-            assert buffer.stage(i, Ppa(0, 0, 0, i), b"x") is None
-        unit = buffer.stage(3, Ppa(0, 0, 0, 3), b"x")
+            assert buffer.stage_run(i, self.KEY, i, 1,
+                                    self.sector(b"x")) is None
+        unit = buffer.stage_run(3, self.KEY, 3, 1, self.sector(b"x"))
         assert unit is not None
         assert unit.lbas == [0, 1, 2, 3]
+        assert unit.ppas == [Ppa(0, 0, 0, i) for i in range(4)]
         assert len(buffer) == 0
+
+    def test_whole_unit_run_skips_the_partial_table(self):
+        buffer = self.make()
+        payload = b"".join(bytes([65 + i]) * 64 for i in range(4))
+        unit = buffer.stage_run(8, self.KEY, 4, 4, memoryview(payload),
+                                immutable=True)
+        assert unit.lbas == [8, 9, 10, 11] and unit.first_sector == 4
+        assert bytes(unit.whole) == payload == b"".join(unit.data)
+        assert len(buffer) == 0 and buffer.partial_units() == []
+        assert buffer.lookup(9) == b"B" * 64
+        # Mutable source: no zero-copy hint.
+        other = buffer.stage_run(8, (0, 0, 1), 0, 4,
+                                 memoryview(bytearray(payload)))
+        assert other.whole is None
 
     def test_lookup_until_written(self):
         buffer = self.make()
-        buffer.stage(10, Ppa(0, 0, 0, 0), b"data")
-        assert buffer.lookup(10) == b"data"
-        for i in range(1, 4):
-            unit = buffer.stage(10 + i, Ppa(0, 0, 0, i), b"d")
-        assert buffer.lookup(10) == b"data"   # still visible pre-write
+        buffer.stage_run(10, self.KEY, 0, 1, self.sector(b"a"))
+        assert buffer.lookup(10) == b"a" * 64
+        unit = buffer.stage_run(11, self.KEY, 1, 3,
+                                memoryview(b"d" * 192))
+        assert buffer.lookup(10) == b"a" * 64   # still visible pre-write
         buffer.mark_written(unit)
         assert buffer.lookup(10) is None
 
     def test_rewrite_keeps_latest_visible(self):
         buffer = self.make()
-        unit = None
-        buffer.stage(10, Ppa(0, 0, 0, 0), b"old")
-        for i in range(1, 4):
-            unit = buffer.stage(99 + i, Ppa(0, 0, 0, i), b"z")
-        first_unit = unit
-        buffer.stage(10, Ppa(0, 0, 1, 0), b"new")
+        buffer.stage_run(10, self.KEY, 0, 1, self.sector(b"o"))
+        first_unit = buffer.stage_run(100, self.KEY, 1, 3,
+                                      memoryview(b"z" * 192))
+        buffer.stage_run(10, (0, 0, 1), 0, 1, self.sector(b"n"))
         buffer.mark_written(first_unit)
-        assert buffer.lookup(10) == b"new"
+        assert buffer.lookup(10) == b"n" * 64
 
     def test_out_of_order_staging_rejected(self):
         buffer = self.make()
-        buffer.stage(1, Ppa(0, 0, 0, 0), b"x")
+        buffer.stage_run(1, self.KEY, 0, 1, self.sector(b"x"))
         with pytest.raises(FTLError):
-            buffer.stage(2, Ppa(0, 0, 0, 2), b"x")
+            buffer.stage_run(2, self.KEY, 2, 1, self.sector(b"x"))
 
-    def test_oversized_payload_rejected(self):
+    def test_run_across_a_unit_boundary_rejected(self):
         buffer = self.make()
         with pytest.raises(FTLError):
-            buffer.stage(1, Ppa(0, 0, 0, 0), b"x" * 65)
+            buffer.stage_run(0, self.KEY, 2, 3, memoryview(b"x" * 192))
+
+    def test_mis_sized_payload_rejected(self):
+        buffer = self.make()
+        with pytest.raises(FTLError):
+            buffer.stage_run(1, self.KEY, 0, 1, memoryview(b"x" * 65))
+        with pytest.raises(FTLError):
+            buffer.stage_run(1, self.KEY, 0, 2, memoryview(b"x" * 64))
+        assert len(buffer) == 0 and buffer.lookup(1) is None
 
     def test_pad_lba_not_readable(self):
         buffer = self.make()
-        buffer.stage(PAD_LBA, Ppa(0, 0, 0, 0), b"")
+        buffer.stage_run(PAD_LBA, self.KEY, 0, 2)
         assert buffer.lookup(PAD_LBA) is None
+        unit = buffer.stage_run(PAD_LBA, self.KEY, 2, 2)
+        assert unit.lbas == [PAD_LBA] * 4 and unit.data == [b""] * 4
 
 
 class TestSerial:

@@ -86,6 +86,68 @@ class TestWriteRead:
         assert device.chunk_info(bad[0]).write_pointer == 0
 
 
+class TestPayloadReadLane:
+    """``read_sectors_proc``: the FTL foreground lane — linear addresses
+    in, payloads out, the timing of ``submit(VectorRead)``."""
+
+    def filled(self):
+        device = tiny_device()
+        geometry = device.geometry
+        for chunk in (0, 1):
+            for unit in range(geometry.sectors_per_chunk // geometry.ws_min):
+                start = unit * geometry.ws_min
+                device.write(
+                    seq_ppas(device, pu=1, chunk=chunk, start=start),
+                    [bytes([chunk * 100 + start + i]) * geometry.sector_size
+                     for i in range(geometry.ws_min)])
+        device.write(seq_ppas(device, group=1), unit_payloads(device, 0xEE))
+        device.flush()
+        return device
+
+    def lane(self, device, linears):
+        return device.sim.run_until(
+            device.sim.spawn(device.read_sectors_proc(linears)))
+
+    @pytest.mark.parametrize("shape", [
+        "one sector", "one run", "chunk boundary", "scatter"])
+    def test_same_payloads_and_timeline_as_a_vector_read(self, shape):
+        geometry = tiny_device().geometry
+        per_chunk = geometry.sectors_per_chunk
+        first = geometry.linearize(Ppa(0, 1, 0, 0))
+        linears = {
+            "one sector": [first + 7],
+            "one run": list(range(first + 3, first + 9)),
+            # Linearly consecutive, physically two chunks: two runs.
+            "chunk boundary": list(range(first + per_chunk - 2,
+                                         first + per_chunk + 3)),
+            "scatter": [geometry.linearize(Ppa(1, 0, 0, 5)), first + 1,
+                        first + 2, first + per_chunk + 30, first],
+        }[shape]
+        by_lane, by_command = self.filled(), self.filled()
+        payloads = self.lane(by_lane, linears)
+        completion = by_command.read(
+            [geometry.delinearize(linear) for linear in linears])
+        assert completion.ok
+        assert [bytes(p) for p in payloads] \
+            == [bytes(p) for p in completion.data]
+        assert by_lane.sim.now == by_command.sim.now
+        assert by_lane.sim.events_processed \
+            == by_command.sim.events_processed
+
+    def test_failures_return_none(self):
+        device = self.filled()
+        geometry = device.geometry
+        good = geometry.linearize(Ppa(0, 1, 0, 0))
+        assert self.lane(device, [good]) is not None
+        total = geometry.total_chunks * geometry.sectors_per_chunk
+        for bad in (-1, total):
+            assert self.lane(device, [good, bad]) is None
+        # Above the write pointer (what a racing reset looks like).
+        unwritten = geometry.linearize(Ppa(1, 1, 2, 0))
+        assert self.lane(device, [unwritten]) is None
+        assert self.lane(device, [good, unwritten]) is None
+
+
 class TestChunkLifecycle:
     def test_chunk_closes_when_full(self):
         device = tiny_device()

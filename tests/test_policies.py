@@ -69,12 +69,13 @@ class TestVictimOrdering:
 
     def test_default_matches_legacy_stable_sort(self):
         # The historical collector sorted the table-order candidate list
-        # stably by valid count alone; "default" must reproduce that
-        # order exactly, ties included.
+        # stably by valid count alone; the default, "greedy", must
+        # reproduce that order exactly, ties included.
         table = make_table([12, 6, 12, 6, 0, 12, 6])
         candidates = table.gc_candidates(0)
         legacy = sorted(candidates, key=lambda info: info.valid_count)
-        chosen = resolve_victim_policy("default").select(candidates, table)
+        assert BlockConfig().gc_policy == StackSpec().gc_policy == "greedy"
+        chosen = resolve_victim_policy("greedy").select(candidates, table)
         assert [info.key for info in chosen] == [info.key for info in legacy]
 
     def test_cost_benefit_prefers_old_cold(self):
@@ -254,14 +255,6 @@ class TestPlacementPolicies:
             workload={"kind": "raw_fill_read", "fill_ops": 40,
                       "read_ops": 60})
 
-    def test_striped_is_bit_identical_to_default(self):
-        def nonwall(metrics):
-            return {key: value for key, value in metrics.items()
-                    if key != "ops_per_sec"}
-        default = run_spec(self._spec("default"))
-        striped = run_spec(self._spec("striped"))
-        assert nonwall(default) == nonwall(striped)
-
     def _mapped_groups(self, placement_policy, fill_units=12):
         config = BlockConfig(wal_chunk_count=4, ckpt_chunks_per_slot=1,
                              placement_policy=placement_policy)
@@ -420,11 +413,24 @@ class TestStackSpecWiring:
 
     def test_policies_require_oxblock(self):
         with pytest.raises(ReproError):
-            StackSpec(ftl="lightlsm", gc_policy="greedy").validate()
+            StackSpec(ftl="lightlsm", gc_policy="cost_benefit").validate()
         with pytest.raises(ReproError):
-            StackSpec(ftl="zns", placement_policy="striped").validate()
+            StackSpec(ftl="zns",
+                      placement_policy="stream_partitioned").validate()
         with pytest.raises(ReproError):
             StackSpec(ftl="eleos", host="wlfc").validate()
+        # The fields' defaults name what the other FTLs leave unused.
+        StackSpec(ftl="lightlsm", gc_policy="greedy",
+                  placement_policy="striped").validate()
+
+    def test_one_name_per_policy(self):
+        # "default" used to alias greedy / striped in all four menus.
+        assert spec_module.GC_POLICIES[0] == StackSpec().gc_policy
+        assert (spec_module.PLACEMENT_POLICIES[0]
+                == StackSpec().placement_policy == "striped")
+        for field in ("gc_policy", "placement_policy"):
+            with pytest.raises(ReproError, match="default"):
+                StackSpec(ftl="oxblock", **{field: "default"}).validate()
 
     def test_spec_round_trips_policy_fields(self):
         spec = StackSpec(ftl="oxblock", gc_policy="cost_benefit",
@@ -458,7 +464,7 @@ class TestStackSpecWiring:
 
     def test_ftl_config_override_beats_spec_passthrough(self):
         stack = build_stack(StackSpec(
-            ftl="oxblock", gc_policy="default",
+            ftl="oxblock", gc_policy="greedy",
             ftl_config={"gc_policy": "age_partitioned"}, host="none"))
         assert stack.ftl.gc.victim_policy.name == "age_partitioned"
 

@@ -1,4 +1,5 @@
-"""Sim-identity pins for the reclaim paths (ELEOS/LLAMA cleaner, OX-Block GC).
+"""Sim-identity pins for the reclaim paths (ELEOS/LLAMA cleaner, OX-Block GC)
+and the OX-Block foreground lanes.
 
 Reclaim bookkeeping is host-side accounting: however it is kept, the
 simulated timeline must not move.  Each scenario below runs a smoke-scale
@@ -6,7 +7,9 @@ reclaim loop and compares ``(sim.now, sim.events_processed)`` plus every
 public counter of the layers involved against golden values captured on
 the commit *before* incremental liveness accounting landed (c0a1c8d).  A
 skipped chunk-table clock tick, a reordered victim or a dropped device
-command changes at least one of them.
+command changes at least one of them.  The mixed-shape scenario does the
+same for foreground reads and writes of every shape (goldens from aaf8de2,
+the commit before they moved onto one run-based lane each way).
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import zlib
 
 import pytest
 
+from repro.ocssd.commands import VectorRead
+from repro.ocssd.device import OpenChannelSSD
 from repro.stack import StackSpec, build_stack
 from repro.units import KIB
 
@@ -94,6 +99,71 @@ def _zipf_overwrite_gc(gc_policy: str):
             "sectors_read": stack.device.controller.stats.sectors_read}
 
 
+def _run_mixed_shapes(host: str, obs: bool = False):
+    """Every foreground shape OX-Block serves, in one run: 1-unit, 2-unit,
+    unaligned 5-sector and single-sector writes, 1- and 2..8-sector reads
+    from any start (chunks hold two units, so they straddle unit and
+    chunk boundaries), trims — bare, or behind the wlfc host whose
+    evictions arrive as multi-unit unaligned transactions."""
+    stack = build_stack(StackSpec(
+        name="pin-mixed-shapes", seed=7,
+        geometry={"num_groups": 2, "pus_per_group": 2,
+                  "chunks_per_pu": 16, "pages_per_block": 12},
+        ftl="oxblock",
+        ftl_config={"gc_low_watermark": 6, "gc_high_watermark": 10},
+        host=host, wlfc={"cache_sectors": 96} if host == "wlfc" else {},
+        obs=obs))
+    ftl, sim = stack.ftl, stack.sim
+    front = stack.wlfc if host == "wlfc" else ftl
+    geometry = stack.device.geometry
+    unit = geometry.ws_min
+    sector = geometry.sector_size
+    span = int(ftl.provisioner.free_chunks()
+               * geometry.sectors_per_chunk * 0.3) // unit * unit
+    rng = random.Random(7)
+    lba = 0
+    while lba < span:
+        units = min(rng.choice((1, 1, 2)), (span - lba) // unit)
+        front.write(lba, bytes([lba % 251]) * (sector * unit * units))
+        lba += unit * units
+    front.flush()
+    reads_crc = 0
+    for step in range(600):
+        draw = rng.random()
+        fill = bytes([step % 251])
+        if draw < 0.15:
+            front.write(rng.randrange(span // unit) * unit,
+                        fill * (sector * unit))
+        elif draw < 0.25:
+            front.write(rng.randrange(span // unit - 1) * unit,
+                        fill * (sector * unit * 2))
+        elif draw < 0.40:
+            front.write(rng.randrange(span - 5), fill * (sector * 5))
+        elif draw < 0.55:
+            front.write(rng.randrange(span), fill * sector)
+        elif draw < 0.75:
+            reads_crc = zlib.crc32(front.read(rng.randrange(span), 1),
+                                   reads_crc)
+        elif draw < 0.97:
+            count = rng.randint(2, 8)
+            reads_crc = zlib.crc32(
+                front.read(rng.randrange(span - count), count), reads_crc)
+        else:
+            front.trim(rng.randrange(span - 3), 3)
+    front.flush()
+    return stack, {
+        "now": sim.now, "events": sim.events_processed,
+        "block": dataclasses.asdict(ftl.stats),
+        "gc": dataclasses.asdict(ftl.gc.stats),
+        "sectors_written": stack.device.controller.stats.sectors_written,
+        "sectors_read": stack.device.controller.stats.sectors_read,
+        "reads_crc": reads_crc}
+
+
+def _mixed_shapes(host: str):
+    return _run_mixed_shapes(host)[1]
+
+
 # Captured at c0a1c8d by `PYTHONPATH=src python tests/test_sim_identity.py`.
 GOLDEN = {'eleos_llama': {'now': 1.2774929687500083,
                  'events': 4913,
@@ -147,7 +217,51 @@ GOLDEN = {'eleos_llama': {'now': 1.2774929687500083,
                             'deferrals_unsafe': 0},
                      'clock': 7759,
                      'sectors_written': 36912,
-                     'sectors_read': 23433}}
+                     'sectors_read': 23433},
+ # The two mixed-shape rows: captured at aaf8de2, before the foreground
+ # lanes became one.
+ 'mixed_none': {'now': 5.142454687499562,
+                'events': 27974,
+                'block': {'writes': 390,
+                          'reads': 237,
+                          'trims': 20,
+                          'sectors_written': 7573,
+                          'sectors_read': 727,
+                          'checkpoints': 30,
+                          'forced_checkpoints': 29,
+                          'chunks_retired': 0,
+                          'sectors_lost': 0},
+                'gc': {'chunks_recycled': 194,
+                       'sectors_relocated': 12363,
+                       'resets': 194,
+                       'reset_failures': 0,
+                       'group_rotations': 0,
+                       'skips_no_space': 0,
+                       'deferrals_unsafe': 0},
+                'sectors_written': 38040,
+                'sectors_read': 36741,
+                'reads_crc': 1595401565},
+ 'mixed_wlfc': {'now': 5.4500312499995305,
+                'events': 26536,
+                'block': {'writes': 455,
+                          'reads': 223,
+                          'trims': 20,
+                          'sectors_written': 7158,
+                          'sectors_read': 684,
+                          'checkpoints': 33,
+                          'forced_checkpoints': 32,
+                          'chunks_retired': 0,
+                          'sectors_lost': 0},
+                'gc': {'chunks_recycled': 190,
+                       'sectors_relocated': 12127,
+                       'resets': 190,
+                       'reset_failures': 0,
+                       'group_rotations': 0,
+                       'skips_no_space': 0,
+                       'deferrals_unsafe': 0},
+                'sectors_written': 39144,
+                'sectors_read': 37800,
+                'reads_crc': 1595401565}}
 
 
 def test_eleos_llama_clean_loop_is_sim_identical():
@@ -160,9 +274,46 @@ def test_zipf_overwrite_gc_is_sim_identical(gc_policy):
     assert _zipf_overwrite_gc(gc_policy) == GOLDEN[gc_policy]
 
 
+@pytest.mark.parametrize("host", ["none", "wlfc"])
+def test_mixed_shapes_are_sim_identical(host):
+    assert _mixed_shapes(host) == GOLDEN[f"mixed_{host}"]
+
+
+@pytest.mark.parametrize("host", ["none", "wlfc"])
+def test_obs_rides_the_same_read_lane(host, monkeypatch):
+    """obs attached or not, foreground reads execute the same code: same
+    bytes, same timeline, and one ``ocssd``/``read`` root span per device
+    read command the untraced run issued."""
+    device_reads = []
+    lane, submit = OpenChannelSSD.read_sectors_proc, OpenChannelSSD.submit
+
+    def counted_lane(self, linears, **kwargs):
+        device_reads.append(len(linears))
+        return lane(self, linears, **kwargs)
+
+    def counted_submit(self, command, parent=None):
+        if isinstance(command, VectorRead):    # GC victim scans
+            device_reads.append(len(command.ppas))
+        return submit(self, command, parent=parent)
+
+    monkeypatch.setattr(OpenChannelSSD, "read_sectors_proc", counted_lane)
+    monkeypatch.setattr(OpenChannelSSD, "submit", counted_submit)
+    __, plain = _run_mixed_shapes(host)
+    issued = len(device_reads)
+    stack, traced = _run_mixed_shapes(host, obs=True)
+    assert traced == plain == GOLDEN[f"mixed_{host}"]
+    spans = [span for span in stack.obs.tracer.spans
+             if (span.layer, span.name) == ("ocssd", "read")]
+    assert len(spans) == issued
+    assert stack.obs.metrics.histogram(
+        "ocssd.read.latency_s").count == issued
+
+
 if __name__ == "__main__":   # regenerate: PYTHONPATH=src python tests/test_sim_identity.py
     import pprint
     golden = {"eleos_llama": _eleos_llama_clean_loop()}
     for policy in ("greedy", "cost_benefit", "age_partitioned"):
         golden[policy] = _zipf_overwrite_gc(policy)
+    for host in ("none", "wlfc"):
+        golden[f"mixed_{host}"] = _mixed_shapes(host)
     pprint.pprint(golden, sort_dicts=False, width=78)

@@ -53,6 +53,11 @@ def test_from_dict_rejects_unknown_fields():
         StackSpec.from_dict({"ftl": "lightlsm", "banana": 1})
     with pytest.raises(ReproError, match="unknown field"):
         StackSpec.from_dict({"geometry": {"num_grops": 4}})
+    # A spec written before the numpy map backend was removed.
+    with pytest.raises(ReproError) as excinfo:
+        StackSpec.from_dict({"ftl": "oxblock", "vector_backend": "array"})
+    assert str(excinfo.value) \
+        == "StackSpec: unknown field(s) ['vector_backend']"
 
 
 # -- equivalence with the legacy hand-wired assembly --------------------------
