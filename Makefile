@@ -2,7 +2,8 @@ PYTHON ?= python
 
 .PHONY: check test bench-perf bench-perf-smoke
 
-# Tier-1 tests + perf smoke with the >30% ops/sec regression gate.
+# The gate: tier-1 tests, the bench-side smokes, the perf smoke with its
+# >30% ops/sec regression gate, the crash checker.
 check:
 	sh scripts/check.sh
 

@@ -31,7 +31,7 @@ CLIENTS = 2
 # One LSM engine, three FTL abstractions — only the `ftl` stanza moves.
 SPECTRUM = {
     "block-device": dict(
-        ftl="oxblock", host="db", table_chunks=32,
+        ftl="oxblock", host="db",
         ftl_config={"wal_chunk_count": 16, "gc_low_watermark": 16,
                     "gc_high_watermark": 48}),
     "zns": dict(

@@ -20,6 +20,7 @@ import pytest
 
 from repro.benchhelpers import format_kops, lightlsm_db, report
 from repro.lsm import DbBench, HorizontalPlacement, VerticalPlacement
+from repro.units import MIB
 
 CLIENTS = (1, 2, 4, 8)
 FILL_OPS = 24_000          # 24 MB per client at 1 KB values
@@ -164,3 +165,22 @@ def test_fig5_worker_sweep(benchmark):
     # Pipelined flushing alone must not be slower than the paper's
     # single-daemon configuration.
     assert by_config[(2, 1, 1)].ops_per_sec >= by_config[(1, 1, 1)].ops_per_sec
+
+
+def test_dispatch_sweep_smoke():
+    """§4.2 at smoke scale (a 1 MB write buffer, so the same 6 000 puts
+    per client flush and compact often): once dispatch costs CPU
+    comparable to a block program and the flush/compaction writers run
+    concurrently, more dispatch workers buy >= 1.2x simulated ops/s
+    over the paper's single dispatch thread."""
+    ops_per_sec = {}
+    for workers in (1, 2, 4):
+        __, __env, db = lightlsm_db(
+            HorizontalPlacement(), write_buffer_bytes=1 * MIB,
+            flush_workers=2, compaction_workers=2,
+            dispatch_workers=workers, dispatch_cpu=SWEEP_DISPATCH_CPU)
+        fill = DbBench(db).fill_sequential(clients=4,
+                                           ops_per_client=SWEEP_OPS)
+        ops_per_sec[workers] = fill.ops_per_sec
+    assert max(ops_per_sec[2], ops_per_sec[4]) >= 1.2 * ops_per_sec[1], \
+        ops_per_sec

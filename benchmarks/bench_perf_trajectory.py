@@ -67,16 +67,15 @@ ABSOLUTE_FLOORS = {"perf_macro": 14_000.0, "perf_smoke": 9_000.0}
 MACRO = dict(name="perf_macro", groups=8, pus=4, chunks=64, pages=6,
              wal_chunks=16, ckpt_chunks=4, fill_ops=1_500, read_ops=15_000,
              qos=True, storm=(200, 250))
-# Tiny geometry for `make check` smoke runs and the pytest smoke test.
-# No qos here on purpose: the qos/obs guards use this config to price the
-# *detached* sidecar fast paths against benchmarks/results/perf_smoke.txt.
+# Tiny geometry for `make check` smoke runs and the pytest smoke test:
+# the bare stack, every sidecar detached.
 SMOKE = dict(name="perf_smoke", groups=2, pus=2, chunks=16, pages=6,
              wal_chunks=4, ckpt_chunks=2, fill_ops=40, read_ops=300,
              storm=(20, 50))
 
 
 def stack_spec(cfg: dict, **overrides) -> StackSpec:
-    """The perf-trajectory stack as a spec (shared with the guards)."""
+    """The perf-trajectory stack as a spec."""
     return StackSpec(
         name=cfg["name"],
         geometry={"num_groups": cfg["groups"], "pus_per_group": cfg["pus"],

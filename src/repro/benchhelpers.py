@@ -66,18 +66,6 @@ def report(name: str, lines: Iterable[str],
     return path
 
 
-def read_baseline_ops(path: str) -> float:
-    """``ops_per_sec`` from the ``  {key:>18s} = {value}`` lines of a
-    :func:`report` file — the perf-smoke baseline the overhead guards
-    in ``scripts/`` compare against."""
-    with open(path) as handle:
-        for line in handle:
-            key, _, value = line.partition("=")
-            if key.strip() == "ops_per_sec":
-                return float(value)
-    raise ValueError(f"no ops_per_sec line in {path}")
-
-
 def bench_entry(name: str, metrics: Mapping[str, object],
                 sha: Optional[str] = None) -> dict:
     """One trajectory/result entry: ``{"name", "date", "metrics"}``,
@@ -197,12 +185,12 @@ def lightlsm_db(placement: PlacementPolicy,
     one dispatch thread with free submissions)."""
     stack = build_stack(evaluation_spec(
         chunks_per_pu, ftl="lightlsm", placement=placement.name,
-        ftl_config={"dispatch_cpu": dispatch_cpu},
-        lsm_flush_workers=flush_workers,
-        lsm_compaction_workers=compaction_workers,
-        lightlsm_dispatch_workers=dispatch_workers,
+        ftl_config={"dispatch_cpu": dispatch_cpu,
+                    "dispatch_workers": dispatch_workers},
         db={"block_size": 96 * KIB,
-            "write_buffer_bytes": write_buffer_bytes}))
+            "write_buffer_bytes": write_buffer_bytes,
+            "flush_workers": flush_workers,
+            "compaction_workers": compaction_workers}))
     return stack.device, stack.env, stack.db
 
 

@@ -5,7 +5,8 @@ Worker processes ship back plain dicts (scalar metrics plus an optional
 data-plumbing — sort, prefix, fold — so the merged metrics of a run are
 a function of the shard results alone: the serial runner and any
 worker-count parallel runner produce bit-identical merged dicts, which
-is the property the cluster guard and determinism suite pin.
+is the property ``tests/test_cluster.py::
+test_cluster_determinism_serial_vs_one_vs_four_workers`` pins.
 
 Metric names follow the obs convention with the shard as the leading
 namespace: ``cluster.shard3.read_ops``, and for failover retry rounds

@@ -123,7 +123,7 @@ def assert_minimal(plan: RebalancePlan,
     """Raise :class:`ReproError` unless *plan* is movement-minimal:
     every moved key's change involves the added/removed shard itself.
 
-    Shared by the property tests and the cluster guard, so "the
+    Called by the property tests, so "the
     rebalancer moves only the minimal key range" is an executable claim
     rather than a docstring.
     """

@@ -17,7 +17,8 @@ log, and the ``lsm.backpressure.*`` obs instruments (state gauge +
 transition instants) when a hub is attached.  It deliberately creates
 no simulation events: the DB evaluates it at the points writes are
 gated and backgrounds complete, so attaching it never moves the
-timeline (the lsm_guard bit-identity pin depends on that).
+timeline (the ``lsm_default_fill`` pin in tests/test_sim_identity.py
+depends on that).
 """
 
 from __future__ import annotations

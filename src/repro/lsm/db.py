@@ -55,7 +55,7 @@ class DBConfig:
     rate_limit_bytes_per_sec: Optional[float] = None
     readahead: bool = True              # iterator/compaction block prefetch
     # -- concurrency plane (defaults reproduce the single-daemon engine
-    # bit-identically; scripts/lsm_guard.py pins that) -----------------
+    # bit-identically; tests/test_sim_identity.py pins that) -----------
     flush_workers: int = 1              # procs draining the frozen queue
     compaction_workers: int = 1         # max concurrent compactions
     max_immutable_memtables: int = 0    # frozen-queue depth (0 = workers)

@@ -15,7 +15,8 @@ trace JSON) and prints one row per layer:
 * **p50/p95/p99** — nearest-rank percentiles of span duration.
 
 The same computation is importable (:func:`attribute`) so tests and the
-CI guard assert the sum identity instead of eyeballing the table.
+ledger's ``obs.identity_ok`` row assert the sum identity instead of
+eyeballing the table.
 """
 
 from __future__ import annotations

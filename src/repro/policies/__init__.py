@@ -18,7 +18,9 @@ Policies are declared on a :class:`~repro.stack.StackSpec`
 :func:`resolve_placement_policy` turn names into fresh instances (every
 stack gets its own — some policies carry per-stream state).  The
 defaults, greedy victim order and striped placement, are bit-identical
-to the pre-policy collector (``scripts/policy_guard.py`` enforces this).
+to the pre-policy collector (the ``perf_macro`` row of
+``tests/test_sim_identity.py`` and ``tests/test_policies.py::
+test_default_matches_legacy_stable_sort`` enforce this).
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ QoS scheduling (:mod:`repro.qos`).  Each one wires itself into the same
 host objects (the device, its controller, its chips, the simulator) by
 setting a named *slot* attribute that is ``None`` in normal operation,
 so every disabled hot path costs exactly one attribute load and one
-identity check — the zero-cost contract the obs/qos guards enforce.
+identity check.  ``test_unattached_stack_records_nothing`` in
+``tests/test_obs.py`` holds that structure; the ledger's per-layer
+``calls_per_op`` rows, parent vs change, hold the cost.
 
 Before this module, each subsystem grew its own copy of that lifecycle:
 ``FaultInjector.attach``, ``Obs.attach`` and ``QosScheduler.attach``

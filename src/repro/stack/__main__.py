@@ -37,7 +37,7 @@ def main(argv=None) -> int:
                         help="override the results-file name")
     parser.add_argument("--trace-out", default=None,
                         help="record the run's workload-boundary ops to "
-                             "this trace file (.jsonl/.json or binary)")
+                             "this JSONL trace file")
     args = parser.parse_args(argv)
     try:
         spec = load_spec(args.spec)

@@ -41,6 +41,11 @@ from repro.stack.spec import StackSpec
 from repro.zns import OXZns, ZnsConfig
 
 
+#: host="db" over oxblock: the BlockDevEnv extent size, in chunks (the
+#: abstraction-spectrum bench's table size).
+BLOCKDEV_TABLE_CHUNKS = 32
+
+
 @dataclass
 class Stack:
     """Everything :func:`build_stack` wired, one handle per layer.
@@ -202,10 +207,10 @@ def build_stack(spec: StackSpec) -> Stack:
             stack.wlfc = WriteLessCache(
                 stack.ftl, _config_from(WlfcConfig, spec.wlfc, "wlfc"))
         if host == "db":
-            chunks = spec.table_chunks or 32
             stack.env = BlockDevEnv(
                 stack.ftl,
-                table_sectors=chunks * device.geometry.sectors_per_chunk)
+                table_sectors=(BLOCKDEV_TABLE_CHUNKS
+                               * device.geometry.sectors_per_chunk))
     elif spec.ftl == "eleos":
         config = _config_from(EleosConfig, spec.ftl_config, "ftl_config")
         stack.ftl = OXEleos.format(stack.media, config)
@@ -229,16 +234,10 @@ def build_stack(spec: StackSpec) -> Stack:
             raise ReproError(
                 f"ftl_config: lightlsm accepts only {sorted(allowed)}, "
                 f"got {sorted(unknown)}")
-        kwargs.setdefault("dispatch_workers",
-                          spec.lightlsm_dispatch_workers)
         stack.env = LightLSMEnv(stack.media, placement, **kwargs)
     # spec.ftl == "none": a raw device stack (isolation/landscape shapes).
 
     if host == "db" and stack.env is not None:
-        db_kwargs = dict(spec.db)
-        db_kwargs.setdefault("flush_workers", spec.lsm_flush_workers)
-        db_kwargs.setdefault("compaction_workers",
-                             spec.lsm_compaction_workers)
-        db_config = _config_from(DBConfig, db_kwargs, "db")
-        stack.db = DB(stack.env, db_config, device.sim)
+        stack.db = DB(stack.env, _config_from(DBConfig, spec.db, "db"),
+                      device.sim)
     return stack

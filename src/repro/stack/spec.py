@@ -205,7 +205,9 @@ class StackSpec:
     #: FTL flavor: oxblock | eleos | zns | lightlsm | none (raw device).
     ftl: str = "lightlsm"
     #: Kwargs for the flavor's config dataclass (BlockConfig /
-    #: EleosConfig / ZnsConfig; lightlsm: ``chunks_per_sstable``).
+    #: EleosConfig / ZnsConfig; lightlsm: ``chunks_per_sstable``,
+    #: ``dispatch_cpu`` and ``dispatch_workers`` — §4.2: the paper
+    #: runs one dispatch loop).
     ftl_config: Dict[str, object] = field(default_factory=dict)
     #: LightLSM data placement (Figures 5/6): horizontal | vertical.
     placement: str = "horizontal"
@@ -220,23 +222,15 @@ class StackSpec:
     host: str = "auto"
     #: Kwargs for :class:`repro.policies.WlfcConfig` (host="wlfc").
     wlfc: Dict[str, object] = field(default_factory=dict)
-    #: Kwargs for :class:`repro.lsm.DBConfig` (host="db").
+    #: Kwargs for :class:`repro.lsm.DBConfig` (host="db").  The LSM
+    #: concurrency plane lives here: ``flush_workers`` (procs draining
+    #: the frozen-memtable FIFO) and ``compaction_workers`` (max
+    #: concurrent compactions); 1/1 is the historical single-daemon
+    #: engine, bit-identically (the ``lsm_default_fill`` row of
+    #: tests/test_sim_identity.py pins it).
     db: Dict[str, object] = field(default_factory=dict)
-    #: LSM concurrency plane (host="db"): flush procs draining the
-    #: frozen-memtable FIFO and the max concurrent compactions.  1/1 is
-    #: the historical single-daemon engine, bit-identically (pinned by
-    #: scripts/lsm_guard.py).  An explicit ``db["flush_workers"]`` /
-    #: ``db["compaction_workers"]`` wins over these.
-    lsm_flush_workers: int = 1
-    lsm_compaction_workers: int = 1
-    #: Dispatch loops for ftl="lightlsm" (§4.2: the paper runs one).
-    #: An explicit ``ftl_config["dispatch_workers"]`` wins.
-    lightlsm_dispatch_workers: int = 1
     #: Kwargs for :class:`repro.llama.LlamaConfig` (host="llama").
     llama: Dict[str, object] = field(default_factory=dict)
-    #: host="db" over oxblock only: extent size for BlockDevEnv, in
-    #: chunks (0 = 32 chunks, the spectrum bench's table size).
-    table_chunks: int = 0
     workload: Optional[WorkloadSpec] = None
     tenants: List[TenantSpec] = field(default_factory=list)
     #: Placement of tenants over PUs: partitioned | shared.
@@ -290,22 +284,18 @@ class StackSpec:
             _check(self.ftl == "oxblock",
                    f"placement_policy {self.placement_policy!r} needs "
                    f"ftl 'oxblock', not {self.ftl!r}")
-        for name in ("lsm_flush_workers", "lsm_compaction_workers",
-                     "lightlsm_dispatch_workers"):
-            _check(isinstance(getattr(self, name), int)
-                   and getattr(self, name) >= 1,
-                   f"{name} must be an int >= 1, "
-                   f"got {getattr(self, name)!r}")
-        if self.lightlsm_dispatch_workers != 1:
+        # Worker counts are range-checked where they are used (DB,
+        # WriteDispatcher); a count no layer of this stack would read
+        # is a mistake, not a default.
+        if "dispatch_workers" in self.ftl_config:
             _check(self.ftl == "lightlsm",
-                   f"lightlsm_dispatch_workers="
-                   f"{self.lightlsm_dispatch_workers} needs ftl "
+                   f"ftl_config['dispatch_workers'] needs ftl "
                    f"'lightlsm', not {self.ftl!r}")
-        if (self.lsm_flush_workers != 1
-                or self.lsm_compaction_workers != 1):
-            _check(self.resolved_host == "db",
-                   f"lsm_flush_workers/lsm_compaction_workers need the "
-                   f"'db' host, not {self.resolved_host!r}")
+        for key in ("flush_workers", "compaction_workers"):
+            if key in self.db:
+                _check(self.resolved_host == "db",
+                       f"db[{key!r}] needs the 'db' host, "
+                       f"not {self.resolved_host!r}")
         self.geometry.validate()
         for tenant in self.tenants:
             tenant.validate()

@@ -8,8 +8,8 @@ evaluation layer, in three pillars:
 
 * **Capture** — :class:`TraceRecorder`, a sidecar (slot ``trace``, same
   zero-cost-when-detached contract as faults/obs/qos) that records every
-  op crossing the host/workload boundary into a versioned JSONL or
-  binary trace (:mod:`repro.trace.format`).  ``python -m repro.stack
+  op crossing the host/workload boundary into a versioned JSONL trace
+  (:mod:`repro.trace.format`).  ``python -m repro.stack
   --trace-out`` and ``python -m repro.cluster --trace-out`` emit traces.
 * **Replay** — :class:`TraceWorkload`, a workload that plugs into
   ``StackSpec.workload`` (``kind="trace"``) and ``ClusterWorkloadSpec``

@@ -15,8 +15,9 @@ digests, vendor sheets) and the simulator's timing model::
 (optionally) a log-normal jitter sigma as the stdev of the log-samples,
 returning a :class:`CalibrationResult` whose ``timing`` plugs straight
 into ``StackSpec.timing`` / :class:`~repro.ocssd.OpenChannelSSD`.
-:func:`evaluate` scores a timing against a (held-out) profile so the
-trace guard can prove recovery within tolerance.  Profiles come from
+:func:`evaluate` scores a timing against a (held-out) profile so
+``tests/test_trace.py::TestCalibration`` can prove recovery within
+tolerance.  Profiles come from
 three places: shipped data files (:func:`builtin_profiles`), an obs
 histogram dump (:func:`profile_from_registry`), or synthetic ground
 truth (:func:`synth_profile`) for self-tests.
@@ -233,7 +234,7 @@ def synth_profile(timing: NandTiming, seed: int = 0,
     Samples are mean-preserving log-normal around each base latency, the
     same family :class:`SampledNandTiming` draws from, so fitting this
     profile must recover *timing* to within sampling error — the
-    self-test the trace guard runs.
+    self-test ``TestCalibration`` runs.
     """
     rng = random.Random(seed)
     mu_shift = -0.5 * sigma * sigma

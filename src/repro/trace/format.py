@@ -1,20 +1,15 @@
 """The versioned on-disk trace format: one op record per workload op.
 
-Two codecs carry the same logical records:
+A trace is a JSONL file: a header line ``{"format": "repro.trace",
+"version": 1, "meta": {...}}`` followed by one compact JSON object per
+op.  Default-valued fields are omitted, so a fill-sequential trace is
+~60 bytes/op and diffs readably.  It is the only codec: ``read_trace``
+meets the magic of the retired binary ``RTRC`` files with an error that
+says to re-record.
 
-* **JSONL** (``.jsonl``/``.json``) — a header line ``{"format":
-  "repro.trace", "version": 1, "meta": {...}}`` followed by one compact
-  JSON object per op.  Default-valued fields are omitted, so a
-  fill-sequential trace is ~60 bytes/op and diffs readably.
-* **Binary** (any other suffix; ``.trace`` by convention) — magic
-  ``RTRC``, a little-endian version, a JSON meta blob, then fixed-layout
-  struct records with length-prefixed stream/key strings.  ~3x smaller
-  and ~5x faster to decode than JSONL for million-op traces.
-
-``read_trace`` sniffs the magic, so either codec round-trips through
-either suffix.  Payload bytes are compressed to ``(fill, size)`` — every
-workload in this repo writes constant-fill values, and replay fidelity
-needs sizes and keys, not entropy; arbitrary-content values replay as
+Payload bytes are compressed to ``(fill, size)`` — every workload in
+this repo writes constant-fill values, and replay fidelity needs sizes
+and keys, not entropy; arbitrary-content values replay as
 ``bytes([fill]) * size``.
 
 Record vocabulary (``layer`` / ``kind``):
@@ -31,30 +26,27 @@ Record vocabulary (``layer`` / ``kind``):
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
 
 TRACE_VERSION = 1
-TRACE_MAGIC = b"RTRC"
 
 LAYERS = ("host", "block", "cluster")
 KINDS = ("put", "get", "delete", "scan", "write", "read", "trim",
          "flush", "barrier")
 
-#: JSONL field abbreviations, in record order.
-_JSON_KEYS = (("t", "t"), ("l", "layer"), ("k", "kind"), ("s", "stream"),
-              ("key", "key"), ("lba", "lba"), ("n", "sectors"),
-              ("sz", "size"), ("f", "fill"))
+#: JSONL record fields in record order: (abbreviation, TraceOp field,
+#: accepted JSON types).
+_JSON_KEYS = (("t", "t", (int, float)), ("l", "layer", (str,)),
+              ("k", "kind", (str,)), ("s", "stream", (str,)),
+              ("key", "key", (str,)), ("lba", "lba", (int,)),
+              ("n", "sectors", (int,)), ("sz", "size", (int,)),
+              ("f", "fill", (int,)))
+_SHORT_KEYS = frozenset(short for short, __, __ in _JSON_KEYS)
 _DEFAULTS = {"stream": "", "key": "", "lba": -1, "sectors": 0,
              "size": 0, "fill": 0}
-
-#: Binary record header: t, layer, kind, len(stream), len(key), lba,
-#: sectors, size, fill — followed by the stream and key bytes.
-_RECORD = struct.Struct("<dBBHHqiiB")
-_HEADER = struct.Struct("<HI")   # version, meta-blob length
 
 
 @dataclass(frozen=True)
@@ -96,124 +88,103 @@ class TraceOp:
         return self
 
 
-def _encode_jsonl(ops: Iterable[TraceOp], meta: Dict[str, object]) -> bytes:
-    header = {"format": "repro.trace", "version": TRACE_VERSION,
-              "meta": meta}
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for op in ops:
-        record = {}
-        data = asdict(op)
-        for short, field in _JSON_KEYS:
-            value = data[field]
-            if field in _DEFAULTS and value == _DEFAULTS[field]:
-                continue
-            record[short] = value
-        lines.append(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")))
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _decode_jsonl(blob: bytes) -> Tuple[Dict[str, object], List[TraceOp]]:
-    lines = blob.decode().splitlines()
-    if not lines:
-        raise ReproError("trace file is empty")
-    header = json.loads(lines[0])
-    if header.get("format") != "repro.trace":
+def _parse_line(line: str, number: int) -> dict:
+    """One JSONL line as a dict; *number* is 1-based, for the error."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
         raise ReproError(
-            f"not a repro.trace file (header {lines[0][:60]!r})")
-    _check_version(header.get("version"))
-    ops = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        raw = json.loads(line)
-        fields = {field: raw.get(short, _DEFAULTS.get(field))
-                  for short, field in _JSON_KEYS}
-        ops.append(TraceOp(**fields).validate())
-    return header.get("meta", {}), ops
-
-
-def _encode_binary(ops: Iterable[TraceOp], meta: Dict[str, object]) -> bytes:
-    meta_blob = json.dumps(meta, sort_keys=True,
-                           separators=(",", ":")).encode()
-    parts = [TRACE_MAGIC, _HEADER.pack(TRACE_VERSION, len(meta_blob)),
-             meta_blob]
-    for op in ops:
-        stream = op.stream.encode("latin-1")
-        key = op.key_bytes()
-        parts.append(_RECORD.pack(
-            op.t, LAYERS.index(op.layer), KINDS.index(op.kind),
-            len(stream), len(key), op.lba, op.sectors, op.size, op.fill))
-        parts.append(stream)
-        parts.append(key)
-    return b"".join(parts)
-
-
-def _decode_binary(blob: bytes) -> Tuple[Dict[str, object], List[TraceOp]]:
-    if blob[:4] != TRACE_MAGIC:
+            f"trace line {number}: not valid JSON ({exc})") from None
+    if not isinstance(record, dict):
         raise ReproError(
-            f"not a binary repro.trace file (magic {blob[:4]!r})")
-    version, meta_len = _HEADER.unpack_from(blob, 4)
-    _check_version(version)
-    offset = 4 + _HEADER.size
-    meta = json.loads(blob[offset:offset + meta_len].decode())
-    offset += meta_len
-    ops = []
-    total = len(blob)
-    while offset < total:
-        try:
-            (t, layer, kind, stream_len, key_len, lba, sectors, size,
-             fill) = _RECORD.unpack_from(blob, offset)
-        except struct.error:
+            f"trace line {number}: expected a JSON object, got "
+            f"{type(record).__name__}")
+    return record
+
+
+def _parse_op(raw: dict, number: int) -> TraceOp:
+    if not raw.keys() <= _SHORT_KEYS:
+        raise ReproError(
+            f"trace line {number}: unknown field(s) "
+            f"{sorted(raw.keys() - _SHORT_KEYS)}; expected a subset of "
+            f"{sorted(_SHORT_KEYS)}")
+    fields = {}
+    for short, field, types in _JSON_KEYS:
+        value = raw.get(short, _DEFAULTS.get(field))
+        # bool is an int to isinstance(); JSON true/false is never a
+        # time, an LBA or a count.
+        if isinstance(value, bool) or not isinstance(value, types):
             raise ReproError(
-                f"truncated trace record at byte {offset}") from None
-        offset += _RECORD.size
-        stream = blob[offset:offset + stream_len].decode("latin-1")
-        offset += stream_len
-        key = blob[offset:offset + key_len].decode("latin-1")
-        offset += key_len
-        if layer >= len(LAYERS) or kind >= len(KINDS):
-            raise ReproError(
-                f"trace record at byte {offset}: unknown layer/kind "
-                f"codes ({layer}, {kind})")
-        ops.append(TraceOp(t=t, layer=LAYERS[layer], kind=KINDS[kind],
-                           stream=stream, key=key, lba=lba,
-                           sectors=sectors, size=size, fill=fill))
-    return meta, ops
-
-
-def _check_version(version: object) -> None:
-    if version != TRACE_VERSION:
+                f"trace line {number}: field {short!r} must be "
+                f"{' or '.join(t.__name__ for t in types)}, "
+                f"got {value!r}")
+        fields[field] = value
+    if not 0 <= fields["fill"] <= 255:
         raise ReproError(
-            f"trace version {version!r} is not supported "
-            f"(this build reads version {TRACE_VERSION})")
+            f"trace line {number}: field 'f' must be a byte (0..255), "
+            f"got {fields['fill']}")
+    try:
+        return TraceOp(**fields).validate()
+    except ReproError as exc:
+        raise ReproError(f"trace line {number}: {exc}") from None
 
 
 def write_trace(path: str, ops: Iterable[TraceOp],
                 meta: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    """Write *ops* to *path*; codec chosen by suffix (``.jsonl``/``.json``
-    → JSONL, anything else → binary).  Returns the header meta dict."""
+    """Write *ops* to *path* as JSONL.  Returns the header meta dict."""
     meta = dict(meta or {})
     meta.setdefault("version", TRACE_VERSION)
     ops = list(ops)
     meta["op_count"] = len(ops)
-    if path.endswith((".jsonl", ".json")):
-        blob = _encode_jsonl(ops, meta)
-    else:
-        blob = _encode_binary(ops, meta)
-    with open(path, "wb") as handle:
-        handle.write(blob)
+    header = {"format": "repro.trace", "version": TRACE_VERSION,
+              "meta": meta}
+    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    for op in ops:
+        data = asdict(op)
+        record = {short: data[field] for short, field, __ in _JSON_KEYS
+                  if data[field] != _DEFAULTS.get(field)}
+        lines.append(json.dumps(record, sort_keys=True,
+                                separators=(",", ":")))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
     return meta
 
 
 def read_trace(path: str) -> Tuple[Dict[str, object], List[TraceOp]]:
-    """Read a trace; the codec is sniffed from the magic, not the suffix.
+    """Read a trace.  Returns ``(meta, ops)``.
 
-    Returns ``(meta, ops)``; raises :class:`ReproError` on wrong magic,
-    unsupported version, or truncated/invalid records.
+    Everything wrong with the file — not a trace, unsupported version,
+    a retired binary trace, malformed JSON, a mistyped or unknown field
+    — raises :class:`ReproError` naming the 1-based line.
     """
     with open(path, "rb") as handle:
         blob = handle.read()
-    if blob[:4] == TRACE_MAGIC:
-        return _decode_binary(blob)
-    return _decode_jsonl(blob)
+    if blob.startswith(b"RTRC"):   # the retired binary codec's magic
+        raise ReproError(
+            f"{path}: binary (RTRC) traces were retired; re-record the "
+            f"run with --trace-out to get a JSONL trace")
+    try:
+        lines = blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        number = blob.count(b"\n", 0, exc.start) + 1
+        raise ReproError(
+            f"trace line {number}: not UTF-8 text ({exc.reason} at "
+            f"byte {exc.start})") from None
+    if not lines:
+        raise ReproError("trace file is empty")
+    header = _parse_line(lines[0], 1)
+    if header.get("format") != "repro.trace":
+        raise ReproError(
+            f"not a repro.trace file (header {lines[0][:60]!r})")
+    if header.get("version") != TRACE_VERSION:
+        raise ReproError(
+            f"trace version {header.get('version')!r} is not supported "
+            f"(this build reads version {TRACE_VERSION})")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ReproError(
+            f"trace line 1: field 'meta' must be a JSON object, "
+            f"got {meta!r}")
+    ops = [_parse_op(_parse_line(line, number), number)
+           for number, line in enumerate(lines[1:], 2) if line.strip()]
+    return meta, ops

@@ -5,8 +5,9 @@ instrumented call sites — ``DB.put_proc``/``get_proc``/``delete_proc``/
 ``scan_proc`` (the K/V host boundary), the OX-Block synchronous LBA API
 (the raw-block boundary), and ``DbBench.quiesce`` (phase barriers) —
 read ``sim.trace`` at call time and guard with ``is None``, so the
-detached cost is two attribute loads per op (priced by the 2% gate in
-``scripts/trace_guard.py``).  Reading the slot at call time rather than
+detached cost is two attribute loads per op (the ledger's
+``python.calls_per_op`` rows, parent vs change, are where a heavier
+guard would show).  Reading the slot at call time rather than
 caching it at construction means a recorder can attach to an
 already-built stack, which is how ``run_spec(..., trace_out=...)``
 captures without a spec change.
@@ -97,5 +98,5 @@ class TraceRecorder(Sidecar):
 
     def write(self, path: str,
               meta: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-        """Write the recorded ops to *path* (codec by suffix)."""
+        """Write the recorded ops to *path* as JSONL."""
         return write_trace(path, self.ops, meta=meta)

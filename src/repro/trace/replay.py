@@ -8,9 +8,9 @@ in first-appearance order, and quiesces between phases — the same
 processes, issuing the same ops, in the same spawn order, as the
 DbBench run that was captured.  Because the simulator is deterministic,
 the replay's event sequence is then *identical*: same ``sim_seconds``,
-same ``events_processed``, same DB stats (the trace guard's
-bit-identity gate).  Block traces replay as the synchronous
-single-issue loop that produced them.
+same ``events_processed``, same DB stats (``TestHostCaptureReplay`` in
+``tests/test_trace.py`` gates it).  Block traces replay as the
+synchronous single-issue loop that produced them.
 
 Time-warp: ``pacing="afap"`` (default) re-runs the closed loops as fast
 as the simulated device allows — the fidelity mode; ``"recorded"``

@@ -233,12 +233,14 @@ class TestPipelinedFlush:
         db.wait_idle()
         elapsed = sim.now
         assert all(db.get(key(i)) == b"v" * 200 for i in range(0, 64, 7))
-        return elapsed
+        return elapsed, db.stats.max_flush_queue_depth
 
     def test_pipelined_flush_beats_serial(self):
-        serial = self.bursty_fill(1)
-        pipelined = self.bursty_fill(3)
+        serial, __ = self.bursty_fill(1)
+        pipelined, queue_depth = self.bursty_fill(3)
         assert pipelined < serial
+        # The burst really queued frozen memtables behind the workers.
+        assert queue_depth >= 2
 
 
 # -- compaction admission control --------------------------------------------------
@@ -342,6 +344,8 @@ class TestCompactionExecutor:
         for i in range(40):
             assert db.get(key(i)) == bytes([65 + 5]) * 64
         assert db.stats.compactions > 0
+        # Two compactions really overlapped, and no lock leaked.
+        assert db.executor.max_in_flight >= 2
         assert db.executor.in_flight == 0
         assert db.stats.compaction_timeline   # start/end samples taken
 
@@ -573,18 +577,18 @@ class TestWriteDispatcher:
 
 
 class TestSpecValidation:
-    def test_worker_fields_validated(self):
-        from repro.stack import StackSpec
-        with pytest.raises(ReproError):
-            StackSpec(lsm_flush_workers=0).validate()
-        with pytest.raises(ReproError):
+    def test_worker_keys_validated(self):
+        from repro.stack import StackSpec, build_stack
+        with pytest.raises(ReproError, match="flush_workers"):
+            build_stack(StackSpec(db={"flush_workers": 0}))
+        with pytest.raises(ReproError, match="'db' host"):
             StackSpec(ftl="oxblock", host="none",
-                      lsm_compaction_workers=2).validate()
-        with pytest.raises(ReproError):
+                      db={"compaction_workers": 2}).validate()
+        with pytest.raises(ReproError, match="'lightlsm'"):
             StackSpec(ftl="oxblock", host="none",
-                      lightlsm_dispatch_workers=2).validate()
-        StackSpec(lsm_flush_workers=2, lsm_compaction_workers=2,
-                  lightlsm_dispatch_workers=2).validate()
+                      ftl_config={"dispatch_workers": 2}).validate()
+        StackSpec(db={"flush_workers": 2, "compaction_workers": 2},
+                  ftl_config={"dispatch_workers": 2}).validate()
 
     def test_build_wires_workers(self):
         from repro.stack import StackSpec, build_stack
@@ -593,9 +597,9 @@ class TestSpecValidation:
             ftl="lightlsm",
             geometry={"num_groups": 2, "pus_per_group": 2,
                       "chunks_per_pu": 8, "pages_per_block": 6},
-            db={"block_size": 96 * KIB},
-            lsm_flush_workers=2, lsm_compaction_workers=3,
-            lightlsm_dispatch_workers=2))
+            db={"block_size": 96 * KIB, "flush_workers": 2,
+                "compaction_workers": 3},
+            ftl_config={"dispatch_workers": 2}))
         assert stack.db.config.flush_workers == 2
         assert stack.db.config.compaction_workers == 3
         assert stack.db.executor.workers == 3

@@ -1,5 +1,4 @@
-"""Sim-identity pins for the reclaim paths (ELEOS/LLAMA cleaner, OX-Block GC)
-and the OX-Block foreground lanes.
+"""Sim-identity pins: the one file that holds the golden numbers.
 
 Reclaim bookkeeping is host-side accounting: however it is kept, the
 simulated timeline must not move.  Each scenario below runs a smoke-scale
@@ -10,12 +9,26 @@ skipped chunk-table clock tick, a reordered victim or a dropped device
 command changes at least one of them.  The mixed-shape scenario does the
 same for foreground reads and writes of every shape (goldens from aaf8de2,
 the commit before they moved onto one run-based lane each way).
+
+Two rows pin planes that are opt-in and must cost nothing, in simulated
+time, while off: ``perf_macro`` (the perf-trajectory macro bench with
+every policy knob at its default lands where the pre-policy collector
+did) and ``lsm_default_fill`` (a LightLSM fill with every worker count
+at 1 lands where the pre-concurrency single-daemon engine did, down to
+the digest of the per-put latency series).
+
+A row moves only when a PR changes simulated behaviour on purpose:
+regenerate with ``PYTHONPATH=src python tests/test_sim_identity.py`` in
+the same commit and say why.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import os
 import random
+import sys
 import zlib
 
 import pytest
@@ -23,7 +36,13 @@ import pytest
 from repro.ocssd.commands import VectorRead
 from repro.ocssd.device import OpenChannelSSD
 from repro.stack import StackSpec, build_stack
-from repro.units import KIB
+from repro.units import KIB, MIB
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if REPO_ROOT not in sys.path:   # run as a script, not under pytest
+    sys.path.insert(0, REPO_ROOT)
+
+from benchmarks.bench_perf_trajectory import MACRO, run_macro  # noqa: E402
 
 
 def _eleos_llama_clean_loop():
@@ -164,6 +183,36 @@ def _mixed_shapes(host: str):
     return _run_mixed_shapes(host)[1]
 
 
+def _perf_macro():
+    metrics = run_macro(MACRO)
+    return {"sim_seconds": metrics["sim_seconds"],
+            "events_processed": metrics["events_processed"]}
+
+
+def _lsm_default_fill():
+    stack = build_stack(StackSpec(
+        name="pin-lsm-fill", ftl="lightlsm",
+        geometry={"num_groups": 4, "pus_per_group": 2,
+                  "chunks_per_pu": 80, "pages_per_block": 6},
+        db={"block_size": 96 * KIB, "write_buffer_bytes": 1 * MIB,
+            "l0_compaction_trigger": 2, "level_size_multiplier": 2},
+        obs=True))
+    bench = stack.dbbench()
+    bench.fill_sequential(clients=4, ops_per_client=6000)
+    bench.quiesce()
+    samples = stack.obs.metrics.histogram("lsm.put.latency_s").samples()
+    digest = hashlib.sha256(
+        repr([round(x, 12) for x in samples]).encode()).hexdigest()[:16]
+    stats = stack.db.stats
+    return {"sim_seconds": round(stack.sim.now, 9),
+            "events_processed": stack.sim.events_processed,
+            "put_latency_digest": digest,
+            "stall_seconds": round(stats.stall_seconds, 9),
+            "slowdown_puts": stats.slowdown_puts,
+            "flushes": stats.flushes,
+            "compactions": stats.compactions}
+
+
 # Captured at c0a1c8d by `PYTHONPATH=src python tests/test_sim_identity.py`.
 GOLDEN = {'eleos_llama': {'now': 1.2774929687500083,
                  'events': 4913,
@@ -261,7 +310,17 @@ GOLDEN = {'eleos_llama': {'now': 1.2774929687500083,
                        'deferrals_unsafe': 0},
                 'sectors_written': 39144,
                 'sectors_read': 37800,
-                'reads_crc': 1595401565}}
+                'reads_crc': 1595401565},
+ # The pre-policy-plane collector's perf_macro fingerprint.
+ 'perf_macro': {'sim_seconds': 9.744491, 'events_processed': 78125},
+ # The pre-concurrency-plane single-daemon LSM engine (PR 10 baseline).
+ 'lsm_default_fill': {'sim_seconds': 0.60142025,
+                      'events_processed': 27861,
+                      'put_latency_digest': 'cbfc61c40540c638',
+                      'stall_seconds': 1.267275,
+                      'slowdown_puts': 96,
+                      'flushes': 24,
+                      'compactions': 13}}
 
 
 def test_eleos_llama_clean_loop_is_sim_identical():
@@ -277,6 +336,14 @@ def test_zipf_overwrite_gc_is_sim_identical(gc_policy):
 @pytest.mark.parametrize("host", ["none", "wlfc"])
 def test_mixed_shapes_are_sim_identical(host):
     assert _mixed_shapes(host) == GOLDEN[f"mixed_{host}"]
+
+
+def test_default_policies_keep_the_perf_macro_timeline():
+    assert _perf_macro() == GOLDEN["perf_macro"]
+
+
+def test_default_worker_counts_keep_the_lsm_fill_timeline():
+    assert _lsm_default_fill() == GOLDEN["lsm_default_fill"]
 
 
 @pytest.mark.parametrize("host", ["none", "wlfc"])
@@ -316,4 +383,6 @@ if __name__ == "__main__":   # regenerate: PYTHONPATH=src python tests/test_sim_
         golden[policy] = _zipf_overwrite_gc(policy)
     for host in ("none", "wlfc"):
         golden[f"mixed_{host}"] = _mixed_shapes(host)
+    golden["perf_macro"] = _perf_macro()
+    golden["lsm_default_fill"] = _lsm_default_fill()
     pprint.pprint(golden, sort_dicts=False, width=78)

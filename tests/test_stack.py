@@ -1,7 +1,12 @@
 """repro.stack: spec round-trip, builder-vs-hand-wired equivalence,
-spec validation, and the module runner."""
+spec validation, the module runner, and the two repo-wide rules the
+stack layer exists for (no inline device wiring; every example spec
+runs)."""
 
+import glob
 import json
+import os
+import re
 
 import pytest
 
@@ -12,6 +17,8 @@ from repro.nand import FlashGeometry
 from repro.ox import MediaManager
 from repro.stack import StackSpec, build_stack, run_spec
 from repro.units import KIB, MIB
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SMOKE_GEOMETRY = {"num_groups": 4, "pus_per_group": 2,
                   "chunks_per_pu": 24, "pages_per_block": 6}
@@ -214,16 +221,33 @@ def test_raw_workload_honors_seed_zero():
 
 
 def test_module_runner_executes_a_json_spec(tmp_path, capsys):
+    """The CLI runs a spec, records its trace, and replays the trace
+    (a second spec) onto the captured run's exact timeline."""
     from repro.stack.__main__ import main
+    spec = {"name": "runner-test", "geometry": SMOKE_GEOMETRY,
+            "ftl": "lightlsm", "db": SMOKE_DB,
+            "workload": {"kind": "fill_sequential", "clients": 1,
+                         "ops_per_client": 40}}
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({
-        "name": "runner-test", "geometry": SMOKE_GEOMETRY,
-        "ftl": "lightlsm", "db": SMOKE_DB,
-        "workload": {"kind": "fill_sequential", "clients": 1,
-                     "ops_per_client": 40}}))
-    assert main([str(spec_path)]) == 0
+    spec_path.write_text(json.dumps(spec))
+    trace_path = tmp_path / "trace.jsonl"
+    assert main([str(spec_path), "--trace-out", str(trace_path)]) == 0
     out = capsys.readouterr().out
     assert "runner-test" in out and "fill_ops_per_sec" in out
+
+    replay_path = tmp_path / "replay.json"
+    replay_path.write_text(json.dumps(dict(
+        spec, workload={"kind": "trace", "trace": str(trace_path)})))
+    assert main([str(replay_path), "--name", "runner-replay"]) == 0
+    # tests/conftest.py points the results files at tmp_path.
+    captured, replayed = (
+        json.loads((tmp_path / f"{name}.json").read_text())["metrics"]
+        for name in ("runner-test", "runner-replay"))
+    assert replayed["replay_ops"] == captured["trace_ops"] == 40
+    shared = set(captured) & set(replayed) - {"fill_ops_per_sec"}
+    assert {"sim_seconds", "events_processed"} <= shared
+    for key in shared:
+        assert replayed[key] == captured[key], key
 
 
 def test_module_runner_rejects_a_bad_spec(tmp_path, capsys):
@@ -232,3 +256,51 @@ def test_module_runner_rejects_a_bad_spec(tmp_path, capsys):
     spec_path.write_text(json.dumps({"ftl": "pblk"}))
     assert main([str(spec_path)]) == 2
     assert "unknown FTL flavor" in capsys.readouterr().err
+
+
+# -- repo-wide rules ----------------------------------------------------------
+
+
+def test_no_inline_device_wiring_outside_repro_stack():
+    """Nothing under benchmarks/, scripts/ or examples/ constructs
+    ``OpenChannelSSD(`` itself: every stack there goes through
+    ``build_stack``, so specs stay the single source of assembly truth.
+    (``src/repro`` holds the builder and the layers; unit tests wire
+    single layers on purpose.)"""
+    inline_wiring = re.compile(r"\bOpenChannelSSD\s*\(")
+    offenders = []
+    for top in ("benchmarks", "scripts", "examples"):
+        for path in glob.glob(os.path.join(REPO_ROOT, top, "**", "*.py"),
+                              recursive=True):
+            with open(path) as handle:
+                offenders.extend(
+                    f"{os.path.relpath(path, REPO_ROOT)}:{number}"
+                    for number, line in enumerate(handle, 1)
+                    if inline_wiring.search(line))
+    assert not offenders, (
+        f"declare a StackSpec and call build_stack() instead: {offenders}")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(REPO_ROOT, "examples", "specs",
+                                          "*.json"))),
+    ids=os.path.basename)
+def test_example_spec_runs_end_to_end(path):
+    """Every shipped example spec loads through its CLI loader and runs:
+    a stack spec drives a nonzero op count, a cluster spec verifies
+    every read and loses none."""
+    from repro.cluster import run_cluster
+    from repro.cluster.__main__ import load_cluster_spec
+    from repro.stack.__main__ import load_spec
+    with open(path) as handle:
+        is_cluster = bool({"template", "shards"} & set(json.load(handle)))
+    if is_cluster:
+        result = run_cluster(load_cluster_spec(path))
+        merged = result.merged
+        assert result.reads_lost == 0
+        assert (merged["cluster.reads_verified_total"]
+                == merged["cluster.reads_attempted"] > 0)
+    else:
+        metrics = run_spec(load_spec(path))
+        assert metrics["fill_ops"] > 0
+        assert metrics["sim_seconds"] > 0

@@ -1,6 +1,6 @@
 """Tests for the ``repro.trace`` subsystem.
 
-Covers the three pillars end to end: the on-disk format (both codecs,
+Covers the three pillars end to end: the on-disk format (round trip,
 version/corruption errors), the capture sidecar (attach/detach, boundary
 filtering, zero perturbation of the simulated timeline), deterministic
 replay (bit-identical non-wall metrics on the same spec, cross-FTL
@@ -78,6 +78,9 @@ def replay_spec(trace_path, base=HOST_SPEC, pacing="afap",
     return StackSpec.from_dict(data)
 
 
+HEADER = b'{"format":"repro.trace","version":1,"meta":{}}\n'
+
+
 def sample_ops():
     return [
         TraceOp(t=0.0, layer="host", kind="put", stream="fill-0",
@@ -87,41 +90,21 @@ def sample_ops():
                 key="k0001"),
         TraceOp(t=0.003, layer="block", kind="write", lba=48, sectors=24,
                 fill=7),
-        TraceOp(t=0.004, layer="cluster", kind="read", key="17"),
+        TraceOp(t=0.004, layer="block", kind="flush"),
+        TraceOp(t=0.005, layer="cluster", kind="read", key="17"),
     ]
 
 
 class TestTraceFormat:
-    @pytest.mark.parametrize("suffix", [".jsonl", ".trace"])
-    def test_round_trip(self, tmp_path, suffix):
-        path = str(tmp_path / f"t{suffix}")
+    def test_round_trip(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
         meta = write_trace(path, sample_ops(), meta={"spec": {"x": 1}})
-        assert meta["op_count"] == 5
+        assert meta["op_count"] == 6
         got_meta, got_ops = read_trace(path)
         assert got_ops == sample_ops()
         assert got_meta["spec"] == {"x": 1}
         assert got_meta["version"] == 1
-
-    def test_codec_sniffed_not_suffix(self, tmp_path):
-        # Binary bytes under a .jsonl name still decode (magic wins).
-        jsonl_named = str(tmp_path / "t.jsonl")
-        binary_named = str(tmp_path / "t.bin")
-        write_trace(binary_named, sample_ops())
-        with open(binary_named, "rb") as handle:
-            blob = handle.read()
-        with open(jsonl_named, "wb") as handle:
-            handle.write(blob)
-        __, ops = read_trace(jsonl_named)
-        assert ops == sample_ops()
-
-    def test_binary_is_smaller(self, tmp_path):
-        import os
-        ops = sample_ops() * 200
-        jsonl = str(tmp_path / "t.jsonl")
-        binary = str(tmp_path / "t.trace")
-        write_trace(jsonl, ops)
-        write_trace(binary, ops)
-        assert os.path.getsize(binary) < os.path.getsize(jsonl)
+        assert got_meta["op_count"] == 6
 
     def test_not_a_trace_file(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -129,6 +112,54 @@ class TestTraceFormat:
             handle.write('{"some": "json"}\n')
         with pytest.raises(ReproError, match="not a repro.trace"):
             read_trace(path)
+
+    # Every way a file can be malformed is a ReproError naming the
+    # 1-based line and the field: never a bare decode error, never a
+    # TraceOp carrying the wrong type.
+    @pytest.mark.parametrize("blob, match", [
+        pytest.param(HEADER + b'{"t":0.0,"l":"block","k":"wri',
+                     "line 2.*JSON", id="truncated-line"),
+        pytest.param(b"not json at all\n", "line 1.*JSON",
+                     id="non-json-header"),
+        pytest.param(b"[1, 2]\n", "line 1.*object", id="list-header"),
+        pytest.param(HEADER + b"\n[1, 2]\n", "line 3.*object",
+                     id="list-record"),
+        pytest.param(HEADER + b'{"t":0.0,"l":"host","k":"put","key":"\xff"}\n',
+                     "line 2.*UTF-8", id="non-utf8"),
+        pytest.param(b'{"format":"repro.trace","version":1,"meta":[1]}\n',
+                     "line 1.*'meta'", id="list-meta"),
+        pytest.param(HEADER + b'{"t":"x","l":"block","k":"write"}\n',
+                     "line 2.*'t'", id="t-str"),
+        pytest.param(HEADER + b'{"t":true,"l":"block","k":"write"}\n',
+                     "line 2.*'t'", id="t-bool"),
+        pytest.param(HEADER + b'{"l":"block","k":"write"}\n',
+                     "line 2.*'t'", id="t-missing"),
+        pytest.param(HEADER + b'{"t":0.0,"l":"block","k":"write","lba":"q"}\n',
+                     "line 2.*'lba'", id="lba-str"),
+        pytest.param(HEADER + b'{"t":0.0,"l":"block","k":"write","n":1.5}\n',
+                     "line 2.*'n'", id="n-float"),
+        pytest.param(HEADER + b'{"t":0.0,"l":"host","k":"put","sz":"big"}\n',
+                     "line 2.*'sz'", id="sz-str"),
+        pytest.param(HEADER + b'{"t":0.0,"l":"host","k":"put","f":[65]}\n',
+                     "line 2.*'f'", id="f-list"),
+        pytest.param(HEADER + b'{"t":0.0,"l":"host","k":"put","f":256}\n',
+                     "line 2.*'f'.*byte", id="f-not-a-byte"),
+        pytest.param(HEADER + b'{"t":0.0,"l":"host","k":"put","s":7}\n',
+                     "line 2.*'s'", id="s-int"),
+        pytest.param(HEADER + b'{"t":0.0,"l":"host","k":"put","key":7}\n',
+                     "line 2.*'key'", id="key-int"),
+        pytest.param(HEADER + b'{"t":0.0,"l":"host","k":"put","size":9}\n',
+                     "line 2.*unknown.*size", id="unknown-short-key"),
+        pytest.param(HEADER + b'{"t":0.0,"l":"nvme","k":"put"}\n',
+                     "line 2.*layer", id="unknown-layer"),
+        pytest.param(b"RTRC\x01\x00\x02\x00\x00\x00{}",
+                     "retired.*re-record", id="retired-binary"),
+    ])
+    def test_malformed_trace_is_a_repro_error(self, tmp_path, blob, match):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(blob)
+        with pytest.raises(ReproError, match=match):
+            read_trace(str(path))
 
     def test_empty_file(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -141,16 +172,6 @@ class TestTraceFormat:
         with open(path, "w") as handle:
             handle.write('{"format":"repro.trace","version":99}\n')
         with pytest.raises(ReproError, match="version 99"):
-            read_trace(path)
-
-    def test_truncated_binary_record(self, tmp_path):
-        path = str(tmp_path / "t.trace")
-        write_trace(path, sample_ops())
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(blob[:-3])
-        with pytest.raises(ReproError, match="trace"):
             read_trace(path)
 
     def test_op_vocabulary_validated(self):
@@ -218,6 +239,8 @@ class TestHostCaptureReplay:
         assert replayed["replay_streams"] == 4
         assert replayed["replay_phases"] == 2
         assert replayed["replay_ops"] == 2 * 40 + 2 * 60
+        # Every record but the quiesce barrier is driven.
+        assert replayed["replay_ops"] == captured["trace_ops"] - 1
         assert replayed["sim_seconds"] == captured["sim_seconds"]
         assert (replayed["events_processed"]
                 == captured["events_processed"])
@@ -247,7 +270,7 @@ class TestHostCaptureReplay:
 
 class TestBlockCaptureReplay:
     def test_replay_is_bit_identical(self, tmp_path):
-        trace = str(tmp_path / "t.trace")
+        trace = str(tmp_path / "t.jsonl")
         captured = run_spec(StackSpec.from_dict(copy.deepcopy(BLOCK_SPEC)),
                             trace_out=trace)
         replayed = run_spec(replay_spec(trace, base=BLOCK_SPEC))
