@@ -4,36 +4,20 @@
 performance of bloom filters" (§4.3) — read-random throughput hinges on
 these.  Double hashing over two independent 64-bit hashes, as in RocksDB's
 full filters.
+
+A key probes ``(h1 + i*h2) % num_bits`` for ``i < num_hashes``, walked
+incrementally (``bit = h1 % n``, then ``bit += h2 % n`` with one
+conditional wrap): no 128-bit arithmetic to insert or to probe.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable
+from typing import Sequence
 
 _U64 = struct.Struct("<QQ")
 _HEADER = struct.Struct("<IQ")   # num_hashes, num_bits
-
-
-def _hash_pair(key: bytes) -> tuple[int, int]:
-    digest = hashlib.blake2b(key, digest_size=16).digest()
-    return _U64.unpack(digest)
-
-
-def hash_key(key: bytes) -> tuple[int, int]:
-    """The (h1, h2) pair used for double hashing; builders collect these
-    so the filter can be sized from the *actual* key count at finish."""
-    return _hash_pair(key)
-
-
-def build_from_hashes(hashes: list[tuple[int, int]],
-                      bits_per_key: int = 10) -> "BloomFilter":
-    """Construct a right-sized filter from pre-computed hash pairs."""
-    bloom = BloomFilter.for_keys(max(1, len(hashes)), bits_per_key)
-    for h1, h2 in hashes:
-        bloom.add_hash(h1, h2)
-    return bloom
 
 
 class BloomFilter:
@@ -56,26 +40,57 @@ class BloomFilter:
         num_hashes = max(1, min(16, int(bits_per_key * 0.69)))
         return cls(num_bits, num_hashes)
 
-    def add(self, key: bytes) -> None:
-        self.add_hash(*_hash_pair(key))
-
-    def add_hash(self, h1: int, h2: int) -> None:
-        """Insert a pre-computed hash pair (see :func:`hash_key`)."""
-        for i in range(self.num_hashes):
-            bit = (h1 + i * h2) % self.num_bits
-            self._bits[bit >> 3] |= 1 << (bit & 7)
-
-    def add_all(self, keys: Iterable[bytes]) -> None:
+    @classmethod
+    def build(cls, keys: Sequence[bytes],
+              bits_per_key: int = 10) -> "BloomFilter":
+        """A filter sized for exactly *keys* (RocksDB full-filter style:
+        the table builder calls this once, at finish)."""
+        bloom = cls.for_keys(max(1, len(keys)), bits_per_key)
+        num_bits = bloom.num_bits
+        # One byte per filter bit while inserting, so a probe is a store.
+        flags = bytearray(len(bloom._bits) * 8)
+        probes = range(bloom.num_hashes)
+        blake2b, unpack = hashlib.blake2b, _U64.unpack
         for key in keys:
-            self.add(key)
+            h1, h2 = unpack(blake2b(key, digest_size=16).digest())
+            bit = h1 % num_bits
+            step = h2 % num_bits
+            for __ in probes:
+                flags[bit] = 1
+                bit += step
+                if bit >= num_bits:
+                    bit -= num_bits
+        # Bit i of filter byte j is flags[8*j + i]: each plane flags[i::8]
+        # shifts into place as one big integer.
+        packed = 0
+        for i in range(8):
+            packed |= int.from_bytes(flags[i::8], "little") << i
+        bloom._bits = bytearray(packed.to_bytes(len(bloom._bits), "little"))
+        return bloom
+
+    def add(self, key: bytes) -> None:
+        bits, num_bits = self._bits, self.num_bits
+        h1, h2 = _U64.unpack(hashlib.blake2b(key, digest_size=16).digest())
+        bit = h1 % num_bits
+        step = h2 % num_bits
+        for __ in range(self.num_hashes):
+            bits[bit >> 3] |= 1 << (bit & 7)
+            bit += step
+            if bit >= num_bits:
+                bit -= num_bits
 
     def may_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""
-        h1, h2 = _hash_pair(key)
-        for i in range(self.num_hashes):
-            bit = (h1 + i * h2) % self.num_bits
-            if not self._bits[bit >> 3] & (1 << (bit & 7)):
+        bits, num_bits = self._bits, self.num_bits
+        h1, h2 = _U64.unpack(hashlib.blake2b(key, digest_size=16).digest())
+        bit = h1 % num_bits
+        step = h2 % num_bits
+        for __ in range(self.num_hashes):
+            if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
+            bit += step
+            if bit >= num_bits:
+                bit -= num_bits
         return True
 
     # -- serialization ------------------------------------------------------------

@@ -12,12 +12,11 @@ chunk erasing.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.lsm.memtable import TOMBSTONE, _Tombstone
-from repro.lsm.sstable import SSTableMeta, iter_block
+from repro.lsm.sstable import SSTableMeta, decode_block, encode_entry
 
 
 @dataclass
@@ -35,8 +34,15 @@ class TableRef:
 
 
 class TableCursor:
-    """Streams one SSTable's entries in key order, with one-block
-    readahead so sequential scans overlap I/O with consumption."""
+    """One SSTable's entries in key order, a decoded block at a time, with
+    one-block readahead so sequential scans overlap I/O with consumption.
+
+    The cursor protocol, shared with :class:`MemCursor`: ``keys`` and
+    ``entries`` are the current block as parallel lists (see
+    :func:`~repro.lsm.sstable.decode_block`), ``pos`` indexes them; the
+    consumer steps ``pos`` itself and awaits :meth:`load_proc` only when
+    it runs off the block.  An exhausted cursor has empty ``keys``.
+    """
 
     def __init__(self, env, table: TableRef, block_size: int, sim,
                  readahead: bool = True):
@@ -46,138 +52,132 @@ class TableCursor:
         self.sim = sim
         self.readahead = readahead
         self._block_index = 0
-        self._entries: Optional[Iterator] = None
         self._prefetch = None     # Process reading the next block
-        self.current: Optional[Tuple[bytes, object]] = None
+        self.keys = self.entries = []
+        self.pos = 0
 
-    def open_proc(self):
-        yield from self._load_block_proc()
-        yield from self.advance_proc()
-
-    def advance_proc(self):
-        """Move to the next entry (None at end-of-table)."""
-        while True:
-            if self._entries is not None:
-                try:
-                    self.current = next(self._entries)
-                    return self.current
-                except StopIteration:
-                    self._entries = None
-            if self._block_index >= self.table.meta.num_blocks:
-                self.current = None
-                return None
-            yield from self._load_block_proc()
-
-    def _load_block_proc(self):
-        if self._block_index >= self.table.meta.num_blocks:
-            return
-        if self._prefetch is not None:
-            block = yield self._prefetch
-            self._prefetch = None
-        else:
-            block = yield from self.env.read_block_proc(
-                self.table.handle, self._block_index, self.block_size)
-        self._entries = iter_block(block)
-        self._block_index += 1
-        if self.readahead and self._block_index < self.table.meta.num_blocks:
-            self._prefetch = self.sim.spawn(
-                self.env.read_block_proc(self.table.handle,
-                                         self._block_index,
-                                         self.block_size),
-                name="readahead")
+    def load_proc(self):
+        """Move to the table's next block (the first, on a new cursor)."""
+        self.pos = 0
+        self.keys = self.entries = []
+        num_blocks = self.table.meta.num_blocks
+        while not self.keys and self._block_index < num_blocks:
+            if self._prefetch is not None:
+                block = yield self._prefetch
+                self._prefetch = None
+            else:
+                block = yield from self.env.read_block_proc(
+                    self.table.handle, self._block_index, self.block_size)
+            self.keys, self.entries = decode_block(block)
+            self._block_index += 1
+            if self.readahead and self._block_index < num_blocks:
+                self._prefetch = self.sim.spawn(
+                    self.env.read_block_proc(self.table.handle,
+                                             self._block_index,
+                                             self.block_size),
+                    name="readahead")
 
 
 class MemCursor:
-    """Cursor over an in-memory sorted item list (memtable snapshots)."""
+    """Cursor over an in-memory sorted item list (memtable snapshots).
+    A "block" is a run of *block_entries* items, encoded when loaded, so
+    a flush or scan never holds a second copy of a memtable."""
 
-    def __init__(self, items: List[Tuple[bytes, object]]):
+    def __init__(self, items: List[Tuple[bytes, object]],
+                 block_entries: int = 128):
         self._items = items
-        self._index = 0
-        self.current: Optional[Tuple[bytes, object]] = None
+        self._next = 0
+        self.block_entries = block_entries
+        self.keys = self.entries = []
+        self.pos = 0
 
-    def open_proc(self):
-        return self.advance_proc()
-
-    def advance_proc(self):
-        if self._index < len(self._items):
-            self.current = self._items[self._index]
-            self._index += 1
-        else:
-            self.current = None
-        return self.current
+    def load_proc(self):
+        run = self._items[self._next:self._next + self.block_entries]
+        self._next += len(run)
+        self.pos = 0
+        self.keys = [key for key, __ in run]
+        self.entries = [encode_entry(key, value) for key, value in run]
+        return
         yield  # pragma: no cover - generator marker
 
 
-def merge_into_proc(cursors: List, sink, drop_tombstones: bool):
+def merge_into_proc(cursors: List, sink, drop_tombstones: bool,
+                    limit: int = 0):
     """Process generator: k-way merge of *cursors* (newest first) into
-    ``sink(key, value)``, which may itself be a process generator factory
-    (``yield from sink(key, value)``).
+    ``sink(key, encoded)``, stopping after *limit* emissions (0 = all).
 
-    A heap of ``(key, cursor_index)`` keeps each emission O(log k)
-    instead of the old O(k) scan over every cursor.  Ties pop in cursor-
-    index order, so the newest cursor (lowest index) still supplies the
-    value and duplicate holders advance in exactly the order the linear
-    scan advanced them — :func:`merge_into_linear_proc` is kept as the
-    executable spec and the identity test pins the two together.
+    It is awaited only where the sim clock can move: a cursor running off
+    its block (a block read or readahead join) and whatever *sink* — a
+    plain call — hands back: ``None``, or a process generator when the
+    emission must wait (a block write, a table boundary, scan CPU).
+
+    A heap of ``(key, cursor_index)`` keeps each emission O(log k).  Ties
+    pop in cursor-index order, so the newest cursor supplies the entry
+    and every holder of the key advances before the emission, in the
+    order of :func:`merge_into_linear_proc`, the executable spec.
 
     Returns the number of entries emitted.
     """
     for cursor in cursors:
-        yield from cursor.open_proc()
+        yield from cursor.load_proc()
     heap: List[Tuple[bytes, int]] = [
-        (cursor.current[0], index)
-        for index, cursor in enumerate(cursors)
-        if cursor.current is not None]
+        (cursor.keys[0], index)
+        for index, cursor in enumerate(cursors) if cursor.keys]
     heapq.heapify(heap)
+    heapreplace, heappop = heapq.heapreplace, heapq.heappop
     emitted = 0
     while heap:
-        best_key, index = heapq.heappop(heap)
-        holders = [index]
+        best_key, index = heap[0]
+        encoded = cursors[index].entries[cursors[index].pos]
         while heap and heap[0][0] == best_key:
-            holders.append(heapq.heappop(heap)[1])
-        # Equal keys pop by ascending cursor index, so holders[0] is the
-        # newest cursor; every holder advances (in that same order)
-        # before the emission, exactly as the linear scan did.
-        chosen_value = cursors[holders[0]].current[1]
-        for holder in holders:
-            yield from cursors[holder].advance_proc()
-            if cursors[holder].current is not None:
-                heapq.heappush(heap,
-                               (cursors[holder].current[0], holder))
-        if drop_tombstones and isinstance(chosen_value, _Tombstone):
+            # Step the holder on top of the heap, then re-key its entry.
+            index = heap[0][1]
+            cursor = cursors[index]
+            cursor.pos += 1
+            if cursor.pos == len(cursor.keys):
+                yield from cursor.load_proc()
+            if cursor.keys:
+                heapreplace(heap, (cursor.keys[cursor.pos], index))
+            else:
+                heappop(heap)
+        if drop_tombstones and encoded[0]:
             continue
-        yield from sink(best_key, chosen_value)
+        wait = sink(best_key, encoded)
+        if wait is not None:
+            yield from wait
         emitted += 1
+        if emitted == limit:
+            break
     return emitted
 
 
-def merge_into_linear_proc(cursors: List, sink, drop_tombstones: bool):
-    """The original O(k)-per-entry merge, kept as the executable spec
-    for :func:`merge_into_proc`'s bit-identity test."""
+def merge_into_linear_proc(cursors: List, sink, drop_tombstones: bool,
+                           limit: int = 0):
+    """The original O(k)-per-entry merge over the same cursor and sink
+    protocol, kept as the executable spec for :func:`merge_into_proc`'s
+    bit-identity test."""
     for cursor in cursors:
-        yield from cursor.open_proc()
+        yield from cursor.load_proc()
     emitted = 0
-    while True:
-        best_key = None
-        for cursor in cursors:
-            if cursor.current is not None:
-                key = cursor.current[0]
-                if best_key is None or key < best_key:
-                    best_key = key
-        if best_key is None:
-            return emitted
-        chosen_value = None
-        seen = False
-        for cursor in cursors:
-            if cursor.current is not None and cursor.current[0] == best_key:
-                if not seen:
-                    chosen_value = cursor.current[1]
-                    seen = True
-                yield from cursor.advance_proc()
-        if drop_tombstones and isinstance(chosen_value, _Tombstone):
+    while emitted < limit or not limit:
+        live = [cursor for cursor in cursors if cursor.keys]
+        if not live:
+            break
+        best_key = min(cursor.keys[cursor.pos] for cursor in live)
+        holders = [cursor for cursor in live
+                   if cursor.keys[cursor.pos] == best_key]
+        encoded = holders[0].entries[holders[0].pos]
+        for cursor in holders:
+            cursor.pos += 1
+            if cursor.pos == len(cursor.keys):
+                yield from cursor.load_proc()
+        if drop_tombstones and encoded[0]:
             continue
-        yield from sink(best_key, chosen_value)
+        wait = sink(best_key, encoded)
+        if wait is not None:
+            yield from wait
         emitted += 1
+    return emitted
 
 
 @dataclass

@@ -26,10 +26,10 @@ from repro.lsm.compaction import (
     pick_compaction,
 )
 from repro.lsm.env import StorageEnv
-from repro.lsm.memtable import (
-    TOMBSTONE, ImmutableMemtable, MemTable, _Tombstone)
+from repro.lsm.memtable import ImmutableMemtable, MemTable, _Tombstone
 from repro.qos.tokenbucket import TokenBucket
-from repro.lsm.sstable import SSTableBuilder, SSTableMeta, search_block
+from repro.lsm.sstable import (
+    SSTableBuilder, SSTableMeta, decode_value, search_block)
 from repro.sim.core import Interrupt, Simulator
 from repro.units import KIB, MIB
 
@@ -210,6 +210,8 @@ class DB:
     # -- write path --------------------------------------------------------------------
 
     def put_proc(self, key: bytes, value: bytes, *, stream: str = ""):
+        if not key:
+            raise ReproError("DB.put: key must not be empty")
         # Trace capture (repro.trace): the slot is read at call time so a
         # recorder can attach to an already-built stack; detached cost is
         # these two loads.  *stream* is the replay-concurrency label — it
@@ -221,7 +223,9 @@ class DB:
         obs = self.obs
         if obs is not None:
             put_started = self.sim.now
-        yield from self._write_gate_proc()
+        state = self._sample_backpressure()
+        if state != OK:
+            yield from self._write_gate_proc(state)
         if self.config.put_cpu:
             yield self.sim.timeout(self.config.put_cpu)
         self.memtable.put(key, value)
@@ -233,10 +237,14 @@ class DB:
                 self.sim.now - put_started)
 
     def delete_proc(self, key: bytes, *, stream: str = ""):
+        if not key:
+            raise ReproError("DB.delete: key must not be empty")
         trace = self.sim.trace
         if trace is not None:
             trace.host_op("delete", key=key, stream=stream)
-        yield from self._write_gate_proc()
+        state = self._sample_backpressure()
+        if state != OK:
+            yield from self._write_gate_proc(state)
         if self.config.put_cpu:
             yield self.sim.timeout(self.config.put_cpu)
         self.memtable.delete(key)
@@ -253,15 +261,11 @@ class DB:
         while self.immutable_queue or self._flushes_active:
             yield self.sim.timeout(1e-4)
 
-    def _write_gate_proc(self):
-        """RocksDB write controller: STOP blocks the put on the write
-        gate until a background completion reopens it; SLOWDOWN charges
-        the put an extra delay so compaction can catch up."""
-        bp = self.backpressure
-        while True:
-            state = bp.observe(self._classify_backpressure(), self.sim.now)
-            if state != STOP:
-                break
+    def _write_gate_proc(self, state: str):
+        """RocksDB write controller, for a write that sampled STOP (blocks
+        on the write gate until a background completion reopens it) or
+        SLOWDOWN (pays an extra delay so compaction can catch up)."""
+        while state == STOP:
             started = self.sim.now
             gate = self._write_ok
             if gate.triggered:
@@ -272,22 +276,24 @@ class DB:
             if self.obs is not None:
                 self.obs.metrics.histogram("lsm.stall_s").record(
                     self.sim.now - started)
+            state = self._sample_backpressure()
         if state == SLOWDOWN:
             self.stats.slowdown_puts += 1
             yield self.sim.timeout(self.config.slowdown_delay)
 
-    def _classify_backpressure(self) -> str:
-        return self.backpressure.classify(
+    def _sample_backpressure(self) -> str:
+        """Classify the write controller's regime now and record it."""
+        backpressure = self.backpressure
+        return backpressure.observe(backpressure.classify(
             len(self.immutable_queue) >= self._immutable_cap,
             self.memtable.approximate_bytes
             >= self.config.write_buffer_bytes,
-            len(self.levels[0]))
+            len(self.levels[0])), self.sim.now)
 
     def _open_write_gate(self) -> None:
         # Background completions re-sample the controller so residency
         # reflects the release, not just the next gated put.
-        self.backpressure.observe(self._classify_backpressure(),
-                                  self.sim.now)
+        self._sample_backpressure()
         if not self._write_ok.triggered:
             self._write_ok.succeed()
 
@@ -359,7 +365,7 @@ class DB:
         if trace is not None:
             trace.host_op("scan", size=limit, stream=stream)
         snapshot: List[TableRef] = []
-        cursors = [MemCursor(list(self.memtable.items_sorted()))]
+        cursors = [MemCursor(self.memtable.items_sorted())]
         for entry in reversed(self.immutable_queue):
             cursors.append(MemCursor(entry.items))
         for level, tables in enumerate(self.levels):
@@ -369,58 +375,23 @@ class DB:
                 cursors.append(TableCursor(
                     self.env, table, self.config.block_size, self.sim,
                     readahead=self.config.readahead))
-        count = 0
+        scan_cpu = self.config.scan_cpu
 
-        def sink(key, value):
-            nonlocal count
-            count += 1
+        def scan_cpu_proc():
+            yield self.sim.timeout(scan_cpu)
+
+        def sink(key, encoded):
             if on_entry is not None:
-                on_entry(key, value)
-            if self.config.scan_cpu:
-                yield self.sim.timeout(self.config.scan_cpu)
+                on_entry(key, decode_value(key, encoded))
+            if scan_cpu:
+                return scan_cpu_proc()
 
         try:
-            if limit:
-                yield from self._merge_limited_proc(cursors, sink, limit)
-            else:
-                yield from merge_into_proc(cursors, sink,
-                                           drop_tombstones=True)
+            return (yield from merge_into_proc(
+                cursors, sink, drop_tombstones=True, limit=limit))
         finally:
             for table in snapshot:
                 self._release(table)
-        return count
-
-    def _merge_limited_proc(self, cursors, sink, limit: int):
-        emitted = 0
-
-        def counting_sink(key, value):
-            nonlocal emitted
-            emitted += 1
-            yield from sink(key, value)
-
-        for cursor in cursors:
-            yield from cursor.open_proc()
-        while emitted < limit:
-            best_key = None
-            for cursor in cursors:
-                if cursor.current is not None:
-                    key = cursor.current[0]
-                    if best_key is None or key < best_key:
-                        best_key = key
-            if best_key is None:
-                return
-            chosen = None
-            seen = False
-            for cursor in cursors:
-                if cursor.current is not None \
-                        and cursor.current[0] == best_key:
-                    if not seen:
-                        chosen = cursor.current[1]
-                        seen = True
-                    yield from cursor.advance_proc()
-            if isinstance(chosen, _Tombstone):
-                continue
-            yield from counting_sink(best_key, chosen)
 
     # -- background: flush ------------------------------------------------------------
 
@@ -593,58 +564,55 @@ class DB:
         outputs: List[TableRef] = []
         bg_gate = (self.qos.background_gate_proc
                    if yield_to_foreground and self.qos is not None else None)
-        state = {"builder": None, "writer": None, "bytes": 0}
         target_bytes = self.sstable_data_bytes
+        builder = writer = None     # the table being written, if any
 
-        def start_table_proc():
+        def sink(key, encoded):
+            # Awaited only for the rare part: a table to open, a filled
+            # block to write, a full table to close.
+            if builder is None:
+                return open_table_proc(key, encoded)
+            block = builder.add_encoded(key, encoded)
+            if block is not None or builder.data_bytes >= target_bytes:
+                return write_proc(block)
+
+        def open_table_proc(key, encoded):
+            nonlocal builder, writer
             sstable_id = self._next_sstable_id
             self._next_sstable_id += 1
             writer = yield from self.env.create_writer_proc(
                 sstable_id, level, self.config.block_size)
-            expected = max(16, target_bytes // 64)
             builder = SSTableBuilder(
                 sstable_id, sequence=sstable_id,
                 block_size=self.config.block_size,
-                expected_keys=expected,
                 bits_per_key=self.config.bits_per_key)
-            state["builder"] = builder
-            state["writer"] = writer
-            state["bytes"] = 0
+            wait = sink(key, encoded)
+            if wait is not None:
+                yield from wait
+
+        def write_proc(block):
+            if block is not None:
+                if bg_gate is not None:
+                    yield from bg_gate()
+                yield from self.limiter.acquire_proc(len(block))
+                yield from writer.append_block_proc(block)
+            if builder.data_bytes >= target_bytes:
+                yield from finish_table_proc()
 
         def finish_table_proc():
-            builder = state["builder"]
-            writer = state["writer"]
+            nonlocal builder, writer
             if builder is None:
                 return
             final_block, meta = builder.finish()
             if final_block is not None:
                 yield from self.limiter.acquire_proc(len(final_block))
                 yield from writer.append_block_proc(final_block)
-            if builder.entry_count == 0:
-                yield from writer.abort_proc()
-            else:
-                handle = yield from writer.finish_proc(meta.serialize())
-                table = TableRef(handle=handle, meta=meta)
-                self._install_table(table, level, l0_seq)
-                outputs.append(table)
-                self.stats.tables_written += 1
-            state["builder"] = None
-            state["writer"] = None
-
-        def sink(key, value):
-            if state["builder"] is None:
-                yield from start_table_proc()
-            block = state["builder"].add(key, value)
-            if block is not None:
-                if bg_gate is not None:
-                    yield from bg_gate()
-                yield from self.limiter.acquire_proc(len(block))
-                yield from state["writer"].append_block_proc(block)
-            entry_bytes = len(key) + (len(value)
-                                      if isinstance(value, bytes) else 0)
-            state["bytes"] += entry_bytes
-            if state["bytes"] >= target_bytes:
-                yield from finish_table_proc()
+            handle = yield from writer.finish_proc(meta.serialize())
+            table = TableRef(handle=handle, meta=meta)
+            self._install_table(table, level, l0_seq)
+            outputs.append(table)
+            self.stats.tables_written += 1
+            builder = writer = None
 
         yield from merge_into_proc(cursors, sink, drop_tombstones)
         yield from finish_table_proc()

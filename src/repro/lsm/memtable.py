@@ -9,7 +9,7 @@ compaction to the last level drops it.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class _Tombstone:
@@ -24,6 +24,7 @@ class _Tombstone:
 TOMBSTONE = _Tombstone()
 
 Value = object  # bytes | _Tombstone
+_NODE_OVERHEAD = 16   # bytes of arena a skiplist node costs beside its data
 
 
 class MemTable:
@@ -31,45 +32,37 @@ class MemTable:
 
     def __init__(self):
         self._entries: Dict[bytes, Value] = {}
-        self._bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def approximate_bytes(self) -> int:
-        return self._bytes
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._account(key, value)
-        self._entries[key] = value
-
-    def delete(self, key: bytes) -> None:
-        self._account(key, b"")
-        self._entries[key] = TOMBSTONE
-
-    def get(self, key: bytes) -> Optional[Value]:
-        """The value, TOMBSTONE if deleted here, or None if absent."""
-        return self._entries.get(key)
-
-    def items_sorted(self) -> Iterator[Tuple[bytes, Value]]:
-        """All entries in key order (for flushing)."""
-        for key in sorted(self._entries):
-            yield key, self._entries[key]
-
-    def freeze(self, seq: int) -> "ImmutableMemtable":
-        """Snapshot this memtable as a frozen flush candidate."""
-        return ImmutableMemtable(seq=seq, items=list(self.items_sorted()),
-                                 approximate_bytes=self._bytes)
-
-    def _account(self, key: bytes, value: bytes) -> None:
         # RocksDB arena semantics: every insert consumes memtable space,
         # including overwrites of a key already present (each write is a
         # new sequenced entry in the skiplist).  Only the newest version
         # per key survives the flush, but the *flush trigger* tracks the
         # cumulative insert volume — which is what makes N clients writing
         # the same key sequence generate N times the flush pressure.
-        self._bytes += len(key) + len(value) + 16   # 16 B node overhead
+        self.approximate_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def put(self, key: bytes, value: bytes) -> None:
+        self.approximate_bytes += len(key) + len(value) + _NODE_OVERHEAD
+        self._entries[key] = value
+
+    def delete(self, key: bytes) -> None:
+        self.approximate_bytes += len(key) + _NODE_OVERHEAD
+        self._entries[key] = TOMBSTONE
+
+    def get(self, key: bytes) -> Optional[Value]:
+        """The value, TOMBSTONE if deleted here, or None if absent."""
+        return self._entries.get(key)
+
+    def items_sorted(self) -> List[Tuple[bytes, Value]]:
+        """All entries in key order (for flushing)."""
+        entries = self._entries
+        return [(key, entries[key]) for key in sorted(entries)]
+
+    def freeze(self, seq: int) -> "ImmutableMemtable":
+        """Snapshot this memtable as a frozen flush candidate."""
+        return ImmutableMemtable(seq=seq, items=self.items_sorted())
 
 
 class ImmutableMemtable:
@@ -84,17 +77,15 @@ class ImmutableMemtable:
     can never let an older table shadow newer data.
     """
 
-    __slots__ = ("seq", "items", "approximate_bytes", "state")
+    __slots__ = ("seq", "items", "state")
 
     #: Lifecycle: queued -> flushing -> flushed (awaiting ordered
     #: removal from the FIFO front).
     QUEUED, FLUSHING, FLUSHED = "queued", "flushing", "flushed"
 
-    def __init__(self, seq: int, items: List[Tuple[bytes, Value]],
-                 approximate_bytes: int = 0):
+    def __init__(self, seq: int, items: List[Tuple[bytes, Value]]):
         self.seq = seq
         self.items = items
-        self.approximate_bytes = approximate_bytes
         self.state = ImmutableMemtable.QUEUED
 
     def __len__(self) -> int:

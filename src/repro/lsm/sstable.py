@@ -21,18 +21,22 @@ Block encoding: back-to-back entries ``[u8 flag][u32 klen][key][u32 vlen]
 
 from __future__ import annotations
 
+import bisect
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
-from repro.lsm.bloom import BloomFilter, build_from_hashes, hash_key
+from repro.lsm.bloom import BloomFilter
 from repro.lsm.memtable import TOMBSTONE, _Tombstone
 
 _ENTRY_HEADER = struct.Struct("<BI")
 _U32 = struct.Struct("<I")
 _FOOTER = struct.Struct("<QQIQI")   # sstable_id, entries, blocks, seq, magic
 _MAGIC = 0x4C534D54   # "LSMT"
+_KEY_AT = _ENTRY_HEADER.size        # an entry's key follows flag + klen
+_VALUE_AT = _U32.size               # ... and its value follows vlen
+_ENTRY_OVERHEAD = _KEY_AT + _VALUE_AT   # entry bytes beside key and value
 
 Value = Union[bytes, _Tombstone]
 
@@ -44,33 +48,51 @@ def encode_entry(key: bytes, value: Value) -> bytes:
             + _U32.pack(len(value)) + value)
 
 
-def iter_block(block: bytes) -> Iterator[Tuple[bytes, Value]]:
-    """Decode the entries of one data block (stops at zero padding)."""
+def decode_value(key: bytes, encoded: bytes) -> Value:
+    """The value an encoded entry carries (its first byte is the flag)."""
+    return TOMBSTONE if encoded[0] else encoded[_ENTRY_OVERHEAD + len(key):]
+
+
+def decode_block(block: bytes) -> Tuple[List[bytes], List[bytes]]:
+    """One data block (up to its zero padding) as two parallel lists:
+    the keys, and the entries still encoded — one merged into another
+    table travels as the slice it already is."""
+    keys: List[bytes] = []
+    entries: List[bytes] = []
+    header, u32 = _ENTRY_HEADER.unpack_from, _U32.unpack_from
     offset = 0
-    limit = len(block)
-    while offset + _ENTRY_HEADER.size <= limit:
-        flag, klen = _ENTRY_HEADER.unpack_from(block, offset)
+    last = len(block) - _ENTRY_OVERHEAD
+    while offset < last:
+        klen = header(block, offset)[1]
         if klen == 0:
-            return   # padding reached
-        offset += _ENTRY_HEADER.size
-        key = block[offset:offset + klen]
-        offset += klen
-        (vlen,) = _U32.unpack_from(block, offset)
-        offset += _U32.size
-        if flag == 1:
-            yield key, TOMBSTONE
-        else:
-            yield key, block[offset:offset + vlen]
-            offset += vlen
+            break   # padding reached
+        key_end = offset + _KEY_AT + klen
+        entry_end = key_end + _VALUE_AT + u32(block, key_end)[0]
+        keys.append(block[offset + _KEY_AT:key_end])
+        entries.append(block[offset:entry_end])
+        offset = entry_end
+    return keys, entries
 
 
 def search_block(block: bytes, key: bytes) -> Optional[Value]:
-    """Point lookup within one decoded block."""
-    for entry_key, value in iter_block(block):
-        if entry_key == key:
-            return value
-        if entry_key > key:
-            return None
+    """Point lookup within one block: walks the keys and slices out only
+    the value of a hit."""
+    header, u32 = _ENTRY_HEADER.unpack_from, _U32.unpack_from
+    offset = 0
+    last = len(block) - _ENTRY_OVERHEAD
+    while offset < last:
+        flag, klen = header(block, offset)
+        if klen == 0:
+            return None   # padding reached
+        key_end = offset + _KEY_AT + klen
+        entry_key = block[offset + _KEY_AT:key_end]
+        value_at = key_end + _VALUE_AT
+        value_end = value_at + u32(block, key_end)[0]
+        if entry_key >= key:
+            if entry_key != key:
+                return None
+            return TOMBSTONE if flag else block[value_at:value_end]
+        offset = value_end
     return None
 
 
@@ -104,9 +126,7 @@ class SSTableMeta:
         range or the bloom filter rules it out)."""
         if not self.covers(key) or not self.bloom.may_contain(key):
             return None
-        import bisect
-        index = bisect.bisect_right(self.first_keys, key) - 1
-        return max(0, index)
+        return bisect.bisect_right(self.first_keys, key) - 1
 
     # -- serialization -----------------------------------------------------------
 
@@ -177,87 +197,90 @@ class SSTableData:
 
     def items(self) -> Iterator[Tuple[bytes, Value]]:
         for block in self.blocks:
-            yield from iter_block(block)
+            for key, encoded in zip(*decode_block(block)):
+                yield key, decode_value(key, encoded)
 
 
 class SSTableBuilder:
     """Streams sorted entries into fixed-size blocks.
 
-    ``add`` returns a finished block whenever one fills; ``finish``
-    returns the final partial block (zero-padded to ``block_size``) plus
-    the table's metadata.
+    ``add`` / ``add_encoded`` return a finished block whenever one fills;
+    ``finish`` returns the final partial block (zero-padded to
+    ``block_size``) plus the table's metadata.
     """
 
     def __init__(self, sstable_id: int, sequence: int, block_size: int,
-                 expected_keys: int = 1024, bits_per_key: int = 10):
+                 bits_per_key: int = 10):
         if block_size < 64:
             raise ReproError(f"block_size {block_size} is too small")
         self.sstable_id = sstable_id
         self.sequence = sequence
         self.block_size = block_size
         self.bits_per_key = bits_per_key
-        self._current = bytearray()
-        self._blocks_emitted = 0
+        self._parts: List[bytes] = []     # encoded entries of the open block
+        self._size = 0                    # ... and their total bytes
         self._first_keys: List[bytes] = []
-        self._current_first: Optional[bytes] = None
-        self._last_key: Optional[bytes] = None
-        self._entry_count = 0
-        # Hash pairs are collected so the bloom filter can be sized from
-        # the actual key count at finish (RocksDB full-filter style).
-        self._hashes: List[Tuple[int, int]] = []
-
-    @property
-    def entry_count(self) -> int:
-        return self._entry_count
+        self._last_key = b""
+        # Every key: the bloom filter is sized and built from them at
+        # finish (RocksDB full-filter style).
+        self._keys: List[bytes] = []
+        self.data_bytes = 0               # key + value bytes added so far
 
     def add(self, key: bytes, value: Value) -> Optional[bytes]:
         """Append an entry (keys must arrive in strictly increasing
         order); returns a completed block when one fills."""
-        if self._last_key is not None and key <= self._last_key:
+        return self.add_encoded(key, encode_entry(key, value))
+
+    def add_encoded(self, key: bytes, encoded: bytes) -> Optional[bytes]:
+        """:meth:`add` for an entry already in its block encoding (what
+        :func:`decode_block` hands out), which goes in as it is."""
+        if key <= self._last_key:
+            if not key:
+                # klen 0 is what the block decoder reads as padding.
+                raise ReproError("SSTableBuilder: key must not be empty")
             raise ReproError(
                 f"SSTable keys out of order: {key!r} after {self._last_key!r}")
-        encoded = encode_entry(key, value)
-        if len(encoded) > self.block_size:
-            raise ReproError(
-                f"entry of {len(encoded)} bytes exceeds block size "
-                f"{self.block_size}")
         finished = None
-        if len(self._current) + len(encoded) > self.block_size:
+        size = self._size + len(encoded)
+        if size > self.block_size:
+            size = len(encoded)
+            if size > self.block_size:
+                raise ReproError(
+                    f"entry of {size} bytes exceeds block size "
+                    f"{self.block_size}")
             finished = self._seal_block()
-        if self._current_first is None:
-            self._current_first = key
-        self._current.extend(encoded)
+        if not self._parts:
+            self._first_keys.append(key)
+        self._size = size
+        self.data_bytes += len(encoded) - _ENTRY_OVERHEAD
+        self._parts.append(encoded)
+        self._keys.append(key)
         self._last_key = key
-        self._entry_count += 1
-        self._hashes.append(hash_key(key))
         return finished
 
     def finish(self) -> Tuple[Optional[bytes], SSTableMeta]:
         """Seal the final block and build the metadata."""
-        final_block = self._seal_block() if self._current else None
-        bloom = build_from_hashes(self._hashes, self.bits_per_key)
+        final_block = self._seal_block() if self._parts else None
         meta = SSTableMeta(
             sstable_id=self.sstable_id, sequence=self.sequence,
-            block_size=self.block_size, num_blocks=self._blocks_emitted,
-            entry_count=self._entry_count, first_keys=self._first_keys,
-            last_key=self._last_key or b"", bloom=bloom)
+            block_size=self.block_size, num_blocks=len(self._first_keys),
+            entry_count=len(self._keys), first_keys=self._first_keys,
+            last_key=self._last_key,
+            bloom=BloomFilter.build(self._keys, self.bits_per_key))
         return final_block, meta
 
     def _seal_block(self) -> bytes:
-        block = bytes(self._current).ljust(self.block_size, b"\x00")
-        self._first_keys.append(self._current_first or b"")
-        self._blocks_emitted += 1
-        self._current = bytearray()
-        self._current_first = None
+        self._parts.append(bytes(self.block_size - self._size))
+        block = b"".join(self._parts)
+        self._parts = []
+        self._size = 0
         return block
 
 
 def build_sstable(sstable_id: int, sequence: int, block_size: int,
-                  items: Iterator[Tuple[bytes, Value]],
-                  expected_keys: int = 1024) -> SSTableData:
+                  items: Iterator[Tuple[bytes, Value]]) -> SSTableData:
     """Convenience: materialize a whole SSTable in memory."""
-    builder = SSTableBuilder(sstable_id, sequence, block_size,
-                             expected_keys=expected_keys)
+    builder = SSTableBuilder(sstable_id, sequence, block_size)
     blocks: List[bytes] = []
     for key, value in items:
         block = builder.add(key, value)

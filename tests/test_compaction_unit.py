@@ -12,7 +12,7 @@ from repro.lsm.compaction import (
     merge_into_proc,
     pick_compaction,
 )
-from repro.lsm.sstable import build_sstable
+from repro.lsm.sstable import build_sstable, decode_value
 from repro.sim import Simulator
 
 
@@ -73,21 +73,27 @@ class TestPickCompaction:
         assert level_max_tables(3, 2) == 8
 
 
+def drain(sim, cursor):
+    """Every (key, value) a cursor exposes, block after block."""
+    def run():
+        seen = []
+        yield from cursor.load_proc()
+        while cursor.keys:
+            assert cursor.pos == 0
+            seen.extend((key, decode_value(key, encoded))
+                        for key, encoded in zip(cursor.keys, cursor.entries))
+            yield from cursor.load_proc()
+        return seen
+
+    return sim.run_until(sim.spawn(run()))
+
+
 class TestCursors:
     def test_mem_cursor_iterates_in_order(self):
-        sim = Simulator()
-        cursor = MemCursor([(b"a", b"1"), (b"b", b"2")])
-
-        def run():
-            yield from cursor.open_proc()
-            seen = []
-            while cursor.current is not None:
-                seen.append(cursor.current)
-                yield from cursor.advance_proc()
-            return seen
-
-        assert sim.run_until(sim.spawn(run())) == [(b"a", b"1"),
-                                                   (b"b", b"2")]
+        items = [(b"a", b"1"), (b"b", TOMBSTONE), (b"c", b"3")]
+        for block_entries in (1, 2, 128):
+            cursor = MemCursor(items, block_entries=block_entries)
+            assert drain(Simulator(), cursor) == items
 
     def test_table_cursor_streams_blocks(self):
         sim = Simulator()
@@ -105,16 +111,7 @@ class TestCursors:
 
         ref.handle = sim.run_until(sim.spawn(build()))
         cursor = TableCursor(env, ref, 256, sim, readahead=True)
-
-        def scan():
-            yield from cursor.open_proc()
-            seen = []
-            while cursor.current is not None:
-                seen.append(cursor.current)
-                yield from cursor.advance_proc()
-            return seen
-
-        assert sim.run_until(sim.spawn(scan())) == items
+        assert drain(sim, cursor) == items
 
 
 class TestMergeInto:
@@ -123,10 +120,8 @@ class TestMergeInto:
         cursors = [MemCursor(items) for items in cursor_items]
         out = []
 
-        def sink(key, value):
-            out.append((key, value))
-            return
-            yield
+        def sink(key, encoded):
+            out.append((key, decode_value(key, encoded)))
 
         def run():
             emitted = yield from merge_into_proc(cursors, sink,
@@ -186,10 +181,8 @@ def test_merge_property_sorted_dedup_newest_first(stream_dicts):
         expected.update(d)
     out = []
 
-    def sink(key, value):
-        out.append((key, value))
-        return
-        yield
+    def sink(key, encoded):
+        out.append((key, decode_value(key, encoded)))
 
     sim.run_until(sim.spawn(merge_into_proc(cursors, sink, False)))
     assert out == sorted(expected.items())

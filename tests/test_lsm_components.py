@@ -1,53 +1,59 @@
 """Unit tests for the LSM building blocks: bloom filters, memtable,
 SSTable format, rate limiter."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.lsm import BloomFilter, MemTable, TOMBSTONE
 from repro.qos.tokenbucket import TokenBucket
-from repro.lsm.bloom import build_from_hashes, hash_key
 from repro.lsm.sstable import (
     SSTableBuilder,
     SSTableMeta,
     build_sstable,
+    decode_block,
+    decode_value,
     encode_entry,
-    iter_block,
     search_block,
 )
 from repro.sim import Simulator
 
 
+def iter_block(block):
+    """Every (key, value) of one data block."""
+    return [(key, decode_value(key, encoded))
+            for key, encoded in zip(*decode_block(block))]
+
+
 class TestBloomFilter:
     def test_no_false_negatives(self):
-        bloom = BloomFilter.for_keys(1000)
         keys = [f"key-{i}".encode() for i in range(1000)]
-        bloom.add_all(keys)
+        bloom = BloomFilter.build(keys)
         assert all(bloom.may_contain(key) for key in keys)
 
     def test_false_positive_rate_reasonable(self):
-        bloom = BloomFilter.for_keys(2000, bits_per_key=10)
-        bloom.add_all(f"in-{i}".encode() for i in range(2000))
+        bloom = BloomFilter.build(
+            [f"in-{i}".encode() for i in range(2000)], bits_per_key=10)
         false_positives = sum(
             bloom.may_contain(f"out-{i}".encode()) for i in range(2000))
         # ~1 % expected at 10 bits/key; allow generous slack.
         assert false_positives < 2000 * 0.05
 
     def test_serialize_roundtrip(self):
-        bloom = BloomFilter.for_keys(100)
-        bloom.add_all(f"k{i}".encode() for i in range(100))
+        bloom = BloomFilter.build([f"k{i}".encode() for i in range(100)])
         restored = BloomFilter.deserialize(bloom.serialize())
         assert restored.num_bits == bloom.num_bits
         assert restored.num_hashes == bloom.num_hashes
         assert all(restored.may_contain(f"k{i}".encode())
                    for i in range(100))
 
-    def test_build_from_hashes_sized_by_actual_count(self):
-        hashes = [hash_key(f"k{i}".encode()) for i in range(50)]
-        bloom = build_from_hashes(hashes)
+    def test_build_sizes_by_actual_count(self):
+        keys = [f"k{i}".encode() for i in range(50)]
+        bloom = BloomFilter.build(keys)
         assert bloom.num_bits == 500
-        assert all(bloom.may_contain(f"k{i}".encode()) for i in range(50))
+        assert all(bloom.may_contain(key) for key in keys)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -59,9 +65,38 @@ class TestBloomFilter:
 @given(st.sets(st.binary(min_size=1, max_size=32), min_size=1, max_size=200))
 @settings(max_examples=50)
 def test_bloom_no_false_negatives_property(keys):
-    bloom = BloomFilter.for_keys(len(keys))
-    bloom.add_all(keys)
+    bloom = BloomFilter.build(sorted(keys))
     assert all(bloom.may_contain(key) for key in keys)
+
+
+def reference_bloom(keys, bits_per_key):
+    """The filter as first written: one ``add`` per key, each probe the
+    128-bit ``(h1 + i*h2) % num_bits``."""
+    bloom = BloomFilter.for_keys(max(1, len(keys)), bits_per_key)
+    for key in keys:
+        digest = hashlib.blake2b(key, digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "little")
+        h2 = int.from_bytes(digest[8:], "little")
+        for i in range(bloom.num_hashes):
+            bit = (h1 + i * h2) % bloom.num_bits
+            bloom._bits[bit >> 3] |= 1 << (bit & 7)
+    return bloom
+
+
+@given(st.lists(st.binary(min_size=1, max_size=32), max_size=120,
+                unique=True),
+       st.sampled_from([2, 10, 24]))
+@settings(max_examples=60, deadline=None)
+def test_bulk_built_bloom_is_bit_identical_to_per_key_adds(keys, bits_per_key):
+    """0, 1 and many keys: the bulk build, per-key ``add`` and the
+    original probe arithmetic all set the same bits."""
+    expected = reference_bloom(keys, bits_per_key).serialize()
+    assert BloomFilter.build(keys, bits_per_key).serialize() == expected
+    one_by_one = BloomFilter.for_keys(max(1, len(keys)), bits_per_key)
+    for key in keys:
+        one_by_one.add(key)
+    assert one_by_one.serialize() == expected
+    assert all(one_by_one.may_contain(key) for key in keys)
 
 
 class TestMemTable:
@@ -143,6 +178,16 @@ class TestSSTableFormat:
         with pytest.raises(ReproError):
             builder.add(b"k", b"v" * 256)
 
+    def test_empty_key_rejected(self):
+        # klen 0 is the block decoder's padding marker: an empty key
+        # would hide itself and every entry after it in its block.
+        builder = SSTableBuilder(1, 1, block_size=256)
+        with pytest.raises(ReproError, match="key must not be empty"):
+            builder.add(b"", b"x")
+        with pytest.raises(ReproError, match="key must not be empty"):
+            build_sstable(1, 1, 4096,
+                          iter([(b"", b"x"), (b"a", b"1"), (b"b", b"2")]))
+
     def test_meta_serialize_roundtrip(self):
         data = build_sstable(7, 7, 512, iter(
             (f"k{i:04d}".encode(), b"val") for i in range(100)))
@@ -190,6 +235,48 @@ def test_sstable_roundtrip_property(mapping):
     assert list(data.items()) == items
     for key, value in items:
         assert data.get(key) == value
+
+
+sorted_items = st.dictionaries(
+    st.binary(min_size=1, max_size=24),
+    st.one_of(st.binary(max_size=200), st.just(TOMBSTONE)),
+    min_size=1, max_size=120).map(lambda mapping: sorted(mapping.items()))
+
+
+@given(sorted_items)
+@settings(max_examples=50, deadline=None)
+def test_pass_through_blocks_are_byte_identical(items):
+    """Entries decoded from one table's blocks and fed, still encoded,
+    to another builder come out as the blocks and meta that re-encoding
+    every entry produces."""
+    source = build_sstable(1, 1, 256, iter(items))
+    builder = SSTableBuilder(1, 1, block_size=256)
+    blocks = []
+    for block in source.blocks:
+        for key, encoded in zip(*decode_block(block)):
+            assert encoded == encode_entry(key, decode_value(key, encoded))
+            finished = builder.add_encoded(key, encoded)
+            if finished is not None:
+                blocks.append(finished)
+    final, meta = builder.finish()
+    if final is not None:
+        blocks.append(final)
+    assert blocks == source.blocks
+    assert meta.serialize() == source.meta.serialize()
+
+
+@given(sorted_items, st.binary(min_size=1, max_size=24))
+@settings(max_examples=50, deadline=None)
+def test_search_block_agrees_with_full_decode(items, absent):
+    """Present, tombstoned, absent and past-the-end keys."""
+    data = build_sstable(1, 1, 512, iter(items))
+    past_the_end = items[-1][0] + b"\xff"
+    for block in data.blocks:
+        decoded = dict(iter_block(block))
+        for key in list(decoded) + [absent, past_the_end]:
+            assert search_block(block, key) == decoded.get(key)
+            if decoded.get(key) is TOMBSTONE:
+                assert search_block(block, key) is TOMBSTONE
 
 
 class TestRateLimiter:

@@ -20,7 +20,7 @@ from repro.lsm.compaction import (
 )
 from repro.lsm.envbase import WriteDispatcher
 from repro.lsm.memtable import ImmutableMemtable, MemTable
-from repro.lsm.sstable import build_sstable
+from repro.lsm.sstable import build_sstable, decode_value
 from repro.obs import Obs
 from repro.sim import Simulator
 
@@ -59,34 +59,41 @@ def span_ref(sstable_id, first, last):
 
 
 class RecordingCursor(MemCursor):
-    """A MemCursor that logs every advance, so the two merge
+    """A MemCursor that logs every block load, so the two merge
     implementations can be compared on *order of work*, not just
-    output."""
+    output: with one entry per block the log is every advance; with
+    larger blocks it is every point at which a merge may be awaited."""
 
-    def __init__(self, items, index, log):
-        super().__init__(items)
+    def __init__(self, items, index, log, block_entries):
+        super().__init__(items, block_entries=block_entries)
         self.index = index
         self.log = log
 
-    def advance_proc(self):
+    def load_proc(self):
         self.log.append(self.index)
-        return super().advance_proc()
+        return super().load_proc()
 
 
-def run_merge(merge, streams, drop_tombstones):
+def run_merge(merge, streams, drop_tombstones, limit=0, block_entries=1):
     sim = Simulator()
     log = []
-    cursors = [RecordingCursor(items, index, log)
+    cursors = [RecordingCursor(items, index, log, block_entries)
                for index, items in enumerate(streams)]
     out = []
 
-    def sink(k, v):
-        out.append((k, v))
+    def waited():
+        log.append("sink")
         return
         yield
 
+    def sink(k, encoded):
+        out.append((k, decode_value(k, encoded)))
+        # Every third emission hands back something to await, as a
+        # table sink does at a block boundary.
+        return waited() if len(out) % 3 == 0 else None
+
     emitted = sim.run_until(sim.spawn(
-        merge(cursors, sink, drop_tombstones)))
+        merge(cursors, sink, drop_tombstones, limit=limit)))
     return emitted, out, log
 
 
@@ -137,14 +144,19 @@ class TestHeapMergeIdentity:
                                      st.just(TOMBSTONE))),
                  max_size=20),
         min_size=1, max_size=5),
-        st.booleans())
-    def test_property_identical_to_linear(self, raw_streams, drop):
+        st.booleans(), st.integers(0, 12), st.integers(1, 4))
+    def test_property_identical_to_linear(self, raw_streams, drop, limit,
+                                          block_entries):
+        """Tombstones, cross-stream duplicates, runs that end mid-block,
+        a limit: same output, same order of block loads and sink waits."""
         # Sort + per-stream dedup, as real cursor sources are.
         streams = [sorted({k: v for k, v in raw}.items(),
                           key=lambda kv: kv[0])
                    for raw in raw_streams]
-        assert run_merge(merge_into_proc, streams, drop) \
-            == run_merge(merge_into_linear_proc, streams, drop)
+        assert run_merge(merge_into_proc, streams, drop,
+                         limit, block_entries) \
+            == run_merge(merge_into_linear_proc, streams, drop,
+                         limit, block_entries)
 
 
 # -- the frozen-memtable FIFO ------------------------------------------------------

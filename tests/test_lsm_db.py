@@ -4,6 +4,7 @@ a model-based property test against a plain dict."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ReproError
 from repro.lsm import DB, DBConfig, MemEnv
 from repro.sim import Simulator
 
@@ -40,6 +41,21 @@ class TestBasicOperations:
         db.put(b"k", b"v")
         db.delete(b"k")
         assert db.get(b"k") is None
+
+    def test_empty_key_rejected(self):
+        # Once flushed, an empty key would read as block padding and
+        # hide every entry after it in its block.
+        __, __e, db = make_db()
+        db.put(b"a", b"1")
+        with pytest.raises(ReproError, match="DB.put: key must not be empty"):
+            db.put(b"", b"x")
+        with pytest.raises(ReproError,
+                           match="DB.delete: key must not be empty"):
+            db.delete(b"")
+        db.flush()
+        db.wait_idle()
+        assert db.get(b"a") == b"1"
+        assert db.stats.puts == 1 and db.stats.deletes == 0
 
     def test_get_after_flush(self):
         __, __e, db = make_db()

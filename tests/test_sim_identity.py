@@ -15,7 +15,11 @@ time, while off: ``perf_macro`` (the perf-trajectory macro bench with
 every policy knob at its default lands where the pre-policy collector
 did) and ``lsm_default_fill`` (a LightLSM fill with every worker count
 at 1 lands where the pre-concurrency single-daemon engine did, down to
-the digest of the per-put latency series).
+the digest of the per-put latency series).  ``lsm_zns_scan`` and
+``lsm_lightlsm_get`` pin the LSM data plane itself — flush, compaction,
+scan and get over OX-ZNS and LightLSM — down to the bytes of every block
+and meta blob written and every value delivered (goldens from ea53b43,
+the commit before entries moved a decoded block at a time).
 
 A row moves only when a PR changes simulated behaviour on purpose:
 regenerate with ``PYTHONPATH=src python tests/test_sim_identity.py`` in
@@ -213,6 +217,138 @@ def _lsm_default_fill():
             "compactions": stats.compactions}
 
 
+def _hash_env_writes(env, digest) -> None:
+    """Feed *digest* every data block and meta blob the engine hands to
+    *env*, in hand-over order."""
+    create = env.create_writer_proc
+
+    def create_writer_proc(sstable_id, level, block_size):
+        writer = yield from create(sstable_id, level, block_size)
+        append, finish = writer.append_block_proc, writer.finish_proc
+
+        def append_block_proc(block):
+            digest.update(block)
+            return append(block)
+
+        def finish_proc(meta_blob):
+            digest.update(meta_blob)
+            return finish(meta_blob)
+
+        writer.append_block_proc = append_block_proc
+        writer.finish_proc = finish_proc
+        return writer
+
+    env.create_writer_proc = create_writer_proc
+
+
+def _lsm_row(stack, written, delivered) -> dict:
+    stats = stack.db.stats
+    return {"sim_seconds": round(stack.sim.now, 9),
+            "events_processed": stack.sim.events_processed,
+            "written_sha256": written.hexdigest()[:16],
+            "delivered_sha256": delivered.hexdigest()[:16],
+            "blocks_read": stats.blocks_read,
+            "tables_written": stats.tables_written,
+            "flushes": stats.flushes,
+            "compactions": stats.compactions}
+
+
+def _run_all(sim, procs) -> None:
+    sim.run_until(sim.all_of([sim.spawn(proc) for proc in procs]))
+
+
+def _lsm_key(index: int) -> bytes:
+    return f"{index:016d}".encode()
+
+
+def _lsm_zns_scan():
+    """The LSM data plane over OX-ZNS: random-key puts and deletes from
+    four clients, then limited scans beside overwrites, a quiesce and one
+    unlimited scan.  Value sizes vary, so entries straddle block
+    boundaries at every offset."""
+    stack = build_stack(StackSpec(
+        name="pin-lsm-zns-scan", seed=11, ftl="zns",
+        geometry={"num_groups": 4, "pus_per_group": 2,
+                  "chunks_per_pu": 80, "pages_per_block": 6},
+        ftl_config={"chunks_per_zone": 4, "max_open_zones": 16},
+        db={"block_size": 96 * KIB, "write_buffer_bytes": 512 * KIB,
+            "l0_compaction_trigger": 2, "level_size_multiplier": 2}))
+    db, sim = stack.db, stack.sim
+    written, delivered = hashlib.sha256(), hashlib.sha256()
+    _hash_env_writes(stack.env, written)
+    key_space = 3000
+
+    def writer(name: str, ops: int, think: float = 0.0):
+        rng = random.Random(f"zns-scan-{name}")
+        for __ in range(ops):
+            if think:
+                yield sim.timeout(think)
+            key = _lsm_key(rng.randrange(key_space))
+            if rng.random() < 0.06:
+                yield from db.delete_proc(key, stream=name)
+            else:
+                yield from db.put_proc(
+                    key, bytes([33 + rng.randrange(90)])
+                    * rng.randint(100, 1400), stream=name)
+
+    def on_entry(key: bytes, value: bytes) -> None:
+        delivered.update(key)
+        delivered.update(value)
+
+    def scanner(name: str, limit: int):
+        for __ in range(2):
+            count = yield from db.scan_proc(limit, on_entry, stream=name)
+            delivered.update(b"|%d|" % count)
+
+    _run_all(sim, [writer(f"fill-{client}", 2500) for client in range(4)])
+    _run_all(sim, [scanner("scan-0", 700), scanner("scan-1", 1100),
+         writer("over-0", 900, think=25e-6),
+         writer("over-1", 900, think=25e-6)])
+    stack.dbbench().quiesce()
+    _run_all(sim, [scanner("scan-all", 0)])
+    return _lsm_row(stack, written, delivered)
+
+
+def _lsm_lightlsm_get():
+    """The same plane over LightLSM, point reads: four clients overwrite
+    one key sequence (every fourth key deleted again), then random gets
+    over present, deleted and never-written keys."""
+    stack = build_stack(StackSpec(
+        name="pin-lsm-lightlsm-get", seed=13, ftl="lightlsm",
+        geometry={"num_groups": 4, "pus_per_group": 2,
+                  "chunks_per_pu": 80, "pages_per_block": 6},
+        db={"block_size": 96 * KIB, "write_buffer_bytes": 1 * MIB,
+            "l0_compaction_trigger": 2, "level_size_multiplier": 2}))
+    db, sim = stack.db, stack.sim
+    written, delivered = hashlib.sha256(), hashlib.sha256()
+    _hash_env_writes(stack.env, written)
+    keys = 3000
+
+    def filler(client: int):
+        rng = random.Random(f"lightlsm-get-fill-{client}")
+        stream = f"fill-{client}"
+        for index in range(keys):
+            yield from db.put_proc(
+                _lsm_key(index),
+                bytes([65 + client]) * rng.randint(300, 1500), stream=stream)
+            if index % 4 == client:
+                yield from db.delete_proc(_lsm_key(index - client),
+                                          stream=stream)
+
+    def reader(client: int):
+        rng = random.Random(f"lightlsm-get-read-{client}")
+        for __ in range(400):
+            key = _lsm_key(rng.randrange(keys + keys // 8))
+            value = yield from db.get_proc(key, stream=f"get-{client}")
+            delivered.update(key)
+            delivered.update(b"-" if value is None else value)
+
+    _run_all(sim, [filler(client) for client in range(4)])
+    stack.dbbench().quiesce()
+    _run_all(sim, [reader(client) for client in range(4)])
+    return _lsm_row(stack, written, delivered)
+
+
 # Captured at c0a1c8d by `PYTHONPATH=src python tests/test_sim_identity.py`.
 GOLDEN = {'eleos_llama': {'now': 1.2774929687500083,
                  'events': 4913,
@@ -320,7 +456,24 @@ GOLDEN = {'eleos_llama': {'now': 1.2774929687500083,
                       'stall_seconds': 1.267275,
                       'slowdown_puts': 96,
                       'flushes': 24,
-                      'compactions': 13}}
+                      'compactions': 13},
+ # The LSM data plane before it went block-wise (captured at ea53b43).
+ 'lsm_zns_scan': {'sim_seconds': 0.79943225,
+                  'events_processed': 27314,
+                  'written_sha256': '1e1fac0c091f879c',
+                  'delivered_sha256': '75613a0c6b1dde24',
+                  'blocks_read': 0,
+                  'tables_written': 33,
+                  'flushes': 16,
+                  'compactions': 9},
+ 'lsm_lightlsm_get': {'sim_seconds': 0.394306875,
+                      'events_processed': 20844,
+                      'written_sha256': '9092cd73bbfe6d4f',
+                      'delivered_sha256': '9ec5370d7c596f5b',
+                      'blocks_read': 1046,
+                      'tables_written': 17,
+                      'flushes': 10,
+                      'compactions': 6}}
 
 
 def test_eleos_llama_clean_loop_is_sim_identical():
@@ -344,6 +497,11 @@ def test_default_policies_keep_the_perf_macro_timeline():
 
 def test_default_worker_counts_keep_the_lsm_fill_timeline():
     assert _lsm_default_fill() == GOLDEN["lsm_default_fill"]
+
+
+def test_block_wise_lsm_data_plane_is_sim_and_byte_identical():
+    assert _lsm_zns_scan() == GOLDEN["lsm_zns_scan"]
+    assert _lsm_lightlsm_get() == GOLDEN["lsm_lightlsm_get"]
 
 
 @pytest.mark.parametrize("host", ["none", "wlfc"])
@@ -385,4 +543,6 @@ if __name__ == "__main__":   # regenerate: PYTHONPATH=src python tests/test_sim_
         golden[f"mixed_{host}"] = _mixed_shapes(host)
     golden["perf_macro"] = _perf_macro()
     golden["lsm_default_fill"] = _lsm_default_fill()
+    golden["lsm_zns_scan"] = _lsm_zns_scan()
+    golden["lsm_lightlsm_get"] = _lsm_lightlsm_get()
     pprint.pprint(golden, sort_dicts=False, width=78)
