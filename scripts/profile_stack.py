@@ -15,11 +15,18 @@ the wall time actually goes, twice over:
 2. **Top functions** — the usual cProfile top-N by tottime, for drilling
    into the hot layer.
 
+``--sample`` swaps cProfile for a SIGPROF sampler (1 kHz of CPU time):
+cProfile's per-call cost inflates call-heavy Python and charges C-level
+work (namedtuple construction, a slab ``join``'s memcpy) to nobody, so
+shares read off it are skewed; samples see the process as it runs
+unprofiled.  Same layer buckets, self and cumulative share per function.
+
 Usage (from the repo root)::
 
     PYTHONPATH=src python scripts/profile_stack.py --bench macro
     PYTHONPATH=src python scripts/profile_stack.py --bench smoke --top 40
     PYTHONPATH=src python scripts/profile_stack.py examples/specs/lightlsm_smoke.json
+    PYTHONPATH=src python scripts/profile_stack.py --ledger oxblock_gc_zipf --sample
 
 The report prints and is also written to
 ``benchmarks/results/profile_<name>.txt``.
@@ -32,8 +39,10 @@ import cProfile
 import io
 import os
 import pstats
+import signal
 import sys
-from typing import Dict, List, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -83,14 +92,53 @@ def layer_table(stats: pstats.Stats) -> List[Tuple[str, float, int]]:
                   key=lambda item: item[1], reverse=True)
 
 
-def run_profiled(spec) -> Tuple[dict, pstats.Stats]:
-    from repro.stack.runner import run_spec
-
+def run_profiled(run: Callable[[], dict]) -> Tuple[dict, pstats.Stats]:
     profiler = cProfile.Profile()
     profiler.enable()
-    metrics = run_spec(spec)
+    metrics = run()
     profiler.disable()
     return metrics, pstats.Stats(profiler)
+
+
+def run_sampled(name: str, run: Callable[[], dict], top: int) -> str:
+    """Run under a 1 kHz ``ITIMER_PROF`` and report where the samples
+    fell: *self* is the running frame, *cumulative* every frame on its
+    stack (``yield from`` chains included), once per function."""
+    self_hits: Counter = Counter()
+    cum_hits: Counter = Counter()
+
+    def on_tick(_signum, frame) -> None:
+        stack = []
+        while frame is not None:
+            code = frame.f_code
+            stack.append((code.co_filename, code.co_firstlineno,
+                          code.co_qualname))
+            frame = frame.f_back
+        self_hits[stack[0]] += 1
+        cum_hits.update(set(stack))
+
+    signal.signal(signal.SIGPROF, on_tick)
+    signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
+    try:
+        metrics = run()
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+        signal.signal(signal.SIGPROF, signal.SIG_DFL)
+    total = sum(self_hits.values()) or 1
+    layers: Counter = Counter()
+    for (filename, _line, _func), hits in self_hits.items():
+        layers[attribute(filename)] += hits
+    lines = [f"Sampled profile: {name} ({total} samples, 1 kHz asked)", "",
+             *(f"  {key:>18s} = {value}" for key, value in metrics.items()),
+             "", "Self share by layer:",
+             *(f"  {layer:>12s}  {100.0 * hits / total:5.1f}%"
+               for layer, hits in layers.most_common())]
+    for title, table in (("self", self_hits), ("cumulative", cum_hits)):
+        lines += ["", f"Top {top} functions by {title} share:"]
+        lines += [f"  {100.0 * hits / total:5.1f}%  {func}  "
+                  f"({os.path.relpath(filename, REPO_ROOT)}:{line})"
+                  for (filename, line, func), hits in table.most_common(top)]
+    return "\n".join(lines)
 
 
 def format_report(name: str, metrics: dict, stats: pstats.Stats,
@@ -129,6 +177,25 @@ def bench_spec(shape: str):
     return stack_spec(cfg, **overrides)
 
 
+def ledger_run(name: str) -> Callable[[], dict]:
+    """The timed phase of a ledger workload (seed 1, full scale), set up
+    and prefilled outside the profile as the ledger does."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks", "ledger"))
+    from repro.stack import build_stack
+    from workloads import WORKLOADS, Tally
+
+    workload = WORKLOADS[name]
+    stack = build_stack(workload.spec(1, False))
+    plan = workload.prepare(stack, 1, "full")
+    tally = Tally()
+
+    def run() -> dict:
+        workload.run(stack, plan, tally)
+        return {"attempted": tally.attempted, "raised": tally.raised,
+                "mismatched": tally.mismatched}
+    return run
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("spec", nargs="?", default=None,
@@ -136,23 +203,38 @@ def main(argv=None) -> int:
     parser.add_argument("--bench", choices=("macro", "smoke"), default=None,
                         help="profile the perf-trajectory stack instead "
                              "of a spec file")
+    parser.add_argument("--ledger", default=None, metavar="WORKLOAD",
+                        help="profile the timed phase of a "
+                             "benchmarks/ledger workload instead")
+    parser.add_argument("--sample", action="store_true",
+                        help="SIGPROF sampling at 1 kHz instead of cProfile")
     parser.add_argument("--top", type=int, default=25, metavar="N",
                         help="functions to list after the layer table "
                              "(default 25)")
     args = parser.parse_args(argv)
 
-    if (args.spec is None) == (args.bench is None):
-        parser.error("give a spec file or --bench macro|smoke (not both)")
-    if args.bench is not None:
-        spec = bench_spec(args.bench)
-        name = f"perf_{args.bench}"
+    if sum(x is not None for x in (args.spec, args.bench, args.ledger)) != 1:
+        parser.error("give one of: a spec file, --bench macro|smoke, "
+                     "--ledger WORKLOAD")
+    if args.ledger is not None:
+        run = ledger_run(args.ledger)
+        name = f"ledger_{args.ledger}"
     else:
-        from repro.stack.__main__ import load_spec
-        spec = load_spec(args.spec)
-        name = spec.name
+        from repro.stack.runner import run_spec
+        if args.bench is not None:
+            spec = bench_spec(args.bench)
+            name = f"perf_{args.bench}"
+        else:
+            from repro.stack.__main__ import load_spec
+            spec = load_spec(args.spec)
+            name = spec.name
+        run = lambda: run_spec(spec)   # noqa: E731
 
-    metrics, stats = run_profiled(spec)
-    text = format_report(name, metrics, stats, max(1, args.top))
+    if args.sample:
+        text = run_sampled(name, run, max(1, args.top))
+    else:
+        metrics, stats = run_profiled(run)
+        text = format_report(name, metrics, stats, max(1, args.top))
     print(text)
     results_dir = os.path.join(REPO_ROOT, "benchmarks", "results")
     os.makedirs(results_dir, exist_ok=True)

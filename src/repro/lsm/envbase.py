@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 from repro.errors import ReproError
 from repro.lsm.env import (
     SSTableHandle, StorageEnv, replay_manifest)
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import PpaVector
 from repro.sim.resources import Store
 
 
@@ -99,7 +99,7 @@ class ManifestEnv(StorageEnv):
 
 @dataclass
 class _DispatchJob:
-    ppas: List[Ppa]
+    ppas: PpaVector
     data: List[bytes]
     oob: List[object]
     fua: bool
@@ -143,7 +143,7 @@ class WriteDispatcher:
                       name=f"{name}-dispatcher{suffix}")
         self._write_name = f"{name}-write"
 
-    def submit(self, ppas: List[Ppa], data: List[bytes],
+    def submit(self, ppas: PpaVector, data: List[bytes],
                oob: List[object], fua: bool = False):
         """Queue a write on the dispatch thread; returns the done event."""
         done = self.sim.event()

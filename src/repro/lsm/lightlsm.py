@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import OutOfSpaceError, ReproError
 from repro.lsm.env import SSTableHandle, SSTableWriter, StorageEnv
 from repro.lsm.envbase import WriteDispatcher, pad_to_sectors, split_sectors
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaRun
 from repro.ocssd.chunk import ChunkState, pad_sector
 from repro.ox.media import MediaManager
 
@@ -231,9 +231,8 @@ class LightLSMEnv(StorageEnv):
                 f"block {block_index} out of range for table "
                 f"{handle.sstable_id} ({layout.data_blocks} blocks)")
         key, first_sector = layout.block_location(block_index)
-        ppas = [Ppa(*key, first_sector + i)
-                for i in range(layout.block_sectors)]
-        completion = yield from self.media.read_proc(ppas)
+        completion = yield from self.media.read_proc(
+            PpaRun(key, first_sector, layout.block_sectors))
         self.media.require_ok(completion,
                               f"block read {handle.sstable_id}/{block_index}")
         self.stats.blocks_read += 1
@@ -270,13 +269,14 @@ class LightLSMEnv(StorageEnv):
         for descriptor in self.media.scan_chunks():
             if descriptor.write_pointer == 0:
                 continue
-            first = yield from self.media.read_proc([descriptor.ppa])
+            key = descriptor.ppa.chunk_key()
+            first = yield from self.media.read_proc(PpaRun(key, 0, 1),
+                                                    meta_only=True)
             if not first.ok or not first.oob:
                 continue
             tag = first.oob[0]
             if not isinstance(tag, tuple) or not tag:
                 continue
-            key = descriptor.ppa.chunk_key()
             if tag[0] == "sst":
                 __, sstable_id, level, sequence, chunk_index, n_chunks = tag
                 data_chunks.setdefault(sstable_id, {})[chunk_index] = key
@@ -345,7 +345,7 @@ class LightLSMEnv(StorageEnv):
     def dispatcher(self) -> WriteDispatcher:
         return self._dispatcher
 
-    def submit_write(self, ppas: List[Ppa], data: List[bytes],
+    def submit_write(self, ppas: PpaRun, data: List[bytes],
                      oob: List[object], fua: bool = False):
         """Queue a write on the dispatch thread; returns the done event."""
         return self._dispatcher.submit(ppas, data, oob, fua)
@@ -373,8 +373,8 @@ class LightLSMEnv(StorageEnv):
         info = self.media.chunk_info(Ppa(*meta_key, 0))
         if info.write_pointer < 2 * ws_min:
             return None
-        commit_ppa = Ppa(*meta_key, info.write_pointer - ws_min)
-        completion = yield from self.media.read_proc([commit_ppa])
+        completion = yield from self.media.read_proc(
+            PpaRun(meta_key, info.write_pointer - ws_min, 1), meta_only=True)
         if not completion.ok or not completion.oob:
             return None
         tag = completion.oob[0]
@@ -388,9 +388,8 @@ class LightLSMEnv(StorageEnv):
 
     def _read_meta_proc(self, layout: _TableLayout):
         """Read the meta bytes from the meta chunk."""
-        key = layout.meta_chunk
-        ppas = [Ppa(*key, i) for i in range(layout.meta_sectors)]
-        completion = yield from self.media.read_proc(ppas)
+        completion = yield from self.media.read_proc(
+            PpaRun(layout.meta_chunk, 0, layout.meta_sectors))
         if not completion.ok:
             return None
         sector_size = self.geometry.sector_size
@@ -457,8 +456,7 @@ class _LightLSMWriter(SSTableWriter):
         if first_sector + layout.block_sectors > geometry.sectors_per_chunk:
             raise OutOfSpaceError(
                 f"table {layout.handle.sstable_id} overflows its chunks")
-        ppas = [Ppa(*key, first_sector + i)
-                for i in range(layout.block_sectors)]
+        ppas = PpaRun(key, first_sector, layout.block_sectors)
         data = split_sectors(block, sector_size)
         oob = [("sst", layout.handle.sstable_id, layout.handle.level,
                 layout.sequence, chunk_slot, len(layout.chunks))
@@ -494,7 +492,7 @@ class _LightLSMWriter(SSTableWriter):
                 f"({len(meta_blob)} bytes) exceeds the meta chunk")
         layout.meta_sectors = meta_sectors
         key = layout.meta_chunk
-        ppas = [Ppa(*key, i) for i in range(meta_sectors)]
+        ppas = PpaRun(key, 0, meta_sectors)
         data = split_sectors(padded, sector_size)
         oob = [("sstmeta", layout.handle.sstable_id, i)
                for i in range(meta_sectors)]
@@ -507,7 +505,7 @@ class _LightLSMWriter(SSTableWriter):
         # meta on the same chunk.  Atomic flush: the table exists iff this
         # unit does.
         yield from env.media.flush_proc()
-        ppas = [Ppa(*key, meta_sectors + i) for i in range(ws_min)]
+        ppas = PpaRun(key, meta_sectors, ws_min)
         data = [b""] * ws_min
         oob = [("sstcommit", layout.handle.sstable_id,
                 layout.handle.level, layout.sequence, meta_sectors,

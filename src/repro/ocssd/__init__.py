@@ -12,7 +12,7 @@ channel resource per group, one resource per chip, NAND latencies from
 :mod:`repro.nand`, plus an optional controller write-back cache.
 """
 
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaRun
 from repro.ocssd.geometry import DeviceGeometry
 from repro.ocssd.chunk import Chunk, ChunkState, pad_sector
 from repro.ocssd.commands import (
@@ -27,6 +27,7 @@ from repro.ocssd.device import ChunkNotification, OpenChannelSSD
 
 __all__ = [
     "Ppa",
+    "PpaRun",
     "DeviceGeometry",
     "Chunk",
     "ChunkState",

@@ -170,11 +170,19 @@ class Chunk:
             raise WriteUnitError(
                 f"write of {count} sectors with {len(oobs)} OOB entries")
         sector_size = self.sector_size
-        for payload in payloads:
-            if payload is not None and len(payload) > sector_size:
-                raise WriteUnitError(
-                    f"payload of {len(payload)} bytes exceeds the "
-                    f"{sector_size}-byte sector of {self.address}")
+        # One C-level pass sizes the payloads: all full sectors (every
+        # unit an FTL stages is) settles the oversize check and the slab
+        # layout at once.  Anything else — None has no len() — is walked.
+        try:
+            all_full = set(map(len, payloads)) == {sector_size}
+        except TypeError:
+            all_full = False
+        if not all_full:
+            for payload in payloads:
+                if payload is not None and len(payload) > sector_size:
+                    raise WriteUnitError(
+                        f"payload of {len(payload)} bytes exceeds the "
+                        f"{sector_size}-byte sector of {self.address}")
         self._ensure_storage()
         slabs = self._slabs
         lengths = self._lengths
@@ -183,11 +191,6 @@ class Chunk:
         if sector % ws_min == 0:
             # Aligned write (the only kind outside crash recovery): one
             # immutable slab per ws_min unit, a single join, no zero-fill.
-            all_full = True
-            for payload in payloads:
-                if payload is None or len(payload) != sector_size:
-                    all_full = False
-                    break
             if all_full:
                 if (whole is not None and count == ws_min
                         and len(whole) == count * sector_size):
@@ -259,12 +262,14 @@ class Chunk:
 
     # -- read path -------------------------------------------------------------
 
-    def read(self, sector: int, count: int = 1) -> List[Payload]:
+    def read(self, sector: int, count: int = 1,
+             meta_only: bool = False) -> List[Payload]:
         """Return the payloads of *count* sectors starting at *sector*.
 
         Payloads come back as memoryviews into the chunk's slab store
         (``None`` for sectors written without data); callers that need
-        sector-sized blobs pad them with :func:`pad_sector`.
+        sector-sized blobs pad them with :func:`pad_sector`.  *meta_only*
+        validates the read the same way and returns no payloads.
 
         Reading at or above the write pointer is an error (undefined data on
         real flash).
@@ -277,6 +282,8 @@ class Chunk:
             raise WritePointerError(
                 f"read of sectors [{sector}, {sector + count}) above write "
                 f"pointer {self.write_pointer} in {self.address}")
+        if meta_only:
+            return []
         valid = self._valid
         if count == 1:
             # Single-sector fast path: device reads overwhelmingly ask for
@@ -291,11 +298,14 @@ class Chunk:
         sector_size = self.sector_size
         ws_min = self.ws_min
         result: List[Payload] = []
+        unit = -1
         for index in range(sector, sector + count):
             if valid[index]:
-                at = (index % ws_min) * sector_size
-                result.append(memoryview(slabs[index // ws_min])
-                              [at:at + lengths[index]])
+                if index // ws_min != unit:     # one view per slab
+                    unit = index // ws_min
+                    view = memoryview(slabs[unit])
+                at = (index - unit * ws_min) * sector_size
+                result.append(view[at:at + lengths[index]])
             else:
                 result.append(None)
         return result

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaVector
 
 if TYPE_CHECKING:   # typing only: repro.qos must stay un-imported at runtime
     from repro.qos.tenant import TenantContext
@@ -29,8 +29,10 @@ class CommandStatus(enum.Enum):
 
 @dataclass(slots=True)
 class VectorWrite:
-    """Write ``data[i]`` to ``ppas[i]``; addresses must be chunk-sequential
-    runs aligned on the write pointer and sized in ``ws_min`` units.
+    """Write ``data[i]`` to the ``i``-th sector ``ppas`` names; addresses
+    must be chunk-sequential runs aligned on the write pointer and sized
+    in ``ws_min`` units.  A count that disagrees with the addresses — here
+    or in a :class:`VectorCopy` — completes as ``INVALID``.
 
     ``oob`` optionally carries per-sector out-of-band metadata (e.g. the
     owning LBA) that FTL recovery scans can read back.
@@ -40,7 +42,7 @@ class VectorWrite:
     FTL write-ahead logs use it for commit durability.
     """
 
-    ppas: List[Ppa]
+    ppas: PpaVector
     data: List[Optional[bytes]]
     oob: Optional[List[object]] = None
     fua: bool = False
@@ -51,24 +53,18 @@ class VectorWrite:
     #: admit the unit zero-copy.  Purely an optimization hint.
     whole: Optional[memoryview] = None
 
-    def __post_init__(self) -> None:
-        if len(self.ppas) != len(self.data):
-            raise ValueError(
-                f"vector write with {len(self.ppas)} addresses but "
-                f"{len(self.data)} payloads")
-        if self.oob is not None and len(self.oob) != len(self.ppas):
-            raise ValueError(
-                f"vector write with {len(self.ppas)} addresses but "
-                f"{len(self.oob)} OOB entries")
-
 
 @dataclass(slots=True)
 class VectorRead:
     """Read the sectors named by *ppas* (any scatter pattern)."""
 
-    ppas: List[Ppa]
+    ppas: PpaVector
     #: Originating tenant (repro.qos); None for infrastructure I/O.
     tenant: Optional["TenantContext"] = None
+    #: Metadata only: validated, timed and failed exactly as the full read,
+    #: but the completion carries ``oob`` alone (``data == []``) — for
+    #: scans that read tags, not payloads.
+    meta_only: bool = False
 
 
 @dataclass(slots=True)
@@ -91,21 +87,11 @@ class VectorCopy:
     letting a pad inherit the live LBA of the sector it re-copies.
     """
 
-    src: List[Ppa]
-    dst: List[Ppa]
+    src: PpaVector
+    dst: PpaVector
     dst_oob: Optional[List[object]] = None
     #: Originating tenant (repro.qos); None for infrastructure I/O.
     tenant: Optional["TenantContext"] = None
-
-    def __post_init__(self) -> None:
-        if len(self.src) != len(self.dst):
-            raise ValueError(
-                f"vector copy with {len(self.src)} sources but "
-                f"{len(self.dst)} destinations")
-        if self.dst_oob is not None and len(self.dst_oob) != len(self.dst):
-            raise ValueError(
-                f"vector copy with {len(self.dst)} destinations but "
-                f"{len(self.dst_oob)} OOB overrides")
 
 
 @dataclass(slots=True)

@@ -309,17 +309,18 @@ class Controller:
     # -- read path -----------------------------------------------------------------
 
     def read_run(self, chunk: Chunk, first_sector: int, sectors: int,
-                 span=None, tenant=None):
+                 span=None, tenant=None, meta_only: bool = False):
         """Process generator: timing for a chunk-contiguous read.
 
         Sectors above the chunk's flushed pointer are served from controller
         DRAM (no chip access); the rest require a media sense followed by a
-        channel transfer.  Returns the payload list, or raises
-        :class:`MediaError` on an uncorrectable read.
+        channel transfer.  Returns the payload list (empty when
+        *meta_only*: same validation, same timing, no payload views), or
+        raises :class:`MediaError` on an uncorrectable read.
         """
         epoch = self._epoch
         chip, lock, channel, key = self._ctx[chunk]
-        payloads = chunk.read(first_sector, sectors)
+        payloads = chunk.read(first_sector, sectors, meta_only)
         obs = self.obs
         qos = self.qos
 

@@ -18,15 +18,14 @@ barrier that bounds what a crash can lose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from operator import lt
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import GeometryError, MediaError, ReproError
+from repro.errors import (
+    GeometryError, MediaError, ReproError, WriteUnitError)
 from repro.nand.chip import FlashChip
 from repro.nand.errors import WearModel
 from repro.nand.timing import NandTiming, timing_for
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaRun, PpaVector
 from repro.ocssd.chunk import Chunk, ChunkState
 from repro.ocssd.commands import (
     ChunkReset,
@@ -228,19 +227,19 @@ class OpenChannelSSD:
         """Run *command* to completion, advancing the simulated clock."""
         return self.sim.run_until(self.sim.spawn(self.submit(command)))
 
-    def write(self, ppas: List[Ppa], data: List[Optional[bytes]],
+    def write(self, ppas: PpaVector, data: List[Optional[bytes]],
               oob: Optional[List[object]] = None,
               fua: bool = False) -> Completion:
         return self.execute(VectorWrite(ppas=ppas, data=data, oob=oob,
                                         fua=fua))
 
-    def read(self, ppas: List[Ppa]) -> Completion:
+    def read(self, ppas: PpaVector) -> Completion:
         return self.execute(VectorRead(ppas=ppas))
 
     def reset(self, ppa: Ppa) -> Completion:
         return self.execute(ChunkReset(ppa=ppa))
 
-    def copy(self, src: List[Ppa], dst: List[Ppa],
+    def copy(self, src: PpaVector, dst: PpaVector,
              dst_oob: Optional[List[object]] = None) -> Completion:
         return self.execute(VectorCopy(src=src, dst=dst, dst_oob=dst_oob))
 
@@ -271,41 +270,56 @@ class OpenChannelSSD:
         self.geometry.check(ppa)
         return self.chunks[ppa.chunk_key()]
 
-    def _split_runs(self, ppas: List[Ppa]) -> List[_Run]:
-        """Group addresses into maximal chunk-contiguous runs, remembering
-        each run's offset into the original vector."""
-        check = self.geometry.check
-        chunks = self.chunks
-        total = len(ppas)
-        if total:
-            first, last = ppas[0], ppas[-1]
-            if (last[:3] == first[:3] and last[3] - first[3] == total - 1
-                    and all(map(lt, ppas, islice(ppas, 1, None)))):
-                # One run (every staged unit write, GC scan and page read
-                # is): strictly increasing addresses whose ends sit
-                # total - 1 sectors apart in one chunk are consecutive.
-                check(first)
-                return [(chunks[first[:3]], first[3], total, 0)]
+    def _run(self, key, first: int, count: int, offset: int) -> _Run:
+        """One run of :meth:`_split_runs`; both its end addresses must be
+        on the device."""
+        chunk = self.chunks.get(key)
+        if (chunk is None or first < 0
+                or first + count > self._sectors_per_chunk):
+            self.geometry.check(Ppa(*key, first))
+            self.geometry.check(Ppa(*key, first + count - 1))
+        return chunk, first, count, offset
+
+    def _split_runs(self, ppas: PpaVector) -> Tuple[List[_Run], int]:
+        """The maximal chunk-contiguous runs of *ppas*, each with its
+        offset into the flattened vector, and the vector's sector count.
+
+        A :class:`PpaRun` passes through as told.  In a list, pieces —
+        runs, or single addresses — that continue each other in one chunk
+        merge: however a vector was cut up, the same ``read_run`` /
+        ``write_run`` processes serve it.
+        """
         runs: List[_Run] = []
-        start = 0
-        while start < total:
-            first = ppas[start]
-            check(first)
-            key = first[:3]
-            chunk = chunks[key]
-            sector = first[3]
-            end = start + 1
-            while end < total:
-                nxt = ppas[end]
-                if nxt[3] != sector + (end - start) or nxt[:3] != key:
-                    break
-                end += 1
-            runs.append((chunk, sector, end - start, start))
-            start = end
-        return runs
+        key = None
+        first = count = offset = 0
+        for piece in (ppas,) if type(ppas) is PpaRun else ppas:
+            if type(piece) is PpaRun:
+                if not piece.count:
+                    continue
+                piece_key, sector, more = piece.key, piece.first, piece.count
+            else:
+                piece_key, sector, more = piece[:3], piece[3], 1
+            if sector == first + count and piece_key == key:
+                count += more
+                continue
+            if count:
+                runs.append(self._run(key, first, count, offset))
+                offset += count
+            key, first, count = piece_key, sector, more
+        if count:
+            runs.append(self._run(key, first, count, offset))
+        return runs, offset + count
 
     def _do_write(self, command: VectorWrite, span=None):
-        runs = self._split_runs(command.ppas)
+        runs, total = self._split_runs(command.ppas)
+        if len(command.data) != total:
+            raise WriteUnitError(
+                f"vector write with {total} addresses but "
+                f"{len(command.data)} payloads")
+        if command.oob is not None and len(command.oob) != total:
+            raise WriteUnitError(
+                f"vector write with {total} addresses but "
+                f"{len(command.oob)} OOB entries")
         whole = command.whole if len(runs) == 1 else None
         # Admission is synchronous and in vector order: write pointers
         # advance and payloads become readable before the timed transfer —
@@ -400,31 +414,33 @@ class OpenChannelSSD:
         return payloads
 
     def _read_runs_proc(self, runs: List[_Run], total: int, want_oob: bool,
-                        span, tenant):
+                        span, tenant, meta_only: bool = False):
         """Timed read of *runs* (*total* sectors in all): one run inline —
         no process spawn + join for parallelism that is not there —,
         several as one spawned process each.  Returns ``(payloads, oob)``
-        in vector order (*oob* is None unless *want_oob*); raises
-        :class:`MediaError` if any run was uncorrectable."""
+        in vector order (*oob* is None unless *want_oob*, *payloads* empty
+        when *meta_only*); raises :class:`MediaError` if any run was
+        uncorrectable."""
         read_run = self.controller.read_run
         if len(runs) == 1:
             chunk, first_sector, count, __ = runs[0]
-            data = yield from read_run(chunk, first_sector, count,
-                                       span=span, tenant=tenant)
+            data = yield from read_run(chunk, first_sector, count, span,
+                                       tenant, meta_only)
             return data, (chunk.read_oob(first_sector, count)
                           if want_oob else None)
-        data: List[Optional[bytes]] = [None] * total
+        data: List[Optional[bytes]] = [] if meta_only else [None] * total
         oob: Optional[List[object]] = [None] * total if want_oob else None
         failures: List[str] = []
 
         def one_run(chunk: Chunk, first_sector: int, count: int, offset: int):
             try:
                 payloads = yield from read_run(chunk, first_sector, count,
-                                               span=span, tenant=tenant)
+                                               span, tenant, meta_only)
             except MediaError as exc:
                 failures.append(str(exc))
                 return
-            data[offset:offset + count] = payloads
+            if not meta_only:
+                data[offset:offset + count] = payloads
             if want_oob:
                 oob[offset:offset + count] = chunk.read_oob(first_sector,
                                                             count)
@@ -436,13 +452,14 @@ class OpenChannelSSD:
         return data, oob
 
     def _do_read(self, command: VectorRead, span=None):
-        total = len(command.ppas)
+        runs, total = self._split_runs(command.ppas)
+        meta_only = command.meta_only
         try:
             data, oob = yield from self._read_runs_proc(
-                self._split_runs(command.ppas), total, True, span,
-                command.tenant)
+                runs, total, True, span, command.tenant, meta_only)
         except MediaError as exc:
-            return Completion(status=_READ_FAILED, data=[None] * total,
+            return Completion(status=_READ_FAILED,
+                              data=[] if meta_only else [None] * total,
                               oob=[None] * total, error=str(exc))
         return Completion(status=_OK, data=data, oob=oob)
 
@@ -461,16 +478,25 @@ class OpenChannelSSD:
         Payloads move synchronously (chunk state to chunk state); the timed
         part is the source reads plus the destination programs.
         """
-        src_runs = self._split_runs(command.src)
-        payloads: List[Optional[bytes]] = [None] * len(command.src)
-        oobs: List[Optional[object]] = [None] * len(command.src)
+        src_runs, total = self._split_runs(command.src)
+        dst_runs, dst_total = self._split_runs(command.dst)
+        if dst_total != total:
+            raise WriteUnitError(
+                f"vector copy with {total} sources but "
+                f"{dst_total} destinations")
+        dst_oob = command.dst_oob
+        if dst_oob is not None and len(dst_oob) != total:
+            raise WriteUnitError(
+                f"vector copy with {total} destinations but "
+                f"{len(dst_oob)} OOB overrides")
+        payloads: List[Optional[bytes]] = [None] * total
+        oobs: List[Optional[object]] = [None] * total
         for chunk, first_sector, count, offset in src_runs:
             payloads[offset:offset + count] = chunk.read(first_sector, count)
             oobs[offset:offset + count] = chunk.read_oob(first_sector, count)
-        if command.dst_oob is not None:
-            oobs = list(command.dst_oob)
+        if dst_oob is not None:
+            oobs = list(dst_oob)
 
-        dst_runs = self._split_runs(command.dst)
         for chunk, first_sector, count, offset in dst_runs:
             chunk.admit_write(first_sector,
                               payloads[offset:offset + count],
@@ -479,9 +505,9 @@ class OpenChannelSSD:
         def read_timing(chunk: Chunk, first_sector: int, count: int,
                         offset: int):
             try:
-                yield from self.controller.read_run(chunk, first_sector,
-                                                    count, span=span,
-                                                    tenant=command.tenant)
+                # Timing only: the payloads moved above.
+                yield from self.controller.read_run(
+                    chunk, first_sector, count, span, command.tenant, True)
             except MediaError:
                 # Data already staged; a source read error during copy is
                 # surfaced through the notification log only.

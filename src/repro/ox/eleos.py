@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaRun
 from repro.ocssd.chunk import ChunkState, pad_sector
 from repro.ox.ftl import serial
 from repro.ox.ftl.checkpoint import CheckpointManager
@@ -248,9 +248,9 @@ class OXEleos:
             raise FTLError(f"page {page_id} is not mapped")
         sector_size = self.geometry.sector_size
         covering = max(1, -(-(entry.offset + entry.length) // sector_size))
-        group, pu, chunk, sector = self.geometry.delinearize(entry.first_sector)
-        ppas = [Ppa(group, pu, chunk, sector + i) for i in range(covering)]
-        completion = yield from self.media.read_proc(ppas)
+        first = self.geometry.delinearize(entry.first_sector)
+        completion = yield from self.media.read_proc(
+            PpaRun(first[:3], first[3], covering))
         self.media.require_ok(completion, f"page {page_id} read")
         blob = b"".join(pad_sector(payload, sector_size)
                         for payload in completion.data)
@@ -380,14 +380,13 @@ class OXEleos:
             count = -(-(last_byte - first_byte) // sector_size)
             count += (-count) % geometry.ws_min
             count = min(count, geometry.sectors_per_chunk)
-            ppas = [Ppa(*key, s) for s in range(count)]
             data = []
             for s in range(count):
                 start = first_byte + s * sector_size
                 data.append(bytes(stream[start:start + sector_size]))
             oob = [("lss", segment_id, s) for s in range(count)]
             procs.append(self.sim.spawn(
-                self.media.write_proc(ppas, data, oob=oob)))
+                self.media.write_proc(PpaRun(key, 0, count), data, oob=oob)))
         completions = yield self.sim.all_of(procs)
         for completion in completions:
             self.media.require_ok(completion, "LSS segment write")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import FTLError, RecoveryError
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaRun
 from repro.ox.ftl import serial
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable
@@ -113,10 +113,9 @@ class CheckpointManager:
             if offset >= len(frames):
                 break
             batch = frames[offset:offset + self.sectors_per_chunk]
-            ppas = [Ppa(*key, s) for s in range(len(batch))]
             oob = [("ckpt", seq, offset + i) for i in range(len(batch))]
             completion = yield from self.media.write_proc(
-                ppas, batch, oob=oob, fua=True)
+                PpaRun(key, 0, len(batch)), batch, oob=oob, fua=True)
             self.media.require_ok(completion, "checkpoint write")
             offset += len(batch)
         self.checkpoints_written += 1
@@ -136,11 +135,10 @@ class CheckpointManager:
         return best
 
     def _read_slot_proc(self, slot: List[ChunkKey]):
-        ppas: List[Ppa] = []
-        for key in slot:
-            info = self.media.chunk_info(Ppa(*key, 0))
-            ppas.extend(Ppa(*key, s) for s in range(info.write_pointer))
-        if not ppas:
+        chunk_info = self.media.chunk_info
+        ppas = [PpaRun(key, 0, chunk_info(Ppa(*key, 0)).write_pointer)
+                for key in slot]
+        if not any(ppas):
             return None
         completion = yield from self.media.read_proc(ppas)
         if not completion.ok:

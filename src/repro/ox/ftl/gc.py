@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import OutOfSpaceError
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaRun
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
 from repro.ox.ftl.provisioning import Provisioner
@@ -319,8 +319,9 @@ class GarbageCollector:
         """
         if write_pointer == 0:
             return [], 0
-        ppas = [Ppa(*key, s) for s in range(write_pointer)]
-        completion = yield from self.media.read_proc(ppas, parent=parent)
+        # Metadata only: the scan wants the owning LBAs, not the payloads.
+        completion = yield from self.media.read_proc(
+            PpaRun(key, 0, write_pointer), parent=parent, meta_only=True)
         self.media.require_ok(completion, "GC victim scan")
         live: List[Tuple[int, int]] = []   # (sector, lba)
         unsafe = 0
@@ -353,39 +354,47 @@ class GarbageCollector:
 
     def _relocate_proc(self, key: ChunkKey, live: List[Tuple[int, int]],
                        parent=None):
-        """Copy *live* out of the victim and commit the moves; returns True
-        on success, False when allocation ran dry mid-relocation."""
+        """Copy *live* (the scan's list: non-empty, ascending) out of the
+        victim and commit the moves; returns True on success, False when
+        allocation ran dry mid-relocation."""
         ws_min = self.geometry.ws_min
         per_chunk = self.geometry.sectors_per_chunk
         table = self.chunk_table
         base = table.get(key).linear * per_chunk
+        # Source runs: consecutive live sectors travel together.
         sectors = [sector for sector, __ in live]
-        lbas = [lba for __, lba in live]
+        src: List[PpaRun] = []
+        start = sectors[0]
+        for previous, sector in zip(sectors, sectors[1:] + [None]):
+            if sector != previous + 1:
+                src.append(PpaRun(key, start, previous - start + 1))
+                start = sector
         # Pad the relocation to whole write units by recopying an arbitrary
-        # sector; pads carry NO_PPA in their destination OOB so a later GC
-        # scan of the destination chunk sees them as unowned.
+        # sector (each pad its own one-sector read); pads carry NO_PPA in
+        # their destination OOB so a later GC scan of the destination chunk
+        # sees them as unowned.
         pad = (-len(live)) % ws_min
-        sectors += sectors[-1:] * pad
-        lbas += [NO_PPA] * pad
-        src = [Ppa(*key, sector) for sector in sectors]
-        dst: List[Ppa] = []
+        src += [PpaRun(key, sectors[-1], 1)] * pad
+        lbas = [lba for __, lba in live] + [NO_PPA] * pad
+        # One destination run per allocated unit.
+        dst: List[PpaRun] = []
         units: List[Tuple[ChunkKey, int]] = []   # (chunk, first linear)
         try:
-            for __ in range(0, len(src), ws_min):
+            for __ in range(0, len(lbas), ws_min):
                 unit_key, first = self.provisioner.allocate_unit(
                     "gc", group=key[0])
                 units.append((unit_key,
                               table.get(unit_key).linear * per_chunk + first))
-                dst.extend(Ppa(*unit_key, first + i) for i in range(ws_min))
+                dst.append(PpaRun(unit_key, first, ws_min))
         except OutOfSpaceError:
             # _fits() said this would fit, so accounting drifted; don't
             # raise out of the collector.  Pad out the units already taken
             # as dead sectors so provisioner cursors and device write
             # pointers stay aligned, then skip the victim.
             if dst:
+                taken = len(dst) * ws_min
                 completion = yield from self.media.write_proc(
-                    dst, [b""] * len(dst), oob=[NO_PPA] * len(dst),
-                    parent=parent)
+                    dst, [b""] * taken, oob=[NO_PPA] * taken, parent=parent)
                 self.media.require_ok(completion, "GC relocation abort pad")
             self._count_skip_no_space()
             return False
@@ -394,29 +403,32 @@ class GarbageCollector:
         self.media.require_ok(completion, "GC relocation copy")
         yield from self.media.flush_proc()
 
-        # Re-validate under the (held) dispatch lock and commit the moves.
-        # One add_valid per sector: the chunk-table clock ticks per moved
-        # sector, and age-aware victim policies order by those ticks.
+        # Re-validate under the (held) dispatch lock and commit the moves,
+        # the chunk table once per destination unit — with one clock tick
+        # per moved sector: age-aware victim policies order by those ticks.
         txn = self.next_txn_id()
         entries: List[Tuple[int, int, int]] = []
         lookup = self.page_map.lookup
-        for index, (sector, lba) in enumerate(zip(sectors, lbas)):
-            if lba == NO_PPA:
-                continue
-            old_linear = base + sector
-            if lookup(lba) != old_linear:
-                continue   # overwritten while we copied; copy is garbage
-            unit_key, unit_base = units[index // ws_min]
-            new_linear = unit_base + index % ws_min
-            self.page_map.update(lba, new_linear)
-            table.add_valid(unit_key)
-            table.invalidate(key)
-            entries.append((lba, new_linear, old_linear))
+        update = self.page_map.update
+        for index, (unit_key, unit_base) in enumerate(units):
+            before = len(entries)
+            start = index * ws_min
+            for new_linear, (sector, lba) in enumerate(
+                    live[start:start + ws_min], unit_base):
+                old_linear = base + sector
+                if lookup(lba) != old_linear:
+                    continue   # overwritten while we copied; copy is garbage
+                update(lba, new_linear)
+                entries.append((lba, new_linear, old_linear))
+            moved = len(entries) - before
+            if moved:
+                table.add_valid(unit_key, moved, ticks=moved)
         self.stats.sectors_relocated += len(entries)
         if self.obs is not None and entries:
             self.obs.metrics.counter(
                 "ftl.gc.sectors_relocated").increment(len(entries))
         if entries:
+            table.invalidate(key, len(entries))
             self.wal.append_map_update(txn, entries)
             self.wal.append_commit(txn)
             yield from self.wal.flush_proc(parent=parent)

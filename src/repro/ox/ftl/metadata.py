@@ -100,20 +100,21 @@ class ChunkTable:
     def clock(self) -> int:
         """The current logical time (monotone, advances on writes).
 
-        One tick per :meth:`add_valid` call, and the callers' rule is:
-        the foreground write path calls it once per staged run (a
-        chunk-contiguous piece of a transaction, at most one write
-        unit — however the host chopped its data into transactions, N
-        units tick N times), GC relocation once per moved sector.
+        The callers' rule: the foreground write path ticks once per
+        staged run (a chunk-contiguous piece of a transaction, at most
+        one write unit — however the host chopped its data into
+        transactions, N units tick N times); GC relocation ticks once
+        per moved sector, applied per destination unit.
         """
         return self._seq
 
     # -- validity accounting ------------------------------------------------------
 
-    def add_valid(self, key: ChunkKey, count: int = 1) -> None:
+    def add_valid(self, key: ChunkKey, count: int = 1,
+                  ticks: int = 1) -> None:
         info = self.get(key)
         info.valid_count += count
-        self._seq += 1
+        self._seq += ticks
         info.write_seq = self._seq
         capacity = self._capacity
         if info.valid_count > capacity:

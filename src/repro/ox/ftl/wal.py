@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import FTLError, RecoveryError
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaRun
 from repro.ox.ftl import serial
 from repro.ox.media import MediaManager
 
@@ -131,9 +131,8 @@ class WalAppender:
             room = self.sectors_per_chunk - self._next_sector
             batch = frames[:room]
             frames = frames[room:]
-            group, pu, chunk = self.chunks[self._ring_index]
-            ppas = [Ppa(group, pu, chunk, self._next_sector + i)
-                    for i in range(len(batch))]
+            ppas = PpaRun(self.chunks[self._ring_index], self._next_sector,
+                          len(batch))
             oob = [("wal", self.epoch, self._seq + i)
                    for i in range(len(batch))]
             completion = yield from self.media.write_proc(
@@ -192,8 +191,8 @@ class WalReader:
             info = self.media.chunk_info(Ppa(*key, 0))
             if info.write_pointer == 0:
                 break
-            ppas = [Ppa(*key, s) for s in range(info.write_pointer)]
-            completion = yield from self.media.read_proc(ppas)
+            completion = yield from self.media.read_proc(
+                PpaRun(key, 0, info.write_pointer))
             self.media.require_ok(completion, "WAL read")
             stop = False
             for sector_data, sector_oob in zip(completion.data,

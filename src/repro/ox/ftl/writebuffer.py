@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FTLError
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaRun
 
 ChunkKey = Tuple[int, int, int]
 
@@ -29,12 +29,18 @@ class PendingUnit:
 
     key: ChunkKey
     first_sector: int
-    ppas: List[Ppa] = field(default_factory=list)
     data: List[bytes] = field(default_factory=list)
+    #: One entry per staged sector, pads included: its length is the
+    #: unit's fill.
     lbas: List[int] = field(default_factory=list)
     #: Contiguous view of the whole unit's payload when it was staged in
     #: one piece over an immutable buffer (zero-copy admission hint).
     whole: Optional[memoryview] = None
+
+    @property
+    def ppas(self) -> PpaRun:
+        """Where the staged sectors go: one run from *first_sector*."""
+        return PpaRun(self.key, self.first_sector, len(self.lbas))
 
 
 class WriteBuffer:
@@ -50,7 +56,7 @@ class WriteBuffer:
         self._sequence = 0
 
     def __len__(self) -> int:
-        return sum(len(unit.ppas) for unit in self._units.values())
+        return sum(len(unit.lbas) for unit in self._units.values())
 
     # -- staging --------------------------------------------------------------
 
@@ -79,7 +85,7 @@ class WriteBuffer:
         slot = (key, unit_start)
         unit = self._units.get(slot)
         expected = unit_start if unit is None \
-            else unit_start + len(unit.ppas)
+            else unit_start + len(unit.lbas)
         if first_sector != expected:
             raise FTLError(
                 f"staged sector {first_sector} out of order in unit "
@@ -89,9 +95,6 @@ class WriteBuffer:
             raise FTLError(
                 f"payload of {len(view)} bytes for a run of {count} "
                 f"{sector_size}-byte sectors")
-        group, pu, chunk = key
-        ppas = [Ppa(group, pu, chunk, sector)
-                for sector in range(first_sector, first_sector + count)]
         sequence = self._sequence
         self._sequence = sequence + count
         if lba0 == PAD_LBA:
@@ -107,7 +110,7 @@ class WriteBuffer:
                 sequence += 1
                 readable[lba] = (sequence, payload)
         if unit is None:
-            unit = PendingUnit(key=key, first_sector=unit_start, ppas=ppas,
+            unit = PendingUnit(key=key, first_sector=unit_start,
                                data=data, lbas=lbas)
             if count == ws_min:
                 # Never passes through the partial table.
@@ -116,10 +119,9 @@ class WriteBuffer:
                 return unit
             self._units[slot] = unit
             return None
-        unit.ppas += ppas
         unit.data += data
         unit.lbas += lbas
-        if len(unit.ppas) == ws_min:
+        if len(unit.lbas) == ws_min:
             del self._units[slot]
             return unit
         return None
@@ -170,7 +172,7 @@ class WriteBuffer:
         if unit is None:
             return False
         index = sector - unit.first_sector
-        if not 0 <= index < len(unit.ppas) or unit.lbas[index] != lba:
+        if not 0 <= index < len(unit.lbas) or unit.lbas[index] != lba:
             return False
         self._sequence += 1
         self._readable[lba] = (self._sequence, unit.data[index])

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import MediaError
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaVector
 from repro.ocssd.commands import (
     ChunkReset,
     Completion,
@@ -57,7 +57,7 @@ class MediaManager:
     # with ``yield from``: callers drive them identically, but each I/O
     # carries one generator frame less through every resume.
 
-    def write_proc(self, ppas: List[Ppa], data: List[Optional[bytes]],
+    def write_proc(self, ppas: PpaVector, data: List[Optional[bytes]],
                    oob: Optional[List[object]] = None, fua: bool = False,
                    parent=None, whole: Optional[memoryview] = None):
         return self.device.submit(
@@ -65,9 +65,11 @@ class MediaManager:
                         tenant=self.tenant, whole=whole),
             parent=parent)
 
-    def read_proc(self, ppas: List[Ppa], parent=None):
-        return self.device.submit(VectorRead(ppas=ppas, tenant=self.tenant),
-                                  parent=parent)
+    def read_proc(self, ppas: PpaVector, parent=None,
+                  meta_only: bool = False):
+        return self.device.submit(
+            VectorRead(ppas=ppas, tenant=self.tenant, meta_only=meta_only),
+            parent=parent)
 
     def read_sectors_proc(self, linears: List[int], parent=None):
         """Payload-only read by linear address; see
@@ -79,7 +81,7 @@ class MediaManager:
         return self.device.submit(ChunkReset(ppa=ppa, tenant=self.tenant),
                                   parent=parent)
 
-    def copy_proc(self, src: List[Ppa], dst: List[Ppa],
+    def copy_proc(self, src: PpaVector, dst: PpaVector,
                   dst_oob: Optional[List[object]] = None, parent=None):
         return self.device.submit(
             VectorCopy(src=src, dst=dst, dst_oob=dst_oob,
@@ -91,19 +93,19 @@ class MediaManager:
 
     # -- synchronous API ----------------------------------------------------------
 
-    def write(self, ppas: List[Ppa], data: List[Optional[bytes]],
+    def write(self, ppas: PpaVector, data: List[Optional[bytes]],
               oob: Optional[List[object]] = None,
               fua: bool = False) -> Completion:
         return self.device.execute(VectorWrite(
             ppas=ppas, data=data, oob=oob, fua=fua, tenant=self.tenant))
 
-    def read(self, ppas: List[Ppa]) -> Completion:
+    def read(self, ppas: PpaVector) -> Completion:
         return self.device.execute(VectorRead(ppas=ppas, tenant=self.tenant))
 
     def reset(self, ppa: Ppa) -> Completion:
         return self.device.execute(ChunkReset(ppa=ppa, tenant=self.tenant))
 
-    def copy(self, src: List[Ppa], dst: List[Ppa],
+    def copy(self, src: PpaVector, dst: PpaVector,
              dst_oob: Optional[List[object]] = None) -> Completion:
         return self.device.execute(VectorCopy(
             src=src, dst=dst, dst_oob=dst_oob, tenant=self.tenant))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ZoneError
-from repro.ocssd.address import Ppa
+from repro.ocssd.address import Ppa, PpaRun
 from repro.ocssd.chunk import pad_sector
 from repro.ox.media import MediaManager
 from repro.zns.zone import Zone, ZoneState
@@ -157,8 +157,7 @@ class OXZns:
             padded = count + ((-count) % ws_min) \
                 if count == remaining else count
             padded = min(padded, room)
-            key = zone.chunks[chunk_index]
-            ppas = [Ppa(*key, in_chunk + i) for i in range(padded)]
+            ppas = PpaRun(zone.chunks[chunk_index], in_chunk, padded)
             payloads = []
             for i in range(padded):
                 if i < count:
@@ -200,10 +199,14 @@ class OXZns:
         zone = self.zone(zone_id)
         zone.check_read(offset, sectors)
         sector_size = self.geometry.sector_size
-        ppas = []
-        for i in range(sectors):
-            chunk_index, in_chunk = self._locate(zone, offset + i)
-            ppas.append(Ppa(*zone.chunks[chunk_index], in_chunk))
+        per_chunk = self.geometry.sectors_per_chunk
+        ppas = []       # one run per chunk the read touches
+        at, end = offset, offset + sectors
+        while at < end:
+            chunk_index, in_chunk = self._locate(zone, at)
+            count = min(end - at, per_chunk - in_chunk)
+            ppas.append(PpaRun(zone.chunks[chunk_index], in_chunk, count))
+            at += count
         obs = self.obs
         span = None
         if obs is not None:

@@ -82,9 +82,11 @@ class TestCopySemantics:
         assert completion.status is CommandStatus.INVALID
 
     def test_copy_mismatched_lengths_rejected(self):
-        device = tiny()
-        with pytest.raises(ValueError):
-            device.copy([Ppa(0, 0, 0, 0)], [])
+        # Inside the error contract: an INVALID completion naming both
+        # counts.
+        completion = tiny().copy([Ppa(0, 0, 0, 0)], [])
+        assert completion.status is CommandStatus.INVALID
+        assert "1 sources but 0 destinations" in completion.error
 
 
 class TestCacheBackPressure:

@@ -14,7 +14,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, invariant, precondition, rule)
 
-from repro.errors import FTLError
+from repro.errors import FTLError, OutOfSpaceError
 from repro.llama import LlamaConfig, LlamaEngine
 from repro.llama.pages import DeltaPage
 from repro.nand import FlashGeometry
@@ -282,3 +282,187 @@ def test_gc_victim_scan_matches_the_delinearize_reference(seed):
             1 for lba in oob if isinstance(lba, int) and lba != NO_PPA
             and ftl.page_map.lookup(lba) is None)
     assert all(seen.values()), seen
+
+
+# -- OX-Block GC relocation commit ---------------------------------------------------
+
+def relocate_per_sector_proc(gc, key, live, parent=None):
+    """``GarbageCollector._relocate_proc`` as it was before addresses
+    travelled as runs: one ``Ppa`` per source and destination sector, one
+    ``add_valid`` (one clock tick) and one ``invalidate`` per moved
+    sector.  Kept verbatim as the definition the run form must equal."""
+    ws_min = gc.geometry.ws_min
+    per_chunk = gc.geometry.sectors_per_chunk
+    table = gc.chunk_table
+    base = table.get(key).linear * per_chunk
+    sectors = [sector for sector, __ in live]
+    lbas = [lba for __, lba in live]
+    pad = (-len(live)) % ws_min
+    sectors += sectors[-1:] * pad
+    lbas += [NO_PPA] * pad
+    src = [Ppa(*key, sector) for sector in sectors]
+    dst = []
+    units = []
+    try:
+        for __ in range(0, len(src), ws_min):
+            unit_key, first = gc.provisioner.allocate_unit(
+                "gc", group=key[0])
+            units.append((unit_key,
+                          table.get(unit_key).linear * per_chunk + first))
+            dst.extend(Ppa(*unit_key, first + i) for i in range(ws_min))
+    except OutOfSpaceError:
+        if dst:
+            completion = yield from gc.media.write_proc(
+                dst, [b""] * len(dst), oob=[NO_PPA] * len(dst),
+                parent=parent)
+            gc.media.require_ok(completion, "GC relocation abort pad")
+        gc._count_skip_no_space()
+        return False
+    completion = yield from gc.media.copy_proc(src, dst, dst_oob=lbas,
+                                               parent=parent)
+    gc.media.require_ok(completion, "GC relocation copy")
+    yield from gc.media.flush_proc()
+
+    txn = gc.next_txn_id()
+    entries = []
+    lookup = gc.page_map.lookup
+    for index, (sector, lba) in enumerate(zip(sectors, lbas)):
+        if lba == NO_PPA:
+            continue
+        old_linear = base + sector
+        if lookup(lba) != old_linear:
+            continue
+        unit_key, unit_base = units[index // ws_min]
+        new_linear = unit_base + index % ws_min
+        gc.page_map.update(lba, new_linear)
+        table.add_valid(unit_key)
+        table.invalidate(key)
+        entries.append((lba, new_linear, old_linear))
+    gc.stats.sectors_relocated += len(entries)
+    if entries:
+        gc.wal.append_map_update(txn, entries)
+        gc.wal.append_commit(txn)
+        yield from gc.wal.flush_proc(parent=parent)
+    return True
+
+
+def relocated_twin(policy, seed, relocate_proc, units_left=None):
+    """One aged OX-Block, then the three fullest victims of group 0
+    (scattered live runs, two units each) relocated through
+    *relocate_proc* while host overwrites of a third of their live LBAs
+    land between the copy and the commit; with *units_left*, GC space
+    runs dry after that many units.  Returns everything the relocation
+    touches."""
+    geometry = DeviceGeometry(
+        num_groups=2, pus_per_group=2,
+        flash=FlashGeometry(blocks_per_plane=8, pages_per_block=6))
+    media = MediaManager(OpenChannelSSD(geometry=geometry))
+    ftl = OXBlock.format(media, BlockConfig(
+        wal_chunk_count=2, ckpt_chunks_per_slot=1, gc_enabled=False,
+        gc_policy=policy))
+    gc, sim = ftl.gc, media.sim
+    rng = random.Random(seed)
+    unit = geometry.ws_min
+    span = 4 * geometry.sectors_per_chunk
+    for lba in range(0, span, unit):
+        ftl.write(lba, bytes([lba % 251]) * (SS * unit))
+    for __ in range(60):                  # scattered overwrites and trims
+        lba = rng.randrange(span)
+        if rng.random() < 0.2:
+            ftl.trim(lba, rng.randint(1, 3))
+        else:
+            ftl.write(lba, bytes([rng.randrange(251)]) * SS)
+    ftl.flush()
+
+    logged = []
+    append_map_update = ftl.wal.append_map_update
+    ftl.wal.append_map_update = lambda txn, entries: (
+        logged.append((txn, list(entries))), append_map_update(txn, entries))
+    flush_proc = media.flush_proc
+    raced = []
+
+    def racing_flush_proc():
+        # GC's flush sits between its copy and its commit: overwrites that
+        # land here make the copies of those LBAs garbage.
+        yield from flush_proc()
+        pending, raced[:] = list(raced), []   # the writes flush too
+        for lba in pending:
+            yield sim.spawn(ftl.write_proc(lba, bytes([9]) * SS))
+
+    media.flush_proc = racing_flush_proc
+    if units_left is not None:
+        allocate_unit = gc.provisioner.allocate_unit
+        budget = [units_left]
+
+        def starved_allocate_unit(stream, group=None):
+            if stream == "gc":
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise OutOfSpaceError("no GC space left")
+            return allocate_unit(stream, group=group)
+
+        gc.provisioner.allocate_unit = starved_allocate_unit
+    outcomes = []
+    for victim in sorted(gc.victims(0),
+                         key=lambda info: -info.valid_count)[:3]:
+        key = victim.key
+        live, __ = run(media, gc._find_live_sectors_proc(
+            key, media.chunk_info(Ppa(*key, 0)).write_pointer))
+        if not live:
+            continue
+        raced[:] = [lba for __, lba in live[::3]]
+        outcomes.append((key, len(live),
+                         run(media, relocate_proc(gc, key, live))))
+    table = ftl.chunk_table
+    return {
+        "outcomes": outcomes,
+        "map": list(ftl.page_map.items()),
+        "chunks": [(info.key, info.state, info.valid_count, info.write_seq,
+                    info.write_next) for info in table.values()],
+        "clock": table.clock(),
+        "wal": logged,
+        "wal_sectors": ftl.wal.sectors_written,
+        "relocated": gc.stats.sectors_relocated,
+        "skips": gc.stats.skips_no_space,
+        "victims": [[info.key for info in gc.victims(group)]
+                    for group in range(geometry.num_groups)],
+        "sim": (sim.now, sim.events_processed),
+        "device": [(chunk.state, chunk.write_pointer, chunk.flushed_pointer,
+                    chunk.read_oob(0, chunk.write_pointer)
+                    if chunk.write_pointer else [])
+                   for chunk in media.device.chunks.values()],
+    }
+
+
+@pytest.mark.parametrize("policy",
+                         ["greedy", "cost_benefit", "age_partitioned"])
+@pytest.mark.parametrize("seed", range(3))
+def test_gc_relocation_commit_matches_the_per_sector_reference(policy, seed):
+    """Source runs, one destination run per unit and the per-unit commit
+    (``add_valid(key, n, ticks=n)``) leave the map, every chunk's
+    ``valid_count`` / ``write_seq``, the table clock, the WAL entries, the
+    device and the sim clock exactly where one ``Ppa``, one ``add_valid``
+    and one ``invalidate`` per sector did — so every victim policy orders
+    the next victims the same."""
+    by_run = relocated_twin(
+        policy, seed, lambda gc, *args: gc._relocate_proc(*args))
+    by_sector = relocated_twin(policy, seed, relocate_per_sector_proc)
+    assert by_run == by_sector
+    assert any(outcome for *__, outcome in by_run["outcomes"])
+    # The race mattered: fewer sectors committed than were copied.
+    assert 0 < by_run["relocated"] < sum(
+        live for __, live, outcome in by_run["outcomes"] if outcome)
+
+
+def test_gc_relocation_abort_pads_the_same_units():
+    """GC space running dry mid-relocation: the units already taken are
+    padded out as dead sectors by one write of destination runs, as the
+    per-sector vector was, and the victim is skipped."""
+    by_run = relocated_twin(
+        "greedy", 0, lambda gc, *args: gc._relocate_proc(*args),
+        units_left=1)
+    by_sector = relocated_twin("greedy", 0, relocate_per_sector_proc,
+                               units_left=1)
+    assert by_run == by_sector
+    assert [outcome for *__, outcome in by_run["outcomes"]].count(False) \
+        and by_run["skips"]

@@ -15,7 +15,8 @@ possible: one tick per staged run, however the host chops its data.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,14 @@ def allocate_sector(provisioner: Provisioner, stream: str = "user") -> Ppa:
     return ppa
 
 
+@dataclass
+class PerSectorUnit(PendingUnit):
+    """The oracle's unit still collects one ``Ppa`` per staged sector;
+    ``PendingUnit.ppas`` is now a run derived from the unit's fill."""
+
+    staged: List[Ppa] = field(default_factory=list)
+
+
 class PerSectorBuffer(WriteBuffer):
     """A :class:`WriteBuffer` staged one sector per call."""
 
@@ -63,20 +72,20 @@ class PerSectorBuffer(WriteBuffer):
         slot = (key, unit_start)
         unit = self._units.get(slot)
         if unit is None:
-            unit = PendingUnit(key=key, first_sector=unit_start)
+            unit = PerSectorUnit(key=key, first_sector=unit_start)
             self._units[slot] = unit
-        expected = unit.first_sector + len(unit.ppas)
+        expected = unit.first_sector + len(unit.staged)
         if sector != expected:
             raise FTLError(
                 f"staged sector {sector} out of order in unit "
                 f"{slot} (expected {expected})")
-        unit.ppas.append(ppa)
+        unit.staged.append(ppa)
         unit.data.append(data)
         unit.lbas.append(lba)
         self._sequence += 1
         if lba != PAD_LBA:
             self._readable[lba] = (self._sequence, data)
-        if len(unit.ppas) == self.ws_min:
+        if len(unit.staged) == self.ws_min:
             del self._units[slot]
             return unit
         return None
@@ -97,7 +106,10 @@ def make_provisioner():
 def unit_state(unit: Optional[PendingUnit]):
     if unit is None:
         return None
-    return (unit.key, unit.first_sector, unit.ppas, unit.lbas,
+    # The run a unit derives must be the list the oracle appended.
+    ppas = unit.staged if isinstance(unit, PerSectorUnit) \
+        else list(unit.ppas)
+    return (unit.key, unit.first_sector, ppas, unit.lbas,
             [bytes(piece) for piece in unit.data])
 
 

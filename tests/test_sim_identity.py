@@ -486,6 +486,26 @@ def test_zipf_overwrite_gc_is_sim_identical(gc_policy):
     assert _zipf_overwrite_gc(gc_policy) == GOLDEN[gc_policy]
 
 
+def test_gc_scenario_builds_no_per_sector_addresses(monkeypatch):
+    """A deterministic cost pin (counts, not clocks): ``Ppa`` objects
+    constructed per host write over the greedy scenario above.  146.7
+    while every vector was one ``Ppa`` per sector (c4f051a); 4.63 now
+    that addresses travel as runs — what is left is one
+    ``Ppa(*key, 0)`` per chunk-info probe and reset, and the victim
+    scan's ``delinearize`` per superseding chunk.  The bound may only go
+    down without a CHANGES note."""
+    from repro.ocssd.address import Ppa
+    from repro.ox.block import OXBlock
+    made, writes = [], []
+    new, write = Ppa.__new__, OXBlock.write
+    monkeypatch.setattr(Ppa, "__new__", lambda cls, *args, **kwargs: (
+        made.append(1), new(cls, *args, **kwargs))[1])
+    monkeypatch.setattr(OXBlock, "write", lambda self, lba, data: (
+        writes.append(1), write(self, lba, data))[1])
+    assert _zipf_overwrite_gc("greedy") == GOLDEN["greedy"]
+    assert len(made) / len(writes) <= 5.0
+
+
 @pytest.mark.parametrize("host", ["none", "wlfc"])
 def test_mixed_shapes_are_sim_identical(host):
     assert _mixed_shapes(host) == GOLDEN[f"mixed_{host}"]
