@@ -72,12 +72,12 @@ def fill_victim_chunks(device: OpenChannelSSD,
     so the measured reads hit NAND rather than the write-back cache."""
     g = device.geometry
     unit = g.ws_min
-    payload = [bytes(SECTOR)] * unit
+    payload = bytes(SECTOR * unit)
     for group, pu in pus:
         for start in range(0, g.sectors_per_chunk, unit):
             ppas = [Ppa(group=group, pu=pu, chunk=0, sector=start + i)
                     for i in range(unit)]
-            device.execute(VectorWrite(ppas=ppas, data=list(payload),
+            device.execute(VectorWrite(ppas=ppas, data=payload,
                                        tenant=tenant))
     device.flush()
 
@@ -103,14 +103,14 @@ def aggressor_proc(device: OpenChannelSSD, group: int, pu: int,
     pressure: one 3.5 ms erase per chunk, back to back)."""
     g = device.geometry
     unit = g.ws_min
-    payload = [bytes(SECTOR)] * unit
+    payload = bytes(SECTOR * unit)
     while True:
         for chunk in range(1, g.chunks_per_pu):
             for start in range(0, g.sectors_per_chunk, unit):
                 ppas = [Ppa(group=group, pu=pu, chunk=chunk,
                             sector=start + i) for i in range(unit)]
                 yield from device.submit(VectorWrite(
-                    ppas=ppas, data=list(payload), tenant=tenant))
+                    ppas=ppas, data=payload, tenant=tenant))
         for chunk in range(1, g.chunks_per_pu):
             probe = Ppa(group=group, pu=pu, chunk=chunk, sector=0)
             while (device.chunk_info(probe).flushed_pointer

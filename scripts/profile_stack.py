@@ -6,12 +6,13 @@ perf-trajectory macro/smoke shapes) under ``cProfile`` and reports where
 the wall time actually goes, twice over:
 
 1. **Per-layer attribution** — every profiled function is charged to the
-   stack layer that owns its source file, using the same layer
-   vocabulary the observability spans use (``sim``, ``nand``, ``ocssd``,
-   ``ftl``, ``qos``, ``obs``, ...).  Exclusive (tottime) seconds, so the
-   table answers "which layer is hot", not "which layer is on the call
-   path" — a question cumtime cannot answer through ``yield from``
-   chains.
+   stack layer that owns its source file, by the ledger's own table
+   (``benchmarks/ledger/layers.py::layer_of``: ``sim``, ``nand``,
+   ``ocssd``, ``ox.ftl``, ``ox.block``, ``policies``, ... and ``python``
+   for the rest), so a row here and a ``<layer>.host_share`` there mean
+   the same files.  Exclusive (tottime) seconds, so the table answers
+   "which layer is hot", not "which layer is on the call path" — a
+   question cumtime cannot answer through ``yield from`` chains.
 2. **Top functions** — the usual cProfile top-N by tottime, for drilling
    into the hot layer.
 
@@ -47,35 +48,9 @@ from typing import Callable, Dict, List, Tuple
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
+sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks", "ledger"))
 
-#: Source-path → layer attribution table.  First match wins; the labels
-#: follow the obs span vocabulary so a profile row and a trace span for
-#: the same work carry the same name.
-LAYER_ATTRIBUTION: Tuple[Tuple[str, str], ...] = (
-    (os.path.join("repro", "sim") + os.sep, "sim"),
-    (os.path.join("repro", "nand") + os.sep, "nand"),
-    (os.path.join("repro", "ocssd") + os.sep, "ocssd"),
-    (os.path.join("repro", "ox") + os.sep, "ftl"),
-    (os.path.join("repro", "qos") + os.sep, "qos"),
-    (os.path.join("repro", "obs") + os.sep, "obs"),
-    (os.path.join("repro", "lsm") + os.sep, "lsm"),
-    (os.path.join("repro", "zns") + os.sep, "zns"),
-    (os.path.join("repro", "faults") + os.sep, "faults"),
-    (os.path.join("repro", "stack") + os.sep, "stack"),
-    (os.path.join("repro", "llama") + os.sep, "llama"),
-    (os.path.join("repro", "eleos") + os.sep, "eleos"),
-    (os.path.join("repro", "") , "repro.other"),
-    (os.path.join("benchmarks", ""), "harness"),
-    (os.path.join("scripts", ""), "harness"),
-)
-
-
-def attribute(filename: str) -> str:
-    """The layer a profiled source file belongs to."""
-    for needle, layer in LAYER_ATTRIBUTION:
-        if needle in filename:
-            return layer
-    return "python/other"
+from layers import layer_of  # noqa: E402  (the ledger's attribution table)
 
 
 def layer_table(stats: pstats.Stats) -> List[Tuple[str, float, int]]:
@@ -84,7 +59,7 @@ def layer_table(stats: pstats.Stats) -> List[Tuple[str, float, int]]:
     calls: Dict[str, int] = {}
     for (filename, _line, _func), row in stats.stats.items():
         cc, nc, tt, ct, callers = row
-        layer = attribute(filename)
+        layer = layer_of(filename)
         seconds[layer] = seconds.get(layer, 0.0) + tt
         calls[layer] = calls.get(layer, 0) + nc
     return sorted(((layer, seconds[layer], calls[layer])
@@ -127,7 +102,7 @@ def run_sampled(name: str, run: Callable[[], dict], top: int) -> str:
     total = sum(self_hits.values()) or 1
     layers: Counter = Counter()
     for (filename, _line, _func), hits in self_hits.items():
-        layers[attribute(filename)] += hits
+        layers[layer_of(filename)] += hits
     lines = [f"Sampled profile: {name} ({total} samples, 1 kHz asked)", "",
              *(f"  {key:>18s} = {value}" for key, value in metrics.items()),
              "", "Self share by layer:",
@@ -180,7 +155,6 @@ def bench_spec(shape: str):
 def ledger_run(name: str) -> Callable[[], dict]:
     """The timed phase of a ledger workload (seed 1, full scale), set up
     and prefilled outside the profile as the ledger does."""
-    sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks", "ledger"))
     from repro.stack import build_stack
     from workloads import WORKLOADS, Tally
 

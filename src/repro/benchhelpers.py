@@ -164,11 +164,6 @@ def evaluation_spec(chunks_per_pu: int = 160, **overrides) -> StackSpec:
         **overrides)
 
 
-def evaluation_device(chunks_per_pu: int = 160) -> OpenChannelSSD:
-    """The bare Figure 4 drive (see :func:`evaluation_spec`)."""
-    return build_stack(evaluation_spec(chunks_per_pu, ftl="none")).device
-
-
 def lightlsm_db(placement: PlacementPolicy,
                 chunks_per_pu: int = 160,
                 write_buffer_bytes: int = 4 * MIB,

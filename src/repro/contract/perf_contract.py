@@ -114,7 +114,7 @@ def characterize_device(device: OpenChannelSSD, samples: int = 32,
     reads = registry.histogram("contract.read_sector.latency_s")
     resets = registry.histogram("contract.reset.latency_s")
     ws_min = geometry.ws_min
-    payload = [b"\xA5" * geometry.sector_size] * ws_min
+    payload = b"\xA5" * (geometry.sector_size * ws_min)
 
     chip = device.chips[(scratch.group, scratch.pu)]
     for __ in range(wear_cycles):

@@ -124,9 +124,6 @@ class LlamaEngine:
             self._cache[pid] = page
         return page.materialize()
 
-    def contains(self, pid: int) -> bool:
-        return pid in self._cache or pid in self.ftl.vmap
-
     # -- cleaning ----------------------------------------------------------------------
 
     def segment_live_ratio(self, segment_id: int) -> float:

@@ -15,6 +15,7 @@ from repro.lsm.sstable import SSTableBuilder, SSTableData, SSTableMeta
 from repro.lsm.env import MemEnv, SSTableHandle, StorageEnv
 from repro.lsm.lightlsm import (
     HorizontalPlacement,
+    LightLSMConfig,
     LightLSMEnv,
     PlacementPolicy,
     VerticalPlacement,
@@ -35,6 +36,7 @@ __all__ = [
     "SSTableHandle",
     "StorageEnv",
     "HorizontalPlacement",
+    "LightLSMConfig",
     "LightLSMEnv",
     "PlacementPolicy",
     "VerticalPlacement",

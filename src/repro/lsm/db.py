@@ -690,7 +690,3 @@ class DB:
 
     def level_sizes(self) -> List[int]:
         return [len(tables) for tables in self.levels]
-
-    def total_entries_on_disk(self) -> int:
-        return sum(t.meta.entry_count
-                   for tables in self.levels for t in tables)

@@ -10,8 +10,8 @@ re-implementing before the stack refactor:
   replay-then-read-meta recovery walk, and the handle lookup.
   (LightLSM deliberately does **not** inherit this: atomic SSTable
   flush makes the MANIFEST unnecessary, §5.)
-* :func:`pad_to_sectors` — the meta-blob padding arithmetic (round up
-  to whole sectors, optionally to whole write units).
+* :func:`pad_to_sectors` — the meta-blob padding the sector-addressed
+  FTLs ask of their host (round up to whole sectors).
 * :class:`WriteDispatcher` — the paper's "single dispatch thread"
   (§4.2): one queue, strictly serialized submissions, overlapping
   completions.  LightLSM owns the only write pointers today, but the
@@ -27,28 +27,14 @@ from repro.errors import ReproError
 from repro.lsm.env import (
     SSTableHandle, StorageEnv, replay_manifest)
 from repro.ocssd.address import PpaVector
+from repro.ocssd.commands import Buffer, VectorWrite
 from repro.sim.resources import Store
 
 
-def pad_to_sectors(blob: bytes, sector_size: int,
-                   unit_sectors: int = 1) -> Tuple[int, bytes]:
-    """Pad *blob* to whole sectors (and, with *unit_sectors* > 1, to
-    whole write units); returns ``(sectors, padded)``."""
+def pad_to_sectors(blob: bytes, sector_size: int) -> Tuple[int, bytes]:
+    """Pad *blob* to whole sectors; returns ``(sectors, padded)``."""
     sectors = -(-len(blob) // sector_size)
-    sectors += (-sectors) % unit_sectors
     return sectors, blob.ljust(sectors * sector_size, b"\x00")
-
-
-def split_sectors(padded: bytes, sector_size: int) -> List[memoryview]:
-    """Zero-copy per-sector views of a sector-aligned blob.
-
-    The write paths hand these straight to the device, whose chunk store
-    copies them once into its slabs — so a meta blob or data block is
-    never duplicated sector-by-sector on the way down.
-    """
-    view = memoryview(padded)
-    return [view[at:at + sector_size]
-            for at in range(0, len(padded), sector_size)]
 
 
 class ManifestEnv(StorageEnv):
@@ -100,7 +86,7 @@ class ManifestEnv(StorageEnv):
 @dataclass
 class _DispatchJob:
     ppas: PpaVector
-    data: List[bytes]
+    data: Buffer
     oob: List[object]
     fua: bool
     done: object   # Event
@@ -143,7 +129,7 @@ class WriteDispatcher:
                       name=f"{name}-dispatcher{suffix}")
         self._write_name = f"{name}-write"
 
-    def submit(self, ppas: PpaVector, data: List[bytes],
+    def submit(self, ppas: PpaVector, data: Buffer,
                oob: List[object], fua: bool = False):
         """Queue a write on the dispatch thread; returns the done event."""
         done = self.sim.event()
@@ -151,8 +137,6 @@ class WriteDispatcher:
         return done
 
     def _dispatcher(self):
-        from repro.ocssd.commands import VectorWrite
-
         def completer(job: _DispatchJob):
             completion = yield from self.media.device.submit(
                 VectorWrite(ppas=job.ppas, data=job.data, oob=job.oob,

@@ -32,9 +32,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OutOfSpaceError, ReproError
 from repro.lsm.env import SSTableHandle, SSTableWriter, StorageEnv
-from repro.lsm.envbase import WriteDispatcher, pad_to_sectors, split_sectors
+from repro.lsm.envbase import WriteDispatcher
 from repro.ocssd.address import Ppa, PpaRun
-from repro.ocssd.chunk import ChunkState, pad_sector
+from repro.ocssd.chunk import ChunkState
+from repro.ocssd.commands import Buffer
 from repro.ox.media import MediaManager
 
 ChunkKey = Tuple[int, int, int]
@@ -142,6 +143,22 @@ class _TableLayout:
         return self.chunks[chunk_slot], stripe * self.block_sectors
 
 
+@dataclass(frozen=True)
+class LightLSMConfig:
+    """Tunables of the LightLSM environment."""
+
+    #: Data chunks one SSTable stripes over; None = one per PU of the
+    #: environment's partition (Figure 4: SSTable size = #groups x #PUs
+    #: x chunk size).
+    chunks_per_sstable: Optional[int] = None
+    #: Dispatch loops (§4.2): the paper runs exactly one; more is the
+    #: counterfactual the bottleneck claim is measured against
+    #: (bench_fig5 worker sweep).
+    dispatch_workers: int = 1
+    #: CPU seconds the dispatch thread spends per submission.
+    dispatch_cpu: float = 0.0
+
+
 @dataclass
 class LightLSMStats:
     tables_flushed: int = 0
@@ -155,9 +172,8 @@ class LightLSMEnv(StorageEnv):
     """The Open-Channel SSD environment for RocksDB-lite."""
 
     def __init__(self, media: MediaManager, placement: PlacementPolicy,
-                 chunks_per_sstable: Optional[int] = None,
-                 tenant=None, pus: Optional[List[PuKey]] = None,
-                 dispatch_workers: int = 1, dispatch_cpu: float = 0.0):
+                 config: LightLSMConfig = LightLSMConfig(),
+                 tenant=None, pus: Optional[List[PuKey]] = None):
         if tenant is not None:
             media = media.for_tenant(tenant)
         self.media = media
@@ -169,9 +185,8 @@ class LightLSMEnv(StorageEnv):
         # the whole device (shared striping).
         self.all_pus: List[PuKey] = (list(pus) if pus is not None
                                      else list(self.geometry.iter_pus()))
-        # Figure 4: SSTable size = #groups x #PUs x chunk size, i.e. one
-        # chunk per PU (of this env's partition) by default.
-        self.chunks_per_sstable = chunks_per_sstable or len(self.all_pus)
+        self.chunks_per_sstable = (config.chunks_per_sstable
+                                   or len(self.all_pus))
         self.free_pool: Dict[PuKey, deque[ChunkKey]] = {
             pu: deque() for pu in self.all_pus}
         for group, pu in self.all_pus:
@@ -179,12 +194,10 @@ class LightLSMEnv(StorageEnv):
                 self.free_pool[(group, pu)].append((group, pu, chunk))
         self._tables: Dict[int, _TableLayout] = {}
         self.stats = LightLSMStats()
-        # The dispatch thread(s) (§4.2): the paper runs exactly one;
-        # dispatch_workers > 1 is the counterfactual the bottleneck
-        # claim is measured against (bench_fig5 worker sweep).
         self._dispatcher = WriteDispatcher(
             self.sim, media, name="lightlsm",
-            workers=dispatch_workers, dispatch_cpu=dispatch_cpu)
+            workers=config.dispatch_workers,
+            dispatch_cpu=config.dispatch_cpu)
 
     @property
     def tenant(self):
@@ -236,9 +249,7 @@ class LightLSMEnv(StorageEnv):
         self.media.require_ok(completion,
                               f"block read {handle.sstable_id}/{block_index}")
         self.stats.blocks_read += 1
-        sector_size = self.geometry.sector_size
-        return b"".join(pad_sector(payload, sector_size)
-                        for payload in completion.data)
+        return b"".join(completion.data)
 
     def read_meta_proc(self, handle: SSTableHandle):
         layout = self._layout(handle)
@@ -345,7 +356,7 @@ class LightLSMEnv(StorageEnv):
     def dispatcher(self) -> WriteDispatcher:
         return self._dispatcher
 
-    def submit_write(self, ppas: PpaRun, data: List[bytes],
+    def submit_write(self, ppas: PpaRun, data: Buffer,
                      oob: List[object], fua: bool = False):
         """Queue a write on the dispatch thread; returns the done event."""
         return self._dispatcher.submit(ppas, data, oob, fua)
@@ -392,9 +403,7 @@ class LightLSMEnv(StorageEnv):
             PpaRun(layout.meta_chunk, 0, layout.meta_sectors))
         if not completion.ok:
             return None
-        sector_size = self.geometry.sector_size
-        return b"".join(pad_sector(payload, sector_size)
-                        for payload in completion.data)
+        return b"".join(completion.data)
 
     def _read_meta_of_layout(self, layout: _TableLayout):
         """Commit validation + meta read for an in-memory layout."""
@@ -457,11 +466,10 @@ class _LightLSMWriter(SSTableWriter):
             raise OutOfSpaceError(
                 f"table {layout.handle.sstable_id} overflows its chunks")
         ppas = PpaRun(key, first_sector, layout.block_sectors)
-        data = split_sectors(block, sector_size)
         oob = [("sst", layout.handle.sstable_id, layout.handle.level,
                 layout.sequence, chunk_slot, len(layout.chunks))
                for __ in range(layout.block_sectors)]
-        done = self.env.submit_write(ppas, data, oob)
+        done = self.env.submit_write(ppas, block, oob)
         self._pending.append(done)
         layout.write_next[chunk_slot] = first_sector + layout.block_sectors
         self._next_block += 1
@@ -483,9 +491,9 @@ class _LightLSMWriter(SSTableWriter):
         layout.data_blocks = self._next_block
 
         # Meta: written at the start of the dedicated meta chunk, padded
-        # to whole write units.
-        meta_sectors, padded = pad_to_sectors(meta_blob, sector_size,
-                                              unit_sectors=ws_min)
+        # to whole write units (the sectors past the blob's end).
+        meta_sectors = -(-len(meta_blob) // sector_size)
+        meta_sectors += (-meta_sectors) % ws_min
         if meta_sectors + ws_min > geometry.sectors_per_chunk:
             raise OutOfSpaceError(
                 f"meta of table {layout.handle.sstable_id} "
@@ -493,10 +501,9 @@ class _LightLSMWriter(SSTableWriter):
         layout.meta_sectors = meta_sectors
         key = layout.meta_chunk
         ppas = PpaRun(key, 0, meta_sectors)
-        data = split_sectors(padded, sector_size)
         oob = [("sstmeta", layout.handle.sstable_id, i)
                for i in range(meta_sectors)]
-        done = env.submit_write(ppas, data, oob)
+        done = env.submit_write(ppas, meta_blob, oob)
         completion = yield done
         if not completion.ok:
             raise ReproError(f"meta write failed: {completion.error}")
@@ -506,12 +513,11 @@ class _LightLSMWriter(SSTableWriter):
         # unit does.
         yield from env.media.flush_proc()
         ppas = PpaRun(key, meta_sectors, ws_min)
-        data = [b""] * ws_min
         oob = [("sstcommit", layout.handle.sstable_id,
                 layout.handle.level, layout.sequence, meta_sectors,
                 layout.data_blocks, len(layout.chunks))
                for __ in range(ws_min)]
-        done = env.submit_write(ppas, data, oob, fua=True)
+        done = env.submit_write(ppas, b"", oob, fua=True)
         completion = yield done
         if not completion.ok:
             raise ReproError(f"commit write failed: {completion.error}")

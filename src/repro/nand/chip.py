@@ -229,8 +229,5 @@ class FlashChip:
 
     # -- inspection ------------------------------------------------------------
 
-    def good_blocks(self) -> list[int]:
-        return [b.index for b in self.blocks if b.state is not BlockState.BAD]
-
     def bad_blocks(self) -> list[int]:
         return [b.index for b in self.blocks if b.state is BlockState.BAD]

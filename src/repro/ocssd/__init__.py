@@ -14,7 +14,7 @@ channel resource per group, one resource per chip, NAND latencies from
 
 from repro.ocssd.address import Ppa, PpaRun
 from repro.ocssd.geometry import DeviceGeometry
-from repro.ocssd.chunk import Chunk, ChunkState, pad_sector
+from repro.ocssd.chunk import Chunk, ChunkState
 from repro.ocssd.commands import (
     ChunkReset,
     Completion,

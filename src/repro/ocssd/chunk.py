@@ -15,44 +15,33 @@ the *flushed* write pointer (sectors actually programmed to NAND).  A
 power/controller crash rolls the chunk back to its flushed pointer, which
 is what makes the FTL's write-ahead-log durability guarantees testable.
 
-Payloads live in write-once *slabs*: one immutable ``bytes`` object per
-``ws_min`` write unit, built with a single ``b"".join`` when the unit is
-admitted.  Nothing is pre-zeroed — the old design's full-capacity
-``bytearray`` wrote every chunk's memory twice (zero-fill, then payload
-copy) and stalled first-write latency with multi-hundred-KB allocations.
-Reads hand out :class:`memoryview` slices into the slabs instead of
-allocating a bytes object per sector.  A validity bytearray tells a
-never-written (``None``) sector apart from written data, and a per-sector
-length array preserves exact short-payload round-trips (the simulated
-sector keeps its trailing undefined bytes out of sight, like a real
-drive whose host only DMAs the transferred length).  Sequential-write
-discipline makes the aliasing safe: a sector below the write pointer is
-never overwritten, and ``reset`` drops the slabs rather than zeroing
-them, so outstanding views keep reading the data that existed when they
-were created.  The one writer that can land *inside* a slab — a write
-resumed at a torn write pointer after a power cut — falls back to a
-mutable ``bytearray`` slab for exactly the units it touches.
+A write's payload is one bytes-like buffer covering its sectors in order,
+at most ``sectors × sector_size`` bytes; the sectors past a shorter
+buffer's end carry no payload and read back as zeros.  The store keeps
+what it is given: one read-only view per ``ws_min`` write unit, sliced
+from the admitted buffer — no join, no pre-zeroing, and a copy only when
+the caller's buffer is mutable (``memoryview(data).readonly`` is false),
+so nothing a caller does afterwards changes what reads return.  Reads
+hand out views into those slabs, zero-filled where a slab is short.
+Sequential-write discipline makes the aliasing safe: a sector below the
+write pointer is never overwritten, and ``reset`` drops the slabs, so
+outstanding views keep reading the data that existed when they were
+created.  The one writer that can land *inside* a slab — a write resumed
+at a torn write pointer after a power cut — replaces each unit it touches
+with a fresh slab: the flushed prefix of the old one, then the new bytes.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import List, Optional, Sequence, Union
+import enum
+from typing import List, Optional
 
 from repro.errors import ChunkStateError, WritePointerError, WriteUnitError
 from repro.ocssd.address import Ppa
+from repro.ocssd.commands import Buffer
 
-import enum
-
-Payload = Union[bytes, bytearray, memoryview, None]
-
-# Shared zero-filled sectors for padding: the bytes are always *copied*
-# into a slab (or joined into a caller's buffer), so sharing is safe.
+# Shared zero runs for the short tail of a slab, keyed by length.
 _ZERO_CACHE: dict = {}
-# b"\x01" runs for bulk validity marking, keyed by run length.
-_ONES_CACHE: dict = {}
-# array("H", [sector_size] * count) templates for bulk length marking.
-_LENGTH_CACHE: dict = {}
 
 
 def _zeros(size: int) -> bytes:
@@ -62,35 +51,23 @@ def _zeros(size: int) -> bytes:
     return blob
 
 
-def _ones(count: int) -> bytes:
-    blob = _ONES_CACHE.get(count)
-    if blob is None:
-        blob = _ONES_CACHE[count] = b"\x01" * count
-    return blob
+def payload_view(data: Buffer, sectors: int,
+                 sector_size: int) -> memoryview:
+    """The read-only view of a write payload that a chunk may alias.
 
-
-def _full_lengths(sector_size: int, count: int) -> array:
-    key = (sector_size, count)
-    template = _LENGTH_CACHE.get(key)
-    if template is None:
-        template = _LENGTH_CACHE[key] = array(
-            "H", [sector_size]) * count
-    return template
-
-
-def pad_sector(payload: Payload, sector_size: int) -> Union[bytes,
-                                                            memoryview]:
-    """Pad one read payload (bytes, memoryview or None) to *sector_size*.
-
-    The full-sector case — the overwhelmingly common one — returns the
-    payload untouched, so a chunk-store memoryview flows zero-copy into
-    the caller's ``b"".join``.
-    """
-    if payload is None:
-        return _zeros(sector_size)
-    if len(payload) == sector_size:
-        return payload
-    return bytes(payload).ljust(sector_size, b"\x00")
+    *data* is one bytes-like buffer of at most ``sectors × sector_size``
+    bytes; a mutable one is copied here, once."""
+    try:
+        view = memoryview(data)
+    except TypeError:
+        raise WriteUnitError(
+            f"payload for {sectors} sectors is a {type(data).__name__}, "
+            f"not one bytes-like buffer") from None
+    if view.nbytes > sectors * sector_size:
+        raise WriteUnitError(
+            f"payload of {view.nbytes} bytes exceeds the {sectors} "
+            f"sectors of {sector_size} bytes it is written to")
+    return view if view.readonly else memoryview(bytes(view))
 
 
 class ChunkState(enum.Enum):
@@ -113,7 +90,7 @@ class Chunk:
 
     __slots__ = ("address", "capacity", "ws_min", "sector_size", "state",
                  "write_pointer", "flushed_pointer", "wear_index",
-                 "_slabs", "_lengths", "_valid", "_oob")
+                 "_slabs", "_oob")
 
     def __init__(self, address: Ppa, capacity: int, ws_min: int,
                  sector_size: int = 4096):
@@ -125,32 +102,24 @@ class Chunk:
         self.write_pointer = 0
         self.flushed_pointer = 0
         self.wear_index = 0          # erase cycles seen by this chunk
-        # Payload slabs and out-of-band metadata are allocated on first
-        # write so a large device with mostly-untouched chunks stays cheap.
-        # OOB mirrors real flash: per-sector metadata FTL recovery scans
-        # read.
-        self._slabs: Optional[List[Union[bytes, bytearray, None]]] = None
-        self._lengths: Optional[array] = None
-        self._valid: Optional[bytearray] = None
+        # Payload slabs (one per write unit, possibly short) and
+        # out-of-band metadata are allocated on first write so a large
+        # device with mostly-untouched chunks stays cheap.  OOB mirrors
+        # real flash: per-sector metadata FTL recovery scans read.
+        self._slabs: Optional[List[memoryview]] = None
         self._oob: Optional[List[Optional[object]]] = None
 
     # -- write path -----------------------------------------------------------
 
-    def admit_write(self, sector: int, payloads: Sequence[Payload],
-                    oobs: Optional[List[object]] = None,
-                    whole: Optional[memoryview] = None) -> None:
-        """Accept a sequential write of ``len(payloads)`` sectors at *sector*.
+    def admit_write(self, sector: int, count: int, data: Buffer,
+                    oobs: Optional[List[object]] = None) -> None:
+        """Accept a sequential write of *count* sectors at *sector* whose
+        payload is the buffer *data* (see :func:`payload_view`).
 
         Enforces the three §2.2 write rules: chunk must be writable, the
         write must land exactly on the write pointer, and its size must be a
         whole number of ``ws_min`` units.
-
-        *whole*, when given, is one contiguous buffer holding exactly the
-        same bytes as *payloads* over an immutable backing object; the
-        store then admits it as the unit's slab directly instead of
-        joining the per-sector pieces (zero-copy).
         """
-        count = len(payloads)
         if self.state is _OFFLINE:
             raise ChunkStateError(f"write to offline chunk {self.address}")
         if self.state is _CLOSED:
@@ -159,10 +128,11 @@ class Chunk:
             raise WritePointerError(
                 f"write at sector {sector} of {self.address}, "
                 f"write pointer is {self.write_pointer}")
-        if count <= 0 or count % self.ws_min:
+        ws_min = self.ws_min
+        if count <= 0 or count % ws_min:
             raise WriteUnitError(
-                f"write of {count} sectors violates ws_min={self.ws_min}")
-        if self.write_pointer + count > self.capacity:
+                f"write of {count} sectors violates ws_min={ws_min}")
+        if sector + count > self.capacity:
             raise WritePointerError(
                 f"write of {count} sectors overflows chunk {self.address} "
                 f"(wp={self.write_pointer}, capacity={self.capacity})")
@@ -170,76 +140,35 @@ class Chunk:
             raise WriteUnitError(
                 f"write of {count} sectors with {len(oobs)} OOB entries")
         sector_size = self.sector_size
-        # One C-level pass sizes the payloads: all full sectors (every
-        # unit an FTL stages is) settles the oversize check and the slab
-        # layout at once.  Anything else — None has no len() — is walked.
-        try:
-            all_full = set(map(len, payloads)) == {sector_size}
-        except TypeError:
-            all_full = False
-        if not all_full:
-            for payload in payloads:
-                if payload is not None and len(payload) > sector_size:
-                    raise WriteUnitError(
-                        f"payload of {len(payload)} bytes exceeds the "
-                        f"{sector_size}-byte sector of {self.address}")
-        self._ensure_storage()
+        view = payload_view(data, count, sector_size)
         slabs = self._slabs
-        lengths = self._lengths
-        valid = self._valid
-        ws_min = self.ws_min
-        if sector % ws_min == 0:
-            # Aligned write (the only kind outside crash recovery): one
-            # immutable slab per ws_min unit, a single join, no zero-fill.
-            if all_full:
-                if (whole is not None and count == ws_min
-                        and len(whole) == count * sector_size):
-                    slabs.append(whole)
-                else:
-                    for base in range(0, count, ws_min):
-                        slabs.append(b"".join(payloads[base:base + ws_min]))
-                valid[sector:sector + count] = _ones(count)
-                lengths[sector:sector + count] = _full_lengths(
-                    sector_size, count)
-            else:
-                for base in range(0, count, ws_min):
-                    slabs.append(b"".join(
-                        [pad_sector(payload, sector_size)
-                         for payload in payloads[base:base + ws_min]]))
-                for index, payload in enumerate(payloads):
-                    if payload is not None:
-                        lengths[sector + index] = len(payload)
-                        valid[sector + index] = 1
-        else:
+        if slabs is None:
+            slabs = self._slabs = []
+            self._oob = [None] * self.capacity
+        unit_bytes = ws_min * sector_size
+        span = count * sector_size
+        head = sector % ws_min
+        if head:
             # A write resumed at a torn (mid-unit) write pointer — only
-            # reachable after a power cut sheared a program — lands inside
-            # an existing slab.  Fall back to mutable bytearray slabs for
-            # exactly the units this write touches.  Trailing bytes of a
-            # short payload are never exposed: reads are bounded by the
-            # recorded per-sector length.
-            last_unit = (sector + count - 1) // ws_min
-            while len(slabs) <= last_unit:
-                slabs.append(None)
-            for index, payload in enumerate(payloads):
-                if payload is None:
-                    continue
-                at = sector + index
-                unit = at // ws_min
-                slab = slabs[unit]
-                if slab is None:
-                    slab = slabs[unit] = bytearray(ws_min * sector_size)
-                elif not isinstance(slab, bytearray):
-                    # Immutable slab (bytes, or a zero-copy admitted view):
-                    # materialize a private mutable copy before patching.
-                    slab = slabs[unit] = bytearray(slab)
-                offset = (at % ws_min) * sector_size
-                length = len(payload)
-                slab[offset:offset + length] = payload
-                lengths[at] = length
-                valid[at] = 1
+            # reachable after a power cut sheared a program — lands
+            # inside a slab.  That unit gets a fresh one: what the old
+            # slab held below the pointer, then the new bytes; whatever a
+            # rollback left above it is dropped, so a short payload still
+            # reads back as zeros.  The rest of the write is aligned.
+            below = head * sector_size
+            keep = bytes(slabs[-1][:below]).ljust(below, b"\x00")
+            slabs[-1] = memoryview(b"".join(
+                (keep, view[:unit_bytes - below])))
+            view = view[unit_bytes - below:]
+            span -= unit_bytes - below
+        if span == unit_bytes:
+            slabs.append(view)
+        else:
+            for base in range(0, span, unit_bytes):
+                slabs.append(view[base:base + unit_bytes])
         if oobs is not None:
             self._oob[sector:sector + count] = oobs
-        self.write_pointer += count
+        self.write_pointer = sector + count
         self.state = (_CLOSED
                       if self.write_pointer == self.capacity
                       else _OPEN)
@@ -253,23 +182,15 @@ class Chunk:
                 f"of {self.address}")
         self.flushed_pointer = up_to
 
-    def _ensure_storage(self) -> None:
-        if self._slabs is None:
-            self._slabs = []
-            self._lengths = array("H", bytes(2 * self.capacity))
-            self._valid = bytearray(self.capacity)
-            self._oob = [None] * self.capacity
-
     # -- read path -------------------------------------------------------------
 
     def read(self, sector: int, count: int = 1,
-             meta_only: bool = False) -> List[Payload]:
-        """Return the payloads of *count* sectors starting at *sector*.
-
-        Payloads come back as memoryviews into the chunk's slab store
-        (``None`` for sectors written without data); callers that need
-        sector-sized blobs pad them with :func:`pad_sector`.  *meta_only*
-        validates the read the same way and returns no payloads.
+             meta_only: bool = False) -> List[memoryview]:
+        """The payload of *count* sectors starting at *sector*, as a short
+        list of sector-aligned views into the slab store (and shared zero
+        runs where a slab is short) whose ``b"".join`` is exactly
+        ``count × sector_size`` bytes.  *meta_only* validates the read the
+        same way and returns no payload.
 
         Reading at or above the write pointer is an error (undefined data on
         real flash).
@@ -284,30 +205,36 @@ class Chunk:
                 f"pointer {self.write_pointer} in {self.address}")
         if meta_only:
             return []
-        valid = self._valid
-        if count == 1:
-            # Single-sector fast path: device reads overwhelmingly ask for
-            # one sector at a time.
-            if not valid[sector]:
-                return [None]
-            at = (sector % self.ws_min) * self.sector_size
-            return [memoryview(self._slabs[sector // self.ws_min])
-                    [at:at + self._lengths[sector]]]
-        slabs = self._slabs
-        lengths = self._lengths
-        sector_size = self.sector_size
         ws_min = self.ws_min
-        result: List[Payload] = []
-        unit = -1
-        for index in range(sector, sector + count):
-            if valid[index]:
-                if index // ws_min != unit:     # one view per slab
-                    unit = index // ws_min
-                    view = memoryview(slabs[unit])
-                at = (index - unit * ws_min) * sector_size
-                result.append(view[at:at + lengths[index]])
+        sector_size = self.sector_size
+        unit_bytes = ws_min * sector_size
+        slabs = self._slabs
+        unit = sector // ws_min
+        start = (sector - unit * ws_min) * sector_size
+        left = count * sector_size
+        result: List[memoryview] = []
+        while left:
+            want = left if start + left <= unit_bytes else unit_bytes - start
+            piece = slabs[unit][start:start + want]
+            got = len(piece)
+            if got == want:
+                result.append(piece)
             else:
-                result.append(None)
+                # The slab is short: its buffer ended here.  The sector it
+                # ended inside, if any, is completed on its own, so every
+                # piece stays a whole number of sectors.
+                ragged = got % sector_size
+                if got > ragged:
+                    result.append(piece[:got - ragged])
+                if ragged:
+                    result.append(bytes(piece[got - ragged:])
+                                  .ljust(sector_size, b"\x00"))
+                    got += sector_size - ragged
+                if got < want:
+                    result.append(_zeros(want - got))
+            left -= want
+            unit += 1
+            start = 0
         return result
 
     def read_oob(self, sector: int, count: int = 1) -> List[Optional[object]]:
@@ -329,8 +256,6 @@ class Chunk:
         self.flushed_pointer = 0
         self.wear_index += 1
         self._slabs = None
-        self._lengths = None
-        self._valid = None
         self._oob = None
 
     def retire(self) -> None:
@@ -341,46 +266,29 @@ class Chunk:
         """Drop sectors admitted but never programmed (crash semantics)."""
         if self.state is _OFFLINE:
             return
-        if self._valid is not None:
-            flushed = self.flushed_pointer
+        flushed = self.flushed_pointer
+        if self._slabs is not None:
             dropped = self.write_pointer - flushed
-            if dropped > 0:
-                self._valid[flushed:flushed + dropped] = bytes(dropped)
-                self._lengths[flushed:flushed + dropped] = array(
-                    "H", bytes(2 * dropped))
-                self._oob[flushed:flushed + dropped] = [None] * dropped
+            self._oob[flushed:flushed + dropped] = [None] * dropped
             # Free whole slabs above the flushed pointer; a slab torn
-            # mid-unit stays (its rolled-back sectors are already marked
-            # invalid above).
-            keep_units = -(-flushed // self.ws_min)
-            del self._slabs[keep_units:]
-        self.write_pointer = self.flushed_pointer
-        if self.write_pointer == 0:
+            # mid-unit stays, and the write that resumes there replaces it.
+            del self._slabs[-(-flushed // self.ws_min):]
+        self.write_pointer = flushed
+        if flushed == 0:
             self.state = _FREE
-        elif self.write_pointer < self.capacity:
+        elif flushed < self.capacity:
             self.state = _OPEN
 
     # -- inspection ---------------------------------------------------------------
-
-    @property
-    def is_writable(self) -> bool:
-        return self.state in (_FREE, _OPEN)
-
-    @property
-    def sectors_free(self) -> int:
-        return self.capacity - self.write_pointer
 
     def memory_bytes(self) -> int:
         """Approximate resident size of the payload store (perf metric)."""
         import sys
         if self._slabs is None:
             return 0
-        total = (sys.getsizeof(self._slabs) + sys.getsizeof(self._lengths) +
-                 sys.getsizeof(self._valid) + sys.getsizeof(self._oob))
-        for slab in self._slabs:
-            if slab is not None:
-                total += sys.getsizeof(slab)
-        return total
+        return (sys.getsizeof(self._slabs) + sys.getsizeof(self._oob)
+                + sum(sys.getsizeof(slab) + slab.nbytes
+                      for slab in self._slabs))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Chunk {self.address} {self.state.value} "

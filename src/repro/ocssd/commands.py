@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.ocssd.address import Ppa, PpaVector
 
 if TYPE_CHECKING:   # typing only: repro.qos must stay un-imported at runtime
     from repro.qos.tenant import TenantContext
+
+#: A write's payload: one bytes-like buffer (see :class:`VectorWrite`).
+Buffer = Union[bytes, bytearray, memoryview]
 
 
 class CommandStatus(enum.Enum):
@@ -29,10 +32,17 @@ class CommandStatus(enum.Enum):
 
 @dataclass(slots=True)
 class VectorWrite:
-    """Write ``data[i]`` to the ``i``-th sector ``ppas`` names; addresses
-    must be chunk-sequential runs aligned on the write pointer and sized
-    in ``ws_min`` units.  A count that disagrees with the addresses — here
-    or in a :class:`VectorCopy` — completes as ``INVALID``.
+    """Write the buffer ``data`` to the sectors ``ppas`` names, in order;
+    addresses must be chunk-sequential runs aligned on the write pointer
+    and sized in ``ws_min`` units.
+
+    ``data`` is one bytes-like buffer of at most ``sectors × sector_size``
+    bytes.  The sectors past a shorter buffer's end carry no payload and
+    read back as zeros — the only place padding ever sits.  The device
+    keeps a view of an immutable buffer and copies a mutable one, once.
+    A longer buffer, something that is not a buffer, or an ``oob`` /
+    :class:`VectorCopy` count that disagrees with the addresses completes
+    as ``INVALID``.
 
     ``oob`` optionally carries per-sector out-of-band metadata (e.g. the
     owning LBA) that FTL recovery scans can read back.
@@ -43,15 +53,11 @@ class VectorWrite:
     """
 
     ppas: PpaVector
-    data: List[Optional[bytes]]
+    data: Buffer
     oob: Optional[List[object]] = None
     fua: bool = False
     #: Originating tenant (repro.qos); None for infrastructure I/O.
     tenant: Optional["TenantContext"] = None
-    #: Optional contiguous view over the same bytes as ``data`` (one
-    #: whole write unit on an immutable buffer): lets the chunk store
-    #: admit the unit zero-copy.  Purely an optimization hint.
-    whole: Optional[memoryview] = None
 
 
 @dataclass(slots=True)
@@ -96,10 +102,16 @@ class VectorCopy:
 
 @dataclass(slots=True)
 class Completion:
-    """Result of a command: status, payloads for reads, and timing."""
+    """Result of a command: status, payload for reads, and timing.
+
+    ``data`` is a short list of sector-aligned views, in vector order,
+    whose ``b"".join`` is exactly ``sectors × sector_size`` bytes (empty
+    for a metadata-only or failed read); ``oob`` stays one entry per
+    sector.
+    """
 
     status: CommandStatus
-    data: List[Optional[bytes]] = field(default_factory=list)
+    data: List[memoryview] = field(default_factory=list)
     oob: List[Optional[object]] = field(default_factory=list)
     submitted_at: float = 0.0
     completed_at: float = 0.0

@@ -26,8 +26,9 @@ from repro.nand.chip import FlashChip
 from repro.nand.errors import WearModel
 from repro.nand.timing import NandTiming, timing_for
 from repro.ocssd.address import Ppa, PpaRun, PpaVector
-from repro.ocssd.chunk import Chunk, ChunkState
+from repro.ocssd.chunk import Chunk, ChunkState, payload_view
 from repro.ocssd.commands import (
+    Buffer,
     ChunkReset,
     Completion,
     CommandStatus,
@@ -227,7 +228,7 @@ class OpenChannelSSD:
         """Run *command* to completion, advancing the simulated clock."""
         return self.sim.run_until(self.sim.spawn(self.submit(command)))
 
-    def write(self, ppas: PpaVector, data: List[Optional[bytes]],
+    def write(self, ppas: PpaVector, data: Buffer,
               oob: Optional[List[object]] = None,
               fua: bool = False) -> Completion:
         return self.execute(VectorWrite(ppas=ppas, data=data, oob=oob,
@@ -312,34 +313,36 @@ class OpenChannelSSD:
 
     def _do_write(self, command: VectorWrite, span=None):
         runs, total = self._split_runs(command.ppas)
-        if len(command.data) != total:
+        oob = command.oob
+        if oob is not None and len(oob) != total:
             raise WriteUnitError(
                 f"vector write with {total} addresses but "
-                f"{len(command.data)} payloads")
-        if command.oob is not None and len(command.oob) != total:
-            raise WriteUnitError(
-                f"vector write with {total} addresses but "
-                f"{len(command.oob)} OOB entries")
-        whole = command.whole if len(runs) == 1 else None
+                f"{len(oob)} OOB entries")
         # Admission is synchronous and in vector order: write pointers
         # advance and payloads become readable before the timed transfer —
         # the semantics of a controller that buffers on arrival.  A
         # validation error mid-vector leaves earlier runs admitted: the
         # paper is explicit that vector writes are *not* atomic (§4.3).
-        for chunk, first_sector, count, offset in runs:
-            payloads = command.data[offset:offset + count]
-            oobs = (command.oob[offset:offset + count]
-                    if command.oob is not None else None)
-            chunk.admit_write(first_sector, payloads, oobs, whole=whole)
         tenant = command.tenant
         if len(runs) == 1:
             # Single-run vectors dominate; drive the controller inline
             # instead of paying a process spawn + join for no parallelism.
             chunk, first_sector, count, __ = runs[0]
+            chunk.admit_write(first_sector, count, command.data, oob)
             results = [(yield from self.controller.write_run(
                 chunk, first_sector, count, fua=command.fua, span=span,
                 tenant=tenant))]
         else:
+            # The buffer is sized (and, if mutable, copied) once for the
+            # whole vector; each run admits its slice of that view.
+            sector_size = self.geometry.sector_size
+            view = payload_view(command.data, total, sector_size)
+            for chunk, first_sector, count, offset in runs:
+                chunk.admit_write(
+                    first_sector, count,
+                    view[offset * sector_size:
+                         (offset + count) * sector_size],
+                    oob[offset:offset + count] if oob is not None else None)
             procs = [self.sim.spawn(
                          self.controller.write_run(chunk, first_sector, count,
                                                    fua=command.fua, span=span,
@@ -383,10 +386,11 @@ class OpenChannelSSD:
         :meth:`DeviceGeometry.linearize`) with the timing, root span and
         histograms of ``submit(VectorRead(...))``, minus the per-sector
         ``Ppa``, command and Completion objects and the OOB copy.
-        Returns the payload list in vector order, or ``None`` on any
-        failure (power loss, uncorrectable read, an address a racing
-        reset made unreadable) — callers retry or surface the error
-        exactly as they would a failed Completion.
+        Returns the payload as ``Completion.data`` carries it — a short
+        list of views, in vector order, joining to ``len(linears)``
+        sectors — or ``None`` on any failure (power loss, uncorrectable
+        read, an address a racing reset made unreadable): callers retry
+        or surface the error exactly as they would a failed Completion.
         """
         faults = self.faults
         if faults is not None and not faults.powered:
@@ -428,39 +432,37 @@ class OpenChannelSSD:
                                        tenant, meta_only)
             return data, (chunk.read_oob(first_sector, count)
                           if want_oob else None)
-        data: List[Optional[bytes]] = [] if meta_only else [None] * total
+        parts: List[List[memoryview]] = [[] for __ in runs]
         oob: Optional[List[object]] = [None] * total if want_oob else None
         failures: List[str] = []
 
-        def one_run(chunk: Chunk, first_sector: int, count: int, offset: int):
+        def one_run(index: int, chunk: Chunk, first_sector: int, count: int,
+                    offset: int):
             try:
-                payloads = yield from read_run(chunk, first_sector, count,
-                                               span, tenant, meta_only)
+                parts[index] = yield from read_run(
+                    chunk, first_sector, count, span, tenant, meta_only)
             except MediaError as exc:
                 failures.append(str(exc))
                 return
-            if not meta_only:
-                data[offset:offset + count] = payloads
             if want_oob:
                 oob[offset:offset + count] = chunk.read_oob(first_sector,
                                                             count)
 
-        yield self.sim.all_of([self.sim.spawn(one_run(*run), name="read-run")
-                               for run in runs])
+        yield self.sim.all_of([
+            self.sim.spawn(one_run(index, *run), name="read-run")
+            for index, run in enumerate(runs)])
         if failures:
             raise MediaError("; ".join(failures))
-        return data, oob
+        return [view for part in parts for view in part], oob
 
     def _do_read(self, command: VectorRead, span=None):
         runs, total = self._split_runs(command.ppas)
-        meta_only = command.meta_only
         try:
             data, oob = yield from self._read_runs_proc(
-                runs, total, True, span, command.tenant, meta_only)
+                runs, total, True, span, command.tenant, command.meta_only)
         except MediaError as exc:
-            return Completion(status=_READ_FAILED,
-                              data=[] if meta_only else [None] * total,
-                              oob=[None] * total, error=str(exc))
+            return Completion(status=_READ_FAILED, oob=[None] * total,
+                              error=str(exc))
         return Completion(status=_OK, data=data, oob=oob)
 
     def _do_reset(self, command: ChunkReset, span=None):
@@ -489,18 +491,22 @@ class OpenChannelSSD:
             raise WriteUnitError(
                 f"vector copy with {total} destinations but "
                 f"{len(dst_oob)} OOB overrides")
-        payloads: List[Optional[bytes]] = [None] * total
-        oobs: List[Optional[object]] = [None] * total
-        for chunk, first_sector, count, offset in src_runs:
-            payloads[offset:offset + count] = chunk.read(first_sector, count)
-            oobs[offset:offset + count] = chunk.read_oob(first_sector, count)
+        # The move itself: one join of the source views, one slice of the
+        # result per destination run.
+        views: List[memoryview] = []
+        oobs: List[Optional[object]] = []
+        for chunk, first_sector, count, __ in src_runs:
+            views += chunk.read(first_sector, count)
+            oobs += chunk.read_oob(first_sector, count)
         if dst_oob is not None:
-            oobs = list(dst_oob)
-
+            oobs = dst_oob
+        sector_size = self.geometry.sector_size
+        moved = memoryview(b"".join(views))
         for chunk, first_sector, count, offset in dst_runs:
-            chunk.admit_write(first_sector,
-                              payloads[offset:offset + count],
-                              oobs[offset:offset + count])
+            chunk.admit_write(
+                first_sector, count,
+                moved[offset * sector_size:(offset + count) * sector_size],
+                oobs[offset:offset + count])
 
         def read_timing(chunk: Chunk, first_sector: int, count: int,
                         offset: int):

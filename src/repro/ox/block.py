@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError, ReproError
-from repro.ocssd.chunk import pad_sector
 from repro.ox.ftl.checkpoint import CheckpointManager
 from repro.ox.ftl.gc import GarbageCollector
 from repro.ox.ftl.mapping import PageMap
@@ -282,7 +281,6 @@ class OXBlock:
             # then fresh units) and each run is staged, mapped and counted
             # in one call per layer.
             view = memoryview(data)
-            immutable = type(data) is bytes
             per_chunk = self.geometry.sectors_per_chunk
             table = self.chunk_table
             invalidate = table.invalidate_linear
@@ -313,7 +311,7 @@ class OXBlock:
                 unit = self.buffer.stage_run(
                     cur, key, first, taken,
                     view[offset * sector_size:
-                         (offset + taken) * sector_size], immutable)
+                         (offset + taken) * sector_size])
                 if unit is not None:
                     completed_units.append(unit)
                 linear = table.get(key).linear * per_chunk + first
@@ -386,30 +384,34 @@ class OXBlock:
         # payload-only command, traced or not.
         lookup_buffer = self.buffer.lookup
         lookup_map = self.page_map.lookup
-        pieces: List[Optional[bytes]] = [None] * sectors
         for attempt in range(3):
-            missing: List[int] = []
+            pieces: List[Optional[bytes]] = []
             linears: List[int] = []
-            for index in range(sectors):
-                if pieces[index] is not None:
-                    continue
-                buffered = lookup_buffer(lba + index)
-                if buffered is not None:
-                    pieces[index] = pad_sector(buffered, sector_size)
-                    continue
-                linear = lookup_map(lba + index)
-                if linear is None:
-                    pieces[index] = b"\x00" * sector_size
-                    continue
-                missing.append(index)
-                linears.append(linear)
-            if not missing:
+            for cur in range(lba, lba + sectors):
+                piece = lookup_buffer(cur)
+                if piece is None:
+                    linear = lookup_map(cur)
+                    if linear is None:
+                        piece = b"\x00" * sector_size
+                    else:
+                        linears.append(linear)
+                pieces.append(piece)
+            if not linears:
                 break
-            payloads = yield from self.media.read_sectors_proc(
+            views = yield from self.media.read_sectors_proc(
                 linears, parent=span)
-            if payloads is not None:
-                for index, payload in zip(missing, payloads):
-                    pieces[index] = pad_sector(payload, sector_size)
+            if views is not None:
+                if len(linears) < sectors:
+                    # Media sectors interleave with buffered or unmapped
+                    # ones: cut the device's run views back into sectors.
+                    media = memoryview(b"".join(views))
+                    at = 0
+                    for index, piece in enumerate(pieces):
+                        if piece is None:
+                            pieces[index] = media[at:at + sector_size]
+                            at += sector_size
+                else:
+                    pieces = views
                 break
             # A concurrent relocation/reset invalidated an address between
             # lookup and read: retry against the fresh mapping.
@@ -585,8 +587,7 @@ class OXBlock:
 
     def _write_unit_proc(self, unit: PendingUnit, parent=None):
         completion = yield from self.media.write_proc(
-            unit.ppas, unit.data, oob=list(unit.lbas), parent=parent,
-            whole=unit.whole)
+            unit.ppas, unit.data, oob=unit.lbas, parent=parent)
         self.media.require_ok(completion, "data unit write")
         self.buffer.mark_written(unit)
 

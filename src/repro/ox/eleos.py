@@ -36,7 +36,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.ocssd.address import Ppa, PpaRun
-from repro.ocssd.chunk import ChunkState, pad_sector
+from repro.ocssd.chunk import ChunkState
 from repro.ox.ftl import serial
 from repro.ox.ftl.checkpoint import CheckpointManager
 from repro.ox.ftl.provisioning import MetadataLayout
@@ -252,10 +252,10 @@ class OXEleos:
         completion = yield from self.media.read_proc(
             PpaRun(first[:3], first[3], covering))
         self.media.require_ok(completion, f"page {page_id} read")
-        blob = b"".join(pad_sector(payload, sector_size)
-                        for payload in completion.data)
+        data = completion.data
+        blob = data[0] if len(data) == 1 else b"".join(data)
         self.stats.pages_read += 1
-        return blob[entry.offset:entry.offset + entry.length]
+        return bytes(blob[entry.offset:entry.offset + entry.length])
 
     def free_segment_proc(self, segment_id: int):
         """Host-driven reclamation: the LSS cleaner guarantees every live
@@ -360,10 +360,16 @@ class OXEleos:
             position += len(payload)
         total_bytes = position
 
-        # Build the byte stream and carve into sectors.
-        stream = bytearray(total_bytes)
+        # Build the byte stream: the pages, zeros where one was pushed to
+        # the next chunk.
+        pieces: List[bytes] = []
+        position = 0
         for (page_id, byte_pos, length), (__, payload) in zip(layout, pages):
-            stream[byte_pos:byte_pos + length] = payload
+            if byte_pos > position:
+                pieces.append(bytes(byte_pos - position))
+            pieces.append(payload)
+            position = byte_pos + length
+        stream = memoryview(b"".join(pieces))
         sectors_needed = -(-total_bytes // sector_size)
         sectors_needed += (-sectors_needed) % geometry.ws_min
         chunks_needed = -(-sectors_needed // geometry.sectors_per_chunk)
@@ -372,7 +378,9 @@ class OXEleos:
         segment_id = self._next_segment_id
         self._add_segment(segment_id, chunk_keys)
 
-        # One vector write per chunk; the device stripes across PUs.
+        # One vector write per chunk, each its slice of the stream (the
+        # last one short of its padded sector count); the device stripes
+        # across PUs.
         procs = []
         for index, key in enumerate(chunk_keys):
             first_byte = index * chunk_bytes
@@ -380,13 +388,10 @@ class OXEleos:
             count = -(-(last_byte - first_byte) // sector_size)
             count += (-count) % geometry.ws_min
             count = min(count, geometry.sectors_per_chunk)
-            data = []
-            for s in range(count):
-                start = first_byte + s * sector_size
-                data.append(bytes(stream[start:start + sector_size]))
             oob = [("lss", segment_id, s) for s in range(count)]
-            procs.append(self.sim.spawn(
-                self.media.write_proc(PpaRun(key, 0, count), data, oob=oob)))
+            procs.append(self.sim.spawn(self.media.write_proc(
+                PpaRun(key, 0, count), stream[first_byte:last_byte],
+                oob=oob)))
         completions = yield self.sim.all_of(procs)
         for completion in completions:
             self.media.require_ok(completion, "LSS segment write")

@@ -103,21 +103,21 @@ class CheckpointManager:
             if info.write_pointer > 0 or info.state.value != "free":
                 completion = yield from self.media.reset_proc(Ppa(*key, 0))
                 self.media.require_ok(completion, "checkpoint slot reset")
-        pad = padded - len(frames)
-        if pad:
-            empty = serial.FrameWriter(self.sector_size)
-            empty.append(serial.encode_record(serial.REC_NOOP, b""))
-            frames.extend([empty.frames()[0]] * pad)
+        # One buffer; the padding to a whole write unit is its missing tail.
+        data = memoryview(b"".join(frames))
+        sector_size = self.sector_size
         offset = 0
         for key in slot:
-            if offset >= len(frames):
+            if offset >= padded:
                 break
-            batch = frames[offset:offset + self.sectors_per_chunk]
-            oob = [("ckpt", seq, offset + i) for i in range(len(batch))]
+            batch = min(padded - offset, self.sectors_per_chunk)
+            oob = [("ckpt", seq, offset + i) for i in range(batch)]
             completion = yield from self.media.write_proc(
-                PpaRun(key, 0, len(batch)), batch, oob=oob, fua=True)
+                PpaRun(key, 0, batch),
+                data[offset * sector_size:(offset + batch) * sector_size],
+                oob=oob, fua=True)
             self.media.require_ok(completion, "checkpoint write")
-            offset += len(batch)
+            offset += batch
         self.checkpoints_written += 1
 
     # -- recovery ------------------------------------------------------------------
@@ -147,8 +147,9 @@ class CheckpointManager:
         saw_header = False
         complete = False
         try:
-            for sector in completion.data:
-                for record in serial.decode_frame(sector):
+            for frame in serial.iter_frames(completion.data,
+                                            self.sector_size):
+                for record in serial.decode_frame(frame):
                     if record.rtype == serial.REC_CKPT_HEADER:
                         seq, __, __, next_txn = serial.decode_ckpt_header(
                             record.body)

@@ -394,7 +394,7 @@ class GarbageCollector:
             if dst:
                 taken = len(dst) * ws_min
                 completion = yield from self.media.write_proc(
-                    dst, [b""] * taken, oob=[NO_PPA] * taken, parent=parent)
+                    dst, b"", oob=[NO_PPA] * taken, parent=parent)
                 self.media.require_ok(completion, "GC relocation abort pad")
             self._count_skip_no_space()
             return False

@@ -17,7 +17,7 @@ import struct
 import zlib
 from itertools import chain
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.errors import RecoveryError
 
@@ -31,7 +31,6 @@ REC_CKPT_HEADER = 3    # seq, map_entries, chunk_entries, next_lba
 REC_CKPT_MAP = 4       # [(lba, ppa)]
 REC_CKPT_CHUNK = 5     # [(chunk_linear, state, valid_count)]
 REC_CKPT_FOOTER = 6    # seq, checksum of seq (completion marker)
-REC_NOOP = 7           # padding
 # OX-ELEOS records: variable-size page mapping + LSS segment lifecycle.
 REC_VPAGE_UPDATE = 8   # txn_id, [(page_id, linear, offset, length)]
 REC_SEGMENT_NEW = 9    # segment_id, [chunk_linear]
@@ -109,11 +108,6 @@ def encode_ckpt_header(seq: int, map_entries: int, chunk_entries: int,
 
 def decode_ckpt_header(body: bytes) -> Tuple[int, int, int, int]:
     return _CKPT_HEADER.unpack(body)
-
-
-def encode_ckpt_map(entries: Sequence[Tuple[int, int]]) -> bytes:
-    body = _batch("QQ", len(entries)).pack(*chain.from_iterable(entries))
-    return encode_record(REC_CKPT_MAP, body)
 
 
 def decode_ckpt_map(body: bytes) -> List[Tuple[int, int]]:
@@ -260,31 +254,11 @@ def split_map_update(txn_id: int, entries: Sequence[Tuple[int, int, int]],
             for i in range(0, len(entries), per_record)]
 
 
-def split_ckpt_map(entries: Sequence[Tuple[int, int]],
-                   sector_size: int) -> List[bytes]:
-    capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
-    per_record = max(1, capacity // _CKPT_MAP_ENTRY.size)
-    return [encode_ckpt_map(entries[i:i + per_record])
-            for i in range(0, len(entries), per_record)]
-
-
-def split_ckpt_map_flat(flat: Sequence[int], sector_size: int) -> List[bytes]:
-    """:func:`split_ckpt_map` over a pre-flattened ``[lba, ppa, ...]``
-    sequence — the checkpoint hot path feeds the packer directly instead
-    of building (and re-flattening) one tuple per map entry."""
-    capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
-    step = max(1, capacity // _CKPT_MAP_ENTRY.size) * 2
-    return [encode_record(REC_CKPT_MAP,
-                          _batch("QQ", min(step, len(flat) - i) // 2)
-                          .pack(*flat[i:i + step]))
-            for i in range(0, len(flat), step)]
-
-
 def split_ckpt_map_packed(packed: bytes, sector_size: int) -> List[bytes]:
-    """:func:`split_ckpt_map_flat` over pre-packed ``<QQ`` entry bytes
-    (:meth:`PageMap.snapshot_packed`) — record bodies are byte slices of
-    the blob, so the checkpoint hot path never materializes per-entry
-    integers at all.  Byte-identical to the flat variant."""
+    """Checkpoint map records from pre-packed ``<QQ`` (lba, ppa) entry
+    bytes (:meth:`PageMap.snapshot_packed`) — record bodies are byte
+    slices of the blob, so the checkpoint hot path never materializes
+    per-entry integers at all."""
     capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
     step = max(1, capacity // _CKPT_MAP_ENTRY.size) * _CKPT_MAP_ENTRY.size
     return [encode_record(REC_CKPT_MAP, packed[i:i + step])
@@ -299,8 +273,18 @@ def split_ckpt_chunk(entries: Sequence[Tuple[int, int, int]],
             for i in range(0, len(entries), per_record)]
 
 
-def decode_frame(sector: Optional[bytes]) -> Iterator[Record]:
-    """Yield the records of one frame; an empty/None sector yields nothing.
+def iter_frames(views: Sequence[memoryview],
+                sector_size: int) -> Iterator[memoryview]:
+    """The sector frames of a read's payload (``Completion.data``: a few
+    views, each a whole number of sectors), in order."""
+    for view in views:
+        for at in range(0, len(view), sector_size):
+            yield view[at:at + sector_size]
+
+
+def decode_frame(sector: bytes) -> Iterator[Record]:
+    """Yield the records of one frame; an all-zero sector — padding, or
+    one written without payload — yields nothing.
 
     Raises :class:`RecoveryError` on a structurally corrupt frame — a
     record that claims to extend past the frame payload.

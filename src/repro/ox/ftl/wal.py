@@ -54,10 +54,6 @@ class WalAppender:
         self.sectors_per_chunk = geometry.sectors_per_chunk
         self.sector_size = geometry.sector_size
         self._writer = serial.FrameWriter(self.sector_size)
-        # Padding frame, built once: every flush pads to a write unit.
-        empty = serial.FrameWriter(self.sector_size)
-        empty.append(serial.encode_record(serial.REC_NOOP, b""))
-        self._noop_frame = empty.frames()[0]
         self._ring_index = 0      # which chunk in the ring
         self._next_sector = 0     # sector within that chunk
         self._seq = 0             # per-epoch sector sequence
@@ -94,7 +90,8 @@ class WalAppender:
     def flush_proc(self, parent=None):
         """Process generator: write buffered frames durably (FUA).
 
-        Pads the batch to a whole number of write units.  Raises
+        Pads the batch to a whole number of write units — the frames are
+        one buffer, the padding its missing tail.  Raises
         :class:`FTLError` when the ring is exhausted — the caller must
         checkpoint (which truncates the ring) before this happens.  The
         check runs *before* anything is written, so a failed flush leaves
@@ -109,18 +106,16 @@ class WalAppender:
             raise FTLError(
                 "WAL ring exhausted; checkpointing must truncate the "
                 "log before it fills (records stay buffered)")
-        frames = self._writer.frames()
-        pad = padded - len(frames)
-        if pad:
-            frames.extend([self._noop_frame] * pad)
+        data = memoryview(b"".join(self._writer.frames()))
 
         obs = self.obs
         span = None
         if obs is not None:
             span = obs.begin("ftl.wal", "flush", parent)
             flush_started = self.sim.now
+        sector_size = self.sector_size
         total = 0
-        while frames:
+        while total < padded:
             if self._next_sector >= self.sectors_per_chunk:
                 self._ring_index += 1
                 self._next_sector = 0
@@ -128,20 +123,20 @@ class WalAppender:
                 raise FTLError(
                     "WAL ring exhausted; checkpointing must truncate the "
                     "log before it fills")
-            room = self.sectors_per_chunk - self._next_sector
-            batch = frames[:room]
-            frames = frames[room:]
+            batch = min(padded - total,
+                        self.sectors_per_chunk - self._next_sector)
             ppas = PpaRun(self.chunks[self._ring_index], self._next_sector,
-                          len(batch))
-            oob = [("wal", self.epoch, self._seq + i)
-                   for i in range(len(batch))]
+                          batch)
+            oob = [("wal", self.epoch, self._seq + i) for i in range(batch)]
             completion = yield from self.media.write_proc(
-                ppas, batch, oob=oob, fua=True, parent=span)
+                ppas, data[total * sector_size:
+                           (total + batch) * sector_size],
+                oob=oob, fua=True, parent=span)
             self.media.require_ok(completion, "WAL flush")
-            self._next_sector += len(batch)
-            self._seq += len(batch)
-            self.sectors_written += len(batch)
-            total += len(batch)
+            self._next_sector += batch
+            self._seq += batch
+            self.sectors_written += batch
+            total += batch
         if obs is not None:
             obs.end(span, sectors=total)
             obs.metrics.histogram("ftl.wal.flush_s").record(
@@ -177,6 +172,7 @@ class WalReader:
         self.media = media
         self.chunks = list(chunks)
         self.epoch = epoch
+        self.sector_size = media.geometry.sector_size
         self.sectors_read = 0
         self.records: List[WalRecord] = []
 
@@ -195,8 +191,9 @@ class WalReader:
                 PpaRun(key, 0, info.write_pointer))
             self.media.require_ok(completion, "WAL read")
             stop = False
-            for sector_data, sector_oob in zip(completion.data,
-                                               completion.oob):
+            for frame, sector_oob in zip(
+                    serial.iter_frames(completion.data, self.sector_size),
+                    completion.oob):
                 if (not isinstance(sector_oob, tuple)
                         or len(sector_oob) != 3
                         or sector_oob[0] != "wal"
@@ -207,10 +204,9 @@ class WalReader:
                 expected_seq += 1
                 self.sectors_read += 1
                 try:
-                    for record in serial.decode_frame(sector_data):
-                        if record.rtype != serial.REC_NOOP:
-                            self.records.append(
-                                WalRecord(record.rtype, record.body))
+                    for record in serial.decode_frame(frame):
+                        self.records.append(
+                            WalRecord(record.rtype, record.body))
                 except RecoveryError:
                     stop = True
                     break

@@ -29,18 +29,27 @@ class PendingUnit:
 
     key: ChunkKey
     first_sector: int
-    data: List[bytes] = field(default_factory=list)
+    #: The staged runs' payloads, in order.  Padding stages none: it only
+    #: ever completes a unit, so it is the short tail of :attr:`data`.
+    pieces: List[memoryview] = field(default_factory=list)
     #: One entry per staged sector, pads included: its length is the
     #: unit's fill.
     lbas: List[int] = field(default_factory=list)
-    #: Contiguous view of the whole unit's payload when it was staged in
-    #: one piece over an immutable buffer (zero-copy admission hint).
-    whole: Optional[memoryview] = None
+    #: The staging sequence number of each sector (see
+    #: :meth:`WriteBuffer.mark_written`).
+    sequences: List[int] = field(default_factory=list)
 
     @property
     def ppas(self) -> PpaRun:
         """Where the staged sectors go: one run from *first_sector*."""
         return PpaRun(self.key, self.first_sector, len(self.lbas))
+
+    @property
+    def data(self):
+        """The unit's payload as the one buffer the device takes: a unit
+        staged in one piece is that piece, not a copy."""
+        pieces = self.pieces
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
 
 class WriteBuffer:
@@ -61,8 +70,8 @@ class WriteBuffer:
     # -- staging --------------------------------------------------------------
 
     def stage_run(self, lba0: int, key: ChunkKey, first_sector: int,
-                  count: int, view: Optional[memoryview] = None,
-                  immutable: bool = False) -> Optional[PendingUnit]:
+                  count: int, view: Optional[memoryview] = None
+                  ) -> Optional[PendingUnit]:
         """Stage *count* consecutive sectors of chunk *key* starting at
         *first_sector*; returns the write unit this completed, if any.
 
@@ -70,11 +79,10 @@ class WriteBuffer:
         that unit's staged sectors end (the provisioner hands out runs
         with both properties).  Sector ``i`` backs LBA ``lba0 + i`` with
         the ``i``-th ``sector_size`` slice of *view* — slices, not
-        copies: the chunk store makes the single copy when the unit
-        reaches the device.  ``lba0 == PAD_LBA`` stages padding instead:
-        no payload, no owning LBA, nothing readable.  A run that is a
-        whole unit over an *immutable* buffer keeps *view* as the unit's
-        zero-copy admission hint.
+        copies: the chunk store decides whether the unit needs one when
+        it reaches the device.  ``lba0 == PAD_LBA`` stages padding
+        instead: no payload, no owning LBA, nothing readable — and only
+        up to the end of the unit, so a unit's padding is always its tail.
         """
         ws_min = self.ws_min
         unit_start = first_sector - first_sector % ws_min
@@ -91,36 +99,37 @@ class WriteBuffer:
                 f"staged sector {first_sector} out of order in unit "
                 f"{slot} (expected {expected})")
         sector_size = self.sector_size
-        if lba0 != PAD_LBA and len(view) != count * sector_size:
-            raise FTLError(
-                f"payload of {len(view)} bytes for a run of {count} "
-                f"{sector_size}-byte sectors")
-        sequence = self._sequence
-        self._sequence = sequence + count
+        sequences = list(range(self._sequence + 1,
+                               self._sequence + count + 1))
         if lba0 == PAD_LBA:
+            if first_sector + count != unit_start + ws_min:
+                raise FTLError(
+                    f"padding of {count} sectors at {first_sector} does "
+                    f"not complete its {ws_min}-sector write unit")
             lbas = [PAD_LBA] * count
-            data: List[bytes] = [b""] * count
+            pieces = []
         else:
+            if len(view) != count * sector_size:
+                raise FTLError(
+                    f"payload of {len(view)} bytes for a run of {count} "
+                    f"{sector_size}-byte sectors")
             lbas = list(range(lba0, lba0 + count))
-            data = [view[offset:offset + sector_size]
-                    for offset in range(0, count * sector_size,
-                                        sector_size)]
+            pieces = [view]
             readable = self._readable
-            for lba, payload in zip(lbas, data):
-                sequence += 1
-                readable[lba] = (sequence, payload)
+            offset = 0
+            for lba, sequence in zip(lbas, sequences):
+                readable[lba] = (sequence, view[offset:offset + sector_size])
+                offset += sector_size
+        self._sequence += count
         if unit is None:
-            unit = PendingUnit(key=key, first_sector=unit_start,
-                               data=data, lbas=lbas)
+            unit = PendingUnit(key, unit_start, pieces, lbas, sequences)
             if count == ws_min:
-                # Never passes through the partial table.
-                if immutable:
-                    unit.whole = view
-                return unit
+                return unit     # never passes through the partial table
             self._units[slot] = unit
             return None
-        unit.data += data
+        unit.pieces += pieces
         unit.lbas += lbas
+        unit.sequences += sequences
         if len(unit.lbas) == ws_min:
             del self._units[slot]
             return unit
@@ -142,14 +151,15 @@ class WriteBuffer:
         return entry[1] if entry else None
 
     def mark_written(self, unit: PendingUnit) -> None:
-        """Called when the unit's device write completed: drop read-shadow
-        entries that this unit was the latest writer of."""
-        for lba, data in zip(unit.lbas, unit.data):
-            if lba == PAD_LBA:
-                continue
-            entry = self._readable.get(lba)
-            if entry is not None and entry[1] is data:
-                del self._readable[lba]
+        """Called when the unit's device write completed (or never will:
+        :meth:`drop_chunk`): drop the read-shadow entries this unit was
+        the latest writer of — those still carrying the sequence number
+        the unit staged the sector under."""
+        readable = self._readable
+        for lba, sequence in zip(unit.lbas, unit.sequences):
+            entry = readable.get(lba)
+            if entry is not None and entry[0] == sequence:
+                del readable[lba]
 
     def discard(self, lba: int) -> None:
         """Stop exposing *lba* from the buffer (trim): the staged sector
@@ -174,8 +184,12 @@ class WriteBuffer:
         index = sector - unit.first_sector
         if not 0 <= index < len(unit.lbas) or unit.lbas[index] != lba:
             return False
-        self._sequence += 1
-        self._readable[lba] = (self._sequence, unit.data[index])
+        # Under the sector's own sequence number, so the unit's
+        # mark_written still retires the entry.
+        offset = index * self.sector_size
+        self._readable[lba] = (
+            unit.sequences[index],
+            memoryview(unit.data)[offset:offset + self.sector_size])
         return True
 
     def drop_chunk(self, key: ChunkKey) -> List[PendingUnit]:
@@ -185,12 +199,7 @@ class WriteBuffer:
         slots = [slot for slot in self._units if slot[0] == key]
         dropped = [self._units.pop(slot) for slot in slots]
         for unit in dropped:
-            for lba, data in zip(unit.lbas, unit.data):
-                if lba == PAD_LBA:
-                    continue
-                entry = self._readable.get(lba)
-                if entry is not None and entry[1] is data:
-                    del self._readable[lba]
+            self.mark_written(unit)
         return dropped
 
     def drop_all(self) -> None:

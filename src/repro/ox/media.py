@@ -21,6 +21,7 @@ from typing import List, Optional
 from repro.errors import MediaError
 from repro.ocssd.address import Ppa, PpaVector
 from repro.ocssd.commands import (
+    Buffer,
     ChunkReset,
     Completion,
     VectorCopy,
@@ -57,12 +58,13 @@ class MediaManager:
     # with ``yield from``: callers drive them identically, but each I/O
     # carries one generator frame less through every resume.
 
-    def write_proc(self, ppas: PpaVector, data: List[Optional[bytes]],
+    def write_proc(self, ppas: PpaVector, data: Buffer,
                    oob: Optional[List[object]] = None, fua: bool = False,
-                   parent=None, whole: Optional[memoryview] = None):
+                   parent=None):
+        """Write the one buffer *data* (see :class:`VectorWrite`)."""
         return self.device.submit(
             VectorWrite(ppas=ppas, data=data, oob=oob, fua=fua,
-                        tenant=self.tenant, whole=whole),
+                        tenant=self.tenant),
             parent=parent)
 
     def read_proc(self, ppas: PpaVector, parent=None,
@@ -93,7 +95,7 @@ class MediaManager:
 
     # -- synchronous API ----------------------------------------------------------
 
-    def write(self, ppas: PpaVector, data: List[Optional[bytes]],
+    def write(self, ppas: PpaVector, data: Buffer,
               oob: Optional[List[object]] = None,
               fua: bool = False) -> Completion:
         return self.device.execute(VectorWrite(

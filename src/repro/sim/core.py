@@ -411,9 +411,6 @@ class Simulator:
             bucket = self._buckets[when] = deque()
         bucket.append(entry)
 
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._push(self.now + delay, event)
-
     def _schedule_call(self, callback: Callable[[], None],
                        delay: float = 0.0) -> None:
         self._push(self.now + delay, callback)

@@ -52,10 +52,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def request(self, priority: int = 0) -> Event:
         """Return an event that succeeds once a unit is granted.
 

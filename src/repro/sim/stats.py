@@ -88,9 +88,6 @@ class UtilizationTracker:
             raise ValueError(f"negative busy time: {seconds}")
         self._busy_seconds += seconds
 
-    def busy_seconds(self) -> float:
-        return self._busy_seconds
-
     def reset(self) -> None:
         """Restart the measurement window at the current simulated time."""
         self._busy_seconds = 0.0

@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
 from repro.lsm import (
-    DB, DBConfig, DbBench, HorizontalPlacement, LightLSMEnv,
-    VerticalPlacement)
+    DB, DBConfig, DbBench, HorizontalPlacement, LightLSMConfig,
+    LightLSMEnv, VerticalPlacement)
 from repro.lsm.blockenv import BlockDevEnv
 from repro.lsm.znsenv import ZnsEnv
 from repro.llama import LlamaConfig, LlamaEngine
@@ -93,13 +93,6 @@ class Stack:
         return DbBench(self.db, seed=self.spec.seed, **kwargs)
 
 
-def _config_from(cls, kwargs: Dict[str, object], label: str):
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ReproError(f"{label}: {exc}") from None
-
-
 def _device_geometry(spec: StackSpec) -> DeviceGeometry:
     g = spec.geometry
     return DeviceGeometry(
@@ -166,7 +159,8 @@ def _fault_plan(spec: StackSpec) -> FaultPlan:
 
 
 def build_stack(spec: StackSpec) -> Stack:
-    """Assemble and wire the stack *spec* describes."""
+    """Assemble and wire the stack *spec* describes (validated first:
+    every keyword dict below is known to fit its config class)."""
     spec.validate()
     device = OpenChannelSSD(geometry=_device_geometry(spec),
                             timing=_resolve_timing(spec),
@@ -201,43 +195,31 @@ def build_stack(spec: StackSpec) -> Stack:
         ftl_config = dict(spec.ftl_config)
         ftl_config.setdefault("gc_policy", spec.gc_policy)
         ftl_config.setdefault("placement_policy", spec.placement_policy)
-        config = _config_from(BlockConfig, ftl_config, "ftl_config")
-        stack.ftl = OXBlock.format(stack.media, config)
+        stack.ftl = OXBlock.format(stack.media, BlockConfig(**ftl_config))
         if host == "wlfc":
-            stack.wlfc = WriteLessCache(
-                stack.ftl, _config_from(WlfcConfig, spec.wlfc, "wlfc"))
+            stack.wlfc = WriteLessCache(stack.ftl, WlfcConfig(**spec.wlfc))
         if host == "db":
             stack.env = BlockDevEnv(
                 stack.ftl,
                 table_sectors=(BLOCKDEV_TABLE_CHUNKS
                                * device.geometry.sectors_per_chunk))
     elif spec.ftl == "eleos":
-        config = _config_from(EleosConfig, spec.ftl_config, "ftl_config")
-        stack.ftl = OXEleos.format(stack.media, config)
+        stack.ftl = OXEleos.format(stack.media,
+                                   EleosConfig(**spec.ftl_config))
         if host == "llama":
-            stack.engine = LlamaEngine(
-                stack.ftl, _config_from(LlamaConfig, spec.llama, "llama"))
+            stack.engine = LlamaEngine(stack.ftl, LlamaConfig(**spec.llama))
     elif spec.ftl == "zns":
-        config = _config_from(ZnsConfig, spec.ftl_config, "ftl_config")
-        stack.ftl = OXZns(stack.media, config)
+        stack.ftl = OXZns(stack.media, ZnsConfig(**spec.ftl_config))
         if host == "db":
             stack.env = ZnsEnv(stack.ftl)
     elif spec.ftl == "lightlsm":
         placement = (HorizontalPlacement()
                      if spec.placement == "horizontal"
                      else VerticalPlacement())
-        kwargs = dict(spec.ftl_config)
-        allowed = {"chunks_per_sstable", "dispatch_workers",
-                   "dispatch_cpu"}
-        unknown = set(kwargs) - allowed
-        if unknown:
-            raise ReproError(
-                f"ftl_config: lightlsm accepts only {sorted(allowed)}, "
-                f"got {sorted(unknown)}")
-        stack.env = LightLSMEnv(stack.media, placement, **kwargs)
+        stack.env = LightLSMEnv(stack.media, placement,
+                                LightLSMConfig(**spec.ftl_config))
     # spec.ftl == "none": a raw device stack (isolation/landscape shapes).
 
     if host == "db" and stack.env is not None:
-        stack.db = DB(stack.env, _config_from(DBConfig, spec.db, "db"),
-                      device.sim)
+        stack.db = DB(stack.env, DBConfig(**spec.db), device.sim)
     return stack

@@ -18,8 +18,8 @@ field named; structural invariants the lower layers already enforce
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.nand import CellType
@@ -60,8 +60,58 @@ def _sub_spec(cls, value):
         unknown = set(value) - known
         _check(not unknown,
                f"{cls.__name__}: unknown field(s) {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.name not in value
+                   and f.default is MISSING and f.default_factory is MISSING]
+        _check(not missing, f"{cls.__name__}: missing field(s) {missing}")
         return cls(**value)
     raise ReproError(f"{cls.__name__}: cannot build from {type(value)}")
+
+
+#: What a field annotated so may hold (a float field takes an int; no
+#: int field takes a bool).  Sub-spec fields are checked as specs.
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
+                "Dict": dict, "List": list}
+
+
+def _check_types(spec, label: str) -> None:
+    """Every field of *spec* holds what its annotation says, or a
+    :class:`ReproError` names it — before any check compares values."""
+    for f in fields(spec):
+        annotation = f.type
+        value = getattr(spec, f.name)
+        if annotation.startswith("Optional["):
+            if value is None:
+                continue
+            annotation = annotation[len("Optional["):-1]
+        expected = _FIELD_TYPES.get(annotation.partition("[")[0])
+        if expected is None:
+            continue
+        _check(isinstance(value, expected)
+               and (expected is bool or not isinstance(value, bool)),
+               f"{label}{f.name} must be {f.type}, got {value!r}")
+
+
+def _layer_configs(spec: "StackSpec"):
+    """``(field, why it is read, config class or None)`` per keyword
+    dict of *spec*: the class is None when this stack builds no layer
+    that would read the dict.  Imported here, not at module level: the
+    config classes live beside the layers they tune."""
+    from repro.llama import LlamaConfig
+    from repro.lsm import DBConfig, LightLSMConfig
+    from repro.ox import BlockConfig, EleosConfig
+    from repro.policies import WlfcConfig
+    from repro.zns import ZnsConfig
+    host = spec.resolved_host
+    ftls = {"oxblock": BlockConfig, "eleos": EleosConfig, "zns": ZnsConfig,
+            "lightlsm": LightLSMConfig}
+    return [("ftl_config", f"an FTL, not ftl {spec.ftl!r}",
+             ftls.get(spec.ftl)),
+            ("db", f"the 'db' host, not {host!r}",
+             DBConfig if host == "db" else None),
+            ("llama", f"the 'llama' host, not {host!r}",
+             LlamaConfig if host == "llama" else None),
+            ("wlfc", f"the 'wlfc' host, not {host!r}",
+             WlfcConfig if host == "wlfc" else None)]
 
 
 @dataclass
@@ -78,6 +128,7 @@ class GeometrySpec:
     sector_size: int = 4096
 
     def validate(self) -> None:
+        _check_types(self, "geometry.")
         _check(self.cell.upper() in CellType.__members__,
                f"geometry.cell must be one of "
                f"{sorted(n.lower() for n in CellType.__members__)}, "
@@ -98,6 +149,7 @@ class TenantSpec:
     burst_bytes: Optional[float] = None
 
     def validate(self) -> None:
+        _check_types(self, f"tenant {self.name!r}: ")
         _check(bool(self.name), "tenant name must be non-empty")
         _check(self.weight > 0,
                f"tenant {self.name!r}: weight must be > 0, "
@@ -124,6 +176,7 @@ class FaultSpec:
     protect_groups: List[int] = field(default_factory=list)
 
     def validate(self) -> None:
+        _check_types(self, "faults.")
         for row in self.grown_bad:
             _check(len(row) == 4,
                    f"faults.grown_bad rows are [group, pu, block, "
@@ -149,6 +202,7 @@ class WorkloadSpec:
     pacing: str = "afap"
 
     def validate(self) -> None:
+        _check_types(self, "workload.")
         _check(self.kind in WORKLOADS,
                f"workload.kind must be one of {WORKLOADS}, "
                f"got {self.kind!r}")
@@ -187,6 +241,7 @@ class TimingSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_types(self, "timing.")
         for name in ("read_latency_us", "program_latency_us",
                      "erase_latency_us", "channel_mib_per_sec",
                      "jitter_sigma"):
@@ -205,9 +260,7 @@ class StackSpec:
     #: FTL flavor: oxblock | eleos | zns | lightlsm | none (raw device).
     ftl: str = "lightlsm"
     #: Kwargs for the flavor's config dataclass (BlockConfig /
-    #: EleosConfig / ZnsConfig; lightlsm: ``chunks_per_sstable``,
-    #: ``dispatch_cpu`` and ``dispatch_workers`` — §4.2: the paper
-    #: runs one dispatch loop).
+    #: EleosConfig / ZnsConfig / LightLSMConfig).
     ftl_config: Dict[str, object] = field(default_factory=dict)
     #: LightLSM data placement (Figures 5/6): horizontal | vertical.
     placement: str = "horizontal"
@@ -259,43 +312,38 @@ class StackSpec:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "StackSpec":
+        _check_types(self, "")
         _check(self.ftl in FTL_FLAVORS,
                f"unknown FTL flavor {self.ftl!r}; "
                f"expected one of {FTL_FLAVORS}")
         _check(self.host in HOSTS,
                f"unknown host {self.host!r}; expected one of {HOSTS}")
-        _check(self.placement in PLACEMENTS,
-               f"unknown placement {self.placement!r}; "
-               f"expected one of {PLACEMENTS}")
         _check(self.qos_policy in QOS_POLICIES,
                f"unknown qos policy {self.qos_policy!r}; "
                f"expected one of {QOS_POLICIES}")
-        _check(self.gc_policy in GC_POLICIES,
-               f"unknown gc_policy {self.gc_policy!r}; "
-               f"expected one of {GC_POLICIES}")
-        _check(self.placement_policy in PLACEMENT_POLICIES,
-               f"unknown placement_policy {self.placement_policy!r}; "
-               f"expected one of {PLACEMENT_POLICIES}")
-        if self.gc_policy != GC_POLICIES[0]:
-            _check(self.ftl == "oxblock",
-                   f"gc_policy {self.gc_policy!r} needs ftl 'oxblock', "
-                   f"not {self.ftl!r}")
-        if self.placement_policy != PLACEMENT_POLICIES[0]:
-            _check(self.ftl == "oxblock",
-                   f"placement_policy {self.placement_policy!r} needs "
-                   f"ftl 'oxblock', not {self.ftl!r}")
-        # Worker counts are range-checked where they are used (DB,
-        # WriteDispatcher); a count no layer of this stack would read
-        # is a mistake, not a default.
-        if "dispatch_workers" in self.ftl_config:
-            _check(self.ftl == "lightlsm",
-                   f"ftl_config['dispatch_workers'] needs ftl "
-                   f"'lightlsm', not {self.ftl!r}")
-        for key in ("flush_workers", "compaction_workers"):
-            if key in self.db:
-                _check(self.resolved_host == "db",
-                       f"db[{key!r}] needs the 'db' host, "
-                       f"not {self.resolved_host!r}")
+        # A menu only one FTL reads: anything but its default needs it.
+        for name, menu, ftl in (
+                ("placement", PLACEMENTS, "lightlsm"),
+                ("gc_policy", GC_POLICIES, "oxblock"),
+                ("placement_policy", PLACEMENT_POLICIES, "oxblock")):
+            value = getattr(self, name)
+            _check(value in menu,
+                   f"unknown {name} {value!r}; expected one of {menu}")
+            _check(value == menu[0] or self.ftl == ftl,
+                   f"{name} {value!r} needs ftl {ftl!r}, not {self.ftl!r}")
+        # Keyword dicts: one no layer of this stack would read is a
+        # mistake, not a default, and so is a key its config class does
+        # not have.  Values are range-checked where they are used.
+        for name, needs, config in _layer_configs(self):
+            kwargs = getattr(self, name)
+            if config is None:
+                _check(not kwargs, f"{name} {kwargs} needs {needs}")
+                continue
+            allowed = [f.name for f in fields(config)]
+            for key in kwargs:
+                _check(key in allowed,
+                       f"{name}: unknown key {key!r}; {config.__name__} "
+                       f"accepts {allowed}")
         self.geometry.validate()
         for tenant in self.tenants:
             tenant.validate()

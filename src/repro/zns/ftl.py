@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ZoneError
 from repro.ocssd.address import Ppa, PpaRun
-from repro.ocssd.chunk import pad_sector
 from repro.ox.media import MediaManager
 from repro.zns.zone import Zone, ZoneState
 
@@ -144,34 +143,29 @@ class OXZns:
             span = obs.begin("zns", "append")
             append_started = self.sim.now
         ws_min = self.geometry.ws_min
+        view = memoryview(data)
         offset = zone.write_pointer
         remaining = sectors
-        data_offset = 0
         procs = []
         while remaining > 0:
             chunk_index, in_chunk = self._locate(zone, offset)
             room = self.geometry.sectors_per_chunk - in_chunk
             count = min(remaining, room)
-            # Pad the tail of the append to a whole write unit; padding
-            # sectors advance the physical pointer but not the zone's.
+            # Pad the tail of the append to a whole write unit — sectors
+            # past the end of the buffer; padding advances the physical
+            # pointer but not the zone's.
             padded = count + ((-count) % ws_min) \
                 if count == remaining else count
             padded = min(padded, room)
             ppas = PpaRun(zone.chunks[chunk_index], in_chunk, padded)
-            payloads = []
-            for i in range(padded):
-                if i < count:
-                    begin = (data_offset + i) * sector_size
-                    payloads.append(data[begin:begin + sector_size])
-                else:
-                    payloads.append(b"")
+            sent = (sectors - remaining) * sector_size
             oob = [("zns", zone_id, offset + i if i < count else -1)
                    for i in range(padded)]
             procs.append(self.sim.spawn(
-                self.media.write_proc(ppas, payloads, oob=oob,
-                                      parent=span)))
+                self.media.write_proc(
+                    ppas, view[sent:sent + count * sector_size], oob=oob,
+                    parent=span)))
             offset += padded
-            data_offset += count
             remaining -= count
         completions = yield self.sim.all_of(procs)
         for completion in completions:
@@ -198,7 +192,6 @@ class OXZns:
         zone_id, offset = divmod(lba, self.zone_capacity)
         zone = self.zone(zone_id)
         zone.check_read(offset, sectors)
-        sector_size = self.geometry.sector_size
         per_chunk = self.geometry.sectors_per_chunk
         ppas = []       # one run per chunk the read touches
         at, end = offset, offset + sectors
@@ -219,8 +212,7 @@ class OXZns:
             obs.end(span, zone=zone_id, sectors=sectors)
             obs.metrics.histogram("zns.read.latency_s").record(
                 self.sim.now - read_started)
-        return b"".join(pad_sector(payload, sector_size)
-                        for payload in completion.data)
+        return b"".join(completion.data)
 
     def reset_zone(self, zone_id: int) -> None:
         self.sim.run_until(self.sim.spawn(self.reset_zone_proc(zone_id)))

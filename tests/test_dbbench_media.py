@@ -87,9 +87,10 @@ class TestMediaManager:
         device, media = self.make()
         ws = media.geometry.ws_min
         ppas = [Ppa(0, 0, 0, s) for s in range(ws)]
-        completion = media.write(ppas, [b"m" * 64] * ws)
+        sector = media.geometry.sector_size
+        completion = media.write(ppas, b"m" * sector * ws)
         assert completion.ok
-        assert media.read(ppas[:2]).data[1] == b"m" * 64
+        assert b"".join(media.read(ppas[:2]).data) == b"m" * sector * 2
         media.flush()
         assert media.reset(Ppa(0, 1, 0, 0)).ok
 

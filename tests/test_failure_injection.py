@@ -54,7 +54,7 @@ class TestDeviceFailures:
         # The chip-level block is broken, but the chunk looks writable:
         # admission succeeds, the background program fails.
         chip.blocks[1].state = BlockState.BAD
-        completion = device.write(ppas, [b"x" * 16] * ws)
+        completion = device.write(ppas, b"x" * 16)
         assert completion.ok
         device.sim.run()
         notes = device.pop_notifications()
@@ -66,8 +66,8 @@ class TestDeviceFailures:
         ws = device.report_geometry().ws_min
         target = Ppa(1, 1, 3, 0)
         for cycle in range(1, 4):
-            device.write([target.with_sector(s) for s in range(ws)],
-                         [b"w" * 8] * ws)
+            assert device.write([target.with_sector(s) for s in range(ws)],
+                                b"w" * 8).ok
             device.flush()
             assert device.reset(target).ok
             assert device.chunk_info(target).wear_index == cycle

@@ -252,16 +252,19 @@ class TestWriteBuffer:
     def test_whole_unit_run_skips_the_partial_table(self):
         buffer = self.make()
         payload = b"".join(bytes([65 + i]) * 64 for i in range(4))
-        unit = buffer.stage_run(8, self.KEY, 4, 4, memoryview(payload),
-                                immutable=True)
+        view = memoryview(payload)
+        unit = buffer.stage_run(8, self.KEY, 4, 4, view)
         assert unit.lbas == [8, 9, 10, 11] and unit.first_sector == 4
-        assert bytes(unit.whole) == payload == b"".join(unit.data)
+        # Staged in one piece: the unit's buffer is that piece, no copy.
+        assert unit.data is view
         assert len(buffer) == 0 and buffer.partial_units() == []
         assert buffer.lookup(9) == b"B" * 64
-        # Mutable source: no zero-copy hint.
-        other = buffer.stage_run(8, (0, 0, 1), 0, 4,
-                                 memoryview(bytearray(payload)))
-        assert other.whole is None
+
+    def test_a_unit_staged_in_pieces_is_their_join(self):
+        buffer = self.make()
+        buffer.stage_run(1, self.KEY, 0, 1, self.sector(b"a"))
+        unit = buffer.stage_run(7, self.KEY, 1, 3, memoryview(b"b" * 192))
+        assert bytes(unit.data) == b"a" * 64 + b"b" * 192
 
     def test_lookup_until_written(self):
         buffer = self.make()
@@ -303,10 +306,20 @@ class TestWriteBuffer:
 
     def test_pad_lba_not_readable(self):
         buffer = self.make()
-        buffer.stage_run(PAD_LBA, self.KEY, 0, 2)
+        buffer.stage_run(5, self.KEY, 0, 1, self.sector(b"a"))
+        unit = buffer.stage_run(PAD_LBA, self.KEY, 1, 3)
         assert buffer.lookup(PAD_LBA) is None
-        unit = buffer.stage_run(PAD_LBA, self.KEY, 2, 2)
-        assert unit.lbas == [PAD_LBA] * 4 and unit.data == [b""] * 4
+        # Padding stages no payload: it is the unit's missing tail.
+        assert unit.lbas == [5] + [PAD_LBA] * 3
+        assert bytes(unit.data) == b"a" * 64
+
+    def test_padding_only_ever_completes_a_unit(self):
+        buffer = self.make()
+        with pytest.raises(FTLError):
+            buffer.stage_run(PAD_LBA, self.KEY, 0, 2)
+        assert len(buffer) == 0
+        unit = buffer.stage_run(PAD_LBA, self.KEY, 0, 4)
+        assert unit.lbas == [PAD_LBA] * 4 and unit.data == b""
 
 
 class TestSerial:

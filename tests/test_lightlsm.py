@@ -9,6 +9,7 @@ from repro.lsm import (
     DBConfig,
     DbBench,
     HorizontalPlacement,
+    LightLSMConfig,
     LightLSMEnv,
     VerticalPlacement,
 )
@@ -26,7 +27,7 @@ def make_env(placement=None, groups=4, pus=2, chunks=40, pages=6,
     device = OpenChannelSSD(geometry=geometry)
     media = MediaManager(device)
     env = LightLSMEnv(media, placement or HorizontalPlacement(),
-                      chunks_per_sstable=chunks_per_sstable)
+                      LightLSMConfig(chunks_per_sstable=chunks_per_sstable))
     return device, media, env
 
 

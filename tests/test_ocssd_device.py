@@ -28,21 +28,27 @@ def seq_ppas(device, group=0, pu=0, chunk=0, start=0, count=None):
 
 
 def unit_payloads(device, fill=0xAB, count=None):
+    """One buffer covering *count* sectors (default: one write unit)."""
     count = count or device.geometry.ws_min
-    return [bytes([fill]) * device.geometry.sector_size
-            for __ in range(count)]
+    return bytes([fill]) * (device.geometry.sector_size * count)
+
+
+def numbered(device, count, base=0):
+    """A buffer whose sector ``i`` is filled with ``base + i``."""
+    return b"".join(bytes([(base + i) % 251]) * device.geometry.sector_size
+                    for i in range(count))
 
 
 class TestWriteRead:
     def test_write_then_read_roundtrip(self):
         device = tiny_device()
         ppas = seq_ppas(device)
-        data = [bytes([i % 251]) * 16 for i in range(len(ppas))]
+        data = numbered(device, len(ppas))
         completion = device.write(ppas, data, oob=list(range(len(ppas))))
         assert completion.ok
         read = device.read(ppas)
         assert read.ok
-        assert read.data == data
+        assert b"".join(read.data) == data
         assert read.oob == list(range(len(ppas)))
 
     def test_scattered_read_across_chunks(self):
@@ -52,8 +58,9 @@ class TestWriteRead:
                          unit_payloads(device, fill=group * 16 + pu))
         read = device.read([Ppa(0, 0, 0, 3), Ppa(1, 1, 0, 5)])
         assert read.ok
-        assert read.data[0] == bytes([0]) * device.geometry.sector_size
-        assert read.data[1] == bytes([17]) * device.geometry.sector_size
+        sector = device.geometry.sector_size
+        assert b"".join(read.data) == bytes([0]) * sector \
+            + bytes([17]) * sector
 
     def test_write_not_at_pointer_is_invalid(self):
         device = tiny_device()
@@ -65,7 +72,7 @@ class TestWriteRead:
     def test_sub_ws_min_write_is_invalid(self):
         device = tiny_device()
         completion = device.write([Ppa(0, 0, 0, 0)],
-                                  [b"x" * device.geometry.sector_size])
+                                  b"x" * device.geometry.sector_size)
         assert completion.status is CommandStatus.INVALID
 
     def test_read_unwritten_sector_is_invalid(self):
@@ -98,8 +105,7 @@ class TestPayloadReadLane:
                 start = unit * geometry.ws_min
                 device.write(
                     seq_ppas(device, pu=1, chunk=chunk, start=start),
-                    [bytes([chunk * 100 + start + i]) * geometry.sector_size
-                     for i in range(geometry.ws_min)])
+                    numbered(device, geometry.ws_min, chunk * 100 + start))
         device.write(seq_ppas(device, group=1), unit_payloads(device, 0xEE))
         device.flush()
         return device
@@ -128,8 +134,8 @@ class TestPayloadReadLane:
         completion = by_command.read(
             [geometry.delinearize(linear) for linear in linears])
         assert completion.ok
-        assert [bytes(p) for p in payloads] \
-            == [bytes(p) for p in completion.data]
+        assert b"".join(payloads) == b"".join(completion.data)
+        assert len(b"".join(payloads)) == len(linears) * geometry.sector_size
         assert by_lane.sim.now == by_command.sim.now
         assert by_lane.sim.events_processed \
             == by_command.sim.events_processed
@@ -181,12 +187,12 @@ class TestCopy:
         device = tiny_device()
         src = seq_ppas(device, chunk=0)
         dst = seq_ppas(device, group=1, pu=0, chunk=1)
-        data = [bytes([i]) * 8 for i in range(len(src))]
+        data = numbered(device, len(src))
         device.write(src, data, oob=[100 + i for i in range(len(src))])
         completion = device.copy(src, dst)
         assert completion.ok
         read = device.read(dst)
-        assert read.data == data
+        assert b"".join(read.data) == data
         assert read.oob == [100 + i for i in range(len(src))]
 
 
@@ -210,7 +216,7 @@ class TestCrashSemantics:
         device.crash_volatile()
         read = device.read(ppas)
         assert read.ok
-        assert read.data == data
+        assert b"".join(read.data) == data
 
     def test_background_flush_eventually_persists(self):
         """Even without an explicit flush, the flusher drains the cache;

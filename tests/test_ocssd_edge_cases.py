@@ -37,18 +37,19 @@ class TestFua:
     def test_fua_write_is_durable_without_flush(self):
         device = tiny()
         ppas = unit(device)
-        device.write(ppas, [b"f" * 64] * len(ppas), fua=True)
+        device.write(ppas, b"f" * 64, fua=True)     # a short buffer
         device.crash_volatile()
         assert device.chunk_info(ppas[0]).write_pointer == len(ppas)
-        assert device.read(ppas[:1]).data[0] == b"f" * 64
+        assert b"".join(device.read(ppas[:1]).data) \
+            == (b"f" * 64).ljust(device.geometry.sector_size, b"\0")
 
     def test_fua_after_cached_writes_same_chunk_keeps_order(self):
         device = tiny()
         ws = device.geometry.ws_min
         first = unit(device)
         second = unit(device, start=ws)
-        device.write(first, [b"1" * 16] * ws)            # cached
-        completion = device.write(second, [b"2" * 16] * ws, fua=True)
+        device.write(first, b"1" * 16)                   # cached
+        completion = device.write(second, b"2" * 16, fua=True)
         assert completion.ok
         # FUA completion implies everything below it is also on media.
         assert device.chunk_info(first[0]).ppa is not None
@@ -57,10 +58,8 @@ class TestFua:
 
     def test_fua_slower_than_cached(self):
         device = tiny()
-        cached = device.write(unit(device, chunk=0),
-                              [b"c" * 16] * device.geometry.ws_min)
-        fua = device.write(unit(device, chunk=1),
-                           [b"d" * 16] * device.geometry.ws_min, fua=True)
+        cached = device.write(unit(device, chunk=0), b"c" * 16)
+        fua = device.write(unit(device, chunk=1), b"d" * 16, fua=True)
         assert fua.latency > cached.latency
 
 
@@ -69,11 +68,12 @@ class TestCopySemantics:
         device = tiny()
         src = unit(device, group=0)
         dst = unit(device, group=1)
-        device.write(src, [bytes([i]) for i in range(len(src))])
+        data = b"".join(bytes([i]) * device.geometry.sector_size
+                        for i in range(len(src)))
+        device.write(src, data)
         completion = device.copy(src, dst)
         assert completion.ok
-        assert device.read(dst).data == [bytes([i])
-                                         for i in range(len(src))]
+        assert b"".join(device.read(dst).data) == data
 
     def test_copy_of_unwritten_source_is_invalid(self):
         device = tiny()
@@ -102,7 +102,7 @@ class TestCacheBackPressure:
             started = device.sim.now
             for chunk in range(2):
                 ppas = [Ppa(0, 0, chunk, s) for s in range(chunk_sectors)]
-                device.write(ppas, [b"x" * 16] * chunk_sectors)
+                assert device.write(ppas, b"x" * 16).ok
             return device.sim.now - started
 
         assert fill(small) > fill(large)
@@ -153,7 +153,7 @@ class TestGeometryExtremes:
     def test_single_everything(self):
         device = tiny(groups=1, pus=1, chunks=1)
         ppas = unit(device)
-        assert device.write(ppas, [b"1"] * len(ppas)).ok
+        assert device.write(ppas, b"1").ok
         assert device.read(ppas).ok
 
     def test_qlc_four_planes(self):
@@ -164,7 +164,7 @@ class TestGeometryExtremes:
         device = OpenChannelSSD(geometry=geometry)
         assert geometry.ws_min == 64   # the paper's 256 KB / 4 KB sectors
         ppas = [Ppa(0, 0, 0, s) for s in range(64)]
-        assert device.write(ppas, [b"q"] * 64).ok
+        assert device.write(ppas, b"q").ok
 
     def test_slc_single_plane(self):
         geometry = DeviceGeometry(
@@ -174,4 +174,4 @@ class TestGeometryExtremes:
         device = OpenChannelSSD(geometry=geometry)
         assert geometry.ws_min == 4    # one flash page
         ppas = [Ppa(0, 0, 0, s) for s in range(4)]
-        assert device.write(ppas, [b"s"] * 4).ok
+        assert device.write(ppas, b"s").ok

@@ -153,9 +153,7 @@ def test_split_runs_is_the_same_for_every_form(drawn):
 
 def observed(completion):
     return (completion.status, completion.error,
-            [None if payload is None else bytes(payload)
-             for payload in completion.data],
-            list(completion.oob))
+            b"".join(completion.data), list(completion.oob))
 
 
 def state(device):
@@ -168,7 +166,7 @@ def state(device):
 commands = st.lists(st.tuples(
     st.sampled_from(["write", "write", "read", "read", "copy", "flush"]),
     pieces, pieces,
-    st.sampled_from([0, 0, 0, 0, -1, 1]),    # payload/OOB count skew
+    st.sampled_from([0, 0, 0, 0, -1, 1]),    # payload size/OOB count skew
     st.booleans()),              # with OOB / dst_oob
     min_size=1, max_size=12)
 
@@ -183,10 +181,10 @@ def test_run_form_and_list_form_drive_the_device_identically(script):
         # Something to read: 1, 2, 1 and 0 units on media, one in cache.
         for key, units in zip(CHUNKS, (1, 2, 1, 0)):
             run = PpaRun(key, 0, units * WS)
-            device.write(run, [bytes(key) * 5] * len(run),
+            device.write(run, bytes(key) * 5 * len(run),
                          oob=list(range(len(run))))
         device.flush()
-        device.write(PpaRun(CHUNKS[0], WS, WS), [b"cached"] * WS)
+        device.write(PpaRun(CHUNKS[0], WS, WS), b"cached")
     assert state(by_run) == state(by_list) == state(meta_only)
     tag = 0
     for kind, drawn, drawn_dst, skew, with_oob in script:
@@ -198,13 +196,19 @@ def test_run_form_and_list_form_drive_the_device_identically(script):
         total = sum(max(count, 0) for __, __, count in resolved)
         if kind == "write":
             tag += 1
-            data = [bytes([tag % 251, i % 251]) * (SECTOR // 2)
-                    if (tag + i) % 7 else (None, b"", b"short")[i % 3]
-                    for i in range(max(total + skew, 0))]
-            oob = [("tag", tag, i) for i in range(total)] \
+            # One buffer: five bytes too long (INVALID), five short (the
+            # last sector's tail reads zeros), or, one time in seven, a
+            # few whole sectors short; mutable every other time.
+            data = b"".join(bytes([tag % 251, i % 251]) * (SECTOR // 2)
+                            for i in range(total + 1))
+            data = data[:max(total * SECTOR + skew * 5
+                             - (tag % 7 == 0) * 3 * SECTOR, 0)]
+            if tag % 2:
+                data = bytearray(data)
+            oob = [("tag", tag, i) for i in range(total + skew)] \
                 if with_oob else None
             build = lambda form: VectorWrite(   # noqa: E731
-                ppas=form(resolved), data=list(data), oob=oob)
+                ppas=form(resolved), data=data, oob=oob)
         elif kind == "read":
             build = lambda form: VectorRead(    # noqa: E731
                 ppas=form(resolved))
@@ -224,7 +228,7 @@ def test_run_form_and_list_form_drive_the_device_identically(script):
         if kind == "read":
             command.meta_only = True
             status, error, data, oob = expected
-            expected = (status, error, [], oob)
+            expected = (status, error, b"", oob)
         assert observed(meta_only.execute(command)) == expected
         assert state(by_run) == state(by_list) == state(meta_only)
 
@@ -236,21 +240,21 @@ def test_metadata_only_read_fails_like_the_full_read():
     for meta_only in (False, True):
         device = OpenChannelSSD(geometry=GEOMETRY)
         run = PpaRun((0, 0, 0), 0, WS)
-        assert device.write(run, [b"x" * SECTOR] * WS, fua=True).ok
+        assert device.write(run, b"x" * SECTOR * WS, fua=True).ok
         device.attach_faults(FaultInjector(FaultPlan(read_fail_prob=1.0)))
         completion = device.execute(VectorRead(ppas=run,
                                                meta_only=meta_only))
         assert completion.status is CommandStatus.READ_FAILED
-        assert completion.data == ([] if meta_only else [None] * WS)
+        assert completion.data == []
         outcomes.append((completion.error, completion.oob, state(device)))
     assert outcomes[0] == outcomes[1]
 
 
 # -- the error contract: a count mismatch is INVALID, not a stack trace ---------------
+# (A payload has no count: tests/test_payload_buffers.py holds its size rule.)
 
 @pytest.mark.parametrize("through", ["submit", "media"])
 @pytest.mark.parametrize("kind, counts", [
-    ("write", "8 addresses but 7 payloads"),
     ("oob", "8 addresses but 9 OOB entries"),
     ("copy", "8 sources but 4 destinations"),
     ("dst_oob", "8 destinations but 3 OOB overrides"),
@@ -260,13 +264,10 @@ def test_count_mismatch_completes_invalid_and_names_both_counts(
     device = OpenChannelSSD(geometry=GEOMETRY)
     media = MediaManager(device)
     src = [PpaRun((0, 0, 0), 0, WS), PpaRun((0, 0, 0), WS, WS)]
-    assert device.write(src, [b"s" * SECTOR] * 2 * WS).ok
+    assert device.write(src, b"s" * SECTOR * 2 * WS).ok
     dst = PpaRun((0, 1, 0), 0, 2 * WS)
-    data = [b"d" * SECTOR] * 2 * WS
-    if kind == "write":
-        command = VectorWrite(ppas=dst, data=data[:-1])
-        call = lambda: media.write(dst, data[:-1])      # noqa: E731
-    elif kind == "oob":
+    data = b"d" * SECTOR * 2 * WS
+    if kind == "oob":
         command = VectorWrite(ppas=dst, data=data, oob=[0] * 9)
         call = lambda: media.write(dst, data, oob=[0] * 9)  # noqa: E731
     elif kind == "copy":

@@ -236,7 +236,7 @@ def _fill_chunk(device, tenant):
         ppas = [Ppa(group=0, pu=0, chunk=0, sector=start + i)
                 for i in range(unit)]
         done = device.execute(VectorWrite(
-            ppas=ppas, data=[bytes(SECTOR)] * unit, tenant=tenant))
+            ppas=ppas, data=bytes(SECTOR * unit), tenant=tenant))
         assert done.status is CommandStatus.OK
     device.flush()
 
@@ -251,7 +251,7 @@ def _sequential_ops(device, tenant):
         ppas = [Ppa(group=0, pu=0, chunk=0, sector=start + i)
                 for i in range(unit)]
         done = device.execute(VectorWrite(
-            ppas=ppas, data=[bytes(SECTOR)] * unit, tenant=tenant))
+            ppas=ppas, data=bytes(SECTOR * unit), tenant=tenant))
         assert done.status is CommandStatus.OK
         latencies.append(done.completed_at - done.submitted_at)
     device.flush()

@@ -313,7 +313,7 @@ def relocate_per_sector_proc(gc, key, live, parent=None):
     except OutOfSpaceError:
         if dst:
             completion = yield from gc.media.write_proc(
-                dst, [b""] * len(dst), oob=[NO_PPA] * len(dst),
+                dst, b"", oob=[NO_PPA] * len(dst),
                 parent=parent)
             gc.media.require_ok(completion, "GC relocation abort pad")
         gc._count_skip_no_space()

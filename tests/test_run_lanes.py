@@ -51,10 +51,12 @@ def allocate_sector(provisioner: Provisioner, stream: str = "user") -> Ppa:
 
 @dataclass
 class PerSectorUnit(PendingUnit):
-    """The oracle's unit still collects one ``Ppa`` per staged sector;
-    ``PendingUnit.ppas`` is now a run derived from the unit's fill."""
+    """The oracle's unit still collects one ``Ppa`` and one payload per
+    staged sector; ``PendingUnit.ppas`` is now a run derived from the
+    unit's fill, ``PendingUnit.data`` one buffer."""
 
     staged: List[Ppa] = field(default_factory=list)
+    payloads: List[bytes] = field(default_factory=list)
 
 
 class PerSectorBuffer(WriteBuffer):
@@ -80,9 +82,10 @@ class PerSectorBuffer(WriteBuffer):
                 f"staged sector {sector} out of order in unit "
                 f"{slot} (expected {expected})")
         unit.staged.append(ppa)
-        unit.data.append(data)
+        unit.payloads.append(data)
         unit.lbas.append(lba)
         self._sequence += 1
+        unit.sequences.append(self._sequence)
         if lba != PAD_LBA:
             self._readable[lba] = (self._sequence, data)
         if len(unit.staged) == self.ws_min:
@@ -106,11 +109,14 @@ def make_provisioner():
 def unit_state(unit: Optional[PendingUnit]):
     if unit is None:
         return None
-    # The run a unit derives must be the list the oracle appended.
-    ppas = unit.staged if isinstance(unit, PerSectorUnit) \
-        else list(unit.ppas)
-    return (unit.key, unit.first_sector, ppas, unit.lbas,
-            [bytes(piece) for piece in unit.data])
+    # The run and the buffer a unit derives must be the lists the oracle
+    # appended (a pad sector's payload is empty: pads are the tail).
+    if isinstance(unit, PerSectorUnit):
+        ppas, data = unit.staged, b"".join(unit.payloads)
+    else:
+        ppas, data = list(unit.ppas), bytes(unit.data)
+    return (unit.key, unit.first_sector, ppas, unit.lbas, unit.sequences,
+            data)
 
 
 def buffer_state(buffer: WriteBuffer):
@@ -184,17 +190,14 @@ def test_stage_run_stages_what_per_sector_staging_did(steps):
         while placed < sectors:
             key, first, count = by_run.allocate_run("user",
                                                     sectors - placed)
-            unit = run_buffer.stage_run(
-                lba + placed, key, first, count,
-                view[placed * SECTOR:(placed + count) * SECTOR], immutable)
+            piece = view[placed * SECTOR:(placed + count) * SECTOR]
+            unit = run_buffer.stage_run(lba + placed, key, first, count,
+                                        piece)
             if unit is not None:
                 run_units.append(unit)
-                # The zero-copy hint: exactly the runs that are a whole
-                # unit over immutable bytes, and the same bytes.
-                assert (unit.whole is not None) \
-                    == (immutable and count == ws)
-                if unit.whole is not None:
-                    assert bytes(unit.whole) == b"".join(unit.data)
+                # A whole-unit run is handed to the device as it came —
+                # the chunk store sees for itself whether it is mutable.
+                assert (unit.data is piece) == (count == ws)
             placed += count
         for index in range(sectors):
             unit = sector_buffer.stage(
@@ -249,9 +252,13 @@ def test_rejections_match_the_per_sector_lane():
         sector_buffer.stage(2, Ppa(*key, 1), big)
     # A rejected stage leaves no trace on either side.
     assert buffer_state(run_buffer) == buffer_state(sector_buffer)
-    # PAD_LBA: staged, sequenced, never readable.
-    run_buffer.stage_run(PAD_LBA, key, 1, 2)
-    for sector in (1, 2):
+    # PAD_LBA: staged, sequenced, never readable — and only ever to the
+    # end of the unit.
+    with pytest.raises(FTLError):
+        run_buffer.stage_run(PAD_LBA, key, 1, 2)
+    assert buffer_state(run_buffer) == buffer_state(sector_buffer)
+    run_buffer.stage_run(PAD_LBA, key, 1, 3)
+    for sector in (1, 2, 3):
         sector_buffer.stage(PAD_LBA, Ppa(*key, sector), b"")
     assert buffer_state(run_buffer) == buffer_state(sector_buffer)
     assert run_buffer.lookup(PAD_LBA) is None

@@ -152,6 +152,57 @@ def test_bad_config_key_names_the_section():
                               ftl_config={"no_such_knob": 1}))
 
 
+@pytest.mark.parametrize("data, names", [
+    ({"tenants": [{"name": "a", "weight": "x"}]},
+     "tenant 'a': weight must be float, got 'x'"),
+    ({"seed": "abc"}, "seed must be int, got 'abc'"),
+    ({"workload": {"kind": "raw_fill_read", "fill_ops": "x"}},
+     "workload.fill_ops must be int, got 'x'"),
+    ({"geometry": {"num_groups": True}},
+     "geometry.num_groups must be int, got True"),
+    ({"timing": {"jitter_sigma": None}}, "timing.jitter_sigma must be float"),
+    ({"faults": {"power_cut_at_op": 1.5}},
+     r"faults.power_cut_at_op must be Optional\[int\], got 1.5"),
+    ({"db": ["block_size"]}, "db must be Dict"),
+    ({"tenants": [{"weight": 2.0}]}, r"TenantSpec: missing field\(s\) "
+                                     r"\['name'\]"),
+])
+def test_a_mistyped_field_is_a_repro_error_naming_it(data, names):
+    """Wrong-typed values used to escape as a bare TypeError (the tenant
+    weight comparison) or validate, build and fail mid-run (seed,
+    fill_ops)."""
+    with pytest.raises(ReproError, match=names):
+        StackSpec.from_dict({"ftl": "oxblock", **data})
+    # An int where a float goes, and None where Optional says so, are fine.
+    StackSpec.from_dict({"ftl": "oxblock",
+                         "tenants": [{"name": "a", "weight": 2}],
+                         "faults": {"power_cut_at_op": None}})
+
+
+@pytest.mark.parametrize("fields, names", [
+    (dict(ftl="eleos", db={"bogus": 1}), "db .* needs the 'db' host"),
+    (dict(ftl="oxblock", llama={"cache_pages": 8}),
+     "llama .* needs the 'llama' host, not 'none'"),
+    (dict(ftl="oxblock", wlfc={"capacity_sectors": 8}),
+     "wlfc .* needs the 'wlfc' host"),
+    (dict(ftl="none", ftl_config={"gc_enabled": False}),
+     "ftl_config .* needs an FTL, not ftl 'none'"),
+    (dict(ftl="zns", placement="vertical"),
+     "placement 'vertical' needs ftl 'lightlsm', not 'zns'"),
+    (dict(ftl="oxblock", ftl_config={"wal_chunks": 4}),
+     "ftl_config: unknown key 'wal_chunks'; BlockConfig accepts "
+     r"\['wal_chunk_count', "),
+    (dict(ftl="lightlsm", db={"flush_worker": 2}),
+     "db: unknown key 'flush_worker'; DBConfig accepts"),
+])
+def test_config_for_a_layer_the_stack_never_builds_is_rejected(fields, names):
+    """One rule: a keyword dict needs the layer that reads it, and a key
+    needs a field of that layer's config class — at validate(), not as a
+    TypeError at build time or, silently, never."""
+    with pytest.raises(ReproError, match=names):
+        StackSpec(geometry=SMOKE_GEOMETRY, **fields).validate()
+
+
 # -- sidecars through the spec ------------------------------------------------
 
 

@@ -192,13 +192,9 @@ class TestCheckpoint:
         run(media, media.reset_proc(Ppa(*slot[0], 0)))
         writer = serial.FrameWriter(media.geometry.sector_size)
         writer.append(serial.encode_ckpt_header(2, 0, 0, 9))
-        frames = writer.frames()
-        pad = (-len(frames)) % media.geometry.ws_min
-        empty = serial.FrameWriter(media.geometry.sector_size)
-        empty.append(serial.encode_record(serial.REC_NOOP, b""))
-        frames.extend([empty.frames()[0]] * pad)
-        ppas = [Ppa(*slot[0], i) for i in range(len(frames))]
-        run(media, media.write_proc(ppas, frames, fua=True))
+        ppas = [Ppa(*slot[0], i) for i in range(media.geometry.ws_min)]
+        run(media, media.write_proc(ppas, b"".join(writer.frames()),
+                                    fua=True))
 
         snapshot = run(media, manager.read_latest_proc())
         assert snapshot.seq == 1

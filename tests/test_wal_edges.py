@@ -32,23 +32,18 @@ def layout_for(media, wal_chunk_count=4):
                                 ckpt_chunks_per_slot=1)
 
 
-def padded_frames(media, records, total=None):
-    """Encode *records* into sector frames, noop-padded to *total*
-    (default: one write unit)."""
+def frame_buffer(media, records):
+    """Encode *records* into sector frames, as the one buffer a write
+    takes: the padding to a whole unit is the buffer's missing tail."""
     writer = serial.FrameWriter(media.geometry.sector_size)
     for record in records:
         writer.append(record)
-    frames = writer.frames()
-    total = total if total is not None else media.geometry.ws_min
-    noop = serial.FrameWriter(media.geometry.sector_size)
-    noop.append(serial.encode_record(serial.REC_NOOP, b""))
-    frames.extend([noop.frames()[0]] * (total - len(frames)))
-    return frames
+    return b"".join(writer.frames())
 
 
-def write_unit(media, key, start_sector, frames, oob):
-    ppas = [Ppa(*key, start_sector + i) for i in range(len(frames))]
-    run(media, media.write_proc(ppas, frames, oob=oob, fua=True))
+def write_unit(media, key, start_sector, data, oob):
+    ppas = [Ppa(*key, start_sector + i) for i in range(len(oob))]
+    run(media, media.write_proc(ppas, data, oob=oob, fua=True))
 
 
 class TestRingExhaustion:
@@ -114,7 +109,7 @@ class TestTornTail:
         update = serial.split_map_update(
             txn_id, [(txn_id, txn_id * 10, NO_PPA)],
             media.geometry.sector_size)
-        return padded_frames(
+        return frame_buffer(
             media, list(update) + [serial.encode_commit(txn_id)])
 
     def setup_ring(self):
@@ -145,7 +140,7 @@ class TestTornTail:
 
     def test_reader_stops_at_undecodable_frame(self):
         device, media, layout, key, ws_min = self.setup_ring()
-        garbage = [b"\xa5" * media.geometry.sector_size] * ws_min
+        garbage = b"\xa5" * media.geometry.sector_size * ws_min
         write_unit(media, key, ws_min, garbage,
                    oob=[("wal", 0, ws_min + i) for i in range(ws_min)])
         assert self.read_txn_ids(media, layout) == [1]

@@ -61,8 +61,8 @@ def test_wear_index_visible_through_chunk_info():
     ws = geometry.ws_min
     target = Ppa(0, 0, 2, 0)
     for cycle in range(3):
-        device.write([target.with_sector(i) for i in range(ws)],
-                     [b"w"] * ws)
+        assert device.write([target.with_sector(i) for i in range(ws)],
+                            b"w").ok
         device.flush()
         device.reset(target)
     assert device.chunk_info(target).wear_index == 3
