@@ -2,8 +2,7 @@ PYTHON ?= python
 
 .PHONY: check test bench-perf bench-perf-smoke
 
-# The gate: tier-1 tests, the bench-side smokes, the perf smoke with its
-# >30% ops/sec regression gate, the crash checker.
+# The gate: tier-1 tests, the bench-side smokes, the crash checker.
 check:
 	sh scripts/check.sh
 

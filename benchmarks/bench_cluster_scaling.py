@@ -5,17 +5,15 @@ many device personalities" argument sideways (one router, many device
 shards), and this bench measures what that buys:
 
 * **Scale-out series** — total ops/sec as the shard count grows at a
-  fixed per-shard workload (weak scaling), all serial, so the series
-  isolates routing + merge overhead from process-pool mechanics;
-* **Worker series** — wall-clock for a fixed 4-shard fleet as the
-  worker-process count grows.  The merged metrics are asserted
-  bit-identical across the series (the cluster's reproducibility
-  contract); only the wall clock may move.  ``cpu_count`` is stamped
-  into the recorded entry because the speedup ceiling is the box, not
-  the code: on a single-core container the parallel runs measure pool
-  overhead, not parallelism.
+  fixed per-shard workload (weak scaling): what routing + merge cost;
+* **Wrapper overhead** — a 1-shard cluster against the bare stack
+  running the identical op loop.
 
-The headline ``cluster_macro`` entry (4 shards, serial reference run)
+Shards run in-process, one after another (the spawn-pool worker series
+this bench used to carry was measured at 0.13–0.35× of serial on the
+shipped workload and deleted with the pool; DESIGN §9).
+
+The headline ``cluster_macro`` entry (the widest fleet of the series)
 appends to ``BENCH_perf.json`` like the other trajectory entries.
 
 Run directly::
@@ -27,7 +25,6 @@ Run directly::
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
@@ -47,19 +44,17 @@ SHARD_TEMPLATE = {
 }
 
 MACRO = dict(name="cluster_macro", shard_counts=(1, 2, 4),
-             worker_counts=(0, 1, 2, 4), keys_per_shard=40,
-             reads_per_shard=300, replication=2)
+             keys_per_shard=40, reads_per_shard=300, replication=2)
 SMOKE = dict(name="cluster_scaling_smoke", shard_counts=(1, 2),
-             worker_counts=(0, 1), keys_per_shard=8,
-             reads_per_shard=24, replication=1)
+             keys_per_shard=8, reads_per_shard=24, replication=1)
 
 
-def cluster_spec(cfg: dict, shards: int, workers: int = 0) -> ClusterSpec:
+def cluster_spec(cfg: dict, shards: int) -> ClusterSpec:
     """A *shards*-wide fleet with the workload scaled per shard."""
     replication = min(cfg["replication"], shards)
     return ClusterSpec(
         name=cfg["name"], seed=0, num_shards=shards,
-        replication=replication, router="hash", workers=workers,
+        replication=replication, router="hash",
         template=dict(SHARD_TEMPLATE),
         workload={"num_keys": cfg["keys_per_shard"] * shards,
                   "read_ops": cfg["reads_per_shard"] * shards,
@@ -67,46 +62,22 @@ def cluster_spec(cfg: dict, shards: int, workers: int = 0) -> ClusterSpec:
 
 
 def run_scaling(cfg: dict) -> dict:
-    """Run both series; return the metrics dict for the trajectory."""
-    metrics: dict = {"cpu_count": os.cpu_count()}
-
-    # -- scale-out: shards grow, workload grows with them (weak scaling)
+    """Run the scale-out series; return the metrics dict for the
+    trajectory (``ops_per_sec``: the widest fleet)."""
+    metrics: dict = {}
+    # Shards grow, workload grows with them (weak scaling).
     for shards in cfg["shard_counts"]:
         started = time.perf_counter()
-        result = run_cluster(cluster_spec(cfg, shards), workers=0)
+        result = run_cluster(cluster_spec(cfg, shards))
         wall = time.perf_counter() - started
         total_ops = (result.merged["cluster.writes_attempted"]
                      + result.merged["cluster.reads_attempted"])
         metrics[f"serial_ops_per_sec_{shards}shard"] = round(
             total_ops / wall, 1)
         assert result.reads_lost == 0, f"{shards}-shard run lost reads"
-
-    # -- workers: fixed fleet, growing pool; merged metrics must not move
     fleet = max(cfg["shard_counts"])
-    reference = None
-    for workers in cfg["worker_counts"]:
-        result = run_cluster(cluster_spec(cfg, fleet), workers=workers)
-        if reference is None:
-            reference = result.merged
-            metrics["ops_per_sec"] = result.wall["ops_per_sec"]
-            metrics["serial_wall_seconds"] = result.wall["wall_seconds"]
-        else:
-            assert result.merged == reference, (
-                f"{workers}-worker merged metrics diverged from serial")
-        metrics[f"wall_seconds_{workers}workers"] = (
-            result.wall["wall_seconds"])
-    serial_wall = metrics["serial_wall_seconds"]
-    parallel_walls = [metrics[f"wall_seconds_{w}workers"]
-                      for w in cfg["worker_counts"] if w > 0]
-    if os.cpu_count() == 1:
-        # One core: the worker series measures process-pool overhead,
-        # not parallelism.  Recording a "speedup" here would read as a
-        # regression (or a fluke win) on every multi-core box that
-        # compares against it, so annotate instead of scoring.
-        metrics["parallel_overhead_only"] = True
-    elif parallel_walls and min(parallel_walls) > 0:
-        metrics["best_parallel_speedup"] = round(
-            serial_wall / min(parallel_walls), 2)
+    metrics["ops_per_sec"] = result.wall["ops_per_sec"]
+    metrics["serial_wall_seconds"] = result.wall["wall_seconds"]
     metrics["shards"] = fleet
     metrics["keys"] = cfg["keys_per_shard"] * fleet
     metrics["read_ops"] = cfg["reads_per_shard"] * fleet
@@ -139,16 +110,11 @@ def main(argv=None) -> int:
 
 
 def test_cluster_scaling_smoke():
-    """The smoke series runs end to end with bit-identical merges."""
+    """The smoke series runs end to end and loses no read."""
     metrics = run_scaling(SMOKE)
     assert metrics["ops_per_sec"] > 0
     assert metrics["serial_ops_per_sec_1shard"] > 0
     assert metrics["serial_ops_per_sec_2shard"] > 0
-    assert metrics["cpu_count"] >= 1
-    if os.cpu_count() == 1:
-        # Single-core boxes annotate instead of scoring a bogus speedup.
-        assert metrics.get("parallel_overhead_only") is True
-        assert "best_parallel_speedup" not in metrics
 
 
 def bare_ops_per_sec(num_keys: int, read_ops: int) -> float:
@@ -191,7 +157,7 @@ def test_cluster_wrapper_overhead_smoke():
     for __ in range(5):
         bare = bare_ops_per_sec(num_keys, read_ops)
         ratios.append(
-            run_cluster(spec, workers=0).wall["ops_per_sec"] / bare)
+            run_cluster(spec).wall["ops_per_sec"] / bare)
     assert max(ratios) >= 0.98, ratios
 
 

@@ -10,7 +10,9 @@ followed by a read-random phase over the filled LBA space.
 Reported metrics:
 
 * ``fill_ops_per_sec`` / ``read_ops_per_sec`` / ``ops_per_sec`` —
-  wall-clock operations per second (the regression-gated number);
+  wall-clock operations per second (reported, never gated: the host
+  clock of a shared box flaps, and the judged numbers are the ledger's,
+  ``benchmarks/ledger/``);
 * ``events_per_sec`` — simulator heap entries processed per wall second;
 * ``peak_map_bytes`` / ``peak_chunk_bytes`` — resident size of the FTL
   mapping table and the device chunk payload store at phase boundaries;
@@ -20,14 +22,12 @@ Reported metrics:
 Results append to ``BENCH_perf.json`` at the repo root (a JSON list of
 ``{"name", "date", "metrics"}`` entries) so successive PRs build a
 trajectory.  ``--profile`` additionally writes a cProfile top-25 to
-``benchmarks/results/profile_top.txt``.  ``--check`` compares against the
-last committed entry of the same name and fails on a >30 % ops/sec
-regression (used by ``make check``).
+``benchmarks/results/profile_top.txt``.
 
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_perf_trajectory.py
-    PYTHONPATH=src python benchmarks/bench_perf_trajectory.py --smoke --check
+    PYTHONPATH=src python benchmarks/bench_perf_trajectory.py --smoke --no-append
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import gc
 import random
 import sys
 import time
-from typing import Optional
 
 from repro.benchhelpers import (
     RESULTS_DIR,
@@ -52,12 +51,6 @@ from repro.ocssd import OpenChannelSSD
 from repro.stack import StackSpec, build_stack
 
 SECTOR = 4096
-REGRESSION_THRESHOLD = 0.30
-# Absolute ops/sec floors, gated alongside the relative check.  Set well
-# under the typical numbers on the reference box (macro ~20-22k, smoke
-# ~18-20k with the GC hygiene below) so only a real regression — not
-# machine noise — can trip them.
-ABSOLUTE_FLOORS = {"perf_macro": 14_000.0, "perf_smoke": 9_000.0}
 
 # Full-size run: the Figure 4 drive shape (8 groups x 4 PUs), ~97k data
 # sectors; fill ~37% with write-unit-sized (96 KB) transactions, then
@@ -67,8 +60,8 @@ ABSOLUTE_FLOORS = {"perf_macro": 14_000.0, "perf_smoke": 9_000.0}
 MACRO = dict(name="perf_macro", groups=8, pus=4, chunks=64, pages=6,
              wal_chunks=16, ckpt_chunks=4, fill_ops=1_500, read_ops=15_000,
              qos=True, storm=(200, 250))
-# Tiny geometry for `make check` smoke runs and the pytest smoke test:
-# the bare stack, every sidecar detached.
+# Tiny geometry for the pytest smoke test (`make check` step 2): the
+# bare stack, every sidecar detached.
 SMOKE = dict(name="perf_smoke", groups=2, pus=2, chunks=16, pages=6,
              wal_chunks=4, ckpt_chunks=2, fill_ops=40, read_ops=300,
              storm=(20, 50))
@@ -209,28 +202,6 @@ def run_kernel_storm(procs: int = 200, waits: int = 250) -> float:
     return round(sim.events_processed / wall, 1)
 
 
-def check_regression(name: str, metrics: dict,
-                     path: str = TRAJECTORY_PATH) -> Optional[str]:
-    """Gate *metrics* against the trajectory: fails on a >30 % ops/sec
-    regression vs the last committed entry of *name*, or on missing the
-    absolute :data:`ABSOLUTE_FLOORS` floor for *name*.  Returns the error
-    message, or None when the gate passes.  Legacy entries without a
-    ``sha`` key still serve as baselines."""
-    current = metrics["ops_per_sec"]
-    floor = ABSOLUTE_FLOORS.get(name)
-    if floor is not None and current < floor:
-        return (f"{name}: ops/sec below the absolute floor: "
-                f"{current:.0f} vs floor {floor:.0f}")
-    baseline = [e for e in load_trajectory(path) if e["name"] == name]
-    if not baseline:
-        return None
-    reference = baseline[-1]["metrics"]["ops_per_sec"]
-    if current < reference * (1.0 - REGRESSION_THRESHOLD):
-        return (f"{name}: ops/sec regressed >{REGRESSION_THRESHOLD:.0%}: "
-                f"{current:.0f} vs committed baseline {reference:.0f}")
-    return None
-
-
 def format_lines(name: str, metrics: dict) -> list:
     lines = [f"Perf trajectory: {name} (fillseq + readrandom over OX-Block)"]
     for key in ("fill_ops_per_sec", "read_ops_per_sec", "ops_per_sec",
@@ -247,9 +218,6 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the run; dump top-25 to "
                              "benchmarks/results/profile_top.txt")
-    parser.add_argument("--check", action="store_true",
-                        help="fail (exit 1) on a >30%% ops/sec regression "
-                             "vs the committed BENCH_perf.json entry")
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
                         help="run N times and keep the median-ops/sec run "
                              "(default 1; use 3+ for recorded entries so "
@@ -285,17 +253,11 @@ def main(argv=None) -> int:
         metrics = runs[len(runs) // 2]
 
     report(cfg["name"], format_lines(cfg["name"], metrics))
-
-    failure = check_regression(cfg["name"], metrics,
-                               args.json_path) if args.check else None
     if not args.no_append:
         # Key each recorded entry by the commit it measured, so the
         # trajectory reads as one point per PR.
         append_trajectory(cfg["name"], metrics, args.json_path,
                           sha=git_sha())
-    if failure:
-        print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -315,34 +277,6 @@ def test_perf_trajectory_smoke(tmp_path):
     entries = load_trajectory(str(path))
     assert entries[-1]["name"] == SMOKE["name"]
     assert entries[-1]["metrics"]["ops_per_sec"] == metrics["ops_per_sec"]
-    # A fresh identical run must never trip the regression gate against
-    # itself by construction noise alone.
-    assert check_regression(SMOKE["name"],
-                            {"ops_per_sec":
-                             metrics["ops_per_sec"]}, str(path)) is None
-
-
-def test_regression_gate(tmp_path):
-    """Relative gate, absolute floor, and legacy-row (no sha) tolerance."""
-    import json
-
-    path = tmp_path / "BENCH_perf.json"
-    legacy = {"name": "perf_macro", "date": "2026-01-01",
-              "metrics": {"ops_per_sec": 30_000.0}}
-    path.write_text(json.dumps([legacy]))
-    # Healthy run: above the floor, within 30% of the legacy baseline.
-    assert check_regression("perf_macro", {"ops_per_sec": 25_000.0},
-                            str(path)) is None
-    # >30% drop vs the (sha-less) baseline entry.
-    assert "regressed" in check_regression(
-        "perf_macro", {"ops_per_sec": 15_000.0}, str(path))
-    # Below the absolute floor fails even with no baseline at all.
-    assert "floor" in check_regression(
-        "perf_macro", {"ops_per_sec": ABSOLUTE_FLOORS["perf_macro"] - 1},
-        str(tmp_path / "absent.json"))
-    # Unknown names have no floor and no baseline: gate passes.
-    assert check_regression("perf_other", {"ops_per_sec": 1.0},
-                            str(tmp_path / "absent.json")) is None
 
 
 if __name__ == "__main__":

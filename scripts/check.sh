@@ -1,5 +1,5 @@
 #!/bin/sh
-# The gate, four steps; pytest is the only check registry.  No tox, no
+# The gate, three steps; pytest is the only check registry.  No tox, no
 # extra deps.
 #
 # Usage: scripts/check.sh   (or `make check`)
@@ -15,17 +15,12 @@ python -m pytest -x -q
 echo "== bench-side smokes (the ledger harness + every test_*_smoke) =="
 python -m pytest benchmarks -q -k "ledger or smoke"
 
-echo "== perf smoke (regression gate) =="
-# >30% ops/sec below the committed BENCH_perf.json row, or below the
-# absolute floor, fails; --repeat 3 gates the median run.
-python benchmarks/bench_perf_trajectory.py --smoke --check --no-append --repeat 3
-
 echo "== crash-consistency smoke (randomized power cuts) =="
 python -m repro.faults.checker --seeds 20
 
-# Tests report into tmp_path (tests/conftest.py) and the one results file
-# a step rewrites, perf_smoke.txt, is ignored: from a clean tree the tree
-# is clean afterwards, and work in progress is not mistaken for a leak.
+# Tests report into tmp_path (tests/conftest.py): from a clean tree the
+# tree is clean afterwards, and work in progress is not mistaken for a
+# leak.
 if [ "$tree_before" != "$(git status --porcelain)" ]; then
     echo "FAIL: the check wrote into the tree"
     git status --short

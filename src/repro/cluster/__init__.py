@@ -4,8 +4,8 @@ One :class:`ClusterSpec` declares N message-isolated
 :class:`~repro.stack.StackSpec` shards (each with its own simulator
 kernel, OCSSD device and FTL), a routing policy (consistent-hash ring
 or contiguous ranges) with R-way replication, and a cluster-level
-workload.  :func:`run_cluster` executes the shards serially or on
-parallel worker processes; both merge to bit-identical metrics.
+workload.  :func:`run_cluster` executes the shards one after another
+in-process and merges them to metrics that are bit-identical run to run.
 ``python -m repro.cluster cluster.json`` runs a declared fleet and
 writes the standard results files.
 """

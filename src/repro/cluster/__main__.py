@@ -36,8 +36,6 @@ def main(argv=None) -> int:
     parser.add_argument("spec", help="path to a JSON or TOML ClusterSpec")
     parser.add_argument("--name", default=None,
                         help="override the results-file name")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="override spec.workers (0 = serial)")
     parser.add_argument("--trace-out", default=None,
                         help="record the routed cluster workload to this "
                              "trace file (replayable via workload.trace)")
@@ -49,7 +47,6 @@ def main(argv=None) -> int:
         return 2
     try:
         result = run_and_report_cluster(spec, name=args.name,
-                                        workers=args.workers,
                                         trace_out=args.trace_out)
     except ReproError as exc:
         print(f"run failed for {args.spec}: {exc}", file=sys.stderr)

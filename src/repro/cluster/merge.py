@@ -1,12 +1,11 @@
 """Deterministic merge of per-shard worker results into one view.
 
-Worker processes ship back plain dicts (scalar metrics plus an optional
+Shard runs hand back plain dicts (scalar metrics plus an optional
 :meth:`~repro.obs.metrics.MetricsRegistry.dump`).  The merge is pure
 data-plumbing — sort, prefix, fold — so the merged metrics of a run are
-a function of the shard results alone: the serial runner and any
-worker-count parallel runner produce bit-identical merged dicts, which
-is the property ``tests/test_cluster.py::
-test_cluster_determinism_serial_vs_one_vs_four_workers`` pins.
+a function of the shard results alone: two runs of one spec produce
+bit-identical merged dicts, which is the property ``tests/test_cluster.py::
+test_serial_cluster_is_self_deterministic`` pins.
 
 Metric names follow the obs convention with the shard as the leading
 namespace: ``cluster.shard3.read_ops``, and for failover retry rounds

@@ -5,36 +5,30 @@ The execution model:
 1. The parent plans the whole workload up front: every key is routed to
    its R replicas (writes) and every read to its primary, producing one
    op list per shard.  Routing happens only in the parent — shards
-   never talk to each other, and a shard task is a plain picklable dict
-   (spec dict + op lists).
-2. Shards execute their op lists independently — serially in-process
-   (``workers=0``, the reference mode) or on a
-   ``concurrent.futures.ProcessPoolExecutor`` with the ``spawn`` start
-   method (one simulator kernel per worker process, nothing shared).
+   never talk to each other, and a shard task is a plain dict (spec
+   dict + op lists).
+2. Shards execute their op lists independently, one after another
+   in-process: one simulator kernel per shard, nothing shared.  (A
+   spawn-pool executor was measured and deleted; DESIGN §9 "Process
+   model" has the numbers.)
 3. Reads that fail (a shard lost power mid-run, a write never landed)
    fail over: the parent re-routes them to the next live replica in a
    retry round.  A retry task replays the shard's writes first — the
    stacks are deterministic, so a replayed shard reaches the exact
    state of its round-0 twin before serving the retried reads.
 4. Results merge in the parent (:mod:`repro.cluster.merge`).  The
-   merged dict is bit-identical for the serial runner and any worker
-   count; wall-clock facts (the only legitimately nondeterministic
-   outputs) are kept apart in ``ClusterResult.wall``.
-
-Worker-visible functions (:func:`_run_shard`) live at module top level
-so the spawn pickler can import them by qualified name.
+   merged dict is bit-identical run to run; wall-clock facts (the only
+   legitimately nondeterministic outputs) are kept apart in
+   ``ClusterResult.wall``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.merge import merge_shard_results
 from repro.cluster.router import build_router
@@ -46,8 +40,7 @@ from repro.workloads import derive_stream_seed
 
 #: Documented nondeterministic keys — everything else in a merged
 #: result is part of the bit-identity contract.
-WALL_KEYS = ("wall_seconds", "ops_per_sec", "workers", "cpu_count",
-             "shard_wall_seconds_max")
+WALL_KEYS = ("wall_seconds", "ops_per_sec", "shard_wall_seconds_max")
 
 
 def payload_for(key: int, size_bytes: int) -> bytes:
@@ -59,12 +52,12 @@ def payload_for(key: int, size_bytes: int) -> bytes:
 
 
 def _run_shard(task: dict) -> dict:
-    """Run one shard's op list in this process (the worker entry point).
+    """Run one shard's op list.
 
     Everything in the returned dict except ``wall_seconds`` is a pure
     function of *task* — no wall clock, no process identity, no
-    unordered iteration — because the serial/parallel metric identity
-    rests on this function.
+    unordered iteration — because the run-to-run metric identity rests
+    on this function.
     """
     spec = StackSpec.from_dict(task["spec"])
     started = time.perf_counter()
@@ -152,30 +145,12 @@ def _run_shard(task: dict) -> dict:
     }
 
 
-def _ensure_child_import_path() -> None:
-    """Make ``repro`` importable in spawn children.
-
-    Spawned workers re-exec the interpreter and unpickle
-    :func:`_run_shard` by qualified name, so ``repro`` must be on their
-    import path.  The parent may have gotten it from a ``sys.path``
-    insert (the scripts do) rather than ``PYTHONPATH`` — propagate the
-    package root through the environment the children inherit.
-    """
-    import repro
-    package_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(repro.__file__)))
-    existing = os.environ.get("PYTHONPATH", "")
-    parts = existing.split(os.pathsep) if existing else []
-    if package_root not in parts:
-        os.environ["PYTHONPATH"] = os.pathsep.join([package_root] + parts)
-
-
 @dataclass
 class ClusterResult:
     """One cluster run: the deterministic view and the wall-clock one."""
 
     spec: ClusterSpec
-    #: Bit-identical across serial and any worker count.
+    #: Bit-identical run to run.
     merged: Dict[str, object]
     #: Wall-clock facts (:data:`WALL_KEYS`) — honest, not deterministic.
     wall: Dict[str, object]
@@ -228,13 +203,8 @@ def _plan_keys(spec: ClusterSpec) -> Tuple[List[int], List[int]]:
 
 
 def run_cluster(spec: ClusterSpec,
-                workers: Optional[int] = None,
                 trace_out: Optional[str] = None) -> ClusterResult:
     """Route the workload, execute the shards, merge the results.
-
-    *workers* overrides ``spec.workers``; 0 runs every shard serially
-    in-process.  Both paths call the same :func:`_run_shard` on the
-    same task dicts, so their merged metrics are bit-identical.
 
     With *trace_out*, the cluster-boundary workload (the routed key
     streams, before sharding) is written as a ``repro.trace`` file that
@@ -242,7 +212,6 @@ def run_cluster(spec: ClusterSpec,
     sharded one.
     """
     spec.validate()
-    worker_count = spec.workers if workers is None else workers
     shard_specs = [s.to_dict() for s in spec.shard_specs()]
     count = spec.num_shards
     router = build_router(spec.router, range(count),
@@ -285,60 +254,45 @@ def run_cluster(spec: ClusterSpec,
                 "writes": writes_by_shard[shard], "reads": reads}
 
     # -- execute: round 0 plus failover retry rounds ------------------------
-    def drive(execute: Callable[[List[dict]], List[dict]]):
-        tasks = [task_for(shard, 0, reads_by_shard[shard])
-                 for shard in range(count)]
-        rounds = [execute(tasks)]
-        dead_shards = {r["shard"] for r in rounds[0] if r["dead"]}
-        pending: List[Tuple[int, int]] = [
-            (key, 1) for result in rounds[0]
-            for key in result["failed_reads"]]
-        failed_over = 0
-        lost = 0
-        round_no = 1
-        while pending:
-            batch: Dict[int, List[Tuple[int, int]]] = {}
-            for key, cursor in pending:
-                replicas = replica_sets[key]
-                while (cursor < len(replicas)
-                       and replicas[cursor] in dead_shards):
-                    cursor += 1
-                if cursor >= len(replicas):
-                    lost += 1
-                    continue
-                batch.setdefault(replicas[cursor], []).append(
-                    (key, cursor))
-            if not batch:
-                break
-            tasks = [task_for(shard, round_no,
-                              [key for key, __ in batch[shard]])
-                     for shard in sorted(batch)]
-            results = execute(tasks)
-            rounds.append(results)
-            pending = []
-            for result in results:
-                if result["dead"]:
-                    dead_shards.add(result["shard"])
-                failed = set(result["failed_reads"])
-                for key, cursor in batch[result["shard"]]:
-                    if key in failed:
-                        pending.append((key, cursor + 1))
-                    else:
-                        failed_over += 1
-            round_no += 1
-        return rounds, failed_over, lost
-
     started = time.perf_counter()
-    if worker_count > 0:
-        _ensure_child_import_path()
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=worker_count,
-                                 mp_context=context) as pool:
-            rounds, failed_over, lost = drive(
-                lambda tasks: list(pool.map(_run_shard, tasks)))
-    else:
-        rounds, failed_over, lost = drive(
-            lambda tasks: [_run_shard(task) for task in tasks])
+    rounds = [[_run_shard(task_for(shard, 0, reads_by_shard[shard]))
+               for shard in range(count)]]
+    dead_shards = {r["shard"] for r in rounds[0] if r["dead"]}
+    pending: List[Tuple[int, int]] = [
+        (key, 1) for result in rounds[0]
+        for key in result["failed_reads"]]
+    failed_over = 0
+    lost = 0
+    round_no = 1
+    while pending:
+        batch: Dict[int, List[Tuple[int, int]]] = {}
+        for key, cursor in pending:
+            replicas = replica_sets[key]
+            while (cursor < len(replicas)
+                   and replicas[cursor] in dead_shards):
+                cursor += 1
+            if cursor >= len(replicas):
+                lost += 1
+                continue
+            batch.setdefault(replicas[cursor], []).append(
+                (key, cursor))
+        if not batch:
+            break
+        results = [_run_shard(task_for(shard, round_no,
+                                       [key for key, __ in batch[shard]]))
+                   for shard in sorted(batch)]
+        rounds.append(results)
+        pending = []
+        for result in results:
+            if result["dead"]:
+                dead_shards.add(result["shard"])
+            failed = set(result["failed_reads"])
+            for key, cursor in batch[result["shard"]]:
+                if key in failed:
+                    pending.append((key, cursor + 1))
+                else:
+                    failed_over += 1
+        round_no += 1
     wall_seconds = time.perf_counter() - started
 
     # -- merge --------------------------------------------------------------
@@ -370,8 +324,6 @@ def run_cluster(spec: ClusterSpec,
         "wall_seconds": round(wall_seconds, 3),
         "ops_per_sec": (round(total_ops / wall_seconds, 1)
                         if wall_seconds else 0.0),
-        "workers": worker_count,
-        "cpu_count": os.cpu_count(),
         "shard_wall_seconds_max": round(
             max(r["wall_seconds"] for r in flat_results), 3),
     }
@@ -381,18 +333,15 @@ def run_cluster(spec: ClusterSpec,
 
 def run_and_report_cluster(spec: ClusterSpec,
                            name: Optional[str] = None,
-                           workers: Optional[int] = None,
                            trace_out: Optional[str] = None) -> ClusterResult:
     """:func:`run_cluster` plus the standard results files."""
     # Imported here: benchhelpers imports repro.stack at module scope
     # and the report path is CLI/bench-only.
     from repro.benchhelpers import report
-    result = run_cluster(spec, workers=workers, trace_out=trace_out)
+    result = run_cluster(spec, trace_out=trace_out)
     label = name or spec.name
-    effective = spec.workers if workers is None else workers
     lines = [f"Cluster run: {label} ({spec.num_shards} shards, "
-             f"router={spec.router}, replication={spec.replication}, "
-             f"workers={effective})"]
+             f"router={spec.router}, replication={spec.replication})"]
     table = dict(result.merged)
     table.update(result.wall)
     width = max(18, max((len(key) for key in table), default=0))

@@ -7,10 +7,9 @@ of fully message-isolated :class:`~repro.stack.StackSpec` stacks (each
 shard gets its own simulator kernel, OCSSD device and FTL — nothing is
 shared between shards but the spec values themselves), a routing policy
 (consistent-hash ring or contiguous ranges), and an R-way replication
-factor.  :func:`repro.cluster.run_cluster` executes the shards either
-serially in-process or in parallel worker processes; both modes merge
-to bit-identical metrics, which is the cluster's reproducibility
-contract.
+factor.  :func:`repro.cluster.run_cluster` executes the shards
+in-process and merges them to bit-identical metrics run after run,
+which is the cluster's reproducibility contract.
 
 Shards come from a ``template`` stamped per shard (name suffixed,
 per-shard seed derived from the cluster seed via
@@ -88,9 +87,6 @@ class ClusterSpec:
     router: str = "hash"
     #: Virtual nodes per shard on the hash ring.
     vnodes: int = 64
-    #: Worker processes; 0 = serial in-process (the reference mode the
-    #: parallel runs must match bit for bit).
-    workers: int = 0
     #: Per-shard stack template; name/seed are stamped per shard.
     template: StackSpec = field(default_factory=_default_template)
     #: Explicit per-shard specs (overrides ``template``/``num_shards``).
@@ -118,8 +114,6 @@ class ClusterSpec:
         _check(self.router in ROUTERS,
                f"unknown router {self.router!r}; expected one of {ROUTERS}")
         _check(self.vnodes >= 1, f"vnodes must be >= 1, got {self.vnodes}")
-        _check(self.workers >= 0,
-               f"workers must be >= 0 (0 = serial), got {self.workers}")
         self.workload.validate()
         for index, shard in enumerate(self.shard_specs()):
             shard.validate()

@@ -96,8 +96,6 @@ class BlockDevEnv(ManifestEnv):
         self.max_table_sectors = table_sectors
         self._next_lba = 0
         self._free_list: List[_Extent] = []
-        self._capacity_sectors = (len(ftl.layout.data_chunk_keys())
-                                  * ftl.geometry.sectors_per_chunk)
         # ManifestEnv._tables maps
         # id -> (extent, data blocks, meta sectors, meta bytes, level)
 
@@ -169,7 +167,7 @@ class BlockDevEnv(ManifestEnv):
             if extent.sectors >= sectors:
                 del self._free_list[index]
                 return extent
-        if self._next_lba + sectors > self._capacity_sectors:
+        if self._next_lba + sectors > self.ftl.capacity_sectors:
             raise OutOfSpaceError(
                 f"extent allocator exhausted at lba {self._next_lba}")
         extent = _Extent(self._next_lba, sectors)

@@ -7,6 +7,11 @@ transaction (§4.3): write-ahead logging makes multi-sector writes atomic,
 checkpoints bound recovery time, and group-local GC keeps interference
 confined.
 
+The LBA space is ``[0, capacity_sectors)`` — one LBA per sector of the
+data region (every chunk the WAL ring and the checkpoint slots do not
+take).  ``write``/``read``/``trim`` reject a range that leaves it with an
+:class:`~repro.errors.FTLError` before anything is locked or changed.
+
 Concurrency model: a single dispatch lock serializes the write path
 (allocation, WAL, map mutation) — the paper's "single dispatch thread" —
 while reads only look up the mapping table and go straight to the device.
@@ -91,6 +96,8 @@ class OXBlock:
         self.geometry = media.geometry
         self.layout = layout
         self.page_map = page_map
+        #: The block device's size: LBAs are ``[0, capacity_sectors)``.
+        self.capacity_sectors = page_map.capacity
         self.chunk_table = chunk_table
         self.provisioner = provisioner
         provisioner.gc_headroom = (config.gc_headroom_chunks
@@ -104,7 +111,6 @@ class OXBlock:
         self.wal = WalAppender(media, layout.wal_chunks, epoch)
         self.checkpointer = CheckpointManager(media, layout.ckpt_slots)
         self._next_txn_id = next_txn_id
-        self._epoch = epoch
         self._lock = Resource(self.sim, capacity=1, name="dispatch")
         self._alive = True
         self.stats = BlockStats()
@@ -149,9 +155,9 @@ class OXBlock:
         layout = MetadataLayout.build(
             media.geometry, wal_chunk_count=config.wal_chunk_count,
             ckpt_chunks_per_slot=config.ckpt_chunks_per_slot)
-        page_map = PageMap()
         chunk_table = ChunkTable(media.geometry,
                                  iter(layout.data_chunk_keys()))
+        page_map = PageMap(chunk_table.total_sectors)
         provisioner = Provisioner(
             media.geometry, chunk_table,
             placement=resolve_placement_policy(config.placement_policy))
@@ -251,6 +257,8 @@ class OXBlock:
                 f"write of {len(data)} bytes is not a whole number of "
                 f"{sector_size}-byte sectors")
         count = len(data) // sector_size
+        if lba < 0 or lba + count > self.capacity_sectors:
+            self._reject_range("write", lba, count)
         obs = self.obs
         span = None
         if obs is not None:
@@ -373,6 +381,8 @@ class OXBlock:
         self._check_alive()
         if sectors < 1:
             raise FTLError(f"read of {sectors} sectors")
+        if lba < 0 or lba + sectors > self.capacity_sectors:
+            self._reject_range("read", lba, sectors)
         sector_size = self.geometry.sector_size
         obs = self.obs
         span = None
@@ -427,6 +437,8 @@ class OXBlock:
 
     def trim_proc(self, lba: int, sectors: int = 1):
         self._check_alive()
+        if lba < 0 or lba + sectors > self.capacity_sectors:
+            self._reject_range("trim", lba, sectors)
         grant = self._lock.request()
         yield grant
         try:
@@ -477,6 +489,11 @@ class OXBlock:
     def _check_alive(self) -> None:
         if not self._alive:
             raise FTLError("FTL instance has crashed or been closed")
+
+    def _reject_range(self, op: str, lba: int, count: int) -> None:
+        raise FTLError(
+            f"{op} of {count} sector(s) at lba {lba} is outside the "
+            f"device's {self.capacity_sectors} sectors")
 
     def _absorb_notifications(self) -> None:
         """Process the device's asynchronous error reports (Figure 2:
@@ -640,11 +657,10 @@ class OXBlock:
         """
         yield from self._flush_partial_unit_proc()
         yield from self.media.flush_proc()
-        seq = self._epoch + 1
+        seq = self.wal.epoch + 1
         yield from self.checkpointer.write_proc(
             seq, self.page_map, self.chunk_table, self._next_txn_id)
         yield from self.wal.truncate_proc(seq)
-        self._epoch = seq
         self.stats.checkpoints += 1
 
     # -- daemons ------------------------------------------------------------------------

@@ -48,6 +48,10 @@ from repro.units import MIB
 
 ChunkKey = Tuple[int, int, int]
 
+#: The record kinds OX-ELEOS logs; each has a one-id head.
+_WAL_KINDS = frozenset((serial.REC_VPAGE_UPDATE, serial.REC_SEGMENT_NEW,
+                        serial.REC_SEGMENT_FREE, serial.REC_COMMIT))
+
 
 @dataclass(frozen=True)
 class EleosConfig:
@@ -110,7 +114,6 @@ class OXEleos:
             self._free[key[:2]].append(key)
         self._next_segment_id = 1
         self._next_txn_id = 1
-        self._epoch = 0
         self.wal = WalAppender(media, layout.wal_chunks, epoch=0)
         self.checkpointer = CheckpointManager(media, layout.ckpt_slots)
         self._lock = Resource(self.sim, capacity=1, name="eleos-dispatch")
@@ -206,9 +209,20 @@ class OXEleos:
 
     def append_buffer_proc(self, pages: Sequence[Tuple[int, bytes]]):
         self._check_alive()
-        total = sum(len(payload) for __, payload in pages)
         if not pages:
             raise FTLError("empty LSS buffer")
+        # Everything the WAL will have to encode is checked here, before
+        # the lock: a rejected buffer allocates, writes and logs nothing.
+        total = 0
+        for page_id, payload in pages:
+            if not serial.fits(serial.REC_VPAGE_UPDATE, (page_id, 0, 0, 0)):
+                raise FTLError(
+                    f"page id {page_id!r} is not an unsigned 64-bit integer")
+            if not isinstance(payload, (bytes, bytearray, memoryview)) \
+                    or not payload:
+                raise FTLError(
+                    f"page {page_id} needs a non-empty bytes-like payload")
+            total += len(payload)
         if total > self.config.buffer_bytes:
             raise FTLError(
                 f"buffer of {total} bytes exceeds the configured LSS "
@@ -219,12 +233,10 @@ class OXEleos:
             segment_id, entries = yield from self._write_segment_proc(pages)
             txn_id = self._next_txn_id
             self._next_txn_id += 1
-            chunk_linears = [self._chunk_linear(key)
-                             for key in self.segments[segment_id]]
-            self.wal.append(serial.encode_segment_new(segment_id,
-                                                      chunk_linears))
-            for record in serial.split_vpage_update(
-                    txn_id, entries, self.geometry.sector_size):
+            self.wal.append(self._segment_record(serial.REC_SEGMENT_NEW,
+                                                 segment_id))
+            for record in serial.split(serial.REC_VPAGE_UPDATE, (txn_id,),
+                                       entries, self.geometry.sector_size):
                 self.wal.append(record)
             self.wal.append_commit(txn_id)
             yield from self.wal.flush_proc()
@@ -272,7 +284,8 @@ class OXEleos:
                 raise FTLError(
                     f"segment {segment_id} still holds live pages "
                     f"{stale[:5]}{'...' if len(stale) > 5 else ''}")
-            self.wal.append(serial.encode_segment_free(segment_id))
+            self.wal.append(serial.encode(serial.REC_SEGMENT_FREE,
+                                          (segment_id,)))
             yield from self.wal.flush_proc()
             yield from self.media.flush_proc()
             for key in chunks:
@@ -305,6 +318,16 @@ class OXEleos:
         """The segment owning the chunk that holds sector *linear*."""
         return self._chunk_segment.get(
             linear // self.geometry.sectors_per_chunk)
+
+    def _segment_record(self, rtype: int, segment_id: int) -> bytes:
+        """The segment's chunks as a record of kind *rtype*."""
+        return serial.encode(rtype, (segment_id,), [
+            (self._chunk_linear(key),) for key in self.segments[segment_id]])
+
+    def _add_segment_rows(self, segment_id: int, rows) -> None:
+        """:meth:`_add_segment` from a decoded segment record's rows."""
+        self._add_segment(segment_id, [
+            self._chunk_from_linear(linear) for linear, in rows])
 
     def _add_segment(self, segment_id: int, chunks: List[ChunkKey]) -> None:
         self.segments[segment_id] = chunks
@@ -348,8 +371,6 @@ class OXEleos:
         layout: List[Tuple[int, int, int]] = []   # (page_id, byte_pos, len)
         position = 0
         for page_id, payload in pages:
-            if not payload:
-                raise FTLError(f"page {page_id} has no payload")
             if len(payload) > chunk_bytes:
                 raise FTLError(
                     f"page {page_id} ({len(payload)} bytes) exceeds the "
@@ -439,70 +460,62 @@ class OXEleos:
         # A checkpointed mapping must point at durable data: drain the
         # controller cache before snapshotting the vmap.
         yield from self.media.flush_proc()
-        seq = self._epoch + 1
-        records: List[bytes] = []
+        seq = self.wal.epoch + 1
         vmap_rows = [(page_id, entry.first_sector, entry.offset, entry.length)
                      for page_id, entry in sorted(self.vmap.items())]
-        records.extend(serial.split_ckpt_vmap(vmap_rows,
-                                              self.geometry.sector_size))
-        for segment_id, chunks in sorted(self.segments.items()):
-            records.append(serial.encode_ckpt_segment(
-                segment_id, [self._chunk_linear(key) for key in chunks]))
+        records = serial.split(serial.REC_CKPT_VMAP, (), vmap_rows,
+                               self.geometry.sector_size)
+        records += [self._segment_record(serial.REC_CKPT_SEGMENT, segment_id)
+                    for segment_id in sorted(self.segments)]
         yield from self.checkpointer.write_payload_proc(
             seq, self._next_txn_id, records)
         yield from self.media.flush_proc()
         yield from self.wal.truncate_proc(seq)
-        self._epoch = seq
         self.stats.checkpoints += 1
 
     def _recover_proc(self):
         report = RecoveryReport()
-        snapshot = yield from self.checkpointer.read_latest_proc()
-        if snapshot is not None:
-            self._epoch = snapshot.seq
-            self._next_txn_id = snapshot.next_txn_id
-            report.checkpoint_seq = snapshot.seq
-            for segment_id, chunk_linears in snapshot.segments:
-                self._add_segment(segment_id, [
-                    self._chunk_from_linear(linear)
-                    for linear in chunk_linears])
-            for entry in snapshot.vmap_entries:
+        checkpoint = yield from self.checkpointer.read_latest_proc()
+        if checkpoint is not None:
+            self.wal.epoch, self._next_txn_id, tables = checkpoint
+            report.checkpoint_seq = self.wal.epoch
+            for segment_id, rows in tables.get(serial.REC_CKPT_SEGMENT, ()):
+                self._add_segment_rows(segment_id, rows)
+            for entry in tables.get(serial.REC_CKPT_VMAP, ()):
                 self._map_page(*entry)
-        self.wal.epoch = self._epoch
 
-        reader = WalReader(self.media, self.layout.wal_chunks, self._epoch)
+        reader = WalReader(self.media, self.layout.wal_chunks,
+                           self.wal.epoch)
         records = yield from reader.read_proc()
         report.wal_sectors_read = reader.sectors_read
         report.records_decoded = len(records)
 
         pending: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        current_segments: List[Tuple[int, List[int]]] = []
+        current_segments: List[Tuple[int, List[Tuple[int]]]] = []
         for record in records:
             if self.config.replay_cpu_per_record:
                 yield self.sim.timeout(self.config.replay_cpu_per_record)
+            if record.rtype not in _WAL_KINDS:
+                continue
+            (ident,), rows = serial.decode(record)   # a txn or segment id
             if record.rtype == serial.REC_VPAGE_UPDATE:
-                txn_id, entries = serial.decode_vpage_update(record.body)
-                pending.setdefault(txn_id, []).extend(entries)
+                pending.setdefault(ident, []).extend(rows)
             elif record.rtype == serial.REC_SEGMENT_NEW:
-                current_segments.append(serial.decode_segment(record.body))
+                current_segments.append((ident, rows))
             elif record.rtype == serial.REC_SEGMENT_FREE:
-                segment_id, __ = serial.decode_segment(record.body)
-                self._drop_segment(segment_id)
-            elif record.rtype == serial.REC_COMMIT:
-                txn_id = serial.decode_commit(record.body)
-                entries = pending.pop(txn_id, [])
+                self._drop_segment(ident)
+            else:   # REC_COMMIT
+                entries = pending.pop(ident, [])
                 segments = current_segments
                 current_segments = []
                 if not self._txn_durable(entries):
                     report.txns_dropped += 1
                     continue
-                for segment_id, chunk_linears in segments:
-                    self._add_segment(segment_id, [
-                        self._chunk_from_linear(linear)
-                        for linear in chunk_linears])
+                for segment_id, rows in segments:
+                    self._add_segment_rows(segment_id, rows)
                 for entry in entries:
                     self._map_page(*entry)
-                self._next_txn_id = max(self._next_txn_id, txn_id + 1)
+                self._next_txn_id = max(self._next_txn_id, ident + 1)
                 report.txns_applied += 1
 
         # What a recovered segment holds now is all the cleaner can ever

@@ -9,8 +9,8 @@ and crash recovery.
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
 from repro.ox.ftl.provisioning import MetadataLayout, Provisioner
-from repro.ox.ftl.wal import WalAppender, WalReader, WalRecord
-from repro.ox.ftl.checkpoint import CheckpointManager, CheckpointSnapshot
+from repro.ox.ftl.wal import WalAppender, WalReader
+from repro.ox.ftl.checkpoint import CheckpointManager
 from repro.ox.ftl.gc import GarbageCollector, GcStats
 from repro.ox.ftl.writebuffer import WriteBuffer
 
@@ -23,9 +23,7 @@ __all__ = [
     "Provisioner",
     "WalAppender",
     "WalReader",
-    "WalRecord",
     "CheckpointManager",
-    "CheckpointSnapshot",
     "GarbageCollector",
     "GcStats",
     "WriteBuffer",

@@ -10,14 +10,13 @@ constant" instead of growing with runtime (§4.3).
 The manager is FTL-agnostic: OX-Block persists page-map and chunk-metadata
 records, OX-ELEOS persists variable-page-map and segment records; both go
 through :meth:`CheckpointManager.write_payload_proc`, and
-:meth:`read_latest_proc` decodes every known record type into a
-:class:`CheckpointSnapshot`.
+:meth:`read_latest_proc` hands back the rows it finds by record type —
+each FTL picks the kinds it wrote.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FTLError, RecoveryError
 from repro.ocssd.address import Ppa, PpaRun
@@ -28,17 +27,10 @@ from repro.ox.media import MediaManager
 
 ChunkKey = Tuple[int, int, int]
 
-
-@dataclass
-class CheckpointSnapshot:
-    """A decoded checkpoint, as recovered from media."""
-
-    seq: int
-    next_txn_id: int
-    map_entries: List[Tuple[int, int]] = field(default_factory=list)
-    chunk_rows: List[Tuple[int, int, int]] = field(default_factory=list)
-    vmap_entries: List[Tuple[int, int, int, int]] = field(default_factory=list)
-    segments: List[Tuple[int, List[int]]] = field(default_factory=list)
+#: A checkpoint as recovered from media: ``(seq, next_txn_id, {rtype:
+#: rows})``.  A record without a head adds its rows to its type's list; one
+#: with a head adds the single row ``(*head, rows)``.
+Checkpoint = Tuple[int, int, Dict[int, list]]
 
 
 class CheckpointManager:
@@ -54,7 +46,6 @@ class CheckpointManager:
         self.sector_size = geometry.sector_size
         self.ws_min = geometry.ws_min
         self.sectors_per_chunk = geometry.sectors_per_chunk
-        self.checkpoints_written = 0
 
     # -- writing ---------------------------------------------------------------
 
@@ -65,17 +56,17 @@ class CheckpointManager:
         The caller must hold the FTL dispatch lock (stop-the-world): the
         snapshot must be consistent with the WAL truncation that follows.
         """
-        records: List[bytes] = []
         map_packed = page_map.snapshot_packed()
         chunk_snapshot = chunk_table.snapshot()
-        records.extend(serial.split_ckpt_map_packed(map_packed,
-                                                    self.sector_size))
-        records.extend(serial.split_ckpt_chunk(chunk_snapshot,
-                                               self.sector_size))
+        # The map records are slices of the packed snapshot: no per-entry
+        # integers on the checkpoint path.
+        records = serial.split(serial.REC_CKPT_MAP, (), map_packed,
+                               self.sector_size)
+        records += serial.split(serial.REC_CKPT_CHUNK, (), chunk_snapshot,
+                                self.sector_size)
         yield from self.write_payload_proc(seq, next_txn_id, records,
-                                           map_entries=len(map_packed) // 16,
+                                           map_entries=len(page_map),
                                            chunk_entries=len(chunk_snapshot))
-        page_map.mark_clean()
 
     def write_payload_proc(self, seq: int, next_txn_id: int,
                            records: Sequence[bytes],
@@ -84,15 +75,20 @@ class CheckpointManager:
         (FUA), framed by a header and a checksummed footer."""
         slot = self.slots[seq % 2]
         writer = serial.FrameWriter(self.sector_size)
-        writer.append(serial.encode_ckpt_header(
-            seq, map_entries, chunk_entries, next_txn_id))
+        writer.append(serial.encode(
+            serial.REC_CKPT_HEADER,
+            (seq, map_entries, chunk_entries, next_txn_id)))
         for record in records:
             writer.append(record)
-        writer.append(serial.encode_ckpt_footer(seq))
-        frames = writer.frames()
+        writer.append(serial.encode(serial.REC_CKPT_FOOTER, (seq,)))
+        # The writer's buffer is the payload; the padding to a whole write
+        # unit is its missing tail.
+        data = memoryview(writer.take())
+        sector_size = self.sector_size
+        frames = len(data) // sector_size
 
         capacity = len(slot) * self.sectors_per_chunk
-        padded = len(frames) + ((-len(frames)) % self.ws_min)
+        padded = frames + (-frames) % self.ws_min
         if padded > capacity:
             raise FTLError(
                 f"checkpoint needs {padded} sectors but the slot holds "
@@ -103,9 +99,6 @@ class CheckpointManager:
             if info.write_pointer > 0 or info.state.value != "free":
                 completion = yield from self.media.reset_proc(Ppa(*key, 0))
                 self.media.require_ok(completion, "checkpoint slot reset")
-        # One buffer; the padding to a whole write unit is its missing tail.
-        data = memoryview(b"".join(frames))
-        sector_size = self.sector_size
         offset = 0
         for key in slot:
             if offset >= padded:
@@ -118,20 +111,18 @@ class CheckpointManager:
                 oob=oob, fua=True)
             self.media.require_ok(completion, "checkpoint write")
             offset += batch
-        self.checkpoints_written += 1
 
     # -- recovery ------------------------------------------------------------------
 
     def read_latest_proc(self):
-        """Return the newest complete :class:`CheckpointSnapshot`, or None
-        if no complete checkpoint exists (freshly formatted device or
+        """Return the newest complete :data:`Checkpoint`, or None if no
+        complete checkpoint exists (freshly formatted device or
         first-checkpoint crash)."""
-        best: Optional[CheckpointSnapshot] = None
+        best: Optional[Checkpoint] = None
         for slot in self.slots:
-            snapshot = yield from self._read_slot_proc(slot)
-            if snapshot is not None and (best is None
-                                         or snapshot.seq > best.seq):
-                best = snapshot
+            found = yield from self._read_slot_proc(slot)
+            if found is not None and (best is None or found[0] > best[0]):
+                best = found
         return best
 
     def _read_slot_proc(self, slot: List[ChunkKey]):
@@ -143,34 +134,21 @@ class CheckpointManager:
         completion = yield from self.media.read_proc(ppas)
         if not completion.ok:
             return None
-        snapshot = CheckpointSnapshot(seq=-1, next_txn_id=0)
-        saw_header = False
+        header = None       # (seq, map_entries, chunk_entries, next_txn_id)
         complete = False
+        tables: Dict[int, list] = {}
         try:
             for frame in serial.iter_frames(completion.data,
                                             self.sector_size):
                 for record in serial.decode_frame(frame):
+                    head, rows = serial.decode(record)
                     if record.rtype == serial.REC_CKPT_HEADER:
-                        seq, __, __, next_txn = serial.decode_ckpt_header(
-                            record.body)
-                        snapshot.seq = seq
-                        snapshot.next_txn_id = next_txn
-                        saw_header = True
-                    elif record.rtype == serial.REC_CKPT_MAP:
-                        snapshot.map_entries.extend(
-                            serial.decode_ckpt_map(record.body))
-                    elif record.rtype == serial.REC_CKPT_CHUNK:
-                        snapshot.chunk_rows.extend(
-                            serial.decode_ckpt_chunk(record.body))
-                    elif record.rtype == serial.REC_CKPT_VMAP:
-                        snapshot.vmap_entries.extend(
-                            serial.decode_ckpt_vmap(record.body))
-                    elif record.rtype == serial.REC_CKPT_SEGMENT:
-                        snapshot.segments.append(
-                            serial.decode_segment(record.body))
+                        header = head
                     elif record.rtype == serial.REC_CKPT_FOOTER:
-                        footer_seq = serial.decode_ckpt_footer(record.body)
-                        complete = saw_header and footer_seq == snapshot.seq
+                        complete = header is not None and head[0] == header[0]
+                    else:
+                        tables.setdefault(record.rtype, []).extend(
+                            [(*head, rows)] if head else rows)
         except RecoveryError:
             return None
-        return snapshot if complete else None
+        return (header[0], header[3], tables) if complete else None

@@ -30,7 +30,7 @@ Two more rules keep crashes survivable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import OutOfSpaceError
 from repro.ocssd.address import Ppa, PpaRun
@@ -40,7 +40,7 @@ from repro.ox.ftl.provisioning import Provisioner
 from repro.ox.ftl.serial import NO_PPA
 from repro.ox.ftl.wal import WalAppender
 from repro.ox.media import MediaManager
-from repro.policies.victim import GreedyVictimPolicy, VictimPolicy
+from repro.policies.victim import VictimPolicy
 
 ChunkKey = Tuple[int, int, int]
 
@@ -69,11 +69,10 @@ class GarbageCollector:
     def __init__(self, media: MediaManager, page_map: PageMap,
                  chunk_table: ChunkTable, provisioner: Provisioner,
                  wal: WalAppender, next_txn_id: Callable[[], int],
-                 volatile_pending: Optional[Callable[[], bool]] = None,
-                 stabilize_proc: Optional[Callable] = None,
-                 wal_relief_proc: Optional[Callable] = None,
-                 victim_policy: Optional[VictimPolicy] = None,
-                 host_sectors_written: Optional[Callable[[], int]] = None):
+                 volatile_pending: Callable[[], bool],
+                 stabilize_proc: Callable, wal_relief_proc: Callable,
+                 victim_policy: VictimPolicy,
+                 host_sectors_written: Callable[[], int]):
         self.media = media
         self.sim = media.sim
         # Observability (repro.obs): inherited from the simulator; None
@@ -93,7 +92,7 @@ class GarbageCollector:
         # to mappings a reset would erase.  The FTL reports that state
         # (volatile_pending) and offers a barrier that clears it
         # (stabilize_proc: pad the partial unit, drain the device).
-        self.volatile_pending = volatile_pending or (lambda: False)
+        self.volatile_pending = volatile_pending
         self.stabilize_proc = stabilize_proc
         # Relocation commits consume WAL space but never truncate it; a
         # long collection run could exhaust the ring for everyone.  The
@@ -103,12 +102,10 @@ class GarbageCollector:
         self.wal_relief_proc = wal_relief_proc
         self.marked_group = 0
         self.stats = GcStats()
-        # Victim selection is a policy (repro.policies): the default
-        # greedy ordering is bit-identical to the historical collector.
-        self.victim_policy = victim_policy if victim_policy is not None \
-            else GreedyVictimPolicy()
+        # Victim selection is a policy (repro.policies).
+        self.victim_policy = victim_policy
         # Host write accounting for the WAF gauge ((host + relocated) /
-        # host); None leaves the gauge unset (no host counter to cite).
+        # host).
         self.host_sectors_written = host_sectors_written
 
     # -- victim selection ----------------------------------------------------------
@@ -132,7 +129,7 @@ class GarbageCollector:
 
     def _update_waf_gauge(self) -> None:
         """Refresh ``ftl.gc.waf``: (host + relocated) / host sectors."""
-        if self.obs is None or self.host_sectors_written is None:
+        if self.obs is None:
             return
         host = self.host_sectors_written()
         if host:
@@ -251,7 +248,7 @@ class GarbageCollector:
             # this victim.  A device flush handles cache-resident data;
             # the FTL barrier (pad + drain) handles the staged tail.
             yield from self.media.flush_proc()
-            if self.volatile_pending() and self.stabilize_proc is not None:
+            if self.volatile_pending():
                 try:
                     yield from self.stabilize_proc()
                 except OutOfSpaceError:
@@ -294,8 +291,7 @@ class GarbageCollector:
             if obs is not None:
                 obs.error("ftl.gc", "reset-failed",
                           completion.error or str(base))
-        if self.wal_relief_proc is not None:
-            yield from self.wal_relief_proc()
+        yield from self.wal_relief_proc()
         if obs is not None:
             obs.end(span, outcome="recycled" if completion.ok else "retired",
                     relocated=len(live))

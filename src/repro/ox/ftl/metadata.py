@@ -78,6 +78,11 @@ class ChunkTable:
     def __contains__(self, key: ChunkKey) -> bool:
         return key in self._chunks
 
+    @property
+    def total_sectors(self) -> int:
+        """Sectors of the data region: the block device's LBA space."""
+        return len(self._chunks) * self._capacity
+
     def get(self, key: ChunkKey) -> FtlChunkInfo:
         try:
             return self._chunks[key]

@@ -31,7 +31,7 @@ from repro.ox.ftl.checkpoint import CheckpointManager
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkState
 from repro.ox.ftl.provisioning import MetadataLayout, Provisioner
-from repro.ox.ftl.serial import NO_PPA
+from repro.ox.ftl.serial import NO_PPA, REC_CKPT_CHUNK, REC_CKPT_MAP
 from repro.ox.ftl.wal import WalReader, committed_transactions
 from repro.ox.media import MediaManager
 
@@ -75,18 +75,17 @@ def recover_proc(media: MediaManager, layout: MetadataLayout,
 
     # 1. Checkpoint.
     ckpt = CheckpointManager(media, layout.ckpt_slots)
-    snapshot = yield from ckpt.read_latest_proc()
-    page_map = PageMap()
+    checkpoint = yield from ckpt.read_latest_proc()
     chunk_table = ChunkTable(geometry, iter(layout.data_chunk_keys()))
+    page_map = PageMap(chunk_table.total_sectors)
     epoch = 0
     next_txn_id = 1
-    if snapshot is not None:
-        page_map.load(iter(snapshot.map_entries))
-        for row in snapshot.chunk_rows:
+    if checkpoint is not None:
+        epoch, next_txn_id, tables = checkpoint
+        page_map.load(tables.get(REC_CKPT_MAP, ()))
+        for row in tables.get(REC_CKPT_CHUNK, ()):
             chunk_table.load_row(*row)
-        epoch = snapshot.seq
-        next_txn_id = snapshot.next_txn_id
-        report.checkpoint_seq = snapshot.seq
+        report.checkpoint_seq = epoch
 
     # 2. WAL replay.
     reader = WalReader(media, layout.wal_chunks, epoch)

@@ -1,10 +1,12 @@
 """Binary serialization of FTL metadata: WAL records and checkpoints.
 
-Everything the FTL persists is encoded with :mod:`struct` into sector-sized
-frames:
+Everything the FTL persists is sector-sized frames of records:
 
 * A **frame** is one sector: ``[u32 payload_length][payload][padding]``.
 * A **record** inside a payload is ``[u8 type][u32 body_length][body]``.
+* A **body** is a fixed-size *head* followed by zero or more fixed-size
+  *rows*; :data:`KINDS` is the one table of what each record type's head
+  and rows are.  Adding a record kind is one row of that table.
 
 Records never span sectors (writers start a new frame when a record would
 not fit), so a torn tail — the normal case after a crash — costs at most
@@ -16,261 +18,214 @@ from __future__ import annotations
 import struct
 import zlib
 from itertools import chain
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import RecoveryError
 
 _FRAME_HEADER = struct.Struct("<I")
 _RECORD_HEADER = struct.Struct("<BI")
+_CRC = struct.Struct("<I")
 
 # Record types.
-REC_MAP_UPDATE = 1     # txn_id, [(lba, new_ppa, old_ppa)]
-REC_COMMIT = 2         # txn_id
-REC_CKPT_HEADER = 3    # seq, map_entries, chunk_entries, next_lba
-REC_CKPT_MAP = 4       # [(lba, ppa)]
-REC_CKPT_CHUNK = 5     # [(chunk_linear, state, valid_count)]
-REC_CKPT_FOOTER = 6    # seq, checksum of seq (completion marker)
+REC_MAP_UPDATE = 1
+REC_COMMIT = 2
+REC_CKPT_HEADER = 3
+REC_CKPT_MAP = 4
+REC_CKPT_CHUNK = 5
+REC_CKPT_FOOTER = 6
 # OX-ELEOS records: variable-size page mapping + LSS segment lifecycle.
-REC_VPAGE_UPDATE = 8   # txn_id, [(page_id, linear, offset, length)]
-REC_SEGMENT_NEW = 9    # segment_id, [chunk_linear]
-REC_SEGMENT_FREE = 10  # segment_id
-REC_CKPT_VMAP = 11     # [(page_id, linear, offset, length)]
-REC_CKPT_SEGMENT = 12  # segment_id, [chunk_linear]
-
-_MAP_ENTRY = struct.Struct("<QQQ")     # lba, new_ppa, old_ppa
-_CKPT_MAP_ENTRY = struct.Struct("<QQ")  # lba, ppa
-_CKPT_CHUNK_ENTRY = struct.Struct("<QBI")  # chunk_linear, state, valid
-_TXN = struct.Struct("<Q")
-_CKPT_HEADER = struct.Struct("<QQQQ")
-_CKPT_FOOTER = struct.Struct("<QI")
-
-_VPAGE_ENTRY = struct.Struct("<QQII")  # page_id, linear, offset, length
-_SEGMENT_HEADER = struct.Struct("<Q")  # segment_id
+REC_VPAGE_UPDATE = 8
+REC_SEGMENT_NEW = 9
+REC_SEGMENT_FREE = 10
+REC_CKPT_VMAP = 11
+REC_CKPT_SEGMENT = 12
 
 # Sentinel for "no previous mapping" in map-update records.
 NO_PPA = 2**64 - 1
 
-# Checkpoints pack hundreds of fixed-size entries per record; one batched
-# struct call per record beats one call per entry by an order of magnitude.
-# Formats stay explicitly little-endian, so the bytes are unchanged.
-_BATCH_CACHE: dict = {}
+
+class Kind(NamedTuple):
+    """One record type: a fixed head, then rows of one fixed shape."""
+
+    name: str
+    head: struct.Struct
+    head_fields: str
+    row: Optional[struct.Struct]   # None: the record is its head
+    row_fields: str
+    writer: str        # who writes it (DESIGN's "Metadata records" table)
+    #: The head is followed by its CRC32: a torn or stale record decodes
+    #: as a :class:`RecoveryError`, never as a valid one.
+    crc: bool = False
 
 
-def _batch(unit: str, count: int) -> struct.Struct:
-    key = (unit, count)
-    packer = _BATCH_CACHE.get(key)
+_S = struct.Struct
+_NO_HEAD = _S("<")
+_ID = _S("<Q")
+_VPAGE = _S("<QQII")
+
+KINDS: Dict[int, Kind] = {
+    REC_MAP_UPDATE: Kind(
+        "MAP_UPDATE", _ID, "txn_id", _S("<QQQ"), "lba, new_ppa, old_ppa",
+        "OX-Block WAL: write, trim, GC relocation"),
+    REC_COMMIT: Kind(
+        "COMMIT", _ID, "txn_id", None, "", "OX-Block and OX-ELEOS WAL"),
+    REC_CKPT_HEADER: Kind(
+        "CKPT_HEADER", _S("<QQQQ"),
+        "seq, map_entries, chunk_entries, next_txn_id", None, "",
+        "every checkpoint, first record"),
+    REC_CKPT_MAP: Kind(
+        "CKPT_MAP", _NO_HEAD, "", _S("<QQ"), "lba, ppa",
+        "OX-Block checkpoint"),
+    REC_CKPT_CHUNK: Kind(
+        "CKPT_CHUNK", _NO_HEAD, "", _S("<QBI"),
+        "chunk_linear, state, valid_count", "OX-Block checkpoint"),
+    REC_CKPT_FOOTER: Kind(
+        "CKPT_FOOTER", _ID, "seq", None, "",
+        "every checkpoint, last record", crc=True),
+    REC_VPAGE_UPDATE: Kind(
+        "VPAGE_UPDATE", _ID, "txn_id", _VPAGE,
+        "page_id, linear, offset, length", "OX-ELEOS WAL: append_buffer"),
+    REC_SEGMENT_NEW: Kind(
+        "SEGMENT_NEW", _ID, "segment_id", _ID, "chunk_linear",
+        "OX-ELEOS WAL: append_buffer"),
+    REC_SEGMENT_FREE: Kind(
+        "SEGMENT_FREE", _ID, "segment_id", None, "",
+        "OX-ELEOS WAL: free_segment"),
+    REC_CKPT_VMAP: Kind(
+        "CKPT_VMAP", _NO_HEAD, "", _VPAGE,
+        "page_id, linear, offset, length", "OX-ELEOS checkpoint"),
+    REC_CKPT_SEGMENT: Kind(
+        "CKPT_SEGMENT", _ID, "segment_id", _ID, "chunk_linear",
+        "OX-ELEOS checkpoint"),
+}
+
+# Records pack hundreds of fixed-size rows; one batched struct call per
+# record beats one call per row by an order of magnitude.  Formats stay
+# explicitly little-endian and unpadded, so the bytes are those of the
+# rows packed one by one.
+_ROW_PACKERS: Dict[Tuple[str, int], struct.Struct] = {}
+
+
+def _pack_rows(row: struct.Struct, rows: Sequence[tuple]) -> bytes:
+    key = (row.format, len(rows))
+    packer = _ROW_PACKERS.get(key)
     if packer is None:
-        packer = _BATCH_CACHE[key] = struct.Struct("<" + unit * count)
-    return packer
+        packer = _ROW_PACKERS[key] = _S("<" + row.format[1:] * len(rows))
+    return packer.pack(*chain.from_iterable(rows))
 
 
-@dataclass(frozen=True)
-class Record:
-    """One decoded record: its type tag and raw body bytes."""
+class Record(NamedTuple):
+    """One framed record: its type tag and raw body bytes."""
 
     rtype: int
     body: bytes
 
 
-def encode_record(rtype: int, body: bytes) -> bytes:
+def encode(rtype: int, head: tuple = (), rows=()) -> bytes:
+    """One record of kind *rtype*.  *rows* is a sequence of row tuples or
+    their already packed bytes (a whole number of rows)."""
+    kind = KINDS[rtype]
+    body = kind.head.pack(*head)
+    if kind.crc:
+        body += _CRC.pack(zlib.crc32(body))
+    if rows:
+        body += rows if isinstance(rows, (bytes, bytearray, memoryview)) \
+            else _pack_rows(kind.row, rows)
     return _RECORD_HEADER.pack(rtype, len(body)) + body
 
 
-def encode_map_update(txn_id: int,
-                      entries: Sequence[Tuple[int, int, int]]) -> bytes:
-    body = _TXN.pack(txn_id) + _batch("QQQ", len(entries)).pack(
-        *chain.from_iterable(entries))
-    return encode_record(REC_MAP_UPDATE, body)
+def fits(rtype: int, row: tuple) -> bool:
+    """Whether *row* packs as a row of kind *rtype*: every field an
+    integer inside its width.  FTLs check what callers hand them against
+    this, so no :class:`struct.error` leaves their API."""
+    try:
+        KINDS[rtype].row.pack(*row)
+    except struct.error:
+        return False
+    return True
 
 
-def decode_map_update(body: bytes) -> Tuple[int, List[Tuple[int, int, int]]]:
-    (txn_id,) = _TXN.unpack_from(body, 0)
-    entries = list(_MAP_ENTRY.iter_unpack(memoryview(body)[_TXN.size:]))
-    return txn_id, entries
+def decode(record: Record) -> Tuple[tuple, List[tuple]]:
+    """``(head, rows)`` of a framed record; :class:`RecoveryError` on an
+    unknown type, a body that is not a head plus whole rows, or a head
+    that fails its checksum."""
+    rtype, body = record
+    kind = KINDS.get(rtype)
+    if kind is None:
+        raise RecoveryError(f"unknown record type {rtype}")
+    head_size = kind.head.size
+    rows_at = head_size + (_CRC.size if kind.crc else 0)
+    extra = len(body) - rows_at
+    if extra < 0 or (extra % kind.row.size if kind.row else extra):
+        raise RecoveryError(
+            f"{kind.name} record body of {len(body)} bytes is not a "
+            f"{rows_at}-byte head plus whole rows")
+    head = kind.head.unpack_from(body, 0)
+    if kind.crc and _CRC.unpack_from(body, head_size)[0] \
+            != zlib.crc32(body[:head_size]):
+        raise RecoveryError(f"{kind.name} checksum mismatch (head {head})")
+    if not extra:
+        return head, []
+    return head, list(kind.row.iter_unpack(memoryview(body)[rows_at:]))
 
 
-def encode_commit(txn_id: int) -> bytes:
-    return encode_record(REC_COMMIT, _TXN.pack(txn_id))
-
-
-def decode_commit(body: bytes) -> int:
-    (txn_id,) = _TXN.unpack(body)
-    return txn_id
-
-
-def encode_ckpt_header(seq: int, map_entries: int, chunk_entries: int,
-                       next_lba: int) -> bytes:
-    return encode_record(
-        REC_CKPT_HEADER,
-        _CKPT_HEADER.pack(seq, map_entries, chunk_entries, next_lba))
-
-
-def decode_ckpt_header(body: bytes) -> Tuple[int, int, int, int]:
-    return _CKPT_HEADER.unpack(body)
-
-
-def decode_ckpt_map(body: bytes) -> List[Tuple[int, int]]:
-    return list(_CKPT_MAP_ENTRY.iter_unpack(body))
-
-
-def encode_ckpt_chunk(entries: Sequence[Tuple[int, int, int]]) -> bytes:
-    body = _batch("QBI", len(entries)).pack(*chain.from_iterable(entries))
-    return encode_record(REC_CKPT_CHUNK, body)
-
-
-def decode_ckpt_chunk(body: bytes) -> List[Tuple[int, int, int]]:
-    return list(_CKPT_CHUNK_ENTRY.iter_unpack(body))
-
-
-def encode_ckpt_footer(seq: int) -> bytes:
-    checksum = zlib.crc32(_TXN.pack(seq))
-    return encode_record(REC_CKPT_FOOTER, _CKPT_FOOTER.pack(seq, checksum))
-
-
-def decode_ckpt_footer(body: bytes) -> int:
-    seq, checksum = _CKPT_FOOTER.unpack(body)
-    if checksum != zlib.crc32(_TXN.pack(seq)):
-        raise RecoveryError(f"checkpoint footer checksum mismatch (seq {seq})")
-    return seq
-
-
-def encode_vpage_update(txn_id: int,
-                        entries: Sequence[Tuple[int, int, int, int]]) -> bytes:
-    body = _TXN.pack(txn_id) + b"".join(
-        _VPAGE_ENTRY.pack(*entry) for entry in entries)
-    return encode_record(REC_VPAGE_UPDATE, body)
-
-
-def decode_vpage_update(body: bytes) -> Tuple[int, List[Tuple[int, int, int, int]]]:
-    (txn_id,) = _TXN.unpack_from(body, 0)
-    entries = [_VPAGE_ENTRY.unpack_from(body, offset)
-               for offset in range(_TXN.size, len(body), _VPAGE_ENTRY.size)]
-    return txn_id, entries
-
-
-def split_vpage_update(txn_id: int,
-                       entries: Sequence[Tuple[int, int, int, int]],
-                       sector_size: int) -> List[bytes]:
-    capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
-    per_record = max(1, (capacity - _TXN.size) // _VPAGE_ENTRY.size)
-    return [encode_vpage_update(txn_id, entries[i:i + per_record])
-            for i in range(0, len(entries), per_record)]
-
-
-def _encode_segment(rtype: int, segment_id: int,
-                    chunk_linears: Sequence[int]) -> bytes:
-    body = _SEGMENT_HEADER.pack(segment_id) + b"".join(
-        _TXN.pack(linear) for linear in chunk_linears)
-    return encode_record(rtype, body)
-
-
-def encode_segment_new(segment_id: int,
-                       chunk_linears: Sequence[int]) -> bytes:
-    return _encode_segment(REC_SEGMENT_NEW, segment_id, chunk_linears)
-
-
-def encode_segment_free(segment_id: int) -> bytes:
-    return _encode_segment(REC_SEGMENT_FREE, segment_id, [])
-
-
-def encode_ckpt_segment(segment_id: int,
-                        chunk_linears: Sequence[int]) -> bytes:
-    return _encode_segment(REC_CKPT_SEGMENT, segment_id, chunk_linears)
-
-
-def decode_segment(body: bytes) -> Tuple[int, List[int]]:
-    (segment_id,) = _SEGMENT_HEADER.unpack_from(body, 0)
-    linears = [_TXN.unpack_from(body, offset)[0]
-               for offset in range(_SEGMENT_HEADER.size, len(body),
-                                   _TXN.size)]
-    return segment_id, linears
-
-
-def encode_ckpt_vmap(entries: Sequence[Tuple[int, int, int, int]]) -> bytes:
-    body = b"".join(_VPAGE_ENTRY.pack(*entry) for entry in entries)
-    return encode_record(REC_CKPT_VMAP, body)
-
-
-def decode_ckpt_vmap(body: bytes) -> List[Tuple[int, int, int, int]]:
-    return [_VPAGE_ENTRY.unpack_from(body, offset)
-            for offset in range(0, len(body), _VPAGE_ENTRY.size)]
-
-
-def split_ckpt_vmap(entries: Sequence[Tuple[int, int, int, int]],
-                    sector_size: int) -> List[bytes]:
-    capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
-    per_record = max(1, capacity // _VPAGE_ENTRY.size)
-    return [encode_ckpt_vmap(entries[i:i + per_record])
-            for i in range(0, len(entries), per_record)]
+def split(rtype: int, head: tuple, rows, sector_size: int) -> List[bytes]:
+    """*rows* (tuples or packed bytes) as however many records of kind
+    *rtype* it takes for each to fit one frame, every one under *head*;
+    no rows, no records."""
+    kind = KINDS[rtype]
+    capacity = (sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
+                - kind.head.size)
+    step = max(1, capacity // kind.row.size)
+    if isinstance(rows, (bytes, bytearray, memoryview)):
+        step *= kind.row.size
+    return [encode(rtype, head, rows[at:at + step])
+            for at in range(0, len(rows), step)]
 
 
 class FrameWriter:
-    """Packs records into sector-sized frames."""
+    """Packs records into sector-sized frames, in one buffer."""
 
     def __init__(self, sector_size: int):
         self.sector_size = sector_size
-        self._frames: List[bytes] = []
-        self._current = bytearray()
-
-    @property
-    def payload_capacity(self) -> int:
-        return self.sector_size - _FRAME_HEADER.size
+        #: Payload bytes one frame holds.
+        self.capacity = sector_size - _FRAME_HEADER.size
+        # Whole sealed frames, then the open one: a length placeholder
+        # and the _fill payload bytes appended so far.
+        self._buffer = bytearray()
+        self._fill = 0
 
     def append(self, record: bytes) -> None:
-        if len(record) > self.payload_capacity:
+        size = len(record)
+        if size > self.capacity:
             raise RecoveryError(
-                f"record of {len(record)} bytes exceeds frame capacity "
-                f"{self.payload_capacity}; split it before encoding")
-        if len(self._current) + len(record) > self.payload_capacity:
+                f"record of {size} bytes exceeds frame capacity "
+                f"{self.capacity}; split it before encoding")
+        if self._fill + size > self.capacity:
             self._seal()
-        self._current.extend(record)
+        if not self._fill:
+            self._buffer += bytes(_FRAME_HEADER.size)
+        self._buffer += record
+        self._fill += size
 
     def frame_count(self) -> int:
-        """Frames a :meth:`frames` call would return, without draining."""
-        return len(self._frames) + (1 if self._current else 0)
+        """Frames a :meth:`take` would return, without draining."""
+        return -(-len(self._buffer) // self.sector_size)
 
-    def frames(self) -> List[bytes]:
-        """Seal the current frame and return all frames (each one sector)."""
-        if self._current:
+    def take(self) -> bytearray:
+        """Seal the open frame and hand over the buffer: whole frames,
+        one sector each."""
+        if self._fill:
             self._seal()
-        frames, self._frames = self._frames, []
-        return frames
+        buffer, self._buffer = self._buffer, bytearray()
+        return buffer
 
     def _seal(self) -> None:
-        payload = bytes(self._current)
-        frame = _FRAME_HEADER.pack(len(payload)) + payload
-        frame += b"\x00" * (self.sector_size - len(frame))
-        self._frames.append(frame)
-        self._current = bytearray()
-
-
-def split_map_update(txn_id: int, entries: Sequence[Tuple[int, int, int]],
-                     sector_size: int) -> List[bytes]:
-    """Encode a map-update that may exceed one frame as several records."""
-    capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
-    per_record = max(1, (capacity - _TXN.size) // _MAP_ENTRY.size)
-    return [encode_map_update(txn_id, entries[i:i + per_record])
-            for i in range(0, len(entries), per_record)]
-
-
-def split_ckpt_map_packed(packed: bytes, sector_size: int) -> List[bytes]:
-    """Checkpoint map records from pre-packed ``<QQ`` (lba, ppa) entry
-    bytes (:meth:`PageMap.snapshot_packed`) — record bodies are byte
-    slices of the blob, so the checkpoint hot path never materializes
-    per-entry integers at all."""
-    capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
-    step = max(1, capacity // _CKPT_MAP_ENTRY.size) * _CKPT_MAP_ENTRY.size
-    return [encode_record(REC_CKPT_MAP, packed[i:i + step])
-            for i in range(0, len(packed), step)]
-
-
-def split_ckpt_chunk(entries: Sequence[Tuple[int, int, int]],
-                     sector_size: int) -> List[bytes]:
-    capacity = sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
-    per_record = max(1, capacity // _CKPT_CHUNK_ENTRY.size)
-    return [encode_ckpt_chunk(entries[i:i + per_record])
-            for i in range(0, len(entries), per_record)]
+        buffer = self._buffer
+        _FRAME_HEADER.pack_into(
+            buffer, len(buffer) - self._fill - _FRAME_HEADER.size, self._fill)
+        buffer += bytes(-len(buffer) % self.sector_size)
+        self._fill = 0
 
 
 def iter_frames(views: Sequence[memoryview],

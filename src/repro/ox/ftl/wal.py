@@ -16,8 +16,7 @@ truncated when the crash hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import FTLError, RecoveryError
 from repro.ocssd.address import Ppa, PpaRun
@@ -25,14 +24,6 @@ from repro.ox.ftl import serial
 from repro.ox.media import MediaManager
 
 ChunkKey = Tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class WalRecord:
-    """One decoded log record as seen by recovery."""
-
-    rtype: int
-    body: bytes
 
 
 class WalAppender:
@@ -54,20 +45,11 @@ class WalAppender:
         self.sectors_per_chunk = geometry.sectors_per_chunk
         self.sector_size = geometry.sector_size
         self._writer = serial.FrameWriter(self.sector_size)
-        self._ring_index = 0      # which chunk in the ring
-        self._next_sector = 0     # sector within that chunk
-        self._seq = 0             # per-epoch sector sequence
+        self.capacity_sectors = len(self.chunks) * self.sectors_per_chunk
+        #: Sectors flushed this epoch: the ring position (chunk ``//``,
+        #: sector ``%`` sectors_per_chunk) and the next OOB sequence number.
+        self.used_sectors = 0
         self.sectors_written = 0
-
-    # -- capacity ------------------------------------------------------------------
-
-    @property
-    def capacity_sectors(self) -> int:
-        return len(self.chunks) * self.sectors_per_chunk
-
-    @property
-    def used_sectors(self) -> int:
-        return self._ring_index * self.sectors_per_chunk + self._next_sector
 
     def fill_fraction(self) -> float:
         return self.used_sectors / self.capacity_sectors
@@ -80,18 +62,18 @@ class WalAppender:
 
     def append_map_update(self, txn_id: int,
                           entries: Sequence[Tuple[int, int, int]]) -> None:
-        for record in serial.split_map_update(txn_id, entries,
-                                              self.sector_size):
-            self.append(record)
+        for record in serial.split(serial.REC_MAP_UPDATE, (txn_id,),
+                                   entries, self.sector_size):
+            self._writer.append(record)
 
     def append_commit(self, txn_id: int) -> None:
-        self.append(serial.encode_commit(txn_id))
+        self._writer.append(serial.encode(serial.REC_COMMIT, (txn_id,)))
 
     def flush_proc(self, parent=None):
         """Process generator: write buffered frames durably (FUA).
 
-        Pads the batch to a whole number of write units — the frames are
-        one buffer, the padding its missing tail.  Raises
+        Pads the batch to a whole number of write units — the writer's
+        frames are the buffer, the padding its missing tail.  Raises
         :class:`FTLError` when the ring is exhausted — the caller must
         checkpoint (which truncates the ring) before this happens.  The
         check runs *before* anything is written, so a failed flush leaves
@@ -106,7 +88,7 @@ class WalAppender:
             raise FTLError(
                 "WAL ring exhausted; checkpointing must truncate the "
                 "log before it fills (records stay buffered)")
-        data = memoryview(b"".join(self._writer.frames()))
+        data = memoryview(self._writer.take())
 
         obs = self.obs
         span = None
@@ -114,27 +96,19 @@ class WalAppender:
             span = obs.begin("ftl.wal", "flush", parent)
             flush_started = self.sim.now
         sector_size = self.sector_size
+        per_chunk = self.sectors_per_chunk
         total = 0
-        while total < padded:
-            if self._next_sector >= self.sectors_per_chunk:
-                self._ring_index += 1
-                self._next_sector = 0
-            if self._ring_index >= len(self.chunks):
-                raise FTLError(
-                    "WAL ring exhausted; checkpointing must truncate the "
-                    "log before it fills")
-            batch = min(padded - total,
-                        self.sectors_per_chunk - self._next_sector)
-            ppas = PpaRun(self.chunks[self._ring_index], self._next_sector,
-                          batch)
-            oob = [("wal", self.epoch, self._seq + i) for i in range(batch)]
+        while total < padded:   # one write per ring chunk the batch touches
+            used = self.used_sectors
+            first = used % per_chunk
+            batch = min(padded - total, per_chunk - first)
+            oob = [("wal", self.epoch, used + i) for i in range(batch)]
             completion = yield from self.media.write_proc(
-                ppas, data[total * sector_size:
-                           (total + batch) * sector_size],
+                PpaRun(self.chunks[used // per_chunk], first, batch),
+                data[total * sector_size:(total + batch) * sector_size],
                 oob=oob, fua=True, parent=span)
             self.media.require_ok(completion, "WAL flush")
-            self._next_sector += batch
-            self._seq += batch
+            self.used_sectors += batch
             self.sectors_written += batch
             total += batch
         if obs is not None:
@@ -159,9 +133,7 @@ class WalAppender:
             completion = yield from self.media.reset_proc(Ppa(*key, 0))
             self.media.require_ok(completion, "WAL truncate")
         self.epoch = new_epoch
-        self._ring_index = 0
-        self._next_sector = 0
-        self._seq = 0
+        self.used_sectors = 0
 
 
 class WalReader:
@@ -174,7 +146,7 @@ class WalReader:
         self.epoch = epoch
         self.sector_size = media.geometry.sector_size
         self.sectors_read = 0
-        self.records: List[WalRecord] = []
+        self.records: List[serial.Record] = []
 
     def read_proc(self):
         """Process generator: read and decode the whole valid log.
@@ -204,9 +176,7 @@ class WalReader:
                 expected_seq += 1
                 self.sectors_read += 1
                 try:
-                    for record in serial.decode_frame(frame):
-                        self.records.append(
-                            WalRecord(record.rtype, record.body))
+                    self.records.extend(serial.decode_frame(frame))
                 except RecoveryError:
                     stop = True
                     break
@@ -216,7 +186,7 @@ class WalReader:
 
 
 def committed_transactions(
-        records: Iterator[WalRecord]
+        records: Iterable[serial.Record]
 ) -> List[Tuple[int, List[Tuple[int, int, int]]]]:
     """Fold a record stream into committed transactions, in commit order.
 
@@ -228,10 +198,10 @@ def committed_transactions(
     committed: List[Tuple[int, List[Tuple[int, int, int]]]] = []
     for record in records:
         if record.rtype == serial.REC_MAP_UPDATE:
-            txn_id, entries = serial.decode_map_update(record.body)
+            (txn_id,), entries = serial.decode(record)
             pending.setdefault(txn_id, []).extend(entries)
         elif record.rtype == serial.REC_COMMIT:
-            txn_id = serial.decode_commit(record.body)
+            (txn_id,), __ = serial.decode(record)
             if txn_id in pending:
                 committed.append((txn_id, pending.pop(txn_id)))
     return committed

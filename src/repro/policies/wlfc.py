@@ -81,8 +81,10 @@ class WriteLessCache:
     """A write-back RAM stage over an OX-Block-shaped FTL.
 
     *ftl* needs the synchronous block surface: ``write(lba, data)``,
-    ``read(lba, sectors)``, ``trim(lba, sectors)``, ``flush()`` and a
-    ``geometry`` with ``sector_size``/``ws_min``.
+    ``read(lba, sectors)``, ``trim(lba, sectors)``, ``flush()``, a
+    ``geometry`` with ``sector_size``/``ws_min`` and the device's size,
+    ``capacity_sectors`` — a range the FTL would reject is rejected here
+    on entry, not when the staged sectors are evicted.
     """
 
     def __init__(self, ftl, config: WlfcConfig = WlfcConfig()):
@@ -95,6 +97,11 @@ class WriteLessCache:
         # is implicit: everything staged here is ahead of flash.
         self._dirty: "OrderedDict[int, bytes]" = OrderedDict()
 
+    def _reject_range(self, op: str, lba: int, count: int) -> None:
+        raise ReproError(
+            f"wlfc: {op} of {count} sector(s) at lba {lba} is outside the "
+            f"device's {self.ftl.capacity_sectors} sectors")
+
     # -- the synchronous LBA API -------------------------------------------------
 
     def write(self, lba: int, data: bytes) -> None:
@@ -104,6 +111,8 @@ class WriteLessCache:
                 f"wlfc: write of {len(data)} bytes is not a whole number "
                 f"of {sector_size}-byte sectors")
         count = len(data) // sector_size
+        if lba < 0 or lba + count > self.ftl.capacity_sectors:
+            self._reject_range("write", lba, count)
         view = memoryview(data)
         dirty = self._dirty
         for index in range(count):
@@ -118,6 +127,8 @@ class WriteLessCache:
             self._evict()
 
     def read(self, lba: int, sectors: int = 1) -> bytes:
+        if lba < 0 or lba + sectors > self.ftl.capacity_sectors:
+            self._reject_range("read", lba, sectors)
         sector_size = self.geometry.sector_size
         dirty = self._dirty
         pieces: List[bytes] = []
@@ -143,6 +154,8 @@ class WriteLessCache:
         return b"".join(pieces)
 
     def trim(self, lba: int, sectors: int = 1) -> None:
+        if lba < 0 or lba + sectors > self.ftl.capacity_sectors:
+            self._reject_range("trim", lba, sectors)
         for index in range(sectors):
             self._dirty.pop(lba + index, None)
         self.ftl.trim(lba, sectors)

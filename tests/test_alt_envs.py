@@ -96,7 +96,7 @@ class TestBlockDevEnv:
             db.flush()
         db.wait_idle()
         device.sim.run()
-        assert env._free_list or env._next_lba < env._capacity_sectors
+        assert env._free_list or env._next_lba < env.ftl.capacity_sectors
 
     def test_misaligned_block_size_rejected(self):
         device, env, __ = make_blockdev_db()

@@ -1,6 +1,11 @@
 """Unit tests for the modular FTL components: mapping, metadata,
 provisioning, write buffer, serialization."""
 
+import glob
+import os
+import re
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,7 +28,7 @@ def tiny_geometry(groups=2, pus=2, chunks=8, pages=6) -> DeviceGeometry:
 
 class TestPageMap:
     def test_update_lookup_remove(self):
-        page_map = PageMap()
+        page_map = PageMap(8)
         assert page_map.lookup(5) is None
         assert page_map.update(5, 100) is None
         assert page_map.lookup(5) == 100
@@ -32,29 +37,72 @@ class TestPageMap:
         assert page_map.lookup(5) is None
         assert page_map.remove(5) is None
 
-    def test_dirty_segments(self):
-        page_map = PageMap(segment_size=10)
-        page_map.update(5, 1)
-        page_map.update(15, 2)
-        page_map.update(16, 3)
-        assert page_map.dirty_segment_count == 2
-        page_map.mark_clean()
-        assert page_map.dirty_segment_count == 0
-
     def test_load_replaces_content(self):
-        page_map = PageMap()
+        page_map = PageMap(8)
         page_map.update(1, 10)
         page_map.load(iter([(2, 20), (3, 30)]))
         assert page_map.lookup(1) is None
         assert page_map.lookup(2) == 20
         assert len(page_map) == 2
-        assert page_map.dirty_segment_count == 0
 
     def test_snapshot_sorted(self):
-        page_map = PageMap()
+        page_map = PageMap(8)
         for lba in (5, 1, 3):
             page_map.update(lba, lba * 10)
-        assert page_map.snapshot() == [(1, 10), (3, 30), (5, 50)]
+        assert list(struct.iter_unpack("<QQ", page_map.snapshot_packed())) \
+            == [(1, 10), (3, 30), (5, 50)]
+
+
+@given(st.data())
+def test_page_map_matches_a_dict(data):
+    """Model test: a bounded ``PageMap`` against a plain dict under random
+    update / update_run / remove / load, holes and all."""
+    capacity = data.draw(st.integers(1, 48), label="capacity")
+    lbas = st.integers(0, capacity - 1)
+    ppas = st.integers(0, 2**63 - 1)
+    outside = st.one_of(st.integers(max_value=-1),
+                        st.integers(min_value=capacity))
+    page_map, model = PageMap(capacity), {}
+    for __ in range(data.draw(st.integers(0, 40), label="steps")):
+        op = data.draw(st.sampled_from(
+            ["update", "update_run", "remove", "load", "outside"]))
+        if op == "update":
+            lba, ppa = data.draw(lbas), data.draw(ppas)
+            assert page_map.update(lba, ppa) == model.get(lba)
+            model[lba] = ppa
+        elif op == "update_run":
+            lba = data.draw(lbas)
+            count = data.draw(st.integers(1, capacity - lba))
+            ppa0 = data.draw(st.integers(0, 2**63 - 1 - count))
+            previous = page_map.update_run(lba, ppa0, count)
+            assert list(previous) == [model.get(lba + i, -1)
+                                      for i in range(count)]
+            model.update((lba + i, ppa0 + i) for i in range(count))
+        elif op == "remove":
+            lba = data.draw(lbas)
+            assert page_map.remove(lba) == model.pop(lba, None)
+        elif op == "load":
+            model = data.draw(st.dictionaries(lbas, ppas, max_size=capacity))
+            page_map.load(iter(model.items()))
+        else:
+            lba = data.draw(outside)
+            before = page_map.snapshot_packed()
+            assert page_map.lookup(lba) is None
+            assert page_map.remove(lba) is None
+            with pytest.raises(FTLError, match=str(capacity)):
+                page_map.update(lba, 1)
+            with pytest.raises(FTLError, match=str(capacity)):
+                page_map.update_run(lba, 1, 2)
+            with pytest.raises(FTLError):
+                page_map.update_run(capacity - 1, 1, 2)
+            assert page_map.snapshot_packed() == before
+        assert len(page_map) == len(model)
+        assert [page_map.lookup(lba) for lba in range(capacity)] \
+            == [model.get(lba) for lba in range(capacity)]
+        assert list(page_map.items()) == sorted(model.items())
+        flat = [field for item in sorted(model.items()) for field in item]
+        assert page_map.snapshot_packed() \
+            == struct.pack(f"<{len(flat)}Q", *flat)
 
 
 class TestChunkTable:
@@ -325,54 +373,46 @@ class TestWriteBuffer:
 class TestSerial:
     def test_map_update_roundtrip(self):
         entries = [(1, 100, serial.NO_PPA), (2, 200, 150)]
-        record = serial.encode_map_update(7, entries)
+        record = serial.encode(serial.REC_MAP_UPDATE, (7,), entries)
         decoded = next(iter(serial.decode_frame(self._frame([record]))))
         assert decoded.rtype == serial.REC_MAP_UPDATE
-        assert serial.decode_map_update(decoded.body) == (7, entries)
+        assert serial.decode(decoded) == ((7,), entries)
 
     def test_commit_roundtrip(self):
-        record = serial.encode_commit(42)
+        record = serial.encode(serial.REC_COMMIT, (42,))
         decoded = next(iter(serial.decode_frame(self._frame([record]))))
-        assert serial.decode_commit(decoded.body) == 42
+        assert serial.decode(decoded) == ((42,), [])
 
     def test_ckpt_footer_checksum(self):
-        record = serial.encode_ckpt_footer(5)
+        record = serial.encode(serial.REC_CKPT_FOOTER, (5,))
         decoded = next(iter(serial.decode_frame(self._frame([record]))))
-        assert serial.decode_ckpt_footer(decoded.body) == 5
+        assert serial.decode(decoded) == ((5,), [])
 
     def test_ckpt_footer_corruption_detected(self):
-        record = bytearray(serial.encode_ckpt_footer(5))
+        record = bytearray(serial.encode(serial.REC_CKPT_FOOTER, (5,)))
         record[-1] ^= 0xFF
         decoded = next(iter(serial.decode_frame(self._frame([bytes(record)]))))
-        with pytest.raises(RecoveryError):
-            serial.decode_ckpt_footer(decoded.body)
+        with pytest.raises(RecoveryError, match="checksum"):
+            serial.decode(decoded)
 
     def test_split_map_update_respects_frame_capacity(self):
         entries = [(i, i * 2, i * 3) for i in range(1000)]
-        records = serial.split_map_update(9, entries, sector_size=512)
-        writer = serial.FrameWriter(512)
-        for record in records:
-            writer.append(record)   # must not raise
-        recovered = []
-        for frame in writer.frames():
-            for record in serial.decode_frame(frame):
-                txn, part = serial.decode_map_update(record.body)
-                assert txn == 9
-                recovered.extend(part)
-        assert recovered == entries
+        records = serial.split(serial.REC_MAP_UPDATE, (9,), entries,
+                               sector_size=512)
+        assert _rows_of(records, 512) == [((9,), entries)]
 
     def test_vpage_roundtrip(self):
         entries = [(10, 999, 123, 4567), (11, 0, 0, 1)]
-        records = serial.split_vpage_update(3, entries, sector_size=4096)
-        txn, decoded = serial.decode_vpage_update(
-            next(iter(serial.decode_frame(self._frame(records)))).body)
-        assert txn == 3
-        assert decoded == entries
+        records = serial.split(serial.REC_VPAGE_UPDATE, (3,), entries,
+                               sector_size=4096)
+        assert serial.decode(next(iter(serial.decode_frame(
+            self._frame(records))))) == ((3,), entries)
 
     def test_segment_roundtrip(self):
-        record = serial.encode_segment_new(5, [1, 2, 3])
+        record = serial.encode(serial.REC_SEGMENT_NEW, (5,),
+                               [(1,), (2,), (3,)])
         decoded = next(iter(serial.decode_frame(self._frame([record]))))
-        assert serial.decode_segment(decoded.body) == (5, [1, 2, 3])
+        assert serial.decode(decoded) == ((5,), [(1,), (2,), (3,)])
 
     def test_empty_frame_yields_nothing(self):
         assert list(serial.decode_frame(None)) == []
@@ -380,31 +420,162 @@ class TestSerial:
         assert list(serial.decode_frame(b"\x00" * 4096)) == []
 
     def test_corrupt_frame_detected(self):
-        import struct
         bogus = struct.pack("<I", 5000) + b"x" * 100
         with pytest.raises(RecoveryError):
             list(serial.decode_frame(bogus))
+
+    def test_malformed_bodies_are_recovery_errors(self):
+        """Whatever bytes sit in a structurally valid frame, decoding them
+        raises :class:`RecoveryError` — never a ``struct.error``."""
+        commit = serial.encode(serial.REC_COMMIT, (1,))
+        update = serial.encode(serial.REC_MAP_UPDATE, (1,), [(1, 2, 3)])
+        for rtype, body in ((serial.REC_COMMIT, commit[5:-1]),
+                            (serial.REC_COMMIT, commit[5:] + b"x"),
+                            (serial.REC_MAP_UPDATE, update[5:-1]),
+                            (serial.REC_CKPT_FOOTER, b""),
+                            (7, b""), (200, commit[5:])):
+            with pytest.raises(RecoveryError):
+                serial.decode(serial.Record(rtype, body))
+
+    def test_oversized_record_is_refused_by_the_writer(self):
+        writer = serial.FrameWriter(512)
+        with pytest.raises(RecoveryError, match="split it"):
+            writer.append(serial.encode(
+                serial.REC_MAP_UPDATE, (1,), [(0, 0, 0)] * 40))
+        assert writer.frame_count() == 0 and writer.take() == b""
 
     @staticmethod
     def _frame(records, sector_size=4096):
         writer = serial.FrameWriter(sector_size)
         for record in records:
             writer.append(record)
-        frames = writer.frames()
-        assert len(frames) == 1
-        return frames[0]
+        assert writer.frame_count() == 1
+        frame = writer.take()
+        assert len(frame) == sector_size
+        return bytes(frame)
+
+
+def _rows_of(records, sector_size):
+    """Frame *records* and decode them back: ``[(head, rows), ...]`` with
+    the rows of consecutive same-head records concatenated — every record
+    went through :class:`FrameWriter`, so each fits one frame."""
+    writer = serial.FrameWriter(sector_size)
+    for record in records:
+        writer.append(record)
+    count = writer.frame_count()
+    buffer = bytes(writer.take())
+    assert len(buffer) == count * sector_size
+    merged = []
+    for frame in serial.iter_frames([memoryview(buffer)], sector_size):
+        for record in serial.decode_frame(frame):
+            head, rows = serial.decode(record)
+            if merged and merged[-1][0] == head:
+                merged[-1][1].extend(rows)
+            else:
+                merged.append((head, rows))
+    return merged
+
+
+_FIELD = {"Q": st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]),
+                         st.integers(0, 2**64 - 1)),
+          "I": st.one_of(st.sampled_from([0, 2**32 - 1]),
+                         st.integers(0, 2**32 - 1)),
+          "B": st.integers(0, 255)}
+
+
+def _tuples(packer):
+    return st.tuples(*(_FIELD[code] for code in packer.format[1:]))
+
+
+@given(st.data())
+def test_record_table_roundtrip_property(data):
+    """Every kind of the table, u64 extremes included: ``decode`` undoes
+    ``encode``; packed rows encode as their tuples do; ``split`` pieces
+    each fit one frame and concatenate to the input rows."""
+    rtype = data.draw(st.sampled_from(sorted(serial.KINDS)))
+    kind = serial.KINDS[rtype]
+    head = data.draw(_tuples(kind.head))
+    if kind.row is None:
+        record = serial.encode(rtype, head)
+        assert serial.decode(serial.Record(rtype, record[5:])) == (head, [])
+        return
+    rows = data.draw(st.lists(_tuples(kind.row), max_size=700))
+    packed = b"".join(kind.row.pack(*row) for row in rows)
+    sector_size = data.draw(st.sampled_from([512, 4096]))
+    if len(packed) <= sector_size - 4 - 5 - kind.head.size - 4 * kind.crc:
+        record = serial.encode(rtype, head, rows)
+        assert record == serial.encode(rtype, head, packed)
+        assert record[0] == rtype and len(record) == 5 + int.from_bytes(
+            record[1:5], "little")
+        assert serial.decode(serial.Record(rtype, record[5:])) == (head, rows)
+    pieces = serial.split(rtype, head, rows, sector_size)
+    assert pieces == serial.split(rtype, head, packed, sector_size)
+    assert _rows_of(pieces, sector_size) == ([(head, rows)] if rows else [])
+    assert all(serial.fits(rtype, row) for row in rows)
+
+
+def test_fits_knows_each_field_width():
+    assert serial.fits(serial.REC_VPAGE_UPDATE, (2**64 - 1, 0, 2**32 - 1, 0))
+    for row in ((-1, 0, 0, 0), (2**64, 0, 0, 0), (0, 0, 2**32, 0),
+                ("7", 0, 0, 0), (1.0, 0, 0, 0), (None, 0, 0, 0)):
+        assert not serial.fits(serial.REC_VPAGE_UPDATE, row)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2**63), st.integers(0, 2**63),
                           st.integers(0, 2**64 - 1)), max_size=300))
 def test_map_update_encoding_roundtrip_property(entries):
-    records = serial.split_map_update(1, entries, sector_size=4096)
-    writer = serial.FrameWriter(4096)
-    for record in records:
-        writer.append(record)
-    recovered = []
-    for frame in writer.frames():
-        for record in serial.decode_frame(frame):
-            __, part = serial.decode_map_update(record.body)
-            recovered.extend(part)
-    assert recovered == list(entries)
+    records = serial.split(serial.REC_MAP_UPDATE, (1,), entries,
+                           sector_size=4096)
+    assert _rows_of(records, 4096) == ([((1,), entries)] if entries else [])
+
+
+def kinds_table() -> str:
+    """DESIGN.md's "Metadata records" table, rendered from the codec."""
+    def cell(fields, packer, crc=False):
+        if not fields:
+            return "—"
+        return (f"{fields} + crc32 of it `{packer.format}` `<I`" if crc
+                else f"{fields} `{packer.format}`")
+    lines = ["| rtype | name | head | row (repeated) | written by |",
+             "|-------|------|------|----------------|------------|"]
+    for rtype, kind in sorted(serial.KINDS.items()):
+        lines.append(
+            f"| {rtype} | `{kind.name}` "
+            f"| {cell(kind.head_fields, kind.head, kind.crc)} "
+            f"| {cell(kind.row_fields, kind.row)} | {kind.writer} |")
+    return "\n".join(lines)
+
+
+def test_design_metadata_records_table_is_the_codec_table():
+    """A doc that cannot drift: the committed table between the two
+    markers is what ``serial.KINDS`` renders to (the failure prints it)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "DESIGN.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    begin, end = "<!-- metadata-records -->\n", "\n<!-- /metadata-records -->"
+    committed = text[text.index(begin) + len(begin):text.index(end)]
+    assert committed == kinds_table(), "\n" + kinds_table()
+
+
+def test_one_codec_grep_pin():
+    """No second spelling of the record format: none of the per-kind
+    ``encode_*`` / ``decode_*`` / ``split_*`` names, ``WalRecord``, the
+    union ``CheckpointSnapshot`` or a frame list outside the tests."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    gone = re.compile(
+        r"(encode|decode|split)_(map_update|commit|ckpt_\w+|vpage_update"
+        r"|segment\w*)\b|_encode_segment|WalRecord|CheckpointSnapshot"
+        r"|\._frames\b|\.frames\(\)")
+    paths = [path for pattern in ("src/**/*.py", "benchmarks/bench_*.py",
+                                  "examples/**/*.py", "scripts/*")
+             for path in glob.glob(os.path.join(root, pattern),
+                                   recursive=True)]
+    assert len(paths) > 100
+    hits = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            hits += [f"{os.path.relpath(path, root)}:{number}: {line.strip()}"
+                     for number, line in enumerate(handle, 1)
+                     if gone.search(line)]
+    assert not hits, "\n".join(hits)

@@ -73,6 +73,61 @@ class TestBasicIO:
         assert ftl.stats.trims == 1
 
 
+class TestLbaSpace:
+    """A block device has a size: ``[0, capacity_sectors)`` is the data
+    region, and a range that leaves it is refused before anything moves
+    (at d55e796 ``write(10**9, …)`` succeeded, and ``write(-5, …)`` /
+    ``write(2**70, …)`` raised ``struct.error`` after mutating the map —
+    no checkpoint could ever be written again)."""
+
+    @staticmethod
+    def state(ftl):
+        return (ftl.page_map.snapshot_packed(), len(ftl.buffer),
+                ftl.wal._writer.frame_count(), ftl.wal.used_sectors,
+                ftl.provisioner.free_chunks(), ftl.chunk_table.snapshot(),
+                ftl._next_txn_id, ftl._lock.in_use)
+
+    def test_capacity_is_the_data_region(self):
+        __, media, ftl, __c = make_stack()
+        assert ftl.capacity_sectors == ftl.page_map.capacity == (
+            len(ftl.layout.data_chunk_keys())
+            * media.geometry.sectors_per_chunk)
+
+    @pytest.mark.parametrize("lba", [-5, -1, 10**9, 2**70])
+    def test_out_of_range_ops_change_nothing(self, lba):
+        __, __m, ftl, __c = make_stack()
+        ftl.write(3, b"k" * SS)
+        before = self.state(ftl)
+        for call in (lambda: ftl.write(lba, b"x" * SS),
+                     lambda: ftl.read(lba, 1),
+                     lambda: ftl.trim(lba, 1)):
+            with pytest.raises(FTLError) as raised:
+                call()
+            message = str(raised.value)
+            assert (f"lba {lba}" in message and "1 sector" in message
+                    and str(ftl.capacity_sectors) in message)
+            assert self.state(ftl) == before
+        # The FTL is unharmed: it can still checkpoint, and recover.
+        ftl.flush()
+        ftl.sim.run_until(ftl.sim.spawn(ftl._checkpoint_locked_proc()))
+        assert ftl.read(3, 1) == b"k" * SS
+
+    def test_a_range_must_end_inside_too(self):
+        __, __m, ftl, __c = make_stack()
+        last = ftl.capacity_sectors - 1
+        ftl.write(last, b"z" * SS)
+        assert ftl.read(last, 1) == b"z" * SS
+        before = self.state(ftl)
+        with pytest.raises(FTLError, match=f"2 sector.*lba {last}"):
+            ftl.write(last, b"y" * (2 * SS))
+        with pytest.raises(FTLError, match=f"lba {last}"):
+            ftl.read(last, 2)
+        with pytest.raises(FTLError, match=f"lba {last}"):
+            ftl.trim(last, 2)
+        assert self.state(ftl) == before
+        assert ftl.read(last, 1) == b"z" * SS
+
+
 class TestCrashRecovery:
     def test_flushed_data_survives_crash(self):
         device, media, ftl, config = make_stack()

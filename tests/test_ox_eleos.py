@@ -77,6 +77,46 @@ class TestAppendAndRead:
         assert written < 32 * device.geometry.ws_min
 
 
+class TestRejectedBuffers:
+    """A buffer the WAL could not encode is refused before the lock (at
+    d55e796 a bad page id surfaced as ``struct.error`` after the segment
+    was allocated, written, registered and logged: two such calls leaked
+    two chunks and two orphan ``SEGMENT_NEW`` records)."""
+
+    @pytest.mark.parametrize("pages, match", [
+        ([(-1, b"x" * 100)], "page id -1"),
+        ([(2**64, b"x" * 100)], f"page id {2**64}"),
+        ([(1, b"ok"), ("7", b"x")], "page id '7'"),
+        ([(1, b"ok"), (2.0, b"x")], "page id 2.0"),
+        ([(1, b"ok"), (2, b"")], "page 2"),
+        ([(1, b"ok"), (2, "text")], "page 2"),
+        ([(1, b"ok"), (2, None)], "page 2"),
+    ])
+    def test_rejected_before_anything_is_allocated(self, pages, match):
+        __, __m, ftl, __c = make_stack()
+        ftl.append_buffer([(9, b"keep" * 10)])
+
+        def state():
+            return (ftl.free_chunk_count(), dict(ftl.segments),
+                    dict(ftl.vmap), ftl.wal._writer.frame_count(),
+                    ftl.wal.used_sectors, ftl._next_segment_id,
+                    ftl._next_txn_id, ftl._lock.in_use)
+
+        before = state()
+        for __ in range(2):
+            with pytest.raises(FTLError, match=match):
+                ftl.append_buffer(pages)
+            assert state() == before
+        # Nothing orphaned rides the next commit, and checkpoints work.
+        ftl.append_buffer([(2**64 - 1, bytearray(b"edge")),
+                           (0, memoryview(b"zero"))])
+        ftl.checkpoint()
+        assert ftl.read_page(2**64 - 1) == b"edge"
+        assert ftl.read_page(0) == b"zero"
+        assert ftl.read_page(9) == b"keep" * 10
+        assert sorted(ftl.segments) == [1, 2]
+
+
 class TestSegments:
     def test_segment_chunks_striped_across_pus(self):
         device, __m, ftl, __c = make_stack()

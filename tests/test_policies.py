@@ -331,6 +331,29 @@ class TestWriteLessCache:
         with pytest.raises(ReproError):
             WriteLessCache(object(), WlfcConfig(cache_sectors=-1))
 
+    @pytest.mark.parametrize("lba", [-24, 10**9])
+    def test_out_of_range_is_refused_on_entry(self, lba):
+        """At d55e796 ``write(-24, …)`` was acknowledged and staged, and
+        surfaced as ``struct.error`` only at flush or eviction."""
+        __, ftl, cache = self._cache(cache_sectors=64)
+        cache.write(0, b"a" * SS)
+        for call in (lambda: cache.write(lba, b"x" * SS),
+                     lambda: cache.read(lba, 1),
+                     lambda: cache.trim(lba, 1)):
+            with pytest.raises(ReproError) as raised:
+                call()
+            message = str(raised.value)
+            assert (f"lba {lba}" in message and "1 sector" in message
+                    and str(ftl.capacity_sectors) in message)
+        last = ftl.capacity_sectors - 1
+        with pytest.raises(ReproError, match=f"2 sector.*lba {last}"):
+            cache.write(last, b"x" * (2 * SS))
+        assert list(cache._dirty) == [0]
+        assert cache.stats.host_sectors_written == 1
+        assert ftl.stats.writes == ftl.stats.reads == ftl.stats.trims == 0
+        cache.flush()
+        assert ftl.read(0, 1) == b"a" * SS
+
     def test_readback_through_cache(self):
         __, ftl, cache = self._cache(cache_sectors=64)
         cache.write(0, b"a" * SS + b"b" * SS)

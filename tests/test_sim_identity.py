@@ -21,6 +21,12 @@ scan and get over OX-ZNS and LightLSM — down to the bytes of every block
 and meta blob written and every value delivered (goldens from ea53b43,
 the commit before entries moved a decoded block at a time).
 
+``metadata_greedy`` and ``metadata_eleos_llama`` pin the FTL metadata
+plane's on-media format: a sha256 per writer (WAL, checkpoint) over every
+sector it hands the media manager — payload and OOB tag, in write order —
+during the ``greedy`` and ``eleos_llama`` scenarios (goldens from d55e796,
+the commit before the record codec became one table).
+
 A row moves only when a PR changes simulated behaviour on purpose:
 regenerate with ``PYTHONPATH=src python tests/test_sim_identity.py`` in
 the same commit and say why.
@@ -39,6 +45,7 @@ import pytest
 
 from repro.ocssd.commands import VectorRead
 from repro.ocssd.device import OpenChannelSSD
+from repro.ox.media import MediaManager
 from repro.stack import StackSpec, build_stack
 from repro.units import KIB, MIB
 
@@ -185,6 +192,36 @@ def _run_mixed_shapes(host: str, obs: bool = False):
 
 def _mixed_shapes(host: str):
     return _run_mixed_shapes(host)[1]
+
+
+def _metadata_bytes(scenario, *args):
+    """Run *scenario* hashing every WAL and checkpoint sector on its way
+    to the media manager: the payload (a short tail zero-filled, as it
+    reads back) and the OOB tag, per writer, in write order."""
+    digests = {"wal": hashlib.sha256(), "ckpt": hashlib.sha256()}
+    sectors = dict.fromkeys(digests, 0)
+    write_proc = MediaManager.write_proc
+
+    def hashed_write_proc(self, ppas, data, oob=None, **kwargs):
+        kind = oob[0][0] if oob and isinstance(oob[0], tuple) else None
+        if kind in digests:
+            size = self.geometry.sector_size
+            payload = bytes(data).ljust(len(oob) * size, b"\x00")
+            assert len(payload) == len(oob) * size
+            for index, tag in enumerate(oob):
+                digests[kind].update(payload[index * size:(index + 1) * size])
+                digests[kind].update(repr(tag).encode())
+            sectors[kind] += len(oob)
+        return write_proc(self, ppas, data, oob=oob, **kwargs)
+
+    MediaManager.write_proc = hashed_write_proc
+    try:
+        scenario(*args)
+    finally:
+        MediaManager.write_proc = write_proc
+    return {f"{kind}_{what}": value for kind in digests for what, value in
+            (("sectors", sectors[kind]),
+             ("sha256", digests[kind].hexdigest()[:16]))}
 
 
 def _perf_macro():
@@ -447,6 +484,16 @@ GOLDEN = {'eleos_llama': {'now': 1.2774929687500083,
                 'sectors_written': 39144,
                 'sectors_read': 37800,
                 'reads_crc': 1595401565},
+ # The metadata plane's on-media bytes before the record codec became one
+ # table (captured at d55e796).
+ 'metadata_greedy': {'wal_sectors': 17472,
+                     'wal_sha256': '119229f866a7e654',
+                     'ckpt_sectors': 1752,
+                     'ckpt_sha256': '8189117b52118e87'},
+ 'metadata_eleos_llama': {'wal_sectors': 3432,
+                          'wal_sha256': '815e6528ecb96c88',
+                          'ckpt_sectors': 624,
+                          'ckpt_sha256': 'fc7814b789ac8877'},
  # The pre-policy-plane collector's perf_macro fingerprint.
  'perf_macro': {'sim_seconds': 9.744491, 'events_processed': 78125},
  # The pre-concurrency-plane single-daemon LSM engine (PR 10 baseline).
@@ -511,6 +558,13 @@ def test_mixed_shapes_are_sim_identical(host):
     assert _mixed_shapes(host) == GOLDEN[f"mixed_{host}"]
 
 
+def test_metadata_plane_writes_the_same_bytes():
+    assert _metadata_bytes(_zipf_overwrite_gc, "greedy") \
+        == GOLDEN["metadata_greedy"]
+    assert _metadata_bytes(_eleos_llama_clean_loop) \
+        == GOLDEN["metadata_eleos_llama"]
+
+
 def test_default_policies_keep_the_perf_macro_timeline():
     assert _perf_macro() == GOLDEN["perf_macro"]
 
@@ -561,6 +615,8 @@ if __name__ == "__main__":   # regenerate: PYTHONPATH=src python tests/test_sim_
         golden[policy] = _zipf_overwrite_gc(policy)
     for host in ("none", "wlfc"):
         golden[f"mixed_{host}"] = _mixed_shapes(host)
+    golden["metadata_greedy"] = _metadata_bytes(_zipf_overwrite_gc, "greedy")
+    golden["metadata_eleos_llama"] = _metadata_bytes(_eleos_llama_clean_loop)
     golden["perf_macro"] = _perf_macro()
     golden["lsm_default_fill"] = _lsm_default_fill()
     golden["lsm_zns_scan"] = _lsm_zns_scan()

@@ -280,6 +280,30 @@ class TestBlockCaptureReplay:
                 == captured["events_processed"])
 
 
+    def test_replay_past_the_target_capacity_fails_on_that_op(self, tmp_path):
+        """A block trace recorded on a larger device: the first op the
+        target cannot address stops the replay and names itself (at
+        d55e796 OX-Block mapped any LBA, so it replayed silently)."""
+        stack = build_stack(StackSpec.from_dict(copy.deepcopy(BLOCK_SPEC)))
+        capacity = stack.ftl.capacity_sectors
+        unit = stack.device.geometry.ws_min
+        trace = str(tmp_path / "big.jsonl")
+        write_trace(trace, [
+            TraceOp(t=0.0, layer="block", kind="write", lba=0,
+                    sectors=unit, fill=1),
+            TraceOp(t=0.001, layer="block", kind="write",
+                    lba=capacity - unit, sectors=2 * unit, fill=2),
+            TraceOp(t=0.002, layer="block", kind="read", lba=0, sectors=1),
+        ])
+        with pytest.raises(ReproError) as raised:
+            TraceWorkload.load(trace).run(stack)
+        message = str(raised.value)
+        assert (f"lba {capacity - unit}" in message
+                and f"{2 * unit} sector" in message
+                and str(capacity) in message)
+        assert stack.ftl.stats.writes == 1 and stack.ftl.stats.reads == 0
+
+
 class TestTraceWorkloadValidation:
     def test_cluster_trace_rejected(self):
         ops = [TraceOp(t=0.0, layer="cluster", kind="write", key="1")]

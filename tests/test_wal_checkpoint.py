@@ -10,6 +10,7 @@ from repro.ox.ftl.checkpoint import CheckpointManager
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable
 from repro.ox.ftl.provisioning import MetadataLayout
+from repro.ox.ftl import serial
 from repro.ox.ftl.serial import NO_PPA
 from repro.ox.ftl.wal import (
     WalAppender,
@@ -141,8 +142,8 @@ class TestWal:
 
 class TestCheckpoint:
     def build_state(self, media, layout, entries):
-        page_map = PageMap()
         table = ChunkTable(media.geometry, iter(layout.data_chunk_keys()))
+        page_map = PageMap(table.total_sectors)
         for lba, ppa in entries:
             page_map.update(lba, ppa)
         return page_map, table
@@ -154,10 +155,12 @@ class TestCheckpoint:
         page_map, table = self.build_state(media, layout,
                                            [(i, i * 7) for i in range(500)])
         run(media, manager.write_proc(1, page_map, table, next_txn_id=42))
-        snapshot = run(media, manager.read_latest_proc())
-        assert snapshot.seq == 1
-        assert snapshot.next_txn_id == 42
-        assert dict(snapshot.map_entries) == {i: i * 7 for i in range(500)}
+        seq, next_txn_id, tables = run(media, manager.read_latest_proc())
+        assert (seq, next_txn_id) == (1, 42)
+        assert dict(tables[serial.REC_CKPT_MAP]) \
+            == {i: i * 7 for i in range(500)}
+        assert tables[serial.REC_CKPT_CHUNK] == table.snapshot()
+        assert sorted(tables) == [serial.REC_CKPT_MAP, serial.REC_CKPT_CHUNK]
 
     def test_slots_alternate_and_newest_wins(self):
         device, media = make_media()
@@ -167,15 +170,15 @@ class TestCheckpoint:
         run(media, manager.write_proc(1, page_map, table, 2))
         page_map.update(1, 20)
         run(media, manager.write_proc(2, page_map, table, 3))
-        snapshot = run(media, manager.read_latest_proc())
-        assert snapshot.seq == 2
-        assert dict(snapshot.map_entries)[1] == 20
+        seq, __, tables = run(media, manager.read_latest_proc())
+        assert seq == 2
+        assert tables[serial.REC_CKPT_MAP] == [(1, 20)]
         # The older slot is intact: corrupting the newest falls back.
         slot_b = layout.ckpt_slots[0 if 2 % 2 == 0 else 1]
         run(media, media.reset_proc(Ppa(*slot_b[0], 0)))
-        snapshot = run(media, manager.read_latest_proc())
-        assert snapshot.seq == 1
-        assert dict(snapshot.map_entries)[1] == 10
+        seq, __, tables = run(media, manager.read_latest_proc())
+        assert seq == 1
+        assert tables[serial.REC_CKPT_MAP] == [(1, 10)]
 
     def test_incomplete_checkpoint_ignored(self):
         """A crash mid-checkpoint leaves a footerless slot; recovery must
@@ -187,17 +190,15 @@ class TestCheckpoint:
         run(media, manager.write_proc(1, page_map, table, 2))
 
         # Hand-write a partial "checkpoint 2": header only, no footer.
-        from repro.ox.ftl import serial
         slot = layout.ckpt_slots[0]
         run(media, media.reset_proc(Ppa(*slot[0], 0)))
         writer = serial.FrameWriter(media.geometry.sector_size)
-        writer.append(serial.encode_ckpt_header(2, 0, 0, 9))
+        writer.append(serial.encode(serial.REC_CKPT_HEADER, (2, 0, 0, 9)))
         ppas = [Ppa(*slot[0], i) for i in range(media.geometry.ws_min)]
-        run(media, media.write_proc(ppas, b"".join(writer.frames()),
-                                    fua=True))
+        assert run(media, media.write_proc(ppas, writer.take(),
+                                           fua=True)).ok
 
-        snapshot = run(media, manager.read_latest_proc())
-        assert snapshot.seq == 1
+        assert run(media, manager.read_latest_proc())[0] == 1
 
     def test_fresh_device_has_no_checkpoint(self):
         device, media = make_media()
@@ -206,11 +207,15 @@ class TestCheckpoint:
         assert run(media, manager.read_latest_proc()) is None
 
     def test_oversized_checkpoint_rejected(self):
-        device, media = make_media(chunks=8, pages=6)
+        # A one-chunk slot holds ~254 map entries per sector: a full map
+        # of more than 254 data chunks cannot fit it.
+        device, media = make_media(chunks=80, pages=6)
         layout = MetadataLayout.build(media.geometry, wal_chunk_count=1,
                                       ckpt_chunks_per_slot=1)
         manager = CheckpointManager(media, layout.ckpt_slots)
+        data_sectors = (len(layout.data_chunk_keys())
+                        * media.geometry.sectors_per_chunk)
         page_map, table = self.build_state(
-            media, layout, [(i, i) for i in range(100_000)])
+            media, layout, [(i, i) for i in range(data_sectors)])
         with pytest.raises(FTLError, match="enlarge"):
             run(media, manager.write_proc(1, page_map, table, 2))

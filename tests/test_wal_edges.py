@@ -38,7 +38,7 @@ def frame_buffer(media, records):
     writer = serial.FrameWriter(media.geometry.sector_size)
     for record in records:
         writer.append(record)
-    return b"".join(writer.frames())
+    return writer.take()
 
 
 def write_unit(media, key, start_sector, data, oob):
@@ -106,11 +106,11 @@ class TestTornTail:
     @staticmethod
     def txn_frames(media, txn_id):
         """One write unit holding a complete committed transaction."""
-        update = serial.split_map_update(
-            txn_id, [(txn_id, txn_id * 10, NO_PPA)],
-            media.geometry.sector_size)
+        update = serial.split(
+            serial.REC_MAP_UPDATE, (txn_id,),
+            [(txn_id, txn_id * 10, NO_PPA)], media.geometry.sector_size)
         return frame_buffer(
-            media, list(update) + [serial.encode_commit(txn_id)])
+            media, update + [serial.encode(serial.REC_COMMIT, (txn_id,))])
 
     def setup_ring(self):
         device, media = make_media()
