@@ -12,8 +12,10 @@ tree_before=$(git status --porcelain)
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== bench-side smokes (the ledger harness + every test_*_smoke) =="
-python -m pytest benchmarks -q -k "ledger or smoke"
+echo "== bench-side smokes (the ledger harness + every test_*_smoke) and the §4.3 figure =="
+python -m pytest benchmarks -q -k "ledger or smoke or gc_interference_locality"
+# The figure bench rewrites its tracked results file: same bytes, or fail.
+git diff --exit-code benchmarks/results/gc_locality.txt
 
 echo "== crash-consistency smoke (randomized power cuts) =="
 python -m repro.faults.checker --seeds 20

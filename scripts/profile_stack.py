@@ -16,6 +16,16 @@ the wall time actually goes, twice over:
 2. **Top functions** — the usual cProfile top-N by tottime, for drilling
    into the hot layer.
 
+``--ledger W --sim`` asks the other clock: simulated seconds (and
+entries) inside OX-Block's background work during the workload's timed
+phase — the collector's entry points, the phases of a GC round, the
+checkpoint and its WAL truncation.  The generators are wrapped on the
+built stack and ``sim.now`` differenced; nothing under ``src/`` changes
+and the sim clock is the unprofiled one.  ``--tree PATH`` profiles another
+checkout (a clone of the parent commit, say) and ``--append`` adds the
+report to the results file instead of replacing it, so one file carries
+both sides of an A/B.
+
 ``--sample`` swaps cProfile for a SIGPROF sampler (1 kHz of CPU time):
 cProfile's per-call cost inflates call-heavy Python and charges C-level
 work (namedtuple construction, a slab ``join``'s memcpy) to nobody, so
@@ -28,6 +38,8 @@ Usage (from the repo root)::
     PYTHONPATH=src python scripts/profile_stack.py --bench smoke --top 40
     PYTHONPATH=src python scripts/profile_stack.py examples/specs/lightlsm_smoke.json
     PYTHONPATH=src python scripts/profile_stack.py --ledger oxblock_gc_zipf --sample
+    python scripts/profile_stack.py --ledger oxblock_gc_zipf --sim --tree /root/scratch/parent
+    python scripts/profile_stack.py --ledger oxblock_gc_zipf --sim --append
 
 The report prints and is also written to
 ``benchmarks/results/profile_<name>.txt``.
@@ -46,15 +58,18 @@ from collections import Counter
 from typing import Callable, Dict, List, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
-sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks", "ledger"))
 
-from layers import layer_of  # noqa: E402  (the ledger's attribution table)
+
+def use_tree(root: str) -> None:
+    """Import ``repro``, the benches and the ledger's attribution table
+    (``layers.layer_of``) from the checkout at *root*."""
+    for sub in ("src", "benchmarks", os.path.join("benchmarks", "ledger")):
+        sys.path.insert(0, os.path.join(root, sub))
 
 
 def layer_table(stats: pstats.Stats) -> List[Tuple[str, float, int]]:
     """``(layer, exclusive_seconds, calls)`` rows, hottest first."""
+    from layers import layer_of
     seconds: Dict[str, float] = {}
     calls: Dict[str, int] = {}
     for (filename, _line, _func), row in stats.stats.items():
@@ -79,6 +94,7 @@ def run_sampled(name: str, run: Callable[[], dict], top: int) -> str:
     """Run under a 1 kHz ``ITIMER_PROF`` and report where the samples
     fell: *self* is the running frame, *cumulative* every frame on its
     stack (``yield from`` chains included), once per function."""
+    from layers import layer_of
     self_hits: Counter = Counter()
     cum_hits: Counter = Counter()
 
@@ -152,9 +168,11 @@ def bench_spec(shape: str):
     return stack_spec(cfg, **overrides)
 
 
-def ledger_run(name: str) -> Callable[[], dict]:
+def ledger_run(name: str, sim_rows=None) -> Callable[[], dict]:
     """The timed phase of a ledger workload (seed 1, full scale), set up
-    and prefilled outside the profile as the ledger does."""
+    and prefilled outside the profile as the ledger does.  With
+    *sim_rows* (a dict to fill), OX-Block's background generators are
+    wrapped after the prefill: see :func:`watch_sim_time`."""
     from repro.stack import build_stack
     from workloads import WORKLOADS, Tally
 
@@ -164,10 +182,92 @@ def ledger_run(name: str) -> Callable[[], dict]:
     tally = Tally()
 
     def run() -> dict:
+        if sim_rows is not None:
+            watch_sim_time(stack, sim_rows)
+        started = stack.sim.now
         workload.run(stack, plan, tally)
         return {"attempted": tally.attempted, "raised": tally.raised,
-                "mismatched": tally.mismatched}
+                "mismatched": tally.mismatched,
+                "sim_seconds": round(stack.sim.now - started, 6)}
     return run
+
+
+#: The collector's entry points, as either tree names them.
+COLLECT = ("collect_until_locked_proc", "collect_round_locked_proc",
+           "collect_once_locked_proc", "collect_group_locked_proc")
+
+
+def watch_sim_time(stack, rows: Dict[str, list]) -> None:
+    """Wrap OX-Block's background generators so *rows* fills with
+    ``label -> [entries, active, since, seconds]``: *seconds* is the
+    simulated time during which at least one instance was running (side
+    by side children count once; a nested row is inside its caller's
+    time, as in any cumulative profile).  A tree without a method has no
+    row for it."""
+    ftl = getattr(stack, "ftl", None)
+    if not hasattr(ftl, "gc") or not hasattr(ftl, "checkpointer"):
+        raise SystemExit("--sim needs a workload on an OX-Block stack")
+    sim = stack.sim
+
+    def running(labels) -> bool:
+        return any(rows[label][1] for label in labels if label in rows)
+
+    def watch(owner, method, label, within=(), outside=()):
+        proc = getattr(owner, method, None)
+        if proc is None:
+            return
+        row = rows.setdefault(label, [0, 0, 0.0, 0.0])
+
+        def watched(*args, **kwargs):
+            if (within and not running(within)) or running(outside):
+                return (yield from proc(*args, **kwargs))
+            row[0] += 1
+            if not row[1]:
+                row[2] = sim.now
+            row[1] += 1
+            try:
+                return (yield from proc(*args, **kwargs))
+            finally:
+                row[1] -= 1
+                if not row[1]:
+                    row[3] += sim.now - row[2]
+
+        setattr(owner, method, watched)
+
+    gc, media, wal = ftl.gc, ftl.media, ftl.wal
+    checkpoint = ("OXBlock._do_checkpoint_proc",)
+    for name in COLLECT:
+        watch(gc, name, name)
+    watch(gc, "_find_live_sectors_proc", "  round: scan")
+    watch(media, "copy_proc", "  round: copy")
+    watch(media, "flush_proc", "  round: device flush", COLLECT, checkpoint)
+    watch(wal, "flush_proc", "  round: commit", COLLECT)
+    watch(media, "reset_proc", "  round: reset", COLLECT, checkpoint)
+    watch(ftl, "_do_checkpoint_proc", checkpoint[0])
+    watch(ftl.checkpointer, "write_payload_proc",
+          "  CheckpointManager.write_payload_proc")
+    watch(wal, "truncate_proc", "  WalAppender.truncate_proc")
+    watch(wal, "flush_proc", "WalAppender.flush_proc")
+
+
+def format_sim_report(name: str, tree: str, metrics: dict,
+                      rows: Dict[str, list]) -> str:
+    import subprocess
+    from repro.benchhelpers import git_sha
+    total = metrics["sim_seconds"] or 1.0
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"],
+                           cwd=tree, capture_output=True).stdout.strip()
+    where = (f"{'this tree' if tree == REPO_ROOT else tree}, "
+             f"{git_sha(tree)}{' + uncommitted src/ changes' if dirty else ''}")
+    lines = [f"Sim-time split: {name} ({where})", "",
+             *(f"  {key:>18s} = {value}" for key, value in metrics.items()),
+             "", f"  {'simulated s':>12s} {'share':>6s} {'entries':>8s}  "
+                 "generator (indented: inside the row above it)"]
+    lines += [f"  {seconds:12.3f} {100.0 * seconds / total:5.1f}% "
+              f"{entries:8d}  {label}"
+              for label, (entries, __, __, seconds) in rows.items()
+              if entries]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -182,6 +282,14 @@ def main(argv=None) -> int:
                              "benchmarks/ledger workload instead")
     parser.add_argument("--sample", action="store_true",
                         help="SIGPROF sampling at 1 kHz instead of cProfile")
+    parser.add_argument("--sim", action="store_true",
+                        help="with --ledger: simulated seconds inside "
+                             "OX-Block's GC, checkpoint and WAL generators")
+    parser.add_argument("--tree", default=REPO_ROOT, metavar="PATH",
+                        help="profile the src/ and benchmarks/ of another "
+                             "checkout (default: this one)")
+    parser.add_argument("--append", action="store_true",
+                        help="append the report to the results file")
     parser.add_argument("--top", type=int, default=25, metavar="N",
                         help="functions to list after the layer table "
                              "(default 25)")
@@ -190,8 +298,13 @@ def main(argv=None) -> int:
     if sum(x is not None for x in (args.spec, args.bench, args.ledger)) != 1:
         parser.error("give one of: a spec file, --bench macro|smoke, "
                      "--ledger WORKLOAD")
+    if args.sim and args.ledger is None:
+        parser.error("--sim needs --ledger WORKLOAD")
+    tree = os.path.abspath(args.tree)
+    use_tree(tree)
+    sim_rows: Dict[str, list] = {}
     if args.ledger is not None:
-        run = ledger_run(args.ledger)
+        run = ledger_run(args.ledger, sim_rows if args.sim else None)
         name = f"ledger_{args.ledger}"
     else:
         from repro.stack.runner import run_spec
@@ -204,7 +317,9 @@ def main(argv=None) -> int:
             name = spec.name
         run = lambda: run_spec(spec)   # noqa: E731
 
-    if args.sample:
+    if args.sim:
+        text = format_sim_report(name, tree, run(), sim_rows)
+    elif args.sample:
         text = run_sampled(name, run, max(1, args.top))
     else:
         metrics, stats = run_profiled(run)
@@ -213,8 +328,8 @@ def main(argv=None) -> int:
     results_dir = os.path.join(REPO_ROOT, "benchmarks", "results")
     os.makedirs(results_dir, exist_ok=True)
     path = os.path.join(results_dir, f"profile_{name}.txt")
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
+    with open(path, "a" if args.append else "w") as handle:
+        handle.write(("\n" if args.append else "") + text + "\n")
     print(f"\nreport written to {path}")
     return 0
 

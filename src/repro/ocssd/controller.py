@@ -140,14 +140,16 @@ class Controller:
     # -- write path ---------------------------------------------------------------
 
     def write_run(self, chunk: Chunk, first_sector: int, sectors: int,
-                  fua: bool = False, span=None, tenant=None):
+                  fua: bool = False, span=None, tenant=None, epoch=None):
         """Process generator: timing for a chunk-sequential write already
         admitted into *chunk* (data and write pointer updated by the device
         before this runs).  ``fua`` forces write-through.  *span* is the
         obs parent (the device command span) when tracing is attached;
         *tenant* is the originating :class:`~repro.qos.TenantContext` (or
-        None for infrastructure I/O)."""
-        epoch = self._epoch
+        None for infrastructure I/O); *epoch* the crash epoch of the
+        admission, for a child that takes its first step after it."""
+        if epoch is None:
+            epoch = self._epoch
         chip, __, channel, key = self._ctx[chunk]
         num_bytes = sectors * self.geometry.sector_size
         obs = self.obs
@@ -309,7 +311,8 @@ class Controller:
     # -- read path -----------------------------------------------------------------
 
     def read_run(self, chunk: Chunk, first_sector: int, sectors: int,
-                 span=None, tenant=None, meta_only: bool = False):
+                 span=None, tenant=None, meta_only: bool = False,
+                 epoch=None):
         """Process generator: timing for a chunk-contiguous read.
 
         Sectors above the chunk's flushed pointer are served from controller
@@ -318,7 +321,8 @@ class Controller:
         *meta_only*: same validation, same timing, no payload views), or
         raises :class:`MediaError` on an uncorrectable read.
         """
-        epoch = self._epoch
+        if epoch is None:
+            epoch = self._epoch
         chip, lock, channel, key = self._ctx[chunk]
         payloads = chunk.read(first_sector, sectors, meta_only)
         obs = self.obs

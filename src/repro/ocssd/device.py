@@ -343,10 +343,12 @@ class OpenChannelSSD:
                     view[offset * sector_size:
                          (offset + count) * sector_size],
                     oob[offset:offset + count] if oob is not None else None)
+            # A crash before the children's first step must fail them.
+            epoch = self.controller.epoch
             procs = [self.sim.spawn(
                          self.controller.write_run(chunk, first_sector, count,
                                                    fua=command.fua, span=span,
-                                                   tenant=tenant),
+                                                   tenant=tenant, epoch=epoch),
                          name=f"write{chunk.address.chunk_key()}")
                      for chunk, first_sector, count, __ in runs]
             results = yield self.sim.all_of(procs)
@@ -508,12 +510,14 @@ class OpenChannelSSD:
                 moved[offset * sector_size:(offset + count) * sector_size],
                 oobs[offset:offset + count])
 
+        epoch = self.controller.epoch   # as in _do_write
         def read_timing(chunk: Chunk, first_sector: int, count: int,
                         offset: int):
             try:
                 # Timing only: the payloads moved above.
                 yield from self.controller.read_run(
-                    chunk, first_sector, count, span, command.tenant, True)
+                    chunk, first_sector, count, span, command.tenant, True,
+                    epoch)
             except MediaError:
                 # Data already staged; a source read error during copy is
                 # surfaced through the notification log only.
@@ -524,8 +528,12 @@ class OpenChannelSSD:
         procs += [self.sim.spawn(
                       self.controller.write_run(chunk, first_sector, count,
                                                 span=span,
-                                                tenant=command.tenant),
+                                                tenant=command.tenant,
+                                                epoch=epoch),
                       name="copy-write")
                   for chunk, first_sector, count, __ in dst_runs]
-        yield self.sim.all_of(procs)
-        return Completion(status=_OK)
+        results = yield self.sim.all_of(procs)
+        if all(results[len(src_runs):]):
+            return Completion(status=_OK)
+        return Completion(status=_WRITE_FAILED,
+                          error="copy destination not programmed")

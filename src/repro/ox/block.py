@@ -564,7 +564,7 @@ class OXBlock:
 
         Called before the transaction stages anything, so the collector
         sees a consistent mapping table and may even checkpoint between
-        victims to relieve WAL pressure.  Raises
+        rounds to relieve WAL pressure.  Raises
         :class:`OutOfSpaceError` when collection cannot free enough.
         """
         stalled = 0
@@ -573,10 +573,10 @@ class OXBlock:
         try:
             while self.provisioner.sectors_available("user") < sectors:
                 before = self.provisioner.sectors_available("user")
-                progressed = yield from self.gc.collect_once_locked_proc()
-                # "Recycled a chunk" is not the same as "freed space": on a
-                # device full of live data GC can relocate a nearly-live
-                # victim and spend as many sectors as it frees, forever.
+                progressed = yield from self.gc.collect_round_locked_proc(
+                    self.geometry.pus_per_group)   # as wide as the group
+                # "Recycled" is not "freed space": on a device full of
+                # live data GC can spend as many sectors as it frees.
                 # Tolerate one zero-gain round (the gain can land a round
                 # late when relocation opens a fresh gc chunk), then give up.
                 if progressed \

@@ -9,16 +9,19 @@ within the *marked group* only, relocation targets are allocated in the
 same group (a dedicated "gc" provisioning stream), and all GC media
 traffic therefore contends only with I/O to that one group.
 
-Relocation is crash-safe by ordering: device-internal copy, device flush
-(copies durable), WAL commit of the map updates, only then the victim
-reset.  Validity is re-checked under the dispatch lock after the copy, so
-a user overwrite racing the relocation can never be undone.
+Background work is as wide as the marked group: a *round* takes at most
+one victim per parallel unit, so its scans, copies and erases run side by
+side.  A round is crash-safe by ordering, as one victim would be:
+device-internal copy, device flush (copies durable), one WAL commit of all
+the map updates, only then the resets.  Validity is re-checked under the
+dispatch lock after the copy, so a user overwrite racing the relocation
+can never be undone.
 
 Two more rules keep crashes survivable:
 
-* A victim is only collected if its live data *fits* in the group's
-  remaining GC space (checked up front) — GC runs because space is low,
-  so an allocation failure halfway through a relocation would strand
+* A round only takes victims whose live data *fits*, summed, in the
+  group's remaining GC space (checked up front) — GC runs because space is
+  low, so an allocation failure halfway through a relocation would strand
   copies that were made but never committed.
 * A victim sector whose mapping points elsewhere is only *dead* if that
   superseding copy is durable.  If the newer copy still sits in the write
@@ -30,7 +33,7 @@ Two more rules keep crashes survivable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.errors import OutOfSpaceError
 from repro.ocssd.address import Ppa, PpaRun
@@ -59,7 +62,7 @@ class GcStats:
 
 
 class GarbageCollector:
-    """Recycles invalid space, one marked group at a time.
+    """Recycles invalid space, one round in the marked group at a time.
 
     Every ``*_locked_proc`` generator must be driven while the caller holds
     the FTL dispatch lock: GC mutates the mapping table, chunk metadata and
@@ -79,7 +82,7 @@ class GarbageCollector:
         # unless a hub was attached before the FTL stack was built.
         self.obs = media.sim.obs
         # QoS (repro.qos): inherited the same way; when present, GC yields
-        # to backlogged foreground reads before starting each victim.
+        # to backlogged foreground reads before starting each round.
         self.qos = media.sim.qos
         self.geometry = media.geometry
         self.page_map = page_map
@@ -89,16 +92,13 @@ class GarbageCollector:
         self.next_txn_id = next_txn_id
         # An acked transaction with sectors still staged in the FTL write
         # buffer can be dropped whole by recovery, rolling its lbas back
-        # to mappings a reset would erase.  The FTL reports that state
-        # (volatile_pending) and offers a barrier that clears it
-        # (stabilize_proc: pad the partial unit, drain the device).
+        # to mappings a reset would erase.  The FTL reports that state and
+        # offers the barrier that clears it (pad the unit, drain).
         self.volatile_pending = volatile_pending
         self.stabilize_proc = stabilize_proc
-        # Relocation commits consume WAL space but never truncate it; a
-        # long collection run could exhaust the ring for everyone.  The
-        # FTL provides a between-victims pressure valve (checkpoint) that
-        # is safe to run exactly here: no transaction is mid-stage while
-        # GC holds the dispatch lock.
+        # Relocation commits consume WAL space but never truncate it; the
+        # FTL's pressure valve (checkpoint) is safe between rounds: no
+        # transaction is mid-stage while GC holds the dispatch lock.
         self.wal_relief_proc = wal_relief_proc
         self.marked_group = 0
         self.stats = GcStats()
@@ -136,81 +136,54 @@ class GarbageCollector:
             self.obs.metrics.gauge("ftl.gc.waf").set(
                 (host + self.stats.sectors_relocated) / host)
 
-    def _fits(self, victim: FtlChunkInfo) -> bool:
-        """Would the victim's live data fit in its group's GC space?
-
-        Victims are scanned least-live first, so when the smallest one
-        does not fit, nothing in the group does.  Worst case: every live
-        sector needs relocating, plus padding to a whole write unit.
-        """
-        if not victim.valid_count:
-            return True
-        needed = -(-victim.valid_count // self.geometry.ws_min)
-        return self.provisioner.units_available(
-            "gc", group=victim.key[0]) >= needed
-
     # -- collection ---------------------------------------------------------------------
 
-    def collect_once_locked_proc(self):
-        """Collect one victim; returns True if a chunk was reclaimed.
-
-        Victims that cannot be collected right now — no relocation space
-        in their group, or live data superseded only by not-yet-durable
-        copies — are skipped and the next candidate (or group) is tried,
-        so a collector running *because* space is low degrades to a no-op
-        instead of raising out of the daemon.
-        """
+    def collect_round_locked_proc(self, limit: int):
+        """Collect one round of at most *limit* victims in the marked
+        group; returns the number of chunks reclaimed.  A group with
+        nothing collectable right now — no relocation space, or only
+        unsafe victims — passes the mark on, so a collector running
+        *because* space is low degrades to a no-op instead of raising."""
         for __ in range(self.geometry.num_groups):
-            for victim in self.victims(self.marked_group):
-                if not self._fits(victim):
-                    self._count_skip_no_space()
-                    break
-                done = yield from self._relocate_and_reset_proc(victim)
-                if done:
-                    return True
+            done = yield from self._round_proc(self.marked_group, limit)
+            if done:
+                return done
             self.marked_group = (self.marked_group + 1) \
                 % self.geometry.num_groups
             self.stats.group_rotations += 1
-        return False
+        return 0
 
-    def collect_group_locked_proc(self, group: int,
-                                  max_victims: int = 0):
-        """Collect victims of *group* only — no rotation.  Used when the
-        caller wants the paper's group-confined interference window (the
-        GC-locality experiment).  Returns the number of chunks recycled.
-        """
+    def collect_group_locked_proc(self, group: int, max_victims: int = 0):
+        """Rounds over *group* only — no rotation.  Used when the caller
+        wants the paper's group-confined interference window (the
+        GC-locality experiment).  Returns the number of chunks recycled."""
         recycled = 0
         while not max_victims or recycled < max_victims:
-            progressed = False
-            for victim in self.victims(group):
-                if not self._fits(victim):
-                    self._count_skip_no_space()
-                    break
-                done = yield from self._relocate_and_reset_proc(victim)
-                if done:
-                    progressed = True
-                    recycled += 1
-                    break
-            if not progressed:
+            done = yield from self._round_proc(
+                group, max_victims - recycled if max_victims
+                else self.geometry.pus_per_group)
+            if not done:
                 break
+            recycled += done
         return recycled
 
     def collect_until_locked_proc(self, target_free: int):
         """Collect until the free pool reaches *target_free* chunks (or no
-        victims remain); returns the number of chunks recycled."""
+        victims remain), a round never taking more victims than the pool
+        is short of; returns the number of chunks recycled."""
         recycled = 0
         stalled = 0
         while self.provisioner.free_chunks() < target_free:
             before = self.provisioner.free_chunks()
-            progressed = yield from self.collect_once_locked_proc()
-            if not progressed:
+            done = yield from self.collect_round_locked_proc(
+                target_free - before)
+            if not done:
                 break
-            recycled += 1
-            # Recycling a victim is not always a net gain: relocating a
-            # nearly-live chunk can consume a fresh gc chunk for every
-            # chunk it frees.  Two zero-gain rounds in a row means the
-            # pool cannot be grown right now — stop instead of churning
-            # (and burning erase cycles) under the lock forever.
+            recycled += done
+            # Recycling is not always a net gain: relocating nearly-live
+            # chunks can consume a fresh gc chunk for every chunk freed.
+            # Two zero-gain rounds in a row: the pool cannot be grown now —
+            # stop churning (and burning erase cycles) under the lock.
             if self.provisioner.free_chunks() > before:
                 stalled = 0
             else:
@@ -219,68 +192,101 @@ class GarbageCollector:
                     break
         return recycled
 
-    def _relocate_and_reset_proc(self, victim: FtlChunkInfo):
-        """Relocate the victim's live data and reset it.
+    def _round_proc(self, group: int, limit: int):
+        """One round over *group*: its candidates in the policy's order,
+        at most one per parallel unit and *limit* in all, while their
+        live data — worst case every live sector relocated, each victim
+        padded to whole write units — still fits the group's GC space."""
+        ws_min = self.geometry.ws_min
+        budget = self.provisioner.units_available("gc", group=group)
+        victims: List[FtlChunkInfo] = []
+        busy_pus: Set[int] = set()      # membership only, never iterated
+        for victim in self.victims(group):
+            if victim.key[1] in busy_pus:
+                continue
+            budget -= -(-victim.valid_count // ws_min)
+            if budget < 0:
+                # Least-live first: what follows fits no better.
+                if not victims:
+                    self._count_skip_no_space()
+                break
+            victims.append(victim)
+            busy_pus.add(victim.key[1])
+            if len(victims) == limit:
+                break
+        return (yield from self._recycle_proc(victims)) if victims else 0
 
-        Returns True when the victim was reclaimed (recycled or retired),
-        False when collection was deferred or aborted.
+    def _recycle_proc(self, victims: List[FtlChunkInfo]):
+        """Relocate the victims' live data and reset them, as one batch:
+        scans side by side, one durability barrier if any scan asks for
+        it, one vector copy, one device flush, one WAL commit, resets side
+        by side.  Returns the number of victims reclaimed (recycled or
+        retired); deferred and aborted ones stay as they are.
         """
         if self.qos is not None:
             # Background work yields while foreground reads are queued
             # (bounded, so GC always makes progress eventually).
             yield from self.qos.background_gate_proc()
-        key = victim.key
-        base = Ppa(*key, 0)
         obs = self.obs
         span = None
         if obs is not None:
-            # One root span per victim: GC runs are background work, not
-            # nested under any foreground command.
+            # A root span: GC is background work, under no host command.
             span = obs.begin("ftl.gc", "collect")
             collect_started = self.sim.now
-        info = self.media.chunk_info(base)
-        live, unsafe = yield from self._find_live_sectors_proc(
-            key, info.write_pointer, parent=span)
-        if unsafe or self.volatile_pending():
-            # Unsafe sector: superseded only by a not-yet-durable copy.
-            # Volatile pending: an acked txn still has staged sectors, so
-            # recovery could drop it whole and fall back to mappings into
-            # this victim.  A device flush handles cache-resident data;
-            # the FTL barrier (pad + drain) handles the staged tail.
+        # (victim, its chunk's address, live sectors, unsafe count)
+        targets = [(victim, Ppa(*victim.key, 0)) for victim in victims]
+        jobs = yield from self._scan_proc(targets, span)
+        if self.volatile_pending() or any(job[3] for job in jobs):
+            # A device flush handles cache-resident superseding copies;
+            # the FTL barrier handles an acked txn's staged tail.
             yield from self.media.flush_proc()
-            if self.volatile_pending():
-                try:
+            try:
+                if self.volatile_pending():
                     yield from self.stabilize_proc()
-                except OutOfSpaceError:
-                    # Padding the partial unit needs an allocation; when
-                    # even that fails, the victim cannot be made safe.
-                    self._count_deferral_unsafe()
-                    if obs is not None:
-                        obs.end(span, outcome="deferred")
-                    return False
-            # The barrier may have padded a staged partial unit into this
-            # very victim (its volatile tail is what made it unsafe),
-            # advancing the write pointer — re-read it, or the re-scan
-            # misses the freshly landed sectors and the reset destroys
-            # their only copy.
-            info = self.media.chunk_info(base)
-            live, unsafe = yield from self._find_live_sectors_proc(
-                key, info.write_pointer, parent=span)
-            if unsafe or self.volatile_pending():
+                # The barrier may have padded a staged partial unit into a
+                # victim and advanced its write pointer: scan again up to
+                # where it is now, or the reset destroys the only copy of
+                # the freshly landed sectors.
+                jobs = yield from self._scan_proc(targets, span)
+            except OutOfSpaceError:
+                jobs = []    # no room even for the pad: nothing is safe
+            if self.volatile_pending():
+                jobs = []
+            jobs = [job for job in jobs if not job[3]]
+            for __ in range(len(victims) - len(jobs)):
                 self._count_deferral_unsafe()
-                if obs is not None:
-                    obs.end(span, outcome="deferred")
-                return False
-        if live:
-            moved = yield from self._relocate_proc(key, live, parent=span)
-            if not moved:
-                if obs is not None:
-                    obs.end(span, outcome="aborted")
-                return False
-        # Copies (if any) are durable and remapped; the victim holds only
-        # dead data now.
+        moves = [(victim.key, live) for victim, __, live, __ in jobs if live]
+        aborted = yield from self._relocate_round_proc(moves, span)
+        jobs = [job for job in jobs if job[0].key not in aborted]
+        # Copies are durable and remapped: the victims hold dead data.
+        yield from self.sim.join_proc(
+            [self._reset_proc(*job[:2], span) for job in jobs], "gc-reset")
+        if jobs:
+            yield from self.wal_relief_proc()
+        if obs is not None:
+            obs.end(span, victims=len(jobs),
+                    relocated=sum(len(live) for __, live in moves))
+            obs.metrics.counter("ftl.gc.chunks_recycled").increment(
+                len(jobs))
+            obs.metrics.histogram("ftl.gc.collect_s").record(
+                self.sim.now - collect_started)
+        self._update_waf_gauge()
+        return len(jobs)
+
+    def _scan_proc(self, targets: list, parent=None):
+        """*targets* with each one's ``(live, unsafe)`` appended: scanned
+        side by side, up to the chunk's write pointer as it is now."""
+        found = yield from self.sim.join_proc(
+            [self._find_live_sectors_proc(
+                victim.key, self.media.chunk_info(base).write_pointer,
+                parent) for victim, base in targets], "gc-scan")
+        return [(*target, *scan) for target, scan in zip(targets, found)]
+
+    def _reset_proc(self, victim: FtlChunkInfo, base: Ppa, parent=None):
+        """Reset one relocated victim and free (or retire) its chunk."""
+        key = victim.key
         victim.valid_count = 0
-        completion = yield from self.media.reset_proc(base, parent=span)
+        completion = yield from self.media.reset_proc(base, parent=parent)
         self.stats.resets += 1
         if completion.ok:
             self.provisioner.release_chunk(key)
@@ -288,18 +294,9 @@ class GarbageCollector:
         else:
             self.provisioner.retire_chunk(key)
             self.stats.reset_failures += 1
-            if obs is not None:
-                obs.error("ftl.gc", "reset-failed",
-                          completion.error or str(base))
-        yield from self.wal_relief_proc()
-        if obs is not None:
-            obs.end(span, outcome="recycled" if completion.ok else "retired",
-                    relocated=len(live))
-            obs.metrics.counter("ftl.gc.chunks_recycled").increment()
-            obs.metrics.histogram("ftl.gc.collect_s").record(
-                self.sim.now - collect_started)
-        self._update_waf_gauge()
-        return True
+            if self.obs is not None:
+                self.obs.error("ftl.gc", "reset-failed",
+                               completion.error or str(key))
 
     def _find_live_sectors_proc(self, key: ChunkKey, write_pointer: int,
                                 parent=None):
@@ -348,55 +345,64 @@ class GarbageCollector:
                 unsafe += 1
         return live, unsafe
 
-    def _relocate_proc(self, key: ChunkKey, live: List[Tuple[int, int]],
-                       parent=None):
-        """Copy *live* (the scan's list: non-empty, ascending) out of the
-        victim and commit the moves; returns True on success, False when
-        allocation ran dry mid-relocation."""
+    def _relocate_round_proc(self, moves: List[Tuple[ChunkKey, list]],
+                             parent=None):
+        """Copy each victim's *live* list (its scan's: non-empty,
+        ascending) out of it — one vector copy, every run of it side by
+        side — and commit all the moves in one transaction.  Returns the
+        keys of the victims it had to leave: allocation ran dry on them."""
         ws_min = self.geometry.ws_min
         per_chunk = self.geometry.sectors_per_chunk
         table = self.chunk_table
-        base = table.get(key).linear * per_chunk
-        # Source runs: consecutive live sectors travel together.
-        sectors = [sector for sector, __ in live]
+        plans = []      # (victim key, live, [(unit chunk, first linear)])
         src: List[PpaRun] = []
-        start = sectors[0]
-        for previous, sector in zip(sectors, sectors[1:] + [None]):
-            if sector != previous + 1:
-                src.append(PpaRun(key, start, previous - start + 1))
-                start = sector
-        # Pad the relocation to whole write units by recopying an arbitrary
-        # sector (each pad its own one-sector read); pads carry NO_PPA in
-        # their destination OOB so a later GC scan of the destination chunk
-        # sees them as unowned.
-        pad = (-len(live)) % ws_min
-        src += [PpaRun(key, sectors[-1], 1)] * pad
-        lbas = [lba for __, lba in live] + [NO_PPA] * pad
-        # One destination run per allocated unit.
         dst: List[PpaRun] = []
-        units: List[Tuple[ChunkKey, int]] = []   # (chunk, first linear)
-        try:
-            for __ in range(0, len(lbas), ws_min):
-                unit_key, first = self.provisioner.allocate_unit(
-                    "gc", group=key[0])
-                units.append((unit_key,
-                              table.get(unit_key).linear * per_chunk + first))
-                dst.append(PpaRun(unit_key, first, ws_min))
-        except OutOfSpaceError:
-            # _fits() said this would fit, so accounting drifted; don't
-            # raise out of the collector.  Pad out the units already taken
-            # as dead sectors so provisioner cursors and device write
-            # pointers stay aligned, then skip the victim.
-            if dst:
-                taken = len(dst) * ws_min
-                completion = yield from self.media.write_proc(
-                    dst, b"", oob=[NO_PPA] * taken, parent=parent)
-                self.media.require_ok(completion, "GC relocation abort pad")
-            self._count_skip_no_space()
-            return False
-        completion = yield from self.media.copy_proc(src, dst, dst_oob=lbas,
-                                                     parent=parent)
-        self.media.require_ok(completion, "GC relocation copy")
+        lbas: List[int] = []
+        dead: List[PpaRun] = []     # units taken for a victim then left
+        aborted: List[ChunkKey] = []
+        for key, live in moves:
+            # One destination run per allocated unit.
+            units: List[Tuple[ChunkKey, int]] = []
+            runs: List[PpaRun] = []
+            try:
+                for __ in range(0, len(live), ws_min):
+                    unit_key, first = self.provisioner.allocate_unit(
+                        "gc", group=key[0])
+                    units.append(
+                        (unit_key,
+                         table.get(unit_key).linear * per_chunk + first))
+                    runs.append(PpaRun(unit_key, first, ws_min))
+            except OutOfSpaceError:
+                # The round was sized to fit, so accounting drifted.  The
+                # units already taken are padded out as dead sectors so
+                # cursors and write pointers stay aligned; the victim stays.
+                self._count_skip_no_space()
+                aborted.append(key)
+                dead += runs
+                continue
+            plans.append((key, live, units))
+            dst += runs
+            # Source runs: consecutive live sectors travel together.
+            sectors = [sector for sector, __ in live]
+            start = sectors[0]
+            for previous, sector in zip(sectors, sectors[1:] + [None]):
+                if sector != previous + 1:
+                    src.append(PpaRun(key, start, previous - start + 1))
+                    start = sector
+            # Pad to whole write units by recopying an arbitrary sector
+            # (each pad its own one-sector read); a pad's destination OOB
+            # is NO_PPA, so a later GC scan there sees it as unowned.
+            pad = (-len(live)) % ws_min
+            src += [PpaRun(key, sectors[-1], 1)] * pad
+            lbas += [lba for __, lba in live] + [NO_PPA] * pad
+        if dead:
+            self.media.require_ok((yield from self.media.write_proc(
+                dead, b"", oob=[NO_PPA] * len(dead) * ws_min,
+                parent=parent)), "GC relocation abort pad")
+        if not plans:
+            return aborted
+        self.media.require_ok((yield from self.media.copy_proc(
+            src, dst, dst_oob=lbas, parent=parent)), "GC relocation copy")
         yield from self.media.flush_proc()
 
         # Re-validate under the (held) dispatch lock and commit the moves,
@@ -406,26 +412,30 @@ class GarbageCollector:
         entries: List[Tuple[int, int, int]] = []
         lookup = self.page_map.lookup
         update = self.page_map.update
-        for index, (unit_key, unit_base) in enumerate(units):
-            before = len(entries)
-            start = index * ws_min
-            for new_linear, (sector, lba) in enumerate(
-                    live[start:start + ws_min], unit_base):
-                old_linear = base + sector
-                if lookup(lba) != old_linear:
-                    continue   # overwritten while we copied; copy is garbage
-                update(lba, new_linear)
-                entries.append((lba, new_linear, old_linear))
-            moved = len(entries) - before
-            if moved:
-                table.add_valid(unit_key, moved, ticks=moved)
+        for key, live, units in plans:
+            base = table.get(key).linear * per_chunk
+            left = len(entries)
+            for index, (unit_key, unit_base) in enumerate(units):
+                before = len(entries)
+                start = index * ws_min
+                for new_linear, (sector, lba) in enumerate(
+                        live[start:start + ws_min], unit_base):
+                    old_linear = base + sector
+                    if lookup(lba) != old_linear:
+                        continue   # overwritten while we copied: garbage
+                    update(lba, new_linear)
+                    entries.append((lba, new_linear, old_linear))
+                moved = len(entries) - before
+                if moved:
+                    table.add_valid(unit_key, moved, ticks=moved)
+            if len(entries) > left:
+                table.invalidate(key, len(entries) - left)
         self.stats.sectors_relocated += len(entries)
-        if self.obs is not None and entries:
-            self.obs.metrics.counter(
-                "ftl.gc.sectors_relocated").increment(len(entries))
         if entries:
-            table.invalidate(key, len(entries))
+            if self.obs is not None:
+                self.obs.metrics.counter(
+                    "ftl.gc.sectors_relocated").increment(len(entries))
             self.wal.append_map_update(txn, entries)
             self.wal.append_commit(txn)
             yield from self.wal.flush_proc(parent=parent)
-        return True
+        return aborted

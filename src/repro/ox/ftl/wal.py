@@ -124,16 +124,23 @@ class WalAppender:
         """Process generator: reset the ring and restart at *new_epoch*.
 
         Only call after a checkpoint with sequence *new_epoch* is durable —
-        everything in the old log is then redundant.
+        everything in the old log is then redundant, so the dirty chunks
+        (striped over group 0's PUs) are erased side by side: whatever a
+        crash leaves of them holds no sector of the new epoch.
         """
+        resets = []
         for key in self.chunks:
-            info = self.media.chunk_info(Ppa(*key, 0))
-            if info.write_pointer == 0 and info.state.value == "free":
-                continue
-            completion = yield from self.media.reset_proc(Ppa(*key, 0))
-            self.media.require_ok(completion, "WAL truncate")
+            ppa = Ppa(*key, 0)
+            info = self.media.chunk_info(ppa)
+            if info.write_pointer or info.state.value != "free":
+                resets.append(self._reset_proc(ppa))
+        yield from self.sim.join_proc(resets, "wal-truncate")
         self.epoch = new_epoch
         self.used_sectors = 0
+
+    def _reset_proc(self, ppa: Ppa):
+        self.media.require_ok((yield from self.media.reset_proc(ppa)),
+                              "WAL truncate")
 
 
 class WalReader:

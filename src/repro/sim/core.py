@@ -38,7 +38,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 
 ProcessGenerator = Generator["Event", Any, Any]
 
@@ -400,6 +400,35 @@ class Simulator:
                 event._callbacks.append(make_callback(index))
         return done
 
+    def join_proc(self, generators: list, name: str = "join"):
+        """Process generator: run *generators* side by side and return
+        their values in input order; a single one runs inline (no spawn
+        and join for parallelism that is not there).  The caller owns the
+        children: a :class:`ReproError` in one is raised only once every
+        sibling has finished, an :class:`Interrupt` is passed on to them.
+        """
+        if len(generators) < 2:
+            return [(yield from generators[0])] if generators else []
+
+        def guarded(generator):
+            try:
+                return (yield from generator)
+            except ReproError as failure:
+                return failure
+
+        children = [self.spawn(guarded(generator), name)
+                    for generator in generators]
+        try:
+            results = yield self.all_of(children)
+        except Interrupt as stop:
+            for child in children:
+                child.interrupt(stop.cause)
+            raise
+        for result in results:
+            if isinstance(result, ReproError):
+                raise result
+        return results
+
     # -- scheduling internals ----------------------------------------------
 
     def _push(self, when: float, entry: Any) -> None:
@@ -491,7 +520,8 @@ class Simulator:
         buckets = self._buckets
         pop_time = heapq.heappop
         processed = self.events_processed
-        event_processed = False
+        # A processed event answers without touching queue or clock.
+        event_processed = event._processed
         try:
             while not event_processed:
                 if not times:

@@ -51,7 +51,7 @@ class TestRelocationPads:
         live_before = victim.valid_count
         assert 0 < live_before < media.geometry.ws_min
 
-        assert run(media, ftl.gc._relocate_and_reset_proc(victim))
+        assert run(media, ftl.gc._recycle_proc([victim]))
 
         new_ppa = media.geometry.delinearize(ftl.page_map.lookup(0))
         assert new_ppa.chunk_key() != victim_key
@@ -78,7 +78,7 @@ class TestRelocationPads:
         ftl.flush()
         victim = ftl.chunk_table.get(
             media.geometry.delinearize(ftl.page_map.lookup(0)).chunk_key())
-        assert run(media, ftl.gc._relocate_and_reset_proc(victim))
+        assert run(media, ftl.gc._recycle_proc([victim]))
 
         dst_key = media.geometry.delinearize(
             ftl.page_map.lookup(0)).chunk_key()

@@ -1,0 +1,289 @@
+"""The GC round (§4.3): as wide as the marked group, one commit.
+
+Invariants after every round, locality of its device traffic, and power
+cuts / ``kill -9`` at each step of its ordering: copies -> device flush ->
+durable commit -> resets.  The round-vs-reference equivalence lives in
+``tests/test_reclaim_accounting.py``.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from repro.errors import ReproError
+from repro.faults import FaultInjector, FaultPlan
+from repro.nand import FlashGeometry
+from repro.ocssd import (
+    ChunkReset, DeviceGeometry, OpenChannelSSD, Ppa, VectorCopy, VectorRead,
+    VectorWrite)
+from repro.ox import BlockConfig, MediaManager, OXBlock
+
+SS = 4096
+CONFIG = dict(wal_chunk_count=8, ckpt_chunks_per_slot=1)
+
+
+def run(media, gen):
+    return media.sim.run_until(media.sim.spawn(gen))
+
+
+def aged(seed=0, overwrites=150, fill=0.4, **config):
+    """2 groups x 4 PUs, *fill* of the data region written, then random
+    overwrites and trims; returns what every LBA must now read."""
+    geometry = DeviceGeometry(
+        num_groups=2, pus_per_group=4,
+        flash=FlashGeometry(blocks_per_plane=8, pages_per_block=6))
+    media = MediaManager(OpenChannelSSD(geometry=geometry))
+    ftl = OXBlock.format(media, BlockConfig(**{**CONFIG, **config}))
+    rng = random.Random(seed)
+    unit = geometry.ws_min
+    span = int(ftl.capacity_sectors * fill) // unit * unit
+    expected = {}
+
+    def write(lba, sectors, fill):
+        ftl.write(lba, bytes([fill]) * (SS * sectors))
+        expected.update((lba + i, bytes([fill]) * SS)
+                        for i in range(sectors))
+
+    for lba in range(0, span, unit):
+        write(lba, unit, lba % 251)
+    for version in range(overwrites):
+        lba = rng.randrange(span - 8)
+        if rng.random() < 0.15:
+            ftl.trim(lba)
+            expected.pop(lba, None)
+        else:
+            write(lba, rng.randint(1, 8), version % 251)
+    ftl.flush()
+    return media, ftl, expected, write
+
+
+def watch_rounds(ftl, after=lambda victims: None):
+    """Record every round's ``(marked group, victim keys)``; *after* runs
+    when a round is over."""
+    rounds = []
+    recycle = ftl.gc._recycle_proc
+
+    def recycle_proc(victims):
+        rounds.append((victims[0].key[0], [v.key for v in victims]))
+        done = yield from recycle(victims)
+        after(victims)
+        return done
+
+    ftl.gc._recycle_proc = recycle_proc
+    return rounds
+
+
+def assert_reads(ftl, expected):
+    for lba, payload in expected.items():
+        assert ftl.read(lba, 1) == payload, lba
+
+
+# -- invariants ------------------------------------------------------------------
+
+@pytest.mark.parametrize("policy",
+                         ["greedy", "cost_benefit", "age_partitioned"])
+def test_invariants_hold_after_every_round(policy):
+    """Daemon-driven rounds under an overwrite storm: every victim in the
+    marked group, no two on one PU, valid counts and the map agree, no
+    physical sector mapped twice, GC space never overdrawn."""
+    media, ftl, expected, write = aged(
+        overwrites=0, gc_policy=policy, gc_low_watermark=14,
+        gc_high_watermark=20)
+    gc, table = ftl.gc, ftl.chunk_table
+
+    def invariants(victims):
+        group = victims[0].key[0]
+        assert gc.marked_group == group
+        assert all(victim.key[0] == group for victim in victims)
+        assert len({victim.key[1] for victim in victims}) == len(victims)
+        mapped = list(ftl.page_map.items())
+        assert sum(info.valid_count for info in table.values()) \
+            == len(mapped)
+        assert len({linear for __, linear in mapped}) == len(mapped)
+        assert ftl.provisioner.units_available("gc", group) >= 0
+
+    rounds = watch_rounds(ftl, invariants)
+    rng = random.Random(7)
+    span = max(expected) - 8
+    for version in range(400):
+        write(rng.randrange(span), rng.randint(1, 8), version % 251)
+    ftl.flush()
+    assert len(rounds) > 10
+    assert max(len(keys) for __, keys in rounds) == 4     # the group's width
+    assert gc.stats.chunks_recycled == sum(len(keys) for __, keys in rounds)
+    assert_reads(ftl, expected)
+
+
+def test_round_never_overshoots_the_high_watermark():
+    media, ftl, expected, write = aged(gc_enabled=False)
+    rounds = watch_rounds(ftl)
+    free = ftl.provisioner.free_chunks()
+    assert run(media, ftl.gc.collect_until_locked_proc(free + 2)) >= 2
+    assert [len(keys) for __, keys in rounds][0] == 2
+    assert all(len(keys) <= 2 for __, keys in rounds)
+    assert run(media, ftl.gc.collect_group_locked_proc(1, max_victims=3)) == 3
+
+
+# -- locality --------------------------------------------------------------------
+
+def test_round_traffic_stays_in_the_marked_group():
+    """While a round is in flight every device command addresses the
+    marked group — or the FTL's own metadata chunks in group 0 (the WAL
+    commit, a pressure checkpoint)."""
+    media, ftl, expected, __ = aged(gc_enabled=False)
+    device = media.device
+    metadata = ftl.layout.metadata_chunk_keys()
+    seen = []
+    submit = device.submit
+
+    def spy(command, parent=None):
+        if isinstance(command, ChunkReset):
+            keys = {command.ppa.chunk_key()}
+        elif isinstance(command, VectorCopy):
+            keys = {run_.key for run_ in [*command.src, *command.dst]}
+        else:
+            assert isinstance(command, (VectorRead, VectorWrite))
+            ppas = command.ppas
+            keys = {run_.key for run_ in
+                    (ppas if isinstance(ppas, list) else [ppas])}
+        seen.append((type(command).__name__, keys))
+        return submit(command, parent)
+
+    device.submit = spy
+    ftl.gc.marked_group = 1
+    rounds = watch_rounds(ftl)
+    assert run(media, ftl.gc.collect_group_locked_proc(1)) > 4
+    assert max(len(keys) for __, keys in rounds) == 4
+    kinds = {kind for kind, __ in seen}
+    assert {"VectorRead", "VectorCopy", "ChunkReset", "VectorWrite"} <= kinds
+    for kind, keys in seen:
+        assert all(key[0] == 1 or key in metadata for key in keys), \
+            (kind, keys)
+    assert any(key in metadata for __, keys in seen for key in keys)
+    assert_reads(ftl, expected)
+
+
+# -- power cuts at each step of the ordering ---------------------------------------
+
+def recover(media, ftl, injector):
+    ftl.crash()
+    while True:   # drain what the cut abandoned mid-op
+        try:
+            media.sim.run()
+            break
+        except ReproError:
+            continue
+    injector.quiesce()
+    injector.restore_power()
+    return OXBlock.recover(MediaManager(media.device), ftl.config)[0]
+
+
+def cut_round(step):
+    """One four-wide round over group 1 with power cut at *step*; returns
+    the recovered FTL and what the scenario knew before the cut."""
+    media, ftl, expected, __ = aged(gc_enabled=False)
+    injector = FaultInjector(FaultPlan())
+    injector.attach(media.device)
+    gc, sim = ftl.gc, media.sim
+    rounds = watch_rounds(ftl)
+
+    def cut_after(proc):
+        def wrapped(*args, **kwargs):
+            result = yield from proc(*args, **kwargs)
+            injector.power_cut()
+            return result
+        return wrapped
+
+    if step == "copied":        # copies durable, nothing committed
+        media.flush_proc = cut_after(media.flush_proc)
+    elif step == "committed":   # commit durable, nothing reset
+        ftl.wal.flush_proc = cut_after(ftl.wal.flush_proc)
+    else:                       # 1 ms into the 3.5 ms erases
+        reset_proc = media.reset_proc
+
+        def cutting_reset_proc(ppa, parent=None):
+            def cutter():
+                yield sim.timeout(1e-3)
+                injector.power_cut()
+            sim.spawn(cutter())
+            return reset_proc(ppa, parent)
+
+        media.reset_proc = cutting_reset_proc
+    old_map = dict(ftl.page_map.items())
+    try:
+        run(media, gc._round_proc(1, 4))
+    except ReproError:
+        pass
+    assert injector.tripped and len(rounds[0][1]) == 4
+    victims = rounds[0][1]
+    moved = {lba for lba, linear in old_map.items()
+             if media.geometry.delinearize(linear).chunk_key() in victims}
+    assert moved
+    new_map = dict(ftl.page_map.items())
+    recovered = recover(media, ftl, injector)
+    return recovered, expected, victims, moved, old_map, new_map
+
+
+def test_cut_between_copy_and_commit_keeps_every_old_mapping():
+    ftl, expected, victims, moved, old_map, __ = cut_round("copied")
+    assert dict(ftl.page_map.items()) == old_map
+    for key in victims:      # intact: nothing was reset
+        assert ftl.media.chunk_info(Ppa(*key, 0)).write_pointer \
+            == ftl.geometry.sectors_per_chunk
+    assert_reads(ftl, expected)
+
+
+def test_cut_between_commit_and_resets_keeps_every_new_mapping():
+    ftl, expected, victims, moved, old_map, new_map = cut_round("committed")
+    recovered = dict(ftl.page_map.items())
+    assert recovered == new_map
+    assert all(recovered[lba] != old_map[lba] for lba in moved)
+    assert_reads(ftl, expected)
+
+
+def test_cut_mid_reset_recovers_every_payload():
+    ftl, expected, victims, moved, old_map, new_map = cut_round("resetting")
+    assert dict(ftl.page_map.items()) == new_map
+    assert_reads(ftl, expected)
+    # The half-erased victims are usable again.
+    assert run(ftl.media, ftl.gc.collect_group_locked_proc(1)) > 0
+    assert_reads(ftl, expected)
+
+
+def test_crash_with_a_round_in_flight_leaves_no_child_behind():
+    """``kill -9`` while the daemon's round has children in the device:
+    they die with the daemon, and nothing of the old instance issues a
+    command to the recovered device."""
+    media, ftl, expected, __ = aged()     # aged with the daemon asleep
+    config = ftl.config
+    ftl.config = replace(config, gc_low_watermark=64, gc_high_watermark=64)
+    sim = media.sim
+    children = []
+    spawn = sim.spawn
+    sim.spawn = lambda generator, name="": (
+        children.append(spawn(generator, name)), children[-1])[1]
+    rounds = watch_rounds(ftl)
+    ftl._poke_gc()
+    while not (len(rounds) == 1 and ftl.gc.stats.sectors_relocated
+               and any(child.name == "gc-reset" and child.is_alive
+                       for child in children)):
+        sim.step()
+    sim.step()
+    assert len(rounds[0][1]) == 4
+    ftl.crash()
+    sim.spawn = spawn
+    sim.run()
+    assert all(not child.is_alive for child in children
+               if child.name.startswith("gc-"))
+    assert len(rounds) == 1 and ftl.gc.stats.resets == 0
+
+    stale = []
+    for name in ("read_proc", "write_proc", "copy_proc", "reset_proc",
+                 "flush_proc"):
+        setattr(media, name, lambda *args, _n=name, **kw: stale.append(_n))
+    recovered, __ = OXBlock.recover(MediaManager(media.device), config)
+    recovered.flush()
+    sim.run()
+    assert stale == []
+    assert_reads(recovered, expected)

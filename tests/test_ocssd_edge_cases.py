@@ -11,6 +11,8 @@ from repro.ocssd import (
     DeviceGeometry,
     OpenChannelSSD,
     Ppa,
+    PpaRun,
+    VectorCopy,
     VectorWrite,
 )
 from repro.ocssd.cache import WriteBackCache
@@ -87,6 +89,61 @@ class TestCopySemantics:
         completion = tiny().copy([Ppa(0, 0, 0, 0)], [])
         assert completion.status is CommandStatus.INVALID
         assert "1 sources but 0 destinations" in completion.error
+
+
+class TestCrashBetweenAdmissionAndFirstStep:
+    """A vector command admits synchronously, then spawns one controller
+    child per run.  A power cut in that same instant — after admission,
+    before the children take their first step — must fail the command,
+    not let its children adopt the post-crash epoch and queue flush jobs
+    for sectors the crash just rolled back (which killed the PU's flusher
+    and deadlocked every later drain)."""
+
+    def crash_after_admission(self, device, command, key):
+        sim = device.sim
+        ws = device.geometry.ws_min
+        proc = sim.spawn(device.submit(command))
+        while device.chunk_info(Ppa(*key, 0)).write_pointer != ws:
+            sim.step()
+        device.crash_volatile()
+        sim.run()
+        return proc.value
+
+    def assert_failed_clean(self, device, completion, keys):
+        assert completion.status is CommandStatus.WRITE_FAILED
+        for key in keys:
+            info = device.chunk_info(Ppa(*key, 0))
+            assert (info.write_pointer, info.flushed_pointer) == (0, 0)
+        # Every flusher survived: a later write still drains.
+        assert device.write(PpaRun(keys[0], 0, device.geometry.ws_min),
+                            b"after").ok
+        device.flush()
+        assert device.chunk_info(Ppa(*keys[0], 0)).flushed_pointer \
+            == device.geometry.ws_min
+
+    def test_multi_run_write(self):
+        device = tiny()
+        ws = device.geometry.ws_min
+        keys = [(0, 0, 0), (0, 1, 0)]
+        completion = self.crash_after_admission(
+            device,
+            VectorWrite([PpaRun(key, 0, ws) for key in keys], b"w" * 64),
+            keys[0])
+        self.assert_failed_clean(device, completion, keys)
+
+    def test_copy(self):
+        device = tiny()
+        ws = device.geometry.ws_min
+        source = PpaRun((1, 0, 0), 0, 2 * ws)
+        assert device.write(source, b"s" * 64).ok
+        device.flush()
+        keys = [(0, 0, 0), (0, 1, 0)]
+        completion = self.crash_after_admission(
+            device, VectorCopy(src=source,
+                               dst=[PpaRun(key, 0, ws) for key in keys]),
+            keys[0])
+        self.assert_failed_clean(device, completion, keys)
+        assert device.chunk_info(Ppa(1, 0, 0, 0)).write_pointer == 2 * ws
 
 
 class TestCacheBackPressure:

@@ -10,7 +10,7 @@ the live ratio, and the ``delinearize``-per-sector victim scan.
 import random
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, invariant, precondition, rule)
 
@@ -260,7 +260,7 @@ def test_gc_victim_scan_matches_the_delinearize_reference(seed):
     # One relocation, so some chunk carries NO_PPA pads in its OOB.
     victim = next(info for info in ftl.gc.victims(0)
                   if info.valid_count % unit)
-    assert run(media, ftl.gc._relocate_and_reset_proc(victim))
+    assert run(media, ftl.gc._recycle_proc([victim]))
     for __ in range(12):                      # superseders left volatile
         ftl.write(rng.randrange(span), bytes([7]) * SS)
 
@@ -286,11 +286,18 @@ def test_gc_victim_scan_matches_the_delinearize_reference(seed):
 
 # -- OX-Block GC relocation commit ---------------------------------------------------
 
+def relocate_round_of_one_proc(gc, key, live):
+    """The collector's relocation, for a round of this one victim."""
+    aborted = yield from gc._relocate_round_proc([(key, live)])
+    return key not in aborted
+
+
 def relocate_per_sector_proc(gc, key, live, parent=None):
-    """``GarbageCollector._relocate_proc`` as it was before addresses
-    travelled as runs: one ``Ppa`` per source and destination sector, one
-    ``add_valid`` (one clock tick) and one ``invalidate`` per moved
-    sector.  Kept verbatim as the definition the run form must equal."""
+    """The collector's relocation of one victim as it was before
+    addresses travelled as runs and victims as rounds: one ``Ppa`` per
+    source and destination sector, one ``add_valid`` (one clock tick) and
+    one ``invalidate`` per moved sector, one transaction per victim.  Kept
+    verbatim as the definition the round must equal."""
     ws_min = gc.geometry.ws_min
     per_chunk = gc.geometry.sectors_per_chunk
     table = gc.chunk_table
@@ -444,8 +451,7 @@ def test_gc_relocation_commit_matches_the_per_sector_reference(policy, seed):
     device and the sim clock exactly where one ``Ppa``, one ``add_valid``
     and one ``invalidate`` per sector did — so every victim policy orders
     the next victims the same."""
-    by_run = relocated_twin(
-        policy, seed, lambda gc, *args: gc._relocate_proc(*args))
+    by_run = relocated_twin(policy, seed, relocate_round_of_one_proc)
     by_sector = relocated_twin(policy, seed, relocate_per_sector_proc)
     assert by_run == by_sector
     assert any(outcome for *__, outcome in by_run["outcomes"])
@@ -458,11 +464,98 @@ def test_gc_relocation_abort_pads_the_same_units():
     """GC space running dry mid-relocation: the units already taken are
     padded out as dead sectors by one write of destination runs, as the
     per-sector vector was, and the victim is skipped."""
-    by_run = relocated_twin(
-        "greedy", 0, lambda gc, *args: gc._relocate_proc(*args),
-        units_left=1)
+    by_run = relocated_twin("greedy", 0, relocate_round_of_one_proc,
+                            units_left=1)
     by_sector = relocated_twin("greedy", 0, relocate_per_sector_proc,
                                units_left=1)
     assert by_run == by_sector
     assert [outcome for *__, outcome in by_run["outcomes"]].count(False) \
         and by_run["skips"]
+
+
+# -- OX-Block GC round vs. the per-sector reference, victim by victim -----------------
+
+def aged_block(policy, history):
+    """An OX-Block (2 groups x 4 PUs, GC off) filled over two chunks per
+    PU of group 0 and then put through *history* — ``(lba, sectors)``
+    overwrites, ``sectors == 0`` a trim — with the payloads it must now
+    return."""
+    geometry = DeviceGeometry(
+        num_groups=2, pus_per_group=4,
+        flash=FlashGeometry(blocks_per_plane=8, pages_per_block=6))
+    media = MediaManager(OpenChannelSSD(geometry=geometry))
+    ftl = OXBlock.format(media, BlockConfig(
+        wal_chunk_count=8, ckpt_chunks_per_slot=1, gc_enabled=False,
+        gc_policy=policy))
+    unit = geometry.ws_min
+    span = 16 * geometry.sectors_per_chunk
+    expected = {}
+    for lba in range(0, span, unit):
+        ftl.write(lba, bytes([lba % 251]) * (SS * unit))
+        expected.update((lba + i, bytes([lba % 251]) * SS)
+                        for i in range(unit))
+    for version, (lba, sectors) in enumerate(history, 1):
+        sectors = min(sectors, span - lba)
+        if not sectors:
+            ftl.trim(lba)
+            expected.pop(lba, None)
+            continue
+        fill = bytes([(lba + version) % 251]) * SS
+        ftl.write(lba, fill * sectors)
+        expected.update((lba + i, fill) for i in range(sectors))
+    ftl.flush()
+    return media, ftl, expected
+
+
+def round_state(media, ftl, expected):
+    table, provisioner = ftl.chunk_table, ftl.provisioner
+    assert {lba: ftl.read(lba, 1) for lba in expected} == expected
+    assert sorted(lba for lba, __ in ftl.page_map.items()) \
+        == sorted(expected)
+    return {
+        "map": list(ftl.page_map.items()),
+        "valid": [(info.key, info.state, info.valid_count)
+                  for info in table.values()],
+        "free": sorted(key for queue in provisioner._free.values()
+                       for key in queue),
+        "recycled": ftl.gc.stats.chunks_recycled,
+        "relocated": ftl.gc.stats.sectors_relocated,
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(policy=st.sampled_from(["greedy", "cost_benefit", "age_partitioned"]),
+       width=st.integers(1, 4),
+       history=st.lists(st.tuples(st.integers(0, 16 * 48 - 1),
+                                  st.integers(0, 30)),
+                        min_size=5, max_size=60))
+def test_gc_round_matches_sequential_per_sector_runs(policy, width, history):
+    """One round of *width* victims — one commit, one flush, everything
+    else side by side — leaves the map, every chunk's valid count, the
+    free pool and every readable payload exactly where the per-sector
+    reference, run over the same victims one after another, leaves them.
+    (The WAL bytes differ: one transaction, not *width*.)"""
+    media, ftl, expected = aged_block(policy, history)
+    chosen = []
+    recycle = ftl.gc._recycle_proc
+    ftl.gc._recycle_proc = lambda victims: (
+        chosen.extend(victim.key for victim in victims), recycle(victims))[1]
+    done = run(media, ftl.gc._round_proc(0, width))
+    assert done == len(chosen) <= width
+    assert len({key[:2] for key in chosen}) == len(chosen)   # one per PU
+    assert all(key[0] == 0 for key in chosen)
+    by_round = round_state(media, ftl, expected)
+
+    media, ftl, expected = aged_block(policy, history)
+    gc = ftl.gc
+    for key in chosen:
+        live, unsafe = run(media, gc._find_live_sectors_proc(
+            key, media.chunk_info(Ppa(*key, 0)).write_pointer))
+        assert not unsafe
+        if live:
+            assert run(media, relocate_per_sector_proc(gc, key, live))
+        assert ftl.chunk_table.get(key).valid_count == 0
+        assert media.reset(Ppa(*key, 0)).ok
+        ftl.provisioner.release_chunk(key)
+        gc.stats.chunks_recycled += 1
+    assert round_state(media, ftl, expected) == by_round

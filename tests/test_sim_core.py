@@ -316,10 +316,18 @@ def _randomized_storm(sim, seed, workers=8, ops=40):
                     return delay
                 yield sim.spawn(child(rng.randrange(0, 5) * 0.5))
             latencies.append((wid, round(sim.now - started, 9)))
+        return wid, sim.now
 
-    done = sim.all_of([sim.spawn(worker(wid)) for wid in range(workers)])
-    sim.run_until(done)
-    return latencies
+    procs = [sim.spawn(worker(wid)) for wid in range(workers)]
+    done = sim.all_of(procs)
+    # Awaited in a shuffled order, then all over again: most of these
+    # events are already processed when run_until is handed them.
+    awaited = []
+    order = _random.Random(seed).sample(procs, len(procs))
+    for event in order + [done] + procs + [done]:
+        awaited.append((sim.run_until(event), sim.now,
+                        sim.events_processed))
+    return latencies, awaited
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 11, 29])
@@ -329,9 +337,51 @@ def test_engine_equivalence_randomized(seed):
     runs = []
     for engine in (Simulator, HeapqSimulator):
         sim = engine()
-        latencies = _randomized_storm(sim, seed)
-        runs.append((sim.now, sim.events_processed, latencies))
+        latencies, awaited = _randomized_storm(sim, seed)
+        runs.append((sim.now, sim.events_processed, latencies, awaited))
     calendar, heapq_ref = runs
     assert calendar[0] == heapq_ref[0]      # identical clocks
     assert calendar[1] == heapq_ref[1]      # identical event counts
     assert calendar[2] == heapq_ref[2]      # identical op latencies
+    # ... and identical answers, clocks and counts after every await,
+    # of an unprocessed event or a processed one.
+    assert calendar[3] == heapq_ref[3]
+    # The second pass (after the first ``done``) awaited only finished
+    # events: it left clock and count where the first pass ended.
+    first_pass = len(calendar[3]) // 2
+    assert {entry[1:] for entry in calendar[3][first_pass - 1:]} \
+        == {calendar[3][-1][1:]}
+
+
+@pytest.mark.parametrize("engine", ["Simulator", "HeapqSimulator"])
+def test_run_until_a_processed_event_moves_nothing(engine):
+    """Awaiting a finished event answers from the event: the queue is
+    not stepped and the clock stays (the calendar engine used to run one
+    more entry — here to t=5.0 — or call an empty queue a deadlock)."""
+    from repro.sim import core
+
+    sim = getattr(core, engine)()
+
+    def sleeper(delay, value):
+        yield sim.timeout(delay)
+        return value
+
+    first = sim.spawn(sleeper(1.0, 7))
+    second = sim.spawn(sleeper(5.0, 8))
+    assert sim.run_until(first) == 7
+    stamp = (sim.now, sim.events_processed)
+    assert sim.run_until(first) == 7
+    assert (sim.now, sim.events_processed) == stamp and sim.now == 1.0
+    assert sim.run_until(second) == 8 and sim.now == 5.0
+    assert sim.queue_empty()
+    assert sim.run_until(first) == 7       # empty queue: no "deadlock"
+
+    def failing():
+        yield sim.timeout(0.5)
+        raise KeyError("boom")
+
+    failed = sim.spawn(failing())
+    for __ in range(2):                    # the defused failure, again
+        with pytest.raises(KeyError):
+            sim.run_until(failed)
+    assert sim.now == 5.5

@@ -386,9 +386,13 @@ def _lsm_lightlsm_get():
     return _lsm_row(stack, written, delivered)
 
 
-# Captured at c0a1c8d by `PYTHONPATH=src python tests/test_sim_identity.py`.
-GOLDEN = {'eleos_llama': {'now': 1.2774929687500083,
-                 'events': 4913,
+# Captured by `PYTHONPATH=src python tests/test_sim_identity.py`.  Every row
+# whose scenario collects, checkpoints or truncates (the eight before the
+# LSM ones) was regenerated when GC became rounds as wide as the marked
+# group and the WAL truncation a join (PR 21: the sim clock moved on
+# purpose; CHANGES.md lists old -> new); the LSM rows are older.
+GOLDEN = {'eleos_llama': {'now': 1.189992968750007,
+                 'events': 5113,
                  'eleos': {'buffers_appended': 85,
                            'pages_appended': 670,
                            'bytes_appended': 3424005,
@@ -404,98 +408,98 @@ GOLDEN = {'eleos_llama': {'now': 1.2774929687500083,
                            'segments_cleaned': 58,
                            'pages_relocated': 126},
                  'segments_crc': 2939749507},
- 'greedy': {'now': 6.261639453124616,
-            'events': 11182,
-            'gc': {'chunks_recycled': 327,
-                   'sectors_relocated': 7008,
-                   'resets': 327,
+ 'greedy': {'now': 5.057951562499724,
+            'events': 12998,
+            'gc': {'chunks_recycled': 332,
+                   'sectors_relocated': 7296,
+                   'resets': 332,
                    'reset_failures': 0,
-                   'group_rotations': 125,
+                   'group_rotations': 145,
                    'skips_no_space': 0,
                    'deferrals_unsafe': 0},
-            'clock': 7423,
-            'sectors_written': 36192,
-            'sectors_read': 22857},
- 'cost_benefit': {'now': 6.417034765624603,
-                  'events': 11397,
-                  'gc': {'chunks_recycled': 332,
-                         'sectors_relocated': 7296,
-                         'resets': 332,
+            'clock': 7711,
+            'sectors_written': 34968,
+            'sectors_read': 23481},
+ 'cost_benefit': {'now': 4.900779687499733,
+                  'events': 13213,
+                  'gc': {'chunks_recycled': 338,
+                         'sectors_relocated': 7560,
+                         'resets': 338,
                          'reset_failures': 0,
-                         'group_rotations': 131,
+                         'group_rotations': 151,
                          'skips_no_space': 0,
                          'deferrals_unsafe': 0},
-                  'clock': 7711,
-                  'sectors_written': 36816,
-                  'sectors_read': 23433},
- 'age_partitioned': {'now': 6.425016015624601,
-                     'events': 11413,
-                     'gc': {'chunks_recycled': 333,
-                            'sectors_relocated': 7344,
-                            'resets': 333,
+                  'clock': 7975,
+                  'sectors_written': 34800,
+                  'sectors_read': 24033},
+ 'age_partitioned': {'now': 5.032448437499722,
+                     'events': 13070,
+                     'gc': {'chunks_recycled': 335,
+                            'sectors_relocated': 7392,
+                            'resets': 335,
                             'reset_failures': 0,
-                            'group_rotations': 109,
+                            'group_rotations': 149,
                             'skips_no_space': 0,
                             'deferrals_unsafe': 0},
-                     'clock': 7759,
-                     'sectors_written': 36912,
-                     'sectors_read': 23433},
- # The two mixed-shape rows: captured at aaf8de2, before the foreground
- # lanes became one.
- 'mixed_none': {'now': 5.142454687499562,
-                'events': 27974,
+                     'clock': 7807,
+                     'sectors_written': 34968,
+                     'sectors_read': 23625},
+ # The two mixed-shape rows (every foreground read/write shape).
+ 'mixed_none': {'now': 4.5787996093746965,
+                'events': 32898,
                 'block': {'writes': 390,
                           'reads': 237,
                           'trims': 20,
                           'sectors_written': 7573,
                           'sectors_read': 727,
-                          'checkpoints': 30,
-                          'forced_checkpoints': 29,
+                          'checkpoints': 27,
+                          'forced_checkpoints': 26,
                           'chunks_retired': 0,
                           'sectors_lost': 0},
-                'gc': {'chunks_recycled': 194,
-                       'sectors_relocated': 12363,
-                       'resets': 194,
+                'gc': {'chunks_recycled': 235,
+                       'sectors_relocated': 16054,
+                       'resets': 235,
                        'reset_failures': 0,
                        'group_rotations': 0,
                        'skips_no_space': 0,
                        'deferrals_unsafe': 0},
-                'sectors_written': 38040,
-                'sectors_read': 36741,
+                'sectors_written': 40224,
+                'sectors_read': 47897,
                 'reads_crc': 1595401565},
- 'mixed_wlfc': {'now': 5.4500312499995305,
-                'events': 26536,
+ 'mixed_wlfc': {'now': 4.158032421874749,
+                'events': 27156,
                 'block': {'writes': 455,
                           'reads': 223,
                           'trims': 20,
                           'sectors_written': 7158,
                           'sectors_read': 684,
-                          'checkpoints': 33,
-                          'forced_checkpoints': 32,
+                          'checkpoints': 29,
+                          'forced_checkpoints': 28,
                           'chunks_retired': 0,
                           'sectors_lost': 0},
-                'gc': {'chunks_recycled': 190,
-                       'sectors_relocated': 12127,
-                       'resets': 190,
+                'gc': {'chunks_recycled': 180,
+                       'sectors_relocated': 11720,
+                       'resets': 180,
                        'reset_failures': 0,
                        'group_rotations': 0,
                        'skips_no_space': 0,
                        'deferrals_unsafe': 0},
-                'sectors_written': 39144,
-                'sectors_read': 37800,
+                'sectors_written': 35832,
+                'sectors_read': 37582,
                 'reads_crc': 1595401565},
- # The metadata plane's on-media bytes before the record codec became one
- # table (captured at d55e796).
- 'metadata_greedy': {'wal_sectors': 17472,
-                     'wal_sha256': '119229f866a7e654',
-                     'ckpt_sectors': 1752,
-                     'ckpt_sha256': '8189117b52118e87'},
+ # The metadata plane's on-media bytes (metadata_eleos_llama: captured at
+ # d55e796, before the record codec became one table, and unchanged since).
+ 'metadata_greedy': {'wal_sectors': 16080,
+                     'wal_sha256': '13134aeb18827db7',
+                     'ckpt_sectors': 1632,
+                     'ckpt_sha256': '4329b4edd0d300d9'},
  'metadata_eleos_llama': {'wal_sectors': 3432,
                           'wal_sha256': '815e6528ecb96c88',
                           'ckpt_sectors': 624,
                           'ckpt_sha256': 'fc7814b789ac8877'},
- # The pre-policy-plane collector's perf_macro fingerprint.
- 'perf_macro': {'sim_seconds': 9.744491, 'events_processed': 78125},
+ # The default policies' perf_macro fingerprint (9.744491 s / 78125 events
+ # until its checkpoints' WAL truncation became a join).
+ 'perf_macro': {'sim_seconds': 7.906991, 'events_processed': 80150},
  # The pre-concurrency-plane single-daemon LSM engine (PR 10 baseline).
  'lsm_default_fill': {'sim_seconds': 0.60142025,
                       'events_processed': 27861,
@@ -536,11 +540,12 @@ def test_zipf_overwrite_gc_is_sim_identical(gc_policy):
 def test_gc_scenario_builds_no_per_sector_addresses(monkeypatch):
     """A deterministic cost pin (counts, not clocks): ``Ppa`` objects
     constructed per host write over the greedy scenario above.  146.7
-    while every vector was one ``Ppa`` per sector (c4f051a); 4.63 now
-    that addresses travel as runs — what is left is one
-    ``Ppa(*key, 0)`` per chunk-info probe and reset, and the victim
-    scan's ``delinearize`` per superseding chunk.  The bound may only go
-    down without a CHANGES note."""
+    while every vector was one ``Ppa`` per sector (c4f051a); 4.63 once
+    addresses travelled as runs; 3.65 now that a victim (and a WAL ring
+    chunk) shares one ``Ppa(*key, 0)`` between its chunk-info probe and
+    its reset — what is left is that, and the victim scan's
+    ``delinearize`` per superseding chunk.  The bound may only go down
+    without a CHANGES note."""
     from repro.ocssd.address import Ppa
     from repro.ox.block import OXBlock
     made, writes = [], []

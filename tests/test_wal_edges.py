@@ -176,3 +176,50 @@ class TestTruncate:
         run(media, appender.truncate_proc(new_epoch=2))
         assert all(device.chunks[key].wear_index == 0
                    for key in layout.wal_chunks)
+
+    def test_truncate_erases_the_ring_side_by_side(self):
+        """The ring is striped over group 0's PUs: a full truncate takes
+        as long as the busiest PU's erases, not the sum of all of them."""
+        device, media = make_media()
+        layout = layout_for(media)            # 4 chunks over 2 PUs
+        assert len({key[:2] for key in layout.wal_chunks}) == 2
+        appender = WalAppender(media, layout.wal_chunks, epoch=0)
+        while appender.used_sectors < appender.capacity_sectors:
+            appender.append_commit(0)
+            run(media, appender.flush_proc())
+        erase = device.chips[(0, 0)].timing.erase_time()
+        started = media.sim.now
+        run(media, appender.truncate_proc(new_epoch=1))
+        assert media.sim.now - started == pytest.approx(2 * erase)
+        assert [device.chunks[key].wear_index
+                for key in layout.wal_chunks] == [1, 1, 1, 1]
+        assert (appender.epoch, appender.used_sectors) == (1, 0)
+
+    def test_failed_reset_fails_the_truncate_once_siblings_are_done(self):
+        from repro.errors import MediaError
+        from repro.faults import FaultInjector, FaultPlan
+
+        device, media = make_media()
+        layout = layout_for(media)
+        appender = WalAppender(media, layout.wal_chunks, epoch=0)
+        while appender.used_sectors < appender.capacity_sectors:
+            appender.append_commit(0)
+            run(media, appender.flush_proc())
+        used = appender.used_sectors
+        bad = layout.wal_chunks[1]
+        FaultInjector(FaultPlan(grown_bad={bad: 1})).attach(device)
+        children = []
+        spawn = media.sim.spawn
+        media.sim.spawn = lambda generator, name="": (
+            children.append(spawn(generator, name)), children[-1])[1]
+        with pytest.raises(MediaError, match="WAL truncate"):
+            run(media, appender.truncate_proc(new_epoch=1))
+        # Not advanced: the log of epoch 0 is still the log.
+        assert (appender.epoch, appender.used_sectors) == (0, used)
+        # The failure surfaced only after every sibling erase finished.
+        joined = [child for child in children
+                  if child.name == "wal-truncate"]
+        assert len(joined) == 4 and not any(c.is_alive for c in joined)
+        assert [device.chunks[key].wear_index
+                for key in layout.wal_chunks if key != bad] == [1, 1, 1]
+        media.sim.run()      # nothing left behind to fail later
