@@ -17,14 +17,16 @@ the wall time actually goes, twice over:
    into the hot layer.
 
 ``--ledger W --sim`` asks the other clock: simulated seconds (and
-entries) inside OX-Block's background work during the workload's timed
-phase — the collector's entry points, the phases of a GC round, the
-checkpoint and its WAL truncation.  The generators are wrapped on the
-built stack and ``sim.now`` differenced; nothing under ``src/`` changes
-and the sim clock is the unprofiled one.  ``--tree PATH`` profiles another
-checkout (a clone of the parent commit, say) and ``--append`` adds the
-report to the results file instead of replacing it, so one file carries
-both sides of an A/B.
+entries) inside the FTL's generators during the workload's timed phase —
+on an OX-Block stack the collector's entry points, the phases of a GC
+round, the checkpoint and its WAL truncation; on an OX-ELEOS stack the
+LLAMA engine's flush / read / clean, the FTL's append / read / free /
+checkpoint, the WAL flush and the chunk resets.  The generators are
+wrapped on the built stack and ``sim.now`` differenced; nothing under
+``src/`` changes and the sim clock is the unprofiled one.  ``--tree PATH``
+profiles another checkout (a clone of the parent commit, say) and
+``--append`` adds the report to the results file instead of replacing it,
+so one file carries both sides of an A/B.
 
 ``--sample`` swaps cProfile for a SIGPROF sampler (1 kHz of CPU time):
 cProfile's per-call cost inflates call-heavy Python and charges C-level
@@ -40,6 +42,7 @@ Usage (from the repo root)::
     PYTHONPATH=src python scripts/profile_stack.py --ledger oxblock_gc_zipf --sample
     python scripts/profile_stack.py --ledger oxblock_gc_zipf --sim --tree /root/scratch/parent
     python scripts/profile_stack.py --ledger oxblock_gc_zipf --sim --append
+    python scripts/profile_stack.py --ledger eleos_llama --sim
 
 The report prints and is also written to
 ``benchmarks/results/profile_<name>.txt``.
@@ -171,8 +174,8 @@ def bench_spec(shape: str):
 def ledger_run(name: str, sim_rows=None) -> Callable[[], dict]:
     """The timed phase of a ledger workload (seed 1, full scale), set up
     and prefilled outside the profile as the ledger does.  With
-    *sim_rows* (a dict to fill), OX-Block's background generators are
-    wrapped after the prefill: see :func:`watch_sim_time`."""
+    *sim_rows* (a dict to fill), the FTL's generators are wrapped after
+    the prefill: see :func:`watch_sim_time`."""
     from repro.stack import build_stack
     from workloads import WORKLOADS, Tally
 
@@ -198,15 +201,14 @@ COLLECT = ("collect_until_locked_proc", "collect_round_locked_proc",
 
 
 def watch_sim_time(stack, rows: Dict[str, list]) -> None:
-    """Wrap OX-Block's background generators so *rows* fills with
+    """Wrap the stack's FTL generators (OX-Block's background work, or
+    LLAMA's and OX-ELEOS's every entry point) so *rows* fills with
     ``label -> [entries, active, since, seconds]``: *seconds* is the
     simulated time during which at least one instance was running (side
     by side children count once; a nested row is inside its caller's
     time, as in any cumulative profile).  A tree without a method has no
     row for it."""
     ftl = getattr(stack, "ftl", None)
-    if not hasattr(ftl, "gc") or not hasattr(ftl, "checkpointer"):
-        raise SystemExit("--sim needs a workload on an OX-Block stack")
     sim = stack.sim
 
     def running(labels) -> bool:
@@ -234,6 +236,18 @@ def watch_sim_time(stack, rows: Dict[str, list]) -> None:
 
         setattr(owner, method, watched)
 
+    if hasattr(ftl, "free_segment_proc"):       # OX-ELEOS under LLAMA
+        for method in ("flush_proc", "read_proc", "clean_once_proc"):
+            watch(stack.engine, method, f"LlamaEngine.{method}")
+        for method in ("append_buffer_proc", "read_page_proc",
+                       "free_segment_proc", "_do_checkpoint_proc"):
+            watch(ftl, method, f"OXEleos.{method}")
+        watch(ftl.wal, "flush_proc", "wal.flush_proc")
+        watch(ftl.media, "reset_proc", "media.reset_proc")
+        return
+    if not hasattr(ftl, "gc") or not hasattr(ftl, "checkpointer"):
+        raise SystemExit(
+            "--sim needs a workload on an OX-Block or OX-ELEOS stack")
     gc, media, wal = ftl.gc, ftl.media, ftl.wal
     checkpoint = ("OXBlock._do_checkpoint_proc",)
     for name in COLLECT:
@@ -284,7 +298,8 @@ def main(argv=None) -> int:
                         help="SIGPROF sampling at 1 kHz instead of cProfile")
     parser.add_argument("--sim", action="store_true",
                         help="with --ledger: simulated seconds inside "
-                             "OX-Block's GC, checkpoint and WAL generators")
+                             "the FTL's generators (OX-Block background "
+                             "work, or LLAMA over OX-ELEOS)")
     parser.add_argument("--tree", default=REPO_ROOT, metavar="PATH",
                         help="profile the src/ and benchmarks/ of another "
                              "checkout (default: this one)")

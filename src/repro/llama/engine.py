@@ -145,16 +145,17 @@ class LlamaEngine:
         __, segment_id = min(candidates)
         live_pids = ftl.segment_live_pages(segment_id)
         if live_pids:
-            batch: List[Tuple[int, bytes]] = []
-            for pid in live_pids:
-                cached = self._cache.get(pid)
-                if cached is not None:
-                    blob = cached.serialize()
-                else:
-                    blob = yield from ftl.read_page_proc(pid)
-                batch.append((pid, blob))
-                self.stats.pages_relocated += 1
-            yield from ftl.append_buffer_proc(batch)
+            # Nothing orders one page read after another: the pages not
+            # in the cache are fetched side by side.
+            blobs = {pid: page.serialize() for pid in live_pids
+                     if (page := self._cache.get(pid)) is not None}
+            missing = [pid for pid in live_pids if pid not in blobs]
+            fetched = yield from self.sim.join_proc(
+                [ftl.read_page_proc(pid) for pid in missing], "llama-clean")
+            blobs.update(zip(missing, fetched))
+            self.stats.pages_relocated += len(live_pids)
+            yield from ftl.append_buffer_proc(
+                [(pid, blobs[pid]) for pid in live_pids])
         try:
             yield from ftl.free_segment_proc(segment_id)
         except FTLError:

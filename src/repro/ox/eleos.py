@@ -81,6 +81,7 @@ class EleosStats:
     pages_read: int = 0
     segments_freed: int = 0
     checkpoints: int = 0
+    chunks_retired: int = 0     # erases that failed: grown bad blocks
 
 
 class OXEleos:
@@ -94,6 +95,7 @@ class OXEleos:
                  layout: MetadataLayout):
         self.media = media
         self.sim = media.sim
+        self.obs = media.sim.obs    # repro.obs hub, None unless attached
         self.config = config
         self.geometry = media.geometry
         self.layout = layout
@@ -230,6 +232,20 @@ class OXEleos:
         grant = self._lock.request()
         yield grant
         try:
+            # The commit is sized before anything is allocated, so a batch
+            # the ring cannot take costs no segment: SEGMENT_NEW, COMMIT
+            # and each VPAGE_UPDATE record open at most one frame after the
+            # buffered SEGMENT_FREEs; flush_proc cannot run out of ring.
+            per_record = serial.rows_per_record(
+                serial.REC_VPAGE_UPDATE, self.geometry.sector_size)
+            needed = self.wal.sectors_needed(2 + -(-len(pages) // per_record))
+            if needed > self.wal.capacity_sectors:
+                raise FTLError(
+                    f"a buffer of {len(pages)} pages commits in up to "
+                    f"{needed} WAL sectors but the ring holds "
+                    f"{self.wal.capacity_sectors}; enlarge wal_chunk_count")
+            if self.wal.used_sectors + needed > self.wal.capacity_sectors:
+                yield from self._do_checkpoint_proc()
             segment_id, entries = yield from self._write_segment_proc(pages)
             txn_id = self._next_txn_id
             self._next_txn_id += 1
@@ -271,7 +287,10 @@ class OXEleos:
 
     def free_segment_proc(self, segment_id: int):
         """Host-driven reclamation: the LSS cleaner guarantees every live
-        page of the segment has been re-appended elsewhere."""
+        page of the segment has been re-appended elsewhere, so a free costs
+        its erases, side by side.  SEGMENT_FREE is only buffered: it rides
+        the next WAL flush, ahead of any SEGMENT_NEW that could reuse these
+        chunks; if a crash takes it, recovery drops the empty segment."""
         self._check_alive()
         grant = self._lock.request()
         yield grant
@@ -286,16 +305,25 @@ class OXEleos:
                     f"{stale[:5]}{'...' if len(stale) > 5 else ''}")
             self.wal.append(serial.encode(serial.REC_SEGMENT_FREE,
                                           (segment_id,)))
-            yield from self.wal.flush_proc()
+            # The relocated copies are durable before the old ones go.
             yield from self.media.flush_proc()
-            for key in chunks:
-                completion = yield from self.media.reset_proc(Ppa(*key, 0))
-                if completion.ok:
-                    self._free[key[:2]].append(key)
+            yield from self.sim.join_proc(
+                [self._reset_chunk_proc(key) for key in chunks], "eleos-free")
             self._drop_segment(segment_id)
         finally:
             self._lock.release()
         self.stats.segments_freed += 1
+
+    def _reset_chunk_proc(self, key: ChunkKey):
+        """Erase one chunk back into the free pool; a failed erase
+        retires it (a grown bad block)."""
+        completion = yield from self.media.reset_proc(Ppa(*key, 0))
+        if completion.ok:
+            self._free[key[:2]].append(key)
+            return
+        self.stats.chunks_retired += 1
+        if self.obs is not None:
+            self.obs.error("ftl", "reset-failed", completion.error or str(key))
 
     # -- internals ----------------------------------------------------------------------
 
@@ -518,6 +546,13 @@ class OXEleos:
                 self._next_txn_id = max(self._next_txn_id, ident + 1)
                 report.txns_applied += 1
 
+        # A segment nothing maps into holds nothing: the cleaner emptied
+        # it, and free_segment_proc may have erased it before the crash
+        # took the SEGMENT_FREE it had only buffered.  Drop it; the
+        # free-pool rebuild below resets whatever its chunks still hold.
+        for segment_id in [s for s, live in self._live.items() if not live]:
+            self._drop_segment(segment_id)
+
         # What a recovered segment holds now is all the cleaner can ever
         # know it was written with.
         self._written = {segment_id: len(live)
@@ -534,10 +569,9 @@ class OXEleos:
             if info.state is ChunkState.OFFLINE:
                 continue
             if info.write_pointer > 0:
-                completion = yield from self.media.reset_proc(Ppa(*key, 0))
-                if not completion.ok:
-                    continue
-            self._free[key[:2]].append(key)
+                yield from self._reset_chunk_proc(key)
+            else:
+                self._free[key[:2]].append(key)
         return report
 
     def _txn_durable(self, entries: List[Tuple[int, int, int, int]]) -> bool:

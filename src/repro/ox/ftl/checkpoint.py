@@ -94,23 +94,25 @@ class CheckpointManager:
                 f"checkpoint needs {padded} sectors but the slot holds "
                 f"{capacity}; enlarge ckpt_chunks_per_slot")
 
-        for key in slot:
-            info = self.media.chunk_info(Ppa(*key, 0))
-            if info.write_pointer > 0 or info.state.value != "free":
-                completion = yield from self.media.reset_proc(Ppa(*key, 0))
-                self.media.require_ok(completion, "checkpoint slot reset")
-        offset = 0
-        for key in slot:
-            if offset >= padded:
-                break
-            batch = min(padded - offset, self.sectors_per_chunk)
-            oob = [("ckpt", seq, offset + i) for i in range(batch)]
-            completion = yield from self.media.write_proc(
+        # Nothing orders one chunk of the slot after another — the footer
+        # only counts if every chunk before its own is full (see
+        # _read_slot_proc) — so dirty chunks are erased side by side, then
+        # the stream's chunks written side by side.
+        for completion in (yield from self.media.reset_dirty_proc(
+                slot, "ckpt-reset")):
+            self.media.require_ok(completion, "checkpoint slot reset")
+        per_chunk = self.sectors_per_chunk
+        writes = []
+        for key, offset in zip(slot, range(0, padded, per_chunk)):
+            batch = min(padded - offset, per_chunk)
+            writes.append(self.media.write_proc(
                 PpaRun(key, 0, batch),
                 data[offset * sector_size:(offset + batch) * sector_size],
-                oob=oob, fua=True)
+                oob=[("ckpt", seq, offset + i) for i in range(batch)],
+                fua=True))
+        for completion in (yield from self.media.sim.join_proc(
+                writes, "ckpt-write")):
             self.media.require_ok(completion, "checkpoint write")
-            offset += batch
 
     # -- recovery ------------------------------------------------------------------
 
@@ -130,6 +132,12 @@ class CheckpointManager:
         ppas = [PpaRun(key, 0, chunk_info(Ppa(*key, 0)).write_pointer)
                 for key in slot]
         if not any(ppas):
+            return None
+        # Chunks are erased and written side by side, so a crash can leave
+        # a later one and not an earlier: the stream is whole only if
+        # every chunk before its last is full.
+        last = max(index for index, run in enumerate(ppas) if run)
+        if any(len(run) != self.sectors_per_chunk for run in ppas[:last]):
             return None
         completion = yield from self.media.read_proc(ppas)
         if not completion.ok:

@@ -12,10 +12,12 @@ traffic therefore contends only with I/O to that one group.
 Background work is as wide as the marked group: a *round* takes at most
 one victim per parallel unit, so its scans, copies and erases run side by
 side.  A round is crash-safe by ordering, as one victim would be:
-device-internal copy, device flush (copies durable), one WAL commit of all
-the map updates, only then the resets.  Validity is re-checked under the
-dispatch lock after the copy, so a user overwrite racing the relocation
-can never be undone.
+device-internal copy; then the device flush (copies durable) beside one
+WAL commit of all the map updates; only then the resets.  The commit does
+not wait for the flush: recovery drops a committed transaction whose
+sectors are not on media, and the victims are still whole.  Validity is
+re-checked under the dispatch lock after the copy, so a user overwrite
+racing the relocation can never be undone.
 
 Two more rules keep crashes survivable:
 
@@ -219,8 +221,8 @@ class GarbageCollector:
     def _recycle_proc(self, victims: List[FtlChunkInfo]):
         """Relocate the victims' live data and reset them, as one batch:
         scans side by side, one durability barrier if any scan asks for
-        it, one vector copy, one device flush, one WAL commit, resets side
-        by side.  Returns the number of victims reclaimed (recycled or
+        it, one vector copy, device flush beside the WAL commit, resets
+        side by side.  Returns the number of victims reclaimed (recycled or
         retired); deferred and aborted ones stay as they are.
         """
         if self.qos is not None:
@@ -403,7 +405,6 @@ class GarbageCollector:
             return aborted
         self.media.require_ok((yield from self.media.copy_proc(
             src, dst, dst_oob=lbas, parent=parent)), "GC relocation copy")
-        yield from self.media.flush_proc()
 
         # Re-validate under the (held) dispatch lock and commit the moves,
         # the chunk table once per destination unit — with one clock tick
@@ -431,11 +432,16 @@ class GarbageCollector:
             if len(entries) > left:
                 table.invalidate(key, len(entries) - left)
         self.stats.sectors_relocated += len(entries)
+        # Copies and commit must both be durable before a reset; neither
+        # waits for the other: a durable commit whose copies a crash took
+        # is a transaction recovery drops, and the victims are intact.
+        barrier = [self.media.flush_proc()]
         if entries:
             if self.obs is not None:
                 self.obs.metrics.counter(
                     "ftl.gc.sectors_relocated").increment(len(entries))
             self.wal.append_map_update(txn, entries)
             self.wal.append_commit(txn)
-            yield from self.wal.flush_proc(parent=parent)
+            barrier.append(self.wal.flush_proc(parent=parent))
+        yield from self.sim.join_proc(barrier, "gc-commit")
         return aborted

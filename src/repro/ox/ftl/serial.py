@@ -169,16 +169,21 @@ def decode(record: Record) -> Tuple[tuple, List[tuple]]:
     return head, list(kind.row.iter_unpack(memoryview(body)[rows_at:]))
 
 
+def rows_per_record(rtype: int, sector_size: int) -> int:
+    """Rows one record of kind *rtype* carries and still fits a frame."""
+    kind = KINDS[rtype]
+    capacity = (sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
+                - kind.head.size)
+    return max(1, capacity // kind.row.size)
+
+
 def split(rtype: int, head: tuple, rows, sector_size: int) -> List[bytes]:
     """*rows* (tuples or packed bytes) as however many records of kind
     *rtype* it takes for each to fit one frame, every one under *head*;
     no rows, no records."""
-    kind = KINDS[rtype]
-    capacity = (sector_size - _FRAME_HEADER.size - _RECORD_HEADER.size
-                - kind.head.size)
-    step = max(1, capacity // kind.row.size)
+    step = rows_per_record(rtype, sector_size)
     if isinstance(rows, (bytes, bytearray, memoryview)):
-        step *= kind.row.size
+        step *= KINDS[rtype].row.size
     return [encode(rtype, head, rows[at:at + step])
             for at in range(0, len(rows), step)]
 

@@ -69,6 +69,12 @@ class WalAppender:
     def append_commit(self, txn_id: int) -> None:
         self._writer.append(serial.encode(serial.REC_COMMIT, (txn_id,)))
 
+    def sectors_needed(self, more_frames: int) -> int:
+        """Ring sectors a flush takes once *more_frames* frames join the
+        buffered ones: whole write units."""
+        count = self._writer.frame_count() + more_frames
+        return count + (-count) % self.ws_min
+
     def flush_proc(self, parent=None):
         """Process generator: write buffered frames durably (FUA).
 
@@ -128,19 +134,11 @@ class WalAppender:
         (striped over group 0's PUs) are erased side by side: whatever a
         crash leaves of them holds no sector of the new epoch.
         """
-        resets = []
-        for key in self.chunks:
-            ppa = Ppa(*key, 0)
-            info = self.media.chunk_info(ppa)
-            if info.write_pointer or info.state.value != "free":
-                resets.append(self._reset_proc(ppa))
-        yield from self.sim.join_proc(resets, "wal-truncate")
+        for completion in (yield from self.media.reset_dirty_proc(
+                self.chunks, "wal-truncate")):
+            self.media.require_ok(completion, "WAL truncate")
         self.epoch = new_epoch
         self.used_sectors = 0
-
-    def _reset_proc(self, ppa: Ppa):
-        self.media.require_ok((yield from self.media.reset_proc(ppa)),
-                              "WAL truncate")
 
 
 class WalReader:

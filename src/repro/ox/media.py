@@ -83,6 +83,17 @@ class MediaManager:
         return self.device.submit(ChunkReset(ppa=ppa, tenant=self.tenant),
                                   parent=parent)
 
+    def reset_dirty_proc(self, keys, name: str, parent=None):
+        """Erase, side by side (processes called *name*), those of the
+        chunks *keys* that hold anything; returns their completions."""
+        resets = []
+        for key in keys:
+            ppa = Ppa(*key, 0)
+            info = self.device.chunk_info(ppa)
+            if info.write_pointer or info.state.value != "free":
+                resets.append(self.reset_proc(ppa, parent=parent))
+        return self.sim.join_proc(resets, name)
+
     def copy_proc(self, src: PpaVector, dst: PpaVector,
                   dst_oob: Optional[List[object]] = None, parent=None):
         return self.device.submit(

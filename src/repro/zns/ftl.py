@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ZoneError
-from repro.ocssd.address import Ppa, PpaRun
+from repro.ocssd.address import PpaRun
 from repro.ox.media import MediaManager
 from repro.zns.zone import Zone, ZoneState
 
@@ -226,15 +226,11 @@ class OXZns:
         if obs is not None:
             span = obs.begin("zns", "reset")
         yield from self.media.flush_proc()
-        failed = False
-        for key in zone.chunks:
-            info = self.media.chunk_info(Ppa(*key, 0))
-            if info.write_pointer == 0 and info.state.value == "free":
-                continue
-            completion = yield from self.media.reset_proc(Ppa(*key, 0),
-                                                          parent=span)
-            if not completion.ok:
-                failed = True
+        # A zone's chunks sit on different PUs and nothing orders their
+        # erases: issue them together.
+        completions = yield from self.media.reset_dirty_proc(
+            zone.chunks, "zns-reset", parent=span)
+        failed = not all(completion.ok for completion in completions)
         if was_open:
             self._open_count -= 1
         if obs is not None:

@@ -1,9 +1,9 @@
 """The GC round (§4.3): as wide as the marked group, one commit.
 
 Invariants after every round, locality of its device traffic, and power
-cuts / ``kill -9`` at each step of its ordering: copies -> device flush ->
-durable commit -> resets.  The round-vs-reference equivalence lives in
-``tests/test_reclaim_accounting.py``.
+cuts / ``kill -9`` at each step of its ordering: copies -> (device flush
+beside the durable commit) -> resets.  The round-vs-reference equivalence
+lives in ``tests/test_reclaim_accounting.py``.
 """
 
 import random
@@ -176,7 +176,7 @@ def recover(media, ftl, injector):
             continue
     injector.quiesce()
     injector.restore_power()
-    return OXBlock.recover(MediaManager(media.device), ftl.config)[0]
+    return OXBlock.recover(MediaManager(media.device), ftl.config)
 
 
 def cut_round(step):
@@ -195,10 +195,21 @@ def cut_round(step):
             return result
         return wrapped
 
-    if step == "copied":        # copies durable, nothing committed
+    def delayed(proc):
+        def wrapped(*args, **kwargs):
+            yield sim.timeout(50e-3)
+            return (yield from proc(*args, **kwargs))
+        return wrapped
+
+    # The device flush and the commit run side by side; left alone the
+    # one-unit commit lands while the copies are still draining.
+    if step == "copied":        # copies durable, the commit held back
+        ftl.wal.flush_proc = delayed(ftl.wal.flush_proc)
         media.flush_proc = cut_after(media.flush_proc)
-    elif step == "committed":   # commit durable, nothing reset
+    elif step == "commit first":    # commit durable, copies in the cache
         ftl.wal.flush_proc = cut_after(ftl.wal.flush_proc)
+    elif step == "committed":   # both durable, nothing reset
+        gc._relocate_round_proc = cut_after(gc._relocate_round_proc)
     else:                       # 1 ms into the 3.5 ms erases
         reset_proc = media.reset_proc
 
@@ -221,29 +232,51 @@ def cut_round(step):
              if media.geometry.delinearize(linear).chunk_key() in victims}
     assert moved
     new_map = dict(ftl.page_map.items())
-    recovered = recover(media, ftl, injector)
-    return recovered, expected, victims, moved, old_map, new_map
+    recovered, report = recover(media, ftl, injector)
+    return recovered, expected, victims, moved, old_map, new_map, report
+
+
+def assert_victims_intact(ftl, victims):
+    for key in victims:
+        assert ftl.media.chunk_info(Ppa(*key, 0)).write_pointer \
+            == ftl.geometry.sectors_per_chunk
 
 
 def test_cut_between_copy_and_commit_keeps_every_old_mapping():
-    ftl, expected, victims, moved, old_map, __ = cut_round("copied")
+    """The device flush finishes first: copies durable, no commit."""
+    ftl, expected, victims, moved, old_map, __, report = cut_round("copied")
     assert dict(ftl.page_map.items()) == old_map
-    for key in victims:      # intact: nothing was reset
-        assert ftl.media.chunk_info(Ppa(*key, 0)).write_pointer \
-            == ftl.geometry.sectors_per_chunk
+    assert not report.txns_dropped
+    assert_victims_intact(ftl, victims)      # nothing was reset
+    assert_reads(ftl, expected)
+
+
+def test_cut_with_the_commit_durable_and_copies_cached_drops_the_txn():
+    """The order the joined barrier makes possible: the commit is on media
+    before the copies it names.  Recovery drops it whole — never a
+    mixture of old and new mappings — and the victims are untouched."""
+    ftl, expected, victims, moved, old_map, new_map, report = \
+        cut_round("commit first")
+    assert report.txns_dropped >= 1
+    assert dict(ftl.page_map.items()) == old_map != new_map
+    assert_victims_intact(ftl, victims)
     assert_reads(ftl, expected)
 
 
 def test_cut_between_commit_and_resets_keeps_every_new_mapping():
-    ftl, expected, victims, moved, old_map, new_map = cut_round("committed")
+    """Both halves of the barrier done, no reset started."""
+    ftl, expected, victims, moved, old_map, new_map, report = \
+        cut_round("committed")
     recovered = dict(ftl.page_map.items())
-    assert recovered == new_map
+    assert recovered == new_map and not report.txns_dropped
     assert all(recovered[lba] != old_map[lba] for lba in moved)
+    assert_victims_intact(ftl, victims)
     assert_reads(ftl, expected)
 
 
 def test_cut_mid_reset_recovers_every_payload():
-    ftl, expected, victims, moved, old_map, new_map = cut_round("resetting")
+    ftl, expected, victims, moved, old_map, new_map, __ = \
+        cut_round("resetting")
     assert dict(ftl.page_map.items()) == new_map
     assert_reads(ftl, expected)
     # The half-erased victims are usable again.

@@ -1,11 +1,17 @@
 """Integration tests for OX-ELEOS: LSS buffer writes, variable-size page
 mapping, segment lifecycle, crash recovery."""
 
+import random
+
 import pytest
 
-from repro.errors import FTLError, OutOfSpaceError
+from repro.errors import FTLError, OutOfSpaceError, ReproError
+from repro.faults import FaultInjector, FaultPlan
+from repro.llama import LlamaConfig, LlamaEngine
 from repro.nand import FlashGeometry
-from repro.ocssd import DeviceGeometry, OpenChannelSSD
+from repro.obs import Obs
+from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
+from repro.ocssd.chunk import ChunkState
 from repro.ox import EleosConfig, MediaManager, OXEleos
 from repro.units import KIB, MIB
 
@@ -212,3 +218,291 @@ class TestCrashRecovery:
         ftl.crash()
         with pytest.raises(FTLError):
             ftl.append_buffer([(1, b"x")])
+
+
+# -- the commit is sized before anything is allocated ------------------------
+
+def test_a_commit_larger_than_the_rest_of_the_ring_costs_no_segment():
+    """At 2d14897 the second append wrote its segment, then ``flush_proc``
+    raised "WAL ring exhausted": the chunk and the empty segment stayed
+    owned, the records stayed buffered, and every later append re-raised.
+    Sized up front, the batch goes behind a checkpoint."""
+    config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=1,
+                         ckpt_chunks_per_slot=2)
+    __, media, ftl, __c = make_stack(chunks=16, pages=6, config=config)
+    ftl.append_buffer([(1, b"x" * 100)])
+    assert (ftl.wal.used_sectors, ftl.wal.capacity_sectors) == (24, 48)
+    free, checkpoints = ftl.free_chunk_count(), ftl.stats.checkpoints
+    big = [(10 + i, b"y") for i in range(5000)]    # 30 frames -> 48 sectors
+    ftl.append_buffer(big)
+    assert ftl.stats.checkpoints == checkpoints + 2     # before, and after
+    assert (ftl.free_chunk_count(), len(ftl.segments)) == (free - 1, 2)
+    ftl.append_buffer([(2, b"small")])
+    ftl.crash()
+    recovered, __r = OXEleos.recover(media, config)
+    assert recovered.read_page(1) == b"x" * 100
+    assert recovered.read_page(2) == b"small"
+    assert recovered.read_page(10 + 4999) == b"y"
+
+
+def test_a_commit_no_empty_ring_could_take_is_refused_before_allocating():
+    config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=1,
+                         ckpt_chunks_per_slot=2)
+    __, media, ftl, __c = make_stack(chunks=16, pages=6, config=config)
+    ftl.append_buffer([(1, b"x" * 100)])
+
+    def state():
+        return (ftl.free_chunk_count(), dict(ftl.segments), dict(ftl.vmap),
+                ftl.wal._writer.frame_count(), ftl.wal.used_sectors,
+                ftl.stats.checkpoints, ftl._next_segment_id, ftl._lock.in_use)
+
+    before = state()
+    for __ in range(2):
+        with pytest.raises(FTLError, match="9000 pages.*wal_chunk_count"):
+            ftl.append_buffer([(10 + i, b"y") for i in range(9000)])
+        assert state() == before
+    ftl.append_buffer([(2, b"small")])
+    ftl.crash()
+    recovered, __r = OXEleos.recover(media, config)
+    assert recovered.read_page(2) == b"small"
+
+
+@pytest.mark.parametrize("pages", [1, 168, 169, 170, 338, 339, 3000, 7000])
+def test_no_append_outgrows_the_size_it_was_admitted_with(pages):
+    """The up-front size is an upper bound on what ``flush_proc`` writes,
+    with lazily logged SEGMENT_FREE records in the buffer too."""
+    config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=2,
+                         ckpt_chunks_per_slot=2)
+    __, __m, ftl, __c = make_stack(chunks=16, pages=6, config=config)
+    for round_ in range(3):
+        segment = ftl.append_buffer([(0, b"old")])
+        ftl.append_buffer([(0, b"new")])
+        ftl.free_segment(segment)          # one more record buffered
+        needed = []
+        sized = ftl.wal.sectors_needed
+        ftl.wal.sectors_needed = lambda frames: (
+            needed.append(sized(frames)), needed[-1])[1]
+        written = ftl.wal.sectors_written
+        checkpoints = ftl.stats.checkpoints
+        ftl.append_buffer([(100 + i, b"p") for i in range(pages)])
+        del ftl.wal.sectors_needed
+        assert 0 < ftl.wal.sectors_written - written <= needed[0]
+        assert ftl.read_page(100 + pages - 1) == b"p"
+
+
+# -- a free costs its erases: lazy SEGMENT_FREE, joined resets ---------------
+
+def test_free_segment_flushes_no_wal_and_erases_side_by_side():
+    device, __m, ftl, __c = make_stack()
+    almost_chunk = device.geometry.chunk_size - 4096
+    seg = ftl.append_buffer([(1, b"x" * almost_chunk),
+                             (2, b"y" * almost_chunk)])
+    assert len({key[:2] for key in ftl.segments[seg]}) == 2
+    ftl.append_buffer([(1, b"x2"), (2, b"y2")])
+    device.flush()
+    written, started = ftl.wal.sectors_written, device.sim.now
+    ftl.free_segment(seg)
+    assert ftl.wal.sectors_written == written
+    assert ftl.wal._writer.frame_count() == 1       # buffered, not flushed
+    erase = device.chips[(0, 0)].timing.erase_time()
+    assert device.sim.now - started == pytest.approx(erase, rel=0.05)
+    # The record rides the next append's flush, ahead of its SEGMENT_NEW.
+    ftl.append_buffer([(3, b"z")])
+    assert ftl.wal._writer.frame_count() == 0
+
+
+def test_failed_erase_is_counted_and_reported():
+    """A grown bad block under a freed segment: the chunk leaves the pool
+    with a count and an obs error, during a free and during recovery."""
+    geometry = DeviceGeometry(
+        num_groups=2, pus_per_group=2,
+        flash=FlashGeometry(blocks_per_plane=16, pages_per_block=12))
+    device = OpenChannelSSD(geometry=geometry)
+    obs = Obs().attach(device)
+    media = MediaManager(device)
+    config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=4,
+                         ckpt_chunks_per_slot=2)
+    ftl = OXEleos.format(media, config)
+    seg1 = ftl.append_buffer([(1, b"v1")])
+    seg2 = ftl.append_buffer([(1, b"v2")])
+    seg3 = ftl.append_buffer([(1, b"v3")])
+    bad1, bad2 = ftl.segments[seg1][0], ftl.segments[seg2][0]
+    FaultInjector(FaultPlan(grown_bad={bad1: 1, bad2: 1})).attach(device)
+    free = ftl.free_chunk_count()
+    ftl.free_segment(seg1)
+    assert ftl.stats.chunks_retired == 1
+    assert ftl.free_chunk_count() == free
+    assert obs.metrics.counter("ftl.errors.reset-failed").value == 1
+    # seg2 is empty at the crash: recovery drops it and erases its chunk.
+    ftl.crash()
+    recovered, __r = OXEleos.recover(MediaManager(device), config)
+    assert recovered.stats.chunks_retired == 1
+    assert obs.metrics.counter("ftl.errors.reset-failed").value == 2
+    assert seg2 not in recovered.segments
+    assert bad1 not in recovered._free[bad1[:2]]
+    assert bad2 not in recovered._free[bad2[:2]]
+    assert recovered.read_page(1) == b"v3" and seg3 in recovered.segments
+
+
+# -- power cuts along a clean ------------------------------------------------
+
+CLEAN_STEPS = ["relocated", "free buffered", "erasing", "erased", "flushed"]
+
+
+def recover_after_cut(device, ftl, injector, config):
+    ftl.crash()
+    while True:   # drain what the cut abandoned mid-op
+        try:
+            device.sim.run()
+            break
+        except ReproError:
+            continue
+    injector.quiesce()
+    injector.restore_power()
+    return OXEleos.recover(MediaManager(device), config)
+
+
+def assert_space_is_conserved(ftl):
+    """Every data chunk is owned by a segment, free, or offline — and no
+    recovered segment is empty."""
+    keys = ftl.layout.data_chunk_keys()
+    offline = sum(
+        ftl.media.chunk_info(Ppa(*key, 0)).state is ChunkState.OFFLINE
+        for key in keys)
+    owned = [key for chunks in ftl.segments.values() for key in chunks]
+    assert len(set(owned)) == len(owned)
+    assert len(owned) + ftl.free_chunk_count() + offline \
+        + ftl.stats.chunks_retired == len(keys)
+    assert all(ftl.segment_live_pages(seg) for seg in ftl.segments)
+
+
+@pytest.mark.parametrize("step", CLEAN_STEPS)
+def test_power_cut_at_each_step_of_a_clean(step):
+    device, media, ftl, config = make_stack()
+    injector = FaultInjector(FaultPlan())
+    injector.attach(device)
+    sim = device.sim
+    engine = LlamaEngine(ftl, LlamaConfig(clean_live_ratio=0.6,
+                                          cache_capacity=2))
+    for pid in range(6):        # two to a chunk: three chunks, three PUs
+        engine.replace(pid, bytes([pid]) * (150 * KIB))
+    victim = engine.flush()
+    assert len(ftl.segments[victim]) == 3
+    for pid in range(3):        # half of it goes stale
+        engine.replace(pid, bytes([pid + 100]) * 300)
+    engine.flush()
+    media.flush()
+    shadow = {pid: ftl.read_page(pid) for pid in ftl.live_page_ids()}
+    assert ftl.segment_live_ratio(victim) == 0.5
+
+    def cut_after(proc):
+        def wrapped(*args, **kwargs):
+            result = yield from proc(*args, **kwargs)
+            injector.power_cut()
+            return result
+        return wrapped
+
+    reads = ftl.stats.pages_read
+    if step == "relocated":         # relocation append acked, no free yet
+        ftl.append_buffer_proc = cut_after(ftl.append_buffer_proc)
+    elif step == "free buffered":   # SEGMENT_FREE buffered, nothing erased
+        media.flush_proc = cut_after(media.flush_proc)
+    elif step == "erasing":         # 1 ms into the joined 3.5 ms erases
+        reset_proc = media.reset_proc
+
+        def cutting_reset_proc(ppa, parent=None):
+            def cutter():
+                yield sim.timeout(1e-3)
+                injector.power_cut()
+            sim.spawn(cutter())
+            return reset_proc(ppa, parent)
+
+        media.reset_proc = cutting_reset_proc
+    try:
+        engine.clean_once()     # with the power off it is a no-op or raises
+    except ReproError:
+        pass
+    assert injector.tripped == (step in CLEAN_STEPS[:3])
+    if not injector.tripped:
+        assert victim not in ftl.segments
+        assert ftl.wal._writer.frame_count() == 1    # the record, buffered
+        if step == "flushed":       # ... until the next append carries it
+            ftl.append_buffer([(50, b"after the free")])
+            shadow[50] = b"after the free"
+            assert ftl.wal._writer.frame_count() == 0
+        injector.power_cut()
+    assert ftl.stats.pages_read - reads == 3        # fetched for relocation
+
+    recovered, report = recover_after_cut(device, ftl, injector, config)
+    # An acked append is durable only once the cache has drained: cut
+    # before the free's device flush, the relocation is dropped whole
+    # and the victim still holds its pages.
+    assert (victim in recovered.segments) == (step == "relocated")
+    assert {pid: recovered.read_page(pid) for pid in shadow} == shadow
+    assert recovered.live_page_ids() == sorted(shadow)
+    assert_space_is_conserved(recovered)
+    recovered.append_buffer([(7, b"and on it goes")])
+    assert recovered.read_page(7) == b"and on it goes"
+    assert_space_is_conserved(recovered)
+
+
+def test_randomized_append_free_crash_loop_recovers_every_page():
+    """200 seeds of appends, frees and power cuts that land before, inside
+    and after the joined erases — always with a SEGMENT_FREE that was only
+    ever buffered — and a recovery after each: every acknowledged page
+    reads back, every chunk is accounted for."""
+    erase = 3.5e-3
+    landed = {"erasing": 0, "erased": 0}
+    for seed in range(200):
+        rng = random.Random(seed)
+        device, media, ftl, config = make_stack(chunks=12, pages=6)
+        shadow = {}
+
+        def append(ftl):
+            batch = {rng.randrange(24): bytes([rng.randrange(256)])
+                     * rng.randint(1, 6000) for __ in range(rng.randint(1, 6))}
+            ftl.append_buffer(sorted(batch.items()))
+            shadow.update(batch)
+            return batch
+
+        for cut in range(2):
+            for __ in range(rng.randint(2, 6)):
+                append(ftl)
+                for seg in list(ftl.segments):
+                    if not ftl.segment_live_pages(seg) and rng.random() < 0.6:
+                        ftl.free_segment(seg)
+            # The same pages twice: the first copy's segment is empty now.
+            ftl.append_buffer(sorted(append(ftl).items()))
+            empty = [seg for seg in ftl.segments
+                     if not ftl.segment_live_pages(seg)]
+            assert empty
+            device.flush()      # an ack is durable once the cache drained
+            injector = FaultInjector(FaultPlan(seed=seed))
+            injector.attach(device)
+
+            def cutter(delay):
+                yield device.sim.timeout(delay)
+                injector.power_cut()
+
+            started = device.sim.now
+            device.sim.spawn(cutter(rng.uniform(0, 2 * erase)))
+            maybe = {100 + cut: b"in flight" * rng.randint(1, 300)}
+            try:
+                for seg in empty:
+                    ftl.free_segment(seg)
+                ftl.append_buffer(sorted(maybe.items()))
+                injector.power_cut()
+            except ReproError:
+                pass
+            assert injector.tripped
+            landed["erasing" if injector.cut_time - started < erase
+                   else "erased"] += 1
+            ftl, __r = recover_after_cut(device, ftl, injector, config)
+            for pid, payload in maybe.items():      # whole or not at all
+                if pid in ftl.vmap:
+                    assert ftl.read_page(pid) == payload
+                    shadow[pid] = payload
+            assert {pid: ftl.read_page(pid) for pid in shadow} == shadow, seed
+            assert ftl.live_page_ids() == sorted(shadow), seed
+            assert_space_is_conserved(ftl)
+    assert min(landed.values()) > 100, landed

@@ -297,7 +297,8 @@ def relocate_per_sector_proc(gc, key, live, parent=None):
     addresses travelled as runs and victims as rounds: one ``Ppa`` per
     source and destination sector, one ``add_valid`` (one clock tick) and
     one ``invalidate`` per moved sector, one transaction per victim.  Kept
-    verbatim as the definition the round must equal."""
+    as the definition the round must equal; only its barrier follows the
+    collector's (device flush beside the commit, after the re-validation)."""
     ws_min = gc.geometry.ws_min
     per_chunk = gc.geometry.sectors_per_chunk
     table = gc.chunk_table
@@ -328,7 +329,6 @@ def relocate_per_sector_proc(gc, key, live, parent=None):
     completion = yield from gc.media.copy_proc(src, dst, dst_oob=lbas,
                                                parent=parent)
     gc.media.require_ok(completion, "GC relocation copy")
-    yield from gc.media.flush_proc()
 
     txn = gc.next_txn_id()
     entries = []
@@ -346,10 +346,12 @@ def relocate_per_sector_proc(gc, key, live, parent=None):
         table.invalidate(key)
         entries.append((lba, new_linear, old_linear))
     gc.stats.sectors_relocated += len(entries)
+    barrier = [gc.media.flush_proc()]
     if entries:
         gc.wal.append_map_update(txn, entries)
         gc.wal.append_commit(txn)
-        yield from gc.wal.flush_proc(parent=parent)
+        barrier.append(gc.wal.flush_proc(parent=parent))
+    yield from gc.sim.join_proc(barrier, "gc-commit")
     return True
 
 
@@ -385,18 +387,19 @@ def relocated_twin(policy, seed, relocate_proc, units_left=None):
     append_map_update = ftl.wal.append_map_update
     ftl.wal.append_map_update = lambda txn, entries: (
         logged.append((txn, list(entries))), append_map_update(txn, entries))
-    flush_proc = media.flush_proc
+    copy_proc = media.copy_proc
     raced = []
 
-    def racing_flush_proc():
-        # GC's flush sits between its copy and its commit: overwrites that
-        # land here make the copies of those LBAs garbage.
-        yield from flush_proc()
-        pending, raced[:] = list(raced), []   # the writes flush too
+    def racing_copy_proc(*args, **kwargs):
+        # Overwrites that land between GC's copy and its re-validation
+        # make the copies of those LBAs garbage.
+        completion = yield from copy_proc(*args, **kwargs)
+        pending, raced[:] = list(raced), []
         for lba in pending:
             yield sim.spawn(ftl.write_proc(lba, bytes([9]) * SS))
+        return completion
 
-    media.flush_proc = racing_flush_proc
+    media.copy_proc = racing_copy_proc
     if units_left is not None:
         allocate_unit = gc.provisioner.allocate_unit
         budget = [units_left]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.sim import Interrupt, Resource, Simulator
 
 
@@ -385,3 +385,120 @@ def test_run_until_a_processed_event_moves_nothing(engine):
         with pytest.raises(KeyError):
             sim.run_until(failed)
     assert sim.now == 5.5
+
+
+# -- kernel contract pins: what the FTLs' joins lean on ------------------------
+#
+# Each scenario returns what it observed plus ``(now, events_processed)``;
+# both engines must give the expected observation and the same stamp.
+
+def _sleeper(sim, delay, value, log=None):
+    try:
+        yield sim.timeout(delay)
+    except Interrupt as stop:
+        log.append((value, stop.cause, sim.now))
+        raise
+    return value
+
+
+def _all_of_nothing(sim):
+    return sim.run_until(sim.all_of([]))
+
+
+def _aggregates_over_processed_children(sim):
+    first = sim.spawn(_sleeper(sim, 1.0, "a"))
+    second = sim.spawn(_sleeper(sim, 2.0, "b"))
+    sim.run()
+    return (sim.run_until(sim.all_of([first, second])),
+            sim.run_until(sim.any_of([second, first])), sim.now)
+
+
+def _yield_of_a_processed_event(sim):
+    done = sim.spawn(_sleeper(sim, 1.0, "early"))
+
+    def late():
+        yield sim.timeout(4.0)
+        value = yield done                  # finished three seconds ago
+        return value, sim.now
+
+    return sim.run_until(sim.spawn(late()))
+
+
+def _interrupt_of_a_finished_process(sim):
+    done = sim.spawn(_sleeper(sim, 1.0, "over"))
+    sim.run()
+    stamp = (sim.now, sim.events_processed)
+    done.interrupt("too late")
+    sim.run()
+    return (done.value, sim.queue_empty(),
+            (sim.now, sim.events_processed) == stamp)
+
+
+def _join_with_a_failing_sibling(sim):
+    def failing():
+        yield sim.timeout(1.0)
+        raise ReproError("sibling failed at 1.0")
+
+    def parent():
+        started = sim.now
+        try:
+            yield from sim.join_proc(
+                [_sleeper(sim, 2.0, "x"), failing(), _sleeper(sim, 3.0, "y")])
+        except ReproError as failure:
+            return str(failure), sim.now - started
+
+    return sim.run_until(sim.spawn(parent()))
+
+
+def _join_of_one_and_of_none(sim):
+    def parent():
+        nothing = yield from sim.join_proc([])
+        one = yield from sim.join_proc([_sleeper(sim, 1.5, "inline")])
+        return nothing, one, sim.now
+
+    return sim.run_until(sim.spawn(parent()))
+
+
+def _join_interrupted(sim):
+    log = []
+
+    def parent():
+        try:
+            yield from sim.join_proc([_sleeper(sim, 5.0, "p", log),
+                                      _sleeper(sim, 7.0, "q", log)])
+        except Interrupt as stop:
+            return "interrupted", stop.cause, sim.now
+
+    joining = sim.spawn(parent())
+    sim.run(until=1.0)
+    joining.interrupt("power off")
+    outcome = sim.run_until(joining)
+    sim.run()                               # the children die at 1.0 too
+    return outcome, log, sim.queue_empty()
+
+
+CONTRACT = [
+    (_all_of_nothing, []),
+    (_aggregates_over_processed_children, (["a", "b"], (0, "b"), 2.0)),
+    (_yield_of_a_processed_event, ("early", 4.0)),
+    (_interrupt_of_a_finished_process, ("over", True, True)),
+    (_join_with_a_failing_sibling, ("sibling failed at 1.0", 3.0)),
+    (_join_of_one_and_of_none, ([], ["inline"], 1.5)),
+    (_join_interrupted, (("interrupted", "power off", 1.0),
+                         [("p", "power off", 1.0), ("q", "power off", 1.0)],
+                         True)),
+]
+
+
+@pytest.mark.parametrize("scenario, expected", CONTRACT,
+                         ids=[scenario.__name__.strip("_")
+                              for scenario, __ in CONTRACT])
+def test_kernel_contract_is_the_same_on_both_engines(scenario, expected):
+    from repro.sim.core import HeapqSimulator
+
+    stamps = []
+    for engine in (Simulator, HeapqSimulator):
+        sim = engine()
+        assert scenario(sim) == expected, engine.__name__
+        stamps.append((sim.now, sim.events_processed))
+    assert stamps[0] == stamps[1]

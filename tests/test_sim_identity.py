@@ -387,18 +387,20 @@ def _lsm_lightlsm_get():
 
 
 # Captured by `PYTHONPATH=src python tests/test_sim_identity.py`.  Every row
-# whose scenario collects, checkpoints or truncates (the eight before the
-# LSM ones) was regenerated when GC became rounds as wide as the marked
-# group and the WAL truncation a join (PR 21: the sim clock moved on
-# purpose; CHANGES.md lists old -> new); the LSM rows are older.
-GOLDEN = {'eleos_llama': {'now': 1.189992968750007,
-                 'events': 5113,
+# whose scenario cleans, collects, checkpoints or resets a zone (the eight
+# before the LSM ones, and `lsm_zns_scan`) was regenerated when every FTL
+# began to issue unordered device work together (PR 22: the sim clock
+# moved on purpose; CHANGES.md lists old -> new); `lsm_default_fill` and
+# `lsm_lightlsm_get` are older.
+GOLDEN = {'eleos_llama': {'now': 0.9119875000000031,
+                 'events': 5158,
                  'eleos': {'buffers_appended': 85,
                            'pages_appended': 670,
                            'bytes_appended': 3424005,
                            'pages_read': 817,
                            'segments_freed': 58,
-                           'checkpoints': 26},
+                           'checkpoints': 18,
+                           'chunks_retired': 0},
                  'llama': {'updates': 560,
                            'reads': 600,
                            'cache_misses': 412,
@@ -408,8 +410,8 @@ GOLDEN = {'eleos_llama': {'now': 1.189992968750007,
                            'segments_cleaned': 58,
                            'pages_relocated': 126},
                  'segments_crc': 2939749507},
- 'greedy': {'now': 5.057951562499724,
-            'events': 12998,
+ 'greedy': {'now': 4.5727105468747355,
+            'events': 14212,
             'gc': {'chunks_recycled': 332,
                    'sectors_relocated': 7296,
                    'resets': 332,
@@ -420,8 +422,8 @@ GOLDEN = {'eleos_llama': {'now': 1.189992968750007,
             'clock': 7711,
             'sectors_written': 34968,
             'sectors_read': 23481},
- 'cost_benefit': {'now': 4.900779687499733,
-                  'events': 13213,
+ 'cost_benefit': {'now': 4.450976562499744,
+                  'events': 14343,
                   'gc': {'chunks_recycled': 338,
                          'sectors_relocated': 7560,
                          'resets': 338,
@@ -432,8 +434,8 @@ GOLDEN = {'eleos_llama': {'now': 1.189992968750007,
                   'clock': 7975,
                   'sectors_written': 34800,
                   'sectors_read': 24033},
- 'age_partitioned': {'now': 5.032448437499722,
-                     'events': 13070,
+ 'age_partitioned': {'now': 4.555298437499736,
+                     'events': 14266,
                      'gc': {'chunks_recycled': 335,
                             'sectors_relocated': 7392,
                             'resets': 335,
@@ -445,8 +447,8 @@ GOLDEN = {'eleos_llama': {'now': 1.189992968750007,
                      'sectors_written': 34968,
                      'sectors_read': 23625},
  # The two mixed-shape rows (every foreground read/write shape).
- 'mixed_none': {'now': 4.5787996093746965,
-                'events': 32898,
+ 'mixed_none': {'now': 4.462381249999745,
+                'events': 33704,
                 'block': {'writes': 390,
                           'reads': 237,
                           'trims': 20,
@@ -466,8 +468,8 @@ GOLDEN = {'eleos_llama': {'now': 1.189992968750007,
                 'sectors_written': 40224,
                 'sectors_read': 47897,
                 'reads_crc': 1595401565},
- 'mixed_wlfc': {'now': 4.158032421874749,
-                'events': 27156,
+ 'mixed_wlfc': {'now': 4.065979296874772,
+                'events': 27756,
                 'block': {'writes': 455,
                           'reads': 223,
                           'trims': 20,
@@ -487,19 +489,19 @@ GOLDEN = {'eleos_llama': {'now': 1.189992968750007,
                 'sectors_written': 35832,
                 'sectors_read': 37582,
                 'reads_crc': 1595401565},
- # The metadata plane's on-media bytes (metadata_eleos_llama: captured at
- # d55e796, before the record codec became one table, and unchanged since).
  'metadata_greedy': {'wal_sectors': 16080,
                      'wal_sha256': '13134aeb18827db7',
                      'ckpt_sectors': 1632,
                      'ckpt_sha256': '4329b4edd0d300d9'},
- 'metadata_eleos_llama': {'wal_sectors': 3432,
-                          'wal_sha256': '815e6528ecb96c88',
-                          'ckpt_sectors': 624,
-                          'ckpt_sha256': 'fc7814b789ac8877'},
- # The default policies' perf_macro fingerprint (9.744491 s / 78125 events
- # until its checkpoints' WAL truncation became a join).
- 'perf_macro': {'sim_seconds': 7.906991, 'events_processed': 80150},
+ # The metadata plane's on-media bytes (metadata_eleos_llama: 3432 WAL
+ # sectors until SEGMENT_FREE stopped paying for a flush of its own).
+ 'metadata_eleos_llama': {'wal_sectors': 2040,
+                          'wal_sha256': 'a09718609be93db4',
+                          'ckpt_sectors': 432,
+                          'ckpt_sha256': 'c7db583942724296'},
+ # The default policies' perf_macro fingerprint (7.906991 s / 80150 events
+ # until its checkpoints' slot chunks were erased and written side by side).
+ 'perf_macro': {'sim_seconds': 7.234094, 'events_processed': 80886},
  # The pre-concurrency-plane single-daemon LSM engine (PR 10 baseline).
  'lsm_default_fill': {'sim_seconds': 0.60142025,
                       'events_processed': 27861,
@@ -508,10 +510,12 @@ GOLDEN = {'eleos_llama': {'now': 1.189992968750007,
                       'slowdown_puts': 96,
                       'flushes': 24,
                       'compactions': 13},
- # The LSM data plane before it went block-wise (captured at ea53b43).
- 'lsm_zns_scan': {'sim_seconds': 0.79943225,
-                  'events_processed': 27314,
-                  'written_sha256': '1e1fac0c091f879c',
+ # The LSM data plane before it went block-wise (captured at ea53b43;
+ # lsm_zns_scan again when a zone's chunks began to be erased together:
+ # 0.79943225 s before, the delivered values unchanged).
+ 'lsm_zns_scan': {'sim_seconds': 0.78943225,
+                  'events_processed': 27465,
+                  'written_sha256': '3b6a7ccbf1fbd5de',
                   'delivered_sha256': '75613a0c6b1dde24',
                   'blocks_read': 0,
                   'tables_written': 33,

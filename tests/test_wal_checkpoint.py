@@ -4,6 +4,7 @@ tails, truncation, slot alternation."""
 import pytest
 
 from repro.errors import FTLError
+from repro.faults import FaultInjector, FaultPlan
 from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox.ftl.checkpoint import CheckpointManager
@@ -20,9 +21,9 @@ from repro.ox.ftl.wal import (
 from repro.ox.media import MediaManager
 
 
-def make_media(chunks=16, pages=6):
+def make_media(chunks=16, pages=6, pus=2):
     geometry = DeviceGeometry(
-        num_groups=2, pus_per_group=2,
+        num_groups=2, pus_per_group=pus,
         flash=FlashGeometry(blocks_per_plane=chunks, pages_per_block=pages))
     device = OpenChannelSSD(geometry=geometry)
     return device, MediaManager(device)
@@ -205,6 +206,75 @@ class TestCheckpoint:
         layout = layout_for(media)
         manager = CheckpointManager(media, layout.ckpt_slots)
         assert run(media, manager.read_latest_proc()) is None
+
+    def wide_slots(self, media):
+        """Three-chunk slots and records that fill two and a half."""
+        layout = MetadataLayout.build(media.geometry, wal_chunk_count=4,
+                                      ckpt_chunks_per_slot=3)
+        geometry = media.geometry
+        self.per_frame = serial.rows_per_record(serial.REC_CKPT_MAP,
+                                                geometry.sector_size)
+        rows = [(i, i * 3) for i in range(
+            self.per_frame * (5 * geometry.sectors_per_chunk // 2 - 10))]
+        records = serial.split(serial.REC_CKPT_MAP, (), rows,
+                               geometry.sector_size)
+        return layout, CheckpointManager(media, layout.ckpt_slots), \
+            rows, records
+
+    def test_slot_chunks_are_erased_and_written_side_by_side(self):
+        """A slot is striped over PUs: rewriting it takes as long as its
+        busiest PU's erase and programs, not the sum over its chunks."""
+        device, media = make_media(pus=4)
+        layout, manager, rows, records = self.wide_slots(media)
+        slot = layout.ckpt_slots[1]
+        assert len({key[:2] for key in slot}) == 3
+        spans = []
+        for seq in (1, 3):           # seq 3 finds the slot dirty
+            started = media.sim.now
+            run(media, manager.write_payload_proc(seq, 7, records))
+            spans.append(media.sim.now - started)
+        per_chunk = media.geometry.sectors_per_chunk
+        assert [media.chunk_info(Ppa(*key, 0)).write_pointer
+                for key in slot] == [per_chunk, per_chunk, per_chunk // 2]
+        timing = device.chips[(0, 0)].timing
+        chunk_program = spans[0]     # the full chunks set the pace
+        assert spans[1] == pytest.approx(chunk_program + timing.erase_time())
+        seq, __, tables = run(media, manager.read_latest_proc())
+        assert seq == 3 and tables[serial.REC_CKPT_MAP] == rows
+
+    def test_torn_parallel_checkpoint_is_passed_over(self):
+        """Chunks written side by side can land out of order: a power cut
+        with the header's and the footer's chunk on media and the one
+        between them not must not read as a checkpoint with rows
+        missing — recovery starts from the other slot."""
+        device, media = make_media()
+        layout, manager, rows, records = self.wide_slots(media)
+        run(media, manager.write_payload_proc(1, 7, records[:40]))
+        injector = FaultInjector(FaultPlan())
+        injector.attach(device)
+        slot = layout.ckpt_slots[0]
+        write_proc = media.write_proc
+
+        def late_middle_write_proc(ppas, data, **kwargs):
+            if ppas.key == slot[1]:
+                yield media.sim.timeout(1.0)
+            return (yield from write_proc(ppas, data, **kwargs))
+
+        media.write_proc = late_middle_write_proc
+        checkpoint = media.sim.spawn(
+            manager.write_payload_proc(2, 9, records))
+        media.sim.run(until=media.sim.now + 0.5)
+        assert not checkpoint.processed
+        injector.power_cut()
+        per_chunk = media.geometry.sectors_per_chunk
+        assert [media.chunk_info(Ppa(*key, 0)).write_pointer
+                for key in slot] == [per_chunk, 0, per_chunk // 2]
+        injector.quiesce()
+        injector.restore_power()
+        fresh = CheckpointManager(MediaManager(device), layout.ckpt_slots)
+        seq, next_txn_id, tables = run(media, fresh.read_latest_proc())
+        assert (seq, next_txn_id) == (1, 7)
+        assert tables[serial.REC_CKPT_MAP] == rows[:40 * self.per_frame]
 
     def test_oversized_checkpoint_rejected(self):
         # A one-chunk slot holds ~254 map entries per sector: a full map
