@@ -18,7 +18,9 @@ python -m pytest benchmarks -q -k "ledger or smoke or gc_interference_locality"
 git diff --exit-code benchmarks/results/gc_locality.txt
 
 echo "== crash-consistency smoke (randomized power cuts) =="
-python -m repro.faults.checker --seeds 20
+# Base seed 300: tests/test_crash_consistency.py already ran 36 of the
+# default seeds' cut points in step 1; these 60 are new ones.
+python -m repro.faults.checker --seeds 20 --base-seed 300
 
 # Tests report into tmp_path (tests/conftest.py): from a clean tree the
 # tree is clean afterwards, and work in progress is not mistaken for a

@@ -210,6 +210,9 @@ def watch_sim_time(stack, rows: Dict[str, list]) -> None:
     row for it."""
     ftl = getattr(stack, "ftl", None)
     sim = stack.sim
+    # The durability plane: a tree from before the journal keeps the ring
+    # on the FTL and has no row for the checkpoint it does not wrap.
+    journal = getattr(ftl, "journal", ftl)
 
     def running(labels) -> bool:
         return any(rows[label][1] for label in labels if label in rows)
@@ -242,13 +245,14 @@ def watch_sim_time(stack, rows: Dict[str, list]) -> None:
         for method in ("append_buffer_proc", "read_page_proc",
                        "free_segment_proc", "_do_checkpoint_proc"):
             watch(ftl, method, f"OXEleos.{method}")
-        watch(ftl.wal, "flush_proc", "wal.flush_proc")
+        watch(journal, "checkpoint_proc", "  Journal.checkpoint_proc")
+        watch(journal.wal, "flush_proc", "wal.flush_proc")
         watch(ftl.media, "reset_proc", "media.reset_proc")
         return
-    if not hasattr(ftl, "gc") or not hasattr(ftl, "checkpointer"):
+    if not hasattr(ftl, "gc"):
         raise SystemExit(
             "--sim needs a workload on an OX-Block or OX-ELEOS stack")
-    gc, media, wal = ftl.gc, ftl.media, ftl.wal
+    gc, media, wal = ftl.gc, ftl.media, journal.wal
     checkpoint = ("OXBlock._do_checkpoint_proc",)
     for name in COLLECT:
         watch(gc, name, name)
@@ -258,9 +262,8 @@ def watch_sim_time(stack, rows: Dict[str, list]) -> None:
     watch(wal, "flush_proc", "  round: commit", COLLECT)
     watch(media, "reset_proc", "  round: reset", COLLECT, checkpoint)
     watch(ftl, "_do_checkpoint_proc", checkpoint[0])
-    watch(ftl.checkpointer, "write_payload_proc",
-          "  CheckpointManager.write_payload_proc")
-    watch(wal, "truncate_proc", "  WalAppender.truncate_proc")
+    watch(journal, "checkpoint_proc", "  Journal.checkpoint_proc")
+    watch(wal, "truncate_proc", "    WalAppender.truncate_proc")
     watch(wal, "flush_proc", "WalAppender.flush_proc")
 
 

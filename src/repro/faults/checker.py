@@ -274,21 +274,10 @@ def run_crash_check(cfg: CheckConfig) -> CheckResult:
     result.torn_chunks = injector.stats.torn_chunks
     result.programs_failed = injector.stats.programs_failed
     result.erases_failed = injector.stats.erases_failed
-    ftl.crash()
-    # Drain the processes the cut abandoned mid-op (an unjoined write,
-    # a unit flush): they fail with POWER_FAIL noise that must not
-    # surface inside recovery's run_until.
-    while True:
-        try:
-            device.sim.run()
-            break
-        except ReproError:
-            continue
+    injector.power_cycle(ftl)
     lost = set(ftl.lost_lbas)
 
     # -- recover ----------------------------------------------------------
-    injector.quiesce()
-    injector.restore_power()
     ftl2, report = OXBlock.recover(MediaManager(device), ftl.config)
     lost.update(report.lost_lbas)
     result.lost_lbas = len(lost)

@@ -120,6 +120,23 @@ class FaultInjector(Sidecar):
         the cut froze it; volatile state was already discarded."""
         self.powered = True
 
+    def power_cycle(self, ftl=None) -> None:
+        """The rest of a power cut, up to the point recovery can start:
+        *ftl* (if any) dies with the host, the processes the cut abandoned
+        mid-op run to their POWER_FAIL — noise that must not surface
+        inside recovery's ``run_until`` — and the device comes back
+        quiesced, with the media exactly as the cut froze it."""
+        if ftl is not None:
+            ftl.crash()
+        while True:
+            try:
+                self.device.sim.run()
+                break
+            except ReproError:
+                continue
+        self.quiesce()
+        self.restore_power()
+
     # -- chip / device hook entry points ----------------------------------
 
     def on_media_op(self, kind: str) -> bool:

@@ -614,8 +614,15 @@ class DB:
             self.stats.tables_written += 1
             builder = writer = None
 
-        yield from merge_into_proc(cursors, sink, drop_tombstones)
-        yield from finish_table_proc()
+        try:
+            yield from merge_into_proc(cursors, sink, drop_tombstones)
+            yield from finish_table_proc()
+        except ReproError:
+            # The table being written gives its chunks / zones / extent
+            # back; the ones this call already installed stay.
+            if writer is not None:
+                yield from writer.abort_proc()
+            raise
         return outputs
 
     def _install_table(self, table: TableRef, level: int,

@@ -9,8 +9,9 @@ confined.
 
 The LBA space is ``[0, capacity_sectors)`` — one LBA per sector of the
 data region (every chunk the WAL ring and the checkpoint slots do not
-take).  ``write``/``read``/``trim`` reject a range that leaves it with an
-:class:`~repro.errors.FTLError` before anything is locked or changed.
+take).  ``write``/``read``/``trim`` reject a range that leaves it, or
+holds less than one sector, with an :class:`~repro.errors.FTLError` before
+anything is locked or changed.
 
 Concurrency model: a single dispatch lock serializes the write path
 (allocation, WAL, map mutation) — the paper's "single dispatch thread" —
@@ -32,14 +33,14 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError, ReproError
-from repro.ox.ftl.checkpoint import CheckpointManager
+from repro.ox.ftl import serial
 from repro.ox.ftl.gc import GarbageCollector
+from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkState
-from repro.ox.ftl.provisioning import MetadataLayout, Provisioner
+from repro.ox.ftl.provisioning import Provisioner
 from repro.ox.ftl.recovery import RecoveryReport, recover_proc
 from repro.ox.ftl.serial import NO_PPA
-from repro.ox.ftl.wal import WalAppender
 from repro.ox.ftl.writebuffer import PAD_LBA, PendingUnit, WriteBuffer
 from repro.ox.media import MediaManager
 from repro.policies import resolve_placement_policy, resolve_victim_policy
@@ -87,14 +88,14 @@ class OXBlock:
     device) or :meth:`recover` (after a crash or clean shutdown)."""
 
     def __init__(self, media: MediaManager, config: BlockConfig,
-                 layout: MetadataLayout, page_map: PageMap,
-                 chunk_table: ChunkTable, provisioner: Provisioner,
-                 next_txn_id: int, epoch: int):
+                 journal: Journal, page_map: PageMap,
+                 chunk_table: ChunkTable, provisioner: Provisioner):
         self.media = media
         self.sim = media.sim
         self.config = config
         self.geometry = media.geometry
-        self.layout = layout
+        self.journal = journal
+        self.layout = journal.layout
         self.page_map = page_map
         #: The block device's size: LBAs are ``[0, capacity_sectors)``.
         self.capacity_sectors = page_map.capacity
@@ -108,9 +109,7 @@ class OXBlock:
         self.lost_lbas: List[int] = []
         self.buffer = WriteBuffer(self.geometry.ws_min,
                                   self.geometry.sector_size)
-        self.wal = WalAppender(media, layout.wal_chunks, epoch)
-        self.checkpointer = CheckpointManager(media, layout.ckpt_slots)
-        self._next_txn_id = next_txn_id
+        journal.relieve_proc = self._checkpoint_on_pressure_proc
         self._lock = Resource(self.sim, capacity=1, name="dispatch")
         self._alive = True
         self.stats = BlockStats()
@@ -119,11 +118,9 @@ class OXBlock:
         # the FTL stack, or this stays None (tracing disabled).
         self.obs = self.sim.obs
         self.gc = GarbageCollector(
-            media, page_map, chunk_table, provisioner, self.wal,
-            self._take_txn_id,
+            media, page_map, chunk_table, provisioner, journal,
             volatile_pending=lambda: bool(self.buffer.partial_units()),
             stabilize_proc=self._gc_stabilize_proc,
-            wal_relief_proc=self._checkpoint_on_pressure_proc,
             victim_policy=resolve_victim_policy(config.gc_policy),
             host_sectors_written=lambda: self.stats.sectors_written)
         self._gc_wakeup = self.sim.event()
@@ -152,17 +149,15 @@ class OXBlock:
         submits (data, WAL, GC, checkpoints) carries that identity."""
         if tenant is not None:
             media = media.for_tenant(tenant)
-        layout = MetadataLayout.build(
-            media.geometry, wal_chunk_count=config.wal_chunk_count,
-            ckpt_chunks_per_slot=config.ckpt_chunks_per_slot)
+        journal = Journal(media, config.wal_chunk_count,
+                          config.ckpt_chunks_per_slot)
         chunk_table = ChunkTable(media.geometry,
-                                 iter(layout.data_chunk_keys()))
+                                 iter(journal.layout.data_chunk_keys()))
         page_map = PageMap(chunk_table.total_sectors)
         provisioner = Provisioner(
             media.geometry, chunk_table,
             placement=resolve_placement_policy(config.placement_policy))
-        ftl = cls(media, config, layout, page_map, chunk_table, provisioner,
-                  next_txn_id=1, epoch=0)
+        ftl = cls(media, config, journal, page_map, chunk_table, provisioner)
         ftl.sim.run_until(ftl.sim.spawn(ftl._checkpoint_locked_proc()))
         return ftl
 
@@ -177,16 +172,14 @@ class OXBlock:
             media = media.for_tenant(tenant)
         sim = media.sim
         started = sim.now
-        layout = MetadataLayout.build(
-            media.geometry, wal_chunk_count=config.wal_chunk_count,
-            ckpt_chunks_per_slot=config.ckpt_chunks_per_slot)
+        journal = Journal(media, config.wal_chunk_count,
+                          config.ckpt_chunks_per_slot)
         state = sim.run_until(sim.spawn(recover_proc(
-            media, layout,
+            media, journal,
             replay_cpu_per_record=config.replay_cpu_per_record,
             placement=resolve_placement_policy(config.placement_policy))))
-        ftl = cls(media, config, layout, state.page_map, state.chunk_table,
-                  state.provisioner, next_txn_id=state.next_txn_id,
-                  epoch=state.epoch)
+        ftl = cls(media, config, journal, state.page_map, state.chunk_table,
+                  state.provisioner)
         sim.run_until(sim.spawn(ftl._checkpoint_locked_proc()))
         report = state.report
         report.duration = sim.now - started
@@ -281,7 +274,7 @@ class OXBlock:
             yield from self._checkpoint_on_pressure_proc()
             if self.provisioner.sectors_available("user") < count:
                 yield from self._reclaim_space_proc(count)
-            txn_id = self._take_txn_id()
+            txn_id = self.journal.take_txn_id()
             entries: List[Tuple[int, int, int]] = []
             completed_units: List[PendingUnit] = []
             # One lane for every transaction shape: the provisioner cuts
@@ -336,10 +329,9 @@ class OXBlock:
                 offset += taken
             unit_procs = [self.sim.spawn(self._write_unit_proc(unit, span))
                           for unit in completed_units]
-            self.wal.append_map_update(txn_id, entries)
-            self.wal.append_commit(txn_id)
+            self.journal.log_txn(serial.REC_MAP_UPDATE, txn_id, entries)
             try:
-                yield from self.wal.flush_proc(parent=span)
+                yield from self.journal.wal.flush_proc(parent=span)
             except ReproError as exc:
                 # The txn was never acknowledged.  A WAL-ring exhaustion
                 # (FTLError) leaves the media untouched, so the map
@@ -379,9 +371,7 @@ class OXBlock:
 
     def read_proc(self, lba: int, sectors: int = 1):
         self._check_alive()
-        if sectors < 1:
-            raise FTLError(f"read of {sectors} sectors")
-        if lba < 0 or lba + sectors > self.capacity_sectors:
+        if sectors < 1 or lba < 0 or lba + sectors > self.capacity_sectors:
             self._reject_range("read", lba, sectors)
         sector_size = self.geometry.sector_size
         obs = self.obs
@@ -437,13 +427,13 @@ class OXBlock:
 
     def trim_proc(self, lba: int, sectors: int = 1):
         self._check_alive()
-        if lba < 0 or lba + sectors > self.capacity_sectors:
+        if sectors < 1 or lba < 0 or lba + sectors > self.capacity_sectors:
             self._reject_range("trim", lba, sectors)
         grant = self._lock.request()
         yield grant
         try:
             yield from self._checkpoint_on_pressure_proc()
-            txn_id = self._take_txn_id()
+            txn_id = self.journal.take_txn_id()
             entries: List[Tuple[int, int, int]] = []
             per_chunk = self.geometry.sectors_per_chunk
             for index in range(sectors):
@@ -454,10 +444,9 @@ class OXBlock:
                 self.chunk_table.invalidate_linear(previous // per_chunk)
                 entries.append((lba + index, NO_PPA, previous))
             if entries:
-                self.wal.append_map_update(txn_id, entries)
-                self.wal.append_commit(txn_id)
+                self.journal.log_txn(serial.REC_MAP_UPDATE, txn_id, entries)
                 try:
-                    yield from self.wal.flush_proc()
+                    yield from self.journal.wal.flush_proc()
                 except FTLError:
                     # Never acknowledged: put the mappings back so the
                     # in-memory state matches what recovery would build.
@@ -479,7 +468,7 @@ class OXBlock:
         yield grant
         try:
             yield from self._flush_partial_unit_proc()
-            yield from self.wal.flush_proc()
+            yield from self.journal.wal.flush_proc()
         finally:
             self._lock.release()
         yield from self.media.flush_proc()
@@ -492,8 +481,8 @@ class OXBlock:
 
     def _reject_range(self, op: str, lba: int, count: int) -> None:
         raise FTLError(
-            f"{op} of {count} sector(s) at lba {lba} is outside the "
-            f"device's {self.capacity_sectors} sectors")
+            f"{op} of {count} sector(s) at lba {lba} is not a range "
+            f"inside the device's {self.capacity_sectors} sectors")
 
     def _absorb_notifications(self) -> None:
         """Process the device's asynchronous error reports (Figure 2:
@@ -529,11 +518,6 @@ class OXBlock:
                 self.obs.error("ftl", "chunk-retired",
                                f"{note.kind} at {note.ppa}: "
                                f"{len(lost)} mapped sector(s) lost")
-
-    def _take_txn_id(self) -> int:
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
-        return txn_id
 
     def _unwind_partial_txn(
             self, entries: List[Tuple[int, int, int]]) -> None:
@@ -632,7 +616,7 @@ class OXBlock:
             yield self.sim.all_of(procs)
 
     def _checkpoint_on_pressure_proc(self):
-        if self.wal.fill_fraction() <= self.config.wal_pressure_threshold:
+        if not self.journal.pressed(self.config.wal_pressure_threshold):
             return
         self.stats.forced_checkpoints += 1
         yield from self._do_checkpoint_proc()
@@ -657,10 +641,17 @@ class OXBlock:
         """
         yield from self._flush_partial_unit_proc()
         yield from self.media.flush_proc()
-        seq = self.wal.epoch + 1
-        yield from self.checkpointer.write_proc(
-            seq, self.page_map, self.chunk_table, self._next_txn_id)
-        yield from self.wal.truncate_proc(seq)
+        sector_size = self.geometry.sector_size
+        chunk_rows = self.chunk_table.snapshot()
+        # The map records are slices of the packed snapshot: no per-entry
+        # integers on the checkpoint path.
+        records = serial.split(serial.REC_CKPT_MAP, (),
+                               self.page_map.snapshot_packed(), sector_size)
+        records += serial.split(serial.REC_CKPT_CHUNK, (), chunk_rows,
+                                sector_size)
+        yield from self.journal.checkpoint_proc(
+            records, map_entries=len(self.page_map),
+            chunk_entries=len(chunk_rows))
         self.stats.checkpoints += 1
 
     # -- daemons ------------------------------------------------------------------------

@@ -38,19 +38,13 @@ from repro.errors import FTLError, OutOfSpaceError
 from repro.ocssd.address import Ppa, PpaRun
 from repro.ocssd.chunk import ChunkState
 from repro.ox.ftl import serial
-from repro.ox.ftl.checkpoint import CheckpointManager
-from repro.ox.ftl.provisioning import MetadataLayout
+from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.recovery import RecoveryReport
-from repro.ox.ftl.wal import WalAppender, WalReader
 from repro.ox.media import MediaManager
 from repro.sim.resources import Resource
 from repro.units import MIB
 
 ChunkKey = Tuple[int, int, int]
-
-#: The record kinds OX-ELEOS logs; each has a one-id head.
-_WAL_KINDS = frozenset((serial.REC_VPAGE_UPDATE, serial.REC_SEGMENT_NEW,
-                        serial.REC_SEGMENT_FREE, serial.REC_COMMIT))
 
 
 @dataclass(frozen=True)
@@ -91,14 +85,15 @@ class OXEleos:
     after a crash.
     """
 
-    def __init__(self, media: MediaManager, config: EleosConfig,
-                 layout: MetadataLayout):
+    def __init__(self, media: MediaManager, config: EleosConfig):
         self.media = media
         self.sim = media.sim
         self.obs = media.sim.obs    # repro.obs hub, None unless attached
         self.config = config
         self.geometry = media.geometry
-        self.layout = layout
+        self.journal = Journal(media, config.wal_chunk_count,
+                               config.ckpt_chunks_per_slot)
+        self.layout = self.journal.layout
         if config.buffer_bytes < self.geometry.sector_size:
             raise FTLError("LSS buffer must hold at least one sector")
         self.vmap: Dict[int, VPageEntry] = {}
@@ -112,12 +107,9 @@ class OXEleos:
         # Free chunks as one FIFO per PU, PUs in address order.
         self._free: Dict[Tuple[int, int], Deque[ChunkKey]] = {
             pu: deque() for pu in self.geometry.iter_pus()}
-        for key in layout.data_chunk_keys():
+        for key in self.layout.data_chunk_keys():
             self._free[key[:2]].append(key)
         self._next_segment_id = 1
-        self._next_txn_id = 1
-        self.wal = WalAppender(media, layout.wal_chunks, epoch=0)
-        self.checkpointer = CheckpointManager(media, layout.ckpt_slots)
         self._lock = Resource(self.sim, capacity=1, name="eleos-dispatch")
         self._alive = True
         self.stats = EleosStats()
@@ -135,10 +127,7 @@ class OXEleos:
                tenant=None) -> "OXEleos":
         if tenant is not None:
             media = media.for_tenant(tenant)
-        layout = MetadataLayout.build(
-            media.geometry, wal_chunk_count=config.wal_chunk_count,
-            ckpt_chunks_per_slot=config.ckpt_chunks_per_slot)
-        ftl = cls(media, config, layout)
+        ftl = cls(media, config)
         ftl.sim.run_until(ftl.sim.spawn(ftl._checkpoint_locked_proc()))
         return ftl
 
@@ -151,10 +140,7 @@ class OXEleos:
             media = media.for_tenant(tenant)
         sim = media.sim
         started = sim.now
-        layout = MetadataLayout.build(
-            media.geometry, wal_chunk_count=config.wal_chunk_count,
-            ckpt_chunks_per_slot=config.ckpt_chunks_per_slot)
-        ftl = cls(media, config, layout)
+        ftl = cls(media, config)
         report = sim.run_until(sim.spawn(ftl._recover_proc()))
         sim.run_until(sim.spawn(ftl._checkpoint_locked_proc()))
         report.duration = sim.now - started
@@ -236,30 +222,28 @@ class OXEleos:
             # the ring cannot take costs no segment: SEGMENT_NEW, COMMIT
             # and each VPAGE_UPDATE record open at most one frame after the
             # buffered SEGMENT_FREEs; flush_proc cannot run out of ring.
+            wal = self.journal.wal
             per_record = serial.rows_per_record(
                 serial.REC_VPAGE_UPDATE, self.geometry.sector_size)
-            needed = self.wal.sectors_needed(2 + -(-len(pages) // per_record))
-            if needed > self.wal.capacity_sectors:
+            needed = wal.sectors_needed(2 + -(-len(pages) // per_record))
+            if needed > wal.capacity_sectors:
                 raise FTLError(
                     f"a buffer of {len(pages)} pages commits in up to "
                     f"{needed} WAL sectors but the ring holds "
-                    f"{self.wal.capacity_sectors}; enlarge wal_chunk_count")
-            if self.wal.used_sectors + needed > self.wal.capacity_sectors:
+                    f"{wal.capacity_sectors}; enlarge wal_chunk_count")
+            if wal.used_sectors + needed > wal.capacity_sectors:
                 yield from self._do_checkpoint_proc()
             segment_id, entries = yield from self._write_segment_proc(pages)
-            txn_id = self._next_txn_id
-            self._next_txn_id += 1
-            self.wal.append(self._segment_record(serial.REC_SEGMENT_NEW,
-                                                 segment_id))
-            for record in serial.split(serial.REC_VPAGE_UPDATE, (txn_id,),
-                                       entries, self.geometry.sector_size):
-                self.wal.append(record)
-            self.wal.append_commit(txn_id)
-            yield from self.wal.flush_proc()
+            wal.append(self._segment_record(serial.REC_SEGMENT_NEW,
+                                            segment_id))
+            self.journal.log_txn(serial.REC_VPAGE_UPDATE,
+                                 self.journal.take_txn_id(), entries)
+            yield from wal.flush_proc()
             for entry in entries:
                 self._map_page(*entry)
             self._written[segment_id] = len(self._live[segment_id])
-            yield from self._checkpoint_on_pressure_proc()
+            if self.journal.pressed(self.config.wal_pressure_threshold):
+                yield from self._do_checkpoint_proc()
         finally:
             self._lock.release()
         self.stats.buffers_appended += 1
@@ -303,8 +287,8 @@ class OXEleos:
                 raise FTLError(
                     f"segment {segment_id} still holds live pages "
                     f"{stale[:5]}{'...' if len(stale) > 5 else ''}")
-            self.wal.append(serial.encode(serial.REC_SEGMENT_FREE,
-                                          (segment_id,)))
+            self.journal.wal.append(serial.encode(serial.REC_SEGMENT_FREE,
+                                                  (segment_id,)))
             # The relocated copies are durable before the old ones go.
             yield from self.media.flush_proc()
             yield from self.sim.join_proc(
@@ -471,11 +455,6 @@ class OXEleos:
 
     # -- checkpoint / recovery ------------------------------------------------------------
 
-    def _checkpoint_on_pressure_proc(self):
-        if self.wal.fill_fraction() <= self.config.wal_pressure_threshold:
-            return
-        yield from self._do_checkpoint_proc()
-
     def _checkpoint_locked_proc(self):
         grant = self._lock.request()
         yield grant
@@ -488,62 +467,41 @@ class OXEleos:
         # A checkpointed mapping must point at durable data: drain the
         # controller cache before snapshotting the vmap.
         yield from self.media.flush_proc()
-        seq = self.wal.epoch + 1
         vmap_rows = [(page_id, entry.first_sector, entry.offset, entry.length)
                      for page_id, entry in sorted(self.vmap.items())]
         records = serial.split(serial.REC_CKPT_VMAP, (), vmap_rows,
                                self.geometry.sector_size)
         records += [self._segment_record(serial.REC_CKPT_SEGMENT, segment_id)
                     for segment_id in sorted(self.segments)]
-        yield from self.checkpointer.write_payload_proc(
-            seq, self._next_txn_id, records)
-        yield from self.media.flush_proc()
-        yield from self.wal.truncate_proc(seq)
+        yield from self.journal.checkpoint_proc(records)
         self.stats.checkpoints += 1
 
     def _recover_proc(self):
         report = RecoveryReport()
-        checkpoint = yield from self.checkpointer.read_latest_proc()
-        if checkpoint is not None:
-            self.wal.epoch, self._next_txn_id, tables = checkpoint
-            report.checkpoint_seq = self.wal.epoch
-            for segment_id, rows in tables.get(serial.REC_CKPT_SEGMENT, ()):
-                self._add_segment_rows(segment_id, rows)
-            for entry in tables.get(serial.REC_CKPT_VMAP, ()):
-                self._map_page(*entry)
+        tables, records = yield from self.journal.load_proc(report)
+        for segment_id, rows in tables.get(serial.REC_CKPT_SEGMENT, ()):
+            self._add_segment_rows(segment_id, rows)
+        for entry in tables.get(serial.REC_CKPT_VMAP, ()):
+            self._map_page(*entry)
 
-        reader = WalReader(self.media, self.layout.wal_chunks,
-                           self.wal.epoch)
-        records = yield from reader.read_proc()
-        report.wal_sectors_read = reader.sectors_read
-        report.records_decoded = len(records)
-
-        pending: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        current_segments: List[Tuple[int, List[Tuple[int]]]] = []
-        for record in records:
-            if self.config.replay_cpu_per_record:
+        if self.config.replay_cpu_per_record:
+            for __ in records:      # replay pays one tick per record
                 yield self.sim.timeout(self.config.replay_cpu_per_record)
-            if record.rtype not in _WAL_KINDS:
-                continue
-            (ident,), rows = serial.decode(record)   # a txn or segment id
-            if record.rtype == serial.REC_VPAGE_UPDATE:
-                pending.setdefault(ident, []).extend(rows)
-            elif record.rtype == serial.REC_SEGMENT_NEW:
-                current_segments.append((ident, rows))
-            elif record.rtype == serial.REC_SEGMENT_FREE:
+        opened: List[Tuple[int, List[Tuple[int]]]] = []   # since a commit
+        for rtype, ident, rows in self.journal.fold(records):
+            if rtype == serial.REC_SEGMENT_NEW:
+                opened.append((ident, rows))
+            elif rtype == serial.REC_SEGMENT_FREE:
                 self._drop_segment(ident)
-            else:   # REC_COMMIT
-                entries = pending.pop(ident, [])
-                segments = current_segments
-                current_segments = []
-                if not self._txn_durable(entries):
+            else:   # REC_COMMIT: the transaction's VPAGE_UPDATE rows
+                segments, opened = opened, []
+                if not self._txn_durable(rows):
                     report.txns_dropped += 1
                     continue
-                for segment_id, rows in segments:
-                    self._add_segment_rows(segment_id, rows)
-                for entry in entries:
+                for segment_id, chunk_rows in segments:
+                    self._add_segment_rows(segment_id, chunk_rows)
+                for entry in rows:
                     self._map_page(*entry)
-                self._next_txn_id = max(self._next_txn_id, ident + 1)
                 report.txns_applied += 1
 
         # A segment nothing maps into holds nothing: the cleaner emptied

@@ -1,9 +1,9 @@
 """Checkpointing: bounded recovery time (the mechanism behind Figure 3).
 
 A checkpoint persists the FTL's durable state into one of two alternating
-slots, then the caller truncates the WAL.  Recovery reads both slots,
-validates completeness via the footer record, and starts from the newest
-complete one.  "The checkpoint process truncates the log at regular
+slots, then the journal (:mod:`repro.ox.ftl.journal`) truncates the WAL.
+Recovery reads both slots, validates completeness via the footer record,
+and starts from the newest complete one.  "The checkpoint process truncates the log at regular
 intervals", which is why recovery time "oscillates up and down and remains
 constant" instead of growing with runtime (§4.3).
 
@@ -21,8 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import FTLError, RecoveryError
 from repro.ocssd.address import Ppa, PpaRun
 from repro.ox.ftl import serial
-from repro.ox.ftl.mapping import PageMap
-from repro.ox.ftl.metadata import ChunkTable
 from repro.ox.media import MediaManager
 
 ChunkKey = Tuple[int, int, int]
@@ -49,30 +47,15 @@ class CheckpointManager:
 
     # -- writing ---------------------------------------------------------------
 
-    def write_proc(self, seq: int, page_map: PageMap, chunk_table: ChunkTable,
-                   next_txn_id: int):
-        """Persist an OX-Block-style checkpoint (page map + chunk table).
-
-        The caller must hold the FTL dispatch lock (stop-the-world): the
-        snapshot must be consistent with the WAL truncation that follows.
-        """
-        map_packed = page_map.snapshot_packed()
-        chunk_snapshot = chunk_table.snapshot()
-        # The map records are slices of the packed snapshot: no per-entry
-        # integers on the checkpoint path.
-        records = serial.split(serial.REC_CKPT_MAP, (), map_packed,
-                               self.sector_size)
-        records += serial.split(serial.REC_CKPT_CHUNK, (), chunk_snapshot,
-                                self.sector_size)
-        yield from self.write_payload_proc(seq, next_txn_id, records,
-                                           map_entries=len(page_map),
-                                           chunk_entries=len(chunk_snapshot))
-
     def write_payload_proc(self, seq: int, next_txn_id: int,
                            records: Sequence[bytes],
                            map_entries: int = 0, chunk_entries: int = 0):
         """Persist checkpoint *seq* with caller-provided records, durably
-        (FUA), framed by a header and a checksummed footer."""
+        (FUA), framed by a header and a checksummed footer.
+
+        The caller must hold the FTL dispatch lock (stop-the-world): the
+        records must be consistent with the WAL truncation that follows.
+        """
         slot = self.slots[seq % 2]
         writer = serial.FrameWriter(self.sector_size)
         writer.append(serial.encode(

@@ -41,9 +41,9 @@ from repro.errors import OutOfSpaceError
 from repro.ocssd.address import Ppa, PpaRun
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
+from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.provisioning import Provisioner
-from repro.ox.ftl.serial import NO_PPA
-from repro.ox.ftl.wal import WalAppender
+from repro.ox.ftl.serial import NO_PPA, REC_MAP_UPDATE
 from repro.ox.media import MediaManager
 from repro.policies.victim import VictimPolicy
 
@@ -73,10 +73,8 @@ class GarbageCollector:
 
     def __init__(self, media: MediaManager, page_map: PageMap,
                  chunk_table: ChunkTable, provisioner: Provisioner,
-                 wal: WalAppender, next_txn_id: Callable[[], int],
-                 volatile_pending: Callable[[], bool],
-                 stabilize_proc: Callable, wal_relief_proc: Callable,
-                 victim_policy: VictimPolicy,
+                 journal: Journal, volatile_pending: Callable[[], bool],
+                 stabilize_proc: Callable, victim_policy: VictimPolicy,
                  host_sectors_written: Callable[[], int]):
         self.media = media
         self.sim = media.sim
@@ -90,18 +88,16 @@ class GarbageCollector:
         self.page_map = page_map
         self.chunk_table = chunk_table
         self.provisioner = provisioner
-        self.wal = wal
-        self.next_txn_id = next_txn_id
+        # Relocation commits consume WAL space but never truncate it; the
+        # journal's pressure valve (the FTL's checkpoint) is safe between
+        # rounds: no transaction is mid-stage while GC holds the lock.
+        self.journal = journal
         # An acked transaction with sectors still staged in the FTL write
         # buffer can be dropped whole by recovery, rolling its lbas back
         # to mappings a reset would erase.  The FTL reports that state and
         # offers the barrier that clears it (pad the unit, drain).
         self.volatile_pending = volatile_pending
         self.stabilize_proc = stabilize_proc
-        # Relocation commits consume WAL space but never truncate it; the
-        # FTL's pressure valve (checkpoint) is safe between rounds: no
-        # transaction is mid-stage while GC holds the dispatch lock.
-        self.wal_relief_proc = wal_relief_proc
         self.marked_group = 0
         self.stats = GcStats()
         # Victim selection is a policy (repro.policies).
@@ -264,7 +260,7 @@ class GarbageCollector:
         yield from self.sim.join_proc(
             [self._reset_proc(*job[:2], span) for job in jobs], "gc-reset")
         if jobs:
-            yield from self.wal_relief_proc()
+            yield from self.journal.relieve_proc()
         if obs is not None:
             obs.end(span, victims=len(jobs),
                     relocated=sum(len(live) for __, live in moves))
@@ -409,7 +405,7 @@ class GarbageCollector:
         # Re-validate under the (held) dispatch lock and commit the moves,
         # the chunk table once per destination unit — with one clock tick
         # per moved sector: age-aware victim policies order by those ticks.
-        txn = self.next_txn_id()
+        txn = self.journal.take_txn_id()
         entries: List[Tuple[int, int, int]] = []
         lookup = self.page_map.lookup
         update = self.page_map.update
@@ -440,8 +436,7 @@ class GarbageCollector:
             if self.obs is not None:
                 self.obs.metrics.counter(
                     "ftl.gc.sectors_relocated").increment(len(entries))
-            self.wal.append_map_update(txn, entries)
-            self.wal.append_commit(txn)
-            barrier.append(self.wal.flush_proc(parent=parent))
+            self.journal.log_txn(REC_MAP_UPDATE, txn, entries)
+            barrier.append(self.journal.wal.flush_proc(parent=parent))
         yield from self.sim.join_proc(barrier, "gc-commit")
         return aborted

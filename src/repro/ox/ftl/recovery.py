@@ -25,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.ocssd.address import Ppa
 from repro.ocssd.chunk import ChunkState
-from repro.ox.ftl.checkpoint import CheckpointManager
+from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkState
-from repro.ox.ftl.provisioning import MetadataLayout, Provisioner
-from repro.ox.ftl.serial import NO_PPA, REC_CKPT_CHUNK, REC_CKPT_MAP
-from repro.ox.ftl.wal import WalReader, committed_transactions
+from repro.ox.ftl.provisioning import Provisioner
+from repro.ox.ftl.serial import (NO_PPA, REC_CKPT_CHUNK, REC_CKPT_MAP,
+                                 REC_COMMIT)
 from repro.ox.media import MediaManager
 
 
@@ -56,42 +55,29 @@ class RecoveredState:
     page_map: PageMap
     chunk_table: ChunkTable
     provisioner: Provisioner
-    next_txn_id: int
-    epoch: int
     report: RecoveryReport
 
 
-def recover_proc(media: MediaManager, layout: MetadataLayout,
+def recover_proc(media: MediaManager, journal: Journal,
                  replay_cpu_per_record: float = 2e-6,
                  placement=None):
-    """Process generator: rebuild FTL state from media; returns
-    :class:`RecoveredState`.  *placement* (a
-    :class:`repro.policies.PlacementPolicy`) seeds the rebuilt
+    """Process generator: rebuild FTL state from media, positioning
+    *journal* on the way; returns :class:`RecoveredState`.  *placement*
+    (a :class:`repro.policies.PlacementPolicy`) seeds the rebuilt
     provisioner; None keeps the default striped policy."""
     sim = media.sim
     started = sim.now
     report = RecoveryReport()
     geometry = media.geometry
 
-    # 1. Checkpoint.
-    ckpt = CheckpointManager(media, layout.ckpt_slots)
-    checkpoint = yield from ckpt.read_latest_proc()
-    chunk_table = ChunkTable(geometry, iter(layout.data_chunk_keys()))
+    # 1. Checkpoint, and 2. the WAL of its epoch.
+    tables, records = yield from journal.load_proc(report)
+    chunk_table = ChunkTable(geometry,
+                             iter(journal.layout.data_chunk_keys()))
     page_map = PageMap(chunk_table.total_sectors)
-    epoch = 0
-    next_txn_id = 1
-    if checkpoint is not None:
-        epoch, next_txn_id, tables = checkpoint
-        page_map.load(tables.get(REC_CKPT_MAP, ()))
-        for row in tables.get(REC_CKPT_CHUNK, ()):
-            chunk_table.load_row(*row)
-        report.checkpoint_seq = epoch
-
-    # 2. WAL replay.
-    reader = WalReader(media, layout.wal_chunks, epoch)
-    records = yield from reader.read_proc()
-    report.wal_sectors_read = reader.sectors_read
-    report.records_decoded = len(records)
+    page_map.load(tables.get(REC_CKPT_MAP, ()))
+    for row in tables.get(REC_CKPT_CHUNK, ()):
+        chunk_table.load_row(*row)
     data_keys = set(key for key, __ in chunk_table.items())
 
     def classify(linear_ppa: int) -> str:
@@ -116,8 +102,9 @@ def recover_proc(media: MediaManager, layout: MetadataLayout,
     # order.
     txns: List[Tuple[int, list]] = []
     writers: dict = {}   # lba -> [txn index, ...] in commit order
-    for txn_id, entries in committed_transactions(iter(records)):
-        next_txn_id = max(next_txn_id, txn_id + 1)
+    for rtype, txn_id, entries in journal.fold(records):
+        if rtype != REC_COMMIT:
+            continue        # OX-Block logs nothing outside a transaction
         if replay_cpu_per_record:
             yield sim.timeout(replay_cpu_per_record * max(1, len(entries)))
         index = len(txns)
@@ -229,5 +216,4 @@ def recover_proc(media: MediaManager, layout: MetadataLayout,
 
     report.duration = sim.now - started
     return RecoveredState(page_map=page_map, chunk_table=chunk_table,
-                          provisioner=provisioner, next_txn_id=next_txn_id,
-                          epoch=epoch, report=report)
+                          provisioner=provisioner, report=report)

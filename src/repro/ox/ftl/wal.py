@@ -16,7 +16,7 @@ truncated when the crash hit.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import FTLError, RecoveryError
 from repro.ocssd.address import Ppa, PpaRun
@@ -27,7 +27,8 @@ ChunkKey = Tuple[int, int, int]
 
 
 class WalAppender:
-    """Append side of the log: buffer records, flush FUA batches."""
+    """The log ring at one epoch: buffer records, flush FUA batches,
+    truncate — and, after a restart, read back what was flushed."""
 
     def __init__(self, media: MediaManager, chunks: Sequence[ChunkKey],
                  epoch: int):
@@ -45,6 +46,8 @@ class WalAppender:
         self.sectors_per_chunk = geometry.sectors_per_chunk
         self.sector_size = geometry.sector_size
         self._writer = serial.FrameWriter(self.sector_size)
+        #: Buffer one encoded record (see :mod:`repro.ox.ftl.serial`).
+        self.append = self._writer.append
         self.capacity_sectors = len(self.chunks) * self.sectors_per_chunk
         #: Sectors flushed this epoch: the ring position (chunk ``//``,
         #: sector ``%`` sectors_per_chunk) and the next OOB sequence number.
@@ -55,19 +58,6 @@ class WalAppender:
         return self.used_sectors / self.capacity_sectors
 
     # -- appending -------------------------------------------------------------------
-
-    def append(self, record: bytes) -> None:
-        """Buffer one encoded record (see :mod:`repro.ox.ftl.serial`)."""
-        self._writer.append(record)
-
-    def append_map_update(self, txn_id: int,
-                          entries: Sequence[Tuple[int, int, int]]) -> None:
-        for record in serial.split(serial.REC_MAP_UPDATE, (txn_id,),
-                                   entries, self.sector_size):
-            self._writer.append(record)
-
-    def append_commit(self, txn_id: int) -> None:
-        self._writer.append(serial.encode(serial.REC_COMMIT, (txn_id,)))
 
     def sectors_needed(self, more_frames: int) -> int:
         """Ring sectors a flush takes once *more_frames* frames join the
@@ -140,25 +130,14 @@ class WalAppender:
         self.epoch = new_epoch
         self.used_sectors = 0
 
-
-class WalReader:
-    """Replay side: read the ring, yield the records of the given epoch."""
-
-    def __init__(self, media: MediaManager, chunks: Sequence[ChunkKey],
-                 epoch: int):
-        self.media = media
-        self.chunks = list(chunks)
-        self.epoch = epoch
-        self.sector_size = media.geometry.sector_size
-        self.sectors_read = 0
-        self.records: List[serial.Record] = []
+    # -- replay ----------------------------------------------------------------------
 
     def read_proc(self):
-        """Process generator: read and decode the whole valid log.
-
-        Returns the list of records (also stored in ``self.records``).
-        Timing is real: every sector is fetched through the device.
-        """
+        """Process generator: read and decode the valid log of this epoch;
+        returns ``(records, sectors)`` — the records in order and the ring
+        sectors they took.  Timing is real: every sector is fetched
+        through the device."""
+        records: List[serial.Record] = []
         expected_seq = 0
         for key in self.chunks:
             info = self.media.chunk_info(Ppa(*key, 0))
@@ -167,46 +146,14 @@ class WalReader:
             completion = yield from self.media.read_proc(
                 PpaRun(key, 0, info.write_pointer))
             self.media.require_ok(completion, "WAL read")
-            stop = False
             for frame, sector_oob in zip(
                     serial.iter_frames(completion.data, self.sector_size),
                     completion.oob):
-                if (not isinstance(sector_oob, tuple)
-                        or len(sector_oob) != 3
-                        or sector_oob[0] != "wal"
-                        or sector_oob[1] != self.epoch
-                        or sector_oob[2] != expected_seq):
-                    stop = True
-                    break
+                if sector_oob != ("wal", self.epoch, expected_seq):
+                    return records, expected_seq
                 expected_seq += 1
-                self.sectors_read += 1
                 try:
-                    self.records.extend(serial.decode_frame(frame))
+                    records.extend(serial.decode_frame(frame))
                 except RecoveryError:
-                    stop = True
-                    break
-            if stop:
-                break
-        return self.records
-
-
-def committed_transactions(
-        records: Iterable[serial.Record]
-) -> List[Tuple[int, List[Tuple[int, int, int]]]]:
-    """Fold a record stream into committed transactions, in commit order.
-
-    Returns ``[(txn_id, [(lba, new_ppa, old_ppa), ...]), ...]``; map
-    updates without a commit record (the crash window) are discarded —
-    that is exactly the WAL's atomicity guarantee.
-    """
-    pending: dict[int, List[Tuple[int, int, int]]] = {}
-    committed: List[Tuple[int, List[Tuple[int, int, int]]]] = []
-    for record in records:
-        if record.rtype == serial.REC_MAP_UPDATE:
-            (txn_id,), entries = serial.decode(record)
-            pending.setdefault(txn_id, []).extend(entries)
-        elif record.rtype == serial.REC_COMMIT:
-            (txn_id,), __ = serial.decode(record)
-            if txn_id in pending:
-                committed.append((txn_id, pending.pop(txn_id)))
-    return committed
+                    return records, expected_seq
+        return records, expected_seq

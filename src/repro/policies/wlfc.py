@@ -99,8 +99,8 @@ class WriteLessCache:
 
     def _reject_range(self, op: str, lba: int, count: int) -> None:
         raise ReproError(
-            f"wlfc: {op} of {count} sector(s) at lba {lba} is outside the "
-            f"device's {self.ftl.capacity_sectors} sectors")
+            f"wlfc: {op} of {count} sector(s) at lba {lba} is not a range "
+            f"inside the device's {self.ftl.capacity_sectors} sectors")
 
     # -- the synchronous LBA API -------------------------------------------------
 
@@ -127,7 +127,8 @@ class WriteLessCache:
             self._evict()
 
     def read(self, lba: int, sectors: int = 1) -> bytes:
-        if lba < 0 or lba + sectors > self.ftl.capacity_sectors:
+        if sectors < 1 or lba < 0 \
+                or lba + sectors > self.ftl.capacity_sectors:
             self._reject_range("read", lba, sectors)
         sector_size = self.geometry.sector_size
         dirty = self._dirty
@@ -154,7 +155,8 @@ class WriteLessCache:
         return b"".join(pieces)
 
     def trim(self, lba: int, sectors: int = 1) -> None:
-        if lba < 0 or lba + sectors > self.ftl.capacity_sectors:
+        if sectors < 1 or lba < 0 \
+                or lba + sectors > self.ftl.capacity_sectors:
             self._reject_range("trim", lba, sectors)
         for index in range(sectors):
             self._dirty.pop(lba + index, None)

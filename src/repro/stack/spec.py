@@ -28,11 +28,6 @@ FTL_FLAVORS = ("oxblock", "eleos", "zns", "lightlsm", "none")
 HOSTS = ("auto", "db", "llama", "wlfc", "none")
 PLACEMENTS = ("horizontal", "vertical")
 QOS_POLICIES = ("partitioned", "shared")
-#: Mirror of the repro.policies registries (kept literal so spec
-#: validation does not import FTL modules; tests assert the two stay in
-#: sync).  The first entry of each is the field's default.
-GC_POLICIES = ("greedy", "cost_benefit", "age_partitioned")
-PLACEMENT_POLICIES = ("striped", "stream_partitioned", "hotcold")
 WORKLOADS = ("fill_sequential", "fill_then_read_random",
              "fill_then_read_sequential", "raw_fill_read", "trace", "none")
 PACINGS = ("afap", "recorded")
@@ -321,11 +316,14 @@ class StackSpec:
         _check(self.qos_policy in QOS_POLICIES,
                f"unknown qos policy {self.qos_policy!r}; "
                f"expected one of {QOS_POLICIES}")
-        # A menu only one FTL reads: anything but its default needs it.
+        # A menu only one FTL reads: anything but its default (the first
+        # entry; the policy menus are repro.policies' registries) needs it.
+        from repro import policies
         for name, menu, ftl in (
                 ("placement", PLACEMENTS, "lightlsm"),
-                ("gc_policy", GC_POLICIES, "oxblock"),
-                ("placement_policy", PLACEMENT_POLICIES, "oxblock")):
+                ("gc_policy", tuple(policies.VICTIM_POLICIES), "oxblock"),
+                ("placement_policy", tuple(policies.PLACEMENT_POLICIES),
+                 "oxblock")):
             value = getattr(self, name)
             _check(value in menu,
                    f"unknown {name} {value!r}; expected one of {menu}")

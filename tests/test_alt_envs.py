@@ -155,3 +155,67 @@ class TestZnsEnv:
         with pytest.raises(OutOfSpaceError):
             for i in range(30_000):
                 db.put(key(i), b"x" * 1024)
+
+
+class TestFailedTableWrite:
+    """At 8a545bf ``SSTableWriter.abort_proc`` had four implementations
+    and no caller: a table write that raised leaked what it had taken."""
+
+    @staticmethod
+    def lightlsm():
+        from repro.lsm import HorizontalPlacement, LightLSMConfig, LightLSMEnv
+        device = make_device(chunks=40)
+        env = LightLSMEnv(MediaManager(device), HorizontalPlacement(),
+                          LightLSMConfig())
+        db = DB(env, DBConfig(block_size=96 * KIB,
+                              write_buffer_bytes=512 * 1024), device.sim)
+        return env, db, lambda: {pu: sorted(queue) for pu, queue
+                                 in env.free_pool.items()}
+
+    @staticmethod
+    def zns():
+        __, __z, env, db = make_zns_db()
+        return env, db, lambda: sorted(env._free_zones)
+
+    @staticmethod
+    def blockdev():
+        __, env, db = make_blockdev_db()
+        # Sectors on the free list, less the never-allocated frontier.
+        return env, db, lambda: sum(
+            extent.sectors for extent in env._free_list) - env._next_lba
+
+    @pytest.mark.parametrize("make", ["lightlsm", "zns", "blockdev"])
+    def test_the_open_table_gives_its_space_back(self, make):
+        from repro.lsm.compaction import MemCursor
+        env, db, free_space = getattr(self, make)()
+        items = [(key(i), bytes([i % 251]) * 700) for i in range(600)]
+        create_writer_proc = env.create_writer_proc
+
+        def failing_create_writer_proc(*args):
+            writer = yield from create_writer_proc(*args)
+            append_block_proc = writer.append_block_proc
+            blocks = []
+
+            def third_block_fails_proc(block):
+                blocks.append(block)
+                if len(blocks) == 3:
+                    raise OutOfSpaceError("injected mid-table failure")
+                yield from append_block_proc(block)
+
+            writer.append_block_proc = third_block_fails_proc
+            return writer
+
+        before = free_space()
+        env.create_writer_proc = failing_create_writer_proc
+        with pytest.raises(OutOfSpaceError, match="injected"):
+            db.sim.run_until(db.sim.spawn(db._write_tables_proc(
+                [MemCursor(items)], level=0, drop_tombstones=False)))
+        assert free_space() == before
+        assert not db.levels[0] and db.stats.tables_written == 0
+        # The env still takes tables.
+        env.create_writer_proc = create_writer_proc
+        for item in items:
+            db.put(*item)
+        db.flush()
+        db.wait_idle()
+        assert db.get(items[7][0]) == items[7][1]

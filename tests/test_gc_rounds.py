@@ -167,15 +167,7 @@ def test_round_traffic_stays_in_the_marked_group():
 # -- power cuts at each step of the ordering ---------------------------------------
 
 def recover(media, ftl, injector):
-    ftl.crash()
-    while True:   # drain what the cut abandoned mid-op
-        try:
-            media.sim.run()
-            break
-        except ReproError:
-            continue
-    injector.quiesce()
-    injector.restore_power()
+    injector.power_cycle(ftl)
     return OXBlock.recover(MediaManager(media.device), ftl.config)
 
 
@@ -185,7 +177,7 @@ def cut_round(step):
     media, ftl, expected, __ = aged(gc_enabled=False)
     injector = FaultInjector(FaultPlan())
     injector.attach(media.device)
-    gc, sim = ftl.gc, media.sim
+    gc, sim, wal = ftl.gc, media.sim, ftl.journal.wal
     rounds = watch_rounds(ftl)
 
     def cut_after(proc):
@@ -204,10 +196,10 @@ def cut_round(step):
     # The device flush and the commit run side by side; left alone the
     # one-unit commit lands while the copies are still draining.
     if step == "copied":        # copies durable, the commit held back
-        ftl.wal.flush_proc = delayed(ftl.wal.flush_proc)
+        wal.flush_proc = delayed(wal.flush_proc)
         media.flush_proc = cut_after(media.flush_proc)
     elif step == "commit first":    # commit durable, copies in the cache
-        ftl.wal.flush_proc = cut_after(ftl.wal.flush_proc)
+        wal.flush_proc = cut_after(wal.flush_proc)
     elif step == "committed":   # both durable, nothing reset
         gc._relocate_round_proc = cut_after(gc._relocate_round_proc)
     else:                       # 1 ms into the 3.5 ms erases

@@ -323,7 +323,7 @@ class TestWiring:
         assert device.controller.obs is obs
         assert device.sim.obs is obs
         assert ftl.obs is obs
-        assert ftl.wal.obs is obs
+        assert ftl.journal.wal.obs is obs
         assert all(chip.obs is obs for chip in device.chips.values())
 
     def test_detach_disables_recording(self):
@@ -335,7 +335,7 @@ class TestWiring:
         unit = device.geometry.ws_min
         # Layers built after attach hold their own reference by design;
         # a full disable nulls those too.
-        ftl.obs = ftl.wal.obs = ftl.gc.obs = None
+        ftl.obs = ftl.journal.wal.obs = ftl.gc.obs = None
         ftl.write(0, bytes(unit * SS))
         assert len(obs.tracer.spans) == recorded
 
@@ -347,7 +347,7 @@ class TestWiring:
         assert device.obs is None
         assert device.controller.obs is None
         assert device.sim.obs is None
-        assert ftl.obs is None and ftl.wal.obs is None
+        assert ftl.obs is None and ftl.journal.wal.obs is None
         unit = device.geometry.ws_min
         ftl.write(0, bytes(unit * SS))
         assert ftl.read(0, 1) == b"\x00" * SS or ftl.read(0, 1)

@@ -83,9 +83,10 @@ class TestLbaSpace:
     @staticmethod
     def state(ftl):
         return (ftl.page_map.snapshot_packed(), len(ftl.buffer),
-                ftl.wal._writer.frame_count(), ftl.wal.used_sectors,
+                ftl.journal.wal._writer.frame_count(),
+                ftl.journal.wal.used_sectors,
                 ftl.provisioner.free_chunks(), ftl.chunk_table.snapshot(),
-                ftl._next_txn_id, ftl._lock.in_use)
+                ftl.journal.next_txn_id, ftl._lock.in_use)
 
     def test_capacity_is_the_data_region(self):
         __, media, ftl, __c = make_stack()
@@ -93,20 +94,27 @@ class TestLbaSpace:
             len(ftl.layout.data_chunk_keys())
             * media.geometry.sectors_per_chunk)
 
-    @pytest.mark.parametrize("lba", [-5, -1, 10**9, 2**70])
-    def test_out_of_range_ops_change_nothing(self, lba):
+    @pytest.mark.parametrize("lba, count", [
+        (-5, 1), (-1, 1), (10**9, 1), (2**70, 1), (5, 0), (5, -3),
+    ], ids=["-5", "-1", "1000000000", "1180591620717411303424",
+            "no sectors", "negative count"])
+    def test_out_of_range_ops_change_nothing(self, lba, count):
+        """A count below one is no range either (at 8a545bf ``trim(5, 0)``
+        and ``trim(5, -3)`` took the lock and counted as trims)."""
         __, __m, ftl, __c = make_stack()
         ftl.write(3, b"k" * SS)
-        before = self.state(ftl)
-        for call in (lambda: ftl.write(lba, b"x" * SS),
-                     lambda: ftl.read(lba, 1),
-                     lambda: ftl.trim(lba, 1)):
+        before = self.state(ftl), ftl.stats.trims, ftl.stats.reads
+        calls = [lambda: ftl.read(lba, count), lambda: ftl.trim(lba, count)]
+        if count > 0:
+            calls.append(lambda: ftl.write(lba, b"x" * (count * SS)))
+        for call in calls:
             with pytest.raises(FTLError) as raised:
                 call()
             message = str(raised.value)
-            assert (f"lba {lba}" in message and "1 sector" in message
+            assert (f"lba {lba}" in message and f"{count} sector" in message
                     and str(ftl.capacity_sectors) in message)
-            assert self.state(ftl) == before
+            assert (self.state(ftl), ftl.stats.trims,
+                    ftl.stats.reads) == before
         # The FTL is unharmed: it can still checkpoint, and recover.
         ftl.flush()
         ftl.sim.run_until(ftl.sim.spawn(ftl._checkpoint_locked_proc()))

@@ -104,9 +104,9 @@ class TestRejectedBuffers:
 
         def state():
             return (ftl.free_chunk_count(), dict(ftl.segments),
-                    dict(ftl.vmap), ftl.wal._writer.frame_count(),
-                    ftl.wal.used_sectors, ftl._next_segment_id,
-                    ftl._next_txn_id, ftl._lock.in_use)
+                    dict(ftl.vmap), ftl.journal.wal._writer.frame_count(),
+                    ftl.journal.wal.used_sectors, ftl._next_segment_id,
+                    ftl.journal.next_txn_id, ftl._lock.in_use)
 
         before = state()
         for __ in range(2):
@@ -231,7 +231,8 @@ def test_a_commit_larger_than_the_rest_of_the_ring_costs_no_segment():
                          ckpt_chunks_per_slot=2)
     __, media, ftl, __c = make_stack(chunks=16, pages=6, config=config)
     ftl.append_buffer([(1, b"x" * 100)])
-    assert (ftl.wal.used_sectors, ftl.wal.capacity_sectors) == (24, 48)
+    wal = ftl.journal.wal
+    assert (wal.used_sectors, wal.capacity_sectors) == (24, 48)
     free, checkpoints = ftl.free_chunk_count(), ftl.stats.checkpoints
     big = [(10 + i, b"y") for i in range(5000)]    # 30 frames -> 48 sectors
     ftl.append_buffer(big)
@@ -253,8 +254,8 @@ def test_a_commit_no_empty_ring_could_take_is_refused_before_allocating():
 
     def state():
         return (ftl.free_chunk_count(), dict(ftl.segments), dict(ftl.vmap),
-                ftl.wal._writer.frame_count(), ftl.wal.used_sectors,
-                ftl.stats.checkpoints, ftl._next_segment_id, ftl._lock.in_use)
+                ftl.journal.wal._writer.frame_count(),
+                ftl.journal.wal.used_sectors, ftl.stats.checkpoints, ftl._next_segment_id, ftl._lock.in_use)
 
     before = state()
     for __ in range(2):
@@ -279,14 +280,14 @@ def test_no_append_outgrows_the_size_it_was_admitted_with(pages):
         ftl.append_buffer([(0, b"new")])
         ftl.free_segment(segment)          # one more record buffered
         needed = []
-        sized = ftl.wal.sectors_needed
-        ftl.wal.sectors_needed = lambda frames: (
+        sized = ftl.journal.wal.sectors_needed
+        ftl.journal.wal.sectors_needed = lambda frames: (
             needed.append(sized(frames)), needed[-1])[1]
-        written = ftl.wal.sectors_written
+        written = ftl.journal.wal.sectors_written
         checkpoints = ftl.stats.checkpoints
         ftl.append_buffer([(100 + i, b"p") for i in range(pages)])
-        del ftl.wal.sectors_needed
-        assert 0 < ftl.wal.sectors_written - written <= needed[0]
+        del ftl.journal.wal.sectors_needed
+        assert 0 < ftl.journal.wal.sectors_written - written <= needed[0]
         assert ftl.read_page(100 + pages - 1) == b"p"
 
 
@@ -300,15 +301,15 @@ def test_free_segment_flushes_no_wal_and_erases_side_by_side():
     assert len({key[:2] for key in ftl.segments[seg]}) == 2
     ftl.append_buffer([(1, b"x2"), (2, b"y2")])
     device.flush()
-    written, started = ftl.wal.sectors_written, device.sim.now
+    written, started = ftl.journal.wal.sectors_written, device.sim.now
     ftl.free_segment(seg)
-    assert ftl.wal.sectors_written == written
-    assert ftl.wal._writer.frame_count() == 1       # buffered, not flushed
+    assert ftl.journal.wal.sectors_written == written
+    assert ftl.journal.wal._writer.frame_count() == 1  # buffered, not flushed
     erase = device.chips[(0, 0)].timing.erase_time()
     assert device.sim.now - started == pytest.approx(erase, rel=0.05)
     # The record rides the next append's flush, ahead of its SEGMENT_NEW.
     ftl.append_buffer([(3, b"z")])
-    assert ftl.wal._writer.frame_count() == 0
+    assert ftl.journal.wal._writer.frame_count() == 0
 
 
 def test_failed_erase_is_counted_and_reported():
@@ -350,15 +351,7 @@ CLEAN_STEPS = ["relocated", "free buffered", "erasing", "erased", "flushed"]
 
 
 def recover_after_cut(device, ftl, injector, config):
-    ftl.crash()
-    while True:   # drain what the cut abandoned mid-op
-        try:
-            device.sim.run()
-            break
-        except ReproError:
-            continue
-    injector.quiesce()
-    injector.restore_power()
+    injector.power_cycle(ftl)
     return OXEleos.recover(MediaManager(device), config)
 
 
@@ -425,11 +418,11 @@ def test_power_cut_at_each_step_of_a_clean(step):
     assert injector.tripped == (step in CLEAN_STEPS[:3])
     if not injector.tripped:
         assert victim not in ftl.segments
-        assert ftl.wal._writer.frame_count() == 1    # the record, buffered
+        assert ftl.journal.wal._writer.frame_count() == 1   # buffered
         if step == "flushed":       # ... until the next append carries it
             ftl.append_buffer([(50, b"after the free")])
             shadow[50] = b"after the free"
-            assert ftl.wal._writer.frame_count() == 0
+            assert ftl.journal.wal._writer.frame_count() == 0
         injector.power_cut()
     assert ftl.stats.pages_read - reads == 3        # fetched for relocation
 

@@ -25,7 +25,6 @@ from repro.policies import (
 )
 from repro.stack import StackSpec, build_stack
 from repro.stack.runner import run_spec
-from repro.stack import spec as spec_module
 
 SS = 4096
 
@@ -132,10 +131,6 @@ class TestVictimOrdering:
         with pytest.raises(ReproError) as excinfo:
             resolve_placement_policy("diagonal")
         assert "stream_partitioned" in str(excinfo.value)
-
-    def test_spec_literals_mirror_registries(self):
-        assert set(spec_module.GC_POLICIES) == set(VICTIM_POLICIES)
-        assert set(spec_module.PLACEMENT_POLICIES) == set(PLACEMENT_POLICIES)
 
 
 def _invalidate(ftl, span_units, unit, pattern, ops, seed=7):
@@ -331,19 +326,24 @@ class TestWriteLessCache:
         with pytest.raises(ReproError):
             WriteLessCache(object(), WlfcConfig(cache_sectors=-1))
 
-    @pytest.mark.parametrize("lba", [-24, 10**9])
-    def test_out_of_range_is_refused_on_entry(self, lba):
+    @pytest.mark.parametrize("lba, count", [(-24, 1), (10**9, 1), (5, 0)],
+                             ids=["-24", "1000000000", "no sectors"])
+    def test_out_of_range_is_refused_on_entry(self, lba, count):
         """At d55e796 ``write(-24, …)`` was acknowledged and staged, and
-        surfaced as ``struct.error`` only at flush or eviction."""
+        surfaced as ``struct.error`` only at flush or eviction; at 8a545bf
+        ``read(5, 0)`` returned ``b""`` and ``trim(5, 0)`` reached the
+        FTL."""
         __, ftl, cache = self._cache(cache_sectors=64)
         cache.write(0, b"a" * SS)
-        for call in (lambda: cache.write(lba, b"x" * SS),
-                     lambda: cache.read(lba, 1),
-                     lambda: cache.trim(lba, 1)):
+        calls = [lambda: cache.read(lba, count),
+                 lambda: cache.trim(lba, count)]
+        if count > 0:
+            calls.append(lambda: cache.write(lba, b"x" * (count * SS)))
+        for call in calls:
             with pytest.raises(ReproError) as raised:
                 call()
             message = str(raised.value)
-            assert (f"lba {lba}" in message and "1 sector" in message
+            assert (f"lba {lba}" in message and f"{count} sector" in message
                     and str(ftl.capacity_sectors) in message)
         last = ftl.capacity_sectors - 1
         with pytest.raises(ReproError, match=f"2 sector.*lba {last}"):
@@ -448,8 +448,8 @@ class TestStackSpecWiring:
 
     def test_one_name_per_policy(self):
         # "default" used to alias greedy / striped in all four menus.
-        assert spec_module.GC_POLICIES[0] == StackSpec().gc_policy
-        assert (spec_module.PLACEMENT_POLICIES[0]
+        assert next(iter(VICTIM_POLICIES)) == StackSpec().gc_policy
+        assert (next(iter(PLACEMENT_POLICIES))
                 == StackSpec().placement_policy == "striped")
         for field in ("gc_policy", "placement_policy"):
             with pytest.raises(ReproError, match="default"):

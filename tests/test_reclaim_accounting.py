@@ -20,7 +20,7 @@ from repro.llama.pages import DeltaPage
 from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox import BlockConfig, EleosConfig, MediaManager, OXBlock, OXEleos
-from repro.ox.ftl.serial import NO_PPA
+from repro.ox.ftl.serial import NO_PPA, REC_MAP_UPDATE
 from repro.units import KIB
 
 SS = 4096
@@ -135,7 +135,7 @@ class EleosLiveness(RuleBasedStateMachine):
         # free_segment logs a record but, unlike append_buffer, never
         # checkpoints on WAL pressure: a host freeing segments back to
         # back has to do it, or the ring fills.
-        if self.ftl.wal.fill_fraction() > 0.5:
+        if self.ftl.journal.wal.fill_fraction() > 0.5:
             self.ftl.checkpoint()
 
     def _note_new_segments(self):
@@ -330,7 +330,7 @@ def relocate_per_sector_proc(gc, key, live, parent=None):
                                                parent=parent)
     gc.media.require_ok(completion, "GC relocation copy")
 
-    txn = gc.next_txn_id()
+    txn = gc.journal.take_txn_id()
     entries = []
     lookup = gc.page_map.lookup
     for index, (sector, lba) in enumerate(zip(sectors, lbas)):
@@ -348,9 +348,8 @@ def relocate_per_sector_proc(gc, key, live, parent=None):
     gc.stats.sectors_relocated += len(entries)
     barrier = [gc.media.flush_proc()]
     if entries:
-        gc.wal.append_map_update(txn, entries)
-        gc.wal.append_commit(txn)
-        barrier.append(gc.wal.flush_proc(parent=parent))
+        gc.journal.log_txn(REC_MAP_UPDATE, txn, entries)
+        barrier.append(gc.journal.wal.flush_proc(parent=parent))
     yield from gc.sim.join_proc(barrier, "gc-commit")
     return True
 
@@ -384,9 +383,9 @@ def relocated_twin(policy, seed, relocate_proc, units_left=None):
     ftl.flush()
 
     logged = []
-    append_map_update = ftl.wal.append_map_update
-    ftl.wal.append_map_update = lambda txn, entries: (
-        logged.append((txn, list(entries))), append_map_update(txn, entries))
+    log_txn = ftl.journal.log_txn
+    ftl.journal.log_txn = lambda rtype, txn, entries: (
+        logged.append((txn, list(entries))), log_txn(rtype, txn, entries))
     copy_proc = media.copy_proc
     raced = []
 
@@ -431,7 +430,7 @@ def relocated_twin(policy, seed, relocate_proc, units_left=None):
                     info.write_next) for info in table.values()],
         "clock": table.clock(),
         "wal": logged,
-        "wal_sectors": ftl.wal.sectors_written,
+        "wal_sectors": ftl.journal.wal.sectors_written,
         "relocated": gc.stats.sectors_relocated,
         "skips": gc.stats.skips_no_space,
         "victims": [[info.key for info in gc.victims(group)]

@@ -8,16 +8,14 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox.ftl.checkpoint import CheckpointManager
+from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable
 from repro.ox.ftl.provisioning import MetadataLayout
 from repro.ox.ftl import serial
 from repro.ox.ftl.serial import NO_PPA
-from repro.ox.ftl.wal import (
-    WalAppender,
-    WalReader,
-    committed_transactions,
-)
+from repro.ox.ftl.recovery import RecoveryReport
+from repro.ox.ftl.wal import WalAppender
 from repro.ox.media import MediaManager
 
 
@@ -38,46 +36,56 @@ def layout_for(media):
                                 ckpt_chunks_per_slot=1)
 
 
+def commit(txn_id):
+    return serial.encode(serial.REC_COMMIT, (txn_id,))
+
+
+def read_log(media, layout, epoch):
+    """The records a restart finds in the ring at *epoch*."""
+    return run(media, WalAppender(media, layout.wal_chunks,
+                                  epoch).read_proc())[0]
+
+
 class TestWal:
-    def test_append_flush_read_roundtrip(self):
+    def logged_and_reloaded(self, unfinished=()):
+        """Txn 1 (and *unfinished* rows under txn 2, never committed)
+        through one journal; what a second one loads and folds."""
         device, media = make_media()
-        layout = layout_for(media)
-        appender = WalAppender(media, layout.wal_chunks, epoch=0)
-        appender.append_map_update(1, [(10, 100, NO_PPA)])
-        appender.append_commit(1)
-        run(media, appender.flush_proc())
-        reader = WalReader(media, layout.wal_chunks, epoch=0)
-        records = run(media, reader.read_proc())
-        txns = committed_transactions(iter(records))
-        assert txns == [(1, [(10, 100, NO_PPA)])]
+        journal = Journal(media, 4, 1)
+        journal.log_txn(serial.REC_MAP_UPDATE, 1, [(10, 100, NO_PPA)])
+        if unfinished:
+            journal.wal.append(
+                serial.encode(serial.REC_MAP_UPDATE, (2,), unfinished))
+        run(media, journal.wal.flush_proc())
+        restarted, report = Journal(media, 4, 1), RecoveryReport()
+        tables, records = run(media, restarted.load_proc(report))
+        assert tables == {} and report.records_decoded == len(records)
+        assert report.wal_sectors_read == media.geometry.ws_min
+        return restarted, list(restarted.fold(records))
+
+    def test_append_flush_read_roundtrip(self):
+        journal, txns = self.logged_and_reloaded()
+        assert txns == [(serial.REC_COMMIT, 1, [(10, 100, NO_PPA)])]
+        assert journal.next_txn_id == 2
 
     def test_uncommitted_transaction_ignored(self):
-        device, media = make_media()
-        layout = layout_for(media)
-        appender = WalAppender(media, layout.wal_chunks, epoch=0)
-        appender.append_map_update(1, [(10, 100, NO_PPA)])
-        appender.append_commit(1)
-        appender.append_map_update(2, [(20, 200, NO_PPA)])  # no commit
-        run(media, appender.flush_proc())
-        reader = WalReader(media, layout.wal_chunks, epoch=0)
-        records = run(media, reader.read_proc())
-        txns = committed_transactions(iter(records))
-        assert [txn_id for txn_id, __ in txns] == [1]
+        journal, txns = self.logged_and_reloaded([(20, 200, NO_PPA)])
+        assert [txn_id for __, txn_id, __ in txns] == [1]
+        assert journal.next_txn_id == 2
 
     def test_stale_epoch_rejected(self):
         device, media = make_media()
         layout = layout_for(media)
         appender = WalAppender(media, layout.wal_chunks, epoch=3)
-        appender.append_commit(1)
+        appender.append(commit(1))
         run(media, appender.flush_proc())
-        reader = WalReader(media, layout.wal_chunks, epoch=4)
-        assert run(media, reader.read_proc()) == []
+        assert read_log(media, layout, epoch=4) == []
 
     def test_flush_pads_to_write_unit(self):
         device, media = make_media()
         layout = layout_for(media)
         appender = WalAppender(media, layout.wal_chunks, epoch=0)
-        appender.append_commit(1)
+        appender.append(commit(1))
         written = run(media, appender.flush_proc())
         assert written == media.geometry.ws_min
 
@@ -94,27 +102,24 @@ class TestWal:
         appender = WalAppender(media, layout.wal_chunks, epoch=0)
         with pytest.raises(FTLError, match="ring exhausted"):
             for i in range(1000):
-                appender.append_commit(i)
+                appender.append(commit(i))
                 run(media, appender.flush_proc())
 
     def test_truncate_resets_ring_and_epoch(self):
         device, media = make_media()
         layout = layout_for(media)
         appender = WalAppender(media, layout.wal_chunks, epoch=0)
-        appender.append_commit(1)
+        appender.append(commit(1))
         run(media, appender.flush_proc())
         run(media, appender.truncate_proc(new_epoch=1))
         assert appender.epoch == 1
         assert appender.used_sectors == 0
         # Old records invisible at the new epoch.
-        reader = WalReader(media, layout.wal_chunks, epoch=1)
-        assert run(media, reader.read_proc()) == []
+        assert read_log(media, layout, epoch=1) == []
         # Appends work again.
-        appender.append_commit(2)
+        appender.append(commit(2))
         run(media, appender.flush_proc())
-        reader = WalReader(media, layout.wal_chunks, epoch=1)
-        records = run(media, reader.read_proc())
-        assert len(records) == 1
+        assert len(read_log(media, layout, epoch=1)) == 1
 
     def test_torn_tail_is_dropped_cleanly(self):
         """A crash mid-flush leaves a partial batch below the flushed
@@ -122,21 +127,19 @@ class TestWal:
         device, media = make_media()
         layout = layout_for(media)
         appender = WalAppender(media, layout.wal_chunks, epoch=0)
-        appender.append_commit(1)
+        appender.append(commit(1))
         run(media, appender.flush_proc())
-        appender.append_commit(2)
+        appender.append(commit(2))
         run(media, appender.flush_proc())
         device.crash_volatile()   # FUA writes survive; nothing torn here
-        reader = WalReader(media, layout.wal_chunks, epoch=0)
-        records = run(media, reader.read_proc())
-        assert len(records) == 2
+        assert len(read_log(media, layout, epoch=0)) == 2
 
     def test_fill_fraction(self):
         device, media = make_media()
         layout = layout_for(media)
         appender = WalAppender(media, layout.wal_chunks, epoch=0)
         assert appender.fill_fraction() == 0.0
-        appender.append_commit(1)
+        appender.append(commit(1))
         run(media, appender.flush_proc())
         assert 0 < appender.fill_fraction() < 1
 
@@ -149,13 +152,23 @@ class TestCheckpoint:
             page_map.update(lba, ppa)
         return page_map, table
 
+    @staticmethod
+    def write_proc(manager, seq, page_map, table, next_txn_id):
+        """An OX-Block-style checkpoint: page map + chunk table."""
+        records = serial.split(serial.REC_CKPT_MAP, (),
+                               page_map.snapshot_packed(),
+                               manager.sector_size)
+        records += serial.split(serial.REC_CKPT_CHUNK, (), table.snapshot(),
+                                manager.sector_size)
+        return manager.write_payload_proc(seq, next_txn_id, records)
+
     def test_write_read_roundtrip(self):
         device, media = make_media()
         layout = layout_for(media)
         manager = CheckpointManager(media, layout.ckpt_slots)
         page_map, table = self.build_state(media, layout,
                                            [(i, i * 7) for i in range(500)])
-        run(media, manager.write_proc(1, page_map, table, next_txn_id=42))
+        run(media, self.write_proc(manager, 1, page_map, table, 42))
         seq, next_txn_id, tables = run(media, manager.read_latest_proc())
         assert (seq, next_txn_id) == (1, 42)
         assert dict(tables[serial.REC_CKPT_MAP]) \
@@ -168,9 +181,9 @@ class TestCheckpoint:
         layout = layout_for(media)
         manager = CheckpointManager(media, layout.ckpt_slots)
         page_map, table = self.build_state(media, layout, [(1, 10)])
-        run(media, manager.write_proc(1, page_map, table, 2))
+        run(media, self.write_proc(manager, 1, page_map, table, 2))
         page_map.update(1, 20)
-        run(media, manager.write_proc(2, page_map, table, 3))
+        run(media, self.write_proc(manager, 2, page_map, table, 3))
         seq, __, tables = run(media, manager.read_latest_proc())
         assert seq == 2
         assert tables[serial.REC_CKPT_MAP] == [(1, 20)]
@@ -188,7 +201,7 @@ class TestCheckpoint:
         layout = layout_for(media)
         manager = CheckpointManager(media, layout.ckpt_slots)
         page_map, table = self.build_state(media, layout, [(1, 10)])
-        run(media, manager.write_proc(1, page_map, table, 2))
+        run(media, self.write_proc(manager, 1, page_map, table, 2))
 
         # Hand-write a partial "checkpoint 2": header only, no footer.
         slot = layout.ckpt_slots[0]
@@ -269,8 +282,7 @@ class TestCheckpoint:
         per_chunk = media.geometry.sectors_per_chunk
         assert [media.chunk_info(Ppa(*key, 0)).write_pointer
                 for key in slot] == [per_chunk, 0, per_chunk // 2]
-        injector.quiesce()
-        injector.restore_power()
+        injector.power_cycle()
         fresh = CheckpointManager(MediaManager(device), layout.ckpt_slots)
         seq, next_txn_id, tables = run(media, fresh.read_latest_proc())
         assert (seq, next_txn_id) == (1, 7)
@@ -288,4 +300,4 @@ class TestCheckpoint:
         page_map, table = self.build_state(
             media, layout, [(i, i) for i in range(data_sectors)])
         with pytest.raises(FTLError, match="enlarge"):
-            run(media, manager.write_proc(1, page_map, table, 2))
+            run(media, self.write_proc(manager, 1, page_map, table, 2))

@@ -9,8 +9,9 @@ from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox.ftl import serial
 from repro.ox.ftl.provisioning import MetadataLayout
+from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.serial import NO_PPA
-from repro.ox.ftl.wal import WalAppender, WalReader, committed_transactions
+from repro.ox.ftl.wal import WalAppender
 from repro.ox.media import MediaManager
 
 
@@ -32,6 +33,25 @@ def layout_for(media, wal_chunk_count=4):
                                 ckpt_chunks_per_slot=1)
 
 
+def commit(txn_id):
+    return serial.encode(serial.REC_COMMIT, (txn_id,))
+
+
+def append_update(appender, txn_id, entries):
+    for record in serial.split(serial.REC_MAP_UPDATE, (txn_id,), entries,
+                               appender.sector_size):
+        appender.append(record)
+
+
+def read_txns(media, layout, epoch):
+    """The committed transactions a restart finds in the ring at *epoch*,
+    as ``{txn_id: rows}`` in commit order."""
+    records, __ = run(media, WalAppender(media, layout.wal_chunks,
+                                         epoch).read_proc())
+    return {txn: rows for __, txn, rows in Journal(media, len(
+        layout.wal_chunks), 1).fold(records)}
+
+
 def frame_buffer(media, records):
     """Encode *records* into sector frames, as the one buffer a write
     takes: the padding to a whole unit is the buffer's missing tail."""
@@ -51,7 +71,7 @@ class TestRingExhaustion:
         """Flush units until exactly one write unit of ring remains."""
         ws_min = media.geometry.ws_min
         while appender.capacity_sectors - appender.used_sectors > ws_min:
-            appender.append_commit(0)
+            appender.append(commit(0))
             run(media, appender.flush_proc())
 
     def test_failed_flush_leaves_records_buffered(self):
@@ -63,8 +83,8 @@ class TestRingExhaustion:
         # must fail before anything is written.
         txn = 1
         while appender._writer.frame_count() <= media.geometry.ws_min:
-            appender.append_map_update(
-                txn, [(i, i + 1, NO_PPA) for i in range(200)])
+            append_update(appender, txn,
+                          [(i, i + 1, NO_PPA) for i in range(200)])
             txn += 1
         used_before = appender.used_sectors
         buffered_before = appender._writer.frame_count()
@@ -78,13 +98,13 @@ class TestRingExhaustion:
         layout = layout_for(media, wal_chunk_count=1)
         appender = WalAppender(media, layout.wal_chunks, epoch=0)
         self.fill_to_capacity(media, appender)
-        appender.append_map_update(77, [(5, 500, NO_PPA)])
+        append_update(appender, 77, [(5, 500, NO_PPA)])
         txn = 100
         while appender._writer.frame_count() <= media.geometry.ws_min:
-            appender.append_map_update(
-                txn, [(i, i + 1, NO_PPA) for i in range(200)])
+            append_update(appender, txn,
+                          [(i, i + 1, NO_PPA) for i in range(200)])
             txn += 1
-        appender.append_commit(77)
+        appender.append(commit(77))
         with pytest.raises(FTLError, match="ring exhausted"):
             run(media, appender.flush_proc())
         # The caller checkpoints (out of scope here) and truncates; the
@@ -92,10 +112,7 @@ class TestRingExhaustion:
         run(media, appender.truncate_proc(new_epoch=1))
         run(media, appender.flush_proc())
         assert appender._writer.frame_count() == 0
-        reader = WalReader(media, layout.wal_chunks, epoch=1)
-        records = run(media, reader.read_proc())
-        txns = dict(committed_transactions(iter(records)))
-        assert txns[77] == [(5, 500, NO_PPA)]
+        assert read_txns(media, layout, epoch=1)[77] == [(5, 500, NO_PPA)]
 
 
 class TestTornTail:
@@ -106,11 +123,9 @@ class TestTornTail:
     @staticmethod
     def txn_frames(media, txn_id):
         """One write unit holding a complete committed transaction."""
-        update = serial.split(
-            serial.REC_MAP_UPDATE, (txn_id,),
-            [(txn_id, txn_id * 10, NO_PPA)], media.geometry.sector_size)
-        return frame_buffer(
-            media, update + [serial.encode(serial.REC_COMMIT, (txn_id,))])
+        update = serial.encode(serial.REC_MAP_UPDATE, (txn_id,),
+                               [(txn_id, txn_id * 10, NO_PPA)])
+        return frame_buffer(media, [update, commit(txn_id)])
 
     def setup_ring(self):
         device, media = make_media()
@@ -122,9 +137,7 @@ class TestTornTail:
         return device, media, layout, key, ws_min
 
     def read_txn_ids(self, media, layout):
-        reader = WalReader(media, layout.wal_chunks, epoch=0)
-        records = run(media, reader.read_proc())
-        return [txn for txn, __ in committed_transactions(iter(records))]
+        return list(read_txns(media, layout, epoch=0))
 
     def test_reader_stops_at_wrong_epoch(self):
         device, media, layout, key, ws_min = self.setup_ring()
@@ -161,7 +174,7 @@ class TestTruncate:
         device, media = make_media()
         layout = layout_for(media)
         appender = WalAppender(media, layout.wal_chunks, epoch=0)
-        appender.append_commit(1)
+        appender.append(commit(1))
         run(media, appender.flush_proc())   # touches ring chunk 0 only
         run(media, appender.truncate_proc(new_epoch=1))
         wear = [device.chunks[key].wear_index for key in layout.wal_chunks]
@@ -185,7 +198,7 @@ class TestTruncate:
         assert len({key[:2] for key in layout.wal_chunks}) == 2
         appender = WalAppender(media, layout.wal_chunks, epoch=0)
         while appender.used_sectors < appender.capacity_sectors:
-            appender.append_commit(0)
+            appender.append(commit(0))
             run(media, appender.flush_proc())
         erase = device.chips[(0, 0)].timing.erase_time()
         started = media.sim.now
@@ -203,7 +216,7 @@ class TestTruncate:
         layout = layout_for(media)
         appender = WalAppender(media, layout.wal_chunks, epoch=0)
         while appender.used_sectors < appender.capacity_sectors:
-            appender.append_commit(0)
+            appender.append(commit(0))
             run(media, appender.flush_proc())
         used = appender.used_sectors
         bad = layout.wal_chunks[1]
