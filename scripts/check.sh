@@ -12,10 +12,10 @@ tree_before=$(git status --porcelain)
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== bench-side smokes (the ledger harness + every test_*_smoke) and the §4.3 figure =="
-python -m pytest benchmarks -q -k "ledger or smoke or gc_interference_locality"
-# The figure bench rewrites its tracked results file: same bytes, or fail.
-git diff --exit-code benchmarks/results/gc_locality.txt
+echo "== the ledger harness, the bench smokes and every paper figure =="
+python -m pytest benchmarks -q
+# Each figure bench rewrites its tracked results file: same bytes, or fail.
+git diff --exit-code benchmarks/results
 
 echo "== crash-consistency smoke (randomized power cuts) =="
 # Base seed 300: tests/test_crash_consistency.py already ran 36 of the

@@ -49,6 +49,7 @@ class LlamaEngine:
     def __init__(self, ftl: OXEleos, config: Optional[LlamaConfig] = None):
         self.ftl = ftl
         self.sim = ftl.sim
+        self.obs = ftl.obs          # repro.obs hub, None unless attached
         self.config = config or LlamaConfig()
         self._cache: Dict[int, DeltaPage] = {}
         self.stats = LlamaStats()
@@ -84,6 +85,8 @@ class LlamaEngine:
         dirty = [page for page in self._cache.values() if page.dirty]
         if not dirty:
             return None
+        obs = self.obs
+        span = obs.begin("llama", "flush") if obs is not None else None
         segment_id = None
         batch: List[Tuple[int, bytes]] = []
         batch_bytes = 0
@@ -95,17 +98,20 @@ class LlamaEngine:
                     f"page {page.pid} serializes to {len(blob)} bytes, "
                     f"larger than the LSS buffer ({limit})")
             if batch_bytes + len(blob) > limit:
-                segment_id = yield from self.ftl.append_buffer_proc(batch)
+                segment_id = yield from self.ftl.append_buffer_proc(
+                    batch, span)
                 batch, batch_bytes = [], 0
             batch.append((page.pid, blob))
             batch_bytes += len(blob)
         if batch:
-            segment_id = yield from self.ftl.append_buffer_proc(batch)
+            segment_id = yield from self.ftl.append_buffer_proc(batch, span)
         for page in dirty:
             page.dirty = False
         self.stats.flushes += 1
         self.stats.pages_flushed += len(dirty)
         self._evict_clean_pages()
+        if obs is not None:
+            obs.end(span, pages=len(dirty))
         return segment_id
 
     # -- read path ----------------------------------------------------------------
@@ -115,13 +121,17 @@ class LlamaEngine:
         return self.sim.run_until(self.sim.spawn(self.read_proc(pid)))
 
     def read_proc(self, pid: int):
+        obs = self.obs
+        span = obs.begin("llama", "read") if obs is not None else None
         self.stats.reads += 1
         page = self._cache.get(pid)
         if page is None:
             self.stats.cache_misses += 1
-            blob = yield from self.ftl.read_page_proc(pid)
+            blob = yield from self.ftl.read_page_proc(pid, span)
             page = DeltaPage.deserialize(pid, blob)
             self._cache[pid] = page
+        if obs is not None:
+            obs.end(span, page=pid)
         return page.materialize()
 
     # -- cleaning ----------------------------------------------------------------------
@@ -137,32 +147,37 @@ class LlamaEngine:
 
     def clean_once_proc(self):
         ftl = self.ftl
+        obs = self.obs
+        span = obs.begin("llama", "clean") if obs is not None else None
         threshold = self.config.clean_live_ratio
         candidates = [(ratio, seg) for seg in ftl.segments
                       if (ratio := ftl.segment_live_ratio(seg)) <= threshold]
-        if not candidates:
-            return None
-        __, segment_id = min(candidates)
-        live_pids = ftl.segment_live_pages(segment_id)
-        if live_pids:
-            # Nothing orders one page read after another: the pages not
-            # in the cache are fetched side by side.
-            blobs = {pid: page.serialize() for pid in live_pids
-                     if (page := self._cache.get(pid)) is not None}
-            missing = [pid for pid in live_pids if pid not in blobs]
-            fetched = yield from self.sim.join_proc(
-                [ftl.read_page_proc(pid) for pid in missing], "llama-clean")
-            blobs.update(zip(missing, fetched))
-            self.stats.pages_relocated += len(live_pids)
-            yield from ftl.append_buffer_proc(
-                [(pid, blobs[pid]) for pid in live_pids])
-        try:
-            yield from ftl.free_segment_proc(segment_id)
-        except FTLError:
-            # A page moved into the segment between selection and free
-            # (possible with concurrent flushes): skip this round.
-            return None
-        self.stats.segments_cleaned += 1
+        segment_id = None
+        if candidates:
+            __, segment_id = min(candidates)
+            live_pids = ftl.segment_live_pages(segment_id)
+            if live_pids:
+                # Nothing orders one page read after another: the pages
+                # not in the cache are fetched side by side.
+                blobs = {pid: page.serialize() for pid in live_pids
+                         if (page := self._cache.get(pid)) is not None}
+                missing = [pid for pid in live_pids if pid not in blobs]
+                fetched = yield from self.sim.join_proc(
+                    [ftl.read_page_proc(pid, span) for pid in missing],
+                    "llama-clean")
+                blobs.update(zip(missing, fetched))
+                self.stats.pages_relocated += len(live_pids)
+                yield from ftl.append_buffer_proc(
+                    [(pid, blobs[pid]) for pid in live_pids], span)
+            try:
+                yield from ftl.free_segment_proc(segment_id, span)
+                self.stats.segments_cleaned += 1
+            except FTLError:
+                # A page moved into the segment between selection and
+                # free (possible with concurrent flushes): skip this round.
+                segment_id = None
+        if obs is not None:
+            obs.end(span, segment=segment_id)
         return segment_id
 
     # -- internals ----------------------------------------------------------------------

@@ -421,15 +421,13 @@ class DB:
                 if obs is not None:
                     # Background work: one root span per memtable flush.
                     span = obs.begin("lsm", "flush")
-                    flush_started = self.sim.now
                 yield from self._write_tables_proc(
                     [MemCursor(entry.items)], level=0,
                     drop_tombstones=False, l0_seq=entry.seq)
                 if obs is not None:
-                    obs.end(span, entries=len(entry.items))
+                    obs.close(span, "lsm.flush.duration_s",
+                              entries=len(entry.items))
                     obs.metrics.counter("lsm.flush.count").increment()
-                    obs.metrics.histogram("lsm.flush.duration_s").record(
-                        self.sim.now - flush_started)
                 entry.state = ImmutableMemtable.FLUSHED
                 self._retire_flushed()
                 self._flushes_active -= 1
@@ -510,7 +508,6 @@ class DB:
         if obs is not None:
             # Background work: one root span per compaction.
             span = obs.begin("lsm.compaction", "compact")
-            compact_started = self.sim.now
         for table in pick.inputs:
             table.refs += 1
         cursors = [TableCursor(self.env, table, self.config.block_size,
@@ -537,13 +534,12 @@ class DB:
             self._release(table)
         self._update_level_obs()
         if obs is not None:
-            obs.end(span, target_level=pick.target_level,
-                    inputs=len(pick.inputs), outputs=len(outputs))
+            obs.close(span, "lsm.compaction.duration_s",
+                      target_level=pick.target_level,
+                      inputs=len(pick.inputs), outputs=len(outputs))
             obs.metrics.counter("lsm.compaction.count").increment()
             obs.metrics.counter("lsm.compaction.tables_in").increment(
                 len(pick.inputs))
-            obs.metrics.histogram("lsm.compaction.duration_s").record(
-                self.sim.now - compact_started)
 
     # -- table writing (shared by flush and compaction) ------------------------------------
 

@@ -54,18 +54,24 @@ class Obs(Sidecar):
     # -- tracing shortcuts ------------------------------------------------
 
     def begin(self, layer: str, name: str,
-              parent: Optional[Span] = None) -> Optional[Span]:
+              parent: Optional[Span] = None) -> Span:
         return self.tracer.begin(layer, name, parent)
 
     def end(self, span: Optional[Span], **attrs) -> None:
         self.tracer.end(span, **attrs)
 
     def complete(self, layer: str, name: str, start: float, end: float,
-                 parent: Optional[Span] = None, **attrs) -> Optional[Span]:
+                 parent: Optional[Span] = None, **attrs) -> Span:
         return self.tracer.complete(layer, name, start, end, parent, **attrs)
 
     def instant(self, layer: str, name: str, **attrs) -> None:
         self.tracer.instant(layer, name, **attrs)
+
+    def close(self, span: Span, histogram: str, **attrs) -> None:
+        """End *span* and record its duration in *histogram*: a latency
+        or wait histogram is read off the span that timed it."""
+        self.tracer.end(span, **attrs)
+        self.metrics.histogram(histogram).record(span.duration)
 
     # -- cross-layer event vocabulary --------------------------------------
 

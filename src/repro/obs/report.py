@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import percentile_of
 from repro.obs.trace import Span
@@ -51,6 +51,8 @@ class Attribution:
     root_total: float          # end-to-end: summed root span durations
     exclusive_total: float     # must equal root_total (the identity)
     unfinished: int
+    #: The same fold per ``(layer, name)``: what each kind of span costs.
+    names: Dict[Tuple[str, str], LayerAttribution]
 
     @property
     def consistent(self) -> bool:
@@ -59,7 +61,8 @@ class Attribution:
 
 
 def attribute(spans: List[Span]) -> Attribution:
-    """Fold a span forest into per-layer inclusive/exclusive time.
+    """Fold a span forest into per-layer (and per ``(layer, name)``)
+    inclusive/exclusive time.
 
     Exclusive time is duration minus the duration of direct children;
     each span is subtracted from exactly one parent, so layer exclusive
@@ -87,19 +90,22 @@ def attribute(spans: List[Span]) -> Attribution:
                     child_time.get(span.parent_id, 0.0) + span.duration
 
     layers: Dict[str, LayerAttribution] = {}
+    names: Dict[Tuple[str, str], LayerAttribution] = {}
     root_total = 0.0
     root_spans = 0
     exclusive_total = 0.0
     for span in rooted:
-        layer = layers.get(span.layer)
-        if layer is None:
-            layer = layers[span.layer] = LayerAttribution(span.layer)
         duration = span.duration
         exclusive = duration - child_time.get(span.span_id, 0.0)
-        layer.spans += 1
-        layer.total += duration
-        layer.exclusive += exclusive
-        layer.durations.append(duration)
+        for table, key in ((layers, span.layer),
+                           (names, (span.layer, span.name))):
+            row = table.get(key)
+            if row is None:
+                row = table[key] = LayerAttribution(span.layer)
+            row.spans += 1
+            row.total += duration
+            row.exclusive += exclusive
+            row.durations.append(duration)
         exclusive_total += exclusive
         if span.parent_id is None:
             root_total += duration
@@ -107,7 +113,7 @@ def attribute(spans: List[Span]) -> Attribution:
     return Attribution(layers=layers, root_spans=root_spans,
                        root_total=root_total,
                        exclusive_total=exclusive_total,
-                       unfinished=len(spans) - len(finished))
+                       unfinished=len(spans) - len(finished), names=names)
 
 
 def format_table(result: Attribution) -> List[str]:

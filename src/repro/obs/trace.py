@@ -104,20 +104,21 @@ class Tracer:
         return len(self.spans) + len(self.instants)
 
     def begin(self, layer: str, name: str,
-              parent: Optional[Span] = None) -> Optional[Span]:
+              parent: Optional[Span] = None) -> Span:
         """Open a span at the current simulated time.
 
-        Returns None past the event cap — ``end()``/attribute updates
-        accept None so call sites stay unconditional.
+        Past the event cap the span is counted in ``dropped`` and not
+        stored: it still times its caller (latency histograms read their
+        samples off spans), it is only missing from the trace.
         """
-        if len(self.spans) >= self.max_events:
-            self.dropped += 1
-            return None
         span = Span(self._next_id,
                     parent.span_id if parent is not None else None,
                     layer, name, self.sim.now)
         self._next_id += 1
-        self.spans.append(span)
+        if len(self.spans) < self.max_events:
+            self.spans.append(span)
+        else:
+            self.dropped += 1
         return span
 
     def end(self, span: Optional[Span], **attrs: Any) -> None:
@@ -131,11 +132,9 @@ class Tracer:
                 span.attrs.update(attrs)
 
     def complete(self, layer: str, name: str, start: float, end: float,
-                 parent: Optional[Span] = None, **attrs: Any) -> Optional[Span]:
+                 parent: Optional[Span] = None, **attrs: Any) -> Span:
         """Record a span whose interval is already known."""
         span = self.begin(layer, name, parent)
-        if span is None:
-            return None
         span.start = start
         span.end = end
         if attrs:

@@ -161,22 +161,17 @@ class Controller:
             yield from qos.channel_acquire_proc(tenant, "write", key[0],
                                                 num_bytes)
         if not channel.try_acquire():
+            wait = (obs.begin("ocssd", "channel.wait", span)
+                    if obs is not None else None)
+            yield channel.request()
             if obs is not None:
-                wait = obs.begin("ocssd", "channel.wait", span)
-                started = self.sim.now
-                yield channel.request()
-                obs.end(wait)
-                obs.metrics.histogram("ocssd.channel.wait_s").record(
-                    self.sim.now - started)
-            else:
-                yield channel.request()
+                obs.close(wait, "ocssd.channel.wait_s")
         try:
+            xfer = (obs.begin("ocssd", "xfer", span)
+                    if obs is not None else None)
+            yield self.sim.timeout(chip.timing.transfer_time(num_bytes))
             if obs is not None:
-                xfer = obs.begin("ocssd", "xfer", span)
-                yield self.sim.timeout(chip.timing.transfer_time(num_bytes))
                 obs.end(xfer, bytes=num_bytes)
-            else:
-                yield self.sim.timeout(chip.timing.transfer_time(num_bytes))
         finally:
             channel.release()
             if qos is not None:
@@ -187,17 +182,12 @@ class Controller:
         if self.cache is not None and not fua:
             granted = self.cache.try_reserve(sectors)
             if granted is None:
+                wait = (obs.begin("ocssd", "cache.wait", span)
+                        if obs is not None else None)
+                reservation = self.cache.reserve(sectors)
+                yield reservation
                 if obs is not None:
-                    wait = obs.begin("ocssd", "cache.wait", span)
-                    started = self.sim.now
-                    reservation = self.cache.reserve(sectors)
-                    yield reservation
-                    obs.end(wait)
-                    obs.metrics.histogram("ocssd.cache.wait_s").record(
-                        self.sim.now - started)
-                else:
-                    reservation = self.cache.reserve(sectors)
-                    yield reservation
+                    obs.close(wait, "ocssd.cache.wait_s")
                 if epoch != self._epoch:
                     return False
                 granted = reservation.value
@@ -236,6 +226,7 @@ class Controller:
             if job.epoch != self._epoch:
                 continue
             obs = self.obs
+            root = None
             if obs is not None:
                 # The originating write completed at cache admission, so the
                 # background program is a *detached* root span; the queue
@@ -243,14 +234,10 @@ class Controller:
                 obs.metrics.histogram("ocssd.flushq.wait_s").record(
                     self.sim.now - job.queued_at)
                 root = obs.begin("ocssd", "flush.program")
-                yield from self._program(job.chunk, job.chip,
-                                         job.first_sector, job.sectors,
-                                         job.epoch, span=root)
+            yield from self._program(job.chunk, job.chip, job.first_sector,
+                                     job.sectors, job.epoch, span=root)
+            if obs is not None:
                 obs.end(root, sectors=job.sectors)
-            else:
-                yield from self._program(job.chunk, job.chip,
-                                         job.first_sector, job.sectors,
-                                         job.epoch)
             if job.epoch == self._epoch:
                 self.cache.release(job.granted)
                 self._pending_flush -= 1
@@ -274,15 +261,11 @@ class Controller:
         while done < sectors:
             unit = min(ws_min, sectors - done)
             if not lock.try_acquire():
+                wait = (obs.begin("ocssd", "chip.wait", span)
+                        if obs is not None else None)
+                yield lock.request(priority)
                 if obs is not None:
-                    wait = obs.begin("ocssd", "chip.wait", span)
-                    started = self.sim.now
-                    yield lock.request(priority)
-                    obs.end(wait)
-                    obs.metrics.histogram("ocssd.chip.wait_s").record(
-                        self.sim.now - started)
-                else:
-                    yield lock.request(priority)
+                    obs.close(wait, "ocssd.chip.wait_s")
             try:
                 if epoch != self._epoch:
                     return False
@@ -346,19 +329,15 @@ class Controller:
                 priority = 0 if qos is None else qos.config.read_priority
                 if qos is not None:
                     qos.note_read_blocked(1)
+                wait = (obs.begin("ocssd", "chip.wait", span)
+                        if obs is not None else None)
                 try:
-                    if obs is not None:
-                        wait = obs.begin("ocssd", "chip.wait", span)
-                        started = self.sim.now
-                        yield lock.request(priority)
-                        obs.end(wait)
-                        obs.metrics.histogram("ocssd.chip.wait_s").record(
-                            self.sim.now - started)
-                    else:
-                        yield lock.request(priority)
+                    yield lock.request(priority)
                 finally:
                     if qos is not None:
                         qos.note_read_blocked(-1)
+                if obs is not None:
+                    obs.close(wait, "ocssd.chip.wait_s")
             try:
                 if epoch != self._epoch:
                     return payloads
@@ -385,22 +364,17 @@ class Controller:
             yield from qos.channel_acquire_proc(tenant, "read", key[0],
                                                 num_bytes)
         if not channel.try_acquire():
+            wait = (obs.begin("ocssd", "channel.wait", span)
+                    if obs is not None else None)
+            yield channel.request()
             if obs is not None:
-                wait = obs.begin("ocssd", "channel.wait", span)
-                started = self.sim.now
-                yield channel.request()
-                obs.end(wait)
-                obs.metrics.histogram("ocssd.channel.wait_s").record(
-                    self.sim.now - started)
-            else:
-                yield channel.request()
+                obs.close(wait, "ocssd.channel.wait_s")
         try:
+            xfer = (obs.begin("ocssd", "xfer", span)
+                    if obs is not None else None)
+            yield self.sim.timeout(chip.timing.transfer_time(num_bytes))
             if obs is not None:
-                xfer = obs.begin("ocssd", "xfer", span)
-                yield self.sim.timeout(chip.timing.transfer_time(num_bytes))
                 obs.end(xfer, bytes=num_bytes)
-            else:
-                yield self.sim.timeout(chip.timing.transfer_time(num_bytes))
         finally:
             channel.release()
             if qos is not None:
@@ -423,15 +397,11 @@ class Controller:
             # A 3.5 ms erase is the worst thing a read can queue behind;
             # under qos it waits at the lowest chip priority.
             priority = 0 if qos is None else qos.config.erase_priority
+            wait = (obs.begin("ocssd", "chip.wait", span)
+                    if obs is not None else None)
+            yield lock.request(priority)
             if obs is not None:
-                wait = obs.begin("ocssd", "chip.wait", span)
-                started = self.sim.now
-                yield lock.request(priority)
-                obs.end(wait)
-                obs.metrics.histogram("ocssd.chip.wait_s").record(
-                    self.sim.now - started)
-            else:
-                yield lock.request(priority)
+                obs.close(wait, "ocssd.chip.wait_s")
         try:
             if epoch != self._epoch:
                 return False

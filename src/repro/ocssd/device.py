@@ -203,24 +203,23 @@ class OpenChannelSSD:
             if obs is not None:
                 obs.error("ocssd", "invalid-command", str(exc))
         if obs is not None:
-            self._end_command(obs, span, kind, completion.status, submitted,
+            self._end_command(obs, span, kind, completion.status,
                               getattr(command, "tenant", None))
         completion.submitted_at = submitted
         completion.completed_at = self.sim.now
         return completion
 
     def _end_command(self, obs, span, kind: str, status: CommandStatus,
-                     submitted: float, tenant) -> None:
+                     tenant) -> None:
         """Close a command's root span and record its latency."""
-        obs.end(span, status=status.name)
-        latency = self.sim.now - submitted
-        obs.metrics.histogram(f"ocssd.{kind}.latency_s").record(latency)
+        obs.close(span, f"ocssd.{kind}.latency_s", status=status.name)
         if tenant is not None:
             # Per-tenant end-to-end latency, recorded whether or not a
             # scheduler is attached — the shared-FIFO baseline in the
             # isolation bench reads its p99 from this histogram too.
             obs.metrics.histogram(
-                f"qos.tenant.{tenant.name}.{kind}.latency_s").record(latency)
+                f"qos.tenant.{tenant.name}.{kind}.latency_s").record(
+                    span.duration)
 
     # -- synchronous convenience API ---------------------------------------------------
 
@@ -398,10 +397,7 @@ class OpenChannelSSD:
         if faults is not None and not faults.powered:
             return None
         obs = self.obs
-        span = None
-        if obs is not None:
-            submitted = self.sim.now
-            span = obs.begin("ocssd", "read", parent)
+        span = obs.begin("ocssd", "read", parent) if obs is not None else None
         status = _OK
         try:
             payloads, __ = yield from self._read_runs_proc(
@@ -416,7 +412,7 @@ class OpenChannelSSD:
             if obs is not None:
                 obs.error("ocssd", "invalid-command", str(exc))
         if obs is not None:
-            self._end_command(obs, span, "read", status, submitted, tenant)
+            self._end_command(obs, span, "read", status, tenant)
         return payloads
 
     def _read_runs_proc(self, runs: List[_Run], total: int, want_oob: bool,

@@ -256,14 +256,11 @@ class OXBlock:
         span = None
         if obs is not None:
             span = obs.begin("ftl", "write")
-            op_started = self.sim.now
             lock_wait = obs.begin("ftl", "lock.wait", span)
         grant = self._lock.request()
         yield grant
         if obs is not None:
-            obs.end(lock_wait)
-            obs.metrics.histogram("ftl.lock.wait_s").record(
-                self.sim.now - op_started)
+            obs.close(lock_wait, "ftl.lock.wait_s")
         try:
             # Both of these run *before* the transaction mutates anything:
             # a checkpoint persists whatever the map says, and GC trusts
@@ -271,7 +268,7 @@ class OXBlock:
             # a transaction half-staged.  Relieving WAL pressure and
             # reclaiming space up front (instead of inline, mid-loop) is
             # what makes that ordering possible.
-            yield from self._checkpoint_on_pressure_proc()
+            yield from self._checkpoint_on_pressure_proc(span)
             if self.provisioner.sectors_available("user") < count:
                 yield from self._reclaim_space_proc(count)
             txn_id = self.journal.take_txn_id()
@@ -356,15 +353,13 @@ class OXBlock:
                 yield self.sim.all_of(unit_procs)
             # Only after this txn's units are admitted: a pressure
             # checkpoint drains the cache and must cover them.
-            yield from self._checkpoint_on_pressure_proc()
+            yield from self._checkpoint_on_pressure_proc(span)
         finally:
             self._lock.release()
         self.stats.writes += 1
         self.stats.sectors_written += count
         if obs is not None:
-            obs.end(span, sectors=count)
-            obs.metrics.histogram("ftl.write.latency_s").record(
-                self.sim.now - op_started)
+            obs.close(span, "ftl.write.latency_s", sectors=count)
         self._absorb_notifications()
         self._poke_gc()
         return txn_id
@@ -375,10 +370,7 @@ class OXBlock:
             self._reject_range("read", lba, sectors)
         sector_size = self.geometry.sector_size
         obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.begin("ftl", "read")
-            op_started = self.sim.now
+        span = obs.begin("ftl", "read") if obs is not None else None
         # One resolve loop for any sector count: buffer, then map, then
         # the device for whatever is left — by linear address, in one
         # payload-only command, traced or not.
@@ -420,9 +412,7 @@ class OXBlock:
         self.stats.reads += 1
         self.stats.sectors_read += sectors
         if obs is not None:
-            obs.end(span, sectors=sectors)
-            obs.metrics.histogram("ftl.read.latency_s").record(
-                self.sim.now - op_started)
+            obs.close(span, "ftl.read.latency_s", sectors=sectors)
         return b"".join(pieces)
 
     def trim_proc(self, lba: int, sectors: int = 1):
@@ -592,7 +582,7 @@ class OXBlock:
         self.media.require_ok(completion, "data unit write")
         self.buffer.mark_written(unit)
 
-    def _flush_partial_unit_proc(self):
+    def _flush_partial_unit_proc(self, parent=None):
         remaining = self.provisioner.current_unit_remaining("user")
         if not self.buffer.partial_units() and remaining == 0:
             return
@@ -610,16 +600,16 @@ class OXBlock:
             raise FTLError(
                 f"{len(leftovers)} partial unit(s) survived flush "
                 f"padding: write buffer and allocation cursor disagree")
-        procs = [self.sim.spawn(self._write_unit_proc(unit))
+        procs = [self.sim.spawn(self._write_unit_proc(unit, parent))
                  for unit in units]
         if procs:
             yield self.sim.all_of(procs)
 
-    def _checkpoint_on_pressure_proc(self):
+    def _checkpoint_on_pressure_proc(self, parent=None):
         if not self.journal.pressed(self.config.wal_pressure_threshold):
             return
         self.stats.forced_checkpoints += 1
-        yield from self._do_checkpoint_proc()
+        yield from self._do_checkpoint_proc(parent)
 
     def _checkpoint_locked_proc(self):
         grant = self._lock.request()
@@ -629,7 +619,7 @@ class OXBlock:
         finally:
             self._lock.release()
 
-    def _do_checkpoint_proc(self):
+    def _do_checkpoint_proc(self, parent=None):
         """Write a checkpoint and truncate the WAL; caller holds the lock.
 
         Ordering is load-bearing: every mapping the checkpoint persists
@@ -639,7 +629,10 @@ class OXBlock:
         above on-media write pointers after a crash — dangling mappings
         with nothing left to verify them against.)
         """
-        yield from self._flush_partial_unit_proc()
+        obs = self.obs
+        span = (obs.begin("ftl", "checkpoint", parent)
+                if obs is not None else None)
+        yield from self._flush_partial_unit_proc(span)
         yield from self.media.flush_proc()
         sector_size = self.geometry.sector_size
         chunk_rows = self.chunk_table.snapshot()
@@ -651,8 +644,10 @@ class OXBlock:
                                 sector_size)
         yield from self.journal.checkpoint_proc(
             records, map_entries=len(self.page_map),
-            chunk_entries=len(chunk_rows))
+            chunk_entries=len(chunk_rows), parent=span)
         self.stats.checkpoints += 1
+        if obs is not None:
+            obs.end(span)
 
     # -- daemons ------------------------------------------------------------------------
 

@@ -195,7 +195,8 @@ class OXEleos:
 
     # -- process API --------------------------------------------------------------------
 
-    def append_buffer_proc(self, pages: Sequence[Tuple[int, bytes]]):
+    def append_buffer_proc(self, pages: Sequence[Tuple[int, bytes]],
+                           parent=None):
         self._check_alive()
         if not pages:
             raise FTLError("empty LSS buffer")
@@ -215,6 +216,8 @@ class OXEleos:
             raise FTLError(
                 f"buffer of {total} bytes exceeds the configured LSS "
                 f"buffer size {self.config.buffer_bytes}")
+        obs = self.obs
+        span = obs.begin("ftl", "append", parent) if obs is not None else None
         grant = self._lock.request()
         yield grant
         try:
@@ -232,26 +235,29 @@ class OXEleos:
                     f"{needed} WAL sectors but the ring holds "
                     f"{wal.capacity_sectors}; enlarge wal_chunk_count")
             if wal.used_sectors + needed > wal.capacity_sectors:
-                yield from self._do_checkpoint_proc()
-            segment_id, entries = yield from self._write_segment_proc(pages)
+                yield from self._do_checkpoint_proc(span)
+            segment_id, entries = yield from self._write_segment_proc(
+                pages, span)
             wal.append(self._segment_record(serial.REC_SEGMENT_NEW,
                                             segment_id))
             self.journal.log_txn(serial.REC_VPAGE_UPDATE,
                                  self.journal.take_txn_id(), entries)
-            yield from wal.flush_proc()
+            yield from wal.flush_proc(span)
             for entry in entries:
                 self._map_page(*entry)
             self._written[segment_id] = len(self._live[segment_id])
             if self.journal.pressed(self.config.wal_pressure_threshold):
-                yield from self._do_checkpoint_proc()
+                yield from self._do_checkpoint_proc(span)
         finally:
             self._lock.release()
         self.stats.buffers_appended += 1
         self.stats.pages_appended += len(pages)
         self.stats.bytes_appended += total
+        if obs is not None:
+            obs.end(span, pages=len(pages), segment=segment_id)
         return segment_id
 
-    def read_page_proc(self, page_id: int):
+    def read_page_proc(self, page_id: int, parent=None):
         """Read one page: fetch the covering sectors (unit of read = 4 KB),
         slice out the page bytes — the mapping is finer than the read."""
         self._check_alive()
@@ -261,21 +267,27 @@ class OXEleos:
         sector_size = self.geometry.sector_size
         covering = max(1, -(-(entry.offset + entry.length) // sector_size))
         first = self.geometry.delinearize(entry.first_sector)
+        obs = self.obs
+        span = obs.begin("ftl", "read", parent) if obs is not None else None
         completion = yield from self.media.read_proc(
-            PpaRun(first[:3], first[3], covering))
+            PpaRun(first[:3], first[3], covering), parent=span)
         self.media.require_ok(completion, f"page {page_id} read")
         data = completion.data
         blob = data[0] if len(data) == 1 else b"".join(data)
         self.stats.pages_read += 1
+        if obs is not None:
+            obs.end(span, page=page_id)
         return bytes(blob[entry.offset:entry.offset + entry.length])
 
-    def free_segment_proc(self, segment_id: int):
+    def free_segment_proc(self, segment_id: int, parent=None):
         """Host-driven reclamation: the LSS cleaner guarantees every live
         page of the segment has been re-appended elsewhere, so a free costs
         its erases, side by side.  SEGMENT_FREE is only buffered: it rides
         the next WAL flush, ahead of any SEGMENT_NEW that could reuse these
         chunks; if a crash takes it, recovery drops the empty segment."""
         self._check_alive()
+        obs = self.obs
+        span = obs.begin("ftl", "free", parent) if obs is not None else None
         grant = self._lock.request()
         yield grant
         try:
@@ -292,16 +304,20 @@ class OXEleos:
             # The relocated copies are durable before the old ones go.
             yield from self.media.flush_proc()
             yield from self.sim.join_proc(
-                [self._reset_chunk_proc(key) for key in chunks], "eleos-free")
+                [self._reset_chunk_proc(key, span) for key in chunks],
+                "eleos-free")
             self._drop_segment(segment_id)
         finally:
             self._lock.release()
         self.stats.segments_freed += 1
+        if obs is not None:
+            obs.end(span, segment=segment_id)
 
-    def _reset_chunk_proc(self, key: ChunkKey):
+    def _reset_chunk_proc(self, key: ChunkKey, parent=None):
         """Erase one chunk back into the free pool; a failed erase
         retires it (a grown bad block)."""
-        completion = yield from self.media.reset_proc(Ppa(*key, 0))
+        completion = yield from self.media.reset_proc(Ppa(*key, 0),
+                                                      parent=parent)
         if completion.ok:
             self._free[key[:2]].append(key)
             return
@@ -370,7 +386,8 @@ class OXEleos:
         if joined is not None:
             joined.add(page_id)
 
-    def _write_segment_proc(self, pages: Sequence[Tuple[int, bytes]]):
+    def _write_segment_proc(self, pages: Sequence[Tuple[int, bytes]],
+                            parent=None):
         """Pack pages into sectors, allocate whole chunks, write them.
 
         Returns ``(segment_id, [(page_id, linear, offset, length), ...])``.
@@ -424,7 +441,7 @@ class OXEleos:
             oob = [("lss", segment_id, s) for s in range(count)]
             procs.append(self.sim.spawn(self.media.write_proc(
                 PpaRun(key, 0, count), stream[first_byte:last_byte],
-                oob=oob)))
+                oob=oob, parent=parent)))
         completions = yield self.sim.all_of(procs)
         for completion in completions:
             self.media.require_ok(completion, "LSS segment write")
@@ -463,9 +480,12 @@ class OXEleos:
         finally:
             self._lock.release()
 
-    def _do_checkpoint_proc(self):
+    def _do_checkpoint_proc(self, parent=None):
         # A checkpointed mapping must point at durable data: drain the
         # controller cache before snapshotting the vmap.
+        obs = self.obs
+        span = (obs.begin("ftl", "checkpoint", parent)
+                if obs is not None else None)
         yield from self.media.flush_proc()
         vmap_rows = [(page_id, entry.first_sector, entry.offset, entry.length)
                      for page_id, entry in sorted(self.vmap.items())]
@@ -473,8 +493,10 @@ class OXEleos:
                                self.geometry.sector_size)
         records += [self._segment_record(serial.REC_CKPT_SEGMENT, segment_id)
                     for segment_id in sorted(self.segments)]
-        yield from self.journal.checkpoint_proc(records)
+        yield from self.journal.checkpoint_proc(records, parent=span)
         self.stats.checkpoints += 1
+        if obs is not None:
+            obs.end(span)
 
     def _recover_proc(self):
         report = RecoveryReport()

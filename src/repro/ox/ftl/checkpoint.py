@@ -49,7 +49,8 @@ class CheckpointManager:
 
     def write_payload_proc(self, seq: int, next_txn_id: int,
                            records: Sequence[bytes],
-                           map_entries: int = 0, chunk_entries: int = 0):
+                           map_entries: int = 0, chunk_entries: int = 0,
+                           parent=None):
         """Persist checkpoint *seq* with caller-provided records, durably
         (FUA), framed by a header and a checksummed footer.
 
@@ -82,7 +83,7 @@ class CheckpointManager:
         # _read_slot_proc) — so dirty chunks are erased side by side, then
         # the stream's chunks written side by side.
         for completion in (yield from self.media.reset_dirty_proc(
-                slot, "ckpt-reset")):
+                slot, "ckpt-reset", parent)):
             self.media.require_ok(completion, "checkpoint slot reset")
         per_chunk = self.sectors_per_chunk
         writes = []
@@ -92,7 +93,7 @@ class CheckpointManager:
                 PpaRun(key, 0, batch),
                 data[offset * sector_size:(offset + batch) * sector_size],
                 oob=[("ckpt", seq, offset + i) for i in range(batch)],
-                fua=True))
+                fua=True, parent=parent))
         for completion in (yield from self.media.sim.join_proc(
                 writes, "ckpt-write")):
             self.media.require_ok(completion, "checkpoint write")

@@ -226,11 +226,8 @@ class GarbageCollector:
             # (bounded, so GC always makes progress eventually).
             yield from self.qos.background_gate_proc()
         obs = self.obs
-        span = None
-        if obs is not None:
-            # A root span: GC is background work, under no host command.
-            span = obs.begin("ftl.gc", "collect")
-            collect_started = self.sim.now
+        # A root span: GC is background work, under no host command.
+        span = obs.begin("ftl.gc", "collect") if obs is not None else None
         # (victim, its chunk's address, live sectors, unsafe count)
         targets = [(victim, Ppa(*victim.key, 0)) for victim in victims]
         jobs = yield from self._scan_proc(targets, span)
@@ -257,27 +254,33 @@ class GarbageCollector:
         aborted = yield from self._relocate_round_proc(moves, span)
         jobs = [job for job in jobs if job[0].key not in aborted]
         # Copies are durable and remapped: the victims hold dead data.
+        phase = obs.begin("ftl.gc", "reset", span) if obs is not None else None
         yield from self.sim.join_proc(
-            [self._reset_proc(*job[:2], span) for job in jobs], "gc-reset")
-        if jobs:
-            yield from self.journal.relieve_proc()
+            [self._reset_proc(*job[:2], phase) for job in jobs], "gc-reset")
         if obs is not None:
-            obs.end(span, victims=len(jobs),
-                    relocated=sum(len(live) for __, live in moves))
+            obs.end(phase)
+        if jobs:
+            yield from self.journal.relieve_proc(span)
+        if obs is not None:
+            obs.close(span, "ftl.gc.collect_s", victims=len(jobs),
+                      relocated=sum(len(live) for __, live in moves))
             obs.metrics.counter("ftl.gc.chunks_recycled").increment(
                 len(jobs))
-            obs.metrics.histogram("ftl.gc.collect_s").record(
-                self.sim.now - collect_started)
         self._update_waf_gauge()
         return len(jobs)
 
     def _scan_proc(self, targets: list, parent=None):
         """*targets* with each one's ``(live, unsafe)`` appended: scanned
         side by side, up to the chunk's write pointer as it is now."""
+        obs = self.obs
+        phase = (obs.begin("ftl.gc", "scan", parent)
+                 if obs is not None else None)
         found = yield from self.sim.join_proc(
             [self._find_live_sectors_proc(
                 victim.key, self.media.chunk_info(base).write_pointer,
-                parent) for victim, base in targets], "gc-scan")
+                phase) for victim, base in targets], "gc-scan")
+        if obs is not None:
+            obs.end(phase)
         return [(*target, *scan) for target, scan in zip(targets, found)]
 
     def _reset_proc(self, victim: FtlChunkInfo, base: Ppa, parent=None):
@@ -399,8 +402,13 @@ class GarbageCollector:
                 parent=parent)), "GC relocation abort pad")
         if not plans:
             return aborted
+        obs = self.obs
+        phase = (obs.begin("ftl.gc", "copy", parent)
+                 if obs is not None else None)
         self.media.require_ok((yield from self.media.copy_proc(
-            src, dst, dst_oob=lbas, parent=parent)), "GC relocation copy")
+            src, dst, dst_oob=lbas, parent=phase)), "GC relocation copy")
+        if obs is not None:
+            obs.end(phase)
 
         # Re-validate under the (held) dispatch lock and commit the moves,
         # the chunk table once per destination unit — with one clock tick
@@ -431,12 +439,16 @@ class GarbageCollector:
         # Copies and commit must both be durable before a reset; neither
         # waits for the other: a durable commit whose copies a crash took
         # is a transaction recovery drops, and the victims are intact.
+        phase = (obs.begin("ftl.gc", "commit", parent)
+                 if obs is not None else None)
         barrier = [self.media.flush_proc()]
         if entries:
-            if self.obs is not None:
-                self.obs.metrics.counter(
+            if obs is not None:
+                obs.metrics.counter(
                     "ftl.gc.sectors_relocated").increment(len(entries))
             self.journal.log_txn(REC_MAP_UPDATE, txn, entries)
-            barrier.append(self.journal.wal.flush_proc(parent=parent))
+            barrier.append(self.journal.wal.flush_proc(parent=phase))
         yield from self.sim.join_proc(barrier, "gc-commit")
+        if obs is not None:
+            obs.end(phase)
         return aborted

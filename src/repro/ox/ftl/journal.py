@@ -71,14 +71,15 @@ class Journal:
     # -- checkpointing -------------------------------------------------------
 
     def checkpoint_proc(self, records: Sequence[bytes], map_entries: int = 0,
-                        chunk_entries: int = 0):
+                        chunk_entries: int = 0, parent=None):
         """Process generator: persist *records* (the FTL's state, every
         mapping in it pointing at durable data) as the next checkpoint,
         then truncate the log it makes redundant."""
         seq = self.wal.epoch + 1
         yield from self.checkpointer.write_payload_proc(
-            seq, self.next_txn_id, records, map_entries, chunk_entries)
-        yield from self.wal.truncate_proc(seq)
+            seq, self.next_txn_id, records, map_entries, chunk_entries,
+            parent)
+        yield from self.wal.truncate_proc(seq, parent)
 
     # -- recovery ------------------------------------------------------------
 

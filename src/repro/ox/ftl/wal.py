@@ -87,10 +87,8 @@ class WalAppender:
         data = memoryview(self._writer.take())
 
         obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.begin("ftl.wal", "flush", parent)
-            flush_started = self.sim.now
+        span = (obs.begin("ftl.wal", "flush", parent)
+                if obs is not None else None)
         sector_size = self.sector_size
         per_chunk = self.sectors_per_chunk
         total = 0
@@ -108,15 +106,13 @@ class WalAppender:
             self.sectors_written += batch
             total += batch
         if obs is not None:
-            obs.end(span, sectors=total)
-            obs.metrics.histogram("ftl.wal.flush_s").record(
-                self.sim.now - flush_started)
+            obs.close(span, "ftl.wal.flush_s", sectors=total)
             obs.metrics.counter("ftl.wal.sectors").increment(total)
         return total
 
     # -- truncation --------------------------------------------------------------------
 
-    def truncate_proc(self, new_epoch: int):
+    def truncate_proc(self, new_epoch: int, parent=None):
         """Process generator: reset the ring and restart at *new_epoch*.
 
         Only call after a checkpoint with sequence *new_epoch* is durable —
@@ -124,11 +120,16 @@ class WalAppender:
         (striped over group 0's PUs) are erased side by side: whatever a
         crash leaves of them holds no sector of the new epoch.
         """
+        obs = self.obs
+        span = (obs.begin("ftl.wal", "truncate", parent)
+                if obs is not None else None)
         for completion in (yield from self.media.reset_dirty_proc(
-                self.chunks, "wal-truncate")):
+                self.chunks, "wal-truncate", span)):
             self.media.require_ok(completion, "WAL truncate")
         self.epoch = new_epoch
         self.used_sectors = 0
+        if obs is not None:
+            obs.end(span)
 
     # -- replay ----------------------------------------------------------------------
 

@@ -445,8 +445,11 @@ class Simulator:
         self._push(self.now + delay, callback)
 
     def queue_empty(self) -> bool:
-        """True when no entry is pending (engine-agnostic emptiness)."""
-        return not self._times
+        """True when no entry is pending (engine-agnostic emptiness).  An
+        entry that raised out of a run loop can leave its drained bucket
+        at the head of the heap; that bucket holds nothing."""
+        times = self._times
+        return not times or (len(times) == 1 and not self._buckets[times[0]])
 
     # -- running -------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ZoneError
+from repro.errors import ReproError, ZoneError
 from repro.ocssd.address import PpaRun
 from repro.ox.media import MediaManager
 from repro.zns.zone import Zone, ZoneState
@@ -129,7 +129,8 @@ class OXZns:
                 f"append of {len(data)} bytes is not sector-aligned")
         sectors = len(data) // sector_size
         zone.check_append(sectors)
-        if zone.state is ZoneState.EMPTY:
+        opened = zone.state is ZoneState.EMPTY
+        if opened:
             if self._open_count >= self.config.max_open_zones:
                 raise ZoneError(
                     f"too many open zones (max "
@@ -138,10 +139,7 @@ class OXZns:
         start_lba = zone.start_lba + zone.write_pointer
 
         obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.begin("zns", "append")
-            append_started = self.sim.now
+        span = obs.begin("zns", "append") if obs is not None else None
         ws_min = self.geometry.ws_min
         view = memoryview(data)
         offset = zone.write_pointer
@@ -167,9 +165,13 @@ class OXZns:
                     parent=span)))
             offset += padded
             remaining -= count
-        completions = yield self.sim.all_of(procs)
-        for completion in completions:
-            self.media.require_ok(completion, f"zone {zone_id} append")
+        try:
+            for completion in (yield self.sim.all_of(procs)):
+                self.media.require_ok(completion, f"zone {zone_id} append")
+        except ReproError:
+            if opened:      # the zone is still EMPTY: its slot goes back
+                self._open_count -= 1
+            raise
         # Physical pointer may have advanced past the logical one due to
         # padding: account the padding into the zone as consumed capacity.
         zone.advance(offset - zone.write_pointer)
@@ -178,10 +180,9 @@ class OXZns:
         self.stats.appends += 1
         self.stats.sectors_appended += sectors
         if obs is not None:
-            obs.end(span, zone=zone_id, sectors=sectors)
+            obs.close(span, "zns.append.latency_s", zone=zone_id,
+                      sectors=sectors)
             obs.metrics.counter("zns.append.sectors").increment(sectors)
-            obs.metrics.histogram("zns.append.latency_s").record(
-                self.sim.now - append_started)
         return start_lba
 
     def read(self, lba: int, sectors: int = 1) -> bytes:
@@ -201,17 +202,13 @@ class OXZns:
             ppas.append(PpaRun(zone.chunks[chunk_index], in_chunk, count))
             at += count
         obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.begin("zns", "read")
-            read_started = self.sim.now
+        span = obs.begin("zns", "read") if obs is not None else None
         completion = yield from self.media.read_proc(ppas, parent=span)
         self.media.require_ok(completion, f"zone {zone_id} read")
         self.stats.sectors_read += sectors
         if obs is not None:
-            obs.end(span, zone=zone_id, sectors=sectors)
-            obs.metrics.histogram("zns.read.latency_s").record(
-                self.sim.now - read_started)
+            obs.close(span, "zns.read.latency_s", zone=zone_id,
+                      sectors=sectors)
         return b"".join(completion.data)
 
     def reset_zone(self, zone_id: int) -> None:

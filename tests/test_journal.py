@@ -101,7 +101,7 @@ def test_a_cut_around_the_checkpoint_loads_exactly_one_epoch(host, cut):
         truncate_proc = wal.truncate_proc
         erase = device.chips[(0, 0)].timing.erase_time()
 
-        def cutting_truncate_proc(new_epoch):
+        def cutting_truncate_proc(new_epoch, parent=None):
             def cutter():
                 # (b) One erase per PU done, the third under way: it
                 # completes, and changes nothing.
@@ -111,7 +111,7 @@ def test_a_cut_around_the_checkpoint_loads_exactly_one_epoch(host, cut):
                 injector.power_cut()
             else:
                 sim.spawn(cutter())
-            return truncate_proc(new_epoch)
+            return truncate_proc(new_epoch, parent)
 
         wal.truncate_proc = cutting_truncate_proc
         try:

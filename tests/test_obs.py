@@ -193,9 +193,13 @@ class TestTracer:
 
     def test_event_cap_degrades_to_dropped(self):
         tracer = make_tracer(max_events=2)
-        assert tracer.begin("a", "x") is not None
-        assert tracer.begin("a", "y") is not None
-        assert tracer.begin("a", "z") is None
+        tracer.begin("a", "x")
+        tracer.begin("a", "y")
+        # Past the cap a span still times its caller; the trace drops it.
+        late = tracer.begin("a", "z")
+        tracer.end(late)
+        assert late.duration == 0.0 and late not in tracer.spans
+        assert [span.name for span in tracer.spans] == ["x", "y"]
         assert tracer.dropped == 1
         tracer.end(None)   # call sites stay unconditional
         # Instants have their own budget against the same cap.

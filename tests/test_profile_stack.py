@@ -1,0 +1,57 @@
+"""Smoke test of ``scripts/profile_stack.py --sim``: the sim-time table of
+every ledger workload, at the ledger's smoke scale, built from spans alone.
+"""
+
+import importlib.util
+import os
+
+import pytest
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: The FTL / host ``(layer, name)`` rows each workload's table must show.
+ROWS = {
+    "oxblock_fill_read": {("ftl", "write"), ("ftl", "read")},
+    "oxblock_gc_zipf": {("ftl", "write"), ("ftl", "read"),
+                        ("ftl", "checkpoint"), ("ftl.gc", "collect")},
+    "wlfc_zipf_overwrite": {("ftl", "write"), ("ftl", "read"),
+                            ("ftl", "checkpoint"), ("ftl.gc", "collect")},
+    "lightlsm_dbbench": {("lsm", "flush")},
+    "zns_dbbench_scan": {("lsm", "flush"), ("zns", "append")},
+    "eleos_llama": {("llama", "flush"), ("llama", "read"),
+                    ("llama", "clean"), ("ftl", "append"), ("ftl", "read"),
+                    ("ftl", "free")},
+}
+
+
+@pytest.fixture
+def profile_stack(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(REPO_ROOT, "benchmarks",
+                                             "ledger"))
+    spec = importlib.util.spec_from_file_location(
+        "profile_stack", os.path.join(REPO_ROOT, "scripts",
+                                      "profile_stack.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rows_cover_every_ledger_workload(profile_stack):
+    from workloads import WORKLOADS
+    assert set(ROWS) == set(WORKLOADS)
+
+
+@pytest.mark.parametrize("name", list(ROWS))
+def test_sim_table_is_the_span_fold(profile_stack, name):
+    metrics, table = profile_stack.sim_table(name, "smoke")
+    assert metrics["attempted"] > 0
+    assert metrics["raised"] == metrics["mismatched"] == 0
+    assert table.consistent and table.root_spans
+    assert ROWS[name] <= set(table.names)
+    text = profile_stack.format_sim_report(f"ledger_{name}", REPO_ROOT,
+                                           metrics, table)
+    # One line per (layer, name), last in the report.
+    listed = [line.split()[-1]
+              for line in text.splitlines()[-len(table.names):]]
+    assert sorted(listed) == sorted(f"{layer}/{span}"
+                                    for layer, span in table.names)

@@ -477,6 +477,18 @@ def _join_interrupted(sim):
     return outcome, log, sim.queue_empty()
 
 
+def _unhandled_failure_leaves_an_empty_queue(sim):
+    # Found by tests/test_kernel_lockstep.py: the calendar queue kept the
+    # bucket the raising entry was drained from and called itself busy.
+    def doomed():
+        yield sim.timeout(1.0)
+
+    sim.spawn(doomed()).interrupt("kill")   # nobody waits: run() raises
+    with pytest.raises(Interrupt):
+        sim.run()
+    return sim.now, sim.queue_empty()
+
+
 CONTRACT = [
     (_all_of_nothing, []),
     (_aggregates_over_processed_children, (["a", "b"], (0, "b"), 2.0)),
@@ -487,6 +499,7 @@ CONTRACT = [
     (_join_interrupted, (("interrupted", "power off", 1.0),
                          [("p", "power off", 1.0), ("q", "power off", 1.0)],
                          True)),
+    (_unhandled_failure_leaves_an_empty_queue, (0.0, True)),
 ]
 
 

@@ -56,7 +56,7 @@ if REPO_ROOT not in sys.path:   # run as a script, not under pytest
 from benchmarks.bench_perf_trajectory import MACRO, run_macro  # noqa: E402
 
 
-def _eleos_llama_clean_loop():
+def _run_eleos_llama_clean_loop(obs: bool = False):
     stack = build_stack(StackSpec(
         name="pin-eleos-llama", seed=3,
         geometry={"num_groups": 2, "pus_per_group": 2,
@@ -64,7 +64,7 @@ def _eleos_llama_clean_loop():
         ftl="eleos",
         ftl_config={"buffer_bytes": 256 * KIB, "wal_chunk_count": 4},
         llama={"consolidate_after": 4, "clean_live_ratio": 0.8,
-               "cache_capacity": 20}))
+               "cache_capacity": 20}, obs=obs))
     engine, ftl, sim = stack.engine, stack.ftl, stack.sim
     rng = random.Random(3)
     pages = 80
@@ -80,23 +80,28 @@ def _eleos_llama_clean_loop():
         for __ in range(10):
             engine.read(rng.randrange(pages))
         engine.clean_once()
-    return {"now": sim.now, "events": sim.events_processed,
-            "eleos": dataclasses.asdict(ftl.stats),
-            "llama": dataclasses.asdict(engine.stats),
-            # Which chunks each surviving segment took: pins the
-            # allocator's round-robin order, not only how many it handed out.
-            "segments_crc": zlib.crc32(
-                repr(sorted(ftl.segments.items())).encode())}
+    return stack, {
+        "now": sim.now, "events": sim.events_processed,
+        "eleos": dataclasses.asdict(ftl.stats),
+        "llama": dataclasses.asdict(engine.stats),
+        # Which chunks each surviving segment took: pins the allocator's
+        # round-robin order, not only how many it handed out.
+        "segments_crc": zlib.crc32(
+            repr(sorted(ftl.segments.items())).encode())}
 
 
-def _zipf_overwrite_gc(gc_policy: str):
+def _eleos_llama_clean_loop():
+    return _run_eleos_llama_clean_loop()[1]
+
+
+def _run_zipf_overwrite_gc(gc_policy: str, obs: bool = False):
     stack = build_stack(StackSpec(
         name="pin-gc-zipf", seed=5,
         geometry={"num_groups": 2, "pus_per_group": 2,
                   "chunks_per_pu": 12, "pages_per_block": 6},
         ftl="oxblock",
         ftl_config={"gc_low_watermark": 6, "gc_high_watermark": 10},
-        gc_policy=gc_policy))
+        gc_policy=gc_policy, obs=obs))
     ftl, sim = stack.ftl, stack.sim
     geometry = stack.device.geometry
     unit = geometry.ws_min
@@ -122,11 +127,16 @@ def _zipf_overwrite_gc(gc_policy: str):
         else:
             ftl.trim(target * unit, unit)
     ftl.flush()
-    return {"now": sim.now, "events": sim.events_processed,
-            "gc": dataclasses.asdict(ftl.gc.stats),
-            "clock": ftl.chunk_table.clock(),
-            "sectors_written": stack.device.controller.stats.sectors_written,
-            "sectors_read": stack.device.controller.stats.sectors_read}
+    return stack, {
+        "now": sim.now, "events": sim.events_processed,
+        "gc": dataclasses.asdict(ftl.gc.stats),
+        "clock": ftl.chunk_table.clock(),
+        "sectors_written": stack.device.controller.stats.sectors_written,
+        "sectors_read": stack.device.controller.stats.sectors_read}
+
+
+def _zipf_overwrite_gc(gc_policy: str):
+    return _run_zipf_overwrite_gc(gc_policy)[1]
 
 
 def _run_mixed_shapes(host: str, obs: bool = False):
@@ -615,6 +625,41 @@ def test_obs_rides_the_same_read_lane(host, monkeypatch):
     assert len(spans) == issued
     assert stack.obs.metrics.histogram(
         "ocssd.read.latency_s").count == issued
+
+
+#: What each traced reclaim scenario must show, as ``(layer, name)``.
+TRACED = {
+    "eleos_llama": (_run_eleos_llama_clean_loop, (), {
+        ("ftl", "append"), ("ftl", "read"), ("ftl", "free"),
+        ("ftl", "checkpoint"), ("llama", "flush"), ("llama", "read"),
+        ("llama", "clean"), ("ftl.wal", "truncate")}),
+    "greedy": (_run_zipf_overwrite_gc, ("greedy",), {
+        ("ftl", "checkpoint"), ("ftl.wal", "truncate"),
+        ("ftl.gc", "collect"), ("ftl.gc", "scan"), ("ftl.gc", "copy"),
+        ("ftl.gc", "commit"), ("ftl.gc", "reset")}),
+}
+
+
+@pytest.mark.parametrize("row", list(TRACED))
+def test_reclaim_spans_ride_the_same_timeline(row):
+    """The reclaim paths open spans (LLAMA over OX-ELEOS; the GC round's
+    phases; checkpoint and WAL truncation) on the lines they run
+    untraced: obs on, the row is its golden one, and the spans nest and
+    add up."""
+    from repro.obs import attribute, validate_nesting
+    run, args, wanted = TRACED[row]
+    stack, traced = run(*args, obs=True)
+    assert traced == GOLDEN[row]
+    spans = stack.obs.tracer.spans
+    assert validate_nesting(spans) == []
+    table = attribute(spans)
+    assert table.consistent and not stack.obs.tracer.dropped
+    assert wanted <= set(table.names)
+    # The GC round's phases are children of its collect span.
+    by_id = {span.span_id: span for span in spans}
+    assert all((by_id[span.parent_id].layer, by_id[span.parent_id].name)
+               == ("ftl.gc", "collect") for span in spans
+               if span.layer == "ftl.gc" and span.name != "collect")
 
 
 if __name__ == "__main__":   # regenerate: PYTHONPATH=src python tests/test_sim_identity.py

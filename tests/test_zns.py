@@ -141,6 +141,28 @@ class TestZnsDevice:
         zns.append(0, b"a" * SS * zone.remaining)
         zns.append(2, b"c" * SS)
 
+    def test_failed_append_gives_back_its_open_slot(self):
+        """An append whose write fails leaves its EMPTY zone EMPTY: the
+        open slot it took for that zone is handed back, or two failures
+        used to lock every fresh zone out for good."""
+        from repro.errors import MediaError
+        from repro.faults import FaultInjector, FaultPlan
+        geometry = DeviceGeometry(
+            num_groups=2, pus_per_group=2,
+            flash=FlashGeometry(blocks_per_plane=8, pages_per_block=6))
+        device = OpenChannelSSD(geometry=geometry, write_back=False)
+        zns = OXZns(MediaManager(device),
+                    ZnsConfig(chunks_per_zone=1, max_open_zones=2))
+        injector = FaultInjector(
+            FaultPlan(program_fail_prob=1.0)).attach(device)
+        for zone_id in (0, 1):
+            with pytest.raises(MediaError):
+                zns.append(zone_id, b"x" * SS)
+            assert zns.zone(zone_id).state is ZoneState.EMPTY
+        injector.detach()
+        assert zns.append(2, b"y" * SS) == zns.zone(2).start_lba
+        assert zns.read(zns.zone(2).start_lba, 1) == b"y" * SS
+
     def test_large_append_spans_chunks(self):
         device, zns = make_zns(chunks_per_zone=2)
         geometry = device.report_geometry()
