@@ -86,12 +86,8 @@ class _ZnsWriter(SSTableWriter):
         return handle
 
     def abort_proc(self):
-        for zone_id in self.table.zones:
-            zone = self.env.zns.zone(zone_id)
-            if zone.state is not ZoneState.EMPTY:
-                yield from self.env.zns.reset_zone_proc(zone_id)
-            self.env._free_zones.append(zone_id)
-        self.table.zones = []
+        zones, self.table.zones = self.table.zones, []
+        yield from self.env._reclaim_proc(zones)
 
 
 class ZnsEnv(ManifestEnv):
@@ -149,13 +145,24 @@ class ZnsEnv(ManifestEnv):
         table = self._tables.pop(handle.sstable_id, None)
         if table is None:
             return
-        for zone_id in table.zones:
-            yield from self.zns.reset_zone_proc(zone_id)
-            self._free_zones.append(zone_id)
+        yield from self._reclaim_proc(table.zones)
 
     # list_tables_proc / log_version_edit / _require: ManifestEnv.
 
     # -- internals ----------------------------------------------------------------
+
+    def _reclaim_proc(self, zone_ids: List[int]):
+        """Reset *zone_ids* side by side (they sit in distinct groups, so
+        their erases overlap).  A reset zone returns to the free list, a
+        retired one does not; its ZoneError surfaces once every sibling
+        has finished."""
+        def reset_proc(zone_id: int):
+            if self.zns.zone(zone_id).state is not ZoneState.EMPTY:
+                yield from self.zns.reset_zone_proc(zone_id)
+            self._free_zones.append(zone_id)
+
+        yield from self.sim.join_proc(
+            [reset_proc(zone_id) for zone_id in zone_ids], "zns-reclaim")
 
     def _take_free_zone(self) -> int:
         while self._free_zones:

@@ -62,9 +62,9 @@ class QosConfig:
     #: program transfer per round.
     quantum_bytes: int = 96 * 1024
     #: Chip-lock priorities used by the controller when a scheduler is
-    #: attached (lower wins; the sim Resource serves priority-then-FIFO).
+    #: attached (lower wins; the sim Resource serves priority-then-FIFO;
+    #: programs take the lock at 0, FUA ones at -1, qos or not).
     read_priority: int = -1
-    program_priority: int = 0
     erase_priority: int = 1
     #: Serve a flow regardless of deficit after this many unserved visits.
     starvation_rounds: int = 64

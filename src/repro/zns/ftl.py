@@ -80,20 +80,20 @@ class OXZns:
         return self.media.tenant
 
     def _build_zones(self) -> None:
-        """Carve the whole device into zones, group by group; each zone's
-        chunks stripe across the PUs of its group."""
+        """Carve the whole device into zones; each zone's chunks stripe
+        across the PUs of one group, and zone *i* sits in group
+        ``i % num_groups`` so ids taken in order rotate channels."""
         per_zone = self.config.chunks_per_zone
-        zone_id = 0
-        for group in range(self.geometry.num_groups):
-            pool = [(group, pu, chunk)
-                    for chunk in range(self.geometry.chunks_per_pu)
-                    for pu in range(self.geometry.pus_per_group)]
-            for start in range(0, len(pool) - per_zone + 1, per_zone):
-                chunks = pool[start:start + per_zone]
-                self.zones.append(Zone(zone_id=zone_id,
+        geometry = self.geometry
+        pool = [(pu, chunk) for chunk in range(geometry.chunks_per_pu)
+                for pu in range(geometry.pus_per_group)]
+        for start in range(0, len(pool) - per_zone + 1, per_zone):
+            for group in range(geometry.num_groups):
+                chunks = [(group, pu, chunk)
+                          for pu, chunk in pool[start:start + per_zone]]
+                self.zones.append(Zone(zone_id=len(self.zones),
                                        capacity=self.zone_capacity,
                                        chunks=chunks))
-                zone_id += 1
 
     # -- admin ---------------------------------------------------------------------
 

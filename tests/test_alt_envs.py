@@ -3,14 +3,14 @@ block-device env (over OX-Block) and the ZNS port (over OX-ZNS)."""
 
 import pytest
 
-from repro.errors import OutOfSpaceError, ReproError
+from repro.errors import OutOfSpaceError, ReproError, ZoneError
 from repro.lsm import DB, DBConfig, DbBench
 from repro.lsm.blockenv import BlockDevEnv
 from repro.lsm.znsenv import ZnsEnv
 from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ox import BlockConfig, MediaManager, OXBlock
-from repro.zns import OXZns, ZnsConfig
+from repro.zns import OXZns, ZnsConfig, ZoneState
 from repro.units import KIB
 
 
@@ -155,6 +155,71 @@ class TestZnsEnv:
         with pytest.raises(OutOfSpaceError):
             for i in range(30_000):
                 db.put(key(i), b"x" * 1024)
+
+
+class TestZnsReclaim:
+    """A table's zones are reset in one join: zone ids taken in order sit
+    in distinct groups, so their erases overlap."""
+
+    @staticmethod
+    def table(zones=4):
+        """A ZnsEnv holding one table over *zones* fresh zones: a
+        zone-sized block in each but the last, which takes the meta."""
+        device = make_device(chunks=8)
+        zns = OXZns(MediaManager(device),
+                    ZnsConfig(chunks_per_zone=4, max_open_zones=16))
+        env, sim = ZnsEnv(zns), device.sim
+        block = zns.zone_capacity * env.sector_size
+
+        def write_proc():
+            writer = yield from env.create_writer_proc(1, 0, block)
+            for index in range(zones - 1):
+                yield from writer.append_block_proc(bytes([index]) * block)
+            return (yield from writer.finish_proc(b"meta"))
+
+        handle = sim.run_until(sim.spawn(write_proc()))
+        table = env._tables[1]
+        assert len(table.zones) == zones
+        assert len({zns.zone(zone_id).chunks[0][0]
+                    for zone_id in table.zones}) == zones
+        return device, zns, env, handle, table.zones
+
+    @staticmethod
+    def timed(sim, proc) -> float:
+        start = sim.now
+        sim.run_until(sim.spawn(proc))
+        return sim.now - start
+
+    def test_delete_costs_one_zone_reset(self):
+        device, zns, env, handle, zones = self.table()
+        sim = device.sim
+        lone = env._take_free_zone()
+        zns.append(lone, b"r" * zns.zone_capacity * env.sector_size)
+        zns.media.flush()
+        one_reset = self.timed(sim, zns.reset_zone_proc(lone))
+        elapsed = self.timed(sim, env.delete_table_proc(handle))
+        assert elapsed < 1.5 * one_reset
+        assert all(zns.zone(zone_id).state is ZoneState.EMPTY
+                   for zone_id in zones)
+        assert set(zones) <= set(env._free_zones)
+
+    def test_failed_reset_retires_only_its_zone(self):
+        from repro.faults import FaultInjector, FaultPlan
+        device, zns, env, handle, zones = self.table()
+        bad = zones[1]
+        FaultInjector(FaultPlan(
+            grown_bad={zns.zone(bad).chunks[0]: 1})).attach(device)
+        free = list(env._free_zones)
+        with pytest.raises(ZoneError, match=f"zone {bad} retired"):
+            device.sim.run_until(device.sim.spawn(
+                env.delete_table_proc(handle)))
+        assert zns.zone(bad).state is ZoneState.OFFLINE
+        survivors = [zone_id for zone_id in zones if zone_id != bad]
+        # Every sibling finished its reset before the error surfaced.
+        assert all(zns.zone(zone_id).state is ZoneState.EMPTY
+                   for zone_id in survivors)
+        assert sorted(env._free_zones) == sorted(free + survivors)
+        assert zns.stats.zones_retired == 1
 
 
 class TestFailedTableWrite:

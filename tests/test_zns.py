@@ -68,6 +68,20 @@ class TestZnsDevice:
         assert total_chunks == device.report_geometry().total_chunks
         assert all(len({(c[0]) for c in z.chunks}) == 1 for z in zns.zones)
 
+    @pytest.mark.parametrize("groups", [2, 4])
+    def test_zone_ids_rotate_groups(self, groups):
+        """Zone *i* sits in group ``i % num_groups``: a host that takes ids
+        in order opens its zones on every channel, not on one group."""
+        device, zns = make_zns(groups=groups, chunks_per_zone=2)
+        assert len({zone.chunks[0][0] for zone in zns.zones[:groups]}) \
+            == groups
+        for zone in zns.zones:
+            assert {chunk[0] for chunk in zone.chunks} \
+                == {zone.zone_id % groups}
+        owned = [chunk for zone in zns.zones for chunk in zone.chunks]
+        assert len(set(owned)) == len(owned) \
+            == device.report_geometry().total_chunks
+
     def test_zone_chunks_on_distinct_pus(self):
         __, zns = make_zns(pus=4, chunks=8, chunks_per_zone=4)
         for zone in zns.zones:
