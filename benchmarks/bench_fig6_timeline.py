@@ -73,9 +73,16 @@ def test_fig6_fill_timeline(benchmark):
     # shared device).
     assert horizontal[8].elapsed > horizontal[1].elapsed
     assert vertical[8].elapsed > vertical[1].elapsed
-    # Fluctuation: the throughput profile is not flat (stall throttling).
-    rates8 = [rate for __, rate in horizontal[8].series if rate > 0]
-    assert max(rates8) > 2 * (sum(rates8) / len(rates8))
+    # "Throughput fluctuates throughout": with 4 and 8 clients, on both
+    # placements, some window runs well above the mean and some well
+    # below it (stall throttling).
+    for curves_by_clients in (horizontal, vertical):
+        for clients in (4, 8):
+            rates = [rate for __, rate in curves_by_clients[clients].series
+                     if rate > 0]
+            mean = sum(rates) / len(rates)
+            assert max(rates) >= 1.5 * mean
+            assert min(rates) <= 0.5 * mean
     # Vertical's 1-client run shows a peak well above its mean.
     rates_v1 = [rate for __, rate in vertical[1].series if rate > 0]
     assert max(rates_v1) > 1.5 * vertical[1].ops_per_sec

@@ -12,6 +12,7 @@ chunk erasing.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -35,7 +36,8 @@ class TableRef:
 
 class TableCursor:
     """One SSTable's entries in key order, a decoded block at a time, with
-    one-block readahead so sequential scans overlap I/O with consumption.
+    up to *readahead* block reads in flight ahead of the block consumed
+    (a compaction passes the table's ``env.read_width``, a scan 1).
 
     The cursor protocol, shared with :class:`MemCursor`: ``keys`` and
     ``entries`` are the current block as parallel lists (see
@@ -45,14 +47,14 @@ class TableCursor:
     """
 
     def __init__(self, env, table: TableRef, block_size: int, sim,
-                 readahead: bool = True):
+                 readahead: int = 1):
         self.env = env
         self.table = table
         self.block_size = block_size
         self.sim = sim
         self.readahead = readahead
         self._block_index = 0
-        self._prefetch = None     # Process reading the next block
+        self._prefetch = deque()  # Processes reading the next blocks, in order
         self.keys = self.entries = []
         self.pos = 0
 
@@ -61,21 +63,29 @@ class TableCursor:
         self.pos = 0
         self.keys = self.entries = []
         num_blocks = self.table.meta.num_blocks
+        prefetch = self._prefetch
         while not self.keys and self._block_index < num_blocks:
-            if self._prefetch is not None:
-                block = yield self._prefetch
-                self._prefetch = None
+            if prefetch:
+                block = yield prefetch.popleft()
             else:
                 block = yield from self.env.read_block_proc(
                     self.table.handle, self._block_index, self.block_size)
             self.keys, self.entries = decode_block(block)
             self._block_index += 1
-            if self.readahead and self._block_index < num_blocks:
-                self._prefetch = self.sim.spawn(
-                    self.env.read_block_proc(self.table.handle,
-                                             self._block_index,
+            ahead = self._block_index + len(prefetch)
+            while len(prefetch) < self.readahead and ahead < num_blocks:
+                prefetch.append(self.sim.spawn(
+                    self.env.read_block_proc(self.table.handle, ahead,
                                              self.block_size),
-                    name="readahead")
+                    name="readahead"))
+                ahead += 1
+
+    def close(self) -> None:
+        """For a consumer that stops early: nothing will wait on the reads
+        still in flight, so a failure in one must not surface."""
+        for read in self._prefetch:
+            read.defuse()
+        self._prefetch.clear()
 
 
 class MemCursor:

@@ -364,17 +364,17 @@ class DB:
         trace = self.sim.trace
         if trace is not None:
             trace.host_op("scan", size=limit, stream=stream)
-        snapshot: List[TableRef] = []
         cursors = [MemCursor(self.memtable.items_sorted())]
         for entry in reversed(self.immutable_queue):
             cursors.append(MemCursor(entry.items))
-        for level, tables in enumerate(self.levels):
-            for table in tables:
-                table.refs += 1
-                snapshot.append(table)
-                cursors.append(TableCursor(
-                    self.env, table, self.config.block_size, self.sim,
-                    readahead=self.config.readahead))
+        # One block ahead: scan_cpu, not the device, paces a scan.
+        table_cursors = [
+            TableCursor(self.env, table, self.config.block_size, self.sim,
+                        readahead=int(self.config.readahead))
+            for tables in self.levels for table in tables]
+        for cursor in table_cursors:
+            cursor.table.refs += 1
+        cursors.extend(table_cursors)
         scan_cpu = self.config.scan_cpu
 
         def scan_cpu_proc():
@@ -390,8 +390,9 @@ class DB:
             return (yield from merge_into_proc(
                 cursors, sink, drop_tombstones=True, limit=limit))
         finally:
-            for table in snapshot:
-                self._release(table)
+            for cursor in table_cursors:
+                cursor.close()
+                self._release(cursor.table)
 
     # -- background: flush ------------------------------------------------------------
 
@@ -510,18 +511,25 @@ class DB:
             span = obs.begin("lsm.compaction", "compact")
         for table in pick.inputs:
             table.refs += 1
+        # Each input is read as wide as its env striped it.
         cursors = [TableCursor(self.env, table, self.config.block_size,
-                               self.sim, readahead=self.config.readahead)
+                               self.sim,
+                               readahead=self.env.read_width(table.handle)
+                               if self.config.readahead else 0)
                    for table in pick.inputs]
         # Drop tombstones when nothing below the target level can hold an
         # older value for the key.
         deeper_occupied = any(self.levels[level]
                               for level in range(pick.target_level + 1,
                                                  self.config.max_levels))
-        outputs = yield from self._write_tables_proc(
-            cursors, level=pick.target_level,
-            drop_tombstones=not deeper_occupied,
-            yield_to_foreground=True)
+        try:
+            outputs = yield from self._write_tables_proc(
+                cursors, level=pick.target_level,
+                drop_tombstones=not deeper_occupied,
+                yield_to_foreground=True)
+        finally:
+            for cursor in cursors:
+                cursor.close()
         # Install the new version: remove inputs, outputs are already in.
         input_set = {id(t) for t in pick.inputs}
         for level in range(self.config.max_levels):

@@ -89,6 +89,12 @@ class StorageEnv(abc.ABC):
                         block_size: int):
         """Process generator returning the block's bytes."""
 
+    def read_width(self, handle: SSTableHandle) -> int:
+        """How many block reads of the table run side by side: the PUs
+        its blocks are striped over.  1 where the env cannot tell (a
+        generic block FTL hides where an extent lives)."""
+        return 1
+
     @abc.abstractmethod
     def read_meta_proc(self, handle: SSTableHandle):
         """Process generator returning the meta blob."""

@@ -17,10 +17,10 @@ straight from the paper:
   multiple of the device write unit (96 KB on the dual-plane TLC drive).
 * **A single dispatch thread** submits all writes "so that there are no
   concurrent accesses to the write pointers".
-* **Atomic SSTable flush, no MANIFEST**: a table is committed by a final
-  FUA *commit unit* written after its data and meta are durable; recovery
-  lists tables by scanning chunk OOB and ignores (and reclaims) anything
-  without a commit unit.
+* **Atomic SSTable flush, no MANIFEST**: a table is committed by its
+  meta's last write unit, written FUA as the *commit unit* once its data
+  and the rest of its meta are durable; recovery lists tables by scanning
+  chunk OOB and ignores (and reclaims) anything without a commit unit.
 """
 
 from __future__ import annotations
@@ -112,10 +112,10 @@ class VerticalPlacement(PlacementPolicy):
 class _TableLayout:
     """Where one SSTable lives: striped data chunks plus one meta chunk.
 
-    The meta chunk holds the serialized :class:`SSTableMeta` followed by
-    the FUA *commit unit*; keeping it separate from the data stripe means
-    meta/commit placement never collides with a full data chunk, while
-    deletion is still nothing but chunk erases.
+    The meta chunk holds the serialized :class:`SSTableMeta`, whose last
+    write unit is the FUA *commit unit*; keeping it separate from the data
+    stripe means meta/commit placement never collides with a full data
+    chunk, while deletion is still nothing but chunk erases.
     """
 
     handle: SSTableHandle
@@ -251,6 +251,12 @@ class LightLSMEnv(StorageEnv):
         self.stats.blocks_read += 1
         return b"".join(completion.data)
 
+    def read_width(self, handle: SSTableHandle) -> int:
+        """The PUs the table's stripe covers: every PU of the partition
+        for horizontal placement, one group's for vertical (Figure 4)."""
+        return len({key[:2] for key in self._layout(handle).chunks
+                    if key[0] >= 0})
+
     def read_meta_proc(self, handle: SSTableHandle):
         layout = self._layout(handle)
         meta = yield from self._read_meta_of_layout(layout)
@@ -293,7 +299,8 @@ class LightLSMEnv(StorageEnv):
                 data_chunks.setdefault(sstable_id, {})[chunk_index] = key
                 info_by_table[sstable_id] = (level, sequence, n_chunks)
                 debris.setdefault(sstable_id, []).append(key)
-            elif tag[0] == "sstmeta":
+            elif tag[0] in ("sstmeta", "sstcommit"):
+                # A one-unit meta is its own commit unit.
                 sstable_id = tag[1]
                 meta_chunks[sstable_id] = key
                 debris.setdefault(sstable_id, []).append(key)
@@ -378,11 +385,11 @@ class LightLSMEnv(StorageEnv):
                 f"unknown sstable {handle.sstable_id}") from None
 
     def _read_commit_proc(self, meta_key: ChunkKey, sstable_id: int):
-        """Read and validate the commit unit at the tail of the meta
-        chunk; returns ``(meta_sectors, data_blocks)`` or None."""
+        """Read and validate the commit unit (the meta's last unit) at the
+        tail of the meta chunk; ``(meta_sectors, data_blocks)`` or None."""
         ws_min = self.geometry.ws_min
         info = self.media.chunk_info(Ppa(*meta_key, 0))
-        if info.write_pointer < 2 * ws_min:
+        if info.write_pointer < ws_min:
             return None
         completion = yield from self.media.read_proc(
             PpaRun(meta_key, info.write_pointer - ws_min, 1), meta_only=True)
@@ -492,33 +499,33 @@ class _LightLSMWriter(SSTableWriter):
 
         # Meta: written at the start of the dedicated meta chunk, padded
         # to whole write units (the sectors past the blob's end).
-        meta_sectors = -(-len(meta_blob) // sector_size)
-        meta_sectors += (-meta_sectors) % ws_min
-        if meta_sectors + ws_min > geometry.sectors_per_chunk:
+        unit_bytes = ws_min * sector_size
+        meta_sectors = max(1, -(-len(meta_blob) // unit_bytes)) * ws_min
+        if meta_sectors > geometry.sectors_per_chunk:
             raise OutOfSpaceError(
                 f"meta of table {layout.handle.sstable_id} "
                 f"({len(meta_blob)} bytes) exceeds the meta chunk")
         layout.meta_sectors = meta_sectors
         key = layout.meta_chunk
-        ppas = PpaRun(key, 0, meta_sectors)
-        oob = [("sstmeta", layout.handle.sstable_id, i)
-               for i in range(meta_sectors)]
-        done = env.submit_write(ppas, meta_blob, oob)
-        completion = yield done
-        if not completion.ok:
-            raise ReproError(f"meta write failed: {completion.error}")
+        head = meta_sectors - ws_min
+        if head:
+            oob = [("sstmeta", layout.handle.sstable_id, i)
+                   for i in range(head)]
+            completion = yield env.submit_write(
+                PpaRun(key, 0, head), meta_blob[:head * sector_size], oob)
+            if not completion.ok:
+                raise ReproError(f"meta write failed: {completion.error}")
 
-        # Durability barrier, then the FUA commit unit right after the
-        # meta on the same chunk.  Atomic flush: the table exists iff this
-        # unit does.
+        # Durability barrier, then the meta's last unit as the FUA commit
+        # unit.  Atomic flush: the table exists iff this unit does.
         yield from env.media.flush_proc()
-        ppas = PpaRun(key, meta_sectors, ws_min)
         oob = [("sstcommit", layout.handle.sstable_id,
                 layout.handle.level, layout.sequence, meta_sectors,
                 layout.data_blocks, len(layout.chunks))
                for __ in range(ws_min)]
-        done = env.submit_write(ppas, b"", oob, fua=True)
-        completion = yield done
+        completion = yield env.submit_write(
+            PpaRun(key, head, ws_min), meta_blob[head * sector_size:], oob,
+            fua=True)
         if not completion.ok:
             raise ReproError(f"commit write failed: {completion.error}")
         env.stats.tables_flushed += 1

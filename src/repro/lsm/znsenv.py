@@ -135,6 +135,11 @@ class ZnsEnv(ManifestEnv):
             block_size // self.sector_size)
         return data
 
+    def read_width(self, handle: SSTableHandle) -> int:
+        """The PUs a zone's chunks cover in one group (wider only queues on
+        that group's channel)."""
+        return self.zns.config.chunks_per_zone
+
     def read_meta_proc(self, handle: SSTableHandle):
         table = self._require(handle)
         blob = yield from self.zns.read_proc(table.meta_lba,

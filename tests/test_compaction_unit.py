@@ -110,7 +110,7 @@ class TestCursors:
             return handle
 
         ref.handle = sim.run_until(sim.spawn(build()))
-        cursor = TableCursor(env, ref, 256, sim, readahead=True)
+        cursor = TableCursor(env, ref, 256, sim, readahead=1)
         assert drain(sim, cursor) == items
 
 

@@ -14,7 +14,7 @@ from repro.lsm import (
     VerticalPlacement,
 )
 from repro.nand import FlashGeometry
-from repro.ocssd import ChunkState, DeviceGeometry, OpenChannelSSD
+from repro.ocssd import ChunkState, DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox import MediaManager
 from repro.units import KIB, MIB
 
@@ -193,6 +193,63 @@ class TestManifestlessRecovery:
         tables = sim.run_until(sim.spawn(env2.list_tables_proc()))
         assert len(tables) == count_before
         assert all(handle.sstable_id != 998 for handle, __ in tables)
+
+    def write_table_proc(self, env, sstable_id, meta_blob):
+        writer = yield from env.create_writer_proc(sstable_id, 0, 96 * KIB)
+        yield from writer.append_block_proc(b"\x03" * (96 * KIB))
+        return (yield from writer.finish_proc(meta_blob))
+
+    def meta_pointer(self, env, sstable_id):
+        layout = env._tables[sstable_id]
+        return env.media.chunk_info(Ppa(*layout.meta_chunk, 0)).write_pointer
+
+    def test_one_unit_meta_is_its_own_commit_unit(self):
+        device, env, db = make_db()
+        self.fill(db, rounds=1)
+        ws_min = env.geometry.ws_min
+        assert env._tables
+        for sstable_id in env._tables:
+            assert self.meta_pointer(env, sstable_id) == ws_min
+
+    def test_meta_of_several_units_recovers_whole(self):
+        device, media, env = make_env()
+        ws_min, sector_size = env.geometry.ws_min, env.geometry.sector_size
+        meta = bytes(range(1, 256)) * 500          # spills into a second unit
+        assert ws_min * sector_size < len(meta) <= 2 * ws_min * sector_size
+        sim = device.sim
+        sim.run_until(sim.spawn(self.write_table_proc(env, 7, meta)))
+        assert self.meta_pointer(env, 7) == 2 * ws_min
+        env2 = LightLSMEnv(MediaManager(device), HorizontalPlacement())
+        (handle, blob), = sim.run_until(sim.spawn(env2.list_tables_proc()))
+        assert handle.sstable_id == 7
+        assert blob[:len(meta)] == meta and not any(blob[len(meta):])
+
+    def test_crash_before_the_commit_unit_drops_data_and_meta_head(self):
+        """Data and the meta's first unit are durable behind the barrier,
+        the commit unit (the meta's last) never lands: no table."""
+        device, env, db = make_db()
+        self.fill(db, rounds=1)
+        count_before = len(env._tables)
+        sim, ws_min = device.sim, env.geometry.ws_min
+        submit = env.submit_write
+
+        def lose_the_commit(ppas, data, oob, fua=False):
+            return sim.event() if fua else submit(ppas, data, oob, fua)
+
+        env.submit_write = lose_the_commit
+        meta = b"\x05" * (ws_min * env.geometry.sector_size + 1)
+        sim.spawn(self.write_table_proc(env, 997, meta))
+        sim.run(until=sim.now + 0.1)
+        assert self.meta_pointer(env, 997) == ws_min   # the meta head
+        device.crash_volatile()
+        env2 = LightLSMEnv(MediaManager(device), HorizontalPlacement())
+        tables = sim.run_until(sim.spawn(env2.list_tables_proc()))
+        assert len(tables) == count_before
+        assert all(handle.sstable_id != 997 for handle, __ in tables)
+        free = sum(len(q) for q in env2.free_pool.values())
+        live = sum(1 for layout in env2._tables.values()
+                   for chunk in layout.all_chunks if chunk[0] >= 0)
+        assert free + live == env2.geometry.total_chunks
 
 
 class TestDbBenchSmoke:

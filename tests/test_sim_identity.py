@@ -14,8 +14,8 @@ Two rows pin planes that are opt-in and must cost nothing, in simulated
 time, while off: ``perf_macro`` (the perf-trajectory macro bench with
 every policy knob at its default lands where the pre-policy collector
 did) and ``lsm_default_fill`` (a LightLSM fill with every worker count
-at 1 lands where the pre-concurrency single-daemon engine did, down to
-the digest of the per-put latency series).  ``lsm_zns_scan`` and
+at 1 keeps the single-daemon engine's timeline, down to the digest of
+the per-put latency series).  ``lsm_zns_scan`` and
 ``lsm_lightlsm_get`` pin the LSM data plane itself — flush, compaction,
 scan and get over OX-ZNS and LightLSM — down to the bytes of every block
 and meta blob written and every value delivered (goldens from ea53b43,
@@ -368,7 +368,9 @@ def _lsm_zns_scan():
 def _lsm_lightlsm_get():
     """The same plane over LightLSM, point reads: four clients overwrite
     one key sequence (every fourth key deleted again), then random gets
-    over present, deleted and never-written keys."""
+    over present, deleted and never-written keys, each checked against
+    ``model``, updated as each put/delete returns (return order is write
+    order, as in ``lsm_zns_scan``)."""
     stack = build_stack(StackSpec(
         name="pin-lsm-lightlsm-get", seed=13, ftl="lightlsm",
         geometry={"num_groups": 4, "pus_per_group": 2,
@@ -379,23 +381,27 @@ def _lsm_lightlsm_get():
     written, delivered = hashlib.sha256(), hashlib.sha256()
     _hash_env_writes(stack.env, written)
     keys = 3000
+    model = {}
 
     def filler(client: int):
         rng = random.Random(f"lightlsm-get-fill-{client}")
         stream = f"fill-{client}"
         for index in range(keys):
-            yield from db.put_proc(
-                _lsm_key(index),
-                bytes([65 + client]) * rng.randint(300, 1500), stream=stream)
+            key = _lsm_key(index)
+            value = bytes([65 + client]) * rng.randint(300, 1500)
+            yield from db.put_proc(key, value, stream=stream)
+            model[key] = value
             if index % 4 == client:
-                yield from db.delete_proc(_lsm_key(index - client),
-                                          stream=stream)
+                key = _lsm_key(index - client)
+                yield from db.delete_proc(key, stream=stream)
+                model.pop(key, None)
 
     def reader(client: int):
         rng = random.Random(f"lightlsm-get-read-{client}")
         for __ in range(400):
             key = _lsm_key(rng.randrange(keys + keys // 8))
             value = yield from db.get_proc(key, stream=f"get-{client}")
+            assert value == model.get(key)
             delivered.update(key)
             delivered.update(b"-" if value is None else value)
 
@@ -409,8 +415,9 @@ def _lsm_lightlsm_get():
 # whose scenario cleans, collects, checkpoints or resets a zone (the eight
 # before the LSM ones, and `lsm_zns_scan`) was regenerated when every FTL
 # began to issue unordered device work together (PR 22: the sim clock
-# moved on purpose; CHANGES.md lists old -> new); `lsm_default_fill` and
-# `lsm_lightlsm_get` are older.
+# moved on purpose; CHANGES.md lists old -> new).  The three LSM rows were
+# regenerated when compactions began to read at their tables' width (each
+# row's comment keeps its old values).
 GOLDEN = {'eleos_llama': {'now': 0.9119875000000031,
                  'events': 5158,
                  'eleos': {'buffers_appended': 85,
@@ -521,36 +528,44 @@ GOLDEN = {'eleos_llama': {'now': 0.9119875000000031,
  # The default policies' perf_macro fingerprint (7.906991 s / 80150 events
  # until its checkpoints' slot chunks were erased and written side by side).
  'perf_macro': {'sim_seconds': 7.234094, 'events_processed': 80886},
- # The pre-concurrency-plane single-daemon LSM engine (PR 10 baseline).
- 'lsm_default_fill': {'sim_seconds': 0.60142025,
-                      'events_processed': 27861,
-                      'put_latency_digest': 'cbfc61c40540c638',
-                      'stall_seconds': 1.267275,
-                      'slowdown_puts': 96,
+ # The single-daemon LSM engine (0.60142025 s / 27861 events, 96
+ # slowdown puts and 13 compactions from before the concurrency plane
+ # until compactions read each input at its table's width and a LightLSM
+ # table committed in its meta's last unit).
+ 'lsm_default_fill': {'sim_seconds': 0.39976075,
+                      'events_processed': 27498,
+                      'put_latency_digest': '2071effb05034988',
+                      'stall_seconds': 0.981037,
+                      'slowdown_puts': 0,
                       'flushes': 24,
-                      'compactions': 13},
+                      'compactions': 15},
  # The LSM data plane before it went block-wise (captured at ea53b43;
  # lsm_zns_scan again when a zone's chunks began to be erased together,
- # 0.79943225 s before, and when zone ids began to rotate groups and a
+ # 0.79943225 s before, when zone ids began to rotate groups and a
  # table's zones to be reset together, 0.78943225 s / 27465 events
- # before: its scans beside overwrites see a state that moves with the
- # clock, the final one is checked against the put/delete model).
- 'lsm_zns_scan': {'sim_seconds': 0.46361175,
-                  'events_processed': 26927,
-                  'written_sha256': '7ee06ee93f2df50f',
-                  'delivered_sha256': '96b68ee36cfe917b',
+ # before, and when compactions began to read a zone wide, 0.46361175 s /
+ # 26927 events before: its scans beside overwrites see a state that
+ # moves with the clock, the final one is checked against the put/delete
+ # model).
+ 'lsm_zns_scan': {'sim_seconds': 0.4436535,
+                  'events_processed': 27330,
+                  'written_sha256': '83beb19d7b74987e',
+                  'delivered_sha256': '743cf1c34072e21f',
                   'blocks_read': 0,
-                  'tables_written': 33,
-                  'flushes': 16,
+                  'tables_written': 34,
+                  'flushes': 17,
                   'compactions': 9},
- 'lsm_lightlsm_get': {'sim_seconds': 0.394306875,
-                      'events_processed': 20844,
-                      'written_sha256': '9092cd73bbfe6d4f',
-                      'delivered_sha256': '9ec5370d7c596f5b',
-                      'blocks_read': 1046,
-                      'tables_written': 17,
+ # lsm_lightlsm_get: 0.394306875 s / 20844 events, 17 tables and 6
+ # compactions until the width-wide compaction reads and the one-unit
+ # commit; every get is now checked against the put/delete model.
+ 'lsm_lightlsm_get': {'sim_seconds': 0.293477,
+                      'events_processed': 20506,
+                      'written_sha256': '5b87153307f57074',
+                      'delivered_sha256': 'bd801945e12144b2',
+                      'blocks_read': 1081,
+                      'tables_written': 15,
                       'flushes': 10,
-                      'compactions': 6}}
+                      'compactions': 4}}
 
 
 def test_eleos_llama_clean_loop_is_sim_identical():
