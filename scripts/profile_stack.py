@@ -259,7 +259,7 @@ def main(argv=None) -> int:
             spec = bench_spec(args.bench)
             name = f"perf_{args.bench}"
         else:
-            from repro.stack.__main__ import load_spec
+            from repro.stack.spec import load_spec
             spec = load_spec(args.spec)
             name = spec.name
         run = lambda: run_spec(spec)   # noqa: E731

@@ -35,6 +35,7 @@ from repro.cluster.router import build_router
 from repro.cluster.spec import ClusterSpec
 from repro.errors import ReproError
 from repro.stack.build import build_stack
+from repro.stack.runner import report_table
 from repro.stack.spec import StackSpec
 from repro.workloads import derive_stream_seed
 
@@ -62,7 +63,7 @@ def _run_shard(task: dict) -> dict:
     spec = StackSpec.from_dict(task["spec"])
     started = time.perf_counter()
     stack = build_stack(spec)
-    ftl = stack.ftl
+    lane = stack.block
     faults = stack.faults
     sector_size = spec.geometry.sector_size
     unit_sectors = stack.device.geometry.ws_min * task["value_units"]
@@ -95,13 +96,13 @@ def _run_shard(task: dict) -> dict:
             counts["write_failures"] += 1
             continue
         try:
-            ftl.write(lba_of[key], payload(key))
+            lane.write(lba_of[key], payload(key))
             stored.add(key)
         except ReproError:
             counts["write_failures"] += 1
     if not dead():
         try:
-            ftl.flush()
+            lane.flush()
         except ReproError:
             pass
 
@@ -116,7 +117,7 @@ def _run_shard(task: dict) -> dict:
             continue
         data = None
         try:
-            data = ftl.read(lba_of[key], 1)
+            data = lane.read(lba_of[key], 1)
         except ReproError:
             data = None
         if data is None:
@@ -335,17 +336,10 @@ def run_and_report_cluster(spec: ClusterSpec,
                            name: Optional[str] = None,
                            trace_out: Optional[str] = None) -> ClusterResult:
     """:func:`run_cluster` plus the standard results files."""
-    # Imported here: benchhelpers imports repro.stack at module scope
-    # and the report path is CLI/bench-only.
-    from repro.benchhelpers import report
     result = run_cluster(spec, trace_out=trace_out)
     label = name or spec.name
-    lines = [f"Cluster run: {label} ({spec.num_shards} shards, "
-             f"router={spec.router}, replication={spec.replication})"]
-    table = dict(result.merged)
-    table.update(result.wall)
-    width = max(18, max((len(key) for key in table), default=0))
-    lines.extend(f"  {key:>{width}s} = {value}"
-                 for key, value in table.items())
-    report(label, lines, metrics=table)
+    report_table(label, f"Cluster run: {label} ({spec.num_shards} shards, "
+                        f"router={spec.router}, "
+                        f"replication={spec.replication})",
+                 {**result.merged, **result.wall})
     return result

@@ -23,24 +23,15 @@ Specs round-trip through plain dicts exactly like ``StackSpec``:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import List
 
-from repro.errors import ReproError
-from repro.stack.spec import StackSpec, _sub_spec
+from repro.stack import personality
+from repro.stack.spec import (
+    StackSpec, _check, _check_bounds, _check_types, _sub_spec, from_dict)
 from repro.workloads import derive_stream_seed
 
 ROUTERS = ("hash", "range")
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ReproError(message)
-
-
-def _default_template() -> StackSpec:
-    """A bare OX-Block stack: the cluster drives the raw block API."""
-    return StackSpec(ftl="oxblock", host="none")
 
 
 @dataclass
@@ -65,12 +56,9 @@ class ClusterWorkloadSpec:
     trace: str = ""
 
     def validate(self) -> None:
-        _check(self.num_keys >= 1,
-               f"workload.num_keys must be >= 1, got {self.num_keys}")
-        _check(self.read_ops >= 0,
-               f"workload.read_ops must be >= 0, got {self.read_ops}")
-        _check(self.value_units >= 1,
-               f"workload.value_units must be >= 1, got {self.value_units}")
+        _check_types(self, "workload.")
+        _check_bounds(self, "workload.", num_keys=1, read_ops=0,
+                      value_units=1)
 
 
 @dataclass
@@ -87,8 +75,10 @@ class ClusterSpec:
     router: str = "hash"
     #: Virtual nodes per shard on the hash ring.
     vnodes: int = 64
-    #: Per-shard stack template; name/seed are stamped per shard.
-    template: StackSpec = field(default_factory=_default_template)
+    #: Per-shard stack template; name/seed are stamped per shard.  The
+    #: default is a bare OX-Block: the cluster drives ``Stack.block``.
+    template: StackSpec = field(
+        default_factory=lambda: StackSpec(ftl="oxblock", host="none"))
     #: Explicit per-shard specs (overrides ``template``/``num_shards``).
     shards: List[StackSpec] = field(default_factory=list)
     workload: ClusterWorkloadSpec = field(
@@ -96,31 +86,27 @@ class ClusterSpec:
 
     def __post_init__(self) -> None:
         self.template = _sub_spec(StackSpec, self.template)
-        self.shards = [s if isinstance(s, StackSpec)
-                       else _sub_spec(StackSpec, s)
-                       for s in self.shards]
-        if self.shards:
-            self.num_shards = len(self.shards)
+        if isinstance(self.shards, list):   # else _check_types names it
+            self.shards = [_sub_spec(StackSpec, s) for s in self.shards]
+            self.num_shards = len(self.shards) or self.num_shards
         self.workload = _sub_spec(ClusterWorkloadSpec, self.workload)
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "ClusterSpec":
-        _check(self.num_shards >= 1,
-               f"num_shards must be >= 1, got {self.num_shards}")
+        _check_types(self, "")
+        _check_bounds(self, "", num_shards=1, vnodes=1)
         _check(1 <= self.replication <= self.num_shards,
                f"replication must be in [1, num_shards={self.num_shards}], "
                f"got {self.replication}")
         _check(self.router in ROUTERS,
                f"unknown router {self.router!r}; expected one of {ROUTERS}")
-        _check(self.vnodes >= 1, f"vnodes must be >= 1, got {self.vnodes}")
         self.workload.validate()
         for index, shard in enumerate(self.shard_specs()):
             shard.validate()
-            _check(shard.ftl == "oxblock" and shard.resolved_host == "none",
-                   f"shard {index}: the cluster drives the raw block API, "
-                   f"so shards need ftl='oxblock' with no host "
-                   f"(got ftl={shard.ftl!r}, host={shard.resolved_host!r})")
+            personality.require(
+                shard, ("block",),
+                f"shard {index} (the cluster drives the raw block API)")
         return self
 
     def shard_specs(self) -> List[StackSpec]:
@@ -148,10 +134,4 @@ class ClusterSpec:
             del data["shards"]
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        _check(not unknown,
-               f"ClusterSpec: unknown field(s) {sorted(unknown)}")
-        return cls(**data).validate()
+    from_dict = classmethod(from_dict)

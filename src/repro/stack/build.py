@@ -11,39 +11,31 @@ hand-wired assembly every bench used to repeat:
 4. the FTL / storage environment (LightLSM spawns its dispatcher here);
 5. the host (the LSM engine spawns its daemons here).
 
+Steps 4 and 5 are the rows of :mod:`repro.stack.personality`.
+
 Given the same spec, two builds produce event-for-event identical runs
 (``tests/test_stack.py`` proves this against the legacy wiring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
-from repro.lsm import (
-    DB, DBConfig, DbBench, HorizontalPlacement, LightLSMConfig,
-    LightLSMEnv, VerticalPlacement)
-from repro.lsm.blockenv import BlockDevEnv
-from repro.lsm.znsenv import ZnsEnv
-from repro.llama import LlamaConfig, LlamaEngine
+from repro.lsm import DB, DbBench
+from repro.llama import LlamaEngine
 from repro.nand import (
     FlashGeometry, NandTiming, SampledNandTiming, timing_for)
 from repro.obs import Obs
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
-from repro.ox import BlockConfig, EleosConfig, MediaManager, OXBlock, OXEleos
-from repro.policies import WlfcConfig, WriteLessCache
+from repro.ox import MediaManager
+from repro.policies import WriteLessCache
 from repro.qos import (
-    PARTITIONED, QosScheduler, SHARED, TenantContext, TenantRegistry,
-    plan_placement)
-from repro.stack.spec import StackSpec
-from repro.zns import OXZns, ZnsConfig
-
-
-#: host="db" over oxblock: the BlockDevEnv extent size, in chunks (the
-#: abstraction-spectrum bench's table size).
-BLOCKDEV_TABLE_CHUNKS = 32
+    QosScheduler, TenantContext, TenantRegistry, plan_placement)
+from repro.stack import personality
+from repro.stack.spec import StackSpec, WorkloadSpec
 
 
 @dataclass
@@ -74,6 +66,12 @@ class Stack:
     def sim(self):
         return self.device.sim
 
+    @property
+    def block(self):
+        """The sync LBA API (``write`` / ``read`` / ``trim`` / ``flush``)
+        the block lane drives: the ``wlfc`` host, else a bare OX-Block."""
+        return personality.surface(self, "block")
+
     def tenant(self, name: str) -> TenantContext:
         if self.registry is None:
             raise ReproError("this stack declares no tenants")
@@ -81,16 +79,10 @@ class Stack:
 
     def dbbench(self) -> DbBench:
         """A workload driver over this stack's DB, seeded by the spec."""
-        if self.db is None:
-            raise ReproError(
-                f"stack {self.spec.name!r} has no DB host "
-                f"(ftl={self.spec.ftl!r}, host={self.spec.resolved_host!r})")
-        workload = self.spec.workload
-        kwargs = {}
-        if workload is not None:
-            kwargs = dict(key_size=workload.key_size,
-                          value_size=workload.value_size)
-        return DbBench(self.db, seed=self.spec.seed, **kwargs)
+        workload = self.spec.workload or WorkloadSpec()
+        return DbBench(personality.surface(self, "db"), seed=self.spec.seed,
+                       key_size=workload.key_size,
+                       value_size=workload.value_size)
 
 
 def _device_geometry(spec: StackSpec) -> DeviceGeometry:
@@ -144,18 +136,12 @@ def _resolve_timing(spec: StackSpec) -> Optional[NandTiming]:
 
 
 def _fault_plan(spec: StackSpec) -> FaultPlan:
+    """``spec.faults`` is ``FaultPlan``'s fields, JSON-shaped."""
     f = spec.faults
-    return FaultPlan(
-        seed=f.seed,
-        program_fail_prob=f.program_fail_prob,
-        read_fail_prob=f.read_fail_prob,
-        erase_fail_prob=f.erase_fail_prob,
-        grown_bad={(g, pu, block): cycle
-                   for g, pu, block, cycle in f.grown_bad},
-        power_cut_at_op=f.power_cut_at_op,
-        power_cut_at_time=f.power_cut_at_time,
-        torn_unit_prob=f.torn_unit_prob,
-        protect_groups=frozenset(f.protect_groups))
+    return FaultPlan(**{
+        **asdict(f), "protect_groups": frozenset(f.protect_groups),
+        "grown_bad": {(g, pu, block): cycle
+                      for g, pu, block, cycle in f.grown_bad}})
 
 
 def build_stack(spec: StackSpec) -> Stack:
@@ -174,52 +160,16 @@ def build_stack(spec: StackSpec) -> Stack:
         stack.faults = FaultInjector(_fault_plan(spec)).attach(device)
     if spec.tenants:
         stack.registry = TenantRegistry()
-        tenants = [stack.registry.register(
-                       t.name, weight=t.weight,
-                       rate_bytes_per_sec=t.rate_bytes_per_sec,
-                       burst_bytes=t.burst_bytes)
+        tenants = [stack.registry.register(**asdict(t))
                    for t in spec.tenants]
         if spec.qos_scheduler:
             stack.qos = QosScheduler(device.sim).attach(device)
             for tenant in tenants:
                 stack.qos.register_tenant(tenant)
-        policy = PARTITIONED if spec.qos_policy == "partitioned" else SHARED
         stack.placement_plan = plan_placement(
             spec.geometry.num_groups, spec.geometry.pus_per_group,
-            tenants, policy=policy)
+            tenants, policy=spec.qos_policy)
 
     stack.media = MediaManager(device)
-    host = spec.resolved_host
-
-    if spec.ftl == "oxblock":
-        ftl_config = dict(spec.ftl_config)
-        ftl_config.setdefault("gc_policy", spec.gc_policy)
-        ftl_config.setdefault("placement_policy", spec.placement_policy)
-        stack.ftl = OXBlock.format(stack.media, BlockConfig(**ftl_config))
-        if host == "wlfc":
-            stack.wlfc = WriteLessCache(stack.ftl, WlfcConfig(**spec.wlfc))
-        if host == "db":
-            stack.env = BlockDevEnv(
-                stack.ftl,
-                table_sectors=(BLOCKDEV_TABLE_CHUNKS
-                               * device.geometry.sectors_per_chunk))
-    elif spec.ftl == "eleos":
-        stack.ftl = OXEleos.format(stack.media,
-                                   EleosConfig(**spec.ftl_config))
-        if host == "llama":
-            stack.engine = LlamaEngine(stack.ftl, LlamaConfig(**spec.llama))
-    elif spec.ftl == "zns":
-        stack.ftl = OXZns(stack.media, ZnsConfig(**spec.ftl_config))
-        if host == "db":
-            stack.env = ZnsEnv(stack.ftl)
-    elif spec.ftl == "lightlsm":
-        placement = (HorizontalPlacement()
-                     if spec.placement == "horizontal"
-                     else VerticalPlacement())
-        stack.env = LightLSMEnv(stack.media, placement,
-                                LightLSMConfig(**spec.ftl_config))
-    # spec.ftl == "none": a raw device stack (isolation/landscape shapes).
-
-    if host == "db" and stack.env is not None:
-        stack.db = DB(stack.env, DBConfig(**spec.db), device.sim)
+    personality.build(stack)
     return stack

@@ -9,97 +9,14 @@ returns a flat metrics dict; ``python -m repro.stack spec.json`` (see
 
 from __future__ import annotations
 
-import random
-import time
-from typing import Dict, Optional
+import argparse
+import sys
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.errors import ReproError
-from repro.stack.build import Stack, build_stack
-from repro.stack.spec import StackSpec
-
-SECTOR = 4096
-
-
-def _db_workload(stack: Stack) -> Dict[str, object]:
-    workload = stack.spec.workload
-    bench = stack.dbbench()
-    fill = bench.fill_sequential(clients=workload.clients,
-                                 ops_per_client=workload.ops_per_client)
-    metrics = {
-        "fill_ops": fill.ops,
-        "fill_ops_per_sec": round(fill.ops_per_sec, 1),
-        "stall_seconds": round(fill.stall_seconds, 6),
-        "compactions": fill.compactions,
-        "flushes": fill.flushes,
-    }
-    if workload.kind != "fill_sequential":
-        bench.quiesce()
-        read_ops = (workload.read_ops_per_client
-                    or workload.ops_per_client)
-        if workload.kind == "fill_then_read_random":
-            result = bench.read_random(clients=workload.clients,
-                                       ops_per_client=read_ops)
-        else:
-            result = bench.read_sequential(clients=workload.clients,
-                                           ops_per_client=read_ops)
-        metrics["read_ops"] = result.ops
-        metrics["read_ops_per_sec"] = round(result.ops_per_sec, 1)
-    return metrics
-
-
-def _raw_workload(stack: Stack) -> Dict[str, object]:
-    """The perf-trajectory shape: write-unit fills through the FTL's
-    block API, then random single-sector reads over the filled span."""
-    workload = stack.spec.workload
-    # The write-less cache host exposes the same sync surface, so the
-    # raw workload drives it transparently when the spec asked for it.
-    ftl = stack.wlfc if stack.wlfc is not None else stack.ftl
-    if ftl is None or not hasattr(ftl, "write"):
-        raise ReproError(
-            f"workload 'raw_fill_read' needs a block FTL, "
-            f"not ftl={stack.spec.ftl!r}")
-    unit = stack.device.geometry.ws_min
-    payload = bytes(unit * SECTOR)
-    started = time.perf_counter()
-    for op in range(workload.fill_ops):
-        ftl.write(op * unit, payload)
-    ftl.flush()
-    # The documented default seed is 0 and must stay 0 — `seed or 17`
-    # silently rewrote it to 17 (falsy-zero bug); 17 now backstops only
-    # a spec that explicitly carries seed=None.
-    seed = stack.spec.seed
-    rng = random.Random(17 if seed is None else seed)
-    span = workload.fill_ops * unit
-    for __ in range(workload.read_ops):
-        ftl.read(rng.randrange(span), 1)
-    stack.sim.run()
-    wall = time.perf_counter() - started
-    total = workload.fill_ops + workload.read_ops
-    return {
-        "fill_ops": workload.fill_ops,
-        "read_ops": workload.read_ops,
-        "ops_per_sec": round(total / wall, 1) if wall else 0.0,
-    }
-
-
-def _trace_workload(stack: Stack) -> Dict[str, object]:
-    from repro.trace.replay import TraceWorkload
-    workload = stack.spec.workload
-    return TraceWorkload.load(workload.trace,
-                              pacing=workload.pacing).run(stack)
-
-
-def _capture_boundary(spec: StackSpec) -> str:
-    """Which instrumented boundary a capture of *spec* records."""
-    host = spec.resolved_host
-    if host == "db":
-        return "host"
-    if host == "none" and spec.ftl == "oxblock":
-        return "block"
-    raise ReproError(
-        f"trace capture: no instrumented workload boundary for "
-        f"ftl={spec.ftl!r}, host={host!r} (supported: any db host, or a "
-        f"bare oxblock FTL)")
+from repro.stack import personality
+from repro.stack.build import build_stack
+from repro.stack.spec import StackSpec, load_spec
 
 
 def run_spec(spec: StackSpec,
@@ -115,18 +32,9 @@ def run_spec(spec: StackSpec,
     recorder = None
     if trace_out:
         from repro.trace.recorder import TraceRecorder
-        recorder = TraceRecorder(
-            boundary=_capture_boundary(spec)).attach(stack.device)
-    workload = spec.workload
-    if workload is None or workload.kind == "none":
-        stack.sim.run()
-        metrics: Dict[str, object] = {}
-    elif workload.kind == "raw_fill_read":
-        metrics = _raw_workload(stack)
-    elif workload.kind == "trace":
-        metrics = _trace_workload(stack)
-    else:
-        metrics = _db_workload(stack)
+        recorder = TraceRecorder(boundary=personality.capture_boundary(
+            spec)).attach(stack.device)
+    metrics = personality.run_workload(stack)
     metrics["sim_seconds"] = round(stack.sim.now, 9)
     metrics["events_processed"] = stack.sim.events_processed
     if stack.wlfc is not None:
@@ -144,22 +52,51 @@ def run_spec(spec: StackSpec,
     return metrics
 
 
+def report_table(label: str, header: str,
+                 table: Mapping[str, object]) -> None:
+    """*header* over one aligned ``key = value`` line per metric, printed
+    and written as the standard results files."""
+    # Imported here: benchhelpers itself builds stacks from specs.
+    from repro.benchhelpers import report
+    # Align on the longest key, at least the historical 18 columns.
+    width = max(18, max((len(key) for key in table), default=0))
+    report(label, [header, *(f"  {key:>{width}s} = {value}"
+                             for key, value in table.items())],
+           metrics=table)
+
+
 def run_and_report(spec: StackSpec,
                    name: Optional[str] = None,
                    trace_out: Optional[str] = None) -> Dict[str, object]:
     """``run_spec`` + the standard results files; returns the metrics."""
-    # Imported here: benchhelpers itself builds stacks from specs.
-    from repro.benchhelpers import report
     metrics = run_spec(spec, trace_out=trace_out)
     label = name or spec.name
-    lines = [f"Stack run: {label} (ftl={spec.ftl}, "
-             f"host={spec.resolved_host}, "
-             f"workload={spec.workload.kind if spec.workload else 'none'})"]
-    # Pad to the longest key so long cluster-style metric names
-    # (cluster.shard3.read_ops_per_sec, ...) stay aligned.
-    width = max((len(key) for key in metrics), default=0)
-    width = max(width, 18)   # the historical floor, so short tables look as before
-    lines.extend(f"  {key:>{width}s} = {value}"
-                 for key, value in metrics.items())
-    report(label, lines, metrics=metrics)
+    report_table(label, f"Stack run: {label} (ftl={spec.ftl}, "
+                        f"host={spec.resolved_host}, workload="
+                        f"{spec.workload.kind if spec.workload else 'none'})",
+                 metrics)
     return metrics
+
+
+def cli(argv, cls, doc: str, trace_help: str, run: Callable):
+    """``python -m repro.stack`` / ``repro.cluster``: load the *cls*
+    spec file named in *argv*, return ``run(spec, name=, trace_out=)``;
+    a spec or run error prints the file and returns None (exit 2)."""
+    parser = argparse.ArgumentParser(
+        prog=f"python -m {cls.__module__.rpartition('.')[0]}",
+        description=doc.split("\n")[0])
+    parser.add_argument("spec", help=f"path to a JSON or TOML {cls.__name__}")
+    parser.add_argument("--name", default=None,
+                        help="override the results-file name")
+    parser.add_argument("--trace-out", default=None, help=trace_help)
+    args = parser.parse_args(argv)
+    try:
+        spec = load_spec(args.spec, cls)
+    except ReproError as exc:
+        print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
+        return None
+    try:
+        return run(spec, name=args.name, trace_out=args.trace_out)
+    except ReproError as exc:
+        print(f"run failed for {args.spec}: {exc}", file=sys.stderr)
+        return None

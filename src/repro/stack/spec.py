@@ -18,48 +18,54 @@ field named; structural invariants the lower layers already enforce
 
 from __future__ import annotations
 
+import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.nand import CellType
+from repro.qos import PARTITIONED, SHARED
+from repro.stack import personality
+from repro.stack.personality import _check
 
-FTL_FLAVORS = ("oxblock", "eleos", "zns", "lightlsm", "none")
-HOSTS = ("auto", "db", "llama", "wlfc", "none")
-PLACEMENTS = ("horizontal", "vertical")
-QOS_POLICIES = ("partitioned", "shared")
-WORKLOADS = ("fill_sequential", "fill_then_read_random",
-             "fill_then_read_sequential", "raw_fill_read", "trace", "none")
+QOS_POLICIES = (PARTITIONED, SHARED)
 PACINGS = ("afap", "recorded")
-
-#: host="auto" resolves per FTL flavor: the LSM engine for the three
-#: table-native environments, LLAMA for ELEOS, nothing for a raw device
-#: or a bare OX-Block FTL (the quickstart shape).
-AUTO_HOST = {"oxblock": "none", "eleos": "llama", "zns": "db",
-             "lightlsm": "db", "none": "none"}
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ReproError(message)
 
 
 def _sub_spec(cls, value):
     """Accept an instance, a mapping, or None (-> defaults)."""
     if value is None:
-        return cls()
+        value = {}
     if isinstance(value, cls):
         return value
-    if isinstance(value, dict):
-        known = {f.name for f in fields(cls)}
-        unknown = set(value) - known
-        _check(not unknown,
-               f"{cls.__name__}: unknown field(s) {sorted(unknown)}")
-        missing = [f.name for f in fields(cls) if f.name not in value
-                   and f.default is MISSING and f.default_factory is MISSING]
-        _check(not missing, f"{cls.__name__}: missing field(s) {missing}")
-        return cls(**value)
-    raise ReproError(f"{cls.__name__}: cannot build from {type(value)}")
+    _check(isinstance(value, dict),
+           f"{cls.__name__}: a spec is a mapping of fields, got {value!r}")
+    unknown = set(value) - {f.name for f in fields(cls)}
+    _check(not unknown, f"{cls.__name__}: unknown field(s) {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in value
+               and f.default is MISSING and f.default_factory is MISSING]
+    _check(not missing, f"{cls.__name__}: missing field(s) {missing}")
+    return cls(**value)
+
+
+def from_dict(cls, data):
+    """``cls(**data).validate()``, every failure a :class:`ReproError`."""
+    _check(data is not None, f"{cls.__name__}: a spec is a mapping, got None")
+    return _sub_spec(cls, data).validate()
+
+
+def load_spec(path: str, cls=None):
+    """Read a JSON (or, by ``.toml`` suffix, TOML) spec file into *cls*
+    (default :class:`StackSpec`); an unreadable or malformed file is a
+    :class:`ReproError` naming it, a bad field one naming the field."""
+    import tomllib
+    try:
+        with open(path, "rb") as handle:
+            data = (tomllib.load if path.endswith(".toml")
+                    else json.load)(handle)
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"cannot read {path}: {exc}") from exc
+    return from_dict(cls or StackSpec, data)
 
 
 #: What a field annotated so may hold (a float field takes an int; no
@@ -86,27 +92,11 @@ def _check_types(spec, label: str) -> None:
                f"{label}{f.name} must be {f.type}, got {value!r}")
 
 
-def _layer_configs(spec: "StackSpec"):
-    """``(field, why it is read, config class or None)`` per keyword
-    dict of *spec*: the class is None when this stack builds no layer
-    that would read the dict.  Imported here, not at module level: the
-    config classes live beside the layers they tune."""
-    from repro.llama import LlamaConfig
-    from repro.lsm import DBConfig, LightLSMConfig
-    from repro.ox import BlockConfig, EleosConfig
-    from repro.policies import WlfcConfig
-    from repro.zns import ZnsConfig
-    host = spec.resolved_host
-    ftls = {"oxblock": BlockConfig, "eleos": EleosConfig, "zns": ZnsConfig,
-            "lightlsm": LightLSMConfig}
-    return [("ftl_config", f"an FTL, not ftl {spec.ftl!r}",
-             ftls.get(spec.ftl)),
-            ("db", f"the 'db' host, not {host!r}",
-             DBConfig if host == "db" else None),
-            ("llama", f"the 'llama' host, not {host!r}",
-             LlamaConfig if host == "llama" else None),
-            ("wlfc", f"the 'wlfc' host, not {host!r}",
-             WlfcConfig if host == "wlfc" else None)]
+def _check_bounds(spec, label: str, **lows) -> None:
+    """Each named field of *spec* is at least its bound."""
+    for name, low in lows.items():
+        value = getattr(spec, name)
+        _check(value >= low, f"{label}{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -198,11 +188,11 @@ class WorkloadSpec:
 
     def validate(self) -> None:
         _check_types(self, "workload.")
-        _check(self.kind in WORKLOADS,
-               f"workload.kind must be one of {WORKLOADS}, "
-               f"got {self.kind!r}")
-        _check(self.clients >= 1,
-               f"workload.clients must be >= 1, got {self.clients}")
+        kinds = tuple(personality.WORKLOAD_ROWS)
+        _check(self.kind in kinds,
+               f"workload.kind must be one of {kinds}, got {self.kind!r}")
+        _check_bounds(self, "workload.", clients=1, ops_per_client=1,
+                      read_ops_per_client=0, fill_ops=1, read_ops=0)
         _check(self.pacing in PACINGS,
                f"workload.pacing must be one of {PACINGS}, "
                f"got {self.pacing!r}")
@@ -237,12 +227,9 @@ class TimingSpec:
 
     def validate(self) -> None:
         _check_types(self, "timing.")
-        for name in ("read_latency_us", "program_latency_us",
-                     "erase_latency_us", "channel_mib_per_sec",
-                     "jitter_sigma"):
-            _check(getattr(self, name) >= 0,
-                   f"timing.{name} must be >= 0, "
-                   f"got {getattr(self, name)}")
+        _check_bounds(self, "timing.", read_latency_us=0,
+                      program_latency_us=0, erase_latency_us=0,
+                      channel_mib_per_sec=0, jitter_sigma=0)
 
 
 @dataclass
@@ -252,32 +239,26 @@ class StackSpec:
     name: str = "stack"
     seed: int = 0
     geometry: GeometrySpec = field(default_factory=GeometrySpec)
-    #: FTL flavor: oxblock | eleos | zns | lightlsm | none (raw device).
+    #: FTL flavor: a row of :data:`repro.stack.personality.FTL_ROWS`
+    #: ("none" is a raw device).
     ftl: str = "lightlsm"
-    #: Kwargs for the flavor's config dataclass (BlockConfig /
-    #: EleosConfig / ZnsConfig / LightLSMConfig).
+    #: Kwargs for the flavor's config dataclass (its row's ``config``).
     ftl_config: Dict[str, object] = field(default_factory=dict)
-    #: LightLSM data placement (Figures 5/6): horizontal | vertical.
+    #: LightLSM data placement (Figures 5/6).
     placement: str = "horizontal"
-    #: GC victim selection for ftl="oxblock" (repro.policies):
-    #: greedy | cost_benefit | age_partitioned.
+    #: GC victim selection for ftl="oxblock" (repro.policies).
     gc_policy: str = "greedy"
-    #: PU allocation order for ftl="oxblock" (repro.policies):
-    #: striped | stream_partitioned | hotcold.
+    #: PU allocation order for ftl="oxblock" (repro.policies).
     placement_policy: str = "striped"
-    #: Host above the FTL: auto | db | llama | wlfc | none.  "wlfc"
-    #: layers the write-less cache over a bare oxblock LBA API.
+    #: Host above the FTL: "auto" (the flavor's first host) or a row of
+    #: :data:`repro.stack.personality.HOST_ROWS`.
     host: str = "auto"
-    #: Kwargs for :class:`repro.policies.WlfcConfig` (host="wlfc").
+    #: ``wlfc`` / ``db`` / ``llama``: kwargs for the config class of the
+    #: host of that name (its row's ``config``).  ``db`` holds the LSM
+    #: concurrency plane, ``flush_workers`` / ``compaction_workers``
+    #: (1/1 is the single-daemon engine; DESIGN §12).
     wlfc: Dict[str, object] = field(default_factory=dict)
-    #: Kwargs for :class:`repro.lsm.DBConfig` (host="db").  The LSM
-    #: concurrency plane lives here: ``flush_workers`` (procs draining
-    #: the frozen-memtable FIFO) and ``compaction_workers`` (max
-    #: concurrent compactions); 1/1 is the historical single-daemon
-    #: engine, bit-identically (the ``lsm_default_fill`` row of
-    #: tests/test_sim_identity.py pins it).
     db: Dict[str, object] = field(default_factory=dict)
-    #: Kwargs for :class:`repro.llama.LlamaConfig` (host="llama").
     llama: Dict[str, object] = field(default_factory=dict)
     workload: Optional[WorkloadSpec] = None
     tenants: List[TenantSpec] = field(default_factory=list)
@@ -300,76 +281,33 @@ class StackSpec:
             self.faults = _sub_spec(FaultSpec, self.faults)
         if self.timing is not None:
             self.timing = _sub_spec(TimingSpec, self.timing)
-        self.tenants = [t if isinstance(t, TenantSpec)
-                        else _sub_spec(TenantSpec, t)
-                        for t in self.tenants]
+        if isinstance(self.tenants, list):   # else _check_types names it
+            self.tenants = [_sub_spec(TenantSpec, t) for t in self.tenants]
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "StackSpec":
+        """Field types, then each sub-spec, then the personality table's
+        rules (:func:`repro.stack.personality.check`)."""
         _check_types(self, "")
-        _check(self.ftl in FTL_FLAVORS,
-               f"unknown FTL flavor {self.ftl!r}; "
-               f"expected one of {FTL_FLAVORS}")
-        _check(self.host in HOSTS,
-               f"unknown host {self.host!r}; expected one of {HOSTS}")
         _check(self.qos_policy in QOS_POLICIES,
                f"unknown qos policy {self.qos_policy!r}; "
                f"expected one of {QOS_POLICIES}")
-        # A menu only one FTL reads: anything but its default (the first
-        # entry; the policy menus are repro.policies' registries) needs it.
-        from repro import policies
-        for name, menu, ftl in (
-                ("placement", PLACEMENTS, "lightlsm"),
-                ("gc_policy", tuple(policies.VICTIM_POLICIES), "oxblock"),
-                ("placement_policy", tuple(policies.PLACEMENT_POLICIES),
-                 "oxblock")):
-            value = getattr(self, name)
-            _check(value in menu,
-                   f"unknown {name} {value!r}; expected one of {menu}")
-            _check(value == menu[0] or self.ftl == ftl,
-                   f"{name} {value!r} needs ftl {ftl!r}, not {self.ftl!r}")
-        # Keyword dicts: one no layer of this stack would read is a
-        # mistake, not a default, and so is a key its config class does
-        # not have.  Values are range-checked where they are used.
-        for name, needs, config in _layer_configs(self):
-            kwargs = getattr(self, name)
-            if config is None:
-                _check(not kwargs, f"{name} {kwargs} needs {needs}")
-                continue
-            allowed = [f.name for f in fields(config)]
-            for key in kwargs:
-                _check(key in allowed,
-                       f"{name}: unknown key {key!r}; {config.__name__} "
-                       f"accepts {allowed}")
         self.geometry.validate()
         for tenant in self.tenants:
             tenant.validate()
         names = [t.name for t in self.tenants]
         _check(len(set(names)) == len(names),
                f"duplicate tenant names in {names}")
-        if self.workload is not None:
-            self.workload.validate()
-        if self.faults is not None:
-            self.faults.validate()
-        if self.timing is not None:
-            self.timing.validate()
-        host = self.resolved_host
-        if host == "db":
-            _check(self.ftl in ("oxblock", "zns", "lightlsm"),
-                   f"host 'db' needs a table-capable FTL, not {self.ftl!r}")
-        if host == "llama":
-            _check(self.ftl == "eleos",
-                   f"host 'llama' runs over the eleos FTL, not {self.ftl!r}")
-        if host == "wlfc":
-            _check(self.ftl == "oxblock",
-                   f"host 'wlfc' caches the oxblock sync LBA API, "
-                   f"not {self.ftl!r}")
+        for sub in (self.workload, self.faults, self.timing):
+            if sub is not None:
+                sub.validate()
+        personality.check(self)
         return self
 
     @property
     def resolved_host(self) -> str:
-        return AUTO_HOST[self.ftl] if self.host == "auto" else self.host
+        return personality.resolve_host(self)
 
     def replace(self, **overrides) -> "StackSpec":
         """A validated copy with *overrides* applied.
@@ -378,29 +316,15 @@ class StackSpec:
         mutating the copy's sub-specs never aliases the original —
         cluster templating stamps out per-shard specs this way.
         """
-        data = self.to_dict()
-        unknown = set(overrides) - {f.name for f in fields(type(self))}
-        _check(not unknown,
-               f"StackSpec.replace: unknown field(s) {sorted(unknown)}")
-        data.update(overrides)
-        return type(self).from_dict(data)
+        return type(self).from_dict({**self.to_dict(), **overrides})
 
     # -- dict round-trip ----------------------------------------------------
 
     def to_dict(self) -> dict:
         data = asdict(self)
-        if data["workload"] is None:
-            del data["workload"]
-        if data["faults"] is None:
-            del data["faults"]
-        if data["timing"] is None:
-            del data["timing"]
+        for name in ("workload", "faults", "timing"):
+            if data[name] is None:
+                del data[name]
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StackSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        _check(not unknown,
-               f"StackSpec: unknown field(s) {sorted(unknown)}")
-        return cls(**data).validate()
+    from_dict = classmethod(from_dict)

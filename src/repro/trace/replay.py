@@ -74,24 +74,17 @@ class TraceWorkload:
             yield sim.timeout(op.t - sim.now)
 
     def _run_host(self, stack) -> Dict[str, object]:
-        db = stack.db
-        if db is None:
-            raise ReproError(
-                f"host trace needs a DB-hosted stack; spec "
-                f"{stack.spec.name!r} has ftl={stack.spec.ftl!r}, "
-                f"host={stack.spec.resolved_host!r}")
         sim = stack.sim
         bench = stack.dbbench()
+        db = bench.db
         stats = db.stats
 
         # Phases are the stretches between barrier records; the capture
         # run quiesced at each barrier, so replay does too.
         phases: List[List[TraceOp]] = [[]]
-        barriers = 0
         for op in self.ops:
             if op.kind == "barrier":
                 phases.append([])
-                barriers += 1
             else:
                 phases[-1].append(op)
 
@@ -115,25 +108,22 @@ class TraceWorkload:
                         f"host trace op kind {op.kind!r} is not "
                         f"replayable")
 
-        # The capture run's DB-stat deltas (_db_workload) cover the fill
-        # workload only — everything before the first quiesce barrier.
-        # Measure the same window so the deltas compare bit-for-bit.
-        stalls_before = stats.stall_seconds
-        compactions_before = stats.compactions
-        flushes_before = stats.flushes
-        deltas: Optional[Dict[str, object]] = None
+        # The capture run's DB-stat deltas (the fill workload's) cover
+        # everything before the first quiesce barrier.  Measure the same
+        # window so the deltas compare bit-for-bit.
+        before = (stats.stall_seconds, stats.compactions, stats.flushes)
 
+        def deltas() -> Dict[str, object]:
+            return {"stall_seconds":
+                        round(stats.stall_seconds - before[0], 6),
+                    "compactions": stats.compactions - before[1],
+                    "flushes": stats.flushes - before[2]}
+
+        fill: Optional[Dict[str, object]] = None
         total = 0
         for index, phase in enumerate(phases):
             if index > 0:
-                if deltas is None:
-                    deltas = {
-                        "stall_seconds":
-                            round(stats.stall_seconds - stalls_before, 6),
-                        "compactions":
-                            stats.compactions - compactions_before,
-                        "flushes": stats.flushes - flushes_before,
-                    }
+                fill = fill or deltas()
                 bench.quiesce()
             if not phase:
                 continue
@@ -146,29 +136,13 @@ class TraceWorkload:
                        for stream, ops in by_stream.items()]
             sim.run_until(sim.all_of(workers))
             total += len(phase)
-        if deltas is None:
-            deltas = {
-                "stall_seconds":
-                    round(stats.stall_seconds - stalls_before, 6),
-                "compactions": stats.compactions - compactions_before,
-                "flushes": stats.flushes - flushes_before,
-            }
-
-        metrics: Dict[str, object] = {
-            "replay_ops": total,
-            "replay_phases": barriers + 1,
-            "replay_streams": len({op.stream for op in self.ops
-                                   if op.kind != "barrier"}),
-        }
-        metrics.update(deltas)
-        return metrics
+        return {"replay_ops": total, "replay_phases": len(phases),
+                "replay_streams": len({op.stream for op in self.ops
+                                       if op.kind != "barrier"}),
+                **(fill or deltas())}
 
     def _run_block(self, stack) -> Dict[str, object]:
-        ftl = stack.ftl
-        if ftl is None or not hasattr(ftl, "write"):
-            raise ReproError(
-                f"block trace needs a block FTL; spec "
-                f"{stack.spec.name!r} has ftl={stack.spec.ftl!r}")
+        lane = stack.block
         sim = stack.sim
         sector_size = stack.device.geometry.sector_size
         total = 0
@@ -178,13 +152,13 @@ class TraceWorkload:
             if self.pacing == "recorded" and op.t > sim.now:
                 sim.run(until=op.t)
             if op.kind == "write":
-                ftl.write(op.lba, op.payload(sector_size))
+                lane.write(op.lba, op.payload(sector_size))
             elif op.kind == "read":
-                ftl.read(op.lba, op.sectors)
+                lane.read(op.lba, op.sectors)
             elif op.kind == "trim":
-                ftl.trim(op.lba, op.sectors)
+                lane.trim(op.lba, op.sectors)
             elif op.kind == "flush":
-                ftl.flush()
+                lane.flush()
             else:
                 raise ReproError(
                     f"block trace op kind {op.kind!r} is not replayable")

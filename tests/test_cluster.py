@@ -67,6 +67,19 @@ def test_shards_must_be_raw_block_stacks():
         tiny_cluster(template={"ftl": "lightlsm"})
 
 
+def test_a_wlfc_shard_serves_reads_through_its_cache():
+    """The shard rule is the personality table's ``block`` surface, and
+    the runner drives ``Stack.block``: a ``wlfc`` shard's reads go
+    through the cache and verify."""
+    result = run_cluster(tiny_cluster(template=dict(SHARD, host="wlfc")))
+    merged = result.merged
+    assert result.reads_lost == 0
+    assert (merged["cluster.reads_verified_total"]
+            == merged["cluster.reads_attempted"] > 0)
+    assert merged["cluster.shard0.sim_seconds"] != run_cluster(
+        tiny_cluster()).merged["cluster.shard0.sim_seconds"]
+
+
 def test_template_mode_derives_distinct_shard_seeds():
     shards = tiny_cluster(num_shards=4).shard_specs()
     assert [s.name for s in shards] == [

@@ -4,9 +4,11 @@ stack layer exists for (no inline device wiring; every example spec
 runs)."""
 
 import glob
+import importlib
 import json
 import os
 import re
+from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.nand import FlashGeometry
 from repro.ox import MediaManager
 from repro.stack import StackSpec, build_stack, run_spec
+from repro.stack.personality import FTL_ROWS, HOST_ROWS, WORKLOAD_ROWS
 from repro.units import KIB, MIB
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -130,7 +133,7 @@ def test_tenant_weight_must_be_positive():
 
 
 def test_host_flavor_mismatch_raises():
-    with pytest.raises(ReproError, match="table-capable"):
+    with pytest.raises(ReproError, match="host 'db' runs over ftl"):
         StackSpec(ftl="eleos", host="db").validate()
     with pytest.raises(ReproError, match="llama"):
         StackSpec(ftl="lightlsm", host="llama").validate()
@@ -166,11 +169,23 @@ def test_bad_config_key_names_the_section():
     ({"db": ["block_size"]}, "db must be Dict"),
     ({"tenants": [{"weight": 2.0}]}, r"TenantSpec: missing field\(s\) "
                                      r"\['name'\]"),
+    ({"tenants": 5}, r"tenants must be List\[TenantSpec\], got 5"),
+    ({"workload": {"kind": "raw_fill_read", "fill_ops": 0}},
+     "workload.fill_ops must be >= 1, got 0"),
+    ({"workload": {"kind": "raw_fill_read", "fill_ops": -1}},
+     "workload.fill_ops must be >= 1, got -1"),
+    ({"workload": {"kind": "raw_fill_read", "read_ops": -1}},
+     "workload.read_ops must be >= 0, got -1"),
+    ({"workload": {"ops_per_client": -3}},
+     "workload.ops_per_client must be >= 1, got -3"),
+    ({"workload": {"read_ops_per_client": -3}},
+     "workload.read_ops_per_client must be >= 0, got -3"),
 ])
 def test_a_mistyped_field_is_a_repro_error_naming_it(data, names):
     """Wrong-typed values used to escape as a bare TypeError (the tenant
-    weight comparison) or validate, build and fail mid-run (seed,
-    fill_ops)."""
+    weight comparison, a ``tenants`` that is not a list) or validate,
+    build and fail mid-run (seed, fill_ops); out-of-range counts ran and
+    reported themselves (``fill_ops: -3``) or died in ``randrange``."""
     with pytest.raises(ReproError, match=names):
         StackSpec.from_dict({"ftl": "oxblock", **data})
     # An int where a float goes, and None where Optional says so, are fine.
@@ -225,7 +240,7 @@ def test_spec_wires_sidecars_and_tenants():
 def test_raw_device_stack_has_no_ftl():
     stack = build_stack(StackSpec(geometry=SMOKE_GEOMETRY, ftl="none"))
     assert stack.ftl is None and stack.env is None and stack.db is None
-    with pytest.raises(ReproError, match="no DB host"):
+    with pytest.raises(ReproError, match="needs the 'db' surface"):
         stack.dbbench()
 
 
@@ -246,7 +261,7 @@ def test_raw_workload_honors_seed_zero():
     """Regression: ``seed or 17`` silently replaced the documented
     default seed 0 with 17 — the raw-workload read sequences for seed 0
     and seed 17 must differ, and seed 0 must reproduce itself."""
-    from repro.stack.runner import _raw_workload
+    from repro.stack.personality import _raw_workload
 
     def read_lbas(seed: int) -> list:
         stack = build_stack(StackSpec(
@@ -309,6 +324,195 @@ def test_module_runner_rejects_a_bad_spec(tmp_path, capsys):
     assert "unknown FTL flavor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cli", ["repro.stack", "repro.cluster"])
+@pytest.mark.parametrize("name, text, names", [
+    ("spec.json", '{"ftl": ', "Expecting value"),
+    ("spec.toml", "ftl = ", "Invalid value"),
+    ("spec.json", None, "No such file"),
+    ("spec.json", "5", "a spec is a mapping of fields, got 5"),
+])
+def test_a_bad_spec_file_exits_2_naming_it(tmp_path, capsys, cli, name,
+                                            text, names):
+    """Both CLIs read files through one loader: a file that is missing,
+    not JSON/TOML, or not a mapping is ``invalid spec``, not a
+    traceback."""
+    main = importlib.import_module(f"{cli}.__main__").main
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid spec {path}: ") and names in err, err
+
+
+# -- the personality table ----------------------------------------------------
+
+#: Per flavour, an ``ftl_config`` that fits SMOKE_GEOMETRY.
+SMOKE_FTL_CONFIG = {"oxblock": {"wal_chunk_count": 4,
+                                "ckpt_chunks_per_slot": 2}}
+
+
+@pytest.mark.parametrize("ftl", list(FTL_ROWS))
+def test_validate_accepts_exactly_what_the_table_declares(ftl):
+    """Every flavour x host (incl. auto) x workload kind: a combination
+    the rows declare validates and (but for ``trace``) runs on the smoke
+    geometry; any other is a ReproError at validate() naming the field,
+    never a build that fails mid-run."""
+    row = FTL_ROWS[ftl]
+    for host in ("auto", *HOST_ROWS):
+        resolved = row.hosts[0] if host == "auto" else host
+        gives = {HOST_ROWS[resolved].surface, row.surface} - {None}
+        for kind, workload in WORKLOAD_ROWS.items():
+            spec = StackSpec(
+                geometry=SMOKE_GEOMETRY, ftl=ftl, host=host,
+                ftl_config=SMOKE_FTL_CONFIG.get(ftl, {}),
+                db=dict(SMOKE_DB) if resolved == "db" else {},
+                workload={"kind": kind, "ops_per_client": 20,
+                          "fill_ops": 4, "read_ops": 8, "trace": "t.jsonl"})
+            label = (ftl, host, kind)
+            if resolved not in row.hosts or (
+                    workload.needs and not gives & set(workload.needs)):
+                with pytest.raises(ReproError,
+                                   match=r"\bftl\b|\bhost\b|workload\.kind"):
+                    spec.validate()
+                continue
+            spec.validate()
+            if kind != "trace":
+                metrics = run_spec(spec)
+                assert metrics["sim_seconds"] >= 0, label
+                if workload.needs:
+                    assert metrics["fill_ops"] > 0, label
+
+
+def test_personality_grep_pin():
+    """Which flavour composes with what is decided in one module: nothing
+    else in ``src/repro`` compares ``.ftl``, ``host`` or
+    ``resolved_host`` to a flavour or host literal, or probes
+    ``hasattr(..., "write")`` for a block API."""
+    literal = "|".join(("auto", *FTL_ROWS, *HOST_ROWS))
+    pin = re.compile(
+        rf"""(\.ftl|\bresolved_host|\bhost)\s*(==|!=|\bin\b|\bnot\s+in\b)"""
+        rf"""\s*[(\[{{]?\s*["']({literal})["']|hasattr\([^)]*["']write["']""")
+    paths = glob.glob(os.path.join(REPO_ROOT, "src", "repro", "**", "*.py"),
+                      recursive=True)
+    assert len(paths) > 100
+    hits = []
+    for path in paths:
+        if path.endswith(os.path.join("stack", "personality.py")):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            hits += [f"{os.path.relpath(path, REPO_ROOT)}:{number}: "
+                     f"{line.strip()}"
+                     for number, line in enumerate(handle, 1)
+                     if pin.search(line)]
+    assert not hits, "\n".join(hits)
+
+
+def _cells(names) -> str:
+    return " \\| ".join(f"`{name}`" for name in names) or "—"
+
+
+def _default(f) -> str:
+    if f.default is not MISSING:
+        return "absent" if f.default is None else f"`{json.dumps(f.default)}`"
+    if f.default_factory is not MISSING:
+        value = f.default_factory()
+        if is_dataclass(value):
+            return f"`{type(value).__name__}()`"
+        return f"`{json.dumps(value)}`"
+    return "required"
+
+
+def _sub_fields(cls) -> str:
+    return ", ".join(f"`{f.name}` {_default(f)}" for f in fields(cls))
+
+
+#: The prose column of the schema table; the rest is derived.
+SCHEMA_MEANING = {
+    "name": "results-file stem",
+    "seed": "workload seed (`DbBench` / raw reads)",
+    "geometry": "the device shape (the scaled Fig. 4 drive)",
+    "ftl": "FTL flavour, a row of the `ftl` table below",
+    "ftl_config": "kwargs of the flavour's config class; non-empty needs "
+                  "an FTL",
+    "placement": "LightLSM data placement (Figures 5/6)",
+    "gc_policy": "`repro.policies` victim selection (§11)",
+    "placement_policy": "`repro.policies` PU allocation order (§11)",
+    "host": "the host above the FTL (`auto`: the flavour's first host)",
+    "wlfc": "kwargs of the host's config class; non-empty needs that "
+            "resolved host",
+    "workload": "what `run_spec` drives; `kind` is a row of the "
+                "`workload.kind` table below",
+    "tenants": "registered in order, placement planned per `qos_policy`",
+    "qos_policy": "PU placement of tenants",
+    "qos_scheduler": "attach a `QosScheduler` when tenants are declared",
+    "faults": "serialized `FaultPlan` (`grown_bad` rows are "
+              "`[group, pu, block, erase_cycle]`)",
+    "timing": "preset → calibrated `profile` → overrides, then "
+              "`jitter_sigma` (§10)",
+    "obs": "attach the tracing/metrics hub",
+    "write_back": "device write-back cache",
+}
+SCHEMA_MEANING["db"] = SCHEMA_MEANING["llama"] = SCHEMA_MEANING["wlfc"]
+
+
+def design_stack_tables() -> str:
+    """DESIGN.md §7's schema and personality tables, rendered from the
+    ``StackSpec`` dataclasses and the personality table."""
+    from repro.stack import spec as spec_module
+    menus = {name: (owner, menu) for owner, row in FTL_ROWS.items()
+             for name, menu in row.menus.items()}
+    enums = {"ftl": FTL_ROWS, "host": ("auto", *HOST_ROWS),
+             "qos_policy": spec_module.QOS_POLICIES}
+    lines = ["| Field | Default | Meaning |", "|-------|---------|---------|"]
+    for f in fields(StackSpec):
+        meaning = SCHEMA_MEANING[f.name]
+        sub = getattr(spec_module,
+                      re.sub(r"^(Optional|List)\[(.*)\]$", r"\2", f.type),
+                      None)
+        if f.name in menus:
+            owner, menu = menus[f.name]
+            meaning += (f": {_cells(menu)}; a non-default needs "
+                        f"`ftl=\"{owner}\"`")
+        elif f.name in enums:
+            meaning += f": {_cells(enums[f.name])}"
+        elif is_dataclass(sub):
+            meaning += f"; `{sub.__name__}`: {_sub_fields(sub)}"
+        lines.append(f"| `{f.name}` | {_default(f)} | {meaning} |")
+    lines += ["", "| `ftl` | `ftl_config` class | hosts (first: `auto`) "
+                  "| fields only it reads | gives |",
+              "|-------|--------------------|-----------------------"
+              "|----------------------|-------|"]
+    for name, row in FTL_ROWS.items():
+        config = f"`{row.config.__name__}`" if row.config else "—"
+        lines.append(f"| `{name}` | {config} | {_cells(row.hosts)} "
+                     f"| {_cells(row.menus)} "
+                     f"| {_cells(filter(None, [row.surface]))} |")
+    lines += ["", "| host | keyword dict | gives |",
+              "|------|--------------|-------|"]
+    for name, row in HOST_ROWS.items():
+        config = f"`{name}` → `{row.config.__name__}`" if row.config else "—"
+        lines.append(f"| `{name}` | {config} "
+                     f"| {_cells(filter(None, [row.surface]))} |")
+    lines += ["", "| `workload.kind` | drives (any one of) |",
+              "|-----------------|---------------------|"]
+    lines += [f"| `{name}` | {_cells(row.needs)} |"
+              for name, row in WORKLOAD_ROWS.items()]
+    return "\n".join(lines)
+
+
+def test_design_stack_tables_are_the_personality_table():
+    """DESIGN.md §7 cannot drift: the committed tables between the two
+    markers are what the spec dataclasses and the personality table
+    render to (the failure prints them)."""
+    path = os.path.join(REPO_ROOT, "DESIGN.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    begin, end = "<!-- stack-schema -->\n", "\n<!-- /stack-schema -->"
+    committed = text[text.index(begin) + len(begin):text.index(end)]
+    assert committed == design_stack_tables(), "\n" + design_stack_tables()
+
+
 # -- repo-wide rules ----------------------------------------------------------
 
 
@@ -340,13 +544,12 @@ def test_example_spec_runs_end_to_end(path):
     """Every shipped example spec loads through its CLI loader and runs:
     a stack spec drives a nonzero op count, a cluster spec verifies
     every read and loses none."""
-    from repro.cluster import run_cluster
-    from repro.cluster.__main__ import load_cluster_spec
-    from repro.stack.__main__ import load_spec
+    from repro.cluster import ClusterSpec, run_cluster
+    from repro.stack.spec import load_spec
     with open(path) as handle:
         is_cluster = bool({"template", "shards"} & set(json.load(handle)))
     if is_cluster:
-        result = run_cluster(load_cluster_spec(path))
+        result = run_cluster(load_spec(path, ClusterSpec))
         merged = result.merged
         assert result.reads_lost == 0
         assert (merged["cluster.reads_verified_total"]

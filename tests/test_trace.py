@@ -264,7 +264,7 @@ class TestHostCaptureReplay:
     def test_host_trace_needs_db_stack(self, tmp_path):
         trace = str(tmp_path / "t.jsonl")
         run_spec(host_spec(), trace_out=trace)
-        with pytest.raises(ReproError, match="DB-hosted"):
+        with pytest.raises(ReproError, match="needs the 'db' surface"):
             run_spec(replay_spec(trace, base=BLOCK_SPEC))
 
 
@@ -278,6 +278,19 @@ class TestBlockCaptureReplay:
         assert replayed["sim_seconds"] == captured["sim_seconds"]
         assert (replayed["events_processed"]
                 == captured["events_processed"])
+
+    def test_replay_through_wlfc_drives_the_cache(self, tmp_path):
+        """Regression: a block trace replayed on ``host="wlfc"`` went to
+        the OX-Block under the cache (0 host sectors, the bare run's
+        clock).  It drives the same lane ``raw_fill_read`` does."""
+        trace = str(tmp_path / "t.jsonl")
+        captured = run_spec(StackSpec.from_dict(copy.deepcopy(BLOCK_SPEC)),
+                            trace_out=trace)
+        cached = dict(copy.deepcopy(BLOCK_SPEC), host="wlfc")
+        replayed = run_spec(replay_spec(trace, base=cached))
+        raw = run_spec(StackSpec.from_dict(cached))
+        assert replayed["wlfc_host_sectors"] == raw["wlfc_host_sectors"] > 0
+        assert replayed["sim_seconds"] != captured["sim_seconds"]
 
 
     def test_replay_past_the_target_capacity_fails_on_that_op(self, tmp_path):
