@@ -19,7 +19,8 @@ git diff --exit-code benchmarks/results
 
 echo "== crash-consistency smoke (randomized power cuts) =="
 # Base seed 300: tests/test_crash_consistency.py already ran 36 of the
-# default seeds' cut points in step 1; these 60 are new ones.
+# default seeds' cut points per FTL (oxblock, eleos) in step 1; these
+# 120 (2 FTLs x 3 profiles x 20 seeds) are new ones.
 python -m repro.faults.checker --seeds 20 --base-seed 300
 
 # Tests report into tmp_path (tests/conftest.py): from a clean tree the

@@ -14,7 +14,7 @@ Design rules:
   :meth:`~repro.ocssd.device.OpenChannelSSD.crash_volatile` — the same
   epoch-bump / cache-drop / write-pointer-rollback path the controller
   already implements — and freezes the media: every later command
-  completes with ``POWER_FAIL`` until :meth:`FaultInjector.restore_power`.
+  completes with ``POWER_FAIL`` until :meth:`FaultInjector.power_cycle`.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ class FaultPlan:
         if self.power_cut_at_op is not None and self.power_cut_at_op < 1:
             raise ReproError(
                 f"power_cut_at_op must be >= 1, got {self.power_cut_at_op}")
+        if self.power_cut_at_time is not None and self.power_cut_at_time < 0:
+            raise ReproError(f"power_cut_at_time must be >= 0, got "
+                             f"{self.power_cut_at_time}")
+        early = {key: cycle for key, cycle in self.grown_bad.items()
+                 if cycle < 1}
+        if early:       # chip.erase counts cycles from 1
+            raise ReproError(f"grown_bad erase cycles start at 1, got {early}")
 
 
 @dataclass
@@ -78,8 +85,6 @@ class FaultStats:
     erases_failed: int = 0
     power_cuts: int = 0
     torn_chunks: int = 0
-    torn_sectors_kept: int = 0
-    ops_rejected_off: int = 0
 
 
 class FaultInjector(Sidecar):
@@ -105,27 +110,34 @@ class FaultInjector(Sidecar):
         # device boundary (power state) and inside the chips (media ops).
         return (device, *device.chips.values())
 
+    def _sidecar_validate(self, device: "OpenChannelSSD") -> None:
+        """A block or group the device lacks would never fire."""
+        geometry = device.geometry
+        shape = (geometry.num_groups, geometry.pus_per_group,
+                 geometry.chunks_per_pu)
+        outside = [key for key in self.plan.grown_bad if len(key) != 3
+                   or not all(0 <= i < n for i, n in zip(key, shape))]
+        if outside:
+            raise ReproError(f"grown_bad {outside}: no such (group, pu, "
+                             f"block) on a {shape} device")
+        outside = sorted(set(self.plan.protect_groups)
+                         - set(range(geometry.num_groups)))
+        if outside:
+            raise ReproError(f"protect_groups {outside}: the device has "
+                             f"{geometry.num_groups} groups")
+
     def _sidecar_wire(self, device: "OpenChannelSSD") -> None:
         for (group, pu), chip in device.chips.items():
             chip.fault_key = (group, pu)
-
-    def quiesce(self) -> None:
-        """Stop injecting: probabilistic faults, grown-bad plans and pending
-        cuts are all disabled.  Recovery runs call this so the post-crash
-        world is only as broken as the crash left it."""
-        self._quiesced = True
-
-    def restore_power(self) -> None:
-        """Re-power the device after a cut.  Media state stays exactly as
-        the cut froze it; volatile state was already discarded."""
-        self.powered = True
 
     def power_cycle(self, ftl=None) -> None:
         """The rest of a power cut, up to the point recovery can start:
         *ftl* (if any) dies with the host, the processes the cut abandoned
         mid-op run to their POWER_FAIL — noise that must not surface
         inside recovery's ``run_until`` — and the device comes back
-        quiesced, with the media exactly as the cut froze it."""
+        powered, with the media exactly as the cut froze it, and quiesced:
+        no probabilistic fault, grown-bad plan or pending cut fires again,
+        so the post-crash world is only as broken as the crash left it."""
         if ftl is not None:
             ftl.crash()
         while True:
@@ -134,8 +146,8 @@ class FaultInjector(Sidecar):
                 break
             except ReproError:
                 continue
-        self.quiesce()
-        self.restore_power()
+        self._quiesced = True
+        self.powered = True
 
     # -- chip / device hook entry points ----------------------------------
 
@@ -146,7 +158,6 @@ class FaultInjector(Sidecar):
         no effect at all (the chip returns 0.0 media time untouched).
         """
         if not self.powered:
-            self.stats.ops_rejected_off += 1
             return False
         if self._quiesced:
             return True
@@ -199,7 +210,7 @@ class FaultInjector(Sidecar):
         sectors keeps, with ``torn_unit_prob``, a random non-empty prefix
         of them — the partially-programmed write unit a real power loss
         leaves behind.  Then the device loses everything volatile
-        (``crash_volatile``) and goes dark until ``restore_power``.
+        (``crash_volatile``) and goes dark until ``power_cycle``.
         """
         if self.device is None:
             raise ReproError("fault injector is not attached to a device")
@@ -220,5 +231,4 @@ class FaultInjector(Sidecar):
                 keep = self._rng.randrange(1, unflushed + 1)
                 chunk.mark_flushed(chunk.flushed_pointer + keep)
                 self.stats.torn_chunks += 1
-                self.stats.torn_sectors_kept += keep
         self.device.crash_volatile()

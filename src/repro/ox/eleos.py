@@ -181,6 +181,12 @@ class OXEleos:
         """Chunks available to new segments."""
         return sum(map(len, self._free.values()))
 
+    def offline_chunks(self) -> Set[ChunkKey]:
+        """Data chunks the device reports offline: retired or failed."""
+        return {key for key in self.layout.data_chunk_keys()
+                if self.media.chunk_info(Ppa(*key, 0)).state
+                is ChunkState.OFFLINE}
+
     def segment_live_pages(self, segment_id: int) -> List[int]:
         """Ids of the pages *segment_id* still holds, ascending."""
         return sorted(self._live.get(segment_id, ()))
@@ -372,7 +378,7 @@ class OXEleos:
 
     def _map_page(self, page_id: int, linear: int, offset: int,
                   length: int) -> None:
-        """The one place vmap changes (append, checkpoint load, WAL
+        """The one place vmap maps a page (append, checkpoint load, WAL
         replay): the page leaves its old segment's live set and joins the
         new one's.  A location no segment owns — possible only in a map
         recovered around a torn free — is mapped but counted nowhere."""
@@ -526,6 +532,18 @@ class OXEleos:
                     self._map_page(*entry)
                 report.txns_applied += 1
 
+        # A page whose chunk went offline after the ack (a failed program
+        # of cached data) died with it: unmapped and reported lost, as on
+        # OX-Block.
+        offline = self.offline_chunks()
+        for page_id, entry in list(self.vmap.items()):
+            if self.geometry.delinearize(entry.first_sector).chunk_key() \
+                    in offline:
+                self._live.get(self._segment_at(entry.first_sector),
+                               set()).discard(page_id)
+                del self.vmap[page_id]
+                report.lost_lbas.append(page_id)
+
         # A segment nothing maps into holds nothing: the cleaner emptied
         # it, and free_segment_proc may have erased it before the crash
         # took the SEGMENT_FREE it had only buffered.  Drop it; the
@@ -543,12 +561,10 @@ class OXEleos:
         for queue in self._free.values():
             queue.clear()
         for key in self.layout.data_chunk_keys():
-            if self._chunk_linear(key) in self._chunk_segment:
+            if self._chunk_linear(key) in self._chunk_segment \
+                    or key in offline:
                 continue
-            info = self.media.chunk_info(Ppa(*key, 0))
-            if info.state is ChunkState.OFFLINE:
-                continue
-            if info.write_pointer > 0:
+            if self.media.chunk_info(Ppa(*key, 0)).write_pointer > 0:
                 yield from self._reset_chunk_proc(key)
             else:
                 self._free[key[:2]].append(key)

@@ -1,0 +1,38 @@
+"""Power cuts placed inside an FTL's work, for tests that cut at a known
+step; recovery afterwards is :func:`repro.faults.checker.recover_after_cut`
+and the FTL is driven through the checker's ``FTL_OPS`` row."""
+
+
+def checkpoint(ftl):
+    """Take a checkpoint now, on either FTL that keeps a journal."""
+    ftl.sim.run_until(ftl.sim.spawn(ftl._checkpoint_locked_proc()))
+
+
+def cut_in(injector, delay):
+    """Cut power *delay* simulated seconds from now (0: now)."""
+    def cutter():
+        yield injector.device.sim.timeout(delay)
+        injector.power_cut()
+    if delay:
+        injector.device.sim.spawn(cutter())
+    else:
+        injector.power_cut()
+
+
+def cut_after(injector, proc):
+    """*proc* (a process generator function), cutting power the moment a
+    call of it returns."""
+    def wrapped(*args, **kwargs):
+        result = yield from proc(*args, **kwargs)
+        injector.power_cut()
+        return result
+    return wrapped
+
+
+def cut_during(injector, proc, delay):
+    """*proc*, cutting power *delay* into each call: the command the cut
+    catches in flight completes and changes nothing."""
+    def wrapped(*args, **kwargs):
+        cut_in(injector, delay)
+        return proc(*args, **kwargs)
+    return wrapped

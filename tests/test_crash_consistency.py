@@ -1,21 +1,23 @@
-"""Randomized power-cut crash-consistency runs (the ISSUE's checker).
+"""Randomized power-cut crash-consistency runs, one class per FTL the
+checker has a durability contract for.
 
 Each test drives :func:`repro.faults.checker.run_crash_check`: a seeded
-workload against OX-Block with a fault plan attached, a power cut at a
-random media-op count (or simulated time), recovery, and the four
-invariant families (structure, durability, atomicity, functionality)
-checked against a shadow model.  A violation raises
+workload against one ``CHECKER_SPECS`` entry with a fault plan attached,
+a power cut at a random media-op count (or simulated time), recovery,
+and the four invariant families (structure, durability, atomicity,
+functionality) checked against a shadow model.  A violation raises
 :class:`InvariantViolation` with the seed, so any failure here is a
 one-line repro.
 
 The seed ranges are fixed: these tests are deterministic, and together
-with ``scripts/check.sh`` they keep the ISSUE's ">= 50 randomized cut
-points, zero violations" acceptance criterion enforced in CI.
+with ``scripts/check.sh`` they keep ">= 50 randomized cut points per
+FTL, zero violations" enforced in CI.
 """
 
 import pytest
 
-from repro.faults.checker import CheckConfig, CheckResult, run_crash_check
+from repro.errors import ReproError
+from repro.faults.checker import CheckConfig, main, run_crash_check
 
 PLAIN_SEEDS = range(18)
 FAULT_SEEDS = range(100, 112)
@@ -23,34 +25,40 @@ TIME_SEEDS = range(200, 206)
 
 
 class TestPowerCutConsistency:
+    FTL = "oxblock"
+    #: Counters the fixed seeds must drive above zero: space reclaimed
+    #: before a cut, torn ws_min units, media faults, dropped txns.
+    COVERED = ("gc_chunks_recycled", "torn_chunks", "programs_failed",
+               "erases_failed", "txns_dropped")
+    LBAS_CHECKED = 500
+
+    def check(self, seed, **flags):
+        return run_crash_check(CheckConfig(seed=seed, ftl=self.FTL, **flags))
+
     @pytest.mark.parametrize("seed", PLAIN_SEEDS)
     def test_plain_power_cut(self, seed):
-        run_crash_check(CheckConfig(seed=seed))
+        self.check(seed)
 
     @pytest.mark.parametrize("seed", FAULT_SEEDS)
     def test_power_cut_with_media_faults(self, seed):
-        run_crash_check(CheckConfig(seed=seed, media_faults=True))
+        self.check(seed, media_faults=True)
 
     @pytest.mark.parametrize("seed", TIME_SEEDS)
     def test_power_cut_at_time(self, seed):
-        run_crash_check(CheckConfig(seed=seed, time_cut=True))
+        self.check(seed, time_cut=True)
 
     def test_runs_are_deterministic(self):
-        first = run_crash_check(CheckConfig(seed=7))
-        second = run_crash_check(CheckConfig(seed=7))
-        assert first == second
+        assert self.check(7) == self.check(7)
 
     def test_aggregate_coverage(self):
         """The fixed seed set must actually exercise the hard paths:
-        cuts landing mid-workload, GC running before the cut, torn
-        write units, media faults, and recovery dropping torn txns.
-        A plan change that quietly stops covering one of these should
-        fail here, not silently weaken the suite."""
-        results = [run_crash_check(CheckConfig(seed=s)) for s in PLAIN_SEEDS]
-        results += [run_crash_check(CheckConfig(seed=s, media_faults=True))
-                    for s in FAULT_SEEDS]
-        results += [run_crash_check(CheckConfig(seed=s, time_cut=True))
-                    for s in TIME_SEEDS]
+        cuts landing mid-workload, ops in flight at the cut, and every
+        counter in ``COVERED``.  A plan change that quietly stops
+        covering one of these should fail here, not silently weaken the
+        suite."""
+        results = [self.check(s) for s in PLAIN_SEEDS]
+        results += [self.check(s, media_faults=True) for s in FAULT_SEEDS]
+        results += [self.check(s, time_cut=True) for s in TIME_SEEDS]
 
         def total(attr):
             return sum(getattr(r, attr) for r in results)
@@ -58,10 +66,32 @@ class TestPowerCutConsistency:
         assert sum(r.cut_fired_during_workload for r in results) >= 10
         assert total("txns_acked") > 1000
         assert total("txns_maybe") >= 5          # ops in flight at the cut
-        assert total("lbas_checked") > 500
-        assert total("gc_chunks_recycled") > 0   # GC active before a cut
-        assert total("torn_chunks") > 0          # torn ws_min units seen
-        assert total("programs_failed") > 0      # media faults fired
-        assert total("erases_failed") > 0
-        assert total("txns_dropped") > 0         # recovery dropped torn txns
+        assert total("lbas_checked") > self.LBAS_CHECKED
+        assert [name for name in self.COVERED if not total(name)] == []
         assert sum(r.probe_ran for r in results) >= len(results) // 2
+
+
+class TestEleosPowerCutConsistency(TestPowerCutConsistency):
+    """Appends in flight at the cut, segments freed before it, torn
+    units, dropped txns, chunks retired by failed erases, and (media
+    seed 111) pages lost with a chunk whose cached program failed after
+    the ack: recovery used to keep them mapped into the offline chunk."""
+
+    FTL = "eleos"
+    COVERED = ("gc_chunks_recycled", "torn_chunks", "erases_failed",
+               "txns_dropped", "lost_lbas")
+    LBAS_CHECKED = 400      # its page ids are 0..11
+
+
+@pytest.mark.parametrize("ftl", ["zns", "lightlsm"])
+def test_an_ftl_without_a_written_contract_is_refused(ftl):
+    with pytest.raises(ReproError, match=f"CheckConfig.ftl '{ftl}'"):
+        CheckConfig(seed=0, ftl=ftl)
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_a_gate_of_no_runs_is_refused(seeds, capsys):
+    """``--seeds 0`` used to print "0 runs ... 0 violations" and pass."""
+    with pytest.raises(SystemExit, match="2"):
+        main(["--seeds", seeds])
+    assert "--seeds: must be >= 1" in capsys.readouterr().err

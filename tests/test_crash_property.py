@@ -1,87 +1,101 @@
-"""Property-based crash testing for OX-Block.
+"""Property-based crash testing over the crash checker's shadow model.
 
-For any random sequence of transactional writes and flush barriers,
-followed by a crash and recovery:
-
-* every sector must read back as *some* acknowledged version of itself —
-  never garbage, never a torn mix within one sector;
-* any version made durable by a flush barrier establishes a floor: the
-  recovered value must be that version or a newer one (durability);
-* the recovered FTL must remain fully functional.
-
-This is the "bring the Open-Channel SSD back to a consistent state"
-guarantee of §4.3, checked against arbitrary interleavings.
+Any interleaving of writes, trims (OX-Block) or frees of emptied segments
+(OX-ELEOS), flushes, checkpoints, ``kill -9`` and power cuts (in flight
+or at idle), each crash followed by recovery, must pass the checker's
+invariants: every sector reads back an acknowledged version of itself at
+or above the durable floor, never torn or misdirected, multi-sector
+writes all or nothing; and a flushed write still survives one more
+crash.  This is §4.3's "back to a consistent state", on every FTL the
+checker has a durability contract for.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from repro.nand import FlashGeometry
-from repro.ocssd import DeviceGeometry, OpenChannelSSD
-from repro.ox import BlockConfig, MediaManager, OXBlock
+from repro.faults import FaultInjector, FaultPlan
+from repro.faults.checker import (
+    CHECKER_SPECS, FTL_OPS, _Shadow, probe, recover_after_cut, run_op,
+    verify)
+from repro.stack import StackSpec, build_stack
+from tests.cuts import checkpoint, cut_in
 
-SS = 4096
-LBA_SPACE = 48
-
-
-def make_stack():
-    geometry = DeviceGeometry(
-        num_groups=2, pus_per_group=2,
-        flash=FlashGeometry(blocks_per_plane=24, pages_per_block=6))
-    device = OpenChannelSSD(geometry=geometry)
-    media = MediaManager(device)
-    config = BlockConfig(wal_chunk_count=6, ckpt_chunks_per_slot=2,
-                         gc_enabled=False, wal_pressure_threshold=0.9)
-    return device, media, OXBlock.format(media, config), config
+ANY = st.integers(0, 1 << 16)
 
 
-# An operation is either a write (lba, sectors, fill) or a flush barrier.
-write_op = st.tuples(st.integers(0, LBA_SPACE - 4), st.integers(1, 4),
-                     st.integers(1, 250))
-operation = st.one_of(write_op, st.just("flush"))
+class CrashOracle(RuleBasedStateMachine):
+    FTL = "oxblock"
+
+    def __init__(self):
+        super().__init__()
+        stack = build_stack(StackSpec(**CHECKER_SPECS[self.FTL]))
+        self.device, self.ftl = stack.device, stack.ftl
+        self.ops, self.shadow, self.version = FTL_OPS[self.FTL], _Shadow(), 1
+        self.injector = FaultInjector(FaultPlan(torn_unit_prob=0.5))
+        self.injector.attach(self.device)
+
+    def _run(self, kind, lba, span=1, injector=None):
+        start = lba % (self.ops.lbas - span + 1)
+        run_op(self.ftl, self.ops, self.shadow, kind,
+               list(range(start, start + span)), self.version, injector)
+        self.version += 1
+
+    def _recovered(self, ftl, report):
+        lost = set(self.ops.lost(self.ftl)) | set(report.lost_lbas)
+        self.ftl = ftl
+        observed = verify(ftl, self.ops, self.shadow, lost, self.FTL)
+        # Recovery ends with a checkpoint: what reads back now is durable,
+        # and the history the next crash is checked against (0: unmapped).
+        self.shadow = _Shadow()
+        for lba, version in observed.items():
+            self.shadow.record(lba, version, version == 0)
+        self.shadow.raise_floor()
+
+    @rule(lba=ANY, span=st.integers(1, 4))
+    def write(self, lba, span):
+        self._run("write", lba, span)
+
+    @rule(lba=ANY)
+    def trim_or_free(self, lba):
+        self._run(self.ops.trim_kind, lba)
+
+    @rule()
+    def flush(self):
+        run_op(self.ftl, self.ops, self.shadow, "flush", [], self.version)
+
+    @rule()
+    def take_checkpoint(self):
+        checkpoint(self.ftl)    # pads, then drains the cache: a barrier
+        self.shadow.raise_floor()
+
+    @rule()
+    def kill_and_recover(self):
+        self._recovered(*recover_after_cut(None, self.ftl))
+
+    @rule(lba=ANY, span=st.integers(1, 4), delay=st.floats(1e-6, 4e-3))
+    def power_cut_and_recover(self, lba, span, delay):
+        """The cut lands *delay* into a write, or at idle after it."""
+        injector = self.injector
+        cut_in(injector, delay)
+        self._run("write", lba, span, injector)
+        injector.power_cut()
+        self._recovered(*recover_after_cut(injector, self.ftl))
+        injector.detach()       # a tripped injector stays tripped
+        self.injector = FaultInjector(FaultPlan(
+            seed=self.version, torn_unit_prob=0.5)).attach(self.device)
+
+    def teardown(self):
+        """Every example ends with a crash: the steps after its last one
+        are checked too."""
+        self.kill_and_recover()
+        probe(self.ftl, self.ops, self.version, self.FTL)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(operation, min_size=1, max_size=25))
-def test_recovery_reads_only_acknowledged_versions(operations):
-    device, media, ftl, config = make_stack()
+class EleosCrashOracle(CrashOracle):
+    FTL = "eleos"
 
-    # history[lba] = list of fills, oldest first.
-    history = {}
-    # durable_floor[lba] = index into history[lba] established by a flush.
-    durable_floor = {}
 
-    for op in operations:
-        if op == "flush":
-            ftl.flush()
-            for lba, versions in history.items():
-                durable_floor[lba] = len(versions) - 1
-        else:
-            lba, sectors, fill = op
-            ftl.write(lba, bytes([fill]) * (SS * sectors))
-            for offset in range(sectors):
-                history.setdefault(lba + offset, []).append(fill)
-
-    ftl.crash()
-    recovered, report = OXBlock.recover(media, config)
-
-    for lba, versions in history.items():
-        value = recovered.read(lba, 1)
-        # No torn sectors: the whole sector is one fill byte.
-        assert len(set(value)) == 1, f"torn sector at lba {lba}"
-        observed = value[0]
-        floor = durable_floor.get(lba)
-        if floor is None:
-            allowed = set(versions) | {0}
-        else:
-            allowed = set(versions[floor:])
-        assert observed in allowed, (
-            f"lba {lba}: read {observed}, allowed {sorted(allowed)} "
-            f"(history {versions}, floor {floor})")
-
-    # The recovered instance still works end to end.
-    recovered.write(0, bytes([251]) * SS)
-    assert recovered.read(0, 1) == bytes([251]) * SS
-    recovered.flush()
-    recovered.crash()
-    twice, __ = OXBlock.recover(media, config)
-    assert twice.read(0, 1) == bytes([251]) * SS
+TestCrashOracle = CrashOracle.TestCase
+TestEleosCrashOracle = EleosCrashOracle.TestCase
+TestCrashOracle.settings = TestEleosCrashOracle.settings = settings(
+    max_examples=15, stateful_step_count=30, deadline=None)

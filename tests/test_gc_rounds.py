@@ -13,11 +13,13 @@ import pytest
 
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
+from repro.faults.checker import recover_after_cut
 from repro.nand import FlashGeometry
 from repro.ocssd import (
     ChunkReset, DeviceGeometry, OpenChannelSSD, Ppa, VectorCopy, VectorRead,
     VectorWrite)
 from repro.ox import BlockConfig, MediaManager, OXBlock
+from tests.cuts import cut_after, cut_during
 
 SS = 4096
 CONFIG = dict(wal_chunk_count=8, ckpt_chunks_per_slot=1)
@@ -166,11 +168,6 @@ def test_round_traffic_stays_in_the_marked_group():
 
 # -- power cuts at each step of the ordering ---------------------------------------
 
-def recover(media, ftl, injector):
-    injector.power_cycle(ftl)
-    return OXBlock.recover(MediaManager(media.device), ftl.config)
-
-
 def cut_round(step):
     """One four-wide round over group 1 with power cut at *step*; returns
     the recovered FTL and what the scenario knew before the cut."""
@@ -179,13 +176,6 @@ def cut_round(step):
     injector.attach(media.device)
     gc, sim, wal = ftl.gc, media.sim, ftl.journal.wal
     rounds = watch_rounds(ftl)
-
-    def cut_after(proc):
-        def wrapped(*args, **kwargs):
-            result = yield from proc(*args, **kwargs)
-            injector.power_cut()
-            return result
-        return wrapped
 
     def delayed(proc):
         def wrapped(*args, **kwargs):
@@ -197,22 +187,14 @@ def cut_round(step):
     # one-unit commit lands while the copies are still draining.
     if step == "copied":        # copies durable, the commit held back
         wal.flush_proc = delayed(wal.flush_proc)
-        media.flush_proc = cut_after(media.flush_proc)
+        media.flush_proc = cut_after(injector, media.flush_proc)
     elif step == "commit first":    # commit durable, copies in the cache
-        wal.flush_proc = cut_after(wal.flush_proc)
+        wal.flush_proc = cut_after(injector, wal.flush_proc)
     elif step == "committed":   # both durable, nothing reset
-        gc._relocate_round_proc = cut_after(gc._relocate_round_proc)
+        gc._relocate_round_proc = cut_after(injector,
+                                            gc._relocate_round_proc)
     else:                       # 1 ms into the 3.5 ms erases
-        reset_proc = media.reset_proc
-
-        def cutting_reset_proc(ppa, parent=None):
-            def cutter():
-                yield sim.timeout(1e-3)
-                injector.power_cut()
-            sim.spawn(cutter())
-            return reset_proc(ppa, parent)
-
-        media.reset_proc = cutting_reset_proc
+        media.reset_proc = cut_during(injector, media.reset_proc, 1e-3)
     old_map = dict(ftl.page_map.items())
     try:
         run(media, gc._round_proc(1, 4))
@@ -224,7 +206,7 @@ def cut_round(step):
              if media.geometry.delinearize(linear).chunk_key() in victims}
     assert moved
     new_map = dict(ftl.page_map.items())
-    recovered, report = recover(media, ftl, injector)
+    recovered, report = recover_after_cut(injector, ftl)
     return recovered, expected, victims, moved, old_map, new_map, report
 
 

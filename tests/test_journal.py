@@ -7,59 +7,21 @@ import pytest
 
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
+from repro.faults.checker import FTL_OPS
 from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ox import BlockConfig, EleosConfig, MediaManager, OXBlock, OXEleos
 from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.recovery import RecoveryReport
 from repro.units import KIB
+from tests.cuts import checkpoint, cut_during
 
 SS = 4096
 #: No forced checkpoint on the way: the test takes its own.
 RING = dict(wal_chunk_count=4, ckpt_chunks_per_slot=1,
             wal_pressure_threshold=0.9)
-
-
-class BlockHost:
-    cls = OXBlock
-    config = BlockConfig(gc_enabled=False, **RING)
-
-    @staticmethod
-    def put(ftl, ident, payload):
-        ftl.write(ident, payload)
-
-    @staticmethod
-    def get(ftl, ident):
-        return ftl.read(ident, 1)
-
-    @staticmethod
-    def sync(ftl):
-        ftl.flush()
-
-    @staticmethod
-    def checkpoint(ftl):
-        ftl.sim.run_until(ftl.sim.spawn(ftl._checkpoint_locked_proc()))
-
-
-class EleosHost:
-    cls = OXEleos
-    config = EleosConfig(buffer_bytes=64 * KIB, **RING)
-
-    @staticmethod
-    def put(ftl, ident, payload):
-        ftl.append_buffer([(ident, payload)])
-
-    @staticmethod
-    def get(ftl, ident):
-        return ftl.read_page(ident)
-
-    @staticmethod
-    def sync(ftl):      # an append is durable once the cache has drained
-        ftl.sim.run_until(ftl.sim.spawn(ftl.media.flush_proc()))
-
-    @staticmethod
-    def checkpoint(ftl):
-        ftl.checkpoint()
+FTLS = {"oxblock": (OXBlock, BlockConfig(gc_enabled=False, **RING)),
+        "eleos": (OXEleos, EleosConfig(buffer_bytes=64 * KIB, **RING))}
 
 
 def payload(ident):
@@ -68,9 +30,9 @@ def payload(ident):
 
 @pytest.mark.parametrize("cut", ["slot written", "truncating",
                                  "first checkpoint"])
-@pytest.mark.parametrize("host", [BlockHost, EleosHost],
-                         ids=["oxblock", "eleos"])
-def test_a_cut_around_the_checkpoint_loads_exactly_one_epoch(host, cut):
+@pytest.mark.parametrize("name", FTLS)
+def test_a_cut_around_the_checkpoint_loads_exactly_one_epoch(name, cut):
+    (cls, config), ops = FTLS[name], FTL_OPS[name]
     geometry = DeviceGeometry(
         num_groups=2, pus_per_group=2,
         flash=FlashGeometry(blocks_per_plane=16, pages_per_block=6))
@@ -84,38 +46,28 @@ def test_a_cut_around_the_checkpoint_loads_exactly_one_epoch(host, cut):
     shadow = {}
     if first:
         try:    # a write the cut catches in flight completes, or raises
-            ftl = host.cls.format(MediaManager(device), host.config)
+            ftl = cls.format(MediaManager(device), config)
         except ReproError:
             ftl = None
         logged = 1
     else:
-        ftl = host.cls.format(MediaManager(device), host.config)
+        ftl = cls.format(MediaManager(device), config)
         wal = ftl.journal.wal
         ring_pus = [key[:2] for key in wal.chunks]
         assert ring_pus[0] == ring_pus[2]
         # Three dirty ring chunks, two of them behind the same PU.
         while wal.used_sectors <= 2 * geometry.sectors_per_chunk:
             shadow[len(shadow)] = payload(len(shadow))
-            host.put(ftl, len(shadow) - 1, shadow[len(shadow) - 1])
+            ops.write(ftl, len(shadow) - 1, shadow[len(shadow) - 1])
         logged = ftl.journal.next_txn_id
-        truncate_proc = wal.truncate_proc
+        # (a) Nothing erased yet; (b) one erase per PU done, the third
+        # under way: it completes, and changes nothing.
         erase = device.chips[(0, 0)].timing.erase_time()
-
-        def cutting_truncate_proc(new_epoch, parent=None):
-            def cutter():
-                # (b) One erase per PU done, the third under way: it
-                # completes, and changes nothing.
-                yield sim.timeout(1.5 * erase)
-                injector.power_cut()
-            if cut == "slot written":       # (a) nothing erased yet
-                injector.power_cut()
-            else:
-                sim.spawn(cutter())
-            return truncate_proc(new_epoch, parent)
-
-        wal.truncate_proc = cutting_truncate_proc
+        wal.truncate_proc = cut_during(
+            injector, wal.truncate_proc,
+            0.0 if cut == "slot written" else 1.5 * erase)
         try:
-            host.checkpoint(ftl)    # with the power off it raises, or not
+            checkpoint(ftl)     # with the power off it raises, or not
         except ReproError:
             pass
         dirty = [device.chunks[key].write_pointer > 0
@@ -125,8 +77,8 @@ def test_a_cut_around_the_checkpoint_loads_exactly_one_epoch(host, cut):
     assert injector.tripped
     injector.power_cycle(ftl)
 
-    journal = Journal(MediaManager(device), host.config.wal_chunk_count,
-                      host.config.ckpt_chunks_per_slot)
+    journal = Journal(MediaManager(device), config.wal_chunk_count,
+                      config.ckpt_chunks_per_slot)
     report = RecoveryReport()
     tables, records = sim.run_until(sim.spawn(journal.load_proc(report)))
     # Format's checkpoint was #1, the one the cut followed #2.
@@ -137,15 +89,14 @@ def test_a_cut_around_the_checkpoint_loads_exactly_one_epoch(host, cut):
     assert (report.wal_sectors_read, report.records_decoded) == (0, 0)
     assert journal.next_txn_id == logged
 
-    config = host.config
     for generation in range(2):     # ... and through a second crash
-        ftl, report = host.cls.recover(MediaManager(device), config)
-        assert report.txns_applied == generation    # one put, logged below
+        ftl, report = cls.recover(MediaManager(device), config)
+        assert report.txns_applied == generation    # one write, logged below
         assert ftl.journal.next_txn_id >= logged
-        assert {ident: host.get(ftl, ident) for ident in shadow} == shadow
+        assert {ident: ops.read(ftl, ident) for ident in shadow} == shadow
         ident = len(shadow)
         shadow[ident] = payload(ident)
-        host.put(ftl, ident, shadow[ident])
+        ops.write(ftl, ident, shadow[ident])
         logged = ftl.journal.next_txn_id
-        host.sync(ftl)
+        ops.flush(ftl)
         ftl.crash()

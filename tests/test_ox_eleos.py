@@ -7,13 +7,14 @@ import pytest
 
 from repro.errors import FTLError, OutOfSpaceError, ReproError
 from repro.faults import FaultInjector, FaultPlan
+from repro.faults.checker import FTL_OPS, recover_after_cut
 from repro.llama import LlamaConfig, LlamaEngine
 from repro.nand import FlashGeometry
 from repro.obs import Obs
-from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
-from repro.ocssd.chunk import ChunkState
+from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ox import EleosConfig, MediaManager, OXEleos
 from repro.units import KIB, MIB
+from tests.cuts import cut_after, cut_during, cut_in
 
 
 def make_stack(groups=2, pus=2, chunks=16, pages=12, config=None):
@@ -349,24 +350,20 @@ def test_failed_erase_is_counted_and_reported():
 
 CLEAN_STEPS = ["relocated", "free buffered", "erasing", "erased", "flushed"]
 
+#: The crash checker's invariant A for OX-ELEOS: every data chunk is owned
+#: by one segment, free or offline, and no segment is empty.
+space_problems = FTL_OPS["eleos"].structure
 
-def recover_after_cut(device, ftl, injector, config):
-    injector.power_cycle(ftl)
-    return OXEleos.recover(MediaManager(device), config)
 
-
-def assert_space_is_conserved(ftl):
-    """Every data chunk is owned by a segment, free, or offline — and no
-    recovered segment is empty."""
-    keys = ftl.layout.data_chunk_keys()
-    offline = sum(
-        ftl.media.chunk_info(Ppa(*key, 0)).state is ChunkState.OFFLINE
-        for key in keys)
-    owned = [key for chunks in ftl.segments.values() for key in chunks]
-    assert len(set(owned)) == len(owned)
-    assert len(owned) + ftl.free_chunk_count() + offline \
-        + ftl.stats.chunks_retired == len(keys)
-    assert all(ftl.segment_live_pages(seg) for seg in ftl.segments)
+def test_a_chunk_owned_twice_breaks_space_conservation():
+    """It must not cancel out a chunk owned, free and offline nowhere."""
+    __, __m, ftl, __c = make_stack()
+    ftl.append_buffer([(1, b"one")])
+    ftl.append_buffer([(2, b"two")])
+    first, second = sorted(ftl.segments)
+    ftl.segments[second] = ftl.segments[first]
+    assert list(space_problems(ftl)) == [
+        f"chunks {ftl.segments[first]} are owned by more than one segment"]
 
 
 @pytest.mark.parametrize("step", CLEAN_STEPS)
@@ -374,7 +371,6 @@ def test_power_cut_at_each_step_of_a_clean(step):
     device, media, ftl, config = make_stack()
     injector = FaultInjector(FaultPlan())
     injector.attach(device)
-    sim = device.sim
     engine = LlamaEngine(ftl, LlamaConfig(clean_live_ratio=0.6,
                                           cache_capacity=2))
     for pid in range(6):        # two to a chunk: three chunks, three PUs
@@ -388,29 +384,13 @@ def test_power_cut_at_each_step_of_a_clean(step):
     shadow = {pid: ftl.read_page(pid) for pid in ftl.live_page_ids()}
     assert ftl.segment_live_ratio(victim) == 0.5
 
-    def cut_after(proc):
-        def wrapped(*args, **kwargs):
-            result = yield from proc(*args, **kwargs)
-            injector.power_cut()
-            return result
-        return wrapped
-
     reads = ftl.stats.pages_read
     if step == "relocated":         # relocation append acked, no free yet
-        ftl.append_buffer_proc = cut_after(ftl.append_buffer_proc)
+        ftl.append_buffer_proc = cut_after(injector, ftl.append_buffer_proc)
     elif step == "free buffered":   # SEGMENT_FREE buffered, nothing erased
-        media.flush_proc = cut_after(media.flush_proc)
+        media.flush_proc = cut_after(injector, media.flush_proc)
     elif step == "erasing":         # 1 ms into the joined 3.5 ms erases
-        reset_proc = media.reset_proc
-
-        def cutting_reset_proc(ppa, parent=None):
-            def cutter():
-                yield sim.timeout(1e-3)
-                injector.power_cut()
-            sim.spawn(cutter())
-            return reset_proc(ppa, parent)
-
-        media.reset_proc = cutting_reset_proc
+        media.reset_proc = cut_during(injector, media.reset_proc, 1e-3)
     try:
         engine.clean_once()     # with the power off it is a no-op or raises
     except ReproError:
@@ -426,17 +406,17 @@ def test_power_cut_at_each_step_of_a_clean(step):
         injector.power_cut()
     assert ftl.stats.pages_read - reads == 3        # fetched for relocation
 
-    recovered, report = recover_after_cut(device, ftl, injector, config)
+    recovered, report = recover_after_cut(injector, ftl)
     # An acked append is durable only once the cache has drained: cut
     # before the free's device flush, the relocation is dropped whole
     # and the victim still holds its pages.
     assert (victim in recovered.segments) == (step == "relocated")
     assert {pid: recovered.read_page(pid) for pid in shadow} == shadow
     assert recovered.live_page_ids() == sorted(shadow)
-    assert_space_is_conserved(recovered)
+    assert list(space_problems(recovered)) == []
     recovered.append_buffer([(7, b"and on it goes")])
     assert recovered.read_page(7) == b"and on it goes"
-    assert_space_is_conserved(recovered)
+    assert list(space_problems(recovered)) == []
 
 
 def test_randomized_append_free_crash_loop_recovers_every_page():
@@ -470,15 +450,9 @@ def test_randomized_append_free_crash_loop_recovers_every_page():
                      if not ftl.segment_live_pages(seg)]
             assert empty
             device.flush()      # an ack is durable once the cache drained
-            injector = FaultInjector(FaultPlan(seed=seed))
-            injector.attach(device)
-
-            def cutter(delay):
-                yield device.sim.timeout(delay)
-                injector.power_cut()
-
+            injector = FaultInjector(FaultPlan(seed=seed)).attach(device)
             started = device.sim.now
-            device.sim.spawn(cutter(rng.uniform(0, 2 * erase)))
+            cut_in(injector, rng.uniform(0, 2 * erase))
             maybe = {100 + cut: b"in flight" * rng.randint(1, 300)}
             try:
                 for seg in empty:
@@ -490,12 +464,12 @@ def test_randomized_append_free_crash_loop_recovers_every_page():
             assert injector.tripped
             landed["erasing" if injector.cut_time - started < erase
                    else "erased"] += 1
-            ftl, __r = recover_after_cut(device, ftl, injector, config)
+            ftl, __r = recover_after_cut(injector, ftl)
             for pid, payload in maybe.items():      # whole or not at all
                 if pid in ftl.vmap:
                     assert ftl.read_page(pid) == payload
                     shadow[pid] = payload
             assert {pid: ftl.read_page(pid) for pid in shadow} == shadow, seed
             assert ftl.live_page_ids() == sorted(shadow), seed
-            assert_space_is_conserved(ftl)
+            assert list(space_problems(ftl)) == []
     assert min(landed.values()) > 100, landed

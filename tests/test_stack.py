@@ -237,6 +237,22 @@ def test_spec_wires_sidecars_and_tenants():
     assert not set(victim_pus) & set(aggressor_pus)   # partitioned
 
 
+@pytest.mark.parametrize("faults, names", [
+    ({"grown_bad": [[9, 0, 0, 1]]}, r"grown_bad \[\(9, 0, 0\)\]: no such"),
+    ({"grown_bad": [[0, 0, 999, 1]]}, r"grown_bad \[\(0, 0, 999\)\]"),
+    ({"grown_bad": [[0, 0, 5, -3]]},
+     r"erase cycles start at 1, got \{\(0, 0, 5\): -3\}"),
+    ({"protect_groups": [7]}, r"protect_groups \[7\]: the device has 2"),
+    ({"power_cut_at_time": -1.0}, "power_cut_at_time must be >= 0"),
+])
+def test_a_fault_plan_that_could_never_fire_is_refused(faults, names):
+    """These plans used to build and then never fire (a block or group
+    the device lacks, a cycle below the first) or fire during format."""
+    with pytest.raises(ReproError, match=names):
+        build_stack(StackSpec(geometry={**SMOKE_GEOMETRY, "num_groups": 2},
+                              ftl="oxblock", faults=faults))
+
+
 def test_raw_device_stack_has_no_ftl():
     stack = build_stack(StackSpec(geometry=SMOKE_GEOMETRY, ftl="none"))
     assert stack.ftl is None and stack.env is None and stack.db is None
