@@ -140,8 +140,8 @@ def bare_ops_per_sec(num_keys: int, read_ops: int) -> float:
 
 
 def test_cluster_wrapper_overhead_smoke():
-    """Routing, task dicts and the merge cost a 1-shard cluster under
-    2 % over the bare stack running the identical op loop.
+    """Routing, per-shard op counting and the merge cost a 1-shard
+    cluster under 2 % over the bare stack running the identical op loop.
 
     Gated on the best cluster/bare *ratio* over five interleaved pairs:
     a shared box's absolute throughput drifts far more than 2 % between

@@ -4,13 +4,13 @@ One :class:`ClusterSpec` declares N message-isolated
 :class:`~repro.stack.StackSpec` shards (each with its own simulator
 kernel, OCSSD device and FTL), a routing policy (consistent-hash ring
 or contiguous ranges) with R-way replication, and a cluster-level
-workload.  :func:`run_cluster` executes the shards one after another
-in-process and merges them to metrics that are bit-identical run to run.
+workload.  :func:`run_cluster` keeps one live stack per shard, fails a
+read over to the next live replica's running stack, and merges the
+shards to metrics that are bit-identical run to run.
 ``python -m repro.cluster cluster.json`` runs a declared fleet and
 writes the standard results files.
 """
 
-from repro.cluster.merge import merge_shard_results, shard_prefix
 from repro.cluster.rebalance import (
     Move, RebalancePlan, Rebalancer, assert_minimal)
 from repro.cluster.router import (
@@ -34,10 +34,8 @@ __all__ = [
     "assert_minimal",
     "build_router",
     "key_point",
-    "merge_shard_results",
     "payload_for",
     "run_and_report_cluster",
     "run_cluster",
-    "shard_prefix",
     "stable_hash",
 ]

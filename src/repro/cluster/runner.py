@@ -1,24 +1,22 @@
-"""Execute a :class:`ClusterSpec`: route, run shards, merge.
+"""Execute a :class:`ClusterSpec`: route, run live shards, fail over.
 
 The execution model:
 
-1. The parent plans the whole workload up front: every key is routed to
-   its R replicas (writes) and every read to its primary, producing one
-   op list per shard.  Routing happens only in the parent — shards
-   never talk to each other, and a shard task is a plain dict (spec
-   dict + op lists).
-2. Shards execute their op lists independently, one after another
-   in-process: one simulator kernel per shard, nothing shared.  (A
-   spawn-pool executor was measured and deleted; DESIGN §9 "Process
-   model" has the numbers.)
+1. The whole workload is planned up front: every key is routed to its
+   R replicas (writes) and every read to its primary, producing one op
+   list per shard.  Shards never talk to each other.
+2. Each shard is one live stack (:func:`~repro.stack.build_stack`, one
+   simulator kernel, nothing shared), built once.  In shard order it
+   writes its keys in key order, flushes, then serves its primary reads
+   in plan order.
 3. Reads that fail (a shard lost power mid-run, a write never landed)
-   fail over: the parent re-routes them to the next live replica in a
-   retry round.  A retry task replays the shard's writes first — the
-   stacks are deterministic, so a replayed shard reaches the exact
-   state of its round-0 twin before serving the retried reads.
-4. Results merge in the parent (:mod:`repro.cluster.merge`).  The
-   merged dict is bit-identical run to run; wall-clock facts (the only
-   legitimately nondeterministic outputs) are kept apart in
+   fail over: each walks down its replica list to the next shard whose
+   injector has not tripped and reads that shard's running stack, as
+   it stands — a cut that lands during failover lands in the replica
+   serving it, and the read moves on to the next one.
+4. Per-shard counts and obs registries merge under ``cluster.shard<i>.``.
+   The merged dict is bit-identical run to run; wall-clock facts (the
+   only legitimately nondeterministic outputs) are kept apart in
    ``ClusterResult.wall``.
 """
 
@@ -27,13 +25,13 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.merge import merge_shard_results
 from repro.cluster.router import build_router
 from repro.cluster.spec import ClusterSpec
 from repro.errors import ReproError
+from repro.obs.metrics import MetricsRegistry
 from repro.stack.build import build_stack
 from repro.stack.runner import report_table
 from repro.stack.spec import StackSpec
@@ -41,7 +39,7 @@ from repro.workloads import derive_stream_seed
 
 #: Documented nondeterministic keys — everything else in a merged
 #: result is part of the bit-identity contract.
-WALL_KEYS = ("wall_seconds", "ops_per_sec", "shard_wall_seconds_max")
+WALL_KEYS = ("wall_seconds", "ops_per_sec")
 
 
 def payload_for(key: int, size_bytes: int) -> bytes:
@@ -52,98 +50,81 @@ def payload_for(key: int, size_bytes: int) -> bytes:
     return (seed * repeats)[:size_bytes]
 
 
-def _run_shard(task: dict) -> dict:
-    """Run one shard's op list.
+class _Shard:
+    """One live shard: its stack, where its keys landed, its op counts."""
 
-    Everything in the returned dict except ``wall_seconds`` is a pure
-    function of *task* — no wall clock, no process identity, no
-    unordered iteration — because the run-to-run metric identity rests
-    on this function.
-    """
-    spec = StackSpec.from_dict(task["spec"])
-    started = time.perf_counter()
-    stack = build_stack(spec)
-    lane = stack.block
-    faults = stack.faults
-    sector_size = spec.geometry.sector_size
-    unit_sectors = stack.device.geometry.ws_min * task["value_units"]
-    unit_bytes = unit_sectors * sector_size
+    def __init__(self, spec: StackSpec, value_units: int):
+        self.stack = build_stack(spec)
+        self.lane = self.stack.block
+        self.faults = self.stack.faults
+        self.sector_size = spec.geometry.sector_size
+        self.unit_sectors = self.stack.device.geometry.ws_min * value_units
+        self.counts = {"write_ops": 0, "write_failures": 0, "read_ops": 0,
+                       "read_failures": 0, "reads_verified": 0,
+                       "read_corruptions": 0}
+        #: The replica's per-key metadata: only keys whose write landed.
+        self.lba_of: Dict[int, int] = {}
+        self._payloads: Dict[int, bytes] = {}
 
-    payload_cache: Dict[int, bytes] = {}
+    @property
+    def dead(self) -> bool:
+        return self.faults is not None and self.faults.tripped
 
-    def payload(key: int) -> bytes:
-        cached = payload_cache.get(key)
+    def payload(self, key: int) -> bytes:
+        cached = self._payloads.get(key)
         if cached is None:
-            cached = payload_cache[key] = payload_for(key, unit_bytes)
+            cached = self._payloads[key] = payload_for(
+                key, self.unit_sectors * self.sector_size)
         return cached
 
-    def dead() -> bool:
-        return faults is not None and faults.tripped
+    def write(self, key: int) -> None:
+        lba = self.counts["write_ops"] * self.unit_sectors
+        self.counts["write_ops"] += 1
+        if not self.dead:
+            try:
+                self.lane.write(lba, self.payload(key))
+                self.lba_of[key] = lba
+                return
+            except ReproError:
+                pass
+        self.counts["write_failures"] += 1
 
-    counts = {"write_ops": 0, "write_failures": 0, "read_ops": 0,
-              "read_failures": 0, "reads_verified": 0,
-              "read_corruptions": 0}
-    failed_reads: List[int] = []
-    lba_of: Dict[int, int] = {}
-    stored: set = set()
-    next_lba = 0
+    def flush(self) -> None:
+        if not self.dead:
+            try:
+                self.lane.flush()
+            except ReproError:
+                pass
 
-    for key in task["writes"]:
-        lba_of[key] = next_lba
-        next_lba += unit_sectors
-        counts["write_ops"] += 1
-        if dead():
-            counts["write_failures"] += 1
-            continue
-        try:
-            lane.write(lba_of[key], payload(key))
-            stored.add(key)
-        except ReproError:
-            counts["write_failures"] += 1
-    if not dead():
-        try:
-            lane.flush()
-        except ReproError:
-            pass
-
-    for key in task["reads"]:
-        counts["read_ops"] += 1
-        # The lba map *is* this replica's per-key metadata: a key whose
-        # write never landed here reports a failed read (and the parent
-        # fails over), never a silent read of unmapped zeroes.
-        if key not in stored or dead():
-            counts["read_failures"] += 1
-            failed_reads.append(key)
-            continue
+    def read(self, key: int) -> bool:
+        """Read and verify *key*; False when the read failed (a key
+        whose write never landed here fails too, never a silent read of
+        unmapped zeroes) and the caller fails over."""
+        self.counts["read_ops"] += 1
+        lba = self.lba_of.get(key)
         data = None
-        try:
-            data = lane.read(lba_of[key], 1)
-        except ReproError:
-            data = None
+        if lba is not None and not self.dead:
+            try:
+                data = self.lane.read(lba, 1)
+            except ReproError:
+                pass
         if data is None:
-            counts["read_failures"] += 1
-            failed_reads.append(key)
-        elif data == payload(key)[:sector_size]:
-            counts["reads_verified"] += 1
+            self.counts["read_failures"] += 1
+            return False
+        if data == self.payload(key)[:self.sector_size]:
+            self.counts["reads_verified"] += 1
         else:
-            counts["read_corruptions"] += 1
+            self.counts["read_corruptions"] += 1
+        return True
 
-    metrics: Dict[str, object] = dict(counts)
-    metrics["sim_seconds"] = round(stack.sim.now, 9)
-    metrics["events_processed"] = stack.sim.events_processed
-    if faults is not None:
-        metrics["media_ops"] = faults.stats.media_ops
-        metrics["power_cuts"] = faults.stats.power_cuts
-    return {
-        "shard": task["shard"],
-        "round": task["round"],
-        "metrics": metrics,
-        "registry": (stack.obs.metrics.dump()
-                     if stack.obs is not None else None),
-        "failed_reads": failed_reads,
-        "dead": dead(),
-        "wall_seconds": time.perf_counter() - started,
-    }
+    def metrics(self) -> Dict[str, object]:
+        metrics: Dict[str, object] = dict(self.counts)
+        metrics["sim_seconds"] = round(self.stack.sim.now, 9)
+        metrics["events_processed"] = self.stack.sim.events_processed
+        if self.faults is not None:
+            metrics["media_ops"] = self.faults.stats.media_ops
+            metrics["power_cuts"] = self.faults.stats.power_cuts
+        return metrics
 
 
 @dataclass
@@ -155,8 +136,6 @@ class ClusterResult:
     merged: Dict[str, object]
     #: Wall-clock facts (:data:`WALL_KEYS`) — honest, not deterministic.
     wall: Dict[str, object]
-    #: Raw per-shard worker results, by round then shard.
-    rounds: List[List[dict]] = field(default_factory=list)
 
     @property
     def reads_lost(self) -> int:
@@ -205,7 +184,7 @@ def _plan_keys(spec: ClusterSpec) -> Tuple[List[int], List[int]]:
 
 def run_cluster(spec: ClusterSpec,
                 trace_out: Optional[str] = None) -> ClusterResult:
-    """Route the workload, execute the shards, merge the results.
+    """Route the workload, run the shards, fail over, merge.
 
     With *trace_out*, the cluster-boundary workload (the routed key
     streams, before sharding) is written as a ``repro.trace`` file that
@@ -213,7 +192,6 @@ def run_cluster(spec: ClusterSpec,
     sharded one.
     """
     spec.validate()
-    shard_specs = [s.to_dict() for s in spec.shard_specs()]
     count = spec.num_shards
     router = build_router(spec.router, range(count),
                           replication=spec.replication,
@@ -221,7 +199,7 @@ def run_cluster(spec: ClusterSpec,
     workload = spec.workload
     write_keys, read_keys = _plan_keys(spec)
 
-    # -- plan: route every op in the parent ---------------------------------
+    # -- plan: route every op -----------------------------------------------
     replica_sets: Dict[int, Tuple[int, ...]] = {}
     writes_by_shard: List[List[int]] = [[] for __ in range(count)]
     for key in write_keys:
@@ -248,88 +226,66 @@ def run_cluster(spec: ClusterSpec,
                     meta={"cluster": spec.name,
                           "value_units": workload.value_units})
 
-    def task_for(shard: int, round_no: int, reads: List[int]) -> dict:
-        return {"shard": shard, "round": round_no,
-                "spec": shard_specs[shard],
-                "value_units": workload.value_units,
-                "writes": writes_by_shard[shard], "reads": reads}
-
-    # -- execute: round 0 plus failover retry rounds ------------------------
+    # -- execute: writes and primary reads, shard by shard ------------------
     started = time.perf_counter()
-    rounds = [[_run_shard(task_for(shard, 0, reads_by_shard[shard]))
-               for shard in range(count)]]
-    dead_shards = {r["shard"] for r in rounds[0] if r["dead"]}
-    pending: List[Tuple[int, int]] = [
-        (key, 1) for result in rounds[0]
-        for key in result["failed_reads"]]
-    failed_over = 0
-    lost = 0
-    round_no = 1
-    while pending:
-        batch: Dict[int, List[Tuple[int, int]]] = {}
-        for key, cursor in pending:
-            replicas = replica_sets[key]
-            while (cursor < len(replicas)
-                   and replicas[cursor] in dead_shards):
-                cursor += 1
-            if cursor >= len(replicas):
-                lost += 1
-                continue
-            batch.setdefault(replicas[cursor], []).append(
-                (key, cursor))
-        if not batch:
-            break
-        results = [_run_shard(task_for(shard, round_no,
-                                       [key for key, __ in batch[shard]]))
-                   for shard in sorted(batch)]
-        rounds.append(results)
-        pending = []
-        for result in results:
-            if result["dead"]:
-                dead_shards.add(result["shard"])
-            failed = set(result["failed_reads"])
-            for key, cursor in batch[result["shard"]]:
-                if key in failed:
-                    pending.append((key, cursor + 1))
-                else:
-                    failed_over += 1
-        round_no += 1
+    shards: List[_Shard] = []
+    failed: List[int] = []
+    for index, shard_spec in enumerate(spec.shard_specs()):
+        shard = _Shard(shard_spec, workload.value_units)
+        shards.append(shard)
+        for key in writes_by_shard[index]:
+            shard.write(key)
+        shard.flush()
+        for key in reads_by_shard[index]:
+            if not shard.read(key):
+                failed.append(key)
+
+    # -- fail over: each failed read to the next live replica ---------------
+    failed_over = lost = 0
+    for key in failed:
+        for replica in replica_sets[key][1:]:
+            target = shards[replica]
+            if not target.dead and target.read(key):
+                failed_over += 1
+                break
+        else:
+            lost += 1
     wall_seconds = time.perf_counter() - started
 
     # -- merge --------------------------------------------------------------
-    flat_results = [result for round_results in rounds
-                    for result in round_results]
-    merged = merge_shard_results(flat_results)
-    round0 = rounds[0]
+    merged: Dict[str, object] = {}
+    registry = MetricsRegistry()
+    per_shard = [shard.metrics() for shard in shards]
+    for index, (shard, metrics) in enumerate(zip(shards, per_shard)):
+        prefix = f"cluster.shard{index}."
+        merged.update((prefix + name, value)
+                      for name, value in metrics.items())
+        if shard.stack.obs is not None:
+            registry.merge(shard.stack.obs.metrics.dump(), prefix=prefix)
+    merged.update(registry.flat())
+
+    def total(name: str) -> int:
+        return sum(metrics[name] for metrics in per_shard)
+
     merged["cluster.shards"] = count
     merged["cluster.replication"] = spec.replication
-    merged["cluster.rounds"] = len(rounds)
-    merged["cluster.writes_attempted"] = sum(
-        r["metrics"]["write_ops"] for r in round0)
-    merged["cluster.writes_failed"] = sum(
-        r["metrics"]["write_failures"] for r in round0)
+    merged["cluster.writes_attempted"] = total("write_ops")
+    merged["cluster.writes_failed"] = total("write_failures")
     merged["cluster.reads_attempted"] = len(read_keys)
-    merged["cluster.reads_verified_total"] = sum(
-        r["metrics"]["reads_verified"] for r in flat_results)
-    merged["cluster.read_corruptions_total"] = sum(
-        r["metrics"]["read_corruptions"] for r in flat_results)
+    merged["cluster.reads_verified_total"] = total("reads_verified")
+    merged["cluster.read_corruptions_total"] = total("read_corruptions")
     merged["cluster.reads_failed_over"] = failed_over
     merged["cluster.reads_lost"] = lost
-    merged["cluster.sim_seconds_total"] = round(
-        sum(r["metrics"]["sim_seconds"] for r in round0), 9)
+    merged["cluster.sim_seconds_total"] = round(total("sim_seconds"), 9)
     merged = dict(sorted(merged.items()))
 
-    total_ops = (merged["cluster.writes_attempted"]
-                 + merged["cluster.reads_attempted"])
+    total_ops = total("write_ops") + len(read_keys)
     wall = {
         "wall_seconds": round(wall_seconds, 3),
         "ops_per_sec": (round(total_ops / wall_seconds, 1)
                         if wall_seconds else 0.0),
-        "shard_wall_seconds_max": round(
-            max(r["wall_seconds"] for r in flat_results), 3),
     }
-    return ClusterResult(spec=spec, merged=merged, wall=wall,
-                         rounds=rounds)
+    return ClusterResult(spec=spec, merged=merged, wall=wall)
 
 
 def run_and_report_cluster(spec: ClusterSpec,

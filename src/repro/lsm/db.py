@@ -155,8 +155,7 @@ class DB:
         tables = sim.run_until(sim.spawn(env.list_tables_proc()))
         for handle, meta_blob in tables:
             meta = SSTableMeta.deserialize(meta_blob)
-            if hasattr(env, "set_block_sectors"):
-                env.set_block_sectors(handle, meta.block_size)
+            env.set_block_sectors(handle, meta.block_size)
             level = min(handle.level, config.max_levels - 1)
             db.levels[level].append(TableRef(handle=handle, meta=meta))
         for level_tables in db.levels:

@@ -95,6 +95,12 @@ class StorageEnv(abc.ABC):
         generic block FTL hides where an extent lives)."""
         return 1
 
+    def set_block_sectors(self, handle: SSTableHandle,
+                          block_size: int) -> None:
+        """Recovery hook: the DB hands over each recovered table's block
+        size once it has parsed the meta.  No-op where the env's reads
+        do not depend on it."""
+
     @abc.abstractmethod
     def read_meta_proc(self, handle: SSTableHandle):
         """Process generator returning the meta blob."""

@@ -166,6 +166,7 @@ class LightLSMStats:
     blocks_written: int = 0
     blocks_read: int = 0
     chunk_resets: int = 0
+    chunks_retired: int = 0     # erases that failed: grown bad blocks
 
 
 class LightLSMEnv(StorageEnv):
@@ -274,6 +275,8 @@ class LightLSMEnv(StorageEnv):
             self.stats.chunk_resets += 1
             if completion.ok:
                 self.free_pool[(key[0], key[1])].append(key)
+            else:
+                self._retire(key, completion)
         self.stats.tables_deleted += 1
 
     def list_tables_proc(self):
@@ -350,6 +353,7 @@ class LightLSMEnv(StorageEnv):
                 completion = yield from self.media.reset_proc(
                     descriptor.ppa)
                 if not completion.ok:
+                    self._retire(key, completion)
                     continue
             self.free_pool[(key[0], key[1])].append(key)
         return result
@@ -376,6 +380,14 @@ class LightLSMEnv(StorageEnv):
                 f"block_size {block_size} is not a multiple of the device "
                 f"write unit ({self.min_block_size} bytes) — §4.2: 'the "
                 "size of a RocksDB block must be a multiple of 96KB'")
+
+    def _retire(self, key: ChunkKey, completion) -> None:
+        """A failed erase: the chunk stays out of the free pool (a grown
+        bad block), on the record."""
+        self.stats.chunks_retired += 1
+        if self.sim.obs is not None:
+            self.sim.obs.error("lsm", "reset-failed",
+                               completion.error or str(key))
 
     def _layout(self, handle: SSTableHandle) -> _TableLayout:
         try:
@@ -543,5 +555,6 @@ class _LightLSMWriter(SSTableWriter):
             if info.write_pointer > 0:
                 completion = yield from env.media.reset_proc(Ppa(*key, 0))
                 if not completion.ok:
+                    env._retire(key, completion)
                     continue
             env.free_pool[(key[0], key[1])].append(key)

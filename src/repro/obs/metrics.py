@@ -195,8 +195,8 @@ class MetricsRegistry:
         Unlike :meth:`snapshot`, histograms carry their *samples* (not
         just summaries), so dumps merge losslessly: percentiles of the
         merged registry equal percentiles over the union of samples.
-        The shape is picklable/JSON-able — it is what cluster workers
-        ship back to the parent process.
+        The shape is picklable/JSON-able — it is how a cluster folds
+        each shard's registry in under its ``cluster.shard<i>.`` prefix.
         """
         out: Dict[str, dict] = {}
         for name in sorted(self._instruments):

@@ -19,7 +19,7 @@ Given the same spec, two builds produce event-for-event identical runs
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -115,7 +115,11 @@ def _resolve_timing(spec: StackSpec) -> Optional[NandTiming]:
         from repro.trace.calibrate import fit_profile, load_profile
         fitted = fit_profile(load_profile(t.profile), jitter=t.fit_jitter,
                              seed=t.seed)
-        base = fitted.timing
+        # Only the ops the profile measured; the rest stay the cell's.
+        base = replace(base,
+                       channel_bandwidth=fitted.timing.channel_bandwidth,
+                       **{f"{kind}_latency": latency
+                          for kind, latency in fitted.latencies.items()})
         if t.fit_jitter and not t.jitter_sigma:
             sigmas = {kind: fitted.sigmas.get(kind, 0.0)
                       for kind in sigmas}

@@ -4,6 +4,7 @@ flush, MANIFEST-less recovery, deletion-as-chunk-erases."""
 import pytest
 
 from repro.errors import OutOfSpaceError, ReproError
+from repro.faults import FaultInjector, FaultPlan
 from repro.lsm import (
     DB,
     DBConfig,
@@ -14,6 +15,7 @@ from repro.lsm import (
     VerticalPlacement,
 )
 from repro.nand import FlashGeometry
+from repro.obs import Obs
 from repro.ocssd import ChunkState, DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox import MediaManager
 from repro.units import KIB, MIB
@@ -123,6 +125,24 @@ class TestSSTableLifecycle:
                 device.sim.run_until(device.sim.spawn(
                     env.delete_table_proc(table.handle)))
         assert sum(len(q) for q in env.free_pool.values()) == free_before
+
+    def test_failed_erases_retire_chunks_on_the_record(self):
+        """A chunk whose erase fails stays out of the pool, and the env
+        says so: ``chunks_retired`` plus an ``lsm`` reset-failed error."""
+        device, __, env = make_env(groups=2, chunks=8)
+        obs = Obs().attach(device)
+        sim = device.sim
+        block = env.min_block_size
+        writer = sim.run_until(sim.spawn(env.create_writer_proc(1, 0, block)))
+        sim.run_until(sim.spawn(writer.append_block_proc(bytes(block))))
+        handle = sim.run_until(sim.spawn(writer.finish_proc(b"meta")))
+        free = sum(len(q) for q in env.free_pool.values())
+        FaultInjector(FaultPlan(erase_fail_prob=1.0)).attach(device)
+        sim.run_until(sim.spawn(env.delete_table_proc(handle)))
+        assert env.stats.chunk_resets == 5          # 4 data + 1 meta
+        assert env.stats.chunks_retired == 5
+        assert sum(len(q) for q in env.free_pool.values()) == free
+        assert obs.metrics.counter("lsm.errors.reset-failed").value == 5
 
 
 class TestManifestlessRecovery:

@@ -11,6 +11,7 @@ evaluation, builtin profiles, the obs-registry bridge), plus the
 """
 
 import copy
+import json
 
 import pytest
 
@@ -445,6 +446,22 @@ class TestTimingSpec:
             timing={"profile": "mlc-reference"}))
         assert timing.read_latency == pytest.approx(
             timing_for(CellType.MLC).read_latency, rel=0.05)
+
+    def test_partial_profile_keeps_the_device_cell_for_the_rest(
+            self, tmp_path):
+        """A reads-only profile on an SLC device sets the read latency;
+        program and erase stay SLC's, not the profile's TLC default."""
+        path = tmp_path / "reads-only.json"
+        path.write_text(json.dumps({
+            "format": "repro.timing_profile", "version": 1,
+            "ops": {"read": {"samples_s": [20e-6, 30e-6]}}}))
+        geometry = dict(HOST_SPEC["geometry"], cell="slc")
+        timing = device_timing(host_spec(geometry=geometry,
+                                         timing={"profile": str(path)}))
+        slc = timing_for(CellType.SLC)
+        assert timing.read_latency == pytest.approx(25e-6)
+        assert timing.program_latency == slc.program_latency
+        assert timing.erase_latency == slc.erase_latency
 
     def test_jitter_sigma_builds_sampled_timing(self):
         timing = device_timing(host_spec(
