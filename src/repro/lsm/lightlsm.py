@@ -528,9 +528,9 @@ class _LightLSMWriter(SSTableWriter):
             if not completion.ok:
                 raise ReproError(f"meta write failed: {completion.error}")
 
-        # Durability barrier, then the meta's last unit as the FUA commit
-        # unit.  Atomic flush: the table exists iff this unit does.
-        yield from env.media.flush_proc()
+        # Barrier on the table's own chunks, then the meta's last unit as
+        # the FUA commit unit.  Atomic flush: the table exists iff it does.
+        yield from env.media.flush_proc(layout.all_chunks)
         oob = [("sstcommit", layout.handle.sstable_id,
                 layout.handle.level, layout.sequence, meta_sectors,
                 layout.data_blocks, len(layout.chunks))
@@ -549,7 +549,7 @@ class _LightLSMWriter(SSTableWriter):
         layout = env._tables.pop(self.layout.handle.sstable_id, None)
         if layout is None:
             return
-        yield from env.media.flush_proc()
+        yield from env.media.flush_proc(layout.all_chunks)
         for key in layout.all_chunks:
             info = env.media.chunk_info(Ppa(*key, 0))
             if info.write_pointer > 0:

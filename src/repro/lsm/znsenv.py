@@ -80,7 +80,9 @@ class _ZnsWriter(SSTableWriter):
             yield from zns.finish_zone_proc(zone_id)
         # Durability barrier: the table is acknowledged only once its data
         # and meta are on NAND (the fsync a real engine would issue).
-        yield from zns.media.flush_proc()
+        yield from zns.media.flush_proc(
+            [key for zone_id in self.table.zones
+             for key in zns.zone(zone_id).chunks])
         handle = SSTableHandle(self.sstable_id, self.level)
         self.env._tables[self.sstable_id] = self.table
         return handle

@@ -17,8 +17,9 @@ exactly the §2.2 "asynchronous error reporting" contract.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import MediaError
 from repro.nand.chip import BlockState, FlashChip
@@ -95,8 +96,13 @@ class Controller:
         # priorities favor reads over erases.
         init_sidecar_slots(self, OBS_SLOT, QOS_SLOT)
         self._epoch = 0
-        self._pending_flush = 0
-        self._idle_waiters: List[object] = []
+        # Flush barrier: PU k's queue is FIFO, so its job n is on NAND once
+        # _programmed[k] >= n.  _last_job: a chunk's newest n; _waiters[k]:
+        # (n, [PUs left, event]) in n order.
+        self._admitted: Dict[PuKey, int] = dict.fromkeys(chips, 0)
+        self._programmed: Dict[PuKey, int] = dict.fromkeys(chips, 0)
+        self._last_job: Dict[Chunk, int] = {}
+        self._waiters: Dict[PuKey, list] = {key: [] for key in chips}
         self._flush_queues: Dict[PuKey, Store] = {}
         if write_back:
             for key in chips:
@@ -116,8 +122,10 @@ class Controller:
         self._epoch += 1
         if self.cache is not None:
             self.cache.drop_all()
-        self._pending_flush = 0
-        self._wake_idle_waiters()
+        # The dropped jobs count as done: every barrier is released.
+        self._programmed.update(self._admitted)
+        for key in self._waiters:
+            self._reach(key)
         for chunk in self.chunks.values():
             chunk.rollback_unflushed()
             # A chip advances its block's append point when the program is
@@ -191,7 +199,8 @@ class Controller:
                 if epoch != self._epoch:
                     return False
                 granted = reservation.value
-            self._pending_flush += 1
+            admitted = self._admitted[key] = self._admitted[key] + 1
+            self._last_job[chunk] = admitted
             self._flush_queues[key].put(_FlushJob(
                 epoch=epoch, chunk=chunk, chip=chip,
                 first_sector=first_sector, sectors=sectors,
@@ -205,9 +214,10 @@ class Controller:
 
         # Write-through (no cache, or FUA).  A FUA write behind cached
         # writes to the same chunk must not program out of order: wait for
-        # the earlier sectors to flush first.
+        # them (for all queued work while one of them is not queued yet).
         while chunk.flushed_pointer < first_sector:
-            yield from self.drain()
+            if not (yield from self.drain((chunk,))):
+                yield from self.drain()
             if epoch != self._epoch:
                 return False
         ok = yield from self._program(chunk, chip, first_sector, sectors,
@@ -240,9 +250,10 @@ class Controller:
                 obs.end(root, sectors=job.sectors)
             if job.epoch == self._epoch:
                 self.cache.release(job.granted)
-                self._pending_flush -= 1
-                if self._pending_flush == 0:
-                    self._wake_idle_waiters()
+                programmed = self._programmed[key] = self._programmed[key] + 1
+                waiters = self._waiters[key]
+                if waiters and waiters[0][0] <= programmed:
+                    self._reach(key)
 
     def _program(self, chunk: Chunk, chip: FlashChip, first_sector: int,
                  sectors: int, epoch: int, priority: int = 0, span=None):
@@ -428,16 +439,40 @@ class Controller:
 
     # -- flush barrier ----------------------------------------------------------------
 
-    def drain(self):
-        """Process generator: wait until every cached write has reached NAND
-        (the device-level flush / sync barrier)."""
-        while self._pending_flush > 0:
-            waiter = self.sim.event()
-            self._idle_waiters.append(waiter)
-            yield waiter
+    def drain(self, chunks=None):
+        """Process generator: the device flush.  Waits for every write
+        admitted before the call (to *chunks* only, when given) to reach
+        NAND, never for a later one.  Returns whether it had to wait."""
+        programmed, targets = self._programmed, {}
+        if chunks is None:
+            for key, count in self._admitted.items():
+                if count > programmed[key]:
+                    targets[key] = count
+        else:
+            for chunk in chunks:
+                key = self._ctx[chunk][3]
+                count = self._last_job.get(chunk, 0)
+                if count > max(programmed[key], targets.get(key, 0)):
+                    targets[key] = count
+        if not targets:
+            return False
+        barrier = [len(targets), self.sim.event()]
+        for key, count in targets.items():
+            if chunks is None:   # every PU's newest job: no entry after it
+                self._waiters[key].append((count, barrier))
+            else:
+                insort(self._waiters[key], (count, barrier),
+                       key=lambda entry: entry[0])
+        yield barrier[1]
         return True
 
-    def _wake_idle_waiters(self) -> None:
-        waiters, self._idle_waiters = self._idle_waiters, []
-        for waiter in waiters:
-            waiter.succeed()
+    def _reach(self, key: PuKey) -> None:
+        """Count down the barriers PU *key* has reached; wake finished ones."""
+        done = self._programmed[key]
+        waiters = self._waiters[key]
+        while waiters and waiters[0][0] <= done:
+            barrier = waiters[0][1]
+            del waiters[0]
+            barrier[0] -= 1
+            if barrier[0] == 0:
+                barrier[1].succeed()

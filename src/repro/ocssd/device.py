@@ -244,12 +244,15 @@ class OpenChannelSSD:
         return self.execute(VectorCopy(src=src, dst=dst, dst_oob=dst_oob))
 
     def flush(self) -> None:
-        """Synchronously drain the write-back cache to NAND."""
+        """Synchronous :meth:`flush_proc` over every chunk."""
         self.sim.run_until(self.sim.spawn(self.flush_proc()))
 
-    def flush_proc(self):
-        """Process generator: the durability barrier."""
-        yield from self.controller.drain()
+    def flush_proc(self, chunks=None):
+        """Process generator: the durability barrier (NVMe Flush): every
+        write admitted before it, or only to *chunks* (chunk keys)."""
+        if chunks is not None:
+            chunks = [self.chunks[key] for key in chunks]
+        yield from self.controller.drain(chunks)
 
     def crash_volatile(self) -> None:
         """Power-fail / controller-kill: lose everything volatile."""

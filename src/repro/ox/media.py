@@ -101,8 +101,8 @@ class MediaManager:
                        tenant=self.tenant),
             parent=parent)
 
-    def flush_proc(self):
-        return self.device.flush_proc()
+    def flush_proc(self, chunks=None):
+        return self.device.flush_proc(chunks)
 
     # -- synchronous API ----------------------------------------------------------
 

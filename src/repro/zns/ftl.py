@@ -222,7 +222,7 @@ class OXZns:
         span = None
         if obs is not None:
             span = obs.begin("zns", "reset")
-        yield from self.media.flush_proc()
+        yield from self.media.flush_proc(zone.chunks)
         # A zone's chunks sit on different PUs and nothing orders their
         # erases: issue them together.
         completions = yield from self.media.reset_dirty_proc(
@@ -254,7 +254,7 @@ class OXZns:
         if zone.state is ZoneState.OFFLINE:
             raise ZoneError(f"finish of offline zone {zone_id}")
         was_open = zone.state is ZoneState.OPEN
-        yield from self.media.flush_proc()
+        yield from self.media.flush_proc(zone.chunks)
         zone.finish()
         if was_open:
             self._open_count -= 1

@@ -271,6 +271,37 @@ class TestManifestlessRecovery:
                    for chunk in layout.all_chunks if chunk[0] >= 0)
         assert free + live == env2.geometry.total_chunks
 
+    def test_finished_table_survives_a_cut_beside_a_cached_one(self):
+        """Table A's barrier covers A's chunks and nothing admitted after
+        it: a cut right after A's finish, with table B's blocks still in
+        the cache, keeps A whole and B never existed."""
+        device, __, env = make_env(pages=24)
+        sim, block = device.sim, 96 * KIB
+        writer_b = sim.run_until(sim.spawn(
+            env.create_writer_proc(2, 0, block)))
+        stop = []
+
+        def table_b():
+            while not stop:
+                yield from writer_b.append_block_proc(b"\x0b" * block)
+
+        writing = sim.spawn(table_b())
+        handle = sim.run_until(sim.spawn(
+            self.write_table_proc(env, 1, b"meta-a")))
+        stop.append(True)
+        sim.run_until(writing)
+        assert any(device.chunks[key].flushed_pointer
+                   < device.chunks[key].write_pointer
+                   for key in env._tables[2].chunks)
+        device.crash_volatile()
+        env2 = LightLSMEnv(MediaManager(device), HorizontalPlacement())
+        tables = sim.run_until(sim.spawn(env2.list_tables_proc()))
+        assert [(h.sstable_id, blob[:6]) for h, blob in tables] \
+            == [(1, b"meta-a")]
+        env2.set_block_sectors(handle, block)
+        assert sim.run_until(sim.spawn(
+            env2.read_block_proc(handle, 0, block))) == b"\x03" * block
+
 
 class TestDbBenchSmoke:
     def test_three_workloads_ordering(self):

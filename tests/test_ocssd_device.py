@@ -236,6 +236,110 @@ class TestCrashSemantics:
         assert device.chunk_info(ppas[0]).write_pointer == len(ppas)
 
 
+class TestFlushBarrier:
+    """The device flush covers the writes admitted to the cache before it
+    (an NVMe Flush), and only the named chunks' when scoped."""
+
+    @staticmethod
+    def fill_pu(device, group):
+        """Process generator: write every chunk of PU (group, 0), unit by
+        unit, each write once the previous one is admitted."""
+        ws = device.geometry.ws_min
+        units = device.geometry.sectors_per_chunk // ws
+        for chunk in range(device.geometry.chunks_per_pu):
+            for unit in range(units):
+                completion = yield from device.submit(VectorWrite(
+                    ppas=seq_ppas(device, group=group, chunk=chunk,
+                                  start=unit * ws),
+                    data=unit_payloads(device)))
+                assert completion.ok
+
+    def pending(self, device, group):
+        return [key for key, chunk in device.chunks.items()
+                if key[0] == group
+                and chunk.flushed_pointer < chunk.write_pointer]
+
+    def test_barrier_does_not_wait_for_later_writes(self):
+        """A barrier that waited for an idle cache would also wait for
+        every write the sustained writer admits after it."""
+        device = tiny_device()
+        sim = device.sim
+        ws = device.geometry.ws_min
+        device.write(seq_ppas(device), unit_payloads(device))
+        sim.spawn(self.fill_pu(device, 1))
+        sim.run_until(sim.spawn(device.flush_proc()))
+        assert device.chunks[(0, 0, 0)].flushed_pointer == ws
+        assert self.pending(device, 1)   # admitted after: still cached
+        device.flush()
+        assert not self.pending(device, 1)
+
+    def test_scoped_barrier_skips_other_chunks(self):
+        device = tiny_device()
+        sim = device.sim
+        sim.run_until(sim.spawn(self.fill_pu(device, 1)))  # admitted first
+        device.write(seq_ppas(device), unit_payloads(device))
+        sim.run_until(sim.spawn(device.flush_proc(chunks=[(0, 0, 0)])))
+        assert device.chunks[(0, 0, 0)].flushed_pointer \
+            == device.geometry.ws_min
+        assert self.pending(device, 1)
+
+    def test_crash_releases_a_waiting_barrier(self):
+        device = tiny_device()
+        sim = device.sim
+        ws = device.geometry.ws_min
+        sim.run_until(sim.spawn(self.fill_pu(device, 0)))
+        barrier = sim.spawn(device.flush_proc())
+        sim.run(until=sim.now + 1e-6)
+        assert barrier.is_alive
+        device.crash_volatile()
+        cut = sim.now
+        sim.run_until(barrier)
+        assert sim.now == cut
+        # The next epoch's barrier waits for exactly its own write.
+        key = next(key for key, chunk in device.chunks.items()
+                   if key[0] == 0 and chunk.write_pointer < 2 * ws)
+        start = device.chunks[key].write_pointer
+        device.write(seq_ppas(device, *key, start=start),
+                     unit_payloads(device))
+        assert device.chunks[key].flushed_pointer == start
+        device.flush()
+        assert device.chunks[key].flushed_pointer == start + ws
+        assert not self.pending(device, 0)
+
+    def test_fua_write_programs_behind_its_chunks_cached_writes(self):
+        device = tiny_device()
+        sim = device.sim
+        ws = device.geometry.ws_min
+        sim.spawn(self.fill_pu(device, 1))
+        device.write(seq_ppas(device), numbered(device, ws))
+        completion = device.write(seq_ppas(device, start=ws),
+                                  numbered(device, ws, base=ws), fua=True)
+        assert completion.ok
+        assert device.chunks[(0, 0, 0)].flushed_pointer == 2 * ws
+        assert self.pending(device, 1)   # other chunks' writes not waited
+        device.crash_volatile()
+        read = device.read(seq_ppas(device, count=2 * ws))
+        assert b"".join(read.data) == numbered(device, 2 * ws)
+
+    def test_fua_write_behind_a_write_still_waiting_for_cache(self):
+        """With a one-unit cache the FUA write's predecessor on its chunk
+        is not queued yet when the FUA write arrives: it waits for the
+        queued work that holds the cache, then for the predecessor."""
+        device = tiny_device(cache_sectors=tiny_device().geometry.ws_min)
+        sim = device.sim
+        ws = device.geometry.ws_min
+        device.write(seq_ppas(device, pu=1), unit_payloads(device))
+        first = sim.spawn(device.submit(VectorWrite(
+            ppas=seq_ppas(device), data=numbered(device, ws))))
+        fua = sim.spawn(device.submit(VectorWrite(
+            ppas=seq_ppas(device, start=ws), data=numbered(device, ws, ws),
+            fua=True)))
+        assert sim.run_until(fua).ok and sim.run_until(first).ok
+        assert device.chunks[(0, 0, 0)].flushed_pointer == 2 * ws
+        read = device.read(seq_ppas(device, count=2 * ws))
+        assert b"".join(read.data) == numbered(device, 2 * ws)
+
+
 class TestTimingModel:
     def test_write_back_write_is_faster_than_write_through(self):
         wb = tiny_device(write_back=True)

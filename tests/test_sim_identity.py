@@ -531,14 +531,16 @@ GOLDEN = {'eleos_llama': {'now': 0.9119875000000031,
  # The single-daemon LSM engine (0.60142025 s / 27861 events, 96
  # slowdown puts and 13 compactions from before the concurrency plane
  # until compactions read each input at its table's width and a LightLSM
- # table committed in its meta's last unit).
- 'lsm_default_fill': {'sim_seconds': 0.39976075,
-                      'events_processed': 27498,
-                      'put_latency_digest': '2071effb05034988',
-                      'stall_seconds': 0.981037,
-                      'slowdown_puts': 0,
+ # table committed in its meta's last unit; 0.39976075 s / 27498 events,
+ # 0 slowdown puts and 15 compactions until a table's durability barrier
+ # waited only for its own chunks' earlier writes).
+ 'lsm_default_fill': {'sim_seconds': 0.34803575,
+                      'events_processed': 27284,
+                      'put_latency_digest': '70b2b37f94c2bfff',
+                      'stall_seconds': 0.901337,
+                      'slowdown_puts': 4,
                       'flushes': 24,
-                      'compactions': 15},
+                      'compactions': 14},
  # The LSM data plane before it went block-wise (captured at ea53b43;
  # lsm_zns_scan again when a zone's chunks began to be erased together,
  # 0.79943225 s before, when zone ids began to rotate groups and a
@@ -546,21 +548,24 @@ GOLDEN = {'eleos_llama': {'now': 0.9119875000000031,
  # before, and when compactions began to read a zone wide, 0.46361175 s /
  # 26927 events before: its scans beside overwrites see a state that
  # moves with the clock, the final one is checked against the put/delete
- # model).
- 'lsm_zns_scan': {'sim_seconds': 0.4436535,
-                  'events_processed': 27330,
-                  'written_sha256': '83beb19d7b74987e',
-                  'delivered_sha256': '743cf1c34072e21f',
+ # model; 0.4436535 s / 27330 events, 34 tables and 9 compactions until
+ # zone finish, zone reset and table flush waited only for their own
+ # chunks' earlier writes).
+ 'lsm_zns_scan': {'sim_seconds': 0.40304425,
+                  'events_processed': 27154,
+                  'written_sha256': '692ae5a2ae3947f3',
+                  'delivered_sha256': 'd30db72c990e7c5c',
                   'blocks_read': 0,
-                  'tables_written': 34,
+                  'tables_written': 32,
                   'flushes': 17,
-                  'compactions': 9},
+                  'compactions': 8},
  # lsm_lightlsm_get: 0.394306875 s / 20844 events, 17 tables and 6
  # compactions until the width-wide compaction reads and the one-unit
- # commit; every get is now checked against the put/delete model.
- 'lsm_lightlsm_get': {'sim_seconds': 0.293477,
-                      'events_processed': 20506,
-                      'written_sha256': '5b87153307f57074',
+ # commit; 0.293477 s / 20506 events until the chunk-scoped table
+ # barrier.  Every get is checked against the put/delete model.
+ 'lsm_lightlsm_get': {'sim_seconds': 0.285602,
+                      'events_processed': 20482,
+                      'written_sha256': 'b5727ee6f0a906bb',
                       'delivered_sha256': 'bd801945e12144b2',
                       'blocks_read': 1081,
                       'tables_written': 15,

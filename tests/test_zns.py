@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ZoneError
 from repro.nand import FlashGeometry
-from repro.ocssd import DeviceGeometry, OpenChannelSSD
+from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox import MediaManager
 from repro.zns import OXZns, Zone, ZoneState, ZnsConfig
 
@@ -242,3 +242,32 @@ class TestFinishZone:
         zns.zone(0).retire()
         with pytest.raises(ZoneError, match="offline"):
             zns.finish_zone(0)
+
+    def test_finished_zone_survives_a_cut_beside_cached_appends(self):
+        """A finish covers its own zone's chunks and nothing admitted
+        after it: zone 2 shares zone 0's PUs and keeps appending; a cut
+        right after zone 0's finish keeps zone 0 and loses zone 2's
+        cached tail."""
+        device, zns = make_zns(pages=24)
+        sim, ws = device.sim, device.geometry.ws_min
+        a, b = zns.zone(0), zns.zone(2)
+        assert {key[:2] for key in a.chunks} == {key[:2] for key in b.chunks}
+        stop = []
+
+        def append_b():
+            while not stop and b.remaining >= ws:
+                yield from zns.append_proc(2, b"b" * SS * ws)
+
+        def finish_a():
+            yield from zns.append_proc(0, b"a" * SS * 2)
+            yield from zns.finish_zone_proc(0)
+
+        writing = sim.spawn(append_b())
+        sim.run_until(sim.spawn(finish_a()))
+        stop.append(True)
+        sim.run_until(writing)
+        device.crash_volatile()
+        assert zns.read(a.start_lba, 2) == b"a" * SS * 2
+        durable = sum(device.chunk_info(Ppa(*key, 0)).write_pointer
+                      for key in b.chunks)
+        assert durable < b.write_pointer
