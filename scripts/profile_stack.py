@@ -19,13 +19,12 @@ the wall time actually goes, twice over:
 ``--ledger W --sim`` asks the other clock: the workload runs with
 ``repro.obs`` attached (``workload.spec(seed, obs=True)``, the ledger's
 own sim-clock pass; tracing does not move the sim clock) and the spans
-its timed phase began are folded per ``(layer, name)`` by
-:func:`repro.obs.report.attribute`: simulated seconds, share of the
-timed phase and entries.  Seconds are inclusive — instances that run
-side by side each count in full.  ``--tree PATH`` profiles another
-checkout (a clone of the parent commit, say) and ``--append`` adds the
-report to the results file instead of replacing it, so one file carries
-both sides of an A/B.
+its timed phase began are folded per ``(layer, name)`` by one
+:func:`repro.obs.report.attribute` call: inclusive and critical-path
+simulated seconds, the critical share of the roots' total, and entries.
+``--tree PATH`` profiles another checkout (a clone of the parent
+commit, say) and ``--append`` adds the report to the results file
+instead of replacing it, so one file carries both sides of an A/B.
 
 ``--sample`` swaps cProfile for a SIGPROF sampler (1 kHz of CPU time):
 cProfile's per-call cost inflates call-heavy Python and charges C-level
@@ -194,27 +193,32 @@ def sim_table(name: str, scale: str = "full"):
     the :func:`repro.obs.report.attribute` of the spans it began."""
     from repro.obs.report import attribute
     stack, run = ledger_run(name, obs=True, scale=scale)
-    first = len(stack.obs.tracer.spans)
+    tracer = stack.obs.tracer
+    first = len(tracer.spans)
     metrics = run()
-    return metrics, attribute(stack.obs.tracer.spans[first:])
+    metrics["spans_dropped"] = tracer.dropped
+    return metrics, attribute(tracer.spans[first:])
 
 
 def format_sim_report(name: str, tree: str, metrics: dict, table) -> str:
     import subprocess
     from repro.benchhelpers import git_sha
-    total = metrics["sim_seconds"] or 1.0
+    total = table.root_total or 1.0
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"],
                            cwd=tree, capture_output=True).stdout.strip()
     where = (f"{'this tree' if tree == REPO_ROOT else tree}, "
              f"{git_sha(tree)}{' + uncommitted src/ changes' if dirty else ''}")
     lines = [f"Sim-time split: {name} ({where})", "",
              *(f"  {key:>18s} = {value}" for key, value in metrics.items()),
-             "", f"  {'simulated s':>12s} {'share':>6s} {'entries':>8s}  "
-                 "layer/span",
-             *(f"  {row.total:12.3f} {100.0 * row.total / total:5.1f}% "
+             f"  {'root seconds':>18s} = {table.root_total:.6f}",
+             "", f"  {'inclusive s':>12s} {'critical s':>11s} {'share':>6s} "
+                 f"{'entries':>8s}  layer/span",
+             *(f"  {row.total:12.3f} {row.exclusive:11.3f} "
+               f"{100.0 * row.exclusive / total:5.1f}% "
                f"{row.spans:8d}  {layer}/{span}"
                for (layer, span), row in sorted(
-                   table.names.items(), key=lambda item: -item[1].total))]
+                   table.names.items(),
+                   key=lambda item: (-item[1].exclusive, -item[1].total)))]
     return "\n".join(lines)
 
 
@@ -231,8 +235,9 @@ def main(argv=None) -> int:
     parser.add_argument("--sample", action="store_true",
                         help="SIGPROF sampling at 1 kHz instead of cProfile")
     parser.add_argument("--sim", action="store_true",
-                        help="with --ledger: simulated seconds per "
-                             "(layer, span) from a traced run")
+                        help="with --ledger: inclusive and critical-path "
+                             "simulated seconds per (layer, span) from a "
+                             "traced run")
     parser.add_argument("--tree", default=REPO_ROOT, metavar="PATH",
                         help="profile the src/ and benchmarks/ of another "
                              "checkout (default: this one)")

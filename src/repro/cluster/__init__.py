@@ -11,8 +11,6 @@ shards to metrics that are bit-identical run to run.
 writes the standard results files.
 """
 
-from repro.cluster.rebalance import (
-    Move, RebalancePlan, Rebalancer, assert_minimal)
 from repro.cluster.router import (
     HashRing, RangeRouter, build_router, key_point, stable_hash)
 from repro.cluster.runner import (
@@ -25,13 +23,9 @@ __all__ = [
     "ClusterSpec",
     "ClusterWorkloadSpec",
     "HashRing",
-    "Move",
     "RangeRouter",
-    "RebalancePlan",
-    "Rebalancer",
     "ROUTERS",
     "WALL_KEYS",
-    "assert_minimal",
     "build_router",
     "key_point",
     "payload_for",

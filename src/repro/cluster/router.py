@@ -1,10 +1,8 @@
 """Key routing across shards: consistent-hash ring and range router.
 
 Both routers answer one question — ``replicas(key)``: the R distinct
-shards a key lives on, primary first — and support shard add/remove
-with *minimal movement*: a membership change only re-homes keys whose
-replica set actually involves the added or removed shard (the property
-``tests/test_cluster.py`` asserts over seeded key populations).
+shards a key lives on, primary first.  Membership is fixed when the
+router is built.
 
 All hashing is :func:`stable_hash` (BLAKE2s, 64-bit).  The builtin
 ``hash()`` is process-salted and would silently break the
@@ -39,53 +37,30 @@ class HashRing:
 
     Each shard owns ``vnodes`` points on the ring; a key's replicas are
     the first R *distinct* shards at or clockwise of the key's point.
-    Adding a shard steals only the ranges its new points cover; removing
-    one hands its ranges to the existing successors — in both cases a
-    key's replica set changes only if it gains the added (or loses the
-    removed) shard.
     """
 
     def __init__(self, shard_ids: Iterable[int], vnodes: int = 64,
                  replication: int = 1):
         if vnodes < 1:
             raise ReproError(f"vnodes must be >= 1, got {vnodes}")
-        if replication < 1:
-            raise ReproError(
-                f"replication must be >= 1, got {replication}")
         self.vnodes = vnodes
         self.replication = replication
         self._points: List[Tuple[int, int]] = []   # sorted (point, shard)
-        self._shards: set = set()
+        shards: set = set()
         for shard_id in shard_ids:
-            self.add_shard(shard_id)
-
-    @property
-    def shards(self) -> frozenset:
-        return frozenset(self._shards)
-
-    def add_shard(self, shard_id: int) -> None:
-        if shard_id in self._shards:
-            raise ReproError(f"shard {shard_id} is already on the ring")
-        self._shards.add(shard_id)
-        for vnode in range(self.vnodes):
-            point = stable_hash(f"shard:{shard_id}:vnode:{vnode}")
-            bisect.insort(self._points, (point, shard_id))
-
-    def remove_shard(self, shard_id: int) -> None:
-        if shard_id not in self._shards:
-            raise ReproError(f"shard {shard_id} is not on the ring")
-        self._shards.remove(shard_id)
-        self._points = [(point, shard)
-                        for point, shard in self._points
-                        if shard != shard_id]
+            if shard_id in shards:
+                raise ReproError(f"shard {shard_id} is already on the ring")
+            shards.add(shard_id)
+            self._points.extend(
+                (stable_hash(f"shard:{shard_id}:vnode:{vnode}"), shard_id)
+                for vnode in range(vnodes))
+        self._points.sort()
+        self.shards = frozenset(shards)
+        _check_replication(replication, len(shards))
 
     def replicas(self, key: object) -> Tuple[int, ...]:
         """The R distinct shards for *key*, primary first."""
         count = self.replication
-        if count > len(self._shards):
-            raise ReproError(
-                f"replication {count} exceeds the {len(self._shards)} "
-                f"shard(s) on the ring")
         points = self._points
         index = bisect.bisect_right(points, (key_point(key), -1))
         found: List[int] = []
@@ -104,111 +79,44 @@ class HashRing:
 
 
 class RangeRouter:
-    """Contiguous hash ranges, one or more per shard.
+    """Contiguous hash ranges, one per shard.
 
-    The 64-bit space starts as an equal partition over the shards in id
-    order; a key's primary is the owner of the range containing its
-    point, and its further replicas are the owners of the next distinct
-    ranges clockwise (so replication survives range splits unchanged).
-    ``add_shard`` splits the largest range and hands the upper half to
-    the new shard — only keys in that half change primary; ``remove_shard``
-    merges each of the leaving shard's ranges into its predecessor.
+    The 64-bit space is an equal partition over the shards in the order
+    given; a key's primary is the owner of the range containing its
+    point, and its further replicas own the next ranges clockwise.
     """
 
     def __init__(self, shard_ids: Iterable[int], replication: int = 1):
         ids = list(shard_ids)
         if not ids:
             raise ReproError("a RangeRouter needs at least one shard")
-        if replication < 1:
-            raise ReproError(
-                f"replication must be >= 1, got {replication}")
+        if len(set(ids)) != len(ids):
+            raise ReproError(f"duplicate shard id in {ids}")
         self.replication = replication
         count = len(ids)
-        #: Parallel sorted lists: range *starts* and their owner shards;
-        #: range i spans [start[i], start[i+1]) circularly.
+        #: Range i spans [start[i], start[i+1]) and belongs to owner[i].
         self._starts: List[int] = [index * SPACE // count
                                    for index in range(count)]
-        self._owners: List[int] = list(ids)
-        self._shards: set = set(ids)
-
-    @property
-    def shards(self) -> frozenset:
-        return frozenset(self._shards)
-
-    def assignment(self) -> Tuple[Tuple[int, int], ...]:
-        """The current ``(range_start, owner_shard)`` table."""
-        return tuple(zip(self._starts, self._owners))
-
-    def _range_index(self, point: int) -> int:
-        return bisect.bisect_right(self._starts, point) - 1
+        self._owners: List[int] = ids
+        self.shards = frozenset(ids)
+        _check_replication(replication, count)
 
     def replicas(self, key: object) -> Tuple[int, ...]:
-        count = self.replication
-        if count > len(self._shards):
-            raise ReproError(
-                f"replication {count} exceeds the {len(self._shards)} "
-                f"live shard(s)")
         owners = self._owners
-        index = self._range_index(key_point(key))
-        found: List[int] = []
-        seen = set()
-        for step in range(len(owners)):
-            shard = owners[(index + step) % len(owners)]
-            if shard not in seen:
-                seen.add(shard)
-                found.append(shard)
-                if len(found) == count:
-                    break
-        return tuple(found)
+        index = bisect.bisect_right(self._starts, key_point(key)) - 1
+        return tuple(owners[(index + step) % len(owners)]
+                     for step in range(self.replication))
 
     def primary(self, key: object) -> int:
         return self.replicas(key)[0]
 
-    def add_shard(self, shard_id: int) -> Tuple[int, int]:
-        """Split the largest range; returns the ``[lo, hi)`` span moved
-        to the new shard (ties break on the lowest start, so splits are
-        deterministic)."""
-        if shard_id in self._shards:
-            raise ReproError(f"shard {shard_id} is already routed")
-        widths = [
-            (self._starts[(index + 1) % len(self._starts)]
-             - self._starts[index]) % SPACE or SPACE
-            for index in range(len(self._starts))]
-        largest = max(range(len(widths)), key=lambda i: (widths[i], -i))
-        lo = self._starts[largest]
-        width = widths[largest]
-        mid = (lo + width // 2) % SPACE
-        hi = (lo + width) % SPACE
-        self._starts.insert(largest + 1, mid)
-        self._owners.insert(largest + 1, shard_id)
-        self._shards.add(shard_id)
-        return (mid, hi)
 
-    def remove_shard(self, shard_id: int) -> None:
-        """Merge each of the shard's ranges into its predecessor."""
-        if shard_id not in self._shards:
-            raise ReproError(f"shard {shard_id} is not routed")
-        if len(self._shards) == 1:
-            raise ReproError("cannot remove the last shard")
-        self._shards.remove(shard_id)
-        keep_starts: List[int] = []
-        keep_owners: List[int] = []
-        for start, owner in zip(self._starts, self._owners):
-            if owner != shard_id:
-                keep_starts.append(start)
-                keep_owners.append(owner)
-        # A leaving shard's range merges into its predecessor simply by
-        # dropping its start boundary; the wrap-around range (a leaving
-        # shard owning the first range) falls to the last surviving
-        # owner automatically, because range 0 is reached via the
-        # circular scan from the final start.
-        if keep_starts[0] != 0:
-            # Keep the table anchored at 0 so lookups before the first
-            # kept start resolve to the (circular) last range's owner.
-            keep_starts.insert(0, 0)
-            keep_owners.insert(0, keep_owners[-1])
-        self._starts = keep_starts
-        self._owners = keep_owners
+def _check_replication(replication: int, shards: int) -> None:
+    if replication < 1:
+        raise ReproError(f"replication must be >= 1, got {replication}")
+    if replication > shards:
+        raise ReproError(f"replication {replication} exceeds the {shards} "
+                         f"shard(s) routed")
 
 
 def build_router(kind: str, shard_ids: Iterable[int], replication: int = 1,

@@ -13,8 +13,9 @@ subsystem makes that visible for any run:
 * Exporters — Chrome trace-event JSON (``chrome://tracing``/Perfetto)
   and a JSONL event log.
 * ``python -m repro.obs.report run.jsonl`` — the per-layer latency
-  attribution table, with the layer-sums-equal-end-to-end identity
-  checked.
+  attribution table: inclusive time and critical-path time, which splits
+  each root span along what gated it, so the layer rows sum to the
+  end-to-end root durations by construction (checked).
 """
 
 from repro.obs.export import (

@@ -8,7 +8,9 @@
   ``args`` so tooling can rebuild the tree from the exported file.
 * :func:`write_jsonl` / :func:`read_jsonl` round-trip the full event
   log (spans, instants, metric summaries) one JSON object per line —
-  the format ``python -m repro.obs.report`` consumes.
+  the format ``python -m repro.obs.report`` consumes.  Both readers
+  raise a :class:`~repro.errors.ReproError` naming the file, the line
+  (or event) and the field of a record they cannot use.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
+from repro.errors import ReproError
 from repro.obs.trace import Instant, Span, Tracer
 
 if TYPE_CHECKING:
@@ -105,28 +108,72 @@ def write_jsonl(obs: "Obs", path: str) -> str:
     return path
 
 
+def _open(path: str):
+    try:
+        return open(path, errors="replace")
+    except OSError as error:
+        raise ReproError(f"{path}: cannot read the trace "
+                         f"({error.strerror})") from None
+
+
+def _require(record: dict, key: str, where: str):
+    """``record[key]``, or a ReproError naming *where* and the field."""
+    if key not in record:
+        raise ReproError(f"{where}: missing field {key!r}")
+    return record[key]
+
+
+def _number(record: dict, key: str, where: str) -> float:
+    value = _require(record, key, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ReproError(f"{where}: field {key!r} is {value!r}, "
+                         f"not a number")
+    return value
+
+
+def _span(where: str, span_id, parent_id, layer, name, start: float,
+          end: Optional[float]) -> Span:
+    if end is not None and end < start:
+        raise ReproError(f"{where}: span ends at {end} before it starts "
+                         f"at {start}")
+    span = Span(span_id, parent_id, layer, name, start)
+    span.end = end
+    return span
+
+
 def read_jsonl(path: str) -> Tuple[List[Span], List[Instant], List[dict]]:
     """Parse a JSONL event log back into spans, instants and metric rows."""
     spans: List[Span] = []
     instants: List[Instant] = []
     metrics: List[dict] = []
-    with open(path) as handle:
-        for line in handle:
+    with _open(path) as handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            where = f"{path}:{number}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ReproError(f"{where}: not JSON ({error.msg})") from None
+            if not isinstance(record, dict):
+                raise ReproError(f"{where}: not a JSON object")
             kind = record.get("type")
             if kind == "span":
-                span = Span(record["id"], record.get("parent"),
-                            record["layer"], record["name"],
-                            record["start"])
-                span.end = record.get("end")
+                end = record.get("end")
+                span = _span(where, _require(record, "id", where),
+                             record.get("parent"),
+                             _require(record, "layer", where),
+                             _require(record, "name", where),
+                             _number(record, "start", where),
+                             None if end is None
+                             else _number(record, "end", where))
                 span.attrs = record.get("attrs")
                 spans.append(span)
             elif kind == "instant":
-                instants.append(Instant(record["layer"], record["name"],
-                                        record["time"],
+                instants.append(Instant(_require(record, "layer", where),
+                                        _require(record, "name", where),
+                                        _number(record, "time", where),
                                         record.get("attrs")))
             elif kind == "metric":
                 metrics.append(record)
@@ -135,18 +182,28 @@ def read_jsonl(path: str) -> Tuple[List[Span], List[Instant], List[dict]]:
 
 def spans_from_chrome(path: str) -> List[Span]:
     """Rebuild spans from an exported Chrome trace (ids live in args)."""
-    with open(path) as handle:
-        document = json.load(handle)
-    events = document["traceEvents"] if isinstance(document, dict) \
+    with _open(path) as handle:
+        try:
+            document = json.load(handle)
+        except json.JSONDecodeError as error:
+            raise ReproError(f"{path}:{error.lineno}: not JSON "
+                             f"({error.msg})") from None
+    events = document.get("traceEvents") if isinstance(document, dict) \
         else document
+    if not isinstance(events, list):
+        raise ReproError(f"{path}: no traceEvents list")
     spans: List[Span] = []
-    for event in events:
+    for index, event in enumerate(events):
+        where = f"{path}: traceEvents[{index}]"
+        if not isinstance(event, dict):
+            raise ReproError(f"{where}: not a JSON object")
         if event.get("ph") != "X":
             continue
-        args = event.get("args", {})
-        span = Span(args.get("span_id", 0), args.get("parent_id"),
-                    event.get("cat", "?"), event["name"],
-                    event["ts"] / _SECONDS_TO_US)
-        span.end = (event["ts"] + event["dur"]) / _SECONDS_TO_US
-        spans.append(span)
+        args = event.get("args") or {}
+        start = _number(event, "ts", where)
+        spans.append(_span(
+            where, args.get("span_id", 0), args.get("parent_id"),
+            event.get("cat", "?"), _require(event, "name", where),
+            start / _SECONDS_TO_US,
+            (start + _number(event, "dur", where)) / _SECONDS_TO_US))
     return spans

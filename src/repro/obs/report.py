@@ -5,18 +5,23 @@ by :func:`repro.obs.export.write_jsonl` (or, with ``--chrome``, a Chrome
 trace JSON) and prints one row per layer:
 
 * **spans** — finished spans recorded on the layer;
-* **total_s** — sum of span durations (inclusive of children);
-* **excl_s** — *exclusive* time: duration minus time covered by child
-  spans, i.e. the layer's own contribution.  Summed over all layers
-  this equals the summed duration of the root spans, which is the
-  consistency check the paper's §4.3 attribution figures rely on —
-  every simulated second of a traced command is claimed by exactly one
-  layer;
+* **total_s** — sum of span durations (inclusive of children, and of
+  instances that run side by side);
+* **excl_s** — *critical-path* time: each root's interval is split along
+  its critical path (what gated the root, layer by layer), and a span is
+  charged the stretches of that path none of its children covers.  It
+  is never negative, a span off the path gets 0, and summed over all
+  layers it equals the summed duration of the root spans by
+  construction — the consistency check the paper's §4.3 attribution
+  figures rely on: every simulated second of a traced command is
+  claimed by exactly one layer, the one it waited on;
 * **p50/p95/p99** — nearest-rank percentiles of span duration.
 
 The same computation is importable (:func:`attribute`) so tests and the
 ledger's ``obs.identity_ok`` row assert the sum identity instead of
-eyeballing the table.
+eyeballing the table.  A trace that cannot be read (missing file, a line
+that is not JSON, a span without a field or ending before it starts) is
+a one-line error and exit status 2.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.obs.metrics import percentile_of
 from repro.obs.trace import Span
 
@@ -62,41 +68,74 @@ class Attribution:
 
 def attribute(spans: List[Span]) -> Attribution:
     """Fold a span forest into per-layer (and per ``(layer, name)``)
-    inclusive/exclusive time.
+    inclusive and critical-path time.
 
-    Exclusive time is duration minus the duration of direct children;
-    each span is subtracted from exactly one parent, so layer exclusive
-    times sum to the root durations no matter how layers interleave.
-    (Children of an *unfinished* span are excluded from the forest —
-    they have no finished root to be consistent against.)
+    Each root is walked back from its end with a cursor: of the children
+    starting before the cursor, the one that ends last (ties: the one
+    traced first) gated the span from ``min(end, cursor)``, the gap after
+    that is the span's own, and the child is walked the same way on
+    ``[max(start, lo), min(end, cursor)]`` before the cursor moves to
+    that start.  What no child covers is the span's own, so exclusive
+    time is >= 0 and sums to the root durations by construction; a span
+    off the path charges 0.  (Children of an *unfinished* span are
+    excluded from the forest — they have no finished root to be
+    consistent against.)
     """
     finished = [span for span in spans if span.end is not None]
-    by_id = {span.span_id: span for span in finished}
-    child_time: Dict[int, float] = {}
-    rooted: List[Span] = []
-    for span in finished:
-        # Walk to the root; drop spans whose ancestry leaves the
-        # finished set (unfinished or unknown parent).
-        cursor = span
-        while cursor.parent_id is not None:
-            parent = by_id.get(cursor.parent_id)
-            if parent is None:
-                break
-            cursor = parent
+    children: Dict[int, List[int]] = {}
+    work: List[Tuple[int, float, float]] = []
+    for index, span in enumerate(finished):
+        parent = span.parent_id
+        if parent is None:
+            work.append((index, span.start, span.end))
         else:
-            rooted.append(span)
-            if span.parent_id is not None:
-                child_time[span.parent_id] = \
-                    child_time.get(span.parent_id, 0.0) + span.duration
+            kids = children.get(parent)
+            if kids is None:
+                children[parent] = [index]
+            else:
+                kids.append(index)
+
+    # The walk, on an explicit stack: a span and the stretch of its
+    # parent's critical path it covers (empty when it is off the path).
+    exclusive: List[Optional[float]] = [None] * len(finished)
+    while work:
+        index, lo, hi = work.pop()
+        if exclusive[index] is not None:   # reached twice: duplicate ids
+            continue
+        kids = children.get(finished[index].span_id, ())
+        path: Dict[int, Tuple[float, float]] = {}
+        cursor = hi
+        own = 0.0
+        while cursor > lo:
+            best, best_end = -1, lo
+            for kid in kids:
+                span = finished[kid]
+                if span.start < cursor and span.end > best_end:
+                    best, best_end = kid, span.end
+            if best < 0:
+                break
+            end = best_end if best_end < cursor else cursor
+            own += cursor - end
+            start = finished[best].start
+            cursor = start if start > lo else lo
+            path[best] = (cursor, end)
+        exclusive[index] = own + cursor - lo if cursor > lo else own
+        for kid in kids:
+            start, end = path.get(kid, (0.0, 0.0))
+            if finished[kid].span_id in children:
+                work.append((kid, start, end))
+            else:   # a leaf settles here, without a trip through the stack
+                exclusive[kid] = end - start
 
     layers: Dict[str, LayerAttribution] = {}
     names: Dict[Tuple[str, str], LayerAttribution] = {}
     root_total = 0.0
     root_spans = 0
     exclusive_total = 0.0
-    for span in rooted:
-        duration = span.duration
-        exclusive = duration - child_time.get(span.span_id, 0.0)
+    for span, own in zip(finished, exclusive):
+        if own is None:
+            continue
+        duration = span.end - span.start
         for table, key in ((layers, span.layer),
                            (names, (span.layer, span.name))):
             row = table.get(key)
@@ -104,9 +143,9 @@ def attribute(spans: List[Span]) -> Attribution:
                 row = table[key] = LayerAttribution(span.layer)
             row.spans += 1
             row.total += duration
-            row.exclusive += exclusive
+            row.exclusive += own
             row.durations.append(duration)
-        exclusive_total += exclusive
+        exclusive_total += own
         if span.parent_id is None:
             root_total += duration
             root_spans += 1
@@ -152,12 +191,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="input is Chrome trace-event JSON")
     args = parser.parse_args(argv)
 
-    if args.chrome:
-        from repro.obs.export import spans_from_chrome
-        spans = spans_from_chrome(args.trace)
-    else:
-        from repro.obs.export import read_jsonl
-        spans, __, __ = read_jsonl(args.trace)
+    from repro.obs.export import read_jsonl, spans_from_chrome
+    try:
+        spans = (spans_from_chrome(args.trace) if args.chrome
+                 else read_jsonl(args.trace)[0])
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if not spans:
         print("no spans in trace", file=sys.stderr)
         return 1

@@ -1,12 +1,11 @@
-"""The cluster layer: spec, routers, rebalancer, runner.
+"""The cluster layer: spec, routers, runner.
 
 The load-bearing suites:
 
 * **Determinism** — the same ``ClusterSpec`` merges to bit-identical
   metrics run after run (the cluster's reproducibility contract).
 * **Router properties** — every key maps to exactly R distinct live
-  replicas; membership changes move only keys whose replica set
-  involves the added/removed shard (movement minimality).
+  replicas.
 * **Failover** — with R=2 and a power cut killing one shard, every
   read is still served, content-verified, by the surviving replica;
   with R=3, a cut on the replica serving the failover moves the rest
@@ -23,7 +22,7 @@ import pytest
 
 from repro.cluster import (
     WALL_KEYS, ClusterSpec, ClusterWorkloadSpec, HashRing, RangeRouter,
-    Rebalancer, assert_minimal, build_router, payload_for, run_cluster)
+    build_router, payload_for, run_cluster)
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 
@@ -127,62 +126,18 @@ def test_all_shards_receive_some_primaries(kind):
     assert primaries == set(range(4))
 
 
-@pytest.mark.parametrize("kind", ["hash", "range"])
-def test_add_shard_moves_only_keys_gaining_it(kind):
-    router = build_router(kind, range(4), replication=2, vnodes=32)
-    before = {key: router.replicas(key) for key in KEYS}
-    plan = Rebalancer(router).add_shard(4, KEYS)
-    after = {key: router.replicas(key) for key in KEYS}
-    assert_minimal(plan, before, after)
-    assert plan.moved_keys, "a new shard must take some keys"
-    # Far less than everything moves: the new shard owns ~1/5 of the
-    # space, so well under half the keys may see their set change.
-    assert plan.moved_fraction() < 0.5
-    for key in KEYS:
-        assert len(set(after[key])) == 2
-
-
-@pytest.mark.parametrize("kind", ["hash", "range"])
-def test_remove_shard_moves_only_its_former_keys(kind):
-    router = build_router(kind, range(4), replication=2, vnodes=32)
-    before = {key: router.replicas(key) for key in KEYS}
-    plan = Rebalancer(router).remove_shard(2, KEYS)
-    after = {key: router.replicas(key) for key in KEYS}
-    assert_minimal(plan, before, after)
-    for key in KEYS:
-        replicas = after[key]
-        assert 2 not in replicas
-        assert len(set(replicas)) == 2
-    # Re-replication never sources from the shard being retired when a
-    # surviving replica exists (it always does at R=2).
-    assert all(move.source != 2 for move in plan.moves)
-
-
-def test_duplicate_or_unknown_membership_changes_raise():
-    ring = HashRing(range(3), vnodes=8)
-    with pytest.raises(ReproError):
-        ring.add_shard(1)
-    with pytest.raises(ReproError):
-        ring.remove_shard(7)
-    router = RangeRouter(range(2))
-    with pytest.raises(ReproError):
-        router.remove_shard(0), router.remove_shard(1)
+def test_duplicate_shard_id_raises():
+    with pytest.raises(ReproError, match="shard 1"):
+        HashRing([0, 1, 2, 1], vnodes=8)
+    with pytest.raises(ReproError, match="duplicate"):
+        RangeRouter([0, 1, 1])
 
 
 def test_replication_beyond_live_shards_raises():
-    ring = HashRing(range(2), vnodes=8, replication=2)
-    ring.remove_shard(1)
     with pytest.raises(ReproError, match="replication"):
-        ring.replicas(11)
-
-
-def test_range_router_stays_anchored_after_first_shard_leaves():
-    router = RangeRouter(range(3), replication=1)
-    before = {key: router.replicas(key) for key in KEYS}
-    plan = Rebalancer(router).remove_shard(0, KEYS)
-    after = {key: router.replicas(key) for key in KEYS}
-    assert_minimal(plan, before, after)
-    assert {router.primary(key) for key in KEYS} == {1, 2}
+        HashRing([0], vnodes=8, replication=2).replicas(11)
+    with pytest.raises(ReproError, match="replication"):
+        RangeRouter([0, 1], replication=3).replicas(11)
 
 
 # -- registry merge --------------------------------------------------------

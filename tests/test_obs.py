@@ -10,6 +10,7 @@ to the end-to-end root durations, and both export formats round-trip.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.lsm import DB, DBConfig, HorizontalPlacement, LightLSMEnv
@@ -17,6 +18,7 @@ from repro.nand import FlashGeometry
 from repro.obs import (
     MetricsRegistry,
     Obs,
+    Span,
     Tracer,
     attribute,
     format_table,
@@ -313,6 +315,137 @@ class TestAttribution:
         assert "100.0%" in text
         assert "DRIFT" not in text
 
+    def test_side_by_side_children_split_along_the_critical_path(self):
+        """root ftl [0,10] > ocssd/read [1,6] > nand/read [2,3];
+        ocssd/write [4,8] beside it; nand/program [7,12] ends past the
+        root and is clipped; ocssd/flush [2,3] is off the path.  Walking
+        back from 10: program gates [7,10], write [4,7], read [1,4] (its
+        nand read [2,3] inside), and the root's own is [0,1]."""
+        tracer = make_tracer()
+        root = tracer.complete("ftl", "write", 0.0, 10.0)
+        read = tracer.complete("ocssd", "read", 1.0, 6.0, root)
+        tracer.complete("nand", "read", 2.0, 3.0, read)
+        tracer.complete("ocssd", "write", 4.0, 8.0, root)
+        tracer.complete("nand", "program", 7.0, 12.0, root)
+        tracer.complete("ocssd", "flush", 2.0, 3.0, root)
+        result = attribute(tracer.spans)
+        assert {layer: row.exclusive for layer, row
+                in result.layers.items()} == pytest.approx(
+            {"ftl": 1.0, "ocssd": 5.0, "nand": 4.0})
+        assert {key: row.exclusive for key, row
+                in result.names.items()} == pytest.approx({
+                    ("ftl", "write"): 1.0, ("ocssd", "read"): 2.0,
+                    ("nand", "read"): 1.0, ("ocssd", "write"): 3.0,
+                    ("nand", "program"): 3.0, ("ocssd", "flush"): 0.0})
+        # Inclusive time is untouched by the path.
+        assert result.names["nand", "program"].total == pytest.approx(5.0)
+        assert result.names["ocssd", "flush"].total == pytest.approx(1.0)
+        assert result.names["ocssd", "flush"].spans == 1
+        assert result.consistent
+
+    def test_ties_go_to_the_span_traced_first(self):
+        tracer = make_tracer()
+        root = tracer.complete("ftl", "write", 0.0, 4.0)
+        tracer.complete("ocssd", "write", 1.0, 4.0, root)
+        tracer.complete("nand", "program", 1.0, 4.0, root)
+        result = attribute(tracer.spans)
+        assert result.layers["ocssd"].exclusive == pytest.approx(3.0)
+        assert result.layers["nand"].exclusive == 0.0
+
+    def test_a_deep_chain_needs_no_recursion(self):
+        tracer = make_tracer()
+        parent = None
+        for depth in range(5000):
+            parent = tracer.complete("ftl", "step", depth, 10000.0, parent)
+        result = attribute(tracer.spans)
+        assert result.root_spans == 1 and result.consistent
+        assert result.layers["ftl"].exclusive == pytest.approx(10000.0)
+
+    def test_a_span_listed_as_its_own_parent_is_walked_once(self):
+        """Read back from a file, ids need not be unique (a Chrome event
+        without ``args`` gets id 0): the walk still ends."""
+        root = Span(0, None, "ftl", "write", 0.0)
+        child = Span(0, 0, "ocssd", "write", 1.0)
+        root.end, child.end = 4.0, 3.0
+        result = attribute([root, child])
+        assert result.root_total == pytest.approx(4.0)
+        assert result.layers["ocssd"].spans == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_forest_splits_without_going_negative(self, data):
+        """Children anywhere: side by side, escaping their parent,
+        unfinished, or under an unfinished parent."""
+        spans = []
+        for span_id in range(1, data.draw(st.integers(1, 25)) + 1):
+            parent = data.draw(st.none() | st.integers(0, span_id))
+            span = Span(span_id, parent or None,
+                        data.draw(st.sampled_from("abc")), "x",
+                        data.draw(st.integers(0, 40)) / 4)
+            if data.draw(st.integers(0, 9)):
+                span.end = span.start + data.draw(st.integers(0, 40)) / 4
+            spans.append(span)
+        result = attribute(spans)
+        rows = [*result.layers.values(), *result.names.values()]
+        assert all(row.exclusive >= 0 for row in rows)
+        assert sum(row.exclusive for row in result.layers.values()) \
+            == pytest.approx(result.root_total)
+        assert result.consistent
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_without_overlap_it_is_the_sum_of_children_fold(self, data):
+        """Where siblings never overlap, the critical path runs through
+        every child: the old duration-minus-children rule, kept here as
+        the oracle, gives the same numbers."""
+        tracer = make_tracer()
+
+        def grow(parent, lo, hi, depth):
+            points = sorted(data.draw(st.lists(st.integers(lo, hi),
+                                               max_size=6 if depth else 0)))
+            for start, end in zip(points[::2], points[1::2]):
+                span = tracer.complete(data.draw(st.sampled_from("abc")),
+                                       data.draw(st.sampled_from("xy")),
+                                       start / 8, end / 8, parent)
+                grow(span, start, end, depth - 1)
+
+        grow(None, 0, 200, 3)
+        result = attribute(tracer.spans)
+        layers, names = sum_of_children_fold(tracer.spans)
+        assert {layer: row.exclusive for layer, row
+                in result.layers.items()} == pytest.approx(layers)
+        assert {key: row.exclusive for key, row
+                in result.names.items()} == pytest.approx(names)
+
+
+def sum_of_children_fold(spans):
+    """The exclusive time rule before the critical-path fold: duration
+    minus the summed duration of direct children (it goes negative once
+    children run side by side).  Returns per-layer and per-name sums."""
+    finished = [span for span in spans if span.end is not None]
+    by_id = {span.span_id: span for span in finished}
+    child_time = {}
+    rooted = []
+    for span in finished:
+        cursor = span
+        while cursor.parent_id is not None:
+            parent = by_id.get(cursor.parent_id)
+            if parent is None:
+                break
+            cursor = parent
+        else:
+            rooted.append(span)
+            if span.parent_id is not None:
+                child_time[span.parent_id] = \
+                    child_time.get(span.parent_id, 0.0) + span.duration
+    layers, names = {}, {}
+    for span in rooted:
+        exclusive = span.duration - child_time.get(span.span_id, 0.0)
+        for table, key in ((layers, span.layer),
+                           (names, (span.layer, span.name))):
+            table[key] = table.get(key, 0.0) + exclusive
+    return layers, names
+
 
 class TestWiring:
     def test_attach_twice_raises(self):
@@ -432,6 +565,50 @@ class TestEndToEndBlock:
         with open(path, "w"):
             pass
         assert report_main([path]) == 1
+
+    SPAN = {"type": "span", "id": 1, "parent": None, "layer": "ftl",
+            "name": "write", "start": 0.0, "end": 1.0}
+
+    @pytest.mark.parametrize("line, says", [
+        (json.dumps({k: v for k, v in SPAN.items() if k != "layer"}),
+         "missing field 'layer'"),
+        ('{"type": "span", "id": 1', "not JSON"),
+        (json.dumps(dict(SPAN, end=-1.0)), "before it starts"),
+        (json.dumps(dict(SPAN, start="0")), "field 'start'"),
+        (json.dumps([SPAN]), "not a JSON object"),
+        (json.dumps({"type": "instant", "layer": "ftl", "name": "x"}),
+         "missing field 'time'"),
+    ])
+    def test_report_rejects_a_malformed_jsonl_line(self, tmp_path, capsys,
+                                                   line, says):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(self.SPAN) + "\n" + line + "\n")
+        assert report_main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: " in err and says in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("event, says", [
+        ({"ph": "X", "name": "w", "ts": 5.0, "dur": -2.0},
+         "before it starts"),
+        ({"ph": "X", "name": "w", "dur": 2.0}, "missing field 'ts'"),
+        ({"ph": "X", "ts": 5.0, "dur": 2.0}, "missing field 'name'"),
+    ])
+    def test_report_rejects_a_malformed_chrome_event(self, tmp_path, capsys,
+                                                     event, says):
+        path = tmp_path / "bad.json"
+        good = {"ph": "X", "name": "w", "ts": 0.0, "dur": 1.0}
+        path.write_text(json.dumps({"traceEvents": [good, event]}))
+        assert report_main([str(path), "--chrome"]) == 2
+        err = capsys.readouterr().err
+        assert "traceEvents[1]: " in err and says in err
+
+    @pytest.mark.parametrize("chrome", [[], ["--chrome"]])
+    def test_report_names_a_missing_file(self, tmp_path, capsys, chrome):
+        path = str(tmp_path / "absent.jsonl")
+        assert report_main([path, *chrome]) == 2
+        err = capsys.readouterr().err
+        assert path in err and len(err.strip().splitlines()) == 1
 
     def test_absorbed_chunk_retirement_surfaces(self):
         """Satellite: background error absorption shows up as obs events."""

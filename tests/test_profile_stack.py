@@ -1,5 +1,8 @@
 """Smoke test of ``scripts/profile_stack.py --sim``: the sim-time table of
 every ledger workload, at the ledger's smoke scale, built from spans alone.
+It is the ledger's per-layer ``sim_excl_s`` fold, so it pins what the
+ledger's traced rows rely on: no span dropped, no negative critical-path
+time, and the rows summing to the roots.
 """
 
 import importlib.util
@@ -46,7 +49,10 @@ def test_sim_table_is_the_span_fold(profile_stack, name):
     metrics, table = profile_stack.sim_table(name, "smoke")
     assert metrics["attempted"] > 0
     assert metrics["raised"] == metrics["mismatched"] == 0
+    assert metrics["spans_dropped"] == 0
     assert table.consistent and table.root_spans
+    assert min(row.exclusive for row in [*table.layers.values(),
+                                         *table.names.values()]) >= 0
     assert ROWS[name] <= set(table.names)
     text = profile_stack.format_sim_report(f"ledger_{name}", REPO_ROOT,
                                            metrics, table)

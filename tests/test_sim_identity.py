@@ -43,8 +43,10 @@ import zlib
 
 import pytest
 
+from repro.nand.chip import FlashGeometry
 from repro.ocssd.commands import VectorRead
 from repro.ocssd.device import OpenChannelSSD
+from repro.ocssd.geometry import DeviceGeometry
 from repro.ox.media import MediaManager
 from repro.stack import StackSpec, build_stack
 from repro.units import KIB, MIB
@@ -677,7 +679,8 @@ def test_reclaim_spans_ride_the_same_timeline(row):
     """The reclaim paths open spans (LLAMA over OX-ELEOS; the GC round's
     phases; checkpoint and WAL truncation) on the lines they run
     untraced: obs on, the row is its golden one, and the spans nest and
-    add up."""
+    add up.  The round's phases and the truncation's erases run side by
+    side, and no row's critical-path time goes negative."""
     from repro.obs import attribute, validate_nesting
     run, args, wanted = TRACED[row]
     stack, traced = run(*args, obs=True)
@@ -687,11 +690,58 @@ def test_reclaim_spans_ride_the_same_timeline(row):
     table = attribute(spans)
     assert table.consistent and not stack.obs.tracer.dropped
     assert wanted <= set(table.names)
+    _assert_no_negative_rows(table)
     # The GC round's phases are children of its collect span.
     by_id = {span.span_id: span for span in spans}
     assert all((by_id[span.parent_id].layer, by_id[span.parent_id].name)
                == ("ftl.gc", "collect") for span in spans
                if span.layer == "ftl.gc" and span.name != "collect")
+
+
+def _assert_no_negative_rows(table) -> None:
+    rows = {**table.layers, **table.names}
+    assert {key: row.exclusive for key, row in rows.items()
+            if row.exclusive < 0} == {}
+
+
+def test_a_zone_reset_join_splits_along_its_critical_path():
+    """An OX-ZNS table delete resets its zones in one ``sim.join_proc``,
+    and each zone's chunk erases run side by side: the erases overlap
+    inside every ``zns/reset`` span, and the fold charges none of them
+    twice."""
+    from repro.obs import Obs, attribute
+    from repro.lsm.znsenv import ZnsEnv
+    from repro.zns import OXZns, ZnsConfig
+    device = OpenChannelSSD(geometry=DeviceGeometry(
+        num_groups=4, pus_per_group=2,
+        flash=FlashGeometry(blocks_per_plane=8, pages_per_block=6)))
+    obs = Obs().attach(device)
+    zns = OXZns(MediaManager(device),
+                ZnsConfig(chunks_per_zone=4, max_open_zones=16))
+    env, sim = ZnsEnv(zns), device.sim
+    block = zns.zone_capacity * env.sector_size
+
+    def write_proc():
+        writer = yield from env.create_writer_proc(1, 0, block)
+        for index in range(3):
+            yield from writer.append_block_proc(bytes([index]) * block)
+        return (yield from writer.finish_proc(b"meta"))
+
+    handle = sim.run_until(sim.spawn(write_proc()))
+    first = len(obs.tracer.spans)
+    sim.run_until(sim.spawn(env.delete_table_proc(handle)))
+    spans = obs.tracer.spans[first:]
+    resets = [span for span in spans if (span.layer, span.name)
+              == ("zns", "reset")]
+    assert len(resets) == 4
+    # The zones' resets overlap each other, and inside each the erases do.
+    assert max(span.start for span in resets) \
+        < min(span.end for span in resets)
+    table = attribute(spans)
+    erases = table.names["ocssd", "reset"]
+    assert erases.total > sum(span.duration for span in resets)
+    assert table.consistent and not obs.tracer.dropped
+    _assert_no_negative_rows(table)
 
 
 if __name__ == "__main__":   # regenerate: PYTHONPATH=src python tests/test_sim_identity.py
