@@ -98,6 +98,9 @@ class CheckResult:
     #: Space reclaimed before the cut: chunks OX-Block's GC recycled,
     #: segments OX-ELEOS freed.
     gc_chunks_recycled: int = 0
+    #: OX-ELEOS chunk erases the cut found in flight (a free returns
+    #: before its erases finish).
+    erases_in_flight: int = 0
     txns_replayed: int = 0
     txns_dropped: int = 0
     probe_ran: bool = False
@@ -138,7 +141,8 @@ class _Shadow:
 class FtlOps:
     """How the checker drives and reads one FTL; a ``"free"`` trim slot
     reclaims space and unmaps nothing, *structure* yields what breaks
-    invariant A, *barriers* counts the ones the FTL ran on its own."""
+    invariant A, *barriers* counts the ones the FTL ran on its own,
+    *erasing* the erases it has in flight."""
 
     write: Callable[[object, int, bytes], object]
     read: Callable[[object, int], bytes]
@@ -148,6 +152,7 @@ class FtlOps:
     barriers: Callable[[object], int]
     reclaimed: Callable[[object], int]
     lost: Callable[[object], List[int]] = lambda ftl: []
+    erasing: Callable[[object], int] = lambda ftl: 0
     trim_kind: str = "trim"
     lbas: int = LBA_SPACE
 
@@ -232,7 +237,7 @@ FTL_OPS: Dict[str, FtlOps] = {
         flush=lambda ftl: ftl.media.flush(), structure=_eleos_structure,
         barriers=lambda ftl: ftl.stats.checkpoints + ftl.stats.segments_freed,
         reclaimed=lambda ftl: ftl.stats.segments_freed,
-        trim_kind="free", lbas=12),
+        erasing=lambda ftl: len(ftl._erasing), trim_kind="free", lbas=12),
 }
 
 #: The checker's stacks: small drives whose GC (or frees) and WAL-pressure
@@ -426,6 +431,7 @@ def run_crash_check(cfg: CheckConfig) -> CheckResult:
     if not injector.tripped:
         injector.power_cut()    # quiet system: cut at idle
     result.gc_chunks_recycled = ops.reclaimed(ftl)
+    result.erases_in_flight = ops.erasing(ftl)
     result.torn_chunks = injector.stats.torn_chunks
     result.programs_failed = injector.stats.programs_failed
     result.erases_failed = injector.stats.erases_failed

@@ -20,7 +20,8 @@ Design:
   unit of read, which is exactly the paper's point.
 * Space reclamation is host-driven, as in log-structured storage: the
   LLAMA-side cleaner re-appends live pages and then calls
-  :meth:`free_segment`; the FTL resets the segment's chunks.  There is no
+  :meth:`free_segment`; the FTL erases the segment's chunks behind the
+  cleaner, before an append takes one of them.  There is no
   FTL-internal GC, but the FTL owns segment liveness: every map update
   moves the page between the per-segment live sets the cleaner reads.
 * WAL + checkpoints give the same transactional guarantees as OX-Block:
@@ -34,13 +35,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import FTLError, OutOfSpaceError
+from repro.errors import FTLError, OutOfSpaceError, ReproError
 from repro.ocssd.address import Ppa, PpaRun
 from repro.ocssd.chunk import ChunkState
 from repro.ox.ftl import serial
 from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.recovery import RecoveryReport
 from repro.ox.media import MediaManager
+from repro.sim.core import Process
 from repro.sim.resources import Resource
 from repro.units import MIB
 
@@ -104,11 +106,17 @@ class OXEleos:
         self._live: Dict[int, Set[int]] = {}
         self._written: Dict[int, int] = {}
         self._chunk_segment: Dict[int, int] = {}
-        # Free chunks as one FIFO per PU, PUs in address order.
+        # Erased chunks as one FIFO per PU, PUs group-first ((0,0), (1,0),
+        # ..., (0,1), ...): the allocation cursor walks them in this order.
         self._free: Dict[Tuple[int, int], Deque[ChunkKey]] = {
-            pu: deque() for pu in self.geometry.iter_pus()}
+            pu: deque() for pu in sorted(self.geometry.iter_pus(),
+                                         key=lambda pu: pu[::-1])}
         for key in self.layout.data_chunk_keys():
             self._free[key[:2]].append(key)
+        self._rotation = list(self._free.values())
+        self._cursor = 0
+        # Freed chunks whose erase is still in flight -> the erase.
+        self._erasing: Dict[ChunkKey, Process] = {}
         self._next_segment_id = 1
         self._lock = Resource(self.sim, capacity=1, name="eleos-dispatch")
         self._alive = True
@@ -178,8 +186,8 @@ class OXEleos:
         return self._segment_at(entry.first_sector)
 
     def free_chunk_count(self) -> int:
-        """Chunks available to new segments."""
-        return sum(map(len, self._free.values()))
+        """Chunks available to new segments, erasing ones included."""
+        return sum(map(len, self._rotation)) + len(self._erasing)
 
     def offline_chunks(self) -> Set[ChunkKey]:
         """Data chunks the device reports offline: retired or failed."""
@@ -288,9 +296,11 @@ class OXEleos:
     def free_segment_proc(self, segment_id: int, parent=None):
         """Host-driven reclamation: the LSS cleaner guarantees every live
         page of the segment has been re-appended elsewhere, so a free costs
-        its erases, side by side.  SEGMENT_FREE is only buffered: it rides
-        the next WAL flush, ahead of any SEGMENT_NEW that could reuse these
-        chunks; if a crash takes it, recovery drops the empty segment."""
+        one device flush; the chunks' erases run behind it, side by side,
+        and only an append that finds no erased chunk waits for one.
+        SEGMENT_FREE is only buffered: it rides the next WAL flush, ahead
+        of any SEGMENT_NEW that could reuse these chunks; if a crash takes
+        it, recovery drops the empty segment."""
         self._check_alive()
         obs = self.obs
         span = obs.begin("ftl", "free", parent) if obs is not None else None
@@ -309,27 +319,41 @@ class OXEleos:
                                                   (segment_id,)))
             # The relocated copies are durable before the old ones go.
             yield from self.media.flush_proc()
-            yield from self.sim.join_proc(
-                [self._reset_chunk_proc(key, span) for key in chunks],
-                "eleos-free")
             self._drop_segment(segment_id)
+            for key in chunks:
+                self._erasing[key] = self.sim.spawn(
+                    self._reset_chunk_proc(key), "eleos-erase")
         finally:
             self._lock.release()
         self.stats.segments_freed += 1
         if obs is not None:
             obs.end(span, segment=segment_id)
 
-    def _reset_chunk_proc(self, key: ChunkKey, parent=None):
-        """Erase one chunk back into the free pool; a failed erase
-        retires it (a grown bad block)."""
-        completion = yield from self.media.reset_proc(Ppa(*key, 0),
-                                                      parent=parent)
-        if completion.ok:
+    def _reset_chunk_proc(self, key: ChunkKey):
+        """Erase one chunk back into the free pool, as its own root span;
+        a failed erase retires it (a grown bad block).  The erase is the
+        FTL's: a ReproError is absorbed and counted, and an instance that
+        crashed meanwhile books nothing."""
+        obs = self.obs
+        span = obs.begin("ftl", "erase") if obs is not None else None
+        try:
+            completion = yield from self.media.reset_proc(Ppa(*key, 0),
+                                                          parent=span)
+            failure = (None if completion.ok else
+                       ("reset-failed", completion.error or str(key)))
+        except ReproError as exc:
+            failure = ("erase-absorbed", str(exc))
+        self._erasing.pop(key, None)     # recovery's erases are not here
+        if obs is not None:
+            obs.end(span, chunk=key)
+        if not self._alive:
+            return
+        if failure is None:
             self._free[key[:2]].append(key)
             return
         self.stats.chunks_retired += 1
-        if self.obs is not None:
-            self.obs.error("ftl", "reset-failed", completion.error or str(key))
+        if obs is not None:
+            obs.error("ftl", *failure)
 
     # -- internals ----------------------------------------------------------------------
 
@@ -430,7 +454,7 @@ class OXEleos:
         sectors_needed += (-sectors_needed) % geometry.ws_min
         chunks_needed = -(-sectors_needed // geometry.sectors_per_chunk)
 
-        chunk_keys = self._allocate_chunks(chunks_needed)
+        chunk_keys = yield from self._allocate_chunks_proc(chunks_needed)
         segment_id = self._next_segment_id
         self._add_segment(segment_id, chunk_keys)
 
@@ -461,19 +485,27 @@ class OXEleos:
             entries.append((page_id, linear, offset, length))
         return segment_id, entries
 
-    def _allocate_chunks(self, count: int) -> List[ChunkKey]:
-        """Take *count* free chunks round-robin over the PUs (address
-        order, oldest-freed first within a PU) so the segment write
-        parallelizes."""
-        free = self.free_chunk_count()
-        if count > free:
-            raise OutOfSpaceError(
-                f"segment needs {count} chunks, {free} free")
+    def _allocate_chunks_proc(self, count: int):
+        """Take *count* erased chunks, one PU after another from where the
+        last segment stopped (group-first, oldest-freed first within a
+        PU), so a segment's chunks and consecutive segments land on
+        different channels.  Chunks still erasing count as free: short of
+        erased ones, wait for the oldest erase in flight."""
+        while True:
+            free = self.free_chunk_count()
+            if count > free:
+                raise OutOfSpaceError(
+                    f"segment needs {count} chunks, {free} free")
+            if count <= free - len(self._erasing):
+                break
+            yield next(iter(self._erasing.values()))
         chosen: List[ChunkKey] = []
+        rotation = self._rotation
         while len(chosen) < count:
-            for queue in self._free.values():
-                if queue and len(chosen) < count:
-                    chosen.append(queue.popleft())
+            queue = rotation[self._cursor]
+            self._cursor = (self._cursor + 1) % len(rotation)
+            if queue:
+                chosen.append(queue.popleft())
         return chosen
 
     # -- checkpoint / recovery ------------------------------------------------------------
@@ -557,8 +589,8 @@ class OXEleos:
                          for segment_id, live in self._live.items()}
 
         # Rebuild the free pool: anything not owned by a live segment and
-        # not reserved for metadata is free (resetting lazily on reuse).
-        for queue in self._free.values():
+        # not reserved for metadata is free, erased here if it holds data.
+        for queue in self._rotation:
             queue.clear()
         for key in self.layout.data_chunk_keys():
             if self._chunk_linear(key) in self._chunk_segment \

@@ -72,14 +72,15 @@ class TestPowerCutConsistency:
 
 
 class TestEleosPowerCutConsistency(TestPowerCutConsistency):
-    """Appends in flight at the cut, segments freed before it, torn
-    units, dropped txns, chunks retired by failed erases, and (media
-    seed 111) pages lost with a chunk whose cached program failed after
-    the ack: recovery used to keep them mapped into the offline chunk."""
+    """Appends in flight at the cut, segments freed before it, erases a
+    free left running when the cut came, torn units, dropped txns, chunks
+    retired by failed erases, and (media seed 111) pages lost with a
+    chunk whose cached program failed after the ack: recovery used to
+    keep them mapped into the offline chunk."""
 
     FTL = "eleos"
-    COVERED = ("gc_chunks_recycled", "torn_chunks", "erases_failed",
-               "txns_dropped", "lost_lbas")
+    COVERED = ("gc_chunks_recycled", "erases_in_flight", "torn_chunks",
+               "erases_failed", "txns_dropped", "lost_lbas")
     LBAS_CHECKED = 400      # its page ids are 0..11
 
 

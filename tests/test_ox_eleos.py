@@ -12,6 +12,7 @@ from repro.llama import LlamaConfig, LlamaEngine
 from repro.nand import FlashGeometry
 from repro.obs import Obs
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
+from repro.ocssd.address import Ppa
 from repro.ox import EleosConfig, MediaManager, OXEleos
 from repro.units import KIB, MIB
 from tests.cuts import cut_after, cut_during, cut_in
@@ -292,9 +293,11 @@ def test_no_append_outgrows_the_size_it_was_admitted_with(pages):
         assert ftl.read_page(100 + pages - 1) == b"p"
 
 
-# -- a free costs its erases: lazy SEGMENT_FREE, joined resets ---------------
+# -- a free costs its flush: lazy SEGMENT_FREE, erases behind it ------------
 
 def test_free_segment_flushes_no_wal_and_erases_side_by_side():
+    """The free lasts its device flush (nothing to drain here); its two
+    erases run behind it, side by side, one erase time in all."""
     device, __m, ftl, __c = make_stack()
     almost_chunk = device.geometry.chunk_size - 4096
     seg = ftl.append_buffer([(1, b"x" * almost_chunk),
@@ -304,13 +307,129 @@ def test_free_segment_flushes_no_wal_and_erases_side_by_side():
     device.flush()
     written, started = ftl.journal.wal.sectors_written, device.sim.now
     ftl.free_segment(seg)
+    assert device.sim.now == started
     assert ftl.journal.wal.sectors_written == written
     assert ftl.journal.wal._writer.frame_count() == 1  # buffered, not flushed
+    erases = list(ftl._erasing.values())
+    assert len(erases) == 2
+    device.sim.run_until(device.sim.all_of(erases))
     erase = device.chips[(0, 0)].timing.erase_time()
     assert device.sim.now - started == pytest.approx(erase, rel=0.05)
     # The record rides the next append's flush, ahead of its SEGMENT_NEW.
     ftl.append_buffer([(3, b"z")])
     assert ftl.journal.wal._writer.frame_count() == 0
+
+
+def test_one_chunk_segments_rotate_over_every_pu_group_first():
+    """At ea140c7 every allocation restarted at PU (0,0): one-chunk
+    segments piled onto group 0, beside the WAL ring and checkpoints."""
+    __, __m, ftl, __c = make_stack(groups=4, pus=4)
+    pus = [ftl.segments[ftl.append_buffer([(pid, b"p" * 100)])][0][:2]
+           for pid in range(16)]
+    assert len(set(pus)) == 16
+    groups = [group for group, __ in pus]
+    assert all(len(set(groups[i:i + 4])) == 4 for i in range(13))
+
+
+def test_free_returns_after_its_flush_and_before_its_erases():
+    """The free waits for the relocated copies to reach NAND, not for
+    the erase of the chunks it gives back."""
+    device, media, ftl, __c = make_stack()
+    sim = device.sim
+    size = device.geometry.chunk_size - 4096
+    old = ftl.append_buffer([(1, b"a" * size)])
+    media.flush()
+    ftl.append_buffer([(1, b"b" * size)])     # partly still in the cache
+    flushed = []
+    flush_proc = media.flush_proc
+
+    def timed_flush(*args):
+        yield from flush_proc(*args)
+        flushed.append(sim.now)
+    media.flush_proc = timed_flush
+    chunks, started = list(ftl.segments[old]), sim.now
+    free = ftl.free_chunk_count()
+    ftl.free_segment(old)
+    assert flushed == [sim.now] and sim.now > started
+    assert sorted(ftl._erasing) == chunks
+    assert ftl.free_chunk_count() == free + len(chunks)
+    sim.run_until(sim.all_of(list(ftl._erasing.values())))
+    for key in chunks:
+        assert media.chunk_info(Ppa(*key, 0)).write_pointer == 0
+        assert key in ftl._free[key[:2]]
+    assert ftl.free_chunk_count() == free + len(chunks)
+    assert ftl.read_page(1) == b"b" * size
+
+
+def test_an_append_on_a_pool_of_erasing_chunks_waits_for_one():
+    """Erasing chunks count as free: the append that finds none erased
+    waits for an erase instead of running out of space."""
+    device, __m, ftl, __c = make_stack(chunks=8)
+    while ftl.free_chunk_count():
+        ftl.append_buffer([(0, b"v" * 100)])
+    empty = [seg for seg in ftl.segments if not ftl.segment_live_pages(seg)]
+    for seg in empty:
+        ftl.free_segment(seg)
+    erasing = dict(ftl._erasing)
+    assert ftl.free_chunk_count() == len(erasing) == len(empty)
+    segment = ftl.append_buffer([(1, b"after the wait")])
+    key, = ftl.segments[segment]
+    assert erasing[key].processed
+    assert ftl.read_page(1) == b"after the wait"
+    assert list(space_problems(ftl)) == []
+
+
+@pytest.mark.parametrize("how", ["kill", "power cut"])
+def test_a_crash_with_an_erase_in_flight_conserves_space(how):
+    device, media, ftl, config = make_stack()
+    injector = (FaultInjector(FaultPlan()).attach(device)
+                if how == "power cut" else None)
+    old = ftl.append_buffer([(1, b"one" * 100), (2, b"two" * 100)])
+    ftl.append_buffer([(1, b"ONE" * 100), (2, b"TWO" * 100)])
+    ftl.append_buffer([(3, b"three" * 100)])
+    ftl.free_segment(old)
+    assert ftl._erasing
+    shadow = {pid: ftl.read_page(pid) for pid in (1, 2, 3)}
+    if injector is not None:
+        injector.power_cut()
+    recovered, __r = recover_after_cut(injector, ftl)
+    assert old not in recovered.segments and not recovered._erasing
+    assert list(space_problems(recovered)) == []
+    assert {pid: recovered.read_page(pid) for pid in shadow} == shadow
+    recovered.append_buffer([(4, b"four")])
+    assert recovered.read_page(4) == b"four"
+    assert list(space_problems(recovered)) == []
+
+
+def test_an_erase_that_raises_is_absorbed_and_counted():
+    """A deferred erase belongs to the FTL: its ReproError never reaches
+    the simulator as a failed process; the chunk leaves the pool until
+    recovery erases it again."""
+    geometry = DeviceGeometry(
+        num_groups=2, pus_per_group=2,
+        flash=FlashGeometry(blocks_per_plane=16, pages_per_block=12))
+    device = OpenChannelSSD(geometry=geometry)
+    obs = Obs().attach(device)
+    media = MediaManager(device)
+    config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=4,
+                         ckpt_chunks_per_slot=2)
+    ftl = OXEleos.format(media, config)
+    old = ftl.append_buffer([(1, b"v1")])
+    ftl.append_buffer([(1, b"v2")])
+    free = ftl.free_chunk_count()
+
+    def raising(ppa, parent=None):
+        raise ReproError(f"no reset for {ppa}")
+        yield
+    media.reset_proc = raising
+    ftl.free_segment(old)
+    device.sim.run()
+    assert obs.metrics.counter("ftl.errors.erase-absorbed").value == 1
+    assert ftl.stats.chunks_retired == 1 and ftl.free_chunk_count() == free
+    del media.reset_proc
+    recovered, __r = recover_after_cut(None, ftl)
+    assert recovered.free_chunk_count() == free + 1
+    assert recovered.read_page(1) == b"v2"
 
 
 def test_failed_erase_is_counted_and_reported():
@@ -389,12 +508,15 @@ def test_power_cut_at_each_step_of_a_clean(step):
         ftl.append_buffer_proc = cut_after(injector, ftl.append_buffer_proc)
     elif step == "free buffered":   # SEGMENT_FREE buffered, nothing erased
         media.flush_proc = cut_after(injector, media.flush_proc)
-    elif step == "erasing":         # 1 ms into the joined 3.5 ms erases
+    elif step == "erasing":         # 1 ms into the 3.5 ms erases
         media.reset_proc = cut_during(injector, media.reset_proc, 1e-3)
     try:
         engine.clean_once()     # with the power off it is a no-op or raises
     except ReproError:
         pass
+    if step in CLEAN_STEPS[2:]:     # the free returned before its erases
+        assert not injector.tripped and len(ftl._erasing) == 3
+        media.sim.run_until(media.sim.all_of(list(ftl._erasing.values())))
     assert injector.tripped == (step in CLEAN_STEPS[:3])
     if not injector.tripped:
         assert victim not in ftl.segments

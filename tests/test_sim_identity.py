@@ -419,9 +419,13 @@ def _lsm_lightlsm_get():
 # began to issue unordered device work together (PR 22: the sim clock
 # moved on purpose; CHANGES.md lists old -> new).  The three LSM rows were
 # regenerated when compactions began to read at their tables' width (each
-# row's comment keeps its old values).
-GOLDEN = {'eleos_llama': {'now': 0.9119875000000031,
-                 'events': 5158,
+# row's comment keeps its old values).  The two OX-ELEOS rows were
+# regenerated when its segments began to rotate over every PU and a free
+# stopped waiting for its erases (0.9119875 s / 5158 events, segments crc
+# 2939749507; metadata WAL sha 'a09718609be93db4', checkpoint sha
+# 'c7db583942724296' before).
+GOLDEN = {'eleos_llama': {'now': 0.7872203124999996,
+                 'events': 5283,
                  'eleos': {'buffers_appended': 85,
                            'pages_appended': 670,
                            'bytes_appended': 3424005,
@@ -437,7 +441,7 @@ GOLDEN = {'eleos_llama': {'now': 0.9119875000000031,
                            'consolidations': 86,
                            'segments_cleaned': 58,
                            'pages_relocated': 126},
-                 'segments_crc': 2939749507},
+                 'segments_crc': 1043689330},
  'greedy': {'now': 4.5727105468747355,
             'events': 14212,
             'gc': {'chunks_recycled': 332,
@@ -524,9 +528,9 @@ GOLDEN = {'eleos_llama': {'now': 0.9119875000000031,
  # The metadata plane's on-media bytes (metadata_eleos_llama: 3432 WAL
  # sectors until SEGMENT_FREE stopped paying for a flush of its own).
  'metadata_eleos_llama': {'wal_sectors': 2040,
-                          'wal_sha256': 'a09718609be93db4',
+                          'wal_sha256': '1508e4ec0c3c8169',
                           'ckpt_sectors': 432,
-                          'ckpt_sha256': 'c7db583942724296'},
+                          'ckpt_sha256': 'ab68c7580cded7d2'},
  # The default policies' perf_macro fingerprint (7.906991 s / 80150 events
  # until its checkpoints' slot chunks were erased and written side by side).
  'perf_macro': {'sim_seconds': 7.234094, 'events_processed': 80886},
@@ -665,8 +669,8 @@ def test_obs_rides_the_same_read_lane(host, monkeypatch):
 TRACED = {
     "eleos_llama": (_run_eleos_llama_clean_loop, (), {
         ("ftl", "append"), ("ftl", "read"), ("ftl", "free"),
-        ("ftl", "checkpoint"), ("llama", "flush"), ("llama", "read"),
-        ("llama", "clean"), ("ftl.wal", "truncate")}),
+        ("ftl", "checkpoint"), ("ftl", "erase"), ("llama", "flush"),
+        ("llama", "read"), ("llama", "clean"), ("ftl.wal", "truncate")}),
     "greedy": (_run_zipf_overwrite_gc, ("greedy",), {
         ("ftl", "checkpoint"), ("ftl.wal", "truncate"),
         ("ftl.gc", "collect"), ("ftl.gc", "scan"), ("ftl.gc", "copy"),
@@ -680,7 +684,8 @@ def test_reclaim_spans_ride_the_same_timeline(row):
     phases; checkpoint and WAL truncation) on the lines they run
     untraced: obs on, the row is its golden one, and the spans nest and
     add up.  The round's phases and the truncation's erases run side by
-    side, and no row's critical-path time goes negative."""
+    side, OX-ELEOS's erases outlive the frees that issued them, and no
+    row's critical-path time goes negative."""
     from repro.obs import attribute, validate_nesting
     run, args, wanted = TRACED[row]
     stack, traced = run(*args, obs=True)
@@ -696,6 +701,16 @@ def test_reclaim_spans_ride_the_same_timeline(row):
     assert all((by_id[span.parent_id].layer, by_id[span.parent_id].name)
                == ("ftl.gc", "collect") for span in spans
                if span.layer == "ftl.gc" and span.name != "collect")
+    # An OX-ELEOS erase is a root of its own: it starts as its free ends
+    # and runs on after it.
+    frees = {span.end for span in spans
+             if (span.layer, span.name) == ("ftl", "free")}
+    erases = [span for span in spans
+              if (span.layer, span.name) == ("ftl", "erase")]
+    assert bool(erases) == (row == "eleos_llama")
+    assert all(span.parent_id is None and span.start in frees
+               and (span.end is None or span.end > span.start)
+               for span in erases)
 
 
 def _assert_no_negative_rows(table) -> None:
