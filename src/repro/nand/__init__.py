@@ -15,7 +15,13 @@ from repro.nand.celltype import (
     unit_of_write_sectors,
 )
 from repro.nand.geometry import FlashGeometry
-from repro.nand.timing import NandTiming, SampledNandTiming, timing_for
+from repro.nand.timing import (
+    NandTiming,
+    SampledNandTiming,
+    builtin_profiles,
+    load_profile,
+    timing_for,
+)
 from repro.nand.chip import BlockState, FlashBlock, FlashChip
 from repro.nand.errors import WearModel
 
@@ -28,6 +34,8 @@ __all__ = [
     "FlashGeometry",
     "NandTiming",
     "SampledNandTiming",
+    "builtin_profiles",
+    "load_profile",
     "timing_for",
     "BlockState",
     "FlashBlock",

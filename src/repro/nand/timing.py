@@ -5,13 +5,24 @@ literature; what matters for the reproduction is the *ordering* (SLC fast,
 QLC slow; reads ≪ programs ≪ erases) and the read/program asymmetry that —
 combined with the controller's write-back cache — produces the write ≫ read
 throughput gap of Figure 5.
+
+A measured *timing profile* (:func:`load_profile`) carries per-op
+latency samples from a real device; its means, and the log-sample
+sigmas a :class:`SampledNandTiming` takes, replace a preset's values
+field by field (``StackSpec.timing.profile``).
 """
 
 from __future__ import annotations
 
+import json
+import math
+import os
 import random
+import sys
 from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
+from repro.errors import ReproError
 from repro.nand.celltype import CellType
 from repro.units import MIB, US
 
@@ -57,7 +68,7 @@ class SampledNandTiming(NandTiming):
     """A :class:`NandTiming` whose media latencies carry per-op jitter.
 
     Real chips do not serve every page in exactly t_R: measured profiles
-    (what :mod:`repro.trace.calibrate` fits) show a right-skewed spread.
+    (:func:`load_profile`) show a right-skewed spread.
     Each ``*_sigma`` is the sigma of a mean-preserving multiplicative
     log-normal — the base latency stays the *mean*, so throughput-level
     results match the deterministic model while individual ops vary.
@@ -114,3 +125,97 @@ _PRESETS = {
 def timing_for(cell: CellType) -> NandTiming:
     """The preset timing profile for *cell*."""
     return _PRESETS[cell]
+
+
+PROFILE_FORMAT = "repro.timing_profile"
+PROFILE_VERSION = 1
+#: The reference profiles, one per preset (log-normal draws around it).
+PROFILE_DIR = os.path.join(os.path.dirname(__file__), "profiles")
+
+
+def _positive(value) -> bool:
+    """A JSON number (not a bool) that is a positive finite float."""
+    return type(value) in (int, float) and 0 < value <= sys.float_info.max
+
+
+def builtin_profiles() -> List[str]:
+    """Names of the shipped profiles (``tlc-reference``, ...)."""
+    return sorted(entry[:-len(".json")] for entry in os.listdir(PROFILE_DIR)
+                  if entry.endswith(".json"))
+
+
+def load_profile(name_or_path: str) -> Tuple[Dict[str, float],
+                                             Dict[str, float]]:
+    """Read a timing profile: a builtin name or a JSON file of the form::
+
+        {"format": "repro.timing_profile", "version": 1,
+         "ops": {"read": {"samples_s": [7.4e-05, ...]}, "program": ...,
+                 "erase": ...},
+         "transfer": {"bytes": 65536, "seconds_s": [1.6e-04, ...]}}
+
+    Returns ``(latencies, sigmas)`` keyed by :class:`SampledNandTiming`
+    field names, holding only what the profile measured: each op's
+    sample mean and log-sample stdev, and ``bytes / mean(seconds_s)`` as
+    ``channel_bandwidth``.  Anything else is a :class:`ReproError`
+    naming the file and the field.
+    """
+    path = name_or_path
+    if not os.path.exists(path):
+        path = os.path.join(PROFILE_DIR, f"{name_or_path}.json")
+        if not os.path.exists(path):
+            raise ReproError(
+                f"{name_or_path!r} is neither a file nor a builtin timing "
+                f"profile (shipped: {', '.join(builtin_profiles())})")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            profile = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"{path}: not a readable JSON file: {exc}") from None
+
+    def check(ok, what):
+        if not ok:
+            raise ReproError(f"{path}: {what}")
+
+    def mean(values, label):
+        """The mean of a list of positive seconds or byte counts."""
+        check(isinstance(values, list) and values
+              and all(_positive(v) for v in values),
+              f"{label} must be a non-empty list of positive finite numbers")
+        values = [float(v) for v in values]
+        result = sum(values) / len(values)
+        check(0 < result < math.inf, f"{label}: mean {result} is not finite")
+        return result, values
+
+    check(isinstance(profile, dict), "a timing profile is a JSON object")
+    check(profile.get("format") == PROFILE_FORMAT,
+          f"format is {profile.get('format')!r}, not {PROFILE_FORMAT!r}")
+    check(profile.get("version") == PROFILE_VERSION,
+          f"version {profile.get('version')!r} is not supported "
+          f"(this build reads version {PROFILE_VERSION})")
+    ops = profile.get("ops")
+    check(isinstance(ops, dict) and ops, "ops must be a non-empty object")
+    latencies: Dict[str, float] = {}
+    sigmas: Dict[str, float] = {}
+    for kind, entry in ops.items():
+        check(kind in ("read", "program", "erase"),
+              f"ops.{kind}: unknown op kind (read, program or erase)")
+        check(isinstance(entry, dict), f"ops.{kind} must be an object")
+        latency, samples = mean(entry.get("samples_s"),
+                                f"ops.{kind}.samples_s")
+        latencies[f"{kind}_latency"] = latency
+        logs = [math.log(s) for s in samples]
+        mu = sum(logs) / len(logs)
+        sigmas[f"{kind}_sigma"] = (
+            math.sqrt(sum((x - mu) ** 2 for x in logs) / (len(logs) - 1))
+            if len(logs) > 1 else 0.0)
+    transfer = profile.get("transfer")
+    if transfer is not None:
+        check(isinstance(transfer, dict), "transfer must be an object")
+        size = transfer.get("bytes")
+        check(_positive(size), "transfer.bytes must be a positive number")
+        seconds, __ = mean(transfer.get("seconds_s"), "transfer.seconds_s")
+        bandwidth = float(size) / seconds
+        check(0 < bandwidth < math.inf,
+              f"transfer: bandwidth {bandwidth} B/s is out of range")
+        latencies["channel_bandwidth"] = bandwidth
+    return latencies, sigmas

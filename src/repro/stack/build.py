@@ -27,7 +27,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.lsm import DB, DbBench
 from repro.llama import LlamaEngine
 from repro.nand import (
-    FlashGeometry, NandTiming, SampledNandTiming, timing_for)
+    FlashGeometry, NandTiming, SampledNandTiming, load_profile, timing_for)
 from repro.obs import Obs
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ox import MediaManager
@@ -100,43 +100,34 @@ def _device_geometry(spec: StackSpec) -> DeviceGeometry:
 def _resolve_timing(spec: StackSpec) -> Optional[NandTiming]:
     """``spec.timing`` -> a concrete timing model (None = cell preset).
 
-    Preset -> profile fit -> explicit overrides, then an optional
-    log-normal jitter wrapper; see :class:`repro.stack.spec.TimingSpec`.
+    The cell preset, with the fields a measured profile carries
+    replaced by its values, then the explicit ``*_us`` / bandwidth
+    overrides, then an optional log-normal jitter wrapper; see
+    :class:`repro.stack.spec.TimingSpec`.
     """
     t = spec.timing
     if t is None:
         return None
-    base = timing_for(spec.geometry.cell_type)
-    sigmas = {"read": t.jitter_sigma, "program": t.jitter_sigma,
-              "erase": t.jitter_sigma}
+    timing = timing_for(spec.geometry.cell_type)
+    sigmas = dict.fromkeys(("read_sigma", "program_sigma", "erase_sigma"),
+                           t.jitter_sigma)
     if t.profile:
-        # Imported lazily: the spec layer stays importable without the
-        # trace package, and most stacks never calibrate.
-        from repro.trace.calibrate import fit_profile, load_profile
-        fitted = fit_profile(load_profile(t.profile), jitter=t.fit_jitter,
-                             seed=t.seed)
-        # Only the ops the profile measured; the rest stay the cell's.
-        base = replace(base,
-                       channel_bandwidth=fitted.timing.channel_bandwidth,
-                       **{f"{kind}_latency": latency
-                          for kind, latency in fitted.latencies.items()})
+        try:
+            latencies, fitted = load_profile(t.profile)
+        except ReproError as exc:
+            raise ReproError(f"timing.profile: {exc}") from None
+        timing = replace(timing, **latencies)
         if t.fit_jitter and not t.jitter_sigma:
-            sigmas = {kind: fitted.sigmas.get(kind, 0.0)
-                      for kind in sigmas}
-    values = dict(
-        read_latency=(t.read_latency_us * 1e-6
-                      or base.read_latency),
-        program_latency=(t.program_latency_us * 1e-6
-                         or base.program_latency),
-        erase_latency=(t.erase_latency_us * 1e-6
-                       or base.erase_latency),
-        channel_bandwidth=(t.channel_mib_per_sec * 2**20
-                           or base.channel_bandwidth))
+            sigmas = {name: fitted.get(name, 0.0) for name in sigmas}
+    overrides = {name: value for name, value in (
+        ("read_latency", t.read_latency_us * 1e-6),
+        ("program_latency", t.program_latency_us * 1e-6),
+        ("erase_latency", t.erase_latency_us * 1e-6),
+        ("channel_bandwidth", t.channel_mib_per_sec * 2**20)) if value}
+    timing = replace(timing, **overrides)
     if any(sigmas.values()):
-        return SampledNandTiming(
-            read_sigma=sigmas["read"], program_sigma=sigmas["program"],
-            erase_sigma=sigmas["erase"], seed=t.seed, **values)
-    return NandTiming(**values)
+        return SampledNandTiming(**asdict(timing), **sigmas, seed=t.seed)
+    return timing
 
 
 def _fault_plan(spec: StackSpec) -> FaultPlan:

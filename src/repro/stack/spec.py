@@ -139,6 +139,12 @@ class TenantSpec:
         _check(self.weight > 0,
                f"tenant {self.name!r}: weight must be > 0, "
                f"got {self.weight}")
+        _check(self.rate_bytes_per_sec is None or self.rate_bytes_per_sec > 0,
+               f"tenant {self.name!r}: rate_bytes_per_sec must be > 0 or "
+               f"null, got {self.rate_bytes_per_sec}")
+        _check(self.burst_bytes is None or self.burst_bytes >= 0,
+               f"tenant {self.name!r}: burst_bytes must be >= 0 or null, "
+               f"got {self.burst_bytes}")
 
 
 @dataclass
@@ -207,9 +213,9 @@ class TimingSpec:
     """The device timing model, declaratively.
 
     Resolution order (each stage overrides the previous): the cell
-    preset, a calibrated *profile* (a builtin name or a
+    preset, the means of a measured *profile* (a builtin name or a
     ``repro.timing_profile`` JSON path — see
-    :mod:`repro.trace.calibrate`), then the explicit ``*_us`` /
+    :func:`repro.nand.load_profile`), then the explicit ``*_us`` /
     bandwidth overrides.  A positive ``jitter_sigma`` turns the result
     into a seeded :class:`repro.nand.SampledNandTiming` whose per-op
     latencies vary log-normally around the base values.
@@ -230,6 +236,9 @@ class TimingSpec:
         _check_bounds(self, "timing.", read_latency_us=0,
                       program_latency_us=0, erase_latency_us=0,
                       channel_mib_per_sec=0, jitter_sigma=0)
+        _check(self.profile or not self.fit_jitter,
+               "timing.fit_jitter adopts a profile's sigmas; "
+               "it needs timing.profile")
 
 
 @dataclass

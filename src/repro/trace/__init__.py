@@ -1,10 +1,10 @@
-"""``repro.trace``: deterministic workload capture, replay and calibration.
+"""``repro.trace``: deterministic workload capture and replay.
 
 The paper's evaluation hinges on running the *same* workload across the
 Figure-1 abstraction spectrum.  Seeded generators get most of the way,
 but production-shaped traffic (bursty diurnal mixes, Zipf hotspots) has
 to be captured once and replayed faithfully.  This package is that
-evaluation layer, in three pillars:
+evaluation layer, in two pillars:
 
 * **Capture** — :class:`TraceRecorder`, a sidecar (slot ``trace``, same
   zero-cost-when-detached contract as faults/obs/qos) that records every
@@ -18,23 +18,11 @@ evaluation layer, in three pillars:
   replays across FTL personalities for apples-to-apples comparisons.
   Pacing is ``afap`` (closed loop) or ``recorded`` (open loop at the
   captured inter-arrival times).
-* **Calibration** — :mod:`repro.trace.calibrate` fits the NAND timing
-  model (including the optional seeded latency *distributions* of
-  :class:`repro.nand.SampledNandTiming`) to a latency profile: a shipped
-  data file, a calibration of a prior run's obs histograms, or a
-  synthetic ground truth.  ``StackSpec.timing`` makes the fitted model
-  declarative.
+
+A replayed trace runs against a device calibrated to measured latencies
+through ``StackSpec.timing.profile`` (:func:`repro.nand.load_profile`).
 """
 
-from repro.trace.calibrate import (
-    CalibrationResult,
-    builtin_profiles,
-    evaluate,
-    fit_profile,
-    load_profile,
-    profile_from_registry,
-    synth_profile,
-)
 from repro.trace.format import (
     TRACE_VERSION,
     TraceOp,
@@ -49,13 +37,6 @@ __all__ = [
     "TraceOp",
     "TraceRecorder",
     "TraceWorkload",
-    "CalibrationResult",
-    "builtin_profiles",
-    "evaluate",
-    "fit_profile",
-    "load_profile",
-    "profile_from_registry",
     "read_trace",
-    "synth_profile",
     "write_trace",
 ]

@@ -180,6 +180,11 @@ def test_bad_config_key_names_the_section():
      "workload.ops_per_client must be >= 1, got -3"),
     ({"workload": {"read_ops_per_client": -3}},
      "workload.read_ops_per_client must be >= 0, got -3"),
+    ({"tenants": [{"name": "a", "rate_bytes_per_sec": 0}]},
+     "tenant 'a': rate_bytes_per_sec must be > 0 or null, got 0"),
+    ({"tenants": [{"name": "a", "burst_bytes": -1e7}]},
+     "tenant 'a': burst_bytes must be >= 0 or null, got -10000000.0"),
+    ({"timing": {"fit_jitter": True}}, "it needs timing.profile"),
 ])
 def test_a_mistyped_field_is_a_repro_error_naming_it(data, names):
     """Wrong-typed values used to escape as a bare TypeError (the tenant
@@ -190,7 +195,9 @@ def test_a_mistyped_field_is_a_repro_error_naming_it(data, names):
         StackSpec.from_dict({"ftl": "oxblock", **data})
     # An int where a float goes, and None where Optional says so, are fine.
     StackSpec.from_dict({"ftl": "oxblock",
-                         "tenants": [{"name": "a", "weight": 2}],
+                         "tenants": [{"name": "a", "weight": 2,
+                                      "rate_bytes_per_sec": None,
+                                      "burst_bytes": 0}],
                          "faults": {"power_cut_at_op": None}})
 
 
@@ -340,6 +347,19 @@ def test_module_runner_rejects_a_bad_spec(tmp_path, capsys):
     assert "unknown FTL flavor" in capsys.readouterr().err
 
 
+def test_a_zero_tenant_rate_exits_2_in_one_line(tmp_path, capsys):
+    """It used to pass validation and die in a ``ValueError`` traceback
+    from ``TenantContext`` at build time."""
+    from repro.stack.__main__ import main
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps(
+        {"tenants": [{"name": "a", "rate_bytes_per_sec": 0}]}))
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"invalid spec {path}: tenant 'a': rate_bytes_per_sec "
+                   f"must be > 0 or null, got 0\n")
+
+
 @pytest.mark.parametrize("cli", ["repro.stack", "repro.cluster"])
 @pytest.mark.parametrize("name, text, names", [
     ("spec.json", '{"ftl": ', "Expecting value"),
@@ -464,8 +484,8 @@ SCHEMA_MEANING = {
     "qos_scheduler": "attach a `QosScheduler` when tenants are declared",
     "faults": "serialized `FaultPlan` (`grown_bad` rows are "
               "`[group, pu, block, erase_cycle]`)",
-    "timing": "preset → calibrated `profile` → overrides, then "
-              "`jitter_sigma` (§10)",
+    "timing": "preset → measured `profile` → overrides, then "
+              "`jitter_sigma` (§4)",
     "obs": "attach the tracing/metrics hub",
     "write_back": "device write-back cache",
 }

@@ -1,24 +1,29 @@
 """Tests for the ``repro.trace`` subsystem.
 
-Covers the three pillars end to end: the on-disk format (round trip,
+Covers capture and replay end to end: the on-disk format (round trip,
 version/corruption errors), the capture sidecar (attach/detach, boundary
 filtering, zero perturbation of the simulated timeline), deterministic
 replay (bit-identical non-wall metrics on the same spec, cross-FTL
-replay, recorded pacing, block-layer traces, cluster traces), and
-calibration (synthetic ground-truth recovery within tolerance, held-out
-evaluation, builtin profiles, the obs-registry bridge), plus the
-``StackSpec.timing`` declarative wiring.
+replay, recorded pacing, block-layer traces, cluster traces); and
+calibration through ``StackSpec.timing`` (synthetic ground-truth
+recovery within tolerance on a held-out draw, builtin profiles,
+malformed profiles) plus the rest of its declarative wiring.
 """
 
 import copy
+import dataclasses
 import json
+import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterSpec, run_cluster
 from repro.errors import ReproError
-from repro.nand import CellType, NandTiming, SampledNandTiming, timing_for
-from repro.obs import MetricsRegistry, Obs
+from repro.nand import (
+    CellType, NandTiming, SampledNandTiming, builtin_profiles, load_profile,
+    timing_for)
 from repro.sidecar import TRACE_SLOT
 from repro.stack import StackSpec, build_stack
 from repro.stack.runner import run_spec
@@ -26,13 +31,7 @@ from repro.trace import (
     TraceOp,
     TraceRecorder,
     TraceWorkload,
-    builtin_profiles,
-    evaluate,
-    fit_profile,
-    load_profile,
-    profile_from_registry,
     read_trace,
-    synth_profile,
     write_trace,
 )
 
@@ -361,68 +360,180 @@ class TestClusterTrace:
         assert sum(op.kind == "read" for op in ops) == 48
 
 
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+def mostly(valid):
+    """*valid* three times in four, any JSON value otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else JSON_VALUES)
+
+
+#: Profiles that get past the first checks often enough to reach the
+#: sums: positive numbers near zero, near float max and past it.
+FUZZ_NUMBERS = st.lists(mostly(
+    st.floats(1e-7, 1.0) | st.floats(1e300, 1.7e308)
+    | st.integers(1, 10**400)), min_size=1, max_size=4)
+FUZZ_PROFILES = mostly(st.fixed_dictionaries(
+    {"format": mostly(st.just("repro.timing_profile")),
+     "version": mostly(st.just(1)),
+     "ops": mostly(st.dictionaries(
+         st.sampled_from(["read", "program", "erase"]) | st.text(max_size=3),
+         mostly(st.fixed_dictionaries({"samples_s": mostly(FUZZ_NUMBERS)})),
+         min_size=1, max_size=3))},
+    optional={"transfer": mostly(st.fixed_dictionaries(
+        {"bytes": mostly(st.integers(1, 1 << 20)),
+         "seconds_s": mostly(FUZZ_NUMBERS)}))}))
+
+
+def calibrated(cell="tlc", **timing):
+    """The chip timing of a raw *cell* device built with *timing*."""
+    return device_timing(StackSpec.from_dict({
+        "ftl": "none", "timing": timing,
+        "geometry": dict(HOST_SPEC["geometry"], cell=cell,
+                         pages_per_block=12)}))
+
+
+def write_profile(tmp_path, profile, name="profile") -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(profile))
+    return str(path)
+
+
+@pytest.fixture
+def synth_profile(tmp_path):
+    """Write a profile drawn around a known timing; return its path.
+
+    200 samples per op, mean-preserving log-normal (sigma 0.08) around
+    each base latency — the family :class:`SampledNandTiming` draws
+    from — so reading the profile back must recover the timing within
+    sampling error.
+    """
+    def write(timing, seed):
+        rng = random.Random(seed)
+
+        def draw(base):
+            return [base * rng.lognormvariate(-0.5 * 0.08 * 0.08, 0.08)
+                    for __ in range(200)]
+
+        return write_profile(tmp_path, {
+            "format": "repro.timing_profile", "version": 1,
+            "ops": {"read": {"samples_s": draw(timing.read_latency)},
+                    "program": {"samples_s": draw(timing.program_latency)},
+                    "erase": {"samples_s": draw(timing.erase_latency)}},
+            "transfer": {"bytes": 65536, "seconds_s": draw(
+                timing.transfer_time(65536))}}, name=f"synthetic-{seed}")
+    return write
+
+
+def reads_only(samples):
+    return {"format": "repro.timing_profile", "version": 1,
+            "ops": {"read": {"samples_s": samples}}}
+
+
 class TestCalibration:
-    def test_recovers_synthetic_ground_truth(self):
+    """A measured profile reaches the device through ``StackSpec.timing``
+    alone: these read the chip timing ``build_stack`` wires."""
+
+    def test_recovers_synthetic_ground_truth(self, synth_profile):
         truth = timing_for(CellType.TLC)
-        fit = fit_profile(synth_profile(truth, seed=1), jitter=True)
-        held_out = synth_profile(truth, seed=2)
-        errors = evaluate(fit.timing, held_out)
-        assert errors["max"] < 0.05
-        assert isinstance(fit.timing, SampledNandTiming)
-        assert 0.05 < fit.timing.read_sigma < 0.12   # drawn at 0.08
-        assert fit.timing.channel_bandwidth == pytest.approx(
+        fit = calibrated(profile=synth_profile(truth, seed=1),
+                         fit_jitter=True)
+        held_out, __ = load_profile(synth_profile(truth, seed=2))
+        assert set(held_out) == {"read_latency", "program_latency",
+                                 "erase_latency", "channel_bandwidth"}
+        for name, mean in held_out.items():
+            assert getattr(fit, name) == pytest.approx(mean, rel=0.05), name
+        assert isinstance(fit, SampledNandTiming)
+        assert 0.05 < fit.read_sigma < 0.12   # drawn at 0.08
+        assert fit.channel_bandwidth == pytest.approx(
             truth.channel_bandwidth, rel=0.05)
 
-    def test_fit_without_jitter_is_deterministic_model(self):
-        fit = fit_profile(synth_profile(timing_for(CellType.MLC), seed=4))
-        assert type(fit.timing) is NandTiming
-        assert fit.sigmas == {"read": 0.0, "program": 0.0, "erase": 0.0}
+    def test_fit_without_jitter_is_deterministic_model(self, synth_profile):
+        mlc = timing_for(CellType.MLC)
+        fit = calibrated("mlc", profile=synth_profile(mlc, seed=4))
+        assert type(fit) is NandTiming
+        assert fit.read_latency == pytest.approx(mlc.read_latency, rel=0.05)
 
     def test_builtin_profiles_ship_and_fit(self):
-        names = builtin_profiles()
-        assert {"slc-reference", "mlc-reference", "tlc-reference",
-                "qlc-reference"} <= set(names)
-        for name in names:
-            profile = load_profile(name)
-            cell = CellType[str(profile["cell"]).upper()]
-            fit = fit_profile(profile, jitter=True)
-            assert fit.timing.read_latency == pytest.approx(
-                timing_for(cell).read_latency, rel=0.05)
+        """Each shipped profile, on its own cell, builds a device within
+        5 % of that cell's preset, with the sigma it was drawn at."""
+        assert builtin_profiles() == [
+            "mlc-reference", "qlc-reference", "slc-reference",
+            "tlc-reference"]
+        for cell in ("slc", "mlc", "tlc", "qlc"):
+            fit = calibrated(cell, profile=f"{cell}-reference",
+                             fit_jitter=True)
+            preset = timing_for(CellType[cell.upper()])
+            for name in ("read_latency", "program_latency", "erase_latency",
+                         "channel_bandwidth"):
+                assert getattr(fit, name) == pytest.approx(
+                    getattr(preset, name), rel=0.05), (cell, name)
+            assert 0.05 < fit.program_sigma < 0.12, cell
 
     def test_unknown_profile_lists_builtins(self):
         with pytest.raises(ReproError, match="tlc-reference"):
             load_profile("no-such-profile")
+        with pytest.raises(ReproError,
+                           match="^timing.profile: 'no-such-profile'"):
+            build_stack(host_spec(timing={"profile": "no-such-profile"}))
 
-    def test_malformed_profiles_rejected(self):
-        with pytest.raises(ReproError, match="format"):
-            fit_profile({"format": "nope", "version": 1, "ops": {}})
-        with pytest.raises(ReproError, match="version"):
-            fit_profile({"format": "repro.timing_profile", "version": 9,
-                         "ops": {"read": {"samples_s": [1e-5]}}})
-        with pytest.raises(ReproError, match="samples"):
-            fit_profile({"format": "repro.timing_profile", "version": 1,
-                         "ops": {"read": {"samples_s": []}}})
-        with pytest.raises(ReproError, match="op kind"):
-            fit_profile({"format": "repro.timing_profile", "version": 1,
-                         "ops": {"seek": {"samples_s": [1e-3]}}})
+    def test_malformed_profiles_rejected(self, tmp_path):
+        for profile, names in [
+                ({"format": "nope", "version": 1, "ops": {}}, "format"),
+                (dict(reads_only([1e-5]), version=9), "version"),
+                (reads_only([]), "samples"),
+                ({**reads_only([1e-3]), "ops": {"seek": {"samples_s": [1e-3]}}},
+                 "op kind")]:
+            with pytest.raises(ReproError, match=names):
+                load_profile(write_profile(tmp_path, profile))
 
-    def test_profile_from_obs_registry(self):
-        spec = host_spec()
-        stack = build_stack(spec)
-        hub = Obs().attach(stack.device)
-        run = stack.dbbench()
-        run.fill_sequential(clients=1, ops_per_client=30)
-        run.quiesce()   # flush the memtable so media programs happen
-        hub.detach()
-        profile = profile_from_registry(hub.metrics)
-        fit = fit_profile(profile)
-        truth = timing_for(CellType.TLC)
-        assert fit.timing.program_latency == pytest.approx(
-            truth.program_latency, rel=0.05)
+    @pytest.mark.parametrize("profile, field", [
+        ({**reads_only([1e-5]),
+          "transfer": {"bytes": 65536, "seconds_s": [0.0]}},
+         "transfer.seconds_s"),
+        ({**reads_only([1e-5]),
+          "transfer": {"bytes": 65536, "seconds_s": [-1e-4]}},
+         "transfer.seconds_s"),
+        ({**reads_only([1e-5]),
+          "transfer": {"bytes": "64k", "seconds_s": [1e-4]}},
+         "transfer.bytes"),
+        (reads_only([True]), "ops.read.samples_s"),
+        (reads_only(7e-5), "ops.read.samples_s"),
+        (reads_only(["x"]), "ops.read.samples_s"),
+        ({**reads_only([1e-5]), "ops": {"read": [7e-5]}}, "ops.read"),
+        ([reads_only([1e-5])], "a timing profile is a JSON object"),
+    ])
+    def test_a_bad_profile_names_the_file_and_the_field(
+            self, tmp_path, profile, field):
+        """Each of these used to crash (ZeroDivisionError, TypeError,
+        AttributeError) or build a wrong device (a negative bandwidth, a
+        ``true`` sample read as 1 s)."""
+        path = write_profile(tmp_path, profile)
+        with pytest.raises(ReproError) as err:
+            load_profile(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert field in str(err.value)
+        with pytest.raises(ReproError, match=f"^timing.profile: {path}: "):
+            build_stack(host_spec(timing={"profile": path}))
 
-    def test_empty_registry_rejected(self):
-        with pytest.raises(ReproError, match="no nand"):
-            profile_from_registry(MetricsRegistry())
+    @settings(max_examples=300, deadline=None)
+    @given(profile=FUZZ_PROFILES)
+    def test_any_json_profile_loads_sane_or_is_a_repro_error(
+            self, tmp_path_factory, profile):
+        path = tmp_path_factory.getbasetemp() / "fuzz-profile.json"
+        path.write_text(json.dumps(profile))
+        try:
+            latencies, sigmas = load_profile(str(path))
+        except ReproError:
+            return
+        assert all(math.isfinite(v) and v > 0 for v in latencies.values())
+        assert all(math.isfinite(v) and v >= 0 for v in sigmas.values())
+        base = dataclasses.asdict(timing_for(CellType.TLC))
+        SampledNandTiming(**{**base, **latencies}, **sigmas)
 
 
 def device_timing(spec):
@@ -451,13 +562,8 @@ class TestTimingSpec:
             self, tmp_path):
         """A reads-only profile on an SLC device sets the read latency;
         program and erase stay SLC's, not the profile's TLC default."""
-        path = tmp_path / "reads-only.json"
-        path.write_text(json.dumps({
-            "format": "repro.timing_profile", "version": 1,
-            "ops": {"read": {"samples_s": [20e-6, 30e-6]}}}))
-        geometry = dict(HOST_SPEC["geometry"], cell="slc")
-        timing = device_timing(host_spec(geometry=geometry,
-                                         timing={"profile": str(path)}))
+        path = write_profile(tmp_path, reads_only([20e-6, 30e-6]))
+        timing = calibrated("slc", profile=path)
         slc = timing_for(CellType.SLC)
         assert timing.read_latency == pytest.approx(25e-6)
         assert timing.program_latency == slc.program_latency
