@@ -16,7 +16,7 @@ The analytic value is (N-1)/N for N groups.
 import pytest
 
 from repro.benchhelpers import report
-from repro.sim.stats import LatencyRecorder
+from repro.obs.metrics import Histogram
 from repro.stack import StackSpec, build_stack
 
 
@@ -62,12 +62,12 @@ def measure(groups: int):
                 recorders[group].record(sim.now - started)
 
     # Idle baseline.
-    baseline = {g: LatencyRecorder() for g in range(groups)}
+    baseline = {g: Histogram() for g in range(groups)}
     sim.run_until(sim.spawn(probe(baseline)))
 
     # GC in the marked group, concurrent with the probe.
     ftl.gc.marked_group = 0
-    during = {g: LatencyRecorder() for g in range(groups)}
+    during = {g: Histogram() for g in range(groups)}
 
     def gc_run():
         grant = ftl._lock.request()

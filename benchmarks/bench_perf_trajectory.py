@@ -46,7 +46,6 @@ from repro.benchhelpers import (
     load_trajectory,
     report,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.ocssd import OpenChannelSSD
 from repro.stack import StackSpec, build_stack
 
@@ -140,15 +139,10 @@ def run_macro(cfg: dict) -> dict:
     peak_chunk = max(peak_chunk, chunk_memory_bytes(device))
     total_wall = fill_wall + read_wall
 
-    # Route the results through the metrics registry (the bench harness
-    # speaks the same instrument vocabulary as the traced stack); the
-    # flattened view keeps the historical metric keys byte-identical.
-    registry = MetricsRegistry()
-    registry.counter("fill_ops").increment(fill_ops)
-    registry.counter("read_ops").increment(read_ops)
-    registry.counter("events_processed").increment(
-        sim.events_processed - events_before)
-    gauges = {
+    metrics = {
+        "fill_ops": fill_ops,
+        "read_ops": read_ops,
+        "events_processed": sim.events_processed - events_before,
         "fill_wall_seconds": round(fill_wall, 3),
         "read_wall_seconds": round(read_wall, 3),
         "fill_ops_per_sec": round(fill_ops / fill_wall, 1),
@@ -162,9 +156,7 @@ def run_macro(cfg: dict) -> dict:
         "peak_map_bytes": peak_map,
         "peak_chunk_bytes": peak_chunk,
     }
-    for key, value in gauges.items():
-        registry.gauge(key).set(value)
-    return registry.flat()
+    return dict(sorted(metrics.items()))
 
 
 def run_kernel_storm(procs: int = 200, waits: int = 250) -> float:

@@ -15,7 +15,6 @@ from typing import Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.lsm import DB, LightLSMEnv, PlacementPolicy
-from repro.obs.metrics import MetricsRegistry
 from repro.ocssd import OpenChannelSSD
 from repro.stack import StackSpec, build_stack
 from repro.units import KIB, MIB
@@ -107,22 +106,6 @@ def report_json(name: str, metrics: Mapping[str, object]) -> str:
                   indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def report_registry(name: str, registry: MetricsRegistry,
-                    header: Optional[str] = None) -> str:
-    """Persist a bench's :class:`MetricsRegistry` under its name.
-
-    Flattens the registry (histograms fan out to ``.count/.mean/.p50/...``)
-    into one ``key = value`` line per instrument plus the JSON twin —
-    the registry replaces ad-hoc metric dicts in the bench harness.
-    """
-    flat = registry.flat()
-    lines = [header or f"Metrics: {name}"]
-    width = max(18, max((len(key) for key in flat), default=0))
-    lines.extend(f"  {key:>{width}s} = {value}"
-                 for key, value in flat.items())
-    return report(name, lines, metrics=flat)
 
 
 def load_trajectory(path: str = TRAJECTORY_PATH) -> List[dict]:

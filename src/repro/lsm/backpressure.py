@@ -13,22 +13,20 @@ pair of if-statements:
 
 :class:`BackpressureState` owns the classification and the transition
 bookkeeping — residency per state (simulated seconds), a transition
-log, and the ``lsm.backpressure.*`` obs instruments (state gauge +
-transition instants) when a hub is attached.  It deliberately creates
-no simulation events: the DB evaluates it at the points writes are
-gated and backgrounds complete, so attaching it never moves the
-timeline (the ``lsm_default_fill`` pin in tests/test_sim_identity.py
-depends on that).
+log, and a ``lsm.backpressure`` transition instant in the trace when a
+hub is attached.  It deliberately creates no simulation events: the DB
+evaluates it at the points writes are gated and backgrounds complete,
+so attaching it never moves the timeline (the ``lsm_default_fill`` pin
+in tests/test_sim_identity.py depends on that).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-#: States, in escalation order; gauge values are the indices.
+#: States, in escalation order.
 OK, SLOWDOWN, STOP = "ok", "slowdown", "stop"
 STATES = (OK, SLOWDOWN, STOP)
-_GAUGE_VALUE = {OK: 0, SLOWDOWN: 1, STOP: 2}
 
 
 class BackpressureState:
@@ -73,8 +71,6 @@ class BackpressureState:
         previous, self.state, self._since = self.state, state, now
         obs = self.obs
         if obs is not None:
-            obs.metrics.gauge("lsm.backpressure.state").set(
-                _GAUGE_VALUE[state])
             obs.instant("lsm.backpressure", "transition",
                         frm=previous, to=state)
         return state

@@ -327,8 +327,8 @@ def pick_compaction(levels: List[List[TableRef]], l0_trigger: int,
     M admissible compactions can run concurrently: an L0->L1 merge next
     to an L2->L3 merge, or two same-level merges over disjoint ranges.
     The bottom level is never a source — its tables have nowhere to go,
-    so the level can exceed its budget silently (the engine surfaces
-    this through the ``lsm.compaction.bottom_level_oversize`` counter).
+    so the level can exceed its budget silently (the engine counts it in
+    ``DBStats.bottom_level_oversize``).
     """
     if len(levels[0]) >= l0_trigger:
         inputs = list(levels[0])                      # newest first already

@@ -231,7 +231,6 @@ class DB:
         self.stats.puts += 1
         self._maybe_rotate_memtable()
         if obs is not None:
-            obs.metrics.counter("lsm.puts").increment()
             obs.metrics.histogram("lsm.put.latency_s").record(
                 self.sim.now - put_started)
 
@@ -307,9 +306,6 @@ class DB:
         self.stats.max_flush_queue_depth = max(
             self.stats.max_flush_queue_depth, len(self.immutable_queue))
         self.memtable = MemTable()
-        if self.obs is not None:
-            self.obs.metrics.gauge("lsm.flush.queue_depth").set(
-                len(self.immutable_queue))
         if not self._flush_wanted.triggered:
             self._flush_wanted.succeed()
 
@@ -427,7 +423,6 @@ class DB:
                 if obs is not None:
                     obs.close(span, "lsm.flush.duration_s",
                               entries=len(entry.items))
-                    obs.metrics.counter("lsm.flush.count").increment()
                 entry.state = ImmutableMemtable.FLUSHED
                 self._retire_flushed()
                 self._flushes_active -= 1
@@ -442,8 +437,6 @@ class DB:
         queue = self.immutable_queue
         while queue and queue[0].state == ImmutableMemtable.FLUSHED:
             queue.pop(0)
-        if self.obs is not None:
-            self.obs.metrics.gauge("lsm.flush.queue_depth").set(len(queue))
 
     # -- background: compaction ----------------------------------------------------------
 
@@ -498,9 +491,6 @@ class DB:
     def _record_compaction_concurrency(self) -> None:
         self.stats.compaction_timeline.append(
             (self.sim.now, self.executor.in_flight))
-        if self.obs is not None:
-            self.obs.metrics.gauge("lsm.compaction.concurrent").set(
-                self.executor.in_flight)
 
     def _run_compaction_proc(self, pick):
         obs = self.obs
@@ -539,14 +529,11 @@ class DB:
             self.env.log_version_edit(("del", table.handle.sstable_id,
                                        table.handle.level))
             self._release(table)
-        self._update_level_obs()
+        self._count_bottom_oversize()
         if obs is not None:
             obs.close(span, "lsm.compaction.duration_s",
                       target_level=pick.target_level,
                       inputs=len(pick.inputs), outputs=len(outputs))
-            obs.metrics.counter("lsm.compaction.count").increment()
-            obs.metrics.counter("lsm.compaction.tables_in").increment(
-                len(pick.inputs))
 
     # -- table writing (shared by flush and compaction) ------------------------------------
 
@@ -647,25 +634,17 @@ class DB:
         else:
             self.levels[level].append(table)
             self.levels[level].sort(key=lambda t: t.meta.first_key)
-        self._update_level_obs()
+        self._count_bottom_oversize()
 
-    def _update_level_obs(self) -> None:
-        """Refresh per-level gauges and the bottom-level overrun counter
-        (the bottom level is never a compaction source, so its budget
-        overruns would otherwise be invisible)."""
-        obs = self.obs
-        if obs is not None:
-            for level, tables in enumerate(self.levels):
-                obs.metrics.gauge(f"lsm.level.{level}.tables").set(
-                    len(tables))
+    def _count_bottom_oversize(self) -> None:
+        """Count the bottom level going over its budget (it is never a
+        compaction source, so its overruns would otherwise be
+        invisible)."""
         bottom = self.config.max_levels - 1
         oversize = len(self.levels[bottom]) > level_max_tables(
             bottom, self.config.level_size_multiplier)
         if oversize and not self._bottom_oversize:
             self.stats.bottom_level_oversize += 1
-            if obs is not None:
-                obs.metrics.counter(
-                    "lsm.compaction.bottom_level_oversize").increment()
         self._bottom_oversize = oversize
 
     # -- table lifetime -----------------------------------------------------------------

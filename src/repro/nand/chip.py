@@ -79,8 +79,8 @@ class FlashChip:
         self._paired_pages = self.geometry.cell.bits_per_cell
         # Sidecars (repro.sidecar): None in normal operation, so the hot
         # paths pay one attribute load + identity check per op.  The chip
-        # records nand.* obs metrics; the controller records the spans (it
-        # knows the parent command).
+        # records the nand.*.media_s histograms; the controller records
+        # the spans (it knows the parent command).
         init_sidecar_slots(self, FAULTS_SLOT, OBS_SLOT)
         self.fault_key = (0, 0)   # (group, pu) — set on faults attach
         for index in factory_bad or []:
@@ -133,7 +133,7 @@ class FlashChip:
         elapsed = self.timing.erase_time()
         self.stats.erase_time += elapsed
         if self.obs is not None:
-            self.obs.on_media("erase", elapsed, 1)
+            self.obs.on_media("erase", elapsed)
         if self.wear.erase_fails(block.erase_count):
             block.state = _B_BAD
             raise MediaError(
@@ -182,7 +182,7 @@ class FlashChip:
         elapsed = self.timing.program_time(page_groups)
         self.stats.program_time += elapsed
         if self.obs is not None:
-            self.obs.on_media("program", elapsed, page_groups)
+            self.obs.on_media("program", elapsed)
         return elapsed
 
     def read(self, index: int, first_sector: int, sectors: int) -> float:
@@ -224,7 +224,7 @@ class FlashChip:
         elapsed = self.timing.read_time(page_groups)
         self.stats.read_time += elapsed
         if self.obs is not None:
-            self.obs.on_media("read", elapsed, page_groups)
+            self.obs.on_media("read", elapsed)
         return elapsed
 
     # -- inspection ------------------------------------------------------------

@@ -7,9 +7,10 @@ subsystem makes that visible for any run:
 * :class:`Obs` — the hub: attach it to a device *before* building the
   FTL/LSM stack and every layer starts tracing spans and recording
   metrics; leave it off and the hot paths pay one ``is None`` check.
-* :class:`MetricsRegistry` — counters, gauges, histograms (p50/p95/p99)
+* :class:`MetricsRegistry` — latency and wait histograms (p50/p95/p99)
   under per-layer namespaces (``nand.*``, ``ocssd.*``, ``ftl.gc.*``,
-  ``ftl.wal.*``, ``lsm.compaction.*``).
+  ``lsm.*``) and the error and spawn counters; every other count lives
+  in its layer's ``stats``.
 * Exporters — Chrome trace-event JSON (``chrome://tracing``/Perfetto)
   and a JSONL event log.
 * ``python -m repro.obs.report run.jsonl`` — the per-layer latency
@@ -28,7 +29,6 @@ from repro.obs.export import (
 from repro.obs.hub import Obs
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     percentile_of,
@@ -39,7 +39,6 @@ from repro.obs.trace import Instant, Span, Tracer, validate_nesting
 __all__ = [
     "Attribution",
     "Counter",
-    "Gauge",
     "Histogram",
     "Instant",
     "MetricsRegistry",

@@ -14,6 +14,10 @@ the stack second::
     ftl = OXBlock.format(MediaManager(device), BlockConfig())
     ...run a workload...
     write_chrome_trace(obs.tracer, "trace.json")
+
+The hub adds what no layer keeps: spans, latency and wait histograms,
+``{layer}.errors.*`` and the spawn count.  What a layer did is counted
+in its own ``stats``; the hub does not copy it.
 """
 
 from __future__ import annotations
@@ -86,13 +90,12 @@ class Obs(Sidecar):
         else:
             self.tracer.instant(layer, f"error:{name}")
 
-    def on_media(self, kind: str, elapsed: float, units: int) -> None:
+    def on_media(self, kind: str, elapsed: float) -> None:
         """One NAND media operation (called by the chip; the controller
-        records the corresponding span because it knows the parent)."""
-        metrics = self.metrics
-        metrics.counter(f"nand.{kind}.count").increment()
-        metrics.counter(f"nand.{kind}.page_groups").increment(units)
-        metrics.histogram(f"nand.{kind}.media_s").record(elapsed)
+        records the corresponding span because it knows the parent).  The
+        histogram's count is the operation count; page groups are
+        counted in :class:`~repro.nand.chip.ChipStats`."""
+        self.metrics.histogram(f"nand.{kind}.media_s").record(elapsed)
 
     def on_spawn(self, name: str) -> None:
         self.metrics.counter("sim.processes_spawned").increment()

@@ -1,15 +1,20 @@
-"""The metrics registry: counters, gauges and histograms, by name.
+"""The metrics registry: histograms and a few counters, by name.
 
 One registry per observed stack.  Instruments are created on first use
-and memoized, so call sites can say ``registry.counter("ftl.gc.resets")``
+and memoized, so call sites can say ``registry.histogram("ftl.gc.stall_s")``
 without holding references; names are dot-separated with the owning
 layer as the leading namespace (``nand.*``, ``ocssd.*``, ``ftl.gc.*``,
-``ftl.wal.*``, ``lsm.compaction.*``, ...).
+``lsm.*``, ...).
+
+A count has one home.  What a layer does is counted in its public
+``stats`` object (``ControllerStats``, ``GcStats``, ``DBStats``, ...) and
+its live state is read off the layer itself; the registry holds only
+what no layer keeps — latency and wait histograms (whose ``count`` is
+the operation count), ``{layer}.errors.*`` and the simulator's spawn
+count.
 
 This module is dependency-free (it must not import the simulator): the
-percentile implementation here is *the* one for the whole repo —
-:class:`repro.sim.stats.LatencyRecorder` and the performance-contract
-characterization both delegate to :class:`Histogram`.
+percentile implementation here is *the* one for the whole repo.
 """
 
 from __future__ import annotations
@@ -48,22 +53,6 @@ class Counter:
 
     def summary(self) -> dict:
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """A named point-in-time value (set, not accumulated)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value: Number = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def summary(self) -> dict:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -152,9 +141,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
@@ -173,9 +159,9 @@ class MetricsRegistry:
                 for name in sorted(self._instruments)}
 
     def flat(self) -> Dict[str, Number]:
-        """Flatten to plain ``{name: number}`` — counters/gauges report
-        their value, histograms fan out to ``name.count/mean/p50/...``.
-        The shape ``repro.benchhelpers`` persists as result JSON."""
+        """Flatten to plain ``{name: number}`` — counters report their
+        value, histograms fan out to ``name.count/mean/p50/...``.
+        The shape a cluster run merges into its result dict."""
         out: Dict[str, Number] = {}
         for name in sorted(self._instruments):
             instrument = self._instruments[name]
@@ -204,8 +190,6 @@ class MetricsRegistry:
             if isinstance(instrument, Histogram):
                 out[name] = {"type": "histogram",
                              "samples": list(instrument.samples())}
-            elif isinstance(instrument, Gauge):
-                out[name] = {"type": "gauge", "value": instrument.value}
             else:
                 out[name] = {"type": "counter", "value": instrument.value}
         return out
@@ -213,14 +197,11 @@ class MetricsRegistry:
     def merge(self, dump: Dict[str, dict], prefix: str = "") -> None:
         """Fold a :meth:`dump` into this registry under ``prefix``.
 
-        Counters add, histograms extend with the dumped samples, gauges
-        set (last merge wins — callers that need per-source gauges give
-        each source a distinct prefix, as the cluster merge does with
-        ``cluster.shard<i>.``).  Merging a name already bound to a
-        different instrument kind raises ``TypeError``, same as
-        first-use registration would.
+        Counters add, histograms extend with the dumped samples.  Merging
+        a name already bound to a different instrument kind raises
+        ``TypeError``, same as first-use registration would.
         """
-        kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+        kinds = {"counter": Counter, "histogram": Histogram}
         for name in sorted(dump):
             entry = dump[name]
             kind = entry["type"]
@@ -230,14 +211,5 @@ class MetricsRegistry:
             instrument = self._get(prefix + name, kinds[kind])
             if kind == "histogram":
                 instrument.extend(entry["samples"])
-            elif kind == "gauge":
-                instrument.set(entry["value"])
             else:
                 instrument.increment(entry["value"])
-
-    def namespace(self, prefix: str) -> Dict[str, dict]:
-        """Summaries of every instrument under ``prefix.`` (or equal)."""
-        dotted = prefix if prefix.endswith(".") else prefix + "."
-        return {name: instrument.summary()
-                for name, instrument in sorted(self._instruments.items())
-                if name == prefix or name.startswith(dotted)}

@@ -208,8 +208,6 @@ class Controller:
             # Write-back: the command completes here; the flusher programs
             # the data and reports failures asynchronously (§2.2).
             self.stats.sectors_written += sectors
-            if obs is not None:
-                obs.metrics.counter("ocssd.write.sectors").increment(sectors)
             return True
 
         # Write-through (no cache, or FUA).  A FUA write behind cached
@@ -225,8 +223,6 @@ class Controller:
                                       span=span)
         if ok:
             self.stats.sectors_written += sectors
-            if obs is not None:
-                obs.metrics.counter("ocssd.write.sectors").increment(sectors)
         return ok
 
     def _flusher(self, key: PuKey, queue: Store):
@@ -327,10 +323,6 @@ class Controller:
         cached_sectors = sectors - media_sectors
         self.stats.sectors_read += sectors
         self.stats.sectors_read_from_cache += cached_sectors
-        if obs is not None:
-            obs.metrics.counter("ocssd.read.sectors").increment(sectors)
-            obs.metrics.counter("ocssd.read.sectors_from_cache").increment(
-                cached_sectors)
 
         if media_sectors > 0:
             if not lock.try_acquire():

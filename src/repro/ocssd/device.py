@@ -258,11 +258,6 @@ class OpenChannelSSD:
         """Power-fail / controller-kill: lose everything volatile."""
         self.controller.crash_volatile()
 
-    def attach_faults(self, injector) -> None:
-        """Wire a :class:`repro.faults.FaultInjector` into this device and
-        its chips (the reverse of leaving ``faults`` as ``None``)."""
-        injector.attach(self)
-
     # -- internals ------------------------------------------------------------------
 
     def _notify(self, ppa: Ppa, kind: str, detail: str) -> None:

@@ -121,8 +121,7 @@ class OXBlock:
             media, page_map, chunk_table, provisioner, journal,
             volatile_pending=lambda: bool(self.buffer.partial_units()),
             stabilize_proc=self._gc_stabilize_proc,
-            victim_policy=resolve_victim_policy(config.gc_policy),
-            host_sectors_written=lambda: self.stats.sectors_written)
+            victim_policy=resolve_victim_policy(config.gc_policy))
         self._gc_wakeup = self.sim.event()
         self._daemons = []
         if config.gc_enabled:

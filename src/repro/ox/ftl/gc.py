@@ -74,8 +74,7 @@ class GarbageCollector:
     def __init__(self, media: MediaManager, page_map: PageMap,
                  chunk_table: ChunkTable, provisioner: Provisioner,
                  journal: Journal, volatile_pending: Callable[[], bool],
-                 stabilize_proc: Callable, victim_policy: VictimPolicy,
-                 host_sectors_written: Callable[[], int]):
+                 stabilize_proc: Callable, victim_policy: VictimPolicy):
         self.media = media
         self.sim = media.sim
         # Observability (repro.obs): inherited from the simulator; None
@@ -102,9 +101,6 @@ class GarbageCollector:
         self.stats = GcStats()
         # Victim selection is a policy (repro.policies).
         self.victim_policy = victim_policy
-        # Host write accounting for the WAF gauge ((host + relocated) /
-        # host).
-        self.host_sectors_written = host_sectors_written
 
     # -- victim selection ----------------------------------------------------------
 
@@ -112,27 +108,6 @@ class GarbageCollector:
         """The group's GC candidates, in the victim policy's order."""
         return self.victim_policy.select(
             self.chunk_table.gc_candidates(group), self.chunk_table)
-
-    # -- accounting (GcStats mirrored into the obs registry) ---------------------
-
-    def _count_skip_no_space(self) -> None:
-        self.stats.skips_no_space += 1
-        if self.obs is not None:
-            self.obs.metrics.counter("ftl.gc.skips_no_space").increment()
-
-    def _count_deferral_unsafe(self) -> None:
-        self.stats.deferrals_unsafe += 1
-        if self.obs is not None:
-            self.obs.metrics.counter("ftl.gc.deferrals_unsafe").increment()
-
-    def _update_waf_gauge(self) -> None:
-        """Refresh ``ftl.gc.waf``: (host + relocated) / host sectors."""
-        if self.obs is None:
-            return
-        host = self.host_sectors_written()
-        if host:
-            self.obs.metrics.gauge("ftl.gc.waf").set(
-                (host + self.stats.sectors_relocated) / host)
 
     # -- collection ---------------------------------------------------------------------
 
@@ -206,7 +181,7 @@ class GarbageCollector:
             if budget < 0:
                 # Least-live first: what follows fits no better.
                 if not victims:
-                    self._count_skip_no_space()
+                    self.stats.skips_no_space += 1
                 break
             victims.append(victim)
             busy_pus.add(victim.key[1])
@@ -248,8 +223,7 @@ class GarbageCollector:
             if self.volatile_pending():
                 jobs = []
             jobs = [job for job in jobs if not job[3]]
-            for __ in range(len(victims) - len(jobs)):
-                self._count_deferral_unsafe()
+            self.stats.deferrals_unsafe += len(victims) - len(jobs)
         moves = [(victim.key, live) for victim, __, live, __ in jobs if live]
         aborted = yield from self._relocate_round_proc(moves, span)
         jobs = [job for job in jobs if job[0].key not in aborted]
@@ -264,9 +238,6 @@ class GarbageCollector:
         if obs is not None:
             obs.close(span, "ftl.gc.collect_s", victims=len(jobs),
                       relocated=sum(len(live) for __, live in moves))
-            obs.metrics.counter("ftl.gc.chunks_recycled").increment(
-                len(jobs))
-        self._update_waf_gauge()
         return len(jobs)
 
     def _scan_proc(self, targets: list, parent=None):
@@ -377,7 +348,7 @@ class GarbageCollector:
                 # The round was sized to fit, so accounting drifted.  The
                 # units already taken are padded out as dead sectors so
                 # cursors and write pointers stay aligned; the victim stays.
-                self._count_skip_no_space()
+                self.stats.skips_no_space += 1
                 aborted.append(key)
                 dead += runs
                 continue
@@ -443,9 +414,6 @@ class GarbageCollector:
                  if obs is not None else None)
         barrier = [self.media.flush_proc()]
         if entries:
-            if obs is not None:
-                obs.metrics.counter(
-                    "ftl.gc.sectors_relocated").increment(len(entries))
             self.journal.log_txn(REC_MAP_UPDATE, txn, entries)
             barrier.append(self.journal.wal.flush_proc(parent=phase))
         yield from self.sim.join_proc(barrier, "gc-commit")

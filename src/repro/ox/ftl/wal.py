@@ -107,7 +107,6 @@ class WalAppender:
             total += batch
         if obs is not None:
             obs.close(span, "ftl.wal.flush_s", sectors=total)
-            obs.metrics.counter("ftl.wal.sectors").increment(total)
         return total
 
     # -- truncation --------------------------------------------------------------------

@@ -166,8 +166,8 @@ class QosScheduler(Sidecar):
         self._buckets: Dict[TenantContext, TokenBucket] = {}
         self._waiting_total = 0
         self._reads_blocked = 0
-        # Plain counters, always on (cheap ints); mirrored into obs
-        # metrics when a hub is attached.
+        # The scheduler's counts, always on (cheap ints); obs adds the
+        # wait histograms.
         self.grants = 0
         self.fast_grants = 0
         self.throttle_delays = 0
@@ -239,7 +239,6 @@ class QosScheduler(Sidecar):
                 self.throttle_delays += 1
                 obs = self.sim.obs
                 if obs is not None:
-                    obs.metrics.counter("qos.throttle.delays").increment()
                     obs.metrics.histogram(
                         f"qos.throttle.{tenant.name}.wait_s").record(waited)
 
@@ -269,10 +268,6 @@ class QosScheduler(Sidecar):
             cq.order.append(flow)
         cq.waiting += 1
         self._waiting_total += 1
-        obs = self.sim.obs
-        if obs is not None:
-            obs.metrics.gauge("qos.sched.queue_depth").set(
-                self._waiting_total)
         yield grant
         # The dispatcher marked the gate busy on our behalf before
         # succeeding the event; record how long we queued.
@@ -299,8 +294,6 @@ class QosScheduler(Sidecar):
         obs = self.sim.obs
         if obs is not None:
             obs.metrics.counter("qos.sched.grants").increment()
-            obs.metrics.gauge("qos.sched.queue_depth").set(
-                self._waiting_total)
         pending.event.succeed()
 
     def _next_grant(self, gate: _Gate) -> Optional[_Pending]:
@@ -467,5 +460,4 @@ class QosScheduler(Sidecar):
         if yields:
             obs = self.sim.obs
             if obs is not None:
-                obs.metrics.counter("qos.bg.yields").increment(yields)
                 obs.metrics.histogram("qos.bg.wait_s").record(waited)

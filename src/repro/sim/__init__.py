@@ -23,11 +23,7 @@ Public API::
 
 from repro.sim.core import Event, Interrupt, Process, Simulator, Timeout
 from repro.sim.resources import Resource, Store
-from repro.sim.stats import (
-    LatencyRecorder,
-    ThroughputRecorder,
-    UtilizationTracker,
-)
+from repro.sim.stats import ThroughputRecorder, UtilizationTracker
 
 __all__ = [
     "Event",
@@ -37,7 +33,6 @@ __all__ = [
     "Timeout",
     "Resource",
     "Store",
-    "LatencyRecorder",
     "ThroughputRecorder",
     "UtilizationTracker",
 ]

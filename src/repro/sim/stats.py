@@ -1,19 +1,15 @@
-"""Measurement primitives: throughput time series, latency, utilization.
+"""Measurement primitives: throughput time series and utilization.
 
 These are the instruments behind the paper's figures: Figure 6 is a
-throughput-vs-time series (:class:`ThroughputRecorder`), Figure 7 is a CPU
-utilization measurement (:class:`UtilizationTracker`), and the GC-locality
-experiment relies on latency observations (:class:`LatencyRecorder`).
+throughput-vs-time series (:class:`ThroughputRecorder`) and Figure 7 is a
+CPU utilization measurement (:class:`UtilizationTracker`).  Latency
+samples and percentiles are :class:`repro.obs.metrics.Histogram`'s.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-# Counter and the percentile machinery live in repro.obs.metrics (the
-# metrics registry is the one home for instruments); Histogram is only
-# imported as the base of the LatencyRecorder alias below.
-from repro.obs.metrics import Histogram
 from repro.sim.core import Simulator
 
 
@@ -53,15 +49,6 @@ class ThroughputRecorder:
         if elapsed <= 0:
             return 0.0
         return self.total / elapsed
-
-
-class LatencyRecorder(Histogram):
-    """Collects individual latency samples and summarizes them.
-
-    An alias of :class:`repro.obs.metrics.Histogram` — one nearest-rank
-    percentile implementation for the whole repo — kept under its
-    historical name for the measurement-focused call sites.
-    """
 
 
 class UtilizationTracker:

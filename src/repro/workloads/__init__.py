@@ -1,20 +1,14 @@
 """Workload generators for the benchmarks."""
 
 from repro.workloads.generators import (
-    KeyValueGenerator,
-    RandomReadWorkload,
     RandomWriteWorkload,
-    ReadOp,
     WriteOp,
     ZipfianKeyChooser,
     derive_stream_seed,
 )
 
 __all__ = [
-    "KeyValueGenerator",
-    "RandomReadWorkload",
     "RandomWriteWorkload",
-    "ReadOp",
     "WriteOp",
     "ZipfianKeyChooser",
     "derive_stream_seed",

@@ -1,11 +1,11 @@
 """Deterministic workload generators.
 
-* :class:`KeyValueGenerator` — db_bench-style keys/values.
 * :class:`RandomWriteWorkload` — the Figure 3 driver: "random writes of up
-  to 1 MB in size; each of these writes is a transaction".
-* :class:`RandomReadWorkload` — its read twin (the isolation bench's
-  victim traffic).
+  to 1 MB in size; each of these writes is a transaction" (also the
+  ablations' and the crash-recovery example's op stream).
 * :class:`ZipfianKeyChooser` — skewed key popularity for ablations.
+
+db_bench keys and values are :class:`repro.lsm.DbBench`'s own.
 
 Multi-tenant determinism: every generator takes a ``stream`` label in
 addition to its ``seed``.  :func:`derive_stream_seed` mixes the two
@@ -43,27 +43,6 @@ def derive_stream_seed(base_seed: int, stream: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-class KeyValueGenerator:
-    """Fixed-size keys and values, deterministic per index."""
-
-    def __init__(self, key_size: int = 16, value_size: int = 1024):
-        if key_size < 4:
-            raise ReproError(
-                f"KeyValueGenerator: key_size must be >= 4, got {key_size}")
-        if value_size < 1:
-            raise ReproError(
-                f"KeyValueGenerator: value_size must be >= 1, "
-                f"got {value_size}")
-        self.key_size = key_size
-        self.value_size = value_size
-
-    def key(self, index: int) -> bytes:
-        return str(index).zfill(self.key_size).encode()
-
-    def value(self, index: int) -> bytes:
-        return bytes([33 + (index * 31) % 90]) * self.value_size
-
-
 @dataclass(frozen=True)
 class WriteOp:
     """One transactional random write."""
@@ -74,14 +53,6 @@ class WriteOp:
 
     def payload(self, sector_size: int) -> bytes:
         return bytes([self.fill]) * (self.num_sectors * sector_size)
-
-
-@dataclass(frozen=True)
-class ReadOp:
-    """One random read."""
-
-    lba: int
-    num_sectors: int
 
 
 class RandomWriteWorkload:
@@ -115,40 +86,6 @@ class RandomWriteWorkload:
             lba = rng.randrange(0, self.lba_space - num_sectors + 1)
             yield WriteOp(lba=lba, num_sectors=num_sectors,
                           fill=rng.randrange(1, 251))
-            produced += 1
-
-
-class RandomReadWorkload:
-    """Uniform random reads over an LBA space.
-
-    The victim side of the noisy-neighbor experiment: small reads whose
-    tail latency the scheduler must defend.  Same stream-seed contract
-    as :class:`RandomWriteWorkload`.
-    """
-
-    def __init__(self, lba_space: int, sector_size: int = 4096,
-                 min_bytes: int = 4 * KIB, max_bytes: int = 4 * KIB,
-                 seed: int = 0, stream: str = ""):
-        if lba_space < max_bytes // sector_size:
-            raise ReproError(
-                f"RandomReadWorkload: lba_space ({lba_space} sectors) is "
-                f"smaller than the largest read "
-                f"({max_bytes // sector_size} sectors)")
-        self.lba_space = lba_space
-        self.sector_size = sector_size
-        self.min_sectors = max(1, min_bytes // sector_size)
-        self.max_sectors = max(self.min_sectors, max_bytes // sector_size)
-        self.stream = stream
-        self.seed = derive_stream_seed(seed, stream)
-
-    def operations(self, count: int = 0) -> Iterator[ReadOp]:
-        """Yield *count* operations (infinite when count == 0)."""
-        rng = random.Random(self.seed)
-        produced = 0
-        while not count or produced < count:
-            num_sectors = rng.randint(self.min_sectors, self.max_sectors)
-            lba = rng.randrange(0, self.lba_space - num_sectors + 1)
-            yield ReadOp(lba=lba, num_sectors=num_sectors)
             produced += 1
 
 

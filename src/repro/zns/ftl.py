@@ -182,7 +182,6 @@ class OXZns:
         if obs is not None:
             obs.close(span, "zns.append.latency_s", zone=zone_id,
                       sectors=sectors)
-            obs.metrics.counter("zns.append.sectors").increment(sectors)
         return start_lba
 
     def read(self, lba: int, sectors: int = 1) -> bytes:
@@ -232,7 +231,6 @@ class OXZns:
             self._open_count -= 1
         if obs is not None:
             obs.end(span, zone=zone_id, failed=failed)
-            obs.metrics.counter("zns.zone_resets").increment()
         if failed:
             zone.retire()
             self.stats.zones_retired += 1

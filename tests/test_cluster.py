@@ -164,20 +164,20 @@ def test_registry_merge_counters_add_and_histograms_union():
 def test_registry_merge_prefix_namespaces_sources():
     source = MetricsRegistry()
     source.counter("reads").increment(2)
-    source.gauge("depth").set(9)
+    source.histogram("lat").extend([9.0])
     merged = MetricsRegistry()
     merged.merge(source.dump(), prefix="cluster.shard0.")
     merged.merge(source.dump(), prefix="cluster.shard1.")
     flat = merged.flat()
     assert flat["cluster.shard0.reads"] == 2
-    assert flat["cluster.shard1.depth"] == 9
+    assert flat["cluster.shard1.lat.max"] == 9.0
 
 
 def test_registry_merge_kind_mismatch_raises():
     source = MetricsRegistry()
     source.counter("x").increment()
     merged = MetricsRegistry()
-    merged.gauge("x").set(1)
+    merged.histogram("x").record(1.0)
     with pytest.raises(TypeError):
         merged.merge(source.dump())
 
@@ -216,7 +216,7 @@ def test_obs_registries_merge_under_shard_namespaces():
     spec = tiny_cluster(template=dict(SHARD, obs=True))
     merged = run_cluster(spec).merged
     assert "cluster.shard0.ftl.read.latency_s.p99" in merged
-    assert "cluster.shard1.nand.program.count" in merged
+    assert "cluster.shard1.nand.program.media_s.count" in merged
 
 
 def test_failover_reads_survive_a_power_cut_on_one_shard():

@@ -22,11 +22,9 @@ from repro.landscape import (
 )
 from repro.nand import FlashGeometry, timing_for
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
-from repro.workloads import (
-    KeyValueGenerator,
-    RandomWriteWorkload,
-    ZipfianKeyChooser,
-)
+from repro.lsm import DB, DBConfig, DbBench, MemEnv
+from repro.sim import Simulator
+from repro.workloads import RandomWriteWorkload, ZipfianKeyChooser
 from repro.units import MIB
 
 
@@ -135,7 +133,8 @@ class TestPerformanceContract:
 
 class TestWorkloads:
     def test_kv_generator_deterministic(self):
-        generator = KeyValueGenerator()
+        sim = Simulator()
+        generator = DbBench(DB(MemEnv(sim), DBConfig(), sim))
         assert generator.key(42) == generator.key(42)
         assert len(generator.key(42)) == 16
         assert len(generator.value(42)) == 1024

@@ -241,7 +241,7 @@ def test_metadata_only_read_fails_like_the_full_read():
         device = OpenChannelSSD(geometry=GEOMETRY)
         run = PpaRun((0, 0, 0), 0, WS)
         assert device.write(run, b"x" * SECTOR * WS, fua=True).ok
-        device.attach_faults(FaultInjector(FaultPlan(read_fail_prob=1.0)))
+        FaultInjector(FaultPlan(read_fail_prob=1.0)).attach(device)
         completion = device.execute(VectorRead(ppas=run,
                                                meta_only=meta_only))
         assert completion.status is CommandStatus.READ_FAILED

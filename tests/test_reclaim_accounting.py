@@ -324,7 +324,7 @@ def relocate_per_sector_proc(gc, key, live, parent=None):
                 dst, b"", oob=[NO_PPA] * len(dst),
                 parent=parent)
             gc.media.require_ok(completion, "GC relocation abort pad")
-        gc._count_skip_no_space()
+        gc.stats.skips_no_space += 1
         return False
     completion = yield from gc.media.copy_proc(src, dst, dst_oob=lbas,
                                                parent=parent)

@@ -2,12 +2,9 @@
 
 import pytest
 
+from repro.obs.metrics import Histogram
 from repro.sim import Simulator
-from repro.sim.stats import (
-    LatencyRecorder,
-    ThroughputRecorder,
-    UtilizationTracker,
-)
+from repro.sim.stats import ThroughputRecorder, UtilizationTracker
 
 
 class TestThroughputRecorder:
@@ -39,28 +36,30 @@ class TestThroughputRecorder:
 
 
 class TestLatencyRecorder:
+    """Latency samples are recorded in a :class:`Histogram`."""
+
     def test_mean_and_max(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         recorder.extend([1.0, 2.0, 3.0])
         assert recorder.mean() == pytest.approx(2.0)
         assert recorder.maximum() == 3.0
         assert recorder.count == 3
 
     def test_percentiles(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         recorder.extend(float(i) for i in range(1, 101))
         assert recorder.percentile(50) == 50.0
         assert recorder.percentile(99) == 99.0
         assert recorder.percentile(100) == 100.0
 
     def test_empty_recorder_reports_zero(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         assert recorder.mean() == 0.0
         assert recorder.percentile(99) == 0.0
         assert recorder.maximum() == 0.0
 
     def test_percentile_range_checked(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         recorder.record(1.0)
         with pytest.raises(ValueError):
             recorder.percentile(101)
