@@ -264,8 +264,13 @@ def main(argv=None) -> int:
             spec = bench_spec(args.bench)
             name = f"perf_{args.bench}"
         else:
+            from repro.errors import ReproError
             from repro.stack.spec import load_spec
-            spec = load_spec(args.spec)
+            try:
+                spec = load_spec(args.spec)
+            except ReproError as exc:
+                print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
+                return 2
             name = spec.name
         run = lambda: run_spec(spec)   # noqa: E731
 

@@ -157,59 +157,3 @@ class MetricsRegistry:
         """``{name: summary dict}`` for every instrument, sorted by name."""
         return {name: self._instruments[name].summary()
                 for name in sorted(self._instruments)}
-
-    def flat(self) -> Dict[str, Number]:
-        """Flatten to plain ``{name: number}`` — counters report their
-        value, histograms fan out to ``name.count/mean/p50/...``.
-        The shape a cluster run merges into its result dict."""
-        out: Dict[str, Number] = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
-                summary = instrument.summary()
-                for key in ("count", "mean", "p50", "p95", "p99", "max"):
-                    out[f"{name}.{key}"] = summary[key]
-            else:
-                out[name] = instrument.value
-        return out
-
-    # -- cross-process merge ------------------------------------------------
-
-    def dump(self) -> Dict[str, dict]:
-        """Full raw state, one dict per instrument, sorted by name.
-
-        Unlike :meth:`snapshot`, histograms carry their *samples* (not
-        just summaries), so dumps merge losslessly: percentiles of the
-        merged registry equal percentiles over the union of samples.
-        The shape is picklable/JSON-able — it is how a cluster folds
-        each shard's registry in under its ``cluster.shard<i>.`` prefix.
-        """
-        out: Dict[str, dict] = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
-                out[name] = {"type": "histogram",
-                             "samples": list(instrument.samples())}
-            else:
-                out[name] = {"type": "counter", "value": instrument.value}
-        return out
-
-    def merge(self, dump: Dict[str, dict], prefix: str = "") -> None:
-        """Fold a :meth:`dump` into this registry under ``prefix``.
-
-        Counters add, histograms extend with the dumped samples.  Merging
-        a name already bound to a different instrument kind raises
-        ``TypeError``, same as first-use registration would.
-        """
-        kinds = {"counter": Counter, "histogram": Histogram}
-        for name in sorted(dump):
-            entry = dump[name]
-            kind = entry["type"]
-            if kind not in kinds:
-                raise ValueError(
-                    f"metric {name!r}: unknown instrument kind {kind!r}")
-            instrument = self._get(prefix + name, kinds[kind])
-            if kind == "histogram":
-                instrument.extend(entry["samples"])
-            else:
-                instrument.increment(entry["value"])

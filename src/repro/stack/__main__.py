@@ -8,17 +8,35 @@ success; spec errors print the offending field and exit 2.
 
 from __future__ import annotations
 
+import argparse
 import sys
 
-from repro.stack.runner import cli, run_and_report
-from repro.stack.spec import StackSpec
+from repro.errors import ReproError
+from repro.stack.runner import run_and_report
+from repro.stack.spec import load_spec
 
 
 def main(argv=None) -> int:
-    metrics = cli(argv, StackSpec, __doc__,
-                  "record the run's workload-boundary ops to this JSONL "
-                  "trace file", run_and_report)
-    return 2 if metrics is None else 0
+    parser = argparse.ArgumentParser(prog="python -m repro.stack",
+                                     description=__doc__.split("\n")[0])
+    parser.add_argument("spec", help="path to a JSON or TOML StackSpec")
+    parser.add_argument("--name", default=None,
+                        help="override the results-file name")
+    parser.add_argument("--trace-out", default=None,
+                        help="record the run's workload-boundary ops to "
+                             "this JSONL trace file")
+    args = parser.parse_args(argv)
+    try:
+        spec = load_spec(args.spec)
+    except ReproError as exc:
+        print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        run_and_report(spec, name=args.name, trace_out=args.trace_out)
+    except ReproError as exc:
+        print(f"run failed for {args.spec}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

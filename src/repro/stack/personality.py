@@ -1,9 +1,9 @@
 """The personality table: which FTL takes which host, config, option and
 workload, written once — one row per FTL flavour, host and workload kind.
 ``StackSpec.validate`` and ``resolved_host``, ``build_stack``,
-``run_spec``'s dispatch and capture boundary, ``Stack.block``, the
-cluster's shard rule and DESIGN §7's tables all read the rows; no other
-module in ``repro`` compares a flavour or host to a literal.
+``run_spec``'s dispatch and capture boundary, ``Stack.block`` and
+DESIGN §7's tables all read the rows; no other module in ``repro``
+compares a flavour or host to a literal.
 
 A *surface* is what a stack gives the runner: ``db`` (a
 :class:`repro.lsm.DB`) or ``block`` (the sync LBA API ``write`` /

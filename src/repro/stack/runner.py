@@ -9,14 +9,11 @@ returns a flat metrics dict; ``python -m repro.stack spec.json`` (see
 
 from __future__ import annotations
 
-import argparse
-import sys
-from typing import Callable, Dict, Mapping, Optional
+from typing import Dict, Optional
 
-from repro.errors import ReproError
 from repro.stack import personality
 from repro.stack.build import build_stack
-from repro.stack.spec import StackSpec, load_spec
+from repro.stack.spec import StackSpec
 
 
 def run_spec(spec: StackSpec,
@@ -52,51 +49,20 @@ def run_spec(spec: StackSpec,
     return metrics
 
 
-def report_table(label: str, header: str,
-                 table: Mapping[str, object]) -> None:
-    """*header* over one aligned ``key = value`` line per metric, printed
-    and written as the standard results files."""
-    # Imported here: benchhelpers itself builds stacks from specs.
-    from repro.benchhelpers import report
-    # Align on the longest key, at least the historical 18 columns.
-    width = max(18, max((len(key) for key in table), default=0))
-    report(label, [header, *(f"  {key:>{width}s} = {value}"
-                             for key, value in table.items())],
-           metrics=table)
-
-
 def run_and_report(spec: StackSpec,
                    name: Optional[str] = None,
                    trace_out: Optional[str] = None) -> Dict[str, object]:
     """``run_spec`` + the standard results files; returns the metrics."""
+    # Imported here: benchhelpers itself builds stacks from specs.
+    from repro.benchhelpers import report
     metrics = run_spec(spec, trace_out=trace_out)
     label = name or spec.name
-    report_table(label, f"Stack run: {label} (ftl={spec.ftl}, "
-                        f"host={spec.resolved_host}, workload="
-                        f"{spec.workload.kind if spec.workload else 'none'})",
-                 metrics)
+    # Align on the longest key, at least the historical 18 columns.
+    width = max(18, max((len(key) for key in metrics), default=0))
+    header = (f"Stack run: {label} (ftl={spec.ftl}, "
+              f"host={spec.resolved_host}, workload="
+              f"{spec.workload.kind if spec.workload else 'none'})")
+    report(label, [header, *(f"  {key:>{width}s} = {value}"
+                             for key, value in metrics.items())],
+           metrics=metrics)
     return metrics
-
-
-def cli(argv, cls, doc: str, trace_help: str, run: Callable):
-    """``python -m repro.stack`` / ``repro.cluster``: load the *cls*
-    spec file named in *argv*, return ``run(spec, name=, trace_out=)``;
-    a spec or run error prints the file and returns None (exit 2)."""
-    parser = argparse.ArgumentParser(
-        prog=f"python -m {cls.__module__.rpartition('.')[0]}",
-        description=doc.split("\n")[0])
-    parser.add_argument("spec", help=f"path to a JSON or TOML {cls.__name__}")
-    parser.add_argument("--name", default=None,
-                        help="override the results-file name")
-    parser.add_argument("--trace-out", default=None, help=trace_help)
-    args = parser.parse_args(argv)
-    try:
-        spec = load_spec(args.spec, cls)
-    except ReproError as exc:
-        print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
-        return None
-    try:
-        return run(spec, name=args.name, trace_out=args.trace_out)
-    except ReproError as exc:
-        print(f"run failed for {args.spec}: {exc}", file=sys.stderr)
-        return None

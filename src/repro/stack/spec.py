@@ -54,10 +54,10 @@ def from_dict(cls, data):
     return _sub_spec(cls, data).validate()
 
 
-def load_spec(path: str, cls=None):
-    """Read a JSON (or, by ``.toml`` suffix, TOML) spec file into *cls*
-    (default :class:`StackSpec`); an unreadable or malformed file is a
-    :class:`ReproError` naming it, a bad field one naming the field."""
+def load_spec(path: str) -> "StackSpec":
+    """Read a JSON (or, by ``.toml`` suffix, TOML) :class:`StackSpec`
+    file; an unreadable or malformed file is a :class:`ReproError`
+    naming it, a bad field one naming the field."""
     import tomllib
     try:
         with open(path, "rb") as handle:
@@ -65,7 +65,7 @@ def load_spec(path: str, cls=None):
                     else json.load)(handle)
     except (OSError, ValueError) as exc:
         raise ReproError(f"cannot read {path}: {exc}") from exc
-    return from_dict(cls or StackSpec, data)
+    return StackSpec.from_dict(data)
 
 
 #: What a field annotated so may hold (a float field takes an int; no
@@ -265,7 +265,7 @@ class StackSpec:
     #: ``wlfc`` / ``db`` / ``llama``: kwargs for the config class of the
     #: host of that name (its row's ``config``).  ``db`` holds the LSM
     #: concurrency plane, ``flush_workers`` / ``compaction_workers``
-    #: (1/1 is the single-daemon engine; DESIGN §12).
+    #: (1/1 is the single-daemon engine; DESIGN §11).
     wlfc: Dict[str, object] = field(default_factory=dict)
     db: Dict[str, object] = field(default_factory=dict)
     llama: Dict[str, object] = field(default_factory=dict)
@@ -322,8 +322,7 @@ class StackSpec:
         """A validated copy with *overrides* applied.
 
         The clone is deep (built through the dict round-trip), so
-        mutating the copy's sub-specs never aliases the original —
-        cluster templating stamps out per-shard specs this way.
+        mutating the copy's sub-specs never aliases the original.
         """
         return type(self).from_dict({**self.to_dict(), **overrides})
 

@@ -9,13 +9,13 @@ evaluation layer, in two pillars:
 * **Capture** — :class:`TraceRecorder`, a sidecar (slot ``trace``, same
   zero-cost-when-detached contract as faults/obs/qos) that records every
   op crossing the host/workload boundary into a versioned JSONL trace
-  (:mod:`repro.trace.format`).  ``python -m repro.stack
-  --trace-out`` and ``python -m repro.cluster --trace-out`` emit traces.
+  (:mod:`repro.trace.format`).  ``python -m repro.stack --trace-out``
+  emits one.
 * **Replay** — :class:`TraceWorkload`, a workload that plugs into
-  ``StackSpec.workload`` (``kind="trace"``) and ``ClusterWorkloadSpec``
-  and replays a recorded trace deterministically: the same trace through
-  the same spec yields bit-identical non-wall metrics, and one trace
-  replays across FTL personalities for apples-to-apples comparisons.
+  ``StackSpec.workload`` (``kind="trace"``) and replays a recorded
+  trace deterministically: the same trace through the same spec yields
+  bit-identical non-wall metrics, and one trace replays across FTL
+  personalities for apples-to-apples comparisons.
   Pacing is ``afap`` (closed loop) or ``recorded`` (open loop at the
   captured inter-arrival times).
 

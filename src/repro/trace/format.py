@@ -19,8 +19,7 @@ Record vocabulary (``layer`` / ``kind``):
   limit, ``fill`` the value's fill byte) and ``barrier`` (a quiesce
   point splitting replay phases);
 * ``block`` — ``write`` / ``read`` / ``trim`` / ``flush`` over the
-  OX-Block LBA API (``lba``/``sectors``);
-* ``cluster`` — ``write`` / ``read`` of a routed cluster key.
+  OX-Block LBA API (``lba``/``sectors``).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.errors import ReproError
 
 TRACE_VERSION = 1
 
-LAYERS = ("host", "block", "cluster")
+LAYERS = ("host", "block")
 KINDS = ("put", "get", "delete", "scan", "write", "read", "trim",
          "flush", "barrier")
 
@@ -54,10 +53,10 @@ class TraceOp:
     """One recorded workload operation (or barrier)."""
 
     t: float                 # sim time at issue
-    layer: str               # host | block | cluster
+    layer: str               # host | block
     kind: str                # see KINDS
     stream: str = ""         # client/tenant label (replay concurrency)
-    key: str = ""            # host/cluster key (latin-1 decoded)
+    key: str = ""            # host key (latin-1 decoded)
     lba: int = -1            # block ops only
     sectors: int = 0         # block ops only
     size: int = 0            # value bytes (put) / scan limit

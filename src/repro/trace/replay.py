@@ -43,10 +43,6 @@ class TraceWorkload:
         self.meta = dict(meta or {})
         self.pacing = pacing
         layers = {op.layer for op in self.ops if op.kind != "barrier"}
-        if "cluster" in layers:
-            raise ReproError(
-                "TraceWorkload replays single-stack traces; cluster "
-                "traces replay through repro.cluster.run_cluster")
         if layers >= {"host", "block"}:
             raise ReproError(
                 "TraceWorkload: mixed host+block trace; record with "

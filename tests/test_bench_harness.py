@@ -22,7 +22,6 @@ EXPECTED_BENCHES = {
     "bench_gc_locality.py",
     "bench_ablations.py",
     "bench_abstraction_spectrum.py",
-    "bench_cluster_scaling.py",
 }
 
 
@@ -76,7 +75,8 @@ def test_result_names_are_sanitized_to_safe_slugs(tmp_path, monkeypatch):
 
 
 def test_report_pads_to_the_longest_metric_key(tmp_path, monkeypatch):
-    """Regression: ``{key:>18s}`` misaligned cluster-length keys."""
+    """Regression: ``{key:>18s}`` misaligned keys longer than 18
+    characters (a ``wlfc`` run's ``wlfc_absorbed_rewrites``)."""
     import repro.benchhelpers as bh
     from repro.stack.runner import run_and_report
     from repro.stack.spec import StackSpec
@@ -86,10 +86,11 @@ def test_report_pads_to_the_longest_metric_key(tmp_path, monkeypatch):
         name="pad-stack-test",
         geometry={"num_groups": 2, "pus_per_group": 2,
                   "chunks_per_pu": 16, "pages_per_block": 6},
-        ftl="oxblock",
+        ftl="oxblock", host="wlfc",
         ftl_config={"wal_chunk_count": 4, "ckpt_chunks_per_slot": 2},
         workload={"kind": "raw_fill_read", "fill_ops": 4, "read_ops": 8}))
     lines = open(os.path.join(
         str(tmp_path), "pad-stack-test.txt")).read().splitlines()[1:]
+    assert any("wlfc_absorbed_rewrites =" in line for line in lines)
     widths = {len(line.partition("=")[0]) for line in lines}
     assert len(widths) == 1

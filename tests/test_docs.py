@@ -5,6 +5,8 @@ Every ``python -m repro.X`` in ``README.md``, ``DESIGN.md`` and
 ``__main__`` (a package), and every repo path they quote (``src/…``,
 ``scripts/…``, ``benchmarks/…``, ``tests/…``, ``examples/…``; a
 ``<placeholder>`` or ``*`` is a glob that must match) is in the tree.
+Every ``DESIGN §N`` they, ``src/`` and ``tests/`` cite is a section
+DESIGN.md has.
 """
 
 import glob
@@ -48,3 +50,26 @@ def test_every_path_the_docs_quote_exists():
                and not glob.glob(os.path.join(
                    ROOT, re.sub(r"<\w+>", "*", path)))]
     assert not missing, "\n".join(missing)
+
+
+#: ``DESIGN §N``, ``DESIGN.md §N`` or ``§N of `DESIGN.md```.
+DESIGN_SECTION = re.compile(
+    r"DESIGN(?:\.md)?`?\s+§(\d+)|§(\d+)\s+of\s+`DESIGN\.md`")
+
+
+def test_every_design_section_reference_names_a_heading():
+    with open(os.path.join(ROOT, "DESIGN.md"), encoding="utf-8") as handle:
+        headings = set(re.findall(r"^## (\d+)\. ", handle.read(), re.M))
+    paths = [os.path.join(ROOT, doc) for doc in DOCS]
+    for top in ("src", "tests"):
+        paths += glob.glob(os.path.join(ROOT, top, "**", "*.py"),
+                           recursive=True)
+    assert len(paths) > 100
+    dangling = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        dangling += [f"{os.path.relpath(path, ROOT)}: §{a or b}"
+                     for a, b in DESIGN_SECTION.findall(text)
+                     if (a or b) not in headings]
+    assert not dangling, "\n".join(dangling)

@@ -123,17 +123,6 @@ class TestMetrics:
         with pytest.raises(TypeError):
             registry.histogram("x")
 
-    def test_flat_fans_out_histograms_only(self):
-        registry = MetricsRegistry()
-        registry.counter("ops").increment(3)
-        registry.histogram("lat").extend([1.0, 3.0])
-        flat = registry.flat()
-        assert flat["ops"] == 3
-        assert flat["lat.count"] == 2
-        assert flat["lat.mean"] == pytest.approx(2.0)
-        assert flat["lat.max"] == 3.0
-        assert "lat" not in flat
-
     def test_contains_and_names(self):
         registry = MetricsRegistry()
         registry.counter("b")

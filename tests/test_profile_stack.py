@@ -61,3 +61,19 @@ def test_sim_table_is_the_span_fold(profile_stack, name):
               for line in text.splitlines()[-len(table.names):]]
     assert sorted(listed) == sorted(f"{layer}/{span}"
                                     for layer, span in table.names)
+
+
+@pytest.mark.parametrize("text, names", [
+    (None, "No such file"),
+    ('{"ftl": ', "Expecting value"),
+])
+def test_a_bad_spec_file_exits_2_naming_it(profile_stack, tmp_path, capsys,
+                                            text, names):
+    """The same ``invalid spec`` line ``python -m repro.stack`` prints,
+    not a traceback."""
+    path = tmp_path / "spec.json"
+    if text is not None:
+        path.write_text(text)
+    assert profile_stack.main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid spec {path}: ") and names in err, err

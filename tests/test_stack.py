@@ -4,7 +4,6 @@ stack layer exists for (no inline device wiring; every example spec
 runs)."""
 
 import glob
-import importlib
 import json
 import os
 import re
@@ -267,6 +266,35 @@ def test_raw_device_stack_has_no_ftl():
         stack.dbbench()
 
 
+def test_the_block_lane_of_a_wlfc_stack_is_its_cache():
+    """``Stack.block`` is the ``wlfc`` host when there is one: a write
+    through the lane reads back from the cache, and after a flush from
+    the OX-Block below it."""
+    stack = build_stack(StackSpec(
+        geometry=SMOKE_GEOMETRY, ftl="oxblock", host="wlfc",
+        ftl_config={"wal_chunk_count": 4, "ckpt_chunks_per_slot": 2}))
+    lane = stack.block
+    assert lane is stack.wlfc
+    geometry = stack.device.geometry
+    payload = bytes(range(256)) * (geometry.ws_min
+                                   * geometry.sector_size // 256)
+    lane.write(0, payload)
+    assert lane.read(0, geometry.ws_min) == payload
+    assert (stack.wlfc.stats.read_hits, stack.ftl.stats.writes) == (
+        geometry.ws_min, 0)
+    lane.flush()
+    assert lane.read(0, geometry.ws_min) == payload
+    assert stack.wlfc.stats.read_misses == geometry.ws_min
+
+
+def test_a_missing_surface_names_what_the_stack_gives():
+    stack = build_stack(smoke_spec())
+    with pytest.raises(ReproError, match=re.escape(
+            "stack 'stack-test''s block lane needs the 'block' surface; "
+            "ftl 'lightlsm' with host 'db' gives ['db']")):
+        stack.block
+
+
 # -- the runner ---------------------------------------------------------------
 
 
@@ -360,19 +388,17 @@ def test_a_zero_tenant_rate_exits_2_in_one_line(tmp_path, capsys):
                    f"must be > 0 or null, got 0\n")
 
 
-@pytest.mark.parametrize("cli", ["repro.stack", "repro.cluster"])
 @pytest.mark.parametrize("name, text, names", [
     ("spec.json", '{"ftl": ', "Expecting value"),
     ("spec.toml", "ftl = ", "Invalid value"),
     ("spec.json", None, "No such file"),
     ("spec.json", "5", "a spec is a mapping of fields, got 5"),
 ])
-def test_a_bad_spec_file_exits_2_naming_it(tmp_path, capsys, cli, name,
-                                            text, names):
-    """Both CLIs read files through one loader: a file that is missing,
-    not JSON/TOML, or not a mapping is ``invalid spec``, not a
-    traceback."""
-    main = importlib.import_module(f"{cli}.__main__").main
+def test_a_bad_spec_file_exits_2_naming_it(tmp_path, capsys, name, text,
+                                            names):
+    """A file that is missing, not JSON/TOML, or not a mapping is
+    ``invalid spec``, not a traceback."""
+    from repro.stack.__main__ import main
     path = tmp_path / name
     if text is not None:
         path.write_text(text)
@@ -472,8 +498,8 @@ SCHEMA_MEANING = {
     "ftl_config": "kwargs of the flavour's config class; non-empty needs "
                   "an FTL",
     "placement": "LightLSM data placement (Figures 5/6)",
-    "gc_policy": "`repro.policies` victim selection (§11)",
-    "placement_policy": "`repro.policies` PU allocation order (§11)",
+    "gc_policy": "`repro.policies` victim selection (§10)",
+    "placement_policy": "`repro.policies` PU allocation order (§10)",
     "host": "the host above the FTL (`auto`: the flavour's first host)",
     "wlfc": "kwargs of the host's config class; non-empty needs that "
             "resolved host",
@@ -577,20 +603,9 @@ def test_no_inline_device_wiring_outside_repro_stack():
                                           "*.json"))),
     ids=os.path.basename)
 def test_example_spec_runs_end_to_end(path):
-    """Every shipped example spec loads through its CLI loader and runs:
-    a stack spec drives a nonzero op count, a cluster spec verifies
-    every read and loses none."""
-    from repro.cluster import ClusterSpec, run_cluster
+    """Every shipped example spec loads through the CLI loader, runs and
+    drives a nonzero op count."""
     from repro.stack.spec import load_spec
-    with open(path) as handle:
-        is_cluster = bool({"template", "shards"} & set(json.load(handle)))
-    if is_cluster:
-        result = run_cluster(load_spec(path, ClusterSpec))
-        merged = result.merged
-        assert result.reads_lost == 0
-        assert (merged["cluster.reads_verified_total"]
-                == merged["cluster.reads_attempted"] > 0)
-    else:
-        metrics = run_spec(load_spec(path))
-        assert metrics["fill_ops"] > 0
-        assert metrics["sim_seconds"] > 0
+    metrics = run_spec(load_spec(path))
+    assert metrics["fill_ops"] > 0
+    assert metrics["sim_seconds"] > 0

