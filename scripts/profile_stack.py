@@ -2,8 +2,8 @@
 """Profile any declared stack: cProfile + per-layer exclusive time.
 
 Runs a :class:`repro.stack.StackSpec` workload (a spec file, or the
-perf-trajectory macro/smoke shapes) under ``cProfile`` and reports where
-the wall time actually goes, twice over:
+timed phase of a ``benchmarks/ledger`` workload) under ``cProfile`` and
+reports where the wall time actually goes, twice over:
 
 1. **Per-layer attribution** — every profiled function is charged to the
    stack layer that owns its source file, by the ledger's own table
@@ -19,9 +19,11 @@ the wall time actually goes, twice over:
 ``--ledger W --sim`` asks the other clock: the workload runs with
 ``repro.obs`` attached (``workload.spec(seed, obs=True)``, the ledger's
 own sim-clock pass; tracing does not move the sim clock) and the spans
-its timed phase began are folded per ``(layer, name)`` by one
-:func:`repro.obs.report.attribute` call: inclusive and critical-path
-simulated seconds, the critical share of the roots' total, and entries.
+its timed phase began are folded by one
+:func:`repro.obs.report.attribute` call and printed by
+:func:`repro.obs.report.format_table` — the table ``python -m
+repro.stack`` prints for an ``obs`` spec — under a header naming the
+commit profiled.
 ``--tree PATH`` profiles another checkout (a clone of the parent
 commit, say) and ``--append`` adds the report to the results file
 instead of replacing it, so one file carries both sides of an A/B.
@@ -34,9 +36,8 @@ unprofiled.  Same layer buckets, self and cumulative share per function.
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python scripts/profile_stack.py --bench macro
-    PYTHONPATH=src python scripts/profile_stack.py --bench smoke --top 40
     PYTHONPATH=src python scripts/profile_stack.py examples/specs/lightlsm_smoke.json
+    PYTHONPATH=src python scripts/profile_stack.py --ledger oxblock_fill_read --top 40
     PYTHONPATH=src python scripts/profile_stack.py --ledger oxblock_gc_zipf --sample
     python scripts/profile_stack.py --ledger oxblock_gc_zipf --sim --tree ../parent
     python scripts/profile_stack.py --ledger oxblock_gc_zipf --sim --append
@@ -62,9 +63,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def use_tree(root: str) -> None:
-    """Import ``repro``, the benches and the ledger's attribution table
-    (``layers.layer_of``) from the checkout at *root*."""
-    for sub in ("src", "benchmarks", os.path.join("benchmarks", "ledger")):
+    """Import ``repro`` and the ledger (its workloads and its attribution
+    table ``layers.layer_of``) from the checkout at *root*."""
+    for sub in ("src", os.path.join("benchmarks", "ledger")):
         sys.path.insert(0, os.path.join(root, sub))
 
 
@@ -154,21 +155,6 @@ def format_report(name: str, metrics: dict, stats: pstats.Stats,
     return "\n".join(lines)
 
 
-def bench_spec(shape: str):
-    """The perf-trajectory stack (macro or smoke) as a profiling target,
-    including its workload, so `--bench macro` profiles exactly what the
-    recorded BENCH_perf.json numbers measure."""
-    from bench_perf_trajectory import MACRO, SMOKE, stack_spec
-
-    cfg = {"macro": MACRO, "smoke": SMOKE}[shape]
-    overrides = {"workload": {"kind": "raw_fill_read",
-                              "fill_ops": cfg["fill_ops"],
-                              "read_ops": cfg["read_ops"]}}
-    if cfg.get("qos"):
-        overrides["tenants"] = [{"name": "bench"}]
-    return stack_spec(cfg, **overrides)
-
-
 def ledger_run(name: str, obs: bool = False, scale: str = "full"):
     """The timed phase of a ledger workload (seed 1), set up and prefilled
     outside the profile as the ledger does; returns ``(stack, run)``."""
@@ -203,32 +189,21 @@ def sim_table(name: str, scale: str = "full"):
 def format_sim_report(name: str, tree: str, metrics: dict, table) -> str:
     import subprocess
     from repro.benchhelpers import git_sha
-    total = table.root_total or 1.0
+    from repro.obs.report import format_table
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"],
                            cwd=tree, capture_output=True).stdout.strip()
     where = (f"{'this tree' if tree == REPO_ROOT else tree}, "
              f"{git_sha(tree)}{' + uncommitted src/ changes' if dirty else ''}")
-    lines = [f"Sim-time split: {name} ({where})", "",
-             *(f"  {key:>18s} = {value}" for key, value in metrics.items()),
-             f"  {'root seconds':>18s} = {table.root_total:.6f}",
-             "", f"  {'inclusive s':>12s} {'critical s':>11s} {'share':>6s} "
-                 f"{'entries':>8s}  layer/span",
-             *(f"  {row.total:12.3f} {row.exclusive:11.3f} "
-               f"{100.0 * row.exclusive / total:5.1f}% "
-               f"{row.spans:8d}  {layer}/{span}"
-               for (layer, span), row in sorted(
-                   table.names.items(),
-                   key=lambda item: (-item[1].exclusive, -item[1].total)))]
-    return "\n".join(lines)
+    return "\n".join([f"Sim-time split: {name} ({where})", "",
+                      *(f"  {key:>18s} = {value}"
+                        for key, value in metrics.items()),
+                      "", *format_table(table)])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("spec", nargs="?", default=None,
                         help="path to a JSON or TOML StackSpec to profile")
-    parser.add_argument("--bench", choices=("macro", "smoke"), default=None,
-                        help="profile the perf-trajectory stack instead "
-                             "of a spec file")
     parser.add_argument("--ledger", default=None, metavar="WORKLOAD",
                         help="profile the timed phase of a "
                              "benchmarks/ledger workload instead")
@@ -248,30 +223,29 @@ def main(argv=None) -> int:
                              "(default 25)")
     args = parser.parse_args(argv)
 
-    if sum(x is not None for x in (args.spec, args.bench, args.ledger)) != 1:
-        parser.error("give one of: a spec file, --bench macro|smoke, "
-                     "--ledger WORKLOAD")
+    if (args.spec is None) == (args.ledger is None):
+        parser.error("give one of: a spec file, --ledger WORKLOAD")
     if args.sim and args.ledger is None:
         parser.error("--sim needs --ledger WORKLOAD")
     tree = os.path.abspath(args.tree)
     use_tree(tree)
     if args.ledger is not None:
+        from workloads import WORKLOADS
+        if args.ledger not in WORKLOADS:
+            parser.error(f"unknown ledger workload {args.ledger!r}; "
+                         f"choose from {sorted(WORKLOADS)}")
         name = f"ledger_{args.ledger}"
         run = None if args.sim else ledger_run(args.ledger)[1]
     else:
+        from repro.errors import ReproError
         from repro.stack.runner import run_spec
-        if args.bench is not None:
-            spec = bench_spec(args.bench)
-            name = f"perf_{args.bench}"
-        else:
-            from repro.errors import ReproError
-            from repro.stack.spec import load_spec
-            try:
-                spec = load_spec(args.spec)
-            except ReproError as exc:
-                print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
-                return 2
-            name = spec.name
+        from repro.stack.spec import load_spec
+        try:
+            spec = load_spec(args.spec)
+        except ReproError as exc:
+            print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
+            return 2
+        name = spec.name
         run = lambda: run_spec(spec)   # noqa: E731
 
     if args.sim:

@@ -11,21 +11,16 @@ subsystem makes that visible for any run:
   under per-layer namespaces (``nand.*``, ``ocssd.*``, ``ftl.gc.*``,
   ``lsm.*``) and the error and spawn counters; every other count lives
   in its layer's ``stats``.
-* Exporters — Chrome trace-event JSON (``chrome://tracing``/Perfetto)
-  and a JSONL event log.
-* ``python -m repro.obs.report run.jsonl`` — the per-layer latency
-  attribution table: inclusive time and critical-path time, which splits
-  each root span along what gated it, so the layer rows sum to the
-  end-to-end root durations by construction (checked).
+* :func:`write_chrome_trace` — Chrome trace-event JSON for
+  ``chrome://tracing`` / Perfetto.
+* :func:`attribute` / :func:`format_table` — the per-layer latency
+  attribution table: inclusive time and critical-path time, which
+  splits each root span along what gated it, so the layer rows sum to
+  the end-to-end root durations by construction (checked).  A spec
+  with ``"obs": true`` run through ``python -m repro.stack`` prints it.
 """
 
-from repro.obs.export import (
-    chrome_trace_events,
-    read_jsonl,
-    spans_from_chrome,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.obs.export import write_chrome_trace
 from repro.obs.hub import Obs
 from repro.obs.metrics import (
     Counter,
@@ -46,12 +41,8 @@ __all__ = [
     "Span",
     "Tracer",
     "attribute",
-    "chrome_trace_events",
     "format_table",
     "percentile_of",
-    "read_jsonl",
-    "spans_from_chrome",
     "validate_nesting",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -51,9 +51,6 @@ class Counter:
     def increment(self, amount: Number = 1) -> None:
         self.value += amount
 
-    def summary(self) -> dict:
-        return {"type": "counter", "value": self.value}
-
 
 class Histogram:
     """Collects individual samples and summarizes them (p50/p95/p99).
@@ -152,8 +149,3 @@ class MetricsRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._instruments)
-
-    def snapshot(self) -> Dict[str, dict]:
-        """``{name: summary dict}`` for every instrument, sorted by name."""
-        return {name: self._instruments[name].summary()
-                for name in sorted(self._instruments)}

@@ -1,8 +1,7 @@
 """Per-layer latency attribution: where did the simulated time go?
 
-``python -m repro.obs.report trace.jsonl`` reads an event log exported
-by :func:`repro.obs.export.write_jsonl` (or, with ``--chrome``, a Chrome
-trace JSON) and prints one row per layer:
+:func:`attribute` folds a run's span forest into one row per layer (and
+one per ``(layer, name)``):
 
 * **spans** — finished spans recorded on the layer;
 * **total_s** — sum of span durations (inclusive of children, and of
@@ -17,21 +16,16 @@ trace JSON) and prints one row per layer:
   claimed by exactly one layer, the one it waited on;
 * **p50/p95/p99** — nearest-rank percentiles of span duration.
 
-The same computation is importable (:func:`attribute`) so tests and the
-ledger's ``obs.identity_ok`` row assert the sum identity instead of
-eyeballing the table.  A trace that cannot be read (missing file, a line
-that is not JSON, a span without a field or ending before it starts) is
-a one-line error and exit status 2.
+:func:`format_table` ends the results file of a spec with ``"obs":
+true`` run through ``python -m repro.stack`` (which exits 1 if the
+identity drifts) and the report of ``scripts/profile_stack.py --sim``.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
 from repro.obs.metrics import percentile_of
 from repro.obs.trace import Span
 
@@ -156,6 +150,9 @@ def attribute(spans: List[Span]) -> Attribution:
 
 
 def format_table(result: Attribution) -> List[str]:
+    """The per-layer rows, the end-to-end row (``100.0%`` when the
+    identity holds, else ``DRIFT``), then one row per ``(layer, name)``:
+    inclusive and critical seconds, critical share, entries."""
     lines = [
         "Per-layer latency attribution (simulated seconds)",
         f"{'layer':<16s} {'spans':>7s} {'total_s':>12s} {'excl_s':>12s} "
@@ -177,38 +174,13 @@ def format_table(result: Attribution) -> List[str]:
         f"{'100.0%' if result.consistent else 'DRIFT':>7s}")
     if result.unfinished:
         lines.append(f"  ({result.unfinished} unfinished span(s) excluded)")
+    lines += ["", "Per-span attribution (simulated seconds)",
+              f"  {'inclusive s':>12s} {'critical s':>11s} {'share':>6s} "
+              f"{'entries':>8s}  layer/span"]
+    lines += [f"  {row.total:12.3f} {row.exclusive:11.3f} "
+              f"{100.0 * row.exclusive / denominator:5.1f}% "
+              f"{row.spans:8d}  {layer}/{span}"
+              for (layer, span), row in sorted(
+                  result.names.items(),
+                  key=lambda item: (-item[1].exclusive, -item[1].total))]
     return lines
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Print the per-layer latency-attribution table "
-                    "for a traced run.")
-    parser.add_argument("trace", help="event log (JSONL from "
-                        "repro.obs.export.write_jsonl, or a Chrome "
-                        "trace JSON with --chrome)")
-    parser.add_argument("--chrome", action="store_true",
-                        help="input is Chrome trace-event JSON")
-    args = parser.parse_args(argv)
-
-    from repro.obs.export import read_jsonl, spans_from_chrome
-    try:
-        spans = (spans_from_chrome(args.trace) if args.chrome
-                 else read_jsonl(args.trace)[0])
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if not spans:
-        print("no spans in trace", file=sys.stderr)
-        return 1
-    result = attribute(spans)
-    print("\n".join(format_table(result)))
-    if not result.consistent:
-        print(f"FAIL: layer exclusive sum {result.exclusive_total:.9f} != "
-              f"end-to-end {result.root_total:.9f}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -45,20 +45,6 @@ class Span:
     def duration(self) -> float:
         return (self.end if self.end is not None else self.start) - self.start
 
-    def to_dict(self) -> dict:
-        record = {
-            "type": "span",
-            "id": self.span_id,
-            "parent": self.parent_id,
-            "layer": self.layer,
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-        }
-        if self.attrs:
-            record["attrs"] = self.attrs
-        return record
-
 
 class Instant:
     """A zero-duration mark (error events, notifications)."""
@@ -71,17 +57,6 @@ class Instant:
         self.name = name
         self.time = time
         self.attrs = attrs
-
-    def to_dict(self) -> dict:
-        record = {
-            "type": "instant",
-            "layer": self.layer,
-            "name": self.name,
-            "time": self.time,
-        }
-        if self.attrs:
-            record["attrs"] = self.attrs
-        return record
 
 
 class Tracer:

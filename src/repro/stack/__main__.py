@@ -2,8 +2,10 @@
 
 Loads the spec (JSON by content, TOML by ``.toml`` suffix), validates
 it, builds and runs the stack, and writes the standard results files
-(``benchmarks/results/<name>.txt`` + JSON twin).  Exit code 0 on
-success; spec errors print the offending field and exit 2.
+(``benchmarks/results/<name>.txt`` + JSON twin; an ``obs`` spec's ends
+with the attribution table).  Exit code 0 on success; a bad spec or
+``--trace-out`` path prints one line and exits 2; attribution drift
+prints ``FAIL`` and exits 1.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import sys
 
 from repro.errors import ReproError
-from repro.stack.runner import run_and_report
+from repro.stack.runner import AttributionDrift, run_and_report
 from repro.stack.spec import load_spec
 
 
@@ -33,6 +35,9 @@ def main(argv=None) -> int:
         return 2
     try:
         run_and_report(spec, name=args.name, trace_out=args.trace_out)
+    except AttributionDrift as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
     except ReproError as exc:
         print(f"run failed for {args.spec}: {exc}", file=sys.stderr)
         return 2

@@ -4,16 +4,24 @@
 returns a flat metrics dict; ``python -m repro.stack spec.json`` (see
 ``__main__``) additionally persists the usual harness artifacts —
 ``benchmarks/results/<name>.txt`` plus its JSON twin — through
-:func:`repro.benchhelpers.report`.
+:func:`repro.benchhelpers.report`; an ``obs`` run's ``.txt`` file ends
+with the latency-attribution table of its spans.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.errors import ReproError
+from repro.obs.report import attribute, format_table
 from repro.stack import personality
-from repro.stack.build import build_stack
+from repro.stack.build import Stack, build_stack
 from repro.stack.spec import StackSpec
+
+
+class AttributionDrift(ReproError):
+    """An ``obs`` run whose per-layer critical-path seconds do not sum to
+    its roots' total."""
 
 
 def run_spec(spec: StackSpec,
@@ -21,10 +29,23 @@ def run_spec(spec: StackSpec,
     """Build the stack, run its workload, return the metrics.
 
     With *trace_out*, a :class:`repro.trace.TraceRecorder` rides along
-    and the captured trace is written there.  Recording appends to a
-    list outside the event loop, so the captured run's simulated
-    timeline is identical to an unrecorded one.
+    and the captured trace is written there; a path that cannot be
+    written is a :class:`ReproError` before the stack is built.
+    Recording appends to a list outside the event loop, so the captured
+    run's simulated timeline is identical to an unrecorded one.
     """
+    return _run(spec, trace_out)[0]
+
+
+def _run(spec: StackSpec,
+         trace_out: Optional[str]) -> Tuple[Dict[str, object], Stack]:
+    """:func:`run_spec`'s metrics, and the stack that ran."""
+    if trace_out:
+        try:
+            open(trace_out, "a").close()
+        except OSError as error:
+            raise ReproError(f"cannot write the trace to {trace_out} "
+                             f"({error.strerror})") from None
     stack = build_stack(spec)
     recorder = None
     if trace_out:
@@ -46,23 +67,35 @@ def run_spec(spec: StackSpec,
     if recorder is not None:
         recorder.write(trace_out, meta={"spec": spec.to_dict()})
         metrics["trace_ops"] = len(recorder.ops)
-    return metrics
+    return metrics, stack
 
 
 def run_and_report(spec: StackSpec,
                    name: Optional[str] = None,
                    trace_out: Optional[str] = None) -> Dict[str, object]:
-    """``run_spec`` + the standard results files; returns the metrics."""
+    """``run_spec`` + the standard results files; returns the metrics.
+
+    An ``obs`` run's ``.txt`` file ends with the attribution table of
+    every span the run began; if its layer rows do not sum to the
+    end-to-end row, :class:`AttributionDrift` follows the files."""
     # Imported here: benchhelpers itself builds stacks from specs.
     from repro.benchhelpers import report
-    metrics = run_spec(spec, trace_out=trace_out)
+    metrics, stack = _run(spec, trace_out)
     label = name or spec.name
     # Align on the longest key, at least the historical 18 columns.
     width = max(18, max((len(key) for key in metrics), default=0))
     header = (f"Stack run: {label} (ftl={spec.ftl}, "
               f"host={spec.resolved_host}, workload="
               f"{spec.workload.kind if spec.workload else 'none'})")
-    report(label, [header, *(f"  {key:>{width}s} = {value}"
-                             for key, value in metrics.items())],
-           metrics=metrics)
+    lines = [header, *(f"  {key:>{width}s} = {value}"
+                       for key, value in metrics.items())]
+    if stack.obs is None:
+        report(label, lines, metrics=metrics)
+        return metrics
+    attribution = attribute(stack.obs.tracer.spans)
+    report(label, [*lines, "", *format_table(attribution)], metrics=metrics)
+    if not attribution.consistent:
+        raise AttributionDrift(
+            f"layer exclusive sum {attribution.exclusive_total:.9f} != "
+            f"end-to-end {attribution.root_total:.9f}")
     return metrics

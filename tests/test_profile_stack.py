@@ -77,3 +77,14 @@ def test_a_bad_spec_file_exits_2_naming_it(profile_stack, tmp_path, capsys,
     assert profile_stack.main([str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"invalid spec {path}: ") and names in err, err
+
+
+def test_an_unknown_ledger_workload_exits_2_listing_them(profile_stack,
+                                                        capsys):
+    """It used to be a bare ``KeyError`` traceback."""
+    from workloads import WORKLOADS
+    with pytest.raises(SystemExit) as exit_:
+        profile_stack.main(["--ledger", "nosuch"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "'nosuch'" in err and str(sorted(WORKLOADS)) in err

@@ -111,10 +111,12 @@ def test_build_stack_matches_hand_wired_assembly():
 
 
 def test_build_stack_is_self_deterministic():
-    runs = [run_spec(smoke_spec(
-        workload={"kind": "fill_then_read_random", "clients": 2,
-                  "ops_per_client": 80})) for __ in range(2)]
-    assert runs[0] == runs[1]
+    """Traced or not: an ``obs`` run reports nothing off the sim clock."""
+    for obs in (False, True):
+        runs = [run_spec(smoke_spec(
+            workload={"kind": "fill_then_read_random", "clients": 2,
+                      "ops_per_client": 80}, obs=obs)) for __ in range(2)]
+        assert runs[0] == runs[1]
 
 
 # -- validation ---------------------------------------------------------------
@@ -365,6 +367,52 @@ def test_module_runner_executes_a_json_spec(tmp_path, capsys):
     assert {"sim_seconds", "events_processed"} <= shared
     for key in shared:
         assert replayed[key] == captured[key], key
+
+
+def test_module_runner_reports_an_obs_run(tmp_path, capsys):
+    """``"obs": true`` ends the results file with the attribution table;
+    the lines before it are byte for byte what the untraced run writes."""
+    from repro.stack.__main__ import main
+    with open(os.path.join(REPO_ROOT, "examples", "specs",
+                           "lightlsm_smoke.json")) as handle:
+        spec = json.load(handle)
+    results = tmp_path / "lightlsm_smoke.txt"
+    for obs in (False, True):
+        path = tmp_path / f"obs_{obs}.json"
+        path.write_text(json.dumps(dict(spec, obs=obs)))
+        assert main([str(path)]) == 0
+        if not obs:
+            plain = results.read_text().splitlines()
+    traced = results.read_text().splitlines()
+    metrics = json.loads((tmp_path / "lightlsm_smoke.json").read_text())
+    assert len(plain) == 1 + len(metrics["metrics"])
+    assert traced[:len(plain) + 1] == [*plain, ""]
+    table = traced[len(plain) + 1:]
+    assert table[0] == "Per-layer latency attribution (simulated seconds)"
+    end_to_end = [line for line in table if line.startswith("end-to-end")]
+    assert len(end_to_end) == 1 and end_to_end[0].endswith("100.0%")
+    rows = table[table.index("Per-span attribution (simulated seconds)")
+                 + 2:]
+    assert {"lsm/flush", "nand/read", "ocssd/read"} <= {
+        line.split()[-1] for line in rows}
+    assert "\n".join(table) in capsys.readouterr().out
+
+
+def test_module_runner_fails_on_attribution_drift(tmp_path, capsys,
+                                                  monkeypatch):
+    from repro.obs.report import Attribution
+    from repro.stack.__main__ import main
+    monkeypatch.setattr(Attribution, "consistent", property(lambda _: False))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"name": "drift", "geometry": SMOKE_GEOMETRY, "ftl": "lightlsm",
+         "db": SMOKE_DB, "obs": True,
+         "workload": {"kind": "fill_sequential", "clients": 1,
+                      "ops_per_client": 20}}))
+    assert main([str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "FAIL: layer exclusive sum ")
+    assert "DRIFT" in (tmp_path / "drift.txt").read_text()
 
 
 def test_module_runner_rejects_a_bad_spec(tmp_path, capsys):

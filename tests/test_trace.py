@@ -234,6 +234,24 @@ class TestHostCaptureReplay:
         assert recorded.pop("trace_ops") > 0
         assert plain == recorded
 
+    def test_an_unwritable_trace_path_exits_2_before_the_run(
+            self, tmp_path, capsys, monkeypatch):
+        """It used to run the whole workload, then die in a
+        ``FileNotFoundError`` traceback."""
+        import repro.stack.runner as runner
+        from repro.stack.__main__ import main
+
+        def no_build(spec):
+            raise AssertionError("the stack was built")
+        monkeypatch.setattr(runner, "build_stack", no_build)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(HOST_SPEC))
+        trace = tmp_path / "missing" / "t.jsonl"
+        assert main([str(spec_path), "--trace-out", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(trace) in err and "No such file or directory" in err
+
     def test_replay_is_bit_identical(self, tmp_path):
         trace = str(tmp_path / "t.jsonl")
         captured = run_spec(host_spec(), trace_out=trace)
