@@ -168,7 +168,7 @@ def test_fig5_worker_sweep(benchmark):
 
 
 def test_dispatch_sweep_smoke():
-    """§4.2 at smoke scale (a 1 MB write buffer, so the same 6 000 puts
+    """§4.2 at smoke scale (a 2 MB write buffer, so the same 6 000 puts
     per client flush and compact often): once dispatch costs CPU
     comparable to a block program and the flush/compaction writers run
     concurrently, more dispatch workers buy >= 1.2x simulated ops/s
@@ -176,7 +176,7 @@ def test_dispatch_sweep_smoke():
     ops_per_sec = {}
     for workers in (1, 2, 4):
         __, __env, db = lightlsm_db(
-            HorizontalPlacement(), write_buffer_bytes=1 * MIB,
+            HorizontalPlacement(), write_buffer_bytes=2 * MIB,
             flush_workers=2, compaction_workers=2,
             dispatch_workers=workers, dispatch_cpu=SWEEP_DISPATCH_CPU)
         fill = DbBench(db).fill_sequential(clients=4,

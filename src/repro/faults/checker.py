@@ -101,6 +101,8 @@ class CheckResult:
     #: OX-ELEOS chunk erases the cut found in flight (a free returns
     #: before its erases finish).
     erases_in_flight: int = 0
+    #: OX-Block GC victims the cut found with their commit buffered.
+    gc_victims_pending: int = 0
     txns_replayed: int = 0
     txns_dropped: int = 0
     probe_ran: bool = False
@@ -142,7 +144,8 @@ class FtlOps:
     """How the checker drives and reads one FTL; a ``"free"`` trim slot
     reclaims space and unmaps nothing, *structure* yields what breaks
     invariant A, *barriers* counts the ones the FTL ran on its own,
-    *erasing* the erases it has in flight."""
+    *erasing* the erases it has in flight, *pending* the GC victims whose
+    commit is still buffered."""
 
     write: Callable[[object, int, bytes], object]
     read: Callable[[object, int], bytes]
@@ -153,6 +156,7 @@ class FtlOps:
     reclaimed: Callable[[object], int]
     lost: Callable[[object], List[int]] = lambda ftl: []
     erasing: Callable[[object], int] = lambda ftl: 0
+    pending: Callable[[object], int] = lambda ftl: 0
     trim_kind: str = "trim"
     lbas: int = LBA_SPACE
 
@@ -227,7 +231,8 @@ FTL_OPS: Dict[str, FtlOps] = {
         structure=_oxblock_structure,
         barriers=lambda ftl: ftl.stats.checkpoints,
         reclaimed=lambda ftl: ftl.gc.stats.chunks_recycled,
-        lost=lambda ftl: ftl.lost_lbas),
+        lost=lambda ftl: ftl.lost_lbas,
+        pending=lambda ftl: len(ftl.gc.pending)),
     # Page ids 0..11: at most 12 of the 24 data chunks hold a live page.
     "eleos": FtlOps(
         write=_eleos_write,
@@ -432,6 +437,7 @@ def run_crash_check(cfg: CheckConfig) -> CheckResult:
         injector.power_cut()    # quiet system: cut at idle
     result.gc_chunks_recycled = ops.reclaimed(ftl)
     result.erases_in_flight = ops.erasing(ftl)
+    result.gc_victims_pending = ops.pending(ftl)
     result.torn_chunks = injector.stats.torn_chunks
     result.programs_failed = injector.stats.programs_failed
     result.erases_failed = injector.stats.erases_failed

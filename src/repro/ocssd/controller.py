@@ -390,7 +390,8 @@ class Controller:
         """Process generator: erase the chunk's block set.
 
         Returns True on success; on an erase failure the chunk is retired,
-        a notification is logged, and False is returned.
+        a notification is logged, and False is returned.  So does a power
+        cut before the erase ends (told by the epoch), changing nothing.
         """
         epoch = self._epoch
         chip, lock, __, __ = self._ctx[chunk]
@@ -422,8 +423,9 @@ class Controller:
             yield self.sim.timeout(elapsed)
             if media is not None:
                 obs.end(media)
-            if epoch == self._epoch:
-                chunk.reset()
+            if epoch != self._epoch:
+                return False
+            chunk.reset()
             self.stats.chunk_resets += 1
             return True
         finally:

@@ -463,10 +463,13 @@ class OpenChannelSSD:
 
     def _do_reset(self, command: ChunkReset, span=None):
         chunk = self._chunk(command.ppa)
+        epoch = self.controller.epoch
         ok = yield from self.controller.reset_chunk(chunk, span=span,
                                                     tenant=command.tenant)
         if ok:
             return Completion(status=_OK)
+        if epoch != self.controller.epoch:
+            return Completion(status=_POWER_FAIL, error="power lost")
         return Completion(status=_RESET_FAILED,
                           error=f"reset failed for {chunk.address}")
 

@@ -269,7 +269,7 @@ class OXBlock:
             # what makes that ordering possible.
             yield from self._checkpoint_on_pressure_proc(span)
             if self.provisioner.sectors_available("user") < count:
-                yield from self._reclaim_space_proc(count)
+                yield from self._reclaim_space_proc(count, span)
             txn_id = self.journal.take_txn_id()
             entries: List[Tuple[int, int, int]] = []
             completed_units: List[PendingUnit] = []
@@ -350,6 +350,8 @@ class OXBlock:
                 yield unit_procs[0]
             elif unit_procs:
                 yield self.sim.all_of(unit_procs)
+            # The flush carried every GC commit buffered before this one.
+            yield from self.gc.carry_proc(span)
             # Only after this txn's units are admitted: a pressure
             # checkpoint drains the cache and must cover them.
             yield from self._checkpoint_on_pressure_proc(span)
@@ -457,7 +459,7 @@ class OXBlock:
         yield grant
         try:
             yield from self._flush_partial_unit_proc()
-            yield from self.journal.wal.flush_proc()
+            yield from self.gc.carry_proc()
         finally:
             self._lock.release()
         yield from self.media.flush_proc()
@@ -531,7 +533,7 @@ class OXBlock:
                 # of this lba have no copy anywhere until the unit lands.
                 self.buffer.restore_readable(cur, previous_ppa)
 
-    def _reclaim_space_proc(self, sectors: int):
+    def _reclaim_space_proc(self, sectors: int, parent=None):
         """Run GC under the (held) dispatch lock until the user stream
         can allocate *sectors* more sectors.
 
@@ -544,10 +546,13 @@ class OXBlock:
         obs = self.obs
         stall_started = self.sim.now if obs is not None else 0.0
         try:
+            # Pending victims are space already won: carry them first.
+            yield from self.gc.carry_proc(parent)
             while self.provisioner.sectors_available("user") < sectors:
                 before = self.provisioner.sectors_available("user")
                 progressed = yield from self.gc.collect_round_locked_proc(
                     self.geometry.pus_per_group)   # as wide as the group
+                yield from self.gc.carry_proc(parent)
                 # "Recycled" is not "freed space": on a device full of
                 # live data GC can spend as many sectors as it frees.
                 # Tolerate one zero-gain round (the gain can land a round
@@ -633,6 +638,8 @@ class OXBlock:
                 if obs is not None else None)
         yield from self._flush_partial_unit_proc(span)
         yield from self.media.flush_proc()
+        # The snapshot covers the buffered GC commits: drop, not flush.
+        self.journal.wal.drop_buffered()
         sector_size = self.geometry.sector_size
         chunk_rows = self.chunk_table.snapshot()
         # The map records are slices of the packed snapshot: no per-entry
@@ -644,6 +651,7 @@ class OXBlock:
         yield from self.journal.checkpoint_proc(
             records, map_entries=len(self.page_map),
             chunk_entries=len(chunk_rows), parent=span)
+        yield from self.gc.carry_proc(span)
         self.stats.checkpoints += 1
         if obs is not None:
             obs.end(span)
@@ -652,8 +660,7 @@ class OXBlock:
 
     def _poke_gc(self) -> None:
         if (self.config.gc_enabled
-                and self.provisioner.free_chunks()
-                < self.config.gc_low_watermark
+                and self.gc.free_chunks() < self.config.gc_low_watermark
                 and not self._gc_wakeup.triggered):
             self._gc_wakeup.succeed()
 

@@ -12,12 +12,12 @@ traffic therefore contends only with I/O to that one group.
 Background work is as wide as the marked group: a *round* takes at most
 one victim per parallel unit, so its scans, copies and erases run side by
 side.  A round is crash-safe by ordering, as one victim would be:
-device-internal copy; then the device flush (copies durable) beside one
-WAL commit of all the map updates; only then the resets.  The commit does
-not wait for the flush: recovery drops a committed transaction whose
-sectors are not on media, and the victims are still whole.  Validity is
-re-checked under the dispatch lock after the copy, so a user overwrite
-racing the relocation can never be undone.
+device-internal copy; then the device flush (copies durable); then one
+commit of all the map updates, only *buffered*: the victims leave the
+candidate pool at once and are reset once some WAL flush the FTL makes
+has carried it (:meth:`carry_proc`).  Validity is re-checked under the
+dispatch lock after the copy, so a user overwrite racing the relocation
+can never be undone.
 
 Two more rules keep crashes survivable:
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Set, Tuple
 
-from repro.errors import OutOfSpaceError
+from repro.errors import MediaError, OutOfSpaceError
 from repro.ocssd.address import Ppa, PpaRun
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
@@ -101,13 +101,20 @@ class GarbageCollector:
         self.stats = GcStats()
         # Victim selection is a policy (repro.policies).
         self.victim_policy = victim_policy
+        #: Relocated victims whose commit is still buffered, by key.
+        self.pending: Dict[ChunkKey, FtlChunkInfo] = {}
 
     # -- victim selection ----------------------------------------------------------
 
     def victims(self, group: int) -> List[FtlChunkInfo]:
         """The group's GC candidates, in the victim policy's order."""
         return self.victim_policy.select(
-            self.chunk_table.gc_candidates(group), self.chunk_table)
+            [info for info in self.chunk_table.gc_candidates(group)
+             if info.key not in self.pending], self.chunk_table)
+
+    def free_chunks(self) -> int:
+        """Free chunks as the watermarks count them: pending ones too."""
+        return self.provisioner.free_chunks() + len(self.pending)
 
     # -- collection ---------------------------------------------------------------------
 
@@ -116,13 +123,16 @@ class GarbageCollector:
         group; returns the number of chunks reclaimed.  A group with
         nothing collectable right now — no relocation space, or only
         unsafe victims — passes the mark on, so a collector running
-        *because* space is low degrades to a no-op instead of raising."""
-        for __ in range(self.geometry.num_groups):
+        *because* space is low degrades to a no-op instead of raising —
+        after one more pass, if pending victims can be reset first."""
+        groups = self.geometry.num_groups
+        for attempt in range(2 * groups if self.pending else groups):
+            if attempt == groups:
+                yield from self.carry_proc()
             done = yield from self._round_proc(self.marked_group, limit)
             if done:
                 return done
-            self.marked_group = (self.marked_group + 1) \
-                % self.geometry.num_groups
+            self.marked_group = (self.marked_group + 1) % groups
             self.stats.group_rotations += 1
         return 0
 
@@ -146,8 +156,8 @@ class GarbageCollector:
         is short of; returns the number of chunks recycled."""
         recycled = 0
         stalled = 0
-        while self.provisioner.free_chunks() < target_free:
-            before = self.provisioner.free_chunks()
+        while self.free_chunks() < target_free:
+            before = self.free_chunks()
             done = yield from self.collect_round_locked_proc(
                 target_free - before)
             if not done:
@@ -157,7 +167,7 @@ class GarbageCollector:
             # chunks can consume a fresh gc chunk for every chunk freed.
             # Two zero-gain rounds in a row: the pool cannot be grown now —
             # stop churning (and burning erase cycles) under the lock.
-            if self.provisioner.free_chunks() > before:
+            if self.free_chunks() > before:
                 stalled = 0
             else:
                 stalled += 1
@@ -190,11 +200,11 @@ class GarbageCollector:
         return (yield from self._recycle_proc(victims)) if victims else 0
 
     def _recycle_proc(self, victims: List[FtlChunkInfo]):
-        """Relocate the victims' live data and reset them, as one batch:
-        scans side by side, one durability barrier if any scan asks for
-        it, one vector copy, device flush beside the WAL commit, resets
-        side by side.  Returns the number of victims reclaimed (recycled or
-        retired); deferred and aborted ones stay as they are.
+        """Relocate the victims' live data, as one batch: scans side by
+        side, one durability barrier if any scan asks for it, one vector
+        copy, the device flush, the commit buffered.  Returns the number
+        of victims reclaimed — pending their reset; deferred and aborted
+        ones stay as they are.
         """
         if self.qos is not None:
             # Background work yields while foreground reads are queued
@@ -227,12 +237,10 @@ class GarbageCollector:
         moves = [(victim.key, live) for victim, __, live, __ in jobs if live]
         aborted = yield from self._relocate_round_proc(moves, span)
         jobs = [job for job in jobs if job[0].key not in aborted]
-        # Copies are durable and remapped: the victims hold dead data.
-        phase = obs.begin("ftl.gc", "reset", span) if obs is not None else None
-        yield from self.sim.join_proc(
-            [self._reset_proc(*job[:2], phase) for job in jobs], "gc-reset")
-        if obs is not None:
-            obs.end(phase)
+        # The victims hold dead data once a WAL flush carries the commit.
+        for victim, *__ in jobs:
+            victim.valid_count = 0
+            self.pending[victim.key] = victim
         if jobs:
             yield from self.journal.relieve_proc(span)
         if obs is not None:
@@ -254,11 +262,32 @@ class GarbageCollector:
             obs.end(phase)
         return [(*target, *scan) for target, scan in zip(targets, found)]
 
-    def _reset_proc(self, victim: FtlChunkInfo, base: Ppa, parent=None):
-        """Reset one relocated victim and free (or retire) its chunk."""
+    def carry_proc(self, span=None):
+        """Flush the WAL and with it every GC commit buffered; then reset
+        the pending victims side by side, freeing (or retiring) each."""
+        yield from self.journal.wal.flush_proc(parent=span)
+        if not self.pending:
+            return
+        carried, self.pending = self.pending, {}
+        epoch = self.media.device.controller.epoch
+        obs = self.obs
+        phase = obs.begin("ftl.gc", "reset", span) if obs is not None else None
+        yield from self.sim.join_proc(
+            [self._reset_proc(victim, epoch, phase)
+             for victim in carried.values()], "gc-reset")
+        if obs is not None:
+            obs.end(phase)
+
+    def _reset_proc(self, victim: FtlChunkInfo, epoch: int, parent=None):
+        """Reset one relocated victim and free (or retire) its chunk; once
+        the power has gone since *epoch*, issue and free nothing."""
         key = victim.key
-        victim.valid_count = 0
-        completion = yield from self.media.reset_proc(base, parent=parent)
+        controller = self.media.device.controller
+        if controller.epoch == epoch:
+            completion = yield from self.media.reset_proc(Ppa(*key, 0),
+                                                          parent=parent)
+        if controller.epoch != epoch:
+            raise MediaError(f"power lost around the GC reset of {key}")
         self.stats.resets += 1
         if completion.ok:
             self.provisioner.release_chunk(key)
@@ -407,16 +436,13 @@ class GarbageCollector:
             if len(entries) > left:
                 table.invalidate(key, len(entries) - left)
         self.stats.sectors_relocated += len(entries)
-        # Copies and commit must both be durable before a reset; neither
-        # waits for the other: a durable commit whose copies a crash took
-        # is a transaction recovery drops, and the victims are intact.
+        # Copies and commit must both be durable before a reset: the copies
+        # are made so here, the commit only buffered for a later WAL flush.
         phase = (obs.begin("ftl.gc", "commit", parent)
                  if obs is not None else None)
-        barrier = [self.media.flush_proc()]
+        yield from self.media.flush_proc()
         if entries:
             self.journal.log_txn(REC_MAP_UPDATE, txn, entries)
-            barrier.append(self.journal.wal.flush_proc(parent=phase))
-        yield from self.sim.join_proc(barrier, "gc-commit")
         if obs is not None:
             obs.end(phase)
         return aborted

@@ -149,13 +149,13 @@ class Provisioner:
         """
         state = self._stream(stream)
         ws_min = self.geometry.ws_min
-        headroom = self.gc_headroom if stream != "gc" else 0
+        reserved = self._reserved(stream)
         for pu in self._pu_cycle(stream, state, group):
             key = state.open_chunks.get(pu)
             if key is None:
                 if not self._free[pu]:
                     continue
-                if headroom and self._group_free(pu[0]) <= headroom:
+                if self._group_free(pu[0]) <= reserved[pu[0]]:
                     continue      # reserved for GC relocation
                 key = self._free[pu].popleft()
                 self._group_free_count[pu[0]] -= 1
@@ -275,15 +275,25 @@ class Provisioner:
         """
         state = self._stream(stream)
         sectors = self.geometry.sectors_per_chunk
-        headroom = self.gc_headroom if stream != "gc" else 0
+        reserved = self._reserved(stream)
         total = self.current_unit_remaining(stream)
         for key in state.open_chunks.values():
             total += sectors - self.table.get(key).write_next
         for group in range(self.geometry.num_groups):
-            usable = self._group_free(group) - headroom
+            usable = self._group_free(group) - reserved[group]
             if usable > 0:
                 total += usable * sectors
         return total
+
+    def _reserved(self, stream: str) -> List[int]:
+        """Free chunks per group *stream* may not open: the GC headroom,
+        less whole chunks of room left in the group's open gc chunks."""
+        sectors = self.geometry.sectors_per_chunk
+        room = [0] * self.geometry.num_groups
+        for pu, key in self._stream("gc").open_chunks.items():
+            room[pu[0]] += sectors - self.table.get(key).write_next
+        headroom = self.gc_headroom if stream != "gc" else 0
+        return [max(0, headroom - left // sectors) for left in room]
 
     def adopt_open_chunk(self, key: ChunkKey, write_next: int,
                          stream: str = "user") -> bool:

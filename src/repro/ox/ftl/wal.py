@@ -55,7 +55,9 @@ class WalAppender:
         self.sectors_written = 0
 
     def fill_fraction(self) -> float:
-        return self.used_sectors / self.capacity_sectors
+        """The ring's fill once the buffered frames are flushed."""
+        return (self.used_sectors + self.sectors_needed(0)) \
+            / self.capacity_sectors
 
     # -- appending -------------------------------------------------------------------
 
@@ -64,6 +66,9 @@ class WalAppender:
         buffered ones: whole write units."""
         count = self._writer.frame_count() + more_frames
         return count + (-count) % self.ws_min
+
+    def drop_buffered(self) -> None:     # a checkpoint covers them
+        self._writer.take()
 
     def flush_proc(self, parent=None):
         """Process generator: write buffered frames durably (FUA).

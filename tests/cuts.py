@@ -31,7 +31,7 @@ def cut_after(injector, proc):
 
 def cut_during(injector, proc, delay):
     """*proc*, cutting power *delay* into each call: the command the cut
-    catches in flight completes and changes nothing."""
+    catches in flight changes nothing (an erase completes POWER_FAIL)."""
     def wrapped(*args, **kwargs):
         cut_in(injector, delay)
         return proc(*args, **kwargs)

@@ -27,9 +27,10 @@ TIME_SEEDS = range(200, 206)
 class TestPowerCutConsistency:
     FTL = "oxblock"
     #: Counters the fixed seeds must drive above zero: space reclaimed
-    #: before a cut, torn ws_min units, media faults, dropped txns.
-    COVERED = ("gc_chunks_recycled", "torn_chunks", "programs_failed",
-               "erases_failed", "txns_dropped")
+    #: before a cut, GC victims whose commit the cut found buffered, torn
+    #: ws_min units, media faults, dropped txns.
+    COVERED = ("gc_chunks_recycled", "gc_victims_pending", "torn_chunks",
+               "programs_failed", "erases_failed", "txns_dropped")
     LBAS_CHECKED = 500
 
     def check(self, seed, **flags):

@@ -143,6 +143,24 @@ class TestGcHeadroom:
                     >= config.gc_headroom_chunks)
             provisioner.allocate_unit("gc", group=group)
 
+    def test_room_in_open_gc_chunks_counts_toward_the_headroom(self):
+        """Relocation lands in a group's open gc chunks as well as in a
+        free chunk: once they hold a chunk's worth of room, the user
+        stream may open the group's last free chunk, and GC still has
+        that room."""
+        device, media, ftl, config = make_stack()
+        provisioner, geometry = ftl.provisioner, media.geometry
+        for __ in range(geometry.pus_per_group):
+            provisioner.allocate_unit("gc", group=0)     # a unit per PU
+        per_chunk, unit = geometry.sectors_per_chunk, geometry.ws_min
+        assert geometry.pus_per_group * (per_chunk - unit) >= per_chunk
+        with pytest.raises(OutOfSpaceError):
+            while True:
+                provisioner.allocate_unit("user")
+        assert provisioner.group_free(0) == 0
+        assert provisioner.group_free(1) == config.gc_headroom_chunks
+        assert provisioner.units_available("gc", group=0) * unit >= per_chunk
+
     def test_gc_stream_ignores_headroom(self):
         device, media, ftl, config = make_stack()
         provisioner = ftl.provisioner

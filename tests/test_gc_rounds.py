@@ -1,9 +1,10 @@
 """The GC round (§4.3): as wide as the marked group, one commit.
 
 Invariants after every round, locality of its device traffic, and power
-cuts / ``kill -9`` at each step of its ordering: copies -> (device flush
-beside the durable commit) -> resets.  The round-vs-reference equivalence
-lives in ``tests/test_reclaim_accounting.py``.
+cuts / ``kill -9`` at each step of its ordering: copies -> device flush ->
+commit buffered -> the WAL flush that carries it -> resets.  The
+round-vs-reference equivalence lives in
+``tests/test_reclaim_accounting.py``.
 """
 
 import random
@@ -130,9 +131,10 @@ def test_round_never_overshoots_the_high_watermark():
 # -- locality --------------------------------------------------------------------
 
 def test_round_traffic_stays_in_the_marked_group():
-    """While a round is in flight every device command addresses the
-    marked group — or the FTL's own metadata chunks in group 0 (the WAL
-    commit, a pressure checkpoint)."""
+    """While rounds are in flight, and while the WAL flush that carries
+    their commit resets their victims, every device command addresses
+    the marked group — or the FTL's own metadata chunks in group 0 (the
+    WAL commit, a pressure checkpoint)."""
     media, ftl, expected, __ = aged(gc_enabled=False)
     device = media.device
     metadata = ftl.layout.metadata_chunk_keys()
@@ -155,7 +157,13 @@ def test_round_traffic_stays_in_the_marked_group():
     device.submit = spy
     ftl.gc.marked_group = 1
     rounds = watch_rounds(ftl)
-    assert run(media, ftl.gc.collect_group_locked_proc(1)) > 4
+
+    def rounds_then_carry():
+        recycled = yield from ftl.gc.collect_group_locked_proc(1)
+        yield from ftl.gc.carry_proc()
+        return recycled
+
+    assert run(media, rounds_then_carry()) > 4
     assert max(len(keys) for __, keys in rounds) == 4
     kinds = {kind for kind, __ in seen}
     assert {"VectorRead", "VectorCopy", "ChunkReset", "VectorWrite"} <= kinds
@@ -169,35 +177,37 @@ def test_round_traffic_stays_in_the_marked_group():
 # -- power cuts at each step of the ordering ---------------------------------------
 
 def cut_round(step):
-    """One four-wide round over group 1 with power cut at *step*; returns
-    the recovered FTL and what the scenario knew before the cut."""
+    """One four-wide round over group 1, then the WAL flush that carries
+    its commit and the resets (what the next write's flush does), with
+    power cut at *step*; returns the recovered FTL and what the scenario
+    knew before the cut."""
     media, ftl, expected, __ = aged(gc_enabled=False)
     injector = FaultInjector(FaultPlan())
     injector.attach(media.device)
-    gc, sim, wal = ftl.gc, media.sim, ftl.journal.wal
+    gc, wal = ftl.gc, ftl.journal.wal
     rounds = watch_rounds(ftl)
 
-    def delayed(proc):
-        def wrapped(*args, **kwargs):
-            yield sim.timeout(50e-3)
-            return (yield from proc(*args, **kwargs))
-        return wrapped
+    def round_then_carry():
+        yield from gc._round_proc(1, 4)
+        if step == "buffered":      # the commit waits for a carrier
+            assert gc.pending and wal.sectors_needed(0)
+            injector.power_cut()
+        yield from ftl.gc.carry_proc()
 
-    # The device flush and the commit run side by side; left alone the
-    # one-unit commit lands while the copies are still draining.
-    if step == "copied":        # copies durable, the commit held back
-        wal.flush_proc = delayed(wal.flush_proc)
+    if step == "copied":        # copies durable, no commit yet
         media.flush_proc = cut_after(injector, media.flush_proc)
     elif step == "commit first":    # commit durable, copies in the cache
+        # A round that does not wait for its copies: the one-unit commit
+        # lands while they are still draining.
+        media.flush_proc = lambda *args, **kwargs: iter(())
         wal.flush_proc = cut_after(injector, wal.flush_proc)
-    elif step == "committed":   # both durable, nothing reset
-        gc._relocate_round_proc = cut_after(injector,
-                                            gc._relocate_round_proc)
-    else:                       # 1 ms into the 3.5 ms erases
+    elif step == "committed":   # the commit carried, nothing reset
+        wal.flush_proc = cut_after(injector, wal.flush_proc)
+    elif step == "resetting":   # 1 ms into the 3.5 ms erases
         media.reset_proc = cut_during(injector, media.reset_proc, 1e-3)
     old_map = dict(ftl.page_map.items())
     try:
-        run(media, gc._round_proc(1, 4))
+        run(media, round_then_carry())
     except ReproError:
         pass
     assert injector.tripped and len(rounds[0][1]) == 4
@@ -217,7 +227,7 @@ def assert_victims_intact(ftl, victims):
 
 
 def test_cut_between_copy_and_commit_keeps_every_old_mapping():
-    """The device flush finishes first: copies durable, no commit."""
+    """The device flush is done: copies durable, no commit."""
     ftl, expected, victims, moved, old_map, __, report = cut_round("copied")
     assert dict(ftl.page_map.items()) == old_map
     assert not report.txns_dropped
@@ -225,10 +235,24 @@ def test_cut_between_copy_and_commit_keeps_every_old_mapping():
     assert_reads(ftl, expected)
 
 
+def test_cut_with_the_commit_buffered_maps_back_into_the_victims():
+    """The round is over — copies durable, victims out of the candidate
+    pool — but no WAL flush has carried its commit: every relocated LBA
+    maps back into its victim, which is intact."""
+    ftl, expected, victims, moved, old_map, new_map, report = \
+        cut_round("buffered")
+    recovered = dict(ftl.page_map.items())
+    assert recovered == old_map != new_map and not report.txns_dropped
+    assert all(ftl.geometry.delinearize(recovered[lba]).chunk_key()
+               in victims for lba in moved)
+    assert_victims_intact(ftl, victims)
+    assert_reads(ftl, expected)
+
+
 def test_cut_with_the_commit_durable_and_copies_cached_drops_the_txn():
-    """The order the joined barrier makes possible: the commit is on media
-    before the copies it names.  Recovery drops it whole — never a
-    mixture of old and new mappings — and the victims are untouched."""
+    """Were the commit on media before the copies it names, recovery
+    drops it whole — never a mixture of old and new mappings — and the
+    victims are untouched."""
     ftl, expected, victims, moved, old_map, new_map, report = \
         cut_round("commit first")
     assert report.txns_dropped >= 1
@@ -238,7 +262,7 @@ def test_cut_with_the_commit_durable_and_copies_cached_drops_the_txn():
 
 
 def test_cut_between_commit_and_resets_keeps_every_new_mapping():
-    """Both halves of the barrier done, no reset started."""
+    """The commit carried, no reset started."""
     ftl, expected, victims, moved, old_map, new_map, report = \
         cut_round("committed")
     recovered = dict(ftl.page_map.items())
@@ -253,7 +277,7 @@ def test_cut_mid_reset_recovers_every_payload():
         cut_round("resetting")
     assert dict(ftl.page_map.items()) == new_map
     assert_reads(ftl, expected)
-    # The half-erased victims are usable again.
+    # The victims the cut caught mid-erase are usable again.
     assert run(ftl.media, ftl.gc.collect_group_locked_proc(1)) > 0
     assert_reads(ftl, expected)
 
@@ -272,8 +296,8 @@ def test_crash_with_a_round_in_flight_leaves_no_child_behind():
         children.append(spawn(generator, name)), children[-1])[1]
     rounds = watch_rounds(ftl)
     ftl._poke_gc()
-    while not (len(rounds) == 1 and ftl.gc.stats.sectors_relocated
-               and any(child.name == "gc-reset" and child.is_alive
+    while not (len(rounds) == 1
+               and any(child.name == "gc-scan" and child.is_alive
                        for child in children)):
         sim.step()
     sim.step()
@@ -293,4 +317,54 @@ def test_crash_with_a_round_in_flight_leaves_no_child_behind():
     recovered.flush()
     sim.run()
     assert stale == []
+    assert_reads(recovered, expected)
+
+
+def test_crash_with_carried_resets_in_flight_leaves_the_write_quiet():
+    """``kill -9`` while a write resets the victims its WAL flush carried:
+    the reset in the device completes ``POWER_FAIL``, the ones not yet
+    issued never are, none frees a chunk, the write raises instead of
+    acking or checkpointing, and nothing of the old instance issues a
+    command to the recovered device."""
+    media, ftl, expected, write = aged(gc_enabled=False)
+    run(media, ftl.gc._round_proc(1, 4))
+    assert len(ftl.gc.pending) == 4
+    sim = media.sim
+    children = []
+    spawn = sim.spawn
+    sim.spawn = lambda generator, name="": (
+        children.append(spawn(generator, name)), children[-1])[1]
+    lba = max(expected)
+    failures = []
+
+    def writing():
+        try:
+            yield from ftl.write_proc(lba, bytes([9]) * SS)
+        except ReproError as failure:
+            failures.append(failure)
+
+    spawn(writing())
+    while not any(child.name == "gc-reset" and child.is_alive
+                  for child in children):
+        sim.step()
+    sim.step()
+    before = (ftl.stats.checkpoints, ftl.stats.writes)
+    ftl.crash()
+    sim.spawn = spawn
+    sim.run()
+    assert all(not child.is_alive for child in children)
+    assert len(failures) == 1
+    assert ftl.gc.stats.resets == ftl.gc.stats.chunks_recycled == 0
+    assert (ftl.stats.checkpoints, ftl.stats.writes) == before
+
+    stale = []
+    for name in ("read_proc", "write_proc", "copy_proc", "reset_proc",
+                 "flush_proc"):
+        setattr(media, name, lambda *args, _n=name, **kw: stale.append(_n))
+    recovered, __ = OXBlock.recover(MediaManager(media.device), ftl.config)
+    recovered.flush()
+    sim.run()
+    assert stale == []
+    # The write was never acked: either payload may come back.
+    assert recovered.read(lba, 1) in (expected.pop(lba), bytes([9]) * SS)
     assert_reads(recovered, expected)

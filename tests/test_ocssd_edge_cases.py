@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.nand import FlashGeometry, CellType
 from repro.ocssd import (
+    ChunkReset,
     ChunkState,
     CommandStatus,
     DeviceGeometry,
@@ -144,6 +145,32 @@ class TestCrashBetweenAdmissionAndFirstStep:
             keys[0])
         self.assert_failed_clean(device, completion, keys)
         assert device.chunk_info(Ppa(1, 0, 0, 0)).write_pointer == 2 * ws
+
+
+class TestCrashMidErase:
+    """A power cut while the chip erases: the chunk keeps what it held,
+    so the reset must complete ``POWER_FAIL`` and count as no reset."""
+
+    def test_reset_cut_after_one_millisecond(self):
+        device = tiny()
+        key = (0, 0, 0)
+        capacity = device.geometry.sectors_per_chunk
+        assert device.write(PpaRun(key, 0, capacity), b"full").ok
+        device.flush()
+        sim = device.sim
+        proc = sim.spawn(device.submit(ChunkReset(ppa=Ppa(*key, 0))))
+        sim.run_until(sim.timeout(1e-3))
+        assert proc.is_alive              # the erase takes milliseconds
+        device.crash_volatile()
+        sim.run()
+        assert proc.value.status is CommandStatus.POWER_FAIL
+        assert device.controller.stats.chunk_resets == 0
+        info = device.chunk_info(Ppa(*key, 0))
+        assert (info.write_pointer, info.state) \
+            == (capacity, ChunkState.CLOSED)
+        # Powered again, the same chunk erases.
+        assert device.reset(Ppa(*key, 0)).ok
+        assert device.controller.stats.chunk_resets == 1
 
 
 class TestCacheBackPressure:

@@ -261,6 +261,7 @@ def test_gc_victim_scan_matches_the_delinearize_reference(seed):
     victim = next(info for info in ftl.gc.victims(0)
                   if info.valid_count % unit)
     assert run(media, ftl.gc._recycle_proc([victim]))
+    ftl.flush()                               # carries it: the reset
     for __ in range(12):                      # superseders left volatile
         ftl.write(rng.randrange(span), bytes([7]) * SS)
 
@@ -298,7 +299,8 @@ def relocate_per_sector_proc(gc, key, live, parent=None):
     source and destination sector, one ``add_valid`` (one clock tick) and
     one ``invalidate`` per moved sector, one transaction per victim.  Kept
     as the definition the round must equal; only its barrier follows the
-    collector's (device flush beside the commit, after the re-validation)."""
+    collector's (device flush, then the commit buffered, after the
+    re-validation)."""
     ws_min = gc.geometry.ws_min
     per_chunk = gc.geometry.sectors_per_chunk
     table = gc.chunk_table
@@ -346,11 +348,9 @@ def relocate_per_sector_proc(gc, key, live, parent=None):
         table.invalidate(key)
         entries.append((lba, new_linear, old_linear))
     gc.stats.sectors_relocated += len(entries)
-    barrier = [gc.media.flush_proc()]
+    yield from gc.media.flush_proc()
     if entries:
         gc.journal.log_txn(REC_MAP_UPDATE, txn, entries)
-        barrier.append(gc.journal.wal.flush_proc(parent=parent))
-    yield from gc.sim.join_proc(barrier, "gc-commit")
     return True
 
 
@@ -543,6 +543,7 @@ def test_gc_round_matches_sequential_per_sector_runs(policy, width, history):
     ftl.gc._recycle_proc = lambda victims: (
         chosen.extend(victim.key for victim in victims), recycle(victims))[1]
     done = run(media, ftl.gc._round_proc(0, width))
+    ftl.flush()                 # carries the round's commit: the resets
     assert done == len(chosen) <= width
     assert len({key[:2] for key in chosen}) == len(chosen)   # one per PU
     assert all(key[0] == 0 for key in chosen)
