@@ -103,6 +103,9 @@ class CheckResult:
     erases_in_flight: int = 0
     #: OX-Block GC victims the cut found with their commit buffered.
     gc_victims_pending: int = 0
+    #: 1 if the cut found an OX-Block GC commit on media while a copy it
+    #: names was still above its chunk's flushed pointer (and so lost).
+    gc_copies_cached: int = 0
     txns_replayed: int = 0
     txns_dropped: int = 0
     probe_ran: bool = False
@@ -145,7 +148,8 @@ class FtlOps:
     reclaims space and unmaps nothing, *structure* yields what breaks
     invariant A, *barriers* counts the ones the FTL ran on its own,
     *erasing* the erases it has in flight, *pending* the GC victims whose
-    commit is still buffered."""
+    commit is still buffered, *cached* whether a GC commit on media
+    outran a copy it names."""
 
     write: Callable[[object, int, bytes], object]
     read: Callable[[object, int], bytes]
@@ -157,6 +161,7 @@ class FtlOps:
     lost: Callable[[object], List[int]] = lambda ftl: []
     erasing: Callable[[object], int] = lambda ftl: 0
     pending: Callable[[object], int] = lambda ftl: 0
+    cached: Callable[[object], int] = lambda ftl: 0
     trim_kind: str = "trim"
     lbas: int = LBA_SPACE
 
@@ -232,7 +237,12 @@ FTL_OPS: Dict[str, FtlOps] = {
         barriers=lambda ftl: ftl.stats.checkpoints,
         reclaimed=lambda ftl: ftl.gc.stats.chunks_recycled,
         lost=lambda ftl: ftl.lost_lbas,
-        pending=lambda ftl: len(ftl.gc.pending)),
+        pending=lambda ftl: len(ftl.gc.pending),
+        # The carry's WAL flush took the victims out of ``pending``; the
+        # cut set each chunk's write pointer back to its flushed pointer.
+        cached=lambda ftl: int(not ftl.gc.pending and any(
+            run.first + run.count > ftl.media.chunk_info(run[0]).write_pointer
+            for run in ftl.gc.copies))),
     # Page ids 0..11: at most 12 of the 24 data chunks hold a live page.
     "eleos": FtlOps(
         write=_eleos_write,
@@ -438,6 +448,7 @@ def run_crash_check(cfg: CheckConfig) -> CheckResult:
     result.gc_chunks_recycled = ops.reclaimed(ftl)
     result.erases_in_flight = ops.erasing(ftl)
     result.gc_victims_pending = ops.pending(ftl)
+    result.gc_copies_cached = ops.cached(ftl)
     result.torn_chunks = injector.stats.torn_chunks
     result.programs_failed = injector.stats.programs_failed
     result.erases_failed = injector.stats.erases_failed
@@ -467,6 +478,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"argument --seeds: must be >= 1, got {args.seeds}")
     profiles = ((0, {}), (100, {"media_faults": True}),
                 (200, {"time_cut": True}))
+
+    def hits(results):      # the windows the cuts found open
+        return ", ".join(f"{name} {sum(getattr(r, name) for r in results)}"
+                         for name in ("gc_victims_pending", "gc_copies_cached",
+                                      "erases_in_flight", "torn_chunks",
+                                      "txns_dropped"))
     for ftl in CHECKER_SPECS:
         results = [run_crash_check(CheckConfig(
             seed=args.base_seed + offset + i, ftl=ftl, **flags))
@@ -475,7 +492,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{sum(r.txns_acked for r in results)} acked txns, "
               f"{sum(r.txns_maybe for r in results)} in-flight txns, "
               f"{sum(r.lbas_checked for r in results)} lbas verified, "
-              f"0 violations")
+              f"0 violations; cuts hit {hits(results)}")
     return 0
 
 

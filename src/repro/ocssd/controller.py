@@ -296,7 +296,7 @@ class Controller:
                     chunk.mark_flushed(first_sector + done)
             finally:
                 lock.release()
-        return True
+        return epoch == self._epoch
 
     # -- read path -----------------------------------------------------------------
 

@@ -423,17 +423,26 @@ class OXBlock:
         grant = self._lock.request()
         yield grant
         try:
-            yield from self._checkpoint_on_pressure_proc()
+            entries = [(cur, NO_PPA, previous)
+                       for cur in range(lba, lba + sectors)
+                       if (previous := self.page_map.lookup(cur)) is not None]
+            # Sized before anything is discarded: each record opens at
+            # most one frame, and so does the commit.
+            frames = 1 + -(-len(entries) // serial.rows_per_record(
+                serial.REC_MAP_UPDATE, self.geometry.sector_size))
+            if frames > self.journal.wal.capacity_sectors:
+                raise FTLError(
+                    f"a trim of {len(entries)} mapped sectors commits in "
+                    f"up to {frames} WAL sectors but the ring holds "
+                    f"{self.journal.wal.capacity_sectors}; enlarge "
+                    f"wal_chunk_count")
+            yield from self._checkpoint_on_pressure_proc(frames=frames)
             txn_id = self.journal.take_txn_id()
-            entries: List[Tuple[int, int, int]] = []
             per_chunk = self.geometry.sectors_per_chunk
-            for index in range(sectors):
-                self.buffer.discard(lba + index)
-                previous = self.page_map.remove(lba + index)
-                if previous is None:
-                    continue
+            for cur, __, previous in entries:
+                self.buffer.discard(cur)
+                self.page_map.remove(cur)
                 self.chunk_table.invalidate_linear(previous // per_chunk)
-                entries.append((lba + index, NO_PPA, previous))
             if entries:
                 self.journal.log_txn(serial.REC_MAP_UPDATE, txn_id, entries)
                 try:
@@ -441,10 +450,7 @@ class OXBlock:
                 except FTLError:
                     # Never acknowledged: put the mappings back so the
                     # in-memory state matches what recovery would build.
-                    for cur, __, previous in reversed(entries):
-                        self.page_map.update(cur, previous)
-                        self.chunk_table.add_valid(
-                            self.geometry.delinearize(previous).chunk_key())
+                    self._unwind_partial_txn(entries)
                     raise
         finally:
             self._lock.release()
@@ -512,7 +518,7 @@ class OXBlock:
 
     def _unwind_partial_txn(
             self, entries: List[Tuple[int, int, int]]) -> None:
-        """Roll back the map/table effects of an aborted write txn.
+        """Roll back the map/table effects of an aborted write or trim txn.
 
         The staged sectors still reach media as dead data (their units
         flush with the txn's lbas in OOB, but nothing maps to them), which
@@ -520,8 +526,9 @@ class OXBlock:
         """
         for cur, linear, previous in reversed(entries):
             self.buffer.discard(cur)
-            self.chunk_table.invalidate(
-                self.geometry.delinearize(linear).chunk_key())
+            if linear != NO_PPA:        # a trim's entry staged nothing
+                self.chunk_table.invalidate(
+                    self.geometry.delinearize(linear).chunk_key())
             if previous == NO_PPA:
                 self.page_map.remove(cur)
             else:
@@ -609,8 +616,13 @@ class OXBlock:
         if procs:
             yield self.sim.all_of(procs)
 
-    def _checkpoint_on_pressure_proc(self, parent=None):
-        if not self.journal.pressed(self.config.wal_pressure_threshold):
+    def _checkpoint_on_pressure_proc(self, parent=None, frames=0):
+        """Checkpoint when the ring is pressed, or when *frames* more
+        frames would not fit the rest of it."""
+        wal = self.journal.wal
+        if not (self.journal.pressed(self.config.wal_pressure_threshold)
+                or wal.used_sectors + wal.sectors_needed(frames)
+                > wal.capacity_sectors):
             return
         self.stats.forced_checkpoints += 1
         yield from self._do_checkpoint_proc(parent)

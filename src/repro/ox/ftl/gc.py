@@ -12,12 +12,12 @@ traffic therefore contends only with I/O to that one group.
 Background work is as wide as the marked group: a *round* takes at most
 one victim per parallel unit, so its scans, copies and erases run side by
 side.  A round is crash-safe by ordering, as one victim would be:
-device-internal copy; then the device flush (copies durable); then one
-commit of all the map updates, only *buffered*: the victims leave the
-candidate pool at once and are reset once some WAL flush the FTL makes
-has carried it (:meth:`carry_proc`).  Validity is re-checked under the
-dispatch lock after the copy, so a user overwrite racing the relocation
-can never be undone.
+device-internal copy; then one commit of all the map updates, only
+*buffered*: the victims leave the candidate pool at once and are reset
+once a WAL flush the FTL makes has carried it and a device flush after
+that one has made the copies durable (:meth:`carry_proc`).  Validity is
+re-checked under the dispatch lock after the copy, so a user overwrite
+racing the relocation can never be undone.
 
 Two more rules keep crashes survivable:
 
@@ -103,6 +103,9 @@ class GarbageCollector:
         self.victim_policy = victim_policy
         #: Relocated victims whose commit is still buffered, by key.
         self.pending: Dict[ChunkKey, FtlChunkInfo] = {}
+        #: Where the copies of the rounds not yet carried went, durable
+        #: once the carry's device flush returns (the crash checker asks).
+        self.copies: List[PpaRun] = []
 
     # -- victim selection ----------------------------------------------------------
 
@@ -202,9 +205,9 @@ class GarbageCollector:
     def _recycle_proc(self, victims: List[FtlChunkInfo]):
         """Relocate the victims' live data, as one batch: scans side by
         side, one durability barrier if any scan asks for it, one vector
-        copy, the device flush, the commit buffered.  Returns the number
-        of victims reclaimed — pending their reset; deferred and aborted
-        ones stay as they are.
+        copy, the commit buffered.  Returns the number of victims
+        reclaimed — pending their carry; deferred and aborted ones stay
+        as they are.
         """
         if self.qos is not None:
             # Background work yields while foreground reads are queued
@@ -220,18 +223,22 @@ class GarbageCollector:
             # A device flush handles cache-resident superseding copies;
             # the FTL barrier handles an acked txn's staged tail.
             yield from self.media.flush_proc()
-            try:
-                if self.volatile_pending():
+            if not self.volatile_pending():
+                # Every superseding copy is durable now, and under the
+                # held lock no write pointer nor mapping has moved.
+                jobs = [(*job[:3], 0) for job in jobs]
+            else:
+                try:
                     yield from self.stabilize_proc()
-                # The barrier may have padded a staged partial unit into a
-                # victim and advanced its write pointer: scan again up to
-                # where it is now, or the reset destroys the only copy of
-                # the freshly landed sectors.
-                jobs = yield from self._scan_proc(targets, span)
-            except OutOfSpaceError:
-                jobs = []    # no room even for the pad: nothing is safe
-            if self.volatile_pending():
-                jobs = []
+                    # The barrier may have padded a staged partial unit
+                    # into a victim and advanced its write pointer: scan
+                    # again up to where it is now, or the reset destroys
+                    # the only copy of the freshly landed sectors.
+                    jobs = yield from self._scan_proc(targets, span)
+                except OutOfSpaceError:
+                    jobs = []    # no room even for the pad: nothing is safe
+                if self.volatile_pending():
+                    jobs = []
             jobs = [job for job in jobs if not job[3]]
             self.stats.deferrals_unsafe += len(victims) - len(jobs)
         moves = [(victim.key, live) for victim, __, live, __ in jobs if live]
@@ -263,18 +270,24 @@ class GarbageCollector:
         return [(*target, *scan) for target, scan in zip(targets, found)]
 
     def carry_proc(self, span=None):
-        """Flush the WAL and with it every GC commit buffered; then reset
-        the pending victims side by side, freeing (or retiring) each."""
+        """Flush the WAL and with it every GC commit buffered; then the
+        device cache, so the copies they name are durable; then reset the
+        pending victims side by side, freeing (or retiring) each."""
+        epoch = self.media.device.controller.epoch
         yield from self.journal.wal.flush_proc(parent=span)
         if not self.pending:
             return
         carried, self.pending = self.pending, {}
-        epoch = self.media.device.controller.epoch
         obs = self.obs
-        phase = obs.begin("ftl.gc", "reset", span) if obs is not None else None
+        phase = obs.begin("ftl.gc", "flush", span) if obs is not None else None
+        yield from self.media.flush_proc()
+        if obs is not None:
+            obs.end(phase)
+            phase = obs.begin("ftl.gc", "reset", span)
         yield from self.sim.join_proc(
             [self._reset_proc(victim, epoch, phase)
              for victim in carried.values()], "gc-reset")
+        self.copies = []
         if obs is not None:
             obs.end(phase)
 
@@ -350,8 +363,9 @@ class GarbageCollector:
                              parent=None):
         """Copy each victim's *live* list (its scan's: non-empty,
         ascending) out of it — one vector copy, every run of it side by
-        side — and commit all the moves in one transaction.  Returns the
-        keys of the victims it had to leave: allocation ran dry on them."""
+        side — and buffer one commit of all the moves, the copies maybe
+        still cached.  Returns the keys of the victims it had to leave:
+        allocation ran dry on them."""
         ws_min = self.geometry.ws_min
         per_chunk = self.geometry.sectors_per_chunk
         table = self.chunk_table
@@ -407,6 +421,7 @@ class GarbageCollector:
                  if obs is not None else None)
         self.media.require_ok((yield from self.media.copy_proc(
             src, dst, dst_oob=lbas, parent=phase)), "GC relocation copy")
+        self.copies += dst
         if obs is not None:
             obs.end(phase)
 
@@ -436,13 +451,8 @@ class GarbageCollector:
             if len(entries) > left:
                 table.invalidate(key, len(entries) - left)
         self.stats.sectors_relocated += len(entries)
-        # Copies and commit must both be durable before a reset: the copies
-        # are made so here, the commit only buffered for a later WAL flush.
-        phase = (obs.begin("ftl.gc", "commit", parent)
-                 if obs is not None else None)
-        yield from self.media.flush_proc()
+        # Copies and commit must both be durable before a reset, nothing
+        # sooner: the carry flushes the WAL, then the device cache.
         if entries:
             self.journal.log_txn(REC_MAP_UPDATE, txn, entries)
-        if obs is not None:
-            obs.end(phase)
         return aborted

@@ -14,6 +14,8 @@ with ``scripts/check.sh`` they keep ">= 50 randomized cut points per
 FTL, zero violations" enforced in CI.
 """
 
+import re
+
 import pytest
 
 from repro.errors import ReproError
@@ -97,3 +99,22 @@ def test_a_gate_of_no_runs_is_refused(seeds, capsys):
     with pytest.raises(SystemExit, match="2"):
         main(["--seeds", seeds])
     assert "--seeds: must be >= 1" in capsys.readouterr().err
+
+
+def test_the_summary_line_names_the_windows_its_cuts_hit(capsys):
+    """One line per FTL: its runs, txns and lbas, then how many cuts hit
+    each crash window, each count the sum of the runs' ``CheckResult``."""
+    assert main(["--seeds", "1", "--base-seed", "300"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    windows = ("gc_victims_pending", "gc_copies_cached", "erases_in_flight",
+               "torn_chunks", "txns_dropped")
+    shape = re.compile(
+        r"crash-consistency (\w+): 3 runs, \d+ acked txns, \d+ in-flight "
+        r"txns, \d+ lbas verified, 0 violations; cuts hit "
+        + ", ".join(rf"{name} (\d+)" for name in windows) + "$")
+    assert [shape.match(line)[1] for line in lines] == ["oxblock", "eleos"]
+    results = [run_crash_check(CheckConfig(seed=seed, ftl="oxblock", **flags))
+               for seed, flags in ((300, {}), (400, {"media_faults": True}),
+                                   (500, {"time_cut": True}))]
+    assert [int(count) for count in shape.match(lines[0]).groups()[1:]] \
+        == [sum(getattr(r, name) for r in results) for name in windows]

@@ -8,6 +8,7 @@ and keep serving everything else.
 import pytest
 
 from repro.errors import MediaError
+from repro.faults import FaultInjector, FaultPlan
 from repro.nand import CellType, FlashGeometry, WearModel
 from repro.ocssd import (
     ChunkState,
@@ -60,6 +61,19 @@ class TestDeviceFailures:
         notes = device.pop_notifications()
         assert any(note.kind == "write-failed" for note in notes)
         assert device.chunk_info(ppas[0]).state is ChunkState.OFFLINE
+
+    def test_a_write_through_program_the_cut_kills_fails(self):
+        """A cut on a FUA write's last (here: only) unit used to leave the
+        program loop as a success: an FTL then took a WAL commit the cut
+        had lost for durable."""
+        device = OpenChannelSSD(geometry=geometry())
+        FaultInjector(FaultPlan(power_cut_at_op=1)).attach(device)
+        ws = device.report_geometry().ws_min
+        target = Ppa(0, 0, 1, 0)
+        completion = device.write([target.with_sector(s) for s in range(ws)],
+                                  bytes(ws * SS), fua=True)
+        assert not completion.ok
+        assert device.chunk_info(target).write_pointer == 0
 
     def test_wear_follows_resets(self):
         device = OpenChannelSSD(geometry=geometry())

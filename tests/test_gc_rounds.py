@@ -1,10 +1,10 @@
 """The GC round (§4.3): as wide as the marked group, one commit.
 
 Invariants after every round, locality of its device traffic, and power
-cuts / ``kill -9`` at each step of its ordering: copies -> device flush ->
-commit buffered -> the WAL flush that carries it -> resets.  The
-round-vs-reference equivalence lives in
-``tests/test_reclaim_accounting.py``.
+cuts / ``kill -9`` at each step of its ordering: copies -> commit
+buffered -> the WAL flush that carries it -> the device flush that makes
+the copies durable -> resets.  The round-vs-reference equivalence lives
+in ``tests/test_reclaim_accounting.py``.
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
-from repro.faults.checker import recover_after_cut
+from repro.faults.checker import FTL_OPS, recover_after_cut
 from repro.nand import FlashGeometry
 from repro.ocssd import (
     ChunkReset, DeviceGeometry, OpenChannelSSD, Ppa, VectorCopy, VectorRead,
@@ -177,10 +177,11 @@ def test_round_traffic_stays_in_the_marked_group():
 # -- power cuts at each step of the ordering ---------------------------------------
 
 def cut_round(step):
-    """One four-wide round over group 1, then the WAL flush that carries
-    its commit and the resets (what the next write's flush does), with
-    power cut at *step*; returns the recovered FTL and what the scenario
-    knew before the cut."""
+    """One four-wide round over group 1, then the carry — the WAL flush
+    that carries its commit, the device flush that makes its copies
+    durable, the resets (what the next write's flush does) — with power
+    cut at *step*; returns the recovered FTL, what the scenario knew
+    before the cut, and the moved LBAs whose copies the cut lost."""
     media, ftl, expected, __ = aged(gc_enabled=False)
     injector = FaultInjector(FaultPlan())
     injector.attach(media.device)
@@ -194,15 +195,12 @@ def cut_round(step):
             injector.power_cut()
         yield from ftl.gc.carry_proc()
 
-    if step == "copied":        # copies durable, no commit yet
-        media.flush_proc = cut_after(injector, media.flush_proc)
+    if step == "copied":        # copies issued, no commit yet
+        media.copy_proc = cut_after(injector, media.copy_proc)
     elif step == "commit first":    # commit durable, copies in the cache
-        # A round that does not wait for its copies: the one-unit commit
-        # lands while they are still draining.
-        media.flush_proc = lambda *args, **kwargs: iter(())
         wal.flush_proc = cut_after(injector, wal.flush_proc)
-    elif step == "committed":   # the commit carried, nothing reset
-        wal.flush_proc = cut_after(injector, wal.flush_proc)
+    elif step == "committed":   # commit and copies durable, nothing reset
+        media.flush_proc = cut_after(injector, media.flush_proc)
     elif step == "resetting":   # 1 ms into the 3.5 ms erases
         media.reset_proc = cut_during(injector, media.reset_proc, 1e-3)
     old_map = dict(ftl.page_map.items())
@@ -216,8 +214,17 @@ def cut_round(step):
              if media.geometry.delinearize(linear).chunk_key() in victims}
     assert moved
     new_map = dict(ftl.page_map.items())
+    # The plan tears nothing: the cut set every write pointer back to the
+    # flushed pointer it found.
+    lost = set()
+    for lba in moved:
+        copy = media.geometry.delinearize(new_map[lba])
+        if copy.sector >= media.chunk_info(copy).write_pointer:
+            lost.add(lba)
+    assert FTL_OPS["oxblock"].cached(ftl) == (step == "commit first")
     recovered, report = recover_after_cut(injector, ftl)
-    return recovered, expected, victims, moved, old_map, new_map, report
+    return (recovered, expected, victims, moved, old_map, new_map, report,
+            lost)
 
 
 def assert_victims_intact(ftl, victims):
@@ -227,8 +234,9 @@ def assert_victims_intact(ftl, victims):
 
 
 def test_cut_between_copy_and_commit_keeps_every_old_mapping():
-    """The device flush is done: copies durable, no commit."""
-    ftl, expected, victims, moved, old_map, __, report = cut_round("copied")
+    """The copy is done, its commit not even buffered yet."""
+    ftl, expected, victims, moved, old_map, __, report, __ = \
+        cut_round("copied")
     assert dict(ftl.page_map.items()) == old_map
     assert not report.txns_dropped
     assert_victims_intact(ftl, victims)      # nothing was reset
@@ -236,10 +244,10 @@ def test_cut_between_copy_and_commit_keeps_every_old_mapping():
 
 
 def test_cut_with_the_commit_buffered_maps_back_into_the_victims():
-    """The round is over — copies durable, victims out of the candidate
+    """The round is over — copies issued, victims out of the candidate
     pool — but no WAL flush has carried its commit: every relocated LBA
     maps back into its victim, which is intact."""
-    ftl, expected, victims, moved, old_map, new_map, report = \
+    ftl, expected, victims, moved, old_map, new_map, report, __ = \
         cut_round("buffered")
     recovered = dict(ftl.page_map.items())
     assert recovered == old_map != new_map and not report.txns_dropped
@@ -250,20 +258,33 @@ def test_cut_with_the_commit_buffered_maps_back_into_the_victims():
 
 
 def test_cut_with_the_commit_durable_and_copies_cached_drops_the_txn():
-    """Were the commit on media before the copies it names, recovery
-    drops it whole — never a mixture of old and new mappings — and the
-    victims are untouched."""
-    ftl, expected, victims, moved, old_map, new_map, report = \
+    """The carrying WAL flush put the commit on media before the copies
+    it names: recovery drops it whole — never a mixture of old and new
+    mappings — and every relocated LBA maps back into its victim, intact
+    because no reset was issued."""
+    ftl, expected, victims, moved, old_map, new_map, report, __ = \
         cut_round("commit first")
     assert report.txns_dropped >= 1
-    assert dict(ftl.page_map.items()) == old_map != new_map
+    recovered = dict(ftl.page_map.items())
+    assert recovered == old_map != new_map
+    assert all(ftl.geometry.delinearize(recovered[lba]).chunk_key()
+               in victims for lba in moved)
     assert_victims_intact(ftl, victims)
     assert_reads(ftl, expected)
 
 
+def test_the_carrying_wal_flush_lands_before_the_copies():
+    """The window the carry opens is real: at the cut after its WAL
+    flush, copies the commit names still sit above their chunks' flushed
+    pointers (and the checker's hook counts the cut); after its device
+    flush, none does."""
+    assert cut_round("commit first")[-1]
+    assert not cut_round("committed")[-1]
+
+
 def test_cut_between_commit_and_resets_keeps_every_new_mapping():
-    """The commit carried, no reset started."""
-    ftl, expected, victims, moved, old_map, new_map, report = \
+    """The commit carried and the copies flushed, nothing reset."""
+    ftl, expected, victims, moved, old_map, new_map, report, __ = \
         cut_round("committed")
     recovered = dict(ftl.page_map.items())
     assert recovered == new_map and not report.txns_dropped
@@ -273,7 +294,7 @@ def test_cut_between_commit_and_resets_keeps_every_new_mapping():
 
 
 def test_cut_mid_reset_recovers_every_payload():
-    ftl, expected, victims, moved, old_map, new_map, __ = \
+    ftl, expected, victims, moved, old_map, new_map, __, __ = \
         cut_round("resetting")
     assert dict(ftl.page_map.items()) == new_map
     assert_reads(ftl, expected)

@@ -7,6 +7,7 @@ from repro.errors import FTLError
 from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ox import BlockConfig, MediaManager, OXBlock
+from tests.cuts import checkpoint
 
 
 def make_stack(groups=2, pus=2, chunks=16, pages=12, config=None,
@@ -134,6 +135,81 @@ class TestLbaSpace:
             ftl.trim(last, 2)
         assert self.state(ftl) == before
         assert ftl.read(last, 1) == b"z" * SS
+
+
+class TestTrimCommit:
+    """A trim's commit is sized before anything is discarded, and a trim
+    that fails its WAL flush leaves every acked sector readable.  The
+    stack: a 96-sector ring, LBAs 0..35 327 written, flushed and
+    checkpointed, then LBA 0 rewritten into a staged partial unit."""
+
+    STEP = 384      # sectors per write of the fill
+
+    @classmethod
+    def sector(cls, lba):
+        """What the fill wrote at *lba*."""
+        return bytes([lba // cls.STEP % 251]) * SS
+
+    @classmethod
+    def stack(cls):
+        __, media, ftl, __c = make_stack(
+            groups=4, pus=4, chunks=48, config=BlockConfig(
+                wal_chunk_count=1, ckpt_chunks_per_slot=8))
+        for lba in range(0, 35328, cls.STEP):
+            ftl.write(lba, cls.sector(lba) * cls.STEP)
+        ftl.flush()
+        checkpoint(ftl)
+        ftl.write(0, b"z" * SS)
+        assert ftl.buffer.partial_units()
+        return ftl
+
+    def test_a_failed_wal_flush_leaves_acked_sectors_readable(self):
+        """At 9883bfa the unwind put the mappings back but not the staged
+        sector's read shadow: the next read of LBA 0 raised "kept racing
+        relocation"."""
+        ftl = self.stack()
+        before = TestLbaSpace.state(ftl)
+
+        def exhausted(*args, **kwargs):
+            raise FTLError("WAL ring exhausted")
+            yield
+
+        ftl.journal.wal.flush_proc = exhausted
+        with pytest.raises(FTLError, match="exhausted"):
+            ftl.trim(0, 100)
+        assert ftl.read(0, 1) == b"z" * SS
+        assert ftl.read(1, 1) == self.sector(1)
+        assert TestLbaSpace.state(ftl)[0] == before[0]      # the map
+
+    def test_a_commit_the_ring_cannot_take_now_checkpoints_first(self):
+        """At ring fill 0.5 (below the 0.6 pressure mark) a 15 000-sector
+        trim's commit does not fit the rest of the ring: at 9883bfa it
+        raised "WAL ring exhausted"."""
+        ftl = self.stack()
+        ftl.write(1, b"y" * SS)
+        assert ftl.journal.wal.fill_fraction() == 0.5
+        checkpoints = ftl.stats.checkpoints
+        ftl.trim(0, 15000)
+        assert ftl.stats.checkpoints == checkpoints + 1
+        assert ftl.read(0, 2) == bytes(2 * SS)
+        assert ftl.read(14999, 2) == bytes(SS) + self.sector(15000)
+
+    def test_a_commit_no_ring_could_take_is_refused_up_front(self):
+        ftl = self.stack()
+        before = TestLbaSpace.state(ftl), ftl.stats.checkpoints
+        with pytest.raises(FTLError, match="35328 mapped sectors.*"
+                                           "ring holds 96"):
+            ftl.trim(0, 35328)
+        assert (TestLbaSpace.state(ftl), ftl.stats.checkpoints) == before
+        assert ftl.read(0, 1) == b"z" * SS
+
+    def test_a_small_trim_still_commits_in_place(self):
+        ftl = self.stack()
+        checkpoints = ftl.stats.checkpoints
+        ftl.trim(0, 100)
+        assert ftl.stats.checkpoints == checkpoints
+        assert ftl.read(0, 100) == bytes(100 * SS)
+        assert ftl.read(100, 1) == self.sector(100)
 
 
 class TestCrashRecovery:
