@@ -108,6 +108,8 @@ class CheckResult:
     gc_copies_cached: int = 0
     txns_replayed: int = 0
     txns_dropped: int = 0
+    unit_txns_applied: int = 0
+    unit_txns_torn: int = 0
     probe_ran: bool = False
 
 
@@ -149,7 +151,8 @@ class FtlOps:
     invariant A, *barriers* counts the ones the FTL ran on its own,
     *erasing* the erases it has in flight, *pending* the GC victims whose
     commit is still buffered, *cached* whether a GC commit on media
-    outran a copy it names."""
+    outran a copy it names; *units* makes every fourth write or so whole
+    write units."""
 
     write: Callable[[object, int, bytes], object]
     read: Callable[[object, int], bytes]
@@ -164,6 +167,7 @@ class FtlOps:
     cached: Callable[[object], int] = lambda ftl: 0
     trim_kind: str = "trim"
     lbas: int = LBA_SPACE
+    units: bool = False
 
 
 def _oxblock_structure(ftl) -> Iterator[str]:
@@ -242,7 +246,7 @@ FTL_OPS: Dict[str, FtlOps] = {
         # cut set each chunk's write pointer back to its flushed pointer.
         cached=lambda ftl: int(not ftl.gc.pending and any(
             run.first + run.count > ftl.media.chunk_info(run[0]).write_pointer
-            for run in ftl.gc.copies))),
+            for run in ftl.gc.copies)), units=True),
     # Page ids 0..11: at most 12 of the 24 data chunks hold a live page.
     "eleos": FtlOps(
         write=_eleos_write,
@@ -436,6 +440,8 @@ def run_crash_check(cfg: CheckConfig) -> CheckResult:
             kind, lbas = ops.trim_kind, [rng.randrange(ops.lbas)]
         else:
             span = rng.randint(1, 4)
+            if ops.units and rng.random() < 0.25:
+                span = ftl.geometry.ws_min * rng.randint(1, 2)
             start = rng.randrange(ops.lbas - span + 1)
             kind, lbas = "write", list(range(start, start + span))
         run_op(ftl, ops, shadow, kind, lbas, version, injector)
@@ -457,6 +463,8 @@ def run_crash_check(cfg: CheckConfig) -> CheckResult:
     result.lost_lbas = len(lost)
     result.txns_replayed = report.txns_applied
     result.txns_dropped = report.txns_dropped
+    result.unit_txns_applied = report.unit_txns_applied
+    result.unit_txns_torn = report.unit_txns_torn
     result.txns_acked = sum(certain for *__, certain in shadow.txns)
     result.txns_maybe = len(shadow.txns) - result.txns_acked
     where = repr(cfg)       # a failure names its one-line repro
@@ -483,7 +491,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return ", ".join(f"{name} {sum(getattr(r, name) for r in results)}"
                          for name in ("gc_victims_pending", "gc_copies_cached",
                                       "erases_in_flight", "torn_chunks",
-                                      "txns_dropped"))
+                                      "txns_dropped", "unit_txns_applied",
+                                      "unit_txns_torn"))
     for ftl in CHECKER_SPECS:
         results = [run_crash_check(CheckConfig(
             seed=args.base_seed + offset + i, ftl=ftl, **flags))

@@ -103,6 +103,8 @@ class Controller:
         self._programmed: Dict[PuKey, int] = dict.fromkeys(chips, 0)
         self._last_job: Dict[Chunk, int] = {}
         self._waiters: Dict[PuKey, list] = {key: [] for key in chips}
+        # Chunk -> event: its flushed pointer moved, it retired, power went.
+        self._advanced: Dict[Chunk, object] = {}
         self._flush_queues: Dict[PuKey, Store] = {}
         if write_back:
             for key in chips:
@@ -126,6 +128,8 @@ class Controller:
         self._programmed.update(self._admitted)
         for key in self._waiters:
             self._reach(key)
+        for chunk in list(self._advanced):
+            self._advance(chunk)
         for chunk in self.chunks.values():
             chunk.rollback_unflushed()
             # A chip advances its block's append point when the program is
@@ -210,12 +214,13 @@ class Controller:
             self.stats.sectors_written += sectors
             return True
 
-        # Write-through (no cache, or FUA).  A FUA write behind cached
-        # writes to the same chunk must not program out of order: wait for
-        # them (for all queued work while one of them is not queued yet).
+        # Write-through (no cache, or FUA).  A FUA write behind other writes
+        # to the same chunk, cached or write-through, must not program out
+        # of order: wait for the programs that move its flushed pointer.
         while chunk.flushed_pointer < first_sector:
-            if not (yield from self.drain((chunk,))):
-                yield from self.drain()
+            if chunk.state is ChunkState.OFFLINE:
+                return False
+            yield self._advanced.setdefault(chunk, self.sim.event())
             if epoch != self._epoch:
                 return False
         ok = yield from self._program(chunk, chip, first_sector, sectors,
@@ -286,6 +291,7 @@ class Controller:
                         obs.error("ocssd", "program-failed", str(exc))
                     self.stats.program_failures += 1
                     chunk.retire()
+                    self._advance(chunk)
                     self.notify(chunk.address, "write-failed", str(exc))
                     return False
                 yield self.sim.timeout(elapsed)
@@ -294,9 +300,15 @@ class Controller:
                 done += unit
                 if epoch == self._epoch:
                     chunk.mark_flushed(first_sector + done)
+                    if self._advanced:
+                        self._advance(chunk)
             finally:
                 lock.release()
         return epoch == self._epoch
+
+    def _advance(self, chunk: Chunk) -> None:
+        if chunk in self._advanced:
+            self._advanced.pop(chunk).succeed()
 
     # -- read path -----------------------------------------------------------------
 
@@ -436,7 +448,7 @@ class Controller:
     def drain(self, chunks=None):
         """Process generator: the device flush.  Waits for every write
         admitted before the call (to *chunks* only, when given) to reach
-        NAND, never for a later one.  Returns whether it had to wait."""
+        NAND, never for a later one."""
         programmed, targets = self._programmed, {}
         if chunks is None:
             for key, count in self._admitted.items():
@@ -449,7 +461,7 @@ class Controller:
                 if count > max(programmed[key], targets.get(key, 0)):
                     targets[key] = count
         if not targets:
-            return False
+            return
         barrier = [len(targets), self.sim.event()]
         for key, count in targets.items():
             if chunks is None:   # every PU's newest job: no entry after it
@@ -458,7 +470,6 @@ class Controller:
                 insort(self._waiters[key], (count, barrier),
                        key=lambda entry: entry[0])
         yield barrier[1]
-        return True
 
     def _reach(self, key: PuKey) -> None:
         """Count down the barriers PU *key* has reached; wake finished ones."""

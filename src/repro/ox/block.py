@@ -5,7 +5,8 @@ the minimum read granularity ... OX-Block maintains a 4KB-granularity
 page-level mapping table" (§4.2).  Every operation of the API is a
 transaction (§4.3): write-ahead logging makes multi-sector writes atomic,
 checkpoints bound recovery time, and group-local GC keeps interference
-confined.
+confined.  A write of whole units, with nothing else buffered, goes FUA
+and commits in its units' OOB stamps (:mod:`repro.ox.ftl.recovery`).
 
 The LBA space is ``[0, capacity_sectors)`` — one LBA per sector of the
 data region (every chunk the WAL ring and the checkpoint slots do not
@@ -121,7 +122,8 @@ class OXBlock:
             media, page_map, chunk_table, provisioner, journal,
             volatile_pending=lambda: bool(self.buffer.partial_units()),
             stabilize_proc=self._gc_stabilize_proc,
-            victim_policy=resolve_victim_policy(config.gc_policy))
+            victim_policy=resolve_victim_policy(config.gc_policy),
+            absorb=self._absorb_notifications)
         self._gc_wakeup = self.sim.event()
         self._daemons = []
         if config.gc_enabled:
@@ -206,7 +208,7 @@ class OXBlock:
     def write(self, lba: int, data: bytes) -> int:
         """Write *data* (a multiple of the 4 KB sector size, up to the
         paper's 1 MB transactions) at *lba*; returns the transaction id.
-        Durable-on-return up to the device cache (see module docs)."""
+        The commit is durable on return; for a unit commit, the data too."""
         # Trace capture (repro.trace): the synchronous API is the raw-block
         # workload boundary; the proc API is not hooked, so a DB hosted on
         # this FTL records host ops only.  Slot read at call time — a
@@ -271,6 +273,10 @@ class OXBlock:
             if self.provisioner.sectors_available("user") < count:
                 yield from self._reclaim_space_proc(count, span)
             txn_id = self.journal.take_txn_id()
+            # Whole units, nothing else buffered: a unit commit (module docs).
+            unit_commit = not (count % self.geometry.ws_min or len(self.buffer)
+                               or self.journal.wal.sectors_needed(0))
+            stamp = (txn_id, count if unit_commit else 0)
             entries: List[Tuple[int, int, int]] = []
             completed_units: List[PendingUnit] = []
             # One lane for every transaction shape: the provisioner cuts
@@ -290,15 +296,17 @@ class OXBlock:
                     key, first, taken = self.provisioner.allocate_run(
                         "user", count - offset)
                 except OutOfSpaceError:
-                    # The txn dies before its WAL append: unwind the
+                    # The txn dies before its commit: unwind the
                     # map/table mutations of the sectors already staged,
                     # or a later checkpoint would persist a torn
                     # transaction that was never acknowledged.
                     self._unwind_partial_txn(entries)
                     # Units the loop already completed left the buffer;
-                    # they must still reach the device (as dead data) or
-                    # the chunk write pointer falls behind the
-                    # allocation cursor for good.
+                    # they must still reach the device (as dead data,
+                    # stamps committing nothing) or the chunk write
+                    # pointer falls behind the allocation cursor for good.
+                    for unit in completed_units:
+                        unit.uncommit()
                     if completed_units:
                         yield self.sim.all_of(
                             [self.sim.spawn(self._write_unit_proc(u, span))
@@ -308,7 +316,7 @@ class OXBlock:
                 unit = self.buffer.stage_run(
                     cur, key, first, taken,
                     view[offset * sector_size:
-                         (offset + taken) * sector_size])
+                         (offset + taken) * sector_size], stamp)
                 if unit is not None:
                     completed_units.append(unit)
                 linear = table.get(key).linear * per_chunk + first
@@ -323,9 +331,10 @@ class OXBlock:
                     cur += 1
                     linear += 1
                 offset += taken
-            unit_procs = [self.sim.spawn(self._write_unit_proc(unit, span))
-                          for unit in completed_units]
-            self.journal.log_txn(serial.REC_MAP_UPDATE, txn_id, entries)
+            unit_procs = [self.sim.spawn(self._write_unit_proc(
+                unit, span, unit_commit)) for unit in completed_units]
+            if not unit_commit:
+                self.journal.log_txn(serial.REC_MAP_UPDATE, txn_id, entries)
             try:
                 yield from self.journal.wal.flush_proc(parent=span)
             except ReproError as exc:
@@ -356,12 +365,12 @@ class OXBlock:
             # checkpoint drains the cache and must cover them.
             yield from self._checkpoint_on_pressure_proc(span)
         finally:
+            self._absorb_notifications()    # a FUA unit failed, say
             self._lock.release()
         self.stats.writes += 1
         self.stats.sectors_written += count
         if obs is not None:
             obs.close(span, "ftl.write.latency_s", sectors=count)
-        self._absorb_notifications()
         self._poke_gc()
         return txn_id
 
@@ -437,6 +446,7 @@ class OXBlock:
                     f"{self.journal.wal.capacity_sectors}; enlarge "
                     f"wal_chunk_count")
             yield from self._checkpoint_on_pressure_proc(frames=frames)
+            self._absorb_notifications()    # rides this trim's flush
             txn_id = self.journal.take_txn_id()
             per_chunk = self.geometry.sectors_per_chunk
             for cur, __, previous in entries:
@@ -489,8 +499,11 @@ class OXBlock:
         provisioner, and any mapping still pointing into it is dropped —
         with a write-back cache, data lost to an async program failure is
         genuinely gone, and surfacing it as unmapped (zero) reads beats
-        surfacing it as I/O errors forever after.
+        surfacing it as I/O errors forever after.  The drop is logged, as a
+        txn restating the lost mappings, for the next WAL flush (a carry's
+        at the latest): recovery loses them again, unit commits included.
         """
+        entries: List[Tuple[int, int, int]] = []
         for note in self.media.pop_notifications():
             key = note.ppa.chunk_key()
             if key not in self.chunk_table:
@@ -498,10 +511,12 @@ class OXBlock:
             info = self.chunk_table.get(key)
             if info.state is FtlChunkState.BAD:
                 continue
-            lost = [lba for lba, linear in list(self.page_map.items())
+            lost = [(lba, linear, linear)
+                    for lba, linear in self.page_map.items()
                     if self.geometry.delinearize(linear).chunk_key() == key]
-            for lba in lost:
+            for lba, __, __ in lost:
                 self.page_map.remove(lba)
+            entries += lost
             # Partial write units headed for the dead chunk can never be
             # programmed; drop them or the next forced flush would try.
             self.buffer.drop_chunk(key)
@@ -510,11 +525,14 @@ class OXBlock:
             info.state = FtlChunkState.BAD
             self.stats.chunks_retired += 1
             self.stats.sectors_lost += len(lost)
-            self.lost_lbas.extend(lost)
+            self.lost_lbas.extend(lba for lba, __, __ in lost)
             if self.obs is not None:
                 self.obs.error("ftl", "chunk-retired",
                                f"{note.kind} at {note.ppa}: "
                                f"{len(lost)} mapped sector(s) lost")
+        if entries:
+            self.journal.log_txn(serial.REC_MAP_UPDATE,
+                                 self.journal.take_txn_id(), entries)
 
     def _unwind_partial_txn(
             self, entries: List[Tuple[int, int, int]]) -> None:
@@ -587,11 +605,11 @@ class OXBlock:
         yield from self._flush_partial_unit_proc()
         yield from self.media.flush_proc()
 
-    def _write_unit_proc(self, unit: PendingUnit, parent=None):
+    def _write_unit_proc(self, unit: PendingUnit, parent=None, fua=False):
         completion = yield from self.media.write_proc(
-            unit.ppas, unit.data, oob=unit.lbas, parent=parent)
-        self.media.require_ok(completion, "data unit write")
+            unit.ppas, unit.data, oob=unit.oob, fua=fua, parent=parent)
         self.buffer.mark_written(unit)
+        self.media.require_ok(completion, "data unit write")
 
     def _flush_partial_unit_proc(self, parent=None):
         remaining = self.provisioner.current_unit_remaining("user")

@@ -44,6 +44,7 @@ from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
 from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.provisioning import Provisioner
 from repro.ox.ftl.serial import NO_PPA, REC_MAP_UPDATE
+from repro.ox.ftl.writebuffer import stamp_lba
 from repro.ox.media import MediaManager
 from repro.policies.victim import VictimPolicy
 
@@ -74,7 +75,8 @@ class GarbageCollector:
     def __init__(self, media: MediaManager, page_map: PageMap,
                  chunk_table: ChunkTable, provisioner: Provisioner,
                  journal: Journal, volatile_pending: Callable[[], bool],
-                 stabilize_proc: Callable, victim_policy: VictimPolicy):
+                 stabilize_proc: Callable, victim_policy: VictimPolicy,
+                 absorb: Callable[[], None]):
         self.media = media
         self.sim = media.sim
         # Observability (repro.obs): inherited from the simulator; None
@@ -97,6 +99,7 @@ class GarbageCollector:
         # offers the barrier that clears it (pad the unit, drain).
         self.volatile_pending = volatile_pending
         self.stabilize_proc = stabilize_proc
+        self.absorb = absorb
         self.marked_group = 0
         self.stats = GcStats()
         # Victim selection is a policy (repro.policies).
@@ -270,10 +273,12 @@ class GarbageCollector:
         return [(*target, *scan) for target, scan in zip(targets, found)]
 
     def carry_proc(self, span=None):
-        """Flush the WAL and with it every GC commit buffered; then the
-        device cache, so the copies they name are durable; then reset the
-        pending victims side by side, freeing (or retiring) each."""
+        """Flush the WAL and with it every GC commit and chunk retirement
+        buffered; then the device cache, so the copies they name are
+        durable; then reset the pending victims side by side, freeing (or
+        retiring) each."""
         epoch = self.media.device.controller.epoch
+        self.absorb()
         yield from self.journal.wal.flush_proc(parent=span)
         if not self.pending:
             return
@@ -339,7 +344,7 @@ class GarbageCollector:
         base = self.chunk_table.get(key).linear * per_chunk
         lookup = self.page_map.lookup
         flushed: Dict[int, int] = {}
-        for sector, lba in enumerate(completion.oob):
+        for sector, lba in enumerate(map(stamp_lba, completion.oob)):
             if not isinstance(lba, int) or lba == NO_PPA:
                 continue
             current = lookup(lba)

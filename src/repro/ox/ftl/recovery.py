@@ -10,7 +10,9 @@ state" (§4.3).  Recovery here:
    actually on media (below the post-crash write pointer).  Transactions
    whose data died in the controller cache are dropped whole, preserving
    atomicity; this is the paper's "some updates since last checkpoint
-   might not be persisted";
+   might not be persisted".  Writes that committed in their units' OOB
+   stamps ``(lba, txn, count)`` join them in id order; a torn one drops
+   whole (:func:`_unit_txns_proc`);
 3. reconciles the FTL chunk table with a device chunk scan and rebuilds
    the provisioner (adopting at most one partially-written chunk per PU,
    closing the rest early).
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.ocssd.address import PpaRun
 from repro.ocssd.chunk import ChunkState
 from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.mapping import PageMap
@@ -45,6 +48,8 @@ class RecoveryReport:
     records_decoded: int = 0
     txns_applied: int = 0
     txns_dropped: int = 0
+    unit_txns_applied: int = 0
+    unit_txns_torn: int = 0
     #: LBAs whose mappings pointed into chunks that went offline (grown
     #: bad blocks): their data is gone, they read as zeroes from now on.
     lost_lbas: List[int] = field(default_factory=list)
@@ -72,6 +77,7 @@ def recover_proc(media: MediaManager, journal: Journal,
 
     # 1. Checkpoint, and 2. the WAL of its epoch.
     tables, records = yield from journal.load_proc(report)
+    since = journal.next_txn_id     # the checkpoint covers every id below
     chunk_table = ChunkTable(geometry,
                              iter(journal.layout.data_chunk_keys()))
     page_map = PageMap(chunk_table.total_sectors)
@@ -97,18 +103,19 @@ def recover_proc(media: MediaManager, journal: Journal,
             return "offline"
         return "ok" if ppa.sector < info.write_pointer else "gone"
 
-    # Pass 1: collect the committed transactions (paying the replay CPU
-    # cost) and index, per LBA, which transactions write it and in what
-    # order.
-    txns: List[Tuple[int, list]] = []
+    # Pass 1: collect the committed transactions, logged or unit-committed,
+    # in id order (paying the replay CPU cost) and index, per LBA, which
+    # transactions write it and in what order.
+    txns: List[Tuple[int, list]] = [
+        (txn_id, entries) for rtype, txn_id, entries in journal.fold(records)
+        if rtype == REC_COMMIT]
+    txns += yield from _unit_txns_proc(media, journal, chunk_table, since,
+                                       report)
+    txns.sort(key=lambda txn: txn[0])
     writers: dict = {}   # lba -> [txn index, ...] in commit order
-    for rtype, txn_id, entries in journal.fold(records):
-        if rtype != REC_COMMIT:
-            continue        # OX-Block logs nothing outside a transaction
+    for index, (txn_id, entries) in enumerate(txns):
         if replay_cpu_per_record:
             yield sim.timeout(replay_cpu_per_record * max(1, len(entries)))
-        index = len(txns)
-        txns.append((txn_id, entries))
         for lba, __, _old in entries:
             writers.setdefault(lba, []).append(index)
 
@@ -217,3 +224,47 @@ def recover_proc(media: MediaManager, journal: Journal,
     report.duration = sim.now - started
     return RecoveredState(page_map=page_map, chunk_table=chunk_table,
                           provisioner=provisioner, report=report)
+
+
+def _unit_txns_proc(media: MediaManager, journal: Journal,
+                    chunk_table: ChunkTable, since: int,
+                    report: RecoveryReport):
+    """Process generator, once the log is folded: the complete unit
+    commits with ids from *since* on, as ``(txn_id, entries)``: all *count*
+    sectors found, or any newer durable record (writes run one at a time,
+    so it proves the ack; GC erased a missing sector once superseded)."""
+
+    def stamps_proc(key, write_pointer):
+        # An open chunk is scanned; any other only if its first stamp is new.
+        for sectors in ((write_pointer,) if chunk_table.get(key).state
+                        is FtlChunkState.OPEN else (1, write_pointer)):
+            completion = yield from media.read_proc(
+                PpaRun(key, 0, sectors), meta_only=True)
+            stamps = [(sector, stamp)
+                      for sector, stamp in enumerate(completion.oob or ())
+                      if type(stamp) is tuple and stamp[1] >= since]
+            if not stamps:
+                break
+        return stamps
+
+    written = [(info.ppa.chunk_key(), info.write_pointer)
+               for info in media.scan_chunks() if info.write_pointer
+               and info.ppa.chunk_key() in chunk_table
+               and info.state is not ChunkState.OFFLINE]
+    scans = yield from media.sim.join_proc(
+        [stamps_proc(*chunk) for chunk in written], "recovery-scan")
+    found: dict = {}     # txn -> (count, {lba: linear})
+    newest = journal.next_txn_id - 1      # no older than any logged commit
+    for (key, __), stamps in zip(written, scans):
+        base = chunk_table.get(key).linear * media.geometry.sectors_per_chunk
+        for sector, (lba, txn, count) in stamps:
+            newest = max(newest, txn)
+            if count:
+                found.setdefault(txn, (count, {}))[1][lba] = base + sector
+    journal.next_txn_id = max(journal.next_txn_id, newest + 1)
+    complete = [(txn, [(lba, linear, NO_PPA) for lba, linear in got.items()])
+                for txn, (count, got) in found.items()
+                if len(got) == count or newest > txn]
+    report.unit_txns_applied = len(complete)
+    report.unit_txns_torn = len(found) - len(complete)
+    return complete

@@ -23,6 +23,11 @@ ChunkKey = Tuple[int, int, int]
 PAD_LBA = 2**64 - 1
 
 
+def stamp_lba(entry) -> object:
+    """The lba of an OOB entry: a plain value, or a stamp's first field."""
+    return entry[0] if type(entry) is tuple else entry
+
+
 @dataclass
 class PendingUnit:
     """One write unit being assembled for a chunk."""
@@ -38,6 +43,12 @@ class PendingUnit:
     #: The staging sequence number of each sector (see
     #: :meth:`WriteBuffer.mark_written`).
     sequences: List[int] = field(default_factory=list)
+    #: Each sector's OOB entry (see :meth:`WriteBuffer.stage_run`).
+    oob: List[object] = field(default_factory=list)
+
+    def uncommit(self) -> None:
+        """Zero the count of every stamp: the unit commits nothing."""
+        self.oob = [(lba, txn, 0) for lba, txn, __ in self.oob]
 
     @property
     def ppas(self) -> PpaRun:
@@ -70,7 +81,8 @@ class WriteBuffer:
     # -- staging --------------------------------------------------------------
 
     def stage_run(self, lba0: int, key: ChunkKey, first_sector: int,
-                  count: int, view: Optional[memoryview] = None
+                  count: int, view: Optional[memoryview] = None,
+                  stamp: Optional[Tuple[int, int]] = None
                   ) -> Optional[PendingUnit]:
         """Stage *count* consecutive sectors of chunk *key* starting at
         *first_sector*; returns the write unit this completed, if any.
@@ -83,6 +95,8 @@ class WriteBuffer:
         it reaches the device.  ``lba0 == PAD_LBA`` stages padding
         instead: no payload, no owning LBA, nothing readable — and only
         up to the end of the unit, so a unit's padding is always its tail.
+        A sector's OOB entry is ``(lba, *stamp)``, or its lba if *stamp* is
+        None: ``(txn, count)``, a txn committing in its stamps if *count*.
         """
         ws_min = self.ws_min
         unit_start = first_sector - first_sector % ws_min
@@ -107,6 +121,7 @@ class WriteBuffer:
                     f"padding of {count} sectors at {first_sector} does "
                     f"not complete its {ws_min}-sector write unit")
             lbas = [PAD_LBA] * count
+            oob = lbas[:]
             pieces = []
         else:
             if len(view) != count * sector_size:
@@ -114,6 +129,7 @@ class WriteBuffer:
                     f"payload of {len(view)} bytes for a run of {count} "
                     f"{sector_size}-byte sectors")
             lbas = list(range(lba0, lba0 + count))
+            oob = [(lba, *stamp) for lba in lbas] if stamp else lbas[:]
             pieces = [view]
             readable = self._readable
             offset = 0
@@ -122,7 +138,7 @@ class WriteBuffer:
                 offset += sector_size
         self._sequence += count
         if unit is None:
-            unit = PendingUnit(key, unit_start, pieces, lbas, sequences)
+            unit = PendingUnit(key, unit_start, pieces, lbas, sequences, oob)
             if count == ws_min:
                 return unit     # never passes through the partial table
             self._units[slot] = unit
@@ -130,6 +146,7 @@ class WriteBuffer:
         unit.pieces += pieces
         unit.lbas += lbas
         unit.sequences += sequences
+        unit.oob += oob
         if len(unit.lbas) == ws_min:
             del self._units[slot]
             return unit

@@ -30,9 +30,11 @@ class TestPowerCutConsistency:
     FTL = "oxblock"
     #: Counters the fixed seeds must drive above zero: space reclaimed
     #: before a cut, GC victims whose commit the cut found buffered, torn
-    #: ws_min units, media faults, dropped txns.
+    #: ws_min units, media faults, dropped txns, unit-committed txns
+    #: replayed and torn ones dropped.
     COVERED = ("gc_chunks_recycled", "gc_victims_pending", "torn_chunks",
-               "programs_failed", "erases_failed", "txns_dropped")
+               "programs_failed", "erases_failed", "txns_dropped",
+               "unit_txns_applied", "unit_txns_torn")
     LBAS_CHECKED = 500
 
     def check(self, seed, **flags):
@@ -107,7 +109,8 @@ def test_the_summary_line_names_the_windows_its_cuts_hit(capsys):
     assert main(["--seeds", "1", "--base-seed", "300"]) == 0
     lines = capsys.readouterr().out.splitlines()
     windows = ("gc_victims_pending", "gc_copies_cached", "erases_in_flight",
-               "torn_chunks", "txns_dropped")
+               "torn_chunks", "txns_dropped", "unit_txns_applied",
+               "unit_txns_torn")
     shape = re.compile(
         r"crash-consistency (\w+): 3 runs, \d+ acked txns, \d+ in-flight "
         r"txns, \d+ lbas verified, 0 violations; cuts hit "

@@ -513,8 +513,15 @@ class TestEndToEndBlock:
         assert device.controller.stats.sectors_written \
             >= 8 * device.geometry.ws_min
         assert metrics.histogram("ftl.write.latency_s").count == 8
-        assert metrics.histogram("ftl.wal.flush_s").count > 0
         assert metrics.counter("sim.processes_spawned").value > 0
+        # Whole units with nothing buffered commit in their own OOB; a
+        # partial unit's write commits through the WAL.
+        wal_flushes = metrics.histogram("ftl.wal.flush_s")
+        before = wal_flushes.count
+        ftl.write(0, bytes(device.geometry.ws_min * SS))
+        assert wal_flushes.count == before
+        ftl.write(0, bytes(SS))
+        assert wal_flushes.count == before + 1
 
     def test_chrome_trace_round_trips(self, tmp_path):
         device, obs, ftl = traced_stack()

@@ -1,6 +1,8 @@
 """Integration tests for the Open-Channel SSD device model: commands,
 write-back cache, crash semantics, parallelism and interference timing."""
 
+import signal
+
 import pytest
 
 from repro.nand import FlashGeometry
@@ -13,6 +15,10 @@ from repro.ocssd import (
     Ppa,
     VectorWrite,
 )
+
+
+def _hung(signum, frame):
+    raise AssertionError("the device hung: no simulated progress")
 
 
 def tiny_device(**kwargs) -> OpenChannelSSD:
@@ -336,6 +342,34 @@ class TestFlushBarrier:
             fua=True)))
         assert sim.run_until(fua).ok and sim.run_until(first).ok
         assert device.chunks[(0, 0, 0)].flushed_pointer == 2 * ws
+        read = device.read(seq_ppas(device, count=2 * ws))
+        assert b"".join(read.data) == numbered(device, 2 * ws)
+
+    def test_fua_write_behind_an_in_flight_fua_write(self):
+        """Two FUA writes to one chunk, side by side: the second waits for
+        the first one's program, which is no queued job a drain could
+        wait for.  The loop that only drained spun forever at one
+        simulated instant, so the alarm turns a hang into a failure."""
+        device = tiny_device()
+        sim = device.sim
+        ws = device.geometry.ws_min
+        previous = signal.signal(signal.SIGALRM, _hung)
+        signal.alarm(10)
+        try:
+            writes = [sim.spawn(device.submit(VectorWrite(
+                ppas=seq_ppas(device, start=start),
+                data=numbered(device, ws, start), fua=True)))
+                for start in (0, ws)]
+            done = []
+            for write in writes:
+                write.add_callback(done.append)
+            assert all(sim.run_until(write).ok for write in writes)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert done == writes                    # in order
+        assert device.chunks[(0, 0, 0)].flushed_pointer == 2 * ws
+        device.crash_volatile()
         read = device.read(seq_ppas(device, count=2 * ws))
         assert b"".join(read.data) == numbered(device, 2 * ws)
 

@@ -21,6 +21,7 @@ from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox import BlockConfig, EleosConfig, MediaManager, OXBlock, OXEleos
 from repro.ox.ftl.serial import NO_PPA, REC_MAP_UPDATE
+from repro.ox.ftl.writebuffer import stamp_lba
 from repro.units import KIB
 
 SS = 4096
@@ -58,7 +59,8 @@ def live_ratio_by_recount(ftl, segment_id, written_pids):
 
 def find_live_sectors_by_delinearize(gc, key, oob):
     live, unsafe = [], 0
-    for sector, lba in enumerate(oob):
+    for sector, entry in enumerate(oob):
+        lba = stamp_lba(entry)
         if not isinstance(lba, int) or lba == NO_PPA:
             continue
         current = gc.page_map.lookup(lba)
@@ -278,9 +280,10 @@ def test_gc_victim_scan_matches_the_delinearize_reference(seed):
             == expected
         seen["live"] += len(expected[0])
         seen["unsafe"] += expected[1]
-        seen["pad"] += sum(1 for lba in oob if lba == NO_PPA)
+        lbas = [stamp_lba(entry) for entry in oob]
+        seen["pad"] += sum(1 for lba in lbas if lba == NO_PPA)
         seen["trimmed"] += sum(
-            1 for lba in oob if isinstance(lba, int) and lba != NO_PPA
+            1 for lba in lbas if isinstance(lba, int) and lba != NO_PPA
             and ftl.page_map.lookup(lba) is None)
     assert all(seen.values()), seen
 
