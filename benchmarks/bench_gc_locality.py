@@ -74,6 +74,8 @@ def measure(groups: int):
         yield grant
         try:
             recycled = yield from ftl.gc.collect_group_locked_proc(0)
+            # The rounds' resets run in the carry: part of GC's window.
+            yield from ftl.gc.carry_proc()
         finally:
             ftl._lock.release()
         return recycled

@@ -520,17 +520,16 @@ class OpenChannelSSD:
                 # surfaced through the notification log only.
                 return
 
-        procs = [self.sim.spawn(read_timing(*run), name="copy-read")
-                 for run in src_runs]
-        procs += [self.sim.spawn(
-                      self.controller.write_run(chunk, first_sector, count,
-                                                span=span,
-                                                tenant=command.tenant,
-                                                epoch=epoch),
-                      name="copy-write")
-                  for chunk, first_sector, count, __ in dst_runs]
-        results = yield self.sim.all_of(procs)
-        if all(results[len(src_runs):]):
+        # Dependency order: a destination is programmed from what its
+        # sources read, so no destination transfer starts before they end.
+        yield self.sim.all_of([self.sim.spawn(read_timing(*run),
+                                              name="copy-read")
+                               for run in src_runs])
+        results = yield self.sim.all_of([self.sim.spawn(
+            self.controller.write_run(chunk, first_sector, count, span=span,
+                                      tenant=command.tenant, epoch=epoch),
+            name="copy-write") for chunk, first_sector, count, __ in dst_runs])
+        if all(results):
             return Completion(status=_OK)
         return Completion(status=_WRITE_FAILED,
                           error="copy destination not programmed")

@@ -154,7 +154,9 @@ class OXBlock:
                           config.ckpt_chunks_per_slot)
         chunk_table = ChunkTable(media.geometry,
                                  iter(journal.layout.data_chunk_keys()))
-        page_map = PageMap(chunk_table.total_sectors)
+        page_map = PageMap(chunk_table.total_sectors,
+                           media.geometry.total_chunks
+                           * media.geometry.sectors_per_chunk)
         provisioner = Provisioner(
             media.geometry, chunk_table,
             placement=resolve_placement_policy(config.placement_policy))
@@ -320,6 +322,7 @@ class OXBlock:
                 if unit is not None:
                     completed_units.append(unit)
                 linear = table.get(key).linear * per_chunk + first
+                self.page_map.own(linear, range(cur, cur + taken))  # as in OOB
                 overwritten = self.page_map.update_run(cur, linear, taken)
                 table.add_valid(key, taken)
                 for previous in overwritten:

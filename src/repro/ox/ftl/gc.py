@@ -10,14 +10,18 @@ same group (a dedicated "gc" provisioning stream), and all GC media
 traffic therefore contends only with I/O to that one group.
 
 Background work is as wide as the marked group: a *round* takes at most
-one victim per parallel unit, so its scans, copies and erases run side by
-side.  A round is crash-safe by ordering, as one victim would be:
-device-internal copy; then one commit of all the map updates, only
-*buffered*: the victims leave the candidate pool at once and are reset
-once a WAL flush the FTL makes has carried it and a device flush after
-that one has made the copies durable (:meth:`carry_proc`).  Validity is
-re-checked under the dispatch lock after the copy, so a user overwrite
-racing the relocation can never be undone.
+one victim per parallel unit, so its copies and erases run side by side.
+A victim's live sectors come from the FTL's reverse map (each sector's
+owning lba, :class:`~repro.ox.ftl.mapping.PageMap`), not from reading the
+chunk back: the device-internal copy of what is live is all the media
+traffic a round makes before its erases.  A round is crash-safe by
+ordering, as one victim would be: device-internal copy; then one commit
+of all the map updates, only *buffered*: the victims leave the candidate
+pool at once and are reset once a WAL flush the FTL makes has carried it
+and a device flush after that one has made the copies durable
+(:meth:`carry_proc`).  Validity is re-checked under the dispatch lock
+after the copy, so a user overwrite racing the relocation can never be
+undone.
 
 Two more rules keep crashes survivable:
 
@@ -44,7 +48,6 @@ from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
 from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.provisioning import Provisioner
 from repro.ox.ftl.serial import NO_PPA, REC_MAP_UPDATE
-from repro.ox.ftl.writebuffer import stamp_lba
 from repro.ox.media import MediaManager
 from repro.policies.victim import VictimPolicy
 
@@ -206,11 +209,10 @@ class GarbageCollector:
         return (yield from self._recycle_proc(victims)) if victims else 0
 
     def _recycle_proc(self, victims: List[FtlChunkInfo]):
-        """Relocate the victims' live data, as one batch: scans side by
-        side, one durability barrier if any scan asks for it, one vector
-        copy, the commit buffered.  Returns the number of victims
-        reclaimed — pending their carry; deferred and aborted ones stay
-        as they are.
+        """Relocate the victims' live data, as one batch: one durability
+        barrier if any victim asks for it, one vector copy, the commit
+        buffered.  Returns the number of victims reclaimed — pending their
+        carry; deferred and aborted ones stay as they are.
         """
         if self.qos is not None:
             # Background work yields while foreground reads are queued
@@ -219,32 +221,24 @@ class GarbageCollector:
         obs = self.obs
         # A root span: GC is background work, under no host command.
         span = obs.begin("ftl.gc", "collect") if obs is not None else None
-        # (victim, its chunk's address, live sectors, unsafe count)
-        targets = [(victim, Ppa(*victim.key, 0)) for victim in victims]
-        jobs = yield from self._scan_proc(targets, span)
-        if self.volatile_pending() or any(job[3] for job in jobs):
+        jobs = self._scan(victims)      # (victim, live sectors, unsafe)
+        if self.volatile_pending() or any(job[2] for job in jobs):
             # A device flush handles cache-resident superseding copies;
             # the FTL barrier handles an acked txn's staged tail.
             yield from self.media.flush_proc()
-            if not self.volatile_pending():
-                # Every superseding copy is durable now, and under the
-                # held lock no write pointer nor mapping has moved.
-                jobs = [(*job[:3], 0) for job in jobs]
-            else:
+            if self.volatile_pending():
                 try:
                     yield from self.stabilize_proc()
-                    # The barrier may have padded a staged partial unit
-                    # into a victim and advanced its write pointer: scan
-                    # again up to where it is now, or the reset destroys
-                    # the only copy of the freshly landed sectors.
-                    jobs = yield from self._scan_proc(targets, span)
                 except OutOfSpaceError:
-                    jobs = []    # no room even for the pad: nothing is safe
-                if self.volatile_pending():
-                    jobs = []
-            jobs = [job for job in jobs if not job[3]]
+                    pass    # no room even for the pad: nothing is safe
+            # The barrier may have padded a staged partial unit into a
+            # victim and advanced its write pointer: scan again up to
+            # where it is now, or the reset destroys the only copy of the
+            # freshly landed sectors.
+            jobs = [] if self.volatile_pending() else [
+                job for job in self._scan(victims) if not job[2]]
             self.stats.deferrals_unsafe += len(victims) - len(jobs)
-        moves = [(victim.key, live) for victim, __, live, __ in jobs if live]
+        moves = [(victim.key, live) for victim, live, __ in jobs if live]
         aborted = yield from self._relocate_round_proc(moves, span)
         jobs = [job for job in jobs if job[0].key not in aborted]
         # The victims hold dead data once a WAL flush carries the commit.
@@ -258,19 +252,12 @@ class GarbageCollector:
                       relocated=sum(len(live) for __, live in moves))
         return len(jobs)
 
-    def _scan_proc(self, targets: list, parent=None):
-        """*targets* with each one's ``(live, unsafe)`` appended: scanned
-        side by side, up to the chunk's write pointer as it is now."""
-        obs = self.obs
-        phase = (obs.begin("ftl.gc", "scan", parent)
-                 if obs is not None else None)
-        found = yield from self.sim.join_proc(
-            [self._find_live_sectors_proc(
-                victim.key, self.media.chunk_info(base).write_pointer,
-                phase) for victim, base in targets], "gc-scan")
-        if obs is not None:
-            obs.end(phase)
-        return [(*target, *scan) for target, scan in zip(targets, found)]
+    def _scan(self, victims: List[FtlChunkInfo]) -> list:
+        """Each victim with its ``(live, unsafe)`` appended, up to its
+        chunk's write pointer as it is now."""
+        return [(victim, *self._find_live_sectors(
+            victim.key, self.media.chunk_info(
+                Ppa(*victim.key, 0)).write_pointer)) for victim in victims]
 
     def carry_proc(self, span=None):
         """Flush the WAL and with it every GC commit and chunk retirement
@@ -308,6 +295,8 @@ class GarbageCollector:
             raise MediaError(f"power lost around the GC reset of {key}")
         self.stats.resets += 1
         if completion.ok:
+            per_chunk = self.geometry.sectors_per_chunk
+            self.page_map.disown(victim.linear * per_chunk, per_chunk)
             self.provisioner.release_chunk(key)
             self.stats.chunks_recycled += 1
         else:
@@ -317,11 +306,9 @@ class GarbageCollector:
                 self.obs.error("ftl.gc", "reset-failed",
                                completion.error or str(key))
 
-    def _find_live_sectors_proc(self, key: ChunkKey, write_pointer: int,
-                                parent=None):
-        """Read the victim's OOB to learn owning LBAs, keep the sectors the
-        mapping table still points at.  The read is real device traffic —
-        this is the GC interference the locality experiment measures.
+    def _find_live_sectors(self, key: ChunkKey, write_pointer: int):
+        """The victim's sectors the mapping table still points at, each
+        one's lba taken from the reverse map (what its OOB names).
 
         Returns ``(live, unsafe)``: *live* is the ``(sector, lba)`` list to
         relocate; *unsafe* counts sectors that look dead only because of a
@@ -329,12 +316,6 @@ class GarbageCollector:
         copy while the new one is still volatile would strand a committed
         mapping if power failed.
         """
-        if write_pointer == 0:
-            return [], 0
-        # Metadata only: the scan wants the owning LBAs, not the payloads.
-        completion = yield from self.media.read_proc(
-            PpaRun(key, 0, write_pointer), parent=parent, meta_only=True)
-        self.media.require_ok(completion, "GC victim scan")
         live: List[Tuple[int, int]] = []   # (sector, lba)
         unsafe = 0
         # In linear addresses: a sector is live iff the map still points at
@@ -344,9 +325,10 @@ class GarbageCollector:
         base = self.chunk_table.get(key).linear * per_chunk
         lookup = self.page_map.lookup
         flushed: Dict[int, int] = {}
-        for sector, lba in enumerate(map(stamp_lba, completion.oob)):
-            if not isinstance(lba, int) or lba == NO_PPA:
-                continue
+        for sector, lba in enumerate(self.page_map.owners(base,
+                                                          write_pointer)):
+            if lba < 0:
+                continue    # a pad, or dead at the last recovery
             current = lookup(lba)
             if current is None:
                 # Trimmed.  Trims are WAL-committed (FUA) before they are
@@ -402,6 +384,10 @@ class GarbageCollector:
                 continue
             plans.append((key, live, units))
             dst += runs
+            owned = [lba for __, lba in live]
+            for index, (__, unit_base) in enumerate(units):
+                self.page_map.own(
+                    unit_base, owned[index * ws_min:(index + 1) * ws_min])
             # Source runs: consecutive live sectors travel together.
             sectors = [sector for sector, __ in live]
             start = sectors[0]
@@ -411,10 +397,11 @@ class GarbageCollector:
                     start = sector
             # Pad to whole write units by recopying an arbitrary sector
             # (each pad its own one-sector read); a pad's destination OOB
-            # is NO_PPA, so a later GC scan there sees it as unowned.
+            # is NO_PPA and it has no owner, so a later GC scan there
+            # sees it as unowned.
             pad = (-len(live)) % ws_min
             src += [PpaRun(key, sectors[-1], 1)] * pad
-            lbas += [lba for __, lba in live] + [NO_PPA] * pad
+            lbas += owned + [NO_PPA] * pad
         if dead:
             self.media.require_ok((yield from self.media.write_proc(
                 dead, b"", oob=[NO_PPA] * len(dead) * ws_min,

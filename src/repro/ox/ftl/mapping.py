@@ -9,6 +9,13 @@ Storage layout: one ``array('q')`` of *capacity* slots indexed by LBA with
 ``-1`` marking unmapped slots — eight bytes per slot instead of a dict
 entry's boxed key/value pair, and naturally ordered so checkpoint
 snapshots need no sort.
+
+Beside it sits the *reverse map*, one ``array('q')`` slot per device
+sector indexed by linear PPA: the lba that sector's OOB names, ``-1`` for
+pads and unwritten sectors.  The FTL fills it where it builds an OOB (its
+own writes and GC copies), clears a chunk's slots at its reset and, after
+recovery, rebuilds it from the map (:meth:`PageMap.own_mapped`), so GC
+learns a victim's owners without reading the chunk back.
 """
 
 from __future__ import annotations
@@ -38,12 +45,14 @@ def _iota(count: int) -> array:
 
 
 class PageMap:
-    """LBA -> linear PPA map over ``[0, capacity)``."""
+    """LBA -> linear PPA map over ``[0, capacity)``, and the reverse map
+    over the *sectors* linear PPAs of the device."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, sectors: int = 0):
         if capacity < 1:
             raise FTLError(f"page map capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self._owners = array("q", [_UNMAPPED]) * sectors
         self.load(())
 
     def __len__(self) -> int:
@@ -109,6 +118,27 @@ class PageMap:
                 return previous
         return None
 
+    def own(self, linear: int, lbas: Iterable[int]) -> None:
+        """Record *lbas* as the owners of the sectors from *linear* on."""
+        lbas = array("q", lbas)
+        self._owners[linear:linear + len(lbas)] = lbas
+
+    def disown(self, linear: int, count: int) -> None:
+        """Forget the owners of *count* sectors from *linear* (a reset)."""
+        self._owners[linear:linear + count] = array("q", [_UNMAPPED]) * count
+
+    def owners(self, linear: int, count: int) -> array:
+        """The owning lba of each of *count* sectors from *linear*, -1 for
+        a pad or an unwritten sector."""
+        return self._owners[linear:linear + count]
+
+    def own_mapped(self) -> None:
+        """Rebuild the reverse map from the map: each mapped sector is
+        owned by its lba, no other sector by anyone."""
+        owners = self._owners = array("q", [_UNMAPPED]) * len(self._owners)
+        for lba, ppa in self.items():
+            owners[ppa] = lba
+
     def items(self) -> Iterator[Tuple[int, int]]:
         for lba, ppa in enumerate(self._table[:self._end]):
             if ppa != _UNMAPPED:
@@ -147,6 +177,6 @@ class PageMap:
         return packed.tobytes()
 
     def memory_bytes(self) -> int:
-        """Resident size of the table (perf harness metric);
-        ``getsizeof`` counts the array's backing buffer."""
-        return sys.getsizeof(self._table)
+        """Resident size of the map and the reverse map (perf harness
+        metric); ``getsizeof`` counts each array's backing buffer."""
+        return sys.getsizeof(self._table) + sys.getsizeof(self._owners)

@@ -80,7 +80,8 @@ def recover_proc(media: MediaManager, journal: Journal,
     since = journal.next_txn_id     # the checkpoint covers every id below
     chunk_table = ChunkTable(geometry,
                              iter(journal.layout.data_chunk_keys()))
-    page_map = PageMap(chunk_table.total_sectors)
+    page_map = PageMap(chunk_table.total_sectors,
+                       geometry.total_chunks * geometry.sectors_per_chunk)
     page_map.load(tables.get(REC_CKPT_MAP, ()))
     for row in tables.get(REC_CKPT_CHUNK, ()):
         chunk_table.load_row(*row)
@@ -216,6 +217,9 @@ def recover_proc(media: MediaManager, journal: Journal,
         for lba in dropped:
             page_map.remove(lba)
         report.lost_lbas.extend(dropped)
+    # Only mapped sectors keep an owner: OXBlock.recover ends with a
+    # checkpoint, which drains the cache, so no dead sector needs guarding.
+    page_map.own_mapped()
 
     provisioner = Provisioner(geometry, chunk_table, placement=placement)
     for key, write_pointer in open_candidates:

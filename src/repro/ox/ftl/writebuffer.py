@@ -23,11 +23,6 @@ ChunkKey = Tuple[int, int, int]
 PAD_LBA = 2**64 - 1
 
 
-def stamp_lba(entry) -> object:
-    """The lba of an OOB entry: a plain value, or a stamp's first field."""
-    return entry[0] if type(entry) is tuple else entry
-
-
 @dataclass
 class PendingUnit:
     """One write unit being assembled for a chunk."""

@@ -83,8 +83,7 @@ class TestRelocationPads:
         dst_key = media.geometry.delinearize(
             ftl.page_map.lookup(0)).chunk_key()
         written = media.chunk_info(Ppa(*dst_key, 0)).write_pointer
-        live, unsafe = run(
-            media, ftl.gc._find_live_sectors_proc(dst_key, written))
+        live, unsafe = ftl.gc._find_live_sectors(dst_key, written)
         assert unsafe == 0
         assert [lba for __, lba in live] == [0]
         assert all(lba != NO_PPA for __, lba in live)

@@ -134,7 +134,8 @@ def test_round_traffic_stays_in_the_marked_group():
     """While rounds are in flight, and while the WAL flush that carries
     their commit resets their victims, every device command addresses
     the marked group — or the FTL's own metadata chunks in group 0 (the
-    WAL commit, a pressure checkpoint)."""
+    WAL commit, a pressure checkpoint).  No round reads: the reverse map
+    names each victim sector's owner, the copy moves what is live."""
     media, ftl, expected, __ = aged(gc_enabled=False)
     device = media.device
     metadata = ftl.layout.metadata_chunk_keys()
@@ -166,7 +167,8 @@ def test_round_traffic_stays_in_the_marked_group():
     assert run(media, rounds_then_carry()) > 4
     assert max(len(keys) for __, keys in rounds) == 4
     kinds = {kind for kind, __ in seen}
-    assert {"VectorRead", "VectorCopy", "ChunkReset", "VectorWrite"} <= kinds
+    assert {"VectorCopy", "ChunkReset", "VectorWrite"} <= kinds
+    assert "VectorRead" not in kinds
     for kind, keys in seen:
         assert all(key[0] == 1 or key in metadata for key in keys), \
             (kind, keys)
@@ -304,9 +306,9 @@ def test_cut_mid_reset_recovers_every_payload():
 
 
 def test_crash_with_a_round_in_flight_leaves_no_child_behind():
-    """``kill -9`` while the daemon's round has children in the device:
-    they die with the daemon, and nothing of the old instance issues a
-    command to the recovered device."""
+    """``kill -9`` while the daemon's round has its copy in the device:
+    the round's children die with the daemon, and nothing of the old
+    instance issues a command to the recovered device."""
     media, ftl, expected, __ = aged()     # aged with the daemon asleep
     config = ftl.config
     ftl.config = replace(config, gc_low_watermark=64, gc_high_watermark=64)
@@ -318,7 +320,7 @@ def test_crash_with_a_round_in_flight_leaves_no_child_behind():
     rounds = watch_rounds(ftl)
     ftl._poke_gc()
     while not (len(rounds) == 1
-               and any(child.name == "gc-scan" and child.is_alive
+               and any(child.name == "copy-read" and child.is_alive
                        for child in children)):
         sim.step()
     sim.step()

@@ -13,6 +13,7 @@ from repro.ocssd import (
     DeviceGeometry,
     OpenChannelSSD,
     Ppa,
+    PpaRun,
     VectorWrite,
 )
 
@@ -200,6 +201,37 @@ class TestCopy:
         read = device.read(dst)
         assert b"".join(read.data) == data
         assert read.oob == [100 + i for i in range(len(src))]
+
+    def test_destinations_transfer_after_the_sources_are_read(self):
+        """Dependency order inside one command: on an idle device, with
+        sources and destinations on different channels, no destination
+        transfer starts before the last source read has ended."""
+        device = tiny_device()
+        ws = device.geometry.ws_min
+        for pu in (0, 1):
+            assert device.write(seq_ppas(device, pu=pu),
+                                numbered(device, ws)).ok
+        device.flush()
+        controller, sim = device.controller, device.sim
+        reads, writes = [], []
+
+        def timed(run_proc, log):
+            def proc(*args, **kwargs):
+                entry = [sim.now, None]
+                log.append(entry)
+                result = yield from run_proc(*args, **kwargs)
+                entry[1] = sim.now
+                return result
+            return proc
+
+        controller.read_run = timed(controller.read_run, reads)
+        controller.write_run = timed(controller.write_run, writes)
+        src = [PpaRun((0, pu, 0), 0, ws) for pu in (0, 1)]
+        dst = [PpaRun((1, pu, 1), 0, ws) for pu in (0, 1)]
+        assert device.copy(src, dst).ok
+        assert len(reads) == len(writes) == 2
+        assert min(start for start, __ in writes) \
+            >= max(end for __, end in reads) > 0
 
 
 class TestCrashSemantics:

@@ -21,7 +21,7 @@ from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox import BlockConfig, EleosConfig, MediaManager, OXBlock, OXEleos
 from repro.ox.ftl.serial import NO_PPA, REC_MAP_UPDATE
-from repro.ox.ftl.writebuffer import stamp_lba
+from repro.ox.ftl.writebuffer import PAD_LBA
 from repro.units import KIB
 
 SS = 4096
@@ -57,6 +57,11 @@ def live_ratio_by_recount(ftl, segment_id, written_pids):
     return live / len(written_pids)
 
 
+def stamp_lba(entry):
+    """The lba of an OOB entry: a plain value, or a stamp's first field."""
+    return entry[0] if type(entry) is tuple else entry
+
+
 def find_live_sectors_by_delinearize(gc, key, oob):
     live, unsafe = [], 0
     for sector, entry in enumerate(oob):
@@ -73,6 +78,12 @@ def find_live_sectors_by_delinearize(gc, key, oob):
         if ppa.sector >= gc.media.chunk_info(ppa).flushed_pointer:
             unsafe += 1
     return live, unsafe
+
+
+def owners_by_oob(oob):
+    """The reverse map an OOB list implies: its lba, -1 for a pad."""
+    return [lba if lba not in (NO_PPA, PAD_LBA) else -1
+            for lba in map(stamp_lba, oob)]
 
 
 # -- OX-ELEOS / LLAMA ----------------------------------------------------------------
@@ -234,17 +245,29 @@ def run(media, gen):
     return media.sim.run_until(media.sim.spawn(gen))
 
 
+def small_block():
+    geometry = DeviceGeometry(
+        num_groups=2, pus_per_group=2,
+        flash=FlashGeometry(blocks_per_plane=8, pages_per_block=6))
+    media = MediaManager(OpenChannelSSD(geometry=geometry))
+    return media, OXBlock.format(media, BlockConfig(
+        wal_chunk_count=2, ckpt_chunks_per_slot=1, gc_enabled=False))
+
+
+def oob_of(media, key, first, count):
+    completion = run(media, media.read_proc(
+        [Ppa(*key, s) for s in range(first, first + count)], meta_only=True))
+    assert completion.ok
+    return completion.oob
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_gc_victim_scan_matches_the_delinearize_reference(seed):
     """Dead, live, trimmed, relocation-pad and unflushed-superseder sectors
     in one device: the linear-address scan must classify every written
     chunk exactly as the per-sector ``delinearize`` scan did."""
-    geometry = DeviceGeometry(
-        num_groups=2, pus_per_group=2,
-        flash=FlashGeometry(blocks_per_plane=8, pages_per_block=6))
-    media = MediaManager(OpenChannelSSD(geometry=geometry))
-    ftl = OXBlock.format(media, BlockConfig(
-        wal_chunk_count=2, ckpt_chunks_per_slot=1, gc_enabled=False))
+    media, ftl = small_block()
+    geometry = media.geometry
     rng = random.Random(seed)
     unit = geometry.ws_min
     span = 3 * geometry.sectors_per_chunk
@@ -273,11 +296,11 @@ def test_gc_victim_scan_matches_the_delinearize_reference(seed):
         written = descriptor.write_pointer
         if key not in ftl.chunk_table or not written:
             continue
-        oob = run(media, media.read_proc(
-            [Ppa(*key, s) for s in range(written)])).oob
+        oob = oob_of(media, key, 0, written)
         expected = find_live_sectors_by_delinearize(ftl.gc, key, oob)
-        assert run(media, ftl.gc._find_live_sectors_proc(key, written)) \
-            == expected
+        assert ftl.gc._find_live_sectors(key, written) == expected
+        base = ftl.chunk_table.get(key).linear * geometry.sectors_per_chunk
+        assert list(ftl.page_map.owners(base, written)) == owners_by_oob(oob)
         seen["live"] += len(expected[0])
         seen["unsafe"] += expected[1]
         lbas = [stamp_lba(entry) for entry in oob]
@@ -286,6 +309,107 @@ def test_gc_victim_scan_matches_the_delinearize_reference(seed):
             1 for lba in lbas if isinstance(lba, int) and lba != NO_PPA
             and ftl.page_map.lookup(lba) is None)
     assert all(seen.values()), seen
+
+
+def test_gc_copy_overwritten_during_the_copy_is_owned_as_its_oob_names():
+    """A copy whose lba a write superseded while the copy ran is never
+    mapped, yet its OOB names that lba: so must the reverse map."""
+    media, ftl = small_block()
+    geometry, sim = media.geometry, media.sim
+    span = 2 * geometry.sectors_per_chunk
+    for lba in range(0, span, geometry.ws_min):
+        ftl.write(lba, bytes([1]) * SS * geometry.ws_min)
+    for lba in range(0, span, 3):
+        ftl.write(lba, bytes([2]) * SS)
+    ftl.flush()
+    victim = next(info for info in ftl.gc.victims(0) if info.valid_count)
+    live, __ = ftl.gc._find_live_sectors(
+        victim.key, media.chunk_info(Ppa(*victim.key, 0)).write_pointer)
+    raced = [lba for __, lba in live[::2]]
+    copy_proc = media.copy_proc
+    copies = []
+
+    def racing_copy_proc(src, dst, **kwargs):
+        copies.extend(dst)
+        completion = yield from copy_proc(src, dst, **kwargs)
+        for lba in raced:
+            yield sim.spawn(ftl.write_proc(lba, bytes([3]) * SS))
+        return completion
+
+    media.copy_proc = racing_copy_proc
+    assert run(media, ftl.gc._recycle_proc([victim]))
+    per_chunk = geometry.sectors_per_chunk
+    owned = {}
+    for dst in copies:
+        base = ftl.chunk_table.get(dst.key).linear * per_chunk + dst.first
+        owners = list(ftl.page_map.owners(base, dst.count))
+        assert owners == owners_by_oob(
+            oob_of(media, dst.key, dst.first, dst.count))
+        owned.update((lba, base + at) for at, lba in enumerate(owners))
+    assert raced and all(ftl.page_map.lookup(lba) != owned[lba]
+                         for lba in raced)
+
+
+def test_reset_chunk_reused_with_a_pad_carries_no_stale_owner():
+    """A chunk GC reset and the write path took again: its pads have no
+    owner, whatever lbas its previous life held there."""
+    media, ftl = small_block()
+    geometry = media.geometry
+    per_chunk = geometry.sectors_per_chunk
+    for lba in range(0, per_chunk, geometry.ws_min):
+        ftl.write(lba, bytes([1]) * SS * geometry.ws_min)
+    ftl.flush()
+    key = geometry.delinearize(ftl.page_map.lookup(0)).chunk_key()
+    for lba in range(0, per_chunk, geometry.ws_min):    # all of it dead
+        ftl.write(lba, bytes([2]) * SS * geometry.ws_min)
+    ftl.flush()
+    assert run(media, ftl.gc._recycle_proc([ftl.chunk_table.get(key)]))
+    ftl.flush()                                 # carries it: the reset
+    assert ftl.gc.stats.chunks_recycled == 1
+    lba = per_chunk
+    while not media.chunk_info(Ppa(*key, 0)).write_pointer:
+        ftl.write(lba, bytes([3]) * SS)         # one sector, then pads
+        ftl.flush()
+        lba += 1
+    written = media.chunk_info(Ppa(*key, 0)).write_pointer
+    oob = oob_of(media, key, 0, written)
+    assert PAD_LBA in oob
+    base = ftl.chunk_table.get(key).linear * per_chunk
+    assert list(ftl.page_map.owners(base, written)) == owners_by_oob(oob)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_victim_scan_after_recovery_is_the_oob_scan_or_safer(seed):
+    """Crash, recover, then overwrites left volatile: the reverse map the
+    recovered map rebuilt finds every victim's live set exactly as its
+    OOB does, and never counts more unsafe sectors."""
+    media, ftl = small_block()
+    geometry = media.geometry
+    rng = random.Random(seed)
+    span = 3 * geometry.sectors_per_chunk
+    for lba in range(0, span, geometry.ws_min):
+        ftl.write(lba, bytes([lba % 251]) * SS * geometry.ws_min)
+    ftl.flush()
+    for __ in range(40):
+        ftl.write(rng.randrange(span), bytes([5]) * SS)
+    ftl.crash()
+    ftl, __ = OXBlock.recover(MediaManager(media.device), ftl.config)
+    media = ftl.media
+    for __ in range(40):                        # superseders left volatile
+        ftl.write(rng.randrange(span), bytes([7]) * SS)
+    unsafe = {"oob": 0, "reverse map": 0}
+    for descriptor in media.scan_chunks():
+        key = descriptor.ppa.chunk_key()
+        written = descriptor.write_pointer
+        if key not in ftl.chunk_table or not written:
+            continue
+        live, by_oob = find_live_sectors_by_delinearize(
+            ftl.gc, key, oob_of(media, key, 0, written))
+        got_live, got = ftl.gc._find_live_sectors(key, written)
+        assert got_live == live and got <= by_oob
+        unsafe["oob"] += by_oob
+        unsafe["reverse map"] += got
+    assert unsafe["oob"] and unsafe["reverse map"], unsafe
 
 
 # -- OX-Block GC relocation commit ---------------------------------------------------
@@ -418,8 +542,8 @@ def relocated_twin(policy, seed, relocate_proc, units_left=None):
     for victim in sorted(gc.victims(0),
                          key=lambda info: -info.valid_count)[:3]:
         key = victim.key
-        live, __ = run(media, gc._find_live_sectors_proc(
-            key, media.chunk_info(Ppa(*key, 0)).write_pointer))
+        live, __ = gc._find_live_sectors(
+            key, media.chunk_info(Ppa(*key, 0)).write_pointer)
         if not live:
             continue
         raced[:] = [lba for __, lba in live[::3]]
@@ -555,8 +679,8 @@ def test_gc_round_matches_sequential_per_sector_runs(policy, width, history):
     media, ftl, expected = aged_block(policy, history)
     gc = ftl.gc
     for key in chosen:
-        live, unsafe = run(media, gc._find_live_sectors_proc(
-            key, media.chunk_info(Ppa(*key, 0)).write_pointer))
+        live, unsafe = gc._find_live_sectors(
+            key, media.chunk_info(Ppa(*key, 0)).write_pointer)
         assert not unsafe
         if live:
             assert run(media, relocate_per_sector_proc(gc, key, live))
