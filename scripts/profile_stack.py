@@ -25,7 +25,8 @@ its timed phase began are folded by one
 repro.stack`` prints for an ``obs`` spec — under a header naming the
 commit profiled.
 ``--tree PATH`` profiles another checkout (a clone of the parent
-commit, say) and ``--append`` adds the report to the results file
+commit, say; its header reads "parent clone" and its commit, never
+PATH) and ``--append`` adds the report to the results file
 instead of replacing it, so one file carries both sides of an A/B.
 
 ``--sample`` swaps cProfile for a SIGPROF sampler (1 kHz of CPU time):
@@ -192,7 +193,9 @@ def format_sim_report(name: str, tree: str, metrics: dict, table) -> str:
     from repro.obs.report import format_table
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"],
                            cwd=tree, capture_output=True).stdout.strip()
-    where = (f"{'this tree' if tree == REPO_ROOT else tree}, "
+    # Another checkout is named by its commit alone: its path is local to
+    # the machine and must not land in a tracked results file.
+    where = (f"{'this tree' if tree == REPO_ROOT else 'parent clone'}, "
              f"{git_sha(tree)}{' + uncommitted src/ changes' if dirty else ''}")
     return "\n".join([f"Sim-time split: {name} ({where})", "",
                       *(f"  {key:>18s} = {value}"

@@ -63,7 +63,9 @@ class LlamaEngine:
     # -- write path -----------------------------------------------------------
 
     def update(self, pid: int, delta: bytes) -> None:
-        """Append *delta* to the page's chain (in memory, no I/O)."""
+        """Append *delta* to the page's chain in memory.  A page that is
+        flushed but not cached is first read back synchronously (one
+        page read on the FTL), as :meth:`replace` does."""
         page = self._cached_or_new(pid)
         page.apply_delta(delta)
         if page.chain_length >= self.config.consolidate_after:

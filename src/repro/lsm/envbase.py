@@ -104,8 +104,9 @@ class WriteDispatcher:
     thread) at once.  The defaults — one worker, zero CPU — are the
     paper's configuration and are bit-identical to the historical
     single-loop dispatcher; the bottleneck only materializes when
-    ``dispatch_cpu > 0`` *and* several writers contend, since each
-    SSTable writer already serializes its own blocks.
+    ``dispatch_cpu > 0``, once several block writes are queued (a
+    LightLSM table writer keeps one in flight per channel its stripe
+    spans, and several writers contend).
     """
 
     def __init__(self, sim, media, name: str = "lsm", workers: int = 1,

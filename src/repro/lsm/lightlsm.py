@@ -266,17 +266,13 @@ class LightLSMEnv(StorageEnv):
         return meta
 
     def delete_table_proc(self, handle: SSTableHandle):
-        """Reclaim a table: chunk erases only (the Figure 4 rationale)."""
+        """Reclaim a table: chunk erases only (the Figure 4 rationale),
+        every chunk of the table at once."""
         layout = self._tables.pop(handle.sstable_id, None)
         if layout is None:
             return
-        for key in layout.all_chunks:
-            completion = yield from self.media.reset_proc(Ppa(*key, 0))
-            self.stats.chunk_resets += 1
-            if completion.ok:
-                self.free_pool[(key[0], key[1])].append(key)
-            else:
-                self._retire(key, completion)
+        yield from self._reclaim_proc(layout.all_chunks, layout.all_chunks)
+        self.stats.chunk_resets += len(layout.all_chunks)
         self.stats.tables_deleted += 1
 
     def list_tables_proc(self):
@@ -381,6 +377,22 @@ class LightLSMEnv(StorageEnv):
                 f"write unit ({self.min_block_size} bytes) — §4.2: 'the "
                 "size of a RocksDB block must be a multiple of 96KB'")
 
+    def _reclaim_proc(self, keys: List[ChunkKey], dirty: List[ChunkKey]):
+        """Erase the *dirty* ones of *keys* side by side (one join: erases
+        on distinct PUs overlap), then return *keys* to the free pool in
+        order; a chunk whose erase failed is retired."""
+        completions = yield from self.sim.join_proc(
+            [self.media.reset_proc(Ppa(*key, 0)) for key in dirty],
+            "lightlsm-erase")
+        failed = {key: completion
+                  for key, completion in zip(dirty, completions)
+                  if not completion.ok}
+        for key in keys:
+            if key in failed:
+                self._retire(key, failed[key])
+            else:
+                self.free_pool[(key[0], key[1])].append(key)
+
     def _retire(self, key: ChunkKey, completion) -> None:
         """A failed erase: the chunk stays out of the free pool (a grown
         bad block), on the record."""
@@ -459,13 +471,16 @@ class LightLSMEnv(StorageEnv):
 
 
 class _LightLSMWriter(SSTableWriter):
-    """Streams one SSTable's blocks onto its chunks."""
+    """Streams one SSTable's blocks onto its chunks, one block write in
+    flight per channel its data stripe spans (every group for horizontal
+    placement, one for vertical): nothing orders those writes."""
 
     def __init__(self, env: LightLSMEnv, layout: _TableLayout):
         self.env = env
         self.layout = layout
         self._next_block = 0
-        self._pending = []   # done events of in-flight block writes
+        self._pending = deque()   # done events of in-flight block writes
+        self._window = len({key[0] for key in layout.chunks})
 
     def append_block_proc(self, block: bytes):
         layout = self.layout
@@ -488,18 +503,20 @@ class _LightLSMWriter(SSTableWriter):
         oob = [("sst", layout.handle.sstable_id, layout.handle.level,
                 layout.sequence, chunk_slot, len(layout.chunks))
                for __ in range(layout.block_sectors)]
-        done = self.env.submit_write(ppas, block, oob)
-        self._pending.append(done)
+        self._pending.append(self.env.submit_write(ppas, block, oob))
         layout.write_next[chunk_slot] = first_sector + layout.block_sectors
         self._next_block += 1
         self.env.stats.blocks_written += 1
-        # Wait for admission of this block before returning (back-pressure
-        # at controller-cache speed, which is the write-back behaviour the
-        # evaluation drive exhibits).
-        completion = yield done
-        if not completion.ok:
-            raise ReproError(
-                f"block write failed: {completion.error or completion.status}")
+        # A full window waits for the oldest write's admission
+        # (back-pressure at controller-cache speed, which is the
+        # write-back behaviour the evaluation drive exhibits).
+        if len(self._pending) >= self._window:
+            _require_written((yield self._pending.popleft()))
+
+    def _join_proc(self):
+        """Wait for every block write in flight; their completions."""
+        pending, self._pending = list(self._pending), deque()
+        return (yield self.env.sim.all_of(pending))
 
     def finish_proc(self, meta_blob: bytes):
         env = self.env
@@ -507,6 +524,8 @@ class _LightLSMWriter(SSTableWriter):
         layout = self.layout
         sector_size = geometry.sector_size
         ws_min = geometry.ws_min
+        for completion in (yield from self._join_proc()):
+            _require_written(completion)
         layout.data_blocks = self._next_block
 
         # Meta: written at the start of the dedicated meta chunk, padded
@@ -546,15 +565,17 @@ class _LightLSMWriter(SSTableWriter):
     def abort_proc(self):
         """Discard the partial table: reset its chunks, return them."""
         env = self.env
+        yield from self._join_proc()
         layout = env._tables.pop(self.layout.handle.sstable_id, None)
         if layout is None:
             return
         yield from env.media.flush_proc(layout.all_chunks)
-        for key in layout.all_chunks:
-            info = env.media.chunk_info(Ppa(*key, 0))
-            if info.write_pointer > 0:
-                completion = yield from env.media.reset_proc(Ppa(*key, 0))
-                if not completion.ok:
-                    env._retire(key, completion)
-                    continue
-            env.free_pool[(key[0], key[1])].append(key)
+        yield from env._reclaim_proc(layout.all_chunks, [
+            key for key in layout.all_chunks
+            if env.media.chunk_info(Ppa(*key, 0)).write_pointer > 0])
+
+
+def _require_written(completion) -> None:
+    if not completion.ok:
+        raise ReproError(
+            f"block write failed: {completion.error or completion.status}")

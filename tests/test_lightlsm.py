@@ -17,6 +17,7 @@ from repro.lsm import (
 from repro.nand import FlashGeometry
 from repro.obs import Obs
 from repro.ocssd import ChunkState, DeviceGeometry, OpenChannelSSD, Ppa
+from repro.ocssd.commands import CommandStatus, Completion
 from repro.ox import MediaManager
 from repro.units import KIB, MIB
 
@@ -143,6 +144,153 @@ class TestSSTableLifecycle:
         assert env.stats.chunks_retired == 5
         assert sum(len(q) for q in env.free_pool.values()) == free
         assert obs.metrics.counter("lsm.errors.reset-failed").value == 5
+
+
+class TestSideBySide:
+    """A table's block writes keep one write in flight per channel its
+    stripe spans; a dead table's chunks are erased in one join."""
+
+    BLOCK = 96 * KIB
+
+    def count_in_flight(self, env):
+        """Wrap the env's submissions; the returned dict holds the block
+        writes in flight now and at most."""
+        submit, seen = env.submit_write, {"now": 0, "max": 0}
+
+        def landed(event):
+            seen["now"] -= 1
+
+        def counting(ppas, data, oob, fua=False):
+            done = submit(ppas, data, oob, fua)
+            if oob[0][0] == "sst":
+                seen["now"] += 1
+                seen["max"] = max(seen["max"], seen["now"])
+                done.add_callback(landed)
+            return done
+
+        env.submit_write = counting
+        return seen
+
+    def write_table_proc(self, env, sstable_id, blocks):
+        writer = yield from env.create_writer_proc(sstable_id, 0, self.BLOCK)
+        for index in range(blocks):
+            yield from writer.append_block_proc(bytes([index]) * self.BLOCK)
+        return (yield from writer.finish_proc(b"meta"))
+
+    @pytest.mark.parametrize("placement, window", [
+        (HorizontalPlacement, 4), (VerticalPlacement, 1)])
+    def test_one_block_write_in_flight_per_channel(self, placement, window):
+        device, __, env = make_env(placement(), groups=4, pus=2, pages=24)
+        seen = self.count_in_flight(env)
+        sim = device.sim
+        handle = sim.run_until(sim.spawn(self.write_table_proc(env, 1, 20)))
+        assert seen == {"now": 0, "max": window}
+        env.set_block_sectors(handle, self.BLOCK)
+        for index in (0, 7, 19):
+            assert sim.run_until(sim.spawn(env.read_block_proc(
+                handle, index, self.BLOCK))) == bytes([index]) * self.BLOCK
+
+    def fail_block(self, env, failing, delay):
+        """Block write number *failing* completes WRITE_FAILED at once,
+        every other one is handed to the dispatcher *delay* s late."""
+        sim, submit, count = env.sim, env.submit_write, [0]
+
+        def late(ppas, data, oob, fua, done):
+            yield sim.timeout(delay)
+            done.succeed((yield submit(ppas, data, oob, fua)))
+
+        def submit_write(ppas, data, oob, fua=False):
+            if oob[0][0] != "sst":
+                return submit(ppas, data, oob, fua)
+            count[0] += 1
+            done = sim.event()
+            if count[0] - 1 == failing:
+                done.succeed(Completion(status=CommandStatus.WRITE_FAILED,
+                                        error="injected"))
+            else:
+                sim.spawn(late(ppas, data, oob, fua, done))
+            return done
+
+        env.submit_write = submit_write
+
+    def test_failed_block_write_in_the_window_fails_the_table_flush(self):
+        device, media, env = make_env(pages=24)
+        sim = device.sim
+        writer = sim.run_until(sim.spawn(
+            env.create_writer_proc(1, 0, self.BLOCK)))
+        self.fail_block(env, failing=0, delay=1e-3)
+        for __ in range(2):     # inside the window of 4: no wait, no error
+            sim.run_until(sim.spawn(
+                writer.append_block_proc(b"\x01" * self.BLOCK)))
+        head_and_commit = b"m" * (self.BLOCK + 1)     # two write units
+        with pytest.raises(ReproError, match="block write failed"):
+            sim.run_until(sim.spawn(writer.finish_proc(head_and_commit)))
+        # Every completion is checked before any of the meta is written.
+        meta = env._tables[1].meta_chunk
+        assert media.chunk_info(Ppa(*meta, 0)).write_pointer == 0
+
+    def test_abort_joins_the_writes_in_flight(self):
+        """The oldest write fails while three later ones are still on
+        their way: abort waits for them before it resets the chunks, so
+        none lands on a chunk back in the pool."""
+        device, media, env = make_env(pages=24)
+        sim = device.sim
+        free = sum(len(q) for q in env.free_pool.values())
+        writer = sim.run_until(sim.spawn(
+            env.create_writer_proc(1, 0, self.BLOCK)))
+        self.fail_block(env, failing=0, delay=1e-3)
+
+        def append_proc():
+            for __ in range(4):
+                yield from writer.append_block_proc(b"\x01" * self.BLOCK)
+
+        with pytest.raises(ReproError, match="block write failed"):
+            sim.run_until(sim.spawn(append_proc()))
+        sim.run_until(sim.spawn(writer.abort_proc()))
+        sim.run(until=sim.now + 0.1)
+        assert sum(len(q) for q in env.free_pool.values()) == free
+        assert all(media.chunk_info(Ppa(*key, 0)).write_pointer == 0
+                   for pool in env.free_pool.values() for key in pool)
+
+    def test_cut_with_blocks_in_flight_leaves_no_table(self):
+        device, __, env = make_env(pages=24)
+        injector = FaultInjector(FaultPlan()).attach(device)
+        sim = device.sim
+        seen = self.count_in_flight(env)
+        writer = sim.run_until(sim.spawn(
+            env.create_writer_proc(5, 0, self.BLOCK)))
+        layout = env._tables[5]
+
+        def blocks_proc():
+            for __ in range(4):
+                yield from writer.append_block_proc(b"\x05" * self.BLOCK)
+            yield from env.media.flush_proc(layout.chunks)   # on NAND
+            for __ in range(3):
+                yield from writer.append_block_proc(b"\x06" * self.BLOCK)
+
+        sim.run_until(sim.spawn(blocks_proc()))
+        assert seen["now"] >= 2
+        injector.power_cut()
+        injector.power_cycle()
+        env2 = LightLSMEnv(MediaManager(device), HorizontalPlacement())
+        assert sim.run_until(sim.spawn(env2.list_tables_proc())) == []
+        assert sum(len(q) for q in env2.free_pool.values()) \
+            == env2.geometry.total_chunks
+        assert all(device.chunks[key].write_pointer == 0
+                   for pool in env2.free_pool.values() for key in pool)
+
+    def test_deleting_a_table_costs_about_one_erase(self):
+        """33 chunks on 33 PUs: the erases overlap."""
+        device, __, env = make_env(groups=8, pus=5, chunks=8,
+                                   chunks_per_sstable=32)
+        sim = device.sim
+        handle = sim.run_until(sim.spawn(self.write_table_proc(env, 1, 40)))
+        assert len(env._tables[1].all_chunks) == 33
+        erase = next(iter(device.chips.values())).timing.erase_latency
+        started = sim.now
+        sim.run_until(sim.spawn(env.delete_table_proc(handle)))
+        assert erase <= sim.now - started < 1.5 * erase
+        assert env.stats.chunk_resets == 33
 
 
 class TestManifestlessRecovery:
@@ -280,9 +428,15 @@ class TestManifestlessRecovery:
         writer_b = sim.run_until(sim.spawn(
             env.create_writer_proc(2, 0, block)))
         stop = []
+        # B's appends return before admission while its window has room,
+        # so its loop is bounded by its stripe's room, not by the clock.
+        room = (len(env._tables[2].chunks) * env.geometry.sectors_per_chunk
+                // (block // env.geometry.sector_size))
 
         def table_b():
-            while not stop:
+            for __ in range(room):
+                if stop:
+                    return
                 yield from writer_b.append_block_proc(b"\x0b" * block)
 
         writing = sim.spawn(table_b())

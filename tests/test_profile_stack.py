@@ -63,6 +63,24 @@ def test_sim_table_is_the_span_fold(profile_stack, name):
                                     for layer, span in table.names)
 
 
+def test_another_tree_is_named_by_its_commit_not_its_path(profile_stack,
+                                                         tmp_path):
+    """The header of a ``--tree`` section goes into a tracked results
+    file: it reads "parent clone", never the checkout's local path."""
+    from repro.obs.report import attribute
+    tree = str(tmp_path / "elsewhere" / "parent")
+    os.makedirs(tree)
+    text = profile_stack.format_sim_report(
+        "ledger_lightlsm_dbbench", tree, {"attempted": 1}, attribute([]))
+    assert text.splitlines()[0].startswith(
+        "Sim-time split: ledger_lightlsm_dbbench (parent clone, ")
+    assert tree not in text and "elsewhere" not in text
+    mine = profile_stack.format_sim_report(
+        "ledger_lightlsm_dbbench", REPO_ROOT, {"attempted": 1},
+        attribute([]))
+    assert "(this tree, " in mine.splitlines()[0]
+
+
 @pytest.mark.parametrize("text, names", [
     (None, "No such file"),
     ('{"ftl": ', "Expecting value"),

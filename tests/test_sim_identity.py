@@ -556,14 +556,17 @@ GOLDEN = {'eleos_llama': {'now': 0.7872203124999996,
  # until compactions read each input at its table's width and a LightLSM
  # table committed in its meta's last unit; 0.39976075 s / 27498 events,
  # 0 slowdown puts and 15 compactions until a table's durability barrier
- # waited only for its own chunks' earlier writes).
- 'lsm_default_fill': {'sim_seconds': 0.34803575,
-                      'events_processed': 27284,
-                      'put_latency_digest': '70b2b37f94c2bfff',
-                      'stall_seconds': 0.901337,
-                      'slowdown_puts': 4,
+ # waited only for its own chunks' earlier writes; 0.34803575 s / 27284
+ # events, digest '70b2b37f94c2bfff', 0.901337 s stalled, 4 slowdown puts
+ # and 14 compactions until a table kept one block write in flight per
+ # channel and erased its chunks in one join).
+ 'lsm_default_fill': {'sim_seconds': 0.3690895,
+                      'events_processed': 28281,
+                      'put_latency_digest': '258f3ab98286e1a4',
+                      'stall_seconds': 0.880752,
+                      'slowdown_puts': 0,
                       'flushes': 24,
-                      'compactions': 14},
+                      'compactions': 16},
  # The LSM data plane before it went block-wise (captured at ea53b43;
  # lsm_zns_scan again when a zone's chunks began to be erased together,
  # 0.79943225 s before, when zone ids began to rotate groups and a
@@ -585,15 +588,19 @@ GOLDEN = {'eleos_llama': {'now': 0.7872203124999996,
  # lsm_lightlsm_get: 0.394306875 s / 20844 events, 17 tables and 6
  # compactions until the width-wide compaction reads and the one-unit
  # commit; 0.293477 s / 20506 events until the chunk-scoped table
- # barrier.  Every get is checked against the put/delete model.
- 'lsm_lightlsm_get': {'sim_seconds': 0.285602,
-                      'events_processed': 20482,
-                      'written_sha256': 'b5727ee6f0a906bb',
-                      'delivered_sha256': 'bd801945e12144b2',
-                      'blocks_read': 1081,
-                      'tables_written': 15,
+ # barrier; 0.285602 s / 20482 events, written 'b5727ee6f0a906bb',
+ # delivered 'bd801945e12144b2', 1081 blocks read, 15 tables and 4
+ # compactions until a table's block writes and erases went side by side
+ # (the delivered digest moves with the order clients return in).  Every
+ # get is checked against the put/delete model.
+ 'lsm_lightlsm_get': {'sim_seconds': 0.307098625,
+                      'events_processed': 21074,
+                      'written_sha256': 'fca43fd14a50fd6d',
+                      'delivered_sha256': '9ec5370d7c596f5b',
+                      'blocks_read': 1046,
+                      'tables_written': 17,
                       'flushes': 10,
-                      'compactions': 4}}
+                      'compactions': 6}}
 
 
 def test_eleos_llama_clean_loop_is_sim_identical():
