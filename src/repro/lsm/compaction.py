@@ -37,7 +37,7 @@ class TableRef:
 class TableCursor:
     """One SSTable's entries in key order, a decoded block at a time, with
     up to *readahead* block reads in flight ahead of the block consumed
-    (a compaction passes the table's ``env.read_width``, a scan 1).
+    (a compaction passes the table's ``env.read_width``, a scan 2).
 
     The cursor protocol, shared with :class:`MemCursor`: ``keys`` and
     ``entries`` are the current block as parallel lists (see
@@ -79,6 +79,12 @@ class TableCursor:
                                              self.block_size),
                     name="readahead"))
                 ahead += 1
+
+    def start(self) -> None:
+        """Begin reading the first block: a consumer of several cursors
+        starts each before it waits on any, so their reads overlap."""
+        self._prefetch.append(self.sim.spawn(self.env.read_block_proc(
+            self.table.handle, 0, self.block_size), name="readahead"))
 
     def close(self) -> None:
         """For a consumer that stops early: nothing will wait on the reads

@@ -362,13 +362,18 @@ class DB:
         cursors = [MemCursor(self.memtable.items_sorted())]
         for entry in reversed(self.immutable_queue):
             cursors.append(MemCursor(entry.items))
-        # One block ahead: scan_cpu, not the device, paces a scan.
+        # Every table's first read starts before the merge waits on any,
+        # and two blocks ahead absorb the programs compactions stripe over
+        # every PU; scan_cpu, not the device, then paces a scan.
+        readahead = 2 * self.config.readahead
         table_cursors = [
             TableCursor(self.env, table, self.config.block_size, self.sim,
-                        readahead=int(self.config.readahead))
+                        readahead=readahead)
             for tables in self.levels for table in tables]
         for cursor in table_cursors:
             cursor.table.refs += 1
+            if readahead:
+                cursor.start()
         cursors.extend(table_cursors)
         scan_cpu = self.config.scan_cpu
 

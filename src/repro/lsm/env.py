@@ -90,9 +90,11 @@ class StorageEnv(abc.ABC):
         """Process generator returning the block's bytes."""
 
     def read_width(self, handle: SSTableHandle) -> int:
-        """How many block reads of the table run side by side: the PUs
-        its blocks are striped over.  1 where the env cannot tell (a
-        generic block FTL hides where an extent lives)."""
+        """How many block reads of the table run side by side: the
+        units its blocks are striped over (LightLSM: its stripe's PUs;
+        ZnsEnv: the groups its zones span, a zone's PUs queueing on one
+        channel).  1 where the env cannot tell (a generic block FTL
+        hides where an extent lives)."""
         return 1
 
     def set_block_sectors(self, handle: SSTableHandle,

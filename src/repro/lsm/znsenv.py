@@ -22,6 +22,7 @@ from typing import Dict, List, Tuple
 from repro.errors import OutOfSpaceError, ReproError
 from repro.lsm.env import SSTableHandle, SSTableWriter
 from repro.lsm.envbase import ManifestEnv, pad_to_sectors
+from repro.sim.resources import Resource
 from repro.zns.ftl import OXZns
 from repro.zns.zone import ZoneState
 
@@ -37,6 +38,14 @@ class _ZnsTable:
 
 
 class _ZnsWriter(SSTableWriter):
+    """Streams one table's blocks over a stripe of open zones, one per
+    group (channel): the blocks take the stripe's zones in turn, and each
+    zone keeps one append in flight, so a table's appends overlap on
+    every channel the stripe spans.  The stripe is ``num_groups`` wide,
+    at most half of ``max_open_zones``, and never holds more zones than
+    the env's open-zone budget has room for: a writer that holds a zone
+    narrows instead of waiting, so none deadlocks."""
+
     def __init__(self, env: "ZnsEnv", sstable_id: int, level: int,
                  block_size: int):
         self.env = env
@@ -45,39 +54,81 @@ class _ZnsWriter(SSTableWriter):
         self.block_size = block_size
         self.block_sectors = block_size // env.sector_size
         self.table = _ZnsTable(zones=[], data_blocks=0, block_lbas=[])
-        self._active_zone: int = -1
+        self._slots: List[int] = []     # the stripe's open zones, next first
+        # At most half the budget: a flush's stripe and a compaction's fit.
+        self._width = min(env.zns.geometry.num_groups,
+                          max(1, env.zns.config.max_open_zones // 2))
+        #: zone id -> (block index, its append in flight)
+        self._in_flight: Dict[int, Tuple[int, object]] = {}
 
     def _zone_with_room_proc(self, sectors: int):
-        """Return a zone id with at least *sectors* of room, sealing the
-        active zone and taking a fresh one when it cannot fit the data."""
-        zns = self.env.zns
-        if self._active_zone >= 0:
-            zone = zns.zone(self._active_zone)
+        """The stripe's next zone, its append in flight done, with at
+        least *sectors* of room: a full zone is finished and a fresh one
+        taken in a group the stripe does not use, or its slot goes."""
+        env, slots = self.env, self._slots
+        while True:
+            if len(slots) < self._width:
+                zone_id = yield from env._open_zone_proc(
+                    {env._group(zone) for zone in slots}, wait=not slots)
+                if zone_id is not None:
+                    slots.append(zone_id)
+                    self.table.zones.append(zone_id)
+                    return zone_id
+                self._width = len(slots)
+            zone_id = slots[0]
+            if zone_id in self._in_flight:
+                index, append = self._in_flight.pop(zone_id)
+                self.table.block_lbas[index] = yield append
+            zone = env.zns.zone(zone_id)
             if zone.remaining >= sectors:
-                return self._active_zone
+                slots.append(slots.pop(0))
+                return zone_id
             if zone.state is not ZoneState.FULL:
-                yield from zns.finish_zone_proc(self._active_zone)
-        zone_id = self.env._take_free_zone()
-        self.table.zones.append(zone_id)
-        self._active_zone = zone_id
-        return zone_id
+                yield from env.zns.finish_zone_proc(zone_id)
+            slots.pop(0)
+            env._open_zones.release()
 
     def append_block_proc(self, block: bytes):
         zone_id = yield from self._zone_with_room_proc(self.block_sectors)
-        lba = yield from self.env.zns.append_proc(zone_id, block)
-        self.table.block_lbas.append(lba)
+        append = self.env.sim.spawn(self.env.zns.append_proc(zone_id, block),
+                                    name="zns-table-append")
+        append.defuse()     # a failure raises where the writer waits
+        self._in_flight[zone_id] = (self.table.data_blocks, append)
+        self.table.block_lbas.append(-1)
         self.table.data_blocks += 1
+
+    def _join_proc(self):
+        """Wait for every append in flight, filling ``block_lbas``; the
+        first failure once all are done, else None."""
+        failure = None
+        for index, append in sorted(self._in_flight.values()):
+            try:
+                self.table.block_lbas[index] = yield append
+            except ReproError as error:
+                failure = failure or error
+        self._in_flight = {}
+        return failure
+
+    def _release_slots(self) -> None:
+        for __ in self._slots:
+            self.env._open_zones.release()
+        self._slots = []
 
     def finish_proc(self, meta_blob: bytes):
         zns = self.env.zns
+        failure = yield from self._join_proc()
+        if failure is not None:
+            raise failure
         meta_sectors, padded = pad_to_sectors(meta_blob,
                                               self.env.sector_size)
         zone_id = yield from self._zone_with_room_proc(meta_sectors)
         self.table.meta_lba = yield from zns.append_proc(zone_id, padded)
         self.table.meta_sectors = meta_sectors
         self.table.meta_bytes = len(meta_blob)
-        if zns.zone(zone_id).state is not ZoneState.FULL:
-            yield from zns.finish_zone_proc(zone_id)
+        yield from self.env.sim.join_proc(
+            [zns.finish_zone_proc(zone_id) for zone_id in self._slots
+             if zns.zone(zone_id).state is not ZoneState.FULL], "zns-finish")
+        self._release_slots()
         # Durability barrier: the table is acknowledged only once its data
         # and meta are on NAND (the fsync a real engine would issue).
         yield from zns.media.flush_proc(
@@ -88,8 +139,12 @@ class _ZnsWriter(SSTableWriter):
         return handle
 
     def abort_proc(self):
+        yield from self._join_proc()
         zones, self.table.zones = self.table.zones, []
-        yield from self.env._reclaim_proc(zones)
+        try:
+            yield from self.env._reclaim_proc(zones)
+        finally:
+            self._release_slots()
 
 
 class ZnsEnv(ManifestEnv):
@@ -101,6 +156,8 @@ class ZnsEnv(ManifestEnv):
         self.sim = zns.sim
         self.sector_size = zns.geometry.sector_size
         self._free_zones: List[int] = list(range(zns.num_zones))
+        #: The zones writers hold open, within ``max_open_zones``.
+        self._open_zones = Resource(self.sim, zns.config.max_open_zones)
 
     @property
     def tenant(self):
@@ -138,9 +195,10 @@ class ZnsEnv(ManifestEnv):
         return data
 
     def read_width(self, handle: SSTableHandle) -> int:
-        """The PUs a zone's chunks cover in one group (wider only queues on
-        that group's channel)."""
-        return self.zns.config.chunks_per_zone
+        """The groups (channels) the table's zones span: its blocks rotate
+        over them, and a wider window only queues on their channels."""
+        return len({self._group(zone_id)
+                    for zone_id in self._require(handle).zones})
 
     def read_meta_proc(self, handle: SSTableHandle):
         table = self._require(handle)
@@ -154,15 +212,34 @@ class ZnsEnv(ManifestEnv):
             return
         yield from self._reclaim_proc(table.zones)
 
-    # list_tables_proc / log_version_edit / _require: ManifestEnv.
+    def list_tables_proc(self):
+        """The MANIFEST walk; then, with no writer alive, every zone that
+        no listed table holds (a table cut mid-write never reached the
+        MANIFEST) is reset and freed."""
+        tables = yield from super().list_tables_proc()
+        live = {handle.sstable_id for handle, __ in tables}
+        self._tables = {sstable_id: self._tables[sstable_id]
+                        for sstable_id in live}
+        held = {zone_id for table in self._tables.values()
+                for zone_id in table.zones}
+        spare = [zone for zone in self.zns.zones if zone.zone_id not in held
+                 and zone.state is not ZoneState.OFFLINE]
+        self._open_zones = Resource(self.sim, self.zns.config.max_open_zones)
+        self._free_zones = [zone.zone_id for zone in spare
+                            if zone.state is ZoneState.EMPTY]
+        yield from self._reclaim_proc([zone.zone_id for zone in spare
+                                       if zone.state is not ZoneState.EMPTY])
+        return tables
+
+    # log_version_edit / _require: ManifestEnv.
 
     # -- internals ----------------------------------------------------------------
 
     def _reclaim_proc(self, zone_ids: List[int]):
-        """Reset *zone_ids* side by side (they sit in distinct groups, so
-        their erases overlap).  A reset zone returns to the free list, a
-        retired one does not; its ZoneError surfaces once every sibling
-        has finished."""
+        """Reset *zone_ids* side by side (a table's zones sit in distinct
+        groups, so their erases overlap).  A reset zone returns to the
+        free list, a retired one does not; its ZoneError surfaces once
+        every sibling has finished."""
         def reset_proc(zone_id: int):
             if self.zns.zone(zone_id).state is not ZoneState.EMPTY:
                 yield from self.zns.reset_zone_proc(zone_id)
@@ -171,9 +248,22 @@ class ZnsEnv(ManifestEnv):
         yield from self.sim.join_proc(
             [reset_proc(zone_id) for zone_id in zone_ids], "zns-reclaim")
 
-    def _take_free_zone(self) -> int:
-        while self._free_zones:
-            zone_id = self._free_zones.pop(0)
-            if self.zns.zone(zone_id).state is ZoneState.EMPTY:
-                return zone_id
-        raise OutOfSpaceError("no empty zones left")
+    def _open_zone_proc(self, groups, wait: bool):
+        """Take the first free zone outside *groups* within
+        ``max_open_zones`` (other writers' zones count too).  With no room
+        or no such zone: wait for room if *wait* (the writer holds no
+        zone), else None (it narrows its stripe)."""
+        if not self._open_zones.try_acquire():
+            if not wait:
+                return None
+            yield self._open_zones.request()
+        for index, zone_id in enumerate(self._free_zones):
+            if self._group(zone_id) not in groups:
+                return self._free_zones.pop(index)
+        self._open_zones.release()
+        if wait:
+            raise OutOfSpaceError("no empty zones left")
+        return None
+
+    def _group(self, zone_id: int) -> int:
+        return self.zns.zone(zone_id).chunks[0][0]

@@ -158,22 +158,23 @@ class TestZnsEnv:
 
 
 class TestZnsReclaim:
-    """A table's zones are reset in one join: zone ids taken in order sit
-    in distinct groups, so their erases overlap."""
+    """A table's zones are reset in one join: its stripe puts them in
+    distinct groups, so their erases overlap."""
 
     @staticmethod
     def table(zones=4):
-        """A ZnsEnv holding one table over *zones* fresh zones: a
-        zone-sized block in each but the last, which takes the meta."""
+        """A ZnsEnv holding one table striped over *zones* fresh zones,
+        one per group, in half-zone blocks: two in each zone but the last
+        two, one in each of those, the meta beside the first of them."""
         device = make_device(chunks=8)
         zns = OXZns(MediaManager(device),
                     ZnsConfig(chunks_per_zone=4, max_open_zones=16))
         env, sim = ZnsEnv(zns), device.sim
-        block = zns.zone_capacity * env.sector_size
+        block = zns.zone_capacity // 2 * env.sector_size
 
         def write_proc():
             writer = yield from env.create_writer_proc(1, 0, block)
-            for index in range(zones - 1):
+            for index in range(2 * zones - 2):
                 yield from writer.append_block_proc(bytes([index]) * block)
             return (yield from writer.finish_proc(b"meta"))
 
@@ -193,7 +194,7 @@ class TestZnsReclaim:
     def test_delete_costs_one_zone_reset(self):
         device, zns, env, handle, zones = self.table()
         sim = device.sim
-        lone = env._take_free_zone()
+        lone = env._free_zones.pop()
         zns.append(lone, b"r" * zns.zone_capacity * env.sector_size)
         zns.media.flush()
         one_reset = self.timed(sim, zns.reset_zone_proc(lone))
@@ -220,6 +221,142 @@ class TestZnsReclaim:
                    for zone_id in survivors)
         assert sorted(env._free_zones) == sorted(free + survivors)
         assert zns.stats.zones_retired == 1
+
+
+def zns_env(max_open_zones=16):
+    device = make_device(chunks=8)
+    zns = OXZns(MediaManager(device), ZnsConfig(
+        chunks_per_zone=4, max_open_zones=max_open_zones))
+    return device.sim, zns, ZnsEnv(zns)
+
+
+def write_blocks(sim, writer, count, block=96 * KIB):
+    def write_proc():
+        for index in range(count):
+            yield from writer.append_block_proc(bytes([index]) * block)
+    sim.run_until(sim.spawn(write_proc()))
+
+
+class TestZnsStripe:
+    """A table writer keeps one append in flight per zone of its stripe,
+    one zone per group, within ``max_open_zones``."""
+
+    def test_a_failed_append_is_joined_before_the_abort_resets(self):
+        sim, zns, env = zns_env()
+        append_proc = zns.append_proc
+        failed = []
+
+        def first_append_fails_proc(zone_id, data):
+            if not failed:
+                failed.append(zone_id)
+                yield sim.timeout(1e-6)
+                raise ZoneError("injected append failure")
+            return (yield from append_proc(zone_id, data))
+
+        zns.append_proc = first_append_fails_proc
+        free = len(env._free_zones)
+        writer = sim.run_until(sim.spawn(
+            env.create_writer_proc(1, 0, 96 * KIB)))
+        # Block 4 returns to block 0's zone, where the failure waits.
+        with pytest.raises(ZoneError, match="injected"):
+            write_blocks(sim, writer, 5)
+        zones = list(writer.table.zones)
+        assert len({env._group(zone_id) for zone_id in zones}) == 4
+        # The other three zones' appends are still in flight.
+        assert all(zns.zone(zone_id).state is ZoneState.EMPTY
+                   for zone_id in zones)
+        sim.run_until(sim.spawn(writer.abort_proc()))
+        assert len(env._free_zones) == free
+        assert all(zns.zone(zone_id).state is ZoneState.EMPTY
+                   and zone_id in env._free_zones for zone_id in zones)
+        assert env._open_zones.in_use == zns._open_count == 0
+
+    def test_blocks_read_back_in_block_order_after_out_of_order_appends(
+            self):
+        sim, zns, env = zns_env()
+        append_proc = zns.append_proc
+        block = 96 * KIB
+
+        def block_0_lands_last_proc(zone_id, data):
+            if data[0] == 0:
+                yield sim.timeout(5e-3)
+            return (yield from append_proc(zone_id, data))
+
+        zns.append_proc = block_0_lands_last_proc
+        writer = sim.run_until(sim.spawn(env.create_writer_proc(1, 0, block)))
+        write_blocks(sim, writer, 6)
+        handle = sim.run_until(sim.spawn(writer.finish_proc(b"meta")))
+        assert [sim.run_until(sim.spawn(env.read_block_proc(
+            handle, index, block))) for index in range(6)] \
+            == [bytes([index]) * block for index in range(6)]
+
+    def test_a_table_cut_mid_write_is_absent_after_open(self):
+        from repro.faults import FaultInjector, FaultPlan
+        device, zns, env, db = make_zns_db(chunks=8)
+        sim = device.sim
+        for i in range(200):
+            db.put(key(i), b"a" * 64)
+        db.flush()
+        db.wait_idle()
+        injector = FaultInjector(FaultPlan()).attach(device)
+        writer = sim.run_until(sim.spawn(
+            env.create_writer_proc(99, 0, 96 * KIB)))
+        write_blocks(sim, writer, 6)
+        cut = set(writer.table.zones)
+        assert len({env._group(zone_id) for zone_id in cut}) == 4
+        injector.power_cut()
+        injector.power_cycle()
+        db2 = DB.open(env, DBConfig(block_size=96 * KIB,
+                                    write_buffer_bytes=512 * 1024), sim)
+        assert 99 not in env._tables and db2.get(key(3)) == b"a" * 64
+        # Recovery reset the torn table's zones and freed them.
+        assert cut <= set(env._free_zones)
+        assert all(zns.zone(zone_id).state is ZoneState.EMPTY
+                   for zone_id in cut)
+        assert env._open_zones.in_use == zns._open_count == 0
+
+    def test_a_writer_holding_a_zone_narrows_and_one_holding_none_waits(
+            self):
+        sim, zns, env = zns_env(max_open_zones=5)     # stripes 2 wide
+        writers = [sim.run_until(sim.spawn(env.create_writer_proc(
+            sstable_id, 0, 96 * KIB))) for sstable_id in (1, 2, 3, 4)]
+        for writer in writers[:3]:
+            write_blocks(sim, writer, 2)
+        assert [len(writer.table.zones) for writer in writers] \
+            == [2, 2, 1, 0]
+        waiting = sim.spawn(writers[3].append_block_proc(b"w" * 96 * KIB))
+        sim.run(until=sim.now + 0.01)
+        assert waiting.is_alive and env._open_zones.in_use == 5
+        sim.run_until(sim.spawn(writers[0].finish_proc(b"meta")))
+        sim.run_until(waiting)
+        assert len(writers[3].table.zones) == 1
+        assert env._open_zones.in_use == 4
+
+    def test_the_open_zone_budget_holds_while_flush_and_compaction_overlap(
+            self):
+        """Default ``ZnsConfig()`` (8 open zones) on the 8-group
+        evaluation drive: a flush's stripe and a compaction's fill the
+        budget, and neither may over-open (an 8-wide stripe did)."""
+        from repro.benchhelpers import evaluation_spec
+        from repro.stack import build_stack
+        stack = build_stack(evaluation_spec(
+            name="zns-budget", ftl="zns",
+            db={"block_size": 96 * KIB, "write_buffer_bytes": 4 << 20}))
+        sim, zns, env = stack.sim, stack.ftl, stack.env
+        assert zns.config.max_open_zones == 8
+        samples, running = [], [True]
+
+        def sample_proc():
+            while running:
+                samples.append(zns._open_count)
+                yield sim.timeout(20e-6)
+
+        sim.spawn(sample_proc())
+        bench = stack.dbbench()
+        bench.fill_sequential(clients=4, ops_per_client=20_000)
+        bench.quiesce()
+        running.clear()
+        assert stack.db.stats.compactions and max(samples) <= 8
 
 
 class TestFailedTableWrite:

@@ -1,5 +1,6 @@
 """Table readahead: a compaction reads each input as wide as its env
-striped it (``StorageEnv.read_width``), a scan one block ahead, and a
+striped it (``StorageEnv.read_width``), a scan two blocks ahead with
+every table's first read started before the merge waits on any, and a
 cursor dropped early leaves no read behind that can fail on nobody."""
 
 import pytest
@@ -105,12 +106,17 @@ class TestReadWidth:
         table = write_table(sim, env, 1, table_of(2))
         assert env.read_width(table.handle) == env.geometry.pus_per_group
 
-    def test_zns_reads_a_zone_wide(self):
+    def test_zns_reads_as_wide_as_the_groups_its_zones_span(self):
         device = OpenChannelSSD(geometry=DeviceGeometry(
             num_groups=4, pus_per_group=4,
             flash=FlashGeometry(blocks_per_plane=8, pages_per_block=6)))
         zns = OXZns(MediaManager(device), ZnsConfig(chunks_per_zone=3))
-        assert ZnsEnv(zns).read_width(SSTableHandle(1, 0)) == 3
+        env = ZnsEnv(zns)
+        narrow = write_table(device.sim, env, 1, table_of(1))
+        wide = write_table(device.sim, env, 2, table_of(6))
+        # One block and the meta: two zones; six blocks: every group.
+        assert [env.read_width(table.handle) for table in (narrow, wide)] \
+            == [2, 4]
 
     def test_envs_that_hide_placement_read_one_ahead(self):
         device = OpenChannelSSD(geometry=DeviceGeometry(
@@ -167,27 +173,41 @@ def record_windows(monkeypatch):
     return windows
 
 
-def fill(db, rounds=6, keys=400):
+def fill(db, rounds=6, keys=400, size=200):
     for round_ in range(rounds):
         for i in range(keys):
-            db.put(key(i), bytes([65 + round_]) * 200)
+            db.put(key(i), bytes([65 + round_]) * size)
         db.flush()
     db.wait_idle()
 
 
 class TestDbWindows:
-    def test_compaction_reads_at_table_width_and_scans_one_ahead(
+    def test_compaction_reads_at_table_width_and_scans_two_ahead(
             self, monkeypatch):
         windows = record_windows(monkeypatch)
         sim, env, db = lightlsm_db()
-        fill(db)
+        fill(db, size=1000)
         assert db.stats.compactions and set(windows) == {8}
         del windows[:]
         peak = count_reads_in_flight(env)
         assert db.scan() == 400
-        assert windows and set(windows) == {1}
-        # Exactly one read in flight per cursor, on every multi-block table.
-        assert set(peak.values()) == {1}
+        assert windows and set(windows) == {2}
+        # Exactly two reads in flight per cursor, every table being at
+        # least three blocks long.
+        assert min(table.meta.num_blocks for tables in db.levels
+                   for table in tables) >= 3
+        assert set(peak.values()) == {2}
+
+    def test_a_scans_first_entry_costs_one_block_read_not_one_per_table(
+            self):
+        sim = Simulator()
+        env = MemEnv(sim, read_latency=1e-3)
+        db = mem_db(env, l0_compaction_trigger=10)
+        flush_tables(db, 4)
+        assert db.level_sizes()[0] == 4
+        started = sim.now
+        assert db.scan(limit=1) == 1
+        assert sim.now - started < 1.5e-3
 
     def test_readahead_off_prefetches_nothing(self, monkeypatch):
         windows = record_windows(monkeypatch)
