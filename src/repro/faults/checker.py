@@ -201,14 +201,27 @@ def _oxblock_structure(ftl) -> Iterator[str]:
 
 def _eleos_structure(ftl) -> Iterator[str]:
     keys, offline = ftl.layout.data_chunk_keys(), ftl.offline_chunks()
-    owned = [key for chunks in ftl.segments.values() for key in chunks]
-    twice = sorted({key for key in owned if owned.count(key) > 1})
+    owners: Dict[int, List[int]] = {}
+    for segment, units in ftl.segments.items():
+        for unit in units:
+            owners.setdefault(unit, []).append(segment)
+    twice = sorted(unit for unit, segments in owners.items()
+                   if len(segments) > 1)
     if twice:
-        yield f"chunks {twice} are owned by more than one segment"
-    if len(owned) + len(offline - set(owned)) + ftl.free_chunk_count() \
-            != len(keys):
-        yield (f"{len(owned)} owned, {ftl.free_chunk_count()} free and "
-               f"{len(offline)} offline chunks; {len(keys)} data chunks")
+        yield f"units {twice} are owned by more than one segment"
+    # Every data chunk is exactly one of: open, held (closed, a unit of
+    # a live segment in it), free or erasing, offline.
+    opened = set(ftl.open_chunks().values())
+    held = {ftl._unit_chunk(unit) for unit in owners} - opened
+    free = set(ftl._erasing).union(*ftl._free.values())
+    states = {key: [name for name, members in (
+        ("open", opened), ("held", held), ("free", free))
+        if key in members] for key in keys}
+    for key, names in sorted(states.items()):
+        if len(names) > 1:
+            yield f"chunk {key} is {' and '.join(names)}"
+        elif not names and key not in offline:
+            yield f"chunk {key} is neither open, held, free nor offline"
     for page_id, entry in ftl.vmap.items():
         key = ftl.geometry.delinearize(entry.first_sector).chunk_key()
         if key in offline:
@@ -225,7 +238,7 @@ def _free_emptied(ftl, limit: Optional[int] = None) -> None:
 
 
 def _eleos_write(ftl, lba: int, data: bytes) -> None:
-    if not ftl.free_chunk_count():
+    if not ftl.free_unit_count():
         _free_emptied(ftl)
     size = ftl.geometry.sector_size
     ftl.append_buffer([(lba + i, data[i * size:(i + 1) * size])
@@ -247,7 +260,7 @@ FTL_OPS: Dict[str, FtlOps] = {
         cached=lambda ftl: int(not ftl.gc.pending and any(
             run.first + run.count > ftl.media.chunk_info(run[0]).write_pointer
             for run in ftl.gc.copies)), units=True),
-    # Page ids 0..11: at most 12 of the 24 data chunks hold a live page.
+    # Page ids 0..11: at most 12 write units hold a live page.
     "eleos": FtlOps(
         write=_eleos_write,
         read=lambda ftl, lba: (ftl.read_page(lba) if lba in ftl.vmap

@@ -65,7 +65,8 @@ class LlamaEngine:
     def update(self, pid: int, delta: bytes) -> None:
         """Append *delta* to the page's chain in memory.  A page that is
         flushed but not cached is first read back synchronously (one
-        page read on the FTL), as :meth:`replace` does."""
+        page read on the FTL, under a ``("llama", "fetch")`` span), as
+        :meth:`replace` does."""
         page = self._cached_or_new(pid)
         page.apply_delta(delta)
         if page.chain_length >= self.config.consolidate_after:
@@ -188,7 +189,12 @@ class LlamaEngine:
         page = self._cache.get(pid)
         if page is None:
             if pid in self.ftl.vmap:
-                blob = self.ftl.read_page(pid)
+                obs = self.obs
+                span = (obs.begin("llama", "fetch")
+                        if obs is not None else None)
+                blob = self.ftl.read_page(pid, span)
+                if obs is not None:
+                    obs.end(span, page=pid)
                 page = DeltaPage.deserialize(pid, blob)
             else:
                 page = DeltaPage(pid=pid)

@@ -83,6 +83,10 @@ class DeltaPage:
         offset += base_len
         deltas: List[bytes] = []
         while offset < len(blob):
+            if offset + _LEN.size > len(blob):
+                raise ReproError(
+                    f"page {pid}: {len(blob) - offset} trailing bytes are "
+                    f"too short for a delta length")
             (delta_len,) = _LEN.unpack_from(blob, offset)
             offset += _LEN.size
             if offset + delta_len > len(blob):

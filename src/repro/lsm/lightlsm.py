@@ -61,7 +61,9 @@ class HorizontalPlacement(PlacementPolicy):
         self._cursor = 0
 
     def allocate(self, env: "LightLSMEnv", count: int) -> List[ChunkKey]:
-        pus = env.all_pus
+        # Channel-first, (0,0), (1,0), ..., (0,1), ...: a writer's window
+        # of consecutive blocks lands on distinct channels.
+        pus = sorted(env.all_pus, key=lambda pu: pu[::-1])
         chosen: List[ChunkKey] = []
         probes = 0
         while len(chosen) < count:

@@ -11,17 +11,25 @@ Design:
 
 * :meth:`append_buffer` takes one LSS I/O buffer — a list of
   ``(page_id, payload)`` pairs with payloads of *arbitrary byte sizes* —
-  packs them back to back, and writes the buffer onto a fresh **segment**:
-  a set of whole chunks striped across parallel units.  Pages never span a
-  chunk boundary (padding keeps them inside), so a page is always covered
-  by a contiguous run of sectors.
+  packs them back to back and cuts the stream into **runs** of whole
+  write units, as many as the buffer has units but at most one per
+  parallel unit (PU), taken group-first from a cursor kept across
+  appends.  Each PU keeps one open data chunk and a run goes at its write
+  pointer, so consecutive appends share chunks.  A page never crosses a
+  run boundary and a run never a chunk boundary, so a page is always
+  covered by a contiguous run of sectors.  The runs are written FUA, side
+  by side with each other and with the WAL commit: nothing of an append
+  is left in the controller cache behind its ack.
+* A **segment** is what one append wrote: a set of write units, named by
+  unit-linear address in the WAL and the checkpoint.
 * The variable-page map stores ``page_id -> (first_sector, byte_offset,
   length)`` — a *sub-sector* granularity, smaller than the device's 4 KB
   unit of read, which is exactly the paper's point.
 * Space reclamation is host-driven, as in log-structured storage: the
   LLAMA-side cleaner re-appends live pages and then calls
-  :meth:`free_segment`; the FTL erases the segment's chunks behind the
-  cleaner, before an append takes one of them.  There is no
+  :meth:`free_segment`; the FTL erases a chunk behind the cleaner once it
+  is closed (full, or passed over for a page too big for its rest) and no
+  live segment owns a unit in it.  There is no
   FTL-internal GC, but the FTL owns segment liveness: every map update
   moves the page between the per-segment live sets the cleaner reads.
 * WAL + checkpoints give the same transactional guarantees as OX-Block:
@@ -42,11 +50,12 @@ from repro.ox.ftl import serial
 from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.recovery import RecoveryReport
 from repro.ox.media import MediaManager
-from repro.sim.core import Process
+from repro.sim.core import Process, guarded
 from repro.sim.resources import Resource
 from repro.units import MIB
 
 ChunkKey = Tuple[int, int, int]
+PuKey = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -98,22 +107,32 @@ class OXEleos:
         self.layout = self.journal.layout
         if config.buffer_bytes < self.geometry.sector_size:
             raise FTLError("LSS buffer must hold at least one sector")
+        self._ws_min = self.geometry.ws_min
+        self._units_per_chunk = self.geometry.sectors_per_chunk \
+            // self._ws_min
         self.vmap: Dict[int, VPageEntry] = {}
-        self.segments: Dict[int, List[ChunkKey]] = {}
+        # Segment -> the write units it owns, as unit-linear addresses
+        # (a sector's linear address // ws_min).
+        self.segments: Dict[int, List[int]] = {}
         # Liveness, kept in step with vmap by _map_page: segment -> ids of
         # the pages it currently holds, segment -> pages it was written
-        # with, chunk (linear index) -> owning segment.
+        # with, unit -> owning segment.
         self._live: Dict[int, Set[int]] = {}
         self._written: Dict[int, int] = {}
-        self._chunk_segment: Dict[int, int] = {}
-        # Erased chunks as one FIFO per PU, PUs group-first ((0,0), (1,0),
-        # ..., (0,1), ...): the allocation cursor walks them in this order.
-        self._free: Dict[Tuple[int, int], Deque[ChunkKey]] = {
-            pu: deque() for pu in sorted(self.geometry.iter_pus(),
-                                         key=lambda pu: pu[::-1])}
+        self._unit_segment: Dict[int, int] = {}
+        # Chunk -> how many of its units live segments and appends in
+        # flight own.
+        self._held: Dict[ChunkKey, int] = {}
+        # PUs group-first ((0,0), (1,0), ..., (0,1), ...), the order the
+        # run cursor walks; per PU its erased chunks as a FIFO and its one
+        # open chunk with the sectors written into it.
+        self._pus: List[PuKey] = sorted(self.geometry.iter_pus(),
+                                        key=lambda pu: pu[::-1])
+        self._free: Dict[PuKey, Deque[ChunkKey]] = {
+            pu: deque() for pu in self._pus}
         for key in self.layout.data_chunk_keys():
             self._free[key[:2]].append(key)
-        self._rotation = list(self._free.values())
+        self._open: Dict[PuKey, Tuple[ChunkKey, int]] = {}
         self._cursor = 0
         # Freed chunks whose erase is still in flight -> the erase.
         self._erasing: Dict[ChunkKey, Process] = {}
@@ -166,8 +185,9 @@ class OXEleos:
         return self.sim.run_until(
             self.sim.spawn(self.append_buffer_proc(pages)))
 
-    def read_page(self, page_id: int) -> bytes:
-        return self.sim.run_until(self.sim.spawn(self.read_page_proc(page_id)))
+    def read_page(self, page_id: int, parent=None) -> bytes:
+        return self.sim.run_until(
+            self.sim.spawn(self.read_page_proc(page_id, parent)))
 
     def free_segment(self, segment_id: int) -> None:
         self.sim.run_until(self.sim.spawn(self.free_segment_proc(segment_id)))
@@ -186,8 +206,29 @@ class OXEleos:
         return self._segment_at(entry.first_sector)
 
     def free_chunk_count(self) -> int:
-        """Chunks available to new segments, erasing ones included."""
-        return sum(map(len, self._rotation)) + len(self._erasing)
+        """Chunks an append can still open, erasing ones included."""
+        return sum(map(len, self._free.values())) + len(self._erasing)
+
+    def free_unit_count(self) -> int:
+        """Write units appends can still take: the rest of every open
+        chunk, and every chunk they can open."""
+        rest = sum(self.geometry.sectors_per_chunk - used
+                   for __, used in self._open.values()) // self._ws_min
+        return rest + self.free_chunk_count() * self._units_per_chunk
+
+    def open_chunks(self) -> Dict[PuKey, ChunkKey]:
+        """Each PU's open data chunk, the one its next run goes into."""
+        return {pu: key for pu, (key, __) in self._open.items()}
+
+    def held_chunks(self) -> Dict[ChunkKey, int]:
+        """Chunk -> units of it that live segments (and appends in
+        flight) own."""
+        return dict(self._held)
+
+    def segment_chunks(self, segment_id: int) -> List[ChunkKey]:
+        """The chunks holding units of *segment_id*, ascending."""
+        return sorted({self._unit_chunk(unit)
+                       for unit in self.segments[segment_id]})
 
     def offline_chunks(self) -> Set[ChunkKey]:
         """Data chunks the device reports offline: retired or failed."""
@@ -217,6 +258,7 @@ class OXEleos:
         # Everything the WAL will have to encode is checked here, before
         # the lock: a rejected buffer allocates, writes and logs nothing.
         total = 0
+        chunk_bytes = self.geometry.chunk_size
         for page_id, payload in pages:
             if not serial.fits(serial.REC_VPAGE_UPDATE, (page_id, 0, 0, 0)):
                 raise FTLError(
@@ -225,38 +267,64 @@ class OXEleos:
                     or not payload:
                 raise FTLError(
                     f"page {page_id} needs a non-empty bytes-like payload")
+            if len(payload) > chunk_bytes:
+                raise FTLError(
+                    f"page {page_id} ({len(payload)} bytes) exceeds the "
+                    f"chunk size {chunk_bytes}")
             total += len(payload)
         if total > self.config.buffer_bytes:
             raise FTLError(
                 f"buffer of {total} bytes exceeds the configured LSS "
                 f"buffer size {self.config.buffer_bytes}")
+        # The commit is sized before anything is allocated, so a batch no
+        # ring could take costs no segment: SEGMENT_NEW, COMMIT and each
+        # VPAGE_UPDATE record open at most one frame after the buffered
+        # SEGMENT_FREEs; flush_proc cannot run out of ring.
+        wal = self.journal.wal
+        frames = 2 + -(-len(pages) // serial.rows_per_record(
+            serial.REC_VPAGE_UPDATE, self.geometry.sector_size))
+        needed = wal.sectors_needed(frames)
+        if needed > wal.capacity_sectors:
+            raise FTLError(
+                f"a buffer of {len(pages)} pages commits in up to "
+                f"{needed} WAL sectors but the ring holds "
+                f"{wal.capacity_sectors}; enlarge wal_chunk_count")
         obs = self.obs
         span = obs.begin("ftl", "append", parent) if obs is not None else None
+        # The runs are planned and started before the lock (planning runs
+        # between two yields, so it needs none): an append queued behind
+        # another's commit has its units in flight already.  Pages are
+        # mapped under the lock, in commit order, once their units landed.
+        plan = yield from self._plan_proc([len(p) for __, p in pages])
+        segment_id, units, entries, writes = self._write_runs(pages, plan,
+                                                              span)
+        runs = [self.sim.spawn(guarded(write), "eleos-run")
+                for write in writes]
         grant = self._lock.request()
         yield grant
         try:
-            # The commit is sized before anything is allocated, so a batch
-            # the ring cannot take costs no segment: SEGMENT_NEW, COMMIT
-            # and each VPAGE_UPDATE record open at most one frame after the
-            # buffered SEGMENT_FREEs; flush_proc cannot run out of ring.
-            wal = self.journal.wal
-            per_record = serial.rows_per_record(
-                serial.REC_VPAGE_UPDATE, self.geometry.sector_size)
-            needed = wal.sectors_needed(2 + -(-len(pages) // per_record))
-            if needed > wal.capacity_sectors:
-                raise FTLError(
-                    f"a buffer of {len(pages)} pages commits in up to "
-                    f"{needed} WAL sectors but the ring holds "
-                    f"{wal.capacity_sectors}; enlarge wal_chunk_count")
-            if wal.used_sectors + needed > wal.capacity_sectors:
+            if wal.used_sectors + wal.sectors_needed(frames) \
+                    > wal.capacity_sectors:
                 yield from self._do_checkpoint_proc(span)
-            segment_id, entries = yield from self._write_segment_proc(
-                pages, span)
             wal.append(self._segment_record(serial.REC_SEGMENT_NEW,
-                                            segment_id))
+                                            segment_id, units))
             self.journal.log_txn(serial.REC_VPAGE_UPDATE,
                                  self.journal.take_txn_id(), entries)
-            yield from wal.flush_proc(span)
+            # The runs are FUA beside the commit: the ack waits for both,
+            # and recovery drops a commit whose units did not all land.
+            commit = self.sim.spawn(guarded(wal.flush_proc(span)),
+                                    "eleos-commit")
+            done = yield self.sim.all_of([commit] + runs)
+            try:
+                for result in done:
+                    if isinstance(result, ReproError):
+                        raise result
+                for completion in done[1:]:
+                    self.media.require_ok(completion, "LSS segment write")
+            except ReproError:
+                yield from self._abort_append_proc(units, span)
+                raise
+            self._add_segment(segment_id, units)
             for entry in entries:
                 self._map_page(*entry)
             self._written[segment_id] = len(self._live[segment_id])
@@ -296,19 +364,20 @@ class OXEleos:
     def free_segment_proc(self, segment_id: int, parent=None):
         """Host-driven reclamation: the LSS cleaner guarantees every live
         page of the segment has been re-appended elsewhere, so a free costs
-        one device flush; the chunks' erases run behind it, side by side,
-        and only an append that finds no erased chunk waits for one.
-        SEGMENT_FREE is only buffered: it rides the next WAL flush, ahead
-        of any SEGMENT_NEW that could reuse these chunks; if a crash takes
-        it, recovery drops the empty segment."""
+        one device flush (appends are FUA: it has nothing to drain).  A
+        chunk the segment leaves closed and unheld is erased behind it,
+        side by side with the others, and only an append that finds no
+        erased chunk waits for one.  SEGMENT_FREE is only buffered: it
+        rides the next WAL flush, ahead of any SEGMENT_NEW that could reuse
+        these units; if a crash takes it, recovery drops the empty
+        segment."""
         self._check_alive()
         obs = self.obs
         span = obs.begin("ftl", "free", parent) if obs is not None else None
         grant = self._lock.request()
         yield grant
         try:
-            chunks = self.segments.get(segment_id)
-            if chunks is None:
+            if segment_id not in self.segments:
                 raise FTLError(f"unknown segment {segment_id}")
             stale = self.segment_live_pages(segment_id)
             if stale:
@@ -319,10 +388,9 @@ class OXEleos:
                                                   (segment_id,)))
             # The relocated copies are durable before the old ones go.
             yield from self.media.flush_proc()
+            released = self._release(self.segments[segment_id])
             self._drop_segment(segment_id)
-            for key in chunks:
-                self._erasing[key] = self.sim.spawn(
-                    self._reset_chunk_proc(key), "eleos-erase")
+            self._erase_unheld(released)
         finally:
             self._lock.release()
         self.stats.segments_freed += 1
@@ -361,44 +429,73 @@ class OXEleos:
         if not self._alive:
             raise FTLError("FTL instance has crashed or been closed")
 
-    def _chunk_linear(self, key: ChunkKey) -> int:
-        group, pu, chunk = key
-        return (group * self.geometry.pus_per_group + pu) \
-            * self.geometry.chunks_per_pu + chunk
-
-    def _chunk_from_linear(self, linear: int) -> ChunkKey:
-        per_pu = self.geometry.chunks_per_pu
-        pu_linear, chunk = divmod(linear, per_pu)
+    def _unit_chunk(self, unit: int) -> ChunkKey:
+        """The chunk holding unit-linear address *unit*."""
+        pu_linear, chunk = divmod(unit // self._units_per_chunk,
+                                  self.geometry.chunks_per_pu)
         group, pu = divmod(pu_linear, self.geometry.pus_per_group)
         return (group, pu, chunk)
 
     def _segment_at(self, linear: int) -> Optional[int]:
-        """The segment owning the chunk that holds sector *linear*."""
-        return self._chunk_segment.get(
-            linear // self.geometry.sectors_per_chunk)
+        """The segment owning the unit that holds sector *linear*."""
+        return self._unit_segment.get(linear // self._ws_min)
 
-    def _segment_record(self, rtype: int, segment_id: int) -> bytes:
-        """The segment's chunks as a record of kind *rtype*."""
-        return serial.encode(rtype, (segment_id,), [
-            (self._chunk_linear(key),) for key in self.segments[segment_id]])
+    def _segment_record(self, rtype: int, segment_id: int,
+                        units: List[int]) -> bytes:
+        """The segment's *units* as a record of kind *rtype*."""
+        return serial.encode(rtype, (segment_id,), [(unit,) for unit in units])
 
     def _add_segment_rows(self, segment_id: int, rows) -> None:
         """:meth:`_add_segment` from a decoded segment record's rows."""
-        self._add_segment(segment_id, [
-            self._chunk_from_linear(linear) for linear, in rows])
+        self._add_segment(segment_id, [unit for unit, in rows])
 
-    def _add_segment(self, segment_id: int, chunks: List[ChunkKey]) -> None:
-        self.segments[segment_id] = chunks
+    def _add_segment(self, segment_id: int, units: List[int]) -> None:
+        self.segments[segment_id] = units
         self._live[segment_id] = set()
-        for key in chunks:
-            self._chunk_segment[self._chunk_linear(key)] = segment_id
+        for unit in units:
+            self._unit_segment[unit] = segment_id
         self._next_segment_id = max(self._next_segment_id, segment_id + 1)
 
     def _drop_segment(self, segment_id: int) -> None:
-        for key in self.segments.pop(segment_id, ()):
-            del self._chunk_segment[self._chunk_linear(key)]
+        for unit in self.segments.pop(segment_id, ()):
+            # A unit is reused only after its chunk's erase, which comes
+            # after every free of the units before it; a replay that
+            # meets the new owner first must not unlink it.
+            if self._unit_segment.get(unit) == segment_id:
+                del self._unit_segment[unit]
         self._live.pop(segment_id, None)
         self._written.pop(segment_id, None)
+
+    def _hold(self, units: List[int]) -> None:
+        """Count *units* in their chunks: a held chunk is never erased."""
+        held = self._held
+        for unit in units:
+            key = self._unit_chunk(unit)
+            held[key] = held.get(key, 0) + 1
+
+    def _release(self, units: List[int]) -> List[ChunkKey]:
+        """Undo :meth:`_hold`; returns the chunks left unheld."""
+        released = []
+        held = self._held
+        for unit in units:
+            key = self._unit_chunk(unit)
+            held[key] -= 1
+            if not held[key]:
+                del held[key]
+                released.append(key)
+        return released
+
+    def _erase_unheld(self, keys) -> None:
+        """Erase, behind the caller, each chunk of *keys* that is closed,
+        holds no unit of a live segment and is not offline."""
+        open_keys = {key for key, __ in self._open.values()}
+        for key in keys:
+            if key in self._held or key in open_keys or key in self._erasing \
+                    or self.media.chunk_info(Ppa(*key, 0)).state \
+                    is ChunkState.OFFLINE:
+                continue
+            self._erasing[key] = self.sim.spawn(
+                self._reset_chunk_proc(key), "eleos-erase")
 
     def _map_page(self, page_id: int, linear: int, offset: int,
                   length: int) -> None:
@@ -416,97 +513,132 @@ class OXEleos:
         if joined is not None:
             joined.add(page_id)
 
-    def _write_segment_proc(self, pages: Sequence[Tuple[int, bytes]],
-                            parent=None):
-        """Pack pages into sectors, allocate whole chunks, write them.
-
-        Returns ``(segment_id, [(page_id, linear, offset, length), ...])``.
-        """
-        geometry = self.geometry
-        sector_size = geometry.sector_size
-        chunk_bytes = geometry.chunk_size
-
-        # Lay pages out; a page never crosses a chunk boundary.
-        layout: List[Tuple[int, int, int]] = []   # (page_id, byte_pos, len)
-        position = 0
-        for page_id, payload in pages:
-            if len(payload) > chunk_bytes:
-                raise FTLError(
-                    f"page {page_id} ({len(payload)} bytes) exceeds the "
-                    f"chunk size {chunk_bytes}")
-            if (position % chunk_bytes) + len(payload) > chunk_bytes:
-                position += chunk_bytes - (position % chunk_bytes)
-            layout.append((page_id, position, len(payload)))
-            position += len(payload)
-        total_bytes = position
-
-        # Build the byte stream: the pages, zeros where one was pushed to
-        # the next chunk.
-        pieces: List[bytes] = []
-        position = 0
-        for (page_id, byte_pos, length), (__, payload) in zip(layout, pages):
-            if byte_pos > position:
-                pieces.append(bytes(byte_pos - position))
-            pieces.append(payload)
-            position = byte_pos + length
-        stream = memoryview(b"".join(pieces))
-        sectors_needed = -(-total_bytes // sector_size)
-        sectors_needed += (-sectors_needed) % geometry.ws_min
-        chunks_needed = -(-sectors_needed // geometry.sectors_per_chunk)
-
-        chunk_keys = yield from self._allocate_chunks_proc(chunks_needed)
-        segment_id = self._next_segment_id
-        self._add_segment(segment_id, chunk_keys)
-
-        # One vector write per chunk, each its slice of the stream (the
-        # last one short of its padded sector count); the device stripes
-        # across PUs.
-        procs = []
-        for index, key in enumerate(chunk_keys):
-            first_byte = index * chunk_bytes
-            last_byte = min(total_bytes, first_byte + chunk_bytes)
-            count = -(-(last_byte - first_byte) // sector_size)
-            count += (-count) % geometry.ws_min
-            count = min(count, geometry.sectors_per_chunk)
-            oob = [("lss", segment_id, s) for s in range(count)]
-            procs.append(self.sim.spawn(self.media.write_proc(
-                PpaRun(key, 0, count), stream[first_byte:last_byte],
-                oob=oob, parent=parent)))
-        completions = yield self.sim.all_of(procs)
-        for completion in completions:
-            self.media.require_ok(completion, "LSS segment write")
-
-        entries = []
-        for page_id, byte_pos, length in layout:
-            chunk_index, chunk_offset = divmod(byte_pos, chunk_bytes)
-            sector_in_chunk, offset = divmod(chunk_offset, sector_size)
-            key = chunk_keys[chunk_index]
-            linear = geometry.linearize(Ppa(*key, sector_in_chunk))
-            entries.append((page_id, linear, offset, length))
-        return segment_id, entries
-
-    def _allocate_chunks_proc(self, count: int):
-        """Take *count* erased chunks, one PU after another from where the
-        last segment stopped (group-first, oldest-freed first within a
-        PU), so a segment's chunks and consecutive segments land on
-        different channels.  Chunks still erasing count as free: short of
-        erased ones, wait for the oldest erase in flight."""
+    def _plan_proc(self, sizes: List[int]):
+        """:meth:`_plan` of a buffer with pages of *sizes* bytes; short of
+        an erased chunk some run needs, wait for the oldest erase in flight
+        and plan again."""
         while True:
-            free = self.free_chunk_count()
-            if count > free:
+            plan = self._plan(sizes)
+            if plan is not None:
+                return plan
+            if not self._erasing:
                 raise OutOfSpaceError(
-                    f"segment needs {count} chunks, {free} free")
-            if count <= free - len(self._erasing):
-                break
+                    f"a buffer of {sum(sizes)} bytes finds no room: "
+                    f"{self.free_unit_count()} write units free")
             yield next(iter(self._erasing.values()))
-        chosen: List[ChunkKey] = []
-        rotation = self._rotation
-        while len(chosen) < count:
-            queue = rotation[self._cursor]
-            self._cursor = (self._cursor + 1) % len(rotation)
-            if queue:
-                chosen.append(queue.popleft())
-        return chosen
+
+    def _plan(self, sizes: List[int]):
+        """Cut a buffer, pages packed back to back, into runs of whole
+        write units: as many runs as it has units, at most one per PU,
+        each at its PU's open chunk and sized from what is left.  A run
+        whose share does not fit the rest of the PU's open chunk opens the
+        PU's next erased chunk instead (short of one, a run makes do with
+        the rest if its first page fits; else the PU is passed over).
+        Reads state, changes none: returns ``(runs, cursor, opened,
+        view)`` — runs as ``(chunk, first_sector, sectors, first_page,
+        end_page)``, the chunks opened per PU, and every PU's open chunk
+        and fill after the runs — or None when no PU can take a page."""
+        geometry = self.geometry
+        sector_size, ws_min = geometry.sector_size, self._ws_min
+        unit_bytes = ws_min * sector_size
+        per_chunk = geometry.sectors_per_chunk
+        pus = self._pus
+        view = dict(self._open)
+        opened: Dict[PuKey, List[ChunkKey]] = {}
+        runs = []
+        cursor = self._cursor
+        left = sum(sizes)
+        wanted = min(-(-left // unit_bytes), len(pus))
+        index = 0
+        while index < len(sizes):
+            least = -(-sizes[index] // unit_bytes) * ws_min
+            share = -(-(-(-left // unit_bytes)) // max(1, wanted - len(runs)))
+            need = min(max(share * ws_min, least), per_chunk)
+            for __ in pus:
+                pu = pus[cursor]
+                cursor = (cursor + 1) % len(pus)
+                key, used = view.get(pu, (None, per_chunk))
+                if per_chunk - used < need:
+                    taken = opened.setdefault(pu, [])
+                    queue = self._free[pu]
+                    if len(taken) < len(queue):
+                        key, used = queue[len(taken)], 0
+                        taken.append(key)
+                    elif per_chunk - used < least:
+                        continue
+                break
+            else:
+                return None
+            cap = min(per_chunk - used, need) // ws_min * unit_bytes
+            end, packed = index, 0
+            while end < len(sizes) and packed + sizes[end] <= cap:
+                packed += sizes[end]
+                end += 1
+            sectors = -(-packed // unit_bytes) * ws_min
+            runs.append((key, used, sectors, index, end))
+            view[pu] = (key, used + sectors)
+            left -= packed
+            index = end
+        return runs, cursor, opened, view
+
+    def _write_runs(self, pages: Sequence[Tuple[int, bytes]], plan,
+                    parent=None):
+        """Carry out :meth:`_plan`'s *plan*: open its chunks, hold the
+        units it writes, and return ``(segment_id, units, entries,
+        writes)`` — the vpage rows ``(page_id, linear, offset, length)``
+        and one FUA write generator per run.  The segment is registered
+        when its commit is."""
+        runs, self._cursor, opened, view = plan
+        geometry = self.geometry
+        sector_size, ws_min = geometry.sector_size, self._ws_min
+        per_chunk = geometry.sectors_per_chunk
+        touched = {key for key, __ in self._open.values()}
+        for pu, keys in opened.items():
+            queue = self._free[pu]
+            for key in keys:
+                touched.add(queue.popleft())
+        self._open = {pu: state for pu, state in view.items()
+                      if state[1] < per_chunk}
+        segment_id = self._next_segment_id
+        self._next_segment_id += 1
+        units: List[int] = []
+        entries = []
+        writes = []
+        for key, first, count, start, end in runs:
+            linear = geometry.linearize(Ppa(*key, first))
+            units.extend(range(linear // ws_min, (linear + count) // ws_min))
+            position = 0
+            for page_id, payload in pages[start:end]:
+                sector, offset = divmod(position, sector_size)
+                entries.append((page_id, linear + sector, offset,
+                                len(payload)))
+                position += len(payload)
+            writes.append(self.media.write_proc(
+                PpaRun(key, first, count),
+                b"".join(payload for __, payload in pages[start:end]),
+                oob=[("lss", segment_id, s) for s in range(first,
+                                                           first + count)],
+                fua=True, parent=parent))
+        self._hold(units)
+        # A chunk passed over for a page too big for its rest is closed:
+        # with no live unit in it, nothing keeps it from its erase.
+        self._erase_unheld(touched)
+        return segment_id, units, entries, writes
+
+    def _abort_append_proc(self, units: List[int], parent=None):
+        """A run or the commit failed, so the append is not acked — but
+        its commit may be on media with a unit that never landed, or
+        landed where a later append will reuse the chunk.  Its units are
+        let go, an open chunk the failure retired is closed, and a
+        checkpoint without the append truncates the log before any of
+        its chunks is erased."""
+        for pu, (key, __) in list(self._open.items()):
+            if self.media.chunk_info(Ppa(*key, 0)).state \
+                    is ChunkState.OFFLINE:
+                del self._open[pu]
+        released = self._release(units)
+        yield from self._do_checkpoint_proc(parent)
+        self._erase_unheld(released)
 
     # -- checkpoint / recovery ------------------------------------------------------------
 
@@ -520,7 +652,8 @@ class OXEleos:
 
     def _do_checkpoint_proc(self, parent=None):
         # A checkpointed mapping must point at durable data: drain the
-        # controller cache before snapshotting the vmap.
+        # controller cache before snapshotting the vmap (appends are FUA,
+        # so this waits only for what another writer left there).
         obs = self.obs
         span = (obs.begin("ftl", "checkpoint", parent)
                 if obs is not None else None)
@@ -529,7 +662,8 @@ class OXEleos:
                      for page_id, entry in sorted(self.vmap.items())]
         records = serial.split(serial.REC_CKPT_VMAP, (), vmap_rows,
                                self.geometry.sector_size)
-        records += [self._segment_record(serial.REC_CKPT_SEGMENT, segment_id)
+        records += [self._segment_record(serial.REC_CKPT_SEGMENT, segment_id,
+                                         self.segments[segment_id])
                     for segment_id in sorted(self.segments)]
         yield from self.journal.checkpoint_proc(records, parent=span)
         self.stats.checkpoints += 1
@@ -588,13 +722,17 @@ class OXEleos:
         self._written = {segment_id: len(live)
                          for segment_id, live in self._live.items()}
 
-        # Rebuild the free pool: anything not owned by a live segment and
-        # not reserved for metadata is free, erased here if it holds data.
-        for queue in self._rotation:
+        # Rebuild the chunk states: a chunk holding a unit of a live
+        # segment stays, closed; anything else not reserved for metadata
+        # is free, erased here if it holds data.
+        self._held = {}
+        for units in self.segments.values():
+            self._hold(units)
+        self._open = {}
+        for queue in self._free.values():
             queue.clear()
         for key in self.layout.data_chunk_keys():
-            if self._chunk_linear(key) in self._chunk_segment \
-                    or key in offline:
+            if key in self._held or key in offline:
                 continue
             if self.media.chunk_info(Ppa(*key, 0)).write_pointer > 0:
                 yield from self._reset_chunk_proc(key)

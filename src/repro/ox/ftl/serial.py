@@ -86,16 +86,16 @@ KINDS: Dict[int, Kind] = {
         "VPAGE_UPDATE", _ID, "txn_id", _VPAGE,
         "page_id, linear, offset, length", "OX-ELEOS WAL: append_buffer"),
     REC_SEGMENT_NEW: Kind(
-        "SEGMENT_NEW", _ID, "segment_id", _ID, "chunk_linear",
+        "SEGMENT_NEW", _ID, "segment_id", _ID, "unit_linear",
         "OX-ELEOS WAL: append_buffer"),
     REC_SEGMENT_FREE: Kind(
         "SEGMENT_FREE", _ID, "segment_id", None, "",
-        "OX-ELEOS WAL: free_segment"),
+        "OX-ELEOS WAL: free_segment (releases its units)"),
     REC_CKPT_VMAP: Kind(
         "CKPT_VMAP", _NO_HEAD, "", _VPAGE,
         "page_id, linear, offset, length", "OX-ELEOS checkpoint"),
     REC_CKPT_SEGMENT: Kind(
-        "CKPT_SEGMENT", _ID, "segment_id", _ID, "chunk_linear",
+        "CKPT_SEGMENT", _ID, "segment_id", _ID, "unit_linear",
         "OX-ELEOS checkpoint"),
 }
 

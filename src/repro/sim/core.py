@@ -43,6 +43,15 @@ from repro.errors import ReproError, SimulationError
 ProcessGenerator = Generator["Event", Any, Any]
 
 
+def guarded(generator):
+    """*generator*, returning a :class:`ReproError` instead of raising
+    it, so a child that fails still joins with its siblings."""
+    try:
+        return (yield from generator)
+    except ReproError as failure:
+        return failure
+
+
 class Interrupt(Exception):
     """Thrown into a process generator by :meth:`Process.interrupt`.
 
@@ -409,13 +418,6 @@ class Simulator:
         """
         if len(generators) < 2:
             return [(yield from generators[0])] if generators else []
-
-        def guarded(generator):
-            try:
-                return (yield from generator)
-            except ReproError as failure:
-                return failure
-
         children = [self.spawn(guarded(generator), name)
                     for generator in generators]
         try:

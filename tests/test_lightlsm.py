@@ -51,6 +51,21 @@ class TestPlacementPolicies:
         pus = {(c[0], c[1]) for c in chunks}
         assert len(pus) == env.geometry.total_pus
 
+    def test_horizontal_tables_first_blocks_sit_on_distinct_channels(self):
+        """A writer keeps one block in flight per channel, and block *i*
+        goes to the table's chunk *i*: walking the PUs group-major put
+        four consecutive blocks behind one channel."""
+        device, __, env = make_env(HorizontalPlacement())
+        groups = env.geometry.num_groups
+        unit = env.geometry.ws_min * env.geometry.sector_size
+        for sstable_id in (1, 2):   # the second starts mid-rotation
+            device.sim.run_until(device.sim.spawn(
+                env.create_writer_proc(sstable_id, 0, unit)))
+            layout = env._tables[sstable_id]
+            channels = {layout.block_location(index)[0][0]
+                        for index in range(groups)}
+            assert len(channels) == groups
+
     def test_vertical_confined_to_one_group(self):
         device, __, env = make_env(VerticalPlacement())
         chunks = env.placement.allocate(env, 6)

@@ -53,6 +53,13 @@ class TestDeltaPage:
         with pytest.raises(ReproError):
             DeltaPage.deserialize(1, b"\xff\xff\xff\xff")
 
+    @pytest.mark.parametrize("tail", [b"\x01", b"\x01\x02", b"\x01\x02\x03"])
+    def test_a_tail_shorter_than_a_delta_length_names_the_page(self, tail):
+        """It used to surface as a bare ``struct.error``."""
+        page = DeltaPage(7, b"base", [b"one", b"two"])
+        with pytest.raises(ReproError, match="page 7: .* trailing bytes"):
+            DeltaPage.deserialize(7, page.serialize() + tail)
+
 
 class TestLlamaEngine:
     def test_update_flush_read(self):

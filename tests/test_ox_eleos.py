@@ -10,6 +10,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.checker import FTL_OPS, recover_after_cut
 from repro.llama import LlamaConfig, LlamaEngine
 from repro.nand import FlashGeometry
+from repro.nand.chip import BlockState
 from repro.obs import Obs
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ocssd.address import Ppa
@@ -131,7 +132,7 @@ class TestSegments:
         almost_chunk = device.geometry.chunk_size - 4096
         seg = ftl.append_buffer([(1, b"x" * almost_chunk),
                                  (2, b"y" * almost_chunk)])
-        chunks = ftl.segments[seg]
+        chunks = ftl.segment_chunks(seg)
         assert len(chunks) >= 2
         assert len({(c[0], c[1]) for c in chunks}) == len(chunks)
 
@@ -142,13 +143,17 @@ class TestSegments:
             ftl.free_segment(seg)
 
     def test_free_segment_reclaims_chunks(self):
-        __, __m, ftl, __c = make_stack()
-        seg1 = ftl.append_buffer([(1, b"v1" * 100)])
+        """A segment that filled its chunk gives the chunk back; the open
+        chunk page 1 moved into stays with the append that took it."""
+        device, __m, ftl, __c = make_stack()
+        almost_chunk = device.geometry.chunk_size - 4096
+        seg1 = ftl.append_buffer([(1, b"v" * almost_chunk)])
         free_before = ftl.free_chunk_count()
         ftl.append_buffer([(1, b"v2" * 100)])   # page 1 moves to seg2
+        assert ftl.free_chunk_count() == free_before - 1
         ftl.free_segment(seg1)
         assert seg1 not in ftl.segments
-        assert ftl.free_chunk_count() > free_before - len(ftl.segments[2])
+        assert ftl.free_chunk_count() == free_before
         assert ftl.read_page(1) == b"v2" * 100
 
     def test_unknown_segment_rejected(self):
@@ -302,7 +307,7 @@ def test_free_segment_flushes_no_wal_and_erases_side_by_side():
     almost_chunk = device.geometry.chunk_size - 4096
     seg = ftl.append_buffer([(1, b"x" * almost_chunk),
                              (2, b"y" * almost_chunk)])
-    assert len({key[:2] for key in ftl.segments[seg]}) == 2
+    assert len({key[:2] for key in ftl.segment_chunks(seg)}) == 2
     ftl.append_buffer([(1, b"x2"), (2, b"y2")])
     device.flush()
     written, started = ftl.journal.wal.sectors_written, device.sim.now
@@ -322,9 +327,10 @@ def test_free_segment_flushes_no_wal_and_erases_side_by_side():
 
 def test_one_chunk_segments_rotate_over_every_pu_group_first():
     """At ea140c7 every allocation restarted at PU (0,0): one-chunk
-    segments piled onto group 0, beside the WAL ring and checkpoints."""
+    segments piled onto group 0, beside the WAL ring and checkpoints.
+    One-unit segments take one PU after another the same way."""
     __, __m, ftl, __c = make_stack(groups=4, pus=4)
-    pus = [ftl.segments[ftl.append_buffer([(pid, b"p" * 100)])][0][:2]
+    pus = [ftl.segment_chunks(ftl.append_buffer([(pid, b"p" * 100)]))[0][:2]
            for pid in range(16)]
     assert len(set(pus)) == 16
     groups = [group for group, __ in pus]
@@ -332,14 +338,13 @@ def test_one_chunk_segments_rotate_over_every_pu_group_first():
 
 
 def test_free_returns_after_its_flush_and_before_its_erases():
-    """The free waits for the relocated copies to reach NAND, not for
-    the erase of the chunks it gives back."""
+    """The free waits for its device flush, not for the erase of the
+    chunks it gives back."""
     device, media, ftl, __c = make_stack()
     sim = device.sim
     size = device.geometry.chunk_size - 4096
     old = ftl.append_buffer([(1, b"a" * size)])
-    media.flush()
-    ftl.append_buffer([(1, b"b" * size)])     # partly still in the cache
+    ftl.append_buffer([(1, b"b" * size)])
     flushed = []
     flush_proc = media.flush_proc
 
@@ -347,10 +352,10 @@ def test_free_returns_after_its_flush_and_before_its_erases():
         yield from flush_proc(*args)
         flushed.append(sim.now)
     media.flush_proc = timed_flush
-    chunks, started = list(ftl.segments[old]), sim.now
+    chunks, started = ftl.segment_chunks(old), sim.now
     free = ftl.free_chunk_count()
     ftl.free_segment(old)
-    assert flushed == [sim.now] and sim.now > started
+    assert flushed == [sim.now] and sim.now >= started
     assert sorted(ftl._erasing) == chunks
     assert ftl.free_chunk_count() == free + len(chunks)
     sim.run_until(sim.all_of(list(ftl._erasing.values())))
@@ -365,15 +370,18 @@ def test_an_append_on_a_pool_of_erasing_chunks_waits_for_one():
     """Erasing chunks count as free: the append that finds none erased
     waits for an erase instead of running out of space."""
     device, __m, ftl, __c = make_stack(chunks=8)
-    while ftl.free_chunk_count():
+    while ftl.free_unit_count():
         ftl.append_buffer([(0, b"v" * 100)])
+    assert not ftl.open_chunks()        # every chunk written to its end
     empty = [seg for seg in ftl.segments if not ftl.segment_live_pages(seg)]
     for seg in empty:
         ftl.free_segment(seg)
     erasing = dict(ftl._erasing)
-    assert ftl.free_chunk_count() == len(erasing) == len(empty)
+    # Every data chunk but the one holding page 0's last copy.
+    assert ftl.free_chunk_count() == len(erasing) \
+        == len(ftl.layout.data_chunk_keys()) - 1
     segment = ftl.append_buffer([(1, b"after the wait")])
-    key, = ftl.segments[segment]
+    key, = ftl.segment_chunks(segment)
     assert erasing[key].processed
     assert ftl.read_page(1) == b"after the wait"
     assert list(space_problems(ftl)) == []
@@ -384,7 +392,9 @@ def test_a_crash_with_an_erase_in_flight_conserves_space(how):
     device, media, ftl, config = make_stack()
     injector = (FaultInjector(FaultPlan()).attach(device)
                 if how == "power cut" else None)
-    old = ftl.append_buffer([(1, b"one" * 100), (2, b"two" * 100)])
+    size = device.geometry.chunk_size - 4096
+    old = ftl.append_buffer([(1, b"1" * size),
+                             (2, b"two" * 100)])   # one run, a whole chunk
     ftl.append_buffer([(1, b"ONE" * 100), (2, b"TWO" * 100)])
     ftl.append_buffer([(3, b"three" * 100)])
     ftl.free_segment(old)
@@ -414,7 +424,7 @@ def test_an_erase_that_raises_is_absorbed_and_counted():
     config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=4,
                          ckpt_chunks_per_slot=2)
     ftl = OXEleos.format(media, config)
-    old = ftl.append_buffer([(1, b"v1")])
+    old = ftl.append_buffer([(1, b"v1" * (geometry.chunk_size // 2 - 64))])
     ftl.append_buffer([(1, b"v2")])
     free = ftl.free_chunk_count()
 
@@ -444,10 +454,12 @@ def test_failed_erase_is_counted_and_reported():
     config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=4,
                          ckpt_chunks_per_slot=2)
     ftl = OXEleos.format(media, config)
-    seg1 = ftl.append_buffer([(1, b"v1")])
-    seg2 = ftl.append_buffer([(1, b"v2")])
+    # Pages that fill their chunks: a freed segment's chunk is closed.
+    size = geometry.chunk_size - 4096
+    seg1 = ftl.append_buffer([(1, b"1" * size)])
+    seg2 = ftl.append_buffer([(1, b"2" * size)])
     seg3 = ftl.append_buffer([(1, b"v3")])
-    bad1, bad2 = ftl.segments[seg1][0], ftl.segments[seg2][0]
+    (bad1,), (bad2,) = ftl.segment_chunks(seg1), ftl.segment_chunks(seg2)
     FaultInjector(FaultPlan(grown_bad={bad1: 1, bad2: 1})).attach(device)
     free = ftl.free_chunk_count()
     ftl.free_segment(seg1)
@@ -465,24 +477,211 @@ def test_failed_erase_is_counted_and_reported():
     assert recovered.read_page(1) == b"v3" and seg3 in recovered.segments
 
 
+# -- runs: whole write units, FUA, striped over shared open chunks -----------
+
+UNIT = 96 * KIB     # make_stack's write unit: 24 sectors; a chunk holds 4
+
+
+def test_a_buffer_is_cut_into_one_run_per_pu_of_whole_units():
+    """Two units of pages become two one-unit runs on two PUs, each at
+    its PU's open chunk; no page crosses a run."""
+    __, __m, ftl, __c = make_stack()
+    pages = [(pid, bytes([pid]) * (30 * KIB)) for pid in range(5)]  # 150 KiB
+    seg = ftl.append_buffer(pages)
+    assert len(ftl.segments[seg]) == 2
+    chunks = ftl.segment_chunks(seg)
+    assert len({key[:2] for key in chunks}) == 2
+    assert sorted(ftl.open_chunks().values()) == chunks
+    ws_min = ftl.geometry.ws_min
+    for page_id, payload in pages:
+        entry = ftl.vmap[page_id]
+        last = entry.first_sector + (entry.offset + entry.length - 1) // 4096
+        assert entry.first_sector // ws_min == last // ws_min
+        assert ftl.read_page(page_id) == payload
+
+
+def test_after_an_append_returns_nothing_of_it_waits_in_the_cache():
+    """The runs are FUA beside the commit: at the ack no program of the
+    append is queued behind it, so none runs under the next read."""
+    device, __m, ftl, __c = make_stack()
+    controller = device.controller
+    size = device.geometry.chunk_size - 4096    # four units on one PU
+    for round_ in range(3):
+        ftl.append_buffer([(0, bytes([round_]) * size),
+                           (1, bytes([round_]) * (40 * KIB))])
+        assert controller.cache.used_sectors == 0
+        assert controller._admitted == controller._programmed
+
+
+def test_appends_share_a_pus_open_chunk():
+    """A one-unit append takes the next PU's open chunk at its write
+    pointer: the fifth lands beside the first."""
+    __, media, ftl, __c = make_stack()
+    segs = [ftl.append_buffer([(pid, b"p" * 100)]) for pid in range(5)]
+    assert ftl.segment_chunks(segs[0]) == ftl.segment_chunks(segs[4])
+    key, = ftl.segment_chunks(segs[0])
+    assert ftl.held_chunks()[key] == 2
+    assert media.chunk_info(Ppa(*key, 0)).write_pointer \
+        == 2 * ftl.geometry.ws_min
+
+
+def test_a_shared_chunk_is_erased_only_after_both_segments_are_freed():
+    device, media, ftl, __c = make_stack()
+    first = ftl.append_buffer([(1, b"a" * (2 * UNIT - 4096))])
+    for pid in (2, 3, 4):       # the other three PUs
+        ftl.append_buffer([(pid, b"x" * 100)])
+    second = ftl.append_buffer([(5, b"b" * (2 * UNIT - 4096))])
+    key, = ftl.segment_chunks(first)
+    assert ftl.segment_chunks(second) == [key]
+    assert key not in ftl.open_chunks().values()     # full: closed
+    ftl.append_buffer([(1, b"moved"), (5, b"moved")])
+    ftl.free_segment(first)
+    assert key not in ftl._erasing and ftl.held_chunks()[key] == 2
+    assert media.chunk_info(Ppa(*key, 0)).write_pointer > 0
+    ftl.free_segment(second)
+    assert key in ftl._erasing
+    device.sim.run_until(device.sim.all_of(list(ftl._erasing.values())))
+    assert media.chunk_info(Ppa(*key, 0)).write_pointer == 0
+    assert list(space_problems(ftl)) == []
+
+
+def _delayed(proc, sim, delay, when=lambda *args, **kwargs: True):
+    """*proc*, each call for which *when* holds starting *delay* late."""
+    def wrapped(*args, **kwargs):
+        if when(*args, **kwargs):
+            yield sim.timeout(delay)
+        return (yield from proc(*args, **kwargs))
+    return wrapped
+
+
+def test_a_cut_with_the_commit_durable_and_a_unit_not_drops_the_append():
+    device, media, ftl, config = make_stack()
+    ftl.append_buffer([(1, b"old one"), (2, b"old two")])
+    injector = FaultInjector(FaultPlan()).attach(device)
+    # The append's second run (page 2's, on the PU after the first
+    # run's) starts a second late; the cut comes half a second in.
+    second = ftl._pus[(ftl._cursor + 1) % len(ftl._pus)]
+    media.write_proc = _delayed(
+        media.write_proc, device.sim, 1.0,
+        lambda ppas, data, oob=None, **kwargs:
+            oob[0][0] == "lss" and ppas.key[:2] == second)
+    written = ftl.journal.wal.sectors_written
+    cut_in(injector, 0.5)
+    with pytest.raises(ReproError):
+        ftl.append_buffer([(1, b"n" * UNIT), (2, b"m" * 100)])
+    assert ftl.journal.wal.sectors_written > written    # the commit landed
+    recovered, report = recover_after_cut(injector, ftl)
+    assert report.txns_dropped == 1
+    assert recovered.read_page(1) == b"old one"
+    assert recovered.read_page(2) == b"old two"
+    assert list(space_problems(recovered)) == []
+
+
+def test_a_cut_with_every_unit_durable_and_no_commit_maps_nothing():
+    device, media, ftl, config = make_stack()
+    ftl.append_buffer([(1, b"old one")])
+    injector = FaultInjector(FaultPlan()).attach(device)
+    wal = ftl.journal.wal
+    wal.flush_proc = _delayed(wal.flush_proc, device.sim, 1.0)
+    opened = dict(ftl.open_chunks())
+    cut_in(injector, 0.5)
+    try:
+        ftl.append_buffer([(1, b"n" * UNIT), (2, b"m" * UNIT)])
+    except ReproError:
+        pass
+    new = [key for key in ftl.open_chunks().values()
+           if key not in opened.values()]
+    assert len(new) == 2 and all(
+        media.chunk_info(Ppa(*key, 0)).write_pointer == ftl.geometry.ws_min
+        for key in new)                     # both units on media
+    recovered, report = recover_after_cut(injector, ftl)
+    assert (report.txns_applied, report.txns_dropped) == (1, 0)   # page 1
+    assert recovered.live_page_ids() == [1]
+    assert recovered.read_page(1) == b"old one"
+    assert all(key not in recovered.held_chunks() for key in new)
+    assert list(space_problems(recovered)) == []
+
+
+def test_recovery_keeps_a_shared_chunk_and_resets_an_unheld_written_one():
+    device, media, ftl, config = make_stack()
+    segs = [ftl.append_buffer([(pid, b"p%d" % pid * 50)]) for pid in range(5)]
+    shared, = ftl.segment_chunks(segs[0])       # pages 0 and 4
+    unheld, = ftl.segment_chunks(segs[2])       # page 2 alone
+    ftl.append_buffer([(0, b"moved 0"), (2, b"moved 2")])
+    ftl.free_segment(segs[0])
+    ftl.free_segment(segs[2])
+    assert {shared, unheld} <= set(ftl.open_chunks().values())
+    assert not ftl._erasing                     # both still open
+    ftl.crash()
+    recovered, __r = OXEleos.recover(media, config)
+    assert not recovered.open_chunks()
+    assert recovered.held_chunks()[shared] == 1        # page 4's unit
+    assert media.chunk_info(Ppa(*shared, 0)).write_pointer \
+        == 2 * ftl.geometry.ws_min
+    assert media.chunk_info(Ppa(*unheld, 0)).write_pointer == 0
+    assert unheld in recovered._free[unheld[:2]]
+    assert recovered.read_page(4) == b"p4" * 50
+    assert recovered.read_page(0) == b"moved 0"
+    assert list(space_problems(recovered)) == []
+
+
+def test_a_failed_run_in_a_shared_chunk_loses_the_acked_pages_beside_it():
+    """A run whose program fails retires its chunk: the append is not
+    acked and a checkpoint takes it out of the log, and an acked page
+    beside it in the chunk is lost, reported by recovery."""
+    device, media, ftl, config = make_stack()
+    segs = [ftl.append_buffer([(pid, b"p%d" % pid * 50)]) for pid in range(4)]
+    dead, = ftl.segment_chunks(segs[0])
+    device.chips[dead[:2]].blocks[dead[2]].state = BlockState.BAD
+    checkpoints = ftl.stats.checkpoints
+    with pytest.raises(ReproError):
+        ftl.append_buffer([(4, b"lands on the dead chunk")])
+    assert ftl.stats.checkpoints == checkpoints + 1
+    assert dead not in ftl.open_chunks().values() and 4 not in ftl.vmap
+    ftl.append_buffer([(5, b"after")])
+    ftl.crash()
+    recovered, report = OXEleos.recover(media, config)
+    assert report.lost_lbas == [0]
+    assert recovered.live_page_ids() == [1, 2, 3, 5]
+    assert recovered.read_page(5) == b"after"
+    assert list(space_problems(recovered)) == []
+
+
 # -- power cuts along a clean ------------------------------------------------
 
 CLEAN_STEPS = ["relocated", "free buffered", "erasing", "erased", "flushed"]
 
-#: The crash checker's invariant A for OX-ELEOS: every data chunk is owned
-#: by one segment, free or offline, and no segment is empty.
+#: The crash checker's invariant A for OX-ELEOS: no write unit is owned
+#: by two segments, every data chunk is exactly one of open, held, free
+#: or offline, and no segment is empty.
 space_problems = FTL_OPS["eleos"].structure
 
 
-def test_a_chunk_owned_twice_breaks_space_conservation():
-    """It must not cancel out a chunk owned, free and offline nowhere."""
+def test_a_unit_owned_twice_breaks_space_conservation():
+    """Two segments may share a chunk, never a unit."""
     __, __m, ftl, __c = make_stack()
     ftl.append_buffer([(1, b"one")])
     ftl.append_buffer([(2, b"two")])
     first, second = sorted(ftl.segments)
     ftl.segments[second] = ftl.segments[first]
     assert list(space_problems(ftl)) == [
-        f"chunks {ftl.segments[first]} are owned by more than one segment"]
+        f"units {ftl.segments[first]} are owned by more than one segment"]
+
+
+def test_a_chunk_in_two_states_breaks_space_conservation():
+    """Every data chunk is exactly one of open, held, free or offline: a
+    held chunk handed back to the free pool, and a chunk lost from every
+    state, are both violations."""
+    device, __m, ftl, __c = make_stack()
+    size = device.geometry.chunk_size - 4096
+    held, = ftl.segment_chunks(ftl.append_buffer([(1, b"h" * size)]))
+    assert list(space_problems(ftl)) == []
+    ftl._free[held[:2]].append(held)
+    assert list(space_problems(ftl)) == [f"chunk {held} is held and free"]
+    ftl._free[held[:2]].remove(held)
+    spare = ftl._free[(1, 1)].popleft()
+    assert list(space_problems(ftl)) == [
+        f"chunk {spare} is neither open, held, free nor offline"]
 
 
 @pytest.mark.parametrize("step", CLEAN_STEPS)
@@ -492,10 +691,10 @@ def test_power_cut_at_each_step_of_a_clean(step):
     injector.attach(device)
     engine = LlamaEngine(ftl, LlamaConfig(clean_live_ratio=0.6,
                                           cache_capacity=2))
-    for pid in range(6):        # two to a chunk: three chunks, three PUs
+    for pid in range(6):        # one run each, two to a chunk
         engine.replace(pid, bytes([pid]) * (150 * KIB))
     victim = engine.flush()
-    assert len(ftl.segments[victim]) == 3
+    assert len(ftl.segment_chunks(victim)) == 4
     for pid in range(3):        # half of it goes stale
         engine.replace(pid, bytes([pid + 100]) * 300)
     engine.flush()
@@ -515,7 +714,8 @@ def test_power_cut_at_each_step_of_a_clean(step):
     except ReproError:
         pass
     if step in CLEAN_STEPS[2:]:     # the free returned before its erases
-        assert not injector.tripped and len(ftl._erasing) == 3
+        # The victim's closed chunks, less those the relocation shares.
+        assert not injector.tripped and len(ftl._erasing) == 2
         media.sim.run_until(media.sim.all_of(list(ftl._erasing.values())))
     assert injector.tripped == (step in CLEAN_STEPS[:3])
     if not injector.tripped:
@@ -529,10 +729,9 @@ def test_power_cut_at_each_step_of_a_clean(step):
     assert ftl.stats.pages_read - reads == 3        # fetched for relocation
 
     recovered, report = recover_after_cut(injector, ftl)
-    # An acked append is durable only once the cache has drained: cut
-    # before the free's device flush, the relocation is dropped whole
-    # and the victim still holds its pages.
-    assert (victim in recovered.segments) == (step == "relocated")
+    # An acked append is durable (its runs are FUA): cut right after the
+    # relocation, the victim holds nothing and recovery drops it.
+    assert victim not in recovered.segments
     assert {pid: recovered.read_page(pid) for pid in shadow} == shadow
     assert recovered.live_page_ids() == sorted(shadow)
     assert list(space_problems(recovered)) == []
@@ -580,6 +779,9 @@ def test_randomized_append_free_crash_loop_recovers_every_page():
                 for seg in empty:
                     ftl.free_segment(seg)
                 ftl.append_buffer(sorted(maybe.items()))
+                # Nothing left in the cache makes the frees wait: run on
+                # to the cut, inside or after the erases.
+                device.sim.run_until(device.sim.timeout(2 * erase))
                 injector.power_cut()
             except ReproError:
                 pass
@@ -595,3 +797,43 @@ def test_randomized_append_free_crash_loop_recovers_every_page():
             assert ftl.live_page_ids() == sorted(shadow), seed
             assert list(space_problems(ftl)) == []
     assert min(landed.values()) > 100, landed
+
+
+def test_writers_whose_runs_overlap_keep_every_acked_page_across_a_cut():
+    """Runs are issued before the dispatch lock, so one writer's units
+    program while another's append commits.  Cut anywhere, every acked
+    page reads its acked version or one written after it, and space is
+    conserved."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        device, media, ftl, config = make_stack(chunks=24)
+        sim = device.sim
+        injector = FaultInjector(
+            FaultPlan(seed=seed, torn_unit_prob=0.5)).attach(device)
+        written = {}        # pid -> every version handed to an append
+        acked = {}          # pid -> index of its newest acked version
+
+        def writer(first_pid):
+            for __ in range(rng.randint(3, 8)):
+                batch = {first_pid + rng.randrange(6): bytes(
+                    [rng.randrange(256)]) * rng.randint(1, 300 * KIB)
+                    for __ in range(rng.randint(1, 4))}
+                for pid, payload in batch.items():
+                    written.setdefault(pid, []).append(payload)
+                try:
+                    yield from ftl.append_buffer_proc(sorted(batch.items()))
+                except ReproError:
+                    return
+                if injector.tripped:
+                    return
+                acked.update((pid, len(written[pid]) - 1) for pid in batch)
+                yield sim.timeout(rng.uniform(0, 0.01))
+
+        writers = [sim.spawn(writer(100 * w)) for w in range(3)]
+        cut_in(injector, rng.uniform(0.001, 0.08))
+        sim.run_until(sim.all_of(writers))
+        injector.power_cut()
+        recovered, __r = recover_after_cut(injector, ftl)
+        for pid, index in acked.items():
+            assert recovered.read_page(pid) in written[pid][index:], seed
+        assert list(space_problems(recovered)) == [], seed

@@ -33,18 +33,17 @@ def segment_of_by_scan(ftl, page_id):
     entry = ftl.vmap.get(page_id)
     if entry is None:
         return None
-    key = ftl.geometry.delinearize(entry.first_sector).chunk_key()
-    for segment_id, chunks in ftl.segments.items():
-        if key in chunks:
+    unit = entry.first_sector // ftl.geometry.ws_min
+    for segment_id, units in ftl.segments.items():
+        if unit in units:
             return segment_id
     return None
 
 
 def pages_in_segment_by_scan(ftl, segment_id):
-    chunks = set(ftl.segments[segment_id])
+    units = set(ftl.segments[segment_id])
     return {page_id for page_id, entry in ftl.vmap.items()
-            if ftl.geometry.delinearize(entry.first_sector).chunk_key()
-            in chunks}
+            if entry.first_sector // ftl.geometry.ws_min in units}
 
 
 def live_ratio_by_recount(ftl, segment_id, written_pids):
@@ -223,15 +222,22 @@ class EleosLiveness(RuleBasedStateMachine):
             assert ftl.segment_of(page_id) == segment_of_by_scan(ftl, page_id)
 
     @invariant()
-    def chunk_index_matches_the_segments(self):
+    def unit_index_matches_the_segments(self):
         ftl = self.ftl
-        assert ftl._chunk_segment == {
-            ftl._chunk_linear(key): segment_id
-            for segment_id, chunks in ftl.segments.items()
-            for key in chunks}
+        assert ftl._unit_segment == {
+            unit: segment_id
+            for segment_id, units in ftl.segments.items() for unit in units}
         assert set(ftl._live) == set(ftl._written) == set(ftl.segments)
-        owned = sum(len(chunks) for chunks in ftl.segments.values())
-        assert ftl.free_chunk_count() + owned == self.data_chunks
+        held = {}
+        for units in ftl.segments.values():
+            for unit in units:
+                key = ftl.geometry.delinearize(
+                    unit * ftl.geometry.ws_min).chunk_key()
+                held[key] = held.get(key, 0) + 1
+        assert ftl.held_chunks() == held
+        opened = set(ftl.open_chunks().values())
+        assert ftl.free_chunk_count() + len(opened | set(held)) \
+            == self.data_chunks
 
 
 TestEleosLiveness = EleosLiveness.TestCase
