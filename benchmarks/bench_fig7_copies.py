@@ -26,7 +26,7 @@ def run_point(host_threads: int):
         geometry={"num_groups": 8, "pus_per_group": 4,
                   "chunks_per_pu": 64, "pages_per_block": 24},
         ftl="eleos", host="none",
-        ftl_config={"buffer_bytes": 8 * MIB, "wal_chunk_count": 48}))
+        ftl_config={"buffer_bytes": 8 * MIB}))
     platform = DfcPlatform(stack.sim)
     experiment = HostWriteExperiment(stack.ftl, platform,
                                      buffer_bytes=8 * MIB,

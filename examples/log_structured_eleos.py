@@ -22,7 +22,7 @@ def main() -> None:
         geometry={"num_groups": 4, "pus_per_group": 4,
                   "chunks_per_pu": 48, "pages_per_block": 24},
         ftl="eleos",
-        ftl_config={"buffer_bytes": 2 * MIB, "wal_chunk_count": 8},
+        ftl_config={"buffer_bytes": 2 * MIB},
         llama={"consolidate_after": 4, "clean_live_ratio": 0.8}))
     media, ftl, engine = stack.media, stack.ftl, stack.engine
     print(f"OX-ELEOS over {stack.device.geometry.describe()}")

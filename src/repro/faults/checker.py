@@ -26,8 +26,9 @@ The per-FTL part is one :class:`FtlOps` row.  On OX-ELEOS an LBA is a
 page id, a write is one LSS buffer of sector-sized pages, and the trim
 slot frees a segment the workload emptied (a host whose free pool ran
 dry frees them all before it appends).  The shadow mirrors the stacks'
-documented contract: an acked operation's *mapping* is WAL-durable, but
-its *data* may sit in the write buffer or device cache until a barrier —
+documented contract: an acked operation's *mapping* is durable at its
+ack — in the WAL or in its units' stamps — but its *data* may sit in the
+write buffer or device cache until a barrier —
 a flush, a checkpoint, an OX-ELEOS free (it flushes before it erases) —
 or an acked trim, which carries no data.  Data that died with an offline
 chunk is excused via the FTL's lost-LBA report.  The operation in flight
@@ -285,7 +286,7 @@ CHECKER_SPECS: Dict[str, dict] = {
                     "wal_pressure_threshold": 0.5}),
     "eleos": dict(
         geometry=_GEOMETRY, ftl="eleos", host="none",
-        ftl_config={"wal_chunk_count": 4, "ckpt_chunks_per_slot": 2}),
+        ftl_config={"ckpt_chunks_per_slot": 2}),
 }
 
 

@@ -3,11 +3,13 @@ controller's copy path.
 
 Each host thread streams LSS buffers at the controller.  Per buffer, the
 controller performs two copies — network stack -> FTL, FTL -> Open-Channel
-SSD — before the (write-back) device admission.  The measured quantity is
-controller CPU utilization as a function of the number of host threads:
-it grows roughly linearly and saturates once the copy cores are fully
-busy, which with the default :class:`~repro.host.platform.DfcSpec`
-happens at 2 threads, as in the paper.
+SSD — before the append, which acks once its FUA runs land.  The measured
+quantity is controller CPU utilization as a function of the number of
+host threads: it grows roughly linearly and saturates once the copy cores
+are fully busy, which with the default
+:class:`~repro.host.platform.DfcSpec` and whole LSS buffers happens at 2
+threads, as in the paper.  A buffer much smaller than that waits on its
+append for a large share of its copies' time, so it takes more threads.
 """
 
 from __future__ import annotations

@@ -18,10 +18,17 @@ Design:
   pointer, so consecutive appends share chunks.  A page never crosses a
   run boundary and a run never a chunk boundary, so a page is always
   covered by a contiguous run of sectors.  The runs are written FUA, side
-  by side with each other and with the WAL commit: nothing of an append
-  is left in the controller cache behind its ack.
+  by side: nothing of an append is left in the controller cache behind
+  its ack.
+* An append **commits where it lands**: every sector of its runs carries
+  in its OOB the rows ``(page_id, offset, length)`` of the pages starting
+  there, the append's id, its sector count and a horizon: every id up to
+  it was acked, or aborted and passed by a checkpoint's scan floor.
+  OX-ELEOS keeps no WAL ring (its metadata chunks are the two checkpoint
+  slots); recovery reads the stamps back
+  (:func:`repro.ox.ftl.recovery.stamp_scan_proc`).
 * A **segment** is what one append wrote: a set of write units, named by
-  unit-linear address in the WAL and the checkpoint.
+  unit-linear address in the checkpoint; its id is the append's.
 * The variable-page map stores ``page_id -> (first_sector, byte_offset,
   length)`` — a *sub-sector* granularity, smaller than the device's 4 KB
   unit of read, which is exactly the paper's point.
@@ -32,9 +39,11 @@ Design:
   live segment owns a unit in it.  There is no
   FTL-internal GC, but the FTL owns segment liveness: every map update
   moves the page between the per-segment live sets the cleaner reads.
-* WAL + checkpoints give the same transactional guarantees as OX-Block:
-  an ``append_buffer`` is atomic — after a crash either every page of the
-  buffer is readable or none is mapped.
+* Stamps + checkpoints give the same transactional guarantees as
+  OX-Block: an ``append_buffer`` is atomic — after a crash either every
+  page of the buffer is readable or none is mapped.  A checkpoint only
+  bounds the recovery scan; a free takes one once appends have opened a
+  chunk per PU since the last.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import FTLError, OutOfSpaceError, ReproError
 from repro.ocssd.address import Ppa, PpaRun
 from repro.ocssd.chunk import ChunkState
-from repro.ox.ftl import serial
+from repro.ox.ftl import recovery, serial
 from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.recovery import RecoveryReport
 from repro.ox.media import MediaManager
@@ -63,10 +72,12 @@ class EleosConfig:
     """Tunables of the OX-ELEOS FTL."""
 
     buffer_bytes: int = 8 * MIB      # LSS I/O buffer size (paper: 8 MB)
-    wal_chunk_count: int = 8
+    # OX-ELEOS keeps no WAL ring (appends commit in their stamps): the
+    # field is accepted so specs that set it still load, and reserves
+    # nothing.
+    wal_chunk_count: int = 0
     ckpt_chunks_per_slot: int = 2
     replay_cpu_per_record: float = 2e-6
-    wal_pressure_threshold: float = 0.6
 
 
 @dataclass
@@ -102,8 +113,7 @@ class OXEleos:
         self.obs = media.sim.obs    # repro.obs hub, None unless attached
         self.config = config
         self.geometry = media.geometry
-        self.journal = Journal(media, config.wal_chunk_count,
-                               config.ckpt_chunks_per_slot)
+        self.journal = Journal(media, None, config.ckpt_chunks_per_slot)
         self.layout = self.journal.layout
         if config.buffer_bytes < self.geometry.sector_size:
             raise FTLError("LSS buffer must hold at least one sector")
@@ -136,7 +146,14 @@ class OXEleos:
         self._cursor = 0
         # Freed chunks whose erase is still in flight -> the erase.
         self._erasing: Dict[ChunkKey, Process] = {}
-        self._next_segment_id = 1
+        # Append ids taken whose pages are not mapped yet; ids of aborted
+        # appends no checkpoint has passed yet (a stamp's horizon stays
+        # below both); the sequence number of the newest checkpoint, and
+        # the chunks opened since it.
+        self._unmapped: Set[int] = set()
+        self._aborted: Set[int] = set()
+        self._checkpoint_seq = 0
+        self._opened = 0
         self._lock = Resource(self.sim, capacity=1, name="eleos-dispatch")
         self._alive = True
         self.stats = EleosStats()
@@ -255,12 +272,12 @@ class OXEleos:
         self._check_alive()
         if not pages:
             raise FTLError("empty LSS buffer")
-        # Everything the WAL will have to encode is checked here, before
-        # the lock: a rejected buffer allocates, writes and logs nothing.
+        # Everything a checkpoint will have to encode is checked here,
+        # before the lock: a rejected buffer allocates and writes nothing.
         total = 0
         chunk_bytes = self.geometry.chunk_size
         for page_id, payload in pages:
-            if not serial.fits(serial.REC_VPAGE_UPDATE, (page_id, 0, 0, 0)):
+            if not serial.fits(serial.REC_CKPT_VMAP, (page_id, 0, 0, 0)):
                 raise FTLError(
                     f"page id {page_id!r} is not an unsigned 64-bit integer")
             if not isinstance(payload, (bytes, bytearray, memoryview)) \
@@ -276,25 +293,13 @@ class OXEleos:
             raise FTLError(
                 f"buffer of {total} bytes exceeds the configured LSS "
                 f"buffer size {self.config.buffer_bytes}")
-        # The commit is sized before anything is allocated, so a batch no
-        # ring could take costs no segment: SEGMENT_NEW, COMMIT and each
-        # VPAGE_UPDATE record open at most one frame after the buffered
-        # SEGMENT_FREEs; flush_proc cannot run out of ring.
-        wal = self.journal.wal
-        frames = 2 + -(-len(pages) // serial.rows_per_record(
-            serial.REC_VPAGE_UPDATE, self.geometry.sector_size))
-        needed = wal.sectors_needed(frames)
-        if needed > wal.capacity_sectors:
-            raise FTLError(
-                f"a buffer of {len(pages)} pages commits in up to "
-                f"{needed} WAL sectors but the ring holds "
-                f"{wal.capacity_sectors}; enlarge wal_chunk_count")
         obs = self.obs
         span = obs.begin("ftl", "append", parent) if obs is not None else None
         # The runs are planned and started before the lock (planning runs
         # between two yields, so it needs none): an append queued behind
-        # another's commit has its units in flight already.  Pages are
-        # mapped under the lock, in commit order, once their units landed.
+        # another has its units in flight already.  The lock is taken in
+        # id order, so appends ack and map their pages in id order, each
+        # once its own runs landed: the ack means the commit is durable.
         plan = yield from self._plan_proc([len(p) for __, p in pages])
         segment_id, units, entries, writes = self._write_runs(pages, plan,
                                                               span)
@@ -303,33 +308,20 @@ class OXEleos:
         grant = self._lock.request()
         yield grant
         try:
-            if wal.used_sectors + wal.sectors_needed(frames) \
-                    > wal.capacity_sectors:
-                yield from self._do_checkpoint_proc(span)
-            wal.append(self._segment_record(serial.REC_SEGMENT_NEW,
-                                            segment_id, units))
-            self.journal.log_txn(serial.REC_VPAGE_UPDATE,
-                                 self.journal.take_txn_id(), entries)
-            # The runs are FUA beside the commit: the ack waits for both,
-            # and recovery drops a commit whose units did not all land.
-            commit = self.sim.spawn(guarded(wal.flush_proc(span)),
-                                    "eleos-commit")
-            done = yield self.sim.all_of([commit] + runs)
+            done = yield self.sim.all_of(runs)
             try:
-                for result in done:
-                    if isinstance(result, ReproError):
-                        raise result
-                for completion in done[1:]:
+                for completion in done:
+                    if isinstance(completion, ReproError):
+                        raise completion
                     self.media.require_ok(completion, "LSS segment write")
             except ReproError:
-                yield from self._abort_append_proc(units, span)
+                yield from self._abort_append_proc(segment_id, units, span)
                 raise
             self._add_segment(segment_id, units)
             for entry in entries:
                 self._map_page(*entry)
             self._written[segment_id] = len(self._live[segment_id])
-            if self.journal.pressed(self.config.wal_pressure_threshold):
-                yield from self._do_checkpoint_proc(span)
+            self._unmapped.discard(segment_id)
         finally:
             self._lock.release()
         self.stats.buffers_appended += 1
@@ -367,10 +359,10 @@ class OXEleos:
         one device flush (appends are FUA: it has nothing to drain).  A
         chunk the segment leaves closed and unheld is erased behind it,
         side by side with the others, and only an append that finds no
-        erased chunk waits for one.  SEGMENT_FREE is only buffered: it
-        rides the next WAL flush, ahead of any SEGMENT_NEW that could reuse
-        these units; if a crash takes it, recovery drops the empty
-        segment."""
+        erased chunk waits for one.  Nothing is logged: recovery drops a
+        segment nothing maps into.  Once appends have opened a chunk per
+        PU since the last checkpoint, the free takes one before its
+        erases, under the lock, to bound the recovery scan."""
         self._check_alive()
         obs = self.obs
         span = obs.begin("ftl", "free", parent) if obs is not None else None
@@ -384,12 +376,12 @@ class OXEleos:
                 raise FTLError(
                     f"segment {segment_id} still holds live pages "
                     f"{stale[:5]}{'...' if len(stale) > 5 else ''}")
-            self.journal.wal.append(serial.encode(serial.REC_SEGMENT_FREE,
-                                                  (segment_id,)))
             # The relocated copies are durable before the old ones go.
             yield from self.media.flush_proc()
             released = self._release(self.segments[segment_id])
             self._drop_segment(segment_id)
+            if self._opened >= len(self._pus):
+                yield from self._do_checkpoint_proc(span)
             self._erase_unheld(released)
         finally:
             self._lock.release()
@@ -440,21 +432,11 @@ class OXEleos:
         """The segment owning the unit that holds sector *linear*."""
         return self._unit_segment.get(linear // self._ws_min)
 
-    def _segment_record(self, rtype: int, segment_id: int,
-                        units: List[int]) -> bytes:
-        """The segment's *units* as a record of kind *rtype*."""
-        return serial.encode(rtype, (segment_id,), [(unit,) for unit in units])
-
-    def _add_segment_rows(self, segment_id: int, rows) -> None:
-        """:meth:`_add_segment` from a decoded segment record's rows."""
-        self._add_segment(segment_id, [unit for unit, in rows])
-
     def _add_segment(self, segment_id: int, units: List[int]) -> None:
         self.segments[segment_id] = units
         self._live[segment_id] = set()
         for unit in units:
             self._unit_segment[unit] = segment_id
-        self._next_segment_id = max(self._next_segment_id, segment_id + 1)
 
     def _drop_segment(self, segment_id: int) -> None:
         for unit in self.segments.pop(segment_id, ()):
@@ -499,7 +481,7 @@ class OXEleos:
 
     def _map_page(self, page_id: int, linear: int, offset: int,
                   length: int) -> None:
-        """The one place vmap maps a page (append, checkpoint load, WAL
+        """The one place vmap maps a page (append, checkpoint load, stamp
         replay): the page leaves its old segment's live set and joins the
         new one's.  A location no segment owns — possible only in a map
         recovered around a torn free — is mapped but counted nowhere."""
@@ -586,8 +568,9 @@ class OXEleos:
         """Carry out :meth:`_plan`'s *plan*: open its chunks, hold the
         units it writes, and return ``(segment_id, units, entries,
         writes)`` — the vpage rows ``(page_id, linear, offset, length)``
-        and one FUA write generator per run.  The segment is registered
-        when its commit is."""
+        and one FUA write generator per run, each sector stamped
+        ``(rows, id, sectors, horizon)`` (module docs).  The segment is
+        registered when its pages are mapped."""
         runs, self._cursor, opened, view = plan
         geometry = self.geometry
         sector_size, ws_min = geometry.sector_size, self._ws_min
@@ -597,27 +580,31 @@ class OXEleos:
             queue = self._free[pu]
             for key in keys:
                 touched.add(queue.popleft())
+            self._opened += len(keys)
         self._open = {pu: state for pu, state in view.items()
                       if state[1] < per_chunk}
-        segment_id = self._next_segment_id
-        self._next_segment_id += 1
+        segment_id = self.journal.take_txn_id()
+        self._unmapped.add(segment_id)
+        stamp = (segment_id, sum(run[2] for run in runs),
+                 min(self._unmapped | self._aborted) - 1)
         units: List[int] = []
         entries = []
         writes = []
         for key, first, count, start, end in runs:
             linear = geometry.linearize(Ppa(*key, first))
             units.extend(range(linear // ws_min, (linear + count) // ws_min))
+            rows: List[list] = [[] for __ in range(count)]
             position = 0
             for page_id, payload in pages[start:end]:
                 sector, offset = divmod(position, sector_size)
                 entries.append((page_id, linear + sector, offset,
                                 len(payload)))
+                rows[sector].append((page_id, offset, len(payload)))
                 position += len(payload)
             writes.append(self.media.write_proc(
                 PpaRun(key, first, count),
                 b"".join(payload for __, payload in pages[start:end]),
-                oob=[("lss", segment_id, s) for s in range(first,
-                                                           first + count)],
+                oob=[(tuple(row), *stamp) for row in rows],
                 fua=True, parent=parent))
         self._hold(units)
         # A chunk passed over for a page too big for its rest is closed:
@@ -625,18 +612,21 @@ class OXEleos:
         self._erase_unheld(touched)
         return segment_id, units, entries, writes
 
-    def _abort_append_proc(self, units: List[int], parent=None):
-        """A run or the commit failed, so the append is not acked — but
-        its commit may be on media with a unit that never landed, or
-        landed where a later append will reuse the chunk.  Its units are
-        let go, an open chunk the failure retired is closed, and a
-        checkpoint without the append truncates the log before any of
-        its chunks is erased."""
+    def _abort_append_proc(self, segment_id: int, units: List[int],
+                           parent=None):
+        """A run failed, so the append is not acked — but its other runs
+        may be on media, and a horizon past it would prove it.  Its units
+        are let go, an open chunk the failure retired is closed, and a
+        checkpoint whose scan floor is past the append is taken before
+        any of its chunks is erased; until one lands, no stamp's horizon
+        reaches the append."""
         for pu, (key, __) in list(self._open.items()):
             if self.media.chunk_info(Ppa(*key, 0)).state \
                     is ChunkState.OFFLINE:
                 del self._open[pu]
         released = self._release(units)
+        self._unmapped.discard(segment_id)
+        self._aborted.add(segment_id)
         yield from self._do_checkpoint_proc(parent)
         self._erase_unheld(released)
 
@@ -662,58 +652,84 @@ class OXEleos:
                      for page_id, entry in sorted(self.vmap.items())]
         records = serial.split(serial.REC_CKPT_VMAP, (), vmap_rows,
                                self.geometry.sector_size)
-        records += [self._segment_record(serial.REC_CKPT_SEGMENT, segment_id,
-                                         self.segments[segment_id])
+        records += [serial.encode(serial.REC_CKPT_SEGMENT, (segment_id,),
+                                  [(unit,) for unit in self.segments[
+                                      segment_id]])
                     for segment_id in sorted(self.segments)]
-        yield from self.journal.checkpoint_proc(records, parent=span)
+        # Ids are taken before the lock: the header's scan floor is the
+        # oldest append not mapped yet, which may ack after this snapshot.
+        # No ring follows the slot, so there is no log to truncate.
+        seq = self._checkpoint_seq + 1
+        self._opened = 0
+        yield from self.journal.checkpointer.write_payload_proc(
+            seq, min(self._unmapped, default=self.journal.next_txn_id),
+            records, parent=span)
+        # Appends abort under the lock in id order, so every aborted id
+        # is below the floor just written.
+        self._checkpoint_seq = seq
+        self._aborted.clear()
         self.stats.checkpoints += 1
         if obs is not None:
             obs.end(span)
 
     def _recover_proc(self):
         report = RecoveryReport()
-        tables, records = yield from self.journal.load_proc(report)
+        checkpoint = yield from self.journal.checkpointer.read_latest_proc()
+        tables = {}
+        if checkpoint is not None:
+            self._checkpoint_seq, self.journal.next_txn_id, tables = checkpoint
+            report.checkpoint_seq = self._checkpoint_seq
+        floor = self.journal.next_txn_id    # the checkpoint maps every id below
         for segment_id, rows in tables.get(serial.REC_CKPT_SEGMENT, ()):
-            self._add_segment_rows(segment_id, rows)
+            self._add_segment(segment_id, [unit for unit, in rows])
         for entry in tables.get(serial.REC_CKPT_VMAP, ()):
             self._map_page(*entry)
 
-        if self.config.replay_cpu_per_record:
-            for __ in records:      # replay pays one tick per record
-                yield self.sim.timeout(self.config.replay_cpu_per_record)
-        opened: List[Tuple[int, List[Tuple[int]]]] = []   # since a commit
-        for rtype, ident, rows in self.journal.fold(records):
-            if rtype == serial.REC_SEGMENT_NEW:
-                opened.append((ident, rows))
-            elif rtype == serial.REC_SEGMENT_FREE:
-                self._drop_segment(ident)
-            else:   # REC_COMMIT: the transaction's VPAGE_UPDATE rows
-                segments, opened = opened, []
-                if not self._txn_durable(rows):
-                    report.txns_dropped += 1
-                    continue
-                for segment_id, chunk_rows in segments:
-                    self._add_segment_rows(segment_id, chunk_rows)
-                for entry in rows:
-                    self._map_page(*entry)
-                report.txns_applied += 1
-
-        # A page whose chunk went offline after the ack (a failed program
-        # of cached data) died with it: unmapped and reported lost, as on
-        # OX-Block.
-        offline = self.offline_chunks()
+        ws_min = self._ws_min
+        chunks = [(key, self.geometry.linearize(Ppa(*key, 0)), pointer,
+                   pointer - 1)     # a chunk's stamps never get older
+                  for key, pointer in recovery.written_chunks(
+                      self.media, set(self.layout.data_chunk_keys()))]
+        complete, found = yield from recovery.stamp_scan_proc(
+            self.media, self.journal, chunks, floor, floor - 1, report)
+        stamped = {linear // ws_min: txn
+                   for txn, got in found.items() for linear in got}
+        # A checkpointed mapping is stale if its chunk went offline (a
+        # failed program retired it), was erased since, or a newer
+        # stamp owns its unit: an acked append moved the page, and its
+        # stamps died with a retired chunk.  The page is lost, as on
+        # OX-Block, unless a complete append maps it again below.
+        lost: Dict[int, None] = {}
+        sector_size = self.geometry.sector_size
         for page_id, entry in list(self.vmap.items()):
-            if self.geometry.delinearize(entry.first_sector).chunk_key() \
-                    in offline:
+            ppa = self.geometry.delinearize(entry.first_sector)
+            info = self.media.chunk_info(ppa)
+            covering = max(1, -(-(entry.offset + entry.length)
+                                // sector_size))
+            if info.state is ChunkState.OFFLINE \
+                    or ppa.sector + covering > info.write_pointer \
+                    or entry.first_sector // ws_min in stamped:
                 self._live.get(self._segment_at(entry.first_sector),
                                set()).discard(page_id)
                 del self.vmap[page_id]
-                report.lost_lbas.append(page_id)
+                lost[page_id] = None
+        for segment_id in complete:
+            got = found[segment_id]
+            if self.config.replay_cpu_per_record:
+                yield self.sim.timeout(self.config.replay_cpu_per_record
+                                       * len(got))
+            self._add_segment(segment_id,
+                              sorted({linear // ws_min for linear in got}))
+            for linear, rows in sorted(got.items()):
+                for page_id, offset, length in rows:
+                    self._map_page(page_id, linear, offset, length)
+                    lost.pop(page_id, None)
+        report.lost_lbas = list(lost)
 
         # A segment nothing maps into holds nothing: the cleaner emptied
-        # it, and free_segment_proc may have erased it before the crash
-        # took the SEGMENT_FREE it had only buffered.  Drop it; the
-        # free-pool rebuild below resets whatever its chunks still hold.
+        # it, and free_segment_proc may have erased it before the crash.
+        # Drop it; the free-pool rebuild below resets whatever its chunks
+        # still hold.
         for segment_id in [s for s, live in self._live.items() if not live]:
             self._drop_segment(segment_id)
 
@@ -731,6 +747,7 @@ class OXEleos:
         self._open = {}
         for queue in self._free.values():
             queue.clear()
+        offline = self.offline_chunks()
         for key in self.layout.data_chunk_keys():
             if key in self._held or key in offline:
                 continue
@@ -739,13 +756,3 @@ class OXEleos:
             else:
                 self._free[key[:2]].append(key)
         return report
-
-    def _txn_durable(self, entries: List[Tuple[int, int, int, int]]) -> bool:
-        sector_size = self.geometry.sector_size
-        for __, linear, offset, length in entries:
-            ppa = self.geometry.delinearize(linear)
-            covering = max(1, -(-(offset + length) // sector_size))
-            info = self.media.chunk_info(ppa)
-            if ppa.sector + covering > info.write_pointer:
-                return False
-        return True

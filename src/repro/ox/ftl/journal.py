@@ -14,11 +14,14 @@ place knows its couplings:
 
 An FTL says only what its records *mean*: which rows a checkpoint holds,
 how a table row or a log record applies, when a replayed entry is durable.
+An FTL that commits only in its units' OOB stamps (OX-ELEOS) keeps no
+ring: it passes ``wal_chunk_count`` None, and writes and reads its
+checkpoint slots through ``checkpointer`` itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ox.ftl import serial
 from repro.ox.ftl.checkpoint import CheckpointManager
@@ -26,21 +29,17 @@ from repro.ox.ftl.provisioning import MetadataLayout
 from repro.ox.ftl.wal import WalAppender
 from repro.ox.media import MediaManager
 
-#: Log records that carry a transaction's rows under its id.
-_UPDATES = (serial.REC_MAP_UPDATE, serial.REC_VPAGE_UPDATE)
-#: Log records outside any transaction: they apply where they stand.
-_STANDALONE = (serial.REC_SEGMENT_NEW, serial.REC_SEGMENT_FREE)
-
 
 class Journal:
     """The durability plane of one FTL instance on *media*."""
 
-    def __init__(self, media: MediaManager, wal_chunk_count: int,
+    def __init__(self, media: MediaManager, wal_chunk_count: Optional[int],
                  ckpt_chunks_per_slot: int):
         self.layout = MetadataLayout.build(
-            media.geometry, wal_chunk_count=wal_chunk_count,
+            media.geometry, wal_chunk_count=wal_chunk_count or 0,
             ckpt_chunks_per_slot=ckpt_chunks_per_slot)
-        self.wal = WalAppender(media, self.layout.wal_chunks, epoch=0)
+        self.wal = (None if wal_chunk_count is None else
+                    WalAppender(media, self.layout.wal_chunks, epoch=0))
         self.checkpointer = CheckpointManager(media, self.layout.ckpt_slots)
         self.next_txn_id = 1
         #: "Checkpoint if the ring is pressed", set by an FTL whose
@@ -100,21 +99,18 @@ class Journal:
 
     def fold(self, records: Iterable[serial.Record]
              ) -> Iterator[Tuple[int, int, List[tuple]]]:
-        """*records* as ``(rtype, id, rows)`` in log order: a committed
-        transaction is one ``REC_COMMIT`` item carrying every row logged
-        under its id, a standalone record passes through as it is.  Rows
+        """*records* as ``(REC_COMMIT, txn_id, rows)`` in log order, one
+        item per committed transaction carrying every row logged under its
+        id.  Rows
         without a commit (the crash window) are discarded — that is the
         WAL's atomicity guarantee — and ``next_txn_id`` moves past every
         transaction yielded."""
         pending: Dict[int, List[tuple]] = {}
         for record in records:
             rtype = record.rtype
-            if rtype in _UPDATES:
+            if rtype == serial.REC_MAP_UPDATE:
                 (txn_id,), rows = serial.decode(record)
                 pending.setdefault(txn_id, []).extend(rows)
-            elif rtype in _STANDALONE:
-                (ident,), rows = serial.decode(record)
-                yield rtype, ident, rows
             elif rtype == serial.REC_COMMIT:
                 (txn_id,), __ = serial.decode(record)
                 if txn_id in pending:

@@ -12,7 +12,7 @@ state" (§4.3).  Recovery here:
    atomicity; this is the paper's "some updates since last checkpoint
    might not be persisted".  Writes that committed in their units' OOB
    stamps ``(lba, txn, count)`` join them in id order; a torn one drops
-   whole (:func:`_unit_txns_proc`);
+   whole (:func:`stamp_scan_proc`, which OX-ELEOS's recovery shares);
 3. reconciles the FTL chunk table with a device chunk scan and rebuilds
    the provisioner (adopting at most one partially-written chunk per PU,
    closing the rest early).
@@ -233,42 +233,73 @@ def recover_proc(media: MediaManager, journal: Journal,
 def _unit_txns_proc(media: MediaManager, journal: Journal,
                     chunk_table: ChunkTable, since: int,
                     report: RecoveryReport):
-    """Process generator, once the log is folded: the complete unit
-    commits with ids from *since* on, as ``(txn_id, entries)``: all *count*
-    sectors found, or any newer durable record (writes run one at a time,
-    so it proves the ack; GC erased a missing sector once superseded)."""
+    """Process generator, once the log is folded: OX-Block's complete unit
+    commits with ids from *since* on, as ``(txn_id, entries)``.  An open
+    chunk is scanned; any other only if its first stamp is new.  A logged
+    commit proves the acks of every id below it."""
+    per_chunk = media.geometry.sectors_per_chunk
+    chunks = [(key, chunk_table.get(key).linear * per_chunk, write_pointer,
+               None if chunk_table.get(key).state is FtlChunkState.OPEN
+               else 0)
+              for key, write_pointer in written_chunks(media, chunk_table)]
+    complete, found = yield from stamp_scan_proc(
+        media, journal, chunks, since, journal.next_txn_id - 2, report)
+    return [(txn, [(lba, linear, NO_PPA)
+                   for linear, lba in found[txn].items()])
+            for txn in complete]
 
-    def stamps_proc(key, write_pointer):
-        # An open chunk is scanned; any other only if its first stamp is new.
-        for sectors in ((write_pointer,) if chunk_table.get(key).state
-                        is FtlChunkState.OPEN else (1, write_pointer)):
+
+def written_chunks(media: MediaManager, keys) -> List[Tuple[tuple, int]]:
+    """``(key, write_pointer)`` of each chunk of *keys* that holds
+    something and is not offline."""
+    return [(info.ppa.chunk_key(), info.write_pointer)
+            for info in media.scan_chunks() if info.write_pointer
+            and info.ppa.chunk_key() in keys
+            and info.state is not ChunkState.OFFLINE]
+
+
+def stamp_scan_proc(media: MediaManager, journal: Journal, chunks,
+                    since: int, proven: int, report: RecoveryReport):
+    """Process generator: the commits an FTL's write units carry in their
+    OOB stamps, ``(what, txn, count[, horizon])`` — *count* sectors in
+    all, *what* the lba or page rows a sector holds.  *chunks* are
+    ``(key, base, write_pointer, probe)``, read meta-only side by side:
+    whole when *probe* is None, else only if the stamp at sector *probe*
+    has an id from *since* on.  A txn is complete when all its sectors are
+    found, or when a durable stamp proves its ack: a stamp's *horizon*,
+    or its id less one where it carries none (writes that run one at a
+    time), or *proven* reaches it.  Returns ``(complete, found)``: the
+    complete ids ascending and ``{txn: {linear sector: what}}`` of every
+    txn found, torn ones included; ``next_txn_id`` moves past the newest."""
+
+    def stamps_proc(key, write_pointer, probe):
+        reads = ((0, write_pointer),) if probe is None \
+            else ((probe, 1), (0, write_pointer))
+        for first, sectors in reads:
             completion = yield from media.read_proc(
-                PpaRun(key, 0, sectors), meta_only=True)
-            stamps = [(sector, stamp)
+                PpaRun(key, first, sectors), meta_only=True)
+            stamps = [(first + sector, stamp)
                       for sector, stamp in enumerate(completion.oob or ())
                       if type(stamp) is tuple and stamp[1] >= since]
             if not stamps:
                 break
         return stamps
 
-    written = [(info.ppa.chunk_key(), info.write_pointer)
-               for info in media.scan_chunks() if info.write_pointer
-               and info.ppa.chunk_key() in chunk_table
-               and info.state is not ChunkState.OFFLINE]
     scans = yield from media.sim.join_proc(
-        [stamps_proc(*chunk) for chunk in written], "recovery-scan")
-    found: dict = {}     # txn -> (count, {lba: linear})
-    newest = journal.next_txn_id - 1      # no older than any logged commit
-    for (key, __), stamps in zip(written, scans):
-        base = chunk_table.get(key).linear * media.geometry.sectors_per_chunk
-        for sector, (lba, txn, count) in stamps:
+        [stamps_proc(key, pointer, probe)
+         for key, __, pointer, probe in chunks], "recovery-scan")
+    found: dict = {}     # txn -> (count, {linear: what})
+    newest = journal.next_txn_id - 1
+    for (__, base, __p, __q), stamps in zip(chunks, scans):
+        for sector, stamp in stamps:
+            txn, count = stamp[1], stamp[2]
             newest = max(newest, txn)
+            proven = max(proven, stamp[3] if len(stamp) > 3 else txn - 1)
             if count:
-                found.setdefault(txn, (count, {}))[1][lba] = base + sector
+                found.setdefault(txn, (count, {}))[1][base + sector] = stamp[0]
     journal.next_txn_id = max(journal.next_txn_id, newest + 1)
-    complete = [(txn, [(lba, linear, NO_PPA) for lba, linear in got.items()])
-                for txn, (count, got) in found.items()
-                if len(got) == count or newest > txn]
+    complete = sorted(txn for txn, (count, got) in found.items()
+                      if len(got) == count or proven >= txn)
     report.unit_txns_applied = len(complete)
     report.unit_txns_torn = len(found) - len(complete)
-    return complete
+    return complete, {txn: got for txn, (__, got) in found.items()}

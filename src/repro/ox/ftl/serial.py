@@ -33,10 +33,7 @@ REC_CKPT_HEADER = 3
 REC_CKPT_MAP = 4
 REC_CKPT_CHUNK = 5
 REC_CKPT_FOOTER = 6
-# OX-ELEOS records: variable-size page mapping + LSS segment lifecycle.
-REC_VPAGE_UPDATE = 8
-REC_SEGMENT_NEW = 9
-REC_SEGMENT_FREE = 10
+# OX-ELEOS checkpoint records: variable-size page mapping + LSS segments.
 REC_CKPT_VMAP = 11
 REC_CKPT_SEGMENT = 12
 
@@ -61,14 +58,13 @@ class Kind(NamedTuple):
 _S = struct.Struct
 _NO_HEAD = _S("<")
 _ID = _S("<Q")
-_VPAGE = _S("<QQII")
 
 KINDS: Dict[int, Kind] = {
     REC_MAP_UPDATE: Kind(
         "MAP_UPDATE", _ID, "txn_id", _S("<QQQ"), "lba, new_ppa, old_ppa",
         "OX-Block WAL: write, trim, GC relocation"),
     REC_COMMIT: Kind(
-        "COMMIT", _ID, "txn_id", None, "", "OX-Block and OX-ELEOS WAL"),
+        "COMMIT", _ID, "txn_id", None, "", "OX-Block WAL"),
     REC_CKPT_HEADER: Kind(
         "CKPT_HEADER", _S("<QQQQ"),
         "seq, map_entries, chunk_entries, next_txn_id", None, "",
@@ -82,17 +78,8 @@ KINDS: Dict[int, Kind] = {
     REC_CKPT_FOOTER: Kind(
         "CKPT_FOOTER", _ID, "seq", None, "",
         "every checkpoint, last record", crc=True),
-    REC_VPAGE_UPDATE: Kind(
-        "VPAGE_UPDATE", _ID, "txn_id", _VPAGE,
-        "page_id, linear, offset, length", "OX-ELEOS WAL: append_buffer"),
-    REC_SEGMENT_NEW: Kind(
-        "SEGMENT_NEW", _ID, "segment_id", _ID, "unit_linear",
-        "OX-ELEOS WAL: append_buffer"),
-    REC_SEGMENT_FREE: Kind(
-        "SEGMENT_FREE", _ID, "segment_id", None, "",
-        "OX-ELEOS WAL: free_segment (releases its units)"),
     REC_CKPT_VMAP: Kind(
-        "CKPT_VMAP", _NO_HEAD, "", _VPAGE,
+        "CKPT_VMAP", _NO_HEAD, "", _S("<QQII"),
         "page_id, linear, offset, length", "OX-ELEOS checkpoint"),
     REC_CKPT_SEGMENT: Kind(
         "CKPT_SEGMENT", _ID, "segment_id", _ID, "unit_linear",

@@ -78,17 +78,20 @@ class TestPowerCutConsistency:
 
 class TestEleosPowerCutConsistency(TestPowerCutConsistency):
     """Appends in flight at the cut, segments freed before it, erases a
-    free left running when the cut came, torn units, dropped txns, chunks
-    retired by failed erases, and appends whose FUA run failed to
-    program.  An append's runs are durable at its ack, so no page is
-    lost behind an ack any more except beside a later run that fails in
-    the same chunk; ``tests/test_ox_eleos.py::
+    free left running when the cut came, torn units, appends committed
+    and torn in their stamps, chunks retired by failed erases, and
+    appends whose FUA run failed to program.  The ring carries no OX-ELEOS
+    txn, so ``txns_dropped`` is always 0 here.  An append's runs are
+    durable at its ack, so no page is lost behind an ack any more except
+    beside a later run that fails in the same chunk; ``tests/
+    test_ox_eleos.py::
     test_a_failed_run_in_a_shared_chunk_loses_the_acked_pages_beside_it``
     places that case, which these seeds never reach."""
 
     FTL = "eleos"
     COVERED = ("gc_chunks_recycled", "erases_in_flight", "torn_chunks",
-               "programs_failed", "erases_failed", "txns_dropped")
+               "programs_failed", "erases_failed", "unit_txns_applied",
+               "unit_txns_torn")
     LBAS_CHECKED = 400      # its page ids are 0..11
 
 

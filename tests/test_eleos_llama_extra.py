@@ -1,5 +1,6 @@
 """Additional coverage for OX-ELEOS internals and the LLAMA engine:
-WAL-pressure checkpoints, multi-segment flushes, segment attribution."""
+checkpoints that bound the recovery scan, multi-segment flushes, segment
+attribution."""
 
 import pytest
 
@@ -11,26 +12,32 @@ from repro.ox import EleosConfig, MediaManager, OXEleos
 from repro.units import KIB, MIB
 
 
-def make_stack(buffer_kib=256, wal_chunks=2, pressure=0.5, chunks=24):
+def make_stack(buffer_kib=256, chunks=24):
     geometry = DeviceGeometry(
         num_groups=2, pus_per_group=2,
         flash=FlashGeometry(blocks_per_plane=chunks, pages_per_block=12))
     device = OpenChannelSSD(geometry=geometry)
     media = MediaManager(device)
     config = EleosConfig(buffer_bytes=buffer_kib * KIB,
-                         wal_chunk_count=wal_chunks,
-                         ckpt_chunks_per_slot=1,
-                         wal_pressure_threshold=pressure)
+                         ckpt_chunks_per_slot=1)
     return device, media, OXEleos.format(media, config), config
 
 
 class TestEleosInternals:
-    def test_wal_pressure_forces_checkpoint(self):
-        device, media, ftl, __ = make_stack(wal_chunks=2, pressure=0.2)
-        checkpoints_before = ftl.stats.checkpoints
-        for i in range(30):
-            ftl.append_buffer([(i, bytes([i]) * 100)])
-        assert ftl.stats.checkpoints > checkpoints_before
+    def test_frees_checkpoint_to_bound_the_scan(self):
+        """Appends take no checkpoint; the first free after they
+        opened a chunk per PU takes one."""
+        device, media, ftl, __ = make_stack(buffer_kib=512)
+        checkpoints = ftl.stats.checkpoints
+        size = device.geometry.chunk_size - 4096     # a chunk each
+        segments = [ftl.append_buffer([(i, bytes([i]) * size)])
+                    for i in range(4)]
+        ftl.append_buffer([(i, bytes([i])) for i in range(4)])
+        assert ftl.stats.checkpoints == checkpoints
+        ftl.free_segment(segments[0])
+        assert ftl.stats.checkpoints == checkpoints + 1
+        ftl.free_segment(segments[1])       # no chunk opened since
+        assert ftl.stats.checkpoints == checkpoints + 1
 
     def test_segment_of_tracks_latest_location(self):
         device, media, ftl, __ = make_stack()
@@ -55,10 +62,13 @@ class TestEleosInternals:
         ftl.append_buffer([(9, b"C" * chunk_bytes)])
         assert len(ftl.read_page(9)) == chunk_bytes
 
-    def test_recovery_after_wal_pressure_checkpoints(self):
-        device, media, ftl, config = make_stack(wal_chunks=2, pressure=0.2)
+    def test_recovery_after_scan_bound_checkpoints(self):
+        device, media, ftl, config = make_stack(buffer_kib=512)
+        size = device.geometry.chunk_size - 4096
         for i in range(20):
+            old = ftl.append_buffer([(i, bytes([i + 1]) * size)])
             ftl.append_buffer([(i, bytes([i + 1]) * 300)])
+            ftl.free_segment(old)
         media.flush()
         ftl.crash()
         recovered, report = OXEleos.recover(media, config)

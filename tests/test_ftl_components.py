@@ -403,13 +403,13 @@ class TestSerial:
 
     def test_vpage_roundtrip(self):
         entries = [(10, 999, 123, 4567), (11, 0, 0, 1)]
-        records = serial.split(serial.REC_VPAGE_UPDATE, (3,), entries,
+        records = serial.split(serial.REC_CKPT_VMAP, (), entries,
                                sector_size=4096)
         assert serial.decode(next(iter(serial.decode_frame(
-            self._frame(records))))) == ((3,), entries)
+            self._frame(records))))) == ((), entries)
 
     def test_segment_roundtrip(self):
-        record = serial.encode(serial.REC_SEGMENT_NEW, (5,),
+        record = serial.encode(serial.REC_CKPT_SEGMENT, (5,),
                                [(1,), (2,), (3,)])
         decoded = next(iter(serial.decode_frame(self._frame([record]))))
         assert serial.decode(decoded) == ((5,), [(1,), (2,), (3,)])
@@ -515,10 +515,10 @@ def test_record_table_roundtrip_property(data):
 
 
 def test_fits_knows_each_field_width():
-    assert serial.fits(serial.REC_VPAGE_UPDATE, (2**64 - 1, 0, 2**32 - 1, 0))
+    assert serial.fits(serial.REC_CKPT_VMAP, (2**64 - 1, 0, 2**32 - 1, 0))
     for row in ((-1, 0, 0, 0), (2**64, 0, 0, 0), (0, 0, 2**32, 0),
                 ("7", 0, 0, 0), (1.0, 0, 0, 0), (None, 0, 0, 0)):
-        assert not serial.fits(serial.REC_VPAGE_UPDATE, row)
+        assert not serial.fits(serial.REC_CKPT_VMAP, row)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2**63), st.integers(0, 2**63),

@@ -20,7 +20,6 @@ def make_engine(groups=2, pus=2, chunks=16, pages=12,
     device = OpenChannelSSD(geometry=geometry)
     media = MediaManager(device)
     ftl = OXEleos.format(media, EleosConfig(buffer_bytes=1 * MIB,
-                                            wal_chunk_count=4,
                                             ckpt_chunks_per_slot=2))
     return device, ftl, LlamaEngine(ftl, llama_config or LlamaConfig())
 
@@ -143,11 +142,11 @@ class TestCopyModel:
         device = OpenChannelSSD(geometry=geometry)
         media = MediaManager(device)
         ftl = OXEleos.format(media, EleosConfig(
-            buffer_bytes=2 * MIB, wal_chunk_count=16, ckpt_chunks_per_slot=2))
+            buffer_bytes=2 * MIB, ckpt_chunks_per_slot=2))
         spec = DfcSpec(**spec_overrides) if spec_overrides else DfcSpec()
         platform = DfcPlatform(device.sim, spec)
-        return HostWriteExperiment(ftl, platform, buffer_bytes=512 * KIB,
-                                   page_bytes=32 * KIB)
+        # Whole LSS buffers, as the paper's host threads write them.
+        return HostWriteExperiment(ftl, platform, page_bytes=32 * KIB)
 
     def test_copy_time_scales_with_bytes(self):
         experiment = self.make_experiment()

@@ -25,7 +25,7 @@ def make_stack(groups=2, pus=2, chunks=16, pages=12, config=None):
         flash=FlashGeometry(blocks_per_plane=chunks, pages_per_block=pages))
     device = OpenChannelSSD(geometry=geometry)
     media = MediaManager(device)
-    config = config or EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=4,
+    config = config or EleosConfig(buffer_bytes=1 * MIB,
                                    ckpt_chunks_per_slot=2)
     return device, media, OXEleos.format(media, config), config
 
@@ -82,12 +82,12 @@ class TestAppendAndRead:
         pages = [(i, b"p" * 4096) for i in range(32)]   # 128 KB
         ftl.append_buffer(pages)
         written = device.controller.stats.sectors_written - before
-        # Data sectors + WAL sectors; well below one unit per page.
+        # Data sectors only; well below one unit per page.
         assert written < 32 * device.geometry.ws_min
 
 
 class TestRejectedBuffers:
-    """A buffer the WAL could not encode is refused before the lock (at
+    """A buffer a checkpoint could not encode is refused before the lock (at
     d55e796 a bad page id surfaced as ``struct.error`` after the segment
     was allocated, written, registered and logged: two such calls leaked
     two chunks and two orphan ``SEGMENT_NEW`` records)."""
@@ -107,9 +107,8 @@ class TestRejectedBuffers:
 
         def state():
             return (ftl.free_chunk_count(), dict(ftl.segments),
-                    dict(ftl.vmap), ftl.journal.wal._writer.frame_count(),
-                    ftl.journal.wal.used_sectors, ftl._next_segment_id,
-                    ftl.journal.next_txn_id, ftl._lock.in_use)
+                    dict(ftl.vmap), ftl.journal.next_txn_id,
+                    ftl._unmapped, ftl._lock.in_use)
 
         before = state()
         for __ in range(2):
@@ -179,7 +178,7 @@ class TestCrashRecovery:
         recovered, report = OXEleos.recover(media, config)
         for page_id, payload in pages:
             assert recovered.read_page(page_id) == payload
-        assert report.txns_applied == 1
+        assert (report.txns_applied, report.unit_txns_applied) == (0, 1)
 
     def test_unflushed_buffer_dropped_atomically(self):
         device, media, ftl, config = make_stack()
@@ -189,7 +188,7 @@ class TestCrashRecovery:
         ftl.crash()
         recovered, report = OXEleos.recover(media, config)
         value = recovered.read_page(1)
-        if report.txns_dropped:
+        if report.unit_txns_torn:
             # The whole second buffer vanished: page 2 unmapped too.
             assert value == b"first" * 50
             assert 2 not in recovered.vmap
@@ -216,7 +215,7 @@ class TestCrashRecovery:
         media.flush()
         ftl.crash()
         recovered, report = OXEleos.recover(media, config)
-        assert report.txns_applied == 1   # only the post-checkpoint buffer
+        assert report.unit_txns_applied == 1  # only the post-checkpoint one
         assert recovered.read_page(1) == b"a" * 100
         assert recovered.read_page(2) == b"b" * 100
 
@@ -227,78 +226,72 @@ class TestCrashRecovery:
             ftl.append_buffer([(1, b"x")])
 
 
-# -- the commit is sized before anything is allocated ------------------------
+# -- an append commits in its stamps: there is no ring to size or fill -------
+
+def test_there_is_no_ring_and_its_chunks_hold_data():
+    """OX-ELEOS reserves only its two checkpoint slots; a
+    ``wal_chunk_count`` left in a config reserves nothing."""
+    __, __m, ftl, __c = make_stack(config=EleosConfig(
+        buffer_bytes=1 * MIB, wal_chunk_count=4, ckpt_chunks_per_slot=2))
+    assert ftl.journal.wal is None
+    assert ftl.layout.metadata_chunk_keys() == {
+        key for slot in ftl.layout.ckpt_slots for key in slot}
+    assert len(ftl.layout.data_chunk_keys()) == 4 * 16 - 4
+
 
 def test_a_commit_larger_than_the_rest_of_the_ring_costs_no_segment():
-    """At 2d14897 the second append wrote its segment, then ``flush_proc``
-    raised "WAL ring exhausted": the chunk and the empty segment stayed
-    owned, the records stayed buffered, and every later append re-raised.
-    Sized up front, the batch goes behind a checkpoint."""
-    config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=1,
-                         ckpt_chunks_per_slot=2)
+    """At 2d14897 an append whose WAL commit overran the rest of the ring
+    left its chunk and an empty segment owned.  A commit is the append's
+    own stamps now: 5 000 rows, more than a one-chunk ring held, cost
+    one segment and no checkpoint, and survive a crash."""
+    config = EleosConfig(buffer_bytes=1 * MIB, ckpt_chunks_per_slot=2)
     __, media, ftl, __c = make_stack(chunks=16, pages=6, config=config)
     ftl.append_buffer([(1, b"x" * 100)])
-    wal = ftl.journal.wal
-    assert (wal.used_sectors, wal.capacity_sectors) == (24, 48)
     free, checkpoints = ftl.free_chunk_count(), ftl.stats.checkpoints
-    big = [(10 + i, b"y") for i in range(5000)]    # 30 frames -> 48 sectors
-    ftl.append_buffer(big)
-    assert ftl.stats.checkpoints == checkpoints + 2     # before, and after
+    ftl.append_buffer([(10 + i, b"y") for i in range(5000)])
+    assert ftl.stats.checkpoints == checkpoints
     assert (ftl.free_chunk_count(), len(ftl.segments)) == (free - 1, 2)
     ftl.append_buffer([(2, b"small")])
     ftl.crash()
-    recovered, __r = OXEleos.recover(media, config)
+    recovered, report = OXEleos.recover(media, config)
+    assert report.unit_txns_applied == 3
     assert recovered.read_page(1) == b"x" * 100
     assert recovered.read_page(2) == b"small"
     assert recovered.read_page(10 + 4999) == b"y"
 
 
-def test_a_commit_no_empty_ring_could_take_is_refused_before_allocating():
-    config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=1,
-                         ckpt_chunks_per_slot=2)
+def test_a_commit_no_ring_could_take_lands_in_its_stamps():
+    """9 000 pages used to be refused ("enlarge wal_chunk_count"): their
+    rows did not fit an empty ring.  The stamps carry them."""
+    config = EleosConfig(buffer_bytes=1 * MIB, ckpt_chunks_per_slot=2)
     __, media, ftl, __c = make_stack(chunks=16, pages=6, config=config)
-    ftl.append_buffer([(1, b"x" * 100)])
-
-    def state():
-        return (ftl.free_chunk_count(), dict(ftl.segments), dict(ftl.vmap),
-                ftl.journal.wal._writer.frame_count(),
-                ftl.journal.wal.used_sectors, ftl.stats.checkpoints, ftl._next_segment_id, ftl._lock.in_use)
-
-    before = state()
-    for __ in range(2):
-        with pytest.raises(FTLError, match="9000 pages.*wal_chunk_count"):
-            ftl.append_buffer([(10 + i, b"y") for i in range(9000)])
-        assert state() == before
-    ftl.append_buffer([(2, b"small")])
+    ftl.append_buffer([(10 + i, b"y") for i in range(9000)])
     ftl.crash()
     recovered, __r = OXEleos.recover(media, config)
-    assert recovered.read_page(2) == b"small"
+    assert recovered.live_page_ids() == [10 + i for i in range(9000)]
+    assert recovered.read_page(10 + 8999) == b"y"
 
 
 @pytest.mark.parametrize("pages", [1, 168, 169, 170, 338, 339, 3000, 7000])
 def test_no_append_outgrows_the_size_it_was_admitted_with(pages):
-    """The up-front size is an upper bound on what ``flush_proc`` writes,
-    with lazily logged SEGMENT_FREE records in the buffer too."""
-    config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=2,
-                         ckpt_chunks_per_slot=2)
-    __, __m, ftl, __c = make_stack(chunks=16, pages=6, config=config)
+    """An append writes the units it planned and nothing else: no
+    checkpoint, with frees between the appends too."""
+    config = EleosConfig(buffer_bytes=1 * MIB, ckpt_chunks_per_slot=2)
+    device, __m, ftl, __c = make_stack(chunks=16, pages=6, config=config)
+    stats = device.controller.stats
     for round_ in range(3):
         segment = ftl.append_buffer([(0, b"old")])
         ftl.append_buffer([(0, b"new")])
-        ftl.free_segment(segment)          # one more record buffered
-        needed = []
-        sized = ftl.journal.wal.sectors_needed
-        ftl.journal.wal.sectors_needed = lambda frames: (
-            needed.append(sized(frames)), needed[-1])[1]
-        written = ftl.journal.wal.sectors_written
-        checkpoints = ftl.stats.checkpoints
-        ftl.append_buffer([(100 + i, b"p") for i in range(pages)])
-        del ftl.journal.wal.sectors_needed
-        assert 0 < ftl.journal.wal.sectors_written - written <= needed[0]
+        ftl.free_segment(segment)
+        written, checkpoints = stats.sectors_written, ftl.stats.checkpoints
+        segment = ftl.append_buffer([(100 + i, b"p") for i in range(pages)])
+        assert stats.sectors_written - written \
+            == len(ftl.segments[segment]) * ftl.geometry.ws_min
+        assert ftl.stats.checkpoints == checkpoints
         assert ftl.read_page(100 + pages - 1) == b"p"
 
 
-# -- a free costs its flush: lazy SEGMENT_FREE, erases behind it ------------
+# -- a free costs its flush and logs nothing; erases behind it -------------
 
 def test_free_segment_flushes_no_wal_and_erases_side_by_side():
     """The free lasts its device flush (nothing to drain here); its two
@@ -310,19 +303,16 @@ def test_free_segment_flushes_no_wal_and_erases_side_by_side():
     assert len({key[:2] for key in ftl.segment_chunks(seg)}) == 2
     ftl.append_buffer([(1, b"x2"), (2, b"y2")])
     device.flush()
-    written, started = ftl.journal.wal.sectors_written, device.sim.now
+    written, started = device.controller.stats.sectors_written, \
+        device.sim.now
     ftl.free_segment(seg)
     assert device.sim.now == started
-    assert ftl.journal.wal.sectors_written == written
-    assert ftl.journal.wal._writer.frame_count() == 1  # buffered, not flushed
+    assert device.controller.stats.sectors_written == written  # no log
     erases = list(ftl._erasing.values())
     assert len(erases) == 2
     device.sim.run_until(device.sim.all_of(erases))
     erase = device.chips[(0, 0)].timing.erase_time()
     assert device.sim.now - started == pytest.approx(erase, rel=0.05)
-    # The record rides the next append's flush, ahead of its SEGMENT_NEW.
-    ftl.append_buffer([(3, b"z")])
-    assert ftl.journal.wal._writer.frame_count() == 0
 
 
 def test_one_chunk_segments_rotate_over_every_pu_group_first():
@@ -421,8 +411,7 @@ def test_an_erase_that_raises_is_absorbed_and_counted():
     device = OpenChannelSSD(geometry=geometry)
     obs = Obs().attach(device)
     media = MediaManager(device)
-    config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=4,
-                         ckpt_chunks_per_slot=2)
+    config = EleosConfig(buffer_bytes=1 * MIB, ckpt_chunks_per_slot=2)
     ftl = OXEleos.format(media, config)
     old = ftl.append_buffer([(1, b"v1" * (geometry.chunk_size // 2 - 64))])
     ftl.append_buffer([(1, b"v2")])
@@ -451,8 +440,7 @@ def test_failed_erase_is_counted_and_reported():
     device = OpenChannelSSD(geometry=geometry)
     obs = Obs().attach(device)
     media = MediaManager(device)
-    config = EleosConfig(buffer_bytes=1 * MIB, wal_chunk_count=4,
-                         ckpt_chunks_per_slot=2)
+    config = EleosConfig(buffer_bytes=1 * MIB, ckpt_chunks_per_slot=2)
     ftl = OXEleos.format(media, config)
     # Pages that fill their chunks: a freed segment's chunk is closed.
     size = geometry.chunk_size - 4096
@@ -555,6 +543,8 @@ def _delayed(proc, sim, delay, when=lambda *args, **kwargs: True):
 
 
 def test_a_cut_with_the_commit_durable_and_a_unit_not_drops_the_append():
+    """The first run's stamps commit the append, but only with its second
+    run's: the append is torn and dropped whole."""
     device, media, ftl, config = make_stack()
     ftl.append_buffer([(1, b"old one"), (2, b"old two")])
     injector = FaultInjector(FaultPlan()).attach(device)
@@ -563,42 +553,47 @@ def test_a_cut_with_the_commit_durable_and_a_unit_not_drops_the_append():
     second = ftl._pus[(ftl._cursor + 1) % len(ftl._pus)]
     media.write_proc = _delayed(
         media.write_proc, device.sim, 1.0,
-        lambda ppas, data, oob=None, **kwargs:
-            oob[0][0] == "lss" and ppas.key[:2] == second)
-    written = ftl.journal.wal.sectors_written
+        lambda ppas, data, oob=None, **kwargs: ppas.key[:2] == second)
     cut_in(injector, 0.5)
     with pytest.raises(ReproError):
         ftl.append_buffer([(1, b"n" * UNIT), (2, b"m" * 100)])
-    assert ftl.journal.wal.sectors_written > written    # the commit landed
     recovered, report = recover_after_cut(injector, ftl)
-    assert report.txns_dropped == 1
+    assert (report.unit_txns_applied, report.unit_txns_torn) == (1, 1)
     assert recovered.read_page(1) == b"old one"
     assert recovered.read_page(2) == b"old two"
     assert list(space_problems(recovered)) == []
 
 
-def test_a_cut_with_every_unit_durable_and_no_commit_maps_nothing():
+def test_a_cut_with_every_run_durable_before_the_ack_maps_the_append():
+    """The append waits for the dispatch lock while its runs land: cut
+    then, it was never acked, but its stamps all landed and commit it."""
     device, media, ftl, config = make_stack()
+    sim = device.sim
     ftl.append_buffer([(1, b"old one")])
     injector = FaultInjector(FaultPlan()).attach(device)
-    wal = ftl.journal.wal
-    wal.flush_proc = _delayed(wal.flush_proc, device.sim, 1.0)
+
+    def holder():
+        grant = ftl._lock.request()
+        yield grant
+        yield sim.timeout(1.0)
+    sim.spawn(holder())
     opened = dict(ftl.open_chunks())
     cut_in(injector, 0.5)
     try:
         ftl.append_buffer([(1, b"n" * UNIT), (2, b"m" * UNIT)])
     except ReproError:
         pass
+    assert 2 not in ftl.vmap                # never acked
     new = [key for key in ftl.open_chunks().values()
            if key not in opened.values()]
     assert len(new) == 2 and all(
         media.chunk_info(Ppa(*key, 0)).write_pointer == ftl.geometry.ws_min
         for key in new)                     # both units on media
     recovered, report = recover_after_cut(injector, ftl)
-    assert (report.txns_applied, report.txns_dropped) == (1, 0)   # page 1
-    assert recovered.live_page_ids() == [1]
-    assert recovered.read_page(1) == b"old one"
-    assert all(key not in recovered.held_chunks() for key in new)
+    assert (report.unit_txns_applied, report.unit_txns_torn) == (2, 0)
+    assert recovered.live_page_ids() == [1, 2]
+    assert recovered.read_page(1) == b"n" * UNIT
+    assert all(key in recovered.held_chunks() for key in new)
     assert list(space_problems(recovered)) == []
 
 
@@ -701,11 +696,12 @@ def test_power_cut_at_each_step_of_a_clean(step):
     media.flush()
     shadow = {pid: ftl.read_page(pid) for pid in ftl.live_page_ids()}
     assert ftl.segment_live_ratio(victim) == 0.5
+    ftl.checkpoint()    # the clean's free takes none: it returns first
 
     reads = ftl.stats.pages_read
     if step == "relocated":         # relocation append acked, no free yet
         ftl.append_buffer_proc = cut_after(injector, ftl.append_buffer_proc)
-    elif step == "free buffered":   # SEGMENT_FREE buffered, nothing erased
+    elif step == "free buffered":   # the free's flush done, nothing erased
         media.flush_proc = cut_after(injector, media.flush_proc)
     elif step == "erasing":         # 1 ms into the 3.5 ms erases
         media.reset_proc = cut_during(injector, media.reset_proc, 1e-3)
@@ -720,11 +716,9 @@ def test_power_cut_at_each_step_of_a_clean(step):
     assert injector.tripped == (step in CLEAN_STEPS[:3])
     if not injector.tripped:
         assert victim not in ftl.segments
-        assert ftl.journal.wal._writer.frame_count() == 1   # buffered
-        if step == "flushed":       # ... until the next append carries it
+        if step == "flushed":       # an append after the free
             ftl.append_buffer([(50, b"after the free")])
             shadow[50] = b"after the free"
-            assert ftl.journal.wal._writer.frame_count() == 0
         injector.power_cut()
     assert ftl.stats.pages_read - reads == 3        # fetched for relocation
 
@@ -740,11 +734,58 @@ def test_power_cut_at_each_step_of_a_clean(step):
     assert list(space_problems(recovered)) == []
 
 
+@pytest.mark.parametrize("cut", ["before its slot", "inside its slot"])
+def test_power_cut_in_the_checkpoint_a_cleans_free_takes(cut):
+    """Appends opened a chunk per PU since format's checkpoint, so the
+    clean's free takes one after its flush, before any erase.  A cut at
+    its start or inside its slot program loads format's checkpoint, the
+    stamps bring back every acked page, and the victim, which the acked
+    relocation emptied, is dropped."""
+    device, media, ftl, config = make_stack()
+    injector = FaultInjector(FaultPlan())
+    injector.attach(device)
+    engine = LlamaEngine(ftl, LlamaConfig(clean_live_ratio=0.6,
+                                          cache_capacity=2))
+    for pid in range(6):
+        engine.replace(pid, bytes([pid]) * (150 * KIB))
+    victim = engine.flush()
+    for pid in range(3):
+        engine.replace(pid, bytes([pid + 100]) * 300)
+    engine.flush()
+    shadow = {pid: ftl.read_page(pid) for pid in ftl.live_page_ids()}
+    assert ftl._opened >= len(ftl._pus)
+    if cut == "before its slot":
+        checkpoint_proc = ftl._do_checkpoint_proc
+
+        def cut_first(*args, **kwargs):
+            injector.power_cut()
+            return (yield from checkpoint_proc(*args, **kwargs))
+        ftl._do_checkpoint_proc = cut_first
+    else:
+        slots = ftl.journal.checkpointer
+        slots.write_payload_proc = cut_during(
+            injector, slots.write_payload_proc, 1e-6)
+    try:
+        engine.clean_once()     # with the power off it raises, or not
+    except ReproError:
+        pass
+    assert injector.tripped
+    assert victim not in ftl.segments and not ftl._erasing
+
+    recovered, report = recover_after_cut(injector, ftl)
+    assert report.checkpoint_seq == 1
+    assert report.unit_txns_applied == 3    # two flushes, the relocation
+    assert victim not in recovered.segments
+    assert {pid: recovered.read_page(pid) for pid in shadow} == shadow
+    assert recovered.live_page_ids() == sorted(shadow)
+    assert list(space_problems(recovered)) == []
+
+
 def test_randomized_append_free_crash_loop_recovers_every_page():
     """200 seeds of appends, frees and power cuts that land before, inside
-    and after the joined erases — always with a SEGMENT_FREE that was only
-    ever buffered — and a recovery after each: every acknowledged page
-    reads back, every chunk is accounted for."""
+    and after the joined erases — no free is ever logged — and a recovery
+    after each: every acknowledged page reads back, every chunk is
+    accounted for."""
     erase = 3.5e-3
     landed = {"erasing": 0, "erased": 0}
     for seed in range(200):

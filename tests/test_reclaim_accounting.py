@@ -90,8 +90,7 @@ def owners_by_oob(oob):
 # Chunks are 96 KB here, so a buffer can make a five-chunk segment; all
 # 24 pages at their largest still fit one buffer, so the cleaner's
 # relocation batch always does.
-ELEOS_CONFIG = EleosConfig(buffer_bytes=512 * KIB, wal_chunk_count=8,
-                           ckpt_chunks_per_slot=2)
+ELEOS_CONFIG = EleosConfig(buffer_bytes=512 * KIB, ckpt_chunks_per_slot=2)
 
 
 def make_eleos():
@@ -143,13 +142,6 @@ class EleosLiveness(RuleBasedStateMachine):
         self.engine = LlamaEngine(
             self.ftl, LlamaConfig(clean_live_ratio=0.6, cache_capacity=8))
 
-    def _relieve_wal(self):
-        # free_segment logs a record but, unlike append_buffer, never
-        # checkpoints on WAL pressure: a host freeing segments back to
-        # back has to do it, or the ring fills.
-        if self.ftl.journal.wal.fill_fraction() > 0.5:
-            self.ftl.checkpoint()
-
     def _note_new_segments(self):
         for segment_id in self.ftl.segments:
             if segment_id not in self.written:
@@ -178,14 +170,12 @@ class EleosLiveness(RuleBasedStateMachine):
 
     @rule()
     def clean_once(self):
-        self._relieve_wal()
         self.engine.clean_once()
         self._note_new_segments()
 
     @precondition(lambda self: self.ftl.segments)
     @rule(choice=st.integers(0, 1 << 16))
     def free_segment(self, choice):
-        self._relieve_wal()
         segment_id = sorted(self.ftl.segments)[choice % len(self.ftl.segments)]
         if pages_in_segment_by_scan(self.ftl, segment_id):
             with pytest.raises(FTLError, match="still holds live pages"):
