@@ -44,7 +44,6 @@ from repro.ox.ftl.recovery import RecoveryReport, recover_proc
 from repro.ox.ftl.serial import NO_PPA
 from repro.ox.ftl.writebuffer import PAD_LBA, PendingUnit, WriteBuffer
 from repro.ox.media import MediaManager
-from repro.policies import resolve_placement_policy, resolve_victim_policy
 from repro.sim.resources import Resource
 
 
@@ -63,12 +62,6 @@ class BlockConfig:
     gc_headroom_chunks: int = 1
     replay_cpu_per_record: float = 2e-6
     wal_pressure_threshold: float = 0.6   # force a checkpoint beyond this
-    #: GC victim-selection policy (repro.policies): greedy |
-    #: cost_benefit | age_partitioned.
-    gc_policy: str = "greedy"
-    #: Allocation placement policy (repro.policies): striped |
-    #: stream_partitioned | hotcold.
-    placement_policy: str = "striped"
 
 
 @dataclass
@@ -122,7 +115,6 @@ class OXBlock:
             media, page_map, chunk_table, provisioner, journal,
             volatile_pending=lambda: bool(self.buffer.partial_units()),
             stabilize_proc=self._gc_stabilize_proc,
-            victim_policy=resolve_victim_policy(config.gc_policy),
             absorb=self._absorb_notifications)
         self._gc_wakeup = self.sim.event()
         self._daemons = []
@@ -157,9 +149,7 @@ class OXBlock:
         page_map = PageMap(chunk_table.total_sectors,
                            media.geometry.total_chunks
                            * media.geometry.sectors_per_chunk)
-        provisioner = Provisioner(
-            media.geometry, chunk_table,
-            placement=resolve_placement_policy(config.placement_policy))
+        provisioner = Provisioner(media.geometry, chunk_table)
         ftl = cls(media, config, journal, page_map, chunk_table, provisioner)
         ftl.sim.run_until(ftl.sim.spawn(ftl._checkpoint_locked_proc()))
         return ftl
@@ -179,8 +169,7 @@ class OXBlock:
                           config.ckpt_chunks_per_slot)
         state = sim.run_until(sim.spawn(recover_proc(
             media, journal,
-            replay_cpu_per_record=config.replay_cpu_per_record,
-            placement=resolve_placement_policy(config.placement_policy))))
+            replay_cpu_per_record=config.replay_cpu_per_record)))
         ftl = cls(media, config, journal, state.page_map, state.chunk_table,
                   state.provisioner)
         sim.run_until(sim.spawn(ftl._checkpoint_locked_proc()))

@@ -49,7 +49,6 @@ from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.provisioning import Provisioner
 from repro.ox.ftl.serial import NO_PPA, REC_MAP_UPDATE
 from repro.ox.media import MediaManager
-from repro.policies.victim import VictimPolicy
 
 ChunkKey = Tuple[int, int, int]
 
@@ -78,8 +77,7 @@ class GarbageCollector:
     def __init__(self, media: MediaManager, page_map: PageMap,
                  chunk_table: ChunkTable, provisioner: Provisioner,
                  journal: Journal, volatile_pending: Callable[[], bool],
-                 stabilize_proc: Callable, victim_policy: VictimPolicy,
-                 absorb: Callable[[], None]):
+                 stabilize_proc: Callable, absorb: Callable[[], None]):
         self.media = media
         self.sim = media.sim
         # Observability (repro.obs): inherited from the simulator; None
@@ -105,8 +103,6 @@ class GarbageCollector:
         self.absorb = absorb
         self.marked_group = 0
         self.stats = GcStats()
-        # Victim selection is a policy (repro.policies).
-        self.victim_policy = victim_policy
         #: Relocated victims whose commit is still buffered, by key.
         self.pending: Dict[ChunkKey, FtlChunkInfo] = {}
         #: Where the copies of the rounds not yet carried went, durable
@@ -116,10 +112,11 @@ class GarbageCollector:
     # -- victim selection ----------------------------------------------------------
 
     def victims(self, group: int) -> List[FtlChunkInfo]:
-        """The group's GC candidates, in the victim policy's order."""
-        return self.victim_policy.select(
-            [info for info in self.chunk_table.gc_candidates(group)
-             if info.key not in self.pending], self.chunk_table)
+        """The group's GC candidates, greedily: fewest valid sectors
+        first, ties on the chunk's fixed linear index."""
+        return sorted((info for info in self.chunk_table.gc_candidates(group)
+                       if info.key not in self.pending),
+                      key=lambda info: (info.valid_count, info.linear))
 
     def free_chunks(self) -> int:
         """Free chunks as the watermarks count them: pending ones too."""
@@ -185,7 +182,7 @@ class GarbageCollector:
         return recycled
 
     def _round_proc(self, group: int, limit: int):
-        """One round over *group*: its candidates in the policy's order,
+        """One round over *group*: its candidates fewest-valid first,
         at most one per parallel unit and *limit* in all, while their
         live data — worst case every live sector relocated, each victim
         padded to whole write units — still fits the group's GC space."""
@@ -418,8 +415,7 @@ class GarbageCollector:
             obs.end(phase)
 
         # Re-validate under the (held) dispatch lock and commit the moves,
-        # the chunk table once per destination unit — with one clock tick
-        # per moved sector: age-aware victim policies order by those ticks.
+        # the chunk table once per destination unit.
         txn = self.journal.take_txn_id()
         entries: List[Tuple[int, int, int]] = []
         lookup = self.page_map.lookup
@@ -439,7 +435,7 @@ class GarbageCollector:
                     entries.append((lba, new_linear, old_linear))
                 moved = len(entries) - before
                 if moved:
-                    table.add_valid(unit_key, moved, ticks=moved)
+                    table.add_valid(unit_key, moved)
             if len(entries) > left:
                 table.invalidate(key, len(entries) - left)
         self.stats.sectors_relocated += len(entries)

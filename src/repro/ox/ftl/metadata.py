@@ -27,9 +27,6 @@ class FtlChunkState(enum.Enum):
     BAD = 3
 
 
-
-
-
 @dataclass
 class FtlChunkInfo:
     """The FTL's view of one data-region chunk."""
@@ -39,15 +36,6 @@ class FtlChunkInfo:
     valid_count: int = 0
     write_next: int = 0   # next sector the FTL will write in this chunk
     linear: int = 0       # linearized chunk index, fixed at registration
-    # Age bookkeeping for victim-selection policies (repro.policies):
-    # logical stamps from the table's clock, not simulated seconds — GC
-    # cares about ordering, and integer ticks cost nothing on the write
-    # path.  Stamps are volatile (not checkpointed): after recovery all
-    # ages restart at zero and cost-benefit degrades to greedy until
-    # new writes re-establish the ordering.
-    write_seq: int = 0    # table clock when the chunk last absorbed a write
-    erase_seq: int = 0    # table clock at the chunk's last erase (release)
-    erase_count: int = 0  # erases survived (wear input for policies)
 
 
 class ChunkTable:
@@ -68,9 +56,6 @@ class ChunkTable:
         # returned without rebuilding a chunk key per sector.
         self._by_linear: Dict[int, FtlChunkInfo] = {
             info.linear: info for info in self._chunks.values()}
-        # The logical clock behind chunk age: ticks once per validity
-        # gain, so "age" means "writes ago", independent of timing model.
-        self._seq = 0
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -95,32 +80,11 @@ class ChunkTable:
     def values(self) -> Iterator[FtlChunkInfo]:
         return iter(self._chunks.values())
 
-    # -- the policy clock ---------------------------------------------------------
-
-    @property
-    def capacity(self) -> int:
-        """Sectors per chunk (the validity ceiling)."""
-        return self._capacity
-
-    def clock(self) -> int:
-        """The current logical time (monotone, advances on writes).
-
-        The callers' rule: the foreground write path ticks once per
-        staged run (a chunk-contiguous piece of a transaction, at most
-        one write unit — however the host chopped its data into
-        transactions, N units tick N times); GC relocation ticks once
-        per moved sector, applied per destination unit.
-        """
-        return self._seq
-
     # -- validity accounting ------------------------------------------------------
 
-    def add_valid(self, key: ChunkKey, count: int = 1,
-                  ticks: int = 1) -> None:
+    def add_valid(self, key: ChunkKey, count: int = 1) -> None:
         info = self.get(key)
         info.valid_count += count
-        self._seq += ticks
-        info.write_seq = self._seq
         capacity = self._capacity
         if info.valid_count > capacity:
             raise FTLError(
@@ -148,7 +112,7 @@ class ChunkTable:
 
     def gc_candidates(self, group: int) -> List[FtlChunkInfo]:
         """FULL chunks of *group* with at least one invalid sector, in
-        table (linear) order — the raw pool a victim policy orders."""
+        table (linear) order — the raw pool the collector orders."""
         capacity = self.geometry.sectors_per_chunk
         return [info for key, info in self._chunks.items()
                 if key[0] == group

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import FTLError, OutOfSpaceError
 from repro.ocssd.geometry import DeviceGeometry
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
-from repro.policies.placement import PlacementPolicy, StripedPlacement
 
 ChunkKey = Tuple[int, int, int]
 PuKey = Tuple[int, int]
@@ -83,7 +82,7 @@ class MetadataLayout:
 
 @dataclass
 class _StreamState:
-    """Round-robin cursor plus the stream's open chunks and filling unit."""
+    """The stream's round-robin cursor, open chunks and filling unit."""
 
     open_chunks: Dict[PuKey, ChunkKey] = field(default_factory=dict)
     pu_index: int = 0
@@ -97,15 +96,9 @@ class Provisioner:
     """Allocates data-region space in write units, per stream."""
 
     def __init__(self, geometry: DeviceGeometry, table: ChunkTable,
-                 gc_headroom: int = 0,
-                 placement: Optional[PlacementPolicy] = None):
+                 gc_headroom: int = 0):
         self.geometry = geometry
         self.table = table
-        # Placement policy (repro.policies): owns the PU ordering of
-        # every allocation.  The default striped policy reproduces the
-        # legacy round-robin bit-for-bit.
-        self.placement = placement if placement is not None \
-            else StripedPlacement()
         # Free chunks per group that only the "gc" stream may open: GC
         # runs *because* space is low, so without a reservation the
         # collector can find victims but no destination to move their
@@ -133,10 +126,15 @@ class Provisioner:
             self._streams[name] = _StreamState()
         return self._streams[name]
 
-    def _pu_cycle(self, stream: str, state: _StreamState,
+    def _pu_cycle(self, state: _StreamState,
                   group: Optional[int]) -> List[PuKey]:
-        return self.placement.pu_cycle(stream, state, group,
-                                       self._all_pus, self)
+        """Every PU (or the hinted group's), rotated one step further
+        per allocation: the first with space wins, so writes stripe."""
+        pus = (self._all_pus if group is None
+               else [pu for pu in self._all_pus if pu[0] == group])
+        start = state.pu_index % len(pus)
+        state.pu_index += 1
+        return pus[start:] + pus[:start]
 
     # -- allocation ---------------------------------------------------------------
 
@@ -150,12 +148,12 @@ class Provisioner:
         state = self._stream(stream)
         ws_min = self.geometry.ws_min
         reserved = self._reserved(stream)
-        for pu in self._pu_cycle(stream, state, group):
+        for pu in self._pu_cycle(state, group):
             key = state.open_chunks.get(pu)
             if key is None:
                 if not self._free[pu]:
                     continue
-                if self._group_free(pu[0]) <= reserved[pu[0]]:
+                if self.group_free(pu[0]) <= reserved[pu[0]]:
                     continue      # reserved for GC relocation
                 key = self._free[pu].popleft()
                 self._group_free_count[pu[0]] -= 1
@@ -214,8 +212,6 @@ class Provisioner:
                 f"releasing chunk {key} with {info.valid_count} valid sectors")
         info.state = FtlChunkState.FREE
         info.write_next = 0
-        info.erase_seq = self.table.clock()
-        info.erase_count += 1
         self._free[(key[0], key[1])].append(key)
         self._group_free_count[key[0]] += 1
 
@@ -235,12 +231,8 @@ class Provisioner:
     def free_chunks(self) -> int:
         return sum(self._group_free_count.values())
 
-    def _group_free(self, group: int) -> int:
-        return self._group_free_count.get(group, 0)
-
     def group_free(self, group: int) -> int:
-        """Free chunks currently in *group* (placement policies use
-        this to steer their preference order)."""
+        """Free chunks currently in *group*."""
         return self._group_free_count.get(group, 0)
 
     def units_available(self, stream: str = "user",
@@ -280,7 +272,7 @@ class Provisioner:
         for key in state.open_chunks.values():
             total += sectors - self.table.get(key).write_next
         for group in range(self.geometry.num_groups):
-            usable = self._group_free(group) - reserved[group]
+            usable = self.group_free(group) - reserved[group]
             if usable > 0:
                 total += usable * sectors
         return total

@@ -64,12 +64,9 @@ class RecoveredState:
 
 
 def recover_proc(media: MediaManager, journal: Journal,
-                 replay_cpu_per_record: float = 2e-6,
-                 placement=None):
+                 replay_cpu_per_record: float = 2e-6):
     """Process generator: rebuild FTL state from media, positioning
-    *journal* on the way; returns :class:`RecoveredState`.  *placement*
-    (a :class:`repro.policies.PlacementPolicy`) seeds the rebuilt
-    provisioner; None keeps the default striped policy."""
+    *journal* on the way; returns :class:`RecoveredState`."""
     sim = media.sim
     started = sim.now
     report = RecoveryReport()
@@ -221,7 +218,7 @@ def recover_proc(media: MediaManager, journal: Journal,
     # checkpoint, which drains the cache, so no dead sector needs guarding.
     page_map.own_mapped()
 
-    provisioner = Provisioner(geometry, chunk_table, placement=placement)
+    provisioner = Provisioner(geometry, chunk_table)
     for key, write_pointer in open_candidates:
         provisioner.adopt_open_chunk(key, write_pointer, stream="user")
 

@@ -18,7 +18,7 @@ with the cache is exactly as reproducible as one without.
 The effect on write amplification is mechanical: the flash-level WAF
 numerator (host sectors programmed + GC relocations) shrinks by every
 absorbed re-write, which is why the ablation bench's ``wlfc`` rows
-undercut every bare GC policy on overwrite-heavy workloads.
+undercut the bare greedy collector on overwrite-heavy workloads.
 """
 
 from __future__ import annotations

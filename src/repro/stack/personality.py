@@ -26,8 +26,7 @@ from repro.lsm import (
     DB, BlockDevEnv, DBConfig, HorizontalPlacement, LightLSMConfig,
     LightLSMEnv, VerticalPlacement, ZnsEnv)
 from repro.ox import BlockConfig, EleosConfig, OXBlock, OXEleos
-from repro.policies import (
-    PLACEMENT_POLICIES, VICTIM_POLICIES, WlfcConfig, WriteLessCache)
+from repro.policies import WlfcConfig, WriteLessCache
 from repro.zns import OXZns, ZnsConfig
 
 #: host="db" over oxblock: the BlockDevEnv extent size, in chunks (the
@@ -82,13 +81,6 @@ class Workload:
 
 _PLACEMENTS = {"horizontal": HorizontalPlacement,
                "vertical": VerticalPlacement}
-
-
-def _oxblock(stack) -> OXBlock:
-    spec = stack.spec
-    return OXBlock.format(stack.media, BlockConfig(**{
-        "gc_policy": spec.gc_policy,
-        "placement_policy": spec.placement_policy, **spec.ftl_config}))
 
 
 def _db(stack) -> DB:
@@ -159,11 +151,11 @@ def _idle(stack) -> Dict[str, object]:
 
 FTL_ROWS: Dict[str, Ftl] = {
     "oxblock": Ftl(
-        BlockConfig, ("none", "db", "wlfc"), _oxblock,
+        BlockConfig, ("none", "db", "wlfc"), lambda s: OXBlock.format(
+            s.media, BlockConfig(**s.spec.ftl_config)),
         env=lambda s: BlockDevEnv(s.ftl, table_sectors=(
             BLOCKDEV_TABLE_CHUNKS * s.device.geometry.sectors_per_chunk)),
-        menus={"gc_policy": tuple(VICTIM_POLICIES),
-               "placement_policy": tuple(PLACEMENT_POLICIES)},
+        menus={"gc_policy": ("greedy",)},
         surface="block", boundary="block"),
     "eleos": Ftl(EleosConfig, ("llama", "none"), lambda s: OXEleos.format(
         s.media, EleosConfig(**s.spec.ftl_config))),

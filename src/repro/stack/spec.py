@@ -255,10 +255,10 @@ class StackSpec:
     ftl_config: Dict[str, object] = field(default_factory=dict)
     #: LightLSM data placement (Figures 5/6).
     placement: str = "horizontal"
-    #: GC victim selection for ftl="oxblock" (repro.policies).
+    #: OX-Block's GC victim order; its menu holds only "greedy" (DESIGN
+    #: §10).  Kept because the ledger's zipf rows still pass it; it goes
+    #: when those rows become JSON specs.
     gc_policy: str = "greedy"
-    #: PU allocation order for ftl="oxblock" (repro.policies).
-    placement_policy: str = "striped"
     #: Host above the FTL: "auto" (the flavor's first host) or a row of
     #: :data:`repro.stack.personality.HOST_ROWS`.
     host: str = "auto"

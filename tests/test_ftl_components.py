@@ -1,5 +1,5 @@
-"""Unit tests for the modular FTL components: mapping, metadata,
-provisioning, write buffer, serialization."""
+"""Unit tests for the modular FTL components: mapping, metadata, GC
+victim order, provisioning, write buffer, serialization."""
 
 import glob
 import os
@@ -11,13 +11,14 @@ from hypothesis import given, strategies as st
 
 from repro.errors import FTLError, OutOfSpaceError, RecoveryError
 from repro.nand import FlashGeometry
-from repro.ocssd import DeviceGeometry, Ppa
+from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
+from repro.ox import MediaManager
 from repro.ox.ftl import serial
+from repro.ox.ftl.gc import GarbageCollector
 from repro.ox.ftl.mapping import PageMap
 from repro.ox.ftl.metadata import ChunkTable, FtlChunkState
 from repro.ox.ftl.provisioning import MetadataLayout, Provisioner
 from repro.ox.ftl.writebuffer import PAD_LBA, WriteBuffer
-from repro.policies import GreedyVictimPolicy
 
 
 def tiny_geometry(groups=2, pus=2, chunks=8, pages=6) -> DeviceGeometry:
@@ -112,6 +113,22 @@ class TestChunkTable:
                 for c in range(8)]
         return geometry, ChunkTable(geometry, iter(keys))
 
+    @staticmethod
+    def full(table, valid_counts):
+        """Chunks 0.. of PU (0, 0) FULL, holding *valid_counts*."""
+        for chunk, valid in enumerate(valid_counts):
+            info = table.get((0, 0, chunk))
+            info.state = FtlChunkState.FULL
+            info.valid_count = valid
+
+    @staticmethod
+    def victims(table, group=0):
+        """:meth:`GarbageCollector.victims` over *table*, which is all
+        it reads."""
+        media = MediaManager(OpenChannelSSD(geometry=table.geometry))
+        return GarbageCollector(media, None, table, None, None, None, None,
+                                None).victims(group)
+
     def test_valid_accounting(self):
         __, table = self.make()
         table.add_valid((0, 0, 0), 3)
@@ -132,15 +149,24 @@ class TestChunkTable:
 
     def test_victims_sorted_by_invalidity(self):
         geometry, table = self.make()
-        capacity = geometry.sectors_per_chunk
-        for chunk, valid in ((0, capacity), (1, 5), (2, 20), (3, 0)):
-            info = table.get((0, 0, chunk))
-            info.state = FtlChunkState.FULL
-            info.valid_count = valid
-        victims = GreedyVictimPolicy().select(table.gc_candidates(0), table)
+        self.full(table, [geometry.sectors_per_chunk, 5, 20, 0])
+        victims = self.victims(table)
         # Fully-valid chunk excluded; order: most invalid first.
         assert [v.key[2] for v in victims] == [3, 1, 2]
         assert table.gc_candidates(1) == []
+
+    def test_greedy_orders_min_valid_first(self):
+        __, table = self.make()
+        self.full(table, [30, 10, 20, 10])
+        order = self.victims(table)
+        assert [info.valid_count for info in order] == [10, 10, 20, 30]
+        # Equal valid counts break on the fixed linear index.
+        assert [info.key[2] for info in order[:2]] == [1, 3]
+
+    def test_greedy_tie_break_is_linear(self):
+        __, table = self.make()
+        self.full(table, [6, 6, 6, 6])
+        assert [info.key[2] for info in self.victims(table)] == [0, 1, 2, 3]
 
     def test_snapshot_load_roundtrip(self):
         geometry, table = self.make()

@@ -10,7 +10,6 @@ in ``tests/test_reclaim_accounting.py``.
 import random
 from dataclasses import replace
 
-import pytest
 
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
@@ -84,14 +83,12 @@ def assert_reads(ftl, expected):
 
 # -- invariants ------------------------------------------------------------------
 
-@pytest.mark.parametrize("policy",
-                         ["greedy", "cost_benefit", "age_partitioned"])
-def test_invariants_hold_after_every_round(policy):
+def test_invariants_hold_after_every_round():
     """Daemon-driven rounds under an overwrite storm: every victim in the
     marked group, no two on one PU, valid counts and the map agree, no
     physical sector mapped twice, GC space never overdrawn."""
     media, ftl, expected, write = aged(
-        overwrites=0, gc_policy=policy, gc_low_watermark=14,
+        overwrites=0, gc_low_watermark=14,
         gc_high_watermark=20)
     gc, table = ftl.gc, ftl.chunk_table
 

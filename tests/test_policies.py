@@ -1,5 +1,5 @@
-"""The FTL policy lab (repro.policies): victim selection, placement,
-the write-less cache host, and their StackSpec wiring."""
+"""OX-Block's greedy GC victim choice, live; the write-less cache host
+(repro.policies); the StackSpec wiring of both; GC observability."""
 
 import random
 
@@ -9,20 +9,7 @@ from repro.errors import ReproError
 from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ox import BlockConfig, MediaManager, OXBlock
-from repro.ox.ftl.metadata import ChunkTable, FtlChunkState
-from repro.policies import (
-    PLACEMENT_POLICIES,
-    VICTIM_POLICIES,
-    AgePartitionedVictimPolicy,
-    CostBenefitVictimPolicy,
-    GreedyVictimPolicy,
-    TimedVictimPolicy,
-    VictimPolicy,
-    WlfcConfig,
-    WriteLessCache,
-    resolve_placement_policy,
-    resolve_victim_policy,
-)
+from repro.policies import WlfcConfig, WriteLessCache
 from repro.stack import StackSpec, build_stack
 from repro.stack.runner import run_spec
 
@@ -37,100 +24,6 @@ def make_stack(groups=2, pus=2, chunks=16, pages=12, config=None):
     media = MediaManager(device)
     config = config or BlockConfig(wal_chunk_count=4, ckpt_chunks_per_slot=2)
     return device, media, OXBlock.format(media, config), config
-
-
-def make_table(valid_counts, write_seqs=None, groups=1):
-    """A synthetic one-group-per-policy candidate pool: chunk i FULL
-    with the given valid count (and optional last-write stamp)."""
-    geometry = DeviceGeometry(
-        num_groups=max(1, groups), pus_per_group=1,
-        flash=FlashGeometry(blocks_per_plane=max(8, len(valid_counts)),
-                            pages_per_block=6))
-    keys = [(0, 0, chunk) for chunk in range(len(valid_counts))]
-    table = ChunkTable(geometry, iter(keys))
-    for index, key in enumerate(keys):
-        info = table.get(key)
-        info.state = FtlChunkState.FULL
-        info.valid_count = valid_counts[index]
-        if write_seqs is not None:
-            info.write_seq = write_seqs[index]
-            table._seq = max(table._seq, write_seqs[index])
-    return table
-
-
-class TestVictimOrdering:
-    def test_greedy_orders_min_valid_first(self):
-        table = make_table([30, 10, 20, 10])
-        order = GreedyVictimPolicy().select(table.gc_candidates(0), table)
-        assert [info.valid_count for info in order] == [10, 10, 20, 30]
-        # Equal valid counts break on the fixed linear index.
-        assert [info.key[2] for info in order[:2]] == [1, 3]
-
-    def test_default_matches_legacy_stable_sort(self):
-        # The historical collector sorted the table-order candidate list
-        # stably by valid count alone; the default, "greedy", must
-        # reproduce that order exactly, ties included.
-        table = make_table([12, 6, 12, 6, 0, 12, 6])
-        candidates = table.gc_candidates(0)
-        legacy = sorted(candidates, key=lambda info: info.valid_count)
-        assert BlockConfig().gc_policy == StackSpec().gc_policy == "greedy"
-        chosen = resolve_victim_policy("greedy").select(candidates, table)
-        assert [info.key for info in chosen] == [info.key for info in legacy]
-
-    def test_cost_benefit_prefers_old_cold(self):
-        # Same emptiness, different age: the older chunk wins.
-        table = make_table([10, 10], write_seqs=[100, 900])
-        order = CostBenefitVictimPolicy().select(
-            table.gc_candidates(0), table)
-        assert [info.write_seq for info in order] == [100, 900]
-
-    def test_cost_benefit_age_beats_slight_emptiness(self):
-        # A young, slightly emptier chunk loses to an old, slightly
-        # fuller one — the anti-greedy case the policy exists for.
-        table = make_table([10, 12], write_seqs=[990, 10])
-        greedy = GreedyVictimPolicy().select(table.gc_candidates(0), table)
-        assert greedy[0].valid_count == 10
-        cb = CostBenefitVictimPolicy().select(table.gc_candidates(0), table)
-        assert cb[0].valid_count == 12
-        assert cb[0].write_seq == 10
-
-    def test_age_partitioned_offers_cold_generation_first(self):
-        # Youngest chunk is emptiest; it must still wait behind the
-        # cold generation.
-        table = make_table([20, 24, 4, 2],
-                           write_seqs=[10, 20, 900, 950])
-        order = AgePartitionedVictimPolicy().select(
-            table.gc_candidates(0), table)
-        # Cold half (write_seq 10, 20) greedily first, then young half.
-        assert [info.valid_count for info in order] == [20, 24, 2, 4]
-
-    def test_age_partitioned_cold_fraction_validated(self):
-        with pytest.raises(ValueError):
-            AgePartitionedVictimPolicy(cold_fraction=0.0)
-        with pytest.raises(ValueError):
-            AgePartitionedVictimPolicy(cold_fraction=1.5)
-
-    def test_timed_wrapper_transparent_and_records(self):
-        table = make_table([30, 10, 20])
-        timed = TimedVictimPolicy(GreedyVictimPolicy())
-        plain = GreedyVictimPolicy().select(table.gc_candidates(0), table)
-        wrapped = timed.select(table.gc_candidates(0), table)
-        assert [i.key for i in wrapped] == [i.key for i in plain]
-        assert len(timed.samples) == 1
-        assert timed.percentile(99) >= 0.0
-
-    def test_greedy_tie_break_is_linear(self):
-        table = make_table([6, 6, 6, 6])
-        order = GreedyVictimPolicy().select(table.gc_candidates(0), table)
-        assert [info.key[2] for info in order] == [0, 1, 2, 3]
-
-    def test_registry_rejects_unknown_names(self):
-        with pytest.raises(ReproError) as excinfo:
-            resolve_victim_policy("lifo")
-        assert "cost_benefit" in str(excinfo.value)
-        with pytest.raises(ReproError) as excinfo:
-            resolve_placement_policy("diagonal")
-        assert "stream_partitioned" in str(excinfo.value)
 
 
 def _invalidate(ftl, span_units, unit, pattern, ops, seed=7):
@@ -150,11 +43,12 @@ def _invalidate(ftl, span_units, unit, pattern, ops, seed=7):
         ftl.write(pick * unit, payload)
 
 
-def _collect_one(pattern, policy_name):
-    """Fill + invalidate with GC off, then collect exactly one victim
-    under *policy_name*; returns (victim valid count, relocated)."""
+def _collect_one(pattern):
+    """Fill + invalidate with GC off, then collect exactly one victim;
+    returns (its valid count, the fewest valid among the candidates,
+    sectors relocated)."""
     config = BlockConfig(wal_chunk_count=4, ckpt_chunks_per_slot=2,
-                         gc_enabled=False, gc_policy=policy_name)
+                         gc_enabled=False)
     device, __m, ftl, __c = make_stack(config=config)
     geometry = device.geometry
     unit = geometry.ws_min
@@ -167,147 +61,23 @@ def _collect_one(pattern, policy_name):
     ftl.flush()
     device.sim.run()
     group = ftl.gc.marked_group
-    chosen = ftl.gc.victims(group)
-    first_valid = chosen[0].valid_count if chosen else None
+    first_valid = ftl.gc.victims(group)[0].valid_count
+    fewest = min(info.valid_count
+                 for info in ftl.chunk_table.gc_candidates(group))
     recycled = device.sim.run_until(device.sim.spawn(
         ftl.gc.collect_group_locked_proc(group, max_victims=1)))
     assert recycled == 1
-    return first_valid, ftl.gc.stats.sectors_relocated
+    return first_valid, fewest, ftl.gc.stats.sectors_relocated
 
 
 class TestVictimPoliciesLive:
     @pytest.mark.parametrize("pattern", ["uniform", "zipf", "sequential"])
     def test_greedy_minimizes_relocation_per_decision(self, pattern):
-        results = {name: _collect_one(pattern, name)
-                   for name in ("greedy", "cost_benefit",
-                                "age_partitioned")}
-        # One collection relocates exactly the victim's live sectors...
-        for name, (first_valid, relocated) in results.items():
-            assert relocated == first_valid, name
-        # ...and greedy's choice is the cheapest of the three.
-        greedy_cost = results["greedy"][1]
-        for name, (__, relocated) in results.items():
-            assert greedy_cost <= relocated, name
-
-    def test_default_run_bit_identical_to_explicit_legacy(self):
-        class LegacyVictimPolicy(VictimPolicy):
-            """The pre-policy collector's exact ordering: a stable sort
-            of the table-order candidates by valid count alone."""
-            name = "legacy"
-
-            def select(self, candidates, table):
-                return sorted(candidates,
-                              key=lambda info: info.valid_count)
-
-        def hammer(policy):
-            config = BlockConfig(wal_chunk_count=2, ckpt_chunks_per_slot=1,
-                                 gc_low_watermark=6, gc_high_watermark=10)
-            device, __m, ftl, __c = make_stack(groups=2, pus=2, chunks=8,
-                                               pages=6, config=config)
-            if policy is not None:
-                ftl.gc.victim_policy = policy
-            for round_ in range(120):
-                for lba in range(8):
-                    ftl.write(lba, bytes([round_ % 251]) * SS)
-            ftl.flush()
-            device.sim.run()
-            assert ftl.gc.stats.chunks_recycled > 0
-            return (round(device.sim.now, 9), device.sim.events_processed,
-                    ftl.gc.stats.chunks_recycled,
-                    ftl.gc.stats.sectors_relocated)
-
-        assert hammer(None) == hammer(LegacyVictimPolicy())
-
-    def test_policies_change_victim_order_but_preserve_data(self):
-        def run(policy_name):
-            config = BlockConfig(wal_chunk_count=2, ckpt_chunks_per_slot=1,
-                                 gc_low_watermark=6, gc_high_watermark=10,
-                                 gc_policy=policy_name)
-            device, __m, ftl, __c = make_stack(groups=2, pus=2, chunks=8,
-                                               pages=6, config=config)
-            for round_ in range(120):
-                for lba in range(8):
-                    ftl.write(lba, bytes([(round_ + lba) % 251]) * SS)
-            ftl.flush()
-            device.sim.run()
-            assert ftl.gc.stats.chunks_recycled > 0
-            for lba in range(8):
-                assert ftl.read(lba, 1) == bytes([(119 + lba) % 251]) * SS
-            return device.sim.events_processed
-
-        run("cost_benefit")
-        run("age_partitioned")
-
-
-class TestPlacementPolicies:
-    def _spec(self, placement_policy, host="none"):
-        return StackSpec(
-            name=f"place_{placement_policy}",
-            geometry={"num_groups": 4, "pus_per_group": 2,
-                      "chunks_per_pu": 8, "pages_per_block": 6},
-            ftl="oxblock", host=host,
-            placement_policy=placement_policy,
-            workload={"kind": "raw_fill_read", "fill_ops": 40,
-                      "read_ops": 60})
-
-    def _mapped_groups(self, placement_policy, fill_units=12):
-        config = BlockConfig(wal_chunk_count=4, ckpt_chunks_per_slot=1,
-                             placement_policy=placement_policy)
-        device, __m, ftl, __c = make_stack(groups=4, pus=2, chunks=8,
-                                           pages=6, config=config)
-        unit = device.geometry.ws_min
-        payload = bytes(unit * SS)
-        for index in range(fill_units):
-            ftl.write(index * unit, payload)
-        ftl.flush()
-        device.sim.run()
-        return {device.geometry.delinearize(linear).group
-                for __, linear in ftl.page_map.items()}
-
-    def test_alternative_placements_steer_allocation(self):
-        # Striped round-robins every group; the partitioned policy pins
-        # the user stream to its slot's groups (0 and 2 of 4); hotcold
-        # fills its frontier group before advancing, so a small fill
-        # stays wherever the frontier opened.
-        assert self._mapped_groups("striped") == {0, 1, 2, 3}
-        assert self._mapped_groups("stream_partitioned") <= {0, 2}
-        assert len(self._mapped_groups("hotcold", fill_units=6)) == 1
-
-    def test_preference_not_restriction(self):
-        # Every policy must offer the full PU set (preferred first,
-        # fallback after), or out-of-space semantics would change.
-        device, __m, ftl, __c = make_stack(groups=2, pus=2)
-        prov = ftl.provisioner
-        state = prov._stream("user")
-        for name in PLACEMENT_POLICIES:
-            policy = resolve_placement_policy(name)
-            cycle = policy.pu_cycle("user", state, None,
-                                    prov._all_pus, prov)
-            assert sorted(cycle) == sorted(prov._all_pus), name
-
-    def test_gc_group_hint_always_wins(self):
-        # Group-local GC is an invariant: with a group= hint, only that
-        # group's PUs may appear, whatever the policy prefers.
-        device, __m, ftl, __c = make_stack(groups=2, pus=2)
-        prov = ftl.provisioner
-        state = prov._stream("gc")
-        for name in PLACEMENT_POLICIES:
-            policy = resolve_placement_policy(name)
-            cycle = policy.pu_cycle("gc", state, 1,
-                                    prov._all_pus, prov)
-            assert cycle and all(pu[0] == 1 for pu in cycle), name
-
-    def test_data_survives_each_placement(self):
-        for name in ("striped", "stream_partitioned", "hotcold"):
-            config = BlockConfig(wal_chunk_count=4, ckpt_chunks_per_slot=2,
-                                 placement_policy=name)
-            device, __m, ftl, __c = make_stack(config=config)
-            for lba in range(0, 64, 2):
-                ftl.write(lba, bytes([lba % 251]) * SS)
-            ftl.flush()
-            device.sim.run()
-            for lba in range(0, 64, 2):
-                assert ftl.read(lba, 1) == bytes([lba % 251]) * SS, name
+        first_valid, fewest, relocated = _collect_one(pattern)
+        # The victim is the cheapest candidate, and one collection
+        # relocates exactly its live sectors.
+        assert first_valid == fewest
+        assert relocated == first_valid
 
 
 class TestWriteLessCache:
@@ -425,49 +195,48 @@ class TestWriteLessCache:
 
 class TestStackSpecWiring:
     def test_unknown_policy_names_rejected_with_menu(self):
-        with pytest.raises(ReproError) as excinfo:
-            StackSpec(ftl="oxblock", gc_policy="fifo").validate()
-        message = str(excinfo.value)
-        assert "gc_policy" in message and "cost_benefit" in message
-        with pytest.raises(ReproError) as excinfo:
-            StackSpec(ftl="oxblock", placement_policy="fifo").validate()
-        message = str(excinfo.value)
-        assert "placement_policy" in message and "hotcold" in message
+        # gc_policy's menu is greedy alone; any other order and the
+        # placement field are refused, each naming the field.
+        for name in ("fifo", "lifo"):
+            with pytest.raises(ReproError) as excinfo:
+                StackSpec(ftl="oxblock", gc_policy=name).validate()
+            message = str(excinfo.value)
+            assert "gc_policy" in message and "('greedy',)" in message
+        with pytest.raises(ReproError, match="placement_policy"):
+            StackSpec.from_dict({"ftl": "oxblock",
+                                 "placement_policy": "striped"})
+        for key in ("gc_policy", "placement_policy"):
+            with pytest.raises(ReproError, match=f"ftl_config.*{key}"):
+                StackSpec(ftl="oxblock",
+                          ftl_config={key: "greedy"}).validate()
 
     def test_policies_require_oxblock(self):
         with pytest.raises(ReproError):
-            StackSpec(ftl="lightlsm", gc_policy="cost_benefit").validate()
-        with pytest.raises(ReproError):
-            StackSpec(ftl="zns",
-                      placement_policy="stream_partitioned").validate()
+            StackSpec(ftl="lightlsm", gc_policy="lifo").validate()
         with pytest.raises(ReproError):
             StackSpec(ftl="eleos", host="wlfc").validate()
-        # The fields' defaults name what the other FTLs leave unused.
-        StackSpec(ftl="lightlsm", gc_policy="greedy",
-                  placement_policy="striped").validate()
+        # The field's default names what the other FTLs leave unused.
+        StackSpec(ftl="lightlsm", gc_policy="greedy").validate()
 
     def test_one_name_per_policy(self):
-        # "default" used to alias greedy / striped in all four menus.
-        assert next(iter(VICTIM_POLICIES)) == StackSpec().gc_policy
-        assert (next(iter(PLACEMENT_POLICIES))
-                == StackSpec().placement_policy == "striped")
-        for field in ("gc_policy", "placement_policy"):
-            with pytest.raises(ReproError, match="default"):
-                StackSpec(ftl="oxblock", **{field: "default"}).validate()
+        # "default" used to alias greedy in the victim menu.
+        assert StackSpec().gc_policy == "greedy"
+        with pytest.raises(ReproError, match="default"):
+            StackSpec(ftl="oxblock", gc_policy="default").validate()
 
     def test_spec_round_trips_policy_fields(self):
-        spec = StackSpec(ftl="oxblock", gc_policy="cost_benefit",
-                         placement_policy="hotcold", host="wlfc",
+        spec = StackSpec(ftl="oxblock", gc_policy="greedy", host="wlfc",
                          wlfc={"cache_sectors": 128})
         clone = StackSpec.from_dict(spec.to_dict())
-        assert clone.gc_policy == "cost_benefit"
-        assert clone.placement_policy == "hotcold"
+        assert clone.gc_policy == "greedy"
         assert clone.wlfc == {"cache_sectors": 128}
 
     def test_build_wires_gc_policy(self):
+        # OX-Block's config is ftl_config alone: gc_policy adds nothing.
         stack = build_stack(StackSpec(
-            ftl="oxblock", gc_policy="cost_benefit", host="none"))
-        assert stack.ftl.gc.victim_policy.name == "cost_benefit"
+            ftl="oxblock", gc_policy="greedy", host="none",
+            ftl_config={"gc_low_watermark": 3}))
+        assert stack.ftl.config == BlockConfig(gc_low_watermark=3)
 
     def test_build_wires_wlfc_host(self):
         stack = build_stack(StackSpec(
@@ -484,12 +253,6 @@ class TestStackSpecWiring:
         assert metrics["wlfc_host_sectors"] > 0
         assert metrics["wlfc_flash_sectors"] <= metrics["wlfc_host_sectors"]
         assert "wlfc_write_reduction" in metrics
-
-    def test_ftl_config_override_beats_spec_passthrough(self):
-        stack = build_stack(StackSpec(
-            ftl="oxblock", gc_policy="greedy",
-            ftl_config={"gc_policy": "age_partitioned"}, host="none"))
-        assert stack.ftl.gc.victim_policy.name == "age_partitioned"
 
 
 class TestObservability:

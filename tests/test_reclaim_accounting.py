@@ -419,8 +419,8 @@ def relocate_round_of_one_proc(gc, key, live):
 def relocate_per_sector_proc(gc, key, live, parent=None):
     """The collector's relocation of one victim as it was before
     addresses travelled as runs and victims as rounds: one ``Ppa`` per
-    source and destination sector, one ``add_valid`` (one clock tick) and
-    one ``invalidate`` per moved sector, one transaction per victim.  Kept
+    source and destination sector, one ``add_valid`` and one
+    ``invalidate`` per moved sector, one transaction per victim.  Kept
     as the definition the round must equal; only its barrier follows the
     collector's (device flush, then the commit buffered, after the
     re-validation)."""
@@ -477,7 +477,7 @@ def relocate_per_sector_proc(gc, key, live, parent=None):
     return True
 
 
-def relocated_twin(policy, seed, relocate_proc, units_left=None):
+def relocated_twin(seed, relocate_proc, units_left=None):
     """One aged OX-Block, then the three fullest victims of group 0
     (scattered live runs, two units each) relocated through
     *relocate_proc* while host overwrites of a third of their live LBAs
@@ -489,8 +489,7 @@ def relocated_twin(policy, seed, relocate_proc, units_left=None):
         flash=FlashGeometry(blocks_per_plane=8, pages_per_block=6))
     media = MediaManager(OpenChannelSSD(geometry=geometry))
     ftl = OXBlock.format(media, BlockConfig(
-        wal_chunk_count=2, ckpt_chunks_per_slot=1, gc_enabled=False,
-        gc_policy=policy))
+        wal_chunk_count=2, ckpt_chunks_per_slot=1, gc_enabled=False))
     gc, sim = ftl.gc, media.sim
     rng = random.Random(seed)
     unit = geometry.ws_min
@@ -549,9 +548,8 @@ def relocated_twin(policy, seed, relocate_proc, units_left=None):
     return {
         "outcomes": outcomes,
         "map": list(ftl.page_map.items()),
-        "chunks": [(info.key, info.state, info.valid_count, info.write_seq,
-                    info.write_next) for info in table.values()],
-        "clock": table.clock(),
+        "chunks": [(info.key, info.state, info.valid_count, info.write_next)
+                   for info in table.values()],
         "wal": logged,
         "wal_sectors": ftl.journal.wal.sectors_written,
         "relocated": gc.stats.sectors_relocated,
@@ -566,18 +564,16 @@ def relocated_twin(policy, seed, relocate_proc, units_left=None):
     }
 
 
-@pytest.mark.parametrize("policy",
-                         ["greedy", "cost_benefit", "age_partitioned"])
 @pytest.mark.parametrize("seed", range(3))
-def test_gc_relocation_commit_matches_the_per_sector_reference(policy, seed):
+def test_gc_relocation_commit_matches_the_per_sector_reference(seed):
     """Source runs, one destination run per unit and the per-unit commit
-    (``add_valid(key, n, ticks=n)``) leave the map, every chunk's
-    ``valid_count`` / ``write_seq``, the table clock, the WAL entries, the
-    device and the sim clock exactly where one ``Ppa``, one ``add_valid``
-    and one ``invalidate`` per sector did — so every victim policy orders
-    the next victims the same."""
-    by_run = relocated_twin(policy, seed, relocate_round_of_one_proc)
-    by_sector = relocated_twin(policy, seed, relocate_per_sector_proc)
+    (``add_valid(key, n)``) leave the map, every chunk's
+    ``valid_count``, the WAL entries, the device and the sim clock
+    exactly where one ``Ppa``, one ``add_valid`` and one ``invalidate``
+    per sector did — so the collector orders the next victims the
+    same."""
+    by_run = relocated_twin(seed, relocate_round_of_one_proc)
+    by_sector = relocated_twin(seed, relocate_per_sector_proc)
     assert by_run == by_sector
     assert any(outcome for *__, outcome in by_run["outcomes"])
     # The race mattered: fewer sectors committed than were copied.
@@ -589,10 +585,8 @@ def test_gc_relocation_abort_pads_the_same_units():
     """GC space running dry mid-relocation: the units already taken are
     padded out as dead sectors by one write of destination runs, as the
     per-sector vector was, and the victim is skipped."""
-    by_run = relocated_twin("greedy", 0, relocate_round_of_one_proc,
-                            units_left=1)
-    by_sector = relocated_twin("greedy", 0, relocate_per_sector_proc,
-                               units_left=1)
+    by_run = relocated_twin(0, relocate_round_of_one_proc, units_left=1)
+    by_sector = relocated_twin(0, relocate_per_sector_proc, units_left=1)
     assert by_run == by_sector
     assert [outcome for *__, outcome in by_run["outcomes"]].count(False) \
         and by_run["skips"]
@@ -600,7 +594,7 @@ def test_gc_relocation_abort_pads_the_same_units():
 
 # -- OX-Block GC round vs. the per-sector reference, victim by victim -----------------
 
-def aged_block(policy, history):
+def aged_block(history):
     """An OX-Block (2 groups x 4 PUs, GC off) filled over two chunks per
     PU of group 0 and then put through *history* — ``(lba, sectors)``
     overwrites, ``sectors == 0`` a trim — with the payloads it must now
@@ -610,8 +604,7 @@ def aged_block(policy, history):
         flash=FlashGeometry(blocks_per_plane=8, pages_per_block=6))
     media = MediaManager(OpenChannelSSD(geometry=geometry))
     ftl = OXBlock.format(media, BlockConfig(
-        wal_chunk_count=8, ckpt_chunks_per_slot=1, gc_enabled=False,
-        gc_policy=policy))
+        wal_chunk_count=8, ckpt_chunks_per_slot=1, gc_enabled=False))
     unit = geometry.ws_min
     span = 16 * geometry.sectors_per_chunk
     expected = {}
@@ -649,18 +642,17 @@ def round_state(media, ftl, expected):
 
 
 @settings(max_examples=25, deadline=None)
-@given(policy=st.sampled_from(["greedy", "cost_benefit", "age_partitioned"]),
-       width=st.integers(1, 4),
+@given(width=st.integers(1, 4),
        history=st.lists(st.tuples(st.integers(0, 16 * 48 - 1),
                                   st.integers(0, 30)),
                         min_size=5, max_size=60))
-def test_gc_round_matches_sequential_per_sector_runs(policy, width, history):
+def test_gc_round_matches_sequential_per_sector_runs(width, history):
     """One round of *width* victims — one commit, one flush, everything
     else side by side — leaves the map, every chunk's valid count, the
     free pool and every readable payload exactly where the per-sector
     reference, run over the same victims one after another, leaves them.
     (The WAL bytes differ: one transaction, not *width*.)"""
-    media, ftl, expected = aged_block(policy, history)
+    media, ftl, expected = aged_block(history)
     chosen = []
     recycle = ftl.gc._recycle_proc
     ftl.gc._recycle_proc = lambda victims: (
@@ -672,7 +664,7 @@ def test_gc_round_matches_sequential_per_sector_runs(policy, width, history):
     assert all(key[0] == 0 for key in chosen)
     by_round = round_state(media, ftl, expected)
 
-    media, ftl, expected = aged_block(policy, history)
+    media, ftl, expected = aged_block(history)
     gc = ftl.gc
     for key in chosen:
         live, unsafe = gc._find_live_sectors(

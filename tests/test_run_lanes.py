@@ -8,9 +8,6 @@ instances — one through ``allocate_run`` / ``stage_run``, one through the
 oracles — with random transaction sizes, overwrites, flush padding and
 unit completions, and every observable must match: PPAs, unit boundaries,
 read-your-writes contents, sequence numbers, completed-unit order.
-
-The last section pins the chunk-table tick rule the single lane makes
-possible: one tick per staged run, however the host chops its data.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from repro.ocssd import DeviceGeometry, Ppa
 from repro.ox.ftl.metadata import ChunkTable
 from repro.ox.ftl.provisioning import MetadataLayout, Provisioner
 from repro.ox.ftl.writebuffer import PAD_LBA, PendingUnit, WriteBuffer
-from repro.stack import StackSpec, build_stack
 
 SECTOR = 16
 
@@ -262,37 +258,3 @@ def test_rejections_match_the_per_sector_lane():
         sector_buffer.stage(PAD_LBA, Ppa(*key, sector), b"")
     assert buffer_state(run_buffer) == buffer_state(sector_buffer)
     assert run_buffer.lookup(PAD_LBA) is None
-
-
-# -- the tick rule -----------------------------------------------------------------------
-
-def _chunk_ages(chop):
-    """Write ``sum(chop)`` units sequentially, as transactions of
-    ``chop[i]`` units each; return the policy clock and every chunk's
-    last-write stamp."""
-    stack = build_stack(StackSpec(
-        name="tick-rule", seed=1,
-        geometry={"num_groups": 2, "pus_per_group": 2,
-                  "chunks_per_pu": 12, "pages_per_block": 6},
-        ftl="oxblock", host="none"))
-    ftl = stack.ftl
-    unit = stack.device.geometry.ws_min
-    sector = stack.device.geometry.sector_size
-    lba = 0
-    for units in chop:
-        ftl.write(lba, bytes([units]) * (sector * unit * units))
-        lba += unit * units
-    table = ftl.chunk_table
-    return table.clock(), {key: info.write_seq
-                           for key, info in table.items()}
-
-
-@pytest.mark.parametrize("units", [2, 6])
-def test_chunk_age_does_not_depend_on_how_the_host_chops(units):
-    """The per-sector lane ticked the chunk-table clock ``ws_min`` times
-    per unit, the fused lane once: the same data aged chunks 24x faster
-    written as one transaction than as *units* one-unit transactions."""
-    whole = _chunk_ages([units])
-    assert whole == _chunk_ages([1] * units)
-    assert whole == _chunk_ages([units // 2, units - units // 2])
-    assert whole[0] == units

@@ -5,15 +5,14 @@ simulated timeline must not move.  Each scenario below runs a smoke-scale
 reclaim loop and compares ``(sim.now, sim.events_processed)`` plus every
 public counter of the layers involved against golden values captured on
 the commit *before* incremental liveness accounting landed (c0a1c8d).  A
-skipped chunk-table clock tick, a reordered victim or a dropped device
-command changes at least one of them.  The mixed-shape scenario does the
+miscounted valid sector, a reordered victim or a dropped device command
+changes at least one of them.  The mixed-shape scenario does the
 same for foreground reads and writes of every shape (goldens from aaf8de2,
 the commit before they moved onto one run-based lane each way).
 
 Two rows pin planes that are opt-in and must cost nothing, in simulated
-time, while off: ``perf_macro`` (the perf-trajectory macro bench with
-every policy knob at its default lands where the pre-policy collector
-did) and ``lsm_default_fill`` (a LightLSM fill with every worker count
+time, while off: ``perf_macro`` (the perf-trajectory macro bench lands
+where the collector did before the planes existed) and ``lsm_default_fill`` (a LightLSM fill with every worker count
 at 1 keeps the single-daemon engine's timeline, down to the digest of
 the per-put latency series).  ``lsm_zns_scan`` and
 ``lsm_lightlsm_get`` pin the LSM data plane itself — flush, compaction,
@@ -96,14 +95,14 @@ def _eleos_llama_clean_loop():
     return _run_eleos_llama_clean_loop()[1]
 
 
-def _run_zipf_overwrite_gc(gc_policy: str, obs: bool = False):
+def _run_zipf_overwrite_gc(obs: bool = False):
     stack = build_stack(StackSpec(
         name="pin-gc-zipf", seed=5,
         geometry={"num_groups": 2, "pus_per_group": 2,
                   "chunks_per_pu": 12, "pages_per_block": 6},
         ftl="oxblock",
         ftl_config={"gc_low_watermark": 6, "gc_high_watermark": 10},
-        gc_policy=gc_policy, obs=obs))
+        obs=obs))
     ftl, sim = stack.ftl, stack.sim
     geometry = stack.device.geometry
     unit = geometry.ws_min
@@ -132,13 +131,12 @@ def _run_zipf_overwrite_gc(gc_policy: str, obs: bool = False):
     return stack, {
         "now": sim.now, "events": sim.events_processed,
         "gc": dataclasses.asdict(ftl.gc.stats),
-        "clock": ftl.chunk_table.clock(),
         "sectors_written": stack.device.controller.stats.sectors_written,
         "sectors_read": stack.device.controller.stats.sectors_read}
 
 
-def _zipf_overwrite_gc(gc_policy: str):
-    return _run_zipf_overwrite_gc(gc_policy)[1]
+def _zipf_overwrite_gc():
+    return _run_zipf_overwrite_gc()[1]
 
 
 def _run_mixed_shapes(host: str, obs: bool = False):
@@ -413,44 +411,8 @@ def _lsm_lightlsm_get():
     return _lsm_row(stack, written, delivered)
 
 
-# Captured by `PYTHONPATH=src python tests/test_sim_identity.py`.  Every row
-# whose scenario cleans, collects, checkpoints or resets a zone (the eight
-# before the LSM ones, and `lsm_zns_scan`) was regenerated when every FTL
-# began to issue unordered device work together (PR 22: the sim clock
-# moved on purpose; CHANGES.md lists old -> new).  The three LSM rows were
-# regenerated when compactions began to read at their tables' width (each
-# row's comment keeps its old values).  The two OX-ELEOS rows were
-# regenerated when its segments began to rotate over every PU and a free
-# stopped waiting for its erases (0.9119875 s / 5158 events, segments crc
-# 2939749507; metadata WAL sha 'a09718609be93db4', checkpoint sha
-# 'c7db583942724296' before).  The five OX-Block GC rows and
-# `metadata_greedy` were regenerated when a GC round's commit began to ride
-# the next WAL flush and the GC headroom to count open gc room (before:
-# greedy 4.5727105 s / 14212 events, cost_benefit 4.4509766 / 14343,
-# age_partitioned 4.5552984 / 14266, mixed_none 4.4623812 / 33704,
-# mixed_wlfc 4.0659793 / 27756; metadata WAL 16080 sectors sha
-# '13134aeb18827db7', checkpoint 1632 '4329b4edd0d300d9'), and again
-# when the carry, not the round, began to flush the round's copies
-# (greedy 4.0223805 / 12648, cost_benefit 3.9354766 / 12480,
-# age_partitioned 3.8831582 / 12429, mixed_none 2.0938051 / 9376,
-# mixed_wlfc 2.2977102 / 9085; every count unchanged).  Those five,
-# `metadata_greedy` and `perf_macro` were regenerated when a whole-unit
-# write with nothing else buffered began to commit in its own units' OOB
-# stamps instead of a WAL unit (before: greedy 3.7159023 / 12564,
-# cost_benefit 3.6268609 / 12410, age_partitioned 3.5889895 / 12353,
-# mixed_none 2.0776062 / 9333, mixed_wlfc 2.2815949 / 9059; metadata WAL
-# 11592 sectors sha 'dc2f475f1753b67b', checkpoint 1200
-# '9860282cbcd7e3f5'; perf_macro 7.234094 s / 80886 events).  The two
-# OX-ELEOS rows were regenerated again when an append began to write FUA
-# runs of whole units over shared open chunks and segments to own units
-# (0.7872203124999996 s / 5283 events, segments crc 1043689330; metadata
-# WAL sha '1508e4ec0c3c8169', checkpoint sha 'ab68c7580cded7d2' before;
-# every count the same), and again when an append began to commit in its
-# runs' OOB stamps instead of the WAL (0.6993382812499981 s / 5304 events
-# and 18 checkpoints before; metadata WAL 2040 sectors sha
-# 'eb46809e13cc3fe2', checkpoint 432 sectors sha 'a75ccacb0a6ca72a'),
-# and once more when its ring's chunks went to data (segments crc
-# 2519951271, checkpoint sha '4f9fa51ba8fd2a47'; clock and counts equal).
+# Captured by `PYTHONPATH=src python tests/test_sim_identity.py`; CHANGES.md
+# names every row regenerated since, with its old values.
 GOLDEN = {'eleos_llama': {'now': 0.46069335937499023,
                  'events': 4688,
                  'eleos': {'buffers_appended': 85,
@@ -478,33 +440,8 @@ GOLDEN = {'eleos_llama': {'now': 0.46069335937499023,
                    'group_rotations': 245,
                    'skips_no_space': 4,
                    'deferrals_unsafe': 0},
-            'clock': 7639,
             'sectors_written': 19416,
             'sectors_read': 7329},
- 'cost_benefit': {'now': 2.7763570312499093,
-                  'events': 8450,
-                  'gc': {'chunks_recycled': 329,
-                         'sectors_relocated': 7176,
-                         'resets': 329,
-                         'reset_failures': 0,
-                         'group_rotations': 249,
-                         'skips_no_space': 10,
-                         'deferrals_unsafe': 0},
-                  'clock': 7591,
-                  'sectors_written': 19440,
-                  'sectors_read': 7281},
- 'age_partitioned': {'now': 2.719133984374916,
-                     'events': 8484,
-                     'gc': {'chunks_recycled': 328,
-                            'sectors_relocated': 7152,
-                            'resets': 328,
-                            'reset_failures': 0,
-                            'group_rotations': 255,
-                            'skips_no_space': 6,
-                            'deferrals_unsafe': 0},
-                     'clock': 7567,
-                     'sectors_written': 19440,
-                     'sectors_read': 7257},
  # The two mixed-shape rows (every foreground read/write shape).
  'mixed_none': {'now': 1.9166406250000099,
                 'events': 8603,
@@ -628,10 +565,8 @@ def test_eleos_llama_clean_loop_is_sim_identical():
     assert _eleos_llama_clean_loop() == GOLDEN["eleos_llama"]
 
 
-@pytest.mark.parametrize(
-    "gc_policy", ["greedy", "cost_benefit", "age_partitioned"])
-def test_zipf_overwrite_gc_is_sim_identical(gc_policy):
-    assert _zipf_overwrite_gc(gc_policy) == GOLDEN[gc_policy]
+def test_zipf_overwrite_gc_is_sim_identical():
+    assert _zipf_overwrite_gc() == GOLDEN["greedy"]
 
 
 def test_gc_scenario_builds_no_per_sector_addresses(monkeypatch):
@@ -651,7 +586,7 @@ def test_gc_scenario_builds_no_per_sector_addresses(monkeypatch):
         made.append(1), new(cls, *args, **kwargs))[1])
     monkeypatch.setattr(OXBlock, "write", lambda self, lba, data: (
         writes.append(1), write(self, lba, data))[1])
-    assert _zipf_overwrite_gc("greedy") == GOLDEN["greedy"]
+    assert _zipf_overwrite_gc() == GOLDEN["greedy"]
     assert len(made) / len(writes) <= 5.0
 
 
@@ -661,7 +596,7 @@ def test_mixed_shapes_are_sim_identical(host):
 
 
 def test_metadata_plane_writes_the_same_bytes():
-    assert _metadata_bytes(_zipf_overwrite_gc, "greedy") \
+    assert _metadata_bytes(_zipf_overwrite_gc) \
         == GOLDEN["metadata_greedy"]
     assert _metadata_bytes(_eleos_llama_clean_loop) \
         == GOLDEN["metadata_eleos_llama"]
@@ -716,7 +651,7 @@ TRACED = {
         ("ftl", "append"), ("ftl", "read"), ("ftl", "free"),
         ("ftl", "checkpoint"), ("ftl", "erase"), ("llama", "flush"),
         ("llama", "read"), ("llama", "clean"), ("llama", "fetch")}),
-    "greedy": (_run_zipf_overwrite_gc, ("greedy",), {
+    "greedy": (_run_zipf_overwrite_gc, (), {
         ("ftl", "checkpoint"), ("ftl.wal", "truncate"),
         ("ftl.gc", "collect"), ("ftl.gc", "copy"),
         ("ftl.gc", "flush"), ("ftl.gc", "reset")}),
@@ -823,11 +758,10 @@ def test_a_zone_reset_join_splits_along_its_critical_path():
 if __name__ == "__main__":   # regenerate: PYTHONPATH=src python tests/test_sim_identity.py
     import pprint
     golden = {"eleos_llama": _eleos_llama_clean_loop()}
-    for policy in ("greedy", "cost_benefit", "age_partitioned"):
-        golden[policy] = _zipf_overwrite_gc(policy)
+    golden["greedy"] = _zipf_overwrite_gc()
     for host in ("none", "wlfc"):
         golden[f"mixed_{host}"] = _mixed_shapes(host)
-    golden["metadata_greedy"] = _metadata_bytes(_zipf_overwrite_gc, "greedy")
+    golden["metadata_greedy"] = _metadata_bytes(_zipf_overwrite_gc)
     golden["metadata_eleos_llama"] = _metadata_bytes(_eleos_llama_clean_loop)
     golden["perf_macro"] = _perf_macro()
     golden["lsm_default_fill"] = _lsm_default_fill()

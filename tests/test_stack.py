@@ -546,8 +546,8 @@ SCHEMA_MEANING = {
     "ftl_config": "kwargs of the flavour's config class; non-empty needs "
                   "an FTL",
     "placement": "LightLSM data placement (Figures 5/6)",
-    "gc_policy": "`repro.policies` victim selection (§10)",
-    "placement_policy": "`repro.policies` PU allocation order (§10)",
+    "gc_policy": "OX-Block's GC victim order, a one-entry menu the "
+                 "ledger's zipf rows still pass (§10)",
     "host": "the host above the FTL (`auto`: the flavour's first host)",
     "wlfc": "kwargs of the host's config class; non-empty needs that "
             "resolved host",
@@ -582,8 +582,9 @@ def design_stack_tables() -> str:
                       None)
         if f.name in menus:
             owner, menu = menus[f.name]
-            meaning += (f": {_cells(menu)}; a non-default needs "
-                        f"`ftl=\"{owner}\"`")
+            meaning += f": {_cells(menu)}"
+            if len(menu) > 1:
+                meaning += f"; a non-default needs `ftl=\"{owner}\"`"
         elif f.name in enums:
             meaning += f": {_cells(enums[f.name])}"
         elif is_dataclass(sub):
