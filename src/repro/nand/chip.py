@@ -74,8 +74,7 @@ class FlashChip:
         # property/enum chain on every program and read.
         self._write_unit = self.geometry.write_unit_sectors
         self._block_sectors = self.geometry.sectors_per_chunk
-        self._group_sectors = (self.geometry.sectors_per_page
-                               * self.geometry.planes)
+        self._group_sectors = self.geometry.read_unit_sectors
         self._paired_pages = self.geometry.cell.bits_per_cell
         # Sidecars (repro.sidecar): None in normal operation, so the hot
         # paths pay one attribute load + identity check per op.  The chip
@@ -99,11 +98,6 @@ class FlashChip:
     def sectors_per_block(self) -> int:
         """Sectors in one block set (= one OCSSD chunk)."""
         return self.geometry.sectors_per_chunk
-
-    @property
-    def sectors_per_page_group(self) -> int:
-        """Sectors spanned by one multi-plane page address."""
-        return self.geometry.sectors_per_page * self.geometry.planes
 
     # -- operations ----------------------------------------------------------
 

@@ -69,6 +69,11 @@ class FlashGeometry:
     def write_unit_bytes(self) -> int:
         return self.write_unit_sectors * self.sector_size
 
+    @property
+    def read_unit_sectors(self) -> int:
+        """Sectors one sense (tR) reads: a page on every plane."""
+        return self.planes * self.sectors_per_page
+
     # -- chunk view ---------------------------------------------------------
     # A chunk (OCSSD unit of sequential write) spans one block on every
     # plane of the chip: plane-paired pages are always programmed together,

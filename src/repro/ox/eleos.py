@@ -11,15 +11,17 @@ Design:
 
 * :meth:`append_buffer` takes one LSS I/O buffer — a list of
   ``(page_id, payload)`` pairs with payloads of *arbitrary byte sizes* —
-  packs them back to back and cuts the stream into **runs** of whole
+  counts them back to back and cuts the stream into **runs** of whole
   write units, as many as the buffer has units but at most one per
   parallel unit (PU), taken group-first from a cursor kept across
   appends.  Each PU keeps one open data chunk and a run goes at its write
   pointer, so consecutive appends share chunks.  A page never crosses a
   run boundary and a run never a chunk boundary, so a page is always
-  covered by a contiguous run of sectors.  The runs are written FUA, side
-  by side: nothing of an append is left in the controller cache behind
-  its ack.
+  covered by a contiguous run of sectors.  **Sense rule:** in the run's
+  sectors a page is placed to touch ``ceil(length / group)`` multi-plane
+  sense groups (``FlashGeometry.read_unit_sectors``, one tR each) where
+  the run's padding has room.  The runs are written FUA, side by side:
+  nothing of an append is left in the controller cache behind its ack.
 * An append **commits where it lands**: every sector of its runs carries
   in its OOB the rows ``(page_id, offset, length)`` of the pages starting
   there, the append's id, its sector count and a horizon: every id up to
@@ -98,6 +100,38 @@ class EleosStats:
     segments_freed: int = 0
     checkpoints: int = 0
     chunks_retired: int = 0     # erases that failed: grown bad blocks
+
+
+def _place(sizes: List[int], room: int, group: int) -> List[int]:
+    """Byte offsets of pages of *sizes* in a run of *room* bytes, by the
+    sense rule: first-fit-decreasing into its groups of *group* bytes; if
+    a page is left out, in order instead, a page that would touch an extra
+    group moved up to the next boundary if the pages from it on still fit."""
+    fill, offsets = [0] * (room // group), [0] * len(sizes)
+    for index in sorted(range(len(sizes)), key=sizes.__getitem__,
+                        reverse=True):
+        size = sizes[index]
+        span = -(-size // group)
+        for at in range(len(fill) - span + 1):
+            if fill[at] + size <= span * group \
+                    and not any(fill[at + 1:at + span]):
+                break
+        else:
+            break
+        offsets[index] = at * group + fill[at]
+        fill[at:at + span] = [group] * (span - 1) + [
+            fill[at] + size - (span - 1) * group]
+    else:
+        return offsets
+    position, left = 0, sum(sizes)
+    for index, size in enumerate(sizes):
+        aligned = -(-position // group) * group
+        if position % group + size > -(-size // group) * group \
+                and aligned + left <= room:
+            position = aligned
+        offsets[index] = position
+        position, left = position + size, left - size
+    return offsets
 
 
 class OXEleos:
@@ -332,8 +366,9 @@ class OXEleos:
         return segment_id
 
     def read_page_proc(self, page_id: int, parent=None):
-        """Read one page: fetch the covering sectors (unit of read = 4 KB),
-        slice out the page bytes — the mapping is finer than the read."""
+        """Read one page: fetch the covering sectors (unit of read = 4 KB)
+        and join the page's bytes out of them in one copy — the mapping
+        is finer than the read."""
         self._check_alive()
         entry = self.vmap.get(page_id)
         if entry is None:
@@ -346,12 +381,14 @@ class OXEleos:
         completion = yield from self.media.read_proc(
             PpaRun(first[:3], first[3], covering), parent=span)
         self.media.require_ok(completion, f"page {page_id} read")
-        data = completion.data
-        blob = data[0] if len(data) == 1 else b"".join(data)
+        start, left, parts = entry.offset, entry.length, []
+        for view in completion.data:
+            parts.append(view[start:start + left])
+            start, left = 0, left - len(parts[-1])
         self.stats.pages_read += 1
         if obs is not None:
             obs.end(span, page=page_id)
-        return bytes(blob[entry.offset:entry.offset + entry.length])
+        return b"".join(parts)
 
     def free_segment_proc(self, segment_id: int, parent=None):
         """Host-driven reclamation: the LSS cleaner guarantees every live
@@ -510,19 +547,21 @@ class OXEleos:
             yield next(iter(self._erasing.values()))
 
     def _plan(self, sizes: List[int]):
-        """Cut a buffer, pages packed back to back, into runs of whole
+        """Cut a buffer, pages counted back to back, into runs of whole
         write units: as many runs as it has units, at most one per PU,
         each at its PU's open chunk and sized from what is left.  A run
         whose share does not fit the rest of the PU's open chunk opens the
         PU's next erased chunk instead (short of one, a run makes do with
         the rest if its first page fits; else the PU is passed over).
-        Reads state, changes none: returns ``(runs, cursor, opened,
-        view)`` — runs as ``(chunk, first_sector, sectors, first_page,
-        end_page)``, the chunks opened per PU, and every PU's open chunk
-        and fill after the runs — or None when no PU can take a page."""
+        A run's pages get byte offsets by the sense rule (module docs).
+        Reads state, changes none: returns ``(runs, cursor, opened, view)``
+        — runs as ``(chunk, first_sector, sectors, first_page, end_page,
+        offsets)``, the chunks opened per PU, and every PU's open chunk and
+        fill after the runs — or None when no PU can take a page."""
         geometry = self.geometry
         sector_size, ws_min = geometry.sector_size, self._ws_min
         unit_bytes = ws_min * sector_size
+        group = geometry.flash.read_unit_sectors * sector_size
         per_chunk = geometry.sectors_per_chunk
         pus = self._pus
         view = dict(self._open)
@@ -557,7 +596,8 @@ class OXEleos:
                 packed += sizes[end]
                 end += 1
             sectors = -(-packed // unit_bytes) * ws_min
-            runs.append((key, used, sectors, index, end))
+            runs.append((key, used, sectors, index, end, _place(
+                sizes[index:end], sectors * sector_size, group)))
             view[pu] = (key, used + sectors)
             left -= packed
             index = end
@@ -590,20 +630,21 @@ class OXEleos:
         units: List[int] = []
         entries = []
         writes = []
-        for key, first, count, start, end in runs:
+        for key, first, count, start, end, offsets in runs:
             linear = geometry.linearize(Ppa(*key, first))
             units.extend(range(linear // ws_min, (linear + count) // ws_min))
             rows: List[list] = [[] for __ in range(count)]
-            position = 0
-            for page_id, payload in pages[start:end]:
+            parts, filled = [], 0
+            for position, (page_id, payload) in sorted(
+                    zip(offsets, pages[start:end]), key=lambda p: p[0]):
                 sector, offset = divmod(position, sector_size)
                 entries.append((page_id, linear + sector, offset,
                                 len(payload)))
                 rows[sector].append((page_id, offset, len(payload)))
-                position += len(payload)
+                parts += (bytes(position - filled), payload)
+                filled = position + len(payload)
             writes.append(self.media.write_proc(
-                PpaRun(key, first, count),
-                b"".join(payload for __, payload in pages[start:end]),
+                PpaRun(key, first, count), b"".join(parts),
                 oob=[(tuple(row), *stamp) for row in rows],
                 fua=True, parent=parent))
         self._hold(units)

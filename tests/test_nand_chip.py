@@ -110,7 +110,7 @@ class TestRead:
         spanning groups costs one sense per group."""
         chip = small_chip()
         chip.program(0, chip.sectors_per_block)
-        group = chip.sectors_per_page_group
+        group = chip.geometry.read_unit_sectors
         assert chip.read(0, 0, group) == pytest.approx(
             chip.timing.read_latency)
         assert chip.read(0, 0, group + 1) == pytest.approx(

@@ -413,7 +413,10 @@ def _lsm_lightlsm_get():
 
 # Captured by `PYTHONPATH=src python tests/test_sim_identity.py`; CHANGES.md
 # names every row regenerated since, with its old values.
-GOLDEN = {'eleos_llama': {'now': 0.46069335937499023,
+GOLDEN = {
+ # LLAMA over OX-ELEOS (0.46069335937499023 s until a run placed
+ # each page inside as few sense groups as it spans).
+ 'eleos_llama': {'now': 0.4548800781249898,
                  'events': 4688,
                  'eleos': {'buffers_appended': 85,
                            'pages_appended': 670,
@@ -491,11 +494,12 @@ GOLDEN = {'eleos_llama': {'now': 0.46069335937499023,
                      'ckpt_sha256': '3d4ca9fdef8a7079'},
  # The metadata plane's on-media bytes (metadata_eleos_llama: 3432 WAL
  # sectors until SEGMENT_FREE stopped paying for a flush of its own, 2040
- # until an append stopped logging at all: its ring stays empty).
+ # until an append stopped logging at all: its ring stays empty; checkpoint
+ # sha '0b97621b92d5ba09' until vmap rows held sense-aligned offsets).
  'metadata_eleos_llama': {'wal_sectors': 0,
                           'wal_sha256': 'e3b0c44298fc1c14',
                           'ckpt_sectors': 264,
-                          'ckpt_sha256': '0b97621b92d5ba09'},
+                          'ckpt_sha256': 'd56a139d18278758'},
  # The default policies' perf_macro fingerprint (7.906991 s / 80150 events
  # until its checkpoints' slot chunks were erased and written side by side).
  'perf_macro': {'sim_seconds': 5.673047, 'events_processed': 70503},
