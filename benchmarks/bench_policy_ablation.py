@@ -197,8 +197,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def test_policy_ablation_smoke():
     """The smoke sweep rewrites its results table, so a change that moves
-    a cell shows in ``git diff benchmarks/results`` (the JSON twin, which
-    carries a date and a sha, is written by ``--smoke`` only).  The zipf
+    a cell shows in ``git diff benchmarks/results`` (the JSON twin is
+    written by ``--smoke`` only).  The zipf
     cell at 60 % fill, bare and cached: the overwrite phase still
     exercises GC, and the WLFC row keeps the bench's "measurably lower
     WAF than greedy" claim honest."""

@@ -65,20 +65,6 @@ def report(name: str, lines: Iterable[str],
     return path
 
 
-def bench_entry(name: str, metrics: Mapping[str, object],
-                sha: Optional[str] = None) -> dict:
-    """One trajectory/result entry: ``{"name", "date", "metrics"}``,
-    plus ``"sha"`` (the git commit measured) when known."""
-    entry = {
-        "name": name,
-        "date": datetime.date.today().isoformat(),
-        "metrics": dict(metrics),
-    }
-    if sha:
-        entry["sha"] = sha
-    return entry
-
-
 def git_sha(repo_root: str = REPO_ROOT) -> Optional[str]:
     """The repo's short HEAD SHA, or None outside git / without git."""
     try:
@@ -94,15 +80,14 @@ def git_sha(repo_root: str = REPO_ROOT) -> Optional[str]:
 
 
 def report_json(name: str, metrics: Mapping[str, object]) -> str:
-    """Persist *metrics* as ``benchmarks/results/<name>.json``.
-
-    Same entry schema as the BENCH_perf.json trajectory so downstream
-    tooling can parse either file uniformly.
-    """
+    """Persist *metrics* as ``benchmarks/results/<name>.json``:
+    ``{"name", "metrics"}`` only, so a rerun that changes no number
+    rewrites the same bytes (the BENCH_perf.json trajectory's entries
+    keep their date and sha)."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{result_slug(name)}.json")
     with open(path, "w") as handle:
-        json.dump(bench_entry(name, metrics, sha=git_sha()), handle,
+        json.dump({"name": name, "metrics": dict(metrics)}, handle,
                   indent=2, sort_keys=True)
         handle.write("\n")
     return path
@@ -122,13 +107,18 @@ def load_trajectory(path: str = TRAJECTORY_PATH) -> List[dict]:
 def append_trajectory(name: str, metrics: Mapping[str, object],
                       path: str = TRAJECTORY_PATH,
                       sha: Optional[str] = None) -> dict:
-    """Append one entry to the perf trajectory file and return it.
+    """Append one ``{"name", "date", "metrics", "sha"}`` entry to the perf
+    trajectory file and return it.
 
     Every new entry is stamped with the measured commit's ``sha`` (the
-    current HEAD unless the caller passes one); legacy entries without
-    the key keep loading fine."""
+    current HEAD unless the caller passes one; none outside git); legacy
+    entries without the key keep loading fine."""
     entries = load_trajectory(path)
-    entry = bench_entry(name, metrics, sha=sha or git_sha())
+    entry = {"name": name, "date": datetime.date.today().isoformat(),
+             "metrics": dict(metrics)}
+    sha = sha or git_sha()
+    if sha:
+        entry["sha"] = sha
     entries.append(entry)
     with open(path, "w") as handle:
         json.dump(entries, handle, indent=2, sort_keys=True)

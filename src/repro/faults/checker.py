@@ -7,11 +7,11 @@ trim-or-free / flush workload until the planned power cut fires,
 recovers, and then checks four invariant families against a shadow model
 of what the FTL acknowledged:
 
-* **A — structure** (per FTL): OX-Block's mapping, chunk table and
-  provisioner agree with each other and with a physical chunk scan;
-  OX-ELEOS conserves space — every data chunk is owned by one segment,
-  free or offline, no page maps into an offline chunk, no segment is
-  empty.
+* **A — structure**: every data chunk is in exactly one state of its
+  pool's census (:func:`repro.ox.media.census_problems`); per FTL,
+  OX-Block's mapping and chunk table agree with each other and with the
+  device, and on OX-ELEOS no unit is owned twice, no page maps into an
+  offline chunk and no segment is empty.
 * **B — durability**: every LBA reads back a version the shadow model
   allows — at least the durable floor (the newest acked version covered
   by a barrier), never an older one, and never a torn or misdirected
@@ -50,6 +50,7 @@ from repro.faults.model import FaultInjector, FaultPlan
 from repro.ocssd.chunk import ChunkState
 from repro.ox import MediaManager
 from repro.ox.ftl.metadata import FtlChunkState
+from repro.ox.media import census_problems
 from repro.stack import StackSpec, build_stack
 
 _STAMP = struct.Struct("<II")   # (version, lba) tiled across the sector
@@ -186,7 +187,6 @@ def _oxblock_structure(ftl) -> Iterator[str]:
             yield (f"lba {lba} maps at {ppa} above the chunk write "
                    f"pointer {descriptor.write_pointer}")
         mapped_per_chunk[key] = mapped_per_chunk.get(key, 0) + 1
-    free_rows = 0
     for key, info in ftl.chunk_table.items():
         mapped = mapped_per_chunk.get(key, 0)
         if info.state is FtlChunkState.BAD and mapped:
@@ -194,14 +194,14 @@ def _oxblock_structure(ftl) -> Iterator[str]:
         if info.valid_count != mapped:
             yield (f"chunk {key} valid_count={info.valid_count} but "
                    f"{mapped} lbas map into it")
-        free_rows += info.state is FtlChunkState.FREE
-    if ftl.provisioner.free_chunks() != free_rows:
-        yield (f"provisioner sees {ftl.provisioner.free_chunks()} free "
-               f"chunks, chunk table has {free_rows}")
+    yield from census_problems(ftl.media, data_keys,
+                               ftl.provisioner.census())
 
 
 def _eleos_structure(ftl) -> Iterator[str]:
-    keys, offline = ftl.layout.data_chunk_keys(), ftl.offline_chunks()
+    census = ftl.census()
+    yield from census_problems(ftl.media, ftl.pool.keys, census)
+    offline = set(census["offline"])
     owners: Dict[int, List[int]] = {}
     for segment, units in ftl.segments.items():
         for unit in units:
@@ -210,19 +210,6 @@ def _eleos_structure(ftl) -> Iterator[str]:
                    if len(segments) > 1)
     if twice:
         yield f"units {twice} are owned by more than one segment"
-    # Every data chunk is exactly one of: open, held (closed, a unit of
-    # a live segment in it), free or erasing, offline.
-    opened = set(ftl.open_chunks().values())
-    held = {ftl._unit_chunk(unit) for unit in owners} - opened
-    free = set(ftl._erasing).union(*ftl._free.values())
-    states = {key: [name for name, members in (
-        ("open", opened), ("held", held), ("free", free))
-        if key in members] for key in keys}
-    for key, names in sorted(states.items()):
-        if len(names) > 1:
-            yield f"chunk {key} is {' and '.join(names)}"
-        elif not names and key not in offline:
-            yield f"chunk {key} is neither open, held, free nor offline"
     for page_id, entry in ftl.vmap.items():
         key = ftl.geometry.delinearize(entry.first_sector).chunk_key()
         if key in offline:
@@ -270,7 +257,7 @@ FTL_OPS: Dict[str, FtlOps] = {
         flush=lambda ftl: ftl.media.flush(), structure=_eleos_structure,
         barriers=lambda ftl: ftl.stats.checkpoints + ftl.stats.segments_freed,
         reclaimed=lambda ftl: ftl.stats.segments_freed,
-        erasing=lambda ftl: len(ftl._erasing), trim_kind="free", lbas=12),
+        erasing=lambda ftl: len(ftl.pool.erasing), trim_kind="free", lbas=12),
 }
 
 #: The checker's stacks: small drives whose GC (or frees) and WAL-pressure

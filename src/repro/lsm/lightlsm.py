@@ -34,12 +34,8 @@ from repro.errors import OutOfSpaceError, ReproError
 from repro.lsm.env import SSTableHandle, SSTableWriter, StorageEnv
 from repro.lsm.envbase import WriteDispatcher
 from repro.ocssd.address import Ppa, PpaRun
-from repro.ocssd.chunk import ChunkState
 from repro.ocssd.commands import Buffer
-from repro.ox.media import MediaManager
-
-ChunkKey = Tuple[int, int, int]
-PuKey = Tuple[int, int]
+from repro.ox.media import ChunkKey, ChunkPool, MediaManager, PuKey
 
 
 class PlacementPolicy(abc.ABC):
@@ -61,23 +57,19 @@ class HorizontalPlacement(PlacementPolicy):
         self._cursor = 0
 
     def allocate(self, env: "LightLSMEnv", count: int) -> List[ChunkKey]:
+        if env.pool.free_count() < count:
+            raise OutOfSpaceError(
+                f"horizontal placement: {count} chunks requested, "
+                f"{env.pool.free_count()} free")
         # Channel-first, (0,0), (1,0), ..., (0,1), ...: a writer's window
         # of consecutive blocks lands on distinct channels.
         pus = sorted(env.all_pus, key=lambda pu: pu[::-1])
         chosen: List[ChunkKey] = []
-        probes = 0
         while len(chosen) < count:
-            if probes >= len(pus) and not any(env.free_pool[pu]
-                                              for pu in pus):
-                raise OutOfSpaceError(
-                    f"horizontal placement: {count} chunks requested, "
-                    f"pool exhausted after {len(chosen)}")
             pu = pus[self._cursor % len(pus)]
             self._cursor += 1
-            probes += 1
-            if env.free_pool[pu]:
-                chosen.append(env.free_pool[pu].popleft())
-                probes = 0
+            if env.pool.free[pu]:
+                chosen.append(env.pool.take(pu))
         return chosen
 
 
@@ -94,17 +86,16 @@ class VerticalPlacement(PlacementPolicy):
         for __ in range(groups):
             group = self._group_cursor % groups
             self._group_cursor += 1
-            pus = [pu for pu in env.all_pus if pu[0] == group]
-            available = sum(len(env.free_pool[pu]) for pu in pus)
-            if available < count:
+            if env.pool.group_free(group) < count:
                 continue
+            pus = [pu for pu in env.all_pus if pu[0] == group]
             chosen: List[ChunkKey] = []
             cursor = 0
             while len(chosen) < count:
                 pu = pus[cursor % len(pus)]
                 cursor += 1
-                if env.free_pool[pu]:
-                    chosen.append(env.free_pool[pu].popleft())
+                if env.pool.free[pu]:
+                    chosen.append(env.pool.take(pu))
             return chosen
         raise OutOfSpaceError(
             f"vertical placement: no group has {count} free chunks")
@@ -190,13 +181,12 @@ class LightLSMEnv(StorageEnv):
                                      else list(self.geometry.iter_pus()))
         self.chunks_per_sstable = (config.chunks_per_sstable
                                    or len(self.all_pus))
-        self.free_pool: Dict[PuKey, deque[ChunkKey]] = {
-            pu: deque() for pu in self.all_pus}
-        for group, pu in self.all_pus:
-            for chunk in range(self.geometry.chunks_per_pu):
-                self.free_pool[(group, pu)].append((group, pu, chunk))
-        self._tables: Dict[int, _TableLayout] = {}
         self.stats = LightLSMStats()
+        self.pool = ChunkPool(
+            media, [(*pu, chunk) for pu in self.all_pus
+                    for chunk in range(self.geometry.chunks_per_pu)],
+            name="lightlsm", layer="lsm", stats=self.stats)
+        self._tables: Dict[int, _TableLayout] = {}
         self._dispatcher = WriteDispatcher(
             self.sim, media, name="lightlsm",
             workers=config.dispatch_workers,
@@ -273,21 +263,20 @@ class LightLSMEnv(StorageEnv):
         layout = self._tables.pop(handle.sstable_id, None)
         if layout is None:
             return
-        yield from self._reclaim_proc(layout.all_chunks, layout.all_chunks)
+        yield from self.pool.reclaim_proc(layout.all_chunks)
         self.stats.chunk_resets += len(layout.all_chunks)
         self.stats.tables_deleted += 1
 
     def list_tables_proc(self):
-        """Recovery without a MANIFEST: scan chunk OOB, keep committed
-        tables, reset the debris of uncommitted ones."""
+        """Recovery without a MANIFEST: scan the OOB of the partition's
+        chunks, keep committed tables, reset the debris of uncommitted
+        ones."""
         data_chunks: Dict[int, Dict[int, ChunkKey]] = {}
         meta_chunks: Dict[int, ChunkKey] = {}
         info_by_table: Dict[int, Tuple[int, int, int]] = {}
-        debris: Dict[int, List[ChunkKey]] = {}
-        for descriptor in self.media.scan_chunks():
-            if descriptor.write_pointer == 0:
+        for key in self.pool.keys:
+            if self.media.chunk_info(Ppa(*key, 0)).write_pointer == 0:
                 continue
-            key = descriptor.ppa.chunk_key()
             first = yield from self.media.read_proc(PpaRun(key, 0, 1),
                                                     meta_only=True)
             if not first.ok or not first.oob:
@@ -299,12 +288,9 @@ class LightLSMEnv(StorageEnv):
                 __, sstable_id, level, sequence, chunk_index, n_chunks = tag
                 data_chunks.setdefault(sstable_id, {})[chunk_index] = key
                 info_by_table[sstable_id] = (level, sequence, n_chunks)
-                debris.setdefault(sstable_id, []).append(key)
             elif tag[0] in ("sstmeta", "sstcommit"):
                 # A one-unit meta is its own commit unit.
-                sstable_id = tag[1]
-                meta_chunks[sstable_id] = key
-                debris.setdefault(sstable_id, []).append(key)
+                meta_chunks[tag[1]] = key
 
         self._tables.clear()
         result = []
@@ -335,25 +321,9 @@ class LightLSMEnv(StorageEnv):
             if layout is not None and meta_blob is not None:
                 self._tables[sstable_id] = layout
                 result.append((layout.handle, meta_blob))
-            # Torn flushes fall through: the free-pool rebuild below
-            # resets and reclaims anything not owned by a live table.
-
-        # Rebuild the free pool from the physical truth.
-        for pu in self.all_pus:
-            self.free_pool[pu].clear()
-        live = {key for layout in self._tables.values()
-                for key in layout.all_chunks if key[0] >= 0}
-        for descriptor in self.media.scan_chunks():
-            key = descriptor.ppa.chunk_key()
-            if key in live or descriptor.state is ChunkState.OFFLINE:
-                continue
-            if descriptor.write_pointer > 0:
-                completion = yield from self.media.reset_proc(
-                    descriptor.ppa)
-                if not completion.ok:
-                    self._retire(key, completion)
-                    continue
-            self.free_pool[(key[0], key[1])].append(key)
+            # Torn flushes fall through: the pool rebuild below resets and
+            # reclaims anything not owned by a live table.
+        yield from self.pool.rebuild_proc(set(self._table_chunks()))
         return result
 
     def log_version_edit(self, edit: Tuple[str, int, int]) -> None:
@@ -379,29 +349,15 @@ class LightLSMEnv(StorageEnv):
                 f"write unit ({self.min_block_size} bytes) — §4.2: 'the "
                 "size of a RocksDB block must be a multiple of 96KB'")
 
-    def _reclaim_proc(self, keys: List[ChunkKey], dirty: List[ChunkKey]):
-        """Erase the *dirty* ones of *keys* side by side (one join: erases
-        on distinct PUs overlap), then return *keys* to the free pool in
-        order; a chunk whose erase failed is retired."""
-        completions = yield from self.sim.join_proc(
-            [self.media.reset_proc(Ppa(*key, 0)) for key in dirty],
-            "lightlsm-erase")
-        failed = {key: completion
-                  for key, completion in zip(dirty, completions)
-                  if not completion.ok}
-        for key in keys:
-            if key in failed:
-                self._retire(key, failed[key])
-            else:
-                self.free_pool[(key[0], key[1])].append(key)
+    def _table_chunks(self):
+        """The chunks of every table, written or being written."""
+        return (key for layout in self._tables.values()
+                for key in layout.all_chunks if key[0] >= 0)
 
-    def _retire(self, key: ChunkKey, completion) -> None:
-        """A failed erase: the chunk stays out of the free pool (a grown
-        bad block), on the record."""
-        self.stats.chunks_retired += 1
-        if self.sim.obs is not None:
-            self.sim.obs.error("lsm", "reset-failed",
-                               completion.error or str(key))
+    def census(self) -> Dict[str, List[ChunkKey]]:
+        """The partition's chunks by state (:meth:`ChunkPool.census`): in
+        use are the tables' chunks."""
+        return self.pool.census(self._table_chunks())
 
     def _layout(self, handle: SSTableHandle) -> _TableLayout:
         try:
@@ -572,7 +528,7 @@ class _LightLSMWriter(SSTableWriter):
         if layout is None:
             return
         yield from env.media.flush_proc(layout.all_chunks)
-        yield from env._reclaim_proc(layout.all_chunks, [
+        yield from env.pool.reclaim_proc(layout.all_chunks, [
             key for key in layout.all_chunks
             if env.media.chunk_info(Ppa(*key, 0)).write_pointer > 0])
 

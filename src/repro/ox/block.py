@@ -30,7 +30,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError, ReproError
@@ -149,7 +149,7 @@ class OXBlock:
         page_map = PageMap(chunk_table.total_sectors,
                            media.geometry.total_chunks
                            * media.geometry.sectors_per_chunk)
-        provisioner = Provisioner(media.geometry, chunk_table)
+        provisioner = Provisioner(media, chunk_table)
         ftl = cls(media, config, journal, page_map, chunk_table, provisioner)
         ftl.sim.run_until(ftl.sim.spawn(ftl._checkpoint_locked_proc()))
         return ftl

@@ -50,9 +50,8 @@ Design:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError, ReproError
 from repro.ocssd.address import Ppa, PpaRun
@@ -60,13 +59,10 @@ from repro.ocssd.chunk import ChunkState
 from repro.ox.ftl import recovery, serial
 from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.recovery import RecoveryReport
-from repro.ox.media import MediaManager
-from repro.sim.core import Process, guarded
+from repro.ox.media import ChunkKey, ChunkPool, MediaManager, PuKey
+from repro.sim.core import guarded
 from repro.sim.resources import Resource
 from repro.units import MIB
-
-ChunkKey = Tuple[int, int, int]
-PuKey = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -164,22 +160,18 @@ class OXEleos:
         self._live: Dict[int, Set[int]] = {}
         self._written: Dict[int, int] = {}
         self._unit_segment: Dict[int, int] = {}
-        # Chunk -> how many of its units live segments and appends in
-        # flight own.
-        self._held: Dict[ChunkKey, int] = {}
+        self.stats = EleosStats()
+        # The data chunks; a chunk's holds are the units of it that live
+        # segments and appends in flight own.
+        self.pool = ChunkPool(media, self.layout.data_chunk_keys(),
+                              name="eleos", stats=self.stats)
         # PUs group-first ((0,0), (1,0), ..., (0,1), ...), the order the
-        # run cursor walks; per PU its erased chunks as a FIFO and its one
-        # open chunk with the sectors written into it.
+        # run cursor walks; per PU its one open chunk with the sectors
+        # written into it.
         self._pus: List[PuKey] = sorted(self.geometry.iter_pus(),
                                         key=lambda pu: pu[::-1])
-        self._free: Dict[PuKey, Deque[ChunkKey]] = {
-            pu: deque() for pu in self._pus}
-        for key in self.layout.data_chunk_keys():
-            self._free[key[:2]].append(key)
         self._open: Dict[PuKey, Tuple[ChunkKey, int]] = {}
         self._cursor = 0
-        # Freed chunks whose erase is still in flight -> the erase.
-        self._erasing: Dict[ChunkKey, Process] = {}
         # Append ids taken whose pages are not mapped yet; ids of aborted
         # appends no checkpoint has passed yet (a stamp's horizon stays
         # below both); the sequence number of the newest checkpoint, and
@@ -190,7 +182,6 @@ class OXEleos:
         self._opened = 0
         self._lock = Resource(self.sim, capacity=1, name="eleos-dispatch")
         self._alive = True
-        self.stats = EleosStats()
 
     @property
     def tenant(self):
@@ -258,7 +249,7 @@ class OXEleos:
 
     def free_chunk_count(self) -> int:
         """Chunks an append can still open, erasing ones included."""
-        return sum(map(len, self._free.values())) + len(self._erasing)
+        return self.pool.free_count() + len(self.pool.erasing)
 
     def free_unit_count(self) -> int:
         """Write units appends can still take: the rest of every open
@@ -271,21 +262,17 @@ class OXEleos:
         """Each PU's open data chunk, the one its next run goes into."""
         return {pu: key for pu, (key, __) in self._open.items()}
 
-    def held_chunks(self) -> Dict[ChunkKey, int]:
-        """Chunk -> units of it that live segments (and appends in
-        flight) own."""
-        return dict(self._held)
-
     def segment_chunks(self, segment_id: int) -> List[ChunkKey]:
         """The chunks holding units of *segment_id*, ascending."""
         return sorted({self._unit_chunk(unit)
                        for unit in self.segments[segment_id]})
 
-    def offline_chunks(self) -> Set[ChunkKey]:
-        """Data chunks the device reports offline: retired or failed."""
-        return {key for key in self.layout.data_chunk_keys()
-                if self.media.chunk_info(Ppa(*key, 0)).state
-                is ChunkState.OFFLINE}
+    def census(self) -> Dict[str, List[ChunkKey]]:
+        """The data chunks by state (:meth:`ChunkPool.census`): in use
+        are the open ones and those holding a unit of a live segment."""
+        return self.pool.census(set(self.open_chunks().values()) | {
+            self._unit_chunk(unit) for units in self.segments.values()
+            for unit in units})
 
     def segment_live_pages(self, segment_id: int) -> List[int]:
         """Ids of the pages *segment_id* still holds, ascending."""
@@ -310,10 +297,17 @@ class OXEleos:
         # before the lock: a rejected buffer allocates and writes nothing.
         total = 0
         chunk_bytes = self.geometry.chunk_size
+        named: Set[int] = set()
         for page_id, payload in pages:
             if not serial.fits(serial.REC_CKPT_VMAP, (page_id, 0, 0, 0)):
                 raise FTLError(
                     f"page id {page_id!r} is not an unsigned 64-bit integer")
+            # Recovery maps a buffer's pages in placement order, not the
+            # order given: one id twice would have no defined winner.
+            if page_id in named:
+                raise FTLError(f"page {page_id} is named twice in one "
+                               f"LSS buffer")
+            named.add(page_id)
             if not isinstance(payload, (bytes, bytearray, memoryview)) \
                     or not payload:
                 raise FTLError(
@@ -426,32 +420,6 @@ class OXEleos:
         if obs is not None:
             obs.end(span, segment=segment_id)
 
-    def _reset_chunk_proc(self, key: ChunkKey):
-        """Erase one chunk back into the free pool, as its own root span;
-        a failed erase retires it (a grown bad block).  The erase is the
-        FTL's: a ReproError is absorbed and counted, and an instance that
-        crashed meanwhile books nothing."""
-        obs = self.obs
-        span = obs.begin("ftl", "erase") if obs is not None else None
-        try:
-            completion = yield from self.media.reset_proc(Ppa(*key, 0),
-                                                          parent=span)
-            failure = (None if completion.ok else
-                       ("reset-failed", completion.error or str(key)))
-        except ReproError as exc:
-            failure = ("erase-absorbed", str(exc))
-        self._erasing.pop(key, None)     # recovery's erases are not here
-        if obs is not None:
-            obs.end(span, chunk=key)
-        if not self._alive:
-            return
-        if failure is None:
-            self._free[key[:2]].append(key)
-            return
-        self.stats.chunks_retired += 1
-        if obs is not None:
-            obs.error("ftl", *failure)
-
     # -- internals ----------------------------------------------------------------------
 
     def _check_alive(self) -> None:
@@ -486,35 +454,20 @@ class OXEleos:
         self._written.pop(segment_id, None)
 
     def _hold(self, units: List[int]) -> None:
-        """Count *units* in their chunks: a held chunk is never erased."""
-        held = self._held
+        """Hold *units*' chunks, once a unit: a held chunk is never erased."""
         for unit in units:
-            key = self._unit_chunk(unit)
-            held[key] = held.get(key, 0) + 1
+            self.pool.hold(self._unit_chunk(unit))
 
     def _release(self, units: List[int]) -> List[ChunkKey]:
         """Undo :meth:`_hold`; returns the chunks left unheld."""
-        released = []
-        held = self._held
-        for unit in units:
-            key = self._unit_chunk(unit)
-            held[key] -= 1
-            if not held[key]:
-                del held[key]
-                released.append(key)
-        return released
+        return [key for key in map(self._unit_chunk, units)
+                if self.pool.release(key)]
 
     def _erase_unheld(self, keys) -> None:
         """Erase, behind the caller, each chunk of *keys* that is closed,
         holds no unit of a live segment and is not offline."""
         open_keys = {key for key, __ in self._open.values()}
-        for key in keys:
-            if key in self._held or key in open_keys or key in self._erasing \
-                    or self.media.chunk_info(Ppa(*key, 0)).state \
-                    is ChunkState.OFFLINE:
-                continue
-            self._erasing[key] = self.sim.spawn(
-                self._reset_chunk_proc(key), "eleos-erase")
+        self.pool.erase(key for key in keys if key not in open_keys)
 
     def _map_page(self, page_id: int, linear: int, offset: int,
                   length: int) -> None:
@@ -540,11 +493,11 @@ class OXEleos:
             plan = self._plan(sizes)
             if plan is not None:
                 return plan
-            if not self._erasing:
+            if not self.pool.erasing:
                 raise OutOfSpaceError(
                     f"a buffer of {sum(sizes)} bytes finds no room: "
                     f"{self.free_unit_count()} write units free")
-            yield next(iter(self._erasing.values()))
+            yield next(iter(self.pool.erasing.values()))
 
     def _plan(self, sizes: List[int]):
         """Cut a buffer, pages counted back to back, into runs of whole
@@ -581,7 +534,7 @@ class OXEleos:
                 key, used = view.get(pu, (None, per_chunk))
                 if per_chunk - used < need:
                     taken = opened.setdefault(pu, [])
-                    queue = self._free[pu]
+                    queue = self.pool.free[pu]
                     if len(taken) < len(queue):
                         key, used = queue[len(taken)], 0
                         taken.append(key)
@@ -617,9 +570,7 @@ class OXEleos:
         per_chunk = geometry.sectors_per_chunk
         touched = {key for key, __ in self._open.values()}
         for pu, keys in opened.items():
-            queue = self._free[pu]
-            for key in keys:
-                touched.add(queue.popleft())
+            touched.update(self.pool.take(pu) for __ in keys)
             self._opened += len(keys)
         self._open = {pu: state for pu, state in view.items()
                       if state[1] < per_chunk}
@@ -769,7 +720,7 @@ class OXEleos:
 
         # A segment nothing maps into holds nothing: the cleaner emptied
         # it, and free_segment_proc may have erased it before the crash.
-        # Drop it; the free-pool rebuild below resets whatever its chunks
+        # Drop it; the pool rebuild below resets whatever its chunks
         # still hold.
         for segment_id in [s for s, live in self._live.items() if not live]:
             self._drop_segment(segment_id)
@@ -779,21 +730,9 @@ class OXEleos:
         self._written = {segment_id: len(live)
                          for segment_id, live in self._live.items()}
 
-        # Rebuild the chunk states: a chunk holding a unit of a live
-        # segment stays, closed; anything else not reserved for metadata
-        # is free, erased here if it holds data.
-        self._held = {}
+        # A chunk holding a unit of a live segment stays, closed; any
+        # other data chunk is free, erased here if it holds data.
         for units in self.segments.values():
             self._hold(units)
-        self._open = {}
-        for queue in self._free.values():
-            queue.clear()
-        offline = self.offline_chunks()
-        for key in self.layout.data_chunk_keys():
-            if key in self._held or key in offline:
-                continue
-            if self.media.chunk_info(Ppa(*key, 0)).write_pointer > 0:
-                yield from self._reset_chunk_proc(key)
-            else:
-                self._free[key[:2]].append(key)
+        yield from self.pool.rebuild_proc(self.pool.held)
         return report

@@ -6,7 +6,8 @@ Two concerns live here:
   the two checkpoint slots, and the data region (recovery log and
   "mapping and block metadata" persistence need a home the FTL can find
   again after a crash — they get fixed chunks in group 0).
-* :class:`Provisioner` hands out write space in the data region.  Space is
+* :class:`Provisioner` hands out write space in the data region, from
+  the free chunks of a :class:`~repro.ox.media.ChunkPool`.  Space is
   allocated in ``ws_min`` *units*, round-robin across parallel units so
   large writes stripe across chips, with independent *streams* (user I/O
   vs. garbage collection) so GC relocation does not interleave into user
@@ -15,16 +16,13 @@ Two concerns live here:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.ocssd.geometry import DeviceGeometry
-from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
-
-ChunkKey = Tuple[int, int, int]
-PuKey = Tuple[int, int]
+from repro.ox.ftl.metadata import ChunkTable, FtlChunkState
+from repro.ox.media import ChunkKey, ChunkPool, MediaManager, PuKey
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,9 @@ class _StreamState:
 class Provisioner:
     """Allocates data-region space in write units, per stream."""
 
-    def __init__(self, geometry: DeviceGeometry, table: ChunkTable,
+    def __init__(self, media: MediaManager, table: ChunkTable,
                  gc_headroom: int = 0):
-        self.geometry = geometry
+        self.geometry = geometry = media.geometry
         self.table = table
         # Free chunks per group that only the "gc" stream may open: GC
         # runs *because* space is low, so without a reservation the
@@ -106,17 +104,10 @@ class Provisioner:
         # reclamation space in log-structured stores).
         self.gc_headroom = gc_headroom
         self._all_pus: List[PuKey] = list(geometry.iter_pus())
-        self._free: Dict[PuKey, deque[ChunkKey]] = {
-            pu: deque() for pu in self._all_pus}
-        # Running per-group totals of the deques above: the write path
-        # checks headroom on every transaction, so these counters replace
-        # a scan over all PUs with a dict lookup.
-        self._group_free_count: Dict[int, int] = {
-            group: 0 for group in range(geometry.num_groups)}
-        for key, info in sorted(table.items()):
-            if info.state is FtlChunkState.FREE:
-                self._free[(key[0], key[1])].append(key)
-                self._group_free_count[key[0]] += 1
+        keys = sorted(key for key, __ in table.items())
+        self.pool = ChunkPool(media, keys, [
+            key for key in keys
+            if table.get(key).state is FtlChunkState.FREE])
         self._streams: Dict[str, _StreamState] = {}
 
     # -- stream helpers ---------------------------------------------------------
@@ -148,15 +139,15 @@ class Provisioner:
         state = self._stream(stream)
         ws_min = self.geometry.ws_min
         reserved = self._reserved(stream)
+        pool = self.pool
         for pu in self._pu_cycle(state, group):
             key = state.open_chunks.get(pu)
             if key is None:
-                if not self._free[pu]:
+                if not pool.free.get(pu):
                     continue
-                if self.group_free(pu[0]) <= reserved[pu[0]]:
+                if pool.group_free(pu[0]) <= reserved[pu[0]]:
                     continue      # reserved for GC relocation
-                key = self._free[pu].popleft()
-                self._group_free_count[pu[0]] -= 1
+                key = pool.take(pu)
                 info = self.table.get(key)
                 info.state = FtlChunkState.OPEN
                 info.write_next = 0
@@ -212,8 +203,7 @@ class Provisioner:
                 f"releasing chunk {key} with {info.valid_count} valid sectors")
         info.state = FtlChunkState.FREE
         info.write_next = 0
-        self._free[(key[0], key[1])].append(key)
-        self._group_free_count[key[0]] += 1
+        self.pool.put(key)
 
     def retire_chunk(self, key: ChunkKey) -> None:
         """Drop a chunk that went offline (grown bad block)."""
@@ -229,11 +219,13 @@ class Provisioner:
     # -- occupancy --------------------------------------------------------------------
 
     def free_chunks(self) -> int:
-        return sum(self._group_free_count.values())
+        return self.pool.free_count()
 
-    def group_free(self, group: int) -> int:
-        """Free chunks currently in *group*."""
-        return self._group_free_count.get(group, 0)
+    def census(self) -> Dict[str, List[ChunkKey]]:
+        """The data chunks by state (:meth:`ChunkPool.census`): in use is
+        every chunk-table row that is not free."""
+        return self.pool.census(key for key, info in self.table.items()
+                                if info.state is not FtlChunkState.FREE)
 
     def units_available(self, stream: str = "user",
                         group: Optional[int] = None) -> int:
@@ -247,10 +239,8 @@ class Provisioner:
         ws_min = self.geometry.ws_min
         sectors = self.geometry.sectors_per_chunk
         per_chunk = sectors // ws_min
-        units = 0
-        for pu, queue in self._free.items():
-            if group is None or pu[0] == group:
-                units += len(queue) * per_chunk
+        units = per_chunk * (self.pool.free_count() if group is None
+                             else self.pool.group_free(group))
         for pu, key in state.open_chunks.items():
             if group is None or pu[0] == group:
                 units += (sectors - self.table.get(key).write_next) // ws_min
@@ -272,7 +262,7 @@ class Provisioner:
         for key in state.open_chunks.values():
             total += sectors - self.table.get(key).write_next
         for group in range(self.geometry.num_groups):
-            usable = self.group_free(group) - reserved[group]
+            usable = self.pool.group_free(group) - reserved[group]
             if usable > 0:
                 total += usable * sectors
         return total

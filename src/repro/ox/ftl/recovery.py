@@ -218,7 +218,7 @@ def recover_proc(media: MediaManager, journal: Journal,
     # checkpoint, which drains the cache, so no dead sector needs guarding.
     page_map.own_mapped()
 
-    provisioner = Provisioner(geometry, chunk_table)
+    provisioner = Provisioner(media, chunk_table)
     for key, write_pointer in open_candidates:
         provisioner.adopt_open_chunk(key, write_pointer, stream="user")
 

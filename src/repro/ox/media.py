@@ -12,13 +12,17 @@ A media manager optionally carries a :class:`~repro.qos.TenantContext`
 with that tenant, which is how an FTL instance owned by one tenant feeds
 tenant identity into the device's QoS scheduler and per-tenant metrics
 without any per-call plumbing in the FTL code.
+
+OX-Block, OX-ELEOS and LightLSM keep their chunks in a :class:`ChunkPool`,
+and :func:`census_problems` checks any FTL's chunks the same way.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import deque
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import MediaError
+from repro.errors import MediaError, ReproError
 from repro.ocssd.address import Ppa, PpaVector
 from repro.ocssd.commands import (
     Buffer,
@@ -28,8 +32,12 @@ from repro.ocssd.commands import (
     VectorRead,
     VectorWrite,
 )
+from repro.ocssd.chunk import ChunkState
 from repro.ocssd.device import ChunkDescriptor, ChunkNotification, OpenChannelSSD
 from repro.ocssd.geometry import DeviceGeometry
+
+ChunkKey = Tuple[int, int, int]
+PuKey = Tuple[int, int]
 
 
 class MediaManager:
@@ -146,3 +154,149 @@ class MediaManager:
                 f"{context}: {completion.status.value}"
                 + (f" ({completion.error})" if completion.error else ""))
         return completion
+
+
+class ChunkPool:
+    """The data chunks of one FTL, counted in one place (§4.1).
+
+    Built from *keys* in the owner's order (a partition is a smaller key
+    set), *free* of them (default: all) queued FIFO per PU.  The pool
+    holds, erases, retires and rebuilds; the owner picks the queue, when
+    to erase and what counts as in use.  A failed erase retires its chunk,
+    counted in ``stats.chunks_retired`` and reported as a *layer* error;
+    the erase processes are called ``<name>-erase``.
+    """
+
+    def __init__(self, media: MediaManager, keys: Iterable[ChunkKey],
+                 free: Optional[Iterable[ChunkKey]] = None, *,
+                 name: str = "pool", layer: str = "ftl", stats=None):
+        self.media, self.sim = media, media.sim
+        self.name, self.layer, self.stats = name, layer, stats
+        self.keys: List[ChunkKey] = list(keys)
+        self.free: Dict[PuKey, Deque[ChunkKey]] = {
+            pu: deque() for pu in dict.fromkeys(key[:2] for key in self.keys)}
+        self._group_free = dict.fromkeys((key[0] for key in self.keys), 0)
+        self.held: Dict[ChunkKey, int] = {}         # never erased
+        self.erasing: Dict[ChunkKey, object] = {}   # oldest first
+        for key in self.keys if free is None else free:
+            self.put(key)
+
+    def take(self, pu: PuKey) -> ChunkKey:
+        key = self.free[pu].popleft()
+        self._group_free[key[0]] -= 1
+        return key
+
+    def put(self, key: ChunkKey) -> None:
+        self.free[key[:2]].append(key)
+        self._group_free[key[0]] += 1
+
+    def free_count(self) -> int:
+        return sum(self._group_free.values())
+
+    def group_free(self, group: int) -> int:
+        return self._group_free.get(group, 0)
+
+    def hold(self, key: ChunkKey) -> None:
+        self.held[key] = self.held.get(key, 0) + 1
+
+    def release(self, key: ChunkKey) -> bool:
+        """Undo one :meth:`hold`; True if that left *key* unheld."""
+        self.held[key] -= 1
+        if self.held[key]:
+            return False
+        del self.held[key]
+        return True
+
+    def reclaim_proc(self, keys: List[ChunkKey],
+                     dirty: Optional[List[ChunkKey]] = None, parent=None):
+        """Erase the *dirty* ones of *keys* (default: all) side by side in
+        one join, then queue *keys* in order, retiring each whose erase
+        failed; queue nothing if the power went meanwhile."""
+        dirty = keys if dirty is None else dirty
+        controller = self.media.device.controller
+        epoch = controller.epoch
+        done = yield from self.sim.join_proc(
+            [self.media.reset_proc(Ppa(*key, 0), parent=parent)
+             for key in dirty], f"{self.name}-erase")
+        if controller.epoch != epoch:
+            return
+        failed = {key: completion.error or str(key)
+                  for key, completion in zip(dirty, done) if not completion.ok}
+        for key in keys:
+            if key in failed:
+                self._retire("reset-failed", failed[key])
+            else:
+                self.put(key)
+
+    def erase(self, keys: Iterable[ChunkKey]) -> None:
+        """Erase behind the caller, one process and root span each, every
+        chunk of *keys* that is unheld, not erasing and not offline."""
+        for key in keys:
+            if key not in self.held and key not in self.erasing \
+                    and self.media.chunk_info(Ppa(*key, 0)).state \
+                    is not ChunkState.OFFLINE:
+                self.erasing[key] = self.sim.spawn(self._erase_proc(key),
+                                                   f"{self.name}-erase")
+
+    def _erase_proc(self, key: ChunkKey):
+        obs = self.sim.obs
+        span = obs.begin("ftl", "erase") if obs is not None else None
+        try:
+            yield from self.reclaim_proc([key], parent=span)
+        except ReproError as exc:   # nobody waits on it: absorbed
+            self._retire("erase-absorbed", str(exc))
+        del self.erasing[key]
+        if obs is not None:
+            obs.end(span, chunk=key)
+
+    def _retire(self, kind: str, detail: str) -> None:
+        if self.stats is not None:
+            self.stats.chunks_retired += 1
+        if self.sim.obs is not None:
+            self.sim.obs.error(self.layer, kind, detail)
+
+    def rebuild_proc(self, live):
+        """After recovery: queue, in key order, every chunk outside *live*
+        that is not offline, erased first (one at a time) if written."""
+        for queue in self.free.values():
+            queue.clear()
+        self._group_free = dict.fromkeys(self._group_free, 0)
+        for key in self.keys:
+            info = self.media.chunk_info(Ppa(*key, 0))
+            if key in live or info.state is ChunkState.OFFLINE:
+                continue
+            if info.write_pointer:
+                yield from self.reclaim_proc([key])
+            else:
+                self.put(key)
+
+    def census(self, in_use: Iterable[ChunkKey]) -> Dict[str, List[ChunkKey]]:
+        """Every chunk by state: free, erasing, offline (as the device
+        reports it) and in use (the owner's *in_use*, less offline ones);
+        lists, so a chunk booked twice shows twice."""
+        offline = [key for key in self.keys if self.media.chunk_info(
+            Ppa(*key, 0)).state is ChunkState.OFFLINE]
+        return {"free": [key for queue in self.free.values()
+                         for key in queue],
+                "erasing": list(self.erasing), "offline": offline,
+                "in use": [key for key in in_use if key not in offline]}
+
+
+def census_problems(media: MediaManager, keys: Iterable[ChunkKey],
+                    census: Dict[str, List[ChunkKey]]) -> Iterator[str]:
+    """What breaks the chunk invariant of every FTL: each of *keys* in
+    exactly one state of *census* and no other chunk in any, a free chunk
+    at write pointer 0 on the device, an offline one offline there."""
+    states: Dict[ChunkKey, List[str]] = {key: [] for key in keys}
+    for state, members in census.items():
+        for key in members:
+            states.setdefault(key, ["not owned"]).append(state)
+    for key, names in states.items():
+        if len(names) != 1:
+            yield f"chunk {key} is {' and '.join(names) or 'in no state'}"
+    for key in census.get("free", ()):
+        if media.chunk_info(Ppa(*key, 0)).write_pointer:
+            yield f"free chunk {key} holds data"
+    for key in census.get("offline", ()):
+        if media.chunk_info(Ppa(*key, 0)).state is not ChunkState.OFFLINE:
+            yield f"offline chunk {key} is not offline on the device"

@@ -372,7 +372,7 @@ class TestFailedTableWrite:
         db = DB(env, DBConfig(block_size=96 * KIB,
                               write_buffer_bytes=512 * 1024), device.sim)
         return env, db, lambda: {pu: sorted(queue) for pu, queue
-                                 in env.free_pool.items()}
+                                 in env.pool.free.items()}
 
     @staticmethod
     def zns():

@@ -5,12 +5,17 @@ A misconfigured collection pattern once made ``pytest benchmarks/
 shape so that regression stays caught.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 
-BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "benchmarks")
+import pytest
+
+from repro.stack.__main__ import main as stack_main
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 
 EXPECTED_BENCHES = {
     "bench_fig1_landscape.py",
@@ -45,13 +50,41 @@ def test_benchmark_directory_collects():
     assert len(total_line) >= len(EXPECTED_BENCHES)
 
 
+def load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name[:-3], os.path.join(BENCH_DIR, name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_modules_import_cleanly():
-    import importlib.util
     for name in sorted(EXPECTED_BENCHES):
-        path = os.path.join(BENCH_DIR, name)
-        spec = importlib.util.spec_from_file_location(name[:-3], path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        load_bench(name)
+
+
+#: Each smoke run, as its command line runs it.
+SMOKES = {
+    "lightlsm_smoke": lambda: stack_main([os.path.join(
+        REPO_ROOT, "examples", "specs", "lightlsm_smoke.json")]),
+    "bench_isolation_smoke": lambda: load_bench(
+        "bench_isolation.py").main(["--smoke"]),
+    "policy_ablation_smoke": lambda: load_bench(
+        "bench_policy_ablation.py").main(["--smoke"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKES))
+def test_a_smoke_rewrites_its_committed_results_byte_for_byte(name,
+                                                              tmp_path):
+    """A smoke's results files hold its numbers and nothing else (no
+    date, no sha), so a change that moves one shows here."""
+    assert SMOKES[name]() == 0
+    for suffix in (".txt", ".json"):
+        with open(os.path.join(BENCH_DIR, "results", name + suffix),
+                  "rb") as handle:
+            assert (tmp_path / (name + suffix)).read_bytes() \
+                == handle.read(), name + suffix
 
 
 def test_result_names_are_sanitized_to_safe_slugs(tmp_path, monkeypatch):

@@ -129,7 +129,7 @@ def test_an_abort_whose_checkpoint_failed_is_never_proven():
     ftl.append_buffer([(1, b"old one"), (2, b"old two")])
     aborted = ftl.journal.next_txn_id
     second = ftl._pus[(ftl._cursor + 1) % len(ftl._pus)]
-    dead = ftl.open_chunks().get(second) or ftl._free[second][0]
+    dead = ftl.open_chunks().get(second) or ftl.pool.free[second][0]
     device.chips[dead[:2]].blocks[dead[2]].state = BlockState.BAD
     slots = ftl.journal.checkpointer
     write_payload_proc = slots.write_payload_proc
@@ -184,9 +184,9 @@ def test_a_freed_segments_chunk_rewritten_after_the_checkpoint():
     ftl.checkpoint()
     ftl.append_buffer([(1, b"moved one")])
     ftl.free_segment(old)
-    assert ftl.stats.checkpoints == 2 and reused in ftl._erasing
-    device.sim.run_until(ftl._erasing[reused])
-    queue = ftl._free[reused[:2]]
+    assert ftl.stats.checkpoints == 2 and reused in ftl.pool.erasing
+    device.sim.run_until(ftl.pool.erasing[reused])
+    queue = ftl.pool.free[reused[:2]]
     queue.remove(reused)
     queue.appendleft(reused)                    # the PU's next chunk
     pid = 10
@@ -224,8 +224,8 @@ def test_a_checkpointed_mapping_into_a_reused_unit_is_lost_not_read():
     ftl.free_segment(old)
     ftl.free_segment(rest)
     assert ftl.stats.checkpoints == 2
-    device.sim.run_until(ftl._erasing[reused])
-    queue = ftl._free[reused[:2]]
+    device.sim.run_until(ftl.pool.erasing[reused])
+    queue = ftl.pool.free[reused[:2]]
     queue.remove(reused)
     queue.appendleft(reused)
     pid = 10

@@ -208,7 +208,8 @@ class TestProvisioner:
         layout = MetadataLayout.build(geometry, wal_chunk_count=2,
                                       ckpt_chunks_per_slot=1)
         table = ChunkTable(geometry, iter(layout.data_chunk_keys()))
-        return geometry, Provisioner(geometry, table), table
+        media = MediaManager(OpenChannelSSD(geometry=geometry))
+        return geometry, Provisioner(media, table), table
 
     def test_units_stripe_across_pus(self):
         geometry, provisioner, __ = self.make()

@@ -156,8 +156,8 @@ class TestGcHeadroom:
         with pytest.raises(OutOfSpaceError):
             while True:
                 provisioner.allocate_unit("user")
-        assert provisioner.group_free(0) == 0
-        assert provisioner.group_free(1) == config.gc_headroom_chunks
+        assert provisioner.pool.group_free(0) == 0
+        assert provisioner.pool.group_free(1) == config.gc_headroom_chunks
         assert provisioner.units_available("gc", group=0) * unit >= per_chunk
 
     def test_gc_stream_ignores_headroom(self):

@@ -16,10 +16,11 @@ from repro.lsm import (
 )
 from repro.nand import FlashGeometry
 from repro.obs import Obs
-from repro.ocssd import ChunkState, DeviceGeometry, OpenChannelSSD, Ppa
+from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ocssd.commands import CommandStatus, Completion
 from repro.ox import MediaManager
-from repro.units import KIB, MIB
+from repro.ox.media import census_problems
+from repro.units import KIB
 
 
 def make_env(placement=None, groups=4, pus=2, chunks=40, pages=6,
@@ -42,6 +43,10 @@ def make_db(placement=None, **kwargs):
 
 def key(i):
     return f"{i:016d}".encode()
+
+
+def census_clean(env) -> bool:
+    return not list(census_problems(env.media, env.pool.keys, env.census()))
 
 
 class TestPlacementPolicies:
@@ -78,9 +83,11 @@ class TestPlacementPolicies:
         assert first[0][0] != second[0][0]
 
     def test_out_of_space(self):
+        """A refused table takes no chunk (it took all it found first)."""
         device, __, env = make_env(chunks=2)
         with pytest.raises(OutOfSpaceError):
             env.placement.allocate(env, 1000)
+        assert env.pool.free_count() == 16
 
 
 class TestBlockSizeConstraint:
@@ -128,19 +135,19 @@ class TestSSTableLifecycle:
 
     def test_table_chunks_return_to_pool(self):
         device, env, db = make_db()
-        free_before = sum(len(q) for q in env.free_pool.values())
+        free_before = env.pool.free_count()
         for i in range(400):
             db.put(key(i), b"x" * 100)
         db.flush()
         db.wait_idle()
-        used = free_before - sum(len(q) for q in env.free_pool.values())
+        used = free_before - env.pool.free_count()
         assert used > 0
         # Drop every table.
         for level in db.levels:
             for table in list(level):
                 device.sim.run_until(device.sim.spawn(
                     env.delete_table_proc(table.handle)))
-        assert sum(len(q) for q in env.free_pool.values()) == free_before
+        assert env.pool.free_count() == free_before
 
     def test_failed_erases_retire_chunks_on_the_record(self):
         """A chunk whose erase fails stays out of the pool, and the env
@@ -152,12 +159,12 @@ class TestSSTableLifecycle:
         writer = sim.run_until(sim.spawn(env.create_writer_proc(1, 0, block)))
         sim.run_until(sim.spawn(writer.append_block_proc(bytes(block))))
         handle = sim.run_until(sim.spawn(writer.finish_proc(b"meta")))
-        free = sum(len(q) for q in env.free_pool.values())
+        free = env.pool.free_count()
         FaultInjector(FaultPlan(erase_fail_prob=1.0)).attach(device)
         sim.run_until(sim.spawn(env.delete_table_proc(handle)))
         assert env.stats.chunk_resets == 5          # 4 data + 1 meta
         assert env.stats.chunks_retired == 5
-        assert sum(len(q) for q in env.free_pool.values()) == free
+        assert env.pool.free_count() == free
         assert obs.metrics.counter("lsm.errors.reset-failed").value == 5
 
 
@@ -250,7 +257,7 @@ class TestSideBySide:
         none lands on a chunk back in the pool."""
         device, media, env = make_env(pages=24)
         sim = device.sim
-        free = sum(len(q) for q in env.free_pool.values())
+        free = env.pool.free_count()
         writer = sim.run_until(sim.spawn(
             env.create_writer_proc(1, 0, self.BLOCK)))
         self.fail_block(env, failing=0, delay=1e-3)
@@ -263,9 +270,7 @@ class TestSideBySide:
             sim.run_until(sim.spawn(append_proc()))
         sim.run_until(sim.spawn(writer.abort_proc()))
         sim.run(until=sim.now + 0.1)
-        assert sum(len(q) for q in env.free_pool.values()) == free
-        assert all(media.chunk_info(Ppa(*key, 0)).write_pointer == 0
-                   for pool in env.free_pool.values() for key in pool)
+        assert env.pool.free_count() == free and census_clean(env)
 
     def test_cut_with_blocks_in_flight_leaves_no_table(self):
         device, __, env = make_env(pages=24)
@@ -289,10 +294,8 @@ class TestSideBySide:
         injector.power_cycle()
         env2 = LightLSMEnv(MediaManager(device), HorizontalPlacement())
         assert sim.run_until(sim.spawn(env2.list_tables_proc())) == []
-        assert sum(len(q) for q in env2.free_pool.values()) \
-            == env2.geometry.total_chunks
-        assert all(device.chunks[key].write_pointer == 0
-                   for pool in env2.free_pool.values() for key in pool)
+        assert env2.pool.free_count() == env2.geometry.total_chunks
+        assert census_clean(env2)
 
     def test_deleting_a_table_costs_about_one_erase(self):
         """33 chunks on 33 PUs: the erases overlap."""
@@ -330,6 +333,31 @@ class TestManifestlessRecovery:
         for i in range(300):
             assert db2.get(key(i)) == f"2:{i}".encode()
 
+    def test_envs_on_disjoint_partitions_each_recover_only_their_own(self):
+        """Two envs on one device, each on half its groups: each writes a
+        table, then each recovers and lists only its own, its pool built
+        from its partition (recovery walked the whole device: it adopted
+        the other env's tables and failed on a PU outside its own)."""
+        device, media, __ = make_env()
+        sim, block = device.sim, 96 * KIB
+        halves = [[(group, pu) for group in groups for pu in range(2)]
+                  for groups in ((0, 1), (2, 3))]
+        for sstable_id, pus in enumerate(halves, start=1):
+            env = LightLSMEnv(media, HorizontalPlacement(), pus=pus)
+            writer = sim.run_until(sim.spawn(
+                env.create_writer_proc(sstable_id, 0, block)))
+            sim.run_until(sim.spawn(writer.append_block_proc(
+                bytes([sstable_id]) * block)))
+            sim.run_until(sim.spawn(writer.finish_proc(b"meta")))
+        for sstable_id, pus in enumerate(halves, start=1):
+            env = LightLSMEnv(MediaManager(device), HorizontalPlacement(),
+                              pus=pus)
+            listed = sim.run_until(sim.spawn(env.list_tables_proc()))
+            assert [handle.sstable_id for handle, __ in listed] \
+                == [sstable_id]
+            assert {key[:2] for key in env.pool.keys} == set(pus)
+            assert census_clean(env)
+
     def test_version_edits_are_noops(self):
         __, env, __d = make_db()
         env.log_version_edit(("add", 1, 0))   # must not raise or record
@@ -354,12 +382,8 @@ class TestManifestlessRecovery:
         tables = sim.run_until(sim.spawn(env2.list_tables_proc()))
         ids = [handle.sstable_id for handle, __ in tables]
         assert 999 not in ids
-        # Debris reclaimed: every chunk is either in a live table or free
-        # (placeholder entries for never-written stripe slots excluded).
-        free = sum(len(q) for q in env2.free_pool.values())
-        live = sum(1 for layout in env2._tables.values()
-                   for chunk in layout.all_chunks if chunk[0] >= 0)
-        assert free + live == env2.geometry.total_chunks
+        # Debris reclaimed: every chunk is in a live table or free.
+        assert census_clean(env2)
 
     def test_crash_before_commit_drops_table_after_power_loss(self):
         device, env, db = make_db()
@@ -429,10 +453,7 @@ class TestManifestlessRecovery:
         tables = sim.run_until(sim.spawn(env2.list_tables_proc()))
         assert len(tables) == count_before
         assert all(handle.sstable_id != 997 for handle, __ in tables)
-        free = sum(len(q) for q in env2.free_pool.values())
-        live = sum(1 for layout in env2._tables.values()
-                   for chunk in layout.all_chunks if chunk[0] >= 0)
-        assert free + live == env2.geometry.total_chunks
+        assert census_clean(env2)
 
     def test_finished_table_survives_a_cut_beside_a_cached_one(self):
         """Table A's barrier covers A's chunks and nothing admitted after

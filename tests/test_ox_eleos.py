@@ -100,6 +100,9 @@ class TestRejectedBuffers:
         ([(1, b"ok"), (2, b"")], "page 2"),
         ([(1, b"ok"), (2, "text")], "page 2"),
         ([(1, b"ok"), (2, None)], "page 2"),
+        # Recovery maps a buffer's pages in placement order, not in the
+        # order given: a page named twice would have no defined winner.
+        ([(1, b"a" * 100), (1, b"b" * 100)], "page 1 is named twice"),
     ])
     def test_rejected_before_anything_is_allocated(self, pages, match):
         __, __m, ftl, __c = make_stack()
@@ -308,7 +311,7 @@ def test_free_segment_flushes_no_wal_and_erases_side_by_side():
     ftl.free_segment(seg)
     assert device.sim.now == started
     assert device.controller.stats.sectors_written == written  # no log
-    erases = list(ftl._erasing.values())
+    erases = list(ftl.pool.erasing.values())
     assert len(erases) == 2
     device.sim.run_until(device.sim.all_of(erases))
     erase = device.chips[(0, 0)].timing.erase_time()
@@ -346,12 +349,12 @@ def test_free_returns_after_its_flush_and_before_its_erases():
     free = ftl.free_chunk_count()
     ftl.free_segment(old)
     assert flushed == [sim.now] and sim.now >= started
-    assert sorted(ftl._erasing) == chunks
+    assert sorted(ftl.pool.erasing) == chunks
     assert ftl.free_chunk_count() == free + len(chunks)
-    sim.run_until(sim.all_of(list(ftl._erasing.values())))
+    sim.run_until(sim.all_of(list(ftl.pool.erasing.values())))
     for key in chunks:
         assert media.chunk_info(Ppa(*key, 0)).write_pointer == 0
-        assert key in ftl._free[key[:2]]
+        assert key in ftl.pool.free[key[:2]]
     assert ftl.free_chunk_count() == free + len(chunks)
     assert ftl.read_page(1) == b"b" * size
 
@@ -366,7 +369,7 @@ def test_an_append_on_a_pool_of_erasing_chunks_waits_for_one():
     empty = [seg for seg in ftl.segments if not ftl.segment_live_pages(seg)]
     for seg in empty:
         ftl.free_segment(seg)
-    erasing = dict(ftl._erasing)
+    erasing = dict(ftl.pool.erasing)
     # Every data chunk but the one holding page 0's last copy.
     assert ftl.free_chunk_count() == len(erasing) \
         == len(ftl.layout.data_chunk_keys()) - 1
@@ -388,12 +391,12 @@ def test_a_crash_with_an_erase_in_flight_conserves_space(how):
     ftl.append_buffer([(1, b"ONE" * 100), (2, b"TWO" * 100)])
     ftl.append_buffer([(3, b"three" * 100)])
     ftl.free_segment(old)
-    assert ftl._erasing
+    assert ftl.pool.erasing
     shadow = {pid: ftl.read_page(pid) for pid in (1, 2, 3)}
     if injector is not None:
         injector.power_cut()
     recovered, __r = recover_after_cut(injector, ftl)
-    assert old not in recovered.segments and not recovered._erasing
+    assert old not in recovered.segments and not recovered.pool.erasing
     assert list(space_problems(recovered)) == []
     assert {pid: recovered.read_page(pid) for pid in shadow} == shadow
     recovered.append_buffer([(4, b"four")])
@@ -460,8 +463,8 @@ def test_failed_erase_is_counted_and_reported():
     assert recovered.stats.chunks_retired == 1
     assert obs.metrics.counter("ftl.errors.reset-failed").value == 2
     assert seg2 not in recovered.segments
-    assert bad1 not in recovered._free[bad1[:2]]
-    assert bad2 not in recovered._free[bad2[:2]]
+    assert bad1 not in recovered.pool.free[bad1[:2]]
+    assert bad2 not in recovered.pool.free[bad2[:2]]
     assert recovered.read_page(1) == b"v3" and seg3 in recovered.segments
 
 
@@ -508,7 +511,7 @@ def test_appends_share_a_pus_open_chunk():
     segs = [ftl.append_buffer([(pid, b"p" * 100)]) for pid in range(5)]
     assert ftl.segment_chunks(segs[0]) == ftl.segment_chunks(segs[4])
     key, = ftl.segment_chunks(segs[0])
-    assert ftl.held_chunks()[key] == 2
+    assert ftl.pool.held[key] == 2
     assert media.chunk_info(Ppa(*key, 0)).write_pointer \
         == 2 * ftl.geometry.ws_min
 
@@ -524,11 +527,11 @@ def test_a_shared_chunk_is_erased_only_after_both_segments_are_freed():
     assert key not in ftl.open_chunks().values()     # full: closed
     ftl.append_buffer([(1, b"moved"), (5, b"moved")])
     ftl.free_segment(first)
-    assert key not in ftl._erasing and ftl.held_chunks()[key] == 2
+    assert key not in ftl.pool.erasing and ftl.pool.held[key] == 2
     assert media.chunk_info(Ppa(*key, 0)).write_pointer > 0
     ftl.free_segment(second)
-    assert key in ftl._erasing
-    device.sim.run_until(device.sim.all_of(list(ftl._erasing.values())))
+    assert key in ftl.pool.erasing
+    device.sim.run_until(device.sim.all_of(list(ftl.pool.erasing.values())))
     assert media.chunk_info(Ppa(*key, 0)).write_pointer == 0
     assert list(space_problems(ftl)) == []
 
@@ -593,7 +596,7 @@ def test_a_cut_with_every_run_durable_before_the_ack_maps_the_append():
     assert (report.unit_txns_applied, report.unit_txns_torn) == (2, 0)
     assert recovered.live_page_ids() == [1, 2]
     assert recovered.read_page(1) == b"n" * UNIT
-    assert all(key in recovered.held_chunks() for key in new)
+    assert all(key in recovered.pool.held for key in new)
     assert list(space_problems(recovered)) == []
 
 
@@ -606,15 +609,15 @@ def test_recovery_keeps_a_shared_chunk_and_resets_an_unheld_written_one():
     ftl.free_segment(segs[0])
     ftl.free_segment(segs[2])
     assert {shared, unheld} <= set(ftl.open_chunks().values())
-    assert not ftl._erasing                     # both still open
+    assert not ftl.pool.erasing                     # both still open
     ftl.crash()
     recovered, __r = OXEleos.recover(media, config)
     assert not recovered.open_chunks()
-    assert recovered.held_chunks()[shared] == 1        # page 4's unit
+    assert recovered.pool.held[shared] == 1        # page 4's unit
     assert media.chunk_info(Ppa(*shared, 0)).write_pointer \
         == 2 * ftl.geometry.ws_min
     assert media.chunk_info(Ppa(*unheld, 0)).write_pointer == 0
-    assert unheld in recovered._free[unheld[:2]]
+    assert unheld in recovered.pool.free[unheld[:2]]
     assert recovered.read_page(4) == b"p4" * 50
     assert recovered.read_page(0) == b"moved 0"
     assert list(space_problems(recovered)) == []
@@ -646,9 +649,9 @@ def test_a_failed_run_in_a_shared_chunk_loses_the_acked_pages_beside_it():
 
 CLEAN_STEPS = ["relocated", "free buffered", "erasing", "erased", "flushed"]
 
-#: The crash checker's invariant A for OX-ELEOS: no write unit is owned
-#: by two segments, every data chunk is exactly one of open, held, free
-#: or offline, and no segment is empty.
+#: The crash checker's invariant A for OX-ELEOS: every data chunk is in
+#: exactly one state of the pool's census, no write unit is owned by two
+#: segments, and no segment is empty.
 space_problems = FTL_OPS["eleos"].structure
 
 
@@ -664,19 +667,19 @@ def test_a_unit_owned_twice_breaks_space_conservation():
 
 
 def test_a_chunk_in_two_states_breaks_space_conservation():
-    """Every data chunk is exactly one of open, held, free or offline: a
-    held chunk handed back to the free pool, and a chunk lost from every
+    """Every data chunk is in exactly one state of the census: a held
+    chunk handed back to the free pool, and a chunk lost from every
     state, are both violations."""
     device, __m, ftl, __c = make_stack()
     size = device.geometry.chunk_size - 4096
     held, = ftl.segment_chunks(ftl.append_buffer([(1, b"h" * size)]))
     assert list(space_problems(ftl)) == []
-    ftl._free[held[:2]].append(held)
-    assert list(space_problems(ftl)) == [f"chunk {held} is held and free"]
-    ftl._free[held[:2]].remove(held)
-    spare = ftl._free[(1, 1)].popleft()
+    ftl.pool.free[held[:2]].append(held)
     assert list(space_problems(ftl)) == [
-        f"chunk {spare} is neither open, held, free nor offline"]
+        f"chunk {held} is free and in use", f"free chunk {held} holds data"]
+    ftl.pool.free[held[:2]].remove(held)
+    spare = ftl.pool.take((1, 1))
+    assert list(space_problems(ftl)) == [f"chunk {spare} is in no state"]
 
 
 @pytest.mark.parametrize("step", CLEAN_STEPS)
@@ -711,8 +714,8 @@ def test_power_cut_at_each_step_of_a_clean(step):
         pass
     if step in CLEAN_STEPS[2:]:     # the free returned before its erases
         # The victim's closed chunks, less those the relocation shares.
-        assert not injector.tripped and len(ftl._erasing) == 2
-        media.sim.run_until(media.sim.all_of(list(ftl._erasing.values())))
+        assert not injector.tripped and len(ftl.pool.erasing) == 2
+        media.sim.run_until(media.sim.all_of(list(ftl.pool.erasing.values())))
     assert injector.tripped == (step in CLEAN_STEPS[:3])
     if not injector.tripped:
         assert victim not in ftl.segments
@@ -770,7 +773,7 @@ def test_power_cut_in_the_checkpoint_a_cleans_free_takes(cut):
     except ReproError:
         pass
     assert injector.tripped
-    assert victim not in ftl.segments and not ftl._erasing
+    assert victim not in ftl.segments and not ftl.pool.erasing
 
     recovered, report = recover_after_cut(injector, ftl)
     assert report.checkpoint_seq == 1

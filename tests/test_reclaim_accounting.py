@@ -22,6 +22,7 @@ from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox import BlockConfig, EleosConfig, MediaManager, OXBlock, OXEleos
 from repro.ox.ftl.serial import NO_PPA, REC_MAP_UPDATE
 from repro.ox.ftl.writebuffer import PAD_LBA
+from repro.ox.media import census_problems
 from repro.units import KIB
 
 SS = 4096
@@ -134,7 +135,6 @@ class EleosLiveness(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.media, self.ftl = make_eleos()
-        self.data_chunks = self.ftl.free_chunk_count()
         self.written = {}   # segment -> pids it was written with
         self._new_engine()
 
@@ -151,10 +151,14 @@ class EleosLiveness(RuleBasedStateMachine):
     @rule(pages=st.lists(st.tuples(PIDS, SIZES), min_size=1, max_size=24))
     def append_buffer(self, pages):
         # Behind the engine's back, but in its page format, so the engine
-        # can still read what it finds.
-        self.ftl.append_buffer([
-            (pid, DeltaPage(pid, bytes([pid + 1]) * size).serialize())
-            for pid, size in pages])
+        # can still read what it finds.  A page id named twice is refused.
+        buffer = [(pid, DeltaPage(pid, bytes([pid + 1]) * size).serialize())
+                  for pid, size in pages]
+        if len({pid for pid, __ in pages}) < len(pages):
+            with pytest.raises(FTLError, match="named twice"):
+                self.ftl.append_buffer(buffer)
+            return
+        self.ftl.append_buffer(buffer)
         self._note_new_segments()
 
     @rule(pid=PIDS, size=st.integers(1, 300))
@@ -224,10 +228,9 @@ class EleosLiveness(RuleBasedStateMachine):
                 key = ftl.geometry.delinearize(
                     unit * ftl.geometry.ws_min).chunk_key()
                 held[key] = held.get(key, 0) + 1
-        assert ftl.held_chunks() == held
-        opened = set(ftl.open_chunks().values())
-        assert ftl.free_chunk_count() + len(opened | set(held)) \
-            == self.data_chunks
+        assert ftl.pool.held == held
+        assert not list(census_problems(ftl.media, ftl.pool.keys,
+                                        ftl.census()))
 
 
 TestEleosLiveness = EleosLiveness.TestCase
@@ -634,7 +637,7 @@ def round_state(media, ftl, expected):
         "map": list(ftl.page_map.items()),
         "valid": [(info.key, info.state, info.valid_count)
                   for info in table.values()],
-        "free": sorted(key for queue in provisioner._free.values()
+        "free": sorted(key for queue in provisioner.pool.free.values()
                        for key in queue),
         "recycled": ftl.gc.stats.chunks_recycled,
         "relocated": ftl.gc.stats.sectors_relocated,

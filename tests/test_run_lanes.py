@@ -20,10 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FTLError
 from repro.nand import FlashGeometry
-from repro.ocssd import DeviceGeometry, Ppa
+from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox.ftl.metadata import ChunkTable
 from repro.ox.ftl.provisioning import MetadataLayout, Provisioner
 from repro.ox.ftl.writebuffer import PAD_LBA, PendingUnit, WriteBuffer
+from repro.ox.media import MediaManager
 
 SECTOR = 16
 
@@ -99,7 +100,8 @@ def make_provisioner():
     layout = MetadataLayout.build(geometry, wal_chunk_count=2,
                                   ckpt_chunks_per_slot=1)
     table = ChunkTable(geometry, iter(layout.data_chunk_keys()))
-    return geometry, Provisioner(geometry, table)
+    return geometry, Provisioner(
+        MediaManager(OpenChannelSSD(geometry=geometry)), table)
 
 
 def unit_state(unit: Optional[PendingUnit]):
