@@ -185,40 +185,32 @@ class DB:
 
     # -- synchronous API -------------------------------------------------------------
 
-    def put(self, key: bytes, value: bytes, *, stream: str = "") -> None:
-        self.sim.run_until(self.sim.spawn(
-            self.put_proc(key, value, stream=stream)))
+    def put(self, key: bytes, value: bytes) -> None:
+        self.sim.run_until(self.sim.spawn(self.put_proc(key, value)))
 
-    def get(self, key: bytes, *, stream: str = "") -> Optional[bytes]:
-        return self.sim.run_until(self.sim.spawn(
-            self.get_proc(key, stream=stream)))
+    def get(self, key: bytes) -> Optional[bytes]:
+        return self.sim.run_until(self.sim.spawn(self.get_proc(key)))
 
-    def delete(self, key: bytes, *, stream: str = "") -> None:
-        self.sim.run_until(self.sim.spawn(
-            self.delete_proc(key, stream=stream)))
+    def delete(self, key: bytes) -> None:
+        self.sim.run_until(self.sim.spawn(self.delete_proc(key)))
 
     def flush(self) -> None:
         self.sim.run_until(self.sim.spawn(self.flush_proc()))
 
     def scan(self, limit: int = 0,
-             on_entry: Optional[Callable] = None, *,
-             stream: str = "") -> int:
+             on_entry: Optional[Callable] = None) -> int:
         return self.sim.run_until(self.sim.spawn(
-            self.scan_proc(limit, on_entry, stream=stream)))
+            self.scan_proc(limit, on_entry)))
 
     # -- write path --------------------------------------------------------------------
 
     def put_proc(self, key: bytes, value: bytes, *, stream: str = ""):
+        """Insert *key* -> *value* into the memtable.  *stream* (here, in
+        ``get_proc`` and in ``scan_proc``) is ignored: it is kept because
+        ``benchmarks/ledger/workloads.py`` passes it, until ROADMAP item 1
+        rewrites that file."""
         if not key:
             raise ReproError("DB.put: key must not be empty")
-        # Trace capture (repro.trace): the slot is read at call time so a
-        # recorder can attach to an already-built stack; detached cost is
-        # these two loads.  *stream* is the replay-concurrency label — it
-        # names the issuing client so replay can rebuild the same
-        # closed-loop procs.
-        trace = self.sim.trace
-        if trace is not None:
-            trace.host_op("put", key=key, value=value, stream=stream)
         obs = self.obs
         if obs is not None:
             put_started = self.sim.now
@@ -234,12 +226,9 @@ class DB:
             obs.metrics.histogram("lsm.put.latency_s").record(
                 self.sim.now - put_started)
 
-    def delete_proc(self, key: bytes, *, stream: str = ""):
+    def delete_proc(self, key: bytes):
         if not key:
             raise ReproError("DB.delete: key must not be empty")
-        trace = self.sim.trace
-        if trace is not None:
-            trace.host_op("delete", key=key, stream=stream)
         state = self._sample_backpressure()
         if state != OK:
             yield from self._write_gate_proc(state)
@@ -312,9 +301,6 @@ class DB:
     # -- read path ---------------------------------------------------------------------
 
     def get_proc(self, key: bytes, *, stream: str = ""):
-        trace = self.sim.trace
-        if trace is not None:
-            trace.host_op("get", key=key, stream=stream)
         self.stats.gets += 1
         if self.config.get_cpu:
             yield self.sim.timeout(self.config.get_cpu)
@@ -355,10 +341,8 @@ class DB:
                   on_entry: Optional[Callable] = None, *,
                   stream: str = ""):
         """Full-order scan (db_bench read-sequential): a k-way merge over
-        the memtable and every table, streaming blocks with readahead."""
-        trace = self.sim.trace
-        if trace is not None:
-            trace.host_op("scan", size=limit, stream=stream)
+        the memtable and every table, streaming blocks with readahead.
+        *stream* is ignored (see ``put_proc``)."""
         cursors = [MemCursor(self.memtable.items_sorted())]
         for entry in reversed(self.immutable_queue):
             cursors.append(MemCursor(entry.items))

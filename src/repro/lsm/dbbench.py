@@ -94,17 +94,13 @@ class DbBench:
             self.sim.now)
         started = self.sim.now
 
-        def client(client_id: int):
-            # The stream label rides into the trace recorder (when one is
-            # attached) so replay can rebuild this client's closed loop.
-            stream = f"fill-{client_id}"
+        def client():
             for index in range(ops_per_client):
                 yield from self.db.put_proc(self.key(index),
-                                            self.value(index),
-                                            stream=stream)
+                                            self.value(index))
                 recorder.record(self.sim.now)
 
-        workers = [self.sim.spawn(client(c), name=f"fill-{c}")
+        workers = [self.sim.spawn(client(), name=f"fill-{c}")
                    for c in range(clients)]
         self.sim.run_until(self.sim.all_of(workers))
         elapsed = self.sim.now - started
@@ -131,14 +127,13 @@ class DbBench:
         recorder = ThroughputRecorder(self.series_window)
         started = self.sim.now
 
-        def client(client_id: int):
+        def client():
             scanned = yield from self.db.scan_proc(
                 limit=ops_per_client,
-                on_entry=lambda __k, __v: recorder.record(self.sim.now),
-                stream=f"readseq-{client_id}")
+                on_entry=lambda __k, __v: recorder.record(self.sim.now))
             return scanned
 
-        workers = [self.sim.spawn(client(c), name=f"readseq-{c}")
+        workers = [self.sim.spawn(client(), name=f"readseq-{c}")
                    for c in range(clients)]
         counts = self.sim.run_until(self.sim.all_of(workers))
         elapsed = self.sim.now - started
@@ -162,11 +157,10 @@ class DbBench:
 
         def client(client_id: int):
             rng = random.Random(self.seed * 1000 + client_id)
-            stream = f"readrand-{client_id}"
             hits = 0
             for __ in range(ops_per_client):
                 key = self.key(rng.randrange(space))
-                value = yield from self.db.get_proc(key, stream=stream)
+                value = yield from self.db.get_proc(key)
                 if value is not None:
                     hits += 1
                 recorder.record(self.sim.now)
@@ -188,11 +182,6 @@ class DbBench:
         """Let flush, compaction and the device cache settle (between the
         fill and the read workloads, as db_bench runs them back to back on
         a settled database)."""
-        trace = self.sim.trace
-        if trace is not None:
-            # A recorded barrier: replay splits its phases here and
-            # quiesces the stack exactly as this capture run did.
-            trace.barrier("quiesce")
         self.db.flush()
         self.db.wait_idle()
         media = getattr(self.db.env, "media", None)

@@ -38,8 +38,7 @@ from repro.ocssd.commands import (
 )
 from repro.ocssd.controller import Controller
 from repro.ocssd.geometry import DeviceGeometry
-from repro.sidecar import (
-    FAULTS_SLOT, OBS_SLOT, QOS_SLOT, TRACE_SLOT, init_sidecar_slots)
+from repro.sidecar import FAULTS_SLOT, OBS_SLOT, QOS_SLOT, init_sidecar_slots
 from repro.sim.core import Simulator
 
 
@@ -122,11 +121,8 @@ class OpenChannelSSD:
         # Sidecars (repro.sidecar): every slot is None unless the matching
         # subsystem attached, so each disabled check costs one attribute
         # load.  faults gates submit(); obs opens one root span per
-        # command; qos carries tenant identity into the scheduler; trace
-        # records workload-boundary ops (its hooks live in the host
-        # layers and read sim.trace at call time).
-        init_sidecar_slots(self, FAULTS_SLOT, OBS_SLOT, QOS_SLOT,
-                           TRACE_SLOT)
+        # command; qos carries tenant identity into the scheduler.
+        init_sidecar_slots(self, FAULTS_SLOT, OBS_SLOT, QOS_SLOT)
         self.controller = Controller(
             self.sim, self.geometry, self.chips, self.chunks,
             notify=self._notify, write_back=write_back,

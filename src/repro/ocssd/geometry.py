@@ -68,11 +68,6 @@ class DeviceGeometry:
         return self._ws_min
 
     @property
-    def ws_opt(self) -> int:
-        """Optimal write size in sectors (== ``ws_min`` in this model)."""
-        return self.ws_min
-
-    @property
     def total_pus(self) -> int:
         return self.num_groups * self.pus_per_group
 

@@ -200,36 +200,18 @@ class OXBlock:
         """Write *data* (a multiple of the 4 KB sector size, up to the
         paper's 1 MB transactions) at *lba*; returns the transaction id.
         The commit is durable on return; for a unit commit, the data too."""
-        # Trace capture (repro.trace): the synchronous API is the raw-block
-        # workload boundary; the proc API is not hooked, so a DB hosted on
-        # this FTL records host ops only.  Slot read at call time — a
-        # recorder can attach to an already-built stack.
-        trace = self.sim.trace
-        if trace is not None:
-            trace.block_op("write", lba=lba,
-                           sectors=len(data) // self.geometry.sector_size,
-                           fill=(data[0] if data else 0))
         return self.sim.run_until(self.sim.spawn(self.write_proc(lba, data)))
 
     def read(self, lba: int, sectors: int = 1) -> bytes:
         """Read *sectors* sectors at *lba*; unmapped sectors read as
         zeroes (standard block-device semantics)."""
-        trace = self.sim.trace
-        if trace is not None:
-            trace.block_op("read", lba=lba, sectors=sectors)
         return self.sim.run_until(self.sim.spawn(self.read_proc(lba,
                                                                 sectors)))
 
     def trim(self, lba: int, sectors: int = 1) -> None:
-        trace = self.sim.trace
-        if trace is not None:
-            trace.block_op("trim", lba=lba, sectors=sectors)
         self.sim.run_until(self.sim.spawn(self.trim_proc(lba, sectors)))
 
     def flush(self) -> None:
-        trace = self.sim.trace
-        if trace is not None:
-            trace.block_op("flush")
         self.sim.run_until(self.sim.spawn(self.flush_proc()))
 
     # -- process API --------------------------------------------------------------------

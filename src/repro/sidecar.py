@@ -36,11 +36,10 @@ from repro.errors import ReproError
 if TYPE_CHECKING:
     from repro.ocssd.device import OpenChannelSSD
 
-#: The four sidecar slots the device stack carries today.
+#: The three sidecar slots the device stack carries today.
 FAULTS_SLOT = "faults"
 OBS_SLOT = "obs"
 QOS_SLOT = "qos"
-TRACE_SLOT = "trace"
 
 
 def init_sidecar_slots(host: object, *slots: str) -> None:

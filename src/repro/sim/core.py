@@ -318,11 +318,6 @@ class Simulator:
         # and FTL background work (GC, compaction) inherit it from here,
         # same as obs; the event loop never looks at it.
         self.qos = None
-        # Trace recorder (repro.trace): None unless one is attached.  The
-        # workload-boundary hooks (DB, DbBench, OX-Block sync API) read
-        # this slot at call time, so a recorder can attach to an
-        # already-built stack; the event loop never looks at it.
-        self.trace = None
 
     # -- event construction ------------------------------------------------
 

@@ -3,9 +3,8 @@
 Loads the spec (JSON by content, TOML by ``.toml`` suffix), validates
 it, builds and runs the stack, and writes the standard results files
 (``benchmarks/results/<name>.txt`` + JSON twin; an ``obs`` spec's ends
-with the attribution table).  Exit code 0 on success; a bad spec or
-``--trace-out`` path prints one line and exits 2; attribution drift
-prints ``FAIL`` and exits 1.
+with the attribution table).  Exit code 0 on success; a bad spec prints
+one line and exits 2; attribution drift prints ``FAIL`` and exits 1.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ def main(argv=None) -> int:
     parser.add_argument("spec", help="path to a JSON or TOML StackSpec")
     parser.add_argument("--name", default=None,
                         help="override the results-file name")
-    parser.add_argument("--trace-out", default=None,
-                        help="record the run's workload-boundary ops to "
-                             "this JSONL trace file")
     args = parser.parse_args(argv)
     try:
         spec = load_spec(args.spec)
@@ -34,7 +30,7 @@ def main(argv=None) -> int:
         print(f"invalid spec {args.spec}: {exc}", file=sys.stderr)
         return 2
     try:
-        run_and_report(spec, name=args.name, trace_out=args.trace_out)
+        run_and_report(spec, name=args.name)
     except AttributionDrift as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1

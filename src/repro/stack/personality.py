@@ -1,7 +1,7 @@
 """The personality table: which FTL takes which host, config, option and
 workload, written once — one row per FTL flavour, host and workload kind.
 ``StackSpec.validate`` and ``resolved_host``, ``build_stack``,
-``run_spec``'s dispatch and capture boundary, ``Stack.block`` and
+``run_spec``'s dispatch, ``Stack.block`` and
 DESIGN §7's tables all read the rows; no other module in ``repro``
 compares a flavour or host to a literal.
 
@@ -41,8 +41,8 @@ class Ftl:
     tune), the hosts it takes (the first is what ``auto`` resolves to),
     ``build(stack)`` for the ``Stack`` attribute *attr*, ``env(stack)``
     for the table store a ``db`` host runs on, the ``StackSpec`` menus
-    only it reads (field -> menu, default first), what the bare FTL
-    gives the runner and the trace layer a capture records that at."""
+    only it reads (field -> menu, default first) and what the bare FTL
+    gives the runner."""
 
     config: Optional[type]
     hosts: Tuple[str, ...]
@@ -50,22 +50,19 @@ class Ftl:
     env: Optional[Callable] = None
     menus: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     surface: Optional[str] = None
-    boundary: Optional[str] = None
     attr: str = "ftl"
 
 
 @dataclass(frozen=True)
 class Host:
     """One host: the class of the ``StackSpec`` dict named like it,
-    ``build(stack)`` for the ``Stack`` attribute *attr*, what it gives
-    the runner, and the trace layer a capture records that at (None: no
-    recorder hook sits there)."""
+    ``build(stack)`` for the ``Stack`` attribute *attr* and what it
+    gives the runner."""
 
     config: Optional[type] = None
     build: Optional[Callable] = None
     attr: str = ""
     surface: Optional[str] = None
-    boundary: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -135,13 +132,6 @@ def _raw_workload(stack) -> Dict[str, object]:
             "ops_per_sec": round(total / wall, 1) if wall else 0.0}
 
 
-def _trace_workload(stack) -> Dict[str, object]:
-    from repro.trace.replay import TraceWorkload
-    workload = stack.spec.workload
-    return TraceWorkload.load(workload.trace,
-                              pacing=workload.pacing).run(stack)
-
-
 def _idle(stack) -> Dict[str, object]:
     stack.sim.run()
     return {}
@@ -156,7 +146,7 @@ FTL_ROWS: Dict[str, Ftl] = {
         env=lambda s: BlockDevEnv(s.ftl, table_sectors=(
             BLOCKDEV_TABLE_CHUNKS * s.device.geometry.sectors_per_chunk)),
         menus={"gc_policy": ("greedy",)},
-        surface="block", boundary="block"),
+        surface="block"),
     "eleos": Ftl(EleosConfig, ("llama", "none"), lambda s: OXEleos.format(
         s.media, EleosConfig(**s.spec.ftl_config))),
     "zns": Ftl(ZnsConfig, ("db", "none"), lambda s: OXZns(
@@ -171,7 +161,7 @@ FTL_ROWS: Dict[str, Ftl] = {
 }
 
 HOST_ROWS: Dict[str, Host] = {
-    "db": Host(DBConfig, _db, attr="db", surface="db", boundary="host"),
+    "db": Host(DBConfig, _db, attr="db", surface="db"),
     "llama": Host(LlamaConfig, lambda s: LlamaEngine(
         s.ftl, LlamaConfig(**s.spec.llama)), attr="engine"),
     "wlfc": Host(WlfcConfig, lambda s: WriteLessCache(
@@ -186,7 +176,6 @@ WORKLOAD_ROWS: Dict[str, Workload] = {
     "fill_then_read_sequential": Workload(
         ("db",), partial(_db_workload, read="read_sequential")),
     "raw_fill_read": Workload(("block",), _raw_workload),
-    "trace": Workload(("db", "block"), _trace_workload),
     "none": Workload((), _idle),
 }
 
@@ -276,12 +265,3 @@ def surface(stack, name: str):
 def run_workload(stack) -> Dict[str, object]:
     return WORKLOAD_ROWS[_kind(stack.spec)].run(stack)
 
-
-def capture_boundary(spec) -> str:
-    """The trace layer a capture of *spec* records: that of the first
-    row, host then FTL, that gives the runner a surface."""
-    row = next((row for row in _layers(spec) if row.surface), None)
-    _check(row is not None and row.boundary is not None,
-           f"trace capture: no instrumented workload boundary for "
-           f"ftl={spec.ftl!r}, host={resolve_host(spec)!r}")
-    return row.boundary

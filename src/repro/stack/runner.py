@@ -24,34 +24,14 @@ class AttributionDrift(ReproError):
     its roots' total."""
 
 
-def run_spec(spec: StackSpec,
-             trace_out: Optional[str] = None) -> Dict[str, object]:
-    """Build the stack, run its workload, return the metrics.
-
-    With *trace_out*, a :class:`repro.trace.TraceRecorder` rides along
-    and the captured trace is written there; a path that cannot be
-    written is a :class:`ReproError` before the stack is built.
-    Recording appends to a list outside the event loop, so the captured
-    run's simulated timeline is identical to an unrecorded one.
-    """
-    return _run(spec, trace_out)[0]
+def run_spec(spec: StackSpec) -> Dict[str, object]:
+    """Build the stack, run its workload, return the metrics."""
+    return _run(spec)[0]
 
 
-def _run(spec: StackSpec,
-         trace_out: Optional[str]) -> Tuple[Dict[str, object], Stack]:
+def _run(spec: StackSpec) -> Tuple[Dict[str, object], Stack]:
     """:func:`run_spec`'s metrics, and the stack that ran."""
-    if trace_out:
-        try:
-            open(trace_out, "a").close()
-        except OSError as error:
-            raise ReproError(f"cannot write the trace to {trace_out} "
-                             f"({error.strerror})") from None
     stack = build_stack(spec)
-    recorder = None
-    if trace_out:
-        from repro.trace.recorder import TraceRecorder
-        recorder = TraceRecorder(boundary=personality.capture_boundary(
-            spec)).attach(stack.device)
     metrics = personality.run_workload(stack)
     metrics["sim_seconds"] = round(stack.sim.now, 9)
     metrics["events_processed"] = stack.sim.events_processed
@@ -64,15 +44,11 @@ def _run(spec: StackSpec,
     if stack.faults is not None:
         metrics["media_ops"] = stack.faults.stats.media_ops
         metrics["power_cuts"] = stack.faults.stats.power_cuts
-    if recorder is not None:
-        recorder.write(trace_out, meta={"spec": spec.to_dict()})
-        metrics["trace_ops"] = len(recorder.ops)
     return metrics, stack
 
 
 def run_and_report(spec: StackSpec,
-                   name: Optional[str] = None,
-                   trace_out: Optional[str] = None) -> Dict[str, object]:
+                   name: Optional[str] = None) -> Dict[str, object]:
     """``run_spec`` + the standard results files; returns the metrics.
 
     An ``obs`` run's ``.txt`` file ends with the attribution table of
@@ -80,7 +56,7 @@ def run_and_report(spec: StackSpec,
     end-to-end row, :class:`AttributionDrift` follows the files."""
     # Imported here: benchhelpers itself builds stacks from specs.
     from repro.benchhelpers import report
-    metrics, stack = _run(spec, trace_out)
+    metrics, stack = _run(spec)
     label = name or spec.name
     # Align on the longest key, at least the historical 18 columns.
     width = max(18, max((len(key) for key in metrics), default=0))

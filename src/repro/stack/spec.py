@@ -29,7 +29,6 @@ from repro.stack import personality
 from repro.stack.personality import _check
 
 QOS_POLICIES = (PARTITIONED, SHARED)
-PACINGS = ("afap", "recorded")
 
 
 def _sub_spec(cls, value):
@@ -187,10 +186,6 @@ class WorkloadSpec:
     # raw_fill_read only: single-sector reads over the filled span.
     fill_ops: int = 40
     read_ops: int = 300
-    # kind="trace" only: the recorded trace to replay, and whether to
-    # run it closed-loop (afap) or at the captured issue times.
-    trace: str = ""
-    pacing: str = "afap"
 
     def validate(self) -> None:
         _check_types(self, "workload.")
@@ -199,13 +194,6 @@ class WorkloadSpec:
                f"workload.kind must be one of {kinds}, got {self.kind!r}")
         _check_bounds(self, "workload.", clients=1, ops_per_client=1,
                       read_ops_per_client=0, fill_ops=1, read_ops=0)
-        _check(self.pacing in PACINGS,
-               f"workload.pacing must be one of {PACINGS}, "
-               f"got {self.pacing!r}")
-        if self.kind == "trace":
-            _check(bool(self.trace),
-                   "workload.trace must name a trace file when "
-                   "workload.kind is 'trace'")
 
 
 @dataclass
@@ -256,7 +244,7 @@ class StackSpec:
     #: LightLSM data placement (Figures 5/6).
     placement: str = "horizontal"
     #: OX-Block's GC victim order; its menu holds only "greedy" (DESIGN
-    #: §10).  Kept because the ledger's zipf rows still pass it; it goes
+    #: §9).  Kept because the ledger's zipf rows still pass it; it goes
     #: when those rows become JSON specs.
     gc_policy: str = "greedy"
     #: Host above the FTL: "auto" (the flavor's first host) or a row of
@@ -265,7 +253,7 @@ class StackSpec:
     #: ``wlfc`` / ``db`` / ``llama``: kwargs for the config class of the
     #: host of that name (its row's ``config``).  ``db`` holds the LSM
     #: concurrency plane, ``flush_workers`` / ``compaction_workers``
-    #: (1/1 is the single-daemon engine; DESIGN §11).
+    #: (1/1 is the single-daemon engine; DESIGN §10).
     wlfc: Dict[str, object] = field(default_factory=dict)
     db: Dict[str, object] = field(default_factory=dict)
     llama: Dict[str, object] = field(default_factory=dict)

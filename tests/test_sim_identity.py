@@ -336,12 +336,12 @@ def _lsm_zns_scan():
                 yield sim.timeout(think)
             key = _lsm_key(rng.randrange(key_space))
             if rng.random() < 0.06:
-                yield from db.delete_proc(key, stream=name)
+                yield from db.delete_proc(key)
                 model.pop(key, None)
             else:
                 value = bytes([33 + rng.randrange(90)]) \
                     * rng.randint(100, 1400)
-                yield from db.put_proc(key, value, stream=name)
+                yield from db.put_proc(key, value)
                 model[key] = value
 
     def on_entry(key: bytes, value: bytes) -> None:
@@ -349,18 +349,18 @@ def _lsm_zns_scan():
         delivered.update(value)
         scanned.append((key, value))
 
-    def scanner(name: str, limit: int):
+    def scanner(limit: int):
         for __ in range(2):
-            count = yield from db.scan_proc(limit, on_entry, stream=name)
+            count = yield from db.scan_proc(limit, on_entry)
             delivered.update(b"|%d|" % count)
 
     _run_all(sim, [writer(f"fill-{client}", 2500) for client in range(4)])
-    _run_all(sim, [scanner("scan-0", 700), scanner("scan-1", 1100),
+    _run_all(sim, [scanner(700), scanner(1100),
          writer("over-0", 900, think=25e-6),
          writer("over-1", 900, think=25e-6)])
     stack.dbbench().quiesce()
     del scanned[:]
-    _run_all(sim, [scanner("scan-all", 0)])
+    _run_all(sim, [scanner(0)])
     assert scanned == sorted(model.items()) * 2
     return _lsm_row(stack, written, delivered)
 
@@ -385,22 +385,21 @@ def _lsm_lightlsm_get():
 
     def filler(client: int):
         rng = random.Random(f"lightlsm-get-fill-{client}")
-        stream = f"fill-{client}"
         for index in range(keys):
             key = _lsm_key(index)
             value = bytes([65 + client]) * rng.randint(300, 1500)
-            yield from db.put_proc(key, value, stream=stream)
+            yield from db.put_proc(key, value)
             model[key] = value
             if index % 4 == client:
                 key = _lsm_key(index - client)
-                yield from db.delete_proc(key, stream=stream)
+                yield from db.delete_proc(key)
                 model.pop(key, None)
 
     def reader(client: int):
         rng = random.Random(f"lightlsm-get-read-{client}")
         for __ in range(400):
             key = _lsm_key(rng.randrange(keys + keys // 8))
-            value = yield from db.get_proc(key, stream=f"get-{client}")
+            value = yield from db.get_proc(key)
             assert value == model.get(key)
             delivered.update(key)
             delivered.update(b"-" if value is None else value)

