@@ -14,8 +14,8 @@ if it were a file system on a block device —
   deletion needs no copies at all);
 * table visibility needs a MANIFEST, like any file system client.
 
-``bench_app_vs_generic.py`` measures the resulting throughput and
-write-amplification gap.
+``benchmarks/bench_abstraction_spectrum.py`` measures the resulting
+throughput and write-amplification gap.
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ class BlockDevEnv(ManifestEnv):
         # ManifestEnv._tables maps
         # id -> (extent, data blocks, meta sectors, meta bytes, level)
 
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` of the underlying FTL;
-        None when untagged."""
-        return self.ftl.tenant
-
     # -- StorageEnv -----------------------------------------------------------
 
     @property
@@ -153,7 +147,7 @@ class BlockDevEnv(ManifestEnv):
         yield from self.ftl.trim_proc(extent.start_lba, extent.sectors)
         self._free(extent)
 
-    # list_tables_proc / log_version_edit / _require: ManifestEnv.
+    # list_tables_proc / log_version_edit: ManifestEnv; _require: StorageEnv.
 
     # -- internals ----------------------------------------------------------------
 

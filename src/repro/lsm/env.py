@@ -123,6 +123,20 @@ class StorageEnv(abc.ABC):
         as a no-op — atomic SSTable flush makes the MANIFEST unnecessary
         (§5, "with LightLSM, RocksDB does not need MANIFEST")."""
 
+    # -- every env keeps its tables in ``self._tables`` (id -> record) --------
+
+    def _require(self, handle: SSTableHandle):
+        """The env's record of *handle*'s table."""
+        try:
+            return self._tables[handle.sstable_id]
+        except KeyError:
+            raise ReproError(f"unknown sstable {handle.sstable_id}") from None
+
+    def _require_new(self, sstable_id: int) -> None:
+        """Refuse a table id the env already holds."""
+        if sstable_id in self._tables:
+            raise ReproError(f"sstable {sstable_id} already exists")
+
 
 class _MemWriter(SSTableWriter):
     def __init__(self, env: "MemEnv", sstable_id: int, level: int):
@@ -180,8 +194,7 @@ class MemEnv(StorageEnv):
 
     def create_writer_proc(self, sstable_id: int, level: int,
                            block_size: int):
-        if sstable_id in self._tables:
-            raise ReproError(f"sstable {sstable_id} already exists")
+        self._require_new(sstable_id)
         return _MemWriter(self, sstable_id, level)
         yield  # pragma: no cover - generator marker
 
@@ -223,11 +236,3 @@ class MemEnv(StorageEnv):
 
     def log_version_edit(self, edit: Tuple[str, int, int]) -> None:
         self.manifest.append(edit)
-
-    # -- internals ---------------------------------------------------------------
-
-    def _require(self, handle: SSTableHandle):
-        try:
-            return self._tables[handle.sstable_id]
-        except KeyError:
-            raise ReproError(f"unknown sstable {handle.sstable_id}") from None

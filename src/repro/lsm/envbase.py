@@ -6,8 +6,8 @@ re-implementing before the stack refactor:
 
 * :class:`ManifestEnv` — the MANIFEST-governed visibility contract
   shared by :class:`~repro.lsm.blockenv.BlockDevEnv` and
-  :class:`~repro.lsm.znsenv.ZnsEnv`: version-edit logging, the
-  replay-then-read-meta recovery walk, and the handle lookup.
+  :class:`~repro.lsm.znsenv.ZnsEnv`: version-edit logging and the
+  replay-then-read-meta recovery walk.
   (LightLSM deliberately does **not** inherit this: atomic SSTable
   flush makes the MANIFEST unnecessary, §5.)
 * :func:`pad_to_sectors` — the meta-blob padding the sector-addressed
@@ -43,8 +43,7 @@ class ManifestEnv(StorageEnv):
     Subclasses own ``self._tables`` (id -> per-env layout record) and
     ``self.sector_size``; this base supplies the shared contract: the
     version-edit log, the recovery walk that replays it and reads each
-    live table's meta, the writer-admission checks, and the strict
-    handle lookup.
+    live table's meta, and the writer-admission checks.
     """
 
     def __init__(self) -> None:
@@ -56,8 +55,7 @@ class ManifestEnv(StorageEnv):
         only sector alignment, and table ids must be fresh."""
         if block_size % self.sector_size:
             raise ReproError(f"block_size {block_size} not sector-aligned")
-        if sstable_id in self._tables:
-            raise ReproError(f"sstable {sstable_id} already exists")
+        self._require_new(sstable_id)
 
     def list_tables_proc(self):
         """Visibility via the MANIFEST, as on any file system: a table
@@ -74,13 +72,6 @@ class ManifestEnv(StorageEnv):
 
     def log_version_edit(self, edit: Tuple[str, int, int]) -> None:
         self.manifest.append(edit)
-
-    def _require(self, handle: SSTableHandle):
-        try:
-            return self._tables[handle.sstable_id]
-        except KeyError:
-            raise ReproError(
-                f"unknown sstable {handle.sstable_id}") from None
 
 
 @dataclass

@@ -192,12 +192,6 @@ class LightLSMEnv(StorageEnv):
             workers=config.dispatch_workers,
             dispatch_cpu=config.dispatch_cpu)
 
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` this env's I/O is tagged
-        with (from its media manager); None when untagged."""
-        return self.media.tenant
-
     # -- StorageEnv surface -----------------------------------------------------
 
     @property
@@ -216,8 +210,7 @@ class LightLSMEnv(StorageEnv):
     def create_writer_proc(self, sstable_id: int, level: int,
                            block_size: int):
         self._check_block_size(block_size)
-        if sstable_id in self._tables:
-            raise ReproError(f"sstable {sstable_id} already exists")
+        self._require_new(sstable_id)
         chunks = self.placement.allocate(self, self.chunks_per_sstable + 1)
         layout = _TableLayout(
             handle=SSTableHandle(sstable_id, level),
@@ -231,7 +224,7 @@ class LightLSMEnv(StorageEnv):
 
     def read_block_proc(self, handle: SSTableHandle, block_index: int,
                         block_size: int):
-        layout = self._layout(handle)
+        layout = self._require(handle)
         if not 0 <= block_index < layout.data_blocks:
             raise ReproError(
                 f"block {block_index} out of range for table "
@@ -247,11 +240,11 @@ class LightLSMEnv(StorageEnv):
     def read_width(self, handle: SSTableHandle) -> int:
         """The PUs the table's stripe covers: every PU of the partition
         for horizontal placement, one group's for vertical (Figure 4)."""
-        return len({key[:2] for key in self._layout(handle).chunks
+        return len({key[:2] for key in self._require(handle).chunks
                     if key[0] >= 0})
 
     def read_meta_proc(self, handle: SSTableHandle):
-        layout = self._layout(handle)
+        layout = self._require(handle)
         meta = yield from self._read_meta_of_layout(layout)
         if meta is None:
             raise ReproError(f"table {handle.sstable_id} has no meta")
@@ -359,13 +352,6 @@ class LightLSMEnv(StorageEnv):
         use are the tables' chunks."""
         return self.pool.census(self._table_chunks())
 
-    def _layout(self, handle: SSTableHandle) -> _TableLayout:
-        try:
-            return self._tables[handle.sstable_id]
-        except KeyError:
-            raise ReproError(
-                f"unknown sstable {handle.sstable_id}") from None
-
     def _read_commit_proc(self, meta_key: ChunkKey, sstable_id: int):
         """Read and validate the commit unit (the meta's last unit) at the
         tail of the meta chunk; ``(meta_sectors, data_blocks)`` or None."""
@@ -424,7 +410,7 @@ class LightLSMEnv(StorageEnv):
                           block_size: int) -> None:
         """Recovery hook: the DB tells the env each table's block size
         after parsing its meta."""
-        self._layout(handle).block_sectors = \
+        self._require(handle).block_sectors = \
             block_size // self.geometry.sector_size
 
 

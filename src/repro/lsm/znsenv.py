@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.errors import OutOfSpaceError, ReproError
+from repro.errors import ReproError
 from repro.lsm.env import SSTableHandle, SSTableWriter
 from repro.lsm.envbase import ManifestEnv, pad_to_sectors
-from repro.sim.resources import Resource
+from repro.ocssd.address import Ppa
+from repro.ocssd.chunk import ChunkState
 from repro.zns.ftl import OXZns
-from repro.zns.zone import ZoneState
+from repro.zns.zone import ChunkKey, ZoneState
 
 
 @dataclass
@@ -43,7 +44,7 @@ class _ZnsWriter(SSTableWriter):
     zone keeps one append in flight, so a table's appends overlap on
     every channel the stripe spans.  The stripe is ``num_groups`` wide,
     at most half of ``max_open_zones``, and never holds more zones than
-    the env's open-zone budget has room for: a writer that holds a zone
+    OX-ZNS's open-zone budget has room for: a writer that holds a zone
     narrows instead of waiting, so none deadlocks."""
 
     def __init__(self, env: "ZnsEnv", sstable_id: int, level: int,
@@ -65,11 +66,12 @@ class _ZnsWriter(SSTableWriter):
         """The stripe's next zone, its append in flight done, with at
         least *sectors* of room: a full zone is finished and a fresh one
         taken in a group the stripe does not use, or its slot goes."""
-        env, slots = self.env, self._slots
+        zns, slots = self.env.zns, self._slots
         while True:
             if len(slots) < self._width:
-                zone_id = yield from env._open_zone_proc(
-                    {env._group(zone) for zone in slots}, wait=not slots)
+                zone_id = yield from zns.open_zone_proc(
+                    {zns.zone(zone).group for zone in slots},
+                    wait=not slots)
                 if zone_id is not None:
                     slots.append(zone_id)
                     self.table.zones.append(zone_id)
@@ -79,14 +81,13 @@ class _ZnsWriter(SSTableWriter):
             if zone_id in self._in_flight:
                 index, append = self._in_flight.pop(zone_id)
                 self.table.block_lbas[index] = yield append
-            zone = env.zns.zone(zone_id)
+            zone = zns.zone(zone_id)
             if zone.remaining >= sectors:
                 slots.append(slots.pop(0))
                 return zone_id
             if zone.state is not ZoneState.FULL:
-                yield from env.zns.finish_zone_proc(zone_id)
+                yield from zns.finish_zone_proc(zone_id)
             slots.pop(0)
-            env._open_zones.release()
 
     def append_block_proc(self, block: bytes):
         zone_id = yield from self._zone_with_room_proc(self.block_sectors)
@@ -109,11 +110,6 @@ class _ZnsWriter(SSTableWriter):
         self._in_flight = {}
         return failure
 
-    def _release_slots(self) -> None:
-        for __ in self._slots:
-            self.env._open_zones.release()
-        self._slots = []
-
     def finish_proc(self, meta_blob: bytes):
         zns = self.env.zns
         failure = yield from self._join_proc()
@@ -128,7 +124,6 @@ class _ZnsWriter(SSTableWriter):
         yield from self.env.sim.join_proc(
             [zns.finish_zone_proc(zone_id) for zone_id in self._slots
              if zns.zone(zone_id).state is not ZoneState.FULL], "zns-finish")
-        self._release_slots()
         # Durability barrier: the table is acknowledged only once its data
         # and meta are on NAND (the fsync a real engine would issue).
         yield from zns.media.flush_proc(
@@ -141,10 +136,7 @@ class _ZnsWriter(SSTableWriter):
     def abort_proc(self):
         yield from self._join_proc()
         zones, self.table.zones = self.table.zones, []
-        try:
-            yield from self.env._reclaim_proc(zones)
-        finally:
-            self._release_slots()
+        yield from self.env._reclaim_proc(zones)
 
 
 class ZnsEnv(ManifestEnv):
@@ -155,15 +147,6 @@ class ZnsEnv(ManifestEnv):
         self.zns = zns
         self.sim = zns.sim
         self.sector_size = zns.geometry.sector_size
-        self._free_zones: List[int] = list(range(zns.num_zones))
-        #: The zones writers hold open, within ``max_open_zones``.
-        self._open_zones = Resource(self.sim, zns.config.max_open_zones)
-
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` of the underlying
-        namespace; None when untagged."""
-        return self.zns.tenant
 
     # -- StorageEnv -------------------------------------------------------------
 
@@ -197,7 +180,7 @@ class ZnsEnv(ManifestEnv):
     def read_width(self, handle: SSTableHandle) -> int:
         """The groups (channels) the table's zones span: its blocks rotate
         over them, and a wider window only queues on their channels."""
-        return len({self._group(zone_id)
+        return len({self.zns.zone(zone_id).group
                     for zone_id in self._require(handle).zones})
 
     def read_meta_proc(self, handle: SSTableHandle):
@@ -213,57 +196,53 @@ class ZnsEnv(ManifestEnv):
         yield from self._reclaim_proc(table.zones)
 
     def list_tables_proc(self):
-        """The MANIFEST walk; then, with no writer alive, every zone that
-        no listed table holds (a table cut mid-write never reached the
-        MANIFEST) is reset and freed."""
+        """The MANIFEST walk; then, with no writer alive, the open-zone
+        budget is rebuilt from the zones' states and every zone that no
+        listed table holds (a table cut mid-write never reached the
+        MANIFEST) and that is neither EMPTY nor OFFLINE is reset."""
         tables = yield from super().list_tables_proc()
         live = {handle.sstable_id for handle, __ in tables}
         self._tables = {sstable_id: self._tables[sstable_id]
                         for sstable_id in live}
-        held = {zone_id for table in self._tables.values()
-                for zone_id in table.zones}
-        spare = [zone for zone in self.zns.zones if zone.zone_id not in held
-                 and zone.state is not ZoneState.OFFLINE]
-        self._open_zones = Resource(self.sim, self.zns.config.max_open_zones)
-        self._free_zones = [zone.zone_id for zone in spare
-                            if zone.state is ZoneState.EMPTY]
-        yield from self._reclaim_proc([zone.zone_id for zone in spare
-                                       if zone.state is not ZoneState.EMPTY])
+        held = self._held_zones()
+        self.zns.rebuild_open_budget()
+        yield from self._reclaim_proc([
+            zone.zone_id for zone in self.zns.zones
+            if zone.zone_id not in held
+            and zone.state not in (ZoneState.EMPTY, ZoneState.OFFLINE)])
         return tables
 
-    # log_version_edit / _require: ManifestEnv.
+    # log_version_edit: ManifestEnv; _require: StorageEnv.
+
+    def census(self) -> Dict[str, List[ChunkKey]]:
+        """Every zone's chunks by state (``census_problems``): offline as
+        the device reports it; else free in an EMPTY zone; else in use in
+        a zone a table holds or a retired one (whose healthy chunks are
+        stranded)."""
+        held = self._held_zones()
+        census = {"free": [], "in use": [], "offline": []}
+        for zone in self.zns.zones:
+            for key in zone.chunks:
+                if self.zns.media.chunk_info(Ppa(*key, 0)).state \
+                        is ChunkState.OFFLINE:
+                    census["offline"].append(key)
+                elif zone.state is ZoneState.EMPTY:
+                    census["free"].append(key)
+                elif zone.zone_id in held \
+                        or zone.state is ZoneState.OFFLINE:
+                    census["in use"].append(key)
+        return census
 
     # -- internals ----------------------------------------------------------------
 
+    def _held_zones(self):
+        return {zone_id for table in self._tables.values()
+                for zone_id in table.zones}
+
     def _reclaim_proc(self, zone_ids: List[int]):
         """Reset *zone_ids* side by side (a table's zones sit in distinct
-        groups, so their erases overlap).  A reset zone returns to the
-        free list, a retired one does not; its ZoneError surfaces once
-        every sibling has finished."""
-        def reset_proc(zone_id: int):
-            if self.zns.zone(zone_id).state is not ZoneState.EMPTY:
-                yield from self.zns.reset_zone_proc(zone_id)
-            self._free_zones.append(zone_id)
-
+        groups, so their erases overlap); a retired zone's ZoneError
+        surfaces once every sibling has finished."""
         yield from self.sim.join_proc(
-            [reset_proc(zone_id) for zone_id in zone_ids], "zns-reclaim")
-
-    def _open_zone_proc(self, groups, wait: bool):
-        """Take the first free zone outside *groups* within
-        ``max_open_zones`` (other writers' zones count too).  With no room
-        or no such zone: wait for room if *wait* (the writer holds no
-        zone), else None (it narrows its stripe)."""
-        if not self._open_zones.try_acquire():
-            if not wait:
-                return None
-            yield self._open_zones.request()
-        for index, zone_id in enumerate(self._free_zones):
-            if self._group(zone_id) not in groups:
-                return self._free_zones.pop(index)
-        self._open_zones.release()
-        if wait:
-            raise OutOfSpaceError("no empty zones left")
-        return None
-
-    def _group(self, zone_id: int) -> int:
-        return self.zns.zone(zone_id).chunks[0][0]
+            [self.zns.reset_zone_proc(zone_id) for zone_id in zone_ids],
+            "zns-reclaim")

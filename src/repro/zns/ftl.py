@@ -7,6 +7,8 @@ device-side placement freedom ZNS gives the FTL).  The host API is the
 NVMe ZNS shape:
 
 * ``report_zones()`` — zone descriptors;
+* ``open_zone_proc(avoid_groups, wait)`` — explicit open of the first
+  EMPTY zone outside some groups, within ``max_open_zones``;
 * ``append(zone_id, data)`` — sequential write at the zone's pointer,
   returns the LBA the data landed on;
 * ``read(lba, sectors)``;
@@ -14,20 +16,20 @@ NVMe ZNS shape:
 * ``finish_zone(zone_id)`` — pad and close.
 
 The FTL owns wear: resets route through the chunks, and a zone whose
-chunk goes offline is retired with its notification surfaced.
+chunk goes offline is retired with its notification surfaced.  Zone
+state is the one record of free (EMPTY) and open zones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.errors import ReproError, ZoneError
+from repro.errors import OutOfSpaceError, ReproError, ZoneError
 from repro.ocssd.address import PpaRun
 from repro.ox.media import MediaManager
+from repro.sim.resources import Resource
 from repro.zns.zone import Zone, ZoneState
-
-ChunkKey = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ class OXZns:
             raise ZoneError(f"chunks_per_zone={per_zone} does not fit a group")
         self.zone_capacity = per_zone * self.geometry.sectors_per_chunk
         self.zones: List[Zone] = []
-        self._open_count = 0
+        #: One unit per OPEN zone, within ``max_open_zones``.
+        self.open_budget = Resource(self.sim, self.config.max_open_zones)
         self.stats = ZnsStats()
         # Observability (repro.obs): inherited from the simulator; None
         # unless a hub was attached before this FTL was built.
@@ -109,6 +112,34 @@ class OXZns:
             raise ZoneError(f"zone {zone_id} out of range")
         return self.zones[zone_id]
 
+    def open_zone_proc(self, avoid_groups=(), wait: bool = False):
+        """Explicit open (NVMe ZNS 'open zone'): take a unit of the budget,
+        then open the first EMPTY zone, by id, outside *avoid_groups*;
+        returns its id.  With no unit free: wait for one if *wait*, else
+        None.  With no such zone: OutOfSpaceError if *wait*, else None."""
+        budget = self.open_budget
+        if not budget.try_acquire():
+            if not wait:
+                return None
+            yield budget.request()
+        for zone in self.zones:
+            if zone.state is ZoneState.EMPTY \
+                    and zone.group not in avoid_groups:
+                zone.state = ZoneState.OPEN
+                return zone.zone_id
+        budget.release()
+        if wait:
+            raise OutOfSpaceError("no empty zones left")
+        return None
+
+    def rebuild_open_budget(self) -> None:
+        """After a cut: a fresh budget, one unit per OPEN zone (dead
+        writers may hold units of the old one or wait in its queue)."""
+        self.open_budget = Resource(self.sim, self.config.max_open_zones)
+        for zone in self.zones:
+            if zone.state is ZoneState.OPEN:
+                self.open_budget.try_acquire()
+
     # -- data path -----------------------------------------------------------------
 
     def append(self, zone_id: int, data: bytes) -> int:
@@ -130,24 +161,24 @@ class OXZns:
         sectors = len(data) // sector_size
         zone.check_append(sectors)
         opened = zone.state is ZoneState.EMPTY
-        if opened:
-            if self._open_count >= self.config.max_open_zones:
-                raise ZoneError(
-                    f"too many open zones (max "
-                    f"{self.config.max_open_zones})")
-            self._open_count += 1
+        if opened and not self.open_budget.try_acquire():
+            raise ZoneError(
+                f"too many open zones (max {self.config.max_open_zones})")
         start_lba = zone.start_lba + zone.write_pointer
 
         obs = self.obs
         span = obs.begin("zns", "append") if obs is not None else None
         ws_min = self.geometry.ws_min
+        # Zones fill chunk by chunk, each written sequentially; a zone's
+        # chunks sit on distinct PUs, so large appends parallelize.
+        per_chunk = self.geometry.sectors_per_chunk
         view = memoryview(data)
         offset = zone.write_pointer
         remaining = sectors
         procs = []
         while remaining > 0:
-            chunk_index, in_chunk = self._locate(zone, offset)
-            room = self.geometry.sectors_per_chunk - in_chunk
+            chunk_index, in_chunk = divmod(offset, per_chunk)
+            room = per_chunk - in_chunk
             count = min(remaining, room)
             # Pad the tail of the append to a whole write unit — sectors
             # past the end of the buffer; padding advances the physical
@@ -169,14 +200,14 @@ class OXZns:
             for completion in (yield self.sim.all_of(procs)):
                 self.media.require_ok(completion, f"zone {zone_id} append")
         except ReproError:
-            if opened:      # the zone is still EMPTY: its slot goes back
-                self._open_count -= 1
+            if opened:      # the zone is still EMPTY: its unit goes back
+                self.open_budget.release()
             raise
         # Physical pointer may have advanced past the logical one due to
         # padding: account the padding into the zone as consumed capacity.
         zone.advance(offset - zone.write_pointer)
         if zone.state is ZoneState.FULL:
-            self._open_count -= 1
+            self.open_budget.release()
         self.stats.appends += 1
         self.stats.sectors_appended += sectors
         if obs is not None:
@@ -196,7 +227,7 @@ class OXZns:
         ppas = []       # one run per chunk the read touches
         at, end = offset, offset + sectors
         while at < end:
-            chunk_index, in_chunk = self._locate(zone, at)
+            chunk_index, in_chunk = divmod(at, per_chunk)
             count = min(end - at, per_chunk - in_chunk)
             ppas.append(PpaRun(zone.chunks[chunk_index], in_chunk, count))
             at += count
@@ -214,9 +245,18 @@ class OXZns:
         self.sim.run_until(self.sim.spawn(self.reset_zone_proc(zone_id)))
 
     def reset_zone_proc(self, zone_id: int):
+        """Erase the zone's chunks; it turns EMPTY once they are erased,
+        so no open takes it before.  A zone nothing was appended to
+        (EMPTY, or opened and never written) turns EMPTY at once: no
+        flush, no erase, not counted."""
         zone = self.zone(zone_id)
         was_open = zone.state is ZoneState.OPEN
-        zone.reset()   # validates state first
+        if zone.state is ZoneState.OFFLINE or (
+                not zone.write_pointer and zone.state is not ZoneState.FULL):
+            zone.reset()    # raises for an offline zone
+            if was_open:
+                self.open_budget.release()
+            return
         obs = self.obs
         span = None
         if obs is not None:
@@ -227,8 +267,9 @@ class OXZns:
         completions = yield from self.media.reset_dirty_proc(
             zone.chunks, "zns-reset", parent=span)
         failed = not all(completion.ok for completion in completions)
+        zone.reset()
         if was_open:
-            self._open_count -= 1
+            self.open_budget.release()
         if obs is not None:
             obs.end(span, zone=zone_id, failed=failed)
         if failed:
@@ -255,16 +296,5 @@ class OXZns:
         yield from self.media.flush_proc(zone.chunks)
         zone.finish()
         if was_open:
-            self._open_count -= 1
+            self.open_budget.release()
         self.stats.zones_finished += 1
-
-    # -- internals ------------------------------------------------------------------
-
-    def _locate(self, zone: Zone, offset: int) -> Tuple[int, int]:
-        """Zone offset -> (chunk index, sector within chunk).
-
-        Zones fill chunk by chunk (each chunk is written sequentially, as
-        the device demands); chunks of a zone sit on distinct PUs, so
-        multiple open zones and large appends still parallelize.
-        """
-        return divmod(offset, self.geometry.sectors_per_chunk)

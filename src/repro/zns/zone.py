@@ -3,8 +3,8 @@
 "ZNS exposes a disk as a collection of zones that must be written
 sequentially and reset before rewriting" (§2.3).  The state machine
 follows the NVMe ZNS TP shape, reduced to the states this FTL needs:
-EMPTY -> (IMPLICIT) OPEN -> FULL, plus OFFLINE for zones whose backing
-chunks died.
+EMPTY -> OPEN (implicitly, by an append, or explicitly) -> FULL, plus
+OFFLINE for zones whose backing chunks died.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ class Zone:
     @property
     def remaining(self) -> int:
         return self.capacity - self.write_pointer
+
+    @property
+    def group(self) -> int:
+        """The group (channel) every chunk of the zone sits in."""
+        return self.chunks[0][0]
 
     def check_append(self, sectors: int) -> None:
         if self.state is ZoneState.OFFLINE:

@@ -45,6 +45,12 @@ def key(i):
     return f"{i:016d}".encode()
 
 
+def empty_zones(zns):
+    """The free zones: OX-ZNS keeps no other list of them."""
+    return {zone.zone_id for zone in zns.zones
+            if zone.state is ZoneState.EMPTY}
+
+
 class TestBlockDevEnv:
     def test_roundtrip_through_generic_ftl(self):
         device, env, db = make_blockdev_db()
@@ -124,7 +130,8 @@ class TestZnsEnv:
         used_zones = {zone_id for table in env._tables.values()
                       for zone_id in table.zones}
         assert used_zones
-        assert used_zones.isdisjoint(set(env._free_zones))
+        assert all(zns.zone(zone_id).state is ZoneState.FULL
+                   for zone_id in used_zones)
 
     def test_deletion_is_zone_reset(self):
         device, zns, env, db = make_zns_db()
@@ -181,7 +188,7 @@ class TestZnsReclaim:
         handle = sim.run_until(sim.spawn(write_proc()))
         table = env._tables[1]
         assert len(table.zones) == zones
-        assert len({zns.zone(zone_id).chunks[0][0]
+        assert len({zns.zone(zone_id).group
                     for zone_id in table.zones}) == zones
         return device, zns, env, handle, table.zones
 
@@ -194,15 +201,14 @@ class TestZnsReclaim:
     def test_delete_costs_one_zone_reset(self):
         device, zns, env, handle, zones = self.table()
         sim = device.sim
-        lone = env._free_zones.pop()
+        lone = zns.num_zones - 1
         zns.append(lone, b"r" * zns.zone_capacity * env.sector_size)
         zns.media.flush()
         one_reset = self.timed(sim, zns.reset_zone_proc(lone))
         elapsed = self.timed(sim, env.delete_table_proc(handle))
         assert elapsed < 1.5 * one_reset
-        assert all(zns.zone(zone_id).state is ZoneState.EMPTY
-                   for zone_id in zones)
-        assert set(zones) <= set(env._free_zones)
+        assert set(zones) <= empty_zones(zns)
+        assert zns.open_budget.in_use == 0
 
     def test_failed_reset_retires_only_its_zone(self):
         from repro.faults import FaultInjector, FaultPlan
@@ -210,16 +216,14 @@ class TestZnsReclaim:
         bad = zones[1]
         FaultInjector(FaultPlan(
             grown_bad={zns.zone(bad).chunks[0]: 1})).attach(device)
-        free = list(env._free_zones)
+        free = empty_zones(zns)
         with pytest.raises(ZoneError, match=f"zone {bad} retired"):
             device.sim.run_until(device.sim.spawn(
                 env.delete_table_proc(handle)))
         assert zns.zone(bad).state is ZoneState.OFFLINE
         survivors = [zone_id for zone_id in zones if zone_id != bad]
         # Every sibling finished its reset before the error surfaced.
-        assert all(zns.zone(zone_id).state is ZoneState.EMPTY
-                   for zone_id in survivors)
-        assert sorted(env._free_zones) == sorted(free + survivors)
+        assert empty_zones(zns) == free | set(survivors)
         assert zns.stats.zones_retired == 1
 
 
@@ -254,22 +258,23 @@ class TestZnsStripe:
             return (yield from append_proc(zone_id, data))
 
         zns.append_proc = first_append_fails_proc
-        free = len(env._free_zones)
+        free = empty_zones(zns)
         writer = sim.run_until(sim.spawn(
             env.create_writer_proc(1, 0, 96 * KIB)))
         # Block 4 returns to block 0's zone, where the failure waits.
         with pytest.raises(ZoneError, match="injected"):
             write_blocks(sim, writer, 5)
         zones = list(writer.table.zones)
-        assert len({env._group(zone_id) for zone_id in zones}) == 4
-        # The other three zones' appends are still in flight.
-        assert all(zns.zone(zone_id).state is ZoneState.EMPTY
+        assert len({zns.zone(zone_id).group for zone_id in zones}) == 4
+        # The other three zones' appends are still in flight: the zones
+        # are open, with nothing written yet.
+        assert all(zns.zone(zone_id).state is ZoneState.OPEN
+                   and not zns.zone(zone_id).write_pointer
                    for zone_id in zones)
+        assert zns.open_budget.in_use == 4
         sim.run_until(sim.spawn(writer.abort_proc()))
-        assert len(env._free_zones) == free
-        assert all(zns.zone(zone_id).state is ZoneState.EMPTY
-                   and zone_id in env._free_zones for zone_id in zones)
-        assert env._open_zones.in_use == zns._open_count == 0
+        assert empty_zones(zns) == free
+        assert zns.open_budget.in_use == 0
 
     def test_blocks_read_back_in_block_order_after_out_of_order_appends(
             self):
@@ -303,17 +308,15 @@ class TestZnsStripe:
             env.create_writer_proc(99, 0, 96 * KIB)))
         write_blocks(sim, writer, 6)
         cut = set(writer.table.zones)
-        assert len({env._group(zone_id) for zone_id in cut}) == 4
+        assert len({zns.zone(zone_id).group for zone_id in cut}) == 4
         injector.power_cut()
         injector.power_cycle()
         db2 = DB.open(env, DBConfig(block_size=96 * KIB,
                                     write_buffer_bytes=512 * 1024), sim)
         assert 99 not in env._tables and db2.get(key(3)) == b"a" * 64
         # Recovery reset the torn table's zones and freed them.
-        assert cut <= set(env._free_zones)
-        assert all(zns.zone(zone_id).state is ZoneState.EMPTY
-                   for zone_id in cut)
-        assert env._open_zones.in_use == zns._open_count == 0
+        assert cut <= empty_zones(zns)
+        assert zns.open_budget.in_use == 0
 
     def test_a_writer_holding_a_zone_narrows_and_one_holding_none_waits(
             self):
@@ -326,11 +329,11 @@ class TestZnsStripe:
             == [2, 2, 1, 0]
         waiting = sim.spawn(writers[3].append_block_proc(b"w" * 96 * KIB))
         sim.run(until=sim.now + 0.01)
-        assert waiting.is_alive and env._open_zones.in_use == 5
+        assert waiting.is_alive and zns.open_budget.in_use == 5
         sim.run_until(sim.spawn(writers[0].finish_proc(b"meta")))
         sim.run_until(waiting)
         assert len(writers[3].table.zones) == 1
-        assert env._open_zones.in_use == 4
+        assert zns.open_budget.in_use == 4
 
     def test_the_open_zone_budget_holds_while_flush_and_compaction_overlap(
             self):
@@ -344,11 +347,13 @@ class TestZnsStripe:
             db={"block_size": 96 * KIB, "write_buffer_bytes": 4 << 20}))
         sim, zns, env = stack.sim, stack.ftl, stack.env
         assert zns.config.max_open_zones == 8
-        samples, running = [], [True]
+        samples, mismatched, running = [], [], [True]
 
         def sample_proc():
             while running:
-                samples.append(zns._open_count)
+                samples.append(zns.open_budget.in_use)
+                mismatched.append(samples[-1] != sum(
+                    zone.state is ZoneState.OPEN for zone in zns.zones))
                 yield sim.timeout(20e-6)
 
         sim.spawn(sample_proc())
@@ -357,6 +362,8 @@ class TestZnsStripe:
         bench.quiesce()
         running.clear()
         assert stack.db.stats.compactions and max(samples) <= 8
+        # The budget is the count of OPEN zones at every sample.
+        assert not any(mismatched)
 
 
 class TestFailedTableWrite:
@@ -376,8 +383,8 @@ class TestFailedTableWrite:
 
     @staticmethod
     def zns():
-        __, __z, env, db = make_zns_db()
-        return env, db, lambda: sorted(env._free_zones)
+        __, zns, env, db = make_zns_db()
+        return env, db, lambda: sorted(empty_zones(zns))
 
     @staticmethod
     def blockdev():

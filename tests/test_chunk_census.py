@@ -1,8 +1,9 @@
 """One chunk census on every FTL: after a workload that frees or deletes,
 and again after a power cut and recovery, every data chunk is in exactly
 one state, a free chunk is blank on the device and an offline one is
-offline there (:func:`repro.ox.media.census_problems`).  OX-ZNS's census
-is derived from its zones, the env's free list and the tables' zones."""
+offline there (:func:`repro.ox.media.census_problems`).  OX-ZNS keeps no
+pool: ``ZnsEnv.census()`` reads its zones' states and the tables' zones,
+and it holds after a failed reset retires a table's zone."""
 
 import pytest
 
@@ -11,8 +12,9 @@ from repro.faults.checker import CHECKER_SPECS, FTL_OPS, recover_after_cut
 from repro.lsm import DB, HorizontalPlacement, LightLSMEnv
 from repro.ox import MediaManager
 from repro.ox.media import census_problems
+from repro.errors import ZoneError
 from repro.stack import StackSpec, build_stack
-from repro.zns.zone import ZoneState
+from tests import test_alt_envs
 from tests.test_alt_envs import make_zns_db
 from tests.test_lightlsm import make_db
 
@@ -52,19 +54,10 @@ def lsm(device, env, db, problems, reopen):
     return env, problems, recover
 
 
-def zns_problems(env):
-    free, zones = set(env._free_zones), env.zns.zones
-    held = {zone for table in env._tables.values() for zone in table.zones}
-    census = {"free": [], "in use": [], "offline": []}
-    for zone in zones:
-        for state, member in (("offline", zone.state is ZoneState.OFFLINE),
-                              ("free", zone.zone_id in free),
-                              ("in use", zone.zone_id in held)):
-            if member:
-                census[state] += zone.chunks
-    return census_problems(env.zns.media,
-                           [key for zone in zones for key in zone.chunks],
-                           census)
+def zoned(env):
+    """The census of OX-ZNS under a ZnsEnv: every zone's chunks."""
+    return census_problems(env.zns.media, [
+        key for zone in env.zns.zones for key in zone.chunks], env.census())
 
 
 def lightlsm():
@@ -74,7 +67,7 @@ def lightlsm():
 
 def zns():
     device, __, env, db = make_zns_db(chunks=40)
-    return lsm(device, env, db, zns_problems, lambda env: env)
+    return lsm(device, env, db, zoned, lambda env: env)
 
 
 CASES = {"oxblock": lambda: journaled("oxblock"),
@@ -87,3 +80,17 @@ def test_every_chunk_is_in_one_state_before_and_after_a_cut(name):
     owner, problems, recover = CASES[name]()
     assert list(problems(owner)) == []
     assert list(problems(recover())) == []
+
+
+def test_a_retired_zone_strands_its_healthy_chunks():
+    """A table zone whose reset fails is retired: its bad chunk is offline
+    on the device and the other three, erased, are in use (stranded)."""
+    device, zns, env, handle, zones = test_alt_envs.TestZnsReclaim.table()
+    bad = zns.zone(zones[1]).chunks[0]
+    FaultInjector(FaultPlan(grown_bad={bad: 1})).attach(device)
+    with pytest.raises(ZoneError, match="retired"):
+        device.sim.run_until(device.sim.spawn(env.delete_table_proc(handle)))
+    census = env.census()
+    assert census["offline"] == [bad]
+    assert set(zns.zone(zones[1]).chunks) - {bad} <= set(census["in use"])
+    assert list(zoned(env)) == []

@@ -155,6 +155,36 @@ class TestZnsDevice:
         zns.append(0, b"a" * SS * zone.remaining)
         zns.append(2, b"c" * SS)
 
+    def test_explicit_and_implicit_opens_share_one_budget(self):
+        """An explicit open takes a unit of the same budget an append's
+        implicit open does; a finish or a reset gives it back."""
+        device, zns = make_zns(chunks_per_zone=1, max_open_zones=2)
+        sim = device.sim
+
+        def open_zone(wait=False, avoid=()):
+            return sim.spawn(zns.open_zone_proc(avoid, wait))
+
+        zns.append(0, b"a" * SS)                        # implicit: unit 1
+        # The first EMPTY zone, by id, outside the avoided groups.
+        assert sim.run_until(open_zone(avoid={1})) == 2  # explicit: unit 2
+        assert zns.zone(2).state is ZoneState.OPEN
+        assert zns.open_budget.in_use == 2
+        with pytest.raises(ZoneError, match="too many open zones"):
+            zns.append(1, b"b" * SS)
+        assert sim.run_until(open_zone()) is None
+        waiting = open_zone(wait=True)
+        sim.run(until=sim.now + 0.01)
+        assert waiting.is_alive
+        zns.finish_zone(0)
+        assert sim.run_until(waiting) == 1
+        # Opened, never written: the reset makes it EMPTY at once, gives
+        # its unit back and erases nothing.
+        zns.reset_zone(2)
+        assert zns.zone(2).state is ZoneState.EMPTY
+        assert zns.open_budget.in_use == 1
+        assert zns.stats.zone_resets == 0
+        assert sim.run_until(open_zone(wait=True)) == 2
+
     def test_failed_append_gives_back_its_open_slot(self):
         """An append whose write fails leaves its EMPTY zone EMPTY: the
         open slot it took for that zone is handed back, or two failures
