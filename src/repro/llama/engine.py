@@ -54,12 +54,6 @@ class LlamaEngine:
         self._cache: Dict[int, DeltaPage] = {}
         self.stats = LlamaStats()
 
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` of the underlying FTL;
-        None when untagged."""
-        return self.ftl.tenant
-
     # -- write path -----------------------------------------------------------
 
     def update(self, pid: int, delta: bytes) -> None:

@@ -86,17 +86,9 @@ class VerticalPlacement(PlacementPolicy):
         for __ in range(groups):
             group = self._group_cursor % groups
             self._group_cursor += 1
-            if env.pool.group_free(group) < count:
-                continue
-            pus = [pu for pu in env.all_pus if pu[0] == group]
-            chosen: List[ChunkKey] = []
-            cursor = 0
-            while len(chosen) < count:
-                pu = pus[cursor % len(pus)]
-                cursor += 1
-                if env.pool.free[pu]:
-                    chosen.append(env.pool.take(pu))
-            return chosen
+            chosen = env.pool.take_group(group, count)
+            if chosen is not None:
+                return chosen
         raise OutOfSpaceError(
             f"vertical placement: no group has {count} free chunks")
 
@@ -167,9 +159,7 @@ class LightLSMEnv(StorageEnv):
 
     def __init__(self, media: MediaManager, placement: PlacementPolicy,
                  config: LightLSMConfig = LightLSMConfig(),
-                 tenant=None, pus: Optional[List[PuKey]] = None):
-        if tenant is not None:
-            media = media.for_tenant(tenant)
+                 pus: Optional[List[PuKey]] = None):
         self.media = media
         self.sim = media.sim
         self.geometry = media.geometry
@@ -514,9 +504,8 @@ class _LightLSMWriter(SSTableWriter):
         if layout is None:
             return
         yield from env.media.flush_proc(layout.all_chunks)
-        yield from env.pool.reclaim_proc(layout.all_chunks, [
-            key for key in layout.all_chunks
-            if env.media.chunk_info(Ppa(*key, 0)).write_pointer > 0])
+        yield from env.pool.reclaim_proc(layout.all_chunks,
+                                         env.media.dirty(layout.all_chunks))
 
 
 def _require_written(completion) -> None:

@@ -22,10 +22,8 @@ from typing import Dict, List, Tuple
 from repro.errors import ReproError
 from repro.lsm.env import SSTableHandle, SSTableWriter
 from repro.lsm.envbase import ManifestEnv, pad_to_sectors
-from repro.ocssd.address import Ppa
-from repro.ocssd.chunk import ChunkState
 from repro.zns.ftl import OXZns
-from repro.zns.zone import ChunkKey, ZoneState
+from repro.zns.zone import ZoneState
 
 
 @dataclass
@@ -196,53 +194,27 @@ class ZnsEnv(ManifestEnv):
         yield from self._reclaim_proc(table.zones)
 
     def list_tables_proc(self):
-        """The MANIFEST walk; then, with no writer alive, the open-zone
-        budget is rebuilt from the zones' states and every zone that no
-        listed table holds (a table cut mid-write never reached the
-        MANIFEST) and that is neither EMPTY nor OFFLINE is reset."""
+        """The MANIFEST walk; then, with no writer alive, OX-ZNS recovers
+        around the zones the listed tables hold: every other zone (a table
+        cut mid-write never reached the MANIFEST) turns EMPTY and its
+        chunks go back to the pool."""
         tables = yield from super().list_tables_proc()
         live = {handle.sstable_id for handle, __ in tables}
         self._tables = {sstable_id: self._tables[sstable_id]
                         for sstable_id in live}
-        held = self._held_zones()
-        self.zns.rebuild_open_budget()
-        yield from self._reclaim_proc([
-            zone.zone_id for zone in self.zns.zones
-            if zone.zone_id not in held
-            and zone.state not in (ZoneState.EMPTY, ZoneState.OFFLINE)])
+        yield from self.zns.recover_proc(
+            {zone_id for table in self._tables.values()
+             for zone_id in table.zones})
         return tables
 
     # log_version_edit: ManifestEnv; _require: StorageEnv.
 
-    def census(self) -> Dict[str, List[ChunkKey]]:
-        """Every zone's chunks by state (``census_problems``): offline as
-        the device reports it; else free in an EMPTY zone; else in use in
-        a zone a table holds or a retired one (whose healthy chunks are
-        stranded)."""
-        held = self._held_zones()
-        census = {"free": [], "in use": [], "offline": []}
-        for zone in self.zns.zones:
-            for key in zone.chunks:
-                if self.zns.media.chunk_info(Ppa(*key, 0)).state \
-                        is ChunkState.OFFLINE:
-                    census["offline"].append(key)
-                elif zone.state is ZoneState.EMPTY:
-                    census["free"].append(key)
-                elif zone.zone_id in held \
-                        or zone.state is ZoneState.OFFLINE:
-                    census["in use"].append(key)
-        return census
-
     # -- internals ----------------------------------------------------------------
-
-    def _held_zones(self):
-        return {zone_id for table in self._tables.values()
-                for zone_id in table.zones}
 
     def _reclaim_proc(self, zone_ids: List[int]):
         """Reset *zone_ids* side by side (a table's zones sit in distinct
-        groups, so their erases overlap); a retired zone's ZoneError
-        surfaces once every sibling has finished."""
+        groups, so their erases overlap); a chunk whose erase fails is
+        retired by the pool and raises nothing."""
         yield from self.sim.join_proc(
             [self.zns.reset_zone_proc(zone_id) for zone_id in zone_ids],
             "zns-reclaim")

@@ -126,22 +126,12 @@ class OXBlock:
                 self.sim.spawn(self._checkpoint_daemon(),
                                name="ckpt-daemon"))
 
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` this FTL's I/O is tagged
-        with (from its media manager); None for untagged stacks."""
-        return self.media.tenant
-
     # -- lifecycle ---------------------------------------------------------------
 
     @classmethod
-    def format(cls, media: MediaManager, config: BlockConfig,
-               tenant=None) -> "OXBlock":
+    def format(cls, media: MediaManager, config: BlockConfig) -> "OXBlock":
         """Initialize a fresh device: build the layout, write checkpoint #1,
-        start with an empty WAL.  With *tenant*, every command this FTL
-        submits (data, WAL, GC, checkpoints) carries that identity."""
-        if tenant is not None:
-            media = media.for_tenant(tenant)
+        start with an empty WAL."""
         journal = Journal(media, config.wal_chunk_count,
                           config.ckpt_chunks_per_slot)
         chunk_table = ChunkTable(media.geometry,
@@ -155,14 +145,12 @@ class OXBlock:
         return ftl
 
     @classmethod
-    def recover(cls, media: MediaManager, config: BlockConfig,
-                tenant=None) -> Tuple["OXBlock", RecoveryReport]:
+    def recover(cls, media: MediaManager,
+                config: BlockConfig) -> Tuple["OXBlock", RecoveryReport]:
         """Rebuild an FTL from media after a crash; returns the new
         instance and a :class:`RecoveryReport` whose ``duration`` is the
         simulated recovery time (the Figure 3 metric).  Recovery finishes
         with a fresh checkpoint so the WAL restarts empty."""
-        if tenant is not None:
-            media = media.for_tenant(tenant)
         sim = media.sim
         started = sim.now
         journal = Journal(media, config.wal_chunk_count,

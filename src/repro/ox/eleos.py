@@ -183,30 +183,19 @@ class OXEleos:
         self._lock = Resource(self.sim, capacity=1, name="eleos-dispatch")
         self._alive = True
 
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` this FTL's I/O is tagged
-        with (from its media manager); None for untagged stacks."""
-        return self.media.tenant
-
     # -- lifecycle ---------------------------------------------------------------
 
     @classmethod
-    def format(cls, media: MediaManager, config: EleosConfig,
-               tenant=None) -> "OXEleos":
-        if tenant is not None:
-            media = media.for_tenant(tenant)
+    def format(cls, media: MediaManager, config: EleosConfig) -> "OXEleos":
         ftl = cls(media, config)
         ftl.sim.run_until(ftl.sim.spawn(ftl._checkpoint_locked_proc()))
         return ftl
 
     @classmethod
-    def recover(cls, media: MediaManager, config: EleosConfig,
-                tenant=None) -> Tuple["OXEleos", RecoveryReport]:
+    def recover(cls, media: MediaManager,
+                config: EleosConfig) -> Tuple["OXEleos", RecoveryReport]:
         """Rebuild from media; see :mod:`repro.ox.ftl.recovery` for the
         replay rules (committed + durable transactions only)."""
-        if tenant is not None:
-            media = media.for_tenant(tenant)
         sim = media.sim
         started = sim.now
         ftl = cls(media, config)

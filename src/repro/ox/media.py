@@ -8,18 +8,20 @@ FTL-facing API (vector I/O, reset, copy, flush, chunk scans, notification
 drain) plus both generator (in-simulation) and synchronous entry points.
 
 A media manager optionally carries a :class:`~repro.qos.TenantContext`
-(see :meth:`MediaManager.for_tenant`): every command it submits is tagged
-with that tenant, which is how an FTL instance owned by one tenant feeds
-tenant identity into the device's QoS scheduler and per-tenant metrics
-without any per-call plumbing in the FTL code.
+(``MediaManager.tenant``): every command it submits is tagged with that
+tenant, which is how the FTL above feeds tenant identity into the
+device's QoS scheduler and per-tenant metrics without any per-call
+plumbing in the FTL code.
 
-OX-Block, OX-ELEOS and LightLSM keep their chunks in a :class:`ChunkPool`,
-and :func:`census_problems` checks any FTL's chunks the same way.
+All four FTLs (OX-Block, OX-ELEOS, LightLSM and OX-ZNS) keep their chunks
+in a :class:`ChunkPool`, and :func:`census_problems` checks any FTL's
+chunks the same way.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import cycle
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import MediaError, ReproError
@@ -51,10 +53,6 @@ class MediaManager:
         self.device = device
         self.sim = device.sim
         self.tenant = tenant
-
-    def for_tenant(self, tenant) -> "MediaManager":
-        """A view of the same device whose commands belong to *tenant*."""
-        return MediaManager(self.device, tenant=tenant)
 
     @property
     def geometry(self) -> DeviceGeometry:
@@ -91,16 +89,23 @@ class MediaManager:
         return self.device.submit(ChunkReset(ppa=ppa, tenant=self.tenant),
                                   parent=parent)
 
-    def reset_dirty_proc(self, keys, name: str, parent=None):
-        """Erase, side by side (processes called *name*), those of the
-        chunks *keys* that hold anything; returns their completions."""
-        resets = []
+    def dirty(self, keys: Iterable[ChunkKey]) -> List[ChunkKey]:
+        """Those of the chunks *keys* that hold anything (written, or not
+        FREE): the ones an erase must visit."""
+        dirty = []
         for key in keys:
-            ppa = Ppa(*key, 0)
-            info = self.device.chunk_info(ppa)
-            if info.write_pointer or info.state.value != "free":
-                resets.append(self.reset_proc(ppa, parent=parent))
-        return self.sim.join_proc(resets, name)
+            info = self.device.chunk_info(Ppa(*key, 0))
+            if info.write_pointer or info.state is not ChunkState.FREE:
+                dirty.append(key)
+        return dirty
+
+    def reset_dirty_proc(self, keys, name: str, parent=None):
+        """Erase, side by side (processes called *name*), the
+        :meth:`dirty` ones of the chunks *keys*; returns their
+        completions."""
+        return self.sim.join_proc(
+            [self.reset_proc(Ppa(*key, 0), parent=parent)
+             for key in self.dirty(keys)], name)
 
     def copy_proc(self, src: PpaVector, dst: PpaVector,
                   dst_oob: Optional[List[object]] = None, parent=None):
@@ -185,6 +190,23 @@ class ChunkPool:
         key = self.free[pu].popleft()
         self._group_free[key[0]] -= 1
         return key
+
+    def take_group(self, group: int,
+                   count: int) -> Optional[List[ChunkKey]]:
+        """*count* free chunks of *group*, round robin over its PUs from
+        the first; None if the group has fewer."""
+        if self._group_free.get(group, 0) < count:
+            return None
+        queues = cycle([queue for pu, queue in self.free.items()
+                        if pu[0] == group])
+        chosen: List[ChunkKey] = []
+        for __ in range(count):
+            queue = next(queues)
+            while not queue:
+                queue = next(queues)
+            chosen.append(queue.popleft())
+        self._group_free[group] -= count
+        return chosen
 
     def put(self, key: ChunkKey) -> None:
         self.free[key[:2]].append(key)

@@ -6,9 +6,10 @@ straightforward to define a LightNVM target that exposes the ZNS
 interface through a host-based FTL on top of Open-Channel SSDs, but this
 has not — to the best of our knowledge — been released or even
 announced."  Figure 1 places the resulting artifact as *OX-ZNS*.  This
-package is that target: zones map to chunk sets, the host sees the ZNS
-zone state machine (EMPTY/OPEN/FULL + reset), and the FTL handles
-placement, striping and wear.
+package is that target: an open zone holds a set of chunks from the
+shared :class:`~repro.ox.media.ChunkPool`, the host sees the ZNS zone
+state machine (EMPTY/OPEN/FULL + reset), and the FTL handles placement,
+striping and wear.
 """
 
 from repro.zns.zone import Zone, ZoneState

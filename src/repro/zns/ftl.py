@@ -1,22 +1,25 @@
 """OX-ZNS: the ZNS application-specific FTL.
 
-Zones are fixed-size append regions; each zone is backed by a set of
-whole chunks striped across the parallel units of one group (zones rotate
+Zones are fixed-size append regions of one group each (zones rotate
 groups, so concurrently-open zones exercise disjoint channels — the
-device-side placement freedom ZNS gives the FTL).  The host API is the
-NVMe ZNS shape:
+device-side placement freedom ZNS gives the FTL).  A zone takes its
+chunks, striped across the parallel units of its group, from the
+:class:`~repro.ox.media.ChunkPool` when it opens, and gives them back
+when it is reset.  The host API is the NVMe ZNS shape:
 
 * ``report_zones()`` — zone descriptors;
 * ``open_zone_proc(avoid_groups, wait)`` — explicit open of the first
-  EMPTY zone outside some groups, within ``max_open_zones``;
+  EMPTY zone outside some groups whose group has the chunks, within
+  ``max_open_zones``;
 * ``append(zone_id, data)`` — sequential write at the zone's pointer,
   returns the LBA the data landed on;
 * ``read(lba, sectors)``;
 * ``reset_zone(zone_id)`` — chunk erases;
 * ``finish_zone(zone_id)`` — pad and close.
 
-The FTL owns wear: resets route through the chunks, and a zone whose
-chunk goes offline is retired with its notification surfaced.  Zone
+The pool owns wear, as under every other OX FTL: a reset erases through
+it, and a chunk whose erase fails is retired alone, counted in
+``stats.chunks_retired``; the zone and its other chunks are reused.  Zone
 state is the one record of free (EMPTY) and open zones.
 """
 
@@ -27,7 +30,7 @@ from typing import List, Optional
 
 from repro.errors import OutOfSpaceError, ReproError, ZoneError
 from repro.ocssd.address import PpaRun
-from repro.ox.media import MediaManager
+from repro.ox.media import ChunkPool, MediaManager
 from repro.sim.resources import Resource
 from repro.zns.zone import Zone, ZoneState
 
@@ -47,56 +50,40 @@ class ZnsStats:
     sectors_read: int = 0
     zone_resets: int = 0
     zones_finished: int = 0
-    zones_retired: int = 0
+    chunks_retired: int = 0     # erases that failed: grown bad blocks
 
 
 class OXZns:
     """A ZNS namespace over one Open-Channel SSD."""
 
     def __init__(self, media: MediaManager,
-                 config: Optional[ZnsConfig] = None,
-                 tenant=None):
-        if tenant is not None:
-            media = media.for_tenant(tenant)
+                 config: Optional[ZnsConfig] = None):
         self.media = media
         self.sim = media.sim
-        self.geometry = media.geometry
+        self.geometry = geometry = media.geometry
         self.config = config or ZnsConfig()
         per_zone = self.config.chunks_per_zone
-        if per_zone < 1 or per_zone > self.geometry.pus_per_group \
-                * self.geometry.chunks_per_pu:
+        if per_zone < 1 or per_zone > geometry.pus_per_group \
+                * geometry.chunks_per_pu:
             raise ZoneError(f"chunks_per_zone={per_zone} does not fit a group")
-        self.zone_capacity = per_zone * self.geometry.sectors_per_chunk
-        self.zones: List[Zone] = []
+        self.zone_capacity = per_zone * geometry.sectors_per_chunk
+        # As many zones per group as its chunks fill; zone *i* sits in
+        # group ``i % num_groups``, so ids taken in order rotate channels.
+        groups = geometry.num_groups
+        self.zones: List[Zone] = [
+            Zone(zone_id, self.zone_capacity, zone_id % groups)
+            for zone_id in range(groups * (
+                geometry.pus_per_group * geometry.chunks_per_pu // per_zone))]
         #: One unit per OPEN zone, within ``max_open_zones``.
         self.open_budget = Resource(self.sim, self.config.max_open_zones)
         self.stats = ZnsStats()
+        self.pool = ChunkPool(
+            media, [(*pu, chunk) for pu in geometry.iter_pus()
+                    for chunk in range(geometry.chunks_per_pu)],
+            name="zns", layer="zns", stats=self.stats)
         # Observability (repro.obs): inherited from the simulator; None
         # unless a hub was attached before this FTL was built.
         self.obs = media.sim.obs
-        self._build_zones()
-
-    @property
-    def tenant(self):
-        """The :class:`~repro.qos.TenantContext` this namespace's I/O is
-        tagged with (from its media manager); None when untagged."""
-        return self.media.tenant
-
-    def _build_zones(self) -> None:
-        """Carve the whole device into zones; each zone's chunks stripe
-        across the PUs of one group, and zone *i* sits in group
-        ``i % num_groups`` so ids taken in order rotate channels."""
-        per_zone = self.config.chunks_per_zone
-        geometry = self.geometry
-        pool = [(pu, chunk) for chunk in range(geometry.chunks_per_pu)
-                for pu in range(geometry.pus_per_group)]
-        for start in range(0, len(pool) - per_zone + 1, per_zone):
-            for group in range(geometry.num_groups):
-                chunks = [(group, pu, chunk)
-                          for pu, chunk in pool[start:start + per_zone]]
-                self.zones.append(Zone(zone_id=len(self.zones),
-                                       capacity=self.zone_capacity,
-                                       chunks=chunks))
 
     # -- admin ---------------------------------------------------------------------
 
@@ -114,9 +101,10 @@ class OXZns:
 
     def open_zone_proc(self, avoid_groups=(), wait: bool = False):
         """Explicit open (NVMe ZNS 'open zone'): take a unit of the budget,
-        then open the first EMPTY zone, by id, outside *avoid_groups*;
-        returns its id.  With no unit free: wait for one if *wait*, else
-        None.  With no such zone: OutOfSpaceError if *wait*, else None."""
+        then open the first EMPTY zone, by id, outside *avoid_groups*
+        whose group has its chunks free; returns its id.  With no unit
+        free: wait for one if *wait*, else None.  With no such zone:
+        OutOfSpaceError if *wait*, else None."""
         budget = self.open_budget
         if not budget.try_acquire():
             if not wait:
@@ -124,21 +112,43 @@ class OXZns:
             yield budget.request()
         for zone in self.zones:
             if zone.state is ZoneState.EMPTY \
-                    and zone.group not in avoid_groups:
-                zone.state = ZoneState.OPEN
+                    and zone.group not in avoid_groups and self._open(zone):
                 return zone.zone_id
         budget.release()
         if wait:
             raise OutOfSpaceError("no empty zones left")
         return None
 
-    def rebuild_open_budget(self) -> None:
-        """After a cut: a fresh budget, one unit per OPEN zone (dead
-        writers may hold units of the old one or wait in its queue)."""
+    def _open(self, zone: Zone) -> bool:
+        """Give EMPTY *zone* its chunks, round robin over its group's PUs,
+        and make it OPEN; False if the group has too few free chunks."""
+        chunks = self.pool.take_group(zone.group,
+                                      self.config.chunks_per_zone)
+        if chunks is None:
+            return False
+        zone.chunks, zone.state = chunks, ZoneState.OPEN
+        return True
+
+    def recover_proc(self, keep):
+        """After a cut, with no writer alive: every zone outside the ids
+        *keep* turns EMPTY, the open budget is rebuilt from the zones'
+        states (dead writers may hold units of the old one or wait in its
+        queue), and the pool queues every chunk no zone holds, the
+        written ones erased first."""
         self.open_budget = Resource(self.sim, self.config.max_open_zones)
         for zone in self.zones:
-            if zone.state is ZoneState.OPEN:
+            if zone.zone_id not in keep:
+                zone.reset()
+            elif zone.state is ZoneState.OPEN:
                 self.open_budget.try_acquire()
+        yield from self.pool.rebuild_proc(
+            {key for zone in self.zones for key in zone.chunks})
+
+    def census(self):
+        """The chunks by state (:meth:`ChunkPool.census`): in use are the
+        ones a zone holds."""
+        return self.pool.census(
+            key for zone in self.zones for key in zone.chunks)
 
     # -- data path -----------------------------------------------------------------
 
@@ -161,9 +171,15 @@ class OXZns:
         sectors = len(data) // sector_size
         zone.check_append(sectors)
         opened = zone.state is ZoneState.EMPTY
-        if opened and not self.open_budget.try_acquire():
-            raise ZoneError(
-                f"too many open zones (max {self.config.max_open_zones})")
+        if opened:
+            if not self.open_budget.try_acquire():
+                raise ZoneError(f"too many open zones "
+                                f"(max {self.config.max_open_zones})")
+            if not self._open(zone):
+                self.open_budget.release()
+                raise ZoneError(f"zone {zone_id}: group {zone.group} has "
+                                f"fewer than {self.config.chunks_per_zone} "
+                                f"free chunks")
         start_lba = zone.start_lba + zone.write_pointer
 
         obs = self.obs
@@ -200,8 +216,8 @@ class OXZns:
             for completion in (yield self.sim.all_of(procs)):
                 self.media.require_ok(completion, f"zone {zone_id} append")
         except ReproError:
-            if opened:      # the zone is still EMPTY: its unit goes back
-                self.open_budget.release()
+            if opened:      # the zone goes back EMPTY, its chunks erased
+                yield from self._reclaim_proc(zone)
             raise
         # Physical pointer may have advanced past the logical one due to
         # padding: account the padding into the zone as consumed capacity.
@@ -245,40 +261,40 @@ class OXZns:
         self.sim.run_until(self.sim.spawn(self.reset_zone_proc(zone_id)))
 
     def reset_zone_proc(self, zone_id: int):
-        """Erase the zone's chunks; it turns EMPTY once they are erased,
-        so no open takes it before.  A zone nothing was appended to
-        (EMPTY, or opened and never written) turns EMPTY at once: no
-        flush, no erase, not counted."""
+        """Erase the zone's chunks and give them back to the pool; the zone
+        turns EMPTY once they are erased, so no open takes it before.  A
+        chunk whose erase fails is retired alone.  A zone nothing was
+        appended to (EMPTY, or opened and never written) turns EMPTY at
+        once: no flush, no erase, not counted."""
         zone = self.zone(zone_id)
-        was_open = zone.state is ZoneState.OPEN
-        if zone.state is ZoneState.OFFLINE or (
-                not zone.write_pointer and zone.state is not ZoneState.FULL):
-            zone.reset()    # raises for an offline zone
-            if was_open:
-                self.open_budget.release()
+        if not zone.write_pointer and zone.state is not ZoneState.FULL:
+            for key in zone.chunks:
+                self.pool.put(key)
+            self._empty(zone)
             return
         obs = self.obs
         span = None
         if obs is not None:
             span = obs.begin("zns", "reset")
         yield from self.media.flush_proc(zone.chunks)
-        # A zone's chunks sit on different PUs and nothing orders their
-        # erases: issue them together.
-        completions = yield from self.media.reset_dirty_proc(
-            zone.chunks, "zns-reset", parent=span)
-        failed = not all(completion.ok for completion in completions)
-        zone.reset()
-        if was_open:
-            self.open_budget.release()
+        yield from self._reclaim_proc(zone, span)
         if obs is not None:
-            obs.end(span, zone=zone_id, failed=failed)
-        if failed:
-            zone.retire()
-            self.stats.zones_retired += 1
-            if obs is not None:
-                obs.error("zns", "zone-retired", f"zone {zone_id}")
-            raise ZoneError(f"zone {zone_id} retired: chunk reset failed")
+            obs.end(span, zone=zone_id)
         self.stats.zone_resets += 1
+
+    def _reclaim_proc(self, zone: Zone, parent=None):
+        """Erase the zone's chunks that hold anything, side by side (they
+        sit on different PUs and nothing orders their erases), give its
+        chunks back and make it EMPTY."""
+        yield from self.pool.reclaim_proc(
+            zone.chunks, self.media.dirty(zone.chunks), parent=parent)
+        self._empty(zone)
+
+    def _empty(self, zone: Zone) -> None:
+        """EMPTY again, its chunks given back: an OPEN zone's unit too."""
+        if zone.state is ZoneState.OPEN:
+            self.open_budget.release()
+        zone.reset()
 
     def finish_zone(self, zone_id: int) -> None:
         self.sim.run_until(self.sim.spawn(self.finish_zone_proc(zone_id)))
@@ -290,8 +306,6 @@ class OXZns:
         zone = self.zone(zone_id)
         if zone.state is ZoneState.FULL:
             return
-        if zone.state is ZoneState.OFFLINE:
-            raise ZoneError(f"finish of offline zone {zone_id}")
         was_open = zone.state is ZoneState.OPEN
         yield from self.media.flush_proc(zone.chunks)
         zone.finish()

@@ -3,8 +3,10 @@
 "ZNS exposes a disk as a collection of zones that must be written
 sequentially and reset before rewriting" (§2.3).  The state machine
 follows the NVMe ZNS TP shape, reduced to the states this FTL needs:
-EMPTY -> OPEN (implicitly, by an append, or explicitly) -> FULL, plus
-OFFLINE for zones whose backing chunks died.
+EMPTY -> OPEN (implicitly, by an append, or explicitly) -> FULL, and
+back to EMPTY by a reset.  A zone is a logical region: it holds chunks
+only while it is not EMPTY (see :class:`repro.zns.ftl.OXZns`), so a chunk
+that dies leaves the zone usable.
 """
 
 from __future__ import annotations
@@ -22,15 +24,16 @@ class ZoneState(enum.Enum):
     EMPTY = "empty"
     OPEN = "open"
     FULL = "full"
-    OFFLINE = "offline"
 
 
 @dataclass
 class Zone:
-    """One zone: a logical append region backed by whole chunks."""
+    """One zone: a logical append region of one group (channel)."""
 
     zone_id: int
     capacity: int                 # writable sectors
+    group: int = 0
+    #: Whole chunks of ``group``, taken when the zone opens.
     chunks: List[ChunkKey] = field(default_factory=list)
     state: ZoneState = ZoneState.EMPTY
     write_pointer: int = 0
@@ -44,14 +47,7 @@ class Zone:
     def remaining(self) -> int:
         return self.capacity - self.write_pointer
 
-    @property
-    def group(self) -> int:
-        """The group (channel) every chunk of the zone sits in."""
-        return self.chunks[0][0]
-
     def check_append(self, sectors: int) -> None:
-        if self.state is ZoneState.OFFLINE:
-            raise ZoneError(f"append to offline zone {self.zone_id}")
         if self.state is ZoneState.FULL:
             raise ZoneError(f"append to full zone {self.zone_id}")
         if sectors <= 0:
@@ -67,8 +63,6 @@ class Zone:
                       else ZoneState.OPEN)
 
     def check_read(self, offset: int, sectors: int) -> None:
-        if self.state is ZoneState.OFFLINE:
-            raise ZoneError(f"read from offline zone {self.zone_id}")
         if offset < 0 or sectors <= 0 \
                 or offset + sectors > self.write_pointer:
             raise ZoneError(
@@ -76,19 +70,14 @@ class Zone:
                 f"{self.zone_id} write pointer {self.write_pointer}")
 
     def reset(self) -> None:
-        if self.state is ZoneState.OFFLINE:
-            raise ZoneError(f"reset of offline zone {self.zone_id}")
+        """EMPTY again, its chunks given back."""
         self.state = ZoneState.EMPTY
         self.write_pointer = 0
+        self.chunks = []
 
     def finish(self) -> None:
         """Close the zone early (NVMe ZNS 'finish').  The write pointer
         stays at the end of the data: the unwritten tail is unusable until
         the next reset, and reads past the pointer keep failing instead of
         hitting never-programmed flash."""
-        if self.state is ZoneState.OFFLINE:
-            raise ZoneError(f"finish of offline zone {self.zone_id}")
         self.state = ZoneState.FULL
-
-    def retire(self) -> None:
-        self.state = ZoneState.OFFLINE

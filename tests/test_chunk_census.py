@@ -1,9 +1,11 @@
 """One chunk census on every FTL: after a workload that frees or deletes,
 and again after a power cut and recovery, every data chunk is in exactly
 one state, a free chunk is blank on the device and an offline one is
-offline there (:func:`repro.ox.media.census_problems`).  OX-ZNS keeps no
-pool: ``ZnsEnv.census()`` reads its zones' states and the tables' zones,
-and it holds after a failed reset retires a table's zone."""
+offline there (:func:`repro.ox.media.census_problems`).  All four FTLs
+keep their chunks in a :class:`repro.ox.media.ChunkPool`; on OX-ZNS the
+census also holds after a failed zone reset retires one chunk."""
+
+import pathlib
 
 import pytest
 
@@ -11,8 +13,8 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.checker import CHECKER_SPECS, FTL_OPS, recover_after_cut
 from repro.lsm import DB, HorizontalPlacement, LightLSMEnv
 from repro.ox import MediaManager
+from repro.ocssd import Ppa
 from repro.ox.media import census_problems
-from repro.errors import ZoneError
 from repro.stack import StackSpec, build_stack
 from tests import test_alt_envs
 from tests.test_alt_envs import make_zns_db
@@ -54,12 +56,6 @@ def lsm(device, env, db, problems, reopen):
     return env, problems, recover
 
 
-def zoned(env):
-    """The census of OX-ZNS under a ZnsEnv: every zone's chunks."""
-    return census_problems(env.zns.media, [
-        key for zone in env.zns.zones for key in zone.chunks], env.census())
-
-
 def lightlsm():
     return lsm(*make_db(), pooled, lambda env: LightLSMEnv(
         MediaManager(env.media.device), HorizontalPlacement()))
@@ -67,7 +63,7 @@ def lightlsm():
 
 def zns():
     device, __, env, db = make_zns_db(chunks=40)
-    return lsm(device, env, db, zoned, lambda env: env)
+    return lsm(device, env, db, lambda env: pooled(env.zns), lambda env: env)
 
 
 CASES = {"oxblock": lambda: journaled("oxblock"),
@@ -82,15 +78,30 @@ def test_every_chunk_is_in_one_state_before_and_after_a_cut(name):
     assert list(problems(recover())) == []
 
 
-def test_a_retired_zone_strands_its_healthy_chunks():
-    """A table zone whose reset fails is retired: its bad chunk is offline
-    on the device and the other three, erased, are in use (stranded)."""
+def test_a_failed_zone_reset_retires_only_its_chunk():
+    """A table zone whose reset fails on one chunk: that chunk is offline,
+    the zone's other chunks are back in the pool, erased."""
     device, zns, env, handle, zones = test_alt_envs.TestZnsReclaim.table()
-    bad = zns.zone(zones[1]).chunks[0]
+    chunks = list(zns.zone(zones[1]).chunks)
+    bad = chunks[0]
     FaultInjector(FaultPlan(grown_bad={bad: 1})).attach(device)
-    with pytest.raises(ZoneError, match="retired"):
-        device.sim.run_until(device.sim.spawn(env.delete_table_proc(handle)))
-    census = env.census()
-    assert census["offline"] == [bad]
-    assert set(zns.zone(zones[1]).chunks) - {bad} <= set(census["in use"])
-    assert list(zoned(env)) == []
+    device.sim.run_until(device.sim.spawn(env.delete_table_proc(handle)))
+    census = zns.census()
+    assert census["offline"] == [bad] and census["in use"] == []
+    assert set(chunks) - {bad} <= set(census["free"])
+    assert all(device.chunk_info(Ppa(*key, 0)).write_pointer == 0
+               for key in chunks[1:])
+    assert list(pooled(zns)) == []
+
+
+def test_one_erase_path_grep_pin():
+    """Every FTL erases its data chunks through its pool: only the WAL ring
+    and the checkpoint slots, which no pool holds, call
+    ``MediaManager.reset_dirty_proc``."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    paths = list((src / "repro").rglob("*.py"))
+    assert len(paths) > 80
+    callers = {path.relative_to(src / "repro").as_posix()
+               for path in paths
+               if ".reset_dirty_proc(" in path.read_text(encoding="utf-8")}
+    assert callers == {"ox/ftl/wal.py", "ox/ftl/checkpoint.py"}

@@ -1,5 +1,6 @@
 """Tests for the OX-ZNS FTL: zone state machine, append/read/reset, open
-zone limits."""
+zone limits, and the chunks a zone takes from the pool while it is not
+EMPTY."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from repro.errors import ZoneError
 from repro.nand import FlashGeometry
 from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
 from repro.ox import MediaManager
+from repro.ox.media import census_problems
 from repro.zns import OXZns, Zone, ZoneState, ZnsConfig
 
 
@@ -17,6 +19,17 @@ def make_zns(groups=2, pus=2, chunks=8, pages=6, **config):
     device = OpenChannelSSD(geometry=geometry)
     media = MediaManager(device)
     return device, OXZns(media, ZnsConfig(**config) if config else None)
+
+
+def open_all(zns):
+    """Open every zone explicitly (the budget must hold them all)."""
+    sim = zns.sim
+    return [sim.run_until(sim.spawn(zns.open_zone_proc()))
+            for __ in zns.zones]
+
+
+def problems(zns):
+    return list(census_problems(zns.media, zns.pool.keys, zns.census()))
 
 
 SS = 4096
@@ -52,40 +65,45 @@ class TestZoneStateMachine:
         assert zone.state is ZoneState.EMPTY
         assert zone.write_pointer == 0
 
-    def test_offline_rejects_everything(self):
-        zone = Zone(zone_id=0, capacity=10)
-        zone.retire()
-        with pytest.raises(ZoneError):
-            zone.check_append(1)
-        with pytest.raises(ZoneError):
-            zone.reset()
-
 
 class TestZnsDevice:
     def test_zone_carving_covers_device(self):
-        device, zns = make_zns()
-        total_chunks = sum(len(z.chunks) for z in zns.zones)
-        assert total_chunks == device.report_geometry().total_chunks
-        assert all(len({(c[0]) for c in z.chunks}) == 1 for z in zns.zones)
+        """An EMPTY zone holds no chunk; with every zone open, the zones
+        hold every chunk of the device once, each in its one group."""
+        device, zns = make_zns(max_open_zones=8)
+        assert all(not zone.chunks for zone in zns.zones)
+        assert open_all(zns) == list(range(zns.num_zones))
+        owned = [key for zone in zns.zones for key in zone.chunks]
+        assert len(set(owned)) == len(owned) \
+            == device.report_geometry().total_chunks
+        assert all({key[0] for key in zone.chunks} == {zone.group}
+                   for zone in zns.zones)
+        assert zns.pool.free_count() == 0 and problems(zns) == []
 
     @pytest.mark.parametrize("groups", [2, 4])
     def test_zone_ids_rotate_groups(self, groups):
         """Zone *i* sits in group ``i % num_groups``: a host that takes ids
         in order opens its zones on every channel, not on one group."""
-        device, zns = make_zns(groups=groups, chunks_per_zone=2)
+        __, zns = make_zns(groups=groups, chunks_per_zone=2,
+                           max_open_zones=32)
+        assert [zone.group for zone in zns.zones] \
+            == [zone_id % groups for zone_id in range(zns.num_zones)]
+        open_all(zns)
         assert len({zone.chunks[0][0] for zone in zns.zones[:groups]}) \
             == groups
         for zone in zns.zones:
             assert {chunk[0] for chunk in zone.chunks} \
                 == {zone.zone_id % groups}
-        owned = [chunk for zone in zns.zones for chunk in zone.chunks]
-        assert len(set(owned)) == len(owned) \
-            == device.report_geometry().total_chunks
 
     def test_zone_chunks_on_distinct_pus(self):
-        __, zns = make_zns(pus=4, chunks=8, chunks_per_zone=4)
+        """A zone takes its chunks round robin over its group's PUs, from
+        the first."""
+        __, zns = make_zns(pus=4, chunks=8, chunks_per_zone=4,
+                           max_open_zones=16)
+        open_all(zns)
         for zone in zns.zones:
-            assert len({(c[0], c[1]) for c in zone.chunks}) == 4
+            assert [key[:2] for key in zone.chunks] \
+                == [(zone.group, pu) for pu in range(4)]
 
     def test_append_read_roundtrip(self):
         __, zns = make_zns()
@@ -125,15 +143,17 @@ class TestZnsDevice:
             zns.append(0, b"x" * SS)
 
     def test_reset_zone_erases_and_reopens(self):
+        """A reset erases the zone's chunk and gives it back to the pool:
+        the zone is EMPTY with no chunk, and reopens at its start."""
         device, zns = make_zns(chunks_per_zone=1)
         zone = zns.zone(0)
         zns.append(0, b"f" * SS * zone.capacity)
+        [key] = zone.chunks
         zns.reset_zone(0)
-        assert zone.state is ZoneState.EMPTY
-        wear = device.chunk_info(
-            __import__("repro.ocssd.address", fromlist=["Ppa"])
-            .Ppa(*zone.chunks[0], 0)).wear_index
-        assert wear == 1
+        assert zone.state is ZoneState.EMPTY and zone.chunks == []
+        assert device.chunk_info(Ppa(*key, 0)).wear_index == 1
+        assert key in zns.pool.free[key[:2]]
+        assert zns.stats.zone_resets == 1 and problems(zns) == []
         assert zns.append(0, b"n" * SS) == zone.start_lba
 
     def test_finish_zone_closes_early(self):
@@ -203,9 +223,37 @@ class TestZnsDevice:
             with pytest.raises(MediaError):
                 zns.append(zone_id, b"x" * SS)
             assert zns.zone(zone_id).state is ZoneState.EMPTY
+            assert zns.zone(zone_id).chunks == []
+        assert zns.open_budget.in_use == 0
+        # Each failed program left its chunk bad: given back, it was
+        # retired alone.
+        assert zns.stats.chunks_retired == 2 and problems(zns) == []
         injector.detach()
         assert zns.append(2, b"y" * SS) == zns.zone(2).start_lba
         assert zns.read(zns.zone(2).start_lba, 1) == b"y" * SS
+
+    def test_a_short_group_is_skipped(self):
+        """Once retirements leave a group with fewer free chunks than a
+        zone takes, an explicit open skips that group's EMPTY zones and
+        an append to one of them raises, keeping its unit."""
+        from repro.faults import FaultInjector, FaultPlan
+        device, zns = make_zns(chunks=2, chunks_per_zone=2)
+        assert [zone.group for zone in zns.zones] == [0, 1, 0, 1]
+        zns.append(0, b"f" * SS * zns.zone_capacity)
+        FaultInjector(FaultPlan(
+            grown_bad={zns.zone(0).chunks[0]: 1})).attach(device)
+        zns.reset_zone(0)
+        assert zns.stats.chunks_retired == 1
+        zns.append(2, b"a" * SS)            # group 0: one chunk left
+        assert zns.pool.group_free(0) == 1
+        sim = device.sim
+        assert sim.run_until(sim.spawn(zns.open_zone_proc())) == 1
+        assert zns.open_budget.in_use == 2
+        with pytest.raises(ZoneError, match="fewer than 2 free chunks"):
+            zns.append(0, b"x" * SS)
+        assert zns.zone(0).state is ZoneState.EMPTY
+        assert zns.open_budget.in_use == 2 and problems(zns) == []
+        assert sim.run_until(sim.spawn(zns.open_zone_proc())) == 3
 
     def test_large_append_spans_chunks(self):
         device, zns = make_zns(chunks_per_zone=2)
@@ -267,12 +315,6 @@ class TestFinishZone:
         zns.finish_zone(0)
         assert zns.stats.zones_finished == 0
 
-    def test_finish_offline_zone_rejected(self):
-        __, zns = make_zns(chunks_per_zone=1)
-        zns.zone(0).retire()
-        with pytest.raises(ZoneError, match="offline"):
-            zns.finish_zone(0)
-
     def test_finished_zone_survives_a_cut_beside_cached_appends(self):
         """A finish covers its own zone's chunks and nothing admitted
         after it: zone 2 shares zone 0's PUs and keeps appending; a cut
@@ -281,7 +323,6 @@ class TestFinishZone:
         device, zns = make_zns(pages=24)
         sim, ws = device.sim, device.geometry.ws_min
         a, b = zns.zone(0), zns.zone(2)
-        assert {key[:2] for key in a.chunks} == {key[:2] for key in b.chunks}
         stop = []
 
         def append_b():
@@ -294,6 +335,7 @@ class TestFinishZone:
 
         writing = sim.spawn(append_b())
         sim.run_until(sim.spawn(finish_a()))
+        assert {key[:2] for key in a.chunks} == {key[:2] for key in b.chunks}
         stop.append(True)
         sim.run_until(writing)
         device.crash_volatile()
