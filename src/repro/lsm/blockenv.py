@@ -112,12 +112,10 @@ class BlockDevEnv(ManifestEnv):
         # encoding headers and block-tail padding.
         return int((self.max_table_sectors - 32) * self.sector_size * 0.95)
 
-    def create_writer_proc(self, sstable_id: int, level: int,
-                           block_size: int):
+    def create_writer(self, sstable_id: int, level: int, block_size: int):
         self._admit_writer(sstable_id, block_size)
         self.note_block_size(block_size)
         return _BlockDevWriter(self, sstable_id, level, block_size)
-        yield  # pragma: no cover - generator marker
 
     def read_block_proc(self, handle: SSTableHandle, block_index: int,
                         block_size: int):

@@ -547,27 +547,24 @@ class DB:
         builder = writer = None     # the table being written, if any
 
         def sink(key, encoded):
-            # Awaited only for the rare part: a table to open, a filled
-            # block to write, a full table to close.
+            # Awaited only for the rare part: a filled block to write, a
+            # full table to close.
             if builder is None:
-                return open_table_proc(key, encoded)
+                open_table()
             block = builder.add_encoded(key, encoded)
             if block is not None or builder.data_bytes >= target_bytes:
                 return write_proc(block)
 
-        def open_table_proc(key, encoded):
+        def open_table():
             nonlocal builder, writer
             sstable_id = self._next_sstable_id
             self._next_sstable_id += 1
-            writer = yield from self.env.create_writer_proc(
+            writer = self.env.create_writer(
                 sstable_id, level, self.config.block_size)
             builder = SSTableBuilder(
                 sstable_id, sequence=sstable_id,
                 block_size=self.config.block_size,
                 bits_per_key=self.config.bits_per_key)
-            wait = sink(key, encoded)
-            if wait is not None:
-                yield from wait
 
         def write_proc(block):
             if block is not None:

@@ -80,9 +80,9 @@ class StorageEnv(abc.ABC):
         """Upper bound on one SSTable's data size (0 = unbounded)."""
 
     @abc.abstractmethod
-    def create_writer_proc(self, sstable_id: int, level: int,
-                           block_size: int):
-        """Process generator returning an :class:`SSTableWriter`."""
+    def create_writer(self, sstable_id: int, level: int,
+                      block_size: int) -> SSTableWriter:
+        """A writer for a new table; it takes no simulated time."""
 
     @abc.abstractmethod
     def read_block_proc(self, handle: SSTableHandle, block_index: int,
@@ -192,11 +192,9 @@ class MemEnv(StorageEnv):
     def max_table_bytes(self) -> int:
         return 0
 
-    def create_writer_proc(self, sstable_id: int, level: int,
-                           block_size: int):
+    def create_writer(self, sstable_id: int, level: int, block_size: int):
         self._require_new(sstable_id)
         return _MemWriter(self, sstable_id, level)
-        yield  # pragma: no cover - generator marker
 
     def read_block_proc(self, handle: SSTableHandle, block_index: int,
                         block_size: int):

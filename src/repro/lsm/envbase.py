@@ -12,6 +12,9 @@ re-implementing before the stack refactor:
   flush makes the MANIFEST unnecessary, §5.)
 * :func:`pad_to_sectors` — the meta-blob padding the sector-addressed
   FTLs ask of their host (round up to whole sectors).
+* :class:`StripedTableWriter` — the table writer under LightLSM and
+  :class:`~repro.lsm.znsenv.ZnsEnv`: one block write in flight per
+  lane of the table's stripe, joined before the commit or the reclaim.
 * :class:`WriteDispatcher` — the paper's "single dispatch thread"
   (§4.2): one queue, strictly serialized submissions, overlapping
   completions.  LightLSM owns the only write pointers today, but the
@@ -20,12 +23,13 @@ re-implementing before the stack refactor:
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.errors import ReproError
 from repro.lsm.env import (
-    SSTableHandle, StorageEnv, replay_manifest)
+    SSTableHandle, SSTableWriter, StorageEnv, replay_manifest)
 from repro.ocssd.address import PpaVector
 from repro.ocssd.commands import Buffer, VectorWrite
 from repro.sim.resources import Store
@@ -72,6 +76,72 @@ class ManifestEnv(StorageEnv):
 
     def log_version_edit(self, edit: Tuple[str, int, int]) -> None:
         self.manifest.append(edit)
+
+
+class StripedTableWriter(SSTableWriter):
+    """Streams one table's blocks over the *lanes* of its stripe (the
+    channels of a LightLSM chunk stripe, the zones of a ZnsEnv stripe),
+    one block write in flight per lane: a block write first waits for
+    the previous one on its lane, when the writer next uses that lane
+    (back-pressure at the speed the device cache admits writes).
+
+    A subclass places and submits each block (``_wait_lane_proc``, then
+    ``_submitted``), reads a landed write in ``_landed`` and supplies its
+    ``_commit_proc`` and ``_discard_proc``.  ``finish_proc`` and
+    ``abort_proc`` start with one join of every write in flight: finish
+    raises the first failure, abort reclaims regardless, and no write
+    lands on space the reclaim gave back.
+    """
+
+    def __init__(self) -> None:
+        self.blocks = 0     # blocks submitted so far
+        #: lane -> (block index, the done event of its write in flight)
+        self._lanes: Dict[Hashable, Tuple[int, object]] = {}
+
+    def _wait_lane_proc(self, lane: Hashable):
+        """Wait for *lane*'s write in flight, if any; a failure raises."""
+        entry = self._lanes.pop(lane, None)
+        if entry is not None:
+            index, done = entry
+            self._landed(index, (yield done))
+
+    def _submitted(self, lane: Hashable, done) -> None:
+        """Block ``self.blocks`` went out on *lane*, *done* its landing."""
+        self._lanes[lane] = (self.blocks, done)
+        self.blocks += 1
+
+    def _landed(self, index: int, value) -> None:
+        """Block *index*'s write landed with *value*; raise if it failed."""
+
+    def _join_proc(self):
+        """Wait for every write in flight, in block order; the first
+        failure once all are done, else None."""
+        failure = None
+        for index, done in sorted(self._lanes.values()):
+            try:
+                self._landed(index, (yield done))
+            except ReproError as error:
+                failure = failure or error
+        self._lanes = {}
+        return failure
+
+    def finish_proc(self, meta_blob: bytes):
+        failure = yield from self._join_proc()
+        if failure is not None:
+            raise failure
+        return (yield from self._commit_proc(meta_blob))
+
+    def abort_proc(self):
+        yield from self._join_proc()
+        yield from self._discard_proc()
+
+    @abc.abstractmethod
+    def _commit_proc(self, meta_blob: bytes):
+        """Every block landed: persist the meta, commit; the handle."""
+
+    @abc.abstractmethod
+    def _discard_proc(self):
+        """No write in flight: give the partial table's space back."""
 
 
 @dataclass

@@ -16,7 +16,9 @@ straight from the paper:
 * **Blocks are the unit of read and write**: ``block_size`` must be a
   multiple of the device write unit (96 KB on the dual-plane TLC drive).
 * **A single dispatch thread** submits all writes "so that there are no
-  concurrent accesses to the write pointers".
+  concurrent accesses to the write pointers"; a table writer keeps one
+  block write in flight per channel of its stripe
+  (:class:`~repro.lsm.envbase.StripedTableWriter`, shared with ZnsEnv).
 * **Atomic SSTable flush, no MANIFEST**: a table is committed by its
   meta's last write unit, written FUA as the *commit unit* once its data
   and the rest of its meta are durable; recovery lists tables by scanning
@@ -26,13 +28,12 @@ straight from the paper:
 from __future__ import annotations
 
 import abc
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OutOfSpaceError, ReproError
-from repro.lsm.env import SSTableHandle, SSTableWriter, StorageEnv
-from repro.lsm.envbase import WriteDispatcher
+from repro.lsm.env import SSTableHandle, StorageEnv
+from repro.lsm.envbase import StripedTableWriter, WriteDispatcher
 from repro.ocssd.address import Ppa, PpaRun
 from repro.ocssd.commands import Buffer
 from repro.ox.media import ChunkKey, ChunkPool, MediaManager, PuKey
@@ -110,13 +111,6 @@ class _TableLayout:
     block_sectors: int
     data_blocks: int = 0
     meta_sectors: int = 0
-    # Local write pointers, one per data chunk (the paper's "write pointer
-    # per chunk", owned by the dispatch thread).
-    write_next: List[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.write_next:
-            self.write_next = [0] * len(self.chunks)
 
     @property
     def all_chunks(self) -> List[ChunkKey]:
@@ -177,7 +171,7 @@ class LightLSMEnv(StorageEnv):
                     for chunk in range(self.geometry.chunks_per_pu)],
             name="lightlsm", layer="lsm", stats=self.stats)
         self._tables: Dict[int, _TableLayout] = {}
-        self._dispatcher = WriteDispatcher(
+        self.dispatcher = WriteDispatcher(
             self.sim, media, name="lightlsm",
             workers=config.dispatch_workers,
             dispatch_cpu=config.dispatch_cpu)
@@ -197,8 +191,7 @@ class LightLSMEnv(StorageEnv):
         total = self.chunks_per_sstable * self.geometry.chunk_size
         return int(total * 0.95)
 
-    def create_writer_proc(self, sstable_id: int, level: int,
-                           block_size: int):
+    def create_writer(self, sstable_id: int, level: int, block_size: int):
         self._check_block_size(block_size)
         self._require_new(sstable_id)
         chunks = self.placement.allocate(self, self.chunks_per_sstable + 1)
@@ -210,7 +203,6 @@ class LightLSMEnv(StorageEnv):
             block_sectors=block_size // self.geometry.sector_size)
         self._tables[sstable_id] = layout
         return _LightLSMWriter(self, layout)
-        yield  # pragma: no cover - generator marker
 
     def read_block_proc(self, handle: SSTableHandle, block_index: int,
                         block_size: int):
@@ -296,10 +288,13 @@ class LightLSMEnv(StorageEnv):
                         placeholder = (-1, -1, -1)
                         chunks = [chunk_map.get(i, placeholder)
                                   for i in range(n_chunks)]
-                        layout = self._recover_layout(
-                            sstable_id, level, sequence, chunks, meta_key)
-                        layout.data_blocks = data_blocks
-                        layout.meta_sectors = meta_sectors
+                        # block_sectors comes from the meta: the DB calls
+                        # set_block_sectors once it has parsed it.
+                        layout = _TableLayout(
+                            SSTableHandle(sstable_id, level), sequence,
+                            chunks, meta_key, block_sectors=0,
+                            data_blocks=data_blocks,
+                            meta_sectors=meta_sectors)
                         meta_blob = yield from self._read_meta_proc(layout)
             if layout is not None and meta_blob is not None:
                 self._tables[sstable_id] = layout
@@ -314,14 +309,10 @@ class LightLSMEnv(StorageEnv):
 
     # -- dispatch thread -----------------------------------------------------------
 
-    @property
-    def dispatcher(self) -> WriteDispatcher:
-        return self._dispatcher
-
     def submit_write(self, ppas: PpaRun, data: Buffer,
                      oob: List[object], fua: bool = False):
         """Queue a write on the dispatch thread; returns the done event."""
-        return self._dispatcher.submit(ppas, data, oob, fua)
+        return self.dispatcher.submit(ppas, data, oob, fua)
 
     # -- internals --------------------------------------------------------------------
 
@@ -380,22 +371,6 @@ class LightLSMEnv(StorageEnv):
         blob = yield from self._read_meta_proc(layout)
         return blob
 
-    def _recover_layout(self, sstable_id: int, level: int, sequence: int,
-                        chunks: List[ChunkKey],
-                        meta_chunk: ChunkKey) -> _TableLayout:
-        layout = _TableLayout(
-            handle=SSTableHandle(sstable_id, level), sequence=sequence,
-            chunks=chunks, meta_chunk=meta_chunk, block_sectors=0)
-        # block_sectors comes from the meta (block_size): the DB calls
-        # set_block_sectors after parsing.  Write pointers come from the
-        # device (recovered tables are immutable anyway).
-        for index, key in enumerate(chunks):
-            if key[0] < 0:
-                continue   # placeholder for a never-written stripe slot
-            info = self.media.chunk_info(Ppa(*key, 0))
-            layout.write_next[index] = info.write_pointer
-        return layout
-
     def set_block_sectors(self, handle: SSTableHandle,
                           block_size: int) -> None:
         """Recovery hook: the DB tells the env each table's block size
@@ -404,63 +379,48 @@ class LightLSMEnv(StorageEnv):
             block_size // self.geometry.sector_size
 
 
-class _LightLSMWriter(SSTableWriter):
-    """Streams one SSTable's blocks onto its chunks, one block write in
-    flight per channel its data stripe spans (every group for horizontal
-    placement, one for vertical): nothing orders those writes."""
+class _LightLSMWriter(StripedTableWriter):
+    """Streams one SSTable's blocks onto its chunks; a lane is a channel
+    its data stripe spans (every group for horizontal placement, one for
+    vertical).  Blocks go out through the dispatch thread, and a failed
+    write raises when the writer next waits on its channel."""
 
     def __init__(self, env: LightLSMEnv, layout: _TableLayout):
+        super().__init__()
         self.env = env
         self.layout = layout
-        self._next_block = 0
-        self._pending = deque()   # done events of in-flight block writes
-        self._window = len({key[0] for key in layout.chunks})
 
     def append_block_proc(self, block: bytes):
-        layout = self.layout
-        geometry = self.env.geometry
-        sector_size = geometry.sector_size
-        expected = layout.block_sectors * sector_size
+        layout, geometry = self.layout, self.env.geometry
+        expected = layout.block_sectors * geometry.sector_size
         if len(block) != expected:
             raise ReproError(
                 f"block of {len(block)} bytes; expected {expected}")
-        key, first_sector = layout.block_location(self._next_block)
-        chunk_slot = self._next_block % len(layout.chunks)
-        if first_sector != layout.write_next[chunk_slot]:
-            raise ReproError(
-                f"write pointer mismatch on chunk {key}: "
-                f"{first_sector} != {layout.write_next[chunk_slot]}")
+        key, first_sector = layout.block_location(self.blocks)
+        chunk_slot = self.blocks % len(layout.chunks)
         if first_sector + layout.block_sectors > geometry.sectors_per_chunk:
             raise OutOfSpaceError(
                 f"table {layout.handle.sstable_id} overflows its chunks")
+        yield from self._wait_lane_proc(key[0])
         ppas = PpaRun(key, first_sector, layout.block_sectors)
         oob = [("sst", layout.handle.sstable_id, layout.handle.level,
                 layout.sequence, chunk_slot, len(layout.chunks))
                for __ in range(layout.block_sectors)]
-        self._pending.append(self.env.submit_write(ppas, block, oob))
-        layout.write_next[chunk_slot] = first_sector + layout.block_sectors
-        self._next_block += 1
+        self._submitted(key[0], self.env.submit_write(ppas, block, oob))
         self.env.stats.blocks_written += 1
-        # A full window waits for the oldest write's admission
-        # (back-pressure at controller-cache speed, which is the
-        # write-back behaviour the evaluation drive exhibits).
-        if len(self._pending) >= self._window:
-            _require_written((yield self._pending.popleft()))
 
-    def _join_proc(self):
-        """Wait for every block write in flight; their completions."""
-        pending, self._pending = list(self._pending), deque()
-        return (yield self.env.sim.all_of(pending))
+    def _landed(self, index: int, completion) -> None:
+        if not completion.ok:
+            raise ReproError(
+                f"block write failed: {completion.error or completion.status}")
 
-    def finish_proc(self, meta_blob: bytes):
+    def _commit_proc(self, meta_blob: bytes):
         env = self.env
         geometry = env.geometry
         layout = self.layout
         sector_size = geometry.sector_size
         ws_min = geometry.ws_min
-        for completion in (yield from self._join_proc()):
-            _require_written(completion)
-        layout.data_blocks = self._next_block
+        layout.data_blocks = self.blocks
 
         # Meta: written at the start of the dedicated meta chunk, padded
         # to whole write units (the sectors past the blob's end).
@@ -496,19 +456,12 @@ class _LightLSMWriter(SSTableWriter):
         env.stats.tables_flushed += 1
         return layout.handle
 
-    def abort_proc(self):
+    def _discard_proc(self):
         """Discard the partial table: reset its chunks, return them."""
         env = self.env
-        yield from self._join_proc()
         layout = env._tables.pop(self.layout.handle.sstable_id, None)
         if layout is None:
             return
         yield from env.media.flush_proc(layout.all_chunks)
         yield from env.pool.reclaim_proc(layout.all_chunks,
                                          env.media.dirty(layout.all_chunks))
-
-
-def _require_written(completion) -> None:
-    if not completion.ok:
-        raise ReproError(
-            f"block write failed: {completion.error or completion.status}")

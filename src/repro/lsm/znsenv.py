@@ -6,7 +6,8 @@ SSTables live on whole zones (append-only, reset-to-reclaim — a natural
 fit for immutable tables), the FTL below hides ``ws_min``/paired-page
 complexity, and the host keeps a MANIFEST for table visibility — unlike
 LightLSM, the ZNS abstraction alone does not make the media
-self-describing.
+self-describing.  Its table writer is LightLSM's
+:class:`~repro.lsm.envbase.StripedTableWriter`, with zones for lanes.
 
 Together with :class:`repro.lsm.blockenv.BlockDevEnv` (generic block FTL)
 and :class:`repro.lsm.lightlsm.LightLSMEnv` (application-specific FTL)
@@ -17,11 +18,12 @@ system, measurable side by side in ``bench_abstraction_spectrum.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.errors import ReproError
-from repro.lsm.env import SSTableHandle, SSTableWriter
-from repro.lsm.envbase import ManifestEnv, pad_to_sectors
+from repro.lsm.env import SSTableHandle
+from repro.lsm.envbase import (
+    ManifestEnv, StripedTableWriter, pad_to_sectors)
 from repro.zns.ftl import OXZns
 from repro.zns.zone import ZoneState
 
@@ -29,36 +31,31 @@ from repro.zns.zone import ZoneState
 @dataclass
 class _ZnsTable:
     zones: List[int]
-    data_blocks: int
     block_lbas: List[int]      # starting LBA of each data block
     meta_lba: int = -1
     meta_sectors: int = 0
     meta_bytes: int = 0
 
 
-class _ZnsWriter(SSTableWriter):
+class _ZnsWriter(StripedTableWriter):
     """Streams one table's blocks over a stripe of open zones, one per
-    group (channel): the blocks take the stripe's zones in turn, and each
-    zone keeps one append in flight, so a table's appends overlap on
-    every channel the stripe spans.  The stripe is ``num_groups`` wide,
-    at most half of ``max_open_zones``, and never holds more zones than
-    OX-ZNS's open-zone budget has room for: a writer that holds a zone
-    narrows instead of waiting, so none deadlocks."""
+    group (channel); a lane is a zone of the stripe, and the blocks take
+    the zones in turn.  The stripe is ``num_groups`` wide, at most half
+    of ``max_open_zones``, and never holds more zones than OX-ZNS's
+    open-zone budget has room for: a writer that holds a zone narrows
+    instead of waiting, so none deadlocks."""
 
     def __init__(self, env: "ZnsEnv", sstable_id: int, level: int,
                  block_size: int):
+        super().__init__()
         self.env = env
-        self.sstable_id = sstable_id
-        self.level = level
-        self.block_size = block_size
+        self.handle = SSTableHandle(sstable_id, level)
         self.block_sectors = block_size // env.sector_size
-        self.table = _ZnsTable(zones=[], data_blocks=0, block_lbas=[])
+        self.table = _ZnsTable(zones=[], block_lbas=[])
         self._slots: List[int] = []     # the stripe's open zones, next first
         # At most half the budget: a flush's stripe and a compaction's fit.
         self._width = min(env.zns.geometry.num_groups,
                           max(1, env.zns.config.max_open_zones // 2))
-        #: zone id -> (block index, its append in flight)
-        self._in_flight: Dict[int, Tuple[int, object]] = {}
 
     def _zone_with_room_proc(self, sectors: int):
         """The stripe's next zone, its append in flight done, with at
@@ -76,9 +73,7 @@ class _ZnsWriter(SSTableWriter):
                     return zone_id
                 self._width = len(slots)
             zone_id = slots[0]
-            if zone_id in self._in_flight:
-                index, append = self._in_flight.pop(zone_id)
-                self.table.block_lbas[index] = yield append
+            yield from self._wait_lane_proc(zone_id)
             zone = zns.zone(zone_id)
             if zone.remaining >= sectors:
                 slots.append(slots.pop(0))
@@ -92,27 +87,14 @@ class _ZnsWriter(SSTableWriter):
         append = self.env.sim.spawn(self.env.zns.append_proc(zone_id, block),
                                     name="zns-table-append")
         append.defuse()     # a failure raises where the writer waits
-        self._in_flight[zone_id] = (self.table.data_blocks, append)
+        self._submitted(zone_id, append)
         self.table.block_lbas.append(-1)
-        self.table.data_blocks += 1
 
-    def _join_proc(self):
-        """Wait for every append in flight, filling ``block_lbas``; the
-        first failure once all are done, else None."""
-        failure = None
-        for index, append in sorted(self._in_flight.values()):
-            try:
-                self.table.block_lbas[index] = yield append
-            except ReproError as error:
-                failure = failure or error
-        self._in_flight = {}
-        return failure
+    def _landed(self, index: int, lba: int) -> None:
+        self.table.block_lbas[index] = lba
 
-    def finish_proc(self, meta_blob: bytes):
+    def _commit_proc(self, meta_blob: bytes):
         zns = self.env.zns
-        failure = yield from self._join_proc()
-        if failure is not None:
-            raise failure
         meta_sectors, padded = pad_to_sectors(meta_blob,
                                               self.env.sector_size)
         zone_id = yield from self._zone_with_room_proc(meta_sectors)
@@ -127,12 +109,10 @@ class _ZnsWriter(SSTableWriter):
         yield from zns.media.flush_proc(
             [key for zone_id in self.table.zones
              for key in zns.zone(zone_id).chunks])
-        handle = SSTableHandle(self.sstable_id, self.level)
-        self.env._tables[self.sstable_id] = self.table
-        return handle
+        self.env._tables[self.handle.sstable_id] = self.table
+        return self.handle
 
-    def abort_proc(self):
-        yield from self._join_proc()
+    def _discard_proc(self):
         zones, self.table.zones = self.table.zones, []
         yield from self.env._reclaim_proc(zones)
 
@@ -159,16 +139,14 @@ class ZnsEnv(ManifestEnv):
     def max_table_bytes(self) -> int:
         return 0   # tables may span any number of zones
 
-    def create_writer_proc(self, sstable_id: int, level: int,
-                           block_size: int):
+    def create_writer(self, sstable_id: int, level: int, block_size: int):
         self._admit_writer(sstable_id, block_size)
         return _ZnsWriter(self, sstable_id, level, block_size)
-        yield  # pragma: no cover - generator marker
 
     def read_block_proc(self, handle: SSTableHandle, block_index: int,
                         block_size: int):
         table = self._require(handle)
-        if not 0 <= block_index < table.data_blocks:
+        if not 0 <= block_index < len(table.block_lbas):
             raise ReproError(f"block {block_index} out of range")
         data = yield from self.zns.read_proc(
             table.block_lbas[block_index],

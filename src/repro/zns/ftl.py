@@ -134,7 +134,12 @@ class OXZns:
         *keep* turns EMPTY, the open budget is rebuilt from the zones'
         states (dead writers may hold units of the old one or wait in its
         queue), and the pool queues every chunk no zone holds, the
-        written ones erased first."""
+        written ones erased first.
+
+        The zone table lives in host memory only, as ZnsEnv's MANIFEST
+        does: recovery runs on the ``OXZns`` that survived the cut, and a
+        fresh one over a cut device sees every zone EMPTY (nothing is
+        rebuilt from OOB; only LightLSM does that)."""
         self.open_budget = Resource(self.sim, self.config.max_open_zones)
         for zone in self.zones:
             if zone.zone_id not in keep:

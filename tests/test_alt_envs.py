@@ -3,7 +3,7 @@ block-device env (over OX-Block) and the ZNS port (over OX-ZNS)."""
 
 import pytest
 
-from repro.errors import OutOfSpaceError, ReproError, ZoneError
+from repro.errors import OutOfSpaceError, ReproError
 from repro.lsm import DB, DBConfig, DbBench
 from repro.lsm.blockenv import BlockDevEnv
 from repro.lsm.znsenv import ZnsEnv
@@ -107,8 +107,7 @@ class TestBlockDevEnv:
     def test_misaligned_block_size_rejected(self):
         device, env, __ = make_blockdev_db()
         with pytest.raises(ReproError):
-            device.sim.run_until(device.sim.spawn(
-                env.create_writer_proc(99, 0, block_size=1000)))
+            env.create_writer(99, 0, block_size=1000)
 
 
 class TestZnsEnv:
@@ -180,7 +179,7 @@ class TestZnsReclaim:
         block = zns.zone_capacity // 2 * env.sector_size
 
         def write_proc():
-            writer = yield from env.create_writer_proc(1, 0, block)
+            writer = env.create_writer(1, 0, block)
             for index in range(2 * zones - 2):
                 yield from writer.append_block_proc(bytes([index]) * block)
             return (yield from writer.finish_proc(b"meta"))
@@ -243,39 +242,9 @@ def write_blocks(sim, writer, count, block=96 * KIB):
 
 
 class TestZnsStripe:
-    """A table writer keeps one append in flight per zone of its stripe,
-    one zone per group, within ``max_open_zones``."""
-
-    def test_a_failed_append_is_joined_before_the_abort_resets(self):
-        sim, zns, env = zns_env()
-        append_proc = zns.append_proc
-        failed = []
-
-        def first_append_fails_proc(zone_id, data):
-            if not failed:
-                failed.append(zone_id)
-                yield sim.timeout(1e-6)
-                raise ZoneError("injected append failure")
-            return (yield from append_proc(zone_id, data))
-
-        zns.append_proc = first_append_fails_proc
-        free = empty_zones(zns)
-        writer = sim.run_until(sim.spawn(
-            env.create_writer_proc(1, 0, 96 * KIB)))
-        # Block 4 returns to block 0's zone, where the failure waits.
-        with pytest.raises(ZoneError, match="injected"):
-            write_blocks(sim, writer, 5)
-        zones = list(writer.table.zones)
-        assert len({zns.zone(zone_id).group for zone_id in zones}) == 4
-        # The other three zones' appends are still in flight: the zones
-        # are open, with nothing written yet.
-        assert all(zns.zone(zone_id).state is ZoneState.OPEN
-                   and not zns.zone(zone_id).write_pointer
-                   for zone_id in zones)
-        assert zns.open_budget.in_use == 4
-        sim.run_until(sim.spawn(writer.abort_proc()))
-        assert empty_zones(zns) == free
-        assert zns.open_budget.in_use == 0
+    """A table writer stripes over one zone per group, within
+    ``max_open_zones`` (one append in flight per zone: the failure and
+    in-flight tests for both striped envs are in ``test_lightlsm.py``)."""
 
     def test_blocks_read_back_in_block_order_after_out_of_order_appends(
             self):
@@ -289,7 +258,7 @@ class TestZnsStripe:
             return (yield from append_proc(zone_id, data))
 
         zns.append_proc = block_0_lands_last_proc
-        writer = sim.run_until(sim.spawn(env.create_writer_proc(1, 0, block)))
+        writer = env.create_writer(1, 0, block)
         write_blocks(sim, writer, 6)
         handle = sim.run_until(sim.spawn(writer.finish_proc(b"meta")))
         assert [sim.run_until(sim.spawn(env.read_block_proc(
@@ -305,8 +274,7 @@ class TestZnsStripe:
         db.flush()
         db.wait_idle()
         injector = FaultInjector(FaultPlan()).attach(device)
-        writer = sim.run_until(sim.spawn(
-            env.create_writer_proc(99, 0, 96 * KIB)))
+        writer = env.create_writer(99, 0, 96 * KIB)
         write_blocks(sim, writer, 6)
         cut = set(writer.table.zones)
         assert len({zns.zone(zone_id).group for zone_id in cut}) == 4
@@ -322,8 +290,8 @@ class TestZnsStripe:
     def test_a_writer_holding_a_zone_narrows_and_one_holding_none_waits(
             self):
         sim, zns, env = zns_env(max_open_zones=5)     # stripes 2 wide
-        writers = [sim.run_until(sim.spawn(env.create_writer_proc(
-            sstable_id, 0, 96 * KIB))) for sstable_id in (1, 2, 3, 4)]
+        writers = [env.create_writer(sstable_id, 0, 96 * KIB)
+                   for sstable_id in (1, 2, 3, 4)]
         for writer in writers[:3]:
             write_blocks(sim, writer, 2)
         assert [len(writer.table.zones) for writer in writers] \
@@ -399,10 +367,10 @@ class TestFailedTableWrite:
         from repro.lsm.compaction import MemCursor
         env, db, free_space = getattr(self, make)()
         items = [(key(i), bytes([i % 251]) * 700) for i in range(600)]
-        create_writer_proc = env.create_writer_proc
+        create_writer = env.create_writer
 
-        def failing_create_writer_proc(*args):
-            writer = yield from create_writer_proc(*args)
+        def failing_create_writer(*args):
+            writer = create_writer(*args)
             append_block_proc = writer.append_block_proc
             blocks = []
 
@@ -416,14 +384,14 @@ class TestFailedTableWrite:
             return writer
 
         before = free_space()
-        env.create_writer_proc = failing_create_writer_proc
+        env.create_writer = failing_create_writer
         with pytest.raises(OutOfSpaceError, match="injected"):
             db.sim.run_until(db.sim.spawn(db._write_tables_proc(
                 [MemCursor(items)], level=0, drop_tombstones=False)))
         assert free_space() == before
         assert not db.levels[0] and db.stats.tables_written == 0
         # The env still takes tables.
-        env.create_writer_proc = create_writer_proc
+        env.create_writer = create_writer
         for item in items:
             db.put(*item)
         db.flush()

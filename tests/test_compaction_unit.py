@@ -103,7 +103,7 @@ class TestCursors:
         ref, data = table_ref(1, items)
 
         def build():
-            writer = yield from env.create_writer_proc(1, 0, 256)
+            writer = env.create_writer(1, 0, 256)
             for block in data.blocks:
                 yield from writer.append_block_proc(block)
             handle = yield from writer.finish_proc(b"meta")

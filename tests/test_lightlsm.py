@@ -1,9 +1,11 @@
 """Tests for the LightLSM environment: placement policies, atomic SSTable
 flush, MANIFEST-less recovery, deletion-as-chunk-erases."""
 
+import pathlib
+
 import pytest
 
-from repro.errors import OutOfSpaceError, ReproError
+from repro.errors import OutOfSpaceError, ReproError, ZoneError
 from repro.faults import FaultInjector, FaultPlan
 from repro.lsm import (
     DB,
@@ -14,6 +16,7 @@ from repro.lsm import (
     LightLSMEnv,
     VerticalPlacement,
 )
+from repro.lsm.znsenv import ZnsEnv
 from repro.nand import FlashGeometry
 from repro.obs import Obs
 from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
@@ -21,6 +24,8 @@ from repro.ocssd.commands import CommandStatus, Completion
 from repro.ox import MediaManager
 from repro.ox.media import census_problems
 from repro.units import KIB
+from repro.zns import OXZns, ZnsConfig
+from tests.test_alt_envs import empty_zones
 
 
 def make_env(placement=None, groups=4, pus=2, chunks=40, pages=6,
@@ -64,8 +69,7 @@ class TestPlacementPolicies:
         groups = env.geometry.num_groups
         unit = env.geometry.ws_min * env.geometry.sector_size
         for sstable_id in (1, 2):   # the second starts mid-rotation
-            device.sim.run_until(device.sim.spawn(
-                env.create_writer_proc(sstable_id, 0, unit)))
+            env.create_writer(sstable_id, 0, unit)
             layout = env._tables[sstable_id]
             channels = {layout.block_location(index)[0][0]
                         for index in range(groups)}
@@ -99,8 +103,7 @@ class TestBlockSizeConstraint:
     def test_misaligned_block_size_rejected(self):
         device, __, env = make_env()
         with pytest.raises(ReproError, match="96KB"):
-            device.sim.run_until(device.sim.spawn(
-                env.create_writer_proc(1, 0, block_size=64 * KIB)))
+            env.create_writer(1, 0, block_size=64 * KIB)
 
     def test_db_config_checked_against_env(self):
         device, __, env = make_env()
@@ -156,7 +159,7 @@ class TestSSTableLifecycle:
         obs = Obs().attach(device)
         sim = device.sim
         block = env.min_block_size
-        writer = sim.run_until(sim.spawn(env.create_writer_proc(1, 0, block)))
+        writer = env.create_writer(1, 0, block)
         sim.run_until(sim.spawn(writer.append_block_proc(bytes(block))))
         handle = sim.run_until(sim.spawn(writer.finish_proc(b"meta")))
         free = env.pool.free_count()
@@ -168,69 +171,122 @@ class TestSSTableLifecycle:
         assert obs.metrics.counter("lsm.errors.reset-failed").value == 5
 
 
+def stripe_env(kind):
+    """4 groups of 2 PUs under a LightLSM env (*kind* its placement) or
+    a ZnsEnv (*kind* ``ZnsEnv``: 2-chunk zones, a stripe 4 zones wide)."""
+    if kind is not ZnsEnv:
+        device, __, env = make_env(kind(), groups=4, pus=2, pages=24)
+        return device, env
+    device = OpenChannelSSD(geometry=DeviceGeometry(
+        num_groups=4, pus_per_group=2,
+        flash=FlashGeometry(blocks_per_plane=40, pages_per_block=24)))
+    zns = OXZns(MediaManager(device),
+                ZnsConfig(chunks_per_zone=2, max_open_zones=16))
+    return device, ZnsEnv(zns)
+
+
 class TestSideBySide:
-    """A table's block writes keep one write in flight per channel its
-    stripe spans; a dead table's chunks are erased in one join."""
+    """A table's block writes keep one write in flight per lane of its
+    stripe (a LightLSM channel, a ZnsEnv zone); a dead table's chunks
+    are erased in one join."""
 
     BLOCK = 96 * KIB
 
     def count_in_flight(self, env):
-        """Wrap the env's submissions; the returned dict holds the block
-        writes in flight now and at most."""
-        submit, seen = env.submit_write, {"now": 0, "max": 0}
+        """Wrap the env's block writes; the returned dict holds the writes
+        in flight now and at most.  A write going out on a lane (its
+        channel under LightLSM, its zone under ZnsEnv) that already has
+        one in flight fails the test."""
+        seen, lanes = {"now": 0, "max": 0}, set()
 
-        def landed(event):
+        def started(lane):
+            assert lane not in lanes, f"two writes in flight on {lane}"
+            lanes.add(lane)
+            seen["now"] += 1
+            seen["max"] = max(seen["max"], seen["now"])
+
+        def landed(lane):
+            lanes.discard(lane)
             seen["now"] -= 1
+
+        if isinstance(env, ZnsEnv):
+            append_proc = env.zns.append_proc
+
+            def counting_append_proc(zone_id, data):
+                started(zone_id)
+                try:
+                    return (yield from append_proc(zone_id, data))
+                finally:
+                    landed(zone_id)
+
+            env.zns.append_proc = counting_append_proc
+            return seen
+        submit = env.submit_write
 
         def counting(ppas, data, oob, fua=False):
             done = submit(ppas, data, oob, fua)
             if oob[0][0] == "sst":
-                seen["now"] += 1
-                seen["max"] = max(seen["max"], seen["now"])
-                done.add_callback(landed)
+                started(ppas.key[0])
+                done.add_callback(lambda event: landed(ppas.key[0]))
             return done
 
         env.submit_write = counting
         return seen
 
     def write_table_proc(self, env, sstable_id, blocks):
-        writer = yield from env.create_writer_proc(sstable_id, 0, self.BLOCK)
+        writer = env.create_writer(sstable_id, 0, self.BLOCK)
         for index in range(blocks):
             yield from writer.append_block_proc(bytes([index]) * self.BLOCK)
         return (yield from writer.finish_proc(b"meta"))
 
     @pytest.mark.parametrize("placement, window", [
-        (HorizontalPlacement, 4), (VerticalPlacement, 1)])
+        (HorizontalPlacement, 4), (VerticalPlacement, 1), (ZnsEnv, 4)])
     def test_one_block_write_in_flight_per_channel(self, placement, window):
-        device, __, env = make_env(placement(), groups=4, pus=2, pages=24)
+        device, env = stripe_env(placement)
         seen = self.count_in_flight(env)
         sim = device.sim
         handle = sim.run_until(sim.spawn(self.write_table_proc(env, 1, 20)))
         assert seen == {"now": 0, "max": window}
         env.set_block_sectors(handle, self.BLOCK)
-        for index in (0, 7, 19):
-            assert sim.run_until(sim.spawn(env.read_block_proc(
-                handle, index, self.BLOCK))) == bytes([index]) * self.BLOCK
+        assert [sim.run_until(sim.spawn(env.read_block_proc(
+            handle, index, self.BLOCK))) for index in range(20)] \
+            == [bytes([index]) * self.BLOCK for index in range(20)]
 
-    def fail_block(self, env, failing, delay):
-        """Block write number *failing* completes WRITE_FAILED at once,
-        every other one is handed to the dispatcher *delay* s late."""
-        sim, submit, count = env.sim, env.submit_write, [0]
+    def fail_block_0(self, env):
+        """Block 0's write fails 1 us after it goes out; every other
+        block write goes out 1 ms late."""
+        sim, writes = env.sim, [0]
+        if isinstance(env, ZnsEnv):
+            append_proc = env.zns.append_proc
+
+            def failing_append_proc(zone_id, data):
+                writes[0] += 1
+                if writes[0] == 1:
+                    yield sim.timeout(1e-6)
+                    raise ZoneError("injected")
+                yield sim.timeout(1e-3)
+                return (yield from append_proc(zone_id, data))
+
+            env.zns.append_proc = failing_append_proc
+            return
+        submit = env.submit_write
 
         def late(ppas, data, oob, fua, done):
-            yield sim.timeout(delay)
+            yield sim.timeout(1e-3)
             done.succeed((yield submit(ppas, data, oob, fua)))
+
+        def failed(done):
+            yield sim.timeout(1e-6)
+            done.succeed(Completion(status=CommandStatus.WRITE_FAILED,
+                                    error="injected"))
 
         def submit_write(ppas, data, oob, fua=False):
             if oob[0][0] != "sst":
                 return submit(ppas, data, oob, fua)
-            count[0] += 1
+            writes[0] += 1
             done = sim.event()
-            if count[0] - 1 == failing:
-                done.succeed(Completion(status=CommandStatus.WRITE_FAILED,
-                                        error="injected"))
-            else:
-                sim.spawn(late(ppas, data, oob, fua, done))
+            sim.spawn(failed(done) if writes[0] == 1
+                      else late(ppas, data, oob, fua, done))
             return done
 
         env.submit_write = submit_write
@@ -238,10 +294,9 @@ class TestSideBySide:
     def test_failed_block_write_in_the_window_fails_the_table_flush(self):
         device, media, env = make_env(pages=24)
         sim = device.sim
-        writer = sim.run_until(sim.spawn(
-            env.create_writer_proc(1, 0, self.BLOCK)))
-        self.fail_block(env, failing=0, delay=1e-3)
-        for __ in range(2):     # inside the window of 4: no wait, no error
+        writer = env.create_writer(1, 0, self.BLOCK)
+        self.fail_block_0(env)
+        for __ in range(2):     # on lanes of their own: no wait, no error
             sim.run_until(sim.spawn(
                 writer.append_block_proc(b"\x01" * self.BLOCK)))
         head_and_commit = b"m" * (self.BLOCK + 1)     # two write units
@@ -251,34 +306,51 @@ class TestSideBySide:
         meta = env._tables[1].meta_chunk
         assert media.chunk_info(Ppa(*meta, 0)).write_pointer == 0
 
-    def test_abort_joins_the_writes_in_flight(self):
-        """The oldest write fails while three later ones are still on
-        their way: abort waits for them before it resets the chunks, so
-        none lands on a chunk back in the pool."""
-        device, media, env = make_env(pages=24)
-        sim = device.sim
-        free = env.pool.free_count()
-        writer = sim.run_until(sim.spawn(
-            env.create_writer_proc(1, 0, self.BLOCK)))
-        self.fail_block(env, failing=0, delay=1e-3)
+    @pytest.mark.parametrize("kind", [HorizontalPlacement, ZnsEnv],
+                             ids=["lightlsm", "zns"])
+    def test_a_failed_write_is_joined_before_the_abort(self, kind):
+        """Block 0's write fails while blocks 1-3 are on their way on the
+        other lanes: the failure raises when block 4 comes back to block
+        0's lane, and abort waits for the three before its first erase, so
+        none lands on space back in the pool."""
+        device, env = stripe_env(kind)
+        sim, zns = device.sim, getattr(env, "zns", None)
+        owner = zns or env
+        free = empty_zones(zns) if zns else env.pool.free_count()
+        writer = env.create_writer(1, 0, self.BLOCK)
+        self.fail_block_0(env)
+        seen = self.count_in_flight(env)
+        reclaim_proc, erased_beside = owner.pool.reclaim_proc, []
+
+        def watched_reclaim_proc(*args, **kwargs):
+            erased_beside.append(seen["now"])
+            return (yield from reclaim_proc(*args, **kwargs))
+
+        owner.pool.reclaim_proc = watched_reclaim_proc
 
         def append_proc():
-            for __ in range(4):
+            for __ in range(5):
                 yield from writer.append_block_proc(b"\x01" * self.BLOCK)
 
-        with pytest.raises(ReproError, match="block write failed"):
+        with pytest.raises(ReproError, match="injected"):
             sim.run_until(sim.spawn(append_proc()))
+        assert writer.blocks == 4 and seen["now"] == 3
         sim.run_until(sim.spawn(writer.abort_proc()))
         sim.run(until=sim.now + 0.1)
-        assert env.pool.free_count() == free and census_clean(env)
+        assert erased_beside and not any(erased_beside)
+        if zns:
+            assert empty_zones(zns) == free and zns.open_budget.in_use == 0
+        else:
+            assert env.pool.free_count() == free
+        assert not list(census_problems(owner.media, owner.pool.keys,
+                                        owner.census()))
 
     def test_cut_with_blocks_in_flight_leaves_no_table(self):
         device, __, env = make_env(pages=24)
         injector = FaultInjector(FaultPlan()).attach(device)
         sim = device.sim
         seen = self.count_in_flight(env)
-        writer = sim.run_until(sim.spawn(
-            env.create_writer_proc(5, 0, self.BLOCK)))
+        writer = env.create_writer(5, 0, self.BLOCK)
         layout = env._tables[5]
 
         def blocks_proc():
@@ -309,6 +381,19 @@ class TestSideBySide:
         sim.run_until(sim.spawn(env.delete_table_proc(handle)))
         assert erase <= sim.now - started < 1.5 * erase
         assert env.stats.chunk_resets == 33
+
+
+def test_one_table_writer_grep_pin():
+    """LightLSM and ZnsEnv keep no write-in-flight bookkeeping of their
+    own: the one-write-per-lane rule, its wait and its join live in
+    ``repro.lsm.envbase.StripedTableWriter`` alone."""
+    lsm = pathlib.Path(__file__).resolve().parent.parent / "src/repro/lsm"
+    for name in ("lightlsm.py", "znsenv.py"):
+        text = (lsm / name).read_text(encoding="utf-8")
+        for twin in ("_join_proc", "_in_flight", "_pending", "_lanes",
+                     "deque", "all_of("):
+            assert twin not in text, f"{name} keeps {twin!r}"
+        assert "(StripedTableWriter):" in text
 
 
 class TestManifestlessRecovery:
@@ -344,8 +429,7 @@ class TestManifestlessRecovery:
                   for groups in ((0, 1), (2, 3))]
         for sstable_id, pus in enumerate(halves, start=1):
             env = LightLSMEnv(media, HorizontalPlacement(), pus=pus)
-            writer = sim.run_until(sim.spawn(
-                env.create_writer_proc(sstable_id, 0, block)))
+            writer = env.create_writer(sstable_id, 0, block)
             sim.run_until(sim.spawn(writer.append_block_proc(
                 bytes([sstable_id]) * block)))
             sim.run_until(sim.spawn(writer.finish_proc(b"meta")))
@@ -371,8 +455,7 @@ class TestManifestlessRecovery:
         # Start a flush and crash the device mid-way: write some blocks
         # by hand without a commit.
         sim = device.sim
-        writer = sim.run_until(sim.spawn(
-            env.create_writer_proc(999, 0, 96 * KIB)))
+        writer = env.create_writer(999, 0, 96 * KIB)
         block = b"\x01" * (96 * KIB)
         sim.run_until(sim.spawn(writer.append_block_proc(block)))
         device.flush()
@@ -390,8 +473,7 @@ class TestManifestlessRecovery:
         self.fill(db, rounds=1)
         count_before = len(env._tables)
         sim = device.sim
-        writer = sim.run_until(sim.spawn(
-            env.create_writer_proc(998, 0, 96 * KIB)))
+        writer = env.create_writer(998, 0, 96 * KIB)
         sim.run_until(sim.spawn(
             writer.append_block_proc(b"\x02" * (96 * KIB))))
         device.crash_volatile()    # unflushed data gone entirely
@@ -402,7 +484,7 @@ class TestManifestlessRecovery:
         assert all(handle.sstable_id != 998 for handle, __ in tables)
 
     def write_table_proc(self, env, sstable_id, meta_blob):
-        writer = yield from env.create_writer_proc(sstable_id, 0, 96 * KIB)
+        writer = env.create_writer(sstable_id, 0, 96 * KIB)
         yield from writer.append_block_proc(b"\x03" * (96 * KIB))
         return (yield from writer.finish_proc(meta_blob))
 
@@ -461,11 +543,10 @@ class TestManifestlessRecovery:
         the cache, keeps A whole and B never existed."""
         device, __, env = make_env(pages=24)
         sim, block = device.sim, 96 * KIB
-        writer_b = sim.run_until(sim.spawn(
-            env.create_writer_proc(2, 0, block)))
+        writer_b = env.create_writer(2, 0, block)
         stop = []
-        # B's appends return before admission while its window has room,
-        # so its loop is bounded by its stripe's room, not by the clock.
+        # B's appends return before their writes land, so its loop is
+        # bounded by its stripe's room, not by the clock.
         room = (len(env._tables[2].chunks) * env.geometry.sectors_per_chunk
                 // (block // env.geometry.sector_size))
 

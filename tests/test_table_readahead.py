@@ -43,7 +43,7 @@ def write_table(sim, env, sstable_id, blocks):
     """One SSTable of *blocks* (an :class:`SSTableData`) through *env*'s
     writer; returns the :class:`TableRef` a DB would hold."""
     def run():
-        writer = yield from env.create_writer_proc(sstable_id, 0, BLOCK)
+        writer = env.create_writer(sstable_id, 0, BLOCK)
         for block in blocks.blocks:
             yield from writer.append_block_proc(block)
         return (yield from writer.finish_proc(blocks.meta.serialize()))
