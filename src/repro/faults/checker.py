@@ -187,15 +187,17 @@ def _oxblock_structure(ftl) -> Iterator[str]:
             yield (f"lba {lba} maps at {ppa} above the chunk write "
                    f"pointer {descriptor.write_pointer}")
         mapped_per_chunk[key] = mapped_per_chunk.get(key, 0) + 1
+    census = ftl.provisioner.census()   # a BAD row not offline is "in use"
     for key, info in ftl.chunk_table.items():
         mapped = mapped_per_chunk.get(key, 0)
         if info.state is FtlChunkState.BAD and mapped:
             yield f"bad chunk {key} still has {mapped} mapped sectors"
+        if info.state is FtlChunkState.BAD and key not in census["offline"]:
+            yield f"bad chunk {key} is not offline on the device"
         if info.valid_count != mapped:
             yield (f"chunk {key} valid_count={info.valid_count} but "
                    f"{mapped} lbas map into it")
-    yield from census_problems(ftl.media, data_keys,
-                               ftl.provisioner.census())
+    yield from census_problems(ftl.media, data_keys, census)
 
 
 def _eleos_structure(ftl) -> Iterator[str]:

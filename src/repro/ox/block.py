@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import FTLError, OutOfSpaceError, ReproError
+from repro.ocssd.chunk import ChunkState
 from repro.ox.ftl import serial
 from repro.ox.ftl.gc import GarbageCollector
 from repro.ox.ftl.journal import Journal
@@ -57,9 +58,6 @@ class BlockConfig:
     gc_enabled: bool = True
     gc_low_watermark: int = 4        # free chunks that trigger GC
     gc_high_watermark: int = 8       # free chunks GC aims for
-    # Free chunks per group only GC may open: keeps relocation possible
-    # when user writes have consumed everything else.
-    gc_headroom_chunks: int = 1
     replay_cpu_per_record: float = 2e-6
     wal_pressure_threshold: float = 0.6   # force a checkpoint beyond this
 
@@ -95,8 +93,7 @@ class OXBlock:
         self.capacity_sectors = page_map.capacity
         self.chunk_table = chunk_table
         self.provisioner = provisioner
-        provisioner.gc_headroom = (config.gc_headroom_chunks
-                                   if config.gc_enabled else 0)
+        provisioner.gc_headroom = int(config.gc_enabled)  # one chunk per group
         # LBAs whose data was dropped after an async chunk retirement
         # (read as zeroes from then on); fault/crash harnesses use this to
         # tell "lost to a media fault" from "lost to a bug".
@@ -380,7 +377,8 @@ class OXBlock:
             # A concurrent relocation/reset invalidated an address between
             # lookup and read: retry against the fresh mapping.
         else:
-            raise FTLError(f"read at lba {lba} kept racing relocation")
+            raise FTLError(f"read at lba {lba} failed: media read error "
+                           f"or racing relocation")
         self.stats.reads += 1
         self.stats.sectors_read += sectors
         if obs is not None:
@@ -457,13 +455,15 @@ class OXBlock:
         """Process the device's asynchronous error reports (Figure 2:
         "bad block information may be updated at any time").
 
-        A chunk that failed a program or reset is retired: it leaves the
-        provisioner, and any mapping still pointing into it is dropped —
-        with a write-back cache, data lost to an async program failure is
-        genuinely gone, and surfacing it as unmapped (zero) reads beats
-        surfacing it as I/O errors forever after.  The drop is logged, as a
-        txn restating the lost mappings, for the next WAL flush (a carry's
-        at the latest): recovery loses them again, unit commits included.
+        The one place OX-Block retires a chunk, only one the device reports
+        OFFLINE (a failed program or erase; a read error is transient and
+        retires nothing).  A retired chunk leaves the provisioner, and any
+        mapping still pointing into it is dropped — with a write-back
+        cache, data lost to an async program failure is genuinely gone,
+        and surfacing it as unmapped (zero) reads beats surfacing it as
+        I/O errors forever after.  The drop is logged, as a txn restating
+        the lost mappings, for the next WAL flush (a carry's at the
+        latest): recovery loses them again, unit commits included.
         """
         entries: List[Tuple[int, int, int]] = []
         for note in self.media.pop_notifications():
@@ -471,7 +471,8 @@ class OXBlock:
             if key not in self.chunk_table:
                 continue   # metadata chunk failures handled elsewhere
             info = self.chunk_table.get(key)
-            if info.state is FtlChunkState.BAD:
+            if info.state is FtlChunkState.BAD or self.media.chunk_info(
+                    note.ppa).state is not ChunkState.OFFLINE:
                 continue
             lost = [(lba, linear, linear)
                     for lba, linear in self.page_map.items()
@@ -484,7 +485,6 @@ class OXBlock:
             self.buffer.drop_chunk(key)
             info.valid_count = 0
             self.provisioner.retire_chunk(key)
-            info.state = FtlChunkState.BAD
             self.stats.chunks_retired += 1
             self.stats.sectors_lost += len(lost)
             self.lost_lbas.extend(lba for lba, __, __ in lost)

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Set, Tuple
 from repro.errors import MediaError, OutOfSpaceError
 from repro.ocssd.address import Ppa, PpaRun
 from repro.ox.ftl.mapping import PageMap
-from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo, FtlChunkState
+from repro.ox.ftl.metadata import ChunkTable, FtlChunkInfo
 from repro.ox.ftl.journal import Journal
 from repro.ox.ftl.provisioning import Provisioner
 from repro.ox.ftl.serial import NO_PPA, REC_MAP_UPDATE
@@ -259,9 +259,11 @@ class GarbageCollector:
     def carry_proc(self, span=None):
         """Flush the WAL and with it every GC commit and chunk retirement
         buffered; then the device cache, so the copies they name are
-        durable; then reset the pending victims side by side, freeing (or
-        retiring) each."""
-        epoch = self.media.device.controller.epoch
+        durable; then erase the pending victims through the pool, freeing
+        each (the absorb retires one whose erase failed); once the power
+        has gone since the carry began, issue and free nothing."""
+        controller = self.media.device.controller
+        epoch = controller.epoch
         self.absorb()
         yield from self.journal.wal.flush_proc(parent=span)
         if not self.pending:
@@ -273,35 +275,24 @@ class GarbageCollector:
         if obs is not None:
             obs.end(phase)
             phase = obs.begin("ftl.gc", "reset", span)
-        yield from self.sim.join_proc(
-            [self._reset_proc(victim, epoch, phase)
-             for victim in carried.values()], "gc-reset")
+        if controller.epoch == epoch:
+            failed = yield from self.provisioner.pool.reclaim_proc(
+                list(carried), parent=phase)
+        if controller.epoch != epoch:
+            raise MediaError(f"power lost around the GC reset of "
+                             f"{list(carried)}")
+        per_chunk = self.geometry.sectors_per_chunk
+        for key, victim in carried.items():
+            if key not in failed:
+                self.page_map.disown(victim.linear * per_chunk, per_chunk)
+                self.provisioner.release_chunk(key)
+        self.stats.resets += len(carried)
+        self.stats.reset_failures += len(failed)
+        self.stats.chunks_recycled += len(carried) - len(failed)
+        self.absorb()       # retires the victims whose erase failed
         self.copies = []
         if obs is not None:
             obs.end(phase)
-
-    def _reset_proc(self, victim: FtlChunkInfo, epoch: int, parent=None):
-        """Reset one relocated victim and free (or retire) its chunk; once
-        the power has gone since *epoch*, issue and free nothing."""
-        key = victim.key
-        controller = self.media.device.controller
-        if controller.epoch == epoch:
-            completion = yield from self.media.reset_proc(Ppa(*key, 0),
-                                                          parent=parent)
-        if controller.epoch != epoch:
-            raise MediaError(f"power lost around the GC reset of {key}")
-        self.stats.resets += 1
-        if completion.ok:
-            per_chunk = self.geometry.sectors_per_chunk
-            self.page_map.disown(victim.linear * per_chunk, per_chunk)
-            self.provisioner.release_chunk(key)
-            self.stats.chunks_recycled += 1
-        else:
-            self.provisioner.retire_chunk(key)
-            self.stats.reset_failures += 1
-            if self.obs is not None:
-                self.obs.error("ftl.gc", "reset-failed",
-                               completion.error or str(key))
 
     def _find_live_sectors(self, key: ChunkKey, write_pointer: int):
         """The victim's sectors the mapping table still points at, each

@@ -93,21 +93,20 @@ class _StreamState:
 class Provisioner:
     """Allocates data-region space in write units, per stream."""
 
-    def __init__(self, media: MediaManager, table: ChunkTable,
-                 gc_headroom: int = 0):
+    def __init__(self, media: MediaManager, table: ChunkTable):
         self.geometry = geometry = media.geometry
         self.table = table
-        # Free chunks per group that only the "gc" stream may open: GC
-        # runs *because* space is low, so without a reservation the
-        # collector can find victims but no destination to move their
-        # live data into (the rationale Lomet & Luo give for reserving
-        # reclamation space in log-structured stores).
-        self.gc_headroom = gc_headroom
+        # Free chunks per group that only the "gc" stream may open (the
+        # FTL sets it): GC runs *because* space is low, so without a
+        # reservation the collector can find victims but no destination
+        # to move their live data into (the rationale Lomet & Luo give
+        # for reserving reclamation space in log-structured stores).
+        self.gc_headroom = 0
         self._all_pus: List[PuKey] = list(geometry.iter_pus())
         keys = sorted(key for key, __ in table.items())
         self.pool = ChunkPool(media, keys, [
             key for key in keys
-            if table.get(key).state is FtlChunkState.FREE])
+            if table.get(key).state is FtlChunkState.FREE], name="oxblock")
         self._streams: Dict[str, _StreamState] = {}
 
     # -- stream helpers ---------------------------------------------------------
@@ -196,14 +195,13 @@ class Provisioner:
     # -- reclamation -----------------------------------------------------------------
 
     def release_chunk(self, key: ChunkKey) -> None:
-        """Return a recycled (reset) chunk to the free pool."""
+        """Mark a recycled chunk free: the pool erased and queued it."""
         info = self.table.get(key)
         if info.valid_count:
             raise FTLError(
                 f"releasing chunk {key} with {info.valid_count} valid sectors")
         info.state = FtlChunkState.FREE
         info.write_next = 0
-        self.pool.put(key)
 
     def retire_chunk(self, key: ChunkKey) -> None:
         """Drop a chunk that went offline (grown bad block)."""

@@ -14,8 +14,9 @@ device's QoS scheduler and per-tenant metrics without any per-call
 plumbing in the FTL code.
 
 All four FTLs (OX-Block, OX-ELEOS, LightLSM and OX-ZNS) keep their chunks
-in a :class:`ChunkPool`, and :func:`census_problems` checks any FTL's
-chunks the same way.
+in a :class:`ChunkPool` and erase them only through it (OX-Block's WAL
+ring and checkpoint slots, in no pool, through :meth:`reset_dirty_proc`),
+and :func:`census_problems` checks any FTL's chunks the same way.
 """
 
 from __future__ import annotations
@@ -233,22 +234,24 @@ class ChunkPool:
                      dirty: Optional[List[ChunkKey]] = None, parent=None):
         """Erase the *dirty* ones of *keys* (default: all) side by side in
         one join, then queue *keys* in order, retiring each whose erase
-        failed; queue nothing if the power went meanwhile."""
+        failed; queue nothing if the power went meanwhile.  Returns the
+        keys whose erase failed, each with its error."""
         dirty = keys if dirty is None else dirty
         controller = self.media.device.controller
         epoch = controller.epoch
         done = yield from self.sim.join_proc(
             [self.media.reset_proc(Ppa(*key, 0), parent=parent)
              for key in dirty], f"{self.name}-erase")
-        if controller.epoch != epoch:
-            return
         failed = {key: completion.error or str(key)
                   for key, completion in zip(dirty, done) if not completion.ok}
+        if controller.epoch != epoch:
+            return failed
         for key in keys:
             if key in failed:
                 self._retire("reset-failed", failed[key])
             else:
                 self.put(key)
+        return failed
 
     def erase(self, keys: Iterable[ChunkKey]) -> None:
         """Erase behind the caller, one process and root span each, every

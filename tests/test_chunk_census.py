@@ -97,11 +97,17 @@ def test_a_failed_zone_reset_retires_only_its_chunk():
 def test_one_erase_path_grep_pin():
     """Every FTL erases its data chunks through its pool: only the WAL ring
     and the checkpoint slots, which no pool holds, call
-    ``MediaManager.reset_dirty_proc``."""
+    ``MediaManager.reset_dirty_proc``, and nothing outside the media
+    manager issues a reset of its own."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     paths = list((src / "repro").rglob("*.py"))
     assert len(paths) > 80
-    callers = {path.relative_to(src / "repro").as_posix()
-               for path in paths
-               if ".reset_dirty_proc(" in path.read_text(encoding="utf-8")}
-    assert callers == {"ox/ftl/wal.py", "ox/ftl/checkpoint.py"}
+
+    def callers(call):
+        return {path.relative_to(src / "repro").as_posix()
+                for path in paths
+                if call in path.read_text(encoding="utf-8")}
+
+    assert callers(".reset_dirty_proc(") == {"ox/ftl/wal.py",
+                                             "ox/ftl/checkpoint.py"}
+    assert callers(".reset_proc(") == {"ox/media.py"}

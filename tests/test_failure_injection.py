@@ -7,7 +7,7 @@ and keep serving everything else.
 
 import pytest
 
-from repro.errors import MediaError
+from repro.errors import FTLError, MediaError
 from repro.faults import FaultInjector, FaultPlan
 from repro.nand import CellType, FlashGeometry, WearModel
 from repro.ocssd import (
@@ -109,7 +109,9 @@ class TestFtlBadBlockHandling:
         ftl.write(0, b"a" * SS * ws)     # full unit -> lands on a chunk
         linear = ftl.page_map.lookup(0)
         key = ftl.geometry.delinearize(linear).chunk_key()
-        # Simulate an async failure report for that chunk.
+        # Simulate an async program failure of that chunk: the controller
+        # takes it offline, then notifies.
+        device.chunks[key].retire()
         device._notify(Ppa(*key, 0), "write-failed", "injected")
         ftl.write(1000, b"b" * SS * ws)  # absorbs notifications
         info = ftl.chunk_table.get(key)
@@ -120,6 +122,28 @@ class TestFtlBadBlockHandling:
         assert ftl.read(0, 1) == b"\x00" * SS
         # Unaffected data is still there.
         assert ftl.read(1000, 1) == b"b" * SS
+
+    def test_a_read_error_keeps_the_data(self):
+        """An uncorrectable read fails that read and nothing else: the
+        chunk stays on the device, in the table and in use, and every
+        acked sector reads back once the media reads again."""
+        device, media, ftl = self.make_ftl()
+        for lba in range(8):
+            ftl.write(lba, bytes([lba + 1]) * SS)
+        ftl.flush()
+        key = ftl.geometry.delinearize(ftl.page_map.lookup(0)).chunk_key()
+        assert device.chunk_info(Ppa(*key, 0)).state is ChunkState.OPEN
+        injector = FaultInjector(FaultPlan(read_fail_prob=1.0)).attach(device)
+        with pytest.raises(FTLError, match="media read error or racing"):
+            ftl.read(0, 1)
+        injector.detach()
+        assert injector.stats.reads_failed >= 1
+        ftl.write(100, b"z" * SS)       # absorbs the read-error notes
+        assert ftl.stats.chunks_retired == 0 and ftl.lost_lbas == []
+        assert ftl.chunk_table.get(key).state is FtlChunkState.OPEN
+        for lba in range(8):
+            assert ftl.read(lba, 1) == bytes([lba + 1]) * SS
+        assert ftl.read(100, 1) == b"z" * SS
 
     def test_survives_sustained_grown_failures(self):
         """With a small grown-failure probability the FTL keeps running:

@@ -283,6 +283,7 @@ class TestProvisioner:
             provisioner.allocate_unit()
             info = table.get(key)
         free_before = provisioner.free_chunks()
+        provisioner.pool.put(key)       # what the pool does after an erase
         provisioner.release_chunk(key)
         assert provisioner.free_chunks() == free_before + 1
         assert table.get(key).state is FtlChunkState.FREE

@@ -139,7 +139,7 @@ class TestGcHeadroom:
                 provisioner.allocate_unit("user")
         for group in range(media.geometry.num_groups):
             assert (provisioner.units_available("gc", group=group)
-                    >= config.gc_headroom_chunks)
+                    >= provisioner.gc_headroom == 1)
             provisioner.allocate_unit("gc", group=group)
 
     def test_room_in_open_gc_chunks_counts_toward_the_headroom(self):
@@ -157,7 +157,7 @@ class TestGcHeadroom:
             while True:
                 provisioner.allocate_unit("user")
         assert provisioner.pool.group_free(0) == 0
-        assert provisioner.pool.group_free(1) == config.gc_headroom_chunks
+        assert provisioner.pool.group_free(1) == provisioner.gc_headroom == 1
         assert provisioner.units_available("gc", group=0) * unit >= per_chunk
 
     def test_gc_stream_ignores_headroom(self):

@@ -16,9 +16,11 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.checker import FTL_OPS, recover_after_cut
 from repro.nand import FlashGeometry
 from repro.ocssd import (
-    ChunkReset, DeviceGeometry, OpenChannelSSD, Ppa, VectorCopy, VectorRead,
-    VectorWrite)
+    ChunkReset, ChunkState, DeviceGeometry, OpenChannelSSD, Ppa, VectorCopy,
+    VectorRead, VectorWrite)
 from repro.ox import BlockConfig, MediaManager, OXBlock
+from repro.ox.ftl.metadata import FtlChunkState
+from repro.ox.media import census_problems
 from tests.cuts import cut_after, cut_during
 
 SS = 4096
@@ -123,6 +125,44 @@ def test_round_never_overshoots_the_high_watermark():
     assert [len(keys) for __, keys in rounds][0] == 2
     assert all(len(keys) <= 2 for __, keys in rounds)
     assert run(media, ftl.gc.collect_group_locked_proc(1, max_victims=3)) == 3
+
+
+def test_a_failed_victim_erase_retires_that_victim_alone():
+    """The carry erases its victims through the pool: a victim whose
+    erase fails is offline on the device, BAD in the table and out of the
+    pool before the next round, and the others are free and blank."""
+    media, ftl, expected, __ = aged(gc_enabled=False)
+    assert run(media, ftl.gc._round_proc(1, 4)) == 4
+    victims = list(ftl.gc.pending)
+    bad = victims[0]
+    FaultInjector(FaultPlan(grown_bad={bad: 1})).attach(media.device)
+    ftl.flush()                 # carries the round: the erases
+    stats = ftl.gc.stats
+    assert (stats.resets, stats.reset_failures, stats.chunks_recycled) \
+        == (4, 1, 3)
+    assert ftl.stats.chunks_retired == 1 and ftl.lost_lbas == []
+    assert media.chunk_info(Ppa(*bad, 0)).state is ChunkState.OFFLINE
+    assert ftl.chunk_table.get(bad).state is FtlChunkState.BAD
+    free = [key for queue in ftl.provisioner.pool.free.values()
+            for key in queue]
+    assert bad not in free and set(victims[1:]) <= set(free)
+    assert ftl.gc.victims(1) and bad not in [
+        info.key for info in ftl.gc.victims(1)]
+    assert list(FTL_OPS["oxblock"].structure(ftl)) == []
+    assert_reads(ftl, expected)
+
+
+def test_the_checker_sees_a_retirement_the_device_never_made():
+    """A BAD chunk-table row whose chunk the device holds usable: the
+    census counts it in use, the checker's structure check names it."""
+    media, ftl, __, __ = aged(gc_enabled=False)
+    provisioner = ftl.provisioner
+    key = provisioner.pool.take((1, 0))
+    provisioner.retire_chunk(key)
+    assert list(census_problems(media, provisioner.pool.keys,
+                                provisioner.census())) == []
+    assert list(FTL_OPS["oxblock"].structure(ftl)) == [
+        f"bad chunk {key} is not offline on the device"]
 
 
 # -- locality --------------------------------------------------------------------
@@ -364,7 +404,7 @@ def test_crash_with_carried_resets_in_flight_leaves_the_write_quiet():
             failures.append(failure)
 
     spawn(writing())
-    while not any(child.name == "gc-reset" and child.is_alive
+    while not any(child.name == "oxblock-erase" and child.is_alive
                   for child in children):
         sim.step()
     sim.step()

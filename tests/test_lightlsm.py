@@ -20,7 +20,7 @@ from repro.lsm.znsenv import ZnsEnv
 from repro.nand import FlashGeometry
 from repro.obs import Obs
 from repro.ocssd import DeviceGeometry, OpenChannelSSD, Ppa
-from repro.ocssd.commands import CommandStatus, Completion
+from repro.ocssd.commands import ChunkReset, CommandStatus, Completion
 from repro.ox import MediaManager
 from repro.ox.media import census_problems
 from repro.units import KIB
@@ -122,19 +122,33 @@ class TestSSTableLifecycle:
             assert db.get(key(i)) == str(i).encode() * 20
 
     def test_deletion_only_resets_chunks(self):
-        """'Each SSTable deletion only causes chunk erases' — no copies."""
+        """'Each SSTable deletion only causes chunk erases': a table delete
+        submits chunk resets, one per chunk of the table, and nothing
+        else — no copy, read or write moves a sector."""
         device, env, db = make_db()
         for round_ in range(6):
             for i in range(400):
                 db.put(key(i), bytes([round_ + 1]) * 100)
             db.flush()
         db.wait_idle()
-        stats = device.controller.stats
         assert env.stats.tables_deleted > 0
         assert env.stats.chunk_resets > 0
-        # Deletions move no data: device-internal copies are never used.
-        assert all(not p.name.startswith("copy")
-                   for p in [])  # no copy API on this path at all
+        table = next(table for level in db.levels for table in level)
+        chunks = env._tables[table.handle.sstable_id].all_chunks
+        stats = device.controller.stats
+        moved = (stats.sectors_written, stats.sectors_read)
+        submitted = []
+        submit = device.submit
+        device.submit = lambda command, **kw: (
+            submitted.append(command), submit(command, **kw))[1]
+        device.sim.run_until(device.sim.spawn(
+            env.delete_table_proc(table.handle)))
+        del device.submit
+        assert [type(command) for command in submitted] \
+            == [ChunkReset] * len(chunks)
+        assert sorted(command.ppa.chunk_key() for command in submitted) \
+            == sorted(chunks)
+        assert (stats.sectors_written, stats.sectors_read) == moved
 
     def test_table_chunks_return_to_pool(self):
         device, env, db = make_db()

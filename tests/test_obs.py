@@ -557,6 +557,7 @@ class TestEndToEndBlock:
         ftl.write(0, b"a" * SS * unit)
         linear = ftl.page_map.lookup(0)
         key = ftl.geometry.delinearize(linear).chunk_key()
+        device.chunks[key].retire()     # as the controller does first
         device._notify(Ppa(*key, 0), "write-failed", "injected")
         ftl.write(unit * 50, b"b" * SS * unit)   # absorbs the notification
         assert obs.metrics.counter("ftl.errors").value == 1

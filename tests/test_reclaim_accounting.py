@@ -676,7 +676,7 @@ def test_gc_round_matches_sequential_per_sector_runs(width, history):
         if live:
             assert run(media, relocate_per_sector_proc(gc, key, live))
         assert ftl.chunk_table.get(key).valid_count == 0
-        assert media.reset(Ppa(*key, 0)).ok
+        assert run(media, ftl.provisioner.pool.reclaim_proc([key])) == {}
         ftl.provisioner.release_chunk(key)
         gc.stats.chunks_recycled += 1
     assert round_state(media, ftl, expected) == by_round
