@@ -117,8 +117,7 @@ def characterize_device(device: OpenChannelSSD, samples: int = 32,
     payload = b"\xA5" * (geometry.sector_size * ws_min)
 
     chip = device.chips[(scratch.group, scratch.pu)]
-    for __ in range(wear_cycles):
-        chip.blocks[scratch.chunk].erase_count += 1
+    chip.erase_counts[scratch.chunk] += wear_cycles
 
     units_per_chunk = geometry.sectors_per_chunk // ws_min
     written_units = 0

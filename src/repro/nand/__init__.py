@@ -22,7 +22,7 @@ from repro.nand.timing import (
     load_profile,
     timing_for,
 )
-from repro.nand.chip import BlockState, FlashBlock, FlashChip
+from repro.nand.chip import FlashChip
 from repro.nand.errors import WearModel
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
     "builtin_profiles",
     "load_profile",
     "timing_for",
-    "BlockState",
-    "FlashBlock",
     "FlashChip",
     "WearModel",
 ]

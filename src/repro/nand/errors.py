@@ -1,8 +1,9 @@
 """Wear and media-failure model.
 
-Bad-media management is an Open-Channel SSD responsibility (§2.2): the
-device tracks erase counts, retires blocks that exceed their endurance, and
-may *grow* bad blocks stochastically.  The model is deterministic for a
+Bad-media management is an Open-Channel SSD responsibility (§2.2): each
+die counts its blocks' erases, a block that exceeds its endurance fails,
+and blocks may *grow* bad stochastically; the controller retires the chunk
+on a failed block.  The model is deterministic for a
 given seed so experiments are reproducible.
 """
 
@@ -47,7 +48,7 @@ class WearModel:
     def erase_fails(self, erase_count: int) -> bool:
         """Whether an erase bringing the block to *erase_count* cycles fails.
 
-        A failure retires the block (it becomes a grown bad block).
+        A failure is a grown bad block: the controller retires its chunk.
         """
         if erase_count > self.endurance:
             return True
@@ -59,7 +60,7 @@ class WearModel:
         """Probability that a page read at this wear level is uncorrectable.
 
         Grows quadratically towards 1e-3 at end of life; negligible when
-        fresh.  Used for the "high ECC" early-warning chunk state.
+        fresh.  :meth:`read_fails` draws against it on every media read.
         """
         fraction = min(1.0, erase_count / self.endurance)
         return 1e-3 * fraction * fraction

@@ -89,8 +89,7 @@ class Chunk:
     """State, write pointers and sector payloads of one chunk."""
 
     __slots__ = ("address", "capacity", "ws_min", "sector_size", "state",
-                 "write_pointer", "flushed_pointer", "wear_index",
-                 "_slabs", "_oob")
+                 "write_pointer", "flushed_pointer", "_slabs", "_oob")
 
     def __init__(self, address: Ppa, capacity: int, ws_min: int,
                  sector_size: int = 4096):
@@ -101,7 +100,6 @@ class Chunk:
         self.state = _FREE
         self.write_pointer = 0
         self.flushed_pointer = 0
-        self.wear_index = 0          # erase cycles seen by this chunk
         # Payload slabs (one per write unit, possibly short) and
         # out-of-band metadata are allocated on first write so a large
         # device with mostly-untouched chunks stays cheap.  OOB mirrors
@@ -254,7 +252,6 @@ class Chunk:
         self.state = _FREE
         self.write_pointer = 0
         self.flushed_pointer = 0
-        self.wear_index += 1
         self._slabs = None
         self._oob = None
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import MediaError
-from repro.nand.chip import BlockState, FlashChip
+from repro.nand.chip import FlashChip
 from repro.ocssd.address import Ppa
 from repro.ocssd.cache import WriteBackCache
 from repro.ocssd.chunk import Chunk, ChunkState
@@ -33,6 +33,8 @@ from repro.sim.resources import Resource, Store
 
 ChunkKey = Tuple[int, int, int]
 PuKey = Tuple[int, int]
+
+_OFFLINE = ChunkState.OFFLINE
 
 
 @dataclass
@@ -132,22 +134,6 @@ class Controller:
             self._advance(chunk)
         for chunk in self.chunks.values():
             chunk.rollback_unflushed()
-            # A chip advances its block's append point when the program is
-            # *issued*, before the media time elapses; a cut mid-program
-            # therefore leaves the block ahead of the rolled-back chunk.
-            # Resync, or post-recovery programs at the chunk write pointer
-            # would overflow the phantom sectors.
-            if chunk.state is ChunkState.OFFLINE:
-                continue
-            chip = self._ctx[chunk][0]
-            block = chip.blocks[chunk.address.chunk]
-            if block.state is BlockState.BAD:
-                continue
-            wp = chunk.write_pointer
-            block.sectors_programmed = wp
-            block.state = (BlockState.FREE if wp == 0
-                           else BlockState.FULL if wp == chunk.capacity
-                           else BlockState.OPEN)
 
     # -- write path ---------------------------------------------------------------
 
@@ -218,7 +204,7 @@ class Controller:
         # to the same chunk, cached or write-through, must not program out
         # of order: wait for the programs that move its flushed pointer.
         while chunk.flushed_pointer < first_sector:
-            if chunk.state is ChunkState.OFFLINE:
+            if chunk.state is _OFFLINE:
                 return False
             yield self._advanced.setdefault(chunk, self.sim.event())
             if epoch != self._epoch:
@@ -284,6 +270,9 @@ class Controller:
                 media = (obs.begin("nand", "program", span)
                          if obs is not None else None)
                 try:
+                    if chunk.state is _OFFLINE:
+                        raise MediaError(
+                            f"program on bad block {chunk.address.chunk}")
                     elapsed = chip.program(chunk.address.chunk, unit)
                 except MediaError as exc:
                     if obs is not None:
@@ -366,7 +355,6 @@ class Controller:
                         obs.end(media, error=str(exc))
                         obs.error("ocssd", "read-error", str(exc))
                     self.stats.read_failures += 1
-                    self.notify(chunk.address, "read-error", str(exc))
                     raise
                 yield self.sim.timeout(elapsed)
                 if media is not None:
@@ -424,6 +412,9 @@ class Controller:
             media = (obs.begin("nand", "erase", span)
                      if obs is not None else None)
             try:
+                if chunk.state is _OFFLINE:
+                    raise MediaError(
+                        f"erase of bad block {chunk.address.chunk}")
                 elapsed = chip.erase(chunk.address.chunk)
             except MediaError as exc:
                 if obs is not None:

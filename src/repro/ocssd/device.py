@@ -44,10 +44,12 @@ from repro.sim.core import Simulator
 
 @dataclass(frozen=True)
 class ChunkNotification:
-    """Asynchronous error/advisory report from the device (§2.2)."""
+    """Asynchronous report of a chunk state change (§2.2): a failed
+    program or erase took the chunk OFFLINE.  A read error fails its read
+    and is not reported here."""
 
     ppa: Ppa
-    kind: str       # "write-failed" | "read-error" | "reset-failed" | "wear-high"
+    kind: str       # "write-failed" | "reset-failed"
     detail: str
     time: float
 
@@ -102,15 +104,15 @@ class OpenChannelSSD:
         for index, (group, pu) in enumerate(self.geometry.iter_pus()):
             wear = WearModel(cell=flash.cell, seed=wear_seed + index,
                              grown_fail_prob=grown_fail_prob)
-            chip = FlashChip(geometry=flash, timing=timing, wear=wear,
-                             factory_bad=factory_bad.get((group, pu)))
-            self.chips[(group, pu)] = chip
+            self.chips[(group, pu)] = FlashChip(geometry=flash, timing=timing,
+                                                wear=wear)
+            bad = factory_bad.get((group, pu), ())
             for chunk_index in range(self.geometry.chunks_per_pu):
                 ppa = Ppa(group, pu, chunk_index, 0)
                 chunk = Chunk(ppa, capacity=self.geometry.sectors_per_chunk,
                               ws_min=self.geometry.ws_min,
                               sector_size=self.geometry.sector_size)
-                if chunk_index in (factory_bad.get((group, pu)) or []):
+                if chunk_index in bad:
                     chunk.retire()
                 self.chunks[(group, pu, chunk_index)] = chunk
         # Built in address order, so position == linear chunk index.
@@ -136,12 +138,7 @@ class OpenChannelSSD:
 
     def chunk_info(self, ppa: Ppa) -> ChunkDescriptor:
         """Chunk metadata for the chunk containing *ppa*."""
-        chunk = self._chunk(ppa)
-        return ChunkDescriptor(ppa=chunk.address, state=chunk.state,
-                               write_pointer=chunk.write_pointer,
-                               capacity=chunk.capacity,
-                               wear_index=chunk.wear_index,
-                               flushed_pointer=chunk.flushed_pointer)
+        return self._descriptor(self._chunk(ppa))
 
     def iter_chunk_info(self) -> Iterator[ChunkDescriptor]:
         """Walk every chunk descriptor in address order (recovery scans).
@@ -150,11 +147,16 @@ class OpenChannelSSD:
         instead of re-deriving and re-validating one Ppa per chunk.
         """
         for chunk in self.chunks.values():
-            yield ChunkDescriptor(ppa=chunk.address, state=chunk.state,
-                                  write_pointer=chunk.write_pointer,
-                                  capacity=chunk.capacity,
-                                  wear_index=chunk.wear_index,
-                                  flushed_pointer=chunk.flushed_pointer)
+            yield self._descriptor(chunk)
+
+    def _descriptor(self, chunk: Chunk) -> ChunkDescriptor:
+        """The chunk's state and pointers, and its die's erase count."""
+        address = chunk.address
+        return ChunkDescriptor(
+            ppa=address, state=chunk.state,
+            write_pointer=chunk.write_pointer, capacity=chunk.capacity,
+            wear_index=self.chips[address[:2]].erase_counts[address[2]],
+            flushed_pointer=chunk.flushed_pointer)
 
     def pop_notifications(self) -> List[ChunkNotification]:
         """Drain the asynchronous notification log."""
@@ -262,7 +264,7 @@ class OpenChannelSSD:
 
     def _chunk(self, ppa: Ppa) -> Chunk:
         self.geometry.check(ppa)
-        return self.chunks[ppa.chunk_key()]
+        return self.chunks[ppa[:3]]          # ppa.chunk_key(), inline
 
     def _run(self, key, first: int, count: int, offset: int) -> _Run:
         """One run of :meth:`_split_runs`; both its end addresses must be
@@ -512,8 +514,8 @@ class OpenChannelSSD:
                     chunk, first_sector, count, span, command.tenant, True,
                     epoch)
             except MediaError:
-                # Data already staged; a source read error during copy is
-                # surfaced through the notification log only.
+                # Data already staged; a source read error during copy
+                # shows in the read_failures stat and the obs error only.
                 return
 
         # Dependency order: a destination is programmed from what its

@@ -456,8 +456,8 @@ class OXBlock:
         "bad block information may be updated at any time").
 
         The one place OX-Block retires a chunk, only one the device reports
-        OFFLINE (a failed program or erase; a read error is transient and
-        retires nothing).  A retired chunk leaves the provisioner, and any
+        OFFLINE (a failed program or erase; a read error fails its read
+        and logs nothing).  A retired chunk leaves the provisioner, and any
         mapping still pointing into it is dropped — with a write-back
         cache, data lost to an async program failure is genuinely gone,
         and surfacing it as unmapped (zero) reads beats surfacing it as
@@ -474,9 +474,15 @@ class OXBlock:
             if info.state is FtlChunkState.BAD or self.media.chunk_info(
                     note.ppa).state is not ChunkState.OFFLINE:
                 continue
-            lost = [(lba, linear, linear)
-                    for lba, linear in self.page_map.items()
-                    if self.geometry.delinearize(linear).chunk_key() == key]
+            # The reverse map names each sector's lba; it is still mapped
+            # there unless an overwrite or trim superseded it.
+            per_chunk = self.geometry.sectors_per_chunk
+            base = info.linear * per_chunk
+            owners = self.page_map.owners(base, per_chunk)
+            lookup = self.page_map.lookup
+            lost = sorted((lba, base + sector, base + sector)
+                          for sector, lba in enumerate(owners)
+                          if lba >= 0 and lookup(lba) == base + sector)
             for lba, __, __ in lost:
                 self.page_map.remove(lba)
             entries += lost

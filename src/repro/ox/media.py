@@ -5,7 +5,8 @@ abstracting various forms of underlying storage media under a common
 representation of the physical address space."  Here the one media type is
 the simulated Open-Channel SSD; the media manager exposes a narrow,
 FTL-facing API (vector I/O, reset, copy, flush, chunk scans, notification
-drain) plus both generator (in-simulation) and synchronous entry points.
+drain) of generator (in-simulation) entry points, plus a synchronous
+:meth:`MediaManager.flush`.
 
 A media manager optionally carries a :class:`~repro.qos.TenantContext`
 (``MediaManager.tenant``): every command it submits is tagged with that
@@ -118,26 +119,8 @@ class MediaManager:
     def flush_proc(self, chunks=None):
         return self.device.flush_proc(chunks)
 
-    # -- synchronous API ----------------------------------------------------------
-
-    def write(self, ppas: PpaVector, data: Buffer,
-              oob: Optional[List[object]] = None,
-              fua: bool = False) -> Completion:
-        return self.device.execute(VectorWrite(
-            ppas=ppas, data=data, oob=oob, fua=fua, tenant=self.tenant))
-
-    def read(self, ppas: PpaVector) -> Completion:
-        return self.device.execute(VectorRead(ppas=ppas, tenant=self.tenant))
-
-    def reset(self, ppa: Ppa) -> Completion:
-        return self.device.execute(ChunkReset(ppa=ppa, tenant=self.tenant))
-
-    def copy(self, src: PpaVector, dst: PpaVector,
-             dst_oob: Optional[List[object]] = None) -> Completion:
-        return self.device.execute(VectorCopy(
-            src=src, dst=dst, dst_oob=dst_oob, tenant=self.tenant))
-
     def flush(self) -> None:
+        """Synchronous device flush, for callers outside the simulation."""
         self.device.flush()
 
     # -- metadata / management -------------------------------------------------------

@@ -1,6 +1,9 @@
 """Power cuts placed inside an FTL's work, for tests that cut at a known
 step; recovery afterwards is :func:`repro.faults.checker.recover_after_cut`
-and the FTL is driven through the checker's ``FTL_OPS`` row."""
+and the FTL is driven through the checker's ``FTL_OPS`` row.  Also a
+latent media defect, :func:`break_block`."""
+
+from repro.errors import MediaError
 
 
 def checkpoint(ftl):
@@ -36,3 +39,19 @@ def cut_during(injector, proc, delay):
         cut_in(injector, delay)
         return proc(*args, **kwargs)
     return wrapped
+
+
+def break_block(device, key):
+    """Break the block set under chunk *key*: its next program raises
+    :class:`MediaError` at the chip, while the chunk still admits writes
+    (a defect the device finds only when it programs).  The controller
+    then retires the chunk and refuses every later program or erase."""
+    chip = device.chips[key[:2]]
+    program = chip.program
+
+    def fails_once(index, sectors):
+        if index != key[2]:
+            return program(index, sectors)
+        chip.program = program
+        raise MediaError(f"program on bad block {index}")
+    chip.program = fails_once

@@ -88,11 +88,11 @@ class TestMediaManager:
         ws = media.geometry.ws_min
         ppas = [Ppa(0, 0, 0, s) for s in range(ws)]
         sector = media.geometry.sector_size
-        completion = media.write(ppas, b"m" * sector * ws)
+        completion = device.write(ppas, b"m" * sector * ws)
         assert completion.ok
-        assert b"".join(media.read(ppas[:2]).data) == b"m" * sector * 2
+        assert b"".join(device.read(ppas[:2]).data) == b"m" * sector * 2
         media.flush()
-        assert media.reset(Ppa(0, 1, 0, 0)).ok
+        assert device.reset(Ppa(0, 1, 0, 0)).ok
 
     def test_scan_chunks_counts(self):
         device, media = self.make()
@@ -100,13 +100,13 @@ class TestMediaManager:
 
     def test_require_ok_raises_with_context(self):
         device, media = self.make()
-        completion = media.read([Ppa(0, 0, 0, 0)])   # nothing written
+        completion = device.read([Ppa(0, 0, 0, 0)])   # nothing written
         with pytest.raises(MediaError, match="probe"):
             media.require_ok(completion, "probe")
 
     def test_notifications_pass_through(self):
         device, media = self.make()
-        device._notify(Ppa(0, 0, 0, 0), "wear-high", "test")
+        device._notify(Ppa(0, 0, 0, 0), "write-failed", "test")
         notes = media.pop_notifications()
         assert len(notes) == 1
         assert media.pop_notifications() == []

@@ -12,10 +12,10 @@ from repro.errors import FTLError, ReproError
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.checker import FTL_OPS, recover_after_cut
 from repro.nand import FlashGeometry
-from repro.nand.chip import BlockState
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ox import EleosConfig, MediaManager, OXEleos
 from repro.units import KIB, MIB
+from tests.cuts import break_block
 
 CONFIG = EleosConfig(buffer_bytes=1 * MIB, ckpt_chunks_per_slot=2)
 UNIT = 96 * KIB     # a write unit of 24 sectors; a chunk holds 4
@@ -58,7 +58,7 @@ def fail_next_run_in(device, ftl, segment_id):
     """Retire the chunk of *segment_id*'s one run by failing the next run
     that lands in it; returns the pages appended on the way."""
     dead, = ftl.segment_chunks(segment_id)
-    device.chips[dead[:2]].blocks[dead[2]].state = BlockState.BAD
+    break_block(device, dead)
     appended = []
     for pid in range(50, 60):
         try:
@@ -130,7 +130,7 @@ def test_an_abort_whose_checkpoint_failed_is_never_proven():
     aborted = ftl.journal.next_txn_id
     second = ftl._pus[(ftl._cursor + 1) % len(ftl._pus)]
     dead = ftl.open_chunks().get(second) or ftl.pool.free[second][0]
-    device.chips[dead[:2]].blocks[dead[2]].state = BlockState.BAD
+    break_block(device, dead)
     slots = ftl.journal.checkpointer
     write_payload_proc = slots.write_payload_proc
 

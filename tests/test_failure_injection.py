@@ -19,6 +19,7 @@ from repro.ocssd import (
 )
 from repro.ox import BlockConfig, MediaManager, OXBlock
 from repro.ox.ftl.metadata import FtlChunkState
+from tests.cuts import break_block
 
 SS = 4096
 
@@ -41,20 +42,18 @@ class TestDeviceFailures:
     def test_worn_out_chunk_fails_erase(self):
         device = OpenChannelSSD(geometry=geometry())
         chip = device.chips[(0, 0)]
-        chip.blocks[0].erase_count = chip.wear.endurance
+        chip.erase_counts[0] = chip.wear.endurance
         completion = device.reset(Ppa(0, 0, 0, 0))
         assert completion.status is CommandStatus.RESET_FAILED
 
     def test_async_program_failure_notification(self):
         """Write-back: the command succeeds, the failure arrives later."""
-        from repro.nand.chip import BlockState
         device = OpenChannelSSD(geometry=geometry())
-        chip = device.chips[(0, 0)]
         ws = device.report_geometry().ws_min
         ppas = [Ppa(0, 0, 1, s) for s in range(ws)]
-        # The chip-level block is broken, but the chunk looks writable:
-        # admission succeeds, the background program fails.
-        chip.blocks[1].state = BlockState.BAD
+        # The block is broken, but the chunk looks writable: admission
+        # succeeds, the background program fails.
+        break_block(device, (0, 0, 1))
         completion = device.write(ppas, b"x" * 16)
         assert completion.ok
         device.sim.run()
@@ -138,7 +137,8 @@ class TestFtlBadBlockHandling:
             ftl.read(0, 1)
         injector.detach()
         assert injector.stats.reads_failed >= 1
-        ftl.write(100, b"z" * SS)       # absorbs the read-error notes
+        assert device.notifications == []   # a read error logs no note
+        ftl.write(100, b"z" * SS)
         assert ftl.stats.chunks_retired == 0 and ftl.lost_lbas == []
         assert ftl.chunk_table.get(key).state is FtlChunkState.OPEN
         for lba in range(8):

@@ -1,15 +1,10 @@
-"""Tests for the flash chip model: program/erase/read rules and wear."""
+"""Tests for the flash chip model: media time, stats and wear.  The
+program and read rules are the chunk's (tests/test_ocssd_chunk.py)."""
 
 import pytest
 
-from repro.errors import MediaError, WritePointerError
-from repro.nand import (
-    BlockState,
-    CellType,
-    FlashChip,
-    FlashGeometry,
-    WearModel,
-)
+from repro.errors import MediaError
+from repro.nand import CellType, FlashChip, FlashGeometry, WearModel
 
 
 def small_chip(**overrides) -> FlashChip:
@@ -19,25 +14,6 @@ def small_chip(**overrides) -> FlashChip:
 
 
 class TestProgram:
-    def test_program_full_block(self):
-        chip = small_chip()
-        total = chip.sectors_per_block
-        unit = chip.geometry.write_unit_sectors
-        for __ in range(total // unit):
-            chip.program(0, unit)
-        assert chip.blocks[0].state is BlockState.FULL
-
-    def test_program_must_be_write_unit_multiple(self):
-        chip = small_chip()
-        with pytest.raises(WritePointerError):
-            chip.program(0, chip.geometry.write_unit_sectors - 1)
-
-    def test_program_overflow_rejected(self):
-        chip = small_chip()
-        chip.program(0, chip.sectors_per_block)
-        with pytest.raises(WritePointerError):
-            chip.program(0, chip.geometry.write_unit_sectors)
-
     def test_program_time_counts_paired_pages(self):
         """One write unit = `paired_pages` sequential multi-plane programs."""
         chip = small_chip()
@@ -45,23 +21,13 @@ class TestProgram:
         paired = chip.geometry.cell.bits_per_cell
         assert elapsed == pytest.approx(chip.timing.program_latency * paired)
 
-    def test_program_on_bad_block_rejected(self):
-        chip = FlashChip(geometry=FlashGeometry(blocks_per_plane=4,
-                                                pages_per_block=6),
-                         factory_bad=[1])
-        with pytest.raises(MediaError):
-            chip.program(1, chip.geometry.write_unit_sectors)
-
 
 class TestErase:
     def test_erase_resets_block(self):
         chip = small_chip()
-        chip.program(0, chip.sectors_per_block)
+        chip.program(0, chip.geometry.sectors_per_chunk)
         chip.erase(0)
-        block = chip.blocks[0]
-        assert block.state is BlockState.FREE
-        assert block.sectors_programmed == 0
-        assert block.erase_count == 1
+        assert chip.erase_counts == [1, 0, 0, 0]
 
     def test_erase_beyond_endurance_retires_block(self):
         geometry = FlashGeometry(blocks_per_plane=2, pages_per_block=6)
@@ -69,10 +35,9 @@ class TestErase:
         chip = FlashChip(geometry=geometry, wear=wear)
         for __ in range(3):
             chip.erase(0)
-        with pytest.raises(MediaError):
+        with pytest.raises(MediaError, match="cycle 4"):
             chip.erase(0)
-        assert chip.blocks[0].state is BlockState.BAD
-        assert chip.bad_blocks() == [0]
+        assert chip.erase_counts == [4, 0]      # a failed attempt counts
 
     def test_grown_bad_block_is_deterministic_per_seed(self):
         def failures(seed):
@@ -99,17 +64,11 @@ class TestRead:
         elapsed = chip.read(0, 0, 1)
         assert elapsed == pytest.approx(chip.timing.read_latency)
 
-    def test_read_above_write_pointer_rejected(self):
-        chip = small_chip()
-        chip.program(0, chip.geometry.write_unit_sectors)
-        with pytest.raises(WritePointerError):
-            chip.read(0, 0, chip.geometry.write_unit_sectors + 1)
-
     def test_read_time_counts_page_groups(self):
         """A read within one multi-plane page group costs one sense; a read
         spanning groups costs one sense per group."""
         chip = small_chip()
-        chip.program(0, chip.sectors_per_block)
+        chip.program(0, chip.geometry.sectors_per_chunk)
         group = chip.geometry.read_unit_sectors
         assert chip.read(0, 0, group) == pytest.approx(
             chip.timing.read_latency)
@@ -135,6 +94,10 @@ class TestRead:
         chip = small_chip()
         with pytest.raises(MediaError):
             chip.erase(99)
+        with pytest.raises(MediaError, match="out of range"):
+            chip.program(4, chip.geometry.write_unit_sectors)
+        with pytest.raises(MediaError, match="out of range"):
+            chip.read(-1, 0, 1)
 
 
 class TestWearModel:

@@ -112,7 +112,6 @@ class TestResetAndFailure:
         chunk.reset()
         assert chunk.state is ChunkState.FREE
         assert chunk.write_pointer == 0
-        assert chunk.wear_index == 1
         chunk.admit_write(0, 12, payload(12))  # writable again
 
     def test_offline_chunk_rejects_everything(self):

@@ -1,10 +1,12 @@
 """Integration tests for the Open-Channel SSD device model: commands,
 write-back cache, crash semantics, parallelism and interference timing."""
 
+import pathlib
 import signal
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.nand import FlashGeometry
 from repro.ocssd import (
     ChunkReset,
@@ -16,6 +18,7 @@ from repro.ocssd import (
     PpaRun,
     VectorWrite,
 )
+from tests.cuts import break_block, cut_in
 
 
 def _hung(signum, frame):
@@ -500,6 +503,96 @@ class TestNotificationsAndWear:
     def test_notifications_drain(self):
         device = tiny_device()
         assert device.pop_notifications() == []
+
+
+class TestOneStateMachine:
+    """A block set's state is its chunk's; the chip keeps timing and wear."""
+
+    def test_a_program_queued_behind_a_failed_one_is_refused(self):
+        """Two cached units of one chunk; the block breaks under the
+        first.  The chip fails that program and the chunk goes OFFLINE;
+        the controller refuses the second before it reaches the chip, and
+        reports it the same way: the write-back cache already acked it."""
+        device = tiny_device()
+        ws, sim = device.geometry.ws_min, device.sim
+        writes = [sim.spawn(device.submit(VectorWrite(
+            ppas=PpaRun((0, 0, 1), start, ws), data=unit_payloads(device))))
+            for start in (0, ws)]
+        break_block(device, (0, 0, 1))
+        sim.run()
+        assert all(write.value.ok for write in writes)
+        assert device.controller.stats.program_failures == 2
+        notes = device.pop_notifications()
+        assert [note.kind for note in notes] == ["write-failed"] * 2
+        assert all(note.detail == "program on bad block 1" for note in notes)
+        chip = device.chips[(0, 0)]
+        assert chip.stats.programs == 0
+        # An erase is refused the same way, before the chip counts a cycle.
+        target = Ppa(0, 0, 1, 0)
+        assert device.reset(target).status is CommandStatus.RESET_FAILED
+        assert (chip.stats.erases, chip.erase_counts[1]) == (0, 0)
+        assert device.chunk_info(target).state is ChunkState.OFFLINE
+
+    def test_a_factory_bad_chunk_never_reaches_the_chip(self):
+        device = tiny_device(factory_bad={(0, 0): [1]})
+        target = Ppa(0, 0, 1, 0)
+        assert device.chunk_info(target).state is ChunkState.OFFLINE
+        assert device.write(seq_ppas(device, chunk=1),
+                            unit_payloads(device)).status \
+            is CommandStatus.INVALID
+        assert device.reset(target).status is CommandStatus.RESET_FAILED
+        notes = device.pop_notifications()
+        assert [(note.kind, note.detail) for note in notes] == [
+            ("reset-failed", "erase of bad block 1")]
+        chip = device.chips[(0, 0)]
+        assert (chip.stats.programs, chip.stats.erases) == (0, 0)
+
+    @pytest.mark.parametrize("torn", [0.0, 1.0])
+    def test_a_chunk_cut_mid_program_takes_writes_to_its_end(self, torn):
+        """A cut while a cached unit programs rolls the chunk back to its
+        flushed pointer, plus a torn prefix of the unit when one is kept.
+        Writes at the rolled-back pointer program and read back, up to the
+        chunk's end: no block pointer on the chip was left ahead."""
+        device = tiny_device()
+        injector = FaultInjector(FaultPlan(torn_unit_prob=torn)).attach(
+            device)
+        ws = device.geometry.ws_min
+        size = device.geometry.sector_size
+        chip = device.chips[(0, 0)]
+        old = numbered(device, ws)
+        assert device.write(PpaRun((0, 0, 0), 0, ws), old).ok
+        cut_in(injector, chip.timing.program_time(1) / 2)
+        injector.power_cycle()
+        paired = chip.geometry.cell.bits_per_cell
+        assert chip.stats.programs == paired          # issued, then cut
+        assert injector.stats.torn_chunks == int(torn)
+        pointer = device.chunk_info(Ppa(0, 0, 0, 0)).write_pointer
+        assert 0 < pointer <= ws if torn else pointer == 0
+        count = (device.geometry.sectors_per_chunk - pointer) // ws * ws
+        new = numbered(device, count, base=100)
+        assert device.write(PpaRun((0, 0, 0), pointer, count), new).ok
+        device.flush()
+        assert chip.stats.programs == paired * (1 + count // ws)
+        assert device.chunk_info(Ppa(0, 0, 0, 0)).flushed_pointer \
+            == pointer + count
+        data = device.read(PpaRun((0, 0, 0), 0, pointer + count))
+        assert b"".join(data.data) == old[:pointer * size] + new
+
+    def test_one_block_state_grep_pin(self):
+        """The chip keeps no block state, and a chunk's wear is read from
+        its die in one place: the chunk descriptor."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        paths = list((src / "repro").rglob("*.py"))
+        assert len(paths) > 80
+
+        def users(word):
+            return {path.relative_to(src / "repro").as_posix()
+                    for path in paths
+                    if word in path.read_text(encoding="utf-8")}
+
+        assert users("BlockState") == set()
+        assert users("sectors_programmed") == set()
+        assert users("wear_index") == {"ocssd/device.py"}
 
 
 class TestControllerStats:

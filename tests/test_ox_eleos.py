@@ -10,13 +10,12 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.checker import FTL_OPS, recover_after_cut
 from repro.llama import LlamaConfig, LlamaEngine
 from repro.nand import FlashGeometry
-from repro.nand.chip import BlockState
 from repro.obs import Obs
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ocssd.address import Ppa
 from repro.ox import EleosConfig, MediaManager, OXEleos
 from repro.units import KIB, MIB
-from tests.cuts import cut_after, cut_during, cut_in
+from tests.cuts import break_block, cut_after, cut_during, cut_in
 
 
 def make_stack(groups=2, pus=2, chunks=16, pages=12, config=None):
@@ -630,7 +629,7 @@ def test_a_failed_run_in_a_shared_chunk_loses_the_acked_pages_beside_it():
     device, media, ftl, config = make_stack()
     segs = [ftl.append_buffer([(pid, b"p%d" % pid * 50)]) for pid in range(4)]
     dead, = ftl.segment_chunks(segs[0])
-    device.chips[dead[:2]].blocks[dead[2]].state = BlockState.BAD
+    break_block(device, dead)
     checkpoints = ftl.stats.checkpoints
     with pytest.raises(ReproError):
         ftl.append_buffer([(4, b"lands on the dead chunk")])

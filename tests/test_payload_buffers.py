@@ -23,7 +23,6 @@ from repro.nand import CellType, FlashGeometry
 from repro.ocssd import (
     Chunk, CommandStatus, DeviceGeometry, OpenChannelSSD, Ppa, PpaRun,
     VectorRead, VectorWrite)
-from repro.ox import MediaManager
 
 SECTOR = 16
 GEOMETRY = DeviceGeometry(
@@ -228,7 +227,7 @@ def test_a_readonly_source_is_never_copied_a_mutable_one_exactly_once():
     assert b"".join(device.read(two_chunks).data) == source
 
 
-@pytest.mark.parametrize("through", ["submit", "media"])
+@pytest.mark.parametrize("through", ["submit", "sync"])
 @pytest.mark.parametrize("ppas", ["one run", "two runs"])
 @pytest.mark.parametrize("data, sizes", [
     pytest.param(bytes(2 * WS * SECTOR + 1),
@@ -245,7 +244,7 @@ def test_a_payload_that_is_not_one_fitting_buffer_completes_invalid(
     ppas = PpaRun(KEYS[0], 0, 2 * WS) if ppas == "one run" \
         else [PpaRun(KEYS[0], 0, WS), PpaRun(KEYS[1], 0, WS)]
     completion = device.execute(VectorWrite(ppas=ppas, data=data)) \
-        if through == "submit" else MediaManager(device).write(ppas, data)
+        if through == "submit" else device.write(ppas, data)
     assert completion.status is CommandStatus.INVALID
     assert sizes in completion.error
     # Nothing was admitted, in either chunk.

@@ -253,7 +253,7 @@ def test_metadata_only_read_fails_like_the_full_read():
 # -- the error contract: a count mismatch is INVALID, not a stack trace ---------------
 # (A payload has no count: tests/test_payload_buffers.py holds its size rule.)
 
-@pytest.mark.parametrize("through", ["submit", "media"])
+@pytest.mark.parametrize("through", ["submit", "sync"])
 @pytest.mark.parametrize("kind, counts", [
     ("oob", "8 addresses but 9 OOB entries"),
     ("copy", "8 sources but 4 destinations"),
@@ -269,13 +269,13 @@ def test_count_mismatch_completes_invalid_and_names_both_counts(
     data = b"d" * SECTOR * 2 * WS
     if kind == "oob":
         command = VectorWrite(ppas=dst, data=data, oob=[0] * 9)
-        call = lambda: media.write(dst, data, oob=[0] * 9)  # noqa: E731
+        call = lambda: device.write(dst, data, oob=[0] * 9)  # noqa: E731
     elif kind == "copy":
         command = VectorCopy(src=src, dst=PpaRun((0, 1, 0), 0, WS))
-        call = lambda: media.copy(src, PpaRun((0, 1, 0), 0, WS))  # noqa
+        call = lambda: device.copy(src, PpaRun((0, 1, 0), 0, WS))  # noqa
     else:
         command = VectorCopy(src=src, dst=dst, dst_oob=[0] * 3)
-        call = lambda: media.copy(src, dst, dst_oob=[0] * 3)  # noqa: E731
+        call = lambda: device.copy(src, dst, dst_oob=[0] * 3)  # noqa: E731
     completion = device.execute(command) if through == "submit" else call()
     assert completion.status is CommandStatus.INVALID
     assert counts in completion.error

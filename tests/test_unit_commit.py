@@ -11,11 +11,10 @@ from repro.errors import OutOfSpaceError, ReproError
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.checker import recover_after_cut
 from repro.nand import FlashGeometry
-from repro.nand.chip import BlockState
 from repro.ocssd import ChunkState, DeviceGeometry, OpenChannelSSD
 from repro.ocssd.address import Ppa, PpaRun
 from repro.ox import BlockConfig, MediaManager, OXBlock
-from tests.cuts import cut_after
+from tests.cuts import break_block, cut_after
 
 SS = 4096
 CONFIG = BlockConfig(wal_chunk_count=2, ckpt_chunks_per_slot=1,
@@ -106,7 +105,7 @@ def test_a_unit_commit_in_a_chunk_retired_later_is_lost_not_undone():
     ftl.write(0, payload(ftl, 3, 1))                  # T
     dead = chunk_of(ftl, 0)
     ftl.write(300, payload(ftl, 4, 1)[:SS])           # a partial unit in A
-    device.chips[dead[:2]].blocks[dead[2]].state = BlockState.BAD
+    break_block(device, dead)
     ftl.flush()                                       # its program fails
     assert device.chunk_info(Ppa(*dead, 0)).state is ChunkState.OFFLINE
     ftl.write(100, payload(ftl, 5, 1))
@@ -141,6 +140,32 @@ def test_the_carry_logs_a_retirement_before_it_resets():
     recovered, report = OXBlock.recover(MediaManager(device), CONFIG)
     assert set(range(2 * ws)) <= set(report.lost_lbas)
     assert recovered.read(0, 2 * ws) == bytes(2 * ws * SS)
+
+
+def test_a_retirement_loses_only_the_live_sectors_of_its_chunk():
+    """Chunk A holds lbas [0, ws) in its first unit and [h, h + ws) in
+    its second; then [0, ws) moves to chunk B.  A retires: of its
+    sectors, the reverse map names only [ws, h + ws) as still mapped
+    there, once each and in lba order — what the map would say."""
+    device, ftl = make_ftl()
+    ws = ftl.geometry.ws_min
+    h = ws // 2
+    ftl.write(0, payload(ftl, 1, 1))
+    ftl.write(h, payload(ftl, 2, 1))
+    dead = chunk_of(ftl, 0)
+    assert chunk_of(ftl, h + ws - 1) == dead
+    ftl.write(0, payload(ftl, 3, 1))
+    assert chunk_of(ftl, 0) != dead
+    device.chunks[dead].retire()
+    device._notify(Ppa(*dead, 0), "write-failed", "injected")
+    ftl.flush()                                       # absorbs the note
+    assert ftl.lost_lbas == list(range(ws, h + ws))
+    assert ftl.read(0, ws) == payload(ftl, 3, 1)
+    assert ftl.read(ws, h) == bytes(h * SS)
+    ftl.crash()
+    recovered, report = OXBlock.recover(MediaManager(device), CONFIG)
+    assert report.lost_lbas == list(range(ws, h + ws))
+    assert recovered.read(0, ws) == payload(ftl, 3, 1)
 
 
 def torn_two_unit_write(device, ftl):

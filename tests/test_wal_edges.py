@@ -177,7 +177,8 @@ class TestTruncate:
         appender.append(commit(1))
         run(media, appender.flush_proc())   # touches ring chunk 0 only
         run(media, appender.truncate_proc(new_epoch=1))
-        wear = [device.chunks[key].wear_index for key in layout.wal_chunks]
+        wear = [device.chunk_info(Ppa(*key, 0)).wear_index
+                for key in layout.wal_chunks]
         assert wear[0] == 1
         assert wear[1:] == [0] * (len(layout.wal_chunks) - 1)
 
@@ -187,7 +188,7 @@ class TestTruncate:
         appender = WalAppender(media, layout.wal_chunks, epoch=0)
         run(media, appender.truncate_proc(new_epoch=1))
         run(media, appender.truncate_proc(new_epoch=2))
-        assert all(device.chunks[key].wear_index == 0
+        assert all(device.chunk_info(Ppa(*key, 0)).wear_index == 0
                    for key in layout.wal_chunks)
 
     def test_truncate_erases_the_ring_side_by_side(self):
@@ -204,7 +205,7 @@ class TestTruncate:
         started = media.sim.now
         run(media, appender.truncate_proc(new_epoch=1))
         assert media.sim.now - started == pytest.approx(2 * erase)
-        assert [device.chunks[key].wear_index
+        assert [device.chunk_info(Ppa(*key, 0)).wear_index
                 for key in layout.wal_chunks] == [1, 1, 1, 1]
         assert (appender.epoch, appender.used_sectors) == (1, 0)
 
@@ -233,6 +234,6 @@ class TestTruncate:
         joined = [child for child in children
                   if child.name == "wal-truncate"]
         assert len(joined) == 4 and not any(c.is_alive for c in joined)
-        assert [device.chunks[key].wear_index
+        assert [device.chunk_info(Ppa(*key, 0)).wear_index
                 for key in layout.wal_chunks if key != bad] == [1, 1, 1]
         media.sim.run()      # nothing left behind to fail later

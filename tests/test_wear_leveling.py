@@ -39,8 +39,8 @@ def test_gc_spreads_erases_across_chunks():
     # concentrated: max no more than the mean plus a small band.
     metadata = ftl.layout.metadata_chunk_keys()
     for pu_key, chip in device.chips.items():
-        counts = [block.erase_count
-                  for index, block in enumerate(chip.blocks)
+        counts = [count
+                  for index, count in enumerate(chip.erase_counts)
                   if (pu_key[0], pu_key[1], index) not in metadata]
         if sum(counts) == 0:
             continue
