@@ -2,12 +2,19 @@
 
 "How to best port legacy data systems from a block device abstraction to
 ZNS is an open issue" (§2.3).  This env is one answer for the LSM case:
-SSTables live on whole zones (append-only, reset-to-reclaim — a natural
-fit for immutable tables), the FTL below hides ``ws_min``/paired-page
+SSTables live on zones (append-only, reset-to-reclaim — a natural fit
+for immutable tables), the FTL below hides ``ws_min``/paired-page
 complexity, and the host keeps a MANIFEST for table visibility — unlike
 LightLSM, the ZNS abstraction alone does not make the media
 self-describing.  Its table writer is LightLSM's
 :class:`~repro.lsm.envbase.StripedTableWriter`, with zones for lanes.
+
+Tables of one level share zones, as ZenFS does (Bjørling et al., "ZNS:
+Avoiding the Block Interface Tax", ATC 2021): a committed table leaves
+its partly written zones OPEN, *spare*, for the next writer of its
+level, and a zone is held once by each table with blocks in it and
+reset when its last holder dies.  No finish strands a zone's tail
+unless the open-zone budget runs out.
 
 Together with :class:`repro.lsm.blockenv.BlockDevEnv` (generic block FTL)
 and :class:`repro.lsm.lightlsm.LightLSMEnv` (application-specific FTL)
@@ -17,8 +24,9 @@ system, measurable side by side in ``bench_abstraction_spectrum.py``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.errors import ReproError
 from repro.lsm.env import SSTableHandle
@@ -41,9 +49,12 @@ class _ZnsWriter(StripedTableWriter):
     """Streams one table's blocks over a stripe of open zones, one per
     group (channel); a lane is a zone of the stripe, and the blocks take
     the zones in turn.  The stripe is ``num_groups`` wide, at most half
-    of ``max_open_zones``, and never holds more zones than OX-ZNS's
-    open-zone budget has room for: a writer that holds a zone narrows
-    instead of waiting, so none deadlocks."""
+    of ``max_open_zones``.  A zone joins it as a spare of the writer's
+    level if one fits, else as a fresh open; a writer that finds no unit
+    of OX-ZNS's open-zone budget free first finishes the oldest spares,
+    then narrows if it holds a zone and waits if it holds none, so none
+    deadlocks.  The commit hands the stripe's not-FULL zones back as
+    spares of the level."""
 
     def __init__(self, env: "ZnsEnv", sstable_id: int, level: int,
                  block_size: int):
@@ -59,17 +70,21 @@ class _ZnsWriter(StripedTableWriter):
 
     def _zone_with_room_proc(self, sectors: int):
         """The stripe's next zone, its append in flight done, with at
-        least *sectors* of room: a full zone is finished and a fresh one
+        least *sectors* of room: a full zone is finished and another
         taken in a group the stripe does not use, or its slot goes."""
-        zns, slots = self.env.zns, self._slots
+        env, zns, slots = self.env, self.env.zns, self._slots
         while True:
             if len(slots) < self._width:
-                zone_id = yield from zns.open_zone_proc(
-                    {zns.zone(zone).group for zone in slots},
-                    wait=not slots)
+                groups = {zns.zone(zone).group for zone in slots}
+                zone_id = env._take_spare(self.handle.level, groups, sectors)
+                if zone_id is None:
+                    yield from env._free_a_unit_proc()
+                    zone_id = yield from zns.open_zone_proc(
+                        groups, wait=not slots)
                 if zone_id is not None:
                     slots.append(zone_id)
                     self.table.zones.append(zone_id)
+                    env._holders[zone_id] += 1
                     return zone_id
                 self._width = len(slots)
             zone_id = slots[0]
@@ -94,27 +109,34 @@ class _ZnsWriter(StripedTableWriter):
         self.table.block_lbas[index] = lba
 
     def _commit_proc(self, meta_blob: bytes):
-        zns = self.env.zns
-        meta_sectors, padded = pad_to_sectors(meta_blob,
-                                              self.env.sector_size)
+        env, zns = self.env, self.env.zns
+        meta_sectors, padded = pad_to_sectors(meta_blob, env.sector_size)
         zone_id = yield from self._zone_with_room_proc(meta_sectors)
         self.table.meta_lba = yield from zns.append_proc(zone_id, padded)
         self.table.meta_sectors = meta_sectors
         self.table.meta_bytes = len(meta_blob)
-        yield from self.env.sim.join_proc(
-            [zns.finish_zone_proc(zone_id) for zone_id in self._slots
-             if zns.zone(zone_id).state is not ZoneState.FULL], "zns-finish")
         # Durability barrier: the table is acknowledged only once its data
         # and meta are on NAND (the fsync a real engine would issue).
         yield from zns.media.flush_proc(
             [key for zone_id in self.table.zones
              for key in zns.zone(zone_id).chunks])
-        self.env._tables[self.handle.sstable_id] = self.table
+        env._tables[self.handle.sstable_id] = self.table
+        for zone_id in self._slots:
+            if zns.zone(zone_id).state is not ZoneState.FULL:
+                env._spares[zone_id] = self.handle.level
+        yield from env._free_a_unit_proc()
         return self.handle
 
     def _discard_proc(self):
+        """Finish the stripe's zones another table holds (a torn append
+        may sit in one), then drop the holds: a zone only this table
+        held is reset."""
+        env, zns = self.env, self.env.zns
+        yield from env.sim.join_proc(
+            [zns.finish_zone_proc(zone_id) for zone_id in self._slots
+             if env._holders[zone_id] > 1], "zns-finish")
         zones, self.table.zones = self.table.zones, []
-        yield from self.env._reclaim_proc(zones)
+        yield from env._release_proc(zones)
 
 
 class ZnsEnv(ManifestEnv):
@@ -125,6 +147,10 @@ class ZnsEnv(ManifestEnv):
         self.zns = zns
         self.sim = zns.sim
         self.sector_size = zns.geometry.sector_size
+        #: zone -> the tables, committed or being written, holding it.
+        self._holders: Counter = Counter()
+        #: OPEN zone no writer's stripe holds -> its level, oldest first.
+        self._spares: Dict[int, int] = {}
 
     # -- StorageEnv -------------------------------------------------------------
 
@@ -169,30 +195,64 @@ class ZnsEnv(ManifestEnv):
         table = self._tables.pop(handle.sstable_id, None)
         if table is None:
             return
-        yield from self._reclaim_proc(table.zones)
+        yield from self._release_proc(table.zones)
 
     def list_tables_proc(self):
         """The MANIFEST walk; then, with no writer alive, OX-ZNS recovers
         around the zones the listed tables hold: every other zone (a table
         cut mid-write never reached the MANIFEST) turns EMPTY and its
-        chunks go back to the pool."""
+        chunks go back to the pool, and a held zone still OPEN is
+        finished.  The holds are counted again from the listed tables;
+        no zone is spare."""
         tables = yield from super().list_tables_proc()
         live = {handle.sstable_id for handle, __ in tables}
         self._tables = {sstable_id: self._tables[sstable_id]
                         for sstable_id in live}
-        yield from self.zns.recover_proc(
-            {zone_id for table in self._tables.values()
-             for zone_id in table.zones})
+        self._holders = Counter(zone_id for table in self._tables.values()
+                                for zone_id in table.zones)
+        self._spares = {}
+        yield from self.zns.recover_proc(set(self._holders))
         return tables
 
     # log_version_edit: ManifestEnv; _require: StorageEnv.
 
     # -- internals ----------------------------------------------------------------
 
-    def _reclaim_proc(self, zone_ids: List[int]):
-        """Reset *zone_ids* side by side (a table's zones sit in distinct
+    def _take_spare(self, level: int, avoid_groups, sectors: int):
+        """The oldest spare zone of *level* outside *avoid_groups* with
+        *sectors* of room, out of the spares; or None."""
+        for zone_id, spare_level in self._spares.items():
+            zone = self.zns.zone(zone_id)
+            if spare_level == level and zone.group not in avoid_groups \
+                    and zone.remaining >= sectors:
+                del self._spares[zone_id]
+                return zone_id
+        return None
+
+    def _free_a_unit_proc(self):
+        """While every unit of the open-zone budget is taken, finish the
+        oldest spare zone: spares never keep a writer waiting."""
+        budget = self.zns.open_budget
+        while self._spares and budget.in_use >= budget.capacity:
+            zone_id = next(iter(self._spares))
+            del self._spares[zone_id]
+            # Held while it finishes, so no delete resets it meanwhile.
+            self._holders[zone_id] += 1
+            yield from self.zns.finish_zone_proc(zone_id)
+            yield from self._release_proc([zone_id])
+
+    def _release_proc(self, zone_ids: List[int]):
+        """Drop one hold on each of *zone_ids* and reset, side by side,
+        the ones no table holds any more (a table's zones sit in distinct
         groups, so their erases overlap); a chunk whose erase fails is
         retired by the pool and raises nothing."""
+        dead = []
+        for zone_id in zone_ids:
+            self._holders[zone_id] -= 1
+            if not self._holders[zone_id]:
+                del self._holders[zone_id]
+                self._spares.pop(zone_id, None)
+                dead.append(zone_id)
         yield from self.sim.join_proc(
-            [self.zns.reset_zone_proc(zone_id) for zone_id in zone_ids],
+            [self.zns.reset_zone_proc(zone_id) for zone_id in dead],
             "zns-reclaim")

@@ -506,6 +506,8 @@ class OpenChannelSSD:
                 oobs[offset:offset + count])
 
         epoch = self.controller.epoch   # as in _do_write
+        failures: List[str] = []
+
         def read_timing(chunk: Chunk, first_sector: int, count: int,
                         offset: int):
             try:
@@ -513,10 +515,10 @@ class OpenChannelSSD:
                 yield from self.controller.read_run(
                     chunk, first_sector, count, span, command.tenant, True,
                     epoch)
-            except MediaError:
-                # Data already staged; a source read error during copy
-                # shows in the read_failures stat and the obs error only.
-                return
+            except MediaError as exc:
+                # The destinations still program what was staged, but the
+                # copy fails: they hold bytes the media could not read.
+                failures.append(str(exc))
 
         # Dependency order: a destination is programmed from what its
         # sources read, so no destination transfer starts before they end.
@@ -527,6 +529,8 @@ class OpenChannelSSD:
             self.controller.write_run(chunk, first_sector, count, span=span,
                                       tenant=command.tenant, epoch=epoch),
             name="copy-write") for chunk, first_sector, count, __ in dst_runs])
+        if failures:
+            return Completion(status=_READ_FAILED, error="; ".join(failures))
         if all(results):
             return Completion(status=_OK)
         return Completion(status=_WRITE_FAILED,

@@ -56,6 +56,10 @@ class ChunkTable:
         # returned without rebuilding a chunk key per sector.
         self._by_linear: Dict[int, FtlChunkInfo] = {
             info.linear: info for info in self._chunks.values()}
+        # And by group, in table order: GC scans one group's rows.
+        self._by_group: Dict[int, List[FtlChunkInfo]] = {}
+        for key, info in self._chunks.items():
+            self._by_group.setdefault(key[0], []).append(info)
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -113,10 +117,9 @@ class ChunkTable:
     def gc_candidates(self, group: int) -> List[FtlChunkInfo]:
         """FULL chunks of *group* with at least one invalid sector, in
         table (linear) order — the raw pool the collector orders."""
-        capacity = self.geometry.sectors_per_chunk
-        return [info for key, info in self._chunks.items()
-                if key[0] == group
-                and info.state is FtlChunkState.FULL
+        capacity = self._capacity
+        return [info for info in self._by_group.get(group, ())
+                if info.state is FtlChunkState.FULL
                 and info.valid_count < capacity]
 
     # -- checkpoint support -------------------------------------------------------------

@@ -131,10 +131,11 @@ class OXZns:
 
     def recover_proc(self, keep):
         """After a cut, with no writer alive: every zone outside the ids
-        *keep* turns EMPTY, the open budget is rebuilt from the zones'
-        states (dead writers may hold units of the old one or wait in its
-        queue), and the pool queues every chunk no zone holds, the
-        written ones erased first.
+        *keep* turns EMPTY, every kept zone still OPEN is finished (its
+        write pointer in host memory may be ahead of what reached NAND),
+        so the open budget starts afresh (dead writers may hold units of
+        the old one or wait in its queue), and the pool queues every
+        chunk no zone holds, the written ones erased first.
 
         The zone table lives in host memory only, as ZnsEnv's MANIFEST
         does: recovery runs on the ``OXZns`` that survived the cut, and a
@@ -145,7 +146,8 @@ class OXZns:
             if zone.zone_id not in keep:
                 zone.reset()
             elif zone.state is ZoneState.OPEN:
-                self.open_budget.try_acquire()
+                zone.finish()
+                self.stats.zones_finished += 1
         yield from self.pool.rebuild_proc(
             {key for zone in self.zones for key in zone.chunks})
 

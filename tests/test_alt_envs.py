@@ -1,6 +1,8 @@
 """Tests for the alternative storage environments: the generic
 block-device env (over OX-Block) and the ZNS port (over OX-ZNS)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import OutOfSpaceError, ReproError
@@ -43,6 +45,12 @@ def make_zns_db(chunks=80):
 
 def key(i):
     return f"{i:016d}".encode()
+
+
+def level_of(db, sstable_id):
+    return next(level for level, tables in enumerate(db.levels)
+                if any(table.handle.sstable_id == sstable_id
+                       for table in tables))
 
 
 def empty_zones(zns):
@@ -120,17 +128,25 @@ class TestZnsEnv:
         for i in range(0, 600, 41):
             assert db.get(key(i)) == str(i).encode() * 20
 
-    def test_tables_map_to_whole_zones(self):
+    def test_tables_map_to_the_zones_they_hold(self):
+        """With no writer alive, every zone a table lists is FULL or a
+        spare of that table's level, held once per listing table."""
         device, zns, env, db = make_zns_db()
         for i in range(400):
             db.put(key(i), b"z" * 512)
         db.flush()
         db.wait_idle()
-        used_zones = {zone_id for table in env._tables.values()
-                      for zone_id in table.zones}
-        assert used_zones
-        assert all(zns.zone(zone_id).state is ZoneState.FULL
-                   for zone_id in used_zones)
+        listed = [(zone_id, level_of(db, sstable_id))
+                  for sstable_id, table in env._tables.items()
+                  for zone_id in table.zones]
+        assert listed
+        for zone_id, level in listed:
+            state = zns.zone(zone_id).state
+            assert state is ZoneState.FULL or (
+                state is ZoneState.OPEN and env._spares[zone_id] == level)
+        assert env._holders == Counter(zone_id for zone_id, __ in listed)
+        assert set(env._spares) == {zone.zone_id for zone in zns.zones
+                                    if zone.state is ZoneState.OPEN}
 
     def test_deletion_is_zone_reset(self):
         device, zns, env, db = make_zns_db()
@@ -241,6 +257,118 @@ def write_blocks(sim, writer, count, block=96 * KIB):
     sim.run_until(sim.spawn(write_proc()))
 
 
+def write_table(sim, env, sstable_id, level, blocks, block=96 * KIB):
+    """One committed table of *blocks* blocks at *level*; its handle."""
+    def table_proc():
+        writer = env.create_writer(sstable_id, level, block)
+        for index in range(blocks):
+            yield from writer.append_block_proc(bytes([index]) * block)
+        return (yield from writer.finish_proc(b"meta"))
+    return sim.run_until(sim.spawn(table_proc()))
+
+
+class TestZnsSharedZones:
+    """Tables of one level share zones: a commit leaves its stripe's
+    partly written zones OPEN, spares of its level; a writer of that
+    level takes them before it opens a zone; a zone resets when the last
+    table holding it dies."""
+
+    def test_a_zone_two_tables_hold_resets_at_the_second_delete(self):
+        sim, zns, env = zns_env()
+        first = write_table(sim, env, 1, 0, 2)
+        second = write_table(sim, env, 2, 0, 2)
+        shared = set(env._tables[1].zones) & set(env._tables[2].zones)
+        assert shared and all(env._holders[zone_id] == 2
+                              for zone_id in shared)
+        only_first = set(env._tables[1].zones) - shared
+        resets = zns.stats.zone_resets
+        sim.run_until(sim.spawn(env.delete_table_proc(first)))
+        assert not shared & empty_zones(zns)
+        assert only_first <= empty_zones(zns)
+        assert zns.stats.zone_resets == resets + len(only_first)
+        assert [sim.run_until(sim.spawn(env.read_block_proc(
+            second, index, 96 * KIB))) for index in range(2)] \
+            == [bytes([index]) * 96 * KIB for index in range(2)]
+        sim.run_until(sim.spawn(env.delete_table_proc(second)))
+        assert shared <= empty_zones(zns)
+        assert not env._holders and not env._spares
+        assert zns.open_budget.in_use == 0
+
+    def test_a_commit_leaves_its_zones_to_its_own_level(self):
+        sim, zns, env = zns_env()
+        write_table(sim, env, 1, 0, 2)
+        level_0 = env._tables[1].zones
+        assert env._spares == dict.fromkeys(level_0, 0)
+        write_table(sim, env, 2, 1, 2)
+        level_1 = env._tables[2].zones
+        assert not set(level_1) & set(level_0)
+        assert env._spares == {**dict.fromkeys(level_0, 0),
+                               **dict.fromkeys(level_1, 1)}
+        write_table(sim, env, 3, 0, 2)
+        assert env._tables[3].zones == level_0
+        assert env._spares == {**dict.fromkeys(level_1, 1),
+                               **dict.fromkeys(level_0, 0)}
+        assert zns.stats.zones_finished == 0
+
+    def test_an_aborted_writer_finishes_the_zones_it_shared(self):
+        """A torn append may sit in a spare the writer took: the abort
+        finishes it for the table still holding it, and leaves the other
+        spares as they were."""
+        sim, zns, env = zns_env()
+        write_table(sim, env, 1, 0, 2)
+        zones = env._tables[1].zones
+        writer = env.create_writer(2, 0, 96 * KIB)
+        write_blocks(sim, writer, 2)
+        taken = list(writer.table.zones)
+        assert taken == zones[:2]
+        sim.run_until(sim.spawn(writer.abort_proc()))
+        assert all(zns.zone(zone_id).state is ZoneState.FULL
+                   for zone_id in taken)
+        assert env._holders == Counter(zones)
+        assert env._spares == {zones[2]: 0}
+        assert zns.open_budget.in_use == 1
+
+    def test_spares_never_fill_the_open_zone_budget(self):
+        """Spares hold units of the budget: a commit that leaves it full,
+        and a writer that finds no unit free, finish the oldest spare
+        instead of leaving a writer to wait."""
+        sim, zns, env = zns_env(max_open_zones=4)     # stripes 2 wide
+        write_table(sim, env, 1, 0, 1)
+        first = env._tables[1].zones
+        write_table(sim, env, 2, 1, 1)
+        assert zns.stats.zones_finished == 1
+        assert zns.zone(first[0]).state is ZoneState.FULL
+        assert first[0] not in env._spares and env._holders[first[0]] == 1
+        assert len(env._spares) == 3 == zns.open_budget.in_use
+        writer = env.create_writer(3, 2, 96 * KIB)
+        write_blocks(sim, writer, 2)
+        assert zns.stats.zones_finished == 2
+        assert zns.zone(first[1]).state is ZoneState.FULL
+        assert len(writer.table.zones) == 2
+        assert not set(writer.table.zones) & set(first)
+        assert zns.open_budget.in_use == 4
+
+    def test_a_writer_waiting_on_the_budget_proceeds_once_another_commits(
+            self):
+        """The budget is held by two stripes and no spare: a writer with
+        no zone waits; the commit of one stripe leaves spares, which it
+        finishes while the budget is full, and the writer proceeds."""
+        sim, zns, env = zns_env(max_open_zones=4)     # stripes 2 wide
+        writers = [env.create_writer(1, 0, 96 * KIB),
+                   env.create_writer(2, 1, 96 * KIB)]
+        for writer in writers:
+            write_blocks(sim, writer, 2)
+        waiting = sim.spawn(env.create_writer(3, 1, 96 * KIB)
+                            .append_block_proc(b"w" * 96 * KIB))
+        sim.run(until=sim.now + 0.01)
+        assert waiting.is_alive and not env._spares
+        sim.run_until(sim.spawn(writers[0].finish_proc(b"meta")))
+        sim.run_until(waiting)
+        assert all(zns.zone(zone_id).state is ZoneState.FULL
+                   for zone_id in env._tables[1].zones)
+        assert zns.open_budget.in_use == 3 and not env._spares
+
+
 class TestZnsStripe:
     """A table writer stripes over one zone per group, within
     ``max_open_zones`` (one append in flight per zone: the failure and
@@ -283,8 +411,12 @@ class TestZnsStripe:
         db2 = DB.open(env, DBConfig(block_size=96 * KIB,
                                     write_buffer_bytes=512 * 1024), sim)
         assert 99 not in env._tables and db2.get(key(3)) == b"a" * 64
-        # Recovery reset the torn table's zones and freed them.
-        assert cut <= empty_zones(zns)
+        # Recovery reset the zones only the torn table held and freed
+        # them; the ones it shared stay with their tables, finished.
+        shared = cut & set(env._holders)
+        assert shared and cut - shared and cut - shared <= empty_zones(zns)
+        assert all(zns.zone(zone_id).state is ZoneState.FULL
+                   for zone_id in shared)
         assert zns.open_budget.in_use == 0
 
     def test_a_writer_holding_a_zone_narrows_and_one_holding_none_waits(

@@ -16,6 +16,7 @@ from repro.ox import MediaManager
 from repro.ocssd import Ppa
 from repro.ox.media import census_problems
 from repro.stack import StackSpec, build_stack
+from repro.zns import ZoneState
 from tests import test_alt_envs
 from tests.test_alt_envs import make_zns_db
 from tests.test_lightlsm import make_db
@@ -92,6 +93,38 @@ def test_a_failed_zone_reset_retires_only_its_chunk():
     assert all(device.chunk_info(Ppa(*key, 0)).write_pointer == 0
                for key in chunks[1:])
     assert list(pooled(zns)) == []
+
+
+def test_a_cut_while_a_table_appends_into_a_shared_zone():
+    """A table cut mid-write into zones a committed table left it: after
+    ``DB.open`` the torn table is absent, the zones only it held are
+    EMPTY, the shared ones FULL and out of every stripe, and the census
+    and the open-zone budget agree with the zones."""
+    device, zns, env, db = make_zns_db(chunks=40)
+    sim = device.sim
+    for i in range(200):
+        db.put(b"%016d" % i, b"a" * 64)
+    db.flush()
+    db.wait_idle()
+    injector = FaultInjector(FaultPlan()).attach(device)
+    writer = env.create_writer(99, 0, 96 * 1024)
+    test_alt_envs.write_blocks(sim, writer, 6)
+    torn = set(writer.table.zones)
+    shared = {zone_id for zone_id in torn if env._holders[zone_id] > 1}
+    assert shared and torn - shared
+    injector.power_cut()
+    injector.power_cycle()
+    db2 = DB.open(env, db.config, sim)
+    assert 99 not in env._tables and db2.get(b"%016d" % 3) == b"a" * 64
+    assert torn - shared <= test_alt_envs.empty_zones(zns)
+    assert all(zns.zone(zone_id).state is ZoneState.FULL
+               for zone_id in shared)
+    assert list(pooled(zns)) == []
+    assert zns.open_budget.in_use == sum(
+        zone.state is ZoneState.OPEN for zone in zns.zones) == 0
+    writer = env.create_writer(100, 0, 96 * 1024)
+    test_alt_envs.write_blocks(sim, writer, 1)
+    assert not set(writer.table.zones) & shared
 
 
 def test_one_erase_path_grep_pin():

@@ -10,6 +10,7 @@ in ``tests/test_reclaim_accounting.py``.
 import random
 from dataclasses import replace
 
+import pytest
 
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
@@ -149,6 +150,30 @@ def test_a_failed_victim_erase_retires_that_victim_alone():
     assert ftl.gc.victims(1) and bad not in [
         info.key for info in ftl.gc.victims(1)]
     assert list(FTL_OPS["oxblock"].structure(ftl)) == []
+    assert_reads(ftl, expected)
+
+
+def test_a_round_whose_copy_fails_moves_no_mapping():
+    """A source read fails the round's vector copy: the round raises
+    before its commit, so the map and the valid counts are as they were,
+    no victim is pending, and every LBA reads back once the media reads
+    again."""
+    media, ftl, expected, __ = aged(gc_enabled=False)
+    mapped = sorted(ftl.page_map.items())
+    valid = {key: info.valid_count for key, info in ftl.chunk_table.items()}
+    candidates = [info.key for info in ftl.gc.victims(1)]
+    injector = FaultInjector(FaultPlan(read_fail_prob=1.0)).attach(
+        media.device)
+    with pytest.raises(ReproError, match="GC relocation copy"):
+        run(media, ftl.gc._round_proc(1, 4))
+    injector.detach()
+    assert sorted(ftl.page_map.items()) == mapped
+    assert {key: info.valid_count
+            for key, info in ftl.chunk_table.items()} == valid
+    assert not ftl.gc.pending
+    # The victims stay candidates (a GC chunk the dead copies filled
+    # joins them).
+    assert set(candidates) <= {info.key for info in ftl.gc.victims(1)}
     assert_reads(ftl, expected)
 
 

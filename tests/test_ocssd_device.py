@@ -205,6 +205,19 @@ class TestCopy:
         assert b"".join(read.data) == data
         assert read.oob == [100 + i for i in range(len(src))]
 
+    def test_a_failed_source_read_fails_the_copy(self):
+        """The payload moves before the timed reads: a source the media
+        cannot read must still fail the copy, not complete it OK."""
+        device = tiny_device()
+        src = seq_ppas(device, chunk=0)
+        dst = seq_ppas(device, group=1, pu=0, chunk=1)
+        assert device.write(src, numbered(device, len(src))).ok
+        device.flush()
+        injector = FaultInjector(FaultPlan(read_fail_prob=1.0)).attach(device)
+        completion = device.copy(src, dst)
+        assert completion.status is CommandStatus.READ_FAILED
+        assert injector.stats.reads_failed >= 1
+
     def test_destinations_transfer_after_the_sources_are_read(self):
         """Dependency order inside one command: on an idle device, with
         sources and destinations on different channels, no destination
