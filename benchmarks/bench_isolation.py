@@ -1,27 +1,26 @@
 """Noisy-neighbor isolation bench: victim read tail latency vs placement
-and scheduling policy (the repro.qos acceptance experiment).
+(the repro.qos acceptance experiment).
 
 Two tenants share one drive.  The *victim* issues closed-loop 4 KB random
 reads against pre-filled chunks; the *aggressor* runs a sustained
 write/erase churn (fill a chunk, move on, erase once durable) that keeps
-chips busy with 900 us programs and 3.5 ms erases.  Four scenarios:
+chips busy with 900 us programs and 3.5 ms erases.  Three scenarios:
 
-* ``solo``            — victim alone, no scheduler (the baseline p99);
-* ``shared_fifo``     — both tenants striped over every PU, stock FIFO
-  resource acquisition (what PR 1..3 shipped);
-* ``shared_drr``      — same striping, QosScheduler attached (DRR +
-  read priority; informative — chips still finish in-flight programs);
-* ``partitioned_drr`` — ``plan_placement(PARTITIONED)`` gives each
-  tenant disjoint groups, scheduler attached.
+* ``solo``        — victim alone (the baseline p99);
+* ``shared``      — both tenants striped over every PU: the victim's
+  reads queue behind the aggressor's programs and erases;
+* ``partitioned`` — ``plan_placement(PARTITIONED)`` gives each tenant
+  disjoint groups, so their traffic never meets on a chip or a channel.
 
-All p99s come from the per-tenant obs histogram
-``qos.tenant.victim.read.latency_s`` recorded in ``device.submit``, so
-the number is the same end-to-end latency the traced stack reports.
+All p99s come from the device's obs histogram ``ocssd.read.latency_s``
+recorded in ``device.submit`` — the aggressor issues no reads, so it
+holds the victim's reads alone — and the number is the same end-to-end
+latency the traced stack reports.
 
 Acceptance (printed as PASS/FAIL, exit 1 on FAIL):
 
-* partitioned_drr p99 <= 2x solo p99  (isolation holds);
-* shared_fifo   p99 >= 4x solo p99  (the problem is real).
+* partitioned p99 <= 2x solo p99  (isolation holds);
+* shared      p99 >= 4x solo p99  (the problem is real).
 
 Run directly::
 
@@ -38,38 +37,35 @@ from typing import Dict, List, Tuple
 from repro.benchhelpers import report
 from repro.ocssd import ChunkReset, OpenChannelSSD, Ppa, VectorRead, \
     VectorWrite
-from repro.qos import TenantContext
 from repro.stack import StackSpec, build_stack
 from repro.workloads import derive_stream_seed
 
 SECTOR = 4096
 
 # The drive: 4 groups x 2 PUs of TLC (8 chunks/PU, 48 sectors/chunk).
-# Small enough that a four-scenario run is a few wall seconds, large
+# Small enough that a three-scenario run is a few wall seconds, large
 # enough that partitioning can hand each tenant two whole groups.
 FULL = dict(name="bench_isolation", groups=4, pus=2, chunks=8, pages=6,
             victim_reads=400, warmup_s=2e-3, seed=11)
 SMOKE = dict(FULL, name="bench_isolation_smoke", victim_reads=120)
 
 
-def build_scenario(cfg: dict, policy: str, with_scheduler: bool):
-    """A raw-device stack with obs + two tenants, scheduler optional."""
+def build_scenario(cfg: dict, policy: str):
+    """A raw-device stack with obs and two tenants placed by *policy*."""
     return build_stack(StackSpec(
         name=cfg["name"],
         geometry={"num_groups": cfg["groups"], "pus_per_group": cfg["pus"],
                   "chunks_per_pu": cfg["chunks"],
                   "pages_per_block": cfg["pages"]},
         ftl="none", obs=True,
-        tenants=[{"name": "victim", "weight": 3.0},
-                 {"name": "aggressor", "weight": 1.0}],
-        qos_policy=policy, qos_scheduler=with_scheduler))
+        tenants=[{"name": "victim"}, {"name": "aggressor"}],
+        qos_policy=policy))
 
 
 def fill_victim_chunks(device: OpenChannelSSD,
-                       pus: List[Tuple[int, int]],
-                       tenant: TenantContext) -> None:
-    """Write chunk 0 of every victim PU full (tenant-tagged), then flush
-    so the measured reads hit NAND rather than the write-back cache."""
+                       pus: List[Tuple[int, int]]) -> None:
+    """Write chunk 0 of every victim PU full, then flush so the measured
+    reads hit NAND rather than the write-back cache."""
     g = device.geometry
     unit = g.ws_min
     payload = bytes(SECTOR * unit)
@@ -77,13 +73,12 @@ def fill_victim_chunks(device: OpenChannelSSD,
         for start in range(0, g.sectors_per_chunk, unit):
             ppas = [Ppa(group=group, pu=pu, chunk=0, sector=start + i)
                     for i in range(unit)]
-            device.execute(VectorWrite(ppas=ppas, data=payload,
-                                       tenant=tenant))
+            device.execute(VectorWrite(ppas=ppas, data=payload))
     device.flush()
 
 
 def victim_proc(device: OpenChannelSSD, pus: List[Tuple[int, int]],
-                reads: int, seed: int, tenant: TenantContext):
+                reads: int, seed: int):
     """Closed-loop single-sector random reads over the filled chunks."""
     g = device.geometry
     rng = random.Random(derive_stream_seed(seed, "victim"))
@@ -91,11 +86,10 @@ def victim_proc(device: OpenChannelSSD, pus: List[Tuple[int, int]],
         group, pu = pus[rng.randrange(len(pus))]
         sector = rng.randrange(g.sectors_per_chunk)
         ppa = Ppa(group=group, pu=pu, chunk=0, sector=sector)
-        yield from device.submit(VectorRead(ppas=[ppa], tenant=tenant))
+        yield from device.submit(VectorRead(ppas=[ppa]))
 
 
-def aggressor_proc(device: OpenChannelSSD, group: int, pu: int,
-                   tenant: TenantContext):
+def aggressor_proc(device: OpenChannelSSD, group: int, pu: int):
     """Endless write/erase churn on chunks 1.. of one PU.
 
     Fills each chunk through the write-back cache (channel-transfer
@@ -110,37 +104,33 @@ def aggressor_proc(device: OpenChannelSSD, group: int, pu: int,
                 ppas = [Ppa(group=group, pu=pu, chunk=chunk,
                             sector=start + i) for i in range(unit)]
                 yield from device.submit(VectorWrite(
-                    ppas=ppas, data=payload, tenant=tenant))
+                    ppas=ppas, data=payload))
         for chunk in range(1, g.chunks_per_pu):
             probe = Ppa(group=group, pu=pu, chunk=chunk, sector=0)
             while (device.chunk_info(probe).flushed_pointer
                    < g.sectors_per_chunk):
                 yield device.sim.timeout(200e-6)
-            yield from device.submit(ChunkReset(ppa=probe, tenant=tenant))
+            yield from device.submit(ChunkReset(ppa=probe))
 
 
-def run_scenario(cfg: dict, policy: str, with_scheduler: bool,
+def run_scenario(cfg: dict, policy: str,
                  with_aggressor: bool) -> Dict[str, float]:
     """One fresh device + obs stack; returns victim read stats."""
-    stack = build_scenario(cfg, policy, with_scheduler)
+    stack = build_scenario(cfg, policy)
     device, sim = stack.device, stack.sim
-    victim = stack.tenant("victim")
-    aggressor = stack.tenant("aggressor")
-    victim_pus = stack.placement_plan[victim]
-    fill_victim_chunks(device, victim_pus, victim)
+    victim_pus = stack.placement_plan["victim"]
+    fill_victim_chunks(device, victim_pus)
 
     if with_aggressor:
-        for group, pu in stack.placement_plan[aggressor]:
-            sim.spawn(aggressor_proc(device, group, pu, aggressor))
+        for group, pu in stack.placement_plan["aggressor"]:
+            sim.spawn(aggressor_proc(device, group, pu))
         sim.run_until(sim.timeout(cfg["warmup_s"]))
 
     victim_done = sim.spawn(victim_proc(device, victim_pus,
-                                        cfg["victim_reads"], cfg["seed"],
-                                        victim))
+                                        cfg["victim_reads"], cfg["seed"]))
     sim.run_until(victim_done)
 
-    latency = stack.obs.metrics.histogram(
-        "qos.tenant.victim.read.latency_s")
+    latency = stack.obs.metrics.histogram("ocssd.read.latency_s")
     stats = latency.summary()
     return {"reads": stats["count"], "mean_s": stats["mean"],
             "p50_s": stats["p50"], "p99_s": stats["p99"],
@@ -149,29 +139,23 @@ def run_scenario(cfg: dict, policy: str, with_scheduler: bool,
 
 def run_all(cfg: dict) -> Dict[str, Dict[str, float]]:
     return {
-        "solo": run_scenario(cfg, "shared", with_scheduler=False,
-                             with_aggressor=False),
-        "shared_fifo": run_scenario(cfg, "shared", with_scheduler=False,
-                                    with_aggressor=True),
-        "shared_drr": run_scenario(cfg, "shared", with_scheduler=True,
-                                   with_aggressor=True),
-        "partitioned_drr": run_scenario(cfg, "partitioned",
-                                        with_scheduler=True,
-                                        with_aggressor=True),
+        "solo": run_scenario(cfg, "shared", with_aggressor=False),
+        "shared": run_scenario(cfg, "shared", with_aggressor=True),
+        "partitioned": run_scenario(cfg, "partitioned", with_aggressor=True),
     }
 
 
 def verdicts(results: Dict[str, Dict[str, float]]) -> List[Tuple[str, bool]]:
     solo = results["solo"]["p99_s"]
-    part = results["partitioned_drr"]["p99_s"]
-    fifo = results["shared_fifo"]["p99_s"]
+    part = results["partitioned"]["p99_s"]
+    shared = results["shared"]["p99_s"]
     return [
-        (f"partitioned_drr p99 <= 2x solo "
+        (f"partitioned p99 <= 2x solo "
          f"({part * 1e6:.0f} us vs {2 * solo * 1e6:.0f} us)",
          part <= 2 * solo),
-        (f"shared_fifo p99 >= 4x solo "
-         f"({fifo * 1e6:.0f} us vs {4 * solo * 1e6:.0f} us)",
-         fifo >= 4 * solo),
+        (f"shared p99 >= 4x solo "
+         f"({shared * 1e6:.0f} us vs {4 * solo * 1e6:.0f} us)",
+         shared >= 4 * solo),
     ]
 
 
@@ -197,9 +181,8 @@ def flat_metrics(results: Dict[str, Dict[str, float]]) -> Dict[str, float]:
         for key, value in stats.items():
             flat[f"{scenario}.{key}"] = value
     solo = results["solo"]["p99_s"]
-    flat["degradation_shared_fifo"] = results["shared_fifo"]["p99_s"] / solo
-    flat["degradation_partitioned_drr"] = (
-        results["partitioned_drr"]["p99_s"] / solo)
+    flat["degradation_shared"] = results["shared"]["p99_s"] / solo
+    flat["degradation_partitioned"] = results["partitioned"]["p99_s"] / solo
     return flat
 
 
@@ -219,9 +202,11 @@ def test_isolation_smoke():
     """The acceptance bounds hold even at smoke op counts."""
     results = run_all(SMOKE)
     solo = results["solo"]["p99_s"]
-    assert results["partitioned_drr"]["p99_s"] <= 2 * solo
-    assert results["shared_fifo"]["p99_s"] >= 4 * solo
-    assert results["solo"]["reads"] == SMOKE["victim_reads"]
+    assert results["partitioned"]["p99_s"] <= 2 * solo
+    assert results["shared"]["p99_s"] >= 4 * solo
+    # Every read the histogram holds is the victim's.
+    for stats in results.values():
+        assert stats["reads"] == SMOKE["victim_reads"]
 
 
 if __name__ == "__main__":

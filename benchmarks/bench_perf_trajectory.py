@@ -58,15 +58,14 @@ SECTOR = 4096
 # admission, background flushers.
 MACRO = dict(name="perf_macro", groups=8, pus=4, chunks=64, pages=6,
              wal_chunks=16, ckpt_chunks=4, fill_ops=1_500, read_ops=15_000,
-             qos=True, storm=(200, 250))
-# Tiny geometry for the pytest smoke test (`make check` step 2): the
-# bare stack, every sidecar detached.
+             storm=(200, 250))
+# Tiny geometry for the pytest smoke test (`make check` step 2).
 SMOKE = dict(name="perf_smoke", groups=2, pus=2, chunks=16, pages=6,
              wal_chunks=4, ckpt_chunks=2, fill_ops=40, read_ops=300,
              storm=(20, 50))
 
 
-def stack_spec(cfg: dict, **overrides) -> StackSpec:
+def stack_spec(cfg: dict) -> StackSpec:
     """The perf-trajectory stack as a spec."""
     return StackSpec(
         name=cfg["name"],
@@ -75,20 +74,11 @@ def stack_spec(cfg: dict, **overrides) -> StackSpec:
                   "pages_per_block": cfg["pages"]},
         ftl="oxblock",
         ftl_config={"wal_chunk_count": cfg["wal_chunks"],
-                    "ckpt_chunks_per_slot": cfg["ckpt_chunks"]},
-        **overrides)
+                    "ckpt_chunks_per_slot": cfg["ckpt_chunks"]})
 
 
 def build_ftl(cfg: dict):
-    overrides = {}
-    if cfg.get("qos"):
-        # One tenant, no rate cap: every command pays the full scheduler
-        # path (gate fast-grant, DRR on contention) so the recorded
-        # ops/sec prices the simulator *with* qos attached.
-        overrides["tenants"] = [{"name": "bench"}]
-    stack = build_stack(stack_spec(cfg, **overrides))
-    if cfg.get("qos"):
-        stack.media.tenant = stack.tenant("bench")
+    stack = build_stack(stack_spec(cfg))
     return stack.device, stack.ftl
 
 

@@ -27,7 +27,7 @@ from repro.lsm.compaction import (
 )
 from repro.lsm.env import StorageEnv
 from repro.lsm.memtable import ImmutableMemtable, MemTable, _Tombstone
-from repro.qos.tokenbucket import TokenBucket
+from repro.lsm.tokenbucket import TokenBucket
 from repro.lsm.sstable import (
     SSTableBuilder, SSTableMeta, decode_value, search_block)
 from repro.sim.core import Interrupt, Simulator
@@ -121,9 +121,6 @@ class DB:
         # Observability (repro.obs): inherited from the simulator; None
         # unless a hub was attached before the DB was built.
         self.obs = sim.obs
-        # QoS (repro.qos): inherited the same way; when present,
-        # compaction yields to backlogged foreground reads block by block.
-        self.qos = sim.qos
         #: Explicit write-controller state machine (OK/SLOWDOWN/STOP).
         self.backpressure = BackpressureState(config, obs=self.obs)
         #: Admission control for up to M concurrent compactions.
@@ -503,8 +500,7 @@ class DB:
         try:
             outputs = yield from self._write_tables_proc(
                 cursors, level=pick.target_level,
-                drop_tombstones=not deeper_occupied,
-                yield_to_foreground=True)
+                drop_tombstones=not deeper_occupied)
         finally:
             for cursor in cursors:
                 cursor.close()
@@ -527,22 +523,14 @@ class DB:
     # -- table writing (shared by flush and compaction) ------------------------------------
 
     def _write_tables_proc(self, cursors, level: int,
-                           drop_tombstones: bool,
-                           yield_to_foreground: bool = False,
-                           l0_seq: int = 0):
+                           drop_tombstones: bool, l0_seq: int = 0):
         """Merge *cursors* into one or more new SSTables at *level*.
-
-        *yield_to_foreground* (compaction only — flushes gate admission
-        and must finish promptly) pauses before each block write while
-        the QoS scheduler reports backlogged foreground reads.
 
         *l0_seq* (flush only) is the source memtable's freeze sequence:
         concurrent flushes can install out of order, so L0 ranks by
         freeze order, not install time.
         """
         outputs: List[TableRef] = []
-        bg_gate = (self.qos.background_gate_proc
-                   if yield_to_foreground and self.qos is not None else None)
         target_bytes = self.sstable_data_bytes
         builder = writer = None     # the table being written, if any
 
@@ -568,8 +556,6 @@ class DB:
 
         def write_proc(block):
             if block is not None:
-                if bg_gate is not None:
-                    yield from bg_gate()
                 yield from self.limiter.acquire_proc(len(block))
                 yield from writer.append_block_proc(block)
             if builder.data_bytes >= target_bytes:

@@ -1,11 +1,7 @@
-"""The repo's one token-bucket rate limiter.
+"""The LSM background throttle: a token-bucket rate limiter.
 
-Two consumers share this implementation: the LSM background throttle
-(``repro.lsm.db`` imports it directly — RocksDB calls the same device a
-``RateLimiter``) and the QoS scheduler's per-tenant ingress
-throttles.  The paper frames both as the same mechanism — bounding a
-traffic class's bytes/second so it cannot monopolize the device — so the
-repo keeps a single implementation.
+``repro.lsm.db`` bounds flush and compaction writes to a byte rate with
+it — RocksDB calls the same device a ``RateLimiter``.
 
 Implementation: virtual-time reservations.  Each acquisition books
 ``bytes / rate`` seconds on a shared virtual clock; a caller waits until

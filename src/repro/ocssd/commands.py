@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.ocssd.address import Ppa, PpaVector
-
-if TYPE_CHECKING:   # typing only: repro.qos must stay un-imported at runtime
-    from repro.qos.tenant import TenantContext
 
 #: A write's payload: one bytes-like buffer (see :class:`VectorWrite`).
 Buffer = Union[bytes, bytearray, memoryview]
@@ -56,8 +53,6 @@ class VectorWrite:
     data: Buffer
     oob: Optional[List[object]] = None
     fua: bool = False
-    #: Originating tenant (repro.qos); None for infrastructure I/O.
-    tenant: Optional["TenantContext"] = None
 
 
 @dataclass(slots=True)
@@ -65,8 +60,6 @@ class VectorRead:
     """Read the sectors named by *ppas* (any scatter pattern)."""
 
     ppas: PpaVector
-    #: Originating tenant (repro.qos); None for infrastructure I/O.
-    tenant: Optional["TenantContext"] = None
     #: Metadata only: validated, timed and failed exactly as the full read,
     #: but the completion carries ``oob`` alone (``data == []``) — for
     #: scans that read tags, not payloads.
@@ -78,8 +71,6 @@ class ChunkReset:
     """Reset (erase) the chunk containing *ppa*."""
 
     ppa: Ppa
-    #: Originating tenant (repro.qos); None for infrastructure I/O.
-    tenant: Optional["TenantContext"] = None
 
 
 @dataclass(slots=True)
@@ -96,8 +87,6 @@ class VectorCopy:
     src: PpaVector
     dst: PpaVector
     dst_oob: Optional[List[object]] = None
-    #: Originating tenant (repro.qos); None for infrastructure I/O.
-    tenant: Optional["TenantContext"] = None
 
 
 @dataclass(slots=True)

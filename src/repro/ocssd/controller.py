@@ -27,7 +27,7 @@ from repro.ocssd.address import Ppa
 from repro.ocssd.cache import WriteBackCache
 from repro.ocssd.chunk import Chunk, ChunkState
 from repro.ocssd.geometry import DeviceGeometry
-from repro.sidecar import OBS_SLOT, QOS_SLOT, init_sidecar_slots
+from repro.sidecar import OBS_SLOT, init_sidecar_slots
 from repro.sim.core import Simulator
 from repro.sim.resources import Resource, Store
 
@@ -91,12 +91,9 @@ class Controller:
             self._ctx[chunk] = (chips[pu_key], self.chip_locks[pu_key],
                                 self.channels[group], pu_key)
         self.stats = ControllerStats()
-        # Sidecars (repro.sidecar): None unless attached.  With an obs hub
-        # every instrumented path below records spans; with a qos scheduler
-        # channel grants route through its gate (weighted DRR + read
-        # priority) instead of the Resources' FIFO order, and chip-lock
-        # priorities favor reads over erases.
-        init_sidecar_slots(self, OBS_SLOT, QOS_SLOT)
+        # Sidecar (repro.sidecar): None unless attached.  With an obs hub
+        # every instrumented path below records spans.
+        init_sidecar_slots(self, OBS_SLOT)
         self._epoch = 0
         # Flush barrier: PU k's queue is FIFO, so its job n is on NAND once
         # _programmed[k] >= n.  _last_job: a chunk's newest n; _waiters[k]:
@@ -138,26 +135,19 @@ class Controller:
     # -- write path ---------------------------------------------------------------
 
     def write_run(self, chunk: Chunk, first_sector: int, sectors: int,
-                  fua: bool = False, span=None, tenant=None, epoch=None):
+                  fua: bool = False, span=None, epoch=None):
         """Process generator: timing for a chunk-sequential write already
         admitted into *chunk* (data and write pointer updated by the device
         before this runs).  ``fua`` forces write-through.  *span* is the
         obs parent (the device command span) when tracing is attached;
-        *tenant* is the originating :class:`~repro.qos.TenantContext` (or
-        None for infrastructure I/O); *epoch* the crash epoch of the
-        admission, for a child that takes its first step after it."""
+        *epoch* the crash epoch of the admission, for a child that takes its
+        first step after it."""
         if epoch is None:
             epoch = self._epoch
         chip, __, channel, key = self._ctx[chunk]
         num_bytes = sectors * self.geometry.sector_size
         obs = self.obs
-        qos = self.qos
 
-        if qos is not None and not qos.try_channel_acquire(tenant, key[0]):
-            # Throttle + scheduler gate; once this returns, the gate
-            # guarantees the channel Resource below is free.
-            yield from qos.channel_acquire_proc(tenant, "write", key[0],
-                                                num_bytes)
         if not channel.try_acquire():
             wait = (obs.begin("ocssd", "channel.wait", span)
                     if obs is not None else None)
@@ -172,8 +162,6 @@ class Controller:
                 obs.end(xfer, bytes=num_bytes)
         finally:
             channel.release()
-            if qos is not None:
-                qos.channel_release(key[0])
         if epoch != self._epoch:
             return False
 
@@ -302,7 +290,7 @@ class Controller:
     # -- read path -----------------------------------------------------------------
 
     def read_run(self, chunk: Chunk, first_sector: int, sectors: int,
-                 span=None, tenant=None, meta_only: bool = False,
+                 span=None, meta_only: bool = False,
                  epoch=None):
         """Process generator: timing for a chunk-contiguous read.
 
@@ -314,10 +302,9 @@ class Controller:
         """
         if epoch is None:
             epoch = self._epoch
-        chip, lock, channel, key = self._ctx[chunk]
+        chip, lock, channel, __ = self._ctx[chunk]
         payloads = chunk.read(first_sector, sectors, meta_only)
         obs = self.obs
-        qos = self.qos
 
         media_sectors = max(0, min(chunk.flushed_pointer,
                                    first_sector + sectors) - first_sector)
@@ -327,19 +314,9 @@ class Controller:
 
         if media_sectors > 0:
             if not lock.try_acquire():
-                # Under qos, host reads jump the chip queue (ahead of
-                # programs and erases) and count toward the foreground
-                # backlog that throttles background GC/compaction.
-                priority = 0 if qos is None else qos.config.read_priority
-                if qos is not None:
-                    qos.note_read_blocked(1)
                 wait = (obs.begin("ocssd", "chip.wait", span)
                         if obs is not None else None)
-                try:
-                    yield lock.request(priority)
-                finally:
-                    if qos is not None:
-                        qos.note_read_blocked(-1)
+                yield lock.request()
                 if obs is not None:
                     obs.close(wait, "ocssd.chip.wait_s")
             try:
@@ -363,9 +340,6 @@ class Controller:
                 lock.release()
 
         num_bytes = sectors * self.geometry.sector_size
-        if qos is not None and not qos.try_channel_acquire(tenant, key[0]):
-            yield from qos.channel_acquire_proc(tenant, "read", key[0],
-                                                num_bytes)
         if not channel.try_acquire():
             wait = (obs.begin("ocssd", "channel.wait", span)
                     if obs is not None else None)
@@ -380,13 +354,11 @@ class Controller:
                 obs.end(xfer, bytes=num_bytes)
         finally:
             channel.release()
-            if qos is not None:
-                qos.channel_release(key[0])
         return payloads
 
     # -- reset path -----------------------------------------------------------------
 
-    def reset_chunk(self, chunk: Chunk, span=None, tenant=None):
+    def reset_chunk(self, chunk: Chunk, span=None):
         """Process generator: erase the chunk's block set.
 
         Returns True on success; on an erase failure the chunk is retired,
@@ -396,14 +368,10 @@ class Controller:
         epoch = self._epoch
         chip, lock, __, __ = self._ctx[chunk]
         obs = self.obs
-        qos = self.qos
         if not lock.try_acquire():
-            # A 3.5 ms erase is the worst thing a read can queue behind;
-            # under qos it waits at the lowest chip priority.
-            priority = 0 if qos is None else qos.config.erase_priority
             wait = (obs.begin("ocssd", "chip.wait", span)
                     if obs is not None else None)
-            yield lock.request(priority)
+            yield lock.request()
             if obs is not None:
                 obs.close(wait, "ocssd.chip.wait_s")
         try:

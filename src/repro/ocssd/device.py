@@ -38,7 +38,7 @@ from repro.ocssd.commands import (
 )
 from repro.ocssd.controller import Controller
 from repro.ocssd.geometry import DeviceGeometry
-from repro.sidecar import FAULTS_SLOT, OBS_SLOT, QOS_SLOT, init_sidecar_slots
+from repro.sidecar import FAULTS_SLOT, OBS_SLOT, init_sidecar_slots
 from repro.sim.core import Simulator
 
 
@@ -123,8 +123,8 @@ class OpenChannelSSD:
         # Sidecars (repro.sidecar): every slot is None unless the matching
         # subsystem attached, so each disabled check costs one attribute
         # load.  faults gates submit(); obs opens one root span per
-        # command; qos carries tenant identity into the scheduler.
-        init_sidecar_slots(self, FAULTS_SLOT, OBS_SLOT, QOS_SLOT)
+        # command.
+        init_sidecar_slots(self, FAULTS_SLOT, OBS_SLOT)
         self.controller = Controller(
             self.sim, self.geometry, self.chips, self.chunks,
             notify=self._notify, write_back=write_back,
@@ -201,23 +201,11 @@ class OpenChannelSSD:
             if obs is not None:
                 obs.error("ocssd", "invalid-command", str(exc))
         if obs is not None:
-            self._end_command(obs, span, kind, completion.status,
-                              getattr(command, "tenant", None))
+            obs.close(span, f"ocssd.{kind}.latency_s",
+                      status=completion.status.name)
         completion.submitted_at = submitted
         completion.completed_at = self.sim.now
         return completion
-
-    def _end_command(self, obs, span, kind: str, status: CommandStatus,
-                     tenant) -> None:
-        """Close a command's root span and record its latency."""
-        obs.close(span, f"ocssd.{kind}.latency_s", status=status.name)
-        if tenant is not None:
-            # Per-tenant end-to-end latency, recorded whether or not a
-            # scheduler is attached — the shared-FIFO baseline in the
-            # isolation bench reads its p99 from this histogram too.
-            obs.metrics.histogram(
-                f"qos.tenant.{tenant.name}.{kind}.latency_s").record(
-                    span.duration)
 
     # -- synchronous convenience API ---------------------------------------------------
 
@@ -318,15 +306,13 @@ class OpenChannelSSD:
         # the semantics of a controller that buffers on arrival.  A
         # validation error mid-vector leaves earlier runs admitted: the
         # paper is explicit that vector writes are *not* atomic (§4.3).
-        tenant = command.tenant
         if len(runs) == 1:
             # Single-run vectors dominate; drive the controller inline
             # instead of paying a process spawn + join for no parallelism.
             chunk, first_sector, count, __ = runs[0]
             chunk.admit_write(first_sector, count, command.data, oob)
             results = [(yield from self.controller.write_run(
-                chunk, first_sector, count, fua=command.fua, span=span,
-                tenant=tenant))]
+                chunk, first_sector, count, fua=command.fua, span=span))]
         else:
             # The buffer is sized (and, if mutable, copied) once for the
             # whole vector; each run admits its slice of that view.
@@ -343,7 +329,7 @@ class OpenChannelSSD:
             procs = [self.sim.spawn(
                          self.controller.write_run(chunk, first_sector, count,
                                                    fua=command.fua, span=span,
-                                                   tenant=tenant, epoch=epoch),
+                                                   epoch=epoch),
                          name=f"write{chunk.address.chunk_key()}")
                      for chunk, first_sector, count, __ in runs]
             results = yield self.sim.all_of(procs)
@@ -374,8 +360,7 @@ class OpenChannelSSD:
             start = end
         return runs
 
-    def read_sectors_proc(self, linears: List[int], tenant=None,
-                          parent=None):
+    def read_sectors_proc(self, linears: List[int], parent=None):
         """Process generator: the payload-only read lane of an FTL's
         foreground reads.
 
@@ -397,8 +382,7 @@ class OpenChannelSSD:
         status = _OK
         try:
             payloads, __ = yield from self._read_runs_proc(
-                self._split_linears(linears), len(linears), False, span,
-                tenant)
+                self._split_linears(linears), len(linears), False, span)
         except MediaError:
             payloads = None
             status = _READ_FAILED
@@ -408,11 +392,11 @@ class OpenChannelSSD:
             if obs is not None:
                 obs.error("ocssd", "invalid-command", str(exc))
         if obs is not None:
-            self._end_command(obs, span, "read", status, tenant)
+            obs.close(span, "ocssd.read.latency_s", status=status.name)
         return payloads
 
     def _read_runs_proc(self, runs: List[_Run], total: int, want_oob: bool,
-                        span, tenant, meta_only: bool = False):
+                        span, meta_only: bool = False):
         """Timed read of *runs* (*total* sectors in all): one run inline —
         no process spawn + join for parallelism that is not there —,
         several as one spawned process each.  Returns ``(payloads, oob)``
@@ -423,7 +407,7 @@ class OpenChannelSSD:
         if len(runs) == 1:
             chunk, first_sector, count, __ = runs[0]
             data = yield from read_run(chunk, first_sector, count, span,
-                                       tenant, meta_only)
+                                       meta_only)
             return data, (chunk.read_oob(first_sector, count)
                           if want_oob else None)
         parts: List[List[memoryview]] = [[] for __ in runs]
@@ -434,7 +418,7 @@ class OpenChannelSSD:
                     offset: int):
             try:
                 parts[index] = yield from read_run(
-                    chunk, first_sector, count, span, tenant, meta_only)
+                    chunk, first_sector, count, span, meta_only)
             except MediaError as exc:
                 failures.append(str(exc))
                 return
@@ -453,7 +437,7 @@ class OpenChannelSSD:
         runs, total = self._split_runs(command.ppas)
         try:
             data, oob = yield from self._read_runs_proc(
-                runs, total, True, span, command.tenant, command.meta_only)
+                runs, total, True, span, command.meta_only)
         except MediaError as exc:
             return Completion(status=_READ_FAILED, oob=[None] * total,
                               error=str(exc))
@@ -462,8 +446,7 @@ class OpenChannelSSD:
     def _do_reset(self, command: ChunkReset, span=None):
         chunk = self._chunk(command.ppa)
         epoch = self.controller.epoch
-        ok = yield from self.controller.reset_chunk(chunk, span=span,
-                                                    tenant=command.tenant)
+        ok = yield from self.controller.reset_chunk(chunk, span=span)
         if ok:
             return Completion(status=_OK)
         if epoch != self.controller.epoch:
@@ -513,8 +496,7 @@ class OpenChannelSSD:
             try:
                 # Timing only: the payloads moved above.
                 yield from self.controller.read_run(
-                    chunk, first_sector, count, span, command.tenant, True,
-                    epoch)
+                    chunk, first_sector, count, span, True, epoch)
             except MediaError as exc:
                 # The destinations still program what was staged, but the
                 # copy fails: they hold bytes the media could not read.
@@ -527,7 +509,7 @@ class OpenChannelSSD:
                                for run in src_runs])
         results = yield self.sim.all_of([self.sim.spawn(
             self.controller.write_run(chunk, first_sector, count, span=span,
-                                      tenant=command.tenant, epoch=epoch),
+                                      epoch=epoch),
             name="copy-write") for chunk, first_sector, count, __ in dst_runs])
         if failures:
             return Completion(status=_READ_FAILED, error="; ".join(failures))

@@ -83,9 +83,6 @@ class GarbageCollector:
         # Observability (repro.obs): inherited from the simulator; None
         # unless a hub was attached before the FTL stack was built.
         self.obs = media.sim.obs
-        # QoS (repro.qos): inherited the same way; when present, GC yields
-        # to backlogged foreground reads before starting each round.
-        self.qos = media.sim.qos
         self.geometry = media.geometry
         self.page_map = page_map
         self.chunk_table = chunk_table
@@ -211,10 +208,6 @@ class GarbageCollector:
         buffered.  Returns the number of victims reclaimed — pending their
         carry; deferred and aborted ones stay as they are.
         """
-        if self.qos is not None:
-            # Background work yields while foreground reads are queued
-            # (bounded, so GC always makes progress eventually).
-            yield from self.qos.background_gate_proc()
         obs = self.obs
         # A root span: GC is background work, under no host command.
         span = obs.begin("ftl.gc", "collect") if obs is not None else None

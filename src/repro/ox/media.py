@@ -8,12 +8,6 @@ FTL-facing API (vector I/O, reset, copy, flush, chunk scans, notification
 drain) of generator (in-simulation) entry points, plus a synchronous
 :meth:`MediaManager.flush`.
 
-A media manager optionally carries a :class:`~repro.qos.TenantContext`
-(``MediaManager.tenant``): every command it submits is tagged with that
-tenant, which is how the FTL above feeds tenant identity into the
-device's QoS scheduler and per-tenant metrics without any per-call
-plumbing in the FTL code.
-
 All four FTLs (OX-Block, OX-ELEOS, LightLSM and OX-ZNS) keep their chunks
 in a :class:`ChunkPool` and erase them only through it (OX-Block's WAL
 ring and checkpoint slots, in no pool, through :meth:`reset_dirty_proc`),
@@ -45,16 +39,11 @@ PuKey = Tuple[int, int]
 
 
 class MediaManager:
-    """FTL-facing facade over one Open-Channel SSD.
+    """FTL-facing facade over one Open-Channel SSD."""
 
-    *tenant* tags every command this manager submits; ``None`` leaves
-    commands untagged (infrastructure I/O, single-tenant stacks).
-    """
-
-    def __init__(self, device: OpenChannelSSD, tenant=None):
+    def __init__(self, device: OpenChannelSSD):
         self.device = device
         self.sim = device.sim
-        self.tenant = tenant
 
     @property
     def geometry(self) -> DeviceGeometry:
@@ -71,25 +60,22 @@ class MediaManager:
                    parent=None):
         """Write the one buffer *data* (see :class:`VectorWrite`)."""
         return self.device.submit(
-            VectorWrite(ppas=ppas, data=data, oob=oob, fua=fua,
-                        tenant=self.tenant),
+            VectorWrite(ppas=ppas, data=data, oob=oob, fua=fua),
             parent=parent)
 
     def read_proc(self, ppas: PpaVector, parent=None,
                   meta_only: bool = False):
         return self.device.submit(
-            VectorRead(ppas=ppas, tenant=self.tenant, meta_only=meta_only),
+            VectorRead(ppas=ppas, meta_only=meta_only),
             parent=parent)
 
     def read_sectors_proc(self, linears: List[int], parent=None):
         """Payload-only read by linear address; see
         :meth:`repro.ocssd.OpenChannelSSD.read_sectors_proc`."""
-        return self.device.read_sectors_proc(linears, tenant=self.tenant,
-                                             parent=parent)
+        return self.device.read_sectors_proc(linears, parent=parent)
 
     def reset_proc(self, ppa: Ppa, parent=None):
-        return self.device.submit(ChunkReset(ppa=ppa, tenant=self.tenant),
-                                  parent=parent)
+        return self.device.submit(ChunkReset(ppa=ppa), parent=parent)
 
     def dirty(self, keys: Iterable[ChunkKey]) -> List[ChunkKey]:
         """Those of the chunks *keys* that hold anything (written, or not
@@ -112,8 +98,7 @@ class MediaManager:
     def copy_proc(self, src: PpaVector, dst: PpaVector,
                   dst_oob: Optional[List[object]] = None, parent=None):
         return self.device.submit(
-            VectorCopy(src=src, dst=dst, dst_oob=dst_oob,
-                       tenant=self.tenant),
+            VectorCopy(src=src, dst=dst, dst_oob=dst_oob),
             parent=parent)
 
     def flush_proc(self, chunks=None):

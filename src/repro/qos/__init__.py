@@ -1,15 +1,9 @@
-"""repro.qos — multi-tenant I/O scheduling, isolation and tail control.
+"""repro.qos — isolation by placement.
 
-The subsystem the paper's predictability argument calls for: tenant
-identity on every command (:mod:`repro.qos.tenant`), a controller-side
-weighted-DRR scheduler with read priority and per-tenant token-bucket
-throttles (:mod:`repro.qos.scheduler`), tenant-to-channel placement
-policies (:mod:`repro.qos.placement`) and the repo's single token
-bucket (:mod:`repro.qos.tokenbucket`).
-
-Zero-cost when absent: nothing here is imported by the device model's
-hot paths; the controller tests ``self.qos is None`` exactly the way it
-tests ``self.obs`` and ``self.faults``.
+The paper's isolation mechanism is physical (§2.2): the host gives each
+tenant its own parallel units, so their traffic never meets inside the
+device.  :func:`plan_placement` computes that tenant → parallel-unit
+assignment; no controller-side scheduler is involved.
 """
 
 from repro.qos.placement import (
@@ -18,19 +12,10 @@ from repro.qos.placement import (
     SHARED,
     plan_placement,
 )
-from repro.qos.scheduler import QosConfig, QosScheduler
-from repro.qos.tenant import SYSTEM_TENANT, TenantContext, TenantRegistry
-from repro.qos.tokenbucket import TokenBucket
 
 __all__ = [
     "PARTITIONED",
     "POLICIES",
     "SHARED",
     "plan_placement",
-    "QosConfig",
-    "QosScheduler",
-    "SYSTEM_TENANT",
-    "TenantContext",
-    "TenantRegistry",
-    "TokenBucket",
 ]

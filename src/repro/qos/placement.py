@@ -5,16 +5,14 @@ channels/LUNs and their traffic never meets inside the device.  The
 alternative — stripe every tenant across all units for peak bandwidth —
 is what a conventional SSD's FTL does implicitly, and is where
 noisy-neighbor tail latency comes from.  This module computes the
-tenant → parallel-unit assignment for either policy; the FTL layers
-consume it as a plain list of ``(group, pu)`` pairs (no device-layer
-imports here, so ``repro.qos`` stays below ``repro.ocssd``).
+tenant → parallel-unit assignment for either policy, as a plain list
+of ``(group, pu)`` pairs per tenant name (no device-layer imports here,
+so ``repro.qos`` stays below ``repro.ocssd``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-from repro.qos.tenant import TenantContext
 
 PuAddress = Tuple[int, int]
 
@@ -27,19 +25,18 @@ POLICIES = (PARTITIONED, SHARED)
 
 
 def plan_placement(num_groups: int, pus_per_group: int,
-                   tenants: Sequence[TenantContext],
+                   tenants: Sequence[str],
                    policy: str = PARTITIONED,
-                   ) -> Dict[TenantContext, List[PuAddress]]:
-    """Assign parallel units to *tenants* under *policy*.
+                   ) -> Dict[str, List[PuAddress]]:
+    """Assign parallel units to the tenants named *tenants* under *policy*.
 
-    ``partitioned`` deals whole groups (channels) round-robin, weight-
-    agnostic: isolation comes from disjoint hardware, not shares.  The
-    channel is the contended bus, so splitting at group granularity
-    removes both chip and bus interference.  Requires
-    ``len(tenants) <= num_groups``.
+    ``partitioned`` deals whole groups (channels) round-robin: isolation
+    comes from disjoint hardware.  The channel is the contended bus, so
+    splitting at group granularity removes both chip and bus
+    interference.  Requires ``len(tenants) <= num_groups``.
 
-    ``shared`` gives every tenant every unit; isolation (if any) is then
-    the scheduler's job.
+    ``shared`` gives every tenant every unit, so their traffic meets on
+    every chip and bus.
     """
     if not tenants:
         raise ValueError("plan_placement needs at least one tenant")
@@ -56,7 +53,7 @@ def plan_placement(num_groups: int, pus_per_group: int,
         raise ValueError(
             f"partitioned placement needs >= 1 group per tenant: "
             f"{len(tenants)} tenants > {num_groups} groups")
-    plan: Dict[TenantContext, List[PuAddress]] = {t: [] for t in tenants}
+    plan: Dict[str, List[PuAddress]] = {t: [] for t in tenants}
     for group in range(num_groups):
         tenant = tenants[group % len(tenants)]
         plan[tenant].extend((group, pu) for pu in range(pus_per_group))

@@ -1,8 +1,8 @@
-"""The sidecar attachment plane: one lifecycle for faults, obs and qos.
+"""The sidecar attachment plane: one lifecycle for faults and obs.
 
-Three cross-cutting subsystems ride alongside the device model — fault
-injection (:mod:`repro.faults`), observability (:mod:`repro.obs`) and
-QoS scheduling (:mod:`repro.qos`).  Each one wires itself into the same
+Two cross-cutting subsystems ride alongside the device model — fault
+injection (:mod:`repro.faults`) and observability (:mod:`repro.obs`).
+Each one wires itself into the same
 host objects (the device, its controller, its chips, the simulator) by
 setting a named *slot* attribute that is ``None`` in normal operation,
 so every disabled hot path costs exactly one attribute load and one
@@ -10,14 +10,12 @@ identity check.  ``test_unattached_stack_records_nothing`` in
 ``tests/test_obs.py`` holds that structure; the ledger's per-layer
 ``calls_per_op`` rows, parent vs change, hold the cost.
 
-Before this module, each subsystem grew its own copy of that lifecycle:
-``FaultInjector.attach``, ``Obs.attach`` and ``QosScheduler.attach``
-re-implemented the slot walk, the double-attach guard and the detach
-scrub with small drifts between them.  :class:`Sidecar` is the single
-protocol; a subsystem declares *which slot it fills* and *which hosts
+:class:`Sidecar` is the single attach protocol, so ``FaultInjector.attach``
+and ``Obs.attach`` share the slot walk, the double-attach guard and the
+detach scrub; a subsystem declares *which slot it fills* and *which hosts
 carry that slot*, and inherits attach/detach:
 
-* ``slot`` — the attribute name (``"faults"``, ``"obs"``, ``"qos"``);
+* ``slot`` — the attribute name (``"faults"``, ``"obs"``);
 * :meth:`sidecar_targets` — the host objects to wire;
 * :meth:`_sidecar_validate` — pre-attach checks (e.g. simulator match);
 * :meth:`_sidecar_wire` / :meth:`_sidecar_unwire` — extra per-subsystem
@@ -36,10 +34,9 @@ from repro.errors import ReproError
 if TYPE_CHECKING:
     from repro.ocssd.device import OpenChannelSSD
 
-#: The three sidecar slots the device stack carries today.
+#: The two sidecar slots the device stack carries.
 FAULTS_SLOT = "faults"
 OBS_SLOT = "obs"
-QOS_SLOT = "qos"
 
 
 def init_sidecar_slots(host: object, *slots: str) -> None:

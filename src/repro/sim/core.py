@@ -314,10 +314,6 @@ class Simulator:
         # instrumented path in the core is spawn() — the inner event loop
         # stays untouched.
         self.obs = None
-        # QoS scheduler (repro.qos): None unless one is attached.  Hosts
-        # and FTL background work (GC, compaction) inherit it from here,
-        # same as obs; the event loop never looks at it.
-        self.qos = None
 
     # -- event construction ------------------------------------------------
 

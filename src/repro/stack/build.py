@@ -4,9 +4,9 @@ Construction order is load-bearing for determinism and matches the
 hand-wired assembly every bench used to repeat:
 
 1. the device (which creates its simulator);
-2. sidecars, in the fixed order obs -> faults -> qos (attach-before-
-   build, so layers constructed afterwards inherit ``sim.obs`` /
-   ``sim.qos``);
+2. sidecars, in the fixed order obs -> faults (attach-before-build, so
+   layers constructed afterwards inherit ``sim.obs``), and the tenants'
+   placement plan;
 3. the media manager;
 4. the FTL / storage environment (LightLSM spawns its dispatcher here);
 5. the host (the LSM engine spawns its daemons here).
@@ -32,8 +32,7 @@ from repro.obs import Obs
 from repro.ocssd import DeviceGeometry, OpenChannelSSD
 from repro.ox import MediaManager
 from repro.policies import WriteLessCache
-from repro.qos import (
-    QosScheduler, TenantContext, TenantRegistry, plan_placement)
+from repro.qos import plan_placement
 from repro.stack import personality
 from repro.stack.spec import StackSpec, WorkloadSpec
 
@@ -52,10 +51,8 @@ class Stack:
     media: Optional[MediaManager] = None
     obs: Optional[Obs] = None
     faults: Optional[FaultInjector] = None
-    qos: Optional[QosScheduler] = None
-    registry: Optional[TenantRegistry] = None
-    placement_plan: Optional[
-        Dict[TenantContext, List[Tuple[int, int]]]] = None
+    #: Tenant name -> its ``(group, pu)`` list; None without tenants.
+    placement_plan: Optional[Dict[str, List[Tuple[int, int]]]] = None
     ftl: Optional[object] = None          # OXBlock | OXEleos | OXZns
     env: Optional[object] = None          # StorageEnv
     engine: Optional[LlamaEngine] = None
@@ -72,10 +69,14 @@ class Stack:
         the block lane drives: the ``wlfc`` host, else a bare OX-Block."""
         return personality.surface(self, "block")
 
-    def tenant(self, name: str) -> TenantContext:
-        if self.registry is None:
+    def tenant(self, name: str) -> str:
+        """*name*, if the spec declares that tenant."""
+        if self.placement_plan is None:
             raise ReproError("this stack declares no tenants")
-        return self.registry.lookup(name)
+        if name not in self.placement_plan:
+            raise ReproError(f"no tenant {name!r}; the spec declares "
+                             f"{list(self.placement_plan)}")
+        return name
 
     def dbbench(self) -> DbBench:
         """A workload driver over this stack's DB, seeded by the spec."""
@@ -148,22 +149,15 @@ def build_stack(spec: StackSpec) -> Stack:
                             write_back=spec.write_back)
     stack = Stack(spec=spec, device=device)
 
-    # Sidecars first, so layers built below inherit sim.obs / sim.qos.
+    # Sidecars first, so layers built below inherit sim.obs.
     if spec.obs:
         stack.obs = Obs().attach(device)
     if spec.faults is not None:
         stack.faults = FaultInjector(_fault_plan(spec)).attach(device)
     if spec.tenants:
-        stack.registry = TenantRegistry()
-        tenants = [stack.registry.register(**asdict(t))
-                   for t in spec.tenants]
-        if spec.qos_scheduler:
-            stack.qos = QosScheduler(device.sim).attach(device)
-            for tenant in tenants:
-                stack.qos.register_tenant(tenant)
         stack.placement_plan = plan_placement(
             spec.geometry.num_groups, spec.geometry.pus_per_group,
-            tenants, policy=spec.qos_policy)
+            [t.name for t in spec.tenants], policy=spec.qos_policy)
 
     stack.media = MediaManager(device)
     personality.build(stack)

@@ -3,10 +3,11 @@
 The paper's FTLs are a menu, not a monolith — OX-Block, OX-ELEOS,
 OX-ZNS and LightLSM are different compositions over the same media.  A
 :class:`StackSpec` names one composition: geometry and cell type, the
-FTL flavor, the host above it, the sidecars riding along (faults, obs,
-qos tenants), the workload to drive it with, and the seed that makes
-the whole run deterministic.  :func:`repro.stack.build_stack` turns the
-spec into live objects; ``python -m repro.stack spec.json`` runs it.
+FTL flavor, the host above it, the sidecars riding along (faults, obs),
+the tenants whose parallel units it places, the workload to drive it
+with, and the seed that makes the whole run deterministic.
+:func:`repro.stack.build_stack` turns the spec into live objects;
+``python -m repro.stack spec.json`` runs it.
 
 Specs round-trip through plain dicts (:meth:`StackSpec.to_dict` /
 :meth:`StackSpec.from_dict`), so JSON and TOML files are first-class
@@ -125,25 +126,13 @@ class GeometrySpec:
 
 @dataclass
 class TenantSpec:
-    """One tenant's identity and QoS parameters."""
+    """One tenant: a name that ``qos_policy`` places on parallel units."""
 
     name: str
-    weight: float = 1.0
-    rate_bytes_per_sec: Optional[float] = None
-    burst_bytes: Optional[float] = None
 
     def validate(self) -> None:
         _check_types(self, f"tenant {self.name!r}: ")
         _check(bool(self.name), "tenant name must be non-empty")
-        _check(self.weight > 0,
-               f"tenant {self.name!r}: weight must be > 0, "
-               f"got {self.weight}")
-        _check(self.rate_bytes_per_sec is None or self.rate_bytes_per_sec > 0,
-               f"tenant {self.name!r}: rate_bytes_per_sec must be > 0 or "
-               f"null, got {self.rate_bytes_per_sec}")
-        _check(self.burst_bytes is None or self.burst_bytes >= 0,
-               f"tenant {self.name!r}: burst_bytes must be >= 0 or null, "
-               f"got {self.burst_bytes}")
 
 
 @dataclass
@@ -261,8 +250,6 @@ class StackSpec:
     tenants: List[TenantSpec] = field(default_factory=list)
     #: Placement of tenants over PUs: partitioned | shared.
     qos_policy: str = "partitioned"
-    #: Attach a QosScheduler when tenants are declared.
-    qos_scheduler: bool = True
     faults: Optional[FaultSpec] = None
     #: Device timing override: None keeps the cell preset.
     timing: Optional[TimingSpec] = None
@@ -296,6 +283,11 @@ class StackSpec:
         names = [t.name for t in self.tenants]
         _check(len(set(names)) == len(names),
                f"duplicate tenant names in {names}")
+        _check(self.qos_policy != PARTITIONED
+               or len(names) <= self.geometry.num_groups,
+               f"tenants: partitioned placement needs >= 1 group per "
+               f"tenant: {len(names)} tenants > "
+               f"{self.geometry.num_groups} groups")
         for sub in (self.workload, self.faults, self.timing):
             if sub is not None:
                 sub.validate()

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.lsm import BloomFilter, MemTable, TOMBSTONE
-from repro.qos.tokenbucket import TokenBucket
 from repro.lsm.sstable import (
     SSTableBuilder,
     SSTableMeta,
@@ -18,6 +17,7 @@ from repro.lsm.sstable import (
     encode_entry,
     search_block,
 )
+from repro.lsm.tokenbucket import TokenBucket
 from repro.sim import Simulator
 
 
@@ -280,7 +280,7 @@ def test_search_block_agrees_with_full_decode(items, absent):
 
 
 class TestRateLimiter:
-    """The LSM throttle is the qos TokenBucket, imported directly."""
+    """The LSM throttle: ``repro.lsm.tokenbucket.TokenBucket``."""
     def test_unlimited_never_waits(self):
         sim = Simulator()
         limiter = TokenBucket(sim, None)
@@ -321,3 +321,26 @@ class TestRateLimiter:
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             TokenBucket(Simulator(), rate_bytes_per_sec=0)
+
+
+def test_token_bucket_unlimited_never_waits():
+    sim = Simulator()
+    bucket = TokenBucket(sim)
+    sim.run_until(sim.spawn(bucket.acquire_proc(10 ** 9)))
+    assert sim.now == 0.0
+    assert bucket.total_wait == 0.0
+
+
+def test_token_bucket_paces_past_burst():
+    sim = Simulator()
+    bucket = TokenBucket(sim, rate_bytes_per_sec=1000, burst_bytes=1000)
+
+    def consumer():
+        for __ in range(5):
+            yield from bucket.acquire_proc(1000)
+
+    sim.run_until(sim.spawn(consumer()))
+    # First 1000 bytes ride the burst credit; the remaining 4000 pace
+    # out at 1000 B/s.
+    assert sim.now == pytest.approx(4.0)
+    assert bucket.total_acquired == 5000

@@ -130,18 +130,15 @@ class TestMetrics:
 def test_count_has_one_home_grep_pin():
     """A count lives in its layer's ``stats``, not twice: nothing under
     ``src/repro``, ``benchmarks`` or ``scripts`` sets a gauge, and the
-    registry counters in ``src/repro`` are the hub's (errors, spawns)
-    and ``qos.sched.grants``."""
+    registry counters in ``src/repro`` are the hub's alone (errors,
+    spawns)."""
     hub = os.path.join("src", "repro", "obs", "hub.py")
-    scheduler = os.path.join("src", "repro", "qos", "scheduler.py")
 
     def pinned(path, line):
         if ".gauge(" in line:
             return True
-        if "metrics.counter(" not in line or not path.startswith("src"):
-            return False
-        return not (path == hub or (path == scheduler
-                                    and '"qos.sched.grants"' in line))
+        return ("metrics.counter(" in line and path.startswith("src")
+                and path != hub)
 
     paths = [path for top in ("src/repro", "benchmarks", "scripts")
              for path in glob.glob(os.path.join(REPO_ROOT, top, "**", "*.py"),

@@ -40,8 +40,7 @@ def test_spec_round_trips_through_dict():
         seed=7,
         workload={"kind": "fill_then_read_random", "clients": 2,
                   "ops_per_client": 50},
-        tenants=[{"name": "victim", "weight": 3.0},
-                 {"name": "aggressor"}],
+        tenants=[{"name": "victim"}, {"name": "aggressor"}],
         faults={"seed": 3, "grown_bad": [[0, 1, 2, 5]]},
         obs=True)
     data = spec.to_dict()
@@ -127,12 +126,6 @@ def test_unknown_ftl_flavor_raises():
         build_stack(StackSpec(ftl="pblk"))
 
 
-def test_tenant_weight_must_be_positive():
-    for weight in (0.0, -1.0):
-        with pytest.raises(ReproError, match="weight must be > 0"):
-            smoke_spec(tenants=[{"name": "t", "weight": weight}]).validate()
-
-
 def test_host_flavor_mismatch_raises():
     with pytest.raises(ReproError, match="host 'db' runs over ftl"):
         StackSpec(ftl="eleos", host="db").validate()
@@ -157,8 +150,7 @@ def test_bad_config_key_names_the_section():
 
 
 @pytest.mark.parametrize("data, names", [
-    ({"tenants": [{"name": "a", "weight": "x"}]},
-     "tenant 'a': weight must be float, got 'x'"),
+    ({"tenants": [{"name": 5}]}, "tenant 5: name must be str, got 5"),
     ({"seed": "abc"}, "seed must be int, got 'abc'"),
     ({"workload": {"kind": "raw_fill_read", "fill_ops": "x"}},
      "workload.fill_ops must be int, got 'x'"),
@@ -168,8 +160,7 @@ def test_bad_config_key_names_the_section():
     ({"faults": {"power_cut_at_op": 1.5}},
      r"faults.power_cut_at_op must be Optional\[int\], got 1.5"),
     ({"db": ["block_size"]}, "db must be Dict"),
-    ({"tenants": [{"weight": 2.0}]}, r"TenantSpec: missing field\(s\) "
-                                     r"\['name'\]"),
+    ({"tenants": [{}]}, r"TenantSpec: missing field\(s\) \['name'\]"),
     ({"tenants": 5}, r"tenants must be List\[TenantSpec\], got 5"),
     ({"workload": {"kind": "raw_fill_read", "fill_ops": 0}},
      "workload.fill_ops must be >= 1, got 0"),
@@ -181,10 +172,9 @@ def test_bad_config_key_names_the_section():
      "workload.ops_per_client must be >= 1, got -3"),
     ({"workload": {"read_ops_per_client": -3}},
      "workload.read_ops_per_client must be >= 0, got -3"),
-    ({"tenants": [{"name": "a", "rate_bytes_per_sec": 0}]},
-     "tenant 'a': rate_bytes_per_sec must be > 0 or null, got 0"),
-    ({"tenants": [{"name": "a", "burst_bytes": -1e7}]},
-     "tenant 'a': burst_bytes must be >= 0 or null, got -10000000.0"),
+    ({"tenants": [{"name": ""}]}, "tenant name must be non-empty"),
+    ({"tenants": [{"name": "a"}], "qos_policy": "striped"},
+     "unknown qos policy 'striped'"),
     ({"timing": {"fit_jitter": True}}, "it needs timing.profile"),
     # Trace capture and replay are gone: a spec asking for a replay.
     ({"workload": {"kind": "raw_fill_read", "trace": "t.jsonl"}},
@@ -195,17 +185,15 @@ def test_bad_config_key_names_the_section():
      "workload.kind must be one of .*, got 'trace'"),
 ])
 def test_a_mistyped_field_is_a_repro_error_naming_it(data, names):
-    """Wrong-typed values used to escape as a bare TypeError (the tenant
-    weight comparison, a ``tenants`` that is not a list) or validate,
-    build and fail mid-run (seed, fill_ops); out-of-range counts ran and
+    """Wrong-typed values used to escape as a bare TypeError (a
+    ``tenants`` that is not a list) or validate, build and fail mid-run
+    (seed, fill_ops); out-of-range counts ran and
     reported themselves (``fill_ops: -3``) or died in ``randrange``."""
     with pytest.raises(ReproError, match=names):
         StackSpec.from_dict({"ftl": "oxblock", **data})
     # An int where a float goes, and None where Optional says so, are fine.
     StackSpec.from_dict({"ftl": "oxblock",
-                         "tenants": [{"name": "a", "weight": 2,
-                                      "rate_bytes_per_sec": None,
-                                      "burst_bytes": 0}],
+                         "timing": {"jitter_sigma": 0},
                          "faults": {"power_cut_at_op": None}})
 
 
@@ -254,16 +242,21 @@ def test_config_for_a_layer_the_stack_never_builds_is_rejected(fields, names):
 def test_spec_wires_sidecars_and_tenants():
     stack = build_stack(smoke_spec(
         obs=True,
-        tenants=[{"name": "victim", "weight": 3.0},
-                 {"name": "aggressor", "weight": 1.0}],
+        tenants=[{"name": "victim"}, {"name": "aggressor"}],
         faults={"seed": 1}))
     device = stack.device
     assert device.obs is stack.obs
     assert device.faults is stack.faults
-    assert device.qos is stack.qos
-    assert stack.tenant("victim").weight == 3.0
-    victim_pus = stack.placement_plan[stack.tenant("victim")]
-    aggressor_pus = stack.placement_plan[stack.tenant("aggressor")]
+    # Isolation is placement: no scheduler slot anywhere on the stack.
+    for host in (stack, device.sim, device, device.controller):
+        assert not hasattr(host, "qos")
+    assert stack.tenant("victim") == "victim"
+    with pytest.raises(ReproError, match="no tenant 'bystander'"):
+        stack.tenant("bystander")
+    assert list(stack.placement_plan) == ["victim", "aggressor"]
+    victim_pus = stack.placement_plan["victim"]
+    aggressor_pus = stack.placement_plan["aggressor"]
+    assert victim_pus and aggressor_pus
     assert not set(victim_pus) & set(aggressor_pus)   # partitioned
 
 
@@ -432,17 +425,41 @@ def test_module_runner_rejects_a_bad_spec(tmp_path, capsys):
     assert "unknown FTL flavor" in capsys.readouterr().err
 
 
-def test_a_zero_tenant_rate_exits_2_in_one_line(tmp_path, capsys):
-    """It used to pass validation and die in a ``ValueError`` traceback
-    from ``TenantContext`` at build time."""
+@pytest.mark.parametrize("data, reason", [
+    ({"tenants": [{"name": "a", "weight": 0.0}]},
+     "TenantSpec: unknown field(s) ['weight']"),
+    ({"tenants": [{"name": "a", "rate_bytes_per_sec": 0}]},
+     "TenantSpec: unknown field(s) ['rate_bytes_per_sec']"),
+    ({"tenants": [{"name": "a", "burst_bytes": 1e6}]},
+     "TenantSpec: unknown field(s) ['burst_bytes']"),
+    ({"tenants": [{"name": "a"}], "qos_scheduler": True},
+     "StackSpec: unknown field(s) ['qos_scheduler']"),
+])
+def test_a_retired_scheduler_field_exits_2_in_one_line(tmp_path, capsys,
+                                                       data, reason):
+    """A tenant is a name that placement maps to parallel units; the
+    scheduler's weight, rate, burst and on/off switch are gone, and a
+    spec that still sets one is refused, not half-honoured."""
     from repro.stack.__main__ import main
-    path = tmp_path / "rate.json"
-    path.write_text(json.dumps(
-        {"tenants": [{"name": "a", "rate_bytes_per_sec": 0}]}))
+    path = tmp_path / "retired.json"
+    path.write_text(json.dumps(data))
     assert main([str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"invalid spec {path}: tenant 'a': rate_bytes_per_sec "
-                   f"must be > 0 or null, got 0\n")
+    assert capsys.readouterr().err == f"invalid spec {path}: {reason}\n"
+
+
+def test_more_partitioned_tenants_than_groups_exits_2_in_one_line(
+        tmp_path, capsys):
+    """It used to pass validation and die in a ``ValueError`` traceback
+    from ``plan_placement`` at build time."""
+    from repro.stack.__main__ import main
+    path = tmp_path / "crowded.json"
+    path.write_text(json.dumps(
+        {"geometry": {"num_groups": 2},
+         "tenants": [{"name": "a"}, {"name": "b"}, {"name": "c"}]}))
+    assert main([str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"invalid spec {path}: tenants: partitioned placement needs >= 1 "
+        f"group per tenant: 3 tenants > 2 groups\n")
 
 
 @pytest.mark.parametrize("name, text, names", [
@@ -561,9 +578,8 @@ SCHEMA_MEANING = {
             "resolved host",
     "workload": "what `run_spec` drives; `kind` is a row of the "
                 "`workload.kind` table below",
-    "tenants": "registered in order, placement planned per `qos_policy`",
+    "tenants": "names, placed on PUs in order per `qos_policy`",
     "qos_policy": "PU placement of tenants",
-    "qos_scheduler": "attach a `QosScheduler` when tenants are declared",
     "faults": "serialized `FaultPlan` (`grown_bad` rows are "
               "`[group, pu, block, erase_cycle]`)",
     "timing": "preset → measured `profile` → overrides, then "
