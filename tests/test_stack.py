@@ -126,6 +126,15 @@ def test_unknown_ftl_flavor_raises():
         build_stack(StackSpec(ftl="pblk"))
 
 
+def test_a_tenant_weight_is_refused_as_an_unknown_field():
+    """Tenants no longer carry a scheduler weight; any value is refused
+    at validation rather than silently ignored."""
+    for weight in (0.0, -1.0, 1.0):
+        with pytest.raises(ReproError,
+                           match=r"TenantSpec: unknown field\(s\) \['weight'\]"):
+            smoke_spec(tenants=[{"name": "t", "weight": weight}]).validate()
+
+
 def test_host_flavor_mismatch_raises():
     with pytest.raises(ReproError, match="host 'db' runs over ftl"):
         StackSpec(ftl="eleos", host="db").validate()
@@ -428,7 +437,7 @@ def test_module_runner_rejects_a_bad_spec(tmp_path, capsys):
 @pytest.mark.parametrize("data, reason", [
     ({"tenants": [{"name": "a", "weight": 0.0}]},
      "TenantSpec: unknown field(s) ['weight']"),
-    ({"tenants": [{"name": "a", "rate_bytes_per_sec": 0}]},
+    ({"tenants": [{"name": "a", "rate_bytes_per_sec": 1e6}]},
      "TenantSpec: unknown field(s) ['rate_bytes_per_sec']"),
     ({"tenants": [{"name": "a", "burst_bytes": 1e6}]},
      "TenantSpec: unknown field(s) ['burst_bytes']"),
@@ -445,6 +454,20 @@ def test_a_retired_scheduler_field_exits_2_in_one_line(tmp_path, capsys,
     path.write_text(json.dumps(data))
     assert main([str(path)]) == 2
     assert capsys.readouterr().err == f"invalid spec {path}: {reason}\n"
+
+
+def test_a_zero_tenant_rate_exits_2_in_one_line(tmp_path, capsys):
+    """It used to pass validation and die in a ``ValueError`` traceback
+    at build time; the rate field is gone, so the spec is refused in one
+    line before anything is built."""
+    from repro.stack.__main__ import main
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps(
+        {"tenants": [{"name": "a", "rate_bytes_per_sec": 0}]}))
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"invalid spec {path}: TenantSpec: unknown field(s) "
+                   f"['rate_bytes_per_sec']\n")
 
 
 def test_more_partitioned_tenants_than_groups_exits_2_in_one_line(
