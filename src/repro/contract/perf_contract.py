@@ -91,16 +91,15 @@ class PerformanceContract:
 
 
 def characterize_device(device: OpenChannelSSD, samples: int = 32,
-                        wear_cycles: int = 0,
                         registry: Optional[MetricsRegistry] = None
                         ) -> Dict[str, float]:
     """Measure a device's latency envelope on a scratch chunk.
 
     Returns metrics suitable for :meth:`PerformanceContract.check`:
     ``write_unit_mean``, ``write_unit_p99``, ``read_sector_mean``,
-    ``read_sector_p99``, ``reset_mean`` and ``endurance`` (the declared
-    per-chunk erase budget).  ``wear_cycles`` pre-ages the scratch chunk
-    so contracts can be evaluated at a given wear level.
+    ``read_sector_p99``, ``reset_mean`` and ``endurance`` (the cell's
+    rated per-chunk erase budget, :attr:`CellType.endurance`).  No
+    latency depends on wear: the device fails only a worn-out erase.
 
     The raw latency samples land in a :class:`MetricsRegistry` (pass one
     in to keep them — ``contract.{write_unit,read_sector,reset}.latency_s``
@@ -115,9 +114,6 @@ def characterize_device(device: OpenChannelSSD, samples: int = 32,
     resets = registry.histogram("contract.reset.latency_s")
     ws_min = geometry.ws_min
     payload = b"\xA5" * (geometry.sector_size * ws_min)
-
-    chip = device.chips[(scratch.group, scratch.pu)]
-    chip.erase_counts[scratch.chunk] += wear_cycles
 
     units_per_chunk = geometry.sectors_per_chunk // ws_min
     written_units = 0
@@ -142,12 +138,11 @@ def characterize_device(device: OpenChannelSSD, samples: int = 32,
         completion = device.reset(scratch)
         resets.record(completion.latency)
 
-    wear = chip.wear
     return {
         "write_unit_mean": writes.mean(),
         "write_unit_p99": writes.percentile(99),
         "read_sector_mean": reads.mean(),
         "read_sector_p99": reads.percentile(99),
         "reset_mean": resets.mean(),
-        "endurance": float(wear.endurance),
+        "endurance": float(geometry.flash.cell.endurance),
     }

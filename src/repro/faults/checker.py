@@ -305,9 +305,9 @@ def _plan_for(cfg: CheckConfig) -> FaultPlan:
         # OX-Block's GC stays in its marked group (group 0, protected) while
         # victims remain.  A grown-bad block bypasses the protection; on a
         # group-0 *data* chunk (4..7) its first reset fails and retires it.
-        grown_bad=({(0, prng.randrange(2), prng.randrange(4, 8)): 1}
-                   if cfg.media_faults else {}),
-        protect_groups=frozenset({0}) if cfg.media_faults else frozenset())
+        grown_bad=([[0, prng.randrange(2), prng.randrange(4, 8), 1]]
+                   if cfg.media_faults else []),
+        protect_groups=[0] if cfg.media_faults else [])
 
 
 def _payload(version: int, lba: int, sector_size: int) -> bytes:

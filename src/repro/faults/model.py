@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.sidecar import FAULTS_SLOT, Sidecar
@@ -30,12 +30,15 @@ if TYPE_CHECKING:
     from repro.ocssd.device import OpenChannelSSD
 
 PuKey = Tuple[int, int]
-BlockKey = Tuple[int, int, int]   # (group, pu, block index)
 
 
 @dataclass
 class FaultPlan:
-    """A deterministic description of what goes wrong, and when."""
+    """A deterministic description of what goes wrong, and when.
+
+    JSON-shaped: it is also a :class:`repro.stack.StackSpec`'s ``faults``
+    block, so every field is a number or a list of them.
+    """
 
     seed: int = 0
     #: Per-program-operation probability of a permanent program failure
@@ -45,8 +48,9 @@ class FaultPlan:
     read_fail_prob: float = 0.0
     #: Per-erase-operation probability of an erase failure (block retires).
     erase_fail_prob: float = 0.0
-    #: ``(group, pu, block) -> erase cycle`` at which the block grows bad.
-    grown_bad: Dict[BlockKey, int] = field(default_factory=dict)
+    #: ``[group, pu, block, erase_cycle]`` rows: the block grows bad at
+    #: that erase cycle.
+    grown_bad: List[List[int]] = field(default_factory=list)
     #: Cut power once the device has performed this many media ops.
     power_cut_at_op: Optional[int] = None
     #: Cut power at this simulated time (checked on the next media op).
@@ -57,24 +61,33 @@ class FaultPlan:
     #: Groups exempt from the *probabilistic* faults — e.g. a metadata
     #: region a deployment would put on SLC.  Power cuts and torn units
     #: still apply everywhere.
-    protect_groups: FrozenSet[int] = frozenset()
+    protect_groups: List[int] = field(default_factory=list)
 
     def validate(self) -> None:
+        """Each failure names its field as a spec's ``faults`` block
+        does (``faults.erase_fail_prob``)."""
         for name in ("program_fail_prob", "read_fail_prob",
                      "erase_fail_prob", "torn_unit_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ReproError(f"{name} must be in [0, 1], got {value}")
+                raise ReproError(
+                    f"faults.{name} must be in [0, 1], got {value}")
         if self.power_cut_at_op is not None and self.power_cut_at_op < 1:
-            raise ReproError(
-                f"power_cut_at_op must be >= 1, got {self.power_cut_at_op}")
+            raise ReproError(f"faults.power_cut_at_op must be >= 1, got "
+                             f"{self.power_cut_at_op}")
         if self.power_cut_at_time is not None and self.power_cut_at_time < 0:
-            raise ReproError(f"power_cut_at_time must be >= 0, got "
+            raise ReproError(f"faults.power_cut_at_time must be >= 0, got "
                              f"{self.power_cut_at_time}")
-        early = {key: cycle for key, cycle in self.grown_bad.items()
-                 if cycle < 1}
+        for row in self.grown_bad:
+            if not (isinstance(row, (list, tuple)) and len(row) == 4
+                    and all(type(value) is int for value in row)):
+                raise ReproError(f"faults.grown_bad rows are [group, pu, "
+                                 f"block, erase_cycle]; got {row!r}")
+        early = {tuple(row[:3]): row[3] for row in self.grown_bad
+                 if row[3] < 1}
         if early:       # chip.erase counts cycles from 1
-            raise ReproError(f"grown_bad erase cycles start at 1, got {early}")
+            raise ReproError(
+                f"faults.grown_bad erase cycles start at 1, got {early}")
 
 
 @dataclass
@@ -102,6 +115,10 @@ class FaultInjector(Sidecar):
         self.stats = FaultStats()
         self._rng = random.Random(plan.seed)
         self._quiesced = False
+        # The plan's rows as the media ops look them up.
+        self._grown_bad = {(group, pu, block): cycle
+                           for group, pu, block, cycle in plan.grown_bad}
+        self._protected = frozenset(plan.protect_groups)
 
     # -- wiring (Sidecar protocol) -----------------------------------------
 
@@ -115,16 +132,15 @@ class FaultInjector(Sidecar):
         geometry = device.geometry
         shape = (geometry.num_groups, geometry.pus_per_group,
                  geometry.chunks_per_pu)
-        outside = [key for key in self.plan.grown_bad if len(key) != 3
-                   or not all(0 <= i < n for i, n in zip(key, shape))]
+        outside = [key for key in self._grown_bad
+                   if not all(0 <= i < n for i, n in zip(key, shape))]
         if outside:
-            raise ReproError(f"grown_bad {outside}: no such (group, pu, "
-                             f"block) on a {shape} device")
-        outside = sorted(set(self.plan.protect_groups)
-                         - set(range(geometry.num_groups)))
+            raise ReproError(f"faults.grown_bad {outside}: no such (group, "
+                             f"pu, block) on a {shape} device")
+        outside = sorted(self._protected - set(range(geometry.num_groups)))
         if outside:
-            raise ReproError(f"protect_groups {outside}: the device has "
-                             f"{geometry.num_groups} groups")
+            raise ReproError(f"faults.protect_groups {outside}: the device "
+                             f"has {geometry.num_groups} groups")
 
     def _sidecar_wire(self, device: "OpenChannelSSD") -> None:
         for (group, pu), chip in device.chips.items():
@@ -174,7 +190,7 @@ class FaultInjector(Sidecar):
         return True
 
     def _roll(self, key: PuKey, prob: float) -> bool:
-        if self._quiesced or not prob or key[0] in self.plan.protect_groups:
+        if self._quiesced or not prob or key[0] in self._protected:
             return False
         return self._rng.random() < prob
 
@@ -192,7 +208,7 @@ class FaultInjector(Sidecar):
 
     def erase_fails(self, key: PuKey, block: int, erase_count: int) -> bool:
         if not self._quiesced:
-            planned = self.plan.grown_bad.get((key[0], key[1], block))
+            planned = self._grown_bad.get((key[0], key[1], block))
             if planned is not None and erase_count >= planned:
                 self.stats.erases_failed += 1
                 return True

@@ -1,4 +1,4 @@
-"""NAND flash substrate: cells, chips, timing, wear.
+"""NAND flash substrate: cells, chips, timing, endurance.
 
 This package models the physical storage space of §2.1 of the paper:
 channels of chips, chips of planes, planes of blocks, blocks of pages,
@@ -23,7 +23,6 @@ from repro.nand.timing import (
     timing_for,
 )
 from repro.nand.chip import FlashChip
-from repro.nand.errors import WearModel
 
 __all__ = [
     "CellType",
@@ -38,5 +37,4 @@ __all__ = [
     "load_profile",
     "timing_for",
     "FlashChip",
-    "WearModel",
 ]

@@ -30,6 +30,19 @@ class CellType(enum.Enum):
     def bits_per_cell(self) -> int:
         return self.value
 
+    @property
+    def endurance(self) -> int:
+        """Rated program/erase cycles of a block: an erase past it fails."""
+        return _ENDURANCE[self]
+
+
+_ENDURANCE = {
+    CellType.SLC: 100_000,
+    CellType.MLC: 10_000,
+    CellType.TLC: 3_000,
+    CellType.QLC: 1_000,
+}
+
 
 def paired_pages(cell: CellType) -> int:
     """Number of pages sharing each cell (1 per stored bit)."""

@@ -12,8 +12,9 @@ retirement are its chunk's (:class:`repro.ocssd.chunk.Chunk`), because
 "chunk management is under the responsibility of the Open-Channel SSD"
 (§2.2) and the chunk enforces every write and read rule once.  What only
 the die knows stays here: each block set's program/erase cycles
-(:attr:`FlashChip.erase_counts`), which the wear model turns into erase
-and read failures.
+(:attr:`FlashChip.erase_counts`).  The chip's one built-in failure is
+wear-out: an erase past the cell's endurance (:attr:`CellType.endurance`)
+fails.  Every other media failure is a :class:`repro.faults.FaultPlan`'s.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import MediaError
-from repro.nand.errors import WearModel
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming, timing_for
 from repro.sidecar import FAULTS_SLOT, OBS_SLOT, init_sidecar_slots
@@ -42,13 +42,12 @@ class FlashChip:
     """One NAND die: its geometry, timing and the wear of its block sets."""
 
     def __init__(self, geometry: Optional[FlashGeometry] = None,
-                 timing: Optional[NandTiming] = None,
-                 wear: Optional[WearModel] = None):
+                 timing: Optional[NandTiming] = None):
         self.geometry = geometry or FlashGeometry()
         self.timing = timing or timing_for(self.geometry.cell)
-        self.wear = wear or WearModel(cell=self.geometry.cell)
         # Erase attempts per block set, failed ones included: the cycle
-        # number the wear model and a fault plan's grown-bad schedule see.
+        # number the endurance check and a fault plan's grown-bad
+        # schedule see.
         self.erase_counts = [0] * self.geometry.blocks_per_plane
         self.stats = ChipStats()
         # Hot-path dimensions: resolved once here instead of through a
@@ -57,6 +56,7 @@ class FlashChip:
         self._write_unit = self.geometry.write_unit_sectors
         self._group_sectors = self.geometry.read_unit_sectors
         self._paired_pages = self.geometry.cell.bits_per_cell
+        self._endurance = self.geometry.cell.endurance
         # Sidecars (repro.sidecar): None in normal operation, so the hot
         # paths pay one attribute load + identity check per op.  The chip
         # records the nand.*.media_s histograms; the controller records
@@ -74,9 +74,9 @@ class FlashChip:
     def erase(self, index: int) -> float:
         """Erase a block set; returns the media time consumed.
 
-        Raises :class:`MediaError` when the wear model (or an injected
-        fault) declares the erase failed; the attempt still counts a
-        cycle.  The caller retires the chunk.
+        Raises :class:`MediaError` when the erase takes the block set
+        past its cell's endurance, or an injected fault fails it; the
+        attempt still counts a cycle.  The caller retires the chunk.
         """
         if not 0 <= index < self._blocks:
             self._out_of_range(index)
@@ -97,7 +97,7 @@ class FlashChip:
         self.stats.erase_time += elapsed
         if self.obs is not None:
             self.obs.on_media("erase", elapsed)
-        if self.wear.erase_fails(counts[index]):
+        if counts[index] > self._endurance:
             raise MediaError(
                 f"block {index} failed erase at cycle {counts[index]}")
         return elapsed
@@ -129,7 +129,7 @@ class FlashChip:
         (programmed ones: the chunk checked).  Returns the media time: one
         sense per multi-plane page group touched.
 
-        Raises :class:`MediaError` on an uncorrectable (wear-induced) error.
+        Raises :class:`MediaError` on an injected uncorrectable error.
         """
         if not 0 <= index < self._blocks:
             self._out_of_range(index)
@@ -146,11 +146,6 @@ class FlashChip:
                 raise MediaError(
                     f"uncorrectable read error in block {index} "
                     f"(injected fault)")
-        cycles = self.erase_counts[index]
-        if self.wear.read_fails(cycles):
-            raise MediaError(
-                f"uncorrectable read error in block {index} "
-                f"(erase count {cycles})")
         elapsed = self.timing.read_time(page_groups)
         self.stats.read_time += elapsed
         if self.obs is not None:

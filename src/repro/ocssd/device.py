@@ -23,7 +23,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import (
     GeometryError, MediaError, ReproError, WriteUnitError)
 from repro.nand.chip import FlashChip
-from repro.nand.errors import WearModel
 from repro.nand.timing import NandTiming, timing_for
 from repro.ocssd.address import Ppa, PpaRun, PpaVector
 from repro.ocssd.chunk import Chunk, ChunkState, payload_view
@@ -89,32 +88,22 @@ class OpenChannelSSD:
                  geometry: Optional[DeviceGeometry] = None,
                  timing: Optional[NandTiming] = None,
                  write_back: bool = True,
-                 cache_sectors: Optional[int] = None,
-                 wear_seed: int = 0,
-                 grown_fail_prob: float = 0.0,
-                 factory_bad: Optional[Dict[Tuple[int, int], List[int]]] = None):
+                 cache_sectors: Optional[int] = None):
         self.sim = sim or Simulator()
         self.geometry = geometry or DeviceGeometry()
         flash = self.geometry.flash
         timing = timing or timing_for(flash.cell)
-        factory_bad = factory_bad or {}
 
         self.chips: Dict[Tuple[int, int], FlashChip] = {}
         self.chunks: Dict[Tuple[int, int, int], Chunk] = {}
-        for index, (group, pu) in enumerate(self.geometry.iter_pus()):
-            wear = WearModel(cell=flash.cell, seed=wear_seed + index,
-                             grown_fail_prob=grown_fail_prob)
-            self.chips[(group, pu)] = FlashChip(geometry=flash, timing=timing,
-                                                wear=wear)
-            bad = factory_bad.get((group, pu), ())
+        for group, pu in self.geometry.iter_pus():
+            self.chips[(group, pu)] = FlashChip(geometry=flash, timing=timing)
             for chunk_index in range(self.geometry.chunks_per_pu):
-                ppa = Ppa(group, pu, chunk_index, 0)
-                chunk = Chunk(ppa, capacity=self.geometry.sectors_per_chunk,
-                              ws_min=self.geometry.ws_min,
-                              sector_size=self.geometry.sector_size)
-                if chunk_index in bad:
-                    chunk.retire()
-                self.chunks[(group, pu, chunk_index)] = chunk
+                self.chunks[(group, pu, chunk_index)] = Chunk(
+                    Ppa(group, pu, chunk_index, 0),
+                    capacity=self.geometry.sectors_per_chunk,
+                    ws_min=self.geometry.ws_min,
+                    sector_size=self.geometry.sector_size)
         # Built in address order, so position == linear chunk index.
         self._chunk_list: List[Chunk] = list(self.chunks.values())
         self._sectors_per_chunk = self.geometry.sectors_per_chunk

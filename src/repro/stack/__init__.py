@@ -9,7 +9,6 @@ from a JSON or TOML file and writes the usual results files.
 from repro.stack.build import Stack, build_stack
 from repro.stack.runner import run_and_report, run_spec
 from repro.stack.spec import (
-    FaultSpec,
     GeometrySpec,
     StackSpec,
     TenantSpec,
@@ -18,7 +17,6 @@ from repro.stack.spec import (
 )
 
 __all__ = [
-    "FaultSpec",
     "GeometrySpec",
     "Stack",
     "StackSpec",

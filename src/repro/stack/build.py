@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector
 from repro.lsm import DB, DbBench
 from repro.llama import LlamaEngine
 from repro.nand import (
@@ -131,15 +131,6 @@ def _resolve_timing(spec: StackSpec) -> Optional[NandTiming]:
     return timing
 
 
-def _fault_plan(spec: StackSpec) -> FaultPlan:
-    """``spec.faults`` is ``FaultPlan``'s fields, JSON-shaped."""
-    f = spec.faults
-    return FaultPlan(**{
-        **asdict(f), "protect_groups": frozenset(f.protect_groups),
-        "grown_bad": {(g, pu, block): cycle
-                      for g, pu, block, cycle in f.grown_bad}})
-
-
 def build_stack(spec: StackSpec) -> Stack:
     """Assemble and wire the stack *spec* describes (validated first:
     every keyword dict below is known to fit its config class)."""
@@ -153,7 +144,7 @@ def build_stack(spec: StackSpec) -> Stack:
     if spec.obs:
         stack.obs = Obs().attach(device)
     if spec.faults is not None:
-        stack.faults = FaultInjector(_fault_plan(spec)).attach(device)
+        stack.faults = FaultInjector(spec.faults).attach(device)
     if spec.tenants:
         stack.placement_plan = plan_placement(
             spec.geometry.num_groups, spec.geometry.pus_per_group,

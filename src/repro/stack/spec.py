@@ -5,7 +5,8 @@ OX-ZNS and LightLSM are different compositions over the same media.  A
 :class:`StackSpec` names one composition: geometry and cell type, the
 FTL flavor, the host above it, the sidecars riding along (faults, obs),
 the tenants whose parallel units it places, the workload to drive it
-with, and the seed that makes the whole run deterministic.
+with, and the seed that makes the whole run deterministic.  The faults
+block is a :class:`repro.faults.FaultPlan` itself.
 :func:`repro.stack.build_stack` turns the spec into live objects;
 ``python -m repro.stack spec.json`` runs it.
 
@@ -14,7 +15,7 @@ Specs round-trip through plain dicts (:meth:`StackSpec.to_dict` /
 inputs and results files can embed the exact spec they measured.
 Validation raises :class:`~repro.errors.ReproError` with the offending
 field named; structural invariants the lower layers already enforce
-(geometry bounds, fault probabilities) stay enforced there.
+(geometry bounds) stay enforced there.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.errors import ReproError
+from repro.faults import FaultPlan
 from repro.nand import CellType
 from repro.qos import PARTITIONED, SHARED
 from repro.stack import personality
@@ -136,33 +138,6 @@ class TenantSpec:
 
 
 @dataclass
-class FaultSpec:
-    """A serializable mirror of :class:`repro.faults.FaultPlan`.
-
-    ``grown_bad`` is a list of ``[group, pu, block, erase_cycle]`` rows
-    (JSON has no tuple-keyed dicts); probabilities are re-validated by
-    ``FaultPlan.validate`` at build time.
-    """
-
-    seed: int = 0
-    program_fail_prob: float = 0.0
-    read_fail_prob: float = 0.0
-    erase_fail_prob: float = 0.0
-    grown_bad: List[List[int]] = field(default_factory=list)
-    power_cut_at_op: Optional[int] = None
-    power_cut_at_time: Optional[float] = None
-    torn_unit_prob: float = 0.0
-    protect_groups: List[int] = field(default_factory=list)
-
-    def validate(self) -> None:
-        _check_types(self, "faults.")
-        for row in self.grown_bad:
-            _check(len(row) == 4,
-                   f"faults.grown_bad rows are [group, pu, block, "
-                   f"erase_cycle]; got {row}")
-
-
-@dataclass
 class WorkloadSpec:
     """What the runner drives the stack with."""
 
@@ -250,7 +225,7 @@ class StackSpec:
     tenants: List[TenantSpec] = field(default_factory=list)
     #: Placement of tenants over PUs: partitioned | shared.
     qos_policy: str = "partitioned"
-    faults: Optional[FaultSpec] = None
+    faults: Optional[FaultPlan] = None
     #: Device timing override: None keeps the cell preset.
     timing: Optional[TimingSpec] = None
     obs: bool = False
@@ -262,7 +237,7 @@ class StackSpec:
         if self.workload is not None:
             self.workload = _sub_spec(WorkloadSpec, self.workload)
         if self.faults is not None:
-            self.faults = _sub_spec(FaultSpec, self.faults)
+            self.faults = _sub_spec(FaultPlan, self.faults)
         if self.timing is not None:
             self.timing = _sub_spec(TimingSpec, self.timing)
         if isinstance(self.tenants, list):   # else _check_types names it
@@ -288,6 +263,8 @@ class StackSpec:
                f"tenants: partitioned placement needs >= 1 group per "
                f"tenant: {len(names)} tenants > "
                f"{self.geometry.num_groups} groups")
+        if self.faults is not None:
+            _check_types(self.faults, "faults.")
         for sub in (self.workload, self.faults, self.timing):
             if sub is not None:
                 sub.validate()

@@ -233,7 +233,7 @@ class TestZnsReclaim:
         device, zns, env, handle, zones = self.table()
         bad = zones[1]
         FaultInjector(FaultPlan(
-            grown_bad={zns.zone(bad).chunks[0]: 1})).attach(device)
+            grown_bad=[[*zns.zone(bad).chunks[0], 1]])).attach(device)
         free = empty_zones(zns)
         device.sim.run_until(device.sim.spawn(env.delete_table_proc(handle)))
         assert empty_zones(zns) == free | set(zones)

@@ -85,7 +85,7 @@ def test_a_failed_zone_reset_retires_only_its_chunk():
     device, zns, env, handle, zones = test_alt_envs.TestZnsReclaim.table()
     chunks = list(zns.zone(zones[1]).chunks)
     bad = chunks[0]
-    FaultInjector(FaultPlan(grown_bad={bad: 1})).attach(device)
+    FaultInjector(FaultPlan(grown_bad=[[*bad, 1]])).attach(device)
     device.sim.run_until(device.sim.spawn(env.delete_table_proc(handle)))
     census = zns.census()
     assert census["offline"] == [bad] and census["in use"] == []

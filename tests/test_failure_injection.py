@@ -2,14 +2,19 @@
 
 Bad-media management is the device's job (§2.2), but the FTL must react
 to the asynchronous error reports: retire chunks, drop lost mappings,
-and keep serving everything else.
+and keep serving everything else.  A media failure is a
+:class:`FaultPlan`'s, except wear-out: an erase past the cell's
+endurance fails on its own.
 """
+
+import pathlib
+import re
 
 import pytest
 
 from repro.errors import FTLError, MediaError
 from repro.faults import FaultInjector, FaultPlan
-from repro.nand import CellType, FlashGeometry, WearModel
+from repro.nand import FlashGeometry
 from repro.ocssd import (
     ChunkState,
     CommandStatus,
@@ -32,17 +37,18 @@ def geometry(groups=2, pus=2, chunks=12, pages=6):
 
 class TestDeviceFailures:
     def test_every_erase_fails_with_prob_one(self):
-        device = OpenChannelSSD(geometry=geometry(), grown_fail_prob=1.0)
+        device = OpenChannelSSD(geometry=geometry())
+        FaultInjector(FaultPlan(erase_fail_prob=1.0)).attach(device)
         completion = device.reset(Ppa(0, 0, 0, 0))
         assert completion.status is CommandStatus.RESET_FAILED
         assert device.chunk_info(Ppa(0, 0, 0, 0)).state is ChunkState.OFFLINE
         notes = device.pop_notifications()
-        assert notes and notes[0].kind == "reset-failed"
+        assert [note.kind for note in notes] == ["reset-failed"]
 
     def test_worn_out_chunk_fails_erase(self):
         device = OpenChannelSSD(geometry=geometry())
         chip = device.chips[(0, 0)]
-        chip.erase_counts[0] = chip.wear.endurance
+        chip.erase_counts[0] = chip.geometry.cell.endurance
         completion = device.reset(Ppa(0, 0, 0, 0))
         assert completion.status is CommandStatus.RESET_FAILED
 
@@ -87,19 +93,18 @@ class TestDeviceFailures:
 
 
 class TestFtlBadBlockHandling:
-    def make_ftl(self, grown_fail_prob=0.0):
-        device = OpenChannelSSD(geometry=geometry(chunks=16),
-                                grown_fail_prob=grown_fail_prob,
-                                wear_seed=99)
-        # Keep the metadata region (group 0, where WAL and checkpoint
-        # slots live) reliable, as a real deployment would by placing
-        # metadata on an SLC-mode region: failures hit data chunks only.
-        for pu in range(2):
-            device.chips[(0, pu)].wear = WearModel(
-                cell=CellType.TLC, grown_fail_prob=0.0)
+    def make_ftl(self, erase_fail_prob=0.0, **config):
+        device = OpenChannelSSD(geometry=geometry(chunks=16))
+        if erase_fail_prob:
+            # Keep the metadata region (group 0, where WAL and checkpoint
+            # slots live) reliable, as a real deployment would by placing
+            # metadata on an SLC-mode region: failures hit data chunks.
+            FaultInjector(FaultPlan(seed=99, erase_fail_prob=erase_fail_prob,
+                                    protect_groups=[0])).attach(device)
         media = MediaManager(device)
-        config = BlockConfig(wal_chunk_count=2, ckpt_chunks_per_slot=1,
-                             gc_enabled=False)
+        config = BlockConfig(**{"wal_chunk_count": 2,
+                                "ckpt_chunks_per_slot": 1,
+                                "gc_enabled": False, **config})
         return device, media, OXBlock.format(media, config)
 
     def test_retired_chunk_leaves_provisioner(self):
@@ -147,13 +152,43 @@ class TestFtlBadBlockHandling:
 
     def test_survives_sustained_grown_failures(self):
         """With a small grown-failure probability the FTL keeps running:
-        failed chunks retire, the rest of the workload completes."""
-        device, media, ftl = self.make_ftl(grown_fail_prob=0.05)
+        GC erases data chunks, the failed ones retire, the rest of the
+        workload completes and reads back."""
+        device, media, ftl = self.make_ftl(erase_fail_prob=0.05,
+                                           gc_enabled=True)
         ws = device.report_geometry().ws_min
+        units = ftl.capacity_sectors // ws // 2     # half the data region
         for round_ in range(6):
-            for lba in range(0, 4 * ws, ws):
+            for lba in range(0, units * ws, ws):
                 ftl.write(lba, bytes([round_ + 1]) * SS * ws)
             ftl.flush()
         device.sim.run()
         ftl.write(0, bytes([99]) * SS * ws)
-        assert ftl.read(0, 1) == bytes([99]) * SS
+        assert device.faults.stats.erases_failed >= 1
+        assert ftl.stats.chunks_retired >= 1 and ftl.lost_lbas == []
+        assert ftl.read(0, ws) == bytes([99]) * SS * ws
+        for lba in range(ws, units * ws, ws):
+            assert ftl.read(lba, ws) == bytes([6]) * SS * ws, lba
+
+
+def test_one_fault_model_grep_pin():
+    """A media failure is a fault plan's: no second failure model or spec
+    mirror under ``src/repro``, and the device draws no random number of
+    its own.  The one RNG under ``repro.nand`` / ``repro.ocssd`` is
+    ``SampledNandTiming``'s seeded latency jitter, which fails nothing."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    paths = list(src.rglob("*.py"))
+    assert len(paths) > 80
+    banned = re.compile(r"WearModel|FaultSpec|wear_seed|grown_fail_prob")
+    hits = [f"{path.relative_to(src)}:{number}: {line.strip()}"
+            for path in paths
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            if banned.search(line)]
+    assert not hits, "\n".join(hits)
+    rng = re.compile(r"^\s*(import random|from random import)", re.M)
+    seeded = sorted(str(path.relative_to(src))
+                    for package in ("nand", "ocssd")
+                    for path in (src / package).rglob("*.py")
+                    if rng.search(path.read_text(encoding="utf-8")))
+    assert seeded == ["nand/timing.py"]

@@ -136,7 +136,7 @@ def test_a_failed_victim_erase_retires_that_victim_alone():
     assert run(media, ftl.gc._round_proc(1, 4)) == 4
     victims = list(ftl.gc.pending)
     bad = victims[0]
-    FaultInjector(FaultPlan(grown_bad={bad: 1})).attach(media.device)
+    FaultInjector(FaultPlan(grown_bad=[[*bad, 1]])).attach(media.device)
     ftl.flush()                 # carries the round: the erases
     stats = ftl.gc.stats
     assert (stats.resets, stats.reset_failures, stats.chunks_recycled) \

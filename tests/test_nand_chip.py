@@ -1,10 +1,13 @@
-"""Tests for the flash chip model: media time, stats and wear.  The
-program and read rules are the chunk's (tests/test_ocssd_chunk.py)."""
+"""Tests for the flash chip model: media time, stats and wear-out.  The
+program and read rules are the chunk's (tests/test_ocssd_chunk.py); every
+other media failure is a fault plan's (tests/test_failure_injection.py)."""
 
 import pytest
 
 from repro.errors import MediaError
-from repro.nand import CellType, FlashChip, FlashGeometry, WearModel
+from repro.faults import FaultInjector, FaultPlan
+from repro.nand import CellType, FlashChip, FlashGeometry
+from repro.ocssd import DeviceGeometry, OpenChannelSSD
 
 
 def small_chip(**overrides) -> FlashChip:
@@ -29,25 +32,31 @@ class TestErase:
         chip.erase(0)
         assert chip.erase_counts == [1, 0, 0, 0]
 
-    def test_erase_beyond_endurance_retires_block(self):
-        geometry = FlashGeometry(blocks_per_plane=2, pages_per_block=6)
-        wear = WearModel(cell=CellType.TLC, endurance=3)
-        chip = FlashChip(geometry=geometry, wear=wear)
-        for __ in range(3):
+    @pytest.mark.parametrize("cell", list(CellType), ids=lambda c: c.name)
+    def test_erase_beyond_endurance_retires_block(self, cell):
+        """The chip's one built-in failure: the erase that reaches the
+        cell's endurance succeeds, the next one fails and still counts."""
+        chip = small_chip(cell=cell, blocks_per_plane=2,
+                          pages_per_block=12)
+        chip.erase_counts[0] = cell.endurance - 1
+        chip.erase(0)
+        last = cell.endurance + 1
+        with pytest.raises(MediaError, match=f"failed erase at cycle {last}$"):
             chip.erase(0)
-        with pytest.raises(MediaError, match="cycle 4"):
-            chip.erase(0)
-        assert chip.erase_counts == [4, 0]      # a failed attempt counts
+        assert chip.erase_counts == [last, 0]
+        assert chip.stats.erases == 2
 
     def test_grown_bad_block_is_deterministic_per_seed(self):
+        """Random erase failures come from a fault plan's one seeded RNG:
+        the same seed fails the same blocks."""
         def failures(seed):
-            wear = WearModel(cell=CellType.TLC, grown_fail_prob=0.2,
-                             seed=seed)
-            chip = FlashChip(geometry=FlashGeometry(blocks_per_plane=8,
-                                                    pages_per_block=6),
-                             wear=wear)
-            failed = []
-            for block in range(8):
+            device = OpenChannelSSD(geometry=DeviceGeometry(
+                num_groups=1, pus_per_group=1,
+                flash=FlashGeometry(blocks_per_plane=32, pages_per_block=6)))
+            FaultInjector(FaultPlan(seed=seed, erase_fail_prob=0.2)).attach(
+                device)
+            chip, failed = device.chips[(0, 0)], []
+            for block in range(32):
                 try:
                     chip.erase(block)
                 except MediaError:
@@ -55,6 +64,7 @@ class TestErase:
             return failed
 
         assert failures(7) == failures(7)
+        assert failures(7) != failures(8)
 
 
 class TestRead:
@@ -98,15 +108,3 @@ class TestRead:
             chip.program(4, chip.geometry.write_unit_sectors)
         with pytest.raises(MediaError, match="out of range"):
             chip.read(-1, 0, 1)
-
-
-class TestWearModel:
-    def test_read_error_prob_grows_with_wear(self):
-        wear = WearModel(cell=CellType.TLC, endurance=100)
-        assert wear.read_error_prob(0) == 0.0
-        assert wear.read_error_prob(50) < wear.read_error_prob(100)
-        assert wear.read_error_prob(100) == pytest.approx(1e-3)
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
-            WearModel(grown_fail_prob=1.5)

@@ -498,21 +498,6 @@ class TestTimingModel:
 
 
 class TestNotificationsAndWear:
-    def test_program_failure_reported_asynchronously(self):
-        """With write-back, a program failure after completion surfaces in
-        the notification log and the chunk goes offline (§2.2)."""
-        geometry = DeviceGeometry(
-            num_groups=1, pus_per_group=1,
-            flash=FlashGeometry(blocks_per_plane=2, pages_per_block=6))
-        device = OpenChannelSSD(geometry=geometry, grown_fail_prob=1.0)
-        ppas = seq_ppas(device)
-        # Erase-before-anything is clean; force wear by resetting first.
-        completion = device.reset(Ppa(0, 0, 0, 0))
-        assert completion.status is CommandStatus.RESET_FAILED
-        notes = device.pop_notifications()
-        assert notes and notes[0].kind == "reset-failed"
-        assert device.chunk_info(Ppa(0, 0, 0, 0)).state is ChunkState.OFFLINE
-
     def test_notifications_drain(self):
         device = tiny_device()
         assert device.pop_notifications() == []
@@ -547,7 +532,10 @@ class TestOneStateMachine:
         assert device.chunk_info(target).state is ChunkState.OFFLINE
 
     def test_a_factory_bad_chunk_never_reaches_the_chip(self):
-        device = tiny_device(factory_bad={(0, 0): [1]})
+        """A chunk OFFLINE before its first command, as a factory-bad
+        one is: the controller refuses it and the die never sees it."""
+        device = tiny_device()
+        device.chunks[(0, 0, 1)].retire()
         target = Ppa(0, 0, 1, 0)
         assert device.chunk_info(target).state is ChunkState.OFFLINE
         assert device.write(seq_ppas(device, chunk=1),

@@ -450,7 +450,7 @@ def test_failed_erase_is_counted_and_reported():
     seg2 = ftl.append_buffer([(1, b"2" * size)])
     seg3 = ftl.append_buffer([(1, b"v3")])
     (bad1,), (bad2,) = ftl.segment_chunks(seg1), ftl.segment_chunks(seg2)
-    FaultInjector(FaultPlan(grown_bad={bad1: 1, bad2: 1})).attach(device)
+    FaultInjector(FaultPlan(grown_bad=[[*bad1, 1], [*bad2, 1]])).attach(device)
     free = ftl.free_chunk_count()
     ftl.free_segment(seg1)
     assert ftl.stats.chunks_retired == 1

@@ -7,13 +7,14 @@ import glob
 import json
 import os
 import re
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass
 
 import pytest
 
 from repro.errors import ReproError
+from repro.faults import FaultPlan
 from repro.lsm import DB, DBConfig, DbBench, HorizontalPlacement, LightLSMEnv
-from repro.ocssd import DeviceGeometry, OpenChannelSSD
+from repro.ocssd import CommandStatus, DeviceGeometry, OpenChannelSSD, Ppa
 from repro.nand import FlashGeometry
 from repro.ox import MediaManager
 from repro.stack import StackSpec, build_stack, run_spec
@@ -485,6 +486,49 @@ def test_more_partitioned_tenants_than_groups_exits_2_in_one_line(
         f"group per tenant: 3 tenants > 2 groups\n")
 
 
+@pytest.mark.parametrize("faults, reason", [
+    ({"grown_bad": [[0, 1, 2]]}, "faults.grown_bad rows are [group, pu, "
+                                 "block, erase_cycle]; got [0, 1, 2]"),
+    ({"grown_bad": [[0, 1, "2", 1]]}, "faults.grown_bad rows are [group, "
+                                      "pu, block, erase_cycle]; got "
+                                      "[0, 1, '2', 1]"),
+    ({"erase_fail_prob": 1.5},
+     "faults.erase_fail_prob must be in [0, 1], got 1.5"),
+])
+def test_a_bad_faults_block_exits_2_in_one_line(tmp_path, capsys, faults,
+                                                reason):
+    """The faults block is validated with the spec, before anything is
+    built, and the line names the field."""
+    from repro.stack.__main__ import main
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps({"ftl": "oxblock", "faults": faults}))
+    assert main([str(path)]) == 2
+    assert capsys.readouterr().err == f"invalid spec {path}: {reason}\n"
+
+
+def test_the_faults_block_is_the_fault_plan():
+    """A spec's ``faults`` block is a :class:`FaultPlan`: its rows and
+    protected groups round-trip JSON -> spec -> dict, and the injector
+    built from it fails the planned erase (which no protection covers)
+    and the probabilistic one outside the protected group."""
+    block = {"seed": 5, "erase_fail_prob": 1.0,
+             "grown_bad": [[0, 1, 2, 1]], "protect_groups": [0]}
+    spec = StackSpec.from_dict(json.loads(json.dumps(
+        {"geometry": {**SMOKE_GEOMETRY, "num_groups": 2}, "ftl": "none",
+         "faults": block})))
+    assert isinstance(spec.faults, FaultPlan)
+    assert spec.to_dict()["faults"] == {**asdict(FaultPlan()), **block}
+    assert StackSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) \
+        == spec
+    stack = build_stack(spec)
+    device = stack.device
+    assert stack.faults.plan is spec.faults
+    assert device.reset(Ppa(0, 1, 3, 0)).ok                 # protected
+    for planned in (Ppa(0, 1, 2, 0), Ppa(1, 0, 0, 0)):
+        assert device.reset(planned).status is CommandStatus.RESET_FAILED
+    assert stack.faults.stats.erases_failed == 2
+
+
 @pytest.mark.parametrize("name, text, names", [
     ("spec.json", '{"ftl": ', "Expecting value"),
     ("spec.toml", "ftl = ", "Invalid value"),
@@ -603,8 +647,8 @@ SCHEMA_MEANING = {
                 "`workload.kind` table below",
     "tenants": "names, placed on PUs in order per `qos_policy`",
     "qos_policy": "PU placement of tenants",
-    "faults": "serialized `FaultPlan` (`grown_bad` rows are "
-              "`[group, pu, block, erase_cycle]`)",
+    "faults": "media failures and power cuts, one seed (`grown_bad` "
+              "rows are `[group, pu, block, erase_cycle]`)",
     "timing": "preset → measured `profile` → overrides, then "
               "`jitter_sigma` (§4)",
     "obs": "attach the tracing/metrics hub",

@@ -221,7 +221,7 @@ class TestTruncate:
             run(media, appender.flush_proc())
         used = appender.used_sectors
         bad = layout.wal_chunks[1]
-        FaultInjector(FaultPlan(grown_bad={bad: 1})).attach(device)
+        FaultInjector(FaultPlan(grown_bad=[[*bad, 1]])).attach(device)
         children = []
         spawn = media.sim.spawn
         media.sim.spawn = lambda generator, name="": (

@@ -241,7 +241,7 @@ class TestZnsDevice:
         assert [zone.group for zone in zns.zones] == [0, 1, 0, 1]
         zns.append(0, b"f" * SS * zns.zone_capacity)
         FaultInjector(FaultPlan(
-            grown_bad={zns.zone(0).chunks[0]: 1})).attach(device)
+            grown_bad=[[*zns.zone(0).chunks[0], 1]])).attach(device)
         zns.reset_zone(0)
         assert zns.stats.chunks_retired == 1
         zns.append(2, b"a" * SS)            # group 0: one chunk left
