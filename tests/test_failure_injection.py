@@ -93,7 +93,7 @@ class TestDeviceFailures:
 
 
 class TestFtlBadBlockHandling:
-    def make_ftl(self, erase_fail_prob=0.0, **config):
+    def make_ftl(self, erase_fail_prob=0.0, gc_enabled=False):
         device = OpenChannelSSD(geometry=geometry(chunks=16))
         if erase_fail_prob:
             # Keep the metadata region (group 0, where WAL and checkpoint
@@ -102,9 +102,8 @@ class TestFtlBadBlockHandling:
             FaultInjector(FaultPlan(seed=99, erase_fail_prob=erase_fail_prob,
                                     protect_groups=[0])).attach(device)
         media = MediaManager(device)
-        config = BlockConfig(**{"wal_chunk_count": 2,
-                                "ckpt_chunks_per_slot": 1,
-                                "gc_enabled": False, **config})
+        config = BlockConfig(wal_chunk_count=2, ckpt_chunks_per_slot=1,
+                             gc_enabled=gc_enabled)
         return device, media, OXBlock.format(media, config)
 
     def test_retired_chunk_leaves_provisioner(self):
